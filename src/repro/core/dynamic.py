@@ -28,12 +28,15 @@ sweep cannot remove a valid entry: its criterion (∃ higher-order
 *sound*, and any such witness certifies a real higher-order walk,
 which by Theorem 1 makes ``(a, w)`` invalid.
 
-*Deletion* ``(u, v)`` recomputes the backward label sets of every
-vertex that could reach ``u`` (forward side) or be reached from ``v``
-(backward side) — the only vertices whose Theorem 1 status can change —
-using the basic labeling method on the new graph.  When the affected
-set exceeds ``rebuild_fraction`` of the graph, a full rebuild is
-cheaper and is used instead.
+*Deletion* ``(u, v)`` is a **rank-ordered cone repair**.  With ``A`` =
+everything that reached ``u`` and ``D`` = everything ``v`` reached on
+the pre-delete graph, only reachability pairs in ``A × D`` can change,
+so only entries ``a ∈ L_in(d)`` / ``d ∈ L_out(a)`` can: those are
+stripped, then the hubs of ``A ∪ D`` re-run their pruned BFS on the new
+graph in rank order — forward for ``h ∈ A``, backward for ``h ∈ D``.  A
+vertex outside the opposite cone keeps its entry status (walk on iff it
+holds ``h``); a vertex inside pays the domination test against
+higher-ranked hubs, whose entries are final because they ran first.
 
 *Node addition* appends a fresh vertex id at the **tail of the order**
 (lowest priority).  An isolated tail vertex provably costs nothing:
@@ -41,10 +44,10 @@ its TOL round reaches only itself, and no other round can reach it, so
 its labels are exactly ``{v}``/``{v}`` and every other label set is
 untouched.
 
-*Node deletion* removes every incident edge at once (one recompute,
-not one per edge) and leaves the id behind as an isolated **tombstone**
-whose labels are ``{v}``/``{v}`` — ids are never recycled, so shard
-maps, caches, and replicas keyed by vertex id stay valid.  Mutating a
+*Node deletion* is one cone repair over ``v``'s own two cones (not one
+per edge) and leaves the id behind as an isolated **tombstone** whose
+labels are ``{v}``/``{v}`` — ids are never recycled, so shard maps,
+caches, and replicas keyed by vertex id stay valid.  Mutating a
 tombstone raises; querying one is permitted (it is simply isolated).
 
 *Order upgrade* (:meth:`promote`) is the TOL butterfly rewrite: moving
@@ -69,7 +72,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
+from repro.core import tol
 from repro.core.labels import ReachabilityIndex
+from repro.errors import IndexAuditError
 from repro.graph.digraph import DiGraph
 from repro.graph.order import VertexOrder, degree_order
 
@@ -92,12 +97,6 @@ class DynamicReachabilityIndex:
         order).  It changes only via :meth:`add_node` (tail append) and
         :meth:`promote` (hub-ward move); :attr:`order` always exposes
         the current one.
-    rebuild_fraction:
-        Deletion falls back to a full rebuild when the affected vertex
-        set exceeds this fraction of all vertices.  Per-vertex
-        recomputation costs several BFSs, so the break-even point is
-        low (default 10%); hub-dominated graphs, where most vertices
-        reach the deleted edge, effectively always rebuild on deletion.
     drift_threshold:
         When set, every applied edge update checks its endpoints'
         degree-rank drift (:meth:`drift`) and promotes a vertex whose
@@ -110,22 +109,18 @@ class DynamicReachabilityIndex:
         self,
         graph: DiGraph,
         order: VertexOrder | None = None,
-        rebuild_fraction: float = 0.1,
         drift_threshold: int | None = None,
     ):
         if order is None:
             order = degree_order(graph)
         if len(order) != graph.num_vertices:
             raise ValueError("order does not cover the graph's vertices")
-        if not 0.0 < rebuild_fraction <= 1.0:
-            raise ValueError("rebuild_fraction must be in (0, 1]")
         if drift_threshold is not None and drift_threshold < 1:
             raise ValueError("drift_threshold must be >= 1 (or None)")
         n = graph.num_vertices
         self._n = n
         self._rank = order.ranks
         self._order = order
-        self._rebuild_fraction = rebuild_fraction
         self._drift_threshold = drift_threshold
         self._alive = [True] * n
         self._out_adj: list[set[int]] = [set() for _ in range(n)]
@@ -134,10 +129,14 @@ class DynamicReachabilityIndex:
             self._out_adj[a].add(b)
             self._in_adj[b].add(a)
         # Label sets: in_labels[w] = L_in(w), out_labels[w] = L_out(w).
-        self.in_labels: list[set[int]] = [set() for _ in range(n)]
-        self.out_labels: list[set[int]] = [set() for _ in range(n)]
+        # The one from-scratch build; every later update repairs in place.
+        index = tol.tol_index(graph, order)
+        self.in_labels: list[set[int]] = [set(index.in_labels(w)) for w in range(n)]
+        self.out_labels: list[set[int]] = [set(index.out_labels(w)) for w in range(n)]
         self._listeners: list = []
-        self._rebuild()
+        #: ``(above, below)`` cones of the last applied update: it changed
+        #: at most ``out_labels[w]``, w ∈ above, and ``in_labels[w]``, w ∈ below.
+        self.touched: tuple[set[int], set[int]] = (set(), set())
 
     # ------------------------------------------------------------------
     # Queries and views
@@ -207,6 +206,20 @@ class DynamicReachabilityIndex:
         """
         return DiGraph(self._n, list(self.edges()))
 
+    def check(self) -> None:
+        """Self-audit against ``tol_index(current_graph(), order)``:
+        raises :class:`~repro.errors.IndexAuditError` naming the first
+        differing vertex and direction.  Costs one full TOL build;
+        nothing on a mutation path calls it."""
+        expected = tol.tol_index(self.current_graph(), self._order)
+        for w in range(self._n):
+            for direction, live, want in (
+                ("in", self.in_labels[w], expected.in_labels(w)),
+                ("out", self.out_labels[w], expected.out_labels(w)),
+            ):
+                if live != set(want):
+                    raise IndexAuditError(w, direction, live, want)
+
     # ------------------------------------------------------------------
     # Update hooks
     # ------------------------------------------------------------------
@@ -216,14 +229,14 @@ class DynamicReachabilityIndex:
 
         Listeners fire only when the update actually applied — e.g.
         inserting a present edge is a no-op and stays silent.  They run
-        only after the label sets are consistent again (this holds on
-        *every* path, including the deletion rebuild fallback), so a
-        listener may query the index or take a snapshot.  This is the
+        only after the label sets are exact again, so a listener may
+        query, take a snapshot, or call :meth:`check`.  This is the
         invalidation hook the serving layer's
         :class:`~repro.serve.QueryCache` and the replication op log
         attach to (see ``docs/dynamic.md``).  For ``promote`` the
         payload is ``(vertex, new_rank)``; for node ops both slots
-        carry the vertex id.
+        carry the vertex id.  While listeners run, :attr:`touched`
+        bounds the label rows the update changed (replication diffs it).
         """
         self._listeners.append(listener)
 
@@ -231,7 +244,8 @@ class DynamicReachabilityIndex:
         """Remove a previously registered listener."""
         self._listeners.remove(listener)
 
-    def _notify(self, op: str, u: int, v: int) -> None:
+    def _notify(self, op: str, u: int, v: int, above, below) -> None:
+        self.touched = (above, below)
         for listener in self._listeners:
             listener(op, u, v)
 
@@ -258,8 +272,10 @@ class DynamicReachabilityIndex:
             self._resume(a, v, forward=True)
         for b in sorted(self.out_labels[v], key=lambda x: self._rank[x]):
             self._resume(b, u, forward=False)
-        self._sweep_stale(u, v)
-        self._notify("insert", u, v)
+        above = self._plain_bfs(u, self._in_adj)   # everyone reaching u
+        below = self._plain_bfs(v, self._out_adj)  # everyone v reaches
+        self._sweep_stale(above, below)
+        self._notify("insert", u, v, above, below)
         self._check_drift(u, v)
         return True
 
@@ -297,20 +313,19 @@ class DynamicReachabilityIndex:
             a, b = b, a
         return any(self._rank[h] < hub_rank and h in b for h in a)
 
-    def _sweep_stale(self, u: int, v: int) -> None:
+    def _sweep_stale(self, above: set[int], below: set[int]) -> None:
         """Remove entries invalidated by new walks through ``(u, v)``.
 
-        Candidates are pairs ``(a, w)`` with ``a`` reaching ``u`` and
-        ``w`` reachable from ``v`` — the only pairs that gained walks.
+        Candidates are pairs ``(a, w)`` with ``a`` reaching ``u``
+        (``above``) and ``w`` reachable from ``v`` (``below``) — the
+        only pairs that gained walks.
         """
-        reaches_from_v = self._plain_bfs(v, self._out_adj)
-        reaches_to_u = self._plain_bfs(u, self._in_adj)
-        for w in reaches_from_v:
-            for a in [x for x in self.in_labels[w] if x in reaches_to_u or x == w]:
+        for w in below:
+            for a in [x for x in self.in_labels[w] if x in above or x == w]:
                 if self._dominated(a, w, self.in_labels, self.out_labels):
                     self.in_labels[w].discard(a)
-        for w in reaches_to_u:
-            for b in [x for x in self.out_labels[w] if x in reaches_from_v or x == w]:
+        for w in above:
+            for b in [x for x in self.out_labels[w] if x in below or x == w]:
                 if self._dominated(b, w, self.out_labels, self.in_labels):
                     self.out_labels[w].discard(b)
 
@@ -323,53 +338,62 @@ class DynamicReachabilityIndex:
         self._check_vertex(v)
         if v not in self._out_adj[u]:
             return False
-        # Affected sources are computed on the OLD graph (vertices that
-        # could route a walk through the edge).
-        affected_fwd = self._plain_bfs(u, self._in_adj)   # everyone reaching u
-        affected_bwd = self._plain_bfs(v, self._out_adj)  # everyone v reaches
+        # Cones on the OLD graph: only walks from above to below used the edge.
+        above = self._plain_bfs(u, self._in_adj)   # everyone reaching u
+        below = self._plain_bfs(v, self._out_adj)  # everyone v reaches
         self._out_adj[u].discard(v)
         self._in_adj[v].discard(u)
-        self._repair_after_removal(affected_fwd, affected_bwd)
-        # Listeners fire only here, on the single exit where both
-        # repair paths (per-vertex recompute and rebuild fallback) have
-        # settled — a listener must never observe a stale snapshot.
-        self._notify("delete", u, v)
+        self._repair_cones(above, below)
+        self._notify("delete", u, v, above, below)
         self._check_drift(u, v)
         return True
 
-    def _repair_after_removal(
-        self, affected_fwd: set[int], affected_bwd: set[int]
-    ) -> None:
-        """Restore exactness after edges vanished, given the affected
-        vertex sets (computed on the pre-removal graph)."""
-        threshold = self._rebuild_fraction * self._n
-        if len(affected_fwd) + len(affected_bwd) > threshold:
-            self._rebuild()
-            return
-        for a in affected_fwd:
-            self._recompute_backward(a, forward=True)
-        for b in affected_bwd:
-            self._recompute_backward(b, forward=False)
+    def _repair_cones(self, above: set[int], below: set[int]) -> None:
+        """Restore exactness after edges vanished between the cones
+        ``above`` and ``below`` (taken on the pre-removal graph).
+        Only entries ``a ∈ L_in(d)`` / ``d ∈ L_out(a)`` with ``a ∈ above``,
+        ``d ∈ below`` can change.  Strip them, then let each cone hub
+        re-decide its own in rank order, so every higher-ranked witness
+        a domination test consults is final.
+        """
+        for w in below:
+            self.in_labels[w] -= above
+        for w in above:
+            self.out_labels[w] -= below
+        for hub in sorted(above | below, key=self._rank.__getitem__):
+            if hub in above:
+                self._rerun(hub, below, forward=True)
+            if hub in below:
+                self._rerun(hub, above, forward=False)
 
-    def _recompute_backward(self, hub: int, forward: bool) -> None:
-        """Recompute ``L⁻`` of ``hub`` exactly (Theorem 3) and patch the
-        label sets accordingly."""
+    def _rerun(self, hub: int, cone: set[int], forward: bool) -> None:
+        """Re-run ``hub``'s pruned BFS, re-deciding only entries inside
+        ``cone``; a vertex outside kept its status: walk on iff it holds ``hub``."""
+        rank = self._rank
+        hub_rank = rank[hub]
         adjacency = self._out_adj if forward else self._in_adj
         labels = self.in_labels if forward else self.out_labels
-        low, high = self._trimmed_bfs(hub, adjacency)
-        eliminated: set[int] = set()
-        for blocker in high:
-            eliminated |= self._plain_bfs(blocker, adjacency)
-        backward = low - eliminated
-        for w in low | eliminated:
-            if w in backward:
-                labels[w].add(hub)
-            else:
-                labels[w].discard(hub)
-        # Entries outside today's reachable set are unsound: drop them.
-        for w in range(self._n):
-            if hub in labels[w] and w not in backward:
-                labels[w].discard(hub)
+        reverse_labels = self.out_labels if forward else self.in_labels
+        witnesses = {h for h in reverse_labels[hub] if rank[h] < hub_rank}
+        if hub in cone:
+            if not witnesses.isdisjoint(labels[hub]):
+                return
+            labels[hub].add(hub)
+        elif hub not in labels[hub]:
+            return
+        visited = {hub}
+        queue = [hub]
+        for w in queue:
+            for x in adjacency[w]:
+                if x in visited:
+                    continue
+                visited.add(x)
+                if x not in cone:
+                    if hub in labels[x]:
+                        queue.append(x)
+                elif rank[x] > hub_rank and witnesses.isdisjoint(labels[x]):
+                    labels[x].add(hub)
+                    queue.append(x)
 
     # ------------------------------------------------------------------
     # Node-level updates
@@ -392,7 +416,7 @@ class DynamicReachabilityIndex:
         self.out_labels.append({v})
         self._order = VertexOrder(list(self._order.by_rank()) + [v])
         self._rank = self._order.ranks
-        self._notify("add_node", v, v)
+        self._notify("add_node", v, v, {v}, {v})
         return v
 
     def delete_node(self, v: int) -> bool:
@@ -407,11 +431,9 @@ class DynamicReachabilityIndex:
         notification, not one per removed edge.
         """
         self._check_vertex(v)
-        # Affected sets on the OLD graph: one repair pass covers every
-        # incident edge at once (each edge's affected set is contained
-        # in these two BFS cones).
-        affected_fwd = self._plain_bfs(v, self._in_adj)   # everyone reaching v
-        affected_bwd = self._plain_bfs(v, self._out_adj)  # everyone v reaches
+        # v's two cones on the OLD graph contain every incident edge's cones.
+        above = self._plain_bfs(v, self._in_adj)   # everyone reaching v
+        below = self._plain_bfs(v, self._out_adj)  # everyone v reaches
         for x in self._out_adj[v]:
             self._in_adj[x].discard(v)
         for x in self._in_adj[v]:
@@ -419,8 +441,8 @@ class DynamicReachabilityIndex:
         self._out_adj[v].clear()
         self._in_adj[v].clear()
         self._alive[v] = False
-        self._repair_after_removal(affected_fwd, affected_bwd)
-        self._notify("delete_node", v, v)
+        self._repair_cones(above, below)
+        self._notify("delete_node", v, v, above, below)
         return True
 
     # ------------------------------------------------------------------
@@ -479,7 +501,7 @@ class DynamicReachabilityIndex:
             for b in [x for x in self.out_labels[w] if x in band and x in forward_cone]:
                 if self._dominated(b, w, self.out_labels, self.in_labels):
                     self.out_labels[w].discard(b)
-        self._notify("promote", v, new_rank)
+        self._notify("promote", v, new_rank, backward_cone, forward_cone)
         return new_rank
 
     def drift(self, v: int) -> int:
@@ -535,32 +557,3 @@ class DynamicReachabilityIndex:
                     visited.add(x)
                     queue.append(x)
         return visited
-
-    def _trimmed_bfs(
-        self, source: int, adjacency: list[set[int]]
-    ) -> tuple[set[int], set[int]]:
-        rank = self._rank
-        source_rank = rank[source]
-        low = {source}
-        high: set[int] = set()
-        queue = deque([source])
-        while queue:
-            w = queue.popleft()
-            for x in adjacency[w]:
-                if x in low or x in high:
-                    continue
-                if rank[x] > source_rank:
-                    low.add(x)
-                    queue.append(x)
-                else:
-                    high.add(x)
-        return low, high
-
-    def _rebuild(self) -> None:
-        """Recompute every label from scratch under the current order."""
-        from repro.core.tol import tol_index
-
-        index = tol_index(self.current_graph(), self._order)
-        for w in range(self._n):
-            self.in_labels[w] = set(index.in_labels(w))
-            self.out_labels[w] = set(index.out_labels(w))

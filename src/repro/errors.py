@@ -76,6 +76,25 @@ class ShardUnavailableError(ReproError):
         )
 
 
+class IndexAuditError(ReproError):
+    """A maintained index differs from a from-scratch rebuild.
+
+    Raised by :meth:`DynamicReachabilityIndex.check
+    <repro.core.dynamic.DynamicReachabilityIndex.check>` with the first
+    vertex and direction (``"in"`` / ``"out"``) whose label set is off.
+    """
+
+    def __init__(self, vertex: int, direction: str, live, expected):
+        self.vertex = vertex
+        self.direction = direction
+        self.live = sorted(live)
+        self.expected = sorted(expected)
+        super().__init__(
+            f"L_{direction}({vertex}) is {self.live} but a rebuild under "
+            f"the current order gives {self.expected}"
+        )
+
+
 class TimeLimitExceeded(ReproError):
     """The simulated cut-off time (paper: 2 hours) was exceeded.
 

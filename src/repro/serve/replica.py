@@ -31,10 +31,12 @@ Bounded-staleness replication
 -----------------------------
 With a :class:`BoundedStalenessReplicator`, writes go to the *leader*
 :class:`~repro.core.dynamic.DynamicReachabilityIndex` (replica group 0
-serves reads straight from it) and follower groups apply the versioned
-update log after a delivery delay, so a follower may serve an index
-that is a few updates behind.  Correctness survives because
-reachability under single-edge updates is **monotone**: an insert can
+serves reads straight from it).  Replication is **physical**: a log
+entry carries the label rows its op changed and a follower group is a
+:class:`LabelTable` — rows only, no graph, no order — that installs
+them after a delivery delay, so a follower may serve an index that is
+a few updates behind.  Correctness survives because reachability
+under single-edge updates is **monotone**: an insert can
 only flip answers ``False → True`` and a delete only ``True → False``.
 At read time the store checks the follower's pending (undelivered)
 ops; if the stale answer is on the side an in-flight op could flip —
@@ -51,7 +53,9 @@ much confirmation traffic a slow follower can generate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
+from repro.core.labels import ReachabilityIndex
 from repro.errors import ShardOutOfMemoryError, ShardUnavailableError
 from repro.graph.partition import HashPartitioner, Partitioner
 from repro.observe import tracing
@@ -167,8 +171,45 @@ class ReplicaSet:
         }
 
 
+class LogEntry(NamedTuple):
+    """One applied leader update and the label rows it changed: vertex
+    → the row the op left it with, for exactly the rows that differ."""
+
+    op: str
+    u: int
+    v: int
+    issued_at: float
+    in_rows: dict[int, frozenset[int]]
+    out_rows: dict[int, frozenset[int]]
+
+
+@dataclass(slots=True)
+class LabelTable:
+    """A follower's copy of the index: label rows and nothing else.
+    Rows are immutable ``frozenset`` objects shared with the log; applying
+    an entry swaps row pointers, it never re-runs maintenance."""
+
+    in_labels: list
+    out_labels: list
+
+    def query(self, s: int, t: int) -> bool:
+        """``q(s, t)`` as of the last installed log entry."""
+        return not self.out_labels[s].isdisjoint(self.in_labels[t])
+
+    def snapshot(self) -> ReachabilityIndex:
+        """An immutable index of the rows currently installed."""
+        return ReachabilityIndex.from_label_lists(self.in_labels, self.out_labels)
+
+    def install(self, in_rows: dict, out_rows: dict) -> None:
+        """Install one log entry's rows."""
+        for labels, rows in ((self.in_labels, in_rows), (self.out_labels, out_rows)):
+            for w, row in rows.items():
+                # Replaces row w, or appends it (add_node: w == len).
+                labels[w : w + 1] = (row,)
+
+
 class BoundedStalenessReplicator:
-    """Versioned update log between a leader index and follower copies.
+    """Versioned row-delta log between a leader index and follower tables.
 
     Parameters
     ----------
@@ -215,50 +256,38 @@ class BoundedStalenessReplicator:
         self.max_lag = max_lag
         self.apply_seconds_per_op = apply_seconds_per_op
         self.clock = 0.0
-        #: (op, u, v, issued_at) per applied leader update, in order.
-        self.log: list[tuple[str, int, int, float]] = []
+        #: One :class:`LogEntry` per applied leader update, in order.
+        self.log: list[LogEntry] = []
         self.forced_catchups = 0
         self.catchup_ops = 0
-        # Follower copies share the leader's fixed vertex order, so a
-        # fully caught-up follower is bit-identical to the leader.
-        from repro.core.dynamic import DynamicReachabilityIndex
-
-        base = leader.current_graph()
-        self._followers: list = [None]  # group 0 reads the leader
-        self._applied = [0]
-        for _ in range(1, num_replicas):
-            self._followers.append(
-                DynamicReachabilityIndex(base, order=leader.order)
-            )
-            self._applied.append(0)
+        # The leader's rows as of the log's head, to diff each update
+        # against; followers start as pointer copies of it (no build).
+        head = self._head = LabelTable(
+            [frozenset(row) for row in leader.in_labels],
+            [frozenset(row) for row in leader.out_labels],
+        )
+        self._followers: list = [None] + [  # group 0 reads the leader
+            LabelTable(list(head.in_labels), list(head.out_labels))
+            for _ in range(1, num_replicas)
+        ]
+        self._applied = [0] * num_replicas
         leader.subscribe(self._on_update)
 
     # ------------------------------------------------------------------
     def _on_update(self, op: str, u: int, v: int) -> None:
-        self.log.append((op, u, v, self.clock))
-
-    @staticmethod
-    def _apply_op(follower, op: str, u: int, v: int) -> None:
-        """Replay one logged leader op on a follower index.
-
-        ``add_node`` needs no payload: ids are assigned densely from a
-        shared starting point, so replaying ops in log order yields the
-        same ids on every follower.  ``promote`` replays the concrete
-        rank the leader applied (the leader resolves drift-triggered
-        promotions before logging), keeping follower orders identical.
-        """
-        if op == "insert":
-            follower.insert_edge(u, v)
-        elif op == "delete":
-            follower.delete_edge(u, v)
-        elif op == "add_node":
-            follower.add_node()
-        elif op == "delete_node":
-            follower.delete_node(u)
-        elif op == "promote":
-            follower.promote(u, v)
-        else:
-            raise ValueError(f"unknown update op {op!r}")
+        """Log the op with the rows it changed: the leader's touched
+        cones bound the candidates, the head table says which differ."""
+        leader, head = self.leader, self._head
+        above, below = leader.touched
+        in_rows, out_rows = (
+            {w: frozenset(new[w]) for w in cone if w >= len(old) or new[w] != old[w]}
+            for new, old, cone in (
+                (leader.in_labels, head.in_labels, below),
+                (leader.out_labels, head.out_labels, above),
+            )
+        )
+        head.install(in_rows, out_rows)
+        self.log.append(LogEntry(op, u, v, self.clock, in_rows, out_rows))
 
     def note_time(self, clock: float) -> None:
         """Stamp subsequent leader updates with this issue time."""
@@ -281,16 +310,9 @@ class BoundedStalenessReplicator:
 
     def pending_kinds(self, replica: int) -> tuple[bool, bool]:
         """``(has_pending_insert, has_pending_delete)`` for the group."""
-        inserts = deletes = False
-        for op, _, _, _ in self.log[self._applied[replica]:]:
-            if op == "insert":
-                inserts = True
-            elif op in ("delete", "delete_node"):
-                deletes = True
-            # add_node / promote never change an answer: neutral.
-            if inserts and deletes:
-                break
-        return inserts, deletes
+        ops = {entry.op for entry in self.log[self._applied[replica]:]}
+        # add_node / promote never change an answer: neutral.
+        return "insert" in ops, "delete" in ops or "delete_node" in ops
 
     def staleness_window(self, clock: float) -> float:
         """Age of the oldest leader op some follower has yet to apply.
@@ -298,17 +320,12 @@ class BoundedStalenessReplicator:
         0.0 when every follower is caught up — the bound the serving
         layer reports as ``staleness_window_seconds``.
         """
-        oldest = None
-        for r in range(1, self.num_replicas):
-            i = self._applied[r]
-            if i < len(self.log):
-                issued = self.log[i][3]
-                if oldest is None or issued < oldest:
-                    oldest = issued
-        return 0.0 if oldest is None else max(0.0, clock - oldest)
+        log = self.log
+        pending = [log[i].issued_at for i in self._applied[1:] if i < len(log)]
+        return max(0.0, clock - min(pending)) if pending else 0.0
 
     def view(self, replica: int):
-        """The index group ``replica`` serves reads from."""
+        """What group ``replica`` reads: the leader or a :class:`LabelTable`."""
         return self.leader if replica == 0 else self._followers[replica]
 
     # ------------------------------------------------------------------
@@ -321,34 +338,32 @@ class BoundedStalenessReplicator:
         the number of op applications performed.
         """
         applied = 0
+        log = self.log
         for r in range(1, self.num_replicas):
             if paused and r in paused:
                 continue
-            follower = self._followers[r]
-            i = self._applied[r]
-            while i < len(self.log) and self.log[i][3] + self.delay_seconds <= clock:
-                op, u, v, _ = self.log[i]
-                self._apply_op(follower, op, u, v)
-                i += 1
-                applied += 1
-            self._applied[r] = i
+            stop = self._applied[r]
+            while stop < len(log) and log[stop].issued_at + self.delay_seconds <= clock:
+                stop += 1
+            applied += self._install(r, stop)
         return applied
 
     def catch_up(self, replica: int) -> int:
         """Apply every pending op to the group now; returns the count."""
         if replica == 0:
             return 0
-        follower = self._followers[replica]
-        i = self._applied[replica]
-        count = 0
-        while i < len(self.log):
-            op, u, v, _ = self.log[i]
-            self._apply_op(follower, op, u, v)
-            i += 1
-            count += 1
-        self._applied[replica] = i
+        count = self._install(replica, len(self.log))
         self.catchup_ops += count
         return count
+
+    def _install(self, replica: int, stop: int) -> int:
+        """Bring the group's table up to log position ``stop``."""
+        follower = self._followers[replica]
+        start = self._applied[replica]
+        for entry in self.log[start:stop]:
+            follower.install(entry.in_rows, entry.out_rows)
+        self._applied[replica] = stop
+        return stop - start
 
 
 class ReplicatedLabelStore:
@@ -533,15 +548,18 @@ class ReplicatedLabelStore:
         taps the store."""
         self._listeners.append(listener)
 
-    def _notify(self, event: dict) -> None:
+    def _record(self, name: str, at: float, **attrs) -> None:
+        self._emit({"event": name, "at": at, **attrs})
+
+    def _emit(self, event: dict, logged: bool = True) -> None:
+        """To telemetry, listeners and (lifecycle only) :attr:`events`."""
+        if logged:
+            self.events.append(event)
+        trace_event(
+            event["event"], **{k: v for k, v in event.items() if k != "event"}
+        )
         for listener in self._listeners:
             listener(event)
-
-    def _record(self, name: str, at: float, **attrs) -> None:
-        event = {"event": name, "at": at, **attrs}
-        self.events.append(event)
-        trace_event(name, **{k: v for k, v in event.items() if k != "event"})
-        self._notify(event)
 
     def _suspect(self, state: ReplicaState) -> None:
         """Mark a replica suspected and fail over if it was primary."""
@@ -560,12 +578,7 @@ class ReplicatedLabelStore:
             failover["version"] = (
                 self.replicator.version if self.replicator is not None else 0
             )
-            self.events.append(failover)
-            trace_event(
-                "serve.failover",
-                **{k: v for k, v in failover.items() if k != "event"},
-            )
-            self._notify(failover)
+            self._emit(failover)
 
     # ------------------------------------------------------------------
     # Background maintenance (pipeline clock hook)
@@ -628,10 +641,7 @@ class ReplicatedLabelStore:
             "groups": {str(r): lag for r, lag in lags.items() if lag},
             "version": rep.version,
         }
-        trace_event(
-            "replica.lag", **{k: v for k, v in event.items() if k != "event"}
-        )
-        self._notify(event)
+        self._emit(event, logged=False)
 
     # ------------------------------------------------------------------
     # The read path
@@ -790,6 +800,7 @@ class ReplicatedLabelStore:
     # ------------------------------------------------------------------
     def replica_stats(self) -> dict:
         """Aggregate replica/failover/staleness counters for reports."""
+        rep = self.replicator
         return {
             "failovers": sum(rs.failovers for rs in self.replica_sets),
             "replica_timeouts": sum(
@@ -800,12 +811,8 @@ class ReplicatedLabelStore:
             ),
             "stale_reads": self.stale_reads,
             "confirmed_reads": self.confirmed_reads,
-            "forced_catchups": (
-                self.replicator.forced_catchups if self.replicator else 0
-            ),
-            "replication_lag": (
-                self.replicator.max_follower_lag() if self.replicator else 0
-            ),
+            "forced_catchups": rep.forced_catchups if rep else 0,
+            "replication_lag": rep.max_follower_lag() if rep else 0,
             "replicas_down": sum(
                 1 for rs in self.replica_sets for r in rs.replicas if not r.alive
             ),

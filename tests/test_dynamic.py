@@ -120,7 +120,7 @@ def test_delete_then_reinsert_same_edge_matches_rebuild(family):
     to the original index.
 
     Insertion and deletion take different code paths (resumed BFS vs.
-    backward recomputation); the mid-point equality is what catches a
+    rank-ordered cone repair); the mid-point equality is what catches a
     deletion that leaves stale entries an insertion silently re-covers.
     """
     from repro.fuzz.cases import family_graph
@@ -136,13 +136,20 @@ def test_delete_then_reinsert_same_edge_matches_rebuild(family):
     assert dynamic.snapshot() == tol_index(g, dynamic.order)
 
 
-def test_rebuild_threshold_path():
-    """A tiny rebuild_fraction forces the full-rebuild branch."""
+def test_delete_with_graph_wide_cones_is_repaired_in_place():
+    """On a dense cyclic graph both cones of the first edge cover most
+    vertices — the case that used to fall back to a rebuild.  The one
+    repair path must stay exact there, edge after edge."""
     g = random_digraph(25, 80, seed=3)
-    dynamic = DynamicReachabilityIndex(g, rebuild_fraction=1e-6)
+    dynamic = DynamicReachabilityIndex(g)
     u, v = next(iter(g.edges()))
     dynamic.delete_edge(u, v)
-    _assert_exact(dynamic)
+    above, below = dynamic.touched
+    assert len(above) + len(below) > g.num_vertices
+    dynamic.check()
+    for u, v in list(dynamic.edges()):
+        dynamic.delete_edge(u, v)
+        dynamic.check()
 
 
 def test_invalid_constructor_arguments():
@@ -150,7 +157,10 @@ def test_invalid_constructor_arguments():
     with pytest.raises(ValueError):
         DynamicReachabilityIndex(g, VertexOrder([0, 1]))
     with pytest.raises(ValueError):
-        DynamicReachabilityIndex(g, rebuild_fraction=0.0)
+        DynamicReachabilityIndex(g, drift_threshold=0)
+    # Deletion has one repair path: the rebuild knob is gone for good.
+    with pytest.raises(TypeError):
+        DynamicReachabilityIndex(g, rebuild_fraction=0.5)
 
 
 def test_edges_and_has_edge_views():
@@ -337,7 +347,7 @@ def test_listeners_see_consistent_index_on_every_path():
     listener = _ConsistencyListener(dynamic)
     dynamic.subscribe(listener)
     dynamic.insert_edge(2, 17)
-    dynamic.delete_edge(2, 17)  # per-vertex recompute path
+    dynamic.delete_edge(2, 17)  # cone repair
     dynamic.add_node()
     dynamic.insert_edge(20, 0)
     dynamic.promote(19)
@@ -346,13 +356,16 @@ def test_listeners_see_consistent_index_on_every_path():
     assert "delete_node" in [op for op, _, _ in listener.events]
 
 
-def test_listener_consistent_on_deletion_rebuild_fallback():
+def test_listener_consistent_on_delete_with_overlapping_cones():
     g = random_digraph(18, 50, seed=8)
-    dynamic = DynamicReachabilityIndex(g, rebuild_fraction=1e-6)
+    dynamic = DynamicReachabilityIndex(g)
     listener = _ConsistencyListener(dynamic)
     dynamic.subscribe(listener)
-    u, v = next(iter(g.edges()))
-    assert dynamic.delete_edge(u, v)  # forces the full-rebuild branch
+    # An edge on a cycle: v reaches u, so the two cones overlap.
+    u, v = next((u, v) for u, v in g.edges() if dynamic.query(v, u))
+    assert dynamic.delete_edge(u, v)
+    above, below = dynamic.touched
+    assert above & below and len(above | below) > g.num_vertices // 2
     assert listener.events == [("delete", u, v)]
 
 
