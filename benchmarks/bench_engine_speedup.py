@@ -9,6 +9,10 @@ wall-clock per worker count against the modelled multi-core speedup
 for the same core count.  On a single-core container the measured
 column degenerates (process overhead, no parallel hardware), so the
 speedup assertion only arms on hosts with enough CPUs.
+
+Below the table: the simulator's wall-clock cost per message on a plain
+DRL build of the same graph — the substrate's own overhead, which is
+what a change to the message plane moves.
 """
 
 from __future__ import annotations
@@ -18,12 +22,15 @@ import time
 
 from conftest import save_and_print
 
+from repro.core.drl import drl_index
 from repro.core.multicore import drl_multicore_index
 from repro.workloads.datasets import get_dataset
 
 #: Worker counts in the sweep (capped at the host's CPU count for the
 #: measured column — oversubscribing a 1-core box measures noise).
 WORKER_SWEEP = (1, 2, 4)
+#: Cluster size of the DRL build whose wall ns/message is reported.
+DRL_NODES = 8
 
 
 def _build(graph, cores: int, engine: str):
@@ -64,6 +71,13 @@ def _run():
             f"{cores:>7} {sim_wall:>8.2f}s {mp_wall:>8.2f}s "
             f"{real_x:>6.2f}x {modelled_x:>9.2f}x"
         )
+    drl = drl_index(graph, num_nodes=DRL_NODES).stats
+    lines += [
+        "",
+        f"drl on the simulator ({DRL_NODES} nodes): "
+        f"{drl.wall_seconds / drl.total_messages * 1e9:.0f} ns/message wall "
+        f"({drl.total_messages} messages in {drl.wall_seconds:.2f}s)",
+    ]
     return "\n".join(lines), rows
 
 

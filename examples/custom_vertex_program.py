@@ -19,25 +19,23 @@ class MultiSourceReach(VertexProgram):
     combine_duplicates = True  # duplicate marks are no-ops: combine them
 
     def __init__(self, graph, sources):
-        self._graph = graph
-        self._sources = set(sources)
+        self._sources = sorted(set(sources))
         self.reached = bytearray(graph.num_vertices)
         self.frontier_sizes = []
 
     def aggregators(self):
         return {"frontier": sum_aggregator()}
 
+    def initial_vertices(self, graph):
+        return self._sources  # super-step 1 runs on these only
+
     def compute(self, ctx, v, messages):
-        if ctx.superstep == 1:
-            if v not in self._sources:
-                return
-        elif self.reached[v]:
+        if self.reached[v]:
             return
         self.reached[v] = 1
         ctx.aggregate("frontier", 1)
-        for w in ctx.graph.out_neighbors(v):
-            ctx.charge()
-            ctx.send(w, True)
+        # One call: a message along every out-edge of v, one unit each.
+        ctx.send_to_out_neighbors(True)
 
 
 def main() -> None:

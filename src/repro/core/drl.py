@@ -24,6 +24,7 @@ source set, implements a DRL_b batch (Algorithm 4); see
 
 from __future__ import annotations
 
+from itertools import compress, islice
 from typing import Sequence
 
 from repro.core.labels import LabelingResult, ReachabilityIndex
@@ -82,7 +83,7 @@ class DrlFloodProgram(VertexProgram):
     ):
         self.combine_duplicates = combine_messages
         n = graph.num_vertices
-        self._graph = graph
+        self._graph = graph  # unread; its name is in the checkpoint bytes
         self._rank = order.ranks
         self._check_pruning = check_pruning
         self._in_label_sets = in_label_sets
@@ -105,99 +106,74 @@ class DrlFloodProgram(VertexProgram):
         self._dirty_rev: set[int] = set()
 
     # ------------------------------------------------------------------
+    def initial_vertices(self, graph: DiGraph):
+        if self._is_source is None:
+            return graph.vertices()
+        return compress(graph.vertices(), self._is_source)
+
     def compute(self, ctx: ComputeContext, w: int, messages) -> None:
-        if ctx.superstep == 1:
-            self._start_source(ctx, w)
-            return
-        for source, direction in messages:
-            if direction == FORWARD:
-                self._process(ctx, w, source, FORWARD)
+        if ctx.superstep == 1:  # w is a source (see initial_vertices)
+            if self._in_label_sets is not None:
+                ins, outs = self._in_label_sets[w], self._out_label_sets[w]
+                ctx.charge(min(len(ins), len(outs)) + 2)
+                # Alg. 4 line 6: a higher-order vertex closes a cycle
+                # through w, so every backward set of w is empty — skip.
+                if not ins.isdisjoint(outs):
+                    return
+                # Alg. 4 line 8: share w's batch label sets cluster-wide.
+                ctx.publish_entries(len(ins) + len(outs))
             else:
-                self._process(ctx, w, source, REVERSE)
-
-    def _start_source(self, ctx: ComputeContext, v: int) -> None:
-        if self._is_source is not None and not self._is_source[v]:
+                ctx.charge()
+            self.fwd_set[w].add(w)
+            self.rev_set[w].add(w)
+            ctx.send_to_out_neighbors((w, FORWARD))
+            ctx.send_to_in_neighbors((w, REVERSE))
             return
-        ctx.charge()
-        if self._in_label_sets is not None:
-            # Alg. 4 line 6: a higher-order vertex closes a cycle
-            # through v, so every backward set of v is empty — skip.
-            if self._labels_intersect(
-                ctx, self._out_label_sets[v], self._in_label_sets[v]
-            ):
-                return
-            # Alg. 4 line 8: share v's batch label sets cluster-wide.
-            ctx.publish_entries(
-                len(self._in_label_sets[v]) + len(self._out_label_sets[v])
-            )
-        self.fwd_set[v].add(v)
-        self.rev_set[v].add(v)
-        graph = self._graph
-        for x in graph.out_neighbors(v):
-            ctx.charge()
-            ctx.send(x, (v, FORWARD))
-        for x in graph.in_neighbors(v):
-            ctx.charge()
-            ctx.send(x, (v, REVERSE))
-
-    def _process(self, ctx: ComputeContext, w: int, v: int, direction: int) -> None:
-        if direction == FORWARD:
-            status, lists = self.fwd_set, self._fwd_list
-            dirty = self._dirty_fwd
-        else:
-            status, lists = self.rev_set, self._rev_list
-            dirty = self._dirty_rev
-        if v in status[w]:
-            return  # visited before (Alg. 3 line 12)
-        if self._rank[v] >= self._rank[w]:
-            return  # ord(v) < ord(w): w blocks this branch (trimmed BFS)
-        if self._in_label_sets is not None and self._batch_pruned(
-            ctx, w, v, direction
-        ):
-            return  # a previous batch's vertex lies on the v-w walk
-        if self._check_pruning and self._check(ctx, w, v, direction):
-            return  # Alg. 3 line 14: a current-run vertex lies on it
-        status[w].add(v)
-        lists[w].append(v)
-        dirty.add(w)
-        ctx.publish_entries()  # replicate the new inverted-list entry
-        graph = self._graph
-        neighbors = (
-            graph.out_neighbors(w) if direction == FORWARD else graph.in_neighbors(w)
-        )
-        for x in neighbors:
-            ctx.charge()
-            ctx.send(x, (v, direction))
-
-    def _labels_intersect(self, ctx, a: set[int], b: set[int]) -> bool:
-        if len(b) < len(a):
-            a, b = b, a
-        ctx.charge(len(a) + 1)
-        return any(x in b for x in a)
-
-    def _batch_pruned(self, ctx, w: int, v: int, direction: int) -> bool:
-        """Alg. 4 line 12: is a previous-batch vertex on the v-w walk?"""
-        if direction == FORWARD:
-            return self._labels_intersect(
-                ctx, self._out_label_sets[v], self._in_label_sets[w]
-            )
-        return self._labels_intersect(
-            ctx, self._in_label_sets[v], self._out_label_sets[w]
-        )
-
-    def _check(self, ctx, w: int, v: int, direction: int) -> bool:
-        """Procedure Check(v, w): BSP-visible inverted-list refinement."""
-        if direction == FORWARD:
-            inverted, limit = self._rev_list[v], self._rev_pub[v]
-            local = self.fwd_set[w]
-        else:
-            inverted, limit = self._fwd_list[v], self._fwd_pub[v]
-            local = self.rev_set[w]
-        ctx.charge(limit + 1)
-        for i in range(limit):
-            if inverted[i] in local:
-                return True
-        return False
+        rank = self._rank
+        rank_w = rank[w]
+        fwd_seen, rev_seen = self.fwd_set[w], self.rev_set[w]
+        in_sets, out_sets = self._in_label_sets, self._out_label_sets
+        check = self._check_pruning
+        units = accepted = 0
+        for message in messages:
+            v, direction = message
+            forward = direction == FORWARD
+            seen = fwd_seen if forward else rev_seen
+            if v in seen:
+                continue  # visited before (Alg. 3 line 12)
+            if rank[v] >= rank_w:
+                continue  # ord(v) < ord(w): w blocks this branch (trimmed BFS)
+            if in_sets is not None:
+                # Alg. 4 line 12: a previous batch's vertex on the v-w walk?
+                if forward:
+                    a, b = out_sets[v], in_sets[w]
+                else:
+                    a, b = in_sets[v], out_sets[w]
+                units += min(len(a), len(b)) + 1
+                if not a.isdisjoint(b):
+                    continue
+            if check:
+                # Alg. 3 line 14, Check(v, w): the inverted list of v as
+                # published at the last barrier against w's own visits.
+                if forward:
+                    inverted, limit = self._rev_list[v], self._rev_pub[v]
+                else:
+                    inverted, limit = self._fwd_list[v], self._fwd_pub[v]
+                units += limit + 1
+                if limit and not seen.isdisjoint(islice(inverted, limit)):
+                    continue  # a current-run vertex lies on the walk
+            seen.add(v)
+            accepted += 1
+            if forward:
+                self._fwd_list[w].append(v)
+                self._dirty_fwd.add(w)
+                ctx.send_to_out_neighbors(message)
+            else:
+                self._rev_list[w].append(v)
+                self._dirty_rev.add(w)
+                ctx.send_to_in_neighbors(message)
+        ctx.charge(units)
+        ctx.publish_entries(accepted)  # replicate the new inverted-list entries
 
     def on_barrier(self, superstep: int) -> None:
         # Publish this super-step's new inverted-list entries.
@@ -220,8 +196,19 @@ class DrlFloodProgram(VertexProgram):
         splits it across workers.
         """
         for w in vertices:
-            self._cleanup_vertex(fctx, w, self.fwd_set[w], self._rev_list)
-            self._cleanup_vertex(fctx, w, self.rev_set[w], self._fwd_list)
+            for local, inverted in (
+                (self.fwd_set[w], self._rev_list),
+                (self.rev_set[w], self._fwd_list),
+            ):
+                if not local:
+                    continue
+                units = 0
+                for v in sorted(local):
+                    witnesses = inverted[v]
+                    units += len(witnesses) + 1
+                    if witnesses and not local.isdisjoint(witnesses):
+                        local.discard(v)
+                fctx.charge(w, units)
 
     # -- multiprocessing-engine hooks ----------------------------------
     def mp_publish_delta(self):
@@ -253,27 +240,18 @@ class DrlFloodProgram(VertexProgram):
             self._dirty_rev.add(w)
 
     def mp_collect(self, vertices):
-        return [(w, self.fwd_set[w], self.rev_set[w]) for w in vertices]
+        # The master's replica never computes: what is empty here is
+        # empty there already.
+        return [
+            (w, self.fwd_set[w], self.rev_set[w])
+            for w in vertices
+            if self.fwd_set[w] or self.rev_set[w]
+        ]
 
     def mp_merge(self, collected) -> None:
         for w, fwd, rev in collected:
             self.fwd_set[w] = fwd
             self.rev_set[w] = rev
-
-    @staticmethod
-    def _cleanup_vertex(
-        fctx: FinalizeContext,
-        w: int,
-        local: set[int],
-        inverted: list[list[int]],
-    ) -> None:
-        for v in sorted(local):
-            witnesses = inverted[v]
-            fctx.charge(w, len(witnesses) + 1)
-            for u in witnesses:
-                if u in local:
-                    local.discard(v)
-                    break
 
 
 def inverted_list_stats(

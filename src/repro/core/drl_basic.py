@@ -37,7 +37,7 @@ class _TrimmedFloodProgram(VertexProgram):
 
     def __init__(self, graph: DiGraph, order: VertexOrder):
         n = graph.num_vertices
-        self._graph = graph
+        self._graph = graph  # unread; its name is in the checkpoint bytes
         self._rank = order.ranks
         self.fwd_set: list[set[int]] = [set() for _ in range(n)]
         self.rev_set: list[set[int]] = [set() for _ in range(n)]
@@ -50,16 +50,12 @@ class _TrimmedFloodProgram(VertexProgram):
             ctx.charge()
             self.fwd_set[w].add(w)
             self.rev_set[w].add(w)
-            graph = self._graph
-            for x in graph.out_neighbors(w):
-                ctx.charge()
-                ctx.send(x, (w, FORWARD))
-            for x in graph.in_neighbors(w):
-                ctx.charge()
-                ctx.send(x, (w, REVERSE))
+            ctx.send_to_out_neighbors((w, FORWARD))
+            ctx.send_to_in_neighbors((w, REVERSE))
             return
         rank = self._rank
-        for v, direction in messages:
+        for message in messages:
+            v, direction = message
             status = self.fwd_set[w] if direction == FORWARD else self.rev_set[w]
             if v in status:
                 continue
@@ -72,15 +68,10 @@ class _TrimmedFloodProgram(VertexProgram):
                     ctx.publish_entries()
                 continue
             status.add(v)
-            graph = self._graph
-            neighbors = (
-                graph.out_neighbors(w)
-                if direction == FORWARD
-                else graph.in_neighbors(w)
-            )
-            for x in neighbors:
-                ctx.charge()
-                ctx.send(x, (v, direction))
+            if direction == FORWARD:
+                ctx.send_to_out_neighbors(message)
+            else:
+                ctx.send_to_in_neighbors(message)
 
     # -- multiprocessing-engine hooks ----------------------------------
     # ``hig_fwd[v]`` is keyed by the *source* ``v`` but written by the
@@ -116,7 +107,7 @@ class _DescendantFloodProgram(VertexProgram):
 
     def __init__(self, filtering: _TrimmedFloodProgram, graph: DiGraph):
         n = graph.num_vertices
-        self._graph = graph
+        self._graph = graph  # unread; its name is in the checkpoint bytes
         self._filtering = filtering
         self._src_fwd = bytearray(n)
         self._src_rev = bytearray(n)
@@ -131,34 +122,25 @@ class _DescendantFloodProgram(VertexProgram):
 
     def compute(self, ctx: ComputeContext, w: int, messages) -> None:
         if ctx.superstep == 1:
-            graph = self._graph
             if self._src_fwd[w]:
                 ctx.charge()
                 self.des_fwd[w].add(w)
-                for x in graph.out_neighbors(w):
-                    ctx.charge()
-                    ctx.send(x, (w, FORWARD))
+                ctx.send_to_out_neighbors((w, FORWARD))
             if self._src_rev[w]:
                 ctx.charge()
                 self.des_rev[w].add(w)
-                for x in graph.in_neighbors(w):
-                    ctx.charge()
-                    ctx.send(x, (w, REVERSE))
+                ctx.send_to_in_neighbors((w, REVERSE))
             return
-        graph = self._graph
-        for u, direction in messages:
+        for message in messages:
+            u, direction = message
             des = self.des_fwd[w] if direction == FORWARD else self.des_rev[w]
             if u in des:
                 continue
             des.add(u)
-            neighbors = (
-                graph.out_neighbors(w)
-                if direction == FORWARD
-                else graph.in_neighbors(w)
-            )
-            for x in neighbors:
-                ctx.charge()
-                ctx.send(x, (u, direction))
+            if direction == FORWARD:
+                ctx.send_to_out_neighbors(message)
+            else:
+                ctx.send_to_in_neighbors(message)
 
     def finalize_vertices(self, fctx: FinalizeContext, vertices) -> None:
         """Theorem 3: drop ``w`` from ``L⁻(v)`` when a blocker of ``v``
@@ -201,16 +183,13 @@ class _DescendantFloodProgram(VertexProgram):
         hig: list[set[int]],
         reaching: set[int],
     ) -> None:
+        units = 0
         for v in sorted(local):
             blockers = hig[v]
-            small, large = (
-                (blockers, reaching)
-                if len(blockers) < len(reaching)
-                else (reaching, blockers)
-            )
-            fctx.charge(w, len(small) + 1)
-            if any(u in large for u in small):
+            units += min(len(blockers), len(reaching)) + 1
+            if not blockers.isdisjoint(reaching):
                 local.discard(v)
+        fctx.charge(w, units)
 
 
 def drl_basic_index(

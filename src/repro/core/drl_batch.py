@@ -119,8 +119,10 @@ def drl_batch_index(
                 # Fold the surviving visits into the accumulated label sets
                 # (Alg. 4 line 14: they become the next batch's L^{V_{i+1}}).
                 for w in range(n):
-                    in_label_sets[w] |= program.fwd_set[w]
-                    out_label_sets[w] |= program.rev_set[w]
+                    if program.fwd_set[w]:
+                        in_label_sets[w] |= program.fwd_set[w]
+                    if program.rev_set[w]:
+                        out_label_sets[w] |= program.rev_set[w]
                 batch_span.add_simulated(stats.simulated_seconds - before)
             if enabled():
                 entries = sum(len(s) for s in in_label_sets) + sum(

@@ -54,8 +54,7 @@ class _TrimProgram(VertexProgram):
 
     combine_duplicates = False  # counts matter, not just presence
 
-    def __init__(self, graph: DiGraph, state: _SccState):
-        self._graph = graph
+    def __init__(self, state: _SccState):
         self._state = state
         self.trimmed = 0
 
@@ -65,15 +64,8 @@ class _TrimProgram(VertexProgram):
             if state.scc_id[v] != _LIVE:
                 return
             ctx.charge()
-            payload_out = (state.partition[v], _FWD)
-            payload_in = (state.partition[v], _BWD)
-            graph = self._graph
-            for w in graph.out_neighbors(v):
-                ctx.charge()
-                ctx.send(w, payload_out)
-            for w in graph.in_neighbors(v):
-                ctx.charge()
-                ctx.send(w, payload_in)
+            ctx.send_to_out_neighbors((state.partition[v], _FWD))
+            ctx.send_to_in_neighbors((state.partition[v], _BWD))
             return
         if state.scc_id[v] != _LIVE:
             return
@@ -97,7 +89,6 @@ class _FwBwProgram(VertexProgram):
     combine_duplicates = True  # duplicate reach-marks are no-ops
 
     def __init__(self, graph: DiGraph, state: _SccState, pivots: dict[int, int]):
-        self._graph = graph
         self._state = state
         self._pivots = pivots  # partition id -> pivot vertex
         n = graph.num_vertices
@@ -128,14 +119,11 @@ class _FwBwProgram(VertexProgram):
             self._expand(ctx, v, direction)
 
     def _expand(self, ctx: ComputeContext, v: int, direction: int) -> None:
-        graph = self._graph
         payload = (self._state.partition[v], direction)
-        neighbors = (
-            graph.out_neighbors(v) if direction == _FWD else graph.in_neighbors(v)
-        )
-        for w in neighbors:
-            ctx.charge()
-            ctx.send(w, payload)
+        if direction == _FWD:
+            ctx.send_to_out_neighbors(payload)
+        else:
+            ctx.send_to_in_neighbors(payload)
 
 
 def distributed_scc(
@@ -163,7 +151,7 @@ def distributed_scc(
     while True:
         if trim:
             while True:
-                program = _TrimProgram(graph, state)
+                program = _TrimProgram(state)
                 cluster.run(graph, program, stats=stats)
                 if program.trimmed == 0:
                     break

@@ -22,7 +22,6 @@ class HashMinProgram(VertexProgram):
     combine_duplicates = True  # duplicate min-candidates are no-ops
 
     def __init__(self, graph: DiGraph):
-        self._graph = graph
         self.component = list(range(graph.num_vertices))
 
     def compute(self, ctx: ComputeContext, v: int, messages) -> None:
@@ -37,13 +36,8 @@ class HashMinProgram(VertexProgram):
         if not changed:
             return
         ctx.charge()
-        graph = self._graph
-        for w in graph.out_neighbors(v):
-            ctx.charge()
-            ctx.send(w, candidate)
-        for w in graph.in_neighbors(v):
-            ctx.charge()
-            ctx.send(w, candidate)
+        ctx.send_to_out_neighbors(candidate)
+        ctx.send_to_in_neighbors(candidate)
 
 
 def distributed_wcc(

@@ -8,6 +8,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from array import array
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.graph.digraph import DiGraph
 
 
 class Partitioner(ABC):
@@ -87,6 +91,29 @@ def node_assignment(partitioner: Partitioner, num_vertices: int) -> array:
     can never make two execution paths disagree on vertex placement.
     """
     return array("q", map(partitioner.node_of, range(num_vertices)))
+
+
+class Routing(NamedTuple):
+    """Where every vertex lives, and how many of its out- / in-neighbours
+    (per edge occurrence) live on the same node: a neighbour fan-out adds
+    the count to its node's same-node deliveries in O(1) instead of
+    looking every destination up.
+    """
+
+    node_of: array
+    same_out: array
+    same_in: array
+
+    @classmethod
+    def of(cls, graph: "DiGraph", node_of: array) -> "Routing":
+        """Count same-node neighbours under the assignment ``node_of``."""
+        same_out = array("q", bytes(8 * graph.num_vertices))
+        same_in = array("q", bytes(8 * graph.num_vertices))
+        for u, v in graph.edges():
+            if node_of[u] == node_of[v]:
+                same_out[u] += 1
+                same_in[v] += 1
+        return cls(node_of, same_out, same_in)
 
 
 PARTITIONER_STRATEGIES = {

@@ -25,11 +25,18 @@ import copy
 import time
 from abc import ABC, abstractmethod
 from array import array
+from operator import itemgetter
+from typing import Iterable
 
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan
 from repro.graph.digraph import DiGraph
-from repro.graph.partition import HashPartitioner, Partitioner, node_assignment
+from repro.graph.partition import (
+    HashPartitioner,
+    Partitioner,
+    Routing,
+    node_assignment,
+)
 from repro.pregel.cost_model import CostModel
 from repro.pregel.metrics import (
     NodeSlice,
@@ -42,6 +49,7 @@ from repro.pregel.vertex_program import VertexProgram
 from repro.telemetry import ACTIVE_VERTEX_BUCKETS, current_metrics, current_tracer
 
 _EMPTY: tuple = ()
+_sender = itemgetter(0)  # of a sender-tagged bucket entry
 
 
 class SuperstepLimitExceeded(ReproError):
@@ -49,17 +57,25 @@ class SuperstepLimitExceeded(ReproError):
 
 
 class ComputeContext:
-    """Facilities available to ``compute()`` during a super-step."""
+    """Facilities available to ``compute()`` during a super-step.
+
+    Senders (:meth:`send` and the two neighbour fan-outs) only append to
+    destination buckets; what crossed the network is settled once per
+    super-step, at the barrier, from counts.
+    """
 
     __slots__ = (
         "graph",
         "num_nodes",
         "superstep",
         "_node_of",
+        "_same_out",
+        "_same_in",
         "_current_node",
         "_current_vertex",
         "_next_inbox",
         "_units",
+        "_same_node",
         "_recv_bytes",
         "_broadcast_bytes",
         "_local_messages",
@@ -74,52 +90,85 @@ class ComputeContext:
         "_agg_visible",
     )
 
+    #: Bucket entries are ``(sending vertex, payload)``, not bare payloads.
+    _tag_sender = False
+
     def __init__(
         self,
         graph: DiGraph,
         num_nodes: int,
-        node_of: array,
+        routing: Routing,
         cost: CostModel,
+        program: VertexProgram,
     ):
         self.graph = graph
         self.num_nodes = num_nodes
-        self.superstep = 0
-        self._node_of = node_of
+        self._node_of, self._same_out, self._same_in = routing
         self._current_node = 0
         self._current_vertex = 0
-        self._next_inbox: dict[int, list] = {}
-        self._units = [0] * num_nodes
         self._recv_bytes = [0] * num_nodes
-        self._broadcast_bytes = 0
         self._local_messages = 0
         self._remote_messages = 0
         self._cost = cost
         self._base_seconds = 0.0
         self._pending_units = 0
-        self._combine = False
+        self._combine = program.combine_duplicates
         self._sent_keys: set = set()
-        self._aggregators: dict = {}
-        self._agg_current: dict = {}
-        self._agg_visible: dict = {}
+        self._aggregators = program.aggregators()
+        self._agg_current = {
+            name: agg.initial for name, agg in self._aggregators.items()
+        }
+        self._begin_superstep(0)
 
     # -- called by the engine ------------------------------------------
     def _begin_superstep(self, superstep: int) -> None:
         self.superstep = superstep
         self._next_inbox = {}
         self._units = [0] * self.num_nodes
-        self._recv_bytes = [0] * self.num_nodes
+        self._same_node = [0] * self.num_nodes
         self._broadcast_bytes = 0
         if self._combine:
             self._sent_keys = set()
-        if self._aggregators:
-            self._agg_visible = dict(self._agg_current)
-            self._agg_current = {
-                name: agg.initial for name, agg in self._aggregators.items()
-            }
+        self._agg_visible = self._agg_current
+        self._agg_current = {
+            name: agg.initial for name, agg in self._aggregators.items()
+        }
 
-    def _at_vertex(self, vertex: int) -> None:
-        self._current_vertex = vertex
-        self._current_node = self._node_of[vertex]
+    def _run_superstep(
+        self, program: VertexProgram, superstep: int, base_seconds: float,
+        inbox: dict[int, list], starts: Iterable[int],
+    ) -> None:
+        """One super-step of ``compute()`` calls: over ``starts`` in
+        super-step 1, over ``inbox`` in ascending vertex order after."""
+        self._begin_superstep(superstep)
+        self._base_seconds = base_seconds
+        node_of, tagged = self._node_of, self._tag_sender
+        for v in starts if superstep == 1 else sorted(inbox):
+            messages = inbox.get(v, _EMPTY)
+            if tagged and messages:
+                messages.sort(key=_sender)  # stable: sim delivery order
+                messages = [payload for _, payload in messages]
+            self._current_vertex = v
+            self._current_node = node_of[v]
+            self.charge(len(messages))  # one unit per delivery
+            program.compute(self, v, messages)
+        self._settle()
+
+    def _settle(self) -> None:
+        """Derive the routing counters at the barrier: a node received
+        what its vertices' buckets hold; what did not come from the node
+        itself crossed the network."""
+        received = [0] * self.num_nodes
+        node_of = self._node_of
+        for dst, bucket in self._next_inbox.items():
+            received[node_of[dst]] += len(bucket)
+        same = self._same_node
+        message_bytes = self._cost.message_bytes
+        self._local_messages = sum(same)
+        self._remote_messages = sum(received) - self._local_messages
+        self._recv_bytes = [
+            (got - own) * message_bytes for got, own in zip(received, same)
+        ]
 
     # -- called by programs --------------------------------------------
     def node_of(self, vertex: int) -> int:
@@ -137,29 +186,71 @@ class ComputeContext:
         self._units[self._current_node] += units
         self._pending_units += units
         if self._pending_units >= 262_144:
-            self._pending_units = 0
-            self._cost.check_time(
-                self._base_seconds + max(self._units) * self._cost.t_op
-            )
+            self._recheck_cutoff()
+
+    def _recheck_cutoff(self) -> None:
+        self._pending_units = 0
+        self._cost.check_time(
+            self._base_seconds + max(self._units) * self._cost.t_op
+        )
 
     def send(self, dst: int, payload) -> None:
         """Send ``payload`` to vertex ``dst`` (delivered next super-step)."""
+        node = self._current_node
         if self._combine:
-            key = (self._current_node, dst, payload)
+            key = (node, dst, payload)
             if key in self._sent_keys:
                 return  # combined away before reaching the network
             self._sent_keys.add(key)
+        entry = (self._current_vertex, payload) if self._tag_sender else payload
         bucket = self._next_inbox.get(dst)
         if bucket is None:
-            self._next_inbox[dst] = [payload]
+            self._next_inbox[dst] = [entry]
         else:
-            bucket.append(payload)
-        dst_node = self._node_of[dst]
-        if dst_node == self._current_node:
-            self._local_messages += 1
-        else:
-            self._remote_messages += 1
-            self._recv_bytes[dst_node] += self._cost.message_bytes
+            bucket.append(entry)
+        if self._node_of[dst] == node:
+            self._same_node[node] += 1
+
+    def send_to_out_neighbors(self, payload) -> None:
+        """Send ``payload`` along every out-edge of the current vertex.
+
+        Charges one unit per edge, once, and appends the one ``payload``
+        object to each destination in CSR order — the order
+        ``for x in graph.out_neighbors(v): ctx.send(x, payload)`` would.
+        """
+        graph = self.graph
+        self._fan_out(
+            graph._fwd_offsets, graph._fwd_targets, self._same_out, payload
+        )
+
+    def send_to_in_neighbors(self, payload) -> None:
+        """:meth:`send_to_out_neighbors` along the in-edges."""
+        graph = self.graph
+        self._fan_out(
+            graph._rev_offsets, graph._rev_targets, self._same_in, payload
+        )
+
+    def _fan_out(self, offsets, targets, same, payload) -> None:
+        vertex = self._current_vertex
+        node = self._current_node
+        neighbors = targets[offsets[vertex] : offsets[vertex + 1]]
+        self._units[node] += len(neighbors)
+        self._pending_units += len(neighbors)
+        if self._pending_units >= 262_144:
+            self._recheck_cutoff()
+        if self._combine:  # dedup is per destination: no shortcut
+            for dst in neighbors:
+                self.send(dst, payload)
+            return
+        entry = (vertex, payload) if self._tag_sender else payload
+        inbox = self._next_inbox
+        for dst in neighbors:
+            bucket = inbox.get(dst)
+            if bucket is None:
+                inbox[dst] = [entry]
+            else:
+                bucket.append(entry)
+        self._same_node[node] += same[vertex]
 
     def aggregate(self, name: str, value) -> None:
         """Contribute ``value`` to aggregator ``name`` this super-step.
@@ -195,44 +286,25 @@ class ComputeContext:
 
 
 class FinalizeContext:
-    """Per-vertex charging facilities for the post-loop pass."""
+    """Per-vertex charging facilities for the post-loop pass: the
+    compute context's unit meter, addressed by vertex."""
 
-    __slots__ = (
-        "graph",
-        "num_nodes",
-        "_node_of",
-        "_units",
-        "_cost",
-        "_base_seconds",
-        "_pending_units",
-    )
+    __slots__ = ("graph", "num_nodes", "_ctx")
 
-    def __init__(
-        self,
-        graph: DiGraph,
-        num_nodes: int,
-        node_of: array,
-        cost: CostModel,
-        base_seconds: float,
-    ):
-        self.graph = graph
-        self.num_nodes = num_nodes
-        self._node_of = node_of
-        self._units = [0] * num_nodes
-        self._cost = cost
-        self._base_seconds = base_seconds
-        self._pending_units = 0
+    def __init__(self, ctx: ComputeContext, base_seconds: float):
+        self.graph = ctx.graph
+        self.num_nodes = ctx.num_nodes
+        self._ctx = ctx
+        ctx._begin_superstep(ctx.superstep + 1)
+        ctx._base_seconds = base_seconds
+        ctx._pending_units = 0
 
     def charge(self, vertex: int, units: int = 1) -> None:
         """Charge ``units`` to the node owning ``vertex``; re-checks the
         cut-off periodically, as :meth:`ComputeContext.charge` does."""
-        self._units[self._node_of[vertex]] += units
-        self._pending_units += units
-        if self._pending_units >= 262_144:
-            self._pending_units = 0
-            self._cost.check_time(
-                self._base_seconds + max(self._units) * self._cost.t_op
-            )
+        ctx = self._ctx
+        ctx._current_node = ctx._node_of[vertex]
+        ctx.charge(units)
 
 
 class _Checkpoint:
@@ -274,9 +346,17 @@ def _estimate_entries(obj) -> int:
     return 1
 
 
+def _slowest_node_seconds(
+    cost: CostModel, units: list[int], slowdown: list[float] | None
+) -> float:
+    """Nodes compute in parallel: the phase lasts as long as its slowest."""
+    if slowdown is None:
+        return max(units) * cost.t_op
+    return max(u * s for u, s in zip(units, slowdown)) * cost.t_op
+
+
 def _account_superstep(
     cost: CostModel,
-    num_nodes: int,
     ctx: ComputeContext,
     stats: RunStats,
     active: int,
@@ -300,12 +380,7 @@ def _account_superstep(
     measured per-worker slices instead.
     """
     units = ctx._units
-    if slowdown is None:
-        comp_seconds = max(units) * cost.t_op
-    else:
-        comp_seconds = (
-            max(u * s for u, s in zip(units, slowdown)) * cost.t_op
-        )
+    comp_seconds = _slowest_node_seconds(cost, units, slowdown)
     comm_bytes = max(ctx._recv_bytes) + ctx._broadcast_bytes
     lost = duplicated = 0
     if injector is not None:
@@ -333,38 +408,12 @@ def _account_superstep(
             timeline.intervals.append(
                 TimelineInterval("replay", ctx.superstep, seconds)
             )
-        ctx._local_messages = 0
-        ctx._remote_messages = 0
         return
-    if node_slices and (timeline is not None or telemetry_on):
-        # Per-node breakdown.  BSP phases run in sequence, so a
-        # node's barrier wait is the slack against the slowest node
-        # in each phase; retransmission cost (charged to the
-        # super-step as a whole) lands in the wait term too.
-        recv = ctx._recv_bytes
-        bcast_bytes = ctx._broadcast_bytes
-        for node in range(num_nodes):
-            factor = 1.0 if slowdown is None else slowdown[node]
-            node_comp = units[node] * factor * cost.t_op
-            node_comm = (recv[node] + bcast_bytes) * cost.t_byte
-            piece = NodeSlice(
-                superstep=ctx.superstep,
-                node=node,
-                units=units[node],
-                compute_seconds=node_comp,
-                comm_seconds=node_comm,
-                barrier_wait_seconds=max(
-                    0.0,
-                    (comp_seconds - node_comp) + (comm_seconds - node_comm),
-                ),
-                barrier_seconds=cost.t_barrier,
-                recv_bytes=recv[node],
-                slowdown=factor,
-            )
-            if timeline is not None:
-                timeline.slices.append(piece)
-            if telemetry_on:
-                tracer.event("pregel.node", **piece.to_dict())
+    if node_slices:
+        _emit_node_slices(
+            cost, stats, tracer, ctx.superstep, units, ctx._recv_bytes,
+            ctx._broadcast_bytes, comp_seconds, comm_seconds, slowdown,
+        )
     if trace or telemetry_on:
         row = SuperstepTrace(
             superstep=ctx.superstep,
@@ -398,13 +447,55 @@ def _account_superstep(
     stats.barrier_seconds += cost.t_barrier
     for node, node_units in enumerate(units):
         stats.per_node_units[node] += node_units
-    ctx._local_messages = 0
-    ctx._remote_messages = 0
+
+
+def _emit_node_slices(
+    cost: CostModel,
+    stats: RunStats,
+    tracer,
+    superstep: int,
+    units: list[int],
+    recv: list[int],
+    bcast_bytes: int,
+    comp_seconds: float,
+    comm_seconds: float,
+    slowdown: list[float] | None,
+) -> None:
+    """One :class:`NodeSlice` per logical node for one accounted step.
+
+    BSP phases run in sequence, so a node's barrier wait is the slack
+    against the slowest node in each phase; retransmission cost (charged
+    to the super-step as a whole) lands in the wait term too.
+    """
+    timeline = stats.node_timeline
+    telemetry_on = tracer is not None and tracer.enabled
+    if timeline is None and not telemetry_on:
+        return
+    for node, node_units in enumerate(units):
+        factor = 1.0 if slowdown is None else slowdown[node]
+        node_comp = node_units * factor * cost.t_op
+        node_comm = (recv[node] + bcast_bytes) * cost.t_byte
+        piece = NodeSlice(
+            superstep=superstep,
+            node=node,
+            units=node_units,
+            compute_seconds=node_comp,
+            comm_seconds=node_comm,
+            barrier_wait_seconds=max(
+                0.0, (comp_seconds - node_comp) + (comm_seconds - node_comm)
+            ),
+            barrier_seconds=cost.t_barrier,
+            recv_bytes=recv[node],
+            slowdown=factor,
+        )
+        if timeline is not None:
+            timeline.slices.append(piece)
+        if telemetry_on:
+            tracer.event("pregel.node", **piece.to_dict())
 
 
 def _account_finalize(
     cost: CostModel,
-    num_nodes: int,
     stats: RunStats,
     finalize_units: list[int],
     superstep: int,
@@ -417,40 +508,16 @@ def _account_finalize(
         return
     stats.supersteps += 1
     stats.compute_units += sum(finalize_units)
-    if slowdown is None:
-        finalize_seconds = max(finalize_units) * cost.t_op
-    else:
-        finalize_seconds = (
-            max(u * s for u, s in zip(finalize_units, slowdown))
-            * cost.t_op
-        )
+    finalize_seconds = _slowest_node_seconds(cost, finalize_units, slowdown)
     stats.computation_seconds += finalize_seconds
     stats.barrier_seconds += cost.t_barrier
     for node, units in enumerate(finalize_units):
         stats.per_node_units[node] += units
-    timeline = stats.node_timeline
-    telemetry_on = tracer is not None and tracer.enabled
-    if node_slices and (timeline is not None or telemetry_on):
-        for node in range(num_nodes):
-            factor = 1.0 if slowdown is None else slowdown[node]
-            node_comp = finalize_units[node] * factor * cost.t_op
-            piece = NodeSlice(
-                superstep=superstep + 1,
-                node=node,
-                units=finalize_units[node],
-                compute_seconds=node_comp,
-                comm_seconds=0.0,
-                barrier_wait_seconds=max(
-                    0.0, finalize_seconds - node_comp
-                ),
-                barrier_seconds=cost.t_barrier,
-                recv_bytes=0,
-                slowdown=factor,
-            )
-            if timeline is not None:
-                timeline.slices.append(piece)
-            if telemetry_on:
-                tracer.event("pregel.node", **piece.to_dict())
+    if node_slices:
+        _emit_node_slices(
+            cost, stats, tracer, superstep + 1, finalize_units,
+            [0] * len(finalize_units), 0, finalize_seconds, 0.0, slowdown,
+        )
 
 
 class Engine(ABC):
@@ -521,10 +588,14 @@ class SimulatorEngine(Engine):
         ) as span:
             cost = cluster.cost_model
             injector = cluster._injector
-            node_of = node_assignment(cluster.partitioner, graph.num_vertices)
-            if injector is not None and injector.dead:
-                # Nodes lost in an earlier run of this cluster stay dead.
+            routing = cluster.routing(graph)
+            if injector is not None:
+                # Crashes move vertices in place, so a fault run owns its
+                # map; nodes lost in an earlier run of this cluster stay
+                # dead.
+                node_of = array("q", routing.node_of)
                 injector.reassign(node_of, ())
+                routing = Routing.of(graph, node_of)
             slowdown = (
                 cluster.faults.slowdowns(cluster.num_nodes)
                 if cluster.faults is not None and cluster.faults.stragglers
@@ -538,12 +609,9 @@ class SimulatorEngine(Engine):
             wall_start = time.perf_counter()
             simulated_start = stats.simulated_seconds
 
-            ctx = ComputeContext(graph, cluster.num_nodes, node_of, cost)
-            ctx._combine = program.combine_duplicates
-            ctx._aggregators = program.aggregators()
-            ctx._agg_current = {
-                name: agg.initial for name, agg in ctx._aggregators.items()
-            }
+            ctx = ComputeContext(
+                graph, cluster.num_nodes, routing, cost, program
+            )
             program.setup(ctx)
 
             # Super-step 0 snapshot: recovery without an on-disk
@@ -567,20 +635,11 @@ class SimulatorEngine(Engine):
                     raise SuperstepLimitExceeded(
                         f"no termination after {max_supersteps} supersteps"
                     )
-                ctx._begin_superstep(superstep)
-                ctx._base_seconds = stats.simulated_seconds
-                if superstep == 1:
-                    active = graph.num_vertices
-                    for v in graph.vertices():
-                        ctx._at_vertex(v)
-                        program.compute(ctx, v, _EMPTY)
-                else:
-                    active = len(inbox)
-                    for v in sorted(inbox):
-                        messages = inbox[v]
-                        ctx._at_vertex(v)
-                        ctx.charge(len(messages))
-                        program.compute(ctx, v, messages)
+                ctx._run_superstep(
+                    program, superstep, stats.simulated_seconds, inbox,
+                    program.initial_vertices(graph),
+                )
+                active = len(inbox) if superstep > 1 else graph.num_vertices
                 fired = (
                     injector.crashes_at(superstep)
                     if injector is not None
@@ -589,21 +648,19 @@ class SimulatorEngine(Engine):
                 if fired and checkpoint is not None:
                     # The barrier never commits: the attempt is lost work.
                     _account_superstep(
-                        cost, cluster.num_nodes, ctx, stats, active,
-                        False, tracer,
+                        cost, ctx, stats, active, False, tracer,
                         slowdown=slowdown, replay=True, injector=injector,
                     )
                     inbox = self._recover(
-                        cluster, ctx, stats, checkpoint, injector, node_of,
-                        fired, superstep, program, tracer,
+                        cluster, ctx, stats, checkpoint, injector, fired,
+                        superstep, program, tracer,
                     )
                     superstep = checkpoint.superstep
                     cost.check_time(stats.simulated_seconds)
                     continue
                 replay = superstep <= committed
                 _account_superstep(
-                    cost, cluster.num_nodes, ctx, stats, active,
-                    trace, tracer,
+                    cost, ctx, stats, active, trace, tracer,
                     slowdown=slowdown, replay=replay, injector=injector,
                 )
                 committed = max(committed, superstep)
@@ -623,13 +680,9 @@ class SimulatorEngine(Engine):
                 if not inbox:
                     break
 
-            fctx = FinalizeContext(
-                graph, cluster.num_nodes, node_of, cost,
-                stats.simulated_seconds,
-            )
-            program.finalize(fctx)
+            program.finalize(FinalizeContext(ctx, stats.simulated_seconds))
             _account_finalize(
-                cost, cluster.num_nodes, stats, fctx._units, superstep,
+                cost, stats, ctx._units, superstep,
                 slowdown=slowdown, tracer=tracer,
             )
             cost.check_time(stats.simulated_seconds)
@@ -692,7 +745,6 @@ class SimulatorEngine(Engine):
         stats: RunStats,
         checkpoint: _Checkpoint,
         injector: FaultInjector,
-        node_of: array,
         fired: tuple[int, ...],
         superstep: int,
         program: VertexProgram,
@@ -708,7 +760,9 @@ class SimulatorEngine(Engine):
         """
         cost = cluster.cost_model
         stats.crashes += len(fired)
+        node_of = ctx._node_of
         moved = injector.reassign(node_of, fired)
+        _, ctx._same_out, ctx._same_in = Routing.of(ctx.graph, node_of)
         alive = len(injector.survivors)
         seconds = (
             cost.failover_seconds
@@ -835,6 +889,16 @@ class Cluster:
         self._injector = (
             FaultInjector(faults, num_nodes) if faults is not None else None
         )
+        self._routing: tuple[DiGraph, Routing] | None = None
+
+    def routing(self, graph: DiGraph) -> Routing:
+        """Vertex placement and same-node neighbour counts: computed once
+        per graph, shared by every run of this cluster (DRL_b's batches)
+        and by the multiprocessing engine's workers."""
+        if self._routing is None or self._routing[0] is not graph:
+            node_of = node_assignment(self.partitioner, graph.num_vertices)
+            self._routing = (graph, Routing.of(graph, node_of))
+        return self._routing[1]
 
     def run(
         self,

@@ -11,11 +11,12 @@ simulated clock) is identical to a simulator run of the same program.
 
 Design
 ------
-- The input graph's CSR arrays and the vertex → node map are copied
-  once into ``multiprocessing.shared_memory`` segments and the graph's
-  ``array`` slots are swapped for ``memoryview`` casts of those
-  segments, so forked workers read the topology from shared pages
-  instead of private copies.
+- The input graph's CSR arrays are copied once into
+  ``multiprocessing.shared_memory`` segments and the graph's ``array``
+  slots are swapped for ``memoryview`` casts of those segments, so
+  forked workers read the topology from shared pages instead of private
+  copies.  The cluster's per-graph :class:`~repro.graph.partition.
+  Routing` (vertex → node map, same-node counts) arrives through fork.
 - Each worker is a full program replica forked *after* ``setup()``.
   Logical node ``n`` is pinned to worker ``n % workers``, so every
   vertex (and its per-vertex state) has exactly one writer and the
@@ -46,16 +47,14 @@ import multiprocessing
 import os
 import time
 import traceback
-from array import array
 from multiprocessing import shared_memory
 from random import Random
 
 from repro.errors import ReproError
 from repro.graph.digraph import DiGraph
-from repro.graph.partition import node_assignment
+from repro.graph.partition import Routing
 from repro.pregel.cost_model import CostModel
 from repro.pregel.engine import (
-    _EMPTY,
     ComputeContext,
     Engine,
     FinalizeContext,
@@ -71,7 +70,7 @@ _CSR_SLOTS = ("_fwd_offsets", "_fwd_targets", "_rev_offsets", "_rev_targets")
 
 
 class _SharedGraph:
-    """The graph CSR (plus the node map) in shared-memory segments.
+    """The graph CSR in shared-memory segments.
 
     ``install()`` swaps the graph's ``array('q')`` slots for
     ``memoryview`` casts of the segments; because every CSR accessor
@@ -81,14 +80,13 @@ class _SharedGraph:
     the handles.
     """
 
-    def __init__(self, graph: DiGraph, node_of: array):
+    def __init__(self, graph: DiGraph):
         self._graph = graph
         self._segments: list[shared_memory.SharedMemory] = []
         self._originals = {slot: getattr(graph, slot) for slot in _CSR_SLOTS}
         self._views = {
             slot: self._to_shared(self._originals[slot]) for slot in _CSR_SLOTS
         }
-        self.node_of = self._to_shared(node_of)
         self._installed = False
 
     def _to_shared(self, arr):
@@ -114,9 +112,6 @@ class _SharedGraph:
             if isinstance(view, memoryview):
                 view.release()
         self._views = {}
-        if isinstance(self.node_of, memoryview):
-            self.node_of.release()
-        self.node_of = None
         for shm in self._segments:
             shm.close()
             shm.unlink()
@@ -124,38 +119,13 @@ class _SharedGraph:
 
 
 class _WorkerContext(ComputeContext):
-    """A worker-side compute context that tags messages with the sender.
-
-    Sender tags let the receiving worker stably sort each inbox into
-    ascending sending-vertex order — the exact sequence the simulator's
-    ``for v in sorted(inbox)`` sweep appends — before handing the bare
-    payloads to ``compute()``.
-    """
+    """A worker-side compute context: messages carry their sender, so
+    the receiving worker can stably sort each inbox into ascending
+    sending-vertex order — the exact sequence the simulator's sweep
+    appends — before ``compute()`` sees the bare payloads."""
 
     __slots__ = ()
-
-    def send(self, dst: int, payload) -> None:
-        if self._combine:
-            key = (self._current_node, dst, payload)
-            if key in self._sent_keys:
-                return  # combined away before reaching the network
-            self._sent_keys.add(key)
-        bucket = self._next_inbox.get(dst)
-        entry = (self._current_vertex, payload)
-        if bucket is None:
-            self._next_inbox[dst] = [entry]
-        else:
-            bucket.append(entry)
-        dst_node = self._node_of[dst]
-        if dst_node == self._current_node:
-            self._local_messages += 1
-        else:
-            self._remote_messages += 1
-            self._recv_bytes[dst_node] += self._cost.message_bytes
-
-
-def _sender(entry) -> int:
-    return entry[0]
+    _tag_sender = True
 
 
 def _worker_main(
@@ -165,18 +135,14 @@ def _worker_main(
     graph: DiGraph,
     program: VertexProgram,
     num_nodes: int,
-    node_of,
+    routing: Routing,
     cost: CostModel,
 ) -> None:
     """One worker process: compute owned vertices, superstep by superstep."""
     status = 0
     try:
-        ctx = _WorkerContext(graph, num_nodes, node_of, cost)
-        ctx._combine = program.combine_duplicates
-        ctx._aggregators = program.aggregators()
-        ctx._agg_current = {
-            name: agg.initial for name, agg in ctx._aggregators.items()
-        }
+        node_of = routing.node_of
+        ctx = _WorkerContext(graph, num_nodes, routing, cost, program)
         owned = [
             v for v in graph.vertices() if node_of[v] % num_workers == worker
         ]
@@ -187,31 +153,25 @@ def _worker_main(
             if kind == "step":
                 _, superstep, base_seconds, agg_visible, remote_in = msg
                 started = time.perf_counter()
-                ctx._begin_superstep(superstep)
-                ctx._base_seconds = base_seconds
                 if ctx._aggregators:
-                    ctx._agg_visible = agg_visible
-                if superstep == 1:
-                    active = len(owned)
-                    for v in owned:
-                        ctx._at_vertex(v)
-                        program.compute(ctx, v, _EMPTY)
-                else:
-                    inbox = pending_local
-                    for dst, entries in remote_in.items():
-                        bucket = inbox.get(dst)
-                        if bucket is None:
-                            inbox[dst] = entries
-                        else:
-                            bucket.extend(entries)
-                    active = len(inbox)
-                    for v in sorted(inbox):
-                        tagged = inbox[v]
-                        tagged.sort(key=_sender)  # stable: sim delivery order
-                        messages = [payload for _, payload in tagged]
-                        ctx._at_vertex(v)
-                        ctx.charge(len(messages))
-                        program.compute(ctx, v, messages)
+                    # What the master combined last barrier becomes
+                    # visible as the super-step begins.
+                    ctx._agg_current = agg_visible
+                inbox = pending_local
+                for dst, entries in remote_in.items():
+                    bucket = inbox.get(dst)
+                    if bucket is None:
+                        inbox[dst] = entries
+                    else:
+                        bucket.extend(entries)
+                ctx._run_superstep(
+                    program, superstep, base_seconds, inbox,
+                    (
+                        v for v in program.initial_vertices(graph)
+                        if node_of[v] % num_workers == worker
+                    ),
+                )
+                active = len(inbox) if superstep > 1 else len(owned)
                 pending_local = {}
                 remote_out: dict[int, dict[int, list]] = {}
                 for dst, tagged in ctx._next_inbox.items():
@@ -235,8 +195,6 @@ def _worker_main(
                     dict(ctx._agg_current) if ctx._aggregators else None,
                     compute_wall,
                 ))
-                ctx._local_messages = 0
-                ctx._remote_messages = 0
             elif kind == "barrier":
                 _, superstep, deltas = msg
                 for delta in deltas:
@@ -246,14 +204,13 @@ def _worker_main(
             elif kind == "finalize":
                 _, base_seconds = msg
                 started = time.perf_counter()
-                fctx = FinalizeContext(
-                    graph, num_nodes, node_of, cost, base_seconds
+                program.finalize_vertices(
+                    FinalizeContext(ctx, base_seconds), owned
                 )
-                program.finalize_vertices(fctx, owned)
                 finalize_wall = time.perf_counter() - started
                 conn.send((
                     "finalized",
-                    list(fctx._units),
+                    list(ctx._units),
                     program.mp_collect(owned),
                     finalize_wall,
                 ))
@@ -281,6 +238,51 @@ def _worker_main(
         # destructors would raise during shutdown.  The master owns and
         # unlinks the segments.
         os._exit(status)
+
+
+class _Workers:
+    """The forked workers' pipes; a dead peer surfaces as a typed error."""
+
+    def __init__(self):
+        self.conns: list = []
+        self.procs: list = []
+        self.phase = "start-up"
+
+    def send(self, worker: int, message: tuple) -> None:
+        try:
+            self.conns[worker].send(message)
+        except OSError:  # BrokenPipeError: nobody is reading
+            raise self._dead(worker) from None
+
+    def recv(self, worker: int) -> tuple:
+        try:
+            return self.conns[worker].recv()
+        except (EOFError, OSError):
+            raise self._dead(worker) from None
+
+    def _dead(self, worker: int) -> ReproError:
+        proc = self.procs[worker]
+        proc.join(timeout=5)
+        code = proc.exitcode
+        if code is None:
+            fate = "stopped answering"
+        elif code < 0:
+            fate = f"was killed by signal {-code}"
+        else:
+            fate = f"exited with code {code}"
+        return ReproError(f"mp worker {worker} {fate} during {self.phase}")
+
+    def close(self) -> None:
+        """Reap every worker still running and close the pipes."""
+        for proc in self.procs:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=5)
+        for conn in self.conns:
+            try:
+                conn.close()
+            except Exception:
+                pass
 
 
 class MultiprocessEngine(Engine):
@@ -361,62 +363,47 @@ class MultiprocessEngine(Engine):
             wall_start = time.perf_counter()
             simulated_start = stats.simulated_seconds
 
-            plain_node_of = node_assignment(cluster.partitioner, graph.num_vertices)
-            ctx = ComputeContext(graph, num_nodes, plain_node_of, cost)
-            ctx._combine = program.combine_duplicates
-            ctx._aggregators = program.aggregators()
-            ctx._agg_current = {
-                name: agg.initial for name, agg in ctx._aggregators.items()
-            }
+            routing = cluster.routing(graph)
+            ctx = ComputeContext(graph, num_nodes, routing, cost, program)
             program.setup(ctx)
 
             owned_nodes = [
                 [n for n in range(num_nodes) if n % workers == w]
                 for w in range(workers)
             ]
-            shared = _SharedGraph(graph, plain_node_of)
-            conns: list = []
-            procs: list = []
+            shared = _SharedGraph(graph)
+            pool = _Workers()
             try:
                 shared.install()
-                node_of = shared.node_of
                 for w in range(workers):
                     parent_conn, child_conn = fork.Pipe()
                     proc = fork.Process(
                         target=_worker_main,
                         args=(
                             child_conn, w, workers, graph, program,
-                            num_nodes, node_of, cost,
+                            num_nodes, routing, cost,
                         ),
                         daemon=True,
                     )
                     proc.start()
                     child_conn.close()
-                    conns.append(parent_conn)
-                    procs.append(proc)
+                    pool.conns.append(parent_conn)
+                    pool.procs.append(proc)
 
                 superstep = self._superstep_loop(
-                    cluster, graph, program, ctx, stats, conns, owned_nodes,
+                    cluster, graph, program, ctx, stats, pool, owned_nodes,
                     max_supersteps, trace, tracer, rng,
                 )
                 self._finalize(
-                    cluster, program, stats, conns, owned_nodes, superstep,
+                    cluster, program, stats, pool, owned_nodes, superstep,
                     tracer, rng,
                 )
-                for conn in conns:
-                    conn.send(("exit",))
-                for proc in procs:
+                for w in range(workers):
+                    pool.send(w, ("exit",))
+                for proc in pool.procs:
                     proc.join(timeout=30)
             finally:
-                for proc in procs:
-                    if proc.is_alive():
-                        proc.terminate()
-                        proc.join(timeout=5)
-                for conn in conns:
-                    try:
-                        conn.close()
-                    except Exception:
-                        pass
+                pool.close()
                 shared.close()
 
             cost.check_time(stats.simulated_seconds)
@@ -427,14 +414,14 @@ class MultiprocessEngine(Engine):
         return stats
 
     # ------------------------------------------------------------------
-    def _gather(self, conns, rng, expected: str) -> dict[int, tuple]:
+    def _gather(self, pool, rng, expected: str) -> dict[int, tuple]:
         """Await one reply per worker, optionally in shuffled order."""
-        order = list(range(len(conns)))
+        order = list(range(len(pool.conns)))
         if rng is not None:
             rng.shuffle(order)
         replies: dict[int, tuple] = {}
         for w in order:
-            msg = conns[w].recv()
+            msg = pool.recv(w)
             if msg[0] == "error":
                 _, exc, tb = msg
                 if isinstance(exc, BaseException):
@@ -450,12 +437,12 @@ class MultiprocessEngine(Engine):
         return replies
 
     def _superstep_loop(
-        self, cluster, graph, program, ctx, stats, conns, owned_nodes,
+        self, cluster, graph, program, ctx, stats, pool, owned_nodes,
         max_supersteps, trace, tracer, rng,
     ) -> int:
         cost = cluster.cost_model
         num_nodes = cluster.num_nodes
-        workers = len(conns)
+        workers = len(pool.conns)
         agg_visible: dict = {}
         aggregators = ctx._aggregators
         routed: list[dict[int, list]] = [{} for _ in range(workers)]
@@ -467,10 +454,11 @@ class MultiprocessEngine(Engine):
                     f"no termination after {max_supersteps} supersteps"
                 )
             ctx._begin_superstep(superstep)
+            pool.phase = f"superstep {superstep}"
             base = stats.simulated_seconds
             for w in range(workers):
-                conns[w].send(("step", superstep, base, agg_visible, routed[w]))
-            replies = self._gather(conns, rng, "done")
+                pool.send(w, ("step", superstep, base, agg_visible, routed[w]))
+            replies = self._gather(pool, rng, "done")
             barrier_started = time.perf_counter()
 
             merged_units = [0] * num_nodes
@@ -516,8 +504,7 @@ class MultiprocessEngine(Engine):
             ctx._local_messages = local_msgs
             ctx._remote_messages = remote_msgs
             _account_superstep(
-                cost, num_nodes, ctx, stats, active, trace, tracer,
-                node_slices=False,
+                cost, ctx, stats, active, trace, tracer, node_slices=False
             )
             if aggregators:
                 agg_visible = dict(ctx._agg_current)
@@ -526,7 +513,7 @@ class MultiprocessEngine(Engine):
                     program.mp_apply_published(delta)
             program.on_barrier(superstep)
             for w in range(workers):
-                conns[w].send(("barrier", superstep, deltas))
+                pool.send(w, ("barrier", superstep, deltas))
             barrier_wall = time.perf_counter() - barrier_started
             self._emit_worker_slices(
                 stats, tracer, superstep, walls, barrier_wall,
@@ -537,16 +524,17 @@ class MultiprocessEngine(Engine):
                 return superstep
 
     def _finalize(
-        self, cluster, program, stats, conns, owned_nodes, superstep,
+        self, cluster, program, stats, pool, owned_nodes, superstep,
         tracer, rng,
     ) -> None:
         cost = cluster.cost_model
         num_nodes = cluster.num_nodes
-        workers = len(conns)
+        workers = len(pool.conns)
+        pool.phase = "the finalize pass"
         base = stats.simulated_seconds
-        for conn in conns:
-            conn.send(("finalize", base))
-        replies = self._gather(conns, rng, "finalized")
+        for w in range(workers):
+            pool.send(w, ("finalize", base))
+        replies = self._gather(pool, rng, "finalized")
         finalize_units = [0] * num_nodes
         walls = [0.0] * workers
         for w in range(workers):
@@ -555,7 +543,7 @@ class MultiprocessEngine(Engine):
             for node in range(num_nodes):
                 finalize_units[node] += units[node]
         _account_finalize(
-            cost, num_nodes, stats, finalize_units, superstep,
+            cost, stats, finalize_units, superstep,
             tracer=tracer, node_slices=False,
         )
         if any(finalize_units):

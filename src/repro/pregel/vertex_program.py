@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import copy
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.graph.digraph import DiGraph
 
@@ -79,12 +79,18 @@ class VertexProgram(ABC):
     def setup(self, ctx: "ComputeContext") -> None:
         """Called once before super-step 1 (allocate state)."""
 
+    def initial_vertices(self, graph: DiGraph) -> Iterable[int]:
+        """The vertices ``compute()`` runs on in super-step 1, ascending
+        (default: all).  Naming the few that start anything makes the
+        step cost what it touches; it still reports ``n`` active."""
+        return graph.vertices()
+
     @abstractmethod
     def compute(self, ctx: "ComputeContext", vertex: int, messages: Sequence) -> None:
         """Process ``messages`` addressed to ``vertex`` and send new ones.
 
-        In super-step 1 every vertex is invoked with an empty message
-        list (this is where sources kick off their traversals).
+        In super-step 1 the :meth:`initial_vertices` are invoked with an
+        empty message list (this is where sources start their traversals).
         """
 
     def on_barrier(self, superstep: int) -> None:

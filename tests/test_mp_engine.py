@@ -6,15 +6,20 @@ this module covers the plumbing around it: the single
 :func:`~repro.graph.partition.node_assignment` helper every executor
 shares (pinned by a golden so a silent change to the hash mix cannot
 slip through), engine selection and its rejection paths, worker
-timelines, and the CLI flags.
+timelines, the CLI flags, and a worker killed mid-superstep.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+
 import pytest
 
 from repro.cli import main
-from repro.core.drl import drl_index
+from repro.core.build import build_index
+from repro.core.drl import DrlFloodProgram, drl_index
 from repro.core.multicore import (
     _WORKING_BYTES_PER_VERTEX,
     per_core_working_bytes,
@@ -213,3 +218,66 @@ def test_cli_rejects_bad_engine_combinations(tmp_path, capsys):
     assert main(base + ["--workers", "2"]) == 2
     err = capsys.readouterr().err
     assert "only applies to --engine mp" in err
+
+
+# ----------------------------------------------------------------------
+# A worker that dies mid-superstep
+# ----------------------------------------------------------------------
+def _shm_segments() -> set[str]:
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+@pytest.fixture
+def one_worker_dies(tmp_path, monkeypatch):
+    """Patch DRL's ``compute`` so exactly one forked worker ``SIGKILL``s
+    itself in super-step 2 (the first to create the marker file)."""
+    master = os.getpid()
+    marker = tmp_path / "killed"
+    original = DrlFloodProgram.compute
+
+    def compute(self, ctx, w, messages):
+        if ctx.superstep == 2 and os.getpid() != master:
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        original(self, ctx, w, messages)
+
+    monkeypatch.setattr(DrlFloodProgram, "compute", compute)
+    return marker
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_killed_worker_ends_in_a_typed_error(one_worker_dies):
+    graph = citation_graph(80, avg_refs=2.5, seed=4)
+    before = _shm_segments()
+    with pytest.raises(ReproError) as info:
+        build_index(graph, method="drl", num_nodes=6, engine="mp", workers=3)
+    assert one_worker_dies.exists()
+    message = str(info.value)
+    assert "mp worker" in message
+    assert f"killed by signal {int(signal.SIGKILL)}" in message
+    assert "superstep 2" in message
+    # Every other worker was reaped and the CSR segments unlinked.
+    assert multiprocessing.active_children() == []
+    assert _shm_segments() <= before
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_cli_reports_a_killed_worker_with_exit_code_2(
+    one_worker_dies, tmp_path, capsys
+):
+    edges = tmp_path / "g.edges"
+    write_edge_list(citation_graph(80, avg_refs=2.5, seed=4), edges)
+    out = tmp_path / "x.idx"
+    before = _shm_segments()
+    argv = ["build", str(edges), "-o", str(out), "--method", "drl-b",
+            "--nodes", "6", "--engine", "mp", "--workers", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: mp worker") and "killed by signal" in err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+    assert _shm_segments() <= before
