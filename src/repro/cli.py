@@ -71,6 +71,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true",
         help="log telemetry to stderr while running",
     )
+    # The regression gate both bench commands share (_gate_on_baseline).
+    baseline_flags = argparse.ArgumentParser(add_help=False)
+    baseline_flags.add_argument(
+        "--save-baseline", nargs="?", const="", default=None, metavar="PATH",
+        help="save the results as the regression baseline (default PATH: "
+        "benchmarks/baselines/NAME.json — the experiment, serve-bench, "
+        "or serve-bench-mixed with --mode mixed)",
+    )
+    baseline_flags.add_argument(
+        "--check-baseline", nargs="?", const="", default=None, metavar="PATH",
+        help="compare the results against a saved baseline and exit "
+        "non-zero on regression",
+    )
+    baseline_flags.add_argument(
+        "--baseline-threshold", type=float, default=None, metavar="FRACTION",
+        help="relative deviation tolerated by --check-baseline "
+        "(default 0.1 = 10%%)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("datasets", help="list the Table V dataset stand-ins")
@@ -146,28 +164,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     bench = sub.add_parser(
-        "bench", help="run one paper experiment", parents=[telemetry_flags]
+        "bench",
+        help="run one paper experiment",
+        parents=[telemetry_flags, baseline_flags],
     )
     bench.add_argument(
         "experiment",
         choices=["table6", "fig5", "fig6", "fig7", "fig8", "fig9", "faults"],
     )
     bench.add_argument("--datasets", nargs="*", default=None)
-    bench.add_argument(
-        "--save-baseline", nargs="?", const="", default=None, metavar="PATH",
-        help="save the results as the regression baseline "
-        "(default PATH: benchmarks/baselines/EXPERIMENT.json)",
-    )
-    bench.add_argument(
-        "--check-baseline", nargs="?", const="", default=None, metavar="PATH",
-        help="compare the results against a saved baseline and exit "
-        "non-zero on regression",
-    )
-    bench.add_argument(
-        "--baseline-threshold", type=float, default=None, metavar="FRACTION",
-        help="relative deviation tolerated by --check-baseline "
-        "(default 0.1 = 10%%)",
-    )
 
     fuzz = sub.add_parser(
         "fuzz",
@@ -213,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_bench = sub.add_parser(
         "serve-bench",
         help="benchmark the query-serving layer (cached vs uncached)",
-        parents=[telemetry_flags],
+        parents=[telemetry_flags, baseline_flags],
         description="Shard the index, replay a Zipf-skewed request "
         "stream through the admission/batching pipeline with and "
         "without the query cache, and print throughput, latency "
@@ -329,21 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--drift-threshold", type=int, default=None, metavar="POSITIONS",
         help="mixed mode: auto-promote a vertex whose degree rank "
         "drifted this far above its frozen rank (default: off)",
-    )
-    serve_bench.add_argument(
-        "--save-baseline", nargs="?", const="", default=None, metavar="PATH",
-        help="save the table as the serve regression baseline "
-        "(default PATH: benchmarks/baselines/serve-bench.json, or "
-        "serve-bench-mixed.json with --mode mixed)",
-    )
-    serve_bench.add_argument(
-        "--check-baseline", nargs="?", const="", default=None, metavar="PATH",
-        help="compare against a saved baseline; exit non-zero on deviation",
-    )
-    serve_bench.add_argument(
-        "--baseline-threshold", type=float, default=None, metavar="FRACTION",
-        help="relative deviation tolerated by --check-baseline "
-        "(default 0.1 = 10%%)",
     )
     serve_bench.add_argument(
         "--report", type=Path, default=None, metavar="PATH",
@@ -838,6 +828,12 @@ def _cmd_bench(args) -> int:
     for table in tables:
         print(table.render())
         print()
+    return _gate_on_baseline(args, args.experiment, list(tables))
+
+
+def _gate_on_baseline(args, name: str, tables: list) -> int:
+    """``--check-baseline`` / ``--save-baseline`` for a finished bench
+    run; returns the exit code (1 when the check failed)."""
     exit_code = 0
     if args.check_baseline is not None or args.save_baseline is not None:
         from repro.bench.baseline import (
@@ -852,7 +848,7 @@ def _cmd_bench(args) -> int:
             path = (
                 Path(args.check_baseline)
                 if args.check_baseline
-                else default_baseline_path(args.experiment)
+                else default_baseline_path(name)
             )
             threshold = (
                 args.baseline_threshold
@@ -860,7 +856,7 @@ def _cmd_bench(args) -> int:
                 else DEFAULT_THRESHOLD
             )
             comparison = compare_to_baseline(
-                load_baseline(path), list(tables), threshold=threshold
+                load_baseline(path), tables, threshold=threshold
             )
             print(comparison.render())
             if not comparison.ok:
@@ -869,9 +865,9 @@ def _cmd_bench(args) -> int:
             path = (
                 Path(args.save_baseline)
                 if args.save_baseline
-                else default_baseline_path(args.experiment)
+                else default_baseline_path(name)
             )
-            saved = save_baseline(args.experiment, list(tables), path)
+            saved = save_baseline(name, tables, path)
             print(f"baseline saved to {saved}", file=sys.stderr)
     return exit_code
 
@@ -896,22 +892,28 @@ def _cmd_serve_bench(args) -> int:
         graph = _GENERATORS[args.kind](args.vertices, seed=args.seed)
         print(f"generated {args.kind} graph: n={graph.num_vertices} "
               f"m={graph.num_edges}", file=sys.stderr)
-    if args.mode == "mixed":
-        baseline_name = "serve-bench-mixed"
-        try:
+    # The read-only bench is the mixed one without a leader and writes:
+    # both take the same workload and stack settings.
+    stack = dict(
+        shards=args.shards,
+        partitioner=args.partitioner,
+        requests=args.requests,
+        rate=args.rate,
+        zipf=args.zipf,
+        cache_size=args.cache_size,
+        negative_cache=not args.no_negative_cache,
+        queue_depth=args.queue_depth,
+        batch_size=args.batch_size,
+        deadline_seconds=args.deadline,
+        seed=args.seed,
+        with_cache=not args.no_cache,
+        without_cache=not args.cache_only,
+    )
+    baseline_name = "serve-bench-mixed" if args.mode == "mixed" else "serve-bench"
+    try:
+        if args.mode == "mixed":
             table, reports = run_mixed_serve_bench(
                 graph,
-                shards=args.shards,
-                partitioner=args.partitioner,
-                requests=args.requests,
-                rate=args.rate,
-                zipf=args.zipf,
-                cache_size=args.cache_size,
-                negative_cache=not args.no_negative_cache,
-                queue_depth=args.queue_depth,
-                batch_size=args.batch_size,
-                deadline_seconds=args.deadline,
-                seed=args.seed,
                 writes=args.writes,
                 write_rate=args.write_rate,
                 insert_ratio=args.insert_ratio,
@@ -921,32 +923,15 @@ def _cmd_serve_bench(args) -> int:
                 replication_delay=args.replication_delay,
                 max_lag=args.max_lag,
                 drift_threshold=args.drift_threshold,
-                with_cache=not args.no_cache,
-                without_cache=not args.cache_only,
+                **stack,
             )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        baseline_name = "serve-bench"
-        table, reports = run_serve_bench(
-            graph,
-            shards=args.shards,
-            partitioner=args.partitioner,
-            requests=args.requests,
-            rate=args.rate,
-            arrival=args.arrival,
-            clients=args.clients,
-            zipf=args.zipf,
-            cache_size=args.cache_size,
-            negative_cache=not args.no_negative_cache,
-            queue_depth=args.queue_depth,
-            batch_size=args.batch_size,
-            deadline_seconds=args.deadline,
-            seed=args.seed,
-            with_cache=not args.no_cache,
-            without_cache=not args.cache_only,
-        )
+        else:
+            table, reports = run_serve_bench(
+                graph, arrival=args.arrival, clients=args.clients, **stack
+            )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for row, report in reports.items():
         print(f"[{row}]")
         print(report.summary())
@@ -973,42 +958,7 @@ def _cmd_serve_bench(args) -> int:
             args.report, json_module.dumps(payload, indent=2) + "\n"
         )
         print(f"report written to {args.report}", file=sys.stderr)
-    exit_code = 0
-    if args.check_baseline is not None or args.save_baseline is not None:
-        from repro.bench.baseline import (
-            DEFAULT_THRESHOLD,
-            compare_to_baseline,
-            default_baseline_path,
-            load_baseline,
-            save_baseline,
-        )
-
-        if args.check_baseline is not None:
-            path = (
-                Path(args.check_baseline)
-                if args.check_baseline
-                else default_baseline_path(baseline_name)
-            )
-            threshold = (
-                args.baseline_threshold
-                if args.baseline_threshold is not None
-                else DEFAULT_THRESHOLD
-            )
-            comparison = compare_to_baseline(
-                load_baseline(path), [table], threshold=threshold
-            )
-            print(comparison.render())
-            if not comparison.ok:
-                exit_code = 1
-        if args.save_baseline is not None:
-            path = (
-                Path(args.save_baseline)
-                if args.save_baseline
-                else default_baseline_path(baseline_name)
-            )
-            saved = save_baseline(baseline_name, [table], path)
-            print(f"baseline saved to {saved}", file=sys.stderr)
-    return exit_code
+    return _gate_on_baseline(args, baseline_name, [table])
 
 
 def _cmd_scenario(args) -> int:

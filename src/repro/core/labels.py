@@ -288,6 +288,23 @@ class ReachabilityIndex:
         )
 
 
+def label_rows(index):
+    """The row protocol: ``(out_row_of, in_row_of)`` for any index flavour.
+
+    A query intersects two label rows, ``L_out(s) ∩ L_in(t)``; whatever
+    costs or serves one reads them through these two callables
+    (``v → L_out(v)``, ``v → L_in(v)``), resolved once per index.
+    Method-style indexes (:class:`ReachabilityIndex`) hand out their
+    accessors; list-style ones (the dynamic index, a replication
+    follower's ``LabelTable``) their lists' ``__getitem__`` — they edit
+    and grow those lists in place, so the getters stay current.
+    """
+    out_labels, in_labels = index.out_labels, index.in_labels
+    if callable(out_labels):
+        return out_labels, in_labels
+    return out_labels.__getitem__, in_labels.__getitem__
+
+
 @dataclass(frozen=True)
 class LabelingResult:
     """An index together with the run statistics that produced it."""

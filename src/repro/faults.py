@@ -37,6 +37,22 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError
 
 
+def spec_clauses(spec: str, error: type[ReproError], noun: str):
+    """Yield ``(key, value, clause)`` per comma-separated ``key=value``
+    clause of a compact fault spec (blank clauses skipped, one without
+    ``=`` raises ``error``): the loop :meth:`FaultPlan.parse` and the
+    serve side's ``ServeFaultPlan.parse`` share.  What a key means stays
+    with each plan."""
+    for clause in spec.split(","):
+        clause = clause.strip()
+        if not clause:
+            continue
+        key, sep, value = clause.partition("=")
+        if not sep:
+            raise error(f"bad {noun} clause {clause!r}: expected key=value")
+        yield key, value, clause
+
+
 class FaultSpecError(ReproError):
     """A textual fault spec (``--faults``) could not be parsed."""
 
@@ -158,15 +174,7 @@ class FaultPlan:
         stragglers: list[Straggler] = []
         rates = {"loss": 0.0, "dup": 0.0}
         seed = 0
-        for clause in spec.split(","):
-            clause = clause.strip()
-            if not clause:
-                continue
-            key, sep, value = clause.partition("=")
-            if not sep:
-                raise FaultSpecError(
-                    f"bad fault clause {clause!r}: expected key=value"
-                )
+        for key, value, clause in spec_clauses(spec, FaultSpecError, "fault"):
             try:
                 if key == "crash":
                     node, _, step = value.partition("@")
@@ -185,8 +193,6 @@ class FaultPlan:
                         f"unknown fault clause {key!r} (expected crash, "
                         "straggler, loss, dup, or seed)"
                     )
-            except FaultSpecError:
-                raise
             except ValueError as exc:
                 raise FaultSpecError(
                     f"bad fault clause {clause!r}: {exc}"

@@ -82,15 +82,19 @@ class BlockPartitioner(Partitioner):
         return (vertex // self.block_size) % self.num_nodes
 
 
-def node_assignment(partitioner: Partitioner, num_vertices: int) -> array:
+def node_assignment(
+    partitioner: Partitioner, num_vertices: int, start: int = 0
+) -> array:
     """Materialize the vertex → node map as a compact ``array('q')``.
 
     Every executor that needs the full assignment — the simulator
-    engine, the multiprocessing engine, and the multi-core memory
-    estimator — goes through this one helper, so a partitioner change
-    can never make two execution paths disagree on vertex placement.
+    engine, the multiprocessing engine, the multi-core memory
+    estimator, and the label store — goes through this one helper, so
+    a partitioner change can never make two execution paths disagree on
+    vertex placement.  ``start`` skips the vertices a caller already
+    placed (the store extends its map when the index gains a vertex).
     """
-    return array("q", map(partitioner.node_of, range(num_vertices)))
+    return array("q", map(partitioner.node_of, range(start, num_vertices)))
 
 
 class Routing(NamedTuple):

@@ -29,19 +29,10 @@ from repro.observe.windows import (
     LatencyRegressionDetector,
     RollingAggregator,
 )
+from repro.telemetry.metrics import sorted_percentile
 
 #: Default number of windows the run's span is divided into.
 DEFAULT_WINDOW_COUNT = 12
-
-
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile, identical to the serve pipeline's."""
-    if not sorted_values:
-        return 0.0
-    rank = max(
-        0, min(len(sorted_values) - 1, round(fraction * (len(sorted_values) - 1)))
-    )
-    return sorted_values[rank]
 
 
 @dataclass(frozen=True)
@@ -375,7 +366,7 @@ class DashboardModel:
             row.deadline_dropped = sum(
                 1 for r in bucket if r.outcome == "deadline"
             )
-            row.p99_seconds = _percentile(window_latencies, 0.99)
+            row.p99_seconds = sorted_percentile(window_latencies, 0.99)
             cumulative_served += row.served
             snapshot = aggregator.step(row.end, {"served": cumulative_served})
             row.rate = snapshot.rates.get("served", 0.0)
@@ -407,7 +398,7 @@ class DashboardModel:
         return self.shed / self.offered if self.offered else 0.0
 
     def percentile(self, fraction: float) -> float:
-        return _percentile(self.latencies, fraction)
+        return sorted_percentile(self.latencies, fraction)
 
     @property
     def firing_alerts(self) -> list[dict]:

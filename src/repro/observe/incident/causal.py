@@ -38,6 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.telemetry.metrics import sorted_percentile
+
 #: Served requests at least this many times slower than the bundle's
 #: median are treated as part of the regression window.
 SLOW_FACTOR = 5.0
@@ -171,15 +173,6 @@ class IncidentReport:
 # The analysis itself
 # ----------------------------------------------------------------------
 
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    rank = max(
-        0, min(len(sorted_values) - 1, round(fraction * (len(sorted_values) - 1)))
-    )
-    return sorted_values[rank]
-
-
 def _affected_requests(requests: list[dict]) -> list[dict]:
     """Requests that count toward the regression window: every
     non-served outcome, plus served outliers >= SLOW_FACTOR x median."""
@@ -188,7 +181,9 @@ def _affected_requests(requests: list[dict]) -> list[dict]:
         for r in requests
         if r.get("outcome") == "served"
     )
-    threshold = SLOW_FACTOR * _percentile(served, 0.5) if len(served) >= 8 else None
+    threshold = (
+        SLOW_FACTOR * sorted_percentile(served, 0.5) if len(served) >= 8 else None
+    )
     affected = []
     for request in requests:
         if request.get("outcome") != "served":

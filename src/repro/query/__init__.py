@@ -11,7 +11,6 @@ how Table VI's query-time columns are produced in spirit.
 from repro.query.service import (
     BflBackend,
     DistributedIndexBackend,
-    DynamicIndexBackend,
     FallbackBackend,
     GrailBackend,
     IndexBackend,
@@ -23,7 +22,6 @@ from repro.query.service import (
 __all__ = [
     "BflBackend",
     "DistributedIndexBackend",
-    "DynamicIndexBackend",
     "FallbackBackend",
     "GrailBackend",
     "IndexBackend",

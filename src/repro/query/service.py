@@ -8,7 +8,7 @@ from typing import Iterable, Protocol
 from repro.baselines.bfl import BflIndex
 from repro.baselines.grail import GrailIndex
 from repro.baselines.online import OnlineSearcher
-from repro.core.labels import ReachabilityIndex
+from repro.core.labels import ReachabilityIndex, label_rows
 from repro.graph.digraph import DiGraph
 from repro.observe import tracing
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
@@ -19,6 +19,7 @@ from repro.telemetry import (
     enabled,
     trace_span,
 )
+from repro.telemetry.metrics import sorted_percentile
 
 
 class QueryBackend(Protocol):
@@ -30,36 +31,22 @@ class QueryBackend(Protocol):
 
 
 class IndexBackend:
-    """2-hop index backend (TOL / DRL family): sorted-merge queries."""
+    """2-hop index backend (TOL / DRL family): sorted-merge queries.
 
-    def __init__(self, index: ReachabilityIndex, cost_model: CostModel | None = None):
-        self._index = index
-        self._t_op = (cost_model or DEFAULT_COST_MODEL).t_op
-
-    def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
-        index = self._index
-        units = len(index.out_labels(s)) + len(index.in_labels(t)) + 1
-        return index.query(s, t), units * self._t_op
-
-
-class DynamicIndexBackend:
-    """2-hop queries against a live :class:`DynamicReachabilityIndex`.
-
-    Same sorted-merge charge as :class:`IndexBackend`, but the labels
-    are read from the mutable index, so answers track edge insertions
-    and deletions without re-wrapping a snapshot.  Pair it with
-    :class:`repro.serve.QueryCache` (which subscribes to the dynamic
-    index's update hooks) for serving under updates.
+    Serves every index flavour :func:`~repro.core.labels.label_rows`
+    reads; over a live dynamic index the rows come from the mutable
+    index, so answers track updates (pair it with
+    :class:`repro.serve.QueryCache`, which subscribes to its hooks).
     """
 
     def __init__(self, index, cost_model: CostModel | None = None):
-        self._index = index
+        self._query = index.query
+        self._out_row_of, self._in_row_of = label_rows(index)
         self._t_op = (cost_model or DEFAULT_COST_MODEL).t_op
 
     def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
-        index = self._index
-        units = len(index.out_labels[s]) + len(index.in_labels[t]) + 1
-        return index.query(s, t), units * self._t_op
+        units = len(self._out_row_of(s)) + len(self._in_row_of(t)) + 1
+        return self._query(s, t), units * self._t_op
 
 
 class BflBackend:
@@ -233,14 +220,6 @@ class QueryReport:
         )
 
 
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile on a pre-sorted list."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1, round(fraction * (len(sorted_values) - 1))))
-    return sorted_values[rank]
-
-
 class QueryService:
     """Evaluates query workloads against a backend.
 
@@ -305,8 +284,8 @@ class QueryService:
             positives=positives,
             total_seconds=total,
             mean_seconds=total / len(latencies),
-            p50_seconds=_percentile(latencies, 0.50),
-            p95_seconds=_percentile(latencies, 0.95),
-            p99_seconds=_percentile(latencies, 0.99),
+            p50_seconds=sorted_percentile(latencies, 0.50),
+            p95_seconds=sorted_percentile(latencies, 0.95),
+            p99_seconds=sorted_percentile(latencies, 0.99),
             max_seconds=latencies[-1],
         )

@@ -43,7 +43,7 @@ from repro.errors import ReproError
 from repro.graph.generators import GRAPH_KINDS
 from repro.graph.partition import PARTITIONER_STRATEGIES
 from repro.serve.faults import ServeFaultPlan
-from repro.serve.replica import READ_POLICIES
+from repro.serve.store import READ_POLICIES
 
 #: Arrival shapes the ``traffic.arrivals.shape`` field accepts.
 ARRIVAL_SHAPES = ("poisson", "uniform", "flash", "sine")

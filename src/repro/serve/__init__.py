@@ -1,20 +1,23 @@
 """``repro.serve`` — the high-throughput query-serving layer.
 
 The paper builds the index; this subsystem *serves* it, at the scale
-the ROADMAP's north star asks for.  Four pieces, bottom to top:
+the ROADMAP's north star asks for.  Bottom to top:
 
-- :mod:`~repro.serve.store` — ``L_in``/``L_out`` sharded across N
-  shards via the :mod:`repro.graph.partition` partitioners, with
-  per-shard memory accounting and cross-shard fetch costs charged
-  through the :class:`~repro.pregel.cost_model.CostModel`;
+- :mod:`~repro.serve.store` — the one label store: ``L_in``/``L_out``
+  sharded across N shards via the :mod:`repro.graph.partition`
+  partitioners and kept in R copies (:class:`ShardedLabelStore` at one,
+  :class:`ReplicatedLabelStore` the same class at two), with per-shard
+  memory accounting, fetch costs charged through the
+  :class:`~repro.pregel.cost_model.CostModel`, read fan-out policies
+  (primary / round-robin / hedged) and health checks with failover;
 - :mod:`~repro.serve.cache` — an LRU result cache (optional negative
   caching) whose invalidation hooks subscribe to
   :class:`~repro.core.dynamic.DynamicReachabilityIndex` updates, so
   no stale answer survives an edge insert/delete;
-- :mod:`~repro.serve.replica` — N replicas per shard with read
-  fan-out policies (primary / round-robin / hedged), health checking
-  with failover, and bounded-staleness replication of dynamic updates
-  guarded so a lagging replica never returns an incorrect answer;
+- :mod:`~repro.serve.replica` — bounded-staleness replication of
+  dynamic updates to the store's follower copies (a row-delta log and
+  follower label tables), guarded so a lagging replica never returns
+  an incorrect answer;
 - :mod:`~repro.serve.faults` — serve-side fault schedules (replica
   crash / slow replica / recovery) replayed mid-traffic by a
   :class:`ServeFaultInjector`;
@@ -52,15 +55,15 @@ from repro.serve.faults import (
 )
 from repro.serve.mutation import MUTATION_OPS, MutationBackend
 from repro.serve.pipeline import QueryServer, ServeReport
-from repro.serve.replica import (
-    BoundedStalenessReplicator,
+from repro.serve.replica import BoundedStalenessReplicator, ReplicatedLabelStore
+from repro.serve.store import (
     HealthPolicy,
     READ_POLICIES,
     ReplicaSet,
     ReplicaState,
-    ReplicatedLabelStore,
+    ShardedIndexBackend,
+    ShardedLabelStore,
 )
-from repro.serve.store import LabelShard, ShardedIndexBackend, ShardedLabelStore
 
 __all__ = [
     "BoundedStalenessReplicator",
@@ -70,7 +73,6 @@ __all__ = [
     "MutationBackend",
     "CachingBackend",
     "HealthPolicy",
-    "LabelShard",
     "QueryCache",
     "QueryServer",
     "READ_POLICIES",

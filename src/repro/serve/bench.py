@@ -24,37 +24,112 @@ from repro.pregel.cost_model import CostModel
 from repro.serve.cache import CachingBackend, QueryCache
 from repro.serve.mutation import MutationBackend
 from repro.serve.pipeline import QueryServer, ServeReport
-from repro.serve.replica import BoundedStalenessReplicator, ReplicatedLabelStore
+from repro.serve.replica import BoundedStalenessReplicator
 from repro.serve.store import ShardedIndexBackend, ShardedLabelStore
 from repro.telemetry import trace_span
 from repro.workloads.traffic import poisson_arrivals, uniform_arrivals, zipf_pairs
 from repro.workloads.updates import mixed_update_stream
 
+# Column → the ServeReport attribute it prints, in print order.
+_CELLS = {
+    "throughput q/s": "throughput",
+    "p50 s": "p50_seconds",
+    "p99 s": "p99_seconds",
+    "p999 s": "p999_seconds",
+    "hit rate": "cache_hit_rate",
+    "shard skew": "shard_skew",
+    "shed": "shed",
+    "served": "served",
+}
+_MIXED_CELLS = {
+    "read q/s": "throughput",
+    "update u/s": "update_throughput",
+    "p50 s": "p50_seconds",
+    "p99 s": "p99_seconds",
+    "write p99 s": "mutation_p99_seconds",
+    "staleness s": "staleness_window_seconds",
+    "hit rate": "cache_hit_rate",
+    "stale reads": "stale_reads",
+    "served": "served",
+    "applied": "mutations_applied",
+}
+
 #: Columns of the serve-bench table, in print order.
-COLUMNS = [
-    "throughput q/s",
-    "p50 s",
-    "p99 s",
-    "p999 s",
-    "hit rate",
-    "shard skew",
-    "shed",
-    "served",
-]
+COLUMNS = list(_CELLS)
 
 #: Columns of the mixed (read/write) serve-bench table.
-MIXED_COLUMNS = [
-    "read q/s",
-    "update u/s",
-    "p50 s",
-    "p99 s",
-    "write p99 s",
-    "staleness s",
-    "hit rate",
-    "stale reads",
-    "served",
-    "applied",
-]
+MIXED_COLUMNS = list(_MIXED_CELLS)
+
+
+def _partitioner(name: str, shards: int, graph: DiGraph):
+    if name not in PARTITIONER_STRATEGIES:
+        raise ValueError(
+            f"unknown partitioner {name!r} "
+            f"(choose from {sorted(PARTITIONER_STRATEGIES)})"
+        )
+    return PARTITIONER_STRATEGIES[name](shards, graph.num_vertices)
+
+
+def _bench(
+    title: str,
+    cells: dict[str, str],
+    build,
+    run,
+    *,
+    partitioner,
+    cache_size: int,
+    negative_cache: bool,
+    with_cache: bool,
+    without_cache: bool,
+    cost_model: CostModel | None,
+    **server_options,
+) -> tuple[ExperimentTable, dict[str, ServeReport]]:
+    """One table row per requested cache setting, each over a fresh
+    store → backend → cache → server stack.
+
+    ``build()`` returns ``(index, replicator)``.  Without a replicator
+    the stack is read-only at one copy of every shard; with one (whose
+    leader ``index`` then is) it is the full dynamic stack: follower
+    groups fed by the op log, the cache invalidated through the
+    leader's hooks, the write path enabled.  ``run(server)`` replays
+    the workload and returns its report.
+    """
+    table = ExperimentTable(title=title, columns=list(cells), scientific=True)
+    reports: dict[str, ServeReport] = {}
+    for row, wanted in (("cached", with_cache), ("uncached", without_cache)):
+        if not wanted:
+            continue
+        index, replicator = build()
+        dynamic = replicator is not None
+        store = ShardedLabelStore(
+            index,
+            num_shards=partitioner.num_nodes,
+            partitioner=partitioner,
+            cost_model=cost_model,
+            replicas=replicator.num_replicas if dynamic else 1,
+            replicator=replicator,
+        )
+        backend = ShardedIndexBackend(store)
+        if row == "cached":
+            cache = QueryCache(cache_size, negative_caching=negative_cache)
+            if dynamic:
+                cache.attach(index)
+            backend = CachingBackend(backend, cache, cost_model)
+        server = QueryServer(
+            backend,
+            cost_model=cost_model,
+            on_advance=store.advance if dynamic else None,
+            mutation_backend=(
+                MutationBackend(index, cost_model=cost_model, replicator=replicator)
+                if dynamic
+                else None
+            ),
+            **server_options,
+        )
+        report = reports[row] = run(server)
+        for column, attribute in cells.items():
+            table.set(row, column, float(getattr(report, attribute)))
+    return table, reports
 
 
 def run_serve_bench(
@@ -86,11 +161,7 @@ def run_serve_bench(
     load self-limits).  ``partitioner`` is any
     :data:`~repro.graph.partition.PARTITIONER_STRATEGIES` key.
     """
-    if partitioner not in PARTITIONER_STRATEGIES:
-        raise ValueError(
-            f"unknown partitioner {partitioner!r} "
-            f"(choose from {sorted(PARTITIONER_STRATEGIES)})"
-        )
+    partitioner = _partitioner(partitioner, shards, graph)
     if arrival not in ("poisson", "uniform", "closed"):
         raise ValueError("arrival must be 'poisson', 'uniform', or 'closed'")
     with trace_span("serve.build", vertices=graph.num_vertices):
@@ -103,57 +174,29 @@ def run_serve_bench(
     else:
         arrivals = None
 
-    table = ExperimentTable(
-        title=f"serve-bench — n={graph.num_vertices} m={graph.num_edges} "
-        f"shards={shards} {arrival} workload ({requests} requests)",
-        columns=list(COLUMNS),
-        scientific=True,
-    )
-    rows = []
-    if with_cache:
-        rows.append(("cached", True))
-    if without_cache:
-        rows.append(("uncached", False))
-    reports: dict[str, ServeReport] = {}
-    for row, use_cache in rows:
-        store = ShardedLabelStore(
-            index,
-            num_shards=shards,
-            partitioner=PARTITIONER_STRATEGIES[partitioner](
-                shards, graph.num_vertices
-            ),
-            cost_model=cost_model,
-        )
-        backend = ShardedIndexBackend(store)
-        if use_cache:
-            backend = CachingBackend(
-                backend,
-                QueryCache(cache_size, negative_caching=negative_cache),
-                cost_model,
-            )
-        server = QueryServer(
-            backend,
-            queue_depth=queue_depth,
-            batch_size=batch_size,
-            deadline_seconds=deadline_seconds,
-            cost_model=cost_model,
-        )
+    def run(server: QueryServer) -> ServeReport:
         if arrivals is None:
-            report = server.run_closed(
+            return server.run_closed(
                 pairs, clients=clients, think_seconds=think_seconds
             )
-        else:
-            report = server.run_open(pairs, arrivals)
-        reports[row] = report
-        table.set(row, "throughput q/s", report.throughput)
-        table.set(row, "p50 s", report.p50_seconds)
-        table.set(row, "p99 s", report.p99_seconds)
-        table.set(row, "p999 s", report.p999_seconds)
-        table.set(row, "hit rate", report.cache_hit_rate)
-        table.set(row, "shard skew", report.shard_skew)
-        table.set(row, "shed", float(report.shed))
-        table.set(row, "served", float(report.served))
-    return table, reports
+        return server.run_open(pairs, arrivals)
+
+    return _bench(
+        f"serve-bench — n={graph.num_vertices} m={graph.num_edges} "
+        f"shards={shards} {arrival} workload ({requests} requests)",
+        _CELLS,
+        lambda: (index, None),
+        run,
+        partitioner=partitioner,
+        cache_size=cache_size,
+        negative_cache=negative_cache,
+        with_cache=with_cache,
+        without_cache=without_cache,
+        cost_model=cost_model,
+        queue_depth=queue_depth,
+        batch_size=batch_size,
+        deadline_seconds=deadline_seconds,
+    )
 
 
 def run_mixed_serve_bench(
@@ -199,11 +242,7 @@ def run_mixed_serve_bench(
     baseline machinery as the read-only bench
     (``benchmarks/baselines/serve-bench-mixed.json``).
     """
-    if partitioner not in PARTITIONER_STRATEGIES:
-        raise ValueError(
-            f"unknown partitioner {partitioner!r} "
-            f"(choose from {sorted(PARTITIONER_STRATEGIES)})"
-        )
+    partitioner = _partitioner(partitioner, shards, graph)
     pairs = zipf_pairs(graph.num_vertices, requests, seed=seed, skew=zipf)
     arrivals = poisson_arrivals(requests, rate, seed=seed + 7)
     mutations = mixed_update_stream(
@@ -216,68 +255,36 @@ def run_mixed_serve_bench(
     )
     mutation_arrivals = poisson_arrivals(writes, write_rate, seed=seed + 17)
 
-    table = ExperimentTable(
-        title=f"serve-bench mixed — n={graph.num_vertices} m={graph.num_edges} "
-        f"shards={shards} x{replicas} ({requests} reads + {writes} writes)",
-        columns=list(MIXED_COLUMNS),
-        scientific=True,
-    )
-    rows = []
-    if with_cache:
-        rows.append(("cached", True))
-    if without_cache:
-        rows.append(("uncached", False))
-    reports: dict[str, ServeReport] = {}
-    for row, use_cache in rows:
+    def build():
         with trace_span("serve.build", vertices=graph.num_vertices):
             leader = DynamicReachabilityIndex(
                 graph, drift_threshold=drift_threshold
             )
-        replicator = BoundedStalenessReplicator(
+        return leader, BoundedStalenessReplicator(
             leader,
             num_replicas=replicas,
             delay_seconds=replication_delay,
             max_lag=max_lag,
         )
-        store = ReplicatedLabelStore(
-            leader,
-            num_shards=shards,
-            partitioner=PARTITIONER_STRATEGIES[partitioner](
-                shards, graph.num_vertices
-            ),
-            cost_model=cost_model,
-            replicas=replicas,
-            replicator=replicator,
-        )
-        backend = ShardedIndexBackend(store)
-        if use_cache:
-            cache = QueryCache(cache_size, negative_caching=negative_cache)
-            cache.attach(leader)
-            backend = CachingBackend(backend, cache, cost_model)
-        server = QueryServer(
-            backend,
-            queue_depth=queue_depth,
-            batch_size=batch_size,
-            deadline_seconds=deadline_seconds,
-            cost_model=cost_model,
-            on_advance=store.advance,
-            mutation_backend=MutationBackend(
-                leader, cost_model=cost_model, replicator=replicator
-            ),
-        )
-        report = server.run_mixed(pairs, arrivals, mutations, mutation_arrivals)
-        reports[row] = report
-        table.set(row, "read q/s", report.throughput)
-        table.set(row, "update u/s", report.update_throughput)
-        table.set(row, "p50 s", report.p50_seconds)
-        table.set(row, "p99 s", report.p99_seconds)
-        table.set(row, "write p99 s", report.mutation_p99_seconds)
-        table.set(row, "staleness s", report.staleness_window_seconds)
-        table.set(row, "hit rate", report.cache_hit_rate)
-        table.set(row, "stale reads", float(report.stale_reads))
-        table.set(row, "served", float(report.served))
-        table.set(row, "applied", float(report.mutations_applied))
-    return table, reports
+
+    return _bench(
+        f"serve-bench mixed — n={graph.num_vertices} m={graph.num_edges} "
+        f"shards={shards} x{replicas} ({requests} reads + {writes} writes)",
+        _MIXED_CELLS,
+        build,
+        lambda server: server.run_mixed(
+            pairs, arrivals, mutations, mutation_arrivals
+        ),
+        partitioner=partitioner,
+        cache_size=cache_size,
+        negative_cache=negative_cache,
+        with_cache=with_cache,
+        without_cache=without_cache,
+        cost_model=cost_model,
+        queue_depth=queue_depth,
+        batch_size=batch_size,
+        deadline_seconds=deadline_seconds,
+    )
 
 
 def caching_speedup(reports: dict[str, ServeReport]) -> float | None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ReproError
+from repro.faults import spec_clauses
 
 
 class ServeFaultSpecError(ReproError):
@@ -165,15 +166,9 @@ class ServeFaultPlan:
         crashes: list[ReplicaCrash] = []
         slowdowns: list[ReplicaSlow] = []
         recoveries: list[ReplicaRecovery] = []
-        for clause in spec.split(","):
-            clause = clause.strip()
-            if not clause:
-                continue
-            key, sep, value = clause.partition("=")
-            if not sep:
-                raise ServeFaultSpecError(
-                    f"bad serve-fault clause {clause!r}: expected key=value"
-                )
+        for key, value, clause in spec_clauses(
+            spec, ServeFaultSpecError, "serve-fault"
+        ):
             try:
                 if key == "crash":
                     target, _, at = value.partition("@")
@@ -206,8 +201,6 @@ class ServeFaultPlan:
                         f"unknown serve-fault clause {key!r} (expected "
                         "crash, slow, or recover)"
                     )
-            except ServeFaultSpecError:
-                raise
             except ValueError as exc:
                 raise ServeFaultSpecError(
                     f"bad serve-fault clause {clause!r}: {exc}"
@@ -273,44 +266,21 @@ class ServeFaultInjector:
         plan.validate_for(store.num_shards, store.replicas_per_shard)
         self.plan = plan
         self._store = store
-        events: list[tuple[float, int, str, tuple]] = []
-        order = 0
-        for crash in plan.crashes:
-            events.append(
-                (crash.at_seconds, order, "crash", (crash.shard, crash.replica))
-            )
-            order += 1
+        events = [
+            (crash.at_seconds, "crash", (crash.shard, crash.replica))
+            for crash in plan.crashes
+        ]
         for slow in plan.slowdowns:
-            events.append(
-                (
-                    slow.at_seconds,
-                    order,
-                    "slow",
-                    (slow.shard, slow.replica, slow.factor),
-                )
-            )
-            order += 1
+            target = (slow.shard, slow.replica)
+            events.append((slow.at_seconds, "slow", (*target, slow.factor)))
             if slow.until_seconds is not None:
-                events.append(
-                    (
-                        slow.until_seconds,
-                        order,
-                        "slow",
-                        (slow.shard, slow.replica, 1.0),
-                    )
-                )
-                order += 1
-        for recovery in plan.recoveries:
-            events.append(
-                (
-                    recovery.at_seconds,
-                    order,
-                    "recover",
-                    (recovery.shard, recovery.replica),
-                )
-            )
-            order += 1
-        self._events = sorted(events)
+                events.append((slow.until_seconds, "slow", (*target, 1.0)))
+        events += [
+            (recovery.at_seconds, "recover", (recovery.shard, recovery.replica))
+            for recovery in plan.recoveries
+        ]
+        # A stable sort: events due at the same instant keep plan order.
+        self._events = sorted(events, key=lambda event: event[0])
         self._next = 0
 
     @property
@@ -326,7 +296,7 @@ class ServeFaultInjector:
         """
         fired = 0
         while self._next < len(self._events) and self._events[self._next][0] <= clock:
-            at, _, kind, payload = self._events[self._next]
+            at, kind, payload = self._events[self._next]
             self._next += 1
             fired += 1
             if kind == "crash":

@@ -52,14 +52,7 @@ from repro.telemetry import (
     trace_event,
     trace_span,
 )
-
-
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile on a pre-sorted list."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1, round(fraction * (len(sorted_values) - 1))))
-    return sorted_values[rank]
+from repro.telemetry.metrics import sorted_percentile
 
 
 @dataclass(frozen=True)
@@ -360,22 +353,17 @@ class QueryServer:
         for schedule in (arrivals, mutation_arrivals):
             if any(b < a for a, b in zip(schedule, schedule[1:])):
                 raise ValueError("arrival times must be non-decreasing")
-        merged: list[tuple] = []
-        merged_arrivals: list[float] = []
-        i = j = 0
-        while i < len(pairs) or j < len(mutations):
-            take_read = j >= len(mutations) or (
-                i < len(pairs) and arrivals[i] <= mutation_arrivals[j]
+        # heapq.merge is stable: on a tie the earlier stream, reads, wins.
+        merged = list(
+            heapq.merge(
+                zip(arrivals, map(tuple, pairs)),
+                zip(mutation_arrivals, map(tuple, mutations)),
+                key=lambda arrival_and_request: arrival_and_request[0],
             )
-            if take_read:
-                merged.append(tuple(pairs[i]))
-                merged_arrivals.append(arrivals[i])
-                i += 1
-            else:
-                merged.append(tuple(mutations[j]))
-                merged_arrivals.append(mutation_arrivals[j])
-                j += 1
-        return self._run("mixed", merged, merged_arrivals)
+        )
+        return self._run(
+            "mixed", [request for _, request in merged], [at for at, _ in merged]
+        )
 
     # -- the serving loop ----------------------------------------------
     def _run(
@@ -458,6 +446,10 @@ class QueryServer:
                         arrived = arrivals[next_request]
                     request = pairs[next_request]
                     is_write = len(request) == 3
+                    if tracing:
+                        trace = RequestTrace(
+                            trace_ids.next_id(), request[-2], request[-1], arrived
+                        )
                     if len(queue) >= self._queue_depth:
                         if is_write:
                             mut_shed += 1
@@ -466,24 +458,17 @@ class QueryServer:
                         if tracing:
                             # Shed requests leave a terminal trace too:
                             # the drop reason is part of the record.
-                            source, target = request[-2], request[-1]
-                            dropped = RequestTrace(
-                                trace_ids.next_id(), source, target, arrived
-                            )
-                            dropped.finish("shed", reason="queue_full")
+                            trace.finish("shed", reason="queue_full")
                             if is_write:
-                                terminal(clock, dropped, op=request[0])
+                                terminal(clock, trace, op=request[0])
                             else:
-                                terminal(clock, dropped)
+                                terminal(clock, trace)
                         if mode == "closed":  # the client retries at once
                             heapq.heappush(ready, clock)
                     else:
                         queue.append((next_request, arrived))
                         if tracing:
-                            source, target = request[-2], request[-1]
-                            traces[next_request] = RequestTrace(
-                                trace_ids.next_id(), source, target, arrived
-                            )
+                            traces[next_request] = trace
                     next_request += 1
                 queue_peak = max(queue_peak, len(queue))
                 # Dequeue one batch, dropping requests past deadline.
@@ -521,87 +506,62 @@ class QueryServer:
                 clock += self._dispatch_seconds
                 for k, arrived in batch:
                     request = pairs[k]
-                    if len(request) == 3:
-                        # Write path: apply on the leader through the
-                        # MutationBackend (which adds its own
-                        # "mutation" trace stage and telemetry event).
-                        op, u, v = request
-                        if tracing:
-                            trace = traces.pop(k)
-                            trace.add_stage("admission", dequeued_at - arrived)
-                            begin_request(trace)
-                            try:
-                                status, seconds = mutation_backend.apply_with_cost(
-                                    op, u, v, at=clock
-                                )
-                            finally:
-                                end_request()
-                        else:
+                    is_write = len(request) == 3
+                    if tracing:
+                        trace = traces.pop(k)
+                        trace.add_stage("admission", dequeued_at - arrived)
+                        begin_request(trace)
+                    error = None
+                    try:
+                        if is_write:
+                            # Write path: apply on the leader through the
+                            # MutationBackend (which adds its own
+                            # "mutation" trace stage and telemetry event).
+                            op, u, v = request
                             status, seconds = mutation_backend.apply_with_cost(
                                 op, u, v, at=clock
                             )
-                        clock += seconds
+                        else:
+                            try:
+                                answer, seconds = backend.query_with_cost(*request)
+                            except ShardUnavailableError as exc:
+                                error, seconds = exc, getattr(exc, "seconds", 0.0)
+                    finally:
+                        if tracing:
+                            end_request()
+                    clock += seconds
+                    latency = clock - arrived
+                    if is_write:
                         if status == "applied":
                             mut_applied += 1
                         elif status == "noop":
                             mut_noop += 1
                         else:
                             mut_rejected += 1
-                        latency = clock - arrived
                         write_latencies.append(latency)
                         if tracing:
                             trace.finish("served", latency)
                             terminal(clock, trace, op=op, status=status)
-                        if mode == "closed":
-                            heapq.heappush(ready, clock + think_seconds)
-                        continue
-                    error = None
-                    if tracing:
-                        trace = traces.pop(k)
-                        trace.add_stage("admission", dequeued_at - arrived)
-                        begin_request(trace)
-                        try:
-                            answer, seconds = backend.query_with_cost(*pairs[k])
-                        except ShardUnavailableError as exc:
-                            error, seconds = exc, getattr(exc, "seconds", 0.0)
-                        finally:
-                            end_request()
-                        if error is None:
-                            trace.add_stage(
-                                "backend", seconds, answer=bool(answer)
-                            )
-                    else:
-                        try:
-                            answer, seconds = backend.query_with_cost(*pairs[k])
-                        except ShardUnavailableError as exc:
-                            error, seconds = exc, getattr(exc, "seconds", 0.0)
-                    clock += seconds
-                    if error is not None:
+                    elif error is not None:
                         # One lost shard degrades availability; it must
                         # not crash the server or the rest of the batch.
                         failed += 1
                         if tracing:
-                            trace.finish(
-                                "error", clock - arrived, reason="unavailable"
-                            )
+                            trace.finish("error", latency, reason="unavailable")
                             # The lost shard rides along so the
                             # incident trigger can attribute the error.
-                            shard = getattr(error, "shard_id", None)
-                            if shard is not None:
-                                terminal(clock, trace, shard=shard)
-                            else:
-                                terminal(clock, trace)
-                        if mode == "closed":
-                            heapq.heappush(ready, clock + think_seconds)
-                        continue
-                    positives += answer
-                    served += 1
-                    latency = clock - arrived
-                    latencies.append(latency)
-                    if tracing:
-                        trace.finish("served", latency)
-                        terminal(clock, trace)
-                        exemplars.append((latency, trace.trace_id))
+                            terminal(clock, trace, shard=error.shard_id)
+                    else:
+                        positives += answer
+                        served += 1
+                        latencies.append(latency)
+                        if tracing:
+                            trace.add_stage(
+                                "backend", seconds, answer=bool(answer)
+                            )
+                            trace.finish("served", latency)
+                            terminal(clock, trace)
+                            exemplars.append((latency, trace.trace_id))
                     if mode == "closed":
                         heapq.heappush(ready, clock + think_seconds)
             span.set(served=served, shed=shed, failed=failed)
@@ -625,9 +585,9 @@ class QueryServer:
             queue_peak=queue_peak,
             makespan_seconds=clock,
             mean_seconds=sum(latencies) / len(latencies) if latencies else 0.0,
-            p50_seconds=_percentile(latencies, 0.50),
-            p99_seconds=_percentile(latencies, 0.99),
-            p999_seconds=_percentile(latencies, 0.999),
+            p50_seconds=sorted_percentile(latencies, 0.50),
+            p99_seconds=sorted_percentile(latencies, 0.99),
+            p999_seconds=sorted_percentile(latencies, 0.999),
             max_seconds=latencies[-1] if latencies else 0.0,
             failed=failed,
             mutations_offered=mutations_offered,
@@ -635,8 +595,8 @@ class QueryServer:
             mutations_noop=mut_noop,
             mutations_rejected=mut_rejected,
             mutations_shed=mut_shed,
-            mutation_p50_seconds=_percentile(write_latencies, 0.50),
-            mutation_p99_seconds=_percentile(write_latencies, 0.99),
+            mutation_p50_seconds=sorted_percentile(write_latencies, 0.50),
+            mutation_p99_seconds=sorted_percentile(write_latencies, 0.99),
             mutation_max_seconds=write_latencies[-1] if write_latencies else 0.0,
             staleness_window_seconds=staleness,
             **self._backend_stats(),
@@ -661,10 +621,8 @@ class QueryServer:
                 stats.update(
                     shard_loads=store.shard_loads(),
                     shard_skew=store.load_skew(),
+                    **store.replica_stats(),
                 )
-                replica_stats = getattr(store, "replica_stats", None)
-                if replica_stats is not None:
-                    stats.update(replica_stats())
             if getattr(layer, "degraded", False):
                 stats.update(
                     degraded=True,

@@ -1,4 +1,4 @@
-"""Sharded label store: the serving layer's data tier.
+"""The label store: the serving layer's data tier, at one copy or many.
 
 The paper's §III-D collects the finished index onto one machine; at
 "millions of users" scale a single machine neither holds the labels of
@@ -20,43 +20,138 @@ had to ask:
 - **load accounting** — every fetch increments the touched shards'
   request counters, so `serve-bench` can report load skew (a Zipf
   workload hammers whichever shards own the hot vertices).
+
+Replicas
+--------
+One copy of every shard means one crashed process takes a slice of the
+key space down with it, so the same store keeps ``replicas`` full
+copies of the sharded index — a **replica group** ``r`` is copy ``r``
+of every shard; :class:`ShardedLabelStore` is the store at one copy,
+:class:`~repro.serve.replica.ReplicatedLabelStore` the same class at
+two by default — and routes each read to one group under a configurable
+fan-out policy:
+
+``primary``
+    Always the group's current primary (lowest-id healthy group);
+    cheapest, no read amplification.
+``round-robin``
+    Rotate across healthy groups; spreads load evenly.
+``hedged``
+    Fastest-of-two: race two healthy groups, take the faster answer,
+    charge the winner's service time plus one hedge dispatch
+    (``t_hop``).  Cuts tail latency when one replica runs slow.
+
+Failure handling is deliberately boring and explicit: a read routed to
+a dead-but-not-yet-suspected replica pays a timeout plus exponential
+backoff and tries the next candidate; after
+:attr:`HealthPolicy.failure_threshold` consecutive failures the
+replica is *suspected* (skipped at zero cost) and, if it was the
+primary, the shard **fails over** — visible as a ``serve.failover``
+telemetry event and in :meth:`ShardedLabelStore.replica_stats`.
+Background health probes (driven by :meth:`ShardedLabelStore.advance`
+as the pipeline clock moves) suspect dead replicas that see no read
+traffic and un-suspect recovered ones.  While every replica serves —
+the store knows without looking, because health changes in four places
+only — routing is O(1): no candidate list, no probe.  Lagging follower
+copies and the staleness guard: :mod:`repro.serve.replica`.
 """
 
 from __future__ import annotations
 
-from repro.core.labels import ReachabilityIndex
-from repro.errors import ShardOutOfMemoryError
-from repro.graph.partition import HashPartitioner, Partitioner
+from dataclasses import dataclass
+
+from repro.core.labels import label_rows
+from repro.errors import ReproError, ShardOutOfMemoryError, ShardUnavailableError
+from repro.graph.partition import HashPartitioner, Partitioner, node_assignment
 from repro.observe import tracing
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
+from repro.telemetry import trace_event
+
+#: Read fan-out policies accepted by :class:`ShardedLabelStore`.
+READ_POLICIES = ("primary", "round-robin", "hedged")
+
+_NEVER = float("inf")
 
 
-class LabelShard:
-    """One shard: the label sets of the vertices it owns."""
+@dataclass(frozen=True)
+class HealthPolicy:
+    """Timeout, backoff, and suspicion thresholds for replica reads.
 
-    __slots__ = ("shard_id", "vertices", "entries", "requests")
+    Defaults are scaled to the simulated serving clock (a 20k-request
+    bench run spans ~10 ms of simulated time): a timed-out read costs
+    ~20 µs — two orders of magnitude above a local label merge — and
+    two consecutive failures mark the replica suspected.
+    """
 
-    def __init__(self, shard_id: int):
+    timeout_seconds: float = 5e-5
+    backoff_seconds: float = 2e-5
+    failure_threshold: int = 2
+
+    def __post_init__(self):
+        if self.timeout_seconds <= 0:
+            raise ValueError("timeout must be positive")
+        if self.backoff_seconds < 0:
+            raise ValueError("backoff must be non-negative")
+        if self.failure_threshold < 1:
+            raise ValueError("failure threshold must be >= 1")
+
+    def penalty_seconds(self, attempt: int) -> float:
+        """Cost of the ``attempt``-th failed read in one fetch (0-based)."""
+        return self.timeout_seconds + self.backoff_seconds * (2 ** attempt)
+
+
+class ReplicaState:
+    """Health and accounting for one replica of one shard."""
+
+    __slots__ = (
+        "shard_id", "replica_id", "alive", "suspected", "slowdown",
+        "requests", "timeouts", "hedges_won", "probe_failures",
+    )
+
+    def __init__(self, shard_id: int, replica_id: int):
         self.shard_id = shard_id
-        self.vertices = 0
-        self.entries = 0
+        self.replica_id = replica_id
+        self.alive = True
+        self.suspected = False
+        self.slowdown = 1.0
         self.requests = 0
+        self.timeouts = 0
+        self.hedges_won = 0
+        self.probe_failures = 0
 
-    def memory_bytes(self, entry_bytes: int) -> int:
-        """Simulated resident size of this shard's labels."""
-        return self.entries * entry_bytes
+    @property
+    def serving(self) -> bool:
+        """Routable: alive and not under suspicion."""
+        return self.alive and not self.suspected
+
+
+class ReplicaSet:
+    """One shard's replicas plus its current primary."""
+
+    __slots__ = ("shard_id", "replicas", "primary", "failovers", "_rr")
+
+    def __init__(self, shard_id: int, num_replicas: int):
+        self.shard_id = shard_id
+        self.replicas = [ReplicaState(shard_id, r) for r in range(num_replicas)]
+        self.primary = 0
+        self.failovers = 0
+        self._rr = 0
 
 
 class ShardedLabelStore:
-    """``L_in``/``L_out`` partitioned across shards, with fetch costs.
+    """``L_in``/``L_out`` partitioned across shards, ``replicas`` copies
+    of each, with fetch costs, read routing, health and failover.
 
     Parameters
     ----------
     index:
-        The finished (immutable) index to shard.  A live
-        :class:`~repro.core.dynamic.DynamicReachabilityIndex` works
-        too: labels are always read through the underlying object, so
-        updates are visible immediately.
+        The index to serve, in any flavour
+        :func:`~repro.core.labels.label_rows` reads: a finished
+        :class:`~repro.core.labels.ReachabilityIndex`, or a live
+        :class:`~repro.core.dynamic.DynamicReachabilityIndex` (rows are
+        always read through the underlying object, so updates are
+        visible immediately).  With a replicator this must be the
+        replicator's leader.
     num_shards:
         Number of label shards.
     partitioner:
@@ -67,8 +162,21 @@ class ShardedLabelStore:
     cost_model:
         Charges fetches (``t_hop`` per remote shard touched plus
         ``entry_bytes · t_byte`` per label entry moved) and enforces
-        the per-shard memory budget (``node_memory_bytes``).
+        the per-shard memory budget (``node_memory_bytes``, one copy).
+    replicas:
+        Copies of every shard (>= 1; default :attr:`default_replicas`).
+        With a replicator the two replica counts must agree.
+    policy:
+        One of :data:`READ_POLICIES`.
+    health:
+        Timeout/backoff/suspicion knobs (:class:`HealthPolicy`).
+    replicator:
+        Optional :class:`~repro.serve.replica.BoundedStalenessReplicator`
+        for serving a dynamic index through lagging follower groups.
     """
+
+    #: Copies of every shard when ``replicas`` is not given.
+    default_replicas = 1
 
     def __init__(
         self,
@@ -76,7 +184,28 @@ class ShardedLabelStore:
         num_shards: int = 8,
         partitioner: Partitioner | None = None,
         cost_model: CostModel | None = None,
+        replicas: int | None = None,
+        policy: str = "primary",
+        health: HealthPolicy | None = None,
+        replicator=None,
     ):
+        if replicas is None:
+            replicas = self.default_replicas
+        if replicas < 1:
+            raise ValueError("need at least one replica per shard")
+        if policy not in READ_POLICIES:
+            raise ValueError(
+                f"unknown read policy {policy!r} (expected one of "
+                f"{', '.join(READ_POLICIES)})"
+            )
+        if replicator is not None:
+            if replicator.num_replicas != replicas:
+                raise ValueError(
+                    f"replicator has {replicator.num_replicas} replica "
+                    f"groups but the store wants {replicas}"
+                )
+            if replicator.leader is not index:
+                raise ValueError("the store must serve the replicator's leader")
         if partitioner is None:
             partitioner = HashPartitioner(num_shards)
         if partitioner.num_nodes != num_shards:
@@ -86,53 +215,87 @@ class ShardedLabelStore:
             )
         self._index = index
         self.num_shards = num_shards
+        self.replicas_per_shard = replicas
+        self.policy = policy
+        self.health = health or HealthPolicy()
+        self.replicator = replicator
         self._partitioner = partitioner
         self._cost = cost_model or DEFAULT_COST_MODEL
-        self.shards = [LabelShard(i) for i in range(num_shards)]
+        self.clock = 0.0
+        #: Applied fault/failover/recovery events, oldest first.
+        self.events: list[dict] = []
+        self.stale_reads = 0
+        self.confirmed_reads = 0
+        self._listeners: list = []
+        self._last_lag_sample = 0
+        # What each replica group reads, as (out_row_of, in_row_of,
+        # query): the index itself, or with a replicator the leader for
+        # group 0 and a follower table for every other group.
+        views = [
+            index if replicator is None else replicator.view(r)
+            for r in range(replicas)
+        ]
+        self._views = [(*label_rows(view), view.query) for view in views]
+
+        out_row_of, in_row_of, _ = self._views[0]
         n = index.num_vertices
-        self._shard_of = [partitioner.node_of(v) for v in range(n)]
-        for v in range(n):
-            shard = self.shards[self._shard_of[v]]
-            shard.vertices += 1
-            shard.entries += len(self._out_labels(v)) + len(self._in_labels(v))
+        # A list, not the helper's array: fetch indexes it twice a read.
+        self._shard_of = list(node_assignment(partitioner, n))
+        self._shard_entries = [0] * num_shards
+        for v, home in enumerate(self._shard_of):
+            self._shard_entries[home] += len(out_row_of(v)) + len(in_row_of(v))
         budget = self._cost.node_memory_bytes
-        for shard in self.shards:
-            attempted = shard.memory_bytes(self._cost.entry_bytes)
+        for shard_id, attempted in enumerate(self.memory_bytes()):
             if attempted > budget:
                 raise ShardOutOfMemoryError(
-                    shard.shard_id,
+                    shard_id,
                     attempted,
                     budget,
-                    vertices=shard.vertices,
-                    entries=shard.entries,
+                    vertices=self._shard_of.count(shard_id),
+                    entries=self._shard_entries[shard_id],
                 )
+        self.replica_sets = [ReplicaSet(i, replicas) for i in range(num_shards)]
+        # While True nobody is dead or suspected and fetch routes in
+        # O(1).  Written wherever ``alive`` / ``suspected`` are:
+        # crash_replica, recover_replica, _suspect, advance.
+        self._all_serving = True
 
-    # -- label access (works for ReachabilityIndex and the dynamic index)
-    def _out_labels(self, v: int):
-        out = self._index.out_labels
-        return out[v] if isinstance(out, list) else out(v)
-
-    def _in_labels(self, v: int):
-        labels = self._index.in_labels
-        return labels[v] if isinstance(labels, list) else labels(v)
-
-    @property
-    def num_vertices(self) -> int:
-        """Vertices covered by the store."""
-        return self._index.num_vertices
-
+    # ------------------------------------------------------------------
+    # Placement and accounting
+    # ------------------------------------------------------------------
     def shard_of(self, v: int) -> int:
         """The shard owning vertex ``v``'s labels."""
+        try:
+            return self._shard_of[v]
+        except IndexError:
+            return self._place(v)
+
+    def _place(self, v: int) -> int:
+        """Shard of a vertex the map does not cover yet: one the index
+        gained since (``add_node``) extends the map, anything else is
+        rejected as outside the index."""
+        n = self._index.num_vertices
+        if not 0 <= v < n:
+            raise ReproError(f"vertex {v} is outside the index (0..{n - 1})")
+        self._shard_of.extend(
+            node_assignment(self._partitioner, n, start=len(self._shard_of))
+        )
         return self._shard_of[v]
 
     def memory_bytes(self) -> list[int]:
-        """Per-shard simulated label bytes."""
+        """Per-shard simulated label bytes (one copy)."""
         entry_bytes = self._cost.entry_bytes
-        return [shard.memory_bytes(entry_bytes) for shard in self.shards]
+        return [entries * entry_bytes for entries in self._shard_entries]
+
+    def total_memory_bytes(self) -> int:
+        """All copies: per-shard bytes summed, times the replica count."""
+        return sum(self.memory_bytes()) * self.replicas_per_shard
 
     def shard_loads(self) -> list[int]:
-        """Per-shard request counts since construction."""
-        return [shard.requests for shard in self.shards]
+        """Per-shard request counts, summed across the shard's replicas."""
+        return [
+            sum(r.requests for r in rs.replicas) for rs in self.replica_sets
+        ]
 
     def load_skew(self) -> float:
         """Max/mean of per-shard request counts (1.0 = perfectly even)."""
@@ -142,31 +305,358 @@ class ShardedLabelStore:
             return 1.0
         return max(loads) / (total / len(loads))
 
+    # ------------------------------------------------------------------
+    # Fault hooks (driven by ServeFaultInjector or called directly)
+    # ------------------------------------------------------------------
+    def crash_replica(self, shard: int, replica: int, at: float = 0.0) -> None:
+        """Kill one replica; detection happens via timeouts and probes."""
+        self.replica_sets[shard].replicas[replica].alive = False
+        self._all_serving = False
+        self._record("serve.replica_crash", at, shard=shard, replica=replica)
+
+    def recover_replica(self, shard: int, replica: int, at: float = 0.0) -> None:
+        """Revive a replica; it rejoins once a health probe clears it."""
+        state = self.replica_sets[shard].replicas[replica]
+        state.alive = True
+        state.probe_failures = 0
+        self._note_recovery()
+        self._record("serve.replica_recover", at, shard=shard, replica=replica)
+
+    def _note_recovery(self) -> None:
+        self._all_serving = all(
+            r.serving for rs in self.replica_sets for r in rs.replicas
+        )
+
+    def set_replica_slowdown(
+        self, shard: int, replica: int, factor: float, at: float = 0.0
+    ) -> None:
+        """Scale one replica's service time (1.0 restores full speed)."""
+        self.replica_sets[shard].replicas[replica].slowdown = factor
+        self._record(
+            "serve.replica_slow", at, shard=shard, replica=replica, factor=factor
+        )
+
+    def subscribe(self, listener) -> None:
+        """Call ``listener(event_dict)`` for every store event (plus
+        ``replica.lag`` samples, which skip the event log) — this is
+        how a :class:`~repro.observe.incident.recorder.FlightRecorder`
+        taps the store."""
+        self._listeners.append(listener)
+
+    def _record(self, name: str, at: float, logged: bool = True, **attrs) -> None:
+        """To telemetry, listeners and (lifecycle only) :attr:`events`."""
+        event = {"event": name, "at": at, **attrs}
+        if logged:
+            self.events.append(event)
+        trace_event(name, at=at, **attrs)
+        for listener in self._listeners:
+            listener(event)
+
+    def _suspect(self, state: ReplicaState) -> None:
+        """Mark a replica suspected and fail over if it was primary."""
+        state.suspected = True
+        self._all_serving = False
+        self._record(
+            "serve.replica_suspected",
+            self.clock,
+            shard=state.shard_id,
+            replica=state.replica_id,
+        )
+        rs = self.replica_sets[state.shard_id]
+        healthy = [r.replica_id for r in rs.replicas if r.serving]
+        if healthy and not rs.replicas[rs.primary].serving:
+            old, rs.primary = rs.primary, healthy[0]
+            rs.failovers += 1
+            # The update-log version orders the failover against
+            # replicator deliveries ("at" is its simulated instant).
+            self._record(
+                "serve.failover",
+                self.clock,
+                shard=rs.shard_id,
+                from_replica=old,
+                to_replica=rs.primary,
+                version=self.replicator.version if self.replicator else 0,
+            )
+
+    # ------------------------------------------------------------------
+    # Background maintenance (pipeline clock hook)
+    # ------------------------------------------------------------------
+    def advance(self, clock: float) -> None:
+        """Move the store to simulated second ``clock``.
+
+        Delivers replication (groups with a dead member pause — they
+        cannot atomically install updates — and catch up on rejoin)
+        and runs one health-probe sweep: dead unsuspected replicas
+        accrue probe failures toward suspicion; revived suspected
+        replicas are cleared, caught up, and put back in rotation.
+        """
+        self.clock = clock
+        if self.replicator is not None:
+            paused = {
+                r
+                for r in range(1, self.replicas_per_shard)
+                if any(not rs.replicas[r].alive for rs in self.replica_sets)
+            }
+            self.replicator.advance(clock, paused)
+            self._sample_lag(clock)
+        for rs in self.replica_sets:
+            for state in rs.replicas:
+                if not state.alive and not state.suspected:
+                    state.probe_failures += 1
+                    if state.probe_failures >= self.health.failure_threshold:
+                        self._suspect(state)
+                elif state.alive and state.suspected:
+                    state.suspected = False
+                    state.probe_failures = 0
+                    self._note_recovery()
+                    if self.replicator is not None:
+                        self.replicator.catch_up(state.replica_id)
+                    self._record(
+                        "serve.replica_up",
+                        clock,
+                        shard=state.shard_id,
+                        replica=state.replica_id,
+                    )
+
+    def _sample_lag(self, clock: float) -> None:
+        """Emit a ``replica.lag`` sample when the worst lag changes.
+
+        Samples go to telemetry and subscribed listeners (the flight
+        recorder, the dashboard via the trace) but *not* into
+        :attr:`events` — scenario reports list lifecycle events only.
+        """
+        rep = self.replicator
+        lags = {
+            r: rep.lag(r) for r in range(1, self.replicas_per_shard)
+        }
+        peak = max(lags.values(), default=0)
+        if peak == self._last_lag_sample:
+            return
+        self._last_lag_sample = peak
+        self._record(
+            "replica.lag",
+            clock,
+            logged=False,
+            lag=peak,
+            groups={str(r): lag for r, lag in lags.items() if lag},
+            version=rep.version,
+        )
+
+    # ------------------------------------------------------------------
+    # The read path
+    # ------------------------------------------------------------------
     def fetch(self, s: int, t: int) -> tuple[bool, float]:
         """Answer ``q(s, t)`` and return the simulated seconds it cost.
 
         The query executes at the *source's* shard (the router hashes
-        on ``s``): ``L_out(s)`` is local, and when ``t`` lives on a
-        different shard ``L_in(t)`` costs one serialized hop plus its
-        entry bytes.  The sorted-merge itself is charged per entry
-        compared, as in :class:`~repro.query.service.IndexBackend`.
+        on ``s``) on one replica group picked by the read policy:
+        ``L_out(s)`` is local, and when ``t`` lives on a different
+        shard ``L_in(t)`` costs one serialized hop plus its entry
+        bytes; the sorted-merge itself is charged per entry compared,
+        as in :class:`~repro.query.service.IndexBackend`.  A degraded
+        store pays timeouts for dead-but-unsuspected replicas met on
+        the way (and builds suspicion); raises
+        :class:`~repro.errors.ShardUnavailableError` when no group can
+        serve the home shard.
         """
+        shard_of = self._shard_of
+        try:
+            home = shard_of[s]
+            target = shard_of[t]
+        except IndexError:
+            home, target = self._place(s), self._place(t)
+        sets = self.replica_sets
+        group = sets[home]
+        seconds = 0.0
+        if self._all_serving:
+            policy = self.policy
+            if policy == "primary":
+                chosen = (group.primary,)
+            else:  # round-robin and hedged both rotate for balance
+                copies = self.replicas_per_shard
+                first = group._rr % copies
+                group._rr += 1
+                if policy == "hedged" and copies > 1:
+                    chosen = (first, (first + 1) % copies)
+                else:
+                    chosen = (first,)
+        else:
+            chosen, seconds = self._route_degraded(group, home, target)
+
         cost = self._cost
-        out_labels = self._out_labels(s)
-        in_labels = self._in_labels(t)
-        home = self._shard_of[s]
-        target_shard = self._shard_of[t]
-        self.shards[home].requests += 1
-        seconds = (len(out_labels) + len(in_labels) + 1) * cost.t_op
-        if target_shard != home:
-            self.shards[target_shard].requests += 1
-            seconds += cost.t_hop + len(in_labels) * cost.entry_bytes * cost.t_byte
+        views = self._views
+        service = _NEVER
+        guard_seconds = 0.0
+        for r in chosen:
+            out_row_of, in_row_of, query = views[r]
+            try:
+                out_row = out_row_of(s)
+                in_row = in_row_of(t)
+            except IndexError:
+                # A follower that has not been told of a new vertex
+                # yet settles its lag before serving.
+                guard_seconds += self._force_catch_up(r)
+                out_row = out_row_of(s)
+                in_row = in_row_of(t)
+            member = group.replicas[r]
+            member.requests += 1
+            took = (len(out_row) + len(in_row) + 1) * cost.t_op * member.slowdown
+            if target != home:
+                remote = sets[target].replicas[r]
+                remote.requests += 1
+                took += (
+                    cost.t_hop + len(in_row) * cost.entry_bytes * cost.t_byte
+                ) * remote.slowdown
+            reply = query(s, t)
+            if took < service:
+                winner, answer, service = r, reply, took
+        hedged = len(chosen) == 2
+        if hedged:
+            # Raced both, kept the faster answer: charge one extra
+            # dispatch for the hedge itself.
+            seconds += service + cost.t_hop
+            group.replicas[winner].hedges_won += 1
+        else:
+            seconds += service
+
+        lag = 0
+        if winner and self.replicator is not None:
+            answer, confirm_seconds, lag = self._guard(winner, s, t, answer)
+            guard_seconds += confirm_seconds
+        seconds += guard_seconds
         if tracing.ACTIVE is not None:
-            attrs = {"home": home, "entries": len(out_labels) + len(in_labels)}
-            if target_shard != home:
-                attrs["remote"] = target_shard
-            tracing.ACTIVE.add_stage("store", seconds, **attrs)
-        return self._index.query(s, t), seconds
+            out_row_of, in_row_of, _ = views[winner]
+            attrs = {
+                "home": home,
+                "replica": winner,
+                "entries": len(out_row_of(s)) + len(in_row_of(t)),
+            }
+            if target != home:
+                attrs["remote"] = target
+            if lag:
+                attrs["lag"] = lag
+            if hedged:
+                attrs["hedge_won"] = True
+            tracing.ACTIVE.add_stage("store", seconds - guard_seconds, **attrs)
+        return answer, seconds
+
+    def _route_degraded(
+        self, group: ReplicaSet, home: int, target: int
+    ) -> tuple[list[int], float]:
+        """Pick the serving group(s) while some replica is dead or
+        suspected.  Returns (groups to read, seconds burned).
+
+        Walks the unsuspected groups in policy order.  A group serves
+        when its copies of both shards do; a suspected copy rules it out
+        for free, a dead one not yet suspected costs a timeout — such
+        groups stay candidates on purpose, that is how suspicion builds.
+        """
+        candidates = [r.replica_id for r in group.replicas if not r.suspected]
+        if self.policy == "primary":
+            candidates.sort(key=lambda r: (r != group.primary, r))
+        elif candidates:  # round-robin and hedged both rotate for balance
+            start = group._rr % len(candidates)
+            group._rr += 1
+            candidates = candidates[start:] + candidates[:start]
+        remote = () if target == home else (self.replica_sets[target],)
+        seconds = 0.0
+        attempt = 0
+        chosen: list[int] = []
+        for r in candidates:
+            down = next(
+                (
+                    rs.replicas[r]
+                    for rs in (group, *remote)
+                    if not rs.replicas[r].serving
+                ),
+                None,
+            )
+            if down is None:
+                chosen.append(r)
+                if len(chosen) == (2 if self.policy == "hedged" else 1):
+                    break
+            elif not down.suspected:
+                down.timeouts += 1
+                down.probe_failures += 1
+                if down.probe_failures >= self.health.failure_threshold:
+                    self._suspect(down)
+                seconds += self.health.penalty_seconds(attempt)
+                attempt += 1
+        if not chosen:
+            error = ShardUnavailableError(home, self.replicas_per_shard)
+            # The pipeline charges the timeouts this request burned
+            # even though it got no answer.
+            error.seconds = seconds
+            raise error
+        return chosen, seconds
+
+    def _force_catch_up(self, r: int) -> float:
+        """Apply every pending op to follower group ``r`` now; returns
+        the simulated seconds that cost."""
+        rep = self.replicator
+        applied = rep.catch_up(r)
+        rep.forced_catchups += 1
+        seconds = applied * rep.apply_seconds_per_op
+        if tracing.ACTIVE is not None:
+            tracing.ACTIVE.add_stage("catchup", seconds, replica=r, ops=applied)
+        return seconds
+
+    def _guard(
+        self, r: int, s: int, t: int, answer: bool
+    ) -> tuple[bool, float, int]:
+        """Apply the monotonicity staleness guard to a follower read.
+
+        Returns (final answer, extra seconds, the lag observed).  The
+        final answer always equals the leader's current answer: either
+        the pending ops could not flip it (monotonicity), or we
+        confirmed with the leader directly.
+        """
+        rep = self.replicator
+        seconds = 0.0
+        lag = rep.lag(r)
+        if lag > rep.max_lag:
+            seconds = self._force_catch_up(r)
+            return self._views[r][2](s, t), seconds, lag
+        if lag:
+            pending_insert, pending_delete = rep.pending_kinds(r)
+            if (not answer and pending_insert) or (answer and pending_delete):
+                # The stale answer sits on the flippable side: confirm
+                # against the leader (one hop + a leader-side merge).
+                cost = self._cost
+                out_row_of, in_row_of, query = self._views[0]
+                merge = (len(out_row_of(s)) + len(in_row_of(t)) + 1) * cost.t_op
+                confirm_seconds = cost.t_hop + merge
+                seconds += confirm_seconds
+                answer = query(s, t)
+                self.confirmed_reads += 1
+                if tracing.ACTIVE is not None:
+                    tracing.ACTIVE.add_stage(
+                        "confirm", confirm_seconds, replica=r, lag=lag
+                    )
+            else:
+                self.stale_reads += 1
+        return answer, seconds, lag
+
+    # ------------------------------------------------------------------
+    def replica_stats(self) -> dict:
+        """Aggregate replica/failover/staleness counters for reports."""
+        rep = self.replicator
+        return {
+            "failovers": sum(rs.failovers for rs in self.replica_sets),
+            "replica_timeouts": sum(
+                r.timeouts for rs in self.replica_sets for r in rs.replicas
+            ),
+            "hedges_won": sum(
+                r.hedges_won for rs in self.replica_sets for r in rs.replicas
+            ),
+            "stale_reads": self.stale_reads,
+            "confirmed_reads": self.confirmed_reads,
+            "forced_catchups": rep.forced_catchups if rep else 0,
+            "replication_lag": rep.max_follower_lag() if rep else 0,
+            "replicas_down": sum(
+                1 for rs in self.replica_sets for r in rs.replicas if not r.alive
+            ),
+        }
 
 
 class ShardedIndexBackend:
@@ -182,7 +672,7 @@ class ShardedIndexBackend:
 
     @property
     def store(self) -> ShardedLabelStore:
-        """The underlying sharded store (for load/memory reports)."""
+        """The underlying store (for load/memory reports)."""
         return self._store
 
     def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:

@@ -71,6 +71,15 @@ def bucket_percentile(
     return maximum if maximum is not None else 0.0
 
 
+def sorted_percentile(sorted_values: Sequence[float], fraction: float) -> float:
+    """Nearest-rank percentile of pre-sorted raw samples (0.0 when
+    empty): :func:`bucket_percentile`'s exact counterpart."""
+    if not sorted_values:
+        return 0.0
+    rank = max(0, min(len(sorted_values) - 1, round(fraction * (len(sorted_values) - 1))))
+    return sorted_values[rank]
+
+
 class Counter:
     """A monotonically increasing count."""
 

@@ -6,6 +6,9 @@ from repro.baselines.bfl import build_bfl
 from repro.baselines.grail import build_grail
 from repro.baselines.transitive_closure import TransitiveClosure
 from repro.core.build import build_index
+from repro.core.dynamic import DynamicReachabilityIndex
+from repro.core.labels import label_rows
+from repro.core.tol import tol_index
 from repro.graph.generators import social_graph
 from repro.pregel.cost_model import CostModel
 from repro.query import (
@@ -51,6 +54,39 @@ def test_all_backends_agree_with_oracle(graph, oracle, pairs):
         service = QueryService(backend)
         for s, t in pairs[:150]:
             assert service.query(s, t) == oracle.query(s, t), (name, s, t)
+
+
+def test_index_backend_serves_every_index_flavour(graph, pairs):
+    # One row protocol: method-style (immutable index), list-style (the
+    # dynamic index, a replication follower's table) and an
+    # attribute-forwarding stand-in all cost and answer alike.
+    from repro.serve.replica import LabelTable
+
+    class Forwarding:
+        def __init__(self, target):
+            self._target = target
+
+        def __getattr__(self, name):
+            return getattr(self._target, name)
+
+    static = tol_index(graph)
+    dynamic = DynamicReachabilityIndex(graph)
+    follower = LabelTable(
+        [frozenset(row) for row in dynamic.in_labels],
+        [frozenset(row) for row in dynamic.out_labels],
+    )
+    expected = [IndexBackend(static, _NO_LIMIT).query_with_cost(s, t) for s, t in pairs]
+    for flavour in (dynamic, follower, Forwarding(static), Forwarding(dynamic)):
+        backend = IndexBackend(flavour, _NO_LIMIT)
+        assert [backend.query_with_cost(s, t) for s, t in pairs] == expected
+        out_row_of, in_row_of = label_rows(flavour)
+        assert sorted(out_row_of(7)) == list(static.out_labels(7))
+        assert sorted(in_row_of(7)) == list(static.in_labels(7))
+    # The dynamic flavour is read live: an update shows without re-wrapping.
+    backend = IndexBackend(dynamic, _NO_LIMIT)
+    s, t = next((s, t) for (s, t), (answer, _) in zip(pairs, expected) if not answer)
+    assert dynamic.insert_edge(s, t)
+    assert backend.query_with_cost(s, t)[0] is True
 
 
 def test_evaluate_statistics(graph, oracle, pairs):
