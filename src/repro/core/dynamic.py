@@ -189,10 +189,7 @@ class DynamicReachabilityIndex:
         ``q(v, v)``), matching the transitive closure of
         :meth:`current_graph`.
         """
-        a, b = self.out_labels[s], self.in_labels[t]
-        if len(b) < len(a):
-            a, b = b, a
-        return any(h in b for h in a)
+        return not self.out_labels[s].isdisjoint(self.in_labels[t])
 
     def snapshot(self) -> ReachabilityIndex:
         """An immutable copy of the current (exact TOL) index."""

@@ -1,19 +1,21 @@
 """Vertex-centric BSP cluster with explicit cost accounting.
 
 This subpackage is the substitute for the paper's self-built MPI
-vertex-centric system (Section VI-A, "Environment").  The BSP contract
-(compute / message routing / barrier / checkpoint hooks) is an explicit
-:class:`~repro.pregel.engine.Engine` interface with two
-implementations:
+vertex-centric system (Section VI-A, "Environment").  The BSP contract (compute / message
+routing / barrier / checkpoint hooks) is executed by one master loop,
+:meth:`~repro.pregel.engine.Engine.run`, over
+:class:`~repro.pregel.engine.Worker` objects; the two engines differ only
+in where those workers live:
 
-- :class:`~repro.pregel.engine.SimulatorEngine` — a deterministic
-  single-process engine that preserves BSP semantics and *counts*
-  computation and communication, converting them to simulated seconds
-  via a calibrated :class:`~repro.pregel.cost_model.CostModel`; and
-- :class:`~repro.pregel.mp.MultiprocessEngine` — real parallelism
-  across worker processes over a shared-memory CSR, producing the
-  identical labels and the identical simulated-clock accounting while
-  the wall clock actually drops with cores.
+- :class:`~repro.pregel.engine.SimulatorEngine` — one worker in the
+  master's process owning every node: deterministic, preserves BSP
+  semantics and *counts* computation and communication, converting them
+  to simulated seconds via a calibrated
+  :class:`~repro.pregel.cost_model.CostModel`; and
+- :class:`~repro.pregel.mp.MultiprocessEngine` — the same workers in
+  forked processes over a shared-memory CSR, producing the identical
+  labels and the identical simulated-clock accounting while the wall
+  clock actually drops with cores.
 """
 
 from repro.pregel.aggregator import (

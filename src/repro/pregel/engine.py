@@ -7,7 +7,9 @@ barriers, and termination follow Pregel semantics.  All work is counted
 and converted to simulated seconds by a
 :class:`~repro.pregel.cost_model.CostModel` (see that module for the
 formula), which is what makes single-process runs report meaningful
-distributed timings.
+distributed timings.  The runtime exists once: :meth:`Engine.run` is the
+master loop and drives :class:`Worker` objects, one in-process for the
+simulator, several in forked processes for :mod:`repro.pregel.mp`.
 
 Fault tolerance (see :mod:`repro.faults` and ``docs/simulator.md``):
 a cluster built with a :class:`~repro.faults.FaultPlan` injects node
@@ -25,8 +27,9 @@ import copy
 import time
 from abc import ABC, abstractmethod
 from array import array
+from contextlib import contextmanager
 from operator import itemgetter
-from typing import Iterable
+from typing import ContextManager, Iterable, NamedTuple
 
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan
@@ -76,10 +79,7 @@ class ComputeContext:
         "_next_inbox",
         "_units",
         "_same_node",
-        "_recv_bytes",
         "_broadcast_bytes",
-        "_local_messages",
-        "_remote_messages",
         "_cost",
         "_base_seconds",
         "_pending_units",
@@ -106,9 +106,6 @@ class ComputeContext:
         self._node_of, self._same_out, self._same_in = routing
         self._current_node = 0
         self._current_vertex = 0
-        self._recv_bytes = [0] * num_nodes
-        self._local_messages = 0
-        self._remote_messages = 0
         self._cost = cost
         self._base_seconds = 0.0
         self._pending_units = 0
@@ -137,9 +134,10 @@ class ComputeContext:
     def _run_superstep(
         self, program: VertexProgram, superstep: int, base_seconds: float,
         inbox: dict[int, list], starts: Iterable[int],
-    ) -> None:
+    ) -> tuple[list[int], int, int]:
         """One super-step of ``compute()`` calls: over ``starts`` in
-        super-step 1, over ``inbox`` in ascending vertex order after."""
+        super-step 1, over ``inbox`` in ascending vertex order after.
+        Returns what :meth:`_settle` derives."""
         self._begin_superstep(superstep)
         self._base_seconds = base_seconds
         node_of, tagged = self._node_of, self._tag_sender
@@ -152,11 +150,12 @@ class ComputeContext:
             self._current_node = node_of[v]
             self.charge(len(messages))  # one unit per delivery
             program.compute(self, v, messages)
-        self._settle()
+        return self._settle()
 
-    def _settle(self) -> None:
-        """Derive the routing counters at the barrier: a node received
-        what its vertices' buckets hold; what did not come from the node
+    def _settle(self) -> tuple[list[int], int, int]:
+        """Derive the routing counters at the barrier — bytes received
+        per node, local messages, remote messages: a node received what
+        its vertices' buckets hold; what did not come from the node
         itself crossed the network."""
         received = [0] * self.num_nodes
         node_of = self._node_of
@@ -164,11 +163,11 @@ class ComputeContext:
             received[node_of[dst]] += len(bucket)
         same = self._same_node
         message_bytes = self._cost.message_bytes
-        self._local_messages = sum(same)
-        self._remote_messages = sum(received) - self._local_messages
-        self._recv_bytes = [
+        local = sum(same)
+        recv_bytes = [
             (got - own) * message_bytes for got, own in zip(received, same)
         ]
+        return recv_bytes, local, sum(received) - local
 
     # -- called by programs --------------------------------------------
     def node_of(self, vertex: int) -> int:
@@ -307,17 +306,177 @@ class FinalizeContext:
         ctx.charge(units)
 
 
-class _Checkpoint:
+class StepCounts(NamedTuple):
+    """What one super-step did: one worker's share or, summed in worker
+    order, the cluster's.  ``units`` and ``recv_bytes`` are per logical
+    node; ``pending`` counts the message buckets sent."""
+
+    active: int
+    units: list[int]
+    recv_bytes: list[int]
+    broadcast_bytes: int
+    local_messages: int
+    remote_messages: int
+    pending: int
+
+    def plus(self, other: tuple) -> "StepCounts":
+        active, units, recv_bytes, broadcast, local, remote, pending = other
+        return StepCounts(
+            self.active + active,
+            [a + b for a, b in zip(self.units, units)],
+            [a + b for a, b in zip(self.recv_bytes, recv_bytes)],
+            self.broadcast_bytes + broadcast,
+            self.local_messages + local,
+            self.remote_messages + remote,
+            self.pending + pending,
+        )
+
+
+def _splice(inbox: dict[int, list], buckets: dict[int, list]) -> None:
+    """Append ``buckets`` to ``inbox``, vertex by vertex."""
+    for dst, entries in buckets.items():
+        bucket = inbox.get(dst)
+        if bucket is None:
+            inbox[dst] = entries
+        else:
+            bucket.extend(entries)
+
+
+def apply_barrier(program: VertexProgram, superstep: int, deltas) -> None:
+    """One program copy's barrier: every replica's published delta, in
+    worker order, then ``on_barrier()``."""
+    for delta in deltas:
+        if delta is not None:
+            program.mp_apply_published(delta)
+    program.on_barrier(superstep)
+
+
+class Worker:
+    """One BSP worker: the logical nodes ``n`` with ``n % num_workers ==
+    index``, their vertices, and the messages waiting for those vertices.
+
+    The master loop (:meth:`Engine.run`) drives every worker through
+    :meth:`step`, :meth:`barrier` and :meth:`finalize`.  The simulator
+    has one, in the master's process and on the master's own program;
+    the multiprocessing engine forks ``num_workers`` of them, each with
+    a ``replica`` of the program whose published deltas and final state
+    have to travel back.
+    """
+
+    def __init__(
+        self, ctx: ComputeContext, program: VertexProgram,
+        index: int = 0, num_workers: int = 1, replica: bool = False,
+    ):
+        self.ctx = ctx
+        self.program = program
+        self.index = index
+        self.num_workers = num_workers
+        self.replica = replica
+        #: Messages for this worker's vertices, delivered next super-step.
+        self.pending: dict[int, list] = {}
+        self.owned = self._mine(ctx.graph.vertices())
+
+    def _mine(self, vertices: Iterable[int]) -> Iterable[int]:
+        if self.num_workers == 1:
+            return vertices
+        node_of, workers, index = self.ctx._node_of, self.num_workers, self.index
+        return [v for v in vertices if node_of[v] % workers == index]
+
+    def step(
+        self, superstep: int, base_seconds: float, aggregates: dict,
+        incoming: dict[int, list],
+    ) -> tuple[tuple, dict[int, dict[int, list]], object, dict]:
+        """Deliver ``pending`` plus the other workers' ``incoming``
+        buckets, run ``compute()`` over them and keep what was sent to
+        own vertices.  Returns — as plain tuples, which cross a pipe
+        cheaply — the step's :class:`StepCounts` fields, the buckets
+        bound for other workers (``{worker: {vertex: entries}}``), a
+        replica's ``mp_publish_delta()`` and the aggregator
+        contributions."""
+        ctx, program = self.ctx, self.program
+        # What the master combined last barrier becomes visible as the
+        # super-step begins.
+        ctx._agg_current = aggregates
+        inbox = self.pending
+        _splice(inbox, incoming)
+        recv_bytes, local_messages, remote_messages = ctx._run_superstep(
+            program, superstep, base_seconds, inbox,
+            self._mine(program.initial_vertices(ctx.graph))
+            if superstep == 1
+            else (),
+        )
+        sent = ctx._next_inbox
+        outgoing: dict[int, dict[int, list]] = {}
+        if self.num_workers == 1:
+            self.pending = sent
+        else:
+            node_of, workers, index = ctx._node_of, self.num_workers, self.index
+            self.pending = pending = {}
+            for dst, bucket in sent.items():
+                worker = node_of[dst] % workers
+                if worker == index:
+                    pending[dst] = bucket
+                else:
+                    outgoing.setdefault(worker, {})[dst] = bucket
+        counts = (
+            len(inbox) if superstep > 1 else len(self.owned),
+            ctx._units,
+            recv_bytes,
+            ctx._broadcast_bytes,
+            local_messages,
+            remote_messages,
+            len(sent),
+        )
+        delta = program.mp_publish_delta() if self.replica else None
+        return counts, outgoing, delta, ctx._agg_current
+
+    def barrier(self, superstep: int, deltas) -> None:
+        apply_barrier(self.program, superstep, deltas)
+
+    def finalize(self, base_seconds: float) -> tuple[list[int], object]:
+        """The post-loop pass — all of ``program.finalize()`` on the
+        master's program, the owned share of it on a replica — as
+        ``(per-node units, a replica's mp_collect())``."""
+        fctx = FinalizeContext(self.ctx, base_seconds)
+        if not self.replica:
+            self.program.finalize(fctx)
+            return self.ctx._units, None
+        self.program.finalize_vertices(fctx, self.owned)
+        return self.ctx._units, self.program.mp_collect(self.owned)
+
+
+class _InProcessWorkers:
+    """The simulator's transport: one :class:`Worker`, called directly.
+    It sweeps every vertex in ascending order, so each bucket already
+    holds its messages in the delivery order sender tags exist to
+    restore."""
+
+    remote = False
+
+    def __init__(self, worker: Worker):
+        self.worker = worker
+
+    def __len__(self) -> int:
+        return 1
+
+    def step(self, superstep, base_seconds, aggregates, routed):
+        return [self.worker.step(superstep, base_seconds, aggregates, routed[0])]
+
+    def barrier(self, superstep, deltas) -> None:
+        self.worker.barrier(superstep, deltas)
+
+    def finalize(self, base_seconds):
+        return [self.worker.finalize(base_seconds)]
+
+
+class _Checkpoint(NamedTuple):
     """A consistent barrier snapshot: program state + pending messages."""
 
-    __slots__ = ("superstep", "program_state", "inbox", "agg_current", "bytes")
-
-    def __init__(self, superstep, program_state, inbox, agg_current, nbytes):
-        self.superstep = superstep
-        self.program_state = program_state
-        self.inbox = inbox
-        self.agg_current = agg_current
-        self.bytes = nbytes
+    superstep: int
+    program_state: dict
+    inbox: dict[int, list]
+    aggregates: dict
+    bytes: int
 
 
 def _estimate_entries(obj) -> int:
@@ -357,9 +516,9 @@ def _slowest_node_seconds(
 
 def _account_superstep(
     cost: CostModel,
-    ctx: ComputeContext,
+    superstep: int,
+    counts: StepCounts,
     stats: RunStats,
-    active: int,
     trace: bool = False,
     tracer=None,
     slowdown: list[float] | None = None,
@@ -367,24 +526,21 @@ def _account_superstep(
     injector: FaultInjector | None = None,
     node_slices: bool = True,
 ) -> None:
-    """Account one super-step's barrier (shared by both engines).
+    """Account one super-step's barrier from the workers' summed counters.
 
-    Both engines feed the same per-node work counters through this
-    function, which is what makes their ``RunStats`` — and therefore the
-    simulated clock — identical by construction.  ``replay=True`` marks
-    a discarded attempt or a post-recovery replay of an already-committed
-    super-step: its full cost lands in ``recovery_seconds`` and no work
-    counter or trace row is touched (the committed pass already recorded
-    them).  ``node_slices=False`` suppresses the per-logical-node
-    :class:`NodeSlice` emission — the multiprocessing engine records
-    measured per-worker slices instead.
+    ``replay=True`` marks a discarded attempt or a post-recovery replay
+    of an already-committed super-step: its full cost lands in
+    ``recovery_seconds`` and no work counter or trace row is touched
+    (the committed pass already recorded them).  ``node_slices=False``
+    suppresses the per-logical-node :class:`NodeSlice` emission — worker
+    processes are recorded as measured per-worker slices instead.
     """
-    units = ctx._units
+    units = counts.units
     comp_seconds = _slowest_node_seconds(cost, units, slowdown)
-    comm_bytes = max(ctx._recv_bytes) + ctx._broadcast_bytes
+    comm_bytes = max(counts.recv_bytes) + counts.broadcast_bytes
     lost = duplicated = 0
     if injector is not None:
-        lost, duplicated = injector.transit_faults(ctx._remote_messages)
+        lost, duplicated = injector.transit_faults(counts.remote_messages)
         # Reliable transport repairs both: retransmissions put the
         # same bytes on the wire again; delivery is unaffected.
         comm_bytes += (lost + duplicated) * cost.message_bytes
@@ -394,7 +550,7 @@ def _account_superstep(
         tracer.event(
             "pregel.fault",
             kind="transit",
-            superstep=ctx.superstep,
+            superstep=superstep,
             lost=lost,
             duplicated=duplicated,
         )
@@ -406,23 +562,23 @@ def _account_superstep(
         stats.recovery_seconds += seconds
         if timeline is not None:
             timeline.intervals.append(
-                TimelineInterval("replay", ctx.superstep, seconds)
+                TimelineInterval("replay", superstep, seconds)
             )
         return
     if node_slices:
         _emit_node_slices(
-            cost, stats, tracer, ctx.superstep, units, ctx._recv_bytes,
-            ctx._broadcast_bytes, comp_seconds, comm_seconds, slowdown,
+            cost, stats, tracer, superstep, units, counts.recv_bytes,
+            counts.broadcast_bytes, comp_seconds, comm_seconds, slowdown,
         )
     if trace or telemetry_on:
         row = SuperstepTrace(
-            superstep=ctx.superstep,
-            active_vertices=active,
+            superstep=superstep,
+            active_vertices=counts.active,
             compute_units=sum(units),
             max_node_units=max(units),
-            remote_messages=ctx._remote_messages,
-            remote_bytes=sum(ctx._recv_bytes),
-            broadcast_bytes=ctx._broadcast_bytes,
+            remote_messages=counts.remote_messages,
+            remote_bytes=sum(counts.recv_bytes),
+            broadcast_bytes=counts.broadcast_bytes,
         )
         if trace:
             stats.trace.append(row)
@@ -431,17 +587,17 @@ def _account_superstep(
             metrics = current_metrics()
             metrics.counter("pregel.supersteps").inc()
             metrics.counter("pregel.remote_messages").inc(
-                ctx._remote_messages
+                counts.remote_messages
             )
             metrics.histogram(
                 "pregel.active_vertices", ACTIVE_VERTEX_BUCKETS
-            ).observe(active)
+            ).observe(counts.active)
     stats.supersteps += 1
     stats.compute_units += sum(units)
-    stats.local_messages += ctx._local_messages
-    stats.remote_messages += ctx._remote_messages
-    stats.remote_bytes += sum(ctx._recv_bytes)
-    stats.broadcast_bytes += ctx._broadcast_bytes
+    stats.local_messages += counts.local_messages
+    stats.remote_messages += counts.remote_messages
+    stats.remote_bytes += sum(counts.recv_bytes)
+    stats.broadcast_bytes += counts.broadcast_bytes
     stats.computation_seconds += comp_seconds
     stats.communication_seconds += comm_seconds
     stats.barrier_seconds += cost.t_barrier
@@ -521,27 +677,43 @@ def _account_finalize(
 
 
 class Engine(ABC):
-    """An execution strategy for the BSP contract behind :class:`Cluster`.
+    """The BSP runtime behind :class:`Cluster`: one master loop over the
+    workers an implementation starts.
 
-    The engine owns the mechanics — compute scheduling, message routing,
-    the super-step barrier, and checkpoint hooks — while the cluster
-    owns the configuration (node count, partitioner, cost model, fault
-    plan).  Two implementations ship:
+    :meth:`run` owns the protocol — step every worker, sum their
+    counters in worker order, account the barrier, route the buckets
+    that change worker, publish deltas, ``on_barrier()``, cut-off,
+    termination, finalize — and the cluster owns the configuration
+    (node count, partitioner, cost model, fault plan).  What differs
+    between engines is only where the :class:`Worker` objects live:
 
-    - :class:`SimulatorEngine` — the deterministic single-process
-      simulator with the charged cost model and fault injection; and
-    - :class:`repro.pregel.mp.MultiprocessEngine` — real parallelism
-      across worker processes over a shared-memory CSR, producing the
-      identical labels and the identical simulated-clock accounting
-      while the wall clock actually drops with cores.
+    - :class:`SimulatorEngine` — one worker in the master's process
+      owning every node: deterministic, with fault injection; and
+    - :class:`repro.pregel.mp.MultiprocessEngine` — the same workers in
+      forked processes over a shared-memory CSR, producing the identical
+      labels and the identical simulated-clock accounting while the wall
+      clock actually drops with cores.
     """
 
     #: Short name used by ``--engine`` and telemetry.
     name: str = "?"
-    #: Whether the engine honours fault plans and checkpoint intervals.
+    #: Whether the engine honours fault plans and checkpoint intervals:
+    #: both read and rewind the worker's pending messages, which takes a
+    #: worker in the master's process.
     supports_faults: bool = False
 
     @abstractmethod
+    def _start_workers(
+        self, cluster: "Cluster", ctx: ComputeContext, program: VertexProgram
+    ) -> ContextManager:
+        """A context manager yielding the run's workers — an object with
+        ``step(superstep, base_seconds, aggregates, routed)`` and
+        ``finalize(base_seconds)`` returning one reply per worker in
+        worker order, ``barrier(superstep, deltas)``, ``len()`` and
+        ``remote`` (the workers are replicas in other processes, which
+        ``emit_slices`` reports as measured).  ``ctx`` is the context
+        ``program.setup()`` ran on."""
+
     def run(
         self,
         cluster: "Cluster",
@@ -553,30 +725,6 @@ class Engine(ABC):
         node_timeline: bool = False,
     ) -> RunStats:
         """Execute ``program`` on ``graph`` under ``cluster``'s config."""
-
-
-class SimulatorEngine(Engine):
-    """The deterministic single-process simulator (the default engine).
-
-    Runs every vertex in one process, charging all work through the
-    cluster's :class:`CostModel`; supports fault injection, super-step
-    checkpointing, and crash recovery.  Wall-clock time is irrelevant
-    here — the simulated clock is the result.
-    """
-
-    name = "sim"
-    supports_faults = True
-
-    def run(
-        self,
-        cluster: "Cluster",
-        graph: DiGraph,
-        program: VertexProgram,
-        max_supersteps: int = 100_000,
-        stats: RunStats | None = None,
-        trace: bool = False,
-        node_timeline: bool = False,
-    ) -> RunStats:
         tracer = current_tracer()
         with tracer.span(
             "pregel.run",
@@ -587,6 +735,7 @@ class SimulatorEngine(Engine):
             engine=self.name,
         ) as span:
             cost = cluster.cost_model
+            num_nodes = cluster.num_nodes
             injector = cluster._injector
             routing = cluster.routing(graph)
             if injector is not None:
@@ -597,94 +746,125 @@ class SimulatorEngine(Engine):
                 injector.reassign(node_of, ())
                 routing = Routing.of(graph, node_of)
             slowdown = (
-                cluster.faults.slowdowns(cluster.num_nodes)
+                cluster.faults.slowdowns(num_nodes)
                 if cluster.faults is not None and cluster.faults.stragglers
                 else None
             )
             if stats is None:
-                stats = RunStats(num_nodes=cluster.num_nodes)
-                stats.per_node_units = [0] * cluster.num_nodes
-            if node_timeline and stats.node_timeline is None:
-                stats.node_timeline = NodeTimeline(num_nodes=cluster.num_nodes)
+                stats = RunStats(num_nodes=num_nodes)
+                stats.per_node_units = [0] * num_nodes
             wall_start = time.perf_counter()
             simulated_start = stats.simulated_seconds
 
-            ctx = ComputeContext(
-                graph, cluster.num_nodes, routing, cost, program
-            )
+            ctx = ComputeContext(graph, num_nodes, routing, cost, program)
             program.setup(ctx)
+            aggregators = ctx._aggregators
+            with self._start_workers(cluster, ctx, program) as workers:
+                remote = workers.remote
+                if remote:
+                    span.set(workers=len(workers))
+                if node_timeline and stats.node_timeline is None:
+                    stats.node_timeline = NodeTimeline(
+                        num_nodes=len(workers) if remote else num_nodes
+                    )
 
-            # Super-step 0 snapshot: recovery without an on-disk
-            # checkpoint restarts from re-initialized state, so this
-            # snapshot is free (bytes=0) — nothing crossed the network.
-            checkpoint: _Checkpoint | None = None
-            interval = cluster.checkpoint_interval
-            if interval is not None or (
-                injector is not None and injector.has_pending
-            ):
-                checkpoint = _Checkpoint(
-                    0, program.snapshot(), {}, dict(ctx._agg_current), 0
-                )
-
-            inbox: dict[int, list] = {}
-            superstep = 0
-            committed = 0
-            while True:
-                superstep += 1
-                if superstep > max_supersteps:
-                    raise SuperstepLimitExceeded(
-                        f"no termination after {max_supersteps} supersteps"
-                    )
-                ctx._run_superstep(
-                    program, superstep, stats.simulated_seconds, inbox,
-                    program.initial_vertices(graph),
-                )
-                active = len(inbox) if superstep > 1 else graph.num_vertices
-                fired = (
-                    injector.crashes_at(superstep)
-                    if injector is not None
-                    else ()
-                )
-                if fired and checkpoint is not None:
-                    # The barrier never commits: the attempt is lost work.
-                    _account_superstep(
-                        cost, ctx, stats, active, False, tracer,
-                        slowdown=slowdown, replay=True, injector=injector,
-                    )
-                    inbox = self._recover(
-                        cluster, ctx, stats, checkpoint, injector, fired,
-                        superstep, program, tracer,
-                    )
-                    superstep = checkpoint.superstep
-                    cost.check_time(stats.simulated_seconds)
-                    continue
-                replay = superstep <= committed
-                _account_superstep(
-                    cost, ctx, stats, active, trace, tracer,
-                    slowdown=slowdown, replay=replay, injector=injector,
-                )
-                committed = max(committed, superstep)
-                program.on_barrier(superstep)
-                if (
-                    checkpoint is not None
-                    and interval is not None
-                    and superstep % interval == 0
-                    and superstep > checkpoint.superstep
+                # Super-step 0 snapshot: recovery without an on-disk
+                # checkpoint restarts from re-initialized state, so this
+                # snapshot is free (bytes=0) — nothing crossed the network.
+                checkpoint: _Checkpoint | None = None
+                interval = cluster.checkpoint_interval
+                if interval is not None or (
+                    injector is not None and injector.has_pending
                 ):
-                    checkpoint = self._take_checkpoint(
-                        cluster, superstep, program, ctx, stats, injector,
-                        tracer,
-                    )
-                cost.check_time(stats.simulated_seconds)
-                inbox = ctx._next_inbox
-                if not inbox:
-                    break
+                    checkpoint = _Checkpoint(0, program.snapshot(), {}, {}, 0)
 
-            program.finalize(FinalizeContext(ctx, stats.simulated_seconds))
-            _account_finalize(
-                cost, stats, ctx._units, superstep,
-                slowdown=slowdown, tracer=tracer,
-            )
+                aggregates: dict = {}
+                routed: list[dict[int, list]] = [{} for _ in range(len(workers))]
+                superstep = 0
+                committed = 0
+                while True:
+                    superstep += 1
+                    if superstep > max_supersteps:
+                        raise SuperstepLimitExceeded(
+                            f"no termination after {max_supersteps} supersteps"
+                        )
+                    shares, outgoing, deltas, partials = zip(*workers.step(
+                        superstep, stats.simulated_seconds, aggregates, routed
+                    ))
+                    # Fixed worker order: the merge cannot depend on the
+                    # order replies arrived in.
+                    counts = StepCounts(*shares[0])
+                    for share in shares[1:]:
+                        counts = counts.plus(share)
+                    fired = (
+                        injector.crashes_at(superstep)
+                        if injector is not None
+                        else ()
+                    )
+                    if fired and checkpoint is not None:
+                        # The barrier never commits: the attempt is lost work.
+                        _account_superstep(
+                            cost, superstep, counts, stats, False, tracer,
+                            slowdown=slowdown, replay=True, injector=injector,
+                        )
+                        self._recover(
+                            cluster, workers.worker, stats, checkpoint, fired,
+                            superstep, tracer,
+                        )
+                        aggregates = copy.deepcopy(checkpoint.aggregates)
+                        superstep = checkpoint.superstep
+                        cost.check_time(stats.simulated_seconds)
+                        continue
+                    routed = [{} for _ in range(len(workers))]
+                    for sent in outgoing:
+                        for worker, buckets in sent.items():
+                            _splice(routed[worker], buckets)
+                    if aggregators:
+                        aggregates = partials[0]
+                        for partial in partials[1:]:
+                            aggregates = {
+                                name: agg.combine(aggregates[name], partial[name])
+                                for name, agg in aggregators.items()
+                            }
+                    _account_superstep(
+                        cost, superstep, counts, stats, trace, tracer,
+                        slowdown=slowdown, replay=superstep <= committed,
+                        injector=injector, node_slices=not remote,
+                    )
+                    committed = max(committed, superstep)
+                    workers.barrier(superstep, deltas)
+                    if remote:
+                        workers.emit_slices(
+                            stats, tracer, superstep, counts.units,
+                            counts.recv_bytes,
+                        )
+                    if (
+                        checkpoint is not None
+                        and interval is not None
+                        and superstep % interval == 0
+                        and superstep > checkpoint.superstep
+                    ):
+                        checkpoint = self._take_checkpoint(
+                            cluster, superstep, workers.worker, aggregates,
+                            stats, tracer,
+                        )
+                    cost.check_time(stats.simulated_seconds)
+                    if not counts.pending:
+                        break
+
+                finalized = workers.finalize(stats.simulated_seconds)
+                units = [sum(node) for node in zip(*(u for u, _ in finalized))]
+                _account_finalize(
+                    cost, stats, units, superstep,
+                    slowdown=slowdown, tracer=tracer, node_slices=not remote,
+                )
+                if remote:
+                    if any(units):
+                        workers.emit_slices(
+                            stats, tracer, superstep + 1, units, [0] * num_nodes
+                        )
+                    for _, collected in finalized:  # fixed order
+                        program.mp_merge(collected)
             cost.check_time(stats.simulated_seconds)
             stats.wall_seconds += time.perf_counter() - wall_start
             if tracer.enabled:
@@ -693,19 +873,14 @@ class SimulatorEngine(Engine):
         return stats
 
     def _take_checkpoint(
-        self,
-        cluster: "Cluster",
-        superstep: int,
-        program: VertexProgram,
-        ctx: ComputeContext,
-        stats: RunStats,
-        injector: FaultInjector | None,
-        tracer,
+        self, cluster: "Cluster", superstep: int, worker: Worker,
+        aggregates: dict, stats: RunStats, tracer,
     ) -> _Checkpoint:
         """Snapshot barrier state and charge the serialization bytes."""
         cost = cluster.cost_model
-        state = program.snapshot()
-        pending = ctx._next_inbox
+        injector = cluster._injector
+        pending = worker.pending
+        state = worker.program.snapshot()
         messages = sum(len(bucket) for bucket in pending.values())
         nbytes = (
             _estimate_entries(state) * cost.entry_bytes
@@ -734,31 +909,24 @@ class SimulatorEngine(Engine):
             superstep,
             state,
             copy.deepcopy(pending),
-            copy.deepcopy(ctx._agg_current),
+            copy.deepcopy(aggregates),
             nbytes,
         )
 
     def _recover(
-        self,
-        cluster: "Cluster",
-        ctx: ComputeContext,
-        stats: RunStats,
-        checkpoint: _Checkpoint,
-        injector: FaultInjector,
-        fired: tuple[int, ...],
-        superstep: int,
-        program: VertexProgram,
-        tracer,
-    ) -> dict[int, list]:
-        """Fail over after a crash: reassign, restore, return the inbox.
+        self, cluster: "Cluster", worker: Worker, stats: RunStats,
+        checkpoint: _Checkpoint, fired: tuple[int, ...], superstep: int, tracer,
+    ) -> None:
+        """Fail over after a crash: reassign, restore, rewind the inbox.
 
         Charges failure detection plus the survivors' parallel read of
         the last checkpoint (every surviving node re-reads the state of
         its — possibly grown — partition from stable storage), then
-        rolls program, aggregator, and inbox state back to the
-        checkpointed barrier.
+        rolls program and inbox state back to the checkpointed barrier.
         """
         cost = cluster.cost_model
+        injector = cluster._injector
+        ctx = worker.ctx
         stats.crashes += len(fired)
         node_of = ctx._node_of
         moved = injector.reassign(node_of, fired)
@@ -773,9 +941,8 @@ class SimulatorEngine(Engine):
             stats.node_timeline.intervals.append(
                 TimelineInterval("recovery", superstep, seconds, tuple(fired))
             )
-        program.restore(checkpoint.program_state)
-        ctx._agg_current = copy.deepcopy(checkpoint.agg_current)
-        ctx._agg_visible = {}
+        worker.program.restore(checkpoint.program_state)
+        worker.pending = copy.deepcopy(checkpoint.inbox)
         if tracer is not None and tracer.enabled:
             for node in fired:
                 tracer.event(
@@ -795,7 +962,23 @@ class SimulatorEngine(Engine):
             metrics = current_metrics()
             metrics.counter("pregel.crashes").inc(len(fired))
             metrics.counter("pregel.recoveries").inc()
-        return copy.deepcopy(checkpoint.inbox)
+
+
+class SimulatorEngine(Engine):
+    """The deterministic single-process simulator (the default engine).
+
+    Runs every vertex in one process, charging all work through the
+    cluster's :class:`CostModel`; supports fault injection, super-step
+    checkpointing, and crash recovery.  Wall-clock time is irrelevant
+    here — the simulated clock is the result.
+    """
+
+    name = "sim"
+    supports_faults = True
+
+    @contextmanager
+    def _start_workers(self, cluster, ctx, program):
+        yield _InProcessWorkers(Worker(ctx, program))
 
 
 #: Engine names accepted by :func:`resolve_engine` and ``--engine``.

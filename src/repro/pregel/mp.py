@@ -1,43 +1,34 @@
-"""Real-parallelism BSP engine: supersteps across worker processes.
+"""The process transport: BSP workers in forked processes.
 
-:class:`MultiprocessEngine` executes the same :class:`~repro.pregel.
-vertex_program.VertexProgram` contract as the simulator, but the
-per-superstep ``compute()`` work actually runs in parallel across
-``workers`` OS processes, so build wall-clock time drops with cores.
-The charged cost accounting is reproduced *exactly*: worker-local work
-counters are summed at every barrier and fed through the same
-accounting code the simulator uses, so ``RunStats`` (and therefore the
-simulated clock) is identical to a simulator run of the same program.
+:class:`MultiprocessEngine` runs the one master loop
+(:meth:`repro.pregel.engine.Engine.run`) over ``workers`` OS processes,
+each holding the same :class:`~repro.pregel.engine.Worker` the simulator
+runs in-process, so ``compute()`` really runs in parallel while the
+workers' counters, summed in worker order and accounted by the same
+code, leave ``RunStats`` identical to a simulator run.  This module holds
+only what is about processes (``docs/simulator.md``, "One runtime, two
+transports", has the whole picture):
 
-Design
-------
-- The input graph's CSR arrays are copied once into
-  ``multiprocessing.shared_memory`` segments and the graph's ``array``
-  slots are swapped for ``memoryview`` casts of those segments, so
-  forked workers read the topology from shared pages instead of private
-  copies.  The cluster's per-graph :class:`~repro.graph.partition.
-  Routing` (vertex → node map, same-node counts) arrives through fork.
-- Each worker is a full program replica forked *after* ``setup()``.
-  Logical node ``n`` is pinned to worker ``n % workers``, so every
-  vertex (and its per-vertex state) has exactly one writer and the
-  per-node cost counters land on the same nodes as in the simulator.
-- Messages between vertices on the same worker never leave it; cross
-  -worker messages are routed through the master at the barrier.  Each
-  message is tagged with its sending vertex and every inbox is stably
-  sorted by sender before delivery — exactly the order the simulator's
-  ascending vertex sweep produces — which makes results independent of
-  worker count and of the order worker replies arrive in.
-- Shared published state (DRL's inverted lists) moves as explicit
-  deltas: at each barrier the master gathers every worker's
-  ``mp_publish_delta()`` and re-broadcasts the full set, which all
-  replicas apply in fixed worker order before ``on_barrier()``.
-- Per-worker *measured* wall-clock timings are recorded as
-  :class:`~repro.pregel.metrics.NodeSlice` rows (``node`` = worker id)
-  and ``pregel.node`` telemetry events; the simulated per-node
-  breakdown is available from the simulator engine.
+- The graph's CSR arrays are copied once into
+  ``multiprocessing.shared_memory`` segments and the ``array`` slots
+  swapped for ``memoryview`` casts of them, so forked workers read the
+  topology from shared pages.  The cluster's per-graph
+  :class:`~repro.graph.partition.Routing` arrives through fork.
+- Each worker is a program replica forked *after* ``setup()``; logical
+  node ``n`` is pinned to worker ``n % workers``, so every vertex has
+  exactly one writer.
+- Every call goes to all workers before any reply is awaited.  A bucket
+  is assembled from several workers' output, so entries carry their
+  sending vertex and each inbox is stably sorted by sender before
+  delivery — the order the simulator's single ascending sweep produces,
+  whatever the worker count or the order replies arrive in.
+- The master's program is one more replica: it applies every worker's
+  published delta at each barrier, as the workers do.
+- Per-worker *measured* wall-clock timings become
+  :class:`~repro.pregel.metrics.NodeSlice` rows (``node`` = worker id).
 
-Fault plans and checkpoint intervals are not supported here — crash
-injection into real processes is a different feature; the simulator
+Fault plans and checkpoint intervals need an in-process worker
+(:class:`~repro.pregel.engine.Cluster` refuses them here): the simulator
 remains the tool for fault experiments.
 """
 
@@ -47,24 +38,15 @@ import multiprocessing
 import os
 import time
 import traceback
+from contextlib import contextmanager
 from multiprocessing import shared_memory
 from random import Random
 
 from repro.errors import ReproError
 from repro.graph.digraph import DiGraph
-from repro.graph.partition import Routing
-from repro.pregel.cost_model import CostModel
-from repro.pregel.engine import (
-    ComputeContext,
-    Engine,
-    FinalizeContext,
-    SuperstepLimitExceeded,
-    _account_finalize,
-    _account_superstep,
-)
-from repro.pregel.metrics import NodeSlice, NodeTimeline, RunStats
+from repro.pregel.engine import ComputeContext, Engine, Worker, apply_barrier
+from repro.pregel.metrics import NodeSlice
 from repro.pregel.vertex_program import VertexProgram
-from repro.telemetry import current_tracer
 
 _CSR_SLOTS = ("_fwd_offsets", "_fwd_targets", "_rev_offsets", "_rev_targets")
 
@@ -129,93 +111,29 @@ class _WorkerContext(ComputeContext):
 
 
 def _worker_main(
-    conn,
-    worker: int,
-    num_workers: int,
-    graph: DiGraph,
+    conn, index: int, num_workers: int, cluster, graph: DiGraph,
     program: VertexProgram,
-    num_nodes: int,
-    routing: Routing,
-    cost: CostModel,
 ) -> None:
-    """One worker process: compute owned vertices, superstep by superstep."""
+    """One worker process: serve the master's calls on a :class:`Worker`,
+    timing each, until told to exit.  ``barrier`` is not answered; a
+    failure in it surfaces at the next gather."""
     status = 0
     try:
-        node_of = routing.node_of
-        ctx = _WorkerContext(graph, num_nodes, routing, cost, program)
-        owned = [
-            v for v in graph.vertices() if node_of[v] % num_workers == worker
-        ]
-        pending_local: dict[int, list] = {}
+        worker = Worker(
+            _WorkerContext(
+                graph, cluster.num_nodes, cluster.routing(graph),
+                cluster.cost_model, program,
+            ),
+            program, index, num_workers, replica=True,
+        )
         while True:
-            msg = conn.recv()
-            kind = msg[0]
-            if kind == "step":
-                _, superstep, base_seconds, agg_visible, remote_in = msg
-                started = time.perf_counter()
-                if ctx._aggregators:
-                    # What the master combined last barrier becomes
-                    # visible as the super-step begins.
-                    ctx._agg_current = agg_visible
-                inbox = pending_local
-                for dst, entries in remote_in.items():
-                    bucket = inbox.get(dst)
-                    if bucket is None:
-                        inbox[dst] = entries
-                    else:
-                        bucket.extend(entries)
-                ctx._run_superstep(
-                    program, superstep, base_seconds, inbox,
-                    (
-                        v for v in program.initial_vertices(graph)
-                        if node_of[v] % num_workers == worker
-                    ),
-                )
-                active = len(inbox) if superstep > 1 else len(owned)
-                pending_local = {}
-                remote_out: dict[int, dict[int, list]] = {}
-                for dst, tagged in ctx._next_inbox.items():
-                    dst_worker = node_of[dst] % num_workers
-                    if dst_worker == worker:
-                        pending_local[dst] = tagged
-                    else:
-                        remote_out.setdefault(dst_worker, {})[dst] = tagged
-                compute_wall = time.perf_counter() - started
-                conn.send((
-                    "done",
-                    active,
-                    list(ctx._units),
-                    list(ctx._recv_bytes),
-                    ctx._broadcast_bytes,
-                    ctx._local_messages,
-                    ctx._remote_messages,
-                    sum(len(b) for b in pending_local.values()),
-                    remote_out,
-                    program.mp_publish_delta(),
-                    dict(ctx._agg_current) if ctx._aggregators else None,
-                    compute_wall,
-                ))
-            elif kind == "barrier":
-                _, superstep, deltas = msg
-                for delta in deltas:
-                    if delta is not None:
-                        program.mp_apply_published(delta)
-                program.on_barrier(superstep)
-            elif kind == "finalize":
-                _, base_seconds = msg
-                started = time.perf_counter()
-                program.finalize_vertices(
-                    FinalizeContext(ctx, base_seconds), owned
-                )
-                finalize_wall = time.perf_counter() - started
-                conn.send((
-                    "finalized",
-                    list(ctx._units),
-                    program.mp_collect(owned),
-                    finalize_wall,
-                ))
-            else:  # "exit"
+            op, *args = conn.recv()
+            if op == "exit":
                 break
+            started = time.perf_counter()
+            reply = getattr(worker, op)(*args)
+            if op != "barrier":
+                conn.send(("ok", reply, time.perf_counter() - started))
     except BaseException as exc:  # noqa: BLE001 — forwarded to the master
         status = 1
         tb = traceback.format_exc()
@@ -240,25 +158,52 @@ def _worker_main(
         os._exit(status)
 
 
-class _Workers:
-    """The forked workers' pipes; a dead peer surfaces as a typed error."""
+class _ProcessWorkers:
+    """The forked workers behind their pipes: every call is sent to all
+    of them before any answer is awaited, and a dead peer surfaces as a
+    typed error."""
 
-    def __init__(self):
+    remote = True
+
+    def __init__(self, program: VertexProgram, rng: Random | None):
+        self.program = program  # the master's replica
+        self.rng = rng
         self.conns: list = []
         self.procs: list = []
         self.phase = "start-up"
+        self._walls: list[float] = []  # of the last gathered call, per worker
+        self._gathered = self._barrier_wall = 0.0
 
-    def send(self, worker: int, message: tuple) -> None:
-        try:
-            self.conns[worker].send(message)
-        except OSError:  # BrokenPipeError: nobody is reading
-            raise self._dead(worker) from None
+    def __len__(self) -> int:
+        return len(self.conns)
 
-    def recv(self, worker: int) -> tuple:
-        try:
-            return self.conns[worker].recv()
-        except (EOFError, OSError):
-            raise self._dead(worker) from None
+    def _send_all(self, messages) -> None:
+        for worker, message in enumerate(messages):
+            try:
+                self.conns[worker].send(message)
+            except OSError:  # BrokenPipeError: nobody is reading
+                raise self._dead(worker) from None
+
+    def _gather(self) -> list:
+        """Await one reply per worker, optionally in shuffled order."""
+        order = list(range(len(self.conns)))
+        if self.rng is not None:
+            self.rng.shuffle(order)
+        replies: list = [None] * len(order)
+        self._walls = [0.0] * len(order)
+        for worker in order:
+            try:
+                kind, *rest = self.conns[worker].recv()
+            except (EOFError, OSError):
+                raise self._dead(worker) from None
+            if kind == "error":
+                exc, tb = rest
+                if tb:
+                    exc.add_note(f"worker {worker} traceback:\n{tb}")
+                raise exc
+            replies[worker], self._walls[worker] = rest
+        self._gathered = time.perf_counter()
+        return replies
 
     def _dead(self, worker: int) -> ReproError:
         proc = self.procs[worker]
@@ -271,6 +216,58 @@ class _Workers:
         else:
             fate = f"exited with code {code}"
         return ReproError(f"mp worker {worker} {fate} during {self.phase}")
+
+    def step(self, superstep, base_seconds, aggregates, routed) -> list:
+        self.phase = f"superstep {superstep}"
+        self._send_all(
+            ("step", superstep, base_seconds, aggregates, incoming)
+            for incoming in routed
+        )
+        return self._gather()
+
+    def barrier(self, superstep, deltas) -> None:
+        apply_barrier(self.program, superstep, deltas)
+        self._send_all([("barrier", superstep, deltas)] * len(self))
+        self._barrier_wall = time.perf_counter() - self._gathered
+
+    def finalize(self, base_seconds) -> list:
+        self.phase = "the finalize pass"
+        self._send_all([("finalize", base_seconds)] * len(self))
+        self._barrier_wall = 0.0
+        return self._gather()
+
+    def emit_slices(self, stats, tracer, superstep, units, recv_bytes) -> None:
+        """Record the last call's measured per-worker timings as
+        NodeSlice rows.
+
+        Unlike the simulator's per-logical-node slices (simulated
+        seconds), these carry wall-clock measurements with ``node`` set
+        to the worker id: ``compute_seconds`` is the worker's measured
+        superstep time, ``barrier_wait_seconds`` its slack against the
+        slowest worker, and ``barrier_seconds`` the master's measured
+        routing/merge time.
+        """
+        timeline = stats.node_timeline
+        telemetry_on = tracer is not None and tracer.enabled
+        if timeline is None and not telemetry_on:
+            return
+        slowest = max(self._walls)
+        workers = len(self)
+        for w, wall in enumerate(self._walls):
+            piece = NodeSlice(
+                superstep=superstep,
+                node=w,
+                units=sum(units[w::workers]),
+                compute_seconds=wall,
+                comm_seconds=0.0,
+                barrier_wait_seconds=max(0.0, slowest - wall),
+                barrier_seconds=self._barrier_wall,
+                recv_bytes=sum(recv_bytes[w::workers]),
+            )
+            if timeline is not None:
+                timeline.slices.append(piece)
+            if telemetry_on:
+                tracer.event("pregel.node", **piece.to_dict())
 
     def close(self) -> None:
         """Reap every worker still running and close the pipes."""
@@ -312,21 +309,8 @@ class MultiprocessEngine(Engine):
         self.workers = workers
         self.arrival_seed = arrival_seed
 
-    def run(
-        self,
-        cluster,
-        graph: DiGraph,
-        program: VertexProgram,
-        max_supersteps: int = 100_000,
-        stats: RunStats | None = None,
-        trace: bool = False,
-        node_timeline: bool = False,
-    ) -> RunStats:
-        if cluster.faults is not None or cluster.checkpoint_interval is not None:
-            raise ReproError(
-                "the multiprocess engine does not support fault injection "
-                "or checkpointing; use engine='sim'"
-            )
+    @contextmanager
+    def _start_workers(self, cluster, ctx, program):
         if not getattr(program, "mp_supported", False):
             raise ReproError(
                 f"{type(program).__name__} does not implement the "
@@ -339,251 +323,31 @@ class MultiprocessEngine(Engine):
             raise ReproError(
                 "the multiprocess engine requires the 'fork' start method"
             ) from exc
-        num_nodes = cluster.num_nodes
         workers = self.workers if self.workers is not None else os.cpu_count() or 1
-        workers = max(1, min(workers, num_nodes))
-        cost = cluster.cost_model
-        rng = Random(self.arrival_seed) if self.arrival_seed is not None else None
-
-        tracer = current_tracer()
-        with tracer.span(
-            "pregel.run",
-            program=type(program).__name__,
-            num_nodes=num_nodes,
-            vertices=graph.num_vertices,
-            edges=graph.num_edges,
-            engine=self.name,
-            workers=workers,
-        ) as span:
-            if stats is None:
-                stats = RunStats(num_nodes=num_nodes)
-                stats.per_node_units = [0] * num_nodes
-            if node_timeline and stats.node_timeline is None:
-                stats.node_timeline = NodeTimeline(num_nodes=workers)
-            wall_start = time.perf_counter()
-            simulated_start = stats.simulated_seconds
-
-            routing = cluster.routing(graph)
-            ctx = ComputeContext(graph, num_nodes, routing, cost, program)
-            program.setup(ctx)
-
-            owned_nodes = [
-                [n for n in range(num_nodes) if n % workers == w]
-                for w in range(workers)
-            ]
-            shared = _SharedGraph(graph)
-            pool = _Workers()
-            try:
-                shared.install()
-                for w in range(workers):
-                    parent_conn, child_conn = fork.Pipe()
-                    proc = fork.Process(
-                        target=_worker_main,
-                        args=(
-                            child_conn, w, workers, graph, program,
-                            num_nodes, routing, cost,
-                        ),
-                        daemon=True,
-                    )
-                    proc.start()
-                    child_conn.close()
-                    pool.conns.append(parent_conn)
-                    pool.procs.append(proc)
-
-                superstep = self._superstep_loop(
-                    cluster, graph, program, ctx, stats, pool, owned_nodes,
-                    max_supersteps, trace, tracer, rng,
-                )
-                self._finalize(
-                    cluster, program, stats, pool, owned_nodes, superstep,
-                    tracer, rng,
-                )
-                for w in range(workers):
-                    pool.send(w, ("exit",))
-                for proc in pool.procs:
-                    proc.join(timeout=30)
-            finally:
-                pool.close()
-                shared.close()
-
-            cost.check_time(stats.simulated_seconds)
-            stats.wall_seconds += time.perf_counter() - wall_start
-            if tracer.enabled:
-                span.set(supersteps=superstep)
-                span.add_simulated(stats.simulated_seconds - simulated_start)
-        return stats
-
-    # ------------------------------------------------------------------
-    def _gather(self, pool, rng, expected: str) -> dict[int, tuple]:
-        """Await one reply per worker, optionally in shuffled order."""
-        order = list(range(len(pool.conns)))
-        if rng is not None:
-            rng.shuffle(order)
-        replies: dict[int, tuple] = {}
-        for w in order:
-            msg = pool.recv(w)
-            if msg[0] == "error":
-                _, exc, tb = msg
-                if isinstance(exc, BaseException):
-                    if tb:
-                        exc.add_note(f"worker {w} traceback:\n{tb}")
-                    raise exc
-                raise ReproError(f"worker {w} failed: {exc}\n{tb}")
-            if msg[0] != expected:  # pragma: no cover — protocol bug guard
-                raise ReproError(
-                    f"worker {w}: expected {expected!r} reply, got {msg[0]!r}"
-                )
-            replies[w] = msg
-        return replies
-
-    def _superstep_loop(
-        self, cluster, graph, program, ctx, stats, pool, owned_nodes,
-        max_supersteps, trace, tracer, rng,
-    ) -> int:
-        cost = cluster.cost_model
-        num_nodes = cluster.num_nodes
-        workers = len(pool.conns)
-        agg_visible: dict = {}
-        aggregators = ctx._aggregators
-        routed: list[dict[int, list]] = [{} for _ in range(workers)]
-        superstep = 0
-        while True:
-            superstep += 1
-            if superstep > max_supersteps:
-                raise SuperstepLimitExceeded(
-                    f"no termination after {max_supersteps} supersteps"
-                )
-            ctx._begin_superstep(superstep)
-            pool.phase = f"superstep {superstep}"
-            base = stats.simulated_seconds
-            for w in range(workers):
-                pool.send(w, ("step", superstep, base, agg_visible, routed[w]))
-            replies = self._gather(pool, rng, "done")
-            barrier_started = time.perf_counter()
-
-            merged_units = [0] * num_nodes
-            merged_recv = [0] * num_nodes
-            broadcast = local_msgs = remote_msgs = 0
-            active = pending = 0
-            walls = [0.0] * workers
-            routed = [{} for _ in range(workers)]
-            deltas = []
-            for w in range(workers):
-                (
-                    _, w_active, units, recv, w_bcast, w_local, w_remote,
-                    w_pending, remote_out, delta, agg_partial, compute_wall,
-                ) = replies[w]
-                active += w_active
-                broadcast += w_bcast
-                local_msgs += w_local
-                remote_msgs += w_remote
-                pending += w_pending
-                walls[w] = compute_wall
-                deltas.append(delta)
-                for node in range(num_nodes):
-                    merged_units[node] += units[node]
-                    merged_recv[node] += recv[node]
-                for dst_worker, buckets in remote_out.items():
-                    target = routed[dst_worker]
-                    for dst, entries in buckets.items():
-                        pending += len(entries)
-                        bucket = target.get(dst)
-                        if bucket is None:
-                            target[dst] = entries
-                        else:
-                            bucket.extend(entries)
-                if aggregators:
-                    for name, agg in aggregators.items():
-                        agg_visible_value = agg_partial[name]
-                        ctx._agg_current[name] = agg.combine(
-                            ctx._agg_current[name], agg_visible_value
-                        )
-            ctx._units = merged_units
-            ctx._recv_bytes = merged_recv
-            ctx._broadcast_bytes = broadcast
-            ctx._local_messages = local_msgs
-            ctx._remote_messages = remote_msgs
-            _account_superstep(
-                cost, ctx, stats, active, trace, tracer, node_slices=False
-            )
-            if aggregators:
-                agg_visible = dict(ctx._agg_current)
-            for delta in deltas:
-                if delta is not None:
-                    program.mp_apply_published(delta)
-            program.on_barrier(superstep)
-            for w in range(workers):
-                pool.send(w, ("barrier", superstep, deltas))
-            barrier_wall = time.perf_counter() - barrier_started
-            self._emit_worker_slices(
-                stats, tracer, superstep, walls, barrier_wall,
-                merged_units, merged_recv, owned_nodes,
-            )
-            cost.check_time(stats.simulated_seconds)
-            if pending == 0:
-                return superstep
-
-    def _finalize(
-        self, cluster, program, stats, pool, owned_nodes, superstep,
-        tracer, rng,
-    ) -> None:
-        cost = cluster.cost_model
-        num_nodes = cluster.num_nodes
-        workers = len(pool.conns)
-        pool.phase = "the finalize pass"
-        base = stats.simulated_seconds
-        for w in range(workers):
-            pool.send(w, ("finalize", base))
-        replies = self._gather(pool, rng, "finalized")
-        finalize_units = [0] * num_nodes
-        walls = [0.0] * workers
-        for w in range(workers):
-            _, units, _, finalize_wall = replies[w]
-            walls[w] = finalize_wall
-            for node in range(num_nodes):
-                finalize_units[node] += units[node]
-        _account_finalize(
-            cost, stats, finalize_units, superstep,
-            tracer=tracer, node_slices=False,
+        workers = max(1, min(workers, cluster.num_nodes))
+        graph = ctx.graph
+        shared = _SharedGraph(graph)
+        pool = _ProcessWorkers(
+            program,
+            Random(self.arrival_seed) if self.arrival_seed is not None else None,
         )
-        if any(finalize_units):
-            self._emit_worker_slices(
-                stats, tracer, superstep + 1, walls, 0.0,
-                finalize_units, [0] * num_nodes, owned_nodes,
-            )
-        for w in range(workers):  # fixed order: deterministic merge
-            program.mp_merge(replies[w][2])
-
-    def _emit_worker_slices(
-        self, stats, tracer, superstep, walls, barrier_wall,
-        merged_units, merged_recv, owned_nodes,
-    ) -> None:
-        """Record measured per-worker timings as NodeSlice rows.
-
-        Unlike the simulator's per-logical-node slices (simulated
-        seconds), these carry wall-clock measurements with ``node`` set
-        to the worker id: ``compute_seconds`` is the worker's measured
-        superstep time, ``barrier_wait_seconds`` its slack against the
-        slowest worker, and ``barrier_seconds`` the master's measured
-        routing/merge time.
-        """
-        timeline = stats.node_timeline
-        telemetry_on = tracer is not None and tracer.enabled
-        if timeline is None and not telemetry_on:
-            return
-        slowest = max(walls)
-        for w, wall in enumerate(walls):
-            piece = NodeSlice(
-                superstep=superstep,
-                node=w,
-                units=sum(merged_units[n] for n in owned_nodes[w]),
-                compute_seconds=wall,
-                comm_seconds=0.0,
-                barrier_wait_seconds=max(0.0, slowest - wall),
-                barrier_seconds=barrier_wall,
-                recv_bytes=sum(merged_recv[n] for n in owned_nodes[w]),
-            )
-            if timeline is not None:
-                timeline.slices.append(piece)
-            if telemetry_on:
-                tracer.event("pregel.node", **piece.to_dict())
+        try:
+            shared.install()
+            for w in range(workers):
+                parent_conn, child_conn = fork.Pipe()
+                proc = fork.Process(
+                    target=_worker_main,
+                    args=(child_conn, w, workers, cluster, graph, program),
+                    daemon=True,
+                )
+                proc.start()
+                child_conn.close()
+                pool.conns.append(parent_conn)
+                pool.procs.append(proc)
+            yield pool
+            pool._send_all([("exit",)] * workers)
+            for proc in pool.procs:
+                proc.join(timeout=30)
+        finally:
+            pool.close()
+            shared.close()

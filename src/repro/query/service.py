@@ -10,6 +10,7 @@ from repro.baselines.grail import GrailIndex
 from repro.baselines.online import OnlineSearcher
 from repro.core.labels import ReachabilityIndex, label_rows
 from repro.graph.digraph import DiGraph
+from repro.graph.partition import HashPartitioner, node_assignment
 from repro.observe import tracing
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.telemetry import (
@@ -105,11 +106,11 @@ class DistributedIndexBackend:
         cost_model: CostModel | None = None,
         coordinator_node: int = 0,
     ):
-        from repro.graph.partition import HashPartitioner
-
         self._index = index
         self._cost = cost_model or DEFAULT_COST_MODEL
-        self._partitioner = HashPartitioner(num_nodes)
+        self._node_of = node_assignment(
+            HashPartitioner(num_nodes), index.num_vertices
+        )
         self._coordinator = coordinator_node
 
     def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
@@ -119,7 +120,7 @@ class DistributedIndexBackend:
         in_labels = index.in_labels(t)
         seconds = (len(out_labels) + len(in_labels) + 1) * cost.t_op
         for vertex, labels in ((s, out_labels), (t, in_labels)):
-            if self._partitioner.node_of(vertex) != self._coordinator:
+            if self._node_of[vertex] != self._coordinator:
                 seconds += cost.t_hop + len(labels) * cost.entry_bytes * cost.t_byte
         return index.query(s, t), seconds
 

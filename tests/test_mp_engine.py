@@ -6,7 +6,8 @@ this module covers the plumbing around it: the single
 :func:`~repro.graph.partition.node_assignment` helper every executor
 shares (pinned by a golden so a silent change to the hash mix cannot
 slip through), engine selection and its rejection paths, worker
-timelines, the CLI flags, and a worker killed mid-superstep.
+timelines, the CLI flags, builds that end at the super-step limit or
+the simulated cut-off, and a worker killed mid-superstep.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+from dataclasses import replace
 
 import pytest
 
@@ -28,17 +30,21 @@ from repro.errors import ReproError
 from repro.faults import FaultPlan
 from repro.graph.generators import citation_graph
 from repro.graph.io import write_edge_list
+from repro.graph.order import degree_order
 from repro.graph.partition import (
     PARTITIONER_STRATEGIES,
     HashPartitioner,
     node_assignment,
 )
+from repro.pregel.cost_model import CostModel, TimeLimitExceeded
 from repro.pregel.engine import (
     ENGINE_NAMES,
     Cluster,
     SimulatorEngine,
+    SuperstepLimitExceeded,
     resolve_engine,
 )
+from repro.pregel.metrics import RunStats
 from repro.pregel.mp import MultiprocessEngine
 from repro.pregel.vertex_program import VertexProgram
 
@@ -164,12 +170,38 @@ def test_vertex_program_mp_hooks_default_unimplemented():
 # ----------------------------------------------------------------------
 # Worker behaviour
 # ----------------------------------------------------------------------
+def _flood(engine, graph, cost_model=None, **run_kwargs):
+    """One traced DRL flood on ``engine``: ``(exception or None, the
+    committed stats with the wall clock zeroed)``."""
+    cluster = Cluster(num_nodes=3, cost_model=cost_model, engine=engine, workers=2)
+    stats = RunStats(num_nodes=3, per_node_units=[0] * 3)
+    error = None
+    try:
+        cluster.run(
+            graph, DrlFloodProgram(graph, degree_order(graph)),
+            stats=stats, trace=True, **run_kwargs,
+        )
+    except ReproError as exc:
+        error = exc
+    return error, replace(stats, wall_seconds=0.0)
+
+
 def test_single_worker_matches_simulator():
     graph = citation_graph(24, avg_refs=2.0, seed=4)
     sim = drl_index(graph, num_nodes=3)
     mp = drl_index(graph, num_nodes=3, engine="mp", workers=1)
     assert mp.index == sim.index
     assert mp.stats.simulated_seconds == sim.stats.simulated_seconds
+    # Trace rows and the finalize pass (one super-step beyond the last
+    # traced one), not just totals.
+    _, sim_stats = _flood("sim", graph)
+    _, mp_stats = _flood(MultiprocessEngine(workers=1), graph)
+    assert mp_stats == sim_stats
+    assert sim_stats.supersteps == len(sim_stats.trace) + 1
+    assert sum(sim_stats.per_node_units) == sim_stats.compute_units
+    assert sim_stats.compute_units > sum(
+        row.compute_units for row in sim_stats.trace
+    )
 
 
 def test_mp_timeline_holds_measured_worker_slices():
@@ -187,6 +219,39 @@ def test_mp_timeline_holds_measured_worker_slices():
     for piece in timeline.slices:
         assert piece.compute_seconds >= 0.0
         assert piece.barrier_wait_seconds >= 0.0
+
+
+# ----------------------------------------------------------------------
+# A build that ends early
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_superstep_limit_ends_mp_like_the_simulator():
+    graph = citation_graph(80, avg_refs=2.5, seed=4)
+    before = _shm_segments()
+    sim_error, sim_stats = _flood("sim", graph, max_supersteps=3)
+    mp_error, mp_stats = _flood("mp", graph, max_supersteps=3)
+    assert type(sim_error) is type(mp_error) is SuperstepLimitExceeded
+    assert str(mp_error) == str(sim_error)
+    assert mp_stats == sim_stats
+    assert mp_stats.supersteps == len(mp_stats.trace) == 3
+    assert multiprocessing.active_children() == []
+    assert _shm_segments() <= before
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_time_limit_ends_mp_like_the_simulator():
+    graph = citation_graph(80, avg_refs=2.5, seed=4)
+    _, full = _flood("sim", graph)
+    cost = CostModel().with_time_limit(full.simulated_seconds / 2)
+    before = _shm_segments()
+    sim_error, sim_stats = _flood("sim", graph, cost_model=cost)
+    mp_error, mp_stats = _flood("mp", graph, cost_model=cost)
+    assert type(sim_error) is type(mp_error) is TimeLimitExceeded
+    assert str(mp_error) == str(sim_error)
+    assert mp_stats == sim_stats
+    assert 0 < mp_stats.supersteps < full.supersteps
+    assert multiprocessing.active_children() == []
+    assert _shm_segments() <= before
 
 
 # ----------------------------------------------------------------------
@@ -261,6 +326,27 @@ def test_killed_worker_ends_in_a_typed_error(one_worker_dies):
     assert f"killed by signal {int(signal.SIGKILL)}" in message
     assert "superstep 2" in message
     # Every other worker was reaped and the CSR segments unlinked.
+    assert multiprocessing.active_children() == []
+    assert _shm_segments() <= before
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_worker_exception_reaches_the_master_with_its_traceback(monkeypatch):
+    original = DrlFloodProgram.compute
+
+    def compute(self, ctx, w, messages):
+        if ctx.superstep == 2:
+            raise ValueError(f"boom at vertex {w}")
+        original(self, ctx, w, messages)
+
+    monkeypatch.setattr(DrlFloodProgram, "compute", compute)
+    graph = citation_graph(80, avg_refs=2.5, seed=4)
+    before = _shm_segments()
+    with pytest.raises(ValueError, match="boom at vertex") as info:
+        build_index(graph, method="drl", num_nodes=6, engine="mp", workers=3)
+    notes = "\n".join(info.value.__notes__)
+    assert "worker" in notes and "traceback" in notes
+    assert "in compute" in notes  # the worker-side frame, not the master's
     assert multiprocessing.active_children() == []
     assert _shm_segments() <= before
 
