@@ -108,8 +108,9 @@ def _label_query_seconds(
     """Mean simulated query time of a 2-hop index: one unit per label
     entry scanned by the sorted-merge, as in the paper's O(|L|+|L|)."""
     units = 0
+    out_sizes, in_sizes = index.out_sizes, index.in_sizes
     for s, t in pairs:
-        units += len(index.out_labels(s)) + len(index.in_labels(t)) + 1
+        units += out_sizes[s] + in_sizes[t] + 1
     return units * t_op / max(1, len(pairs))
 
 

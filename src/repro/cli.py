@@ -44,7 +44,7 @@ from pathlib import Path
 
 from repro import telemetry
 from repro.core.build import METHOD_NAMES, build_index
-from repro.core.labels import ReachabilityIndex
+from repro.core.labels import ReachabilityIndex, index_file_version
 from repro.errors import ReproError
 from repro.faults import FaultPlan
 from repro.fuzz.cases import FAMILIES as FUZZ_FAMILIES
@@ -740,9 +740,12 @@ def _cmd_info(args) -> int:
         print(f"error: no such file: {args.index}", file=sys.stderr)
         return 2
     index = ReachabilityIndex.load(args.index)
+    print(f"format:        version {index_file_version(args.index)}")
     print(f"vertices:      {index.num_vertices}")
     print(f"label entries: {index.num_entries}")
     print(f"size:          {index.size_bytes() / 1024:.1f} KiB")
+    per_entry = index.memory_bytes() / max(1, index.num_entries)
+    print(f"in memory:     {per_entry:.1f} B/entry")
     print(f"largest label: {index.largest_label}")
     print(f"average label: {index.average_label:.2f}")
     return 0

@@ -95,6 +95,11 @@ class IndexAuditError(ReproError):
         )
 
 
+class IndexFormatError(ReproError, ValueError):
+    """An index file is not one, is truncated, has trailing bytes, or
+    does not match its checksum (raised by ``ReachabilityIndex.load``)."""
+
+
 class TimeLimitExceeded(ReproError):
     """The simulated cut-off time (paper: 2 hours) was exceeded.
 

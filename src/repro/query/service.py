@@ -8,7 +8,8 @@ from typing import Iterable, Protocol
 from repro.baselines.bfl import BflIndex
 from repro.baselines.grail import GrailIndex
 from repro.baselines.online import OnlineSearcher
-from repro.core.labels import ReachabilityIndex, label_rows
+from repro.core.labels import ReachabilityIndex, label_sizes
+from repro.errors import ReproError
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import HashPartitioner, node_assignment
 from repro.observe import tracing
@@ -32,21 +33,21 @@ class QueryBackend(Protocol):
 
 
 class IndexBackend:
-    """2-hop index backend (TOL / DRL family): sorted-merge queries.
+    """2-hop index backend (TOL / DRL family): charged as a sorted merge.
 
-    Serves every index flavour :func:`~repro.core.labels.label_rows`
-    reads; over a live dynamic index the rows come from the mutable
+    Serves every index flavour :func:`~repro.core.labels.label_sizes`
+    reads; over a live dynamic index the sizes come from the mutable
     index, so answers track updates (pair it with
     :class:`repro.serve.QueryCache`, which subscribes to its hooks).
     """
 
     def __init__(self, index, cost_model: CostModel | None = None):
         self._query = index.query
-        self._out_row_of, self._in_row_of = label_rows(index)
+        self._out_size_of, self._in_size_of = label_sizes(index)
         self._t_op = (cost_model or DEFAULT_COST_MODEL).t_op
 
     def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
-        units = len(self._out_row_of(s)) + len(self._in_row_of(t)) + 1
+        units = self._out_size_of(s) + self._in_size_of(t) + 1
         return self._query(s, t), units * self._t_op
 
 
@@ -116,12 +117,12 @@ class DistributedIndexBackend:
     def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
         cost = self._cost
         index = self._index
-        out_labels = index.out_labels(s)
-        in_labels = index.in_labels(t)
-        seconds = (len(out_labels) + len(in_labels) + 1) * cost.t_op
-        for vertex, labels in ((s, out_labels), (t, in_labels)):
+        out_size = index.out_sizes[s]
+        in_size = index.in_sizes[t]
+        seconds = (out_size + in_size + 1) * cost.t_op
+        for vertex, size in ((s, out_size), (t, in_size)):
             if self._node_of[vertex] != self._coordinator:
-                seconds += cost.t_hop + len(labels) * cost.entry_bytes * cost.t_byte
+                seconds += cost.t_hop + size * cost.entry_bytes * cost.t_byte
         return index.query(s, t), seconds
 
 
@@ -163,8 +164,6 @@ class FallbackBackend:
         (time limit, memory, super-step limit) degrade to online BFS;
         other exceptions are bugs and propagate.
         """
-        from repro.errors import ReproError
-
         try:
             built = builder()
         except ReproError:
@@ -252,9 +251,19 @@ class QueryService:
             seconds
         )
 
+    def _ask(self, s: int, t: int) -> tuple[bool, float]:
+        """One backend call; an id outside the index is a typed error (a
+        negative one would count from the end: another vertex's answer)."""
+        if s >= 0 and t >= 0:
+            try:
+                return self._backend.query_with_cost(s, t)
+            except IndexError:
+                pass
+        raise ReproError(f"query ({s}, {t}) names a vertex outside the index")
+
     def query(self, s: int, t: int) -> bool:
         """Single query, answer only."""
-        answer, seconds = self._backend.query_with_cost(s, t)
+        answer, seconds = self._ask(s, t)
         registry = self._registry()
         if registry is not None:
             self._record(registry, answer, seconds)
@@ -269,7 +278,7 @@ class QueryService:
             "query.evaluate", backend=type(self._backend).__name__
         ) as span:
             for s, t in pairs:
-                answer, seconds = self._backend.query_with_cost(s, t)
+                answer, seconds = self._ask(s, t)
                 positives += answer
                 latencies.append(seconds)
                 if registry is not None:

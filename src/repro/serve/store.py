@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.labels import label_rows
+from repro.core.labels import label_sizes
 from repro.errors import ReproError, ShardOutOfMemoryError, ShardUnavailableError
 from repro.graph.partition import HashPartitioner, Partitioner, node_assignment
 from repro.observe import tracing
@@ -146,9 +146,9 @@ class ShardedLabelStore:
     ----------
     index:
         The index to serve, in any flavour
-        :func:`~repro.core.labels.label_rows` reads: a finished
+        :func:`~repro.core.labels.label_sizes` reads: a finished
         :class:`~repro.core.labels.ReachabilityIndex`, or a live
-        :class:`~repro.core.dynamic.DynamicReachabilityIndex` (rows are
+        :class:`~repro.core.dynamic.DynamicReachabilityIndex` (sizes are
         always read through the underlying object, so updates are
         visible immediately).  With a replicator this must be the
         replicator's leader.
@@ -228,22 +228,22 @@ class ShardedLabelStore:
         self.confirmed_reads = 0
         self._listeners: list = []
         self._last_lag_sample = 0
-        # What each replica group reads, as (out_row_of, in_row_of,
+        # What each replica group reads, as (out_size_of, in_size_of,
         # query): the index itself, or with a replicator the leader for
         # group 0 and a follower table for every other group.
         views = [
             index if replicator is None else replicator.view(r)
             for r in range(replicas)
         ]
-        self._views = [(*label_rows(view), view.query) for view in views]
+        self._views = [(*label_sizes(view), view.query) for view in views]
 
-        out_row_of, in_row_of, _ = self._views[0]
+        out_size_of, in_size_of, _ = self._views[0]
         n = index.num_vertices
         # A list, not the helper's array: fetch indexes it twice a read.
         self._shard_of = list(node_assignment(partitioner, n))
         self._shard_entries = [0] * num_shards
         for v, home in enumerate(self._shard_of):
-            self._shard_entries[home] += len(out_row_of(v)) + len(in_row_of(v))
+            self._shard_entries[home] += out_size_of(v) + in_size_of(v)
         budget = self._cost.node_memory_bytes
         for shard_id, attempted in enumerate(self.memory_bytes()):
             if attempted > budget:
@@ -488,24 +488,24 @@ class ShardedLabelStore:
         service = _NEVER
         guard_seconds = 0.0
         for r in chosen:
-            out_row_of, in_row_of, query = views[r]
+            out_size_of, in_size_of, query = views[r]
             try:
-                out_row = out_row_of(s)
-                in_row = in_row_of(t)
+                out_size = out_size_of(s)
+                in_size = in_size_of(t)
             except IndexError:
                 # A follower that has not been told of a new vertex
                 # yet settles its lag before serving.
                 guard_seconds += self._force_catch_up(r)
-                out_row = out_row_of(s)
-                in_row = in_row_of(t)
+                out_size = out_size_of(s)
+                in_size = in_size_of(t)
             member = group.replicas[r]
             member.requests += 1
-            took = (len(out_row) + len(in_row) + 1) * cost.t_op * member.slowdown
+            took = (out_size + in_size + 1) * cost.t_op * member.slowdown
             if target != home:
                 remote = sets[target].replicas[r]
                 remote.requests += 1
                 took += (
-                    cost.t_hop + len(in_row) * cost.entry_bytes * cost.t_byte
+                    cost.t_hop + in_size * cost.entry_bytes * cost.t_byte
                 ) * remote.slowdown
             reply = query(s, t)
             if took < service:
@@ -525,11 +525,11 @@ class ShardedLabelStore:
             guard_seconds += confirm_seconds
         seconds += guard_seconds
         if tracing.ACTIVE is not None:
-            out_row_of, in_row_of, _ = views[winner]
+            out_size_of, in_size_of, _ = views[winner]
             attrs = {
                 "home": home,
                 "replica": winner,
-                "entries": len(out_row_of(s)) + len(in_row_of(t)),
+                "entries": out_size_of(s) + in_size_of(t),
             }
             if target != home:
                 attrs["remote"] = target
@@ -623,8 +623,8 @@ class ShardedLabelStore:
                 # The stale answer sits on the flippable side: confirm
                 # against the leader (one hop + a leader-side merge).
                 cost = self._cost
-                out_row_of, in_row_of, query = self._views[0]
-                merge = (len(out_row_of(s)) + len(in_row_of(t)) + 1) * cost.t_op
+                out_size_of, in_size_of, query = self._views[0]
+                merge = (out_size_of(s) + in_size_of(t) + 1) * cost.t_op
                 confirm_seconds = cost.t_hop + merge
                 seconds += confirm_seconds
                 answer = query(s, t)

@@ -7,7 +7,7 @@ from repro.baselines.grail import build_grail
 from repro.baselines.transitive_closure import TransitiveClosure
 from repro.core.build import build_index
 from repro.core.dynamic import DynamicReachabilityIndex
-from repro.core.labels import label_rows
+from repro.core.labels import label_sizes
 from repro.core.tol import tol_index
 from repro.graph.generators import social_graph
 from repro.pregel.cost_model import CostModel
@@ -57,7 +57,7 @@ def test_all_backends_agree_with_oracle(graph, oracle, pairs):
 
 
 def test_index_backend_serves_every_index_flavour(graph, pairs):
-    # One row protocol: method-style (immutable index), list-style (the
+    # One size protocol: the packed index (stored sizes), list-style (the
     # dynamic index, a replication follower's table) and an
     # attribute-forwarding stand-in all cost and answer alike.
     from repro.serve.replica import LabelTable
@@ -79,14 +79,24 @@ def test_index_backend_serves_every_index_flavour(graph, pairs):
     for flavour in (dynamic, follower, Forwarding(static), Forwarding(dynamic)):
         backend = IndexBackend(flavour, _NO_LIMIT)
         assert [backend.query_with_cost(s, t) for s, t in pairs] == expected
-        out_row_of, in_row_of = label_rows(flavour)
-        assert sorted(out_row_of(7)) == list(static.out_labels(7))
-        assert sorted(in_row_of(7)) == list(static.in_labels(7))
+        out_size_of, in_size_of = label_sizes(flavour)
+        for v in range(graph.num_vertices):
+            assert out_size_of(v) == len(static.out_labels(v))
+            assert in_size_of(v) == len(static.in_labels(v))
+        with pytest.raises(IndexError):  # what the store's catch-up path keys on
+            out_size_of(graph.num_vertices)
     # The dynamic flavour is read live: an update shows without re-wrapping.
     backend = IndexBackend(dynamic, _NO_LIMIT)
     s, t = next((s, t) for (s, t), (answer, _) in zip(pairs, expected) if not answer)
     assert dynamic.insert_edge(s, t)
-    assert backend.query_with_cost(s, t)[0] is True
+    answer, seconds = backend.query_with_cost(s, t)
+    assert answer is True
+    entries = len(dynamic.out_labels[s]) + len(dynamic.in_labels[t])
+    assert seconds == (entries + 1) * _NO_LIMIT.t_op
+    out_size_of, in_size_of = label_sizes(dynamic)
+    new = dynamic.add_node()  # rows the table gains later are read too
+    dynamic.insert_edge(s, new)
+    assert out_size_of(new) == 1 and in_size_of(new) == len(dynamic.in_labels[new]) > 1
 
 
 def test_evaluate_statistics(graph, oracle, pairs):
