@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """One-command reproduction of the paper's evaluation section.
 
-By default runs a quick sample (Table VI on two datasets plus the
-batch-parameter sweeps on one) so it finishes in under a minute; pass
-``--full`` for every table and figure on all datasets (several
-minutes), which is what ``pytest benchmarks/ --benchmark-only`` also
-does with shape assertions.
+Runs every experiment registered in ``repro.bench.EXPERIMENTS`` (Table
+VI, Figs. 5-9, the ablations, fault recovery).  By default each runs on
+one dataset, so the whole thing finishes in about a minute; pass
+``--full`` for every dataset of every experiment (several minutes),
+which is what ``pytest benchmarks/bench_paper.py`` also does, with the
+paper-shape assertions.
 
 Run:  python examples/reproduce_paper.py [--full]
 """
@@ -13,47 +14,19 @@ Run:  python examples/reproduce_paper.py [--full]
 import argparse
 import sys
 
-from repro.bench import (
-    run_fig5_comm_comp,
-    run_fig6_speedup,
-    run_fig7_scalability,
-    run_fig8_batch_size,
-    run_fig9_factor_k,
-    run_table6,
-)
+from repro.bench import EXPERIMENTS, sweep
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true",
-                        help="all datasets, all experiments")
+                        help="all datasets of every experiment")
     args = parser.parse_args(argv)
 
-    if args.full:
-        sections = [
-            ("Table VI (Exps 1-3)", lambda: run_table6(num_queries=300)),
-            ("Fig. 5 (Exp 4)", lambda: (run_fig5_comm_comp(),)),
-            ("Fig. 6 (Exp 5)",
-             lambda: tuple(run_fig6_speedup().values())),
-            ("Fig. 7 (Exp 6)",
-             lambda: tuple(run_fig7_scalability().values())),
-            ("Fig. 8 (Exp 7)", lambda: (run_fig8_batch_size(),)),
-            ("Fig. 9 (Exp 8)", lambda: (run_fig9_factor_k(),)),
-        ]
-    else:
-        sample = ["WEBW", "TW"]
-        sections = [
-            ("Table VI (sample)",
-             lambda: run_table6(dataset_names=sample, num_queries=200)),
-            ("Fig. 8 (sample)",
-             lambda: (run_fig8_batch_size(dataset_names=["TW"]),)),
-            ("Fig. 9 (sample)",
-             lambda: (run_fig9_factor_k(dataset_names=["TW"]),)),
-        ]
-
-    for title, runner in sections:
-        print(f"=== {title} " + "=" * max(0, 60 - len(title)))
-        for table in runner():
+    datasets = None if args.full else ["TW"]
+    for name, experiment in EXPERIMENTS.items():
+        print(f"=== repro bench {name} " + "=" * max(0, 56 - len(name)))
+        for table in sweep(experiment, datasets):
             print(table.render())
             print()
     print("Interpretation notes and paper-vs-measured comparisons: "

@@ -1,17 +1,7 @@
-"""Experiment harness: one runner per paper table/figure."""
+"""Experiment harness: the registry of paper experiments and its sweep."""
 
-from repro.bench.harness import (
-    run_ablation_check_pruning,
-    run_ablation_orders,
-    run_ablation_partitioners,
-    run_fig5_comm_comp,
-    run_fig6_speedup,
-    run_fig7_scalability,
-    run_fig8_batch_size,
-    run_fault_recovery,
-    run_fig9_factor_k,
-    run_table6,
-)
+from repro.bench.harness import Experiment, Variant, sweep
+from repro.bench.registry import EXPERIMENTS
 from repro.bench.results import (
     Cell,
     ExperimentTable,
@@ -21,17 +11,11 @@ from repro.bench.results import (
 
 __all__ = [
     "Cell",
+    "EXPERIMENTS",
+    "Experiment",
     "ExperimentTable",
+    "Variant",
     "atomic_write_text",
     "capture_tables",
-    "run_ablation_check_pruning",
-    "run_ablation_orders",
-    "run_ablation_partitioners",
-    "run_fig5_comm_comp",
-    "run_fig6_speedup",
-    "run_fig7_scalability",
-    "run_fig8_batch_size",
-    "run_fault_recovery",
-    "run_fig9_factor_k",
-    "run_table6",
+    "sweep",
 ]

@@ -43,6 +43,7 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from repro import telemetry
+from repro.bench.registry import EXPERIMENTS
 from repro.core.build import METHOD_NAMES, build_index
 from repro.core.labels import ReachabilityIndex, index_file_version
 from repro.errors import ReproError
@@ -50,7 +51,7 @@ from repro.faults import FaultPlan
 from repro.fuzz.cases import FAMILIES as FUZZ_FAMILIES
 from repro.graph import generators
 from repro.graph.io import read_edge_list, write_edge_list
-from repro.pregel.cost_model import CostModel, paper_scale_model
+from repro.pregel.cost_model import CostModel
 from repro.pregel.engine import ENGINE_NAMES
 from repro.workloads.datasets import DATASETS
 
@@ -168,10 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one paper experiment",
         parents=[telemetry_flags, baseline_flags],
     )
-    bench.add_argument(
-        "experiment",
-        choices=["table6", "fig5", "fig6", "fig7", "fig8", "fig9", "faults"],
-    )
+    bench.add_argument("experiment", choices=list(EXPERIMENTS))
     bench.add_argument("--datasets", nargs="*", default=None)
 
     fuzz = sub.add_parser(
@@ -797,28 +795,9 @@ def _cmd_bench(args) -> int:
     from repro.bench import harness
     from repro.bench.results import capture_tables
 
-    names = args.datasets
-    model = paper_scale_model()
     with capture_tables() as started:
         try:
-            if args.experiment == "table6":
-                tables = harness.run_table6(dataset_names=names, cost_model=model)
-            elif args.experiment == "fig5":
-                tables = (harness.run_fig5_comm_comp(names, cost_model=model),)
-            elif args.experiment == "fig6":
-                tables = tuple(
-                    harness.run_fig6_speedup(names, cost_model=model).values()
-                )
-            elif args.experiment == "fig7":
-                tables = tuple(
-                    harness.run_fig7_scalability(names, cost_model=model).values()
-                )
-            elif args.experiment == "fig8":
-                tables = (harness.run_fig8_batch_size(names, cost_model=model),)
-            elif args.experiment == "fig9":
-                tables = (harness.run_fig9_factor_k(names, cost_model=model),)
-            else:
-                tables = (harness.run_fault_recovery(names, cost_model=model),)
+            tables = harness.sweep(EXPERIMENTS[args.experiment], args.datasets)
         except KeyboardInterrupt:
             # Measurements land in their tables cell by cell; print what
             # completed before the interrupt instead of discarding it.
@@ -831,7 +810,7 @@ def _cmd_bench(args) -> int:
     for table in tables:
         print(table.render())
         print()
-    return _gate_on_baseline(args, args.experiment, list(tables))
+    return _gate_on_baseline(args, args.experiment, tables)
 
 
 def _gate_on_baseline(args, name: str, tables: list) -> int:
@@ -1137,9 +1116,9 @@ def _read_trace_tolerantly(path: Path):
 
 
 def _cmd_trace(args) -> int:
+    from repro.observe.dashboard import format_request
     from repro.telemetry.report import (
         find_request_traces,
-        format_request_trace,
         slowest_requests_section,
         summarize_trace,
     )
@@ -1153,8 +1132,8 @@ def _cmd_trace(args) -> int:
             print(f"error: no request trace with ID {args.trace_id!r} "
                   f"in {args.file}", file=sys.stderr)
             return 1
-        for attrs in matches:
-            print(format_request_trace(attrs))
+        for request in matches:
+            print(format_request(request))
         return exit_code
     if args.slowest is not None:
         section = slowest_requests_section(records, args.slowest)

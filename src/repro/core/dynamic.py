@@ -246,6 +246,24 @@ class DynamicReachabilityIndex:
         for listener in self._listeners:
             listener(op, u, v)
 
+    def apply(self, op: str, u: int, v: int) -> bool:
+        """Apply one ``(op, u, v)`` update; returns whether it changed
+        anything.  ``op`` is one of :data:`UPDATE_OPS`: ``add_node``
+        ignores the payload, ``delete_node`` deletes ``u``, ``promote``
+        moves ``u`` to rank ``v`` (negative meaning its degree rank)."""
+        if op == "insert":
+            return self.insert_edge(u, v)
+        if op == "delete":
+            return self.delete_edge(u, v)
+        if op == "add_node":
+            self.add_node()
+            return True
+        if op == "delete_node":
+            return self.delete_node(u)
+        if op == "promote":
+            return self.promote(u, v) is not None
+        raise ValueError(f"unknown update op {op!r}")
+
     # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------

@@ -35,7 +35,7 @@ from repro.baselines.online import OnlineSearcher
 from repro.baselines.transitive_closure import TransitiveClosure
 from repro.core.build import METHOD_NAMES, build_index
 from repro.core.condensed import build_condensed_index
-from repro.core.dynamic import DynamicReachabilityIndex
+from repro.core.dynamic import UPDATE_OPS, DynamicReachabilityIndex
 from repro.core.labels import ReachabilityIndex
 from repro.core.tol import tol_index
 from repro.core.validate import check_canonical, check_cover, check_soundness
@@ -290,19 +290,10 @@ def oracle_dynamic_vs_rebuild(ctx: CaseContext) -> list[str]:
     )
     violations: list[str] = []
     for step, (op, u, v) in enumerate(ctx.case.updates):
-        if op == "insert":
-            dynamic.insert_edge(u, v)
-        elif op == "delete":
-            dynamic.delete_edge(u, v)
-        elif op == "add_node":
-            dynamic.add_node()
-        elif op == "delete_node":
-            dynamic.delete_node(u)
-        elif op == "promote":
-            dynamic.promote(u, None if v < 0 else v)
-        else:
+        if op not in UPDATE_OPS:
             violations.append(f"update {step}: unknown op {op!r}")
             continue
+        dynamic.apply(op, u, v)
         # Reread the order each step: node additions and promotions
         # (explicit or drift-triggered) replace it.
         rebuilt = tol_index(dynamic.current_graph(), dynamic.order)

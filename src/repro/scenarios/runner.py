@@ -39,22 +39,6 @@ from repro.serve.store import ShardedIndexBackend
 from repro.workloads.updates import mixed_update_stream, update_stream
 
 
-def _apply_update(dynamic, op: str, u: int, v: int) -> None:
-    """Apply one update op (any of the five kinds) to a dynamic index."""
-    if op == "insert":
-        dynamic.insert_edge(u, v)
-    elif op == "delete":
-        dynamic.delete_edge(u, v)
-    elif op == "add_node":
-        dynamic.add_node()
-    elif op == "delete_node":
-        dynamic.delete_node(u)
-    elif op == "promote":
-        dynamic.promote(u, None if v < 0 else v)
-    else:
-        raise ValueError(f"unknown update op {op!r}")
-
-
 class AuditingBackend:
     """Records ``(version, s, t, answer)`` for every served query.
 
@@ -321,7 +305,7 @@ def run_scenario(
                 at, (op, u, v) = pending_updates[cursor]
                 if replicator is not None:
                     replicator.note_time(at)
-                _apply_update(index, op, u, v)
+                index.apply(op, u, v)
                 cursor += 1
             update_cursor[0] = cursor
         injector.advance(clock)
@@ -422,7 +406,7 @@ def _audit(
     for record_version, s, t, answer in sorted(records, key=lambda r: r[0]):
         while version < record_version:
             op, u, v = applied_updates[version]
-            _apply_update(dynamic, op, u, v)
+            dynamic.apply(op, u, v)
             version += 1
         if version not in oracles:
             oracles[version] = TransitiveClosure(dynamic.current_graph())

@@ -24,14 +24,15 @@ only shapes the simulated clock; correctness never depends on it.
 
 from __future__ import annotations
 
+from repro.core.dynamic import UPDATE_OPS
 from repro.observe import tracing
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.telemetry import trace_event
 
-#: Operations :meth:`MutationBackend.apply_with_cost` accepts, in
-#: ``(op, u, v)`` shape (``add_node`` ignores the payload; ``promote``
-#: treats ``v`` as the target rank, negative meaning "degree rank").
-MUTATION_OPS = ("insert", "delete", "add_node", "delete_node", "promote")
+#: Operations :meth:`MutationBackend.apply_with_cost` accepts, in the
+#: ``(op, u, v)`` shape of
+#: :meth:`~repro.core.dynamic.DynamicReachabilityIndex.apply`.
+MUTATION_OPS = UPDATE_OPS
 
 #: Maintenance touches roughly this many labels per seed-label entry
 #: (resume BFS + stale sweep); calibrated against the direct-path
@@ -115,11 +116,10 @@ class MutationBackend:
 
     def _dispatch(self, op: str, u: int, v: int) -> tuple[str, float]:
         leader = self.leader
-        if op == "add_node":
-            leader.add_node()
-            return "applied", self._t_op * WRITE_AMPLIFICATION
         # Seed-label estimate: the hubs whose BFSs the update resumes.
-        if op in ("insert", "delete"):
+        if op == "add_node":
+            units = 1
+        elif op in ("insert", "delete"):
             leader._check_vertex(u)
             leader._check_vertex(v)
             units = len(leader.in_labels[u]) + len(leader.out_labels[v]) + 1
@@ -127,12 +127,4 @@ class MutationBackend:
             leader._check_vertex(u)
             units = len(leader.in_labels[u]) + len(leader.out_labels[u]) + 1
         seconds = units * self._t_op * WRITE_AMPLIFICATION
-        if op == "insert":
-            changed = leader.insert_edge(u, v)
-        elif op == "delete":
-            changed = leader.delete_edge(u, v)
-        elif op == "delete_node":
-            changed = leader.delete_node(u)
-        else:  # promote: negative target rank means "degree rank"
-            changed = leader.promote(u, None if v < 0 else v) is not None
-        return ("applied" if changed else "noop"), seconds
+        return ("applied" if leader.apply(op, u, v) else "noop"), seconds

@@ -20,6 +20,11 @@ from collections import defaultdict
 from pathlib import Path
 
 from repro.bench.results import Cell, ExperimentTable
+from repro.observe.dashboard import (
+    RequestRecord,
+    format_request,
+    requests_from_records,
+)
 from repro.telemetry.metrics import percentile_from_record
 
 
@@ -180,58 +185,17 @@ def superstep_table(records: list[dict], limit: int = 20) -> ExperimentTable | N
     return table
 
 
-def request_records(records: list[dict]) -> list[dict]:
-    """The ``serve.request`` events of a trace (see
-    :mod:`repro.observe.tracing`), in arrival order within the file."""
-    return [
-        record
-        for record in records
-        if record["kind"] == "event"
-        and record["name"] == "serve.request"
-        and "trace_id" in record.get("attrs", {})
-    ]
-
-
-def format_request_trace(attrs: dict) -> str:
-    """One request trace with its per-stage breakdown, as one line."""
-    stages = []
-    for stage in attrs.get("stages", ()):
-        extras = [
-            f"{key}={value}"
-            for key, value in stage.items()
-            if key not in ("stage", "seconds") and value is not None
-        ]
-        text = f"{stage.get('stage', '?')} {stage.get('seconds', 0.0):.2e}s"
-        if extras:
-            text += " (" + " ".join(extras) + ")"
-        stages.append(text)
-    head = (
-        f"{attrs.get('trace_id', '?')}  "
-        f"q({attrs.get('source', '?')},{attrs.get('target', '?')})  "
-        f"{attrs.get('outcome', '?')}"
-    )
-    reason = attrs.get("reason")
-    if reason:
-        head += f"[{reason}]"
-    head += f"  latency {attrs.get('latency_seconds', 0.0):.2e}s"
-    if stages:
-        head += "  |  " + " -> ".join(stages)
-    return head
-
-
 def requests_overview_section(records: list[dict]) -> str | None:
     """Outcome counts over the trace's ``serve.request`` events."""
-    requests = request_records(records)
+    requests = requests_from_records(records)
     if not requests:
         return None
     outcomes: dict[str, int] = defaultdict(int)
     reasons: dict[str, int] = defaultdict(int)
-    for record in requests:
-        attrs = record["attrs"]
-        outcomes[attrs.get("outcome", "?")] += 1
-        reason = attrs.get("reason")
-        if reason:
-            reasons[reason] += 1
+    for request in requests:
+        outcomes[request.outcome] += 1
+        if request.reason:
+            reasons[request.reason] += 1
     title = "Request traces"
     lines = [title, "=" * len(title)]
     lines.append(
@@ -251,30 +215,26 @@ def requests_overview_section(records: list[dict]) -> str | None:
 def slowest_requests_section(records: list[dict], n: int) -> str | None:
     """The ``n`` worst served request traces, per-stage breakdown."""
     requests = [
-        record["attrs"]
-        for record in request_records(records)
-        if record["attrs"].get("outcome") == "served"
+        request
+        for request in requests_from_records(records)
+        if request.outcome == "served"
     ]
     if not requests:
         return None
-    requests.sort(
-        key=lambda attrs: (
-            -attrs.get("latency_seconds", 0.0), attrs.get("trace_id", "")
-        )
-    )
+    requests.sort(key=lambda r: (-r.latency_seconds, r.trace_id))
     shown = requests[: max(n, 0)]
     title = f"Slowest {len(shown)} request(s)"
     lines = [title, "=" * len(title)]
-    lines.extend(format_request_trace(attrs) for attrs in shown)
+    lines.extend(format_request(request) for request in shown)
     return "\n".join(lines)
 
 
-def find_request_traces(records: list[dict], trace_id: str) -> list[dict]:
-    """The ``serve.request`` attrs matching one trace ID exactly."""
+def find_request_traces(records: list[dict], trace_id: str) -> list[RequestRecord]:
+    """The ``serve.request`` events matching one trace ID exactly."""
     return [
-        record["attrs"]
-        for record in request_records(records)
-        if record["attrs"].get("trace_id") == trace_id
+        request
+        for request in requests_from_records(records)
+        if request.trace_id == trace_id
     ]
 
 

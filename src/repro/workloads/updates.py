@@ -165,15 +165,4 @@ def mixed_update_stream(
 def apply_stream(dynamic, stream: list[UpdateOp]) -> None:
     """Apply an update stream to a dynamic index (all five op kinds)."""
     for op, u, v in stream:
-        if op == "insert":
-            dynamic.insert_edge(u, v)
-        elif op == "delete":
-            dynamic.delete_edge(u, v)
-        elif op == "add_node":
-            dynamic.add_node()
-        elif op == "delete_node":
-            dynamic.delete_node(u)
-        elif op == "promote":
-            dynamic.promote(u, None if v == IDEAL_RANK else v)
-        else:
-            raise ValueError(f"unknown update op {op!r}")
+        dynamic.apply(op, u, v)

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import (
-    run_ablation_check_pruning,
-    run_fig5_comm_comp,
-    run_fig8_batch_size,
-    run_fig9_factor_k,
-    run_table6,
-)
+from repro.bench import EXPERIMENTS, sweep
 from repro.bench.results import Cell, ExperimentTable
 from repro.pregel.cost_model import paper_scale_model
 
@@ -79,7 +73,7 @@ def test_table_column_values_skip_markers():
 # Harness smoke runs (single small dataset to keep tests fast)
 # ----------------------------------------------------------------------
 def test_table6_single_dataset_shape():
-    time_t, size_t, query_t = run_table6(dataset_names=["TW"], num_queries=50)
+    time_t, size_t, query_t = sweep(EXPERIMENTS["table6"], ["TW"], axis=50)
     assert time_t.rows == ["TW"]
     for table in (time_t, size_t, query_t):
         assert table.columns == ["BFL^C", "BFL^D", "TOL", "DRL_b", "DRL_b^M"]
@@ -90,9 +84,7 @@ def test_table6_single_dataset_shape():
 
 
 def test_table6_respects_paper_unavailability():
-    time_t, _size_t, _query_t = run_table6(
-        dataset_names=["SINA"], num_queries=20
-    )
+    time_t, _size_t, _query_t = sweep(EXPERIMENTS["table6"], ["SINA"], axis=20)
     assert time_t.get("SINA", "TOL").marker == "-"
     assert time_t.get("SINA", "DRL_b^M").marker == "-"
     assert time_t.get("SINA", "BFL^C").ok
@@ -100,22 +92,22 @@ def test_table6_respects_paper_unavailability():
 
 
 def test_fig5_single_dataset():
-    table = run_fig5_comm_comp(dataset_names=["GO"])
+    (table,) = sweep(EXPERIMENTS["fig5"], ["GO"])
     assert table.rows == ["GO"]
     assert table.get("GO", "DRL comp").ok
     assert table.get("GO", "DRL_b comm").ok
 
 
 def test_fig8_and_fig9_small_sweeps():
-    fig8 = run_fig8_batch_size(dataset_names=["GO"], b_values=(1, 4))
+    (fig8,) = sweep(EXPERIMENTS["fig8"], ["GO"], axis=(1, 4))
     assert fig8.columns == ["b=1", "b=4"]
     assert all(fig8.get("GO", c).ok for c in fig8.columns)
-    fig9 = run_fig9_factor_k(dataset_names=["GO"], k_values=(2, 4))
+    (fig9,) = sweep(EXPERIMENTS["fig9"], ["GO"], axis=(2, 4))
     assert all(fig9.get("GO", c).ok for c in fig9.columns)
 
 
 def test_fig9_k1_much_slower():
-    table = run_fig9_factor_k(dataset_names=["GO"], k_values=(1, 2))
+    (table,) = sweep(EXPERIMENTS["fig9"], ["GO"], axis=(1, 2))
     k1 = table.get("GO", "k=1")
     k2 = table.get("GO", "k=2")
     assert k2.ok
@@ -123,7 +115,7 @@ def test_fig9_k1_much_slower():
 
 
 def test_ablation_check_pruning_helps_on_social():
-    table = run_ablation_check_pruning(dataset_names=["TW"])
+    (table,) = sweep(EXPERIMENTS["ablation-check-pruning"], ["TW"])
     with_check = table.get("TW", "with Check")
     without = table.get("TW", "without Check")
     assert with_check.ok
@@ -132,7 +124,7 @@ def test_ablation_check_pruning_helps_on_social():
 
 def test_timeout_markers_appear_under_tight_cutoff():
     model = paper_scale_model(time_limit_seconds=1e-9)
-    table = run_fig5_comm_comp(dataset_names=["GO"], cost_model=model)
+    (table,) = sweep(EXPERIMENTS["fig5"], ["GO"], cost_model=model)
     assert table.get("GO", "DRL comp").marker == "INF"
 
 
@@ -161,12 +153,86 @@ def test_capture_tables_collects_created_tables():
 
 
 def test_run_fault_recovery_table():
-    from repro.bench import run_fault_recovery
-
-    table = run_fault_recovery(dataset_names=("GO",), num_nodes=8)
+    (table,) = sweep(EXPERIMENTS["faults"], ("GO",))
     assert table.rows == ["GO"]
     assert table.get("GO", "identical").value == 1.0
     assert table.get("GO", "recovery s").value > 0.0
     assert (
         table.get("GO", "faulty s").value > table.get("GO", "clean s").value
     )
+
+
+# ----------------------------------------------------------------------
+# The registry: every experiment through the one sweep
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_registered_experiment_end_to_end(name, monkeypatch, capsys):
+    """Columns as registered, one ``bench.cell`` span per build, and
+    the CLI renders what a second sweep renders."""
+    from repro import telemetry
+    from repro.bench import harness
+    from repro.cli import main
+
+    experiment = EXPERIMENTS[name]
+    dataset = "TW" if name == "table6" else "GO"
+    builds = []
+    for target in ("build_index", "build_bfl", "build_bfl_distributed"):
+        builder = getattr(harness, target)
+
+        def counted(*args, builder=builder, **kwargs):
+            builds.append(builder.__name__)
+            return builder(*args, **kwargs)
+
+        monkeypatch.setattr(harness, target, counted)
+
+    spans = []
+
+    class CellSpans:  # a sink that keeps nothing else: k = 1 emits a lot
+        def on_span(self, span):
+            if span.name == "bench.cell":
+                spans.append(span.attrs)
+
+        def on_event(self, event):
+            pass
+
+        def on_metrics(self, registry):
+            pass
+
+        def close(self):
+            pass
+
+    with telemetry.session([CellSpans()]):
+        tables = sweep(experiment, [dataset])
+
+    variants = experiment.variants()
+    assert len(tables) == len(experiment.tables)
+    for index, (table, spec) in enumerate(zip(tables, experiment.tables)):
+        assert table.title == spec["title"]
+        assert table.rows == [dataset]
+        landed = [c for v in variants for t, c, _ in v.lands if t == index]
+        assert table.columns == list(dict.fromkeys(landed))
+        assert all(table.get(dataset, c).format() for c in table.columns)
+    # Nothing fails on these datasets, so every variant was built once.
+    assert len(spans) == len(builds) == len(variants)
+    for attrs in spans:
+        assert attrs["experiment"] == name and attrs["dataset"] == dataset
+        assert "method" in attrs and "num_nodes" in attrs
+
+    assert main(["bench", name, "--datasets", dataset]) == 0
+    rendered = "".join(table.render() + "\n\n" for table in tables)
+    assert capsys.readouterr().out == rendered
+
+
+@pytest.mark.parametrize("name", ["fig5", "ablation-orders"])
+def test_out_of_memory_is_a_marker_in_every_experiment(name, monkeypatch):
+    from repro.bench import harness
+    from repro.errors import OutOfMemoryError
+
+    def too_big(*args, **kwargs):
+        raise OutOfMemoryError(2, 1, "build")
+
+    monkeypatch.setattr(harness, "build_index", too_big)
+    for table in sweep(EXPERIMENTS[name], ["GO"]):
+        assert [table.get("GO", c).marker for c in table.columns] == (
+            ["-"] * len(table.columns)
+        )

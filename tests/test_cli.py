@@ -483,12 +483,12 @@ def test_bench_faults_experiment(capsys):
 def test_bench_interrupt_flushes_partial_results(capsys, monkeypatch):
     from repro.bench.results import ExperimentTable
 
-    def interrupted(dataset_names=None, cost_model=None):
+    def interrupted(experiment, datasets=None):
         table = ExperimentTable("Partial fig8", ["b=2"])
         table.set("GO", "b=2", 0.125)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr("repro.bench.harness.run_fig8_batch_size", interrupted)
+    monkeypatch.setattr("repro.bench.harness.sweep", interrupted)
     assert main(["bench", "fig8"]) == 130
     captured = capsys.readouterr()
     assert "partial results" in captured.err

@@ -252,3 +252,17 @@ def test_cli_table_coverage_flags_missing_subcommand(tmp_path):
     missing = {f.what.split("`")[1] for f in failures}
     assert "query" in missing and "serve-bench" in missing
     assert "build" not in missing
+
+
+def test_bench_names_must_be_registered_experiments(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "Run `repro bench fig5`, then `python -m repro bench fig55 --datasets GO`;\n"
+        "`repro bench --help` lists them and `repro bench <name>` runs one.\n"
+    )
+    failures = check_docs.check_bench_names(doc)
+    assert [(f.line, f.what) for f in failures] == [
+        (1, "`repro bench fig55` is not a registered experiment")
+    ]
+    for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/paper_mapping.md"):
+        assert check_docs.check_bench_names(check_docs.REPO_ROOT / name) == []

@@ -380,6 +380,35 @@ def test_unsubscribe_stops_notifications():
     assert events == ["insert"]
 
 
+def test_apply_dispatches_every_update_op():
+    from repro.core.dynamic import UPDATE_OPS
+    from repro.serve.mutation import MUTATION_OPS
+
+    assert MUTATION_OPS is UPDATE_OPS
+    dynamic = DynamicReachabilityIndex(DiGraph(4, [(0, 1), (1, 2), (3, 1)]))
+    events = []
+    dynamic.subscribe(lambda op, u, v: events.append(op))
+    assert dynamic.apply("insert", 2, 3) is True
+    assert dynamic.apply("insert", 2, 3) is False  # already present
+    assert dynamic.apply("delete", 2, 3) is True
+    assert dynamic.apply("delete", 2, 3) is False  # already absent
+    assert dynamic.apply("add_node", 0, 0) is True
+    assert dynamic.num_vertices == 5
+    tail = list(dynamic.order.by_rank())[-1]
+    assert dynamic.apply("promote", tail, 0) is True
+    assert dynamic.apply("promote", tail, 0) is False  # not hub-ward
+    # A negative rank is the degree rank, as for promote(v) itself.
+    twin = DynamicReachabilityIndex(dynamic.current_graph(), order=dynamic.order)
+    hub = max(dynamic.alive_vertices(), key=dynamic.order.ranks.__getitem__)
+    assert dynamic.apply("promote", hub, -1) == (twin.promote(hub) is not None)
+    assert list(dynamic.order.by_rank()) == list(twin.order.by_rank())
+    assert dynamic.apply("delete_node", 1, 1) is True
+    assert set(events) == set(UPDATE_OPS)
+    dynamic.check()
+    with pytest.raises(ValueError, match="unknown update op"):
+        dynamic.apply("truncate", 0, 1)
+
+
 # ----------------------------------------------------------------------
 # Property tests: exactness under random update sequences
 # ----------------------------------------------------------------------

@@ -19,7 +19,6 @@ import repro.core.tol
 from repro.core.dynamic import DynamicReachabilityIndex
 from repro.graph.generators import random_digraph, web_graph
 from repro.scenarios import library_scenarios, run_scenario_file
-from repro.scenarios.runner import _apply_update
 from repro.serve import BoundedStalenessReplicator
 from repro.serve.replica import LabelTable
 from repro.workloads.updates import mixed_update_stream
@@ -63,7 +62,7 @@ def test_follower_after_k_entries_equals_leader_at_version_k(seed):
     for op, u, v in _stream(leader, 70, seed):
         clock += rng.choice([0.0005, 0.001, 0.003])
         replicator.note_time(clock)
-        _apply_update(leader, op, u, v)
+        leader.apply(op, u, v)
         step = rng.random()
         if step < 0.5:
             replicator.advance(clock, {2} if rng.random() < 0.6 else {1, 2})
@@ -93,7 +92,7 @@ def test_log_entries_hold_exactly_the_rows_the_op_changed():
             "out": [frozenset(row) for row in leader.out_labels],
         }
         logged = replicator.version
-        _apply_update(leader, op, u, v)
+        leader.apply(op, u, v)
         entries = replicator.log[logged:]
         assert len(entries) <= 1  # a promote already at its rank logs nothing
         for old, live, rows in (
@@ -129,7 +128,7 @@ def test_add_node_grows_follower_tables():
 def test_follower_built_from_a_leader_with_history_starts_equal(monkeypatch):
     leader = DynamicReachabilityIndex(web_graph(90, seed=6), drift_threshold=8)
     for op, u, v in _stream(leader, 30, seed=2):
-        _apply_update(leader, op, u, v)
+        leader.apply(op, u, v)
     calls = []
     monkeypatch.setattr(
         repro.core.tol, "tol_index", lambda *a, **k: calls.append(a)
@@ -144,7 +143,7 @@ def test_follower_built_from_a_leader_with_history_starts_equal(monkeypatch):
         assert LabelTable.__slots__ == ("in_labels", "out_labels")
         assert not hasattr(follower, "insert_edge")
     for op, u, v in _stream(leader, 30, seed=4):
-        _apply_update(leader, op, u, v)
+        leader.apply(op, u, v)
     replicator.advance(1.0)
     assert replicator.view(1).snapshot() == leader.snapshot()
     # Neither building followers nor applying entries builds an index.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import telemetry
-from repro.bench.harness import run_fig5_comm_comp
+from repro.bench import EXPERIMENTS, sweep
 from repro.telemetry import session, trace_span
 from repro.telemetry.report import (
     TraceReadError,
@@ -108,7 +108,7 @@ def test_fig5_table_reproducible_from_trace_alone(tmp_path):
     the experiment's comp/comm table, cell for cell."""
     path = tmp_path / "fig5.jsonl"
     with session([JsonlSink(path)]):
-        rendered = run_fig5_comm_comp(dataset_names=["GO"])
+        (rendered,) = sweep(EXPERIMENTS["fig5"], ["GO"])
     tables = bench_cell_tables(read_trace(path))
     fig5 = next(t for t in tables if "fig5" in t.title)
     assert fig5.rows == rendered.rows
@@ -126,7 +126,7 @@ def test_fig5_table_reproducible_from_trace_alone(tmp_path):
 def test_summarize_trace_has_all_sections(tmp_path):
     path = tmp_path / "full.jsonl"
     with session([JsonlSink(path)]):
-        run_fig5_comm_comp(dataset_names=["GO"])
+        sweep(EXPERIMENTS["fig5"], ["GO"])
     text = summarize_trace(read_trace(path))
     assert "Top spans by simulated time" in text
     assert "Experiment fig5" in text

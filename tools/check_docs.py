@@ -12,7 +12,10 @@ blocks out of markdown files and:
   commands (``pip``, ``pytest``, ``cmp`` …) are skipped;
 - **compiles** every ``python`` block (syntax check); blocks preceded
   by an ``<!-- docs-check: run -->`` marker are also executed;
-- **resolves** every relative markdown link to an existing file.
+- **resolves** every relative markdown link to an existing file;
+- **looks up** every ``repro bench <name>``, in prose or code, in the
+  experiment registry (also in ``DESIGN.md`` and ``EXPERIMENTS.md``,
+  whose commands are otherwise not run).
 
 Opt a block out with ``<!-- docs-check: skip -->`` on the line (or up
 to two lines) above the fence — for commands that need artifacts only
@@ -269,6 +272,31 @@ def check_cli_table(api_md: Path) -> list[Failure]:
     return failures
 
 
+_BENCH_NAME_RE = re.compile(r"\brepro bench ([a-z0-9][a-z0-9-]*)")
+
+
+def check_bench_names(path: Path) -> list[Failure]:
+    """Every ``repro bench <name>`` in a doc must be a registry key."""
+    src = str(REPO_ROOT / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    from repro.bench import EXPERIMENTS
+
+    failures = []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines, 1):
+        for name in _BENCH_NAME_RE.findall(line):
+            if name not in EXPERIMENTS:
+                failures.append(
+                    Failure(
+                        path, i,
+                        f"`repro bench {name}` is not a registered experiment",
+                        "known: " + ", ".join(EXPERIMENTS),
+                    )
+                )
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -294,6 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         report = check_file(path, list_only=args.list)
         if path.name == "api.md" and not args.list:
             report.failures.extend(check_cli_table(path))
+        report.failures.extend(check_bench_names(path))
         status = "FAIL" if report.failures else "ok"
         print(
             f"{status:4} {path}: {report.commands_run} command(s) run, "
@@ -305,6 +334,11 @@ def main(argv: list[str] | None = None) -> int:
         for failure in report.failures:
             print(failure, file=sys.stderr)
             exit_code = 1
+    if not args.files:
+        for name in ("DESIGN.md", "EXPERIMENTS.md"):
+            for failure in check_bench_names(REPO_ROOT / name):
+                print(failure, file=sys.stderr)
+                exit_code = 1
     return exit_code
 
 
