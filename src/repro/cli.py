@@ -604,7 +604,7 @@ def _cmd_build(args) -> int:
         return 2
     graph = read_edge_list(args.graph)
     kwargs = {}
-    if args.method == "drl-b":
+    if args.method in ("drl-b", "drl-b-m"):
         kwargs = dict(
             initial_batch_size=args.batch_size, growth_factor=args.growth_factor
         )

@@ -26,9 +26,7 @@ _METHODS: dict[str, Callable[..., LabelingResult]] = {
     "drl-": drl_basic_index,
     "drl": drl_index,
     "drl-b": drl_batch_index,
-    "drl-b-m": lambda graph, num_nodes=32, **kw: drl_multicore_index(
-        graph, num_cores=num_nodes, **kw
-    ),
+    "drl-b-m": drl_multicore_index,
 }
 
 
@@ -39,7 +37,8 @@ def build_index(
     num_nodes: int = 32,
     **kwargs,
 ) -> LabelingResult:
-    """Build a TOL-identical reachability index with the chosen method.
+    """Build a TOL-identical reachability index with the chosen method;
+    returns the index (identical across all methods) plus run statistics.
 
     Parameters
     ----------
@@ -52,26 +51,20 @@ def build_index(
     order:
         Vertex order; defaults to the paper's degree-based order.
     num_nodes:
-        Simulated cluster size (cores, for ``"drl-b-m"``); ignored by
-        ``"tol"``.
+        Simulated cluster size (cores, for ``"drl-b-m"``); not ``"tol"``'s.
     kwargs:
-        Method-specific options (``cost_model``, ``partitioner``,
-        ``initial_batch_size``, ``growth_factor``, ``faults``,
-        ``checkpoint_interval``, ...).  The serial ``"tol"`` baseline
-        runs on one machine and ignores cluster-only options such as
-        fault plans.
-
-    Returns
-    -------
-    LabelingResult
-        The index (identical across all methods) plus run statistics.
+        The method's own options (``initial_batch_size``, ``batches``,
+        ``check_pruning``, ...) and, for the cluster methods,
+        :class:`~repro.core.drl.FloodBuild`'s (``cost_model``,
+        ``partitioner``, ``faults``, ``checkpoint_interval``, ``engine``,
+        ...).  The serial ``"tol"`` baseline ignores cluster-only ones.
     """
     try:
         builder = _METHODS[method]
     except KeyError:
         known = ", ".join(sorted(_METHODS))
         raise ValueError(f"unknown method {method!r}; choose one of: {known}")
-    return builder(graph, order=order, num_nodes=num_nodes, **kwargs)
+    return builder(graph, order, num_nodes, **kwargs)
 
 
 METHOD_NAMES = tuple(sorted(_METHODS))

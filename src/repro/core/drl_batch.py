@@ -19,16 +19,11 @@ trade-off between TOL's pruning power and DRL's parallelism.
 from __future__ import annotations
 
 from repro.core.batching import batch_sequence
-from repro.core.drl import DrlFloodProgram
-from repro.core.labels import LabelingResult, ReachabilityIndex
-from repro.faults import FaultPlan
+from repro.core.drl import DrlFloodProgram, FloodBuild
+from repro.core.labels import LabelingResult
 from repro.graph.digraph import DiGraph
-from repro.graph.order import VertexOrder, degree_order
-from repro.graph.partition import Partitioner
-from repro.pregel.cost_model import CostModel
-from repro.pregel.engine import Cluster
-from repro.pregel.metrics import RunStats
-from repro.telemetry import current_metrics, enabled, trace_span
+from repro.graph.order import VertexOrder
+from repro.telemetry import current_metrics, enabled
 
 
 def drl_batch_index(
@@ -37,23 +32,15 @@ def drl_batch_index(
     num_nodes: int = 32,
     initial_batch_size: float = 2,
     growth_factor: float = 2.0,
-    cost_model: CostModel | None = None,
-    partitioner: Partitioner | None = None,
     check_pruning: bool = True,
     combine_messages: bool = False,
     batches: list[list[int]] | None = None,
-    faults: FaultPlan | None = None,
-    checkpoint_interval: int | None = None,
-    node_timeline: bool = False,
-    engine: str = "sim",
-    workers: int | None = None,
+    **build_options,
 ) -> LabelingResult:
-    """Build the TOL index with DRL_b on a cluster.
+    """Build the TOL index with DRL_b on a cluster: one flood per batch.
 
     Parameters
     ----------
-    graph, order, num_nodes, cost_model, partitioner:
-        As in :func:`~repro.core.drl.drl_index`.
     initial_batch_size, growth_factor:
         The paper's ``b`` and ``k`` (both default 2; see Exps 7-8).
     check_pruning, combine_messages:
@@ -61,78 +48,35 @@ def drl_batch_index(
     batches:
         Explicit batch sequence overriding ``b``/``k`` (must satisfy
         Definition 7; validated by the flood's correctness, not here).
-    faults, checkpoint_interval:
-        Fault plan and checkpoint cadence (see :mod:`repro.faults`).
-        All batch runs share one cluster, so each crash event fires at
-        most once across the whole build and a node lost in batch ``i``
-        stays dead for batches ``i+1, ...``.
-    node_timeline:
-        Record the per-node breakdown of every batch into
-        ``stats.node_timeline`` (see :mod:`repro.profiling`); batches
-        append to one timeline, so super-step numbers restart per batch.
-    engine, workers:
-        Execution engine selection (``"sim"`` or ``"mp"``) and the mp
-        engine's worker-process count; see :mod:`repro.pregel.mp`.
-        Every batch re-forks the workers from the master's accumulated
+    build_options:
+        :class:`~repro.core.drl.FloodBuild`'s.  Under ``engine="mp"``
+        every batch re-forks the workers from the master's accumulated
         label sets, so batch pruning sees exactly the simulator's state.
     """
-    if order is None:
-        order = degree_order(graph)
-    if batches is None:
-        batches = batch_sequence(order, initial_batch_size, growth_factor)
     n = graph.num_vertices
-    cluster = Cluster(
-        num_nodes=num_nodes,
-        cost_model=cost_model,
-        partitioner=partitioner,
-        faults=faults,
-        checkpoint_interval=checkpoint_interval,
-        engine=engine,
-        workers=workers,
-    )
     in_label_sets: list[set[int]] = [set() for _ in range(n)]
     out_label_sets: list[set[int]] = [set() for _ in range(n)]
-    stats = RunStats(num_nodes=cluster.num_nodes)
-    stats.per_node_units = [0] * cluster.num_nodes
-
-    with trace_span(
-        "drl_b.build",
-        vertices=n,
-        num_nodes=cluster.num_nodes,
-        batches=len(batches),
-    ) as span:
+    with FloodBuild("drl_b", graph, order, num_nodes, **build_options) as build:
+        if batches is None:
+            batches = batch_sequence(build.order, initial_batch_size, growth_factor)
+        build.span.set(batches=len(batches))
+        every_batch = dict(
+            in_label_sets=in_label_sets,
+            out_label_sets=out_label_sets,
+            check_pruning=check_pruning,
+            combine_messages=combine_messages,
+        )
         for number, batch in enumerate(batches, 1):
-            program = DrlFloodProgram(
-                graph,
-                order,
-                sources=batch,
-                in_label_sets=in_label_sets,
-                out_label_sets=out_label_sets,
-                check_pruning=check_pruning,
-                combine_messages=combine_messages,
-            )
-            with trace_span(
-                "drl_b.batch", batch=number, sources=len(batch)
-            ) as batch_span:
-                before = stats.simulated_seconds
-                cluster.run(graph, program, stats=stats, node_timeline=node_timeline)
-                # Fold the surviving visits into the accumulated label sets
-                # (Alg. 4 line 14: they become the next batch's L^{V_{i+1}}).
-                for w in range(n):
-                    if program.fwd_set[w]:
-                        in_label_sets[w] |= program.fwd_set[w]
-                    if program.rev_set[w]:
-                        out_label_sets[w] |= program.rev_set[w]
-                batch_span.add_simulated(stats.simulated_seconds - before)
+            program = DrlFloodProgram(graph, build.order, sources=batch, **every_batch)
+            build.flood("drl_b.batch", program, batch=number, sources=len(batch))
+            # Fold the surviving visits into the accumulated label sets
+            # (Alg. 4 line 14: they become the next batch's L^{V_{i+1}}).
+            for w in range(n):
+                if program.fwd_set[w]:
+                    in_label_sets[w] |= program.fwd_set[w]
+                if program.rev_set[w]:
+                    out_label_sets[w] |= program.rev_set[w]
             if enabled():
-                entries = sum(len(s) for s in in_label_sets) + sum(
-                    len(s) for s in out_label_sets
-                )
+                entries = sum(map(len, in_label_sets)) + sum(map(len, out_label_sets))
                 current_metrics().gauge("drl_b.label_entries").set(entries)
-        with trace_span("drl_b.collection"):
-            index = ReachabilityIndex.from_label_lists(
-                in_label_sets, out_label_sets
-            )
-        span.add_simulated(stats.simulated_seconds)
-        span.set(entries=index.num_entries)
-    return LabelingResult(index=index, stats=stats)
+        return build.collect(in_label_sets, out_label_sets)

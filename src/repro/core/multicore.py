@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.core.drl_batch import drl_batch_index
 from repro.core.labels import LabelingResult
-from repro.faults import FaultPlan
 from repro.graph.digraph import DiGraph
 from repro.graph.order import VertexOrder
 from repro.graph.partition import (
@@ -47,24 +46,20 @@ def drl_multicore_index(
     graph: DiGraph,
     order: VertexOrder | None = None,
     num_cores: int = 32,
-    initial_batch_size: float = 2,
-    growth_factor: float = 2.0,
     cost_model: CostModel | None = None,
     partitioner: Partitioner | None = None,
-    faults: FaultPlan | None = None,
-    checkpoint_interval: int | None = None,
-    engine: str = "sim",
-    workers: int | None = None,
+    **drl_b_options,
 ) -> LabelingResult:
     """Build the TOL index with DRL_b^M on one multi-core machine.
 
-    Raises :class:`~repro.errors.OutOfMemoryError` when the graph plus
-    working state exceeds the single machine's budget.  A fault plan
-    here models core/process failures (a worker process dying mid-build)
-    with the same recovery semantics as the distributed variants.
-    ``engine="mp"`` additionally makes the build *really* multi-core:
-    the supersteps execute across ``workers`` processes, with the same
-    vertex-to-core assignment the memory estimate below is based on.
+    DRL_b behind a pre-flight: the shared-memory cost model, one
+    partition per core and the one-machine memory check (raises
+    :class:`~repro.errors.OutOfMemoryError` when the graph plus working
+    state exceeds the budget); ``drl_b_options`` are
+    :func:`~repro.core.drl_batch.drl_batch_index`'s.  A fault plan here
+    models a worker process dying mid-build; ``engine="mp"`` makes the
+    build *really* multi-core, with the same vertex-to-core assignment
+    the memory estimate is based on.
     """
     if cost_model is None:
         cost_model = shared_memory_model()
@@ -76,14 +71,9 @@ def drl_multicore_index(
     )
     return drl_batch_index(
         graph,
-        order=order,
-        num_nodes=num_cores,
-        initial_batch_size=initial_batch_size,
-        growth_factor=growth_factor,
+        order,
+        num_cores,
         cost_model=cost_model,
         partitioner=partitioner,
-        faults=faults,
-        checkpoint_interval=checkpoint_interval,
-        engine=engine,
-        workers=workers,
+        **drl_b_options,
     )

@@ -117,11 +117,9 @@ class CaseContext:
         ``engine-mismatch`` differential oracle."""
         key = (method, engine)
         if key not in self._builds:
-            kwargs: dict = {}
-            if method in ("drl-", "drl", "drl-b"):
-                kwargs["partitioner"] = self.case.make_partitioner(
-                    self.graph.num_vertices
-                )
+            kwargs: dict = {
+                "partitioner": self.case.make_partitioner(self.graph.num_vertices)
+            }
             if method in ("drl-b", "drl-b-m"):
                 kwargs["initial_batch_size"] = self.case.batch_size
                 kwargs["growth_factor"] = self.case.growth_factor

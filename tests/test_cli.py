@@ -62,6 +62,22 @@ def test_build_methods(tmp_path, graph_file):
     assert indexes[0] == indexes[1] == indexes[2]
 
 
+@pytest.mark.parametrize("method", ["drl-b", "drl-b-m"])
+def test_build_batch_flags_reach_both_batch_methods(
+    tmp_path, graph_file, capsys, method
+):
+    import re
+
+    supersteps = {}
+    for batch_size in ("2", "64"):
+        assert main(["build", str(graph_file), "-o", str(tmp_path / "g.idx"),
+                     "--method", method, "--nodes", "4",
+                     "--batch-size", batch_size, "--growth-factor", "4"]) == 0
+        out = capsys.readouterr().out
+        supersteps[batch_size] = int(re.search(r"over (\d+) supersteps", out)[1])
+    assert supersteps["64"] < supersteps["2"]
+
+
 def test_build_missing_file(tmp_path, capsys):
     missing = tmp_path / "nope.txt"
     assert main(["build", str(missing), "-o", str(tmp_path / "x.idx")]) == 2

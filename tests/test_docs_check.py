@@ -266,3 +266,28 @@ def test_bench_names_must_be_registered_experiments(tmp_path):
     ]
     for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/paper_mapping.md"):
         assert check_docs.check_bench_names(check_docs.REPO_ROOT / name) == []
+
+
+def test_code_names_must_resolve_by_import_and_getattr(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "| Alg. 3 | `repro.core.drl.DrlFloodProgram` (`_process` = lines 9-18) |\n"
+        "| Def. 2 | `repro.core.labels.ReachabilityIndex.in_labels/no_labels` |\n"
+        "| Def. 6 | `DrlFloodProgram._rev_list`, `NoSuchClass.attr` |\n"
+        "| fine | `repro.core.multicore` (`_WORKING_BYTES_PER_VERTEX`, `prose`),"
+        " `TrimmedBfsResult.edges_scanned`, `ctx.charge`, `repro bench fig5` |\n"
+    )
+    failures = check_docs.check_code_names(doc)
+    assert [(f.line, f.what.split("`")[1]) for f in failures] == [
+        (1, "_process"),
+        (2, "repro.core.labels.ReachabilityIndex.no_labels"),
+        (3, "DrlFloodProgram._rev_list"),
+        (3, "NoSuchClass.attr"),
+    ]
+    assert "`DrlFloodProgram` has no `_process`" in failures[0].detail
+
+
+def test_paper_mapping_names_only_live_code(capsys):
+    mapping = check_docs.REPO_ROOT / "docs" / "paper_mapping.md"
+    assert check_docs.check_code_names(mapping) == []
+    assert check_docs.main([str(mapping)]) == 0  # main() runs the check

@@ -15,7 +15,10 @@ blocks out of markdown files and:
 - **resolves** every relative markdown link to an existing file;
 - **looks up** every ``repro bench <name>``, in prose or code, in the
   experiment registry (also in ``DESIGN.md`` and ``EXPERIMENTS.md``,
-  whose commands are otherwise not run).
+  whose commands are otherwise not run);
+- **imports** every backticked ``repro.<dotted.path>`` and ``Class.attr``
+  of ``docs/paper_mapping.md`` — a row that names code names code that
+  exists.
 
 Opt a block out with ``<!-- docs-check: skip -->`` on the line (or up
 to two lines) above the fence — for commands that need artifacts only
@@ -31,6 +34,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import subprocess
@@ -297,6 +301,96 @@ def check_bench_names(path: Path) -> list[Failure]:
     return failures
 
 
+_CODE_NAME_RE = re.compile(
+    r"`((?:repro(?:\.\w+)+|[A-Z]\w*\.\w+)(?:/\w+)*|_\w+)`"
+)
+
+
+@functools.cache
+def _repro_modules() -> list:
+    """Every ``repro`` module, imported, in name order."""
+    import importlib
+    import pkgutil
+
+    import repro
+
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith("__main__"):
+            importlib.import_module(info.name)
+    return [
+        module for name, module in sorted(sys.modules.items())
+        if name == "repro" or name.startswith("repro.")
+    ]
+
+
+def _resolve_code_name(name: str, scope=None):
+    """Import + ``getattr`` down ``name``; returns the innermost class
+    or module on the way (the scope a later bare ``_private`` on the
+    same line is looked up in).  ``LookupError`` names the missing
+    component.  ``repro.a.b.C.d`` imports the longest module prefix; a
+    bare ``Class.attr`` finds ``Class`` in any ``repro`` module.  An
+    annotated field (a dataclass attribute without a default) counts
+    as present."""
+    import importlib
+    import inspect
+
+    import repro
+
+    parts = name.split(".")
+    if parts[0] == "repro":
+        obj, rest = repro, parts[1:]
+        while rest:
+            try:
+                obj = importlib.import_module(f"{obj.__name__}.{rest[0]}")
+            except ImportError:
+                break
+            rest = rest[1:]
+    elif name.startswith("_"):
+        if scope is None:
+            raise LookupError("no class or module named before it on the line")
+        obj, rest = scope, parts
+    else:
+        owners = [m for m in _repro_modules() if hasattr(m, parts[0])]
+        if not owners:
+            raise LookupError(f"no repro module defines `{parts[0]}`")
+        obj, rest = owners[0], parts
+    scope = obj
+    for attr in rest:
+        if hasattr(obj, attr):
+            obj = getattr(obj, attr)
+        elif attr in getattr(obj, "__annotations__", ()):
+            break
+        else:
+            raise LookupError(f"`{getattr(obj, '__name__', obj)}` has no `{attr}`")
+        if inspect.isclass(obj) or inspect.ismodule(obj):
+            scope = obj
+    return scope
+
+
+def check_code_names(path: Path) -> list[Failure]:
+    """Every backticked ``repro.<dotted.path>``, ``Class.attr`` and bare
+    ``_private`` (an attribute of the class or module named before it
+    on its line) in ``path`` must resolve; ``a.b/c`` names ``a.b`` and
+    ``a.c``."""
+    src = str(REPO_ROOT / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    failures = []
+    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        scope = None
+        for match in _CODE_NAME_RE.findall(line):
+            first, *alternates = match.split("/")
+            stem = first.rsplit(".", 1)[0]
+            for name in [first, *(f"{stem}.{alt}" for alt in alternates)]:
+                try:
+                    scope = _resolve_code_name(name, scope)
+                except LookupError as exc:
+                    failures.append(
+                        Failure(path, i, f"dead code name `{name}`", str(exc))
+                    )
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -323,6 +417,8 @@ def main(argv: list[str] | None = None) -> int:
         if path.name == "api.md" and not args.list:
             report.failures.extend(check_cli_table(path))
         report.failures.extend(check_bench_names(path))
+        if path.name == "paper_mapping.md":
+            report.failures.extend(check_code_names(path))
         status = "FAIL" if report.failures else "ok"
         print(
             f"{status:4} {path}: {report.commands_run} command(s) run, "
