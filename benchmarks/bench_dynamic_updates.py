@@ -3,9 +3,10 @@
 The paper leaves dynamic distributed graphs to future work; the
 library ships exact centralized maintenance (``repro.core.dynamic``).
 This measures mean wall-clock cost of an incremental edge insertion /
-deletion against rebuilding the index from scratch.  Deletion is the
-rank-ordered cone repair (``docs/dynamic.md``): it never rebuilds, so
-it gets its own speed-up column next to insertion's.
+deletion against rebuilding the index from scratch.  Insertion is two
+rank floods plus set algebra, deletion the rank-ordered cone repair
+(``docs/dynamic.md``): neither rebuilds, so each gets its own speed-up
+column.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ def test_dynamic_updates(benchmark):
     table = benchmark.pedantic(_run, rounds=1, iterations=1)
     save_and_print("dynamic_updates", table.render())
     for row in table.rows:
-        # Incremental insertion must beat a full rebuild.
-        assert table.get(row, "insert speedup").value > 1.5, row
+        # An insert costs what it changes (two cone floods, a few rows),
+        # far below the half-rebuild a superset-and-sweep insert cost.
+        assert table.get(row, "insert speedup").value > 4, row
     if "WEBW" in table.rows:
         # So must deletion, even where both cones span the hub core.
         assert table.get("WEBW", "delete speedup").value > 1.5

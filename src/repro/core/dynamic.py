@@ -16,17 +16,21 @@ well-defined throughout.
 
 Update algorithms
 -----------------
-*Insertion* ``(u, v)`` uses resumed trimmed BFSs: every hub
-``a ∈ L_in(u)`` resumes its forward BFS from ``v`` and every hub
-``b ∈ L_out(v)`` resumes its backward BFS from ``u``, with the
-order-respecting prune (block at ``w`` whenever a higher-order hub
-``h`` with ``a → h → w`` is already indexed).  This yields a *sound
-superset* of the exact index that still contains every exact entry; a
-targeted stale-entry sweep then removes newly dominated entries.  The
-sweep cannot remove a valid entry: its criterion (∃ higher-order
-``h ∈ L_out(a) ∩ L_in(w)``) only requires the witness entries to be
-*sound*, and any such witness certifies a real higher-order walk,
-which by Theorem 1 makes ``(a, w)`` invalid.
+*Insertion* ``(u, v)`` is **two rank floods and set algebra**.  With
+``A`` = everything reaching ``u`` and ``D`` = everything ``v`` reaches,
+only pairs in ``A × D`` gain walks, and every new walk ``a ⇝ w`` is a
+walk ``a ⇝ u`` followed by a walk ``v ⇝ w``.  So with ``top_A(a)`` /
+``top_D(w)`` the best rank on any such half, Theorem 1 reads:
+``a ∈ L_in(w)`` afterwards iff the old walks ``a ⇝ w`` were clean
+(``a`` was in ``L_in(w)``, or did not reach ``w``) and ``rank[a] ≤
+min(top_A(a), top_D(w))`` — symmetrically for ``L_out``.  ``top_D`` is
+one flood from the hubs of ``L_out(v)`` in rank order, first assignment
+wins (the best vertex on the walks ``v ⇝ w`` is itself a hub of ``v``),
+and its key set is ``D``; ``top_A`` is the mirror image.  Hubs of ``u``
+that stay hubs then *grow* forward from ``v`` through rows nothing
+outranks them in, adding exact entries only, and one set intersection
+per cone row *shrinks* it by the hubs a new walk outranks.  No pair is
+tested for domination, and nothing outside ``A ∪ D`` is read.
 
 *Deletion* ``(u, v)`` is a **rank-ordered cone repair**.  With ``A`` =
 everything that reached ``u`` and ``D`` = everything ``v`` reached on
@@ -57,7 +61,8 @@ jumped), and (b) *invalidate* entries of the **band** hubs ``h`` it
 overtook where ``h → v → w`` now routes through the higher hub ``v``;
 every other entry is exactly as before.  So the rewrite is one pair of
 full pruned BFSs from ``v`` under the new order (the grow side) plus a
-band-restricted domination sweep (the shrink side) — no rebuild.
+subtraction of the band from the rows on either side of ``v`` (the
+shrink side: *every* such entry is dead) — no rebuild.
 
 When constructed with a ``drift_threshold``, the index watches how far
 each updated vertex's *degree rank* (its position under the paper's
@@ -69,7 +74,6 @@ stale as the graph evolves and labels fatten".
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
 from repro.core import tol
@@ -130,12 +134,12 @@ class DynamicReachabilityIndex:
             self._in_adj[b].add(a)
         # Label sets: in_labels[w] = L_in(w), out_labels[w] = L_out(w).
         # The one from-scratch build; every later update repairs in place.
-        index = tol.tol_index(graph, order)
-        self.in_labels: list[set[int]] = [set(index.in_labels(w)) for w in range(n)]
-        self.out_labels: list[set[int]] = [set(index.out_labels(w)) for w in range(n)]
+        self.in_labels, self.out_labels = tol.tol_label_sets(graph, order)
         self._listeners: list = []
-        #: ``(above, below)`` cones of the last applied update: it changed
-        #: at most ``out_labels[w]``, w ∈ above, and ``in_labels[w]``, w ∈ below.
+        #: ``(above, below)`` of the last applied update: it changed at most
+        #: ``out_labels[w]``, w ∈ above, and ``in_labels[w]``, w ∈ below.
+        #: Deletes and promotes report their two cones; an insert reports
+        #: exactly the rows it wrote.
         self.touched: tuple[set[int], set[int]] = (set(), set())
 
     # ------------------------------------------------------------------
@@ -208,14 +212,13 @@ class DynamicReachabilityIndex:
         raises :class:`~repro.errors.IndexAuditError` naming the first
         differing vertex and direction.  Costs one full TOL build;
         nothing on a mutation path calls it."""
-        expected = tol.tol_index(self.current_graph(), self._order)
+        expected = tol.tol_label_sets(self.current_graph(), self._order)
         for w in range(self._n):
-            for direction, live, want in (
-                ("in", self.in_labels[w], expected.in_labels(w)),
-                ("out", self.out_labels[w], expected.out_labels(w)),
+            for direction, live, want in zip(
+                ("in", "out"), (self.in_labels, self.out_labels), expected
             ):
-                if live != set(want):
-                    raise IndexAuditError(w, direction, live, want)
+                if live[w] != want[w]:
+                    raise IndexAuditError(w, direction, live[w], want[w])
 
     # ------------------------------------------------------------------
     # Update hooks
@@ -281,68 +284,84 @@ class DynamicReachabilityIndex:
         self._out_adj[u].add(v)
         self._in_adj[v].add(u)
 
-        # Resume every hub that covers into u forward from v, and every
-        # hub that covers out of v backward from u.
-        for a in sorted(self.in_labels[u], key=lambda x: self._rank[x]):
-            self._resume(a, v, forward=True)
-        for b in sorted(self.out_labels[v], key=lambda x: self._rank[x]):
-            self._resume(b, u, forward=False)
-        above = self._plain_bfs(u, self._in_adj)   # everyone reaching u
-        below = self._plain_bfs(v, self._out_adj)  # everyone v reaches
-        self._sweep_stale(above, below)
+        # Best rank on any walk a ⇝ u / v ⇝ w; the key sets are the cones.
+        top_above = self._rank_flood(self.in_labels[u], self._in_adj)
+        top_below = self._rank_flood(self.out_labels[v], self._out_adj)
+        # The hubs of u that stay hubs of u, and of v likewise: only their
+        # entries between the cones survive, only they gain any.
+        rank = self._rank
+        hubs_above = [a for a in self.in_labels[u] if top_above[a] == rank[a]]
+        hubs_below = [b for b in self.out_labels[v] if top_below[b] == rank[b]]
+        # Both grows before either shrink: a grow's witness test reads
+        # old entries of both directions, which a shrink may remove.
+        above, below = set(), set()  # the rows written, per direction
+        self._grow(hubs_above, v, True, top_below, below)
+        self._grow(hubs_below, u, False, top_above, above)
+        self._shrink(self.in_labels, below, top_below, top_above, hubs_above)
+        self._shrink(self.out_labels, above, top_above, top_below, hubs_below)
         self._notify("insert", u, v, above, below)
         self._check_drift(u, v)
         return True
 
-    def _resume(self, hub: int, root: int, forward: bool) -> None:
-        """Resume ``hub``'s (trimmed, pruned) BFS from ``root``."""
+    def _rank_flood(self, hubs: set[int], adjacency: list[set[int]]) -> dict[int, int]:
+        """Flood from ``hubs`` in rank order, first assignment wins:
+        ``top[w]`` is the best rank among the hubs that reach ``w``, and
+        the dict lists its rows best rank first.  With ``hubs = L_out(v)``
+        and the out-adjacency that is the best rank on any walk ``v ⇝ w``
+        (the best vertex on those walks is itself a hub of ``v``), and
+        the keys are ``v``'s whole cone."""
+        top: dict[int, int] = {}
+        for hub in sorted(hubs, key=self._rank.__getitem__):
+            if hub in top:
+                continue
+            best = top[hub] = self._rank[hub]
+            queue = [hub]
+            for w in queue:
+                for x in adjacency[w]:
+                    if x not in top:
+                        top[x] = best
+                        queue.append(x)
+        return top
+
+    def _grow(self, hubs, root: int, forward: bool, top: dict, written: set) -> None:
+        """Walk each hub's pruned BFS on from ``root``, across the new
+        edge, and add every entry it earns, naming the rows in
+        ``written``.  A walk stops at a row some new walk outranks the
+        hub in, at a row that holds the hub already (the hub reached it
+        before, and everything behind it — which also makes the entry
+        its own visited mark), and at a row holding one of the hub's
+        higher-ranked witnesses (reached before, but not cleanly)."""
         rank = self._rank
-        hub_rank = rank[hub]
         adjacency = self._out_adj if forward else self._in_adj
         labels = self.in_labels if forward else self.out_labels
         reverse_labels = self.out_labels if forward else self.in_labels
-        if rank[root] < hub_rank or self._dominated(hub, root, labels, reverse_labels):
-            return
-        visited = {root}
-        queue = deque([root])
-        labels[root].add(hub)
-        while queue:
-            w = queue.popleft()
-            for x in adjacency[w]:
-                if x in visited:
+        for hub in hubs:
+            hub_rank = rank[hub]
+            witnesses = {h for h in reverse_labels[hub] if rank[h] < hub_rank}
+            queue = [root]
+            for w in queue:
+                row = labels[w]
+                if top[w] < hub_rank or hub in row or not witnesses.isdisjoint(row):
                     continue
-                visited.add(x)
-                if rank[x] < hub_rank:
-                    continue  # higher-order vertex blocks the branch
-                if x == hub or self._dominated(hub, x, labels, reverse_labels):
-                    continue
-                labels[x].add(hub)
-                queue.append(x)
+                row.add(hub)
+                written.add(w)
+                queue.extend(adjacency[w])
 
-    def _dominated(self, hub, w, labels, reverse_labels) -> bool:
-        """Is there an indexed higher-order hub ``h`` with
-        ``hub → h → w`` (forward sense)?  Sound witnesses suffice."""
-        hub_rank = self._rank[hub]
-        a, b = reverse_labels[hub], labels[w]
-        if len(b) < len(a):
-            a, b = b, a
-        return any(self._rank[h] < hub_rank and h in b for h in a)
-
-    def _sweep_stale(self, above: set[int], below: set[int]) -> None:
-        """Remove entries invalidated by new walks through ``(u, v)``.
-
-        Candidates are pairs ``(a, w)`` with ``a`` reaching ``u``
-        (``above``) and ``w`` reachable from ``v`` (``below``) — the
-        only pairs that gained walks.
-        """
-        for w in below:
-            for a in [x for x in self.in_labels[w] if x in above or x == w]:
-                if self._dominated(a, w, self.in_labels, self.out_labels):
-                    self.in_labels[w].discard(a)
-        for w in above:
-            for b in [x for x in self.out_labels[w] if x in below or x == w]:
-                if self._dominated(b, w, self.out_labels, self.in_labels):
-                    self.out_labels[w].discard(b)
+    def _shrink(self, labels, written: set[int], top: dict, cone: dict, keep) -> None:
+        """Remove the entries between the cones that a new walk outranks:
+        ``h ∈ cone`` leaves row ``w`` unless ``h`` is in ``keep`` (still a
+        hub of the endpoint) and ``rank[h] <= top[w]``.  Rows come out of
+        the flood best rank first, so the dead set only shrinks."""
+        rank = self._rank
+        keep = sorted(keep, key=rank.__getitem__, reverse=True)
+        dead = set(cone)
+        for w, best in top.items():
+            while keep and rank[keep[-1]] <= best:
+                dead.discard(keep.pop())
+            stale = labels[w] & dead
+            if stale:
+                labels[w] -= stale
+                written.add(w)
 
     # ------------------------------------------------------------------
     # Deletion
@@ -475,11 +494,12 @@ class DynamicReachabilityIndex:
 
         The rewrite exploits that a single hub-ward move changes the
         exact index in only two ways: ``v``'s own entries grow (it lost
-        dominators), and entries of the **band** hubs it overtook can
-        die where ``v`` now dominates them (``h → v → w``).  So: shift
+        dominators), and entries of the **band** hubs it overtook die
+        where ``v`` now dominates them (``h → v → w``).  So: shift
         the order, run one full pruned BFS pair from ``v`` under the
-        new ranks, then sweep band entries through the standard
-        domination test.  Every other entry is provably untouched.
+        new ranks, then subtract the band hubs that reach ``v`` from
+        every row ``v`` reaches, and the mirror.  Every other entry is
+        provably untouched.
         """
         self._check_vertex(v)
         if new_rank is None or new_rank < 0:
@@ -495,27 +515,21 @@ class DynamicReachabilityIndex:
         # The band: hubs v overtook (their rank shifted down by one).
         band = set(by_rank[new_rank + 1 : old_rank + 1])
 
-        # Grow side: v's coverage under the new order.  A fresh pruned
-        # BFS pair is exact here because every domination witness it
-        # consults involves hubs still above v, whose entries are
-        # unchanged by the move.
-        self._resume(v, v, forward=True)
-        self._resume(v, v, forward=False)
-
-        # Shrink side: only entries (h, w) with h in the band and
-        # h → v → w can have died, and for each the exact index holds a
-        # higher-order witness pair that the domination test finds in
-        # the (sound superset) label sets.
         forward_cone = self._plain_bfs(v, self._out_adj)
         backward_cone = self._plain_bfs(v, self._in_adj)
+        # Grow side: v's own round under the new order, re-deciding every
+        # row it can reach.  Exact because every witness it consults is a
+        # hub still above v, whose entries the move did not change.
+        self._rerun(v, forward_cone, forward=True)
+        self._rerun(v, backward_cone, forward=False)
+        # Shrink side: an entry (h, w) with h in the band dies iff
+        # h ⇝ v ⇝ w — that walk now passes the higher v.  No test.
+        overtaken_above = band & backward_cone
+        overtaken_below = band & forward_cone
         for w in forward_cone:
-            for a in [x for x in self.in_labels[w] if x in band and x in backward_cone]:
-                if self._dominated(a, w, self.in_labels, self.out_labels):
-                    self.in_labels[w].discard(a)
+            self.in_labels[w] -= overtaken_above
         for w in backward_cone:
-            for b in [x for x in self.out_labels[w] if x in band and x in forward_cone]:
-                if self._dominated(b, w, self.out_labels, self.in_labels):
-                    self.out_labels[w].discard(b)
+            self.out_labels[w] -= overtaken_below
         self._notify("promote", v, new_rank, backward_cone, forward_cone)
         return new_rank
 
@@ -564,9 +578,8 @@ class DynamicReachabilityIndex:
 
     def _plain_bfs(self, source: int, adjacency: list[set[int]]) -> set[int]:
         visited = {source}
-        queue = deque([source])
-        while queue:
-            w = queue.popleft()
+        queue = [source]
+        for w in queue:
             for x in adjacency[w]:
                 if x not in visited:
                     visited.add(x)

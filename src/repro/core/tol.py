@@ -72,6 +72,21 @@ def _tol(
 ):
     from repro.core.labels import ReachabilityIndex
 
+    return ReachabilityIndex.from_label_lists(
+        *tol_label_sets(graph, order, prune_expansion, meter)
+    )
+
+
+def tol_label_sets(
+    graph: DiGraph,
+    order: VertexOrder | None = None,
+    prune_expansion: bool = True,
+    meter: SerialMeter | None = None,
+) -> tuple[list[set[int]], list[set[int]]]:
+    """The TOL rounds themselves: ``(L_in, L_out)`` as one mutable set
+    per vertex, before any packing.  :func:`tol_index` packs these into
+    a :class:`ReachabilityIndex`; the dynamic index keeps them as they
+    are, because sets are what it maintains."""
     if order is None:
         order = degree_order(graph)
     n = graph.num_vertices
@@ -119,7 +134,7 @@ def _tol(
             meter,
         )
 
-    return ReachabilityIndex.from_label_lists(in_label_sets, out_label_sets)
+    return in_label_sets, out_label_sets
 
 
 def _label_one_direction(

@@ -16,9 +16,9 @@ leader's listener hooks — automatically invalidate the
 :class:`~repro.serve.replica.BoundedStalenessReplicator` op log.
 
 Costing: a write's simulated seconds are the label-maintenance work
-estimate — the endpoint label sets the resumed BFSs start from, times a
-write-amplification factor covering the sweep — not the exact
-maintenance cost, which would require running it twice.  The estimate
+estimate — the endpoint label sets whose hubs the repair starts from,
+times a write-amplification factor covering the rows it goes on to
+visit — not the exact maintenance cost, which would require running it twice.  The estimate
 only shapes the simulated clock; correctness never depends on it.
 """
 
@@ -35,8 +35,8 @@ from repro.telemetry import trace_event
 MUTATION_OPS = UPDATE_OPS
 
 #: Maintenance touches roughly this many labels per seed-label entry
-#: (resume BFS + stale sweep); calibrated against the direct-path
-#: scenario runner's observed op costs.
+#: (the floods or re-runs from those hubs); calibrated against the
+#: direct-path scenario runner's observed op costs.
 WRITE_AMPLIFICATION = 8.0
 
 
@@ -116,7 +116,7 @@ class MutationBackend:
 
     def _dispatch(self, op: str, u: int, v: int) -> tuple[str, float]:
         leader = self.leader
-        # Seed-label estimate: the hubs whose BFSs the update resumes.
+        # Seed-label estimate: the hubs the update's repair starts from.
         if op == "add_node":
             units = 1
         elif op in ("insert", "delete"):

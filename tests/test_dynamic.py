@@ -119,7 +119,7 @@ def test_delete_then_reinsert_same_edge_matches_rebuild(family):
     full rebuild at every intermediate state, not just round-trip back
     to the original index.
 
-    Insertion and deletion take different code paths (resumed BFS vs.
+    Insertion and deletion take different code paths (rank floods vs.
     rank-ordered cone repair); the mid-point equality is what catches a
     deletion that leaves stale entries an insertion silently re-covers.
     """

@@ -1,12 +1,16 @@
-"""Tests for the deletion path: rank-ordered cone repair.
+"""Tests for the repair paths: cone repair, rank floods, band subtraction.
 
 ``delete_edge`` / ``delete_node`` have exactly one repair path.  It
 strips the entries between the two cones of the removed edges and lets
 the cone hubs re-decide them in rank order; nothing on it rebuilds.
-These tests pin the three claims that make that safe: it is *exact*
-(``check()`` stays green after every op, on every graph family), it is
-*local* (no label outside the cones is written), and it never calls
-``tol_index``.
+``insert_edge`` has one too: two rank floods say which entries between
+the cones live, hubs grow exact entries and set algebra removes the
+dead ones; ``promote`` subtracts the overtaken band.  These tests pin
+the three claims that make that safe: each is *exact* (``check()``
+stays green after every op, on every graph family), *local* (no label
+outside the cones is written — for an insert, none outside ``touched``,
+which holds exactly the rows that changed), and never builds TOL from
+scratch.
 """
 
 import random
@@ -18,9 +22,11 @@ from hypothesis import strategies as st
 import repro.core.tol
 from repro.core.dynamic import DynamicReachabilityIndex
 from repro.errors import IndexAuditError, ReproError
+from repro.fuzz.cases import FAMILIES, family_graph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import scc_heavy_graph, web_graph
-from repro.graph.order import VertexOrder
+from repro.graph.order import VertexOrder, degree_order
+from repro.graph.traversal import reachable_set
 from tests.conftest import family_graphs
 
 
@@ -110,13 +116,15 @@ def test_delete_inside_a_strongly_connected_component():
 def test_no_tol_index_call_on_any_mutation_path(monkeypatch):
     dynamic = DynamicReachabilityIndex(web_graph(300, seed=4), drift_threshold=40)
     calls = []
-    real = repro.core.tol.tol_index
+    # Every from-scratch build runs the TOL rounds: tol_index packs
+    # their sets, check() compares against them as they are.
+    real = repro.core.tol.tol_label_sets
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(repro.core.tol, "tol_index", counting)
+    monkeypatch.setattr(repro.core.tol, "tol_label_sets", counting)
     rng = random.Random(9)
     applied = {"delete": 0, "delete_node": 0, "insert": 0, "add_node": 0}
     for _ in range(200):
@@ -135,8 +143,23 @@ def test_no_tol_index_call_on_any_mutation_path(monkeypatch):
             applied["add_node"] += 1
     assert applied["delete"] > 80 and applied["delete_node"] > 5
     assert calls == []
+    # The insert-heavy half: the graph grows back, promotes included.
+    promoted = []
+    dynamic.subscribe(lambda op, u, v: promoted.append(op) if op == "promote" else None)
+    inserts = applied["insert"]
+    for _ in range(200):
+        alive = dynamic.alive_vertices()
+        if rng.random() < 0.9:
+            u, v = rng.sample(alive, 2)
+            applied["insert"] += dynamic.insert_edge(u, v)
+        else:
+            dynamic.promote(rng.choice(alive))
+    assert applied["insert"] - inserts > 150 and promoted
+    assert calls == []
     dynamic.check()  # the audit is the one caller, and only on request
     assert len(calls) == 1
+    repro.core.tol.tol_index(dynamic.current_graph(), dynamic.order)
+    assert len(calls) == 2  # ... and tol_index cannot slip past the count
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +169,7 @@ class _ReadOnly(set):
     """A label row that fails the test when anything mutates it."""
 
     def _written(self, *args):
-        raise AssertionError("a label outside the deletion cones was written")
+        raise AssertionError("a label row that must not change was written")
 
     add = discard = remove = pop = clear = update = _written
     difference_update = intersection_update = _written
@@ -172,3 +195,81 @@ def test_edge_delete_between_two_leaves_touches_only_their_rows():
     assert dynamic.touched == ({u}, {v})
     assert dynamic.query(u, v)  # still reachable through the hub
     dynamic.check()
+
+
+
+# ----------------------------------------------------------------------
+# Inserts: `touched` is the rows written, no more and no less
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("family", FAMILIES)
+def test_insert_touched_is_exactly_the_rows_that_changed(family):
+    rng = random.Random(11)
+    closing = 0
+    for seed in range(6):
+        g = family_graph(family, 22, seed=seed)
+        dynamic = DynamicReachabilityIndex(g)
+        for _ in range(25):
+            u, v = rng.sample(range(g.num_vertices), 2)
+            if rng.random() < 0.3:  # aim for an edge that closes a cycle
+                back = [(a, b) for a in range(g.num_vertices)
+                        for b in range(g.num_vertices) if a != b and dynamic.query(b, a)]
+                u, v = rng.choice(back) if back else (u, v)
+            if dynamic.has_edge(u, v):
+                continue
+            closing += dynamic.query(v, u)
+            before_in = [set(row) for row in dynamic.in_labels]
+            before_out = [set(row) for row in dynamic.out_labels]
+            assert dynamic.insert_edge(u, v)
+            above, below = dynamic.touched
+            n = dynamic.num_vertices
+            assert below == {w for w in range(n) if dynamic.in_labels[w] != before_in[w]}
+            assert above == {w for w in range(n) if dynamic.out_labels[w] != before_out[w]}
+            graph = dynamic.current_graph()
+            assert above <= reachable_set(graph.reverse(), u)
+            assert below <= reachable_set(graph, v)
+            dynamic.check()
+    assert closing or family not in ("cyclic", "scc-heavy")
+
+
+def test_edge_insert_between_two_leaves_writes_only_touched_rows():
+    # Two low-rank leaves of a web graph: v's cone is a good part of the
+    # graph, so the shrink pass reads hundreds of rows — and may write
+    # only the ones `touched` names.  The first run learns `touched`,
+    # the second makes every other row read-only.
+    g = web_graph(300, seed=2)
+    leaves = list(degree_order(g).by_rank())[::-1]
+    u, v = next(
+        (u, v) for u in leaves[:20] for v in leaves[:20]
+        if u != v and not g.has_edge(u, v) and g.out_degree(v) > 0
+    )
+    first = DynamicReachabilityIndex(g)
+    assert first.insert_edge(u, v)
+    above, below = first.touched
+    assert above or below
+    dynamic = DynamicReachabilityIndex(g)
+    for w in range(g.num_vertices):
+        if w not in below:
+            dynamic.in_labels[w] = _ReadOnly(dynamic.in_labels[w])
+        if w not in above:
+            dynamic.out_labels[w] = _ReadOnly(dynamic.out_labels[w])
+    assert dynamic.insert_edge(u, v)
+    assert dynamic.touched == (above, below)
+    assert len(reachable_set(g, v)) > 10 * (len(above) + len(below))
+    dynamic.check()
+
+
+# ----------------------------------------------------------------------
+# promote: the shrink side is a subtraction, no test per entry
+# ----------------------------------------------------------------------
+@settings(max_examples=60, deadline=None)
+@given(
+    family_graphs(max_vertices=16),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=12),
+)
+def test_property_promote_to_random_ranks_keeps_check_green(g, targets):
+    dynamic = DynamicReachabilityIndex(g)
+    n = g.num_vertices
+    for a, b in targets:
+        applied = dynamic.promote(a % n, b % n)
+        assert applied is None or applied == b % n == dynamic.order.ranks[a % n]
+        dynamic.check()
