@@ -47,10 +47,9 @@ class BaselineError(ReproError):
     """The baseline file is missing, unreadable, or incompatible."""
 
 
-def default_baseline_path(experiment: str, root: Path | None = None) -> Path:
+def default_baseline_path(experiment: str) -> Path:
     """The conventional baseline path for ``experiment``."""
-    base = Path(root) if root is not None else BASELINE_DIR
-    return base / f"{experiment}.json"
+    return BASELINE_DIR / f"{experiment}.json"
 
 
 def baseline_from_tables(

@@ -58,6 +58,16 @@ from repro.workloads.datasets import DATASETS
 _GENERATORS = generators.GRAPH_KINDS
 
 
+def _existing_file(text: str) -> Path:
+    """The argparse ``type=`` of every path that must already exist.  A
+    :class:`ReproError` passes through argparse untouched, so ``main``
+    reports it like any other bad input: ``error: …`` and exit 2."""
+    path = Path(text)
+    if not path.exists():
+        raise ReproError(f"no such file: {path}")
+    return path
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -104,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "build", help="build an index from an edge list",
         parents=[telemetry_flags],
     )
-    build.add_argument("graph", type=Path)
+    build.add_argument("graph", type=_existing_file)
     build.add_argument("--output", "-o", type=Path, required=True)
     build.add_argument("--method", choices=sorted(METHOD_NAMES), default="drl-b")
     build.add_argument("--nodes", type=int, default=32)
@@ -141,24 +151,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "query", help="answer queries from a saved index",
         parents=[telemetry_flags],
     )
-    query.add_argument("index", type=Path)
+    query.add_argument("index", type=_existing_file)
     query.add_argument("source", type=int, nargs="?")
     query.add_argument("target", type=int, nargs="?")
     query.add_argument(
-        "--pairs", type=Path, help="file of whitespace-separated s t pairs"
+        "--pairs", type=_existing_file, help="file of whitespace-separated s t pairs"
     )
 
     info = sub.add_parser("info", help="describe a saved index")
-    info.add_argument("index", type=Path)
+    info.add_argument("index", type=_existing_file)
 
     analyze = sub.add_parser("analyze", help="structural stats of a graph")
-    analyze.add_argument("graph", type=Path)
+    analyze.add_argument("graph", type=_existing_file)
 
     validate = sub.add_parser(
         "validate", help="check an index against its graph"
     )
-    validate.add_argument("graph", type=Path)
-    validate.add_argument("index", type=Path)
+    validate.add_argument("graph", type=_existing_file)
+    validate.add_argument("index", type=_existing_file)
     validate.add_argument(
         "--sample", type=int, default=None,
         help="check this many random pairs instead of all pairs",
@@ -195,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="restrict to these graph families (default: all)",
     )
     fuzz.add_argument(
-        "--replay", type=Path, default=None, metavar="FILE",
+        "--replay", type=_existing_file, default=None, metavar="FILE",
         help="re-run one serialized failure repro instead of a campaign",
     )
     fuzz.add_argument(
@@ -224,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "counts.  See docs/serving.md.",
     )
     serve_bench.add_argument(
-        "graph", type=Path, nargs="?", default=None,
+        "graph", type=_existing_file, nargs="?", default=None,
         help="edge-list file to serve; omit to generate one",
     )
     serve_bench.add_argument(
@@ -427,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace", help="summarize a JSONL telemetry trace"
     )
-    trace.add_argument("file", type=Path)
+    trace.add_argument("file", type=_existing_file)
     trace.add_argument(
         "--top", type=int, default=15,
         help="span names to show in the ranking (default 15)",
@@ -456,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "interrupted; --once --json prints one machine-readable "
         "snapshot (see docs/observability.md).",
     )
-    top.add_argument("file", type=Path)
+    top.add_argument("file", type=_existing_file)
     top.add_argument(
         "--once", action="store_true",
         help="render one snapshot and exit instead of live-refreshing",
@@ -474,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="window length in simulated seconds (default: span / 12)",
     )
     top.add_argument(
-        "--slo", type=Path, default=None, metavar="SPEC",
+        "--slo", type=_existing_file, default=None, metavar="SPEC",
         help="evaluate the SLO specs in this JSON file (see "
         "docs/observability.md)",
     )
@@ -506,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "profile",
         help="skew/straggler analysis of a JSONL telemetry trace",
     )
-    profile.add_argument("file", type=Path)
+    profile.add_argument("file", type=_existing_file)
     profile.add_argument(
         "--top", type=int, default=15,
         help="span names to show in the ranking (default 15)",
@@ -525,13 +535,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(_build_parser().parse_args(argv))
     except ReproError as exc:
         # Simulated-resource failures (time limit, memory, super-step
-        # limit) and bad fault specs are expected outcomes, not bugs:
-        # report them like any other usage error instead of tracebacking.
+        # limit), bad fault specs, option combinations the library
+        # refuses and missing input files are expected outcomes, not
+        # bugs: report them like any other usage error.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
@@ -599,70 +609,43 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    if not args.graph.exists():
-        print(f"error: no such file: {args.graph}", file=sys.stderr)
-        return 2
     graph = read_edge_list(args.graph)
     kwargs = {}
     if args.method in ("drl-b", "drl-b-m"):
         kwargs = dict(
             initial_batch_size=args.batch_size, growth_factor=args.growth_factor
         )
-    if args.engine != "sim":
-        if args.method == "tol":
-            print(
-                "error: --engine needs a cluster method; the serial "
-                "'tol' baseline runs outside the Pregel engines",
-                file=sys.stderr,
-            )
-            return 2
-        if args.faults is not None or args.checkpoint_interval is not None:
-            print(
-                "error: --faults/--checkpoint-interval only work on the "
-                "deterministic simulator; drop them or use --engine sim",
-                file=sys.stderr,
-            )
-            return 2
-        if args.workers is not None and args.workers < 1:
-            print("error: --workers must be at least 1", file=sys.stderr)
-            return 2
-        kwargs["engine"] = args.engine
-        if args.workers is not None:
-            kwargs["workers"] = args.workers
-    elif args.workers is not None:
+    cluster = dict(
+        engine=args.engine if args.engine != "sim" else None,
+        workers=args.workers,
+        faults=None if args.faults is None else FaultPlan.parse(args.faults),
+        checkpoint_interval=args.checkpoint_interval,
+    )
+    cluster = {key: value for key, value in cluster.items() if value is not None}
+    # The two rules only the CLI has (the simulator would ignore a
+    # worker count, and ``build_index("tol", …)`` deliberately ignores
+    # every cluster option); which of the rest combine is the library's
+    # to refuse, and its ReproError / ValueError is the message.
+    if args.workers is not None and args.engine != "mp":
+        print("error: --workers only applies to --engine mp", file=sys.stderr)
+        return 2
+    if args.method == "tol" and cluster:
         print(
-            "error: --workers only applies to --engine mp", file=sys.stderr
+            "error: --engine/--faults/--checkpoint-interval need a cluster "
+            "method; the serial 'tol' baseline runs outside the Pregel "
+            "engines and has no nodes to fail",
+            file=sys.stderr,
         )
         return 2
-    if args.faults is not None or args.checkpoint_interval is not None:
-        if args.method == "tol":
-            print(
-                "error: --faults/--checkpoint-interval need a cluster "
-                "method; the serial 'tol' baseline has no nodes to fail",
-                file=sys.stderr,
-            )
-            return 2
-        if args.faults is not None:
-            plan = FaultPlan.parse(args.faults)
-            try:
-                plan.validate_for(args.nodes)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            kwargs["faults"] = plan
-        if args.checkpoint_interval is not None:
-            if args.checkpoint_interval < 1:
-                print(
-                    "error: --checkpoint-interval must be at least 1",
-                    file=sys.stderr,
-                )
-                return 2
-            kwargs["checkpoint_interval"] = args.checkpoint_interval
     if args.time_limit is not None:
         kwargs["cost_model"] = CostModel().with_time_limit(args.time_limit)
-    result = build_index(
-        graph, method=args.method, num_nodes=args.nodes, **kwargs
-    )
+    try:
+        result = build_index(
+            graph, method=args.method, num_nodes=args.nodes, **kwargs, **cluster
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     result.index.save(args.output)
     print(f"built {args.method} index for n={graph.num_vertices} "
           f"m={graph.num_edges}")
@@ -709,9 +692,6 @@ def _parse_pairs_file(path: Path) -> tuple[list[tuple[int, int]], int]:
 def _cmd_query(args) -> int:
     from repro.query.service import IndexBackend, QueryService
 
-    if not args.index.exists():
-        print(f"error: no such file: {args.index}", file=sys.stderr)
-        return 2
     index = ReachabilityIndex.load(args.index)
     skipped = 0
     if args.pairs is not None:
@@ -734,9 +714,6 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    if not args.index.exists():
-        print(f"error: no such file: {args.index}", file=sys.stderr)
-        return 2
     index = ReachabilityIndex.load(args.index)
     print(f"format:        version {index_file_version(args.index)}")
     print(f"vertices:      {index.num_vertices}")
@@ -750,9 +727,6 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if not args.graph.exists():
-        print(f"error: no such file: {args.graph}", file=sys.stderr)
-        return 2
     from repro.graph.analysis import bowtie_decomposition, degree_summary
     from repro.graph.scc import strongly_connected_components
 
@@ -771,10 +745,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    for path in (args.graph, args.index):
-        if not path.exists():
-            print(f"error: no such file: {path}", file=sys.stderr)
-            return 2
     from repro.core.validate import check_cover, check_soundness
 
     graph = read_edge_list(args.graph)
@@ -866,9 +836,6 @@ def _cmd_serve_bench(args) -> int:
               file=sys.stderr)
         return 2
     if args.graph is not None:
-        if not args.graph.exists():
-            print(f"error: no such file: {args.graph}", file=sys.stderr)
-            return 2
         graph = read_edge_list(args.graph)
     else:
         graph = _GENERATORS[args.kind](args.vertices, seed=args.seed)
@@ -1050,9 +1017,6 @@ def _cmd_fuzz(args) -> int:
     from repro.fuzz.runner import replay_failure, run_fuzz
 
     if args.replay is not None:
-        if not args.replay.exists():
-            print(f"error: no such file: {args.replay}", file=sys.stderr)
-            return 2
         data, result = replay_failure(args.replay)
         print(f"replaying {args.replay}")
         print(f"  {data['case'].describe()}")
@@ -1096,12 +1060,10 @@ def _read_trace_tolerantly(path: Path):
     """
     from repro.telemetry.report import TraceReadError, read_trace
 
-    if not path.exists():
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return None, 2
     try:
         records = read_trace(path)
-    except TraceReadError as exc:
+    except (TraceReadError, OSError) as exc:
+        # OSError: `top`'s live mode re-reads a file that may have gone.
         print(f"error: {exc}", file=sys.stderr)
         return None, 2
     for reason in records.skipped[:5]:
@@ -1172,9 +1134,6 @@ def _cmd_top(args) -> int:
         ]
     specs = None
     if args.slo is not None:
-        if not args.slo.exists():
-            print(f"error: no such file: {args.slo}", file=sys.stderr)
-            return 2
         try:
             specs = load_slo_specs(args.slo)
         except (ValueError, OSError) as exc:

@@ -31,26 +31,113 @@ accounting differs.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
+import re
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 
+#: Shape parts read as integers; every other part is a finite float.
+_WHOLE = frozenset({"NODE", "SUPERSTEP", "SHARD", "REPLICA", "N"})
+#: One part of a shape string — ``NODE``, ``xFACTOR``, ``[:END]`` — as
+#: (``[`` when optional, separator, NAME).
+_PART = re.compile(r"(\[?)([^A-Z\[\]]?)([A-Z]+)\]?")
 
-def spec_clauses(spec: str, error: type[ReproError], noun: str):
-    """Yield ``(key, value, clause)`` per comma-separated ``key=value``
-    clause of a compact fault spec (blank clauses skipped, one without
-    ``=`` raises ``error``): the loop :meth:`FaultPlan.parse` and the
-    serve side's ``ServeFaultPlan.parse`` share.  What a key means stays
-    with each plan."""
-    for clause in spec.split(","):
-        clause = clause.strip()
-        if not clause:
-            continue
-        key, sep, value = clause.partition("=")
-        if not sep:
-            raise error(f"bad {noun} clause {clause!r}: expected key=value")
-        yield key, value, clause
+
+def _finite(text: str) -> float:
+    number = float(text)
+    if not math.isfinite(number):
+        raise ValueError(f"{text!r} is not a finite number")
+    return number
+
+
+class SpecPlan:
+    """``parse`` / ``to_spec`` for a frozen plan dataclass: the one
+    reader and the one writer of compact fault specs — comma-separated
+    ``KEY=TARGET[xFACTOR][@WHEN[:UNTIL]]`` or bare ``KEY=NUMBER`` clauses.
+
+    The plan class sets ``SHAPES``: ``{key: (shape string, plan field,
+    event type or None)}``.  A key's *shape string*
+    (``"SHARD.REPLICAxFACTOR@START[:END]"``) is its grammar, the text of
+    its error and its row in the docs table.  A clause's numbers, in
+    shape order (``None`` for an absent optional part), are its event
+    type's constructor arguments — such a clause may repeat, filling a
+    tuple field; a key without an event type sets a scalar field.
+    Which plans are *legal* stays with the plan class and its events:
+    their ``ValueError``s come back as ``SPEC_ERROR``.
+    """
+
+    SHAPES: dict[str, tuple[str, str, type | None]] = {}
+    SPEC_ERROR: type[ReproError] = ReproError
+    NOUN = "fault"
+
+    @classmethod
+    def parse(cls, spec: str):
+        """The plan a textual spec describes (the CLI's ``--faults``, a
+        scenario's ``faults``); ``SPEC_ERROR`` on malformed input."""
+        fields: dict = {}
+        for clause in filter(None, map(str.strip, spec.split(","))):
+            problem = f"bad {cls.NOUN} clause {clause!r}"
+            key, _, value = clause.partition("=")
+            if key not in cls.SHAPES:
+                raise cls.SPEC_ERROR(
+                    f"{problem}: expected one of {', '.join(cls.SHAPES)} as key=value"
+                )
+            shape, field_name, event = cls.SHAPES[key]
+            expected = f"{problem}: expected {key}={shape}"
+            parts = _PART.findall(shape)
+            pattern = ""
+            for optional, mark, _ in parts:
+                part = re.escape(mark) + "(.+?)"
+                pattern += f"(?:{part})?" if optional else part
+            match = re.fullmatch(pattern, value)
+            if match is None:
+                raise cls.SPEC_ERROR(expected)
+            numbers = []
+            for (_, _, name), text in zip(parts, match.groups()):
+                read = int if name in _WHOLE else _finite
+                try:
+                    numbers.append(None if text is None else read(text))
+                except ValueError:
+                    wanted = "an integer" if read is int else "a finite number"
+                    raise cls.SPEC_ERROR(
+                        f"{expected} ({name} must be {wanted})"
+                    ) from None
+            try:
+                fields[field_name] = numbers[0] if event is None else (
+                    *fields.get(field_name, ()), event(*numbers)
+                )
+            except ValueError as exc:
+                raise cls.SPEC_ERROR(f"{problem}: {exc}") from exc
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise cls.SPEC_ERROR(str(exc)) from exc
+
+    def to_spec(self) -> str:
+        """The compact textual spec, the exact inverse of :meth:`parse`
+        (``Plan.parse(plan.to_spec()) == plan``: a number prints as the
+        shortest text that reads back to the same value), so plans travel
+        through JSON as one string.  Zero scalar fields are left out."""
+        clauses = []
+        for key, (shape, field_name, event) in self.SHAPES.items():
+            value = getattr(self, field_name)
+            if event is not None:
+                rows = [dataclasses.astuple(item) for item in value]
+            else:
+                rows = [(value,)] if value else []
+            parts = _PART.findall(shape)
+            clauses += [
+                f"{key}=" + "".join(
+                    mark + repr(number).removesuffix(".0")
+                    for (_, mark, _), number in zip(parts, row)
+                    if number is not None
+                )
+                for row in rows
+            ]
+        return ",".join(clauses)
 
 
 class FaultSpecError(ReproError):
@@ -86,8 +173,11 @@ class Straggler:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(SpecPlan):
     """A deterministic, seeded schedule of failures for one build.
+
+    ``SHAPES`` is the grammar of the CLI's ``--faults``, e.g.
+    ``crash=3@5,straggler=2x4.0,loss=0.01,seed=42``.
 
     Attributes
     ----------
@@ -110,6 +200,15 @@ class FaultPlan:
     duplication_rate: float = 0.0
     seed: int = 0
 
+    SHAPES = {
+        "crash": ("NODE@SUPERSTEP", "crashes", NodeCrash),
+        "straggler": ("NODExFACTOR", "stragglers", Straggler),
+        "loss": ("RATE", "loss_rate", None),
+        "dup": ("RATE", "duplication_rate", None),
+        "seed": ("N", "seed", None),
+    }
+    SPEC_ERROR = FaultSpecError
+
     def __post_init__(self):
         for name, rate in (
             ("loss_rate", self.loss_rate),
@@ -126,7 +225,6 @@ class FaultPlan:
                 )
             seen.add(crash.node)
 
-    # ------------------------------------------------------------------
     @property
     def has_transit_faults(self) -> bool:
         """True when any message may be lost or duplicated."""
@@ -153,77 +251,6 @@ class FaultPlan:
         for straggler in self.stragglers:
             factors[straggler.node] = straggler.slowdown
         return factors
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def parse(cls, spec: str) -> "FaultPlan":
-        """Parse a compact textual spec (the CLI's ``--faults``).
-
-        Comma-separated clauses::
-
-            crash=NODE@SUPERSTEP      may repeat (one per node)
-            straggler=NODExFACTOR     may repeat (e.g. straggler=2x4.0)
-            loss=RATE                 transit loss probability
-            dup=RATE                  transit duplication probability
-            seed=N                    RNG seed (default 0)
-
-        Example: ``crash=3@5,straggler=2x4.0,loss=0.01,seed=42``.
-        Raises :class:`FaultSpecError` on malformed input.
-        """
-        crashes: list[NodeCrash] = []
-        stragglers: list[Straggler] = []
-        rates = {"loss": 0.0, "dup": 0.0}
-        seed = 0
-        for key, value, clause in spec_clauses(spec, FaultSpecError, "fault"):
-            try:
-                if key == "crash":
-                    node, _, step = value.partition("@")
-                    crashes.append(NodeCrash(int(node), int(step)))
-                elif key == "straggler":
-                    node, sep2, factor = value.partition("x")
-                    if not sep2:
-                        raise ValueError("expected NODExFACTOR")
-                    stragglers.append(Straggler(int(node), float(factor)))
-                elif key in rates:
-                    rates[key] = float(value)
-                elif key == "seed":
-                    seed = int(value)
-                else:
-                    raise FaultSpecError(
-                        f"unknown fault clause {key!r} (expected crash, "
-                        "straggler, loss, dup, or seed)"
-                    )
-            except ValueError as exc:
-                raise FaultSpecError(
-                    f"bad fault clause {clause!r}: {exc}"
-                ) from exc
-        try:
-            return cls(
-                crashes=tuple(crashes),
-                stragglers=tuple(stragglers),
-                loss_rate=rates["loss"],
-                duplication_rate=rates["dup"],
-                seed=seed,
-            )
-        except ValueError as exc:
-            raise FaultSpecError(str(exc)) from exc
-
-    def to_spec(self) -> str:
-        """The compact textual spec; inverse of :meth:`parse`.
-
-        ``FaultPlan.parse(plan.to_spec()) == plan`` for every plan, so
-        plans can travel through JSON (fuzz-case repro files, configs)
-        as one string.
-        """
-        clauses = [f"crash={c.node}@{c.superstep}" for c in self.crashes]
-        clauses += [f"straggler={s.node}x{s.slowdown:g}" for s in self.stragglers]
-        if self.loss_rate:
-            clauses.append(f"loss={self.loss_rate:g}")
-        if self.duplication_rate:
-            clauses.append(f"dup={self.duplication_rate:g}")
-        if self.seed:
-            clauses.append(f"seed={self.seed}")
-        return ",".join(clauses)
 
     def describe(self) -> str:
         """One-line human-readable summary."""

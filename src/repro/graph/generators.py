@@ -297,18 +297,13 @@ def lattice_graph(
     return builder.build()
 
 
-def scc_heavy_graph(
-    n: int,
-    seed: int = 0,
-    avg_component: float = 4.0,
-    bridge_factor: float = 1.5,
-) -> DiGraph:
+def scc_heavy_graph(n: int, seed: int = 0) -> DiGraph:
     """Graph dominated by non-trivial SCCs (condensation stress test).
 
-    Vertices are grouped into components of geometric size around
-    ``avg_component``; each component is closed into a directed cycle
-    (so every member reaches every other), then ``bridge_factor * #components``
-    bridge edges are added from earlier components to later ones,
+    Vertices are grouped into components of geometric size around 4;
+    each component is closed into a directed cycle (so every member
+    reaches every other), then 1.5 × #components bridge edges are
+    added from earlier components to later ones,
     keeping the component DAG acyclic while the inside stays maximally
     cyclic.  Exercises exactly the paths the paper's direct (no
     condensation) approach must get right on cyclic inputs.
@@ -320,7 +315,7 @@ def scc_heavy_graph(
     components: list[list[int]] = []
     v = 0
     while v < n:
-        size = min(n - v, max(1, int(rng.expovariate(1.0 / avg_component)) + 1))
+        size = min(n - v, max(1, int(rng.expovariate(1.0 / 4.0)) + 1))
         components.append(list(range(v, v + size)))
         v += size
     for members in components:
@@ -328,7 +323,7 @@ def scc_heavy_graph(
             for a, b in zip(members, members[1:]):
                 builder.add_edge(a, b)
             builder.add_edge(members[-1], members[0])
-    bridges = int(bridge_factor * len(components))
+    bridges = int(1.5 * len(components))
     for _ in range(bridges):
         if len(components) < 2:
             break

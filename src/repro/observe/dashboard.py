@@ -166,11 +166,8 @@ class DashboardModel:
         *,
         run: int | None = None,
         window_seconds: float | None = None,
-        window_count: int = DEFAULT_WINDOW_COUNT,
         specs: list[SLOSpec] | None = None,
         slowest: int = 5,
-        hot_share: float = 0.05,
-        regression_factor: float = 2.0,
         incidents: list[dict] | None = None,
     ) -> "DashboardModel":
         """Build the model from raw trace records.
@@ -274,14 +271,7 @@ class DashboardModel:
             fully_traced / len(served_requests) if served_requests else 0.0
         )
 
-        windows = cls._build_windows(
-            requests,
-            makespan,
-            window_seconds,
-            window_count,
-            hot_share,
-            regression_factor,
-        )
+        windows = cls._build_windows(requests, makespan, window_seconds)
         worst = sorted(
             served_requests, key=lambda r: (-r.latency_seconds, r.trace_id)
         )[: max(slowest, 0)]
@@ -327,9 +317,6 @@ class DashboardModel:
         requests: list[RequestRecord],
         makespan: float,
         window_seconds: float | None,
-        window_count: int,
-        hot_share: float,
-        regression_factor: float,
     ) -> list[WindowRow]:
         if not requests or makespan <= 0:
             return []
@@ -338,7 +325,7 @@ class DashboardModel:
         if span <= 0:
             return []
         if window_seconds is None or window_seconds <= 0:
-            window_seconds = span / window_count
+            window_seconds = span / DEFAULT_WINDOW_COUNT
         count = max(1, -(-span // window_seconds).__int__())
         rows = [
             WindowRow(
@@ -353,8 +340,8 @@ class DashboardModel:
             i = min(int((request.arrival - start) / window_seconds), count - 1)
             buckets[i].append(request)
         aggregator = RollingAggregator()
-        regressions = LatencyRegressionDetector(factor=regression_factor)
-        hot = HotKeyDetector(share_threshold=hot_share)
+        regressions = LatencyRegressionDetector()
+        hot = HotKeyDetector()
         cumulative_served = 0
         for row, bucket in zip(rows, buckets):
             row.offered = len(bucket)

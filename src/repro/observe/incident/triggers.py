@@ -33,12 +33,11 @@ so scenario runs are replayable byte for byte.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from collections import deque
 from pathlib import Path
 from typing import Sequence
 
+from repro.bench.results import atomic_write_text
 from repro.observe.incident.recorder import FlightRecorder
 from repro.observe.slo import SLOSpec
 
@@ -52,25 +51,6 @@ DEFAULT_BURN_THRESHOLD = 14.4
 #: Don't evaluate a burn window until it holds this many requests —
 #: one bad request out of one is burn 1/budget, which is noise.
 MIN_WINDOW_SAMPLES = 20
-
-
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    """Write JSON via rename so a crash never leaves a torn bundle."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, indent=2, default=str) + "\n"
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class SLOBurnTrigger:
@@ -265,7 +245,9 @@ class TriggerEngine:
             "events": self.recorder.events(),
         }
         path = self.directory / f"{bundle_id}.json"
-        _atomic_write_json(path, bundle)
+        # Via rename, so a crash never leaves a torn bundle.
+        path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_text(path, json.dumps(bundle, indent=2, default=str) + "\n")
         self.incidents.append(
             {"id": bundle_id, "kind": kind, "at": at, "path": str(path)}
         )

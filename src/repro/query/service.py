@@ -51,10 +51,15 @@ class IndexBackend:
         return self._query(s, t), units * self._t_op
 
 
-class BflBackend:
-    """BFL^C backend: label tests plus occasional pruned search."""
+class MeteredSearchBackend:
+    """Backend over an index whose ``query(s, t, meter=)`` mixes label
+    tests with an occasional pruned search, metered serially: BFL^C's
+    Bloom-filter labels (:class:`BflBackend`) and GRAIL's intervals
+    (:class:`GrailBackend`)."""
 
-    def __init__(self, index: BflIndex, cost_model: CostModel | None = None):
+    def __init__(
+        self, index: BflIndex | GrailIndex, cost_model: CostModel | None = None
+    ):
         self._index = index
         self._cost = cost_model or DEFAULT_COST_MODEL
 
@@ -66,19 +71,7 @@ class BflBackend:
         return answer, meter.simulated_seconds
 
 
-class GrailBackend:
-    """GRAIL backend: interval tests plus occasional pruned search."""
-
-    def __init__(self, index: GrailIndex, cost_model: CostModel | None = None):
-        self._index = index
-        self._cost = cost_model or DEFAULT_COST_MODEL
-
-    def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
-        from repro.pregel.serial import SerialMeter
-
-        meter = SerialMeter(self._cost.with_time_limit(None))
-        answer = self._index.query(s, t, meter=meter)
-        return answer, meter.simulated_seconds
+BflBackend = GrailBackend = MeteredSearchBackend
 
 
 class OnlineBackend:
@@ -105,14 +98,12 @@ class DistributedIndexBackend:
         index: ReachabilityIndex,
         num_nodes: int = 32,
         cost_model: CostModel | None = None,
-        coordinator_node: int = 0,
     ):
         self._index = index
         self._cost = cost_model or DEFAULT_COST_MODEL
         self._node_of = node_assignment(
             HashPartitioner(num_nodes), index.num_vertices
         )
-        self._coordinator = coordinator_node
 
     def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
         cost = self._cost
@@ -121,7 +112,7 @@ class DistributedIndexBackend:
         in_size = index.in_sizes[t]
         seconds = (out_size + in_size + 1) * cost.t_op
         for vertex, size in ((s, out_size), (t, in_size)):
-            if self._node_of[vertex] != self._coordinator:
+            if self._node_of[vertex] != 0:  # node 0 coordinates the gather
                 seconds += cost.t_hop + size * cost.entry_bytes * cost.t_byte
         return index.query(s, t), seconds
 

@@ -32,7 +32,7 @@ from repro.observe.slo import SLOSpec
 from repro.scenarios.spec import ScenarioSpec, load_scenario
 from repro.serve.cache import CachingBackend, QueryCache
 from repro.serve.mutation import MutationBackend
-from repro.serve.faults import ServeFaultInjector
+from repro.serve.faults import Timeline
 from repro.serve.pipeline import QueryServer, ServeReport
 from repro.serve.replica import BoundedStalenessReplicator, ReplicatedLabelStore
 from repro.serve.store import ShardedIndexBackend
@@ -246,7 +246,6 @@ def run_scenario(
         policy=serving.policy,
         replicator=replicator,
     )
-    injector = ServeFaultInjector(spec.faults, store)
 
     # --- backend chain: audit(cache(store)) --------------------------
     backend = ShardedIndexBackend(store)
@@ -288,27 +287,21 @@ def run_scenario(
             (spec.updates.start_seconds + i * spec.updates.interval_seconds, op)
             for i, op in enumerate(stream)
         ]
-    update_cursor = [0]
 
-    def on_advance(clock: float) -> None:
-        # Apply due leader updates first (each stamped with its own
-        # scheduled instant so replication delay runs from issue time),
-        # then fire due faults and pump replication/health.  With
-        # ``via: serve`` the writes arrive through the admission queue
-        # instead, so only the fault/replication pump runs here.
-        if not serve_writes:
-            cursor = update_cursor[0]
-            while (
-                cursor < len(pending_updates)
-                and pending_updates[cursor][0] <= clock
-            ):
-                at, (op, u, v) = pending_updates[cursor]
-                if replicator is not None:
-                    replicator.note_time(at)
-                index.apply(op, u, v)
-                cursor += 1
-            update_cursor[0] = cursor
-        injector.advance(clock)
+    # --- one schedule on the serving clock: leader writes (unless they
+    # arrive through the admission queue, ``via: serve``), then the fault
+    # plan — a write and a fault due at the same instant fire in that
+    # order — and the store's replication/health pump once per batch.
+    def write(op: tuple[str, int, int], at: float) -> None:
+        if replicator is not None:
+            replicator.note_time(at)  # replication delay runs from issue time
+        index.apply(*op)
+
+    timeline = Timeline(store.advance)
+    if not serve_writes:
+        for at, op in pending_updates:
+            timeline.at(at, write, op)
+    spec.faults.schedule(timeline, store)
 
     # --- flight recorder + incident triggers -------------------------
     recorder = engine = None
@@ -334,7 +327,7 @@ def run_scenario(
         batch_size=serving.batch_size,
         deadline_seconds=serving.deadline_seconds,
         request_tracing=request_tracing,
-        on_advance=on_advance,
+        on_advance=timeline.advance,
         recorder=recorder,
         mutation_backend=mutation_backend,
     )

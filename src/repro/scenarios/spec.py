@@ -35,6 +35,7 @@ See ``docs/api.md`` ("Scenario format") for the full field reference.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -88,6 +89,14 @@ def _reject_unknown(mapping: dict, allowed: set[str], context: str) -> None:
             f"{context} has unknown key(s): {', '.join(sorted(unknown))} "
             f"(allowed: {', '.join(sorted(allowed))})"
         )
+
+
+def _block(spec_type, raw: dict, context: str):
+    """A spec dataclass from its JSON block: the block's keys *are* the
+    dataclass's fields, so the allow-list is ``dataclasses.fields``."""
+    raw = dict(raw)
+    _reject_unknown(raw, {f.name for f in dataclasses.fields(spec_type)}, context)
+    return spec_type(**raw)
 
 
 @dataclass(frozen=True)
@@ -293,17 +302,13 @@ class ScenarioSpec:
             self.faults.validate_for(self.serving.shards, self.serving.replicas)
         except ValueError as exc:
             raise ScenarioSpecError(str(exc)) from exc
-        if self.updates is not None and self.replication is None:
-            # Updates without followers still work (every replica reads
-            # the leader synchronously) but a replication block makes
-            # the staleness machinery part of the experiment; nothing
-            # to validate here — both combinations are legal.
-            pass
 
     # ------------------------------------------------------------------
     @property
     def dynamic(self) -> bool:
-        """Does this scenario serve a live (updatable) index?"""
+        """Does this scenario serve a live (updatable) index?  Updates
+        without a replication block are legal (every replica reads the
+        leader synchronously); the block makes staleness part of the run."""
         return self.updates is not None or self.replication is not None
 
     @classmethod
@@ -311,19 +316,10 @@ class ScenarioSpec:
         """Build a spec from a plain nested mapping (parsed JSON/YAML)."""
         if not isinstance(raw, dict):
             raise ScenarioSpecError("a scenario must be a mapping")
-        _reject_unknown(
-            raw,
-            {
-                "name", "description", "graph", "traffic", "serving",
-                "replication", "updates", "faults", "expect",
-            },
-            "scenario",
-        )
+        _reject_unknown(raw, {f.name for f in dataclasses.fields(cls)}, "scenario")
         name = _require(raw, "name", "scenario")
 
-        graph_raw = dict(raw.get("graph", {}))
-        _reject_unknown(graph_raw, {"kind", "vertices", "seed"}, "graph")
-        graph = GraphSpec(**graph_raw)
+        graph = _block(GraphSpec, raw.get("graph", {}), "graph")
 
         traffic_raw = dict(raw.get("traffic", {}))
         _reject_unknown(traffic_raw, {"pairs", "arrivals"}, "traffic")
@@ -354,40 +350,12 @@ class ScenarioSpec:
             period_seconds=arrivals_raw.get("period_seconds", 0.002),
         )
 
-        serving_raw = dict(raw.get("serving", {}))
-        _reject_unknown(
-            serving_raw,
-            {
-                "shards", "partitioner", "replicas", "policy", "cache_size",
-                "negative_cache", "queue_depth", "batch_size",
-                "deadline_seconds",
-            },
-            "serving",
-        )
-        serving = ServingSpec(**serving_raw)
-
-        replication = None
-        if "replication" in raw and raw["replication"] is not None:
-            replication_raw = dict(raw["replication"])
-            _reject_unknown(
-                replication_raw,
-                {"delay_seconds", "max_lag", "apply_seconds_per_op"},
-                "replication",
-            )
-            replication = ReplicationSpec(**replication_raw)
-
-        updates = None
-        if "updates" in raw and raw["updates"] is not None:
-            updates_raw = dict(raw["updates"])
-            _reject_unknown(
-                updates_raw,
-                {
-                    "count", "insert_ratio", "node_ratio", "promote_ratio",
-                    "seed", "start_seconds", "interval_seconds", "via",
-                },
-                "updates",
-            )
-            updates = UpdatesSpec(**updates_raw)
+        serving = _block(ServingSpec, raw.get("serving", {}), "serving")
+        replication = updates = None
+        if raw.get("replication") is not None:
+            replication = _block(ReplicationSpec, raw["replication"], "replication")
+        if raw.get("updates") is not None:
+            updates = _block(UpdatesSpec, raw["updates"], "updates")
 
         faults_raw = raw.get("faults", "")
         if isinstance(faults_raw, ServeFaultPlan):
@@ -412,11 +380,7 @@ class ScenarioSpec:
         """The plain-mapping form; inverse of :meth:`from_dict`."""
         raw: dict = {
             "name": self.name,
-            "graph": {
-                "kind": self.graph.kind,
-                "vertices": self.graph.vertices,
-                "seed": self.graph.seed,
-            },
+            "graph": dataclasses.asdict(self.graph),
             "traffic": {
                 "pairs": {
                     "count": self.traffic.requests,
@@ -429,17 +393,7 @@ class ScenarioSpec:
                     "seed": self.traffic.arrivals_seed,
                 },
             },
-            "serving": {
-                "shards": self.serving.shards,
-                "partitioner": self.serving.partitioner,
-                "replicas": self.serving.replicas,
-                "policy": self.serving.policy,
-                "cache_size": self.serving.cache_size,
-                "negative_cache": self.serving.negative_cache,
-                "queue_depth": self.serving.queue_depth,
-                "batch_size": self.serving.batch_size,
-                "deadline_seconds": self.serving.deadline_seconds,
-            },
+            "serving": dataclasses.asdict(self.serving),
             "expect": dict(self.expect),
         }
         if self.description:
@@ -454,22 +408,9 @@ class ScenarioSpec:
                 self.traffic.period_seconds
             )
         if self.replication is not None:
-            raw["replication"] = {
-                "delay_seconds": self.replication.delay_seconds,
-                "max_lag": self.replication.max_lag,
-                "apply_seconds_per_op": self.replication.apply_seconds_per_op,
-            }
+            raw["replication"] = dataclasses.asdict(self.replication)
         if self.updates is not None:
-            raw["updates"] = {
-                "count": self.updates.count,
-                "insert_ratio": self.updates.insert_ratio,
-                "node_ratio": self.updates.node_ratio,
-                "promote_ratio": self.updates.promote_ratio,
-                "seed": self.updates.seed,
-                "start_seconds": self.updates.start_seconds,
-                "interval_seconds": self.updates.interval_seconds,
-                "via": self.updates.via,
-            }
+            raw["updates"] = dataclasses.asdict(self.updates)
         if not self.faults.empty:
             raw["faults"] = self.faults.to_spec()
         return raw

@@ -19,8 +19,8 @@ the ROADMAP's north star asks for.  Bottom to top:
   follower label tables), guarded so a lagging replica never returns
   an incorrect answer;
 - :mod:`~repro.serve.faults` — serve-side fault schedules (replica
-  crash / slow replica / recovery) replayed mid-traffic by a
-  :class:`ServeFaultInjector`;
+  crash / slow replica / recovery) and the :class:`Timeline` that fires
+  them — and scenario writes — on the serving clock;
 - :mod:`~repro.serve.mutation` — the write path: a
   :class:`MutationBackend` applies graph mutations (edge and node ops,
   order upgrades) to the leader index with simulated costs, so writes
@@ -49,9 +49,9 @@ from repro.serve.faults import (
     ReplicaCrash,
     ReplicaRecovery,
     ReplicaSlow,
-    ServeFaultInjector,
     ServeFaultPlan,
     ServeFaultSpecError,
+    Timeline,
 )
 from repro.serve.mutation import MUTATION_OPS, MutationBackend
 from repro.serve.pipeline import QueryServer, ServeReport
@@ -82,12 +82,12 @@ __all__ = [
     "ReplicaSlow",
     "ReplicaState",
     "ReplicatedLabelStore",
-    "ServeFaultInjector",
     "ServeFaultPlan",
     "ServeFaultSpecError",
     "ServeReport",
     "ShardedIndexBackend",
     "ShardedLabelStore",
+    "Timeline",
     "caching_speedup",
     "run_mixed_serve_bench",
     "run_serve_bench",

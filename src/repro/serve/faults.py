@@ -4,31 +4,27 @@
 nodes dying between supersteps).  This module is its serving-tier
 counterpart: a :class:`ServeFaultPlan` schedules failures of **label
 replicas** on the serving clock — replica ``(shard, replica)`` crashes
-at simulated second ``T``, runs ``k×`` slow between two instants, or
-recovers — and a :class:`ServeFaultInjector` replays the schedule into
-a live :class:`~repro.serve.replica.ReplicatedLabelStore` as the
-request pipeline advances its clock.
+at simulated second ``T``, runs ``k×`` slow in ``[START, END)``, or
+recovers — and :meth:`ServeFaultPlan.schedule` puts them on the
+:class:`Timeline` the request pipeline advances, as calls into a live
+:class:`~repro.serve.replica.ReplicatedLabelStore`.
 
-Like the build-side plan, everything is declarative and deterministic:
-the same plan against the same traffic always produces the same
-failovers, the same timeout counts, and the same report — which is
-what makes the scenario library (:mod:`repro.scenarios`) assertable.
-
-Spec syntax (``ServeFaultPlan.parse``), comma-separated clauses::
-
-    crash=SHARD.REPLICA@SECONDS        replica dies at that instant
-    slow=SHARD.REPLICAxFACTOR@START[:END]  runs FACTOR× slow in [START, END)
-    recover=SHARD.REPLICA@SECONDS      a crashed replica rejoins
-
-Example: ``crash=0.0@0.002,slow=1.1x4@0.001:0.003,recover=0.0@0.006``.
+Everything is declarative and deterministic: the same plan against the
+same traffic always produces the same failovers, timeout counts and
+report — which is what makes the scenario library assertable.  The
+spec text (``crash=0.0@0.002,slow=1.1x4@0.001:0.003,recover=0.0@0.006``)
+is read and written by :class:`repro.faults.SpecPlan`, the one grammar;
+``ServeFaultPlan.SHAPES`` is this plan's clause table.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 from repro.errors import ReproError
-from repro.faults import spec_clauses
+from repro.faults import SpecPlan
 
 
 class ServeFaultSpecError(ReproError):
@@ -58,10 +54,8 @@ class ReplicaCrash:
 
 @dataclass(frozen=True)
 class ReplicaSlow:
-    """The replica serves ``factor``× slower in ``[at, until)``.
-
-    ``until_seconds=None`` means "slow for the rest of the run".
-    """
+    """The replica serves ``factor``× slower in ``[at, until)`` —
+    ``until_seconds=None``: for the rest of the run."""
 
     shard: int
     replica: int
@@ -99,12 +93,20 @@ class ReplicaRecovery:
 
 
 @dataclass(frozen=True)
-class ServeFaultPlan:
+class ServeFaultPlan(SpecPlan):
     """A deterministic schedule of serving-tier replica faults."""
 
     crashes: tuple[ReplicaCrash, ...] = ()
     slowdowns: tuple[ReplicaSlow, ...] = ()
     recoveries: tuple[ReplicaRecovery, ...] = ()
+
+    SHAPES = {
+        "crash": ("SHARD.REPLICA@SECONDS", "crashes", ReplicaCrash),
+        "slow": ("SHARD.REPLICAxFACTOR@START[:END]", "slowdowns", ReplicaSlow),
+        "recover": ("SHARD.REPLICA@SECONDS", "recoveries", ReplicaRecovery),
+    }
+    SPEC_ERROR = ServeFaultSpecError
+    NOUN = "serve-fault"
 
     def __post_init__(self):
         crashed: dict[tuple[int, int], float] = {}
@@ -136,7 +138,6 @@ class ServeFaultPlan:
                 )
             seen_recoveries.add(key)
 
-    # ------------------------------------------------------------------
     @property
     def empty(self) -> bool:
         """True when the plan schedules nothing."""
@@ -156,154 +157,50 @@ class ServeFaultPlan:
                     f"have only {replicas} replicas"
                 )
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def parse(cls, spec: str) -> "ServeFaultPlan":
-        """Parse the compact textual spec (see the module docstring).
-
-        Raises :class:`ServeFaultSpecError` on malformed input.
-        """
-        crashes: list[ReplicaCrash] = []
-        slowdowns: list[ReplicaSlow] = []
-        recoveries: list[ReplicaRecovery] = []
-        for key, value, clause in spec_clauses(
-            spec, ServeFaultSpecError, "serve-fault"
-        ):
-            try:
-                if key == "crash":
-                    target, _, at = value.partition("@")
-                    shard, replica = _parse_target(target)
-                    crashes.append(ReplicaCrash(shard, replica, float(at)))
-                elif key == "slow":
-                    target, sep2, when = value.partition("@")
-                    if not sep2:
-                        raise ValueError("expected SHARD.REPLICAxFACTOR@START")
-                    head, sep3, factor = target.partition("x")
-                    if not sep3:
-                        raise ValueError("expected SHARD.REPLICAxFACTOR")
-                    shard, replica = _parse_target(head)
-                    start, sep4, until = when.partition(":")
-                    slowdowns.append(
-                        ReplicaSlow(
-                            shard,
-                            replica,
-                            float(factor),
-                            float(start),
-                            float(until) if sep4 else None,
-                        )
-                    )
-                elif key == "recover":
-                    target, _, at = value.partition("@")
-                    shard, replica = _parse_target(target)
-                    recoveries.append(ReplicaRecovery(shard, replica, float(at)))
-                else:
-                    raise ServeFaultSpecError(
-                        f"unknown serve-fault clause {key!r} (expected "
-                        "crash, slow, or recover)"
-                    )
-            except ValueError as exc:
-                raise ServeFaultSpecError(
-                    f"bad serve-fault clause {clause!r}: {exc}"
-                ) from exc
-        try:
-            return cls(tuple(crashes), tuple(slowdowns), tuple(recoveries))
-        except ValueError as exc:
-            raise ServeFaultSpecError(str(exc)) from exc
-
-    def to_spec(self) -> str:
-        """The compact textual spec; inverse of :meth:`parse`."""
-        clauses = [
-            f"crash={c.shard}.{c.replica}@{c.at_seconds:g}" for c in self.crashes
-        ]
+    def schedule(self, timeline: "Timeline", store) -> None:
+        """Put every event on ``timeline`` as a call into ``store``, in
+        plan order (crashes; slowdowns, each with its reset when it has
+        an end; recoveries) — which breaks same-instant ties."""
+        self.validate_for(store.num_shards, store.replicas_per_shard)
+        for c in self.crashes:
+            timeline.at(c.at_seconds, store.crash_replica, c.shard, c.replica)
         for s in self.slowdowns:
-            clause = f"slow={s.shard}.{s.replica}x{s.factor:g}@{s.at_seconds:g}"
+            slow = store.set_replica_slowdown, s.shard, s.replica
+            timeline.at(s.at_seconds, *slow, s.factor)
             if s.until_seconds is not None:
-                clause += f":{s.until_seconds:g}"
-            clauses.append(clause)
-        clauses += [
-            f"recover={r.shard}.{r.replica}@{r.at_seconds:g}"
-            for r in self.recoveries
-        ]
-        return ",".join(clauses)
-
-    def describe(self) -> str:
-        """One-line human-readable summary."""
-        parts = [
-            f"crash replica {c.shard}.{c.replica} @ {c.at_seconds:g}s"
-            for c in self.crashes
-        ]
-        parts += [
-            f"slow replica {s.shard}.{s.replica} x{s.factor:g} @ "
-            f"{s.at_seconds:g}s"
-            + (f"-{s.until_seconds:g}s" if s.until_seconds is not None else "")
-            for s in self.slowdowns
-        ]
-        parts += [
-            f"recover replica {r.shard}.{r.replica} @ {r.at_seconds:g}s"
-            for r in self.recoveries
-        ]
-        return "; ".join(parts) if parts else "no serve faults"
+                timeline.at(s.until_seconds, *slow, 1.0)
+        for r in self.recoveries:
+            timeline.at(r.at_seconds, store.recover_replica, r.shard, r.replica)
 
 
-def _parse_target(text: str) -> tuple[int, int]:
-    """``SHARD.REPLICA`` → ``(shard, replica)``."""
-    shard, sep, replica = text.partition(".")
-    if not sep:
-        raise ValueError("expected SHARD.REPLICA")
-    return int(shard), int(replica)
+class Timeline:
+    """The serving clock's one schedule: ``(instant, insertion order,
+    action, args)`` entries — replica faults, their resets, a scenario's
+    leader writes — each fired once, ``action(*args, at=instant)``, when
+    the pipeline's clock passes it (``QueryServer(on_advance=
+    timeline.advance)``); same-instant entries fire in the order added.
+    ``tick`` is the per-batch pump that follows every advance: the
+    store's ``advance`` (replication delivery + one probe sweep)."""
 
+    def __init__(self, tick):
+        self._tick = tick
+        self._entries: list = []
+        self._order = itertools.count()
 
-class ServeFaultInjector:
-    """Replays a :class:`ServeFaultPlan` into a replicated store.
-
-    The request pipeline calls :meth:`advance` with the simulated
-    clock; every event whose instant has passed is applied to the
-    store, in schedule order, exactly once.  Slowdowns with an end
-    instant schedule their own reset event.
-    """
-
-    def __init__(self, plan: ServeFaultPlan, store):
-        plan.validate_for(store.num_shards, store.replicas_per_shard)
-        self.plan = plan
-        self._store = store
-        events = [
-            (crash.at_seconds, "crash", (crash.shard, crash.replica))
-            for crash in plan.crashes
-        ]
-        for slow in plan.slowdowns:
-            target = (slow.shard, slow.replica)
-            events.append((slow.at_seconds, "slow", (*target, slow.factor)))
-            if slow.until_seconds is not None:
-                events.append((slow.until_seconds, "slow", (*target, 1.0)))
-        events += [
-            (recovery.at_seconds, "recover", (recovery.shard, recovery.replica))
-            for recovery in plan.recoveries
-        ]
-        # A stable sort: events due at the same instant keep plan order.
-        self._events = sorted(events, key=lambda event: event[0])
-        self._next = 0
+    def at(self, instant: float, action, *args) -> None:
+        heapq.heappush(self._entries, (instant, next(self._order), action, args))
 
     @property
     def pending(self) -> int:
-        """Events not yet fired."""
-        return len(self._events) - self._next
+        """Entries not yet fired."""
+        return len(self._entries)
 
     def advance(self, clock: float) -> int:
-        """Fire every event due by ``clock``; returns how many fired.
-
-        Also drives the store's own :meth:`advance` (health probes and
-        replication delivery), so a pipeline only needs this one hook.
-        """
+        """Fire what is due by ``clock``, then tick; returns how many fired."""
         fired = 0
-        while self._next < len(self._events) and self._events[self._next][0] <= clock:
-            at, kind, payload = self._events[self._next]
-            self._next += 1
+        while self._entries and self._entries[0][0] <= clock:
+            instant, _, action, args = heapq.heappop(self._entries)
+            action(*args, at=instant)
             fired += 1
-            if kind == "crash":
-                self._store.crash_replica(*payload, at=at)
-            elif kind == "slow":
-                self._store.set_replica_slowdown(*payload, at=at)
-            else:
-                self._store.recover_replica(*payload, at=at)
-        self._store.advance(clock)
+        self._tick(clock)
         return fired

@@ -223,9 +223,9 @@ class QueryServer:
     on_advance:
         Optional ``callback(clock)`` invoked before each batch
         dispatch with the current simulated time.  This is how
-        scheduled mid-traffic events — replica faults via
-        :class:`~repro.serve.faults.ServeFaultInjector`, replication
-        delivery, scenario update bursts — ride the serving clock.
+        scheduled mid-traffic events — replica faults and scenario
+        update bursts on a :class:`~repro.serve.faults.Timeline`,
+        replication delivery — ride the serving clock.
     recorder:
         Optional :class:`~repro.observe.incident.recorder.FlightRecorder`:
         every terminal ``serve.request`` record (served, shed,

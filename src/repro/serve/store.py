@@ -306,7 +306,7 @@ class ShardedLabelStore:
         return max(loads) / (total / len(loads))
 
     # ------------------------------------------------------------------
-    # Fault hooks (driven by ServeFaultInjector or called directly)
+    # Fault hooks (scheduled by ServeFaultPlan.schedule or called directly)
     # ------------------------------------------------------------------
     def crash_replica(self, shard: int, replica: int, at: float = 0.0) -> None:
         """Kill one replica; detection happens via timeouts and probes."""

@@ -94,16 +94,14 @@ class JsonlSink:
 class LoggingSink:
     """Bridges telemetry to stdlib logging (logger ``repro.telemetry``)."""
 
-    def __init__(self, logger: logging.Logger | None = None, level: int = logging.INFO):
+    def __init__(self, logger: logging.Logger | None = None):
         self._logger = logger if logger is not None else logging.getLogger("repro.telemetry")
-        self._level = level
 
     def _format_attrs(self, attrs: dict) -> str:
         return " ".join(f"{k}={v}" for k, v in attrs.items())
 
     def on_span(self, span: Span) -> None:
-        self._logger.log(
-            self._level,
+        self._logger.info(
             "span %s wall=%.6fs sim=%.6fs status=%s %s",
             span.name,
             span.wall_seconds,
@@ -113,16 +111,11 @@ class LoggingSink:
         )
 
     def on_event(self, event: TraceEvent) -> None:
-        self._logger.log(
-            self._level,
-            "event %s %s",
-            event.name,
-            self._format_attrs(event.attrs),
-        )
+        self._logger.info("event %s %s", event.name, self._format_attrs(event.attrs))
 
     def on_metrics(self, registry: MetricsRegistry) -> None:
         for name, value in sorted(registry.as_dict().items()):
-            self._logger.log(self._level, "metric %s=%s", name, value)
+            self._logger.info("metric %s=%s", name, value)
 
     def close(self) -> None:
         pass

@@ -168,9 +168,11 @@ def test_run_fault_recovery_table():
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_registered_experiment_end_to_end(name, monkeypatch, capsys):
     """Columns as registered, one ``bench.cell`` span per build, and
-    the CLI renders what a second sweep renders."""
+    the CLI prints the tables' rendering — one sweep, run through
+    ``repro bench``."""
     from repro import telemetry
     from repro.bench import harness
+    from repro.bench.results import capture_tables
     from repro.cli import main
 
     experiment = EXPERIMENTS[name]
@@ -201,8 +203,8 @@ def test_registered_experiment_end_to_end(name, monkeypatch, capsys):
         def close(self):
             pass
 
-    with telemetry.session([CellSpans()]):
-        tables = sweep(experiment, [dataset])
+    with telemetry.session([CellSpans()]), capture_tables() as tables:
+        assert main(["bench", name, "--datasets", dataset]) == 0
 
     variants = experiment.variants()
     assert len(tables) == len(experiment.tables)
@@ -218,7 +220,6 @@ def test_registered_experiment_end_to_end(name, monkeypatch, capsys):
         assert attrs["experiment"] == name and attrs["dataset"] == dataset
         assert "method" in attrs and "num_nodes" in attrs
 
-    assert main(["bench", name, "--datasets", dataset]) == 0
     rendered = "".join(table.render() + "\n\n" for table in tables)
     assert capsys.readouterr().out == rendered
 

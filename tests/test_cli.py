@@ -457,6 +457,84 @@ def test_build_bad_checkpoint_interval_exits_2(tmp_path, graph_file, capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags,library_says",
+    [
+        # Each rule below used to be re-checked by ``_cmd_build``; the
+        # library's own refusal is now the message.
+        (["--engine", "mp", "--faults", "crash=1@2"],
+         "the 'mp' engine does not support fault injection or checkpointing"),
+        (["--engine", "mp", "--checkpoint-interval", "2"],
+         "the 'mp' engine does not support fault injection or checkpointing"),
+        (["--checkpoint-interval", "0"], "checkpoint_interval must be at least 1"),
+        (["--engine", "mp", "--workers", "0"], "workers must be at least 1"),
+        (["--nodes", "4", "--faults", "straggler=9x2"],
+         "fault plan names node 9 but the cluster has only 4 nodes"),
+        (["--nodes", "2", "--faults", "crash=0@1,crash=1@2"], "survivor"),
+        (["--nodes", "0"], "num_nodes must be at least 1"),
+    ],
+)
+def test_build_reports_the_librarys_own_refusal(
+    tmp_path, graph_file, capsys, flags, library_says
+):
+    out = tmp_path / "x.idx"
+    assert main(["build", str(graph_file), "-o", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert library_says in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,says",
+    [
+        (["--workers", "2"], "only applies to --engine mp"),
+        (["--method", "tol", "--workers", "2"], "only applies to --engine mp"),
+        (["--method", "tol", "--engine", "mp"], "serial 'tol' baseline"),
+        (["--method", "tol", "--checkpoint-interval", "2"], "serial 'tol' baseline"),
+    ],
+)
+def test_build_keeps_the_rules_only_the_cli_has(
+    tmp_path, graph_file, capsys, flags, says
+):
+    assert main(["build", str(graph_file), "-o", str(tmp_path / "x.idx"),
+                 *flags]) == 2
+    assert says in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec", ["straggler=1xnan", "straggler=1xinf", "loss=nan", "crash=3"]
+)
+def test_build_bad_fault_clause_names_its_shape(tmp_path, graph_file, capsys, spec):
+    assert main(["build", str(graph_file), "-o", str(tmp_path / "x.idx"),
+                 "--faults", spec]) == 2
+    err = capsys.readouterr().err
+    key = spec.partition("=")[0]
+    assert err.startswith(f"error: bad fault clause {spec!r}: expected {key}=")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "MISSING", "-o", "x.idx"],
+        ["query", "MISSING", "0", "1"],
+        ["info", "MISSING"],
+        ["analyze", "MISSING"],
+        ["validate", "MISSING", "MISSING"],
+        ["serve-bench", "MISSING"],
+        ["fuzz", "--replay", "MISSING"],
+        ["trace", "MISSING"],
+        ["top", "MISSING", "--once"],
+        ["profile", "MISSING"],
+    ],
+)
+def test_missing_input_file_is_one_error_line(tmp_path, capsys, argv):
+    missing = str(tmp_path / "nope")
+    argv = [missing if arg == "MISSING" else arg for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+
+
 def test_build_time_limit_exceeded_exits_2(tmp_path, graph_file, capsys):
     assert main(["build", str(graph_file), "-o", str(tmp_path / "x.idx"),
                  "--time-limit", "1e-12"]) == 2

@@ -138,6 +138,75 @@ def test_dynamic_scenario_with_faults_audits_every_version():
     assert "serve.replica_recover" in names
 
 
+def test_same_instant_update_applies_before_the_fault(monkeypatch):
+    # Writes and faults share one timeline; the runner schedules the
+    # writes first, so at a shared instant the write lands first — and
+    # an earlier fault still fires before a later write.
+    from repro.scenarios import runner
+
+    fired = []
+    note_time = runner.BoundedStalenessReplicator.note_time
+    crash = runner.ReplicatedLabelStore.crash_replica
+    slow = runner.ReplicatedLabelStore.set_replica_slowdown
+
+    def noted(self, clock):
+        fired.append(("write", clock))
+        return note_time(self, clock)
+
+    def crashed(self, shard, replica, at):
+        fired.append(("crash", at))
+        return crash(self, shard, replica, at=at)
+
+    def slowed(self, shard, replica, factor, at):
+        fired.append(("slow", at))
+        return slow(self, shard, replica, factor, at=at)
+
+    monkeypatch.setattr(runner.BoundedStalenessReplicator, "note_time", noted)
+    monkeypatch.setattr(runner.ReplicatedLabelStore, "crash_replica", crashed)
+    monkeypatch.setattr(runner.ReplicatedLabelStore, "set_replica_slowdown", slowed)
+    raw = _tiny_raw(
+        name="tiny-tie",
+        replication={"delay_seconds": 0.0005, "max_lag": 8},
+        updates={
+            "count": 2, "insert_ratio": 0.5, "seed": 4,
+            "start_seconds": 0.0004, "interval_seconds": 0.0004,
+        },
+        faults="crash=0.0@0.0004,slow=1.1x2@0.0006",
+    )
+    result = run_scenario(ScenarioSpec.from_dict(raw))
+    assert result.incorrect_answers == 0
+    assert fired == [
+        ("write", 0.0004), ("crash", 0.0004), ("slow", 0.0006), ("write", 0.0008),
+    ]
+
+
+def test_scenario_blocks_take_their_keys_from_the_dataclasses():
+    import dataclasses
+
+    from repro.scenarios.spec import (
+        GraphSpec, ReplicationSpec, ServingSpec, UpdatesSpec,
+    )
+
+    blocks = {"graph": GraphSpec, "serving": ServingSpec,
+              "replication": ReplicationSpec, "updates": UpdatesSpec}
+    spec = ScenarioSpec.from_dict(_tiny_raw(
+        replication={"max_lag": 8}, updates={"count": 3},
+    ))
+    emitted = spec.to_dict()
+    for block, spec_type in blocks.items():
+        names = [f.name for f in dataclasses.fields(spec_type)]
+        # to_dict: every field, in the dataclass's own order.
+        assert list(emitted[block]) == names
+        # from_dict: every field is accepted, anything else is named.
+        for name in names:
+            raw = _tiny_raw(replication={}, updates={})
+            raw[block] = {name: emitted[block][name]}
+            assert ScenarioSpec.from_dict(raw)
+        raw = _tiny_raw(**{block: {"turbo": 1}})
+        with pytest.raises(ScenarioSpecError, match=f"{block} has unknown.*turbo"):
+            ScenarioSpec.from_dict(raw)
+
+
 def test_result_to_dict_is_json_serializable():
     result = run_scenario(ScenarioSpec.from_dict(_tiny_raw()))
     payload = json.loads(json.dumps(result.to_dict()))

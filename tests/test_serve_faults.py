@@ -1,4 +1,4 @@
-"""Tests for the serving-tier fault plan and injector."""
+"""Tests for the serving-tier fault plan and the timeline that fires it."""
 
 import pytest
 
@@ -10,9 +10,9 @@ from repro.serve import (
     ReplicaRecovery,
     ReplicaSlow,
     ReplicatedLabelStore,
-    ServeFaultInjector,
     ServeFaultPlan,
     ServeFaultSpecError,
+    Timeline,
 )
 
 _NO_LIMIT = CostModel(time_limit_seconds=None)
@@ -38,7 +38,6 @@ def test_empty_spec_is_empty_plan():
     plan = ServeFaultPlan.parse("")
     assert plan.empty
     assert plan.to_spec() == ""
-    assert plan.describe() == "no serve faults"
 
 
 @pytest.mark.parametrize(
@@ -100,43 +99,76 @@ def store():
     )
 
 
-def test_injector_fires_events_in_clock_order(store):
-    plan = ServeFaultPlan.parse(
-        "crash=0.0@0.002,slow=1.1x4@0.001:0.003,recover=0.0@0.004"
-    )
-    injector = ServeFaultInjector(plan, store)
-    # slow start, crash, slow reset, recover
-    assert injector.pending == 4
+def _scheduled(spec, store):
+    timeline = Timeline(store.advance)
+    ServeFaultPlan.parse(spec).schedule(timeline, store)
+    return timeline
 
-    assert injector.advance(0.001) == 1
+
+def test_injector_fires_events_in_clock_order(store):
+    timeline = _scheduled(
+        "crash=0.0@0.002,slow=1.1x4@0.001:0.003,recover=0.0@0.004", store
+    )
+    # slow start, crash, slow reset (scheduled by the slow's end), recover
+    assert timeline.pending == 4
+
+    assert timeline.advance(0.001) == 1
     assert store.replica_sets[1].replicas[1].slowdown == 4.0
 
-    assert injector.advance(0.002) == 1
+    assert timeline.advance(0.002) == 1
     assert not store.replica_sets[0].replicas[0].alive
 
-    assert injector.advance(0.003) == 1
+    assert timeline.advance(0.003) == 1
     assert store.replica_sets[1].replicas[1].slowdown == 1.0
 
-    assert injector.advance(0.004) == 1
+    assert timeline.advance(0.004) == 1
     assert store.replica_sets[0].replicas[0].alive
-    assert injector.pending == 0
+    assert timeline.pending == 0
 
     names = [e["event"] for e in store.events]
     assert names[:2] == ["serve.replica_slow", "serve.replica_crash"]
 
 
 def test_injector_catches_up_after_a_gap(store):
-    plan = ServeFaultPlan.parse("crash=0.0@0.001,recover=0.0@0.002")
-    injector = ServeFaultInjector(plan, store)
-    # One big clock jump applies everything that became due.
-    assert injector.advance(1.0) == 2
+    timeline = _scheduled("crash=0.0@0.001,recover=0.0@0.002", store)
+    # One big clock jump applies everything that became due, each
+    # stamped with its own instant.
+    assert timeline.advance(1.0) == 2
     assert store.replica_sets[0].replicas[0].alive
-    assert injector.pending == 0
-    # Idempotent once drained.
-    assert injector.advance(2.0) == 0
+    assert [e["at"] for e in store.events[:2]] == [0.001, 0.002]
+    assert timeline.pending == 0
+    # Fires once: nothing is left when the clock moves on.
+    assert timeline.advance(2.0) == 0
 
 
 def test_injector_advances_store_clock(store):
-    injector = ServeFaultInjector(ServeFaultPlan(), store)
-    injector.advance(0.25)
+    # An empty plan only ticks the store.
+    timeline = _scheduled("", store)
+    assert timeline.pending == 0
+    assert timeline.advance(0.25) == 0
     assert store.clock == 0.25
+    assert store.events == []
+
+
+def test_same_instant_entries_fire_in_instant_then_insertion_order(store):
+    # Plan order (crashes, slowdowns, recoveries) breaks ties between
+    # fault events; anything scheduled before the plan goes first.
+    fired = []
+    timeline = Timeline(lambda clock: fired.append(("tick", clock)))
+    timeline.at(0.002, lambda at: fired.append(("write", at)))
+    store.subscribe(lambda event: fired.append((event["event"], event["at"])))
+    plan = ServeFaultPlan.parse("slow=1.1x4@0.002,crash=0.0@0.002,slow=0.1x2@0.001")
+    plan.schedule(timeline, store)
+    assert timeline.advance(0.002) == 4
+    assert fired == [
+        ("serve.replica_slow", 0.001),
+        ("write", 0.002),
+        ("serve.replica_crash", 0.002),
+        ("serve.replica_slow", 0.002),
+        ("tick", 0.002),
+    ]
+
+
+def test_schedule_validates_the_plan_against_the_store(store):
+    with pytest.raises(ValueError, match="shard 3"):
+        _scheduled("crash=3.0@0.1", store)

@@ -273,14 +273,14 @@ def test_on_advance_hook_sees_a_monotone_clock(graph, backend):
 
 def test_replicated_store_drives_end_to_end_failover(graph):
     # A full pipeline run over the replicated store: crash the primary
-    # of every shard mid-run via the fault injector and require that
+    # of every shard mid-run via the fault timeline and require that
     # the run stays correct and the failovers land in the report.
     from repro.baselines.transitive_closure import TransitiveClosure
     from repro.serve import (
         HealthPolicy,
         ReplicatedLabelStore,
-        ServeFaultInjector,
         ServeFaultPlan,
+        Timeline,
     )
 
     index = build_index(graph, cost_model=_NO_LIMIT).index
@@ -288,11 +288,13 @@ def test_replicated_store_drives_end_to_end_failover(graph):
         index, num_shards=2, cost_model=_NO_LIMIT, replicas=2,
         health=HealthPolicy(failure_threshold=2),
     )
-    plan = ServeFaultPlan.parse("crash=0.0@0.0002,crash=1.0@0.0002")
-    injector = ServeFaultInjector(plan, store)
+    timeline = Timeline(store.advance)
+    ServeFaultPlan.parse("crash=0.0@0.0002,crash=1.0@0.0002").schedule(
+        timeline, store
+    )
     server = QueryServer(
         ShardedIndexBackend(store), cost_model=_NO_LIMIT,
-        on_advance=injector.advance,
+        on_advance=timeline.advance,
     )
     pairs = random_pairs(graph.num_vertices, 400, seed=5)
     arrivals = uniform_arrivals(400, rate=400000.0)
