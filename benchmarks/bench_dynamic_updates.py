@@ -6,7 +6,9 @@ This measures mean wall-clock cost of an incremental edge insertion /
 deletion against rebuilding the index from scratch.  Insertion is two
 rank floods plus set algebra, deletion the rank-ordered cone repair
 (``docs/dynamic.md``): neither rebuilds, so each gets its own speed-up
-column.
+column.  A write that leaves the transitive closure alone skips even
+that, so each direction also reports the share of its writes that did
+(``touched == (set(), set())``) — the mean is a blend of the two costs.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ def _run() -> ExperimentTable:
     columns = [
         "insert (ms)", "delete (ms)", "rebuild (ms)",
         "insert speedup", "delete speedup",
+        "insert free (%)", "delete free (%)",
     ]
     table = ExperimentTable(
         "Dynamic maintenance — mean wall ms per operation", columns, precision=2
@@ -43,21 +46,23 @@ def _run() -> ExperimentTable:
         tol_index(dynamic.current_graph(), dynamic.order)
         rebuild_ms = (time.perf_counter() - start) * 1e3
 
+        untouched = (set(), set())  # what a closure-preserving write reports
         inserted = []
+        insert_free = delete_free = 0
         start = time.perf_counter()
-        done = 0
-        while done < NUM_UPDATES:
+        while len(inserted) < NUM_UPDATES:
             u, v = rng.randrange(n), rng.randrange(n)
             if u == v:
                 continue
             if dynamic.insert_edge(u, v):
                 inserted.append((u, v))
-                done += 1
+                insert_free += dynamic.touched == untouched
         insert_ms = (time.perf_counter() - start) * 1e3 / NUM_UPDATES
 
         start = time.perf_counter()
         for u, v in inserted:
             dynamic.delete_edge(u, v)
+            delete_free += dynamic.touched == untouched
         delete_ms = (time.perf_counter() - start) * 1e3 / NUM_UPDATES
 
         table.set(name, "insert (ms)", insert_ms)
@@ -65,6 +70,8 @@ def _run() -> ExperimentTable:
         table.set(name, "rebuild (ms)", rebuild_ms)
         table.set(name, "insert speedup", rebuild_ms / max(insert_ms, 1e-9))
         table.set(name, "delete speedup", rebuild_ms / max(delete_ms, 1e-9))
+        table.set(name, "insert free (%)", 100.0 * insert_free / NUM_UPDATES)
+        table.set(name, "delete free (%)", 100.0 * delete_free / NUM_UPDATES)
     return table
 
 

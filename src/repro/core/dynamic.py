@@ -16,6 +16,18 @@ well-defined throughout.
 
 Update algorithms
 -----------------
+*Closure first.*  By Theorem 1 the index is a function of the
+transitive closure and the order, nothing else, so an edge update after
+which every pair reaches what it reached before moves no label.  Both
+edge updates look before they repair.  An insert ``(u, v)`` asks the
+old labels whether ``u`` reached ``v`` already (one intersection).  A
+delete unlinks the edge and searches forward from ``u`` for ``v``,
+stepping only onto vertices the old labels say reached ``v`` — old
+reachability over-approximates new, so no surviving walk is cut, and
+only vertices between ``u`` and ``v`` are visited.  When the closure
+stands, the write is still a write (listeners, drift check, ``True``),
+with ``touched == (set(), set())``; otherwise:
+
 *Insertion* ``(u, v)`` is **two rank floods and set algebra**.  With
 ``A`` = everything reaching ``u`` and ``D`` = everything ``v`` reaches,
 only pairs in ``A × D`` gain walks, and every new walk ``a ⇝ w`` is a
@@ -34,7 +46,9 @@ tested for domination, and nothing outside ``A ∪ D`` is read.
 
 *Deletion* ``(u, v)`` is a **rank-ordered cone repair**.  With ``A`` =
 everything that reached ``u`` and ``D`` = everything ``v`` reached on
-the pre-delete graph, only reachability pairs in ``A × D`` can change,
+the pre-delete graph (the same two sets after the unlink: no walk into
+``u`` or out of ``v`` needs the edge), only reachability pairs in
+``A × D`` can change,
 so only entries ``a ∈ L_in(d)`` / ``d ∈ L_out(a)`` can: those are
 stripped, then the hubs of ``A ∪ D`` re-run their pruned BFS on the new
 graph in rank order — forward for ``h ∈ A``, backward for ``h ∈ D``.  A
@@ -139,7 +153,8 @@ class DynamicReachabilityIndex:
         #: ``(above, below)`` of the last applied update: it changed at most
         #: ``out_labels[w]``, w ∈ above, and ``in_labels[w]``, w ∈ below.
         #: Deletes and promotes report their two cones; an insert reports
-        #: exactly the rows it wrote.
+        #: exactly the rows it wrote; an insert or edge delete that leaves
+        #: the transitive closure alone reports two empty sets.
         self.touched: tuple[set[int], set[int]] = (set(), set())
 
     # ------------------------------------------------------------------
@@ -236,7 +251,9 @@ class DynamicReachabilityIndex:
         attach to (see ``docs/dynamic.md``).  For ``promote`` the
         payload is ``(vertex, new_rank)``; for node ops both slots
         carry the vertex id.  While listeners run, :attr:`touched`
-        bounds the label rows the update changed (replication diffs it).
+        bounds the label rows the update changed (replication diffs it);
+        an insert or edge delete that leaves the transitive closure
+        alone still notifies, with ``touched == (set(), set())``.
         """
         self._listeners.append(listener)
 
@@ -283,22 +300,24 @@ class DynamicReachabilityIndex:
             return False
         self._out_adj[u].add(v)
         self._in_adj[v].add(u)
-
-        # Best rank on any walk a ⇝ u / v ⇝ w; the key sets are the cones.
-        top_above = self._rank_flood(self.in_labels[u], self._in_adj)
-        top_below = self._rank_flood(self.out_labels[v], self._out_adj)
-        # The hubs of u that stay hubs of u, and of v likewise: only their
-        # entries between the cones survive, only they gain any.
-        rank = self._rank
-        hubs_above = [a for a in self.in_labels[u] if top_above[a] == rank[a]]
-        hubs_below = [b for b in self.out_labels[v] if top_below[b] == rank[b]]
-        # Both grows before either shrink: a grow's witness test reads
-        # old entries of both directions, which a shrink may remove.
         above, below = set(), set()  # the rows written, per direction
-        self._grow(hubs_above, v, True, top_below, below)
-        self._grow(hubs_below, u, False, top_above, above)
-        self._shrink(self.in_labels, below, top_below, top_above, hubs_above)
-        self._shrink(self.out_labels, above, top_above, top_below, hubs_below)
+        # The labels are still the old, exact ones: when they say u reached
+        # v already no pair gains a walk, and the write owes the index nothing.
+        if self.out_labels[u].isdisjoint(self.in_labels[v]):
+            # Best rank on any walk a ⇝ u / v ⇝ w; the key sets are the cones.
+            top_above = self._rank_flood(self.in_labels[u], self._in_adj)
+            top_below = self._rank_flood(self.out_labels[v], self._out_adj)
+            # The hubs of u that stay hubs of u, and of v likewise: only their
+            # entries between the cones survive, only they gain any.
+            rank = self._rank
+            hubs_above = [a for a in self.in_labels[u] if top_above[a] == rank[a]]
+            hubs_below = [b for b in self.out_labels[v] if top_below[b] == rank[b]]
+            # Both grows before either shrink: a grow's witness test reads
+            # old entries of both directions, which a shrink may remove.
+            self._grow(hubs_above, v, True, top_below, below)
+            self._grow(hubs_below, u, False, top_above, above)
+            self._shrink(self.in_labels, below, top_below, top_above, hubs_above)
+            self._shrink(self.out_labels, above, top_above, top_below, hubs_below)
         self._notify("insert", u, v, above, below)
         self._check_drift(u, v)
         return True
@@ -372,15 +391,46 @@ class DynamicReachabilityIndex:
         self._check_vertex(v)
         if v not in self._out_adj[u]:
             return False
-        # Cones on the OLD graph: only walks from above to below used the edge.
-        above = self._plain_bfs(u, self._in_adj)   # everyone reaching u
-        below = self._plain_bfs(v, self._out_adj)  # everyone v reaches
         self._out_adj[u].discard(v)
         self._in_adj[v].discard(u)
-        self._repair_cones(above, below)
+        if self._still_reaches(u, v):
+            above, below = set(), set()
+        else:
+            # Only walks from above to below used the edge, and no walk into
+            # u or out of v needs it: the cones read as before the unlink.
+            above = self._plain_bfs(u, self._in_adj)   # everyone reaching u
+            below = self._plain_bfs(v, self._out_adj)  # everyone v reaches
+            self._repair_cones(above, below)
         self._notify("delete", u, v, above, below)
         self._check_drift(u, v)
         return True
+
+    def _still_reaches(self, u: int, v: int) -> bool:
+        """True if ``u ⇝ v`` on the current adjacency, decided while the
+        labels are still exact for the graph *before* ``(u, v)`` was
+        unlinked.  A depth-first search from ``u`` that steps only onto
+        vertices the old labels say reach ``v``: every vertex of a
+        surviving walk ``u ⇝ v`` reached ``v`` before as well, so none is
+        pruned, and nothing outside the vertices between ``u`` and ``v``
+        is visited.  Outside ``u``'s strongly connected component a step
+        never has to be taken back (such an ``x`` reached ``v`` without
+        passing ``u``, so it still does)."""
+        out_adj, out_labels = self._out_adj, self.out_labels
+        reaches_v = self.in_labels[v]
+        visited = {u}
+        stack = [iter(out_adj[u])]
+        while stack:
+            for x in stack[-1]:
+                if x in visited or out_labels[x].isdisjoint(reaches_v):
+                    continue
+                if v in out_adj[x]:
+                    return True
+                visited.add(x)
+                stack.append(iter(out_adj[x]))
+                break
+            else:
+                stack.pop()
+        return False
 
     def _repair_cones(self, above: set[int], below: set[int]) -> None:
         """Restore exactness after edges vanished between the cones
@@ -543,20 +593,19 @@ class DynamicReachabilityIndex:
         self._check_vertex(v)
         return self._rank[v] - self._ideal_rank(v)
 
-    def _degree_key(self, v: int) -> tuple[int, int]:
-        """The paper's order key on *current* degrees (larger = higher
-        priority; ids break ties exactly as :func:`degree_order`)."""
-        return (
-            (len(self._in_adj[v]) + 1) * (len(self._out_adj[v]) + 1),
-            v,
-        )
-
     def _ideal_rank(self, v: int) -> int:
-        """``v``'s rank under the degree order on current degrees."""
-        key = self._degree_key(v)
-        return sum(
-            1 for w in range(self._n) if w != v and self._degree_key(w) > key
-        )
+        """``v``'s rank under the paper's ``(d_in+1)·(d_out+1)`` order on
+        *current* degrees: the vertices with a larger product, plus the
+        ties with a larger id (exactly as :func:`degree_order` breaks
+        them)."""
+        in_adj, out_adj = self._in_adj, self._out_adj
+        key = (len(in_adj[v]) + 1) * (len(out_adj[v]) + 1)
+        ahead = 0
+        for w in range(self._n):
+            product = (len(in_adj[w]) + 1) * (len(out_adj[w]) + 1)
+            if product > key or (product == key and w > v):
+                ahead += 1
+        return ahead
 
     def _check_drift(self, *vertices: int) -> None:
         """Auto-promote updated endpoints whose drift crossed the

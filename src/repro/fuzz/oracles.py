@@ -276,7 +276,10 @@ def oracle_fault_equivalence(ctx: CaseContext) -> list[str]:
 def oracle_dynamic_vs_rebuild(ctx: CaseContext) -> list[str]:
     """Incremental maintenance equals a from-scratch rebuild after
     every update in the case's workload (all five op kinds, plus
-    drift-triggered automatic order upgrades on a slice of cases)."""
+    drift-triggered automatic order upgrades on a slice of cases) —
+    and an edge write reports no touched rows exactly when the rebuilt
+    index did not move: the closure-preserving fast path is taken
+    whenever it may be and never otherwise."""
     if not ctx.case.updates:  # pragma: no cover - guarded by oracles_for
         return []
     # Every third case (by seed) also enables automatic drift-triggered
@@ -287,11 +290,13 @@ def oracle_dynamic_vs_rebuild(ctx: CaseContext) -> list[str]:
         ctx.graph, order=ctx.order, drift_threshold=drift
     )
     violations: list[str] = []
+    previous = dynamic.snapshot()  # the rebuilt index one step back
     for step, (op, u, v) in enumerate(ctx.case.updates):
         if op not in UPDATE_OPS:
             violations.append(f"update {step}: unknown op {op!r}")
             continue
-        dynamic.apply(op, u, v)
+        order = dynamic.order
+        applied = dynamic.apply(op, u, v)
         # Reread the order each step: node additions and promotions
         # (explicit or drift-triggered) replace it.
         rebuilt = tol_index(dynamic.current_graph(), dynamic.order)
@@ -302,6 +307,19 @@ def oracle_dynamic_vs_rebuild(ctx: CaseContext) -> list[str]:
                 + _index_diff(snapshot, rebuilt)
             )
             break  # later steps inherit the corruption; one message suffices
+        # Same order before and after: no promote rode along, so
+        # `touched` is this write's own and the index may move only
+        # with the closure.
+        if applied and op in ("insert", "delete") and dynamic.order is order:
+            skipped = dynamic.touched == (set(), set())
+            if skipped != (rebuilt == previous):
+                violations.append(
+                    f"after update {step} ({op} {u}->{v}): repair "
+                    + ("skipped, but the index moved" if skipped
+                       else "ran, but the index did not move")
+                )
+                break
+        previous = rebuilt
     return violations
 
 

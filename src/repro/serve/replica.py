@@ -139,8 +139,9 @@ class BoundedStalenessReplicator:
     def _on_update(self, op: str, u: int, v: int) -> None:
         """Log the op with the rows it changed: the leader's ``touched``
         bounds the candidates — the two cones for a delete or a promote,
-        exactly the rows written for an insert — and the head table says
-        which differ, so the diff costs what the op could change."""
+        exactly the rows written for an insert, nothing for an edge write
+        that left the closure alone — and the head table says which
+        differ, so the diff costs what the op could change."""
         leader, head = self.leader, self._head
         above, below = leader.touched
         in_rows, out_rows = (

@@ -137,13 +137,15 @@ def test_delete_then_reinsert_same_edge_matches_rebuild(family):
 
 
 def test_delete_with_graph_wide_cones_is_repaired_in_place():
-    """On a dense cyclic graph both cones of the first edge cover most
-    vertices — the case that used to fall back to a rebuild.  The one
-    repair path must stay exact there, edge after edge."""
+    """On a dense cyclic graph both cones of an edge cover most vertices
+    — the case that used to fall back to a rebuild.  When the delete
+    cuts ``u ⇝ v`` (here: ``v``'s only in-edge) the one repair path must
+    stay exact there, edge after edge."""
     g = random_digraph(25, 80, seed=3)
     dynamic = DynamicReachabilityIndex(g)
-    u, v = next(iter(g.edges()))
+    u, v = next((u, v) for u, v in g.edges() if g.in_degree(v) == 1)
     dynamic.delete_edge(u, v)
+    assert not dynamic.query(u, v)
     above, below = dynamic.touched
     assert len(above) + len(below) > g.num_vertices
     dynamic.check()
@@ -266,6 +268,18 @@ def test_promote_to_ideal_rank_by_default():
     assert new_rank == dynamic._ideal_rank(3) == 0
     assert dynamic.drift(3) <= 0
     _assert_exact(dynamic)
+
+
+def test_drift_measures_against_the_degree_order_on_current_degrees():
+    # Ties included: a sparse graph has many equal degree products, and
+    # the ideal rank must break them by id exactly as degree_order does.
+    dynamic = DynamicReachabilityIndex(random_digraph(40, 60, seed=1))
+    dynamic.delete_node(3)
+    dynamic.add_node()
+    ideal = degree_order(dynamic.current_graph()).ranks
+    frozen = dynamic.order.ranks
+    for v in dynamic.alive_vertices():
+        assert dynamic.drift(v) == frozen[v] - ideal[v]
 
 
 def test_promote_hubward_only():

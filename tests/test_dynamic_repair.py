@@ -9,8 +9,9 @@ dead ones; ``promote`` subtracts the overtaken band.  These tests pin
 the three claims that make that safe: each is *exact* (``check()``
 stays green after every op, on every graph family), *local* (no label
 outside the cones is written — for an insert, none outside ``touched``,
-which holds exactly the rows that changed), and never builds TOL from
-scratch.
+which holds exactly the rows that changed; for an insert or delete that
+leaves the transitive closure alone, none at all), and never builds TOL
+from scratch.
 """
 
 import random
@@ -177,25 +178,78 @@ class _ReadOnly(set):
     __isub__ = __ior__ = __iand__ = __ixor__ = _written
 
 
-def test_edge_delete_between_two_leaves_touches_only_their_rows():
-    # A hub-dominated core plus one leaf-to-leaf edge: u has no
-    # in-edges and v no out-edges, so A = {u} and D = {v}.
+def _freeze_rows(dynamic: DynamicReachabilityIndex, above=(), below=()) -> None:
+    """Make every label row read-only except, as in ``touched``,
+    ``out_labels[w]`` for ``w ∈ above`` and ``in_labels[w]`` for ``w ∈ below``."""
+    for w in range(dynamic.num_vertices):
+        if w not in below:
+            dynamic.in_labels[w] = _ReadOnly(dynamic.in_labels[w])
+        if w not in above:
+            dynamic.out_labels[w] = _ReadOnly(dynamic.out_labels[w])
+
+
+def _core_with_bypassed_leaf_edge() -> tuple[DiGraph, int, int, int]:
+    # A hub-dominated core plus two leaves u, v joined through the hub:
+    # u has no in-edges and v no out-edges, so A = {u} and D = {v}.
     core = web_graph(120, seed=2)
     n = core.num_vertices
     u, v = n, n + 1
     hub = max(range(n), key=lambda w: core.in_degree(w) * core.out_degree(w))
-    g = DiGraph(n + 2, list(core.edges()) + [(u, v), (u, hub), (hub, v)])
+    return DiGraph(n + 2, list(core.edges()) + [(u, hub), (hub, v)]), u, v, hub
+
+
+def test_closure_cutting_delete_writes_only_cone_rows():
+    # Cutting the only way into v does change the closure: the cone
+    # repair runs, and writes nothing outside A = {u, hub, …} / D = {v}.
+    g, u, v, hub = _core_with_bypassed_leaf_edge()
     dynamic = DynamicReachabilityIndex(g)
-    for w in range(n + 2):
-        if w != v:
-            dynamic.in_labels[w] = _ReadOnly(dynamic.in_labels[w])
-        if w != u:
-            dynamic.out_labels[w] = _ReadOnly(dynamic.out_labels[w])
-    assert dynamic.delete_edge(u, v)
-    assert dynamic.touched == ({u}, {v})
-    assert dynamic.query(u, v)  # still reachable through the hub
+    reaches_hub = {w for w in range(g.num_vertices) if dynamic.query(w, hub)}
+    _freeze_rows(dynamic, above=reaches_hub, below={v})
+    assert dynamic.delete_edge(hub, v)
+    above, below = dynamic.touched
+    assert u in above and hub in above and below == {v}
+    assert not dynamic.query(u, v)
     dynamic.check()
 
+
+def test_edge_delete_between_two_leaves_touches_only_their_rows():
+    # Not even their rows: the leaf-to-leaf edge runs parallel to
+    # u → hub → v, deleting it leaves u ⇝ v standing, and a write that
+    # leaves the closure alone owes the index nothing.
+    g, u, v, _ = _core_with_bypassed_leaf_edge()
+    g = DiGraph(g.num_vertices, list(g.edges()) + [(u, v)])
+    dynamic = DynamicReachabilityIndex(g)
+    _freeze_rows(dynamic)
+    assert dynamic.delete_edge(u, v)
+    assert dynamic.touched == (set(), set())
+    assert dynamic.query(u, v)  # still reachable through the hub
+    assert not dynamic.has_edge(u, v)
+    dynamic.check()
+
+
+def test_closure_preserving_inserts_write_no_row_at_all():
+    # The insert twin, twice: an edge parallel to an existing path, and
+    # one closing a cycle inside a strongly connected component.
+    g, u, v, _ = _core_with_bypassed_leaf_edge()
+    dynamic = DynamicReachabilityIndex(g)
+    _freeze_rows(dynamic)
+    assert dynamic.query(u, v) and not dynamic.has_edge(u, v)
+    assert dynamic.insert_edge(u, v)
+    assert dynamic.touched == (set(), set())
+    assert dynamic.has_edge(u, v)
+    dynamic.check()
+
+    dynamic = DynamicReachabilityIndex(scc_heavy_graph(40, seed=5))
+    a, b = next(
+        (a, b)
+        for a in range(40) for b in range(40)
+        if a != b and dynamic.query(a, b) and dynamic.query(b, a)
+        and not dynamic.has_edge(a, b)
+    )
+    _freeze_rows(dynamic)
+    assert dynamic.insert_edge(a, b)
+    assert dynamic.touched == (set(), set())
+    dynamic.check()
 
 
 # ----------------------------------------------------------------------
@@ -247,11 +301,7 @@ def test_edge_insert_between_two_leaves_writes_only_touched_rows():
     above, below = first.touched
     assert above or below
     dynamic = DynamicReachabilityIndex(g)
-    for w in range(g.num_vertices):
-        if w not in below:
-            dynamic.in_labels[w] = _ReadOnly(dynamic.in_labels[w])
-        if w not in above:
-            dynamic.out_labels[w] = _ReadOnly(dynamic.out_labels[w])
+    _freeze_rows(dynamic, above, below)
     assert dynamic.insert_edge(u, v)
     assert dynamic.touched == (above, below)
     assert len(reachable_set(g, v)) > 10 * (len(above) + len(below))

@@ -6,7 +6,9 @@ drift-triggered automatic ones), and queries against a model (rebuilt
 TOL + exact reachability) and shrinks any failing interleaving to a
 minimal counterexample.  The invariant is the repo's dynamic contract:
 after every step, ``snapshot() == tol_index(current_graph, order)``
-for the index's *current* order.
+for the index's *current* order — and an edge write reports no touched
+rows exactly when that index did not move (the closure-preserving fast
+path is taken whenever it may be, never otherwise).
 """
 
 from hypothesis import settings
@@ -33,6 +35,8 @@ class DynamicIndexMachine(RuleBasedStateMachine):
         self.n = _N
         self.dead: set[int] = set()
         self.edges: set[tuple[int, int]] = set()
+        self.previous = self.dynamic.snapshot()  # the index one step back
+        self.edge_write = False  # last step: an applied edge write, no promote
 
     def _vertex(self, raw: int) -> int:
         """Map a raw draw onto a currently alive vertex id."""
@@ -44,8 +48,10 @@ class DynamicIndexMachine(RuleBasedStateMachine):
         u, v = self._vertex(u), self._vertex(v)
         if u == v:
             return
+        order = self.dynamic.order
         added = self.dynamic.insert_edge(u, v)
         assert added == ((u, v) not in self.edges)
+        self.edge_write = added and self.dynamic.order is order
         self.edges.add((u, v))
 
     @rule(u=_RAW, v=_RAW)
@@ -53,8 +59,10 @@ class DynamicIndexMachine(RuleBasedStateMachine):
         u, v = self._vertex(u), self._vertex(v)
         if u == v:
             return
+        order = self.dynamic.order
         removed = self.dynamic.delete_edge(u, v)
         assert removed == ((u, v) in self.edges)
+        self.edge_write = removed and self.dynamic.order is order
         self.edges.discard((u, v))
 
     @rule()
@@ -89,6 +97,14 @@ class DynamicIndexMachine(RuleBasedStateMachine):
     def index_is_exactly_tol(self):
         graph = DiGraph(self.n, sorted(self.edges))
         assert self.dynamic.snapshot() == tol_index(graph, self.dynamic.order)
+
+    @invariant()
+    def edge_write_skips_the_repair_iff_the_index_stands(self):
+        snapshot = self.dynamic.snapshot()
+        if self.edge_write:
+            skipped = self.dynamic.touched == (set(), set())
+            assert skipped == (snapshot == self.previous)
+        self.previous, self.edge_write = snapshot, False
 
 
 DynamicIndexMachine.TestCase.settings = settings(

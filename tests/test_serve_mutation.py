@@ -11,7 +11,9 @@ import pytest
 
 from repro.baselines.transitive_closure import TransitiveClosure
 from repro.core.dynamic import DynamicReachabilityIndex
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_dag
+from repro.graph.order import VertexOrder
 from repro.pregel.cost_model import CostModel
 from repro.serve import (
     MUTATION_OPS,
@@ -168,6 +170,72 @@ def test_drift_promotions_are_logged_with_concrete_ranks():
     assert all(v >= 0 for _, v in promotes)
     replicator.catch_up(1)
     assert replicator.view(1).snapshot() == leader.snapshot()
+
+
+def test_closure_preserving_writes_still_do_everything_a_write_owes():
+    # 0 → 1 → 2 → 3: the chord (0, 3) joins a pair that is connected with
+    # or without it, so inserting and deleting it move no label row — and
+    # must still be writes to everyone listening.
+    leader = DynamicReachabilityIndex(DiGraph(4, [(0, 1), (1, 2), (2, 3)]))
+    replicator = BoundedStalenessReplicator(leader, num_replicas=2)
+    cache = QueryCache()
+    cache.attach(leader)
+    seen = []
+    leader.subscribe(lambda op, u, v: seen.append((op, u, v, leader.touched)))
+    backend = MutationBackend(leader, cost_model=_NO_LIMIT, replicator=replicator)
+    follower = replicator.view(1)
+    rows = follower.in_labels + follower.out_labels
+
+    cache.put(3, 0, False)
+    status, seconds = backend.apply_with_cost("insert", 0, 3)
+    assert status == "applied" and seconds > 0
+    assert cache.get(3, 0) is None  # an insert still evicts negatives
+    cache.put(0, 3, True)
+    assert leader.apply("delete", 0, 3) is True
+    assert cache.get(0, 3) is None  # ... and a delete positives
+    assert backend.applied == 1 and backend.noops == 0
+
+    assert seen == [("insert", 0, 3, (set(), set())), ("delete", 0, 3, (set(), set()))]
+    assert replicator.version == 2
+    assert [(e.op, e.in_rows, e.out_rows) for e in replicator.log] == [
+        ("insert", {}, {}), ("delete", {}, {}),
+    ]
+    assert replicator.pending_kinds(1) == (True, True)
+    assert replicator.catch_up(1) == 2
+    assert all(a is b for a, b in zip(rows, follower.in_labels + follower.out_labels))
+    assert follower.snapshot() == leader.snapshot()
+    leader.check()
+
+
+def test_closure_preserving_writes_still_check_drift():
+    # Degrees move even when labels do not.  Chords into the tail of a
+    # chain lift its degree rank past the threshold: the insert that
+    # crosses it reports no rows, the promote behind it does.
+    chain = [(i, i + 1) for i in range(5)]
+    leader = DynamicReachabilityIndex(
+        DiGraph(6, chain), VertexOrder(range(6)), drift_threshold=2
+    )
+    seen = []
+    leader.subscribe(lambda op, u, v: seen.append((op, u, v, leader.touched)))
+    assert leader.insert_edge(0, 5) and leader.insert_edge(1, 5)
+    assert [(op, u, v) for op, u, v, _ in seen] == [
+        ("insert", 0, 5), ("insert", 1, 5), ("promote", 5, 1),
+    ]
+    assert seen[0][3] == seen[1][3] == (set(), set()) != seen[2][3]
+    leader.check()
+    # A delete's turn: the frozen order undervalues vertex 5 from the
+    # start, and the first write that touches it — a chord whose
+    # removal leaves 0 ⇝ 5 standing — is where the check runs.
+    chords = [(i, 5) for i in range(4)]
+    leader = DynamicReachabilityIndex(
+        DiGraph(6, chain + chords), VertexOrder(range(6)), drift_threshold=1
+    )
+    seen.clear()
+    leader.subscribe(lambda op, u, v: seen.append((op, u, v, leader.touched)))
+    assert leader.delete_edge(0, 5)
+    assert [(op, u, v) for op, u, v, _ in seen] == [("delete", 0, 5), ("promote", 5, 3)]
+    assert seen[0][3] == (set(), set())
+    leader.check()
 
 
 def test_pending_kinds_treats_node_ops_correctly():
