@@ -1051,45 +1051,41 @@ def _cmd_fuzz(args) -> int:
 
 
 def _read_trace_tolerantly(path: Path):
-    """Shared trace loading for ``trace``/``profile``: returns
-    ``(records, exit_code)`` where records is ``None`` on a hard error.
+    """Shared trace loading for ``trace``/``top``/``profile``: returns
+    ``(trace, exit_code)`` where trace is ``None`` on a hard error.
 
-    Malformed lines are reported to stderr as counted warnings and turn
-    the eventual exit code into 1 (the summary still prints), matching
-    ``query --pairs``.
+    Malformed lines and records are reported to stderr as counted
+    warnings and turn the eventual exit code into 1 (the summary still
+    prints), matching ``query --pairs``.
     """
-    from repro.telemetry.report import TraceReadError, read_trace
+    from repro.telemetry.reader import TraceReadError, read_trace
 
     try:
-        records = read_trace(path)
+        trace = read_trace(path)
     except (TraceReadError, OSError) as exc:
         # OSError: `top`'s live mode re-reads a file that may have gone.
         print(f"error: {exc}", file=sys.stderr)
         return None, 2
-    for reason in records.skipped[:5]:
+    for reason in trace.skipped[:5]:
         print(f"warning: {reason}; skipped", file=sys.stderr)
-    if records.skipped:
+    if trace.skipped:
         print(
-            f"warning: skipped {len(records.skipped)} malformed line(s)",
+            f"warning: skipped {len(trace.skipped)} malformed line(s)",
             file=sys.stderr,
         )
-        return records, 1
-    return records, 0
+        return trace, 1
+    return trace, 0
 
 
 def _cmd_trace(args) -> int:
     from repro.observe.dashboard import format_request
-    from repro.telemetry.report import (
-        find_request_traces,
-        slowest_requests_section,
-        summarize_trace,
-    )
+    from repro.telemetry.report import slowest_requests_section, summarize_trace
 
-    records, exit_code = _read_trace_tolerantly(args.file)
-    if records is None:
+    trace, exit_code = _read_trace_tolerantly(args.file)
+    if trace is None:
         return exit_code
     if args.trace_id is not None:
-        matches = find_request_traces(records, args.trace_id)
+        matches = [r for r in trace.requests if r.trace_id == args.trace_id]
         if not matches:
             print(f"error: no request trace with ID {args.trace_id!r} "
                   f"in {args.file}", file=sys.stderr)
@@ -1098,14 +1094,14 @@ def _cmd_trace(args) -> int:
             print(format_request(request))
         return exit_code
     if args.slowest is not None:
-        section = slowest_requests_section(records, args.slowest)
+        section = slowest_requests_section(trace, args.slowest)
         if section is None:
             print(f"error: no served request traces in {args.file}",
                   file=sys.stderr)
             return 1
         print(section)
         return exit_code
-    print(summarize_trace(records, top=args.top, superstep_limit=args.supersteps))
+    print(summarize_trace(trace, top=args.top, superstep_limit=args.supersteps))
     return exit_code
 
 
@@ -1141,12 +1137,12 @@ def _cmd_top(args) -> int:
             return 2
 
     def build_model():
-        records, exit_code = _read_trace_tolerantly(args.file)
-        if records is None:
+        trace, exit_code = _read_trace_tolerantly(args.file)
+        if trace is None:
             return None, exit_code
         try:
-            model = DashboardModel.from_records(
-                records,
+            model = DashboardModel.from_trace(
+                trace,
                 run=args.run,
                 window_seconds=args.window,
                 specs=specs,
@@ -1204,23 +1200,20 @@ def _cmd_top(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from repro.profiling import (
-        profile_report,
-        write_chrome_trace,
-        write_folded_stacks,
-    )
+    from repro.profiling import write_chrome_trace, write_folded_stacks
+    from repro.telemetry.report import profile_report
 
-    records, exit_code = _read_trace_tolerantly(args.file)
-    if records is None:
+    trace, exit_code = _read_trace_tolerantly(args.file)
+    if trace is None:
         return exit_code
     # Export before printing: a closed stdout pipe must not lose the files.
     if args.chrome_trace is not None:
-        write_chrome_trace(records, args.chrome_trace)
+        write_chrome_trace(trace, args.chrome_trace)
         print(f"chrome trace written to {args.chrome_trace}", file=sys.stderr)
     if args.flamegraph is not None:
-        write_folded_stacks(records, args.flamegraph)
+        write_folded_stacks(trace, args.flamegraph)
         print(f"folded stacks written to {args.flamegraph}", file=sys.stderr)
-    print(profile_report(records, top=args.top))
+    print(profile_report(trace, top=args.top))
     return exit_code
 
 

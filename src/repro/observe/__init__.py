@@ -1,12 +1,14 @@
 """Observability for the serving path: tracing, windows, SLOs, dashboard.
 
-This package turns the flat telemetry layer (:mod:`repro.telemetry`)
-into request-level and operator-level answers:
+Views and sinks over the one event stream (:mod:`repro.telemetry`):
+everything here reads a :class:`~repro.telemetry.reader.Trace` or, like
+the flight recorder, is a sink :func:`~repro.telemetry.attached` to it.
 
 - :mod:`repro.observe.tracing` — request-scoped causal tracing: a
-  trace ID per admitted query, per-stage child spans (admission →
-  cache → store → backend/fallback), terminal events for shed and
-  deadline-dropped requests;
+  trace ID per admitted query, per-hop stages (admission → cache →
+  store → backend/fallback) on the stream's
+  :class:`~repro.telemetry.spans.RequestTrace` record, terminal events
+  for shed and deadline-dropped requests;
 - :mod:`repro.observe.windows` — rolling-window aggregation of
   cumulative metrics (deltas, rates, EWMA) plus hot-key and
   latency-regression detectors;
@@ -14,10 +16,9 @@ into request-level and operator-level answers:
   accounting and multi-window burn-rate alerts;
 - :mod:`repro.observe.dashboard` — the ``repro top`` model: a full
   dashboard (throughput, percentiles, hit/shed rates, shard traffic,
-  replication health, alerts, worst traces) computed from an exported
-  JSONL trace;
+  replication health, alerts, worst traces) computed from a ``Trace``;
 - :mod:`repro.observe.incident` — the flight recorder: a bounded ring
-  buffer over the unified event stream, trigger engine landing
+  buffer that is one more sink on the stream, a trigger engine landing
   self-contained incident bundles, and a causal engine producing
   ranked root-cause post-mortems (``repro incident``);
 - :mod:`repro.observe.openmetrics` — one-shot OpenMetrics text
@@ -29,10 +30,8 @@ imports *this* package, keeping the dependency one-way.
 
 from repro.observe.dashboard import (
     DashboardModel,
-    RequestRecord,
     WindowRow,
     format_request,
-    requests_from_records,
 )
 from repro.observe.incident import (
     FlightRecorder,
@@ -57,7 +56,6 @@ from repro.observe.slo import (
 )
 from repro.observe.tracing import (
     RequestTrace,
-    StageSpan,
     TraceIdGenerator,
     add_stage,
     begin_request,
@@ -81,14 +79,12 @@ __all__ = [
     "HotKeyDetector",
     "IncidentReport",
     "LatencyRegressionDetector",
-    "RequestRecord",
     "RequestTrace",
     "RollingAggregator",
     "RootCause",
     "SLOBurnTrigger",
     "SLOSpec",
     "SLOStatus",
-    "StageSpan",
     "TraceIdGenerator",
     "TriggerEngine",
     "WindowRow",
@@ -106,5 +102,4 @@ __all__ = [
     "load_bundle",
     "load_slo_specs",
     "render_openmetrics",
-    "requests_from_records",
 ]

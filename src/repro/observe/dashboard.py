@@ -1,10 +1,10 @@
 """The ``repro top`` dashboard: one serving run at a glance.
 
-Builds a :class:`DashboardModel` from an exported JSONL trace — the
-``serve.request`` events written by
-:class:`~repro.serve.pipeline.QueryServer` under a telemetry session —
-and renders it as a live-refreshing console dashboard or a single JSON
-snapshot (``--once --json``) for scripting.
+Builds a :class:`DashboardModel` from a
+:class:`~repro.telemetry.reader.Trace` — the ``serve.request`` events
+written by :class:`~repro.serve.pipeline.QueryServer` under a telemetry
+session — and renders it as a live-refreshing console dashboard or a
+single JSON snapshot (``--once --json``) for scripting.
 
 The model recomputes throughput, latency percentiles, and the cache
 hit rate with exactly the arithmetic
@@ -30,59 +30,11 @@ from repro.observe.windows import (
     RollingAggregator,
 )
 from repro.telemetry.metrics import sorted_percentile
+from repro.telemetry.reader import Trace
+from repro.telemetry.spans import RequestTrace
 
 #: Default number of windows the run's span is divided into.
 DEFAULT_WINDOW_COUNT = 12
-
-
-@dataclass(frozen=True)
-class RequestRecord:
-    """One ``serve.request`` event, parsed."""
-
-    trace_id: str
-    source: int
-    target: int
-    arrival: float
-    outcome: str
-    latency_seconds: float
-    reason: str | None
-    stages: tuple[dict, ...]
-    run: int | None  # the serve.run span id grouping this request
-
-    def stage(self, name: str) -> dict | None:
-        """The first stage with the given name, if recorded."""
-        for stage in self.stages:
-            if stage.get("stage") == name:
-                return stage
-        return None
-
-    def stage_names(self) -> list[str]:
-        return [s.get("stage", "?") for s in self.stages]
-
-
-def requests_from_records(records) -> list[RequestRecord]:
-    """Parse every ``serve.request`` event out of a record stream."""
-    requests: list[RequestRecord] = []
-    for record in records:
-        if record.get("kind") != "event" or record.get("name") != "serve.request":
-            continue
-        attrs = record.get("attrs", {})
-        if "trace_id" not in attrs:
-            continue
-        requests.append(
-            RequestRecord(
-                trace_id=attrs["trace_id"],
-                source=attrs.get("source", -1),
-                target=attrs.get("target", -1),
-                arrival=attrs.get("arrival", 0.0),
-                outcome=attrs.get("outcome", "?"),
-                latency_seconds=attrs.get("latency_seconds", 0.0),
-                reason=attrs.get("reason"),
-                stages=tuple(attrs.get("stages", ())),
-                run=record.get("span"),
-            )
-        )
-    return requests
 
 
 @dataclass
@@ -126,7 +78,7 @@ class WindowRow:
 class DashboardModel:
     """Everything ``repro top`` shows, computed once from a trace."""
 
-    requests: list[RequestRecord]
+    requests: list[RequestTrace]
     runs: int
     offered: int
     served: int
@@ -145,7 +97,7 @@ class DashboardModel:
     stage_counts: dict[str, int]
     traced_fraction: float
     windows: list[WindowRow]
-    worst: list[RequestRecord]
+    worst: list[RequestTrace]
     slos: list[SLOStatus]
     # Replication health, rebuilt from stage attrs + replica.lag events.
     confirmed_reads: int = 0
@@ -160,9 +112,9 @@ class DashboardModel:
 
     # -- construction --------------------------------------------------
     @classmethod
-    def from_records(
+    def from_trace(
         cls,
-        records,
+        trace: Trace,
         *,
         run: int | None = None,
         window_seconds: float | None = None,
@@ -170,37 +122,21 @@ class DashboardModel:
         slowest: int = 5,
         incidents: list[dict] | None = None,
     ) -> "DashboardModel":
-        """Build the model from raw trace records.
+        """Build the model from a trace.
 
-        ``run`` selects the n-th serving run in the file (1-based, in
+        ``run`` selects the n-th serving run in the trace (1-based, in
         order of appearance) when one trace holds several — e.g.
         serve-bench's cached and uncached rows; the default aggregates
-        them all.
+        them all.  A run is the ``serve.run`` span its requests — and
+        its failover and lag events — were emitted under.
         """
-        records = list(records)
-        failovers = sum(
-            1
-            for record in records
-            if record.get("kind") == "event"
-            and record.get("name") == "serve.failover"
-        )
+        requests = trace.requests
+        failovers = trace.events("serve.failover")
         # Replicator lag samples: the store emits one replica.lag event
         # whenever the worst follower lag changes, carrying per-group
         # lags; the dashboard keeps the peaks.
-        replication_lag_peak = 0
-        group_lag_peaks: dict[str, int] = {}
-        for record in records:
-            if record.get("kind") != "event" or record.get("name") != "replica.lag":
-                continue
-            attrs = record.get("attrs", {})
-            replication_lag_peak = max(replication_lag_peak, attrs.get("lag", 0))
-            for group, lag in (attrs.get("groups") or {}).items():
-                group_lag_peaks[group] = max(group_lag_peaks.get(group, 0), lag)
-        requests = requests_from_records(records)
-        run_ids: list = []
-        for request in requests:
-            if request.run not in run_ids:
-                run_ids.append(request.run)
+        lag_samples = trace.events("replica.lag")
+        run_ids = list(dict.fromkeys(request.run for request in requests))
         if run is not None:
             if not 1 <= run <= len(run_ids):
                 raise ValueError(
@@ -209,9 +145,18 @@ class DashboardModel:
                 )
             wanted = run_ids[run - 1]
             requests = [r for r in requests if r.run == wanted]
+            failovers = [e for e in failovers if e.get("span") == wanted]
+            lag_samples = [e for e in lag_samples if e.get("span") == wanted]
             runs = 1
         else:
             runs = len(run_ids)
+        replication_lag_peak = 0
+        group_lag_peaks: dict[str, int] = {}
+        for sample in lag_samples:
+            attrs = sample.get("attrs", {})
+            replication_lag_peak = max(replication_lag_peak, attrs.get("lag", 0))
+            for group, lag in (attrs.get("groups") or {}).items():
+                group_lag_peaks[group] = max(group_lag_peaks.get(group, 0), lag)
 
         served_requests = [r for r in requests if r.outcome == "served"]
         shed = sum(1 for r in requests if r.outcome == "shed")
@@ -289,7 +234,7 @@ class DashboardModel:
             shed=shed,
             deadline_dropped=deadline_dropped,
             failed=failed,
-            failovers=failovers,
+            failovers=len(failovers),
             positives=positives,
             makespan_seconds=makespan,
             latencies=latencies,
@@ -314,7 +259,7 @@ class DashboardModel:
 
     @staticmethod
     def _build_windows(
-        requests: list[RequestRecord],
+        requests: list[RequestTrace],
         makespan: float,
         window_seconds: float | None,
     ) -> list[WindowRow]:
@@ -335,11 +280,15 @@ class DashboardModel:
             )
             for i in range(count)
         ]
-        buckets: list[list[RequestRecord]] = [[] for _ in rows]
+        buckets: list[list[RequestTrace]] = [[] for _ in rows]
         for request in requests:
             i = min(int((request.arrival - start) / window_seconds), count - 1)
             buckets[i].append(request)
         aggregator = RollingAggregator()
+        # The aggregator's first step is its baseline (an instantaneous
+        # window with no rate); taking it at the first window's start
+        # leaves window 0 a real duration like every other.
+        aggregator.step(start, {"served": 0})
         regressions = LatencyRegressionDetector()
         hot = HotKeyDetector()
         cumulative_served = 0
@@ -560,7 +509,7 @@ class DashboardModel:
         return "\n".join(lines)
 
 
-def format_request(request: RequestRecord) -> str:
+def format_request(request: RequestTrace) -> str:
     """One request with its per-stage breakdown, as a single line."""
     stages = []
     for stage in request.stages:

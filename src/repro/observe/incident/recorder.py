@@ -2,11 +2,13 @@
 
 Production systems keep a *black box*: an always-on, bounded recorder
 whose contents only matter in the seconds before something went wrong.
-:class:`FlightRecorder` is that box for the simulated serving stack.
-Every interesting occurrence — ``serve.request`` terminals from the
-pipeline, store/replica lifecycle events (crash, suspicion, failover,
-recovery), replicator lag samples — is appended as one plain dict on
-the **serving clock**, and two retention bounds evict from the front:
+:class:`FlightRecorder` is that box for the simulated serving stack: a
+**sink** on the telemetry stream like any other (join a run with
+:func:`repro.telemetry.attached`).  Every event the run emits —
+``serve.request`` terminals, store/replica lifecycle events (crash,
+suspicion, failover, recovery), replicator lag samples — is appended as
+one plain dict on the **serving clock** (the event's ``at`` attr), and
+two retention bounds evict from the front:
 
 - ``window_seconds`` — keep only the last N simulated seconds
   (time-based retention, the "black box keeps the last 30 minutes"
@@ -22,8 +24,8 @@ a bundle knows when its history was truncated).  Listeners observe
 every record as it lands; the trigger engine
 (:mod:`repro.observe.incident.triggers`) is such a listener.
 
-Nothing here imports from :mod:`repro.serve` — the serving layer pushes
-events *into* the recorder, keeping the dependency one-way.
+Nothing here imports from :mod:`repro.serve` — the serving layer emits
+into the stream, where the recorder listens: the dependency is one-way.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from typing import Callable
+
+from repro.telemetry.sinks import SpanSink
+from repro.telemetry.spans import TraceEvent
 
 #: Default byte budget: generous for a scenario run (a few thousand
 #: request records), small next to the label store itself.
@@ -42,7 +47,7 @@ def _encoded_size(record: dict) -> int:
     return len(json.dumps(record, separators=(",", ":"), default=str))
 
 
-class FlightRecorder:
+class FlightRecorder(SpanSink):
     """Bounded in-memory recording of the unified serving event stream.
 
     Parameters
@@ -97,10 +102,11 @@ class FlightRecorder:
             listener(record)
         return record
 
-    def record_event(self, event: dict) -> dict:
-        """Adapter for store-style event dicts (``{"event", "at", ...}``)."""
-        attrs = {k: v for k, v in event.items() if k not in ("event", "at")}
-        return self.record(event["event"], event.get("at", self.clock), **attrs)
+    def on_event(self, event: TraceEvent) -> None:
+        """The sink protocol's one override: the box keeps events,
+        flattened — ``at`` leaves the attrs to stamp the record on the
+        serving clock (an event without one lands at the current clock)."""
+        self.record(event.name, **{"at": self.clock, **event.attrs})
 
     # ------------------------------------------------------------------
     def _evict(self) -> None:

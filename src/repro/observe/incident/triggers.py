@@ -26,8 +26,9 @@ atomically, holding the trigger, its details, and every buffered event
 Each trigger kind has an independent **cooldown** so one incident does
 not shatter into dozens of near-identical bundles: re-fires inside the
 cooldown are counted in :attr:`TriggerEngine.suppressed` instead of
-written.  Bundle ids are deterministic (``incident-001-failover``),
-so scenario runs are replayable byte for byte.
+written.  Bundle ids are deterministic (``incident-001-failover``,
+skipping numbers a different ``context`` holds in the directory), so
+scenario runs are replayable byte for byte.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from typing import Sequence
 
 from repro.bench.results import atomic_write_text
 from repro.observe.incident.recorder import FlightRecorder
+from repro.observe.incident.report import load_bundle
 from repro.observe.slo import SLOSpec
 
 #: Bundle kinds the engine can produce, in the order they tend to
@@ -213,6 +215,15 @@ class TriggerEngine:
                     self.fire("slo_burn", at, details=state, evidence=[record["id"]])
 
     # ------------------------------------------------------------------
+    def _may_write(self, path: Path) -> bool:
+        """Is ``path`` free, or this context's own earlier bundle?"""
+        try:
+            return load_bundle(path).get("context") == self.context
+        except FileNotFoundError:
+            return True
+        except ValueError:  # not a bundle: not ours to replace
+            return False
+
     def fire(
         self,
         kind: str,
@@ -226,8 +237,14 @@ class TriggerEngine:
             self.suppressed[kind] = self.suppressed.get(kind, 0) + 1
             return None
         self._last_fired[kind] = at
-        self._seq += 1
-        bundle_id = f"incident-{self._seq:03d}-{kind}"
+        # Engines sharing a directory (one per scenario of a run) each
+        # number from 001: step past the names another context holds.
+        while True:
+            self._seq += 1
+            bundle_id = f"incident-{self._seq:03d}-{kind}"
+            path = self.directory / f"{bundle_id}.json"
+            if self._may_write(path):
+                break
         bundle = {
             "id": bundle_id,
             "kind": kind,
@@ -244,7 +261,6 @@ class TriggerEngine:
             },
             "events": self.recorder.events(),
         }
-        path = self.directory / f"{bundle_id}.json"
         # Via rename, so a crash never leaves a torn bundle.
         path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_text(path, json.dumps(bundle, indent=2, default=str) + "\n")

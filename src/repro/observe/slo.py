@@ -247,7 +247,7 @@ def evaluate_slo(
     """Evaluate one spec over finished request traces.
 
     ``requests`` need ``outcome``, ``arrival``, and ``latency_seconds``
-    attributes (e.g. :class:`repro.observe.dashboard.RequestRecord`).
+    attributes (e.g. :class:`repro.telemetry.spans.RequestTrace`).
     Requests are placed on the timeline at their arrival, and the burn
     windows end at ``end_time`` (default: the latest arrival), so
     evaluating at successive end times replays how an alert fires and

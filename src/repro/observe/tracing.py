@@ -4,12 +4,13 @@ Aggregate metrics answer "how slow is the p99"; they cannot answer
 "*why was this query slow*".  Request tracing closes the gap: every
 query admitted by :class:`~repro.serve.pipeline.QueryServer` gets a
 **trace ID** that follows it through admission, the query cache, the
-sharded label store, and the backend, with a :class:`StageSpan`
-recorded at each hop on the *simulated* clock.  Finished traces are
-emitted as ``serve.request`` telemetry events, so a ``--trace-out``
-JSONL export carries one record per request — including requests shed
-at the door or dropped past their deadline, which previously vanished
-from every trace.
+sharded label store, and the backend, with a stage recorded at each hop
+on the *simulated* clock.  The record is
+:class:`~repro.telemetry.spans.RequestTrace`, the stream's third record
+type; finished traces are emitted as ``serve.request`` telemetry
+events, so a ``--trace-out`` JSONL export carries one record per
+request — including requests shed at the door or dropped past their
+deadline.
 
 The same trace IDs are sampled into the latency histogram's buckets as
 **exemplars** (see :meth:`repro.telemetry.metrics.Histogram.observe`),
@@ -32,91 +33,15 @@ from __future__ import annotations
 
 import itertools
 
+from repro.telemetry.spans import RequestTrace
+
 #: The request currently executing its backend call, if any.
-ACTIVE: "RequestTrace | None" = None
+ACTIVE: RequestTrace | None = None
 
 #: Stages the server itself records on every traced request.
 SERVER_STAGES = ("admission", "backend")
 
 _run_counter = itertools.count()
-
-
-class StageSpan:
-    """One hop of a request: a named child span with simulated seconds."""
-
-    __slots__ = ("name", "seconds", "attrs")
-
-    def __init__(self, name: str, seconds: float, attrs: dict | None = None):
-        self.name = name
-        self.seconds = seconds
-        self.attrs = attrs
-
-    def to_dict(self) -> dict:
-        """Flat JSONL shape: ``{"stage": ..., "seconds": ..., **attrs}``."""
-        record = {"stage": self.name, "seconds": self.seconds}
-        if self.attrs:
-            record.update(self.attrs)
-        return record
-
-
-class RequestTrace:
-    """One request's causal record: identity, outcome, and stages.
-
-    The server creates one per admitted request (and one per shed
-    request, so drops leave a terminal record too), appends stages as
-    the request moves through the pipeline, and emits the finished
-    trace as a ``serve.request`` event.
-    """
-
-    __slots__ = (
-        "trace_id", "source", "target", "arrival",
-        "outcome", "latency_seconds", "reason", "stages",
-    )
-
-    def __init__(self, trace_id: str, source: int, target: int, arrival: float):
-        self.trace_id = trace_id
-        self.source = source
-        self.target = target
-        self.arrival = arrival
-        self.outcome = "pending"
-        self.latency_seconds = 0.0
-        self.reason: str | None = None
-        self.stages: list[StageSpan] = []
-
-    def add_stage(self, name: str, seconds: float, **attrs) -> StageSpan:
-        """Append a child stage span (attrs are optional annotations)."""
-        span = StageSpan(name, seconds, attrs or None)
-        self.stages.append(span)
-        return span
-
-    def finish(
-        self, outcome: str, latency_seconds: float = 0.0,
-        reason: str | None = None,
-    ) -> "RequestTrace":
-        """Mark the terminal outcome (``served`` / ``shed`` / ``deadline``)."""
-        self.outcome = outcome
-        self.latency_seconds = latency_seconds
-        self.reason = reason
-        return self
-
-    def stage_names(self) -> list[str]:
-        """The stage names in recording order."""
-        return [stage.name for stage in self.stages]
-
-    def to_attrs(self) -> dict:
-        """The ``serve.request`` event payload (JSONL ``attrs``)."""
-        attrs = {
-            "trace_id": self.trace_id,
-            "source": self.source,
-            "target": self.target,
-            "arrival": self.arrival,
-            "outcome": self.outcome,
-            "latency_seconds": self.latency_seconds,
-            "stages": [stage.to_dict() for stage in self.stages],
-        }
-        if self.reason is not None:
-            attrs["reason"] = self.reason
-        return attrs
 
 
 class TraceIdGenerator:

@@ -3,21 +3,19 @@
 The telemetry layer records what happened (spans, events, metrics);
 this package answers *why a run was slow*:
 
-- :mod:`~repro.profiling.skew` — per-node load attribution: rebuilds a
-  :class:`~repro.pregel.metrics.NodeTimeline` from exported
-  ``pregel.node`` events and computes imbalance metrics (max/mean load
-  ratio, Gini coefficient, barrier-wait share), names straggler and
-  hot-partition nodes, and estimates the speedup from perfect
-  rebalancing;
+- :mod:`~repro.profiling.skew` — per-node load attribution over a
+  :class:`~repro.pregel.metrics.NodeTimeline`: imbalance metrics
+  (max/mean load ratio, Gini coefficient, barrier-wait share),
+  straggler and hot-partition nodes, and the speedup perfect
+  rebalancing would buy;
 - :mod:`~repro.profiling.export` — standard-format exporters: Chrome
   trace-event JSON (one "process" per simulated node; load it in
-  Perfetto or ``chrome://tracing``) and folded stacks for flamegraphs;
-- :mod:`~repro.profiling.report` — the ``repro profile`` text report
-  (skew + top spans + critical path).
+  Perfetto or ``chrome://tracing``) and folded stacks for flamegraphs.
 
-Everything here is derived from an existing ``--trace-out`` JSONL file
-or a live :class:`~repro.pregel.metrics.RunStats.node_timeline`; no
-instrumentation of its own.
+Both are views over a :class:`~repro.telemetry.reader.Trace` (or a live
+:class:`~repro.pregel.metrics.RunStats.node_timeline`) with no
+instrumentation of their own; the ``repro profile`` text report sits
+beside ``repro trace``'s in :mod:`repro.telemetry.report`.
 """
 
 from __future__ import annotations
@@ -28,13 +26,11 @@ from repro.profiling.export import (
     write_chrome_trace,
     write_folded_stacks,
 )
-from repro.profiling.report import critical_path, profile_report
 from repro.profiling.skew import (
     NodeLoad,
     SkewReport,
     SuperstepSkew,
     analyze_skew,
-    timeline_from_records,
 )
 
 __all__ = [
@@ -43,10 +39,7 @@ __all__ = [
     "SuperstepSkew",
     "analyze_skew",
     "chrome_trace",
-    "critical_path",
     "folded_stacks",
-    "profile_report",
-    "timeline_from_records",
     "write_chrome_trace",
     "write_folded_stacks",
 ]

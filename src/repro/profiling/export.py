@@ -1,4 +1,4 @@
-"""Standard-format exporters for JSONL traces.
+"""Standard-format exporters for a :class:`~repro.telemetry.reader.Trace`.
 
 Two targets, both derived from an existing ``--trace-out`` file:
 
@@ -22,7 +22,7 @@ import json
 from collections import defaultdict
 from pathlib import Path
 
-from repro.profiling.skew import timeline_from_records
+from repro.telemetry.reader import Trace
 
 #: pid of the wall-clock driver process in the Chrome trace.
 DRIVER_PID = 0
@@ -31,29 +31,24 @@ _MICRO = 1e6
 _FAULT_EVENTS = ("pregel.fault", "pregel.recovery", "pregel.checkpoint")
 
 
-def _wall_zero(records: list[dict]) -> float:
-    """The earliest wall timestamp in the trace (the common zero)."""
-    starts = [r["start"] for r in records if r.get("kind") == "span"]
-    starts += [
-        r["wall"]
-        for r in records
-        if r.get("kind") == "event" and "wall" in r
-    ]
-    return min(starts, default=0.0)
-
-
-def chrome_trace(records: list[dict]) -> dict:
-    """Convert trace records to a Chrome trace-event JSON object.
+def chrome_trace(trace: Trace) -> dict:
+    """Convert a trace to a Chrome trace-event JSON object.
 
     Returns ``{"traceEvents": [...], "displayTimeUnit": "ms"}``.  The
-    per-node lanes are rebuilt from the ``pregel.node`` events (see
-    :func:`~repro.profiling.skew.timeline_from_records`); traces
-    exported without per-node telemetry still get the wall-clock
-    process.  Durations are microseconds (fractional — simulated
-    super-steps are routinely sub-microsecond).
+    per-node lanes replay :attr:`Trace.node_timeline`; traces exported
+    without per-node telemetry still get the wall-clock process, whose
+    spans and fault markers keep the order they arrived in.  Durations
+    are microseconds (fractional — simulated super-steps are routinely
+    sub-microsecond).
     """
     events: list[dict] = []
-    zero = _wall_zero(records)
+    records = trace.records
+    # The earliest wall timestamp in the trace is the common zero.
+    zero = min(
+        [r["start"] for r in trace.spans]
+        + [r["wall"] for r in records if r["kind"] == "event" and "wall" in r],
+        default=0.0,
+    )
 
     events.append(
         {
@@ -65,7 +60,7 @@ def chrome_trace(records: list[dict]) -> dict:
         }
     )
     for record in records:
-        kind = record.get("kind")
+        kind = record["kind"]
         if kind == "span":
             events.append(
                 {
@@ -86,7 +81,7 @@ def chrome_trace(records: list[dict]) -> dict:
                     },
                 }
             )
-        elif kind == "event" and record.get("name") in _FAULT_EVENTS:
+        elif kind == "event" and record["name"] in _FAULT_EVENTS:
             events.append(
                 {
                     "name": record["name"],
@@ -99,7 +94,7 @@ def chrome_trace(records: list[dict]) -> dict:
                 }
             )
 
-    timeline = timeline_from_records(records)
+    timeline = trace.node_timeline
     if timeline is not None:
         for node in range(timeline.num_nodes):
             events.append(
@@ -171,14 +166,14 @@ def chrome_trace(records: list[dict]) -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(records: list[dict], path: str | Path) -> None:
+def write_chrome_trace(trace: Trace, path: str | Path) -> None:
     """Write :func:`chrome_trace` output as JSON to ``path``."""
     Path(path).write_text(
-        json.dumps(chrome_trace(records)) + "\n", encoding="utf-8"
+        json.dumps(chrome_trace(trace)) + "\n", encoding="utf-8"
     )
 
 
-def folded_stacks(records: list[dict]) -> list[str]:
+def folded_stacks(trace: Trace) -> list[str]:
     """Folded-stack lines for flamegraph tooling.
 
     One ``parent;child;leaf value`` line per distinct span path, where
@@ -187,11 +182,7 @@ def folded_stacks(records: list[dict]) -> list[str]:
     simulated super-steps are far below the microsecond flamegraph
     tools usually assume.  Sorted for deterministic output.
     """
-    spans = {
-        record["id"]: record
-        for record in records
-        if record.get("kind") == "span"
-    }
+    spans = {record["id"]: record for record in trace.spans}
     children_sim: dict[int | None, float] = defaultdict(float)
     for record in spans.values():
         children_sim[record.get("parent")] += record.get(
@@ -220,9 +211,9 @@ def folded_stacks(records: list[dict]) -> list[str]:
     return [f"{stack} {value}" for stack, value in sorted(weights.items())]
 
 
-def write_folded_stacks(records: list[dict], path: str | Path) -> None:
+def write_folded_stacks(trace: Trace, path: str | Path) -> None:
     """Write :func:`folded_stacks` lines to ``path``."""
-    lines = folded_stacks(records)
+    lines = folded_stacks(trace)
     Path(path).write_text(
         "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
     )

@@ -10,81 +10,21 @@ node), and the speedup a perfectly rebalanced partitioning would buy.
 
 Input is a :class:`~repro.pregel.metrics.NodeTimeline`, either taken
 live from ``RunStats.node_timeline`` (build with ``node_timeline=True``)
-or rebuilt from an exported JSONL trace's ``pregel.node`` events with
-:func:`timeline_from_records`.
+or rebuilt from an exported trace's ``pregel.node`` events
+(:attr:`repro.telemetry.reader.Trace.node_timeline`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.pregel.metrics import NodeSlice, NodeTimeline, TimelineInterval
+from repro.pregel.metrics import NodeTimeline
 
 #: A node whose apparent slowdown exceeds this names it a straggler.
 STRAGGLER_THRESHOLD = 1.5
 
 #: A run whose max/mean busy ratio stays below this is "balanced".
 BALANCED_THRESHOLD = 1.2
-
-
-def timeline_from_records(records: list[dict]) -> NodeTimeline | None:
-    """Rebuild a :class:`NodeTimeline` from exported trace records.
-
-    Uses the ``pregel.node`` events (one per node per committed
-    super-step, in execution order) plus the ``pregel.recovery`` and
-    ``pregel.checkpoint`` events for the fault intervals.  Returns
-    ``None`` when the trace holds no ``pregel.node`` events (the run
-    predates per-node telemetry or never entered the engine).
-
-    Discarded super-step attempts (``replay`` intervals) are not
-    emitted as events, so a rebuilt timeline carries slightly less
-    fault detail than a live ``RunStats.node_timeline``.
-    """
-    slices: list[NodeSlice] = []
-    intervals: list[TimelineInterval] = []
-    num_nodes = 0
-    for record in records:
-        if record.get("kind") != "event":
-            continue
-        name = record.get("name")
-        attrs = record.get("attrs", {})
-        if name == "pregel.node":
-            try:
-                piece = NodeSlice(
-                    superstep=attrs["superstep"],
-                    node=attrs["node"],
-                    units=attrs["units"],
-                    compute_seconds=attrs["compute_seconds"],
-                    comm_seconds=attrs["comm_seconds"],
-                    barrier_wait_seconds=attrs["barrier_wait_seconds"],
-                    barrier_seconds=attrs["barrier_seconds"],
-                    recv_bytes=attrs.get("recv_bytes", 0),
-                    slowdown=attrs.get("slowdown", 1.0),
-                )
-            except KeyError:
-                continue
-            slices.append(piece)
-            num_nodes = max(num_nodes, piece.node + 1)
-        elif name == "pregel.recovery":
-            intervals.append(
-                TimelineInterval(
-                    "recovery",
-                    attrs.get("superstep", 0),
-                    attrs.get("seconds", 0.0),
-                    tuple(attrs.get("nodes", ())),
-                )
-            )
-        elif name == "pregel.checkpoint":
-            intervals.append(
-                TimelineInterval(
-                    "checkpoint",
-                    attrs.get("superstep", 0),
-                    attrs.get("seconds", 0.0),
-                )
-            )
-    if not slices:
-        return None
-    return NodeTimeline(num_nodes=num_nodes, slices=slices, intervals=intervals)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ exactly.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from repro.serve.faults import Timeline
 from repro.serve.pipeline import QueryServer, ServeReport
 from repro.serve.replica import BoundedStalenessReplicator, ReplicatedLabelStore
 from repro.serve.store import ShardedIndexBackend
+from repro.telemetry import attached
 from repro.workloads.updates import mixed_update_stream, update_stream
 
 
@@ -209,10 +211,10 @@ def run_scenario(
     """Execute one scenario and grade its expectations.
 
     With ``incident_dir`` a :class:`~repro.observe.incident.FlightRecorder`
-    rides the run — subscribed to the store's event stream and fed
-    every ``serve.request`` terminal — and a trigger engine lands
-    incident bundles there on failovers, unavailable shards, online
-    SLO burn, and (after grading) failed expectations.
+    rides the run — attached to the telemetry stream for the serve
+    call, next to whatever session is exporting it — and a trigger
+    engine lands incident bundles there on failovers, unavailable
+    shards, online SLO burn, and (after grading) failed expectations.
     """
     graph = spec.graph.build()
     serving = spec.serving
@@ -315,7 +317,6 @@ def run_scenario(
             context={"scenario": spec.name},
         )
         recorder.add_listener(engine.observe)
-        store.subscribe(recorder.record_event)
 
     # --- serve --------------------------------------------------------
     mutation_backend = None
@@ -328,19 +329,19 @@ def run_scenario(
         deadline_seconds=serving.deadline_seconds,
         request_tracing=request_tracing,
         on_advance=timeline.advance,
-        recorder=recorder,
         mutation_backend=mutation_backend,
     )
     pairs, arrivals = spec.traffic.build(graph.num_vertices)
-    if serve_writes:
-        report = server.run_mixed(
-            pairs,
-            arrivals,
-            [op for _, op in pending_updates],
-            [at for at, _ in pending_updates],
-        )
-    else:
-        report = server.run_open(pairs, arrivals)
+    with attached(recorder) if recorder is not None else nullcontext():
+        if serve_writes:
+            report = server.run_mixed(
+                pairs,
+                arrivals,
+                [op for _, op in pending_updates],
+                [at for at, _ in pending_updates],
+            )
+        else:
+            report = server.run_open(pairs, arrivals)
 
     # --- audit: every served answer vs the oracle at its version -----
     audited = incorrect = 0

@@ -37,16 +37,12 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.errors import ShardUnavailableError
-from repro.observe.tracing import (
-    RequestTrace,
-    TraceIdGenerator,
-    begin_request,
-    end_request,
-)
+from repro.observe.tracing import TraceIdGenerator, begin_request, end_request
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.telemetry import (
     LATENCY_BUCKETS,
     MetricsRegistry,
+    RequestTrace,
     current_metrics,
     enabled,
     trace_event,
@@ -226,13 +222,6 @@ class QueryServer:
         scheduled mid-traffic events — replica faults and scenario
         update bursts on a :class:`~repro.serve.faults.Timeline`,
         replication delivery — ride the serving clock.
-    recorder:
-        Optional :class:`~repro.observe.incident.recorder.FlightRecorder`:
-        every terminal ``serve.request`` record (served, shed,
-        deadline-dropped, failed) is also appended to it on the
-        serving clock, feeding the incident trigger engine.  Attaching
-        a recorder turns request tracing on (unless explicitly forced
-        off) so the records carry trace ids and stage chains.
     mutation_backend:
         Optional :class:`~repro.serve.mutation.MutationBackend`
         enabling the write path: :meth:`submit_mutation` and the write
@@ -253,7 +242,6 @@ class QueryServer:
         metrics: MetricsRegistry | None = None,
         request_tracing: bool | None = None,
         on_advance=None,
-        recorder=None,
         mutation_backend=None,
     ):
         if queue_depth < 1:
@@ -270,7 +258,6 @@ class QueryServer:
         self._metrics = metrics
         self._request_tracing = request_tracing
         self._on_advance = on_advance
-        self._recorder = recorder
         self._mutation_backend = mutation_backend
 
     # -- entry points --------------------------------------------------
@@ -390,26 +377,19 @@ class QueryServer:
         reads_offered = sum(1 for request in pairs if len(request) == 2)
         mutations_offered = n - reads_offered
         next_request = 0
-        # Request tracing: off by default unless telemetry is on or a
-        # flight recorder wants the records, and forceable either way.
-        # When off, the loop below touches none of this — no
-        # per-request allocation at all.
-        recorder = self._recorder
+        # Request tracing: off by default unless telemetry is on (a
+        # session, or a sink attached to the stream), and forceable
+        # either way.  When off, the loop below touches none of this —
+        # no per-request allocation at all.
         tracing = (
             self._request_tracing
             if self._request_tracing is not None
-            else enabled() or recorder is not None
+            else enabled()
         )
-        if not tracing:
-            recorder = None
 
         def terminal(at: float, trace: RequestTrace, **extra) -> None:
-            """Emit one finished request to telemetry + the recorder."""
-            attrs = trace.to_attrs()
-            attrs.update(extra)
-            trace_event("serve.request", **attrs)
-            if recorder is not None:
-                recorder.record("serve.request", at, **attrs)
+            """Emit one finished request, stamped with the serving clock."""
+            trace_event("serve.request", **trace.to_attrs(), **extra, at=at)
 
         trace_ids = TraceIdGenerator() if tracing else None
         traces: dict[int, RequestTrace] = {}

@@ -226,7 +226,6 @@ class ShardedLabelStore:
         self.events: list[dict] = []
         self.stale_reads = 0
         self.confirmed_reads = 0
-        self._listeners: list = []
         self._last_lag_sample = 0
         # What each replica group reads, as (out_size_of, in_size_of,
         # query): the index itself, or with a replicator the leader for
@@ -336,21 +335,12 @@ class ShardedLabelStore:
             "serve.replica_slow", at, shard=shard, replica=replica, factor=factor
         )
 
-    def subscribe(self, listener) -> None:
-        """Call ``listener(event_dict)`` for every store event (plus
-        ``replica.lag`` samples, which skip the event log) — this is
-        how a :class:`~repro.observe.incident.recorder.FlightRecorder`
-        taps the store."""
-        self._listeners.append(listener)
-
     def _record(self, name: str, at: float, logged: bool = True, **attrs) -> None:
-        """To telemetry, listeners and (lifecycle only) :attr:`events`."""
-        event = {"event": name, "at": at, **attrs}
+        """To the telemetry stream (the export, the dashboard, any
+        attached sink) and, lifecycle only, :attr:`events`."""
         if logged:
-            self.events.append(event)
+            self.events.append({"event": name, "at": at, **attrs})
         trace_event(name, at=at, **attrs)
-        for listener in self._listeners:
-            listener(event)
 
     def _suspect(self, state: ReplicaState) -> None:
         """Mark a replica suspected and fail over if it was primary."""
@@ -421,8 +411,8 @@ class ShardedLabelStore:
     def _sample_lag(self, clock: float) -> None:
         """Emit a ``replica.lag`` sample when the worst lag changes.
 
-        Samples go to telemetry and subscribed listeners (the flight
-        recorder, the dashboard via the trace) but *not* into
+        Samples go to the telemetry stream (the trace export, the
+        dashboard, any attached sink) but *not* into
         :attr:`events` — scenario reports list lifecycle events only.
         """
         rep = self.replicator

@@ -1,15 +1,20 @@
-"""``repro.telemetry`` — spans, metrics, and trace export.
+"""``repro.telemetry`` — the event stream: records, sinks, one reader.
 
-The observability layer behind every instrumented code path:
+Every instrumented code path emits into one stream; whatever observes
+a run is a sink on it or a view over what a sink wrote:
 
-- :mod:`~repro.telemetry.spans` — nested, timestamped spans carrying
-  wall *and* simulated seconds, plus point-in-time events;
+- :mod:`~repro.telemetry.spans` — the record types: nested, timestamped
+  :class:`Span` intervals carrying wall *and* simulated seconds,
+  point-in-time :class:`TraceEvent` records, and the per-request
+  :class:`RequestTrace` a ``serve.request`` event carries;
 - :mod:`~repro.telemetry.metrics` — counters, gauges, and fixed-bucket
   histograms in a :class:`MetricsRegistry`;
-- :mod:`~repro.telemetry.sinks` — in-memory, JSONL-file, and
-  stdlib-logging destinations;
-- :mod:`~repro.telemetry.report` — summaries of exported JSONL traces
-  (the ``repro trace`` subcommand).
+- :mod:`~repro.telemetry.sinks` — the sink protocol and its in-memory,
+  JSONL-file, and stdlib-logging implementations;
+- :mod:`~repro.telemetry.reader` — ``Trace``, the one validating parser
+  of an exported stream;
+- :mod:`~repro.telemetry.report` — the ``repro trace`` / ``repro
+  profile`` text reports over a ``Trace``.
 
 Telemetry is off by default and near-free when off: instrumented code
 checks one attribute (``tracer.enabled``) and moves on.  Turn it on for
@@ -27,7 +32,7 @@ closes them.  See ``docs/observability.md`` for the JSONL schema.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import Iterator
 
 from repro.telemetry.metrics import (
@@ -42,6 +47,7 @@ from repro.telemetry.metrics import (
 from repro.telemetry.spans import (
     NULL_TRACER,
     NullTracer,
+    RequestTrace,
     Span,
     TraceEvent,
     Tracer,
@@ -61,10 +67,12 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
+    "RequestTrace",
     "Span",
     "TraceEvent",
     "Tracer",
     "activate",
+    "attached",
     "current_metrics",
     "current_tracer",
     "enabled",
@@ -108,3 +116,22 @@ def session(sinks=()) -> Iterator[Tracer]:
             sink.on_metrics(_metrics)
             sink.close()
         _metrics = previous_metrics
+
+
+@contextmanager
+def attached(sink) -> Iterator[Tracer]:
+    """Lend ``sink`` the stream for the duration of the block.
+
+    The sink joins the active session's tracer — or, with telemetry
+    off, that of a session opened for the block — and leaves it on exit.
+    It sees the same spans and events either way (the flight recorder
+    need not know whether ``--trace-out`` is exporting the run too) and
+    is neither flushed into nor closed: its owner does that.
+    """
+    with ExitStack() as stack:
+        tracer = current_tracer()
+        if not tracer.enabled:
+            tracer = stack.enter_context(session())
+        tracer.sinks.append(sink)
+        stack.callback(tracer.sinks.remove, sink)
+        yield tracer

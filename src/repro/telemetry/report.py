@@ -1,9 +1,6 @@
-"""Summaries of exported JSONL traces (the ``repro trace`` command).
+"""Text reports over a :class:`~repro.telemetry.reader.Trace`.
 
-A trace file is a sequence of JSON records (see
-``docs/observability.md``): finished spans, point-in-time events, and
-the session's final metric snapshots.  :func:`summarize_trace` turns
-one into the analyst's view of a run:
+:func:`summarize_trace` (``repro trace``) is the analyst's view of a run:
 
 - **top spans** by total simulated seconds, aggregated by name;
 - **bench cell tables** — one per experiment tag, reconstructing the
@@ -11,84 +8,36 @@ one into the analyst's view of a run:
   experiment) from the spans alone;
 - a **super-step table** for the run with the most super-steps;
 - **histogram percentiles** and counter/gauge values.
+
+:func:`profile_report` (``repro profile``) opens with the same header
+and top-spans table and adds the skew report and the critical path.
 """
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
-from pathlib import Path
 
 from repro.bench.results import Cell, ExperimentTable
-from repro.observe.dashboard import (
-    RequestRecord,
-    format_request,
-    requests_from_records,
-)
+from repro.observe.dashboard import format_request
+from repro.profiling.skew import analyze_skew
 from repro.telemetry.metrics import percentile_from_record
-
-
-class TraceReadError(ValueError):
-    """The trace file is missing or not valid JSONL."""
-
-
-class TraceRecords(list):
-    """The records of a trace file plus a log of skipped lines.
-
-    A plain ``list`` of record dicts, so every existing consumer works
-    unchanged; ``skipped`` holds one ``"path:lineno: reason"`` string
-    per malformed line that was tolerated (truncated tails, partial
-    writes from a killed run, stray text).
-    """
-
-    def __init__(self, records=(), skipped: list[str] | None = None):
-        super().__init__(records)
-        self.skipped: list[str] = skipped if skipped is not None else []
-
-
-def read_trace(path: str | Path) -> TraceRecords:
-    """Load the records of a JSONL trace file, tolerating bad lines.
-
-    Malformed lines (invalid JSON, or JSON that is not a trace record)
-    are skipped and logged in the returned :class:`TraceRecords`'
-    ``skipped`` list — a truncated export from a killed run still
-    summarizes.  Raises :class:`TraceReadError` only when the file
-    contains no valid record at all, which means it is not a trace
-    file (or an empty one) rather than a damaged one.
-    """
-    records = TraceRecords()
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                records.skipped.append(f"{path}:{lineno}: not JSON: {exc}")
-                continue
-            if not isinstance(record, dict) or "kind" not in record:
-                records.skipped.append(f"{path}:{lineno}: not a trace record")
-                continue
-            records.append(record)
-    if not records and records.skipped:
-        raise TraceReadError(
-            f"{path}: no valid trace records "
-            f"({len(records.skipped)} malformed line(s); first: "
-            f"{records.skipped[0]})"
-        )
-    return records
+from repro.telemetry.reader import Trace
 
 
 # ----------------------------------------------------------------------
 # Section builders
 # ----------------------------------------------------------------------
-def top_spans_section(records: list[dict], top: int = 15) -> str:
+def _header(trace: Trace) -> str:
+    """The record counts both reports open with."""
+    spans = len(trace.spans)
+    events = len(trace.records) - spans - len(trace.metrics)
+    return f"{len(trace.records)} records: {spans} spans, {events} events"
+
+
+def top_spans_section(trace: Trace, top: int = 15) -> str:
     """Span names ranked by total simulated seconds."""
     totals: dict[str, list[float]] = defaultdict(lambda: [0, 0.0, 0.0])
-    for record in records:
-        if record["kind"] != "span":
-            continue
+    for record in trace.spans:
         entry = totals[record["name"]]
         entry[0] += 1
         entry[1] += record.get("simulated_seconds", 0.0)
@@ -110,7 +59,7 @@ def top_spans_section(records: list[dict], top: int = 15) -> str:
     return "\n".join(lines)
 
 
-def bench_cell_tables(records: list[dict]) -> list[ExperimentTable]:
+def bench_cell_tables(trace: Trace) -> list[ExperimentTable]:
     """Rebuild per-experiment comp/comm grids from ``bench.cell`` spans.
 
     Uses the same split as the harness: *comp* is computation plus
@@ -118,16 +67,16 @@ def bench_cell_tables(records: list[dict]) -> list[ExperimentTable]:
     numbers match the experiment's own table.
     """
     by_experiment: dict[str, list[dict]] = defaultdict(list)
-    for record in records:
-        if record["kind"] == "span" and record["name"] == "bench.cell":
-            experiment = record["attrs"].get("experiment", "?")
+    for record in trace.spans:
+        if record["name"] == "bench.cell":
+            experiment = record.get("attrs", {}).get("experiment", "?")
             by_experiment[experiment].append(record)
     tables = []
     for experiment in sorted(by_experiment):
         cells = by_experiment[experiment]
         methods: list[str] = []
         for record in cells:
-            method = record["attrs"].get("method", "?")
+            method = record.get("attrs", {}).get("method", "?")
             if method not in methods:
                 methods.append(method)
         columns = []
@@ -138,7 +87,7 @@ def bench_cell_tables(records: list[dict]) -> list[ExperimentTable]:
             columns,
         )
         for record in cells:
-            attrs = record["attrs"]
+            attrs = record.get("attrs", {})
             dataset = attrs.get("dataset", "?")
             method = attrs.get("method", "?")
             if record.get("status", "ok") != "ok":
@@ -156,12 +105,11 @@ def bench_cell_tables(records: list[dict]) -> list[ExperimentTable]:
     return tables
 
 
-def superstep_table(records: list[dict], limit: int = 20) -> ExperimentTable | None:
+def superstep_table(trace: Trace, limit: int = 20) -> ExperimentTable | None:
     """Super-step rows of the longest run (by super-step events)."""
     by_span: dict[int | None, list[dict]] = defaultdict(list)
-    for record in records:
-        if record["kind"] == "event" and record["name"] == "pregel.superstep":
-            by_span[record.get("span")].append(record)
+    for record in trace.events("pregel.superstep"):
+        by_span[record.get("span")].append(record)
     if not by_span:
         return None
     events = max(by_span.values(), key=len)
@@ -174,7 +122,7 @@ def superstep_table(records: list[dict], limit: int = 20) -> ExperimentTable | N
         precision=0,
     )
     for event in events[:limit]:
-        attrs = event["attrs"]
+        attrs = event.get("attrs", {})
         row = str(attrs.get("superstep", "?"))
         table.set(row, "active", float(attrs.get("active_vertices", 0)))
         table.set(row, "units", float(attrs.get("compute_units", 0)))
@@ -185,9 +133,9 @@ def superstep_table(records: list[dict], limit: int = 20) -> ExperimentTable | N
     return table
 
 
-def requests_overview_section(records: list[dict]) -> str | None:
+def requests_overview_section(trace: Trace) -> str | None:
     """Outcome counts over the trace's ``serve.request`` events."""
-    requests = requests_from_records(records)
+    requests = trace.requests
     if not requests:
         return None
     outcomes: dict[str, int] = defaultdict(int)
@@ -212,12 +160,10 @@ def requests_overview_section(records: list[dict]) -> str | None:
     return "\n".join(lines)
 
 
-def slowest_requests_section(records: list[dict], n: int) -> str | None:
+def slowest_requests_section(trace: Trace, n: int) -> str | None:
     """The ``n`` worst served request traces, per-stage breakdown."""
     requests = [
-        request
-        for request in requests_from_records(records)
-        if request.outcome == "served"
+        request for request in trace.requests if request.outcome == "served"
     ]
     if not requests:
         return None
@@ -229,21 +175,10 @@ def slowest_requests_section(records: list[dict], n: int) -> str | None:
     return "\n".join(lines)
 
 
-def find_request_traces(records: list[dict], trace_id: str) -> list[RequestRecord]:
-    """The ``serve.request`` events matching one trace ID exactly."""
-    return [
-        request
-        for request in requests_from_records(records)
-        if request.trace_id == trace_id
-    ]
-
-
-def metrics_lines(records: list[dict]) -> list[str]:
+def metrics_lines(trace: Trace) -> list[str]:
     """Human-readable lines for every exported metric record."""
     lines = []
-    for record in records:
-        if record["kind"] != "metric":
-            continue
+    for record in trace.metrics:
         name = record["name"]
         if record["metric"] == "histogram":
             count = record.get("count", 0)
@@ -264,26 +199,83 @@ def metrics_lines(records: list[dict]) -> list[str]:
 
 
 def summarize_trace(
-    records: list[dict], top: int = 15, superstep_limit: int = 20
+    trace: Trace, top: int = 15, superstep_limit: int = 20
 ) -> str:
     """The full text summary printed by ``repro trace``."""
-    spans = sum(1 for r in records if r["kind"] == "span")
-    events = sum(1 for r in records if r["kind"] == "event")
-    metrics = sum(1 for r in records if r["kind"] == "metric")
-    sections = [
-        f"{len(records)} records: {spans} spans, {events} events, "
-        f"{metrics} metrics"
-    ]
-    if spans:
-        sections.append(top_spans_section(records, top=top))
-    overview = requests_overview_section(records)
+    sections = [f"{_header(trace)}, {len(trace.metrics)} metrics"]
+    if trace.spans:
+        sections.append(top_spans_section(trace, top=top))
+    overview = requests_overview_section(trace)
     if overview is not None:
         sections.append(overview)
-    sections.extend(table.render() for table in bench_cell_tables(records))
-    steps = superstep_table(records, limit=superstep_limit)
+    sections.extend(table.render() for table in bench_cell_tables(trace))
+    steps = superstep_table(trace, limit=superstep_limit)
     if steps is not None:
         sections.append(steps.render())
-    lines = metrics_lines(records)
+    lines = metrics_lines(trace)
     if lines:
         sections.append("Metrics\n=======\n" + "\n".join(lines))
+    return "\n\n".join(sections)
+
+
+def critical_path(trace: Trace) -> list[tuple[str, float]]:
+    """The heaviest root-to-leaf span chain by simulated seconds.
+
+    Follows, from the heaviest root span, the heaviest child at every
+    level; returns ``(name, simulated_seconds)`` pairs from root to
+    leaf.  Empty when the trace has no spans.
+    """
+    spans = trace.spans
+    if not spans:
+        return []
+    children: dict[int | None, list[dict]] = defaultdict(list)
+    ids = {record["id"] for record in spans}
+    for record in spans:
+        parent = record.get("parent")
+        children[parent if parent in ids else None].append(record)
+
+    def heaviest(candidates: list[dict]) -> dict:
+        return max(candidates, key=lambda r: r.get("simulated_seconds", 0.0))
+
+    path = []
+    seen: set[int] = set()
+    current = heaviest(children[None])
+    while True:
+        path.append((current["name"], current.get("simulated_seconds", 0.0)))
+        seen.add(current["id"])
+        below = [r for r in children[current["id"]] if r["id"] not in seen]
+        if not below:
+            return path
+        current = heaviest(below)
+
+
+def profile_report(trace: Trace, top: int = 15) -> str:
+    """The full text report printed by ``repro profile``.
+
+    Sections: record counts, the skew report (when the trace carries
+    ``pregel.node`` events), the top-spans table, and the critical
+    path.  Traces exported before per-node telemetry still profile —
+    they just lose the skew section.
+    """
+    sections = [
+        f"{_header(trace)} ({len(trace.events('pregel.node'))} per-node)"
+    ]
+    timeline = trace.node_timeline
+    if timeline is not None:
+        sections.append(analyze_skew(timeline).render())
+    else:
+        sections.append(
+            "no pregel.node events in this trace — re-export with a "
+            "telemetry session active to get the skew report"
+        )
+    if trace.spans:
+        sections.append(top_spans_section(trace, top=top))
+        chain = critical_path(trace)
+        total = max((seconds for _, seconds in chain), default=0.0)
+        title = "Critical path (simulated s)"
+        lines = [title, "=" * len(title)]
+        for depth, (name, seconds) in enumerate(chain):
+            share = f" ({seconds / total:.0%} of run)" if total else ""
+            lines.append(f"{'  ' * depth}{name}: {seconds:.6f}s{share}")
+        sections.append("\n".join(lines))
     return "\n\n".join(sections)

@@ -1,6 +1,7 @@
 """Trace sinks: where finished spans, events, and metrics go.
 
-Three implementations cover the usual needs:
+:class:`SpanSink` is the protocol; three implementations cover the
+usual needs (:mod:`repro.observe.incident`'s flight recorder is one more):
 
 - :class:`InMemorySink` — keeps everything in lists (tests, notebooks);
 - :class:`JsonlSink` — appends one JSON object per line to a file (the
@@ -26,18 +27,22 @@ from repro.telemetry.spans import Span, TraceEvent
 
 @runtime_checkable
 class SpanSink(Protocol):
-    """Anything that can receive telemetry records."""
+    """Anything that can receive telemetry records.
 
-    def on_span(self, span: Span) -> None: ...  # pragma: no cover
+    A sink that subclasses it inherits these no-ops and overrides only
+    what it keeps.
+    """
 
-    def on_event(self, event: TraceEvent) -> None: ...  # pragma: no cover
+    def on_span(self, span: Span) -> None: ...
 
-    def on_metrics(self, registry: MetricsRegistry) -> None: ...  # pragma: no cover
+    def on_event(self, event: TraceEvent) -> None: ...
 
-    def close(self) -> None: ...  # pragma: no cover
+    def on_metrics(self, registry: MetricsRegistry) -> None: ...
+
+    def close(self) -> None: ...
 
 
-class InMemorySink:
+class InMemorySink(SpanSink):
     """Collects records in lists; ``records`` preserves arrival order."""
 
     def __init__(self):
@@ -59,15 +64,12 @@ class InMemorySink:
         self.metrics.extend(rows)
         self.records.extend(rows)
 
-    def close(self) -> None:
-        pass
-
     def spans_named(self, name: str) -> list[Span]:
         """All finished spans with the given name, in finish order."""
         return [s for s in self.spans if s.name == name]
 
 
-class JsonlSink:
+class JsonlSink(SpanSink):
     """Writes one JSON object per line to ``path`` (truncates on open)."""
 
     def __init__(self, path: str | Path):
@@ -91,7 +93,7 @@ class JsonlSink:
         self._file.close()
 
 
-class LoggingSink:
+class LoggingSink(SpanSink):
     """Bridges telemetry to stdlib logging (logger ``repro.telemetry``)."""
 
     def __init__(self, logger: logging.Logger | None = None):
@@ -116,6 +118,3 @@ class LoggingSink:
     def on_metrics(self, registry: MetricsRegistry) -> None:
         for name, value in sorted(registry.as_dict().items()):
             self._logger.info("metric %s=%s", name, value)
-
-    def close(self) -> None:
-        pass

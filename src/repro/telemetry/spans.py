@@ -8,7 +8,8 @@ it as its parent, and sinks can reconstruct the full tree.
 
 A :class:`TraceEvent` is a point-in-time record attached to the current
 span (the engine emits one per super-step, carrying the
-:class:`~repro.pregel.metrics.SuperstepTrace` fields).
+:class:`~repro.pregel.metrics.SuperstepTrace` fields); a
+:class:`RequestTrace` is what a ``serve.request`` event carries.
 
 Tracing is **off by default**: the module-level tracer is a
 :class:`NullTracer` whose ``span()`` returns a shared no-op context
@@ -87,6 +88,91 @@ class TraceEvent:
             "wall": self.wall,
             "attrs": dict(self.attrs),
         }
+
+
+class RequestTrace:
+    """One request's causal record: identity, outcome, and stages.
+
+    The same class on both sides of a trace file.  The server creates
+    one per arriving request (shed ones too, so drops leave a terminal
+    record), components on the path append stages on the *simulated*
+    clock, and the finished trace is emitted as a ``serve.request``
+    event carrying :meth:`to_attrs`; the reader parses it back with
+    :meth:`from_event`.  A stage is the flat dict the JSONL holds:
+    ``{"stage": name, "seconds": s, **attrs}``.
+    """
+
+    __slots__ = (
+        "trace_id", "source", "target", "arrival",
+        "outcome", "latency_seconds", "reason", "stages", "run",
+    )
+
+    def __init__(self, trace_id: str, source: int, target: int, arrival: float):
+        self.trace_id = trace_id
+        self.source = source
+        self.target = target
+        self.arrival = arrival
+        self.outcome = "pending"
+        self.latency_seconds = 0.0
+        self.reason: str | None = None
+        self.stages: list[dict] = []
+        #: The ``serve.run`` span id the request was read back under.
+        self.run: int | None = None
+
+    def add_stage(self, name: str, seconds: float, **attrs) -> dict:
+        """Append a stage (attrs are optional annotations)."""
+        stage = {"stage": name, "seconds": seconds, **attrs}
+        self.stages.append(stage)
+        return stage
+
+    def finish(
+        self, outcome: str, latency_seconds: float = 0.0,
+        reason: str | None = None,
+    ) -> "RequestTrace":
+        """Mark the terminal outcome (``served`` / ``shed`` / ``deadline``)."""
+        self.outcome = outcome
+        self.latency_seconds = latency_seconds
+        self.reason = reason
+        return self
+
+    def stage_names(self) -> list[str]:
+        """The stage names in recording order."""
+        return [stage.get("stage", "?") for stage in self.stages]
+
+    def to_attrs(self) -> dict:
+        """The ``serve.request`` event payload (JSONL ``attrs``)."""
+        attrs = {
+            "trace_id": self.trace_id,
+            "source": self.source,
+            "target": self.target,
+            "arrival": self.arrival,
+            "outcome": self.outcome,
+            "latency_seconds": self.latency_seconds,
+            "stages": list(self.stages),
+        }
+        if self.reason is not None:
+            attrs["reason"] = self.reason
+        return attrs
+
+    @classmethod
+    def from_event(cls, record: dict) -> "RequestTrace":
+        """Parse one ``serve.request`` event record (the inverse of
+        :meth:`to_attrs`; the record's ``span`` becomes :attr:`run`)."""
+        attrs = record["attrs"]
+        trace = cls(
+            attrs["trace_id"],
+            attrs.get("source", -1),
+            attrs.get("target", -1),
+            attrs.get("arrival", 0.0),
+        )
+        trace.finish(
+            attrs.get("outcome", "?"),
+            attrs.get("latency_seconds", 0.0),
+            attrs.get("reason"),
+        )
+        trace.stages = list(attrs.get("stages", ()))
+        trace.run = record.get("span")
+        return trace
 
 
 class Tracer:

@@ -257,6 +257,62 @@ def test_trace_tolerates_truncated_export(tmp_path, graph_file, capsys):
     assert "skipped 1 malformed line(s)" in captured.err
 
 
+#: Valid JSON that is not a usable record; each used to crash a reader.
+_MALFORMED_RECORDS = [
+    '{"kind":"span"}',
+    '{"kind":"metric","name":"m"}',
+    '{"kind":"span","name":"a","id":1}',
+    '{"kind":"event","name":"serve.request",'
+    '"attrs":{"trace_id":"t-9","stages":["not an object"]}}',
+]
+
+_GOOD_TRACE = (
+    '{"kind":"span","name":"serve.run","id":1,"parent":null,"start":0.0,'
+    '"wall_seconds":0.1,"simulated_seconds":0.5,"status":"ok","attrs":{}}\n'
+    '{"kind":"event","name":"serve.request","span":1,"wall":0.05,"attrs":'
+    '{"trace_id":"t-1","source":0,"target":1,"arrival":0.0,"outcome":"served",'
+    '"latency_seconds":1e-6,"stages":[{"stage":"admission","seconds":1e-7}]}}\n'
+    '{"kind":"metric","metric":"counter","name":"serve.served","value":1}\n'
+)
+
+
+def _trace_readers(tmp_path):
+    return [
+        ["trace"],
+        ["top", "--once"],
+        ["profile", "--chrome-trace", str(tmp_path / "chrome.json")],
+    ]
+
+
+@pytest.mark.parametrize("line", _MALFORMED_RECORDS)
+def test_trace_readers_warn_about_a_malformed_record(tmp_path, capsys, line):
+    """Mixed into a good trace: a counted warning, exit 1, the view
+    still printed — from every command that reads a trace."""
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text(_GOOD_TRACE + line + "\n")
+    for command in _trace_readers(tmp_path):
+        assert main([command[0], str(mixed), *command[1:]]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out.strip(), command
+        assert f"warning: {mixed}:4: " in captured.err
+        assert "; skipped" in captured.err
+        assert "skipped 1 malformed line(s)" in captured.err
+        assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("line", _MALFORMED_RECORDS)
+def test_trace_readers_reject_a_file_of_malformed_records(tmp_path, capsys, line):
+    """On its own: a typed error and exit 2, never a traceback."""
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n")
+    for command in _trace_readers(tmp_path):
+        assert main([command[0], str(bad), *command[1:]]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: no valid trace records")
+        assert captured.out == ""
+    assert not (tmp_path / "chrome.json").exists()
+
+
 # ----------------------------------------------------------------------
 # The profile subcommand
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 from repro.core.build import build_index
 from repro.graph.generators import social_graph
-from repro.observe.dashboard import DashboardModel, requests_from_records
+from repro.observe.dashboard import DashboardModel
 from repro.observe.slo import SLOSpec
 from repro.pregel.cost_model import CostModel
 from repro.serve import (
@@ -17,6 +17,7 @@ from repro.serve import (
     ShardedLabelStore,
 )
 from repro.telemetry import session
+from repro.telemetry.reader import Trace
 from repro.telemetry.sinks import InMemorySink
 from repro.workloads.traffic import poisson_arrivals, zipf_pairs
 
@@ -42,7 +43,7 @@ def traced_run():
 @pytest.fixture(scope="module")
 def model(traced_run):
     records, _ = traced_run
-    return DashboardModel.from_records(records)
+    return DashboardModel.from_trace(Trace(records))
 
 
 class TestModel:
@@ -84,6 +85,16 @@ class TestModel:
         assert sum(w.offered for w in model.windows) == model.offered
         assert sum(w.served for w in model.windows) == model.served
 
+    def test_every_window_has_a_rate_including_the_first(self, model):
+        """The aggregator's baseline step is taken at the first window's
+        start, so window 0 is a real window (it used to read 0 q/s)."""
+        for window in model.windows:
+            assert window.rate == pytest.approx(
+                window.served / (window.end - window.start)
+            )
+        assert model.windows[0].served > 0
+        assert model.windows[0].ewma_rate == model.windows[0].rate
+
     def test_worst_traces_sorted(self, model):
         latencies = [r.latency_seconds for r in model.worst]
         assert latencies == sorted(latencies, reverse=True)
@@ -110,7 +121,7 @@ class TestModel:
             SLOSpec("impossible", "latency", 0.999, threshold_seconds=1e-12),
             SLOSpec("trivial", "latency", 0.5, threshold_seconds=10.0),
         ]
-        with_slos = DashboardModel.from_records(records, specs=specs)
+        with_slos = DashboardModel.from_trace(Trace(records), specs=specs)
         by_name = {s.spec.name: s for s in with_slos.slos}
         assert not by_name["impossible"].ok
         assert by_name["trivial"].ok
@@ -123,16 +134,43 @@ class TestModel:
             for r in records
             if r.get("kind") == "event" and r.get("name") == "serve.request"
         ]
-        both = DashboardModel.from_records(doubled)
+        both = DashboardModel.from_trace(Trace(doubled))
         assert both.runs == 2
         assert both.offered == 2 * report.offered
-        first = DashboardModel.from_records(doubled, run=1)
+        first = DashboardModel.from_trace(Trace(doubled), run=1)
         assert first.offered == report.offered
         with pytest.raises(ValueError, match="out of range"):
-            DashboardModel.from_records(doubled, run=3)
+            DashboardModel.from_trace(Trace(doubled), run=3)
+
+    def test_run_selection_scopes_failovers_and_lag_peaks(self):
+        """``--run N`` scopes failovers and lag peaks by the event's
+        span, exactly as it scopes requests: only the run that held the
+        failover reports it."""
+        def run(span, events):
+            request = _request_record(f"r{span}", [{"stage": "store"}])
+            return [{**request, "span": span}] + [
+                {"kind": "event", "name": name, "span": span, "attrs": attrs}
+                for name, attrs in events
+            ]
+
+        trace = Trace(
+            run(1, [("replica.lag", {"lag": 2, "groups": {"1": 2}})])
+            + run(2, [
+                ("serve.failover", {"shard": 0}),
+                ("replica.lag", {"lag": 7, "groups": {"1": 7, "2": 3}}),
+            ])
+        )
+        both = DashboardModel.from_trace(trace)
+        assert (both.runs, both.failovers, both.replication_lag_peak) == (2, 1, 7)
+        first = DashboardModel.from_trace(trace, run=1)
+        assert (first.failovers, first.replication_lag_peak) == (0, 2)
+        assert first.group_lag_peaks == {"1": 2}
+        second = DashboardModel.from_trace(trace, run=2)
+        assert (second.failovers, second.replication_lag_peak) == (1, 7)
+        assert second.group_lag_peaks == {"1": 7, "2": 3}
 
     def test_empty_records(self):
-        empty = DashboardModel.from_records([])
+        empty = DashboardModel.from_trace(Trace())
         assert empty.offered == 0
         assert empty.windows == []
         assert empty.percentile(0.99) == 0.0
@@ -141,10 +179,14 @@ class TestModel:
     def test_requests_from_records_ignores_other_events(self):
         records = [
             {"kind": "event", "name": "pregel.superstep", "attrs": {}},
-            {"kind": "span", "name": "serve.run"},
+            {"kind": "span", "name": "serve.run", "id": 1, "start": 0.0},
             {"kind": "event", "name": "serve.request", "attrs": {}},  # no id
         ]
-        assert requests_from_records(records) == []
+        trace = Trace(records)
+        assert trace.requests == []
+        # The id-less request is not a usable record: dropped and logged.
+        assert len(trace.records) == 2
+        assert "'trace_id'" in trace.skipped[0]
 
 
 def _request_record(trace_id, stages, outcome="served"):
@@ -191,7 +233,7 @@ class TestReplicationHealth:
             {"kind": "event", "name": "replica.lag",
              "attrs": {"lag": 0, "groups": {"1": 0, "2": 0}, "version": 5}},
         ]
-        return DashboardModel.from_records(records)
+        return DashboardModel.from_trace(Trace(records))
 
     def test_counters_rebuilt_from_stages(self, replicated_model):
         model = replicated_model
@@ -228,8 +270,8 @@ class TestReplicationHealth:
         )
 
     def test_render_omits_line_without_replication(self):
-        model = DashboardModel.from_records(
-            [_request_record("t-1", [{"stage": "store"}])]
+        model = DashboardModel.from_trace(
+            Trace([_request_record("t-1", [{"stage": "store"}])])
         )
         assert "replication:" not in model.render()
 
@@ -240,7 +282,7 @@ class TestReplicationHealth:
             "at": 2.5e-3,
             "root_cause": "injected replica crash on shard 0 replica 0",
         }]
-        model = DashboardModel.from_records([], incidents=incidents)
+        model = DashboardModel.from_trace(Trace(), incidents=incidents)
         rendered = model.render()
         assert "Open incidents (1)" in rendered
         assert "incident-001-failover" in rendered
@@ -310,7 +352,7 @@ class TestCli:
 
     def test_top_no_requests(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
-        path.write_text('{"kind": "span", "name": "x"}\n')
+        path.write_text('{"kind": "span", "name": "x", "id": 1, "start": 0.0}\n')
         assert main(["top", str(path), "--once"]) == 1
 
     def test_top_fail_on_alert(self, trace_file, tmp_path, capsys):

@@ -10,10 +10,14 @@ scenario runner.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 
 import pytest
 
+from repro import telemetry
+from repro.observe import tracing
 from repro.observe.incident import (
     FlightRecorder,
     SLOBurnTrigger,
@@ -31,7 +35,13 @@ from repro.observe.incident.report import (
     summarize_bundle,
 )
 from repro.observe.slo import SLOSpec
-from repro.scenarios import library_scenarios, run_scenario_file
+from repro.scenarios import (
+    library_scenarios,
+    load_scenario,
+    run_scenario,
+    run_scenario_file,
+)
+from repro.telemetry.sinks import InMemorySink
 
 
 # ----------------------------------------------------------------------
@@ -69,13 +79,17 @@ def test_recorder_window_eviction_keeps_only_recent_history():
 
 
 def test_recorder_listener_and_store_event_adapter():
+    # The recorder is fed through the sink protocol only: a stream
+    # event lands flattened, its ``at`` attr as the serving-clock stamp.
     recorder = FlightRecorder()
     seen = []
     recorder.add_listener(seen.append)
-    record = recorder.record_event(
-        {"event": "serve.failover", "at": 0.5, "shard": 1, "to_replica": 2}
-    )
-    assert seen == [record]
+    with telemetry.attached(recorder):
+        telemetry.trace_event("serve.failover", at=0.5, shard=1, to_replica=2)
+        telemetry.trace_event("no.clock", n=1)  # lands at the current clock
+    record, unstamped = recorder.events()
+    assert seen == [record, unstamped]
+    assert unstamped == {"id": 2, "at": 0.5, "event": "no.clock", "n": 1}
     assert record["event"] == "serve.failover"
     assert record["shard"] == 1
     assert record["id"] == 1
@@ -204,6 +218,36 @@ def test_slo_burn_fires_through_the_engine(tmp_path):
     )
     assert bundle["details"]["slo"] == "avail"
     assert bundle["details"]["long_burn"] > bundle["details"]["burn_threshold"]
+
+
+def test_engines_sharing_a_directory_never_replace_each_other(tmp_path):
+    """One engine per scenario, each numbering from 001, one directory:
+    a name another context holds is stepped past, a re-run of the same
+    context replaces its own bundle."""
+    def failover(context):
+        recorder, engine = _engine(tmp_path, context={"scenario": context})
+        recorder.record("serve.failover", at=0.2, shard=0,
+                        from_replica=0, to_replica=1)
+        return engine.incidents
+
+    (first,) = failover("a")
+    (second,) = failover("b")
+    assert [first["id"], second["id"]] == [
+        "incident-001-failover", "incident-002-failover",
+    ]
+    for incident, context in ((first, "a"), (second, "b")):
+        bundle = load_bundle(incident["path"])
+        assert bundle["id"] == incident["id"]
+        assert bundle["context"] == {"scenario": context}
+    (again,) = failover("b")
+    assert again == second
+    assert len(list(tmp_path.iterdir())) == 2
+    # A file that is no bundle at all is not ours to replace either.
+    (tmp_path / "incident-001-scenario_assertion.json").write_text("torn")
+    _, engine = _engine(tmp_path)
+    assert engine.fire("scenario_assertion", 1.0).name == (
+        "incident-002-scenario_assertion.json"
+    )
 
 
 def test_scenario_assertion_fire_writes_check_details(tmp_path):
@@ -361,3 +405,51 @@ def test_shard_loss_scenario_names_the_injected_crash(tmp_path):
         if e["event"] == "serve.replica_crash"
     }
     assert crash_ids & set(cause.evidence)
+
+
+def test_same_scenario_under_two_names_keeps_both_sets_of_bundles(tmp_path):
+    """``repro scenario run flash_crowd copy.json --incidents-dir d``:
+    the run ends with as many files as it reports, and every reported
+    path holds that scenario's own bundle."""
+    spec = load_scenario(library_scenarios()["flash_crowd"])
+    results = [
+        run_scenario(renamed, incident_dir=tmp_path)
+        for renamed in (spec, dataclasses.replace(spec, name="flash_crowd_b"))
+    ]
+    first, second = ([i["id"] for i in r.incidents] for r in results)
+    assert first == [f"incident-00{n}-slo_burn" for n in (1, 2, 3)]
+    assert second == [f"incident-00{n}-slo_burn" for n in (4, 5, 6)]
+    assert len(list(tmp_path.iterdir())) == 6
+    for result in results:
+        for incident in result.incidents:
+            bundle = load_bundle(incident["path"])
+            assert bundle["context"] == {"scenario": result.spec.name}
+            assert bundle["id"] == incident["id"]
+
+
+def test_recorder_buffers_the_same_records_joined_or_alone(tmp_path, monkeypatch):
+    """Attached inside an exporting session (``--trace-out``) or alone,
+    the recorder sees the same stream: bundles are byte-identical, and
+    the joined run's trace holds every event the box buffered."""
+    spec_path = library_scenarios()["shard_loss_write_burst"]
+    # Trace ids count serve runs per process; two processes would agree.
+    monkeypatch.setattr(tracing, "_run_counter", itertools.count())
+    alone = run_scenario_file(spec_path, incident_dir=tmp_path / "alone")
+    monkeypatch.setattr(tracing, "_run_counter", itertools.count())
+    sink = InMemorySink()
+    with telemetry.session([sink]) as tracer:
+        joined = run_scenario_file(spec_path, incident_dir=tmp_path / "joined")
+        assert tracer.sinks == [sink]  # the recorder left the stream again
+    assert [i["id"] for i in joined.incidents] == [
+        i["id"] for i in alone.incidents
+    ] == ["incident-001-failover"]
+    name = "incident-001-failover.json"
+    assert (tmp_path / "joined" / name).read_bytes() == (
+        tmp_path / "alone" / name
+    ).read_bytes()
+    exported = {
+        (event.name, event.attrs["at"]) for event in sink.events
+        if "at" in event.attrs
+    }
+    bundle = load_bundle(tmp_path / "joined" / name)
+    assert {(e["event"], e["at"]) for e in bundle["events"]} <= exported

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from repro.observe.dashboard import DashboardModel
 from repro.observe.openmetrics import render_openmetrics
+from repro.telemetry.reader import Trace
 
 GOLDEN = Path(__file__).parent / "data" / "top.openmetrics"
 
@@ -78,8 +79,8 @@ def _synthetic_records() -> list[dict]:
 def _model() -> DashboardModel:
     incidents = [{"id": "incident-001-failover", "kind": "failover",
                   "at": 1e-5}]
-    return DashboardModel.from_records(_synthetic_records(),
-                                       incidents=incidents)
+    return DashboardModel.from_trace(Trace(_synthetic_records()),
+                                     incidents=incidents)
 
 
 def test_openmetrics_matches_golden_file():

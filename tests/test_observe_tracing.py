@@ -1,6 +1,10 @@
 """Tests for request-scoped tracing through the serving pipeline."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.build import build_index
 from repro.graph.generators import social_graph
@@ -90,6 +94,39 @@ class TestRequestTrace:
 
     def test_add_stage_without_active_request_is_noop(self):
         tracing.add_stage("cache", 1e-8)  # must not raise
+
+    @given(
+        outcome=st.sampled_from(["served", "shed", "deadline", "error"]),
+        reason=st.none() | st.sampled_from(["queue_full", "deadline", "unavailable"]),
+        latency=st.floats(0, 1, allow_nan=False),
+        stages=st.lists(
+            st.tuples(
+                st.sampled_from(["admission", "cache", "store", "backend"]),
+                st.floats(0, 1, allow_nan=False),
+                st.dictionaries(
+                    st.sampled_from(["hit", "home", "remote", "lag", "answer"]),
+                    st.booleans() | st.integers(0, 64),
+                ),
+            ),
+            max_size=6,
+        ),
+        span=st.none() | st.integers(1, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_class_on_both_sides_of_the_file(
+        self, outcome, reason, latency, stages, span
+    ):
+        """What the writer emits, the reader parses back into an equal
+        record — through JSON, as a trace file would carry it."""
+        written = RequestTrace("0001-000003", 4, 7, 0.25)
+        for name, seconds, attrs in stages:
+            written.add_stage(name, seconds, **attrs)
+        written.finish(outcome, latency, reason)
+        record = json.loads(json.dumps({"attrs": written.to_attrs(), "span": span}))
+        read = RequestTrace.from_event(record)
+        assert read.run == span
+        assert read.to_attrs() == written.to_attrs()
+        assert read.stage_names() == [name for name, _, _ in stages]
 
 
 class TestServerTracing:

@@ -16,15 +16,13 @@ from repro.pregel.vertex_program import VertexProgram
 from repro.profiling import (
     analyze_skew,
     chrome_trace,
-    critical_path,
     folded_stacks,
-    profile_report,
-    timeline_from_records,
     write_chrome_trace,
 )
 from repro.telemetry import session
+from repro.telemetry.reader import Trace, read_trace
+from repro.telemetry.report import critical_path, profile_report
 from repro.telemetry.sinks import InMemorySink, JsonlSink
-from repro.telemetry.report import read_trace
 
 _NO_LIMIT = CostModel(time_limit_seconds=None)
 
@@ -228,7 +226,7 @@ def test_timeline_from_records_matches_live_timeline(graph, tmp_path):
         live = Cluster(num_nodes=4, cost_model=_NO_LIMIT).run(
             graph, _Flood(), node_timeline=True
         )
-    rebuilt = timeline_from_records(read_trace(path))
+    rebuilt = read_trace(path).node_timeline
     assert rebuilt is not None
     assert rebuilt.num_nodes == 4
     assert len(rebuilt.slices) == len(live.node_timeline.slices)
@@ -242,7 +240,8 @@ def test_timeline_from_records_matches_live_timeline(graph, tmp_path):
 
 
 def test_timeline_from_records_empty_without_node_events():
-    assert timeline_from_records([{"kind": "span", "name": "a"}]) is None
+    trace = Trace([{"kind": "span", "name": "a", "id": 1, "start": 0.0}])
+    assert trace.node_timeline is None
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +328,7 @@ def test_critical_path_follows_heaviest_children(tmp_path, graph):
     names = [name for name, _ in chain]
     assert names[0] == "drl_b.build"
     assert "pregel.run" in names
-    assert critical_path([]) == []
+    assert critical_path(Trace()) == []
 
 
 def test_profile_report_sections(trace_records):

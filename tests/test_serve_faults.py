@@ -14,6 +14,8 @@ from repro.serve import (
     ServeFaultSpecError,
     Timeline,
 )
+from repro.telemetry import session
+from repro.telemetry.sinks import InMemorySink
 
 _NO_LIMIT = CostModel(time_limit_seconds=None)
 
@@ -156,10 +158,15 @@ def test_same_instant_entries_fire_in_instant_then_insertion_order(store):
     fired = []
     timeline = Timeline(lambda clock: fired.append(("tick", clock)))
     timeline.at(0.002, lambda at: fired.append(("write", at)))
-    store.subscribe(lambda event: fired.append((event["event"], event["at"])))
+
+    class Fired(InMemorySink):
+        def on_event(self, event):
+            fired.append((event.name, event.attrs["at"]))
+
     plan = ServeFaultPlan.parse("slow=1.1x4@0.002,crash=0.0@0.002,slow=0.1x2@0.001")
     plan.schedule(timeline, store)
-    assert timeline.advance(0.002) == 4
+    with session([Fired()]):
+        assert timeline.advance(0.002) == 4
     assert fired == [
         ("serve.replica_slow", 0.001),
         ("write", 0.002),

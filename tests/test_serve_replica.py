@@ -14,6 +14,9 @@ from repro.serve import (
     ReplicatedLabelStore,
     READ_POLICIES,
 )
+from repro.observe.incident import FlightRecorder
+from repro.telemetry import attached, session
+from repro.telemetry.sinks import InMemorySink
 from repro.workloads.queries import random_pairs
 from repro.workloads.updates import update_stream
 
@@ -288,16 +291,16 @@ def test_failover_event_carries_timestamp_and_log_version():
     graph, leader, replicator, store = _replicated_dynamic(
         delay_seconds=0.0,
     )
-    seen = []
-    store.subscribe(seen.append)
+    sink = InMemorySink()
     replicator.note_time(0.0)
     for op, u, v in update_stream(graph, 4, seed=13):
         (leader.insert_edge if op == "insert" else leader.delete_edge)(u, v)
     assert replicator.version == 4
 
-    store.crash_replica(0, 0, at=0.001)
-    store.advance(0.002)  # first probe failure
-    store.advance(0.003)  # threshold: suspicion plus failover
+    with session([sink]):
+        store.crash_replica(0, 0, at=0.001)
+        store.advance(0.002)  # first probe failure
+        store.advance(0.003)  # threshold: suspicion plus failover
 
     failovers = [e for e in store.events if e["event"] == "serve.failover"]
     assert len(failovers) == 1
@@ -306,29 +309,36 @@ def test_failover_event_carries_timestamp_and_log_version():
     assert event["version"] == 4  # every applied update preceded it
     assert event["shard"] == 0
     assert event["from_replica"] == 0
-    # Subscribed listeners saw the same dict the event log keeps.
-    assert event in seen
+    # The stream carried what the event log keeps, emitted once.
+    (streamed,) = [e for e in sink.events if e.name == "serve.failover"]
+    assert {"event": streamed.name, **streamed.attrs} == event
 
 
 def test_lag_samples_reach_listeners_but_not_the_event_log():
     graph, leader, replicator, store = _replicated_dynamic(
         delay_seconds=1e-3,
     )
-    seen = []
-    store.subscribe(seen.append)
+    recorder = FlightRecorder()
+
+    def lag_samples():
+        return [e for e in recorder.events() if e["event"] == "replica.lag"]
+
     replicator.note_time(0.0)
     for op, u, v in update_stream(graph, 5, seed=14):
         (leader.insert_edge if op == "insert" else leader.delete_edge)(u, v)
-    store.advance(1e-4)  # before delivery: follower group 1 lags by 5
+    with attached(recorder):
+        store.advance(1e-4)  # before delivery: follower group 1 lags by 5
 
-    samples = [e for e in seen if e["event"] == "replica.lag"]
-    assert samples, "no replica.lag sample reached the listener"
-    assert samples[-1]["lag"] == 5
-    assert samples[-1]["groups"] == {"1": 5}
-    assert samples[-1]["version"] == 5
-    # The sample stream is telemetry, not lifecycle: the event log the
-    # scenario reports aggregate stays failover/crash/recovery only.
-    assert all(e["event"] != "replica.lag" for e in store.events)
+        samples = lag_samples()
+        assert samples, "no replica.lag sample reached the recorder"
+        assert samples[-1]["lag"] == 5
+        assert samples[-1]["groups"] == {"1": 5}
+        assert samples[-1]["version"] == 5
+        assert samples[-1]["at"] == 1e-4
+        # The sample stream is telemetry, not lifecycle: the event log
+        # the scenario reports aggregate stays failover/crash/recovery
+        # only.
+        assert all(e["event"] != "replica.lag" for e in store.events)
 
-    store.advance(2e-3)  # delivery horizon passed: lag drains to zero
-    assert [e for e in seen if e["event"] == "replica.lag"][-1]["lag"] == 0
+        store.advance(2e-3)  # delivery horizon passed: lag drains to zero
+        assert lag_samples()[-1]["lag"] == 0

@@ -130,6 +130,44 @@ def test_sessions_nest():
     assert [s.name for s in outer_sink.spans] == ["outer-span", "outer-span-2"]
 
 
+def test_attached_joins_the_active_session_and_leaves_it_on_exit():
+    outer, joined = InMemorySink(), InMemorySink()
+    with session([outer]) as tracer:
+        telemetry.trace_event("before")
+        with telemetry.attached(joined) as same:
+            assert same is tracer
+            telemetry.trace_event("during")
+        telemetry.trace_event("after")
+        assert tracer.sinks == [outer]
+    assert [e.name for e in joined.events] == ["during"]
+    assert [e.name for e in outer.events] == ["before", "during", "after"]
+    # The session owns the registry: only its own sinks get the flush.
+    assert joined.metrics == []
+
+
+def test_attached_restores_the_sink_list_when_the_block_raises():
+    outer, joined = InMemorySink(), InMemorySink()
+    with session([outer]) as tracer:
+        with pytest.raises(RuntimeError):
+            with telemetry.attached(joined):
+                telemetry.trace_event("seen")
+                raise RuntimeError("boom")
+        assert tracer.sinks == [outer]
+        telemetry.trace_event("unseen")
+    assert [e.name for e in joined.events] == ["seen"]
+
+
+def test_attached_alone_opens_a_session_of_its_own():
+    sink = InMemorySink()
+    assert not telemetry.enabled()
+    with telemetry.attached(sink):
+        assert telemetry.enabled()
+        telemetry.trace_event("tick", at=1.0)
+    assert not telemetry.enabled()
+    assert current_tracer() is NULL_TRACER
+    assert [(e.name, e.attrs) for e in sink.events] == [("tick", {"at": 1.0})]
+
+
 # ----------------------------------------------------------------------
 # Sinks
 # ----------------------------------------------------------------------

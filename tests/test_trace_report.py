@@ -5,11 +5,10 @@ import pytest
 from repro import telemetry
 from repro.bench import EXPERIMENTS, sweep
 from repro.telemetry import session, trace_span
+from repro.telemetry.reader import Trace, TraceReadError, read_trace
 from repro.telemetry.report import (
-    TraceReadError,
     bench_cell_tables,
     metrics_lines,
-    read_trace,
     summarize_trace,
     superstep_table,
     top_spans_section,
@@ -29,19 +28,25 @@ def test_read_trace_roundtrip(tmp_path):
         with trace_span("a", dataset="GO"):
             telemetry.trace_event("tick", n=1)
 
-    records = read_trace(_write_trace(tmp_path, body))
-    assert [r["kind"] for r in records] == ["event", "span"]
+    trace = read_trace(_write_trace(tmp_path, body))
+    assert [r["kind"] for r in trace.records] == ["event", "span"]
+    assert [r["name"] for r in trace.spans] == ["a"]
+    assert [r["attrs"] for r in trace.events("tick")] == [{"n": 1}]
+    assert trace.skipped == []
 
 
 def test_read_trace_skips_garbage_lines(tmp_path):
     """Malformed lines are tolerated and counted, not fatal."""
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"kind":"span","name":"x"}\nnot json\n{"no_kind": true}\n')
-    records = read_trace(bad)
-    assert [r["name"] for r in records] == ["x"]
-    assert len(records.skipped) == 2
-    assert "bad.jsonl:2" in records.skipped[0]
-    assert "bad.jsonl:3" in records.skipped[1]
+    bad.write_text(
+        '{"kind":"span","name":"x","id":1,"start":0.0}\n'
+        'not json\n{"no_kind": true}\n'
+    )
+    trace = read_trace(bad)
+    assert [r["name"] for r in trace.records] == ["x"]
+    assert len(trace.skipped) == 2
+    assert "bad.jsonl:2" in trace.skipped[0]
+    assert "bad.jsonl:3" in trace.skipped[1]
 
 
 def test_read_trace_rejects_file_with_no_valid_records(tmp_path):
@@ -64,10 +69,10 @@ def test_read_trace_truncated_export_still_summarizes(tmp_path):
     full = path.read_bytes()
     truncated = tmp_path / "truncated.jsonl"
     truncated.write_bytes(full[: len(full) - 25])
-    records = read_trace(truncated)
-    assert len(records.skipped) == 1
-    assert len(records) >= 1
-    assert "Top spans by simulated time" in summarize_trace(records)
+    trace = read_trace(truncated)
+    assert len(trace.skipped) == 1
+    assert len(trace.records) >= 1
+    assert "Top spans by simulated time" in summarize_trace(trace)
 
 
 def test_top_spans_ranked_by_simulated_time(tmp_path):
@@ -86,7 +91,7 @@ def test_top_spans_ranked_by_simulated_time(tmp_path):
 
 
 def test_superstep_table_absent_without_events():
-    assert superstep_table([]) is None
+    assert superstep_table(Trace()) is None
 
 
 def test_metrics_lines_render_histograms(tmp_path):
