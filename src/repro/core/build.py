@@ -49,7 +49,8 @@ def build_index(
         ``"drl"`` (Algorithm 3), ``"drl-b"`` (Algorithm 4, the paper's
         best), or ``"drl-b-m"`` (multi-core DRL_b).
     order:
-        Vertex order; defaults to the paper's degree-based order.
+        Vertex order; defaults to the paper's degree-based order.  One
+        that does not cover the graph's vertices is a ``ValueError``.
     num_nodes:
         Simulated cluster size (cores, for ``"drl-b-m"``); not ``"tol"``'s.
     kwargs:
@@ -64,6 +65,8 @@ def build_index(
     except KeyError:
         known = ", ".join(sorted(_METHODS))
         raise ValueError(f"unknown method {method!r}; choose one of: {known}")
+    if order is not None and len(order) != graph.num_vertices:
+        raise ValueError("order does not cover the graph's vertices")
     return builder(graph, order, num_nodes, **kwargs)
 
 

@@ -440,44 +440,23 @@ class DynamicReachabilityIndex:
         re-decide its own in rank order, so every higher-ranked witness
         a domination test consults is final.
         """
+        in_labels, out_labels, rank = self.in_labels, self.out_labels, self._rank
+        out_adj, in_adj, pruned_bfs = self._out_adj, self._in_adj, tol.pruned_bfs
         for w in below:
-            self.in_labels[w] -= above
+            in_labels[w] -= above
         for w in above:
-            self.out_labels[w] -= below
-        for hub in sorted(above | below, key=self._rank.__getitem__):
+            out_labels[w] -= below
+        # A vertex outside the opposite cone kept its entry status, so each
+        # walk re-decides only the rows inside it; its witnesses are the hubs
+        # ranked above it in its own opposite row.
+        for hub in sorted(above | below, key=rank.__getitem__):
+            hub_rank = rank[hub]
             if hub in above:
-                self._rerun(hub, below, forward=True)
+                witnesses = {h for h in out_labels[hub] if rank[h] < hub_rank}
+                pruned_bfs(hub, out_adj, rank, in_labels, witnesses, below)
             if hub in below:
-                self._rerun(hub, above, forward=False)
-
-    def _rerun(self, hub: int, cone: set[int], forward: bool) -> None:
-        """Re-run ``hub``'s pruned BFS, re-deciding only entries inside
-        ``cone``; a vertex outside kept its status: walk on iff it holds ``hub``."""
-        rank = self._rank
-        hub_rank = rank[hub]
-        adjacency = self._out_adj if forward else self._in_adj
-        labels = self.in_labels if forward else self.out_labels
-        reverse_labels = self.out_labels if forward else self.in_labels
-        witnesses = {h for h in reverse_labels[hub] if rank[h] < hub_rank}
-        if hub in cone:
-            if not witnesses.isdisjoint(labels[hub]):
-                return
-            labels[hub].add(hub)
-        elif hub not in labels[hub]:
-            return
-        visited = {hub}
-        queue = [hub]
-        for w in queue:
-            for x in adjacency[w]:
-                if x in visited:
-                    continue
-                visited.add(x)
-                if x not in cone:
-                    if hub in labels[x]:
-                        queue.append(x)
-                elif rank[x] > hub_rank and witnesses.isdisjoint(labels[x]):
-                    labels[x].add(hub)
-                    queue.append(x)
+                witnesses = {h for h in in_labels[hub] if rank[h] < hub_rank}
+                pruned_bfs(hub, in_adj, rank, out_labels, witnesses, above)
 
     # ------------------------------------------------------------------
     # Node-level updates
@@ -568,10 +547,16 @@ class DynamicReachabilityIndex:
         forward_cone = self._plain_bfs(v, self._out_adj)
         backward_cone = self._plain_bfs(v, self._in_adj)
         # Grow side: v's own round under the new order, re-deciding every
-        # row it can reach.  Exact because every witness it consults is a
-        # hub still above v, whose entries the move did not change.
-        self._rerun(v, forward_cone, forward=True)
-        self._rerun(v, backward_cone, forward=False)
+        # row it can reach (no cone).  Exact because every witness it
+        # consults is a hub still above v, whose entries the move did not
+        # change — filtered by rank, because v's raw rows still hold the band.
+        rank = self._rank
+        for adjacency, labels, reverse_labels in (
+            (self._out_adj, self.in_labels, self.out_labels),
+            (self._in_adj, self.out_labels, self.in_labels),
+        ):
+            witnesses = {h for h in reverse_labels[v] if rank[h] < new_rank}
+            tol.pruned_bfs(v, adjacency, rank, labels, witnesses)
         # Shrink side: an entry (h, w) with h in the band dies iff
         # h ⇝ v ⇝ w — that walk now passes the higher v.  No test.
         overtaken_above = band & backward_cone

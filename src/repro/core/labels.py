@@ -132,8 +132,11 @@ class ReachabilityIndex:
     def __init__(
         self, in_labels: Iterable[Iterable[int]], out_labels: Iterable[Iterable[int]]
     ):
-        in_rows = list(map(frozenset, in_labels))
-        out_rows = list(map(frozenset, out_labels))
+        # Rows are only read, and none is kept: a set serves as it is.
+        in_rows, out_rows = (
+            [row if isinstance(row, (set, frozenset)) else frozenset(row) for row in rows]
+            for rows in (in_labels, out_labels)
+        )
         if len(in_rows) != len(out_rows):
             raise ValueError("in/out label lists must cover the same vertices")
         held = Counter(chain.from_iterable(in_rows))

@@ -3,31 +3,36 @@
 The serial gold standard.  Every distributed algorithm in this library
 must produce an index *identical* to TOL's.
 
-Two implementations are provided:
+:func:`pruned_bfs` is the one loop under it: a BFS from a hub ``v``
+that walks only lower-order vertices (a BFS in the shrinking graph
+``G_i`` is a trimmed BFS in ``G``, so ``G_i`` is never materialized),
+tests each discovered vertex ``w`` once — ``L_out(v) ∩ L_in(w) = ∅``,
+Algorithm 1's pruning operation — and walks on only through vertices
+that pass: a failure means a higher-order hop ``s`` with ``v → s → w``,
+and for any ``x`` beyond ``w`` the walk ``v → s → w → x`` shows ``x``
+fails too.  :func:`tol_label_sets` runs it forward and backward from
+every vertex in rank order; :mod:`repro.core.dynamic` runs the same
+loop over a cone of rows to repair a delete or a promote.
 
-- :func:`tol_index_reference` follows Algorithm 1 literally: in round
-  ``i`` it collects ``DES^{G_i}(v_i)`` / ``ANC^{G_i}(v_i)`` in full and
-  applies the pruning test to *every* member.
-- :func:`tol_index` additionally *blocks expansion* at pruned vertices
-  (the pruned-landmark optimization): if ``L_out(v_i) ∩ L_in(w) ≠ ∅``
-  there is a higher-order hop ``s`` with ``v_i → s → w``, and for any
-  ``x`` beyond ``w`` the walk ``v_i → s → w → x`` shows ``x`` is pruned
-  too, so the search need not continue through ``w``.
+:func:`tol_index_reference` is Algorithm 1 literally — collect
+``DES^{G_i}(v_i)`` / ``ANC^{G_i}(v_i)`` in full with
+:func:`~repro.graph.traversal.trimmed_bfs`, test *every* member — and
+shares no loop with the kernel it checks (the test suite asserts the
+two equal on thousands of random graphs).
 
-Both are equivalent (asserted by the test suite on thousands of random
-graphs); benchmarks use the optimized one, as the TOL authors do.
-
-A BFS in the shrinking graph ``G_i`` (all higher-order vertices deleted)
-is exactly a trimmed BFS in ``G`` (higher-order vertices block their
-branch), so neither implementation materializes ``G_i``.
+Cost accounting stays out of the loop.  A metered build charges one
+unit per edge scanned and ``min(|witnesses|, |row|) + 1`` per test,
+worked out from the walk's queue and visited set after each half-round:
+every vertex is tested once, and neither the witness set nor a row not
+yet tested changes inside a half-round, so the sum is what a counter
+inside the loop would have read.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.graph.digraph import DiGraph
 from repro.graph.order import VertexOrder, degree_order
+from repro.graph.traversal import trimmed_bfs
 from repro.pregel.serial import SerialMeter
 
 #: Estimated per-vertex bookkeeping bytes for the memory gate: queue,
@@ -40,7 +45,22 @@ def tol_index_reference(graph: DiGraph, order: VertexOrder | None = None):
 
     Quadratic in the worst case — use :func:`tol_index` outside tests.
     """
-    return _tol(graph, order, prune_expansion=False, meter=None)
+    from repro.core.labels import ReachabilityIndex
+
+    if order is None:
+        order = degree_order(graph)
+    n = graph.num_vertices
+    reverse = graph.reverse()
+    in_labels: list[set[int]] = [set() for _ in range(n)]
+    out_labels: list[set[int]] = [set() for _ in range(n)]
+    for v in order.by_rank():
+        for w in trimmed_bfs(graph, v, order).low:  # DES^{G_i}(v)
+            if out_labels[v].isdisjoint(in_labels[w]):
+                in_labels[w].add(v)
+        for w in trimmed_bfs(reverse, v, order).low:  # ANC^{G_i}(v)
+            if in_labels[v].isdisjoint(out_labels[w]):
+                out_labels[w].add(v)
+    return ReachabilityIndex.from_label_lists(in_labels, out_labels)
 
 
 def tol_index(
@@ -61,26 +81,14 @@ def tol_index(
         unit per edge scan and per label-entry comparison) and for the
         single-node memory gate.
     """
-    return _tol(graph, order, prune_expansion=True, meter=meter)
-
-
-def _tol(
-    graph: DiGraph,
-    order: VertexOrder | None,
-    prune_expansion: bool,
-    meter: SerialMeter | None,
-):
     from repro.core.labels import ReachabilityIndex
 
-    return ReachabilityIndex.from_label_lists(
-        *tol_label_sets(graph, order, prune_expansion, meter)
-    )
+    return ReachabilityIndex.from_label_lists(*tol_label_sets(graph, order, meter))
 
 
 def tol_label_sets(
     graph: DiGraph,
     order: VertexOrder | None = None,
-    prune_expansion: bool = True,
     meter: SerialMeter | None = None,
 ) -> tuple[list[set[int]], list[set[int]]]:
     """The TOL rounds themselves: ``(L_in, L_out)`` as one mutable set
@@ -90,6 +98,8 @@ def tol_label_sets(
     if order is None:
         order = degree_order(graph)
     n = graph.num_vertices
+    if len(order) != n:
+        raise ValueError("order does not cover the graph's vertices")
     if meter is not None:
         index_bytes_guess = 16 * n  # refined as labels grow
         meter.check_memory(
@@ -97,85 +107,74 @@ def tol_label_sets(
             what="TOL",
         )
 
-    rank = order.ranks
-    reverse = graph.reverse()
-    in_label_sets: list[set[int]] = [set() for _ in range(n)]
-    out_label_sets: list[set[int]] = [set() for _ in range(n)]
-    # Scratch: last_seen[w] == current round marks w visited this round.
-    last_seen = [-1] * n
-
-    for round_no in range(n):
-        v = order.vertex_at_rank(round_no)
-        # Round i, forward: add v to L_in(w) for surviving descendants.
-        _label_one_direction(
-            graph,
-            v,
-            rank,
-            out_label_sets[v],
-            in_label_sets,
-            last_seen,
-            2 * round_no,
-            prune_expansion,
-            meter,
-        )
-        # Round i, backward: add v to L_out(w) for surviving ancestors.
-        # Reading L_in(v) *after* the forward pass is safe: the only
-        # label added this round so far is v itself, and v can never be
-        # in L_out(w) yet, so the intersections below match L^i exactly.
-        _label_one_direction(
-            reverse,
-            v,
-            rank,
-            in_label_sets[v],
-            out_label_sets,
-            last_seen,
-            2 * round_no + 1,
-            prune_expansion,
-            meter,
-        )
-
-    return in_label_sets, out_label_sets
+    rank = order.ranks.tolist()
+    out_adjacency = [graph.out_neighbors(v).tolist() for v in range(n)]
+    in_adjacency = [graph.in_neighbors(v).tolist() for v in range(n)]
+    in_labels: list[set[int]] = [set() for _ in range(n)]
+    out_labels: list[set[int]] = [set() for _ in range(n)]
+    # Round i, forward then backward: v joins L_in(w) of the descendants
+    # that pass, then L_out(w) of the ancestors that pass.  Reading
+    # L_in(v) *after* the forward pass is safe: the only label added this
+    # round so far is v itself, and v can never be in L_out(w) yet, so
+    # the intersections of the backward pass match L^i exactly.
+    halves = (
+        (out_adjacency, in_labels, out_labels),
+        (in_adjacency, out_labels, in_labels),
+    )
+    for v in order.by_rank():
+        for adjacency, labels, reverse_labels in halves:
+            witnesses = reverse_labels[v]
+            queue, tested = pruned_bfs(v, adjacency, rank, labels, witnesses)
+            if meter is not None:
+                # Every queued vertex had its edges scanned; every tested row
+                # was compared from the shorter side, at its size before v.
+                most = len(witnesses)
+                meter.charge(
+                    sum(len(adjacency[w]) for w in queue)
+                    + sum(min(most, len(labels[x]) - (v in labels[x])) + 1 for x in tested)
+                )
+    return in_labels, out_labels
 
 
-def _label_one_direction(
-    graph: DiGraph,
-    v: int,
-    rank,
-    source_labels: set[int],
-    target_labels: list[set[int]],
-    last_seen: list[int],
-    stamp: int,
-    prune_expansion: bool,
-    meter: SerialMeter | None,
-) -> None:
-    """One half of TOL round ``i``: a trimmed BFS from ``v`` that adds
-    ``v`` to ``target_labels[w]`` whenever the pruning test passes."""
-    v_rank = rank[v]
-    queue = deque([v])
-    last_seen[v] = stamp
-    units = 0
-    while queue:
-        w = queue.popleft()
-        # Pruning operation (Algorithm 1 lines 8/11).
-        candidate_labels = target_labels[w]
-        small, large = (
-            (source_labels, candidate_labels)
-            if len(source_labels) < len(candidate_labels)
-            else (candidate_labels, source_labels)
-        )
-        units += len(small) + 1
-        pruned = any(x in large for x in small)
-        if not pruned:
-            candidate_labels.add(v)
-        if pruned and prune_expansion:
-            continue
-        for x in graph.out_neighbors(w):
-            units += 1
-            if last_seen[x] != stamp and rank[x] > v_rank:
-                last_seen[x] = stamp
+def pruned_bfs(hub: int, adjacency, rank, labels, witnesses, cone=None):
+    """``hub``'s pruned BFS along ``adjacency`` (one list or set of
+    neighbours per vertex): walk the vertices ranked below ``hub``, add
+    ``hub`` to ``labels[x]`` of each one no higher-ranked hub covers —
+    ``witnesses`` (the hubs of ``hub``'s own opposite row ranked above
+    it) is disjoint from the row — and walk on through those only.
+
+    ``cone=None`` re-decides every row reached: one half of a TOL round.
+    With a ``cone``, only rows inside it are re-decided; a vertex outside
+    kept its status, so the walk crosses it iff its row holds ``hub``.
+
+    Returns ``(queue, visited)``: the vertices walked through, in BFS
+    order, and ``hub`` plus every lower-ranked vertex discovered — without
+    a cone, exactly the rows tested.  A walk that cannot start (its root
+    fails its test, or sits outside the cone without holding ``hub``)
+    answers in constant tuples: a cone repair makes hundreds of such
+    calls, and a fresh list and set would be most of what they cost.
+    """
+    row = labels[hub]
+    if cone is not None and hub not in cone:
+        if hub not in row:
+            return (), ()
+    elif witnesses.isdisjoint(row):
+        row.add(hub)
+    else:
+        return (), (hub,)
+    hub_rank = rank[hub]
+    visited = {hub}
+    queue = [hub]
+    for w in queue:
+        for x in adjacency[w]:
+            if x in visited or rank[x] < hub_rank:
+                continue
+            visited.add(x)
+            row = labels[x]
+            if cone is not None and x not in cone:
+                if hub in row:
+                    queue.append(x)
+            elif witnesses.isdisjoint(row):
+                row.add(hub)
                 queue.append(x)
-        if meter is not None and units > 4096:
-            meter.charge(units)
-            units = 0
-    if meter is not None and units:
-        meter.charge(units)
+    return queue, visited
