@@ -12,17 +12,16 @@ from conftest import FIG_DATASETS, save_and_print
 
 from repro.baselines.bfl import build_bfl
 from repro.baselines.grail import build_grail
+from repro.baselines.online import OnlineSearcher
 from repro.bench.results import ExperimentTable
 from repro.core.build import build_index
 from repro.pregel.cost_model import paper_scale_model
 from repro.query import (
-    BflBackend,
     DistributedIndexBackend,
-    GrailBackend,
     IndexBackend,
-    OnlineBackend,
-    QueryService,
+    MeteredSearchBackend,
 )
+from repro.telemetry.metrics import sorted_percentile
 from repro.workloads.datasets import MEDIUM_DATASETS, get_dataset
 from repro.workloads.queries import random_pairs
 
@@ -41,19 +40,19 @@ def _run():
         graph = get_dataset(name).load()
         pairs = random_pairs(graph.num_vertices, 600, seed=17)
         index = build_index(graph, cost_model=cost_model).index
-        services = {
-            "index": QueryService(IndexBackend(index, cost_model)),
-            "sharded index": QueryService(
-                DistributedIndexBackend(index, num_nodes=32, cost_model=cost_model)
+        backends_by_label = {
+            "index": IndexBackend(index, cost_model),
+            "sharded index": DistributedIndexBackend(
+                index, num_nodes=32, cost_model=cost_model
             ),
-            "BFL": QueryService(BflBackend(build_bfl(graph), cost_model)),
-            "GRAIL": QueryService(GrailBackend(build_grail(graph), cost_model)),
-            "online": QueryService(OnlineBackend(graph, cost_model)),
+            "BFL": MeteredSearchBackend(build_bfl(graph), cost_model),
+            "GRAIL": MeteredSearchBackend(build_grail(graph), cost_model),
+            "online": OnlineSearcher(graph, cost_model),
         }
-        for label, service in services.items():
-            report = service.evaluate(pairs)
-            p50.set(name, label, report.p50_seconds)
-            p99.set(name, label, report.p99_seconds)
+        for label, backend in backends_by_label.items():
+            latencies = sorted(backend.query_with_cost(s, t)[1] for s, t in pairs)
+            p50.set(name, label, sorted_percentile(latencies, 0.50))
+            p99.set(name, label, sorted_percentile(latencies, 0.99))
     return p50, p99
 
 

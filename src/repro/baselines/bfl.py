@@ -8,9 +8,10 @@ Bloom-filter summary of ``DES(v)`` (out-label) and ``ANC(v)``
   from the interval alone;
 - if ``bloom_out(t) ⊄ bloom_out(s)`` then ``DES(t) ⊄ DES(s)`` and
   ``s ↛ t`` — answered negatively from labels alone;
-- otherwise the query falls back to a label-pruned graph search, which
-  is why BFL must keep the graph in memory at query time (the key
-  disadvantage the paper exploits on distributed graphs).
+- otherwise the query falls back to the label-pruned graph search of
+  :class:`~repro.baselines.search.FilterSearchIndex`, which is why BFL
+  must keep the graph in memory at query time (the key disadvantage the
+  paper exploits on distributed graphs).
 
 Cyclic graphs are handled through SCC condensation — this is where the
 DFS post-order requirement comes from, and why a distributed version
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import random
 
+from repro.baselines.search import FilterSearchIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import Condensation, condensation
 from repro.pregel.serial import SerialMeter
@@ -30,7 +32,7 @@ from repro.pregel.serial import SerialMeter
 DEFAULT_S_BITS = 160
 
 
-class BflIndex:
+class BflIndex(FilterSearchIndex):
     """A built BFL index; query via :meth:`query`."""
 
     def __init__(
@@ -43,19 +45,14 @@ class BflIndex:
         bloom_in: list[int],
         s_bits: int,
     ):
-        self._graph = graph
-        self._cond = cond
+        # Interval compare plus two Bloom subset tests over s_bits-wide
+        # filters (one word-op per 64 bits).
+        super().__init__(graph, cond, 2 + 2 * max(1, s_bits // 64))
         self._pre = pre
         self._post = post
         self._bloom_out = bloom_out
         self._bloom_in = bloom_in
         self._s_bits = s_bits
-
-    # ------------------------------------------------------------------
-    @property
-    def num_vertices(self) -> int:
-        """Number of indexed vertices."""
-        return self._graph.num_vertices
 
     def size_bytes(self) -> int:
         """Index size: two Bloom filters + one interval per component,
@@ -65,61 +62,16 @@ class BflIndex:
             len(self._bloom_out) * per_component + 4 * self._graph.num_vertices
         )
 
-    # ------------------------------------------------------------------
-    def query(self, s: int, t: int, meter: SerialMeter | None = None) -> bool:
-        """Answer ``s → t``; optionally charge work to ``meter``."""
-        answer, _fallback = self.query_verbose(s, t, meter)
-        return answer
-
-    def query_verbose(
-        self, s: int, t: int, meter: SerialMeter | None = None
-    ) -> tuple[bool, bool]:
-        """Returns ``(answer, used_graph_fallback)``."""
-        cs = self._cond.component_of[s]
-        ct = self._cond.component_of[t]
-        if meter is not None:
-            # Interval compare plus two Bloom subset tests over
-            # s_bits-wide filters (one word-op per 64 bits).
-            meter.charge(2 + 2 * max(1, self._s_bits // 64))
-        if cs == ct:
-            return True, False
-        if self._tree_contains(cs, ct):
-            return True, False
-        if self._label_refutes(cs, ct):
-            return False, False
-        # Labels are inconclusive: label-pruned search on the DAG.
-        return self._fallback_search(cs, ct, meter), True
-
-    # ------------------------------------------------------------------
-    def _tree_contains(self, cs: int, ct: int) -> bool:
+    def confirms(self, cs: int, ct: int) -> bool:
+        """``ct`` lies in the DFS subtree of ``cs``."""
         return self._pre[cs] <= self._pre[ct] and self._post[ct] <= self._post[cs]
 
-    def _label_refutes(self, cs: int, ct: int) -> bool:
+    def refutes(self, cs: int, ct: int) -> bool:
+        """A Bloom-filter subset test fails."""
         if self._bloom_out[ct] & ~self._bloom_out[cs]:
             return True  # DES(t) not a subset of DES(s)
         if self._bloom_in[cs] & ~self._bloom_in[ct]:
             return True  # ANC(s) not a subset of ANC(t)
-        return False
-
-    def _fallback_search(self, cs: int, ct: int, meter: SerialMeter | None) -> bool:
-        dag = self._cond.dag
-        seen = {cs}
-        stack = [cs]
-        units = 0
-        while stack:
-            c = stack.pop()
-            for d in dag.out_neighbors(c):
-                units += 1
-                if d == ct or self._tree_contains(d, ct):
-                    if meter is not None:
-                        meter.charge(units)
-                    return True
-                if d in seen or self._label_refutes(d, ct):
-                    continue
-                seen.add(d)
-                stack.append(d)
-        if meter is not None:
-            meter.charge(units + 1)
         return False
 
 

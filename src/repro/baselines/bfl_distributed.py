@@ -99,9 +99,9 @@ class DistributedBflIndex:
                 if seen[w] == stamp:
                     continue
                 cw = component_of[w]
-                if cw == ct or inner._tree_contains(cw, ct):
+                if cw == ct or inner.confirms(cw, ct):
                     return units, hops
-                if inner._label_refutes(cw, ct):
+                if inner.refutes(cw, ct):
                     continue
                 seen[w] = stamp
                 stack.append(w)

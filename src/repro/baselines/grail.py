@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 
+from repro.baselines.search import FilterSearchIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import Condensation, condensation
 from repro.pregel.serial import SerialMeter
@@ -23,7 +24,7 @@ from repro.pregel.serial import SerialMeter
 DEFAULT_DIMENSIONS = 3
 
 
-class GrailIndex:
+class GrailIndex(FilterSearchIndex):
     """A built GRAIL index; query via :meth:`query`."""
 
     def __init__(
@@ -33,8 +34,7 @@ class GrailIndex:
         mins: list[list[int]],
         ranks: list[list[int]],
     ):
-        self._graph = graph
-        self._cond = cond
+        super().__init__(graph, cond, 1 + len(mins))
         self._mins = mins    # one list per dimension, indexed by component
         self._ranks = ranks
 
@@ -43,63 +43,17 @@ class GrailIndex:
         """Number of interval dimensions."""
         return len(self._mins)
 
-    @property
-    def num_vertices(self) -> int:
-        """Number of indexed vertices."""
-        return self._graph.num_vertices
-
     def size_bytes(self) -> int:
         """Two 4-byte rank fields per dimension per component, plus the
         vertex-to-component map."""
         components = len(self._cond.members)
         return components * 8 * self.num_dimensions + 4 * self.num_vertices
 
-    # ------------------------------------------------------------------
-    def query(self, s: int, t: int, meter: SerialMeter | None = None) -> bool:
-        """Answer ``s → t``; optionally charge work to ``meter``."""
-        answer, _fallback = self.query_verbose(s, t, meter)
-        return answer
-
-    def query_verbose(
-        self, s: int, t: int, meter: SerialMeter | None = None
-    ) -> tuple[bool, bool]:
-        """Returns ``(answer, used_graph_fallback)``."""
-        cs = self._cond.component_of[s]
-        ct = self._cond.component_of[t]
-        if meter is not None:
-            meter.charge(1 + self.num_dimensions)
-        if cs == ct:
-            return True, False
-        if self._refutes(cs, ct):
-            return False, False
-        return self._fallback_search(cs, ct, meter), True
-
-    def _refutes(self, cs: int, ct: int) -> bool:
+    def refutes(self, cs: int, ct: int) -> bool:
         """True when some dimension's interval containment fails."""
         for mins, ranks in zip(self._mins, self._ranks):
             if mins[ct] < mins[cs] or ranks[ct] > ranks[cs]:
                 return True
-        return False
-
-    def _fallback_search(self, cs: int, ct: int, meter) -> bool:
-        dag = self._cond.dag
-        seen = {cs}
-        stack = [cs]
-        units = 0
-        while stack:
-            c = stack.pop()
-            for d in dag.out_neighbors(c):
-                units += 1
-                if d == ct:
-                    if meter is not None:
-                        meter.charge(units)
-                    return True
-                if d in seen or self._refutes(d, ct):
-                    continue
-                seen.add(d)
-                stack.append(d)
-        if meter is not None:
-            meter.charge(units + 1)
         return False
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 
+from repro.baselines.search import FilterSearchIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import Condensation, condensation
 from repro.pregel.serial import SerialMeter
@@ -55,14 +56,12 @@ class _SketchSide:
         return all(x in big_set for x in self.sketches[small])
 
 
-class IpIndex:
+class IpIndex(FilterSearchIndex):
     """A built IP index; query via :meth:`query`."""
 
     def __init__(self, graph: DiGraph, cond: Condensation, k: int,
                  out_sides: list[_SketchSide], in_sides: list[_SketchSide]):
-        self._graph = graph
-        self._cond = cond
-        self._k = k
+        super().__init__(graph, cond, 1 + 2 * k * len(out_sides))
         self._out_sides = out_sides
         self._in_sides = in_sides
 
@@ -79,59 +78,16 @@ class IpIndex:
         )
         return 4 * entries + 4 * self._graph.num_vertices
 
-    def query(self, s: int, t: int, meter: SerialMeter | None = None) -> bool:
-        """Answer ``s → t``; optionally charge work to ``meter``."""
-        answer, _fallback = self.query_verbose(s, t, meter)
-        return answer
-
-    def query_verbose(
-        self, s: int, t: int, meter: SerialMeter | None = None
-    ) -> tuple[bool, bool]:
-        """Returns ``(answer, used_graph_fallback)``."""
-        cs = self._cond.component_of[s]
-        ct = self._cond.component_of[t]
-        if meter is not None:
-            meter.charge(1 + 2 * self._k * self.num_permutations)
-        if cs == ct:
-            return True, False
-        if self._refutes(cs, ct):
-            return False, False
-        if self._confirms(cs, ct):
-            return True, False
-        return self._fallback_search(cs, ct, meter), True
-
-    def _refutes(self, cs: int, ct: int) -> bool:
+    def refutes(self, cs: int, ct: int) -> bool:
+        """Some sketch disproves ``DES(ct) ⊆ DES(cs)`` or
+        ``ANC(cs) ⊆ ANC(ct)``."""
         return any(
             side.refutes(cs, ct) for side in self._out_sides
         ) or any(side.refutes(ct, cs) for side in self._in_sides)
 
-    def _confirms(self, cs: int, ct: int) -> bool:
+    def confirms(self, cs: int, ct: int) -> bool:
+        """Two exact descendant sketches with ``DES(ct) ⊆ DES(cs)``."""
         return any(side.confirms(cs, ct) for side in self._out_sides)
-
-    def _fallback_search(self, cs, ct, meter) -> bool:
-        dag = self._cond.dag
-        seen = {cs}
-        stack = [cs]
-        units = 0
-        while stack:
-            c = stack.pop()
-            for d in dag.out_neighbors(c):
-                units += 1
-                if d == ct:
-                    if meter is not None:
-                        meter.charge(units)
-                    return True
-                if d in seen or self._refutes(d, ct):
-                    continue
-                if self._confirms(d, ct):
-                    if meter is not None:
-                        meter.charge(units)
-                    return True
-                seen.add(d)
-                stack.append(d)
-        if meter is not None:
-            meter.charge(units + 1)
-        return False
 
 
 def build_ip(

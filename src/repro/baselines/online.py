@@ -28,15 +28,15 @@ class OnlineSearcher:
 
     def query(self, s: int, t: int) -> bool:
         """BFS from ``s`` until ``t`` is found or the frontier empties."""
-        answer, _units = self._search(s, t)
+        answer, _units = self._bfs(s, t)
         return answer
 
     def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
         """Like :meth:`query`, also returning simulated seconds."""
-        answer, units = self._search(s, t)
+        answer, units = self._bfs(s, t)
         return answer, units * self._cost.t_op
 
-    def _search(self, s: int, t: int) -> tuple[bool, int]:
+    def _bfs(self, s: int, t: int) -> tuple[bool, int]:
         if s == t:
             return True, 1
         self._stamp += 1

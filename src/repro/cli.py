@@ -690,8 +690,6 @@ def _parse_pairs_file(path: Path) -> tuple[list[tuple[int, int]], int]:
 
 
 def _cmd_query(args) -> int:
-    from repro.query.service import IndexBackend, QueryService
-
     index = ReachabilityIndex.load(args.index)
     skipped = 0
     if args.pairs is not None:
@@ -701,12 +699,11 @@ def _cmd_query(args) -> int:
     else:
         print("error: give SOURCE TARGET or --pairs FILE", file=sys.stderr)
         return 2
-    service = QueryService(IndexBackend(index))
     for s, t in pairs:
         if not (0 <= s < index.num_vertices and 0 <= t < index.num_vertices):
             print(f"{s} {t} out-of-range")
             continue
-        print(f"{s} {t} {'reachable' if service.query(s, t) else 'unreachable'}")
+        print(f"{s} {t} {'reachable' if index.query(s, t) else 'unreachable'}")
     if skipped:
         print(f"warning: skipped {skipped} malformed line(s)", file=sys.stderr)
         return 1

@@ -9,8 +9,7 @@ the flight recorder, is a sink :func:`~repro.telemetry.attached` to it.
   store → backend/fallback) on the stream's
   :class:`~repro.telemetry.spans.RequestTrace` record, terminal events
   for shed and deadline-dropped requests;
-- :mod:`repro.observe.windows` — rolling-window aggregation of
-  cumulative metrics (deltas, rates, EWMA) plus hot-key and
+- :mod:`repro.observe.windows` — the per-window hot-key and
   latency-regression detectors;
 - :mod:`repro.observe.slo` — declarative SLO specs with error-budget
   accounting and multi-window burn-rate alerts;
@@ -66,8 +65,6 @@ from repro.observe.windows import (
     HotKey,
     HotKeyDetector,
     LatencyRegressionDetector,
-    RollingAggregator,
-    WindowSnapshot,
 )
 
 __all__ = [
@@ -80,7 +77,6 @@ __all__ = [
     "IncidentReport",
     "LatencyRegressionDetector",
     "RequestTrace",
-    "RollingAggregator",
     "RootCause",
     "SLOBurnTrigger",
     "SLOSpec",
@@ -88,7 +84,6 @@ __all__ = [
     "TraceIdGenerator",
     "TriggerEngine",
     "WindowRow",
-    "WindowSnapshot",
     "add_stage",
     "analyze_bundle",
     "begin_request",

@@ -27,7 +27,6 @@ from repro.observe.windows import (
     HotKey,
     HotKeyDetector,
     LatencyRegressionDetector,
-    RollingAggregator,
 )
 from repro.telemetry.metrics import sorted_percentile
 from repro.telemetry.reader import Trace
@@ -35,6 +34,9 @@ from repro.telemetry.spans import RequestTrace
 
 #: Default number of windows the run's span is divided into.
 DEFAULT_WINDOW_COUNT = 12
+
+#: Weight of the newest window in a row's ``ewma_rate``.
+_RATE_EWMA_ALPHA = 0.3
 
 
 @dataclass
@@ -284,14 +286,10 @@ class DashboardModel:
         for request in requests:
             i = min(int((request.arrival - start) / window_seconds), count - 1)
             buckets[i].append(request)
-        aggregator = RollingAggregator()
-        # The aggregator's first step is its baseline (an instantaneous
-        # window with no rate); taking it at the first window's start
-        # leaves window 0 a real duration like every other.
-        aggregator.step(start, {"served": 0})
         regressions = LatencyRegressionDetector()
         hot = HotKeyDetector()
-        cumulative_served = 0
+        previous_end = start
+        ewma_rate = None
         for row, bucket in zip(rows, buckets):
             row.offered = len(bucket)
             window_latencies = sorted(
@@ -303,10 +301,19 @@ class DashboardModel:
                 1 for r in bucket if r.outcome == "deadline"
             )
             row.p99_seconds = sorted_percentile(window_latencies, 0.99)
-            cumulative_served += row.served
-            snapshot = aggregator.step(row.end, {"served": cumulative_served})
-            row.rate = snapshot.rates.get("served", 0.0)
-            row.ewma_rate = snapshot.ewma_rates.get("served", 0.0)
+            duration = row.end - previous_end
+            previous_end = row.end
+            if duration > 0:
+                row.rate = row.served / duration
+                ewma_rate = (
+                    row.rate
+                    if ewma_rate is None
+                    else _RATE_EWMA_ALPHA * row.rate
+                    + (1 - _RATE_EWMA_ALPHA) * ewma_rate
+                )
+            # An instantaneous window has no rate and must not drag the
+            # EWMA toward zero: the row keeps 0.0 and the last average.
+            row.ewma_rate = ewma_rate or 0.0
             row.regression = (
                 regressions.observe(row.p99_seconds) if window_latencies else False
             )

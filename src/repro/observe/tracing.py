@@ -25,7 +25,7 @@ instrumented components (:class:`~repro.serve.cache.CachingBackend`,
 :class:`~repro.serve.store.ShardedLabelStore`,
 :class:`~repro.query.service.FallbackBackend`) append their stage to
 whatever request is active.  When no request is active — tracing off,
-or a bare :class:`~repro.query.service.QueryService` — the cost is one
+or a backend called outside a server — the cost is one
 module-attribute read and a ``None`` check.
 """
 

@@ -1,20 +1,10 @@
-"""Rolling-window aggregation over flat metric snapshots.
+"""Per-window detectors for the dashboard's windows.
 
-A :class:`~repro.telemetry.metrics.MetricsRegistry` is cumulative: at
-any instant it answers "how many requests *so far*", never "how many
-in the last window" — which is the question every dashboard, SLO, and
-regression detector actually asks.  :class:`RollingAggregator` turns a
-sequence of cumulative snapshots into per-window views:
-
-- **deltas** — the change of every series across the window, with
-  counter resets (a value moving backwards, e.g. after a process
-  restart) detected and treated as "the counter restarted from zero";
-- **rates** — deltas divided by the window duration (zero for an
-  empty/instantaneous window);
-- **EWMA rates** — an exponentially weighted moving average of the
-  rates, the smoothed baseline the detectors compare against.
-
-Two detectors build on the windows:
+A cumulative metric answers "how many requests *so far*", never "what
+happened in the last window" — which is the question a dashboard asks.
+:class:`~repro.observe.dashboard.DashboardModel` cuts a run into
+windows (rate and EWMA rate are two lines of arithmetic there); the two
+detectors here read one window at a time:
 
 - :class:`HotKeyDetector` flags keys taking an outsized share of a
   window's traffic (a Zipf hot pair, a hammered shard);
@@ -27,98 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping
-
-
-@dataclass(frozen=True)
-class WindowSnapshot:
-    """One window's view of the metric stream."""
-
-    index: int
-    start: float
-    end: float
-    values: dict[str, float]      # cumulative values at window end
-    deltas: dict[str, float]      # per-window change (reset-aware)
-    rates: dict[str, float]       # deltas / duration (0 when empty)
-    ewma_rates: dict[str, float]  # smoothed rates up to this window
-    resets: tuple[str, ...]       # series that moved backwards
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-class RollingAggregator:
-    """Turns cumulative snapshots into :class:`WindowSnapshot` windows.
-
-    Call :meth:`step` with a monotonically non-decreasing ``now`` and
-    the current cumulative values (e.g. ``registry.as_dict()``); each
-    call closes one window.  The first call establishes the baseline:
-    its window is instantaneous, its deltas are the values themselves.
-
-    Rates and EWMAs are meaningful for monotone (counter-like) series;
-    gauge-like series still get deltas, and a backwards move is
-    reported in ``resets`` rather than producing a negative rate.
-    """
-
-    def __init__(self, alpha: float = 0.3):
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self._prev_values: dict[str, float] | None = None
-        self._prev_end: float | None = None
-        self._ewma: dict[str, float] = {}
-        self._index = 0
-
-    def step(self, now: float, values: Mapping[str, float]) -> WindowSnapshot:
-        """Close the window ending at ``now`` with cumulative ``values``."""
-        start = now if self._prev_end is None else self._prev_end
-        if now < start:
-            raise ValueError(
-                f"snapshot time went backwards: {now} < {start}"
-            )
-        previous = self._prev_values or {}
-        deltas: dict[str, float] = {}
-        resets: list[str] = []
-        for name, value in values.items():
-            before = previous.get(name, 0)
-            if value < before:
-                # Counter reset: the series restarted from zero, so the
-                # whole current value accrued inside this window.
-                deltas[name] = value
-                resets.append(name)
-            else:
-                deltas[name] = value - before
-        duration = now - start
-        if duration > 0:
-            rates = {name: delta / duration for name, delta in deltas.items()}
-            alpha = self.alpha
-            for name, rate in rates.items():
-                before = self._ewma.get(name)
-                self._ewma[name] = (
-                    rate if before is None else alpha * rate + (1 - alpha) * before
-                )
-        else:
-            # Empty/instantaneous window: no rate is defined, and the
-            # EWMA baseline must not be dragged toward zero by it.
-            rates = {name: 0.0 for name in deltas}
-        snapshot = WindowSnapshot(
-            index=self._index,
-            start=start,
-            end=now,
-            values=dict(values),
-            deltas=deltas,
-            rates=rates,
-            ewma_rates=dict(self._ewma),
-            resets=tuple(resets),
-        )
-        self._index += 1
-        self._prev_values = dict(values)
-        self._prev_end = now
-        return snapshot
-
-    def step_registry(self, now: float, registry) -> WindowSnapshot:
-        """Snapshot a live :class:`MetricsRegistry` (its flat view)."""
-        return self.step(now, registry.as_dict())
 
 
 @dataclass(frozen=True)

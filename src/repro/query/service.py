@@ -1,27 +1,18 @@
-"""Query backends and the batch evaluation service."""
+"""Query backends: one ``query_with_cost(s, t)`` per way of answering."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Protocol
 
-from repro.baselines.bfl import BflIndex
-from repro.baselines.grail import GrailIndex
 from repro.baselines.online import OnlineSearcher
+from repro.baselines.search import FilterSearchIndex
 from repro.core.labels import ReachabilityIndex, label_sizes
 from repro.errors import ReproError
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import HashPartitioner, node_assignment
 from repro.observe import tracing
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
-from repro.telemetry import (
-    LATENCY_BUCKETS,
-    MetricsRegistry,
-    current_metrics,
-    enabled,
-    trace_span,
-)
-from repro.telemetry.metrics import sorted_percentile
+from repro.telemetry import current_metrics, enabled
 
 
 class QueryBackend(Protocol):
@@ -52,13 +43,13 @@ class IndexBackend:
 
 
 class MeteredSearchBackend:
-    """Backend over an index whose ``query(s, t, meter=)`` mixes label
-    tests with an occasional pruned search, metered serially: BFL^C's
-    Bloom-filter labels (:class:`BflBackend`) and GRAIL's intervals
-    (:class:`GrailBackend`)."""
+    """Backend over a filter-and-search index (BFL^C's Bloom filters,
+    GRAIL's intervals, IP's sketches), whose ``query(s, t, meter=)``
+    mixes label tests with an occasional pruned search, metered
+    serially."""
 
     def __init__(
-        self, index: BflIndex | GrailIndex, cost_model: CostModel | None = None
+        self, index: FilterSearchIndex, cost_model: CostModel | None = None
     ):
         self._index = index
         self._cost = cost_model or DEFAULT_COST_MODEL
@@ -69,19 +60,6 @@ class MeteredSearchBackend:
         meter = SerialMeter(self._cost.with_time_limit(None))
         answer = self._index.query(s, t, meter=meter)
         return answer, meter.simulated_seconds
-
-
-BflBackend = GrailBackend = MeteredSearchBackend
-
-
-class OnlineBackend:
-    """Index-free backend: BFS per query."""
-
-    def __init__(self, graph: DiGraph, cost_model: CostModel | None = None):
-        self._searcher = OnlineSearcher(graph, cost_model or DEFAULT_COST_MODEL)
-
-    def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
-        return self._searcher.query_with_cost(s, t)
 
 
 class DistributedIndexBackend:
@@ -122,9 +100,10 @@ class FallbackBackend:
 
     Degraded-mode serving for a cluster whose index build died (crash
     without checkpointing, out-of-memory, cut-off): queries keep being
-    answered — via :class:`OnlineBackend` traversal of the raw graph —
-    just slower.  Every fallback-served query increments the
-    ``query.fallback`` counter so operators can see the degradation.
+    answered — by :class:`~repro.baselines.online.OnlineSearcher`
+    traversal of the raw graph — just slower.  Every fallback-served
+    query increments the ``query.fallback`` counter so operators can see
+    the degradation.
 
     Use :meth:`from_build` to construct one directly from a build
     attempt: a successful build serves from the index, a build that
@@ -138,7 +117,7 @@ class FallbackBackend:
         cost_model: CostModel | None = None,
     ):
         self._primary = primary
-        self._fallback = OnlineBackend(graph, cost_model)
+        self._fallback = OnlineSearcher(graph, cost_model)
         self.fallback_queries = 0
 
     @classmethod
@@ -177,116 +156,3 @@ class FallbackBackend:
         if tracing.ACTIVE is not None:
             tracing.ACTIVE.add_stage("fallback", seconds)
         return answer, seconds
-
-
-@dataclass(frozen=True)
-class QueryReport:
-    """Latency statistics for one evaluated workload."""
-
-    count: int
-    positives: int
-    total_seconds: float
-    mean_seconds: float
-    p50_seconds: float
-    p95_seconds: float
-    p99_seconds: float
-    max_seconds: float
-
-    @property
-    def positive_rate(self) -> float:
-        """Fraction of queries answered True."""
-        return self.positives / self.count if self.count else 0.0
-
-    @property
-    def throughput(self) -> float:
-        """Queries per simulated second."""
-        return self.count / self.total_seconds if self.total_seconds else 0.0
-
-    def summary(self) -> str:
-        """One-line human-readable summary."""
-        return (
-            f"{self.count} queries ({self.positive_rate:.0%} positive): "
-            f"mean {self.mean_seconds:.2e}s, p95 {self.p95_seconds:.2e}s, "
-            f"p99 {self.p99_seconds:.2e}s, max {self.max_seconds:.2e}s"
-        )
-
-
-class QueryService:
-    """Evaluates query workloads against a backend.
-
-    When a telemetry session is active (or ``metrics`` is given
-    explicitly), every query feeds the ``query.latency_seconds``
-    histogram and the ``query.count`` / ``query.positives`` counters,
-    and :meth:`evaluate` runs inside a ``query.evaluate`` span whose
-    simulated seconds are the workload's total latency.
-    """
-
-    def __init__(
-        self, backend: QueryBackend, metrics: MetricsRegistry | None = None
-    ):
-        self._backend = backend
-        self._metrics = metrics
-
-    def _registry(self) -> MetricsRegistry | None:
-        """Explicit registry, the session's when active, else none."""
-        if self._metrics is not None:
-            return self._metrics
-        return current_metrics() if enabled() else None
-
-    @staticmethod
-    def _record(registry: MetricsRegistry, answer: bool, seconds: float) -> None:
-        registry.counter("query.count").inc()
-        if answer:
-            registry.counter("query.positives").inc()
-        registry.histogram("query.latency_seconds", LATENCY_BUCKETS).observe(
-            seconds
-        )
-
-    def _ask(self, s: int, t: int) -> tuple[bool, float]:
-        """One backend call; an id outside the index is a typed error (a
-        negative one would count from the end: another vertex's answer)."""
-        if s >= 0 and t >= 0:
-            try:
-                return self._backend.query_with_cost(s, t)
-            except IndexError:
-                pass
-        raise ReproError(f"query ({s}, {t}) names a vertex outside the index")
-
-    def query(self, s: int, t: int) -> bool:
-        """Single query, answer only."""
-        answer, seconds = self._ask(s, t)
-        registry = self._registry()
-        if registry is not None:
-            self._record(registry, answer, seconds)
-        return answer
-
-    def evaluate(self, pairs: Iterable[tuple[int, int]]) -> QueryReport:
-        """Run every pair and collect latency statistics."""
-        registry = self._registry()
-        latencies: list[float] = []
-        positives = 0
-        with trace_span(
-            "query.evaluate", backend=type(self._backend).__name__
-        ) as span:
-            for s, t in pairs:
-                answer, seconds = self._ask(s, t)
-                positives += answer
-                latencies.append(seconds)
-                if registry is not None:
-                    self._record(registry, answer, seconds)
-            span.set(count=len(latencies), positives=positives)
-            span.add_simulated(sum(latencies))
-        if not latencies:
-            return QueryReport(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        latencies.sort()
-        total = sum(latencies)
-        return QueryReport(
-            count=len(latencies),
-            positives=positives,
-            total_seconds=total,
-            mean_seconds=total / len(latencies),
-            p50_seconds=sorted_percentile(latencies, 0.50),
-            p95_seconds=sorted_percentile(latencies, 0.95),
-            p99_seconds=sorted_percentile(latencies, 0.99),
-            max_seconds=latencies[-1],
-        )

@@ -30,7 +30,7 @@ from repro.core.tol import tol_index
 from repro.graph.partition import PARTITIONER_STRATEGIES
 from repro.observe.incident import FlightRecorder, TriggerEngine
 from repro.observe.slo import SLOSpec
-from repro.scenarios.spec import ScenarioSpec, load_scenario
+from repro.scenarios.spec import EXPECTATIONS, ScenarioSpec, load_scenario
 from repro.serve.cache import CachingBackend, QueryCache
 from repro.serve.mutation import MutationBackend
 from repro.serve.faults import Timeline
@@ -413,28 +413,14 @@ def _grade(
     spec: ScenarioSpec, report: ServeReport, incorrect: int
 ) -> list[ExpectationCheck]:
     """Grade the spec's ``expect`` block against the run."""
-    shed_fraction = report.shed / report.offered if report.offered else 0.0
-    actuals = {
-        "availability_min": report.availability,
-        "served_min": report.served,
-        "shed_fraction_max": shed_fraction,
-        "failed_max": report.failed,
-        "p50_max_seconds": report.p50_seconds,
-        "p99_max_seconds": report.p99_seconds,
-        "incorrect_answers_max": incorrect,
-        "failovers_min": report.failovers,
-        "failovers_max": report.failovers,
-        "cache_hit_rate_min": report.cache_hit_rate,
-        "confirmed_reads_min": report.confirmed_reads,
-        "stale_reads_min": report.stale_reads,
-        "mutations_applied_min": report.mutations_applied,
-        "mutations_shed_max": report.mutations_shed,
-        "update_throughput_min": report.update_throughput,
-        "staleness_window_max_seconds": report.staleness_window_seconds,
-    }
     checks = []
     for name, expected in spec.expect.items():
-        actual = actuals[name]
+        reads = EXPECTATIONS[name][1]
+        actual = (
+            getattr(report, reads)
+            if isinstance(reads, str)
+            else reads(report, incorrect)
+        )
         if name.endswith("_min"):
             ok = actual >= expected
         else:

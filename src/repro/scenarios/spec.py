@@ -49,26 +49,46 @@ from repro.serve.store import READ_POLICIES
 #: Arrival shapes the ``traffic.arrivals.shape`` field accepts.
 ARRIVAL_SHAPES = ("poisson", "uniform", "flash", "sine")
 
-#: Expectation keys the ``expect`` mapping accepts, with the report
-#: quantity each one checks.  ``*_min`` asserts ``actual >= value``,
-#: ``*_max`` asserts ``actual <= value``.
+#: Expectation keys the ``expect`` mapping accepts: what each one
+#: checks, and where the runner reads it — a ``ServeReport`` attribute,
+#: or a callable of the report and the audit's incorrect-answer count.
+#: ``*_min`` asserts ``actual >= value``, ``*_max`` asserts
+#: ``actual <= value``.
 EXPECTATIONS = {
-    "availability_min": "served / offered",
-    "served_min": "requests served",
-    "shed_fraction_max": "shed / offered",
-    "failed_max": "requests failed (shard unavailable)",
-    "p50_max_seconds": "median latency",
-    "p99_max_seconds": "99th-percentile latency",
-    "incorrect_answers_max": "served answers differing from the leader's truth",
-    "failovers_min": "shard failovers observed",
-    "failovers_max": "shard failovers observed",
-    "cache_hit_rate_min": "cache hits / lookups",
-    "confirmed_reads_min": "stale reads confirmed against the leader",
-    "stale_reads_min": "stale reads served under the monotonicity guard",
-    "mutations_applied_min": "writes applied to the leader index",
-    "mutations_shed_max": "writes shed at the admission queue",
-    "update_throughput_min": "applied writes per simulated second",
-    "staleness_window_max_seconds": "peak replication staleness window",
+    "availability_min": ("served / offered", "availability"),
+    "served_min": ("requests served", "served"),
+    "shed_fraction_max": (
+        "shed / offered",
+        lambda report, _incorrect: (
+            report.shed / report.offered if report.offered else 0.0
+        ),
+    ),
+    "failed_max": ("requests failed (shard unavailable)", "failed"),
+    "p50_max_seconds": ("median latency", "p50_seconds"),
+    "p99_max_seconds": ("99th-percentile latency", "p99_seconds"),
+    "incorrect_answers_max": (
+        "served answers differing from the leader's truth",
+        lambda _report, incorrect: incorrect,
+    ),
+    "failovers_min": ("shard failovers observed", "failovers"),
+    "failovers_max": ("shard failovers observed", "failovers"),
+    "cache_hit_rate_min": ("cache hits / lookups", "cache_hit_rate"),
+    "confirmed_reads_min": (
+        "stale reads confirmed against the leader", "confirmed_reads"
+    ),
+    "stale_reads_min": (
+        "stale reads served under the monotonicity guard", "stale_reads"
+    ),
+    "mutations_applied_min": (
+        "writes applied to the leader index", "mutations_applied"
+    ),
+    "mutations_shed_max": ("writes shed at the admission queue", "mutations_shed"),
+    "update_throughput_min": (
+        "applied writes per simulated second", "update_throughput"
+    ),
+    "staleness_window_max_seconds": (
+        "peak replication staleness window", "staleness_window_seconds"
+    ),
 }
 
 

@@ -1,7 +1,7 @@
 """The request pipeline: admission control, batching, deadlines.
 
-A batch evaluator (:class:`~repro.query.service.QueryService`) answers
-every query it is handed, however long that takes.  A *server* cannot:
+A bare backend (``query_with_cost`` in a loop) answers every query it
+is handed, however long that takes.  A *server* cannot:
 requests arrive on their own schedule, queues are finite, and a late
 answer is often worth nothing.  :class:`QueryServer` runs the serving
 loop on the simulated clock:

@@ -451,6 +451,9 @@ class ShardedLabelStore:
         """
         shard_of = self._shard_of
         try:
+            if s < 0 or t < 0:
+                # Would count from the end: another vertex's answer.
+                raise IndexError
             home = shard_of[s]
             target = shard_of[t]
         except IndexError:
@@ -653,7 +656,7 @@ class ShardedIndexBackend:
     """:class:`~repro.query.service.QueryBackend` view of a store.
 
     Makes the store pluggable anywhere a backend is expected — the
-    request pipeline, :class:`~repro.query.service.QueryService`, or a
+    request pipeline, a cache, or a
     :class:`~repro.query.service.FallbackBackend` primary.
     """
 

@@ -202,7 +202,6 @@ def test_query_verbose_logs_telemetry(index_file, capsys):
     captured = capsys.readouterr()
     assert "0 0 reachable" in captured.out
     assert "span cli.query" in captured.err
-    assert "metric query.count=1" in captured.err
 
 
 def test_bench_fig5_trace_out_reproduces_table(tmp_path, capsys):

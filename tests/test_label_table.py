@@ -19,7 +19,12 @@ from repro.core.labels import ReachabilityIndex, index_file_version
 from repro.core.tol import tol_index
 from repro.errors import IndexFormatError, ReproError
 from repro.graph.generators import citation_graph, web_graph
-from repro.query import IndexBackend, QueryService
+from repro.serve import (
+    CachingBackend,
+    QueryCache,
+    ShardedIndexBackend,
+    ShardedLabelStore,
+)
 from tests.conftest import family_graphs
 
 DEFAULT_K = labels_module._K
@@ -340,17 +345,21 @@ def test_corrupt_file_is_one_line_and_exit_2_on_the_cli(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# The range check in front of the index (the size protocol's flavour
+# The range check in front of the index: the store's, reached here
+# through the cache that sits ahead of it (the size protocol's flavour
 # matrix is tests/test_query_service.py's)
 # ----------------------------------------------------------------------
 def test_query_service_rejects_ids_outside_the_index():
     index = tol_index(web_graph(40, seed=2))
-    service = QueryService(IndexBackend(index))
-    last = service.query(39, 39)
+    cache = QueryCache(8)
+    backend = CachingBackend(
+        ShardedIndexBackend(ShardedLabelStore(index, num_shards=4)), cache
+    )
+    last, _seconds = backend.query_with_cost(39, 39)
     assert last is True
     for s, t in ((-1, 39), (39, -1), (-40, 0), (40, 0), (0, 40)):
-        with pytest.raises(ReproError, match="outside the index"):
-            service.query(s, t)
-        with pytest.raises(ReproError, match="outside the index"):
-            service.evaluate([(0, 1), (s, t)])
-    assert service.evaluate([(0, 1), (39, 39)]).count == 2
+        for _ in range(2):  # the refusal is not cached as an answer
+            with pytest.raises(ReproError, match="outside the index"):
+                backend.query_with_cost(s, t)
+    assert len(cache) == 1
+    assert backend.query_with_cost(39, 39)[0] is True

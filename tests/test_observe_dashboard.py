@@ -86,14 +86,17 @@ class TestModel:
         assert sum(w.served for w in model.windows) == model.served
 
     def test_every_window_has_a_rate_including_the_first(self, model):
-        """The aggregator's baseline step is taken at the first window's
-        start, so window 0 is a real window (it used to read 0 q/s)."""
+        """The window clock starts at the first window's start, so
+        window 0 is a real window (it used to read 0 q/s) and seeds the
+        EWMA every later window folds its own rate into."""
         for window in model.windows:
             assert window.rate == pytest.approx(
                 window.served / (window.end - window.start)
             )
         assert model.windows[0].served > 0
         assert model.windows[0].ewma_rate == model.windows[0].rate
+        for before, window in zip(model.windows, model.windows[1:]):
+            assert window.ewma_rate == 0.3 * window.rate + 0.7 * before.ewma_rate
 
     def test_worst_traces_sorted(self, model):
         latencies = [r.latency_seconds for r in model.worst]

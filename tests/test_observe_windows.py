@@ -1,96 +1,12 @@
-"""Tests for rolling-window aggregation and the window detectors."""
+"""Tests for the window detectors (the windows' own rate and EWMA are
+``tests/test_observe_dashboard.py``'s)."""
 
 import pytest
 
 from repro.observe.windows import (
     HotKeyDetector,
     LatencyRegressionDetector,
-    RollingAggregator,
 )
-from repro.telemetry import MetricsRegistry
-
-
-class TestRollingAggregator:
-    def test_first_window_is_the_baseline(self):
-        aggregator = RollingAggregator()
-        snapshot = aggregator.step(5.0, {"served": 100})
-        assert snapshot.index == 0
-        assert snapshot.start == snapshot.end == 5.0
-        assert snapshot.deltas == {"served": 100}
-        assert snapshot.rates == {"served": 0.0}  # zero-duration window
-
-    def test_deltas_and_rates(self):
-        aggregator = RollingAggregator(alpha=0.5)
-        aggregator.step(0.0, {"served": 0})
-        snapshot = aggregator.step(2.0, {"served": 10})
-        assert snapshot.deltas == {"served": 10}
-        assert snapshot.rates == {"served": 5.0}
-        assert snapshot.ewma_rates == {"served": 5.0}  # first rate seeds EWMA
-        snapshot = aggregator.step(4.0, {"served": 30})
-        assert snapshot.rates == {"served": 10.0}
-        assert snapshot.ewma_rates == {"served": 7.5}  # 0.5*10 + 0.5*5
-
-    def test_empty_window_has_zero_rates_and_keeps_ewma(self):
-        aggregator = RollingAggregator()
-        aggregator.step(0.0, {"served": 0})
-        aggregator.step(1.0, {"served": 100})
-        before = dict(aggregator.step(1.0, {"served": 100}).ewma_rates)
-        # Zero-duration window: rates are 0, EWMA untouched.
-        snapshot = aggregator.step(1.0, {"served": 100})
-        assert snapshot.rates == {"served": 0.0}
-        assert snapshot.ewma_rates == before
-
-    def test_counter_reset_detected(self):
-        aggregator = RollingAggregator()
-        aggregator.step(0.0, {"served": 50})
-        snapshot = aggregator.step(1.0, {"served": 8})
-        # The counter restarted: the delta is the new value, not -42.
-        assert snapshot.deltas == {"served": 8}
-        assert snapshot.resets == ("served",)
-        assert snapshot.rates == {"served": 8.0}
-
-    def test_two_counter_resets_inside_one_window(self):
-        # A process restart resets *every* counter it owns at once; the
-        # window must report each reset independently and keep other
-        # series' deltas untouched.
-        aggregator = RollingAggregator()
-        aggregator.step(0.0, {"served": 50, "shed": 20, "offered": 70})
-        snapshot = aggregator.step(2.0, {"served": 4, "shed": 1, "offered": 90})
-        assert snapshot.deltas == {"served": 4, "shed": 1, "offered": 20}
-        assert set(snapshot.resets) == {"served", "shed"}
-        # Rates stay non-negative through the double reset...
-        assert snapshot.rates == {"served": 2.0, "shed": 0.5, "offered": 10.0}
-        # ...and the next window is measured against the *reset* values,
-        # not the pre-restart highs.
-        after = aggregator.step(3.0, {"served": 10, "shed": 3, "offered": 95})
-        assert after.deltas == {"served": 6, "shed": 2, "offered": 5}
-        assert after.resets == ()
-
-    def test_new_series_mid_stream(self):
-        aggregator = RollingAggregator()
-        aggregator.step(0.0, {"a": 1})
-        snapshot = aggregator.step(1.0, {"a": 2, "b": 5})
-        assert snapshot.deltas == {"a": 1, "b": 5}
-        assert snapshot.resets == ()
-
-    def test_time_going_backwards_raises(self):
-        aggregator = RollingAggregator()
-        aggregator.step(2.0, {})
-        with pytest.raises(ValueError, match="backwards"):
-            aggregator.step(1.0, {})
-
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            RollingAggregator(alpha=0.0)
-        with pytest.raises(ValueError):
-            RollingAggregator(alpha=1.5)
-
-    def test_step_registry_uses_flat_view(self):
-        registry = MetricsRegistry()
-        registry.counter("hits").inc(3)
-        aggregator = RollingAggregator()
-        snapshot = aggregator.step_registry(1.0, registry)
-        assert snapshot.values["hits"] == 3
 
 
 class TestHotKeyDetector:

@@ -1,9 +1,11 @@
-"""Tests for the query service layer."""
+"""Tests for the query backends (``repro.query.service``)."""
 
 import pytest
 
 from repro.baselines.bfl import build_bfl
 from repro.baselines.grail import build_grail
+from repro.baselines.ip_label import build_ip
+from repro.baselines.online import OnlineSearcher
 from repro.baselines.transitive_closure import TransitiveClosure
 from repro.core.build import build_index
 from repro.core.dynamic import DynamicReachabilityIndex
@@ -11,14 +13,7 @@ from repro.core.labels import label_sizes
 from repro.core.tol import tol_index
 from repro.graph.generators import social_graph
 from repro.pregel.cost_model import CostModel
-from repro.query import (
-    BflBackend,
-    GrailBackend,
-    IndexBackend,
-    OnlineBackend,
-    QueryReport,
-    QueryService,
-)
+from repro.query import IndexBackend, MeteredSearchBackend
 from repro.workloads.queries import random_pairs
 
 _NO_LIMIT = CostModel(time_limit_seconds=None)
@@ -43,17 +38,19 @@ def _backends(graph):
     index = build_index(graph, cost_model=_NO_LIMIT).index
     return {
         "index": IndexBackend(index, _NO_LIMIT),
-        "bfl": BflBackend(build_bfl(graph), _NO_LIMIT),
-        "grail": GrailBackend(build_grail(graph), _NO_LIMIT),
-        "online": OnlineBackend(graph, _NO_LIMIT),
+        "bfl": MeteredSearchBackend(build_bfl(graph), _NO_LIMIT),
+        "grail": MeteredSearchBackend(build_grail(graph), _NO_LIMIT),
+        "ip": MeteredSearchBackend(build_ip(graph), _NO_LIMIT),
+        "online": OnlineSearcher(graph, _NO_LIMIT),
     }
 
 
 def test_all_backends_agree_with_oracle(graph, oracle, pairs):
     for name, backend in _backends(graph).items():
-        service = QueryService(backend)
         for s, t in pairs[:150]:
-            assert service.query(s, t) == oracle.query(s, t), (name, s, t)
+            answer, seconds = backend.query_with_cost(s, t)
+            assert answer == oracle.query(s, t), (name, s, t)
+            assert seconds > 0, (name, s, t)
 
 
 def test_index_backend_serves_every_index_flavour(graph, pairs):
@@ -99,42 +96,15 @@ def test_index_backend_serves_every_index_flavour(graph, pairs):
     assert out_size_of(new) == 1 and in_size_of(new) == len(dynamic.in_labels[new]) > 1
 
 
-def test_evaluate_statistics(graph, oracle, pairs):
-    service = QueryService(_backends(graph)["index"])
-    report = service.evaluate(pairs)
-    assert report.count == len(pairs)
-    assert report.positives == sum(oracle.query(s, t) for s, t in pairs)
-    assert 0 < report.mean_seconds
-    assert report.p50_seconds <= report.p95_seconds <= report.p99_seconds
-    assert report.p99_seconds <= report.max_seconds
-    assert report.total_seconds == pytest.approx(
-        report.mean_seconds * report.count
-    )
-    assert 0 <= report.positive_rate <= 1
-    assert report.throughput > 0
-    assert "queries" in report.summary()
-
-
 def test_online_backend_is_slowest(graph, pairs):
     backends = _backends(graph)
-    means = {
-        name: QueryService(backend).evaluate(pairs[:100]).mean_seconds
+    totals = {
+        name: sum(backend.query_with_cost(s, t)[1] for s, t in pairs[:100])
         for name, backend in backends.items()
     }
-    assert means["online"] > means["index"]
-    assert means["online"] > means["bfl"]
-    assert means["online"] > means["grail"]
-
-
-def test_empty_workload():
-    report = QueryReport(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    assert report.positive_rate == 0.0
-    assert report.throughput == 0.0
-    # And via the service:
-    from repro.graph.digraph import DiGraph
-
-    service = QueryService(OnlineBackend(DiGraph(2, []), _NO_LIMIT))
-    assert service.evaluate([]).count == 0
+    assert totals["online"] > totals["index"]
+    assert totals["online"] > totals["bfl"]
+    assert totals["online"] > totals["grail"]
 
 
 # ----------------------------------------------------------------------
@@ -151,9 +121,8 @@ def test_fallback_backend_degrades_to_online(graph, oracle, pairs):
         cost_model=_NO_LIMIT,
     )
     assert backend.degraded
-    service = QueryService(backend)
     for s, t in pairs[:100]:
-        assert service.query(s, t) == oracle.query(s, t), (s, t)
+        assert backend.query_with_cost(s, t)[0] == oracle.query(s, t), (s, t)
     assert backend.fallback_queries == 100
 
 
@@ -167,9 +136,8 @@ def test_fallback_backend_prefers_index(graph, oracle, pairs):
         cost_model=_NO_LIMIT,
     )
     assert not backend.degraded
-    service = QueryService(backend)
     for s, t in pairs[:100]:
-        assert service.query(s, t) == oracle.query(s, t), (s, t)
+        assert backend.query_with_cost(s, t)[0] == oracle.query(s, t), (s, t)
     assert backend.fallback_queries == 0
 
 
@@ -181,14 +149,13 @@ def test_fallback_backend_counts_metric(graph):
     backend = FallbackBackend(None, graph, _NO_LIMIT)
     sink = InMemorySink()
     with session([sink]):
-        QueryService(backend).query(0, 1)
+        backend.query_with_cost(0, 1)
     counters = {
         r["name"]: r["value"]
         for r in sink.metrics
         if r.get("metric") == "counter"
     }
     assert counters.get("query.fallback") == 1
-    assert counters.get("query.count") == 1
 
 
 def test_fallback_backend_propagates_real_bugs(graph):

@@ -19,7 +19,7 @@ from repro.graph.partition import (
     RangePartitioner,
 )
 from repro.pregel.cost_model import CostModel
-from repro.query import FallbackBackend, QueryService
+from repro.query import FallbackBackend
 from repro.serve import (
     BoundedStalenessReplicator,
     MutationBackend,
@@ -180,12 +180,12 @@ def test_backend_protocol_and_service_integration(graph, index):
     backend = ShardedIndexBackend(
         ShardedLabelStore(index, num_shards=4, cost_model=_NO_LIMIT)
     )
-    report = QueryService(backend).evaluate(
-        random_pairs(graph.num_vertices, 100, seed=1)
-    )
-    assert report.count == 100
-    assert report.total_seconds > 0
-    assert backend.store.shard_loads() != [0, 0, 0, 0]
+    oracle = TransitiveClosure(graph)
+    for s, t in random_pairs(graph.num_vertices, 100, seed=1):
+        answer, seconds = backend.query_with_cost(s, t)
+        assert answer == oracle.query(s, t)
+        assert seconds > 0
+    assert sum(backend.store.shard_loads()) >= 100
 
 
 def test_store_as_fallback_primary(graph, index):
@@ -243,9 +243,21 @@ def test_read_of_a_vertex_added_after_construction(graph):
 def test_vertex_outside_the_index_is_a_typed_error(index):
     n = index.num_vertices
     for store in _stores(index, num_shards=4):
-        for s, t in ((n, 0), (0, n), (n + 7, n + 7)):
+        # A negative id would index from the end: (-2, 3) used to come
+        # back with the answer and the cost of (n - 2, 3).
+        for s, t in ((n, 0), (0, n), (n + 7, n + 7), (-2, 3), (3, -2), (-n, 0)):
             with pytest.raises(ReproError, match="outside the index"):
                 store.fetch(s, t)
         with pytest.raises(ReproError, match="outside the index"):
             store.shard_of(n)
         assert store.shard_loads() == [0, 0, 0, 0]  # nothing was charged
+
+
+def test_server_lets_the_typed_error_through(index):
+    # No layer between a request and the store turns the refusal into an
+    # answer: a negative id surfaces like an id past the end.
+    store = ShardedLabelStore(index, num_shards=4, cost_model=_NO_LIMIT)
+    server = QueryServer(ShardedIndexBackend(store), cost_model=_NO_LIMIT)
+    for bad in ((-2, 3), (index.num_vertices, 0)):
+        with pytest.raises(ReproError, match="outside the index"):
+            server.run_open([(0, 1), bad], [0.0, 1e-6])

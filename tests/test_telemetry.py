@@ -15,7 +15,7 @@ from repro.graph.order import degree_order
 from repro.pregel.cost_model import CostModel
 from repro.pregel.engine import Cluster
 from repro.pregel.vertex_program import VertexProgram
-from repro.query.service import IndexBackend, QueryService
+from repro.query.service import IndexBackend
 from repro.telemetry import (
     MetricsRegistry,
     Tracer,
@@ -465,44 +465,6 @@ def test_drl_batch_emits_one_span_per_batch(small_graph):
     # Label-entry growth gauge lands at the final index size.
     gauges = {m["name"]: m for m in sink.metrics}
     assert gauges["drl_b.label_entries"]["value"] == result.index.num_entries
-
-
-# ----------------------------------------------------------------------
-# Query service instrumentation
-# ----------------------------------------------------------------------
-def test_query_service_feeds_latency_histogram(small_graph):
-    index = drl_index(small_graph, num_nodes=2, cost_model=_NO_LIMIT).index
-    registry = MetricsRegistry()
-    service = QueryService(IndexBackend(index), metrics=registry)
-    pairs = [(0, 1), (1, 2), (2, 3), (3, 4)]
-    report = service.evaluate(pairs)
-    hist = registry.histogram("query.latency_seconds")
-    assert hist.count == len(pairs)
-    assert hist.total == pytest.approx(report.total_seconds)
-    assert registry.counter("query.count").value == len(pairs)
-    assert registry.counter("query.positives").value == report.positives
-    service.query(0, 1)
-    assert registry.counter("query.count").value == len(pairs) + 1
-
-
-def test_query_service_uses_session_registry(small_graph):
-    index = drl_index(small_graph, num_nodes=2, cost_model=_NO_LIMIT).index
-    sink = InMemorySink()
-    with session([sink]):
-        service = QueryService(IndexBackend(index))
-        service.evaluate([(0, 1), (1, 2)])
-    span = sink.spans_named("query.evaluate")[0]
-    assert span.attrs["count"] == 2
-    metrics = {m["name"]: m for m in sink.metrics}
-    assert metrics["query.latency_seconds"]["count"] == 2
-
-
-def test_query_service_untracked_without_session(small_graph):
-    index = drl_index(small_graph, num_nodes=2, cost_model=_NO_LIMIT).index
-    service = QueryService(IndexBackend(index))
-    report = service.evaluate([(0, 1)])
-    assert report.count == 1
-    assert len(telemetry.current_metrics()) == 0
 
 
 # ----------------------------------------------------------------------

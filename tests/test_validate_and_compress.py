@@ -14,7 +14,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_digraph, social_graph
 from repro.graph.order import degree_order
 from repro.pregel.cost_model import CostModel
-from repro.query import DistributedIndexBackend, IndexBackend, QueryService
+from repro.query import DistributedIndexBackend, IndexBackend
 from tests.conftest import digraphs
 
 _NO_LIMIT = CostModel(time_limit_seconds=None)
@@ -223,17 +223,19 @@ def test_inverted_lists_small_relative_to_vertex_count():
 def test_distributed_backend_same_answers_higher_cost():
     g = social_graph(300, seed=8)
     index = build_index(g, cost_model=_NO_LIMIT).index
-    local = QueryService(IndexBackend(index, _NO_LIMIT))
-    remote = QueryService(
-        DistributedIndexBackend(index, num_nodes=16, cost_model=_NO_LIMIT)
-    )
+    local = IndexBackend(index, _NO_LIMIT)
+    remote = DistributedIndexBackend(index, num_nodes=16, cost_model=_NO_LIMIT)
     from repro.workloads.queries import random_pairs
 
     pairs = random_pairs(g.num_vertices, 200, seed=9)
-    local_report = local.evaluate(pairs)
-    remote_report = remote.evaluate(pairs)
-    assert local_report.positives == remote_report.positives
-    assert remote_report.mean_seconds > local_report.mean_seconds
+    local_seconds = remote_seconds = 0.0
+    for s, t in pairs:
+        local_answer, seconds = local.query_with_cost(s, t)
+        local_seconds += seconds
+        remote_answer, seconds = remote.query_with_cost(s, t)
+        remote_seconds += seconds
+        assert local_answer == remote_answer
+    assert remote_seconds > local_seconds
 
 
 def test_distributed_backend_single_node_costs_like_local():
