@@ -1,6 +1,42 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the two checks that
+refuse a malformed count or duration where a setting comes in."""
 
 from __future__ import annotations
+
+import math
+import operator
+
+
+def check_count(
+    name: str, value, minimum: int = 1, error: type[Exception] = ValueError
+) -> int:
+    """``value`` as an ``int`` when ``operator.index`` takes it and it is
+    at least ``minimum``; otherwise raises ``error`` naming ``name`` —
+    ``2.5``, ``nan`` and ``"8"`` are not counts."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return count
+
+
+def check_seconds(
+    name: str, value, positive: bool = False, error: type[Exception] = ValueError
+) -> float:
+    """``value`` when it is a finite number ``>= 0`` (``> 0`` with
+    ``positive``); otherwise raises ``error`` naming ``name``.  A NaN
+    compares false with everything, so an unchecked one never fires a
+    deadline or delivers an op."""
+    try:
+        ok = math.isfinite(value) and (value > 0 if positive else value >= 0)
+    except TypeError:
+        ok = False
+    if not ok:
+        bound = "> 0" if positive else ">= 0"
+        raise error(f"{name} must be a finite number {bound}, got {value!r}")
+    return value
 
 
 class ReproError(Exception):

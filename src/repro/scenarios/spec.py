@@ -40,7 +40,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import ReproError
+from repro.errors import ReproError, check_count, check_seconds
 from repro.graph.generators import GRAPH_KINDS
 from repro.graph.partition import PARTITIONER_STRATEGIES
 from repro.serve.faults import ServeFaultPlan
@@ -234,8 +234,19 @@ class ServingSpec:
                 f"unknown read policy {self.policy!r} "
                 f"(known: {', '.join(READ_POLICIES)})"
             )
-        if self.shards < 1 or self.replicas < 1:
-            raise ScenarioSpecError("shards and replicas must be >= 1")
+        for name in ("shards", "replicas", "queue_depth", "batch_size"):
+            check_count(name, getattr(self, name), error=ScenarioSpecError)
+        # 0 is legal: the runner reads it as "no cache".
+        check_count(
+            "cache_size", self.cache_size, minimum=0, error=ScenarioSpecError
+        )
+        if self.deadline_seconds is not None:
+            check_seconds(
+                "deadline_seconds",
+                self.deadline_seconds,
+                positive=True,
+                error=ScenarioSpecError,
+            )
 
 
 @dataclass(frozen=True)
@@ -247,10 +258,9 @@ class ReplicationSpec:
     apply_seconds_per_op: float = 1e-5
 
     def __post_init__(self):
-        if self.delay_seconds < 0:
-            raise ScenarioSpecError("replication delay must be non-negative")
-        if self.max_lag < 1:
-            raise ScenarioSpecError("max_lag must be >= 1")
+        for name in ("delay_seconds", "apply_seconds_per_op"):
+            check_seconds(name, getattr(self, name), error=ScenarioSpecError)
+        check_count("max_lag", self.max_lag, error=ScenarioSpecError)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+from repro.errors import check_count
 from repro.observe import tracing
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
 
@@ -49,9 +50,7 @@ class QueryCache:
     """
 
     def __init__(self, capacity: int = 65536, negative_caching: bool = True):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+        self.capacity = check_count("capacity", capacity)
         self.negative_caching = negative_caching
         self._entries: OrderedDict[tuple[int, int], bool] = OrderedDict()
         self.hits = 0

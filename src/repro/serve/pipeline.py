@@ -32,11 +32,13 @@ always produce the same report.
 from __future__ import annotations
 
 import heapq
+import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.errors import ShardUnavailableError
+from repro.errors import ShardUnavailableError, check_count, check_seconds
 from repro.observe.tracing import TraceIdGenerator, begin_request, end_request
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.telemetry import (
@@ -180,6 +182,17 @@ class ServeReport:
         return "\n".join(lines)
 
 
+def _check_schedule(arrivals: Sequence[float]) -> None:
+    """Refuse a schedule that is not finite and non-decreasing, in one
+    pass: ``not a <= b`` also holds when either side is NaN, and between
+    two finite ends a non-decreasing schedule is finite throughout."""
+    if (
+        len(arrivals)
+        and not (math.isfinite(arrivals[0]) and math.isfinite(arrivals[-1]))
+    ) or any(not a <= b for a, b in zip(arrivals, arrivals[1:])):
+        raise ValueError("arrival times must be finite and non-decreasing")
+
+
 def _chain(backend):
     """The backend and whatever it wraps, outermost first."""
     seen = []
@@ -244,15 +257,11 @@ class QueryServer:
         on_advance=None,
         mutation_backend=None,
     ):
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be positive")
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            raise ValueError("deadline_seconds must be positive")
+        if deadline_seconds is not None:
+            check_seconds("deadline_seconds", deadline_seconds, positive=True)
         self._backend = backend
-        self._queue_depth = queue_depth
-        self._batch_size = batch_size
+        self._queue_depth = check_count("queue_depth", queue_depth)
+        self._batch_size = check_count("batch_size", batch_size)
         self._deadline = deadline_seconds
         self._dispatch_seconds = (cost_model or DEFAULT_COST_MODEL).t_hop
         self._metrics = metrics
@@ -287,8 +296,7 @@ class QueryServer:
         not the server keeps up (this is where shedding happens)."""
         if len(pairs) != len(arrivals):
             raise ValueError("need one arrival time per pair")
-        if any(b < a for a, b in zip(arrivals, arrivals[1:])):
-            raise ValueError("arrival times must be non-decreasing")
+        _check_schedule(arrivals)
         return self._run("open", pairs, arrivals)
 
     def run_closed(
@@ -305,12 +313,12 @@ class QueryServer:
         ``clients``.  Batching still applies when several clients are
         ready at once.
         """
-        if clients < 1:
-            raise ValueError("need at least one client")
-        if think_seconds < 0:
-            raise ValueError("think_seconds must be non-negative")
         return self._run(
-            "closed", pairs, None, clients=clients, think_seconds=think_seconds
+            "closed",
+            pairs,
+            None,
+            clients=check_count("clients", clients),
+            think_seconds=check_seconds("think_seconds", think_seconds),
         )
 
     def run_mixed(
@@ -337,15 +345,14 @@ class QueryServer:
             raise ValueError("need one arrival time per pair")
         if len(mutations) != len(mutation_arrivals):
             raise ValueError("need one arrival time per mutation")
-        for schedule in (arrivals, mutation_arrivals):
-            if any(b < a for a, b in zip(schedule, schedule[1:])):
-                raise ValueError("arrival times must be non-decreasing")
+        _check_schedule(arrivals)
+        _check_schedule(mutation_arrivals)
         # heapq.merge is stable: on a tie the earlier stream, reads, wins.
         merged = list(
             heapq.merge(
                 zip(arrivals, map(tuple, pairs)),
                 zip(mutation_arrivals, map(tuple, mutations)),
-                key=lambda arrival_and_request: arrival_and_request[0],
+                key=operator.itemgetter(0),
             )
         )
         return self._run(
@@ -361,9 +368,16 @@ class QueryServer:
         clients: int = 0,
         think_seconds: float = 0.0,
     ) -> ServeReport:
-        backend = self._backend
+        # Everything the loop consults per batch or per request, bound
+        # once per run.
+        query_with_cost = self._backend.query_with_cost
         mutation_backend = self._mutation_backend
         deadline = self._deadline
+        queue_depth = self._queue_depth
+        batch_size = self._batch_size
+        dispatch_seconds = self._dispatch_seconds
+        on_advance = self._on_advance
+        closed = mode == "closed"
         queue: deque[tuple[int, float]] = deque()  # (pair index, arrival)
         latencies: list[float] = []
         write_latencies: list[float] = []
@@ -396,41 +410,35 @@ class QueryServer:
         exemplars: list[tuple[float, str]] = []  # (latency, trace id)
         # Closed loop: a heap of client-ready times replaces the
         # arrival list; a client re-arms when its answer comes back.
-        ready: list[float] = [0.0] * clients if mode == "closed" else []
-        if ready:
-            heapq.heapify(ready)
-
-        def next_arrival() -> float | None:
-            """When the next request materializes (None: none pending).
-
-            Open loop reads the arrival schedule; closed loop peeks the
-            earliest ready client — every client may be in flight, in
-            which case nothing can arrive until a batch completes.
-            """
-            if arrivals is not None:
-                return arrivals[next_request]
-            return ready[0] if ready else None
+        # The next request materializes at the schedule's next instant
+        # (open loop) or when the earliest ready client is (closed loop
+        # — every client may be in flight, and then nothing arrives
+        # until a batch completes).
+        ready: list[float] = [0.0] * clients if closed else []
 
         with trace_span("serve.run", mode=mode, offered=n) as span:
             while next_request < n or queue:
                 if not queue:
-                    clock = max(clock, next_arrival())
+                    arrival = ready[0] if closed else arrivals[next_request]
+                    if arrival > clock:
+                        clock = arrival
                 # Admit everything that has arrived by now.
                 while next_request < n:
-                    arrival = next_arrival()
-                    if arrival is None or arrival > clock:
-                        break
-                    if mode == "closed":
+                    if closed:
+                        if not ready or ready[0] > clock:
+                            break
                         arrived = heapq.heappop(ready)
                     else:
                         arrived = arrivals[next_request]
+                        if arrived > clock:
+                            break
                     request = pairs[next_request]
                     is_write = len(request) == 3
                     if tracing:
                         trace = RequestTrace(
                             trace_ids.next_id(), request[-2], request[-1], arrived
                         )
-                    if len(queue) >= self._queue_depth:
+                    if len(queue) >= queue_depth:
                         if is_write:
                             mut_shed += 1
                         else:
@@ -443,17 +451,18 @@ class QueryServer:
                                 terminal(clock, trace, op=request[0])
                             else:
                                 terminal(clock, trace)
-                        if mode == "closed":  # the client retries at once
+                        if closed:  # the client retries at once
                             heapq.heappush(ready, clock)
                     else:
                         queue.append((next_request, arrived))
                         if tracing:
                             traces[next_request] = trace
                     next_request += 1
-                queue_peak = max(queue_peak, len(queue))
+                if len(queue) > queue_peak:
+                    queue_peak = len(queue)
                 # Dequeue one batch, dropping requests past deadline.
                 batch: list[tuple[int, float]] = []
-                while queue and len(batch) < self._batch_size:
+                while queue and len(batch) < batch_size:
                     k, arrived = queue.popleft()
                     # Writes are never deadline-dropped: the mutation
                     # must land even if its submitter stopped waiting.
@@ -470,20 +479,20 @@ class QueryServer:
                                 "deadline", clock - arrived, reason="deadline"
                             )
                             terminal(clock, expired)
-                        if mode == "closed":
+                        if closed:
                             heapq.heappush(ready, clock + think_seconds)
                         continue
                     batch.append((k, arrived))
                 if not batch:
                     continue
-                if self._on_advance is not None:
+                if on_advance is not None:
                     # Scheduled mid-traffic events (replica faults,
                     # replication delivery, update bursts) fire here,
                     # before the batch's queries execute.
-                    self._on_advance(clock)
+                    on_advance(clock)
                 batches += 1
                 dequeued_at = clock
-                clock += self._dispatch_seconds
+                clock += dispatch_seconds
                 for k, arrived in batch:
                     request = pairs[k]
                     is_write = len(request) == 3
@@ -503,7 +512,7 @@ class QueryServer:
                             )
                         else:
                             try:
-                                answer, seconds = backend.query_with_cost(*request)
+                                answer, seconds = query_with_cost(*request)
                             except ShardUnavailableError as exc:
                                 error, seconds = exc, getattr(exc, "seconds", 0.0)
                     finally:
@@ -542,7 +551,7 @@ class QueryServer:
                             trace.finish("served", latency)
                             terminal(clock, trace)
                             exemplars.append((latency, trace.trace_id))
-                    if mode == "closed":
+                    if closed:
                         heapq.heappush(ready, clock + think_seconds)
             span.set(served=served, shed=shed, failed=failed)
             span.add_simulated(clock)

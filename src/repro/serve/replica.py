@@ -26,10 +26,12 @@ much confirmation traffic a slow follower can generate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.core.labels import ReachabilityIndex
+from repro.errors import check_count, check_seconds
 from repro.serve.store import ShardedLabelStore
 
 
@@ -106,17 +108,13 @@ class BoundedStalenessReplicator:
         max_lag: int = 64,
         apply_seconds_per_op: float = 1e-5,
     ):
-        if num_replicas < 1:
-            raise ValueError("need at least one replica group")
-        if delay_seconds < 0:
-            raise ValueError("delivery delay must be non-negative")
-        if max_lag < 1:
-            raise ValueError("max_lag must be >= 1")
         self.leader = leader
-        self.num_replicas = num_replicas
-        self.delay_seconds = delay_seconds
-        self.max_lag = max_lag
-        self.apply_seconds_per_op = apply_seconds_per_op
+        self.num_replicas = check_count("num_replicas", num_replicas)
+        self.delay_seconds = check_seconds("delay_seconds", delay_seconds)
+        self.max_lag = check_count("max_lag", max_lag)
+        self.apply_seconds_per_op = check_seconds(
+            "apply_seconds_per_op", apply_seconds_per_op
+        )
         self.clock = 0.0
         #: One :class:`LogEntry` per applied leader update, in order.
         self.log: list[LogEntry] = []
@@ -133,6 +131,13 @@ class BoundedStalenessReplicator:
             for _ in range(1, num_replicas)
         ]
         self._applied = [0] * num_replicas
+        #: Bumped whenever the log grows or a group's position moves:
+        #: equal counts mean equal lags.
+        self.changes = 0
+        #: The earliest instant :meth:`advance` can deliver anything
+        #: (``inf`` while no follower has an op pending), as of the last
+        #: :meth:`advance`; an append since then shows in :attr:`changes`.
+        self.next_due = math.inf
         leader.subscribe(self._on_update)
 
     # ------------------------------------------------------------------
@@ -153,6 +158,7 @@ class BoundedStalenessReplicator:
         )
         head.install(in_rows, out_rows)
         self.log.append(LogEntry(op, u, v, self.clock, in_rows, out_rows))
+        self.changes += 1
 
     def note_time(self, clock: float) -> None:
         """Stamp subsequent leader updates with this issue time."""
@@ -185,9 +191,16 @@ class BoundedStalenessReplicator:
         0.0 when every follower is caught up — the bound the serving
         layer reports as ``staleness_window_seconds``.
         """
+        return max(0.0, clock - self._oldest_pending())
+
+    def _oldest_pending(self) -> float:
+        """Issue time of the oldest op some follower has yet to apply
+        (``inf`` when every follower is caught up)."""
         log = self.log
-        pending = [log[i].issued_at for i in self._applied[1:] if i < len(log)]
-        return max(0.0, clock - min(pending)) if pending else 0.0
+        return min(
+            (log[i].issued_at for i in self._applied[1:] if i < len(log)),
+            default=math.inf,
+        )
 
     def view(self, replica: int):
         """What group ``replica`` reads: the leader or a :class:`LabelTable`."""
@@ -211,6 +224,7 @@ class BoundedStalenessReplicator:
             while stop < len(log) and log[stop].issued_at + self.delay_seconds <= clock:
                 stop += 1
             applied += self._install(r, stop)
+        self.next_due = self._oldest_pending() + self.delay_seconds
         return applied
 
     def catch_up(self, replica: int) -> int:
@@ -227,7 +241,9 @@ class BoundedStalenessReplicator:
         start = self._applied[replica]
         for entry in self.log[start:stop]:
             follower.install(entry.in_rows, entry.out_rows)
-        self._applied[replica] = stop
+        if stop != start:
+            self._applied[replica] = stop
+            self.changes += 1
         return stop - start
 
 

@@ -227,6 +227,8 @@ class ShardedLabelStore:
         self.stale_reads = 0
         self.confirmed_reads = 0
         self._last_lag_sample = 0
+        # The replicator's change count at the last lag sample; none yet.
+        self._sampled_changes = -1
         # What each replica group reads, as (out_size_of, in_size_of,
         # query): the index itself, or with a replicator the leader for
         # group 0 and a follower table for every other group.
@@ -379,15 +381,27 @@ class ShardedLabelStore:
         and runs one health-probe sweep: dead unsuspected replicas
         accrue probe failures toward suspicion; revived suspected
         replicas are cleared, caught up, and put back in rotation.
+
+        The pipeline calls this before every batch, and on most batches
+        there is nothing to do: it returns at once while every replica
+        serves, no delivery is due and no lag moved since the last
+        sample — the sweep would change nothing, and a ``replica.lag``
+        sample is still stamped with the first batch that sees a change.
         """
         self.clock = clock
-        if self.replicator is not None:
+        rep = self.replicator
+        if self._all_serving and (
+            rep is None
+            or (clock < rep.next_due and rep.changes == self._sampled_changes)
+        ):
+            return
+        if rep is not None:
             paused = {
                 r
                 for r in range(1, self.replicas_per_shard)
                 if any(not rs.replicas[r].alive for rs in self.replica_sets)
             }
-            self.replicator.advance(clock, paused)
+            rep.advance(clock, paused)
             self._sample_lag(clock)
         for rs in self.replica_sets:
             for state in rs.replicas:
@@ -416,6 +430,7 @@ class ShardedLabelStore:
         :attr:`events` — scenario reports list lifecycle events only.
         """
         rep = self.replicator
+        self._sampled_changes = rep.changes
         lags = {
             r: rep.lag(r) for r in range(1, self.replicas_per_shard)
         }

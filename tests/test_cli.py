@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.core.labels import ReachabilityIndex
 from repro.graph.io import read_edge_list
@@ -702,6 +708,27 @@ def test_scenario_run_failure_sets_exit_code(tmp_path, capsys, monkeypatch):
     bundles = sorted((tmp_path / "incidents").glob("*.json"))
     assert bundles, "expected a scenario_assertion bundle"
     assert "scenario_assertion" in bundles[0].name
+
+
+@pytest.mark.parametrize("batch_size", ["NaN", "0"])
+def test_scenario_run_refuses_a_bad_batch_size(tmp_path, batch_size):
+    # A NaN batch size used to spin the serving loop forever, and 0
+    # ended in a traceback; both are one error line and exit 2.
+    scenario = tmp_path / "bad_batch.json"
+    scenario.write_text(
+        '{"name": "bad_batch", "serving": {"batch_size": %s}}' % batch_size
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "scenario", "run", str(scenario)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+    )
+    assert done.returncode == 2
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: batch_size must be an integer >= 1")
 
 
 def test_scenario_run_unknown_name(capsys):

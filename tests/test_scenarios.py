@@ -82,6 +82,37 @@ def test_flash_shape_needs_phases():
         ScenarioSpec.from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "block, name, value",
+    [
+        ("serving", "batch_size", float("nan")),
+        ("serving", "batch_size", 0),
+        ("serving", "queue_depth", 2.5),
+        ("serving", "shards", 0),
+        ("serving", "replicas", float("nan")),
+        ("serving", "cache_size", -1),
+        ("serving", "cache_size", float("nan")),
+        ("serving", "deadline_seconds", float("nan")),
+        ("serving", "deadline_seconds", 0.0),
+        ("replication", "delay_seconds", float("nan")),
+        ("replication", "delay_seconds", float("inf")),
+        ("replication", "apply_seconds_per_op", -1.0),
+        ("replication", "max_lag", 0.5),
+    ],
+)
+def test_serving_and_replication_settings_are_checked(block, name, value):
+    raw = _tiny_raw()
+    raw.setdefault(block, {})[name] = value
+    with pytest.raises(ScenarioSpecError, match=name):
+        ScenarioSpec.from_dict(raw)
+
+
+def test_cache_size_zero_means_no_cache():
+    raw = _tiny_raw()
+    raw["serving"]["cache_size"] = 0
+    assert run_scenario(ScenarioSpec.from_dict(raw)).report.cache_hits == 0
+
+
 def test_load_scenario_json(tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(_tiny_raw()))

@@ -51,6 +51,13 @@ def test_capacity_must_be_positive():
         QueryCache(capacity=0)
 
 
+@pytest.mark.parametrize("capacity", [float("nan"), 2.5, 64.0], ids=repr)
+def test_capacity_must_be_an_integer(capacity):
+    # ``len(entries) >= nan`` is never true: a NaN capacity never evicted.
+    with pytest.raises(ValueError, match="capacity must be an integer"):
+        QueryCache(capacity=capacity)
+
+
 def test_negative_caching_disabled_skips_false_answers():
     cache = QueryCache(negative_caching=False)
     cache.put(0, 1, False)

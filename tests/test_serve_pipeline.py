@@ -4,12 +4,14 @@ import pytest
 
 from repro.baselines.transitive_closure import TransitiveClosure
 from repro.core.build import build_index
+from repro.core.dynamic import DynamicReachabilityIndex
 from repro.graph.generators import social_graph
 from repro.pregel.cost_model import CostModel
 from repro.errors import ShardUnavailableError
 from repro.query import FallbackBackend
 from repro.serve import (
     CachingBackend,
+    MutationBackend,
     QueryCache,
     QueryServer,
     ShardedIndexBackend,
@@ -120,6 +122,68 @@ def test_constructor_validation(backend):
         QueryServer(backend).run_closed([(0, 1)], clients=0)
     with pytest.raises(ValueError):
         QueryServer(backend).run_closed([(0, 1)], think_seconds=-1.0)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("batch_size", _NAN),
+        ("batch_size", 2.5),
+        ("batch_size", "8"),
+        ("queue_depth", _NAN),
+        ("queue_depth", 16.0),
+        ("deadline_seconds", _NAN),
+        ("deadline_seconds", _INF),
+        ("deadline_seconds", -1.0),
+    ],
+)
+def test_settings_that_are_not_counts_or_finite_times_are_refused(
+    backend, name, value
+):
+    # A NaN batch size never fills a batch (the loop spun on empty
+    # ones) and a NaN deadline never fired: both are refused up front.
+    with pytest.raises(ValueError, match=name):
+        QueryServer(backend, **{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("clients", _NAN),
+        ("clients", 2.0),
+        ("think_seconds", _NAN),
+        ("think_seconds", _INF),
+    ],
+)
+def test_closed_loop_settings_are_checked(backend, name, value):
+    with pytest.raises(ValueError, match=name):
+        QueryServer(backend).run_closed([(0, 1)], **{name: value})
+
+
+@pytest.mark.parametrize(
+    "arrivals",
+    [[0.0, _NAN, 1e-6], [0.0, 1e-6, _INF], [_NAN, 0.0, 1e-6], [-_INF, 0.0, 1e-6]],
+    ids=repr,
+)
+def test_non_finite_arrivals_are_refused(backend, arrivals):
+    # Unchecked, [0, nan, 1e-6] served all three with p50 = nan, and
+    # [0, inf] reported an infinite makespan.
+    pairs = [(0, 1), (2, 3), (4, 5)]
+    with pytest.raises(ValueError, match="finite and non-decreasing"):
+        QueryServer(backend).run_open(pairs, arrivals)
+
+
+def test_non_finite_write_arrivals_are_refused(graph):
+    leader = DynamicReachabilityIndex(graph)
+    server = QueryServer(
+        ShardedIndexBackend(ShardedLabelStore(leader, num_shards=2)),
+        mutation_backend=MutationBackend(leader),
+    )
+    with pytest.raises(ValueError, match="finite and non-decreasing"):
+        server.run_mixed([(0, 1)], [0.0], [("add_node", 0, -1)], [_NAN])
 
 
 def test_closed_loop_never_sheds(graph, backend):

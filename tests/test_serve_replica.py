@@ -202,6 +202,27 @@ def test_replicator_store_mismatches_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("delay_seconds", float("nan")),
+        ("delay_seconds", float("inf")),
+        ("delay_seconds", -1e-3),
+        ("apply_seconds_per_op", float("nan")),
+        ("apply_seconds_per_op", -1.0),
+        ("max_lag", float("nan")),
+        ("max_lag", 0),
+        ("num_replicas", 2.0),
+    ],
+)
+def test_replicator_settings_are_checked(name, value):
+    # A NaN delay compares false with every clock: nothing was ever
+    # delivered, and the pump's next-delivery instant assumes a number.
+    leader = DynamicReachabilityIndex(random_dag(20, 40, seed=1))
+    with pytest.raises(ValueError, match=name):
+        BoundedStalenessReplicator(leader, **{"num_replicas": 2, name: value})
+
+
 def test_follower_lag_and_delivery():
     _, leader, replicator, _ = _replicated_dynamic(delay_seconds=1e-3)
     replicator.note_time(0.0)
