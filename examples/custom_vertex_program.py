@@ -3,14 +3,13 @@
 
 The labeling algorithms are built on a small Pregel-style API — this
 example uses it directly: a multi-source reachability program that
-tracks its frontier size with an aggregator and prints the cost
-accounting afterwards.
+prints the cost accounting and its wavefront afterwards.
 
 Run:  python examples/custom_vertex_program.py
 """
 
 from repro import Cluster, VertexProgram, kronecker_graph
-from repro.pregel import paper_scale_model, sum_aggregator
+from repro.pregel import paper_scale_model
 
 
 class MultiSourceReach(VertexProgram):
@@ -21,10 +20,6 @@ class MultiSourceReach(VertexProgram):
     def __init__(self, graph, sources):
         self._sources = sorted(set(sources))
         self.reached = bytearray(graph.num_vertices)
-        self.frontier_sizes = []
-
-    def aggregators(self):
-        return {"frontier": sum_aggregator()}
 
     def initial_vertices(self, graph):
         return self._sources  # super-step 1 runs on these only
@@ -33,7 +28,6 @@ class MultiSourceReach(VertexProgram):
         if self.reached[v]:
             return
         self.reached[v] = 1
-        ctx.aggregate("frontier", 1)
         # One call: a message along every out-edge of v, one unit each.
         ctx.send_to_out_neighbors(True)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 
 from repro.baselines.bfl import DEFAULT_S_BITS, BflIndex, build_bfl
+from repro.errors import check_count
 from repro.faults import FaultPlan
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import HashPartitioner, Partitioner
@@ -137,8 +138,8 @@ def build_bfl_distributed(
     """
     if cost_model is None:
         cost_model = CostModel()
-    if checkpoint_interval is not None and checkpoint_interval < 1:
-        raise ValueError("checkpoint_interval must be at least 1")
+    if checkpoint_interval is not None:
+        checkpoint_interval = check_count("checkpoint_interval", checkpoint_interval)
     if faults is not None:
         faults.validate_for(num_nodes)
     partitioner = (

@@ -22,7 +22,6 @@ from repro.core.batching import batch_sequence
 from repro.core.build import build_index
 from repro.core.condensed import CondensedIndex, build_condensed_index
 from repro.core.dynamic import DynamicReachabilityIndex
-from repro.core.collect import CollectionPlan, plan_collection
 from repro.core.drl import drl_index, inverted_list_stats
 from repro.core.drl_basic import drl_basic_index
 from repro.core.drl_batch import drl_batch_index
@@ -37,7 +36,6 @@ from repro.core.validate import (
 )
 
 __all__ = [
-    "CollectionPlan",
     "CondensedIndex",
     "DynamicReachabilityIndex",
     "LabelingResult",
@@ -59,7 +57,6 @@ __all__ = [
     "drl_multicore_index",
     "higher_order_descendants",
     "inverted_list_stats",
-    "plan_collection",
     "tol_index",
     "tol_index_reference",
 ]

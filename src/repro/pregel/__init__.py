@@ -2,10 +2,11 @@
 
 This subpackage is the substitute for the paper's self-built MPI
 vertex-centric system (Section VI-A, "Environment").  The BSP contract (compute / message
-routing / barrier / checkpoint hooks) is executed by one master loop,
+routing / barrier) is executed by one master loop,
 :meth:`~repro.pregel.engine.Engine.run`, over
 :class:`~repro.pregel.engine.Worker` objects; the two engines differ only
-in where those workers live:
+in where those workers live (checkpoints and crash recovery are one hook
+the simulator installs, :mod:`repro.pregel.recovery`):
 
 - :class:`~repro.pregel.engine.SimulatorEngine` — one worker in the
   master's process owning every node: deterministic, preserves BSP
@@ -18,13 +19,6 @@ in where those workers live:
   clock actually drops with cores.
 """
 
-from repro.pregel.aggregator import (
-    Aggregator,
-    any_aggregator,
-    max_aggregator,
-    min_aggregator,
-    sum_aggregator,
-)
 from repro.pregel.cost_model import (
     SCALED_CUTOFF_SECONDS,
     CostModel,
@@ -50,16 +44,11 @@ from repro.pregel.vertex_program import VertexProgram
 __all__ = [
     "ENGINE_NAMES",
     "SCALED_CUTOFF_SECONDS",
-    "Aggregator",
     "Cluster",
     "Engine",
     "MultiprocessEngine",
     "SimulatorEngine",
     "resolve_engine",
-    "any_aggregator",
-    "max_aggregator",
-    "min_aggregator",
-    "sum_aggregator",
     "ComputeContext",
     "CostModel",
     "FinalizeContext",

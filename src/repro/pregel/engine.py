@@ -16,22 +16,19 @@ a cluster built with a :class:`~repro.faults.FaultPlan` injects node
 crashes, stragglers, and transit message faults; ``checkpoint_interval``
 enables Pregel-style super-step checkpointing so crashed runs recover
 by restoring the last checkpoint, reassigning the dead node's partition
-to the survivors, and replaying.  Recovery work is accounted separately
-(``RunStats.recovery_seconds`` / ``checkpoint_seconds``) so the
-committed work counters stay comparable to a fault-free run.
+to the survivors, and replaying.  All of it lives in the one hook the
+simulator installs for such a run, :class:`repro.pregel.recovery.Recovery`.
 """
 
 from __future__ import annotations
 
-import copy
 import time
 from abc import ABC, abstractmethod
-from array import array
 from contextlib import contextmanager
 from operator import itemgetter
-from typing import ContextManager, Iterable, NamedTuple
+from typing import TYPE_CHECKING, ContextManager, Iterable, NamedTuple
 
-from repro.errors import ReproError
+from repro.errors import ReproError, check_count
 from repro.faults import FaultInjector, FaultPlan
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import (
@@ -50,6 +47,9 @@ from repro.pregel.metrics import (
 )
 from repro.pregel.vertex_program import VertexProgram
 from repro.telemetry import ACTIVE_VERTEX_BUCKETS, current_metrics, current_tracer
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.pregel.recovery import Recovery
 
 _EMPTY: tuple = ()
 _sender = itemgetter(0)  # of a sender-tagged bucket entry
@@ -85,9 +85,6 @@ class ComputeContext:
         "_pending_units",
         "_combine",
         "_sent_keys",
-        "_aggregators",
-        "_agg_current",
-        "_agg_visible",
     )
 
     #: Bucket entries are ``(sending vertex, payload)``, not bare payloads.
@@ -111,10 +108,6 @@ class ComputeContext:
         self._pending_units = 0
         self._combine = program.combine_duplicates
         self._sent_keys: set = set()
-        self._aggregators = program.aggregators()
-        self._agg_current = {
-            name: agg.initial for name, agg in self._aggregators.items()
-        }
         self._begin_superstep(0)
 
     # -- called by the engine ------------------------------------------
@@ -126,10 +119,6 @@ class ComputeContext:
         self._broadcast_bytes = 0
         if self._combine:
             self._sent_keys = set()
-        self._agg_visible = self._agg_current
-        self._agg_current = {
-            name: agg.initial for name, agg in self._aggregators.items()
-        }
 
     def _run_superstep(
         self, program: VertexProgram, superstep: int, base_seconds: float,
@@ -251,28 +240,6 @@ class ComputeContext:
                 bucket.append(entry)
         self._same_node[node] += same[vertex]
 
-    def aggregate(self, name: str, value) -> None:
-        """Contribute ``value`` to aggregator ``name`` this super-step.
-
-        The combined result (including a tiny per-value broadcast
-        charge) becomes visible via :meth:`aggregated` next super-step.
-        """
-        aggregator = self._aggregators[name]
-        self._agg_current[name] = aggregator.combine(
-            self._agg_current[name], value
-        )
-        if self.num_nodes > 1:
-            self._broadcast_bytes += self._cost.entry_bytes
-
-    def aggregated(self, name: str):
-        """The previous super-step's combined value for ``name``.
-
-        Before any contribution round completes, returns the
-        aggregator's identity value.
-        """
-        aggregator = self._aggregators[name]
-        return self._agg_visible.get(name, aggregator.initial)
-
     def publish_entries(self, count: int = 1) -> None:
         """Charge the replication of ``count`` shared-list entries.
 
@@ -383,20 +350,15 @@ class Worker:
         return [v for v in vertices if node_of[v] % workers == index]
 
     def step(
-        self, superstep: int, base_seconds: float, aggregates: dict,
-        incoming: dict[int, list],
-    ) -> tuple[tuple, dict[int, dict[int, list]], object, dict]:
+        self, superstep: int, base_seconds: float, incoming: dict[int, list],
+    ) -> tuple[tuple, dict[int, dict[int, list]], object]:
         """Deliver ``pending`` plus the other workers' ``incoming``
         buckets, run ``compute()`` over them and keep what was sent to
         own vertices.  Returns — as plain tuples, which cross a pipe
         cheaply — the step's :class:`StepCounts` fields, the buckets
-        bound for other workers (``{worker: {vertex: entries}}``), a
-        replica's ``mp_publish_delta()`` and the aggregator
-        contributions."""
+        bound for other workers (``{worker: {vertex: entries}}``) and a
+        replica's ``mp_publish_delta()``."""
         ctx, program = self.ctx, self.program
-        # What the master combined last barrier becomes visible as the
-        # super-step begins.
-        ctx._agg_current = aggregates
         inbox = self.pending
         _splice(inbox, incoming)
         recv_bytes, local_messages, remote_messages = ctx._run_superstep(
@@ -428,7 +390,7 @@ class Worker:
             len(sent),
         )
         delta = program.mp_publish_delta() if self.replica else None
-        return counts, outgoing, delta, ctx._agg_current
+        return counts, outgoing, delta
 
     def barrier(self, superstep: int, deltas) -> None:
         apply_barrier(self.program, superstep, deltas)
@@ -459,50 +421,14 @@ class _InProcessWorkers:
     def __len__(self) -> int:
         return 1
 
-    def step(self, superstep, base_seconds, aggregates, routed):
-        return [self.worker.step(superstep, base_seconds, aggregates, routed[0])]
+    def step(self, superstep, base_seconds, routed):
+        return [self.worker.step(superstep, base_seconds, routed[0])]
 
     def barrier(self, superstep, deltas) -> None:
         self.worker.barrier(superstep, deltas)
 
     def finalize(self, base_seconds):
         return [self.worker.finalize(base_seconds)]
-
-
-class _Checkpoint(NamedTuple):
-    """A consistent barrier snapshot: program state + pending messages."""
-
-    superstep: int
-    program_state: dict
-    inbox: dict[int, list]
-    aggregates: dict
-    bytes: int
-
-
-def _estimate_entries(obj) -> int:
-    """Rough entry count of a checkpointed state tree (for byte cost).
-
-    Counts leaf values inside the containers vertex programs actually
-    use; shared input graphs are excluded (they are not checkpointed —
-    every node re-reads its partition from the original input).
-    """
-    if isinstance(obj, DiGraph):
-        return 0
-    if isinstance(obj, (int, float, bool)) or obj is None:
-        return 1
-    if isinstance(obj, array):
-        return len(obj)
-    if isinstance(obj, (bytes, bytearray, str)):
-        return max(1, len(obj) // 8)
-    if isinstance(obj, dict):
-        return sum(
-            _estimate_entries(k) + _estimate_entries(v) for k, v in obj.items()
-        )
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return sum(_estimate_entries(item) for item in obj)
-    if isinstance(obj, VertexProgram):
-        return _estimate_entries(vars(obj))
-    return 1
 
 
 def _slowest_node_seconds(
@@ -521,26 +447,28 @@ def _account_superstep(
     stats: RunStats,
     trace: bool = False,
     tracer=None,
-    slowdown: list[float] | None = None,
+    recovery: Recovery | None = None,
     replay: bool = False,
-    injector: FaultInjector | None = None,
     node_slices: bool = True,
 ) -> None:
     """Account one super-step's barrier from the workers' summed counters.
 
-    ``replay=True`` marks a discarded attempt or a post-recovery replay
-    of an already-committed super-step: its full cost lands in
-    ``recovery_seconds`` and no work counter or trace row is touched
-    (the committed pass already recorded them).  ``node_slices=False``
+    ``recovery`` is the run's fault hook: stragglers, the transit draw and
+    the replay of an already-committed super-step; ``replay=True`` marks a
+    discarded attempt.  A replay's full cost lands in
+    ``recovery_seconds`` and touches no work counter or trace row (the
+    committed pass already recorded them).  ``node_slices=False``
     suppresses the per-logical-node :class:`NodeSlice` emission — worker
     processes are recorded as measured per-worker slices instead.
     """
     units = counts.units
+    slowdown = None if recovery is None else recovery.slowdown
     comp_seconds = _slowest_node_seconds(cost, units, slowdown)
     comm_bytes = max(counts.recv_bytes) + counts.broadcast_bytes
     lost = duplicated = 0
-    if injector is not None:
-        lost, duplicated = injector.transit_faults(counts.remote_messages)
+    if recovery is not None:
+        replay = replay or superstep <= recovery.committed
+        lost, duplicated = recovery.injector.transit_faults(counts.remote_messages)
         # Reliable transport repairs both: retransmissions put the
         # same bytes on the wire again; delivery is unaffected.
         comm_bytes += (lost + duplicated) * cost.message_bytes
@@ -655,13 +583,14 @@ def _account_finalize(
     stats: RunStats,
     finalize_units: list[int],
     superstep: int,
-    slowdown: list[float] | None = None,
+    recovery: Recovery | None = None,
     tracer=None,
     node_slices: bool = True,
 ) -> None:
     """Account the post-loop finalize pass as one extra super-step."""
     if not any(finalize_units):
         return
+    slowdown = None if recovery is None else recovery.slowdown
     stats.supersteps += 1
     stats.compute_units += sum(finalize_units)
     finalize_seconds = _slowest_node_seconds(cost, finalize_units, slowdown)
@@ -698,8 +627,7 @@ class Engine(ABC):
     #: Short name used by ``--engine`` and telemetry.
     name: str = "?"
     #: Whether the engine honours fault plans and checkpoint intervals:
-    #: both read and rewind the worker's pending messages, which takes a
-    #: worker in the master's process.
+    #: both need the in-process worker :mod:`repro.pregel.recovery` rewinds.
     supports_faults: bool = False
 
     @abstractmethod
@@ -707,7 +635,7 @@ class Engine(ABC):
         self, cluster: "Cluster", ctx: ComputeContext, program: VertexProgram
     ) -> ContextManager:
         """A context manager yielding the run's workers — an object with
-        ``step(superstep, base_seconds, aggregates, routed)`` and
+        ``step(superstep, base_seconds, routed)`` and
         ``finalize(base_seconds)`` returning one reply per worker in
         worker order, ``barrier(superstep, deltas)``, ``len()`` and
         ``remote`` (the workers are replicas in other processes, which
@@ -736,20 +664,8 @@ class Engine(ABC):
         ) as span:
             cost = cluster.cost_model
             num_nodes = cluster.num_nodes
-            injector = cluster._injector
-            routing = cluster.routing(graph)
-            if injector is not None:
-                # Crashes move vertices in place, so a fault run owns its
-                # map; nodes lost in an earlier run of this cluster stay
-                # dead.
-                node_of = array("q", routing.node_of)
-                injector.reassign(node_of, ())
-                routing = Routing.of(graph, node_of)
-            slowdown = (
-                cluster.faults.slowdowns(num_nodes)
-                if cluster.faults is not None and cluster.faults.stragglers
-                else None
-            )
+            recovery = self._fault_hook(cluster, graph)
+            routing = cluster.routing(graph) if recovery is None else recovery.routing
             if stats is None:
                 stats = RunStats(num_nodes=num_nodes)
                 stats.per_node_units = [0] * num_nodes
@@ -758,7 +674,6 @@ class Engine(ABC):
 
             ctx = ComputeContext(graph, num_nodes, routing, cost, program)
             program.setup(ctx)
-            aggregators = ctx._aggregators
             with self._start_workers(cluster, ctx, program) as workers:
                 remote = workers.remote
                 if remote:
@@ -767,87 +682,47 @@ class Engine(ABC):
                     stats.node_timeline = NodeTimeline(
                         num_nodes=len(workers) if remote else num_nodes
                     )
+                if recovery is not None:
+                    recovery.start(workers.worker)
 
-                # Super-step 0 snapshot: recovery without an on-disk
-                # checkpoint restarts from re-initialized state, so this
-                # snapshot is free (bytes=0) — nothing crossed the network.
-                checkpoint: _Checkpoint | None = None
-                interval = cluster.checkpoint_interval
-                if interval is not None or (
-                    injector is not None and injector.has_pending
-                ):
-                    checkpoint = _Checkpoint(0, program.snapshot(), {}, {}, 0)
-
-                aggregates: dict = {}
                 routed: list[dict[int, list]] = [{} for _ in range(len(workers))]
                 superstep = 0
-                committed = 0
                 while True:
                     superstep += 1
                     if superstep > max_supersteps:
                         raise SuperstepLimitExceeded(
                             f"no termination after {max_supersteps} supersteps"
                         )
-                    shares, outgoing, deltas, partials = zip(*workers.step(
-                        superstep, stats.simulated_seconds, aggregates, routed
+                    shares, outgoing, deltas = zip(*workers.step(
+                        superstep, stats.simulated_seconds, routed
                     ))
                     # Fixed worker order: the merge cannot depend on the
                     # order replies arrived in.
                     counts = StepCounts(*shares[0])
                     for share in shares[1:]:
                         counts = counts.plus(share)
-                    fired = (
-                        injector.crashes_at(superstep)
-                        if injector is not None
-                        else ()
-                    )
-                    if fired and checkpoint is not None:
-                        # The barrier never commits: the attempt is lost work.
-                        _account_superstep(
-                            cost, superstep, counts, stats, False, tracer,
-                            slowdown=slowdown, replay=True, injector=injector,
-                        )
-                        self._recover(
-                            cluster, workers.worker, stats, checkpoint, fired,
-                            superstep, tracer,
-                        )
-                        aggregates = copy.deepcopy(checkpoint.aggregates)
-                        superstep = checkpoint.superstep
-                        cost.check_time(stats.simulated_seconds)
-                        continue
+                    if recovery is not None:
+                        resume = recovery.crashed(superstep, counts, stats, tracer)
+                        if resume is not None:
+                            superstep = resume
+                            cost.check_time(stats.simulated_seconds)
+                            continue
                     routed = [{} for _ in range(len(workers))]
                     for sent in outgoing:
                         for worker, buckets in sent.items():
                             _splice(routed[worker], buckets)
-                    if aggregators:
-                        aggregates = partials[0]
-                        for partial in partials[1:]:
-                            aggregates = {
-                                name: agg.combine(aggregates[name], partial[name])
-                                for name, agg in aggregators.items()
-                            }
                     _account_superstep(
-                        cost, superstep, counts, stats, trace, tracer,
-                        slowdown=slowdown, replay=superstep <= committed,
-                        injector=injector, node_slices=not remote,
+                        cost, superstep, counts, stats, trace, tracer, recovery,
+                        node_slices=not remote,
                     )
-                    committed = max(committed, superstep)
                     workers.barrier(superstep, deltas)
                     if remote:
                         workers.emit_slices(
                             stats, tracer, superstep, counts.units,
                             counts.recv_bytes,
                         )
-                    if (
-                        checkpoint is not None
-                        and interval is not None
-                        and superstep % interval == 0
-                        and superstep > checkpoint.superstep
-                    ):
-                        checkpoint = self._take_checkpoint(
-                            cluster, superstep, workers.worker, aggregates,
-                            stats, tracer,
-                        )
+                    if recovery is not None:
+                        recovery.barrier(superstep, stats, tracer)
                     cost.check_time(stats.simulated_seconds)
                     if not counts.pending:
                         break
@@ -855,8 +730,8 @@ class Engine(ABC):
                 finalized = workers.finalize(stats.simulated_seconds)
                 units = [sum(node) for node in zip(*(u for u, _ in finalized))]
                 _account_finalize(
-                    cost, stats, units, superstep,
-                    slowdown=slowdown, tracer=tracer, node_slices=not remote,
+                    cost, stats, units, superstep, recovery, tracer,
+                    node_slices=not remote,
                 )
                 if remote:
                     if any(units):
@@ -872,96 +747,17 @@ class Engine(ABC):
                 span.add_simulated(stats.simulated_seconds - simulated_start)
         return stats
 
-    def _take_checkpoint(
-        self, cluster: "Cluster", superstep: int, worker: Worker,
-        aggregates: dict, stats: RunStats, tracer,
-    ) -> _Checkpoint:
-        """Snapshot barrier state and charge the serialization bytes."""
-        cost = cluster.cost_model
-        injector = cluster._injector
-        pending = worker.pending
-        state = worker.program.snapshot()
-        messages = sum(len(bucket) for bucket in pending.values())
-        nbytes = (
-            _estimate_entries(state) * cost.entry_bytes
-            + messages * cost.message_bytes
-        )
-        alive = (
-            len(injector.survivors) if injector is not None else cluster.num_nodes
-        )
-        seconds = (nbytes / alive) * cost.t_checkpoint_byte
-        stats.checkpoints += 1
-        stats.checkpoint_seconds += seconds
-        if stats.node_timeline is not None:
-            stats.node_timeline.intervals.append(
-                TimelineInterval("checkpoint", superstep, seconds)
-            )
-        if tracer is not None and tracer.enabled:
-            tracer.event(
-                "pregel.checkpoint",
-                superstep=superstep,
-                bytes=nbytes,
-                pending_messages=messages,
-                seconds=seconds,
-            )
-            current_metrics().counter("pregel.checkpoints").inc()
-        return _Checkpoint(
-            superstep,
-            state,
-            copy.deepcopy(pending),
-            copy.deepcopy(aggregates),
-            nbytes,
-        )
+    def _fault_hook(self, cluster: "Cluster", graph: DiGraph) -> Recovery | None:
+        """The run's :class:`~repro.pregel.recovery.Recovery`: installed
+        when the engine ``supports_faults`` and the cluster has a fault
+        plan or a checkpoint interval."""
+        if not self.supports_faults or (
+            cluster.faults is None and cluster.checkpoint_interval is None
+        ):
+            return None
+        from repro.pregel.recovery import Recovery
 
-    def _recover(
-        self, cluster: "Cluster", worker: Worker, stats: RunStats,
-        checkpoint: _Checkpoint, fired: tuple[int, ...], superstep: int, tracer,
-    ) -> None:
-        """Fail over after a crash: reassign, restore, rewind the inbox.
-
-        Charges failure detection plus the survivors' parallel read of
-        the last checkpoint (every surviving node re-reads the state of
-        its — possibly grown — partition from stable storage), then
-        rolls program and inbox state back to the checkpointed barrier.
-        """
-        cost = cluster.cost_model
-        injector = cluster._injector
-        ctx = worker.ctx
-        stats.crashes += len(fired)
-        node_of = ctx._node_of
-        moved = injector.reassign(node_of, fired)
-        _, ctx._same_out, ctx._same_in = Routing.of(ctx.graph, node_of)
-        alive = len(injector.survivors)
-        seconds = (
-            cost.failover_seconds
-            + (checkpoint.bytes / alive) * cost.t_checkpoint_byte
-        )
-        stats.recovery_seconds += seconds
-        if stats.node_timeline is not None:
-            stats.node_timeline.intervals.append(
-                TimelineInterval("recovery", superstep, seconds, tuple(fired))
-            )
-        worker.program.restore(checkpoint.program_state)
-        worker.pending = copy.deepcopy(checkpoint.inbox)
-        if tracer is not None and tracer.enabled:
-            for node in fired:
-                tracer.event(
-                    "pregel.fault",
-                    kind="crash",
-                    node=node,
-                    superstep=superstep,
-                )
-            tracer.event(
-                "pregel.recovery",
-                superstep=superstep,
-                restored_to=checkpoint.superstep,
-                nodes=list(fired),
-                reassigned_vertices=moved,
-                seconds=seconds,
-            )
-            metrics = current_metrics()
-            metrics.counter("pregel.crashes").inc(len(fired))
-            metrics.counter("pregel.recoveries").inc()
+        return Recovery(cluster, graph)
 
 
 class SimulatorEngine(Engine):
@@ -1024,10 +820,10 @@ class Cluster:
         lifetime and dead nodes stay dead across chained runs (DRL_b's
         batches), exactly as on real hardware.  Simulator engine only.
     checkpoint_interval:
-        Snapshot vertex state, pending messages, and aggregators every
-        this many super-steps, charging the serialization bytes through
-        the cost model.  Required for crash recovery to resume anywhere
-        other than super-step 0.  Simulator engine only.
+        Snapshot program state and pending messages every this many
+        super-steps, charging the serialization bytes through the cost
+        model.  Required for crash recovery to resume anywhere other
+        than super-step 0.  Simulator engine only.
     engine:
         Execution engine: ``"sim"`` (default) for the deterministic
         single-process simulator, ``"mp"`` for real parallelism across
@@ -1048,12 +844,11 @@ class Cluster:
         engine: "str | Engine" = "sim",
         workers: int | None = None,
     ):
-        if num_nodes < 1:
-            raise ValueError("num_nodes must be at least 1")
+        num_nodes = check_count("num_nodes", num_nodes)
         if partitioner is not None and partitioner.num_nodes != num_nodes:
             raise ValueError("partitioner and cluster disagree on num_nodes")
-        if checkpoint_interval is not None and checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be at least 1")
+        if checkpoint_interval is not None:
+            checkpoint_interval = check_count("checkpoint_interval", checkpoint_interval)
         self.engine = resolve_engine(engine, workers)
         if not self.engine.supports_faults and (
             faults is not None or checkpoint_interval is not None
@@ -1127,7 +922,7 @@ class Cluster:
             self,
             graph,
             program,
-            max_supersteps=max_supersteps,
+            max_supersteps=check_count("max_supersteps", max_supersteps),
             stats=stats,
             trace=trace,
             node_timeline=node_timeline,

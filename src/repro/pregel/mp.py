@@ -27,9 +27,8 @@ transports", has the whole picture):
 - Per-worker *measured* wall-clock timings become
   :class:`~repro.pregel.metrics.NodeSlice` rows (``node`` = worker id).
 
-Fault plans and checkpoint intervals need an in-process worker
-(:class:`~repro.pregel.engine.Cluster` refuses them here): the simulator
-remains the tool for fault experiments.
+Fault plans and checkpoint intervals are the simulator's
+(:mod:`repro.pregel.recovery`); :class:`~repro.pregel.engine.Cluster` refuses them here.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from contextlib import contextmanager
 from multiprocessing import shared_memory
 from random import Random
 
-from repro.errors import ReproError
+from repro.errors import ReproError, check_count
 from repro.graph.digraph import DiGraph
 from repro.pregel.engine import ComputeContext, Engine, Worker, apply_barrier
 from repro.pregel.metrics import NodeSlice
@@ -217,11 +216,10 @@ class _ProcessWorkers:
             fate = f"exited with code {code}"
         return ReproError(f"mp worker {worker} {fate} during {self.phase}")
 
-    def step(self, superstep, base_seconds, aggregates, routed) -> list:
+    def step(self, superstep, base_seconds, routed) -> list:
         self.phase = f"superstep {superstep}"
         self._send_all(
-            ("step", superstep, base_seconds, aggregates, incoming)
-            for incoming in routed
+            ("step", superstep, base_seconds, incoming) for incoming in routed
         )
         return self._gather()
 
@@ -304,9 +302,7 @@ class MultiprocessEngine(Engine):
     def __init__(
         self, workers: int | None = None, arrival_seed: int | None = None
     ):
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be at least 1")
-        self.workers = workers
+        self.workers = None if workers is None else check_count("workers", workers)
         self.arrival_seed = arrival_seed
 
     @contextmanager

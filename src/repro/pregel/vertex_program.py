@@ -67,15 +67,6 @@ class VertexProgram(ABC):
     #: published (barrier-visible) shared structures.
     mp_supported: bool = False
 
-    def aggregators(self) -> dict:
-        """Aggregators this program uses: ``{name: Aggregator}``.
-
-        Contribute with ``ctx.aggregate(name, value)``; read the
-        *previous* super-step's combined result with
-        ``ctx.aggregated(name)`` (Pregel visibility rules).
-        """
-        return {}
-
     def setup(self, ctx: "ComputeContext") -> None:
         """Called once before super-step 1 (allocate state)."""
 

@@ -1,9 +1,5 @@
-"""Tests for index collection planning and super-step tracing."""
+"""Tests for super-step tracing."""
 
-import pytest
-
-from repro.core.build import build_index
-from repro.core.collect import plan_collection
 from repro.core.drl import DrlFloodProgram
 from repro.graph.generators import random_digraph
 from repro.graph.order import degree_order
@@ -12,40 +8,6 @@ from repro.pregel.engine import Cluster
 from repro.pregel.vertex_program import VertexProgram
 
 _NO_LIMIT = CostModel(time_limit_seconds=None)
-
-
-# ----------------------------------------------------------------------
-# Collection planning
-# ----------------------------------------------------------------------
-def test_collection_single_node_ships_nothing():
-    g = random_digraph(50, 150, seed=1)
-    index = build_index(g, cost_model=_NO_LIMIT).index
-    plan = plan_collection(index, num_nodes=1)
-    assert plan.total_bytes == 0
-    assert plan.fits_in_memory
-
-
-def test_collection_many_nodes_ships_most_of_the_index():
-    g = random_digraph(50, 150, seed=1)
-    index = build_index(g, cost_model=_NO_LIMIT).index
-    plan = plan_collection(index, num_nodes=32)
-    expected = index.size_bytes() * 31 // 32
-    assert plan.total_bytes == expected
-    assert plan.seconds > 0
-
-
-def test_collection_memory_flag():
-    g = random_digraph(50, 150, seed=1)
-    index = build_index(g, cost_model=_NO_LIMIT).index
-    tiny = CostModel(node_memory_bytes=8)
-    assert not plan_collection(index, 4, tiny).fits_in_memory
-
-
-def test_collection_invalid_nodes():
-    g = random_digraph(10, 20, seed=2)
-    index = build_index(g, cost_model=_NO_LIMIT).index
-    with pytest.raises(ValueError):
-        plan_collection(index, 0)
 
 
 # ----------------------------------------------------------------------

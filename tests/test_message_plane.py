@@ -327,49 +327,3 @@ def test_cutoff_aborts_inside_the_exploding_superstep():
         Cluster(num_nodes=1, cost_model=impatient).run(graph, program)
     # One re-check per 262 144 units: the first one already trips.
     assert 262_144 // (n - 1) <= program.computed < n
-
-
-# ----------------------------------------------------------------------
-# One super-step sweep serves both engines: aggregators included
-# ----------------------------------------------------------------------
-class DegreeCensus(VertexProgram):
-    """Sums out-degrees for three super-steps; every vertex records what
-    it saw aggregated, which must not depend on the engine."""
-
-    mp_supported = True
-
-    def __init__(self, n: int):
-        self.saw = [[] for _ in range(n)]
-
-    def aggregators(self):
-        from repro.pregel.aggregator import max_aggregator, sum_aggregator
-
-        return {"sum": sum_aggregator(), "max": max_aggregator()}
-
-    def compute(self, ctx, v, messages):
-        self.saw[v].append((ctx.aggregated("sum"), ctx.aggregated("max")))
-        if ctx.superstep <= 3:
-            ctx.aggregate("sum", ctx.graph.out_degree(v) * ctx.superstep)
-            ctx.aggregate("max", v)
-            ctx.send(v, None)
-
-    def mp_collect(self, vertices):
-        return [(v, self.saw[v]) for v in vertices]
-
-    def mp_merge(self, collected):
-        for v, saw in collected:
-            self.saw[v] = saw
-
-
-def test_aggregators_read_the_same_on_both_engines():
-    graph = family_graph("cyclic", 30, 5)
-    sim = DegreeCensus(graph.num_vertices)
-    want = accounted(Cluster(num_nodes=4, cost_model=NO_LIMIT).run(graph, sim))
-    assert len(set(sim.saw[0])) == 4  # identity, then three distinct sums
-    del want["node_timeline"]
-    for workers in (1, 3):
-        mp = DegreeCensus(graph.num_vertices)
-        engine = MultiprocessEngine(workers=workers, arrival_seed=2)
-        got = Cluster(num_nodes=4, cost_model=NO_LIMIT, engine=engine).run(graph, mp)
-        assert mp.saw == sim.saw
-        assert accounted(got, timeline=False) == want
