@@ -3,13 +3,17 @@
 
 The labeling algorithms are built on a small Pregel-style API — this
 example uses it directly: a multi-source reachability program that
-prints the cost accounting and its wavefront afterwards.
+prints the cost accounting and, read back from the telemetry stream,
+its wavefront afterwards.
 
 Run:  python examples/custom_vertex_program.py
 """
 
 from repro import Cluster, VertexProgram, kronecker_graph
 from repro.pregel import paper_scale_model
+from repro.telemetry import session
+from repro.telemetry.reader import Trace
+from repro.telemetry.sinks import InMemorySink
 
 
 class MultiSourceReach(VertexProgram):
@@ -40,7 +44,9 @@ def main() -> None:
     sources = [1, 5, 42]
     program = MultiSourceReach(graph, sources)
     cluster = Cluster(num_nodes=16, cost_model=paper_scale_model())
-    stats = cluster.run(graph, program, trace=True)
+    sink = InMemorySink()  # the run's pregel.* events land here
+    with session([sink]):
+        stats = cluster.run(graph, program)
 
     reached = sum(program.reached)
     print(f"reachable from {sources}: {reached} vertices "
@@ -48,9 +54,10 @@ def main() -> None:
     print(f"stats: {stats.summary()}")
 
     print("wavefront (active vertices per super-step):")
-    for row in stats.trace:
-        bar = "#" * max(1, row.active_vertices // 40)
-        print(f"  step {row.superstep:2d}: {row.active_vertices:5d} {bar}")
+    for event in Trace(sink.records).events("pregel.superstep"):
+        row = event["attrs"]
+        bar = "#" * max(1, row["active_vertices"] // 40)
+        print(f"  step {row['superstep']:2d}: {row['active_vertices']:5d} {bar}")
 
 
 if __name__ == "__main__":

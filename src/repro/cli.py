@@ -46,7 +46,7 @@ from repro import telemetry
 from repro.bench.registry import EXPERIMENTS
 from repro.core.build import METHOD_NAMES, build_index
 from repro.core.labels import ReachabilityIndex, index_file_version
-from repro.errors import ReproError
+from repro.errors import ReproError, check_count, check_seconds
 from repro.faults import FaultPlan
 from repro.fuzz.cases import FAMILIES as FUZZ_FAMILIES
 from repro.graph import generators
@@ -66,6 +66,34 @@ def _existing_file(text: str) -> Path:
     if not path.exists():
         raise ReproError(f"no such file: {path}")
     return path
+
+
+def _count(flag: str, minimum: int = 0):
+    """The argparse ``type=`` of a count flag: an integer of at least
+    ``minimum``, refused like :func:`_existing_file` otherwise."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = text
+        return check_count(flag, value, minimum, error=ReproError)
+
+    return parse
+
+
+def _seconds(flag: str):
+    """The argparse ``type=`` of a positive seconds flag, refused like
+    :func:`_existing_file` otherwise."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = text
+        return check_seconds(flag, value, positive=True, error=ReproError)
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -170,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     validate.add_argument("graph", type=_existing_file)
     validate.add_argument("index", type=_existing_file)
     validate.add_argument(
-        "--sample", type=int, default=None,
+        "--sample", type=_count("--sample", 1), default=None,
         help="check this many random pairs instead of all pairs",
     )
 
@@ -193,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument(
-        "--cases", type=int, default=None, metavar="N",
+        "--cases", type=_count("--cases", 1), default=None, metavar="N",
         help="number of cases to run (default 100 unless --time-budget)",
     )
     fuzz.add_argument(
@@ -439,11 +467,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("file", type=_existing_file)
     trace.add_argument(
-        "--top", type=int, default=15,
+        "--top", type=_count("--top"), default=15,
         help="span names to show in the ranking (default 15)",
     )
     trace.add_argument(
-        "--supersteps", type=int, default=20,
+        "--supersteps", type=_count("--supersteps"), default=20,
         help="super-step rows to show (default 20)",
     )
     trace.add_argument(
@@ -451,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print only the request trace(s) with this trace ID",
     )
     trace.add_argument(
-        "--slowest", type=int, default=None, metavar="N",
+        "--slowest", type=_count("--slowest"), default=None, metavar="N",
         help="print the N slowest request traces with per-stage breakdown",
     )
 
@@ -476,11 +504,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="with --once: print the snapshot as JSON",
     )
     top.add_argument(
-        "--refresh", type=float, default=2.0, metavar="SECONDS",
+        "--refresh", type=_seconds("--refresh"), default=2.0, metavar="SECONDS",
         help="live-mode refresh interval (default 2s)",
     )
     top.add_argument(
-        "--window", type=float, default=None, metavar="SECONDS",
+        "--window", type=_seconds("--window"), default=None, metavar="SECONDS",
         help="window length in simulated seconds (default: span / 12)",
     )
     top.add_argument(
@@ -493,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exit 1 when any SLO burn-rate alert is firing",
     )
     top.add_argument(
-        "--slowest", type=int, default=5, metavar="N",
+        "--slowest", type=_count("--slowest"), default=5, metavar="N",
         help="worst request traces to show (default 5)",
     )
     top.add_argument(
@@ -518,7 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("file", type=_existing_file)
     profile.add_argument(
-        "--top", type=int, default=15,
+        "--top", type=_count("--top"), default=15,
         help="span names to show in the ranking (default 15)",
     )
     profile.add_argument(
@@ -601,7 +629,11 @@ def _cmd_datasets(args) -> int:
 
 def _cmd_generate(args) -> int:
     factory = _GENERATORS[args.kind]
-    graph = factory(args.vertices, seed=args.seed)
+    try:
+        graph = factory(args.vertices, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     write_edge_list(graph, args.output)
     print(f"wrote {graph.num_vertices} vertices / {graph.num_edges} edges "
           f"to {args.output}")

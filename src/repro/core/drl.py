@@ -314,8 +314,7 @@ class FloodBuild(ExitStack):
     its; a fault plan's crash events fire once per build and a node
     lost in one flood stays dead for the next), the one ``RunStats``,
     the ``<name>.build`` → phase → ``<name>.collection`` spans and index
-    assembly.  ``node_timeline=True`` records every flood's per-node
-    breakdown into ``stats.node_timeline`` (:mod:`repro.profiling`).
+    assembly.
     """
 
     def __init__(
@@ -324,12 +323,11 @@ class FloodBuild(ExitStack):
         graph: DiGraph,
         order: VertexOrder | None = None,
         num_nodes: int = 32,
-        node_timeline: bool = False,
         **cluster_options,
     ):
         super().__init__()
         self._cluster = Cluster(num_nodes=num_nodes, **cluster_options)
-        self._name, self._node_timeline = name, node_timeline
+        self._name = name
         self.graph = graph
         self.order = degree_order(graph) if order is None else order
         self.stats = RunStats(num_nodes=num_nodes, per_node_units=[0] * num_nodes)
@@ -344,9 +342,7 @@ class FloodBuild(ExitStack):
         stats = self.stats
         with trace_span(phase, **attrs) as span:
             before = stats.simulated_seconds
-            self._cluster.run(
-                self.graph, program, stats=stats, node_timeline=self._node_timeline
-            )
+            self._cluster.run(self.graph, program, stats=stats)
             span.add_simulated(stats.simulated_seconds - before)
 
     def collect(self, in_sets, out_sets) -> LabelingResult:

@@ -36,7 +36,7 @@ from repro.pregel.engine import (
     SuperstepLimitExceeded,
     resolve_engine,
 )
-from repro.pregel.metrics import RunStats, SuperstepTrace
+from repro.pregel.metrics import RunStats
 from repro.pregel.mp import MultiprocessEngine
 from repro.pregel.serial import SerialMeter
 from repro.pregel.vertex_program import VertexProgram
@@ -54,7 +54,6 @@ __all__ = [
     "FinalizeContext",
     "RunStats",
     "SerialMeter",
-    "SuperstepTrace",
     "SuperstepLimitExceeded",
     "VertexProgram",
     "mpi_cluster_model",

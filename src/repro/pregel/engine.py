@@ -38,13 +38,7 @@ from repro.graph.partition import (
     node_assignment,
 )
 from repro.pregel.cost_model import CostModel
-from repro.pregel.metrics import (
-    NodeSlice,
-    NodeTimeline,
-    RunStats,
-    SuperstepTrace,
-    TimelineInterval,
-)
+from repro.pregel.metrics import NodeSlice, RunStats
 from repro.pregel.vertex_program import VertexProgram
 from repro.telemetry import ACTIVE_VERTEX_BUCKETS, current_metrics, current_tracer
 
@@ -445,7 +439,6 @@ def _account_superstep(
     superstep: int,
     counts: StepCounts,
     stats: RunStats,
-    trace: bool = False,
     tracer=None,
     recovery: Recovery | None = None,
     replay: bool = False,
@@ -456,10 +449,11 @@ def _account_superstep(
     ``recovery`` is the run's fault hook: stragglers, the transit draw and
     the replay of an already-committed super-step; ``replay=True`` marks a
     discarded attempt.  A replay's full cost lands in
-    ``recovery_seconds`` and touches no work counter or trace row (the
-    committed pass already recorded them).  ``node_slices=False``
-    suppresses the per-logical-node :class:`NodeSlice` emission — worker
-    processes are recorded as measured per-worker slices instead.
+    ``recovery_seconds`` and touches no work counter (the committed pass
+    already recorded them); it emits one ``pregel.replay`` event.
+    ``node_slices=False`` suppresses the per-logical-node
+    :class:`NodeSlice` emission — worker processes are recorded as
+    measured per-worker slices instead.
     """
     units = counts.units
     slowdown = None if recovery is None else recovery.slowdown
@@ -484,22 +478,20 @@ def _account_superstep(
         )
     stats.messages_lost += lost
     stats.messages_duplicated += duplicated
-    timeline = stats.node_timeline
     if replay:
         seconds = comp_seconds + comm_seconds + cost.t_barrier
         stats.recovery_seconds += seconds
-        if timeline is not None:
-            timeline.intervals.append(
-                TimelineInterval("replay", superstep, seconds)
-            )
+        if telemetry_on:
+            tracer.event("pregel.replay", superstep=superstep, seconds=seconds)
         return
-    if node_slices:
-        _emit_node_slices(
-            cost, stats, tracer, superstep, units, counts.recv_bytes,
-            counts.broadcast_bytes, comp_seconds, comm_seconds, slowdown,
-        )
-    if trace or telemetry_on:
-        row = SuperstepTrace(
+    if telemetry_on:
+        if node_slices:
+            _emit_node_slices(
+                cost, tracer, superstep, units, counts.recv_bytes,
+                counts.broadcast_bytes, comp_seconds, comm_seconds, slowdown,
+            )
+        tracer.event(
+            "pregel.superstep",
             superstep=superstep,
             active_vertices=counts.active,
             compute_units=sum(units),
@@ -508,18 +500,12 @@ def _account_superstep(
             remote_bytes=sum(counts.recv_bytes),
             broadcast_bytes=counts.broadcast_bytes,
         )
-        if trace:
-            stats.trace.append(row)
-        if telemetry_on:
-            tracer.event("pregel.superstep", **row.to_dict())
-            metrics = current_metrics()
-            metrics.counter("pregel.supersteps").inc()
-            metrics.counter("pregel.remote_messages").inc(
-                counts.remote_messages
-            )
-            metrics.histogram(
-                "pregel.active_vertices", ACTIVE_VERTEX_BUCKETS
-            ).observe(counts.active)
+        metrics = current_metrics()
+        metrics.counter("pregel.supersteps").inc()
+        metrics.counter("pregel.remote_messages").inc(counts.remote_messages)
+        metrics.histogram(
+            "pregel.active_vertices", ACTIVE_VERTEX_BUCKETS
+        ).observe(counts.active)
     stats.supersteps += 1
     stats.compute_units += sum(units)
     stats.local_messages += counts.local_messages
@@ -535,7 +521,6 @@ def _account_superstep(
 
 def _emit_node_slices(
     cost: CostModel,
-    stats: RunStats,
     tracer,
     superstep: int,
     units: list[int],
@@ -545,16 +530,13 @@ def _emit_node_slices(
     comm_seconds: float,
     slowdown: list[float] | None,
 ) -> None:
-    """One :class:`NodeSlice` per logical node for one accounted step.
+    """One ``pregel.node`` event (a :class:`NodeSlice`) per logical node
+    for one accounted step.
 
     BSP phases run in sequence, so a node's barrier wait is the slack
     against the slowest node in each phase; retransmission cost (charged
     to the super-step as a whole) lands in the wait term too.
     """
-    timeline = stats.node_timeline
-    telemetry_on = tracer is not None and tracer.enabled
-    if timeline is None and not telemetry_on:
-        return
     for node, node_units in enumerate(units):
         factor = 1.0 if slowdown is None else slowdown[node]
         node_comp = node_units * factor * cost.t_op
@@ -572,10 +554,7 @@ def _emit_node_slices(
             recv_bytes=recv[node],
             slowdown=factor,
         )
-        if timeline is not None:
-            timeline.slices.append(piece)
-        if telemetry_on:
-            tracer.event("pregel.node", **piece.to_dict())
+        tracer.event("pregel.node", **piece.to_dict())
 
 
 def _account_finalize(
@@ -598,9 +577,9 @@ def _account_finalize(
     stats.barrier_seconds += cost.t_barrier
     for node, units in enumerate(finalize_units):
         stats.per_node_units[node] += units
-    if node_slices:
+    if node_slices and tracer is not None and tracer.enabled:
         _emit_node_slices(
-            cost, stats, tracer, superstep + 1, finalize_units,
+            cost, tracer, superstep + 1, finalize_units,
             [0] * len(finalize_units), 0, finalize_seconds, 0.0, slowdown,
         )
 
@@ -649,8 +628,6 @@ class Engine(ABC):
         program: VertexProgram,
         max_supersteps: int = 100_000,
         stats: RunStats | None = None,
-        trace: bool = False,
-        node_timeline: bool = False,
     ) -> RunStats:
         """Execute ``program`` on ``graph`` under ``cluster``'s config."""
         tracer = current_tracer()
@@ -678,10 +655,6 @@ class Engine(ABC):
                 remote = workers.remote
                 if remote:
                     span.set(workers=len(workers))
-                if node_timeline and stats.node_timeline is None:
-                    stats.node_timeline = NodeTimeline(
-                        num_nodes=len(workers) if remote else num_nodes
-                    )
                 if recovery is not None:
                     recovery.start(workers.worker)
 
@@ -712,14 +685,13 @@ class Engine(ABC):
                         for worker, buckets in sent.items():
                             _splice(routed[worker], buckets)
                     _account_superstep(
-                        cost, superstep, counts, stats, trace, tracer, recovery,
+                        cost, superstep, counts, stats, tracer, recovery,
                         node_slices=not remote,
                     )
                     workers.barrier(superstep, deltas)
                     if remote:
                         workers.emit_slices(
-                            stats, tracer, superstep, counts.units,
-                            counts.recv_bytes,
+                            tracer, superstep, counts.units, counts.recv_bytes
                         )
                     if recovery is not None:
                         recovery.barrier(superstep, stats, tracer)
@@ -736,7 +708,7 @@ class Engine(ABC):
                 if remote:
                     if any(units):
                         workers.emit_slices(
-                            stats, tracer, superstep + 1, units, [0] * num_nodes
+                            tracer, superstep + 1, units, [0] * num_nodes
                         )
                     for _, collected in finalized:  # fixed order
                         program.mp_merge(collected)
@@ -884,39 +856,31 @@ class Cluster:
         program: VertexProgram,
         max_supersteps: int = 100_000,
         stats: RunStats | None = None,
-        trace: bool = False,
-        node_timeline: bool = False,
     ) -> RunStats:
         """Execute ``program`` on ``graph`` until no messages remain.
 
         When ``stats`` is given, accounting accumulates into it (used to
         chain the batches of DRL_b into one run) and the time-limit check
-        covers the accumulated total.  ``trace=True`` records one
-        :class:`~repro.pregel.metrics.SuperstepTrace` row per super-step.
-
-        ``node_timeline=True`` additionally records one
-        :class:`~repro.pregel.metrics.NodeSlice` per node per committed
-        super-step (plus recovery/replay/checkpoint intervals) into
-        ``stats.node_timeline`` — the input of
-        :func:`repro.profiling.analyze_skew`.  Off by default: the flag
-        costs nothing when disabled and no telemetry session is active.
-        Under the multiprocessing engine the slices carry *measured*
-        per-worker wall-clock seconds instead of simulated per-node ones.
+        covers the accumulated total.
 
         With a fault plan, crashed super-steps are discarded and
         replayed from the last checkpoint; discarded attempts and
         replays charge ``stats.recovery_seconds`` only, so the work
-        counters and trace rows describe committed progress exactly
-        once — identical to a fault-free run of the same program.
+        counters describe committed progress exactly once — identical
+        to a fault-free run of the same program.
 
-        When a telemetry session is active (see :mod:`repro.telemetry`),
-        the whole run is wrapped in a ``pregel.run`` span and every
-        super-step emits a ``pregel.superstep`` event carrying the
-        :class:`SuperstepTrace` fields plus one ``pregel.node`` event
-        per node carrying the :class:`NodeSlice` fields, independent of
-        ``trace``/``node_timeline``.  Faults additionally emit
-        ``pregel.fault``, ``pregel.recovery``, and ``pregel.checkpoint``
-        events.
+        Per-super-step detail goes to the telemetry stream only (see
+        :mod:`repro.telemetry`): under an active session the whole run
+        is wrapped in a ``pregel.run`` span, and every committed
+        super-step emits one ``pregel.node`` event per node (the
+        :class:`~repro.pregel.metrics.NodeSlice` fields) and one
+        ``pregel.superstep`` row.  Under the multiprocessing engine the
+        slices are per worker and carry *measured* wall-clock seconds.
+        Faults add ``pregel.fault``, ``pregel.replay``,
+        ``pregel.recovery`` and ``pregel.checkpoint`` events.
+        :class:`repro.telemetry.reader.Trace` reads the rows back
+        (``events("pregel.superstep")``) and rebuilds the per-node lanes,
+        the input of :func:`repro.profiling.analyze_skew`.
         """
         return self.engine.run(
             self,
@@ -924,6 +888,4 @@ class Cluster:
             program,
             max_supersteps=check_count("max_supersteps", max_supersteps),
             stats=stats,
-            trace=trace,
-            node_timeline=node_timeline,
         )

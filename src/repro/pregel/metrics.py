@@ -7,8 +7,7 @@ from dataclasses import asdict, dataclass, field
 
 @dataclass(frozen=True)
 class NodeSlice:
-    """One node's share of one super-step (collected when the per-node
-    timeline is on).
+    """One node's share of one super-step (a ``pregel.node`` event).
 
     BSP phases are sequential — compute, then communicate, then the
     barrier — so every node's slice spans the same interval and the
@@ -63,13 +62,12 @@ class TimelineInterval:
     seconds: float
     nodes: tuple[int, ...] = ()
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class NodeTimeline:
-    """Per-node, per-super-step timeline of one (possibly chained) run.
+    """Per-node, per-super-step timeline of one (possibly chained) run,
+    as :attr:`repro.telemetry.reader.Trace.node_timeline` rebuilds it
+    from the run's ``pregel.*`` events.
 
     ``slices`` hold one :class:`NodeSlice` per node per committed
     super-step, in execution order; ``intervals`` hold the fault
@@ -127,29 +125,6 @@ class NodeTimeline:
             entry["total_seconds"] += piece.total_seconds
         return totals
 
-    def extend(self, other: "NodeTimeline") -> None:
-        """Append another timeline's slices and intervals (phase order)."""
-        if other.num_nodes > self.num_nodes:
-            self.num_nodes = other.num_nodes
-        self.slices.extend(other.slices)
-        self.intervals.extend(other.intervals)
-
-
-@dataclass(frozen=True)
-class SuperstepTrace:
-    """Per-super-step accounting row (collected when tracing is on)."""
-
-    superstep: int
-    active_vertices: int
-    compute_units: int
-    max_node_units: int
-    remote_messages: int
-    remote_bytes: int
-    broadcast_bytes: int
-
-    def to_dict(self) -> dict:
-        """Plain-dict view (telemetry event payload, JSONL export)."""
-        return asdict(self)
 
 
 @dataclass
@@ -161,18 +136,17 @@ class RunStats:
     *index time* reported in Table VI and Figs. 6-9.
 
     Fault accounting (see :mod:`repro.faults`): the work counters
-    (``compute_units``, messages, bytes, ``trace``) describe *committed*
+    (``compute_units``, messages, bytes) describe *committed*
     progress only, so they match a fault-free run of the same program.
     Everything a fault costs on top — discarded super-step attempts,
     checkpoint replay, failover detection, checkpoint restore I/O — is
     isolated in ``recovery_seconds``; periodic checkpoint writes land in
     ``checkpoint_seconds``.  Both are part of ``simulated_seconds``.
 
-    ``node_timeline`` is the opt-in per-node breakdown (see
-    :class:`NodeTimeline`): every committed super-step contributes one
-    :class:`NodeSlice` per node, and the fault machinery contributes
-    recovery/replay/checkpoint intervals.  Populated when the engine
-    runs with ``node_timeline=True``; ``None`` otherwise.
+    Per-super-step rows and per-node lanes are not kept here: a run
+    emits them as ``pregel.*`` events, which
+    :class:`repro.telemetry.reader.Trace` reads back (``events`` and
+    :attr:`~repro.telemetry.reader.Trace.node_timeline`).
     """
 
     num_nodes: int = 1
@@ -193,8 +167,6 @@ class RunStats:
     messages_duplicated: int = 0
     per_node_units: list[int] = field(default_factory=list)
     wall_seconds: float = 0.0
-    trace: list[SuperstepTrace] = field(default_factory=list)
-    node_timeline: NodeTimeline | None = None
 
     @property
     def simulated_seconds(self) -> float:
@@ -219,8 +191,7 @@ class RunStats:
         ``num_nodes`` must agree — merging runs from differently sized
         clusters would make ``per_node_units`` and the max-per-node time
         formula meaningless.  A pristine accumulator (no work recorded
-        yet) adopts ``other``'s node count instead.  Trace rows are
-        concatenated in phase order.
+        yet) adopts ``other``'s node count instead.
         """
         if other.num_nodes != self.num_nodes:
             if self.supersteps == 0 and not self.per_node_units:
@@ -252,11 +223,6 @@ class RunStats:
             )
         for node, units in enumerate(other.per_node_units):
             self.per_node_units[node] += units
-        self.trace.extend(other.trace)
-        if other.node_timeline is not None:
-            if self.node_timeline is None:
-                self.node_timeline = NodeTimeline(num_nodes=self.num_nodes)
-            self.node_timeline.extend(other.node_timeline)
         return self
 
     def summary(self) -> str:

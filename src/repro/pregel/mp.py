@@ -24,8 +24,9 @@ transports", has the whole picture):
   whatever the worker count or the order replies arrive in.
 - The master's program is one more replica: it applies every worker's
   published delta at each barrier, as the workers do.
-- Per-worker *measured* wall-clock timings become
-  :class:`~repro.pregel.metrics.NodeSlice` rows (``node`` = worker id).
+- Per-worker *measured* wall-clock timings become ``pregel.node``
+  events (:class:`~repro.pregel.metrics.NodeSlice` fields, ``node`` =
+  worker id).
 
 Fault plans and checkpoint intervals are the simulator's
 (:mod:`repro.pregel.recovery`); :class:`~repro.pregel.engine.Cluster` refuses them here.
@@ -234,9 +235,9 @@ class _ProcessWorkers:
         self._barrier_wall = 0.0
         return self._gather()
 
-    def emit_slices(self, stats, tracer, superstep, units, recv_bytes) -> None:
-        """Record the last call's measured per-worker timings as
-        NodeSlice rows.
+    def emit_slices(self, tracer, superstep, units, recv_bytes) -> None:
+        """Emit the last call's measured per-worker timings as
+        ``pregel.node`` events (:class:`NodeSlice` fields).
 
         Unlike the simulator's per-logical-node slices (simulated
         seconds), these carry wall-clock measurements with ``node`` set
@@ -245,9 +246,7 @@ class _ProcessWorkers:
         slowest worker, and ``barrier_seconds`` the master's measured
         routing/merge time.
         """
-        timeline = stats.node_timeline
-        telemetry_on = tracer is not None and tracer.enabled
-        if timeline is None and not telemetry_on:
+        if tracer is None or not tracer.enabled:
             return
         slowest = max(self._walls)
         workers = len(self)
@@ -262,10 +261,7 @@ class _ProcessWorkers:
                 barrier_seconds=self._barrier_wall,
                 recv_bytes=sum(recv_bytes[w::workers]),
             )
-            if timeline is not None:
-                timeline.slices.append(piece)
-            if telemetry_on:
-                tracer.event("pregel.node", **piece.to_dict())
+            tracer.event("pregel.node", **piece.to_dict())
 
     def close(self) -> None:
         """Reap every worker still running and close the pipes."""

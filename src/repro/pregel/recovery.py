@@ -15,7 +15,7 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import Routing
 from repro.pregel.engine import Cluster, StepCounts, Worker, _account_superstep
-from repro.pregel.metrics import RunStats, TimelineInterval
+from repro.pregel.metrics import RunStats
 from repro.pregel.vertex_program import VertexProgram
 from repro.telemetry import current_metrics
 
@@ -97,8 +97,8 @@ class Recovery:
             return None
         # The barrier never commits: the attempt is lost work.
         _account_superstep(
-            self.cluster.cost_model, superstep, counts, stats, False, tracer,
-            self, replay=True,
+            self.cluster.cost_model, superstep, counts, stats, tracer, self,
+            replay=True,
         )
         self._recover(stats, fired, superstep, tracer)
         return self.checkpoint.superstep
@@ -126,10 +126,6 @@ class Recovery:
         seconds = (nbytes / alive) * cost.t_checkpoint_byte
         stats.checkpoints += 1
         stats.checkpoint_seconds += seconds
-        if stats.node_timeline is not None:
-            stats.node_timeline.intervals.append(
-                TimelineInterval("checkpoint", superstep, seconds)
-            )
         if tracer is not None and tracer.enabled:
             tracer.event(
                 "pregel.checkpoint",
@@ -163,10 +159,6 @@ class Recovery:
             + (checkpoint.bytes / alive) * cost.t_checkpoint_byte
         )
         stats.recovery_seconds += seconds
-        if stats.node_timeline is not None:
-            stats.node_timeline.intervals.append(
-                TimelineInterval("recovery", superstep, seconds, tuple(fired))
-            )
         worker.program.restore(checkpoint.program_state)
         worker.pending = copy.deepcopy(checkpoint.inbox)
         if tracer is not None and tracer.enabled:

@@ -12,8 +12,7 @@ this package answers *why a run was slow*:
   trace-event JSON (one "process" per simulated node; load it in
   Perfetto or ``chrome://tracing``) and folded stacks for flamegraphs.
 
-Both are views over a :class:`~repro.telemetry.reader.Trace` (or a live
-:class:`~repro.pregel.metrics.RunStats.node_timeline`) with no
+Both are views over a :class:`~repro.telemetry.reader.Trace` with no
 instrumentation of their own; the ``repro profile`` text report sits
 beside ``repro trace``'s in :mod:`repro.telemetry.report`.
 """

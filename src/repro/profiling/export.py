@@ -7,8 +7,8 @@ Two targets, both derived from an existing ``--trace-out`` file:
   driver's real spans become one wall-clock process (pid 0); every
   simulated node becomes its own process whose lane replays the BSP
   timeline (compute / comm / wait / barrier slices per super-step, on
-  the simulated clock); fault intervals (recovery, checkpoints) land
-  on a separate cluster lane.  Wall timestamps are ``perf_counter``
+  the simulated clock); fault intervals (recovery, replays,
+  checkpoints) land on a separate cluster lane.  Wall timestamps are ``perf_counter``
   readings, normalized to the earliest span start so the trace begins
   at zero.
 - :func:`folded_stacks` — folded-stack lines (``a;b;c value``) for

@@ -8,10 +8,10 @@ max/mean load ratio, the Gini coefficient of busy time, each node's
 apparent slowdown (its effective seconds-per-unit against the fastest
 node), and the speedup a perfectly rebalanced partitioning would buy.
 
-Input is a :class:`~repro.pregel.metrics.NodeTimeline`, either taken
-live from ``RunStats.node_timeline`` (build with ``node_timeline=True``)
-or rebuilt from an exported trace's ``pregel.node`` events
-(:attr:`repro.telemetry.reader.Trace.node_timeline`).
+Input is a :class:`~repro.pregel.metrics.NodeTimeline`, which
+:attr:`repro.telemetry.reader.Trace.node_timeline` rebuilds from a
+run's ``pregel.node`` events — a live ``Trace(sink.records)`` of an
+:class:`~repro.telemetry.sinks.InMemorySink` or an exported trace file.
 """
 
 from __future__ import annotations

@@ -124,7 +124,7 @@ class Trace:
                     **{field: attrs[field] for field in _NODE_FIELDS},
                 )
             )
-        elif name in ("pregel.recovery", "pregel.checkpoint"):
+        elif name in ("pregel.recovery", "pregel.replay", "pregel.checkpoint"):
             self._intervals.append(
                 TimelineInterval(
                     name.removeprefix("pregel."),
@@ -142,10 +142,8 @@ class Trace:
     def node_timeline(self) -> NodeTimeline | None:
         """The per-node BSP timeline of the ``pregel.node`` events (one
         per node per committed super-step, in execution order) plus the
-        recovery and checkpoint intervals; ``None`` when the run never
-        entered the engine.  Discarded attempts (``replay`` intervals)
-        are not emitted as events, so a live ``RunStats.node_timeline``
-        carries slightly more fault detail.
+        recovery, replay and checkpoint intervals, in emission order;
+        ``None`` when the run never entered the engine.
         """
         if not self._slices:
             return None

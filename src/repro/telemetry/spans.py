@@ -7,8 +7,7 @@ tracer keeps a stack, so a span opened while another is active records
 it as its parent, and sinks can reconstruct the full tree.
 
 A :class:`TraceEvent` is a point-in-time record attached to the current
-span (the engine emits one per super-step, carrying the
-:class:`~repro.pregel.metrics.SuperstepTrace` fields); a
+span (the engine emits a ``pregel.superstep`` row per super-step); a
 :class:`RequestTrace` is what a ``serve.request`` event carries.
 
 Tracing is **off by default**: the module-level tracer is a

@@ -598,6 +598,32 @@ def test_missing_input_file_is_one_error_line(tmp_path, capsys, argv):
     assert capsys.readouterr().err == f"error: no such file: {missing}\n"
 
 
+_INT, _POSITIVE = "must be an integer", "must be a finite number > 0, got"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["trace", "FILE", "--supersteps", "-3"], f"--supersteps {_INT} >= 0, got -3"),
+        (["trace", "FILE", "--top", "-1"], f"--top {_INT} >= 0, got -1"),
+        (["trace", "FILE", "--slowest", "-1"], f"--slowest {_INT} >= 0, got -1"),
+        (["profile", "FILE", "--top", "-2"], f"--top {_INT} >= 0, got -2"),
+        (["validate", "FILE", "FILE", "--sample", "0"], f"--sample {_INT} >= 1, got 0"),
+        (["fuzz", "--cases", "-2"], f"--cases {_INT} >= 1, got -2"),
+        (["generate", "FILE", "-n", "-5"], "need at least two vertices"),
+        (["top", "FILE", "--refresh", "-1"], f"--refresh {_POSITIVE} -1.0"),
+        (["top", "FILE", "--once", "--window", "0"], f"--window {_POSITIVE} 0.0"),
+        (["top", "FILE", "--once", "--slowest", "x"], f"--slowest {_INT} >= 0, got 'x'"),
+    ],
+)
+def test_bad_count_or_seconds_flag_is_one_error_line(tmp_path, capsys, argv, err):
+    path = tmp_path / "file"
+    path.touch()
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_build_time_limit_exceeded_exits_2(tmp_path, graph_file, capsys):
     assert main(["build", str(graph_file), "-o", str(tmp_path / "x.idx"),
                  "--time-limit", "1e-12"]) == 2

@@ -9,6 +9,14 @@ from repro.pregel.cost_model import CostModel
 from repro.pregel.engine import Cluster, SuperstepLimitExceeded
 from repro.pregel.metrics import RunStats
 from repro.pregel.vertex_program import VertexProgram
+from repro.telemetry import session
+from repro.telemetry.reader import Trace
+from repro.telemetry.sinks import InMemorySink
+
+
+def _rows(sink):
+    """The ``pregel.superstep`` rows a session's sink heard, in order."""
+    return [e["attrs"] for e in Trace(sink.records).events("pregel.superstep")]
 
 
 class FloodFrom(VertexProgram):
@@ -225,12 +233,19 @@ def test_stats_merge():
 def test_stats_merge_concatenates_traces():
     g = _path_graph(4)
     cluster = Cluster(num_nodes=2)
-    first = cluster.run(g, FloodFrom(0), trace=True)
-    second = cluster.run(g, FloodFrom(0), trace=True)
+    sinks = InMemorySink(), InMemorySink(), InMemorySink()
+    with session([sinks[0], sinks[2]]):
+        first = cluster.run(g, FloodFrom(0))
+    with session([sinks[1], sinks[2]]):
+        second = cluster.run(g, FloodFrom(0))
     merged = RunStats(num_nodes=2, per_node_units=[0, 0])
     merged.merge(first).merge(second)
-    assert len(merged.trace) == len(first.trace) + len(second.trace)
-    assert merged.trace == first.trace + second.trace
+    # The stream concatenates the runs' rows in run order; ``merge`` keeps
+    # the totals those rows add up to.
+    first_rows, second_rows, both = map(_rows, sinks)
+    assert both == first_rows + second_rows
+    assert merged.supersteps == len(both)
+    assert merged.compute_units == sum(row["compute_units"] for row in both)
 
 
 def test_stats_merge_rejects_node_count_mismatch():
@@ -266,18 +281,17 @@ def test_superstep_limit_partial_stats_consistent():
     stats = RunStats(num_nodes=2)
     stats.per_node_units = [0, 0]
     cluster = Cluster(num_nodes=2, cost_model=CostModel(time_limit_seconds=None))
-    with pytest.raises(SuperstepLimitExceeded):
-        cluster.run(g, NeverTerminates(), max_supersteps=7, stats=stats,
-                    trace=True)
+    sink = InMemorySink()
+    with session([sink]), pytest.raises(SuperstepLimitExceeded):
+        cluster.run(g, NeverTerminates(), max_supersteps=7, stats=stats)
     # Exactly the 7 allowed supersteps were accounted; the 8th aborted
     # before any accounting.
+    trace = _rows(sink)
     assert stats.supersteps == 7
-    assert len(stats.trace) == 7
-    assert [row.superstep for row in stats.trace] == list(range(1, 8))
-    assert stats.compute_units == sum(row.compute_units for row in stats.trace)
-    assert stats.remote_messages == sum(
-        row.remote_messages for row in stats.trace
-    )
+    assert len(trace) == 7
+    assert [row["superstep"] for row in trace] == list(range(1, 8))
+    assert stats.compute_units == sum(row["compute_units"] for row in trace)
+    assert stats.remote_messages == sum(row["remote_messages"] for row in trace)
     assert sum(stats.per_node_units) == stats.compute_units
     assert stats.barrier_seconds == pytest.approx(7 * cluster.cost_model.t_barrier)
     assert stats.simulated_seconds > 0.0

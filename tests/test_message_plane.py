@@ -13,6 +13,7 @@ counters by brute force from (sender node, destination node) pairs.
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,9 @@ from repro.pregel.cost_model import CostModel
 from repro.pregel.engine import Cluster
 from repro.pregel.mp import MultiprocessEngine
 from repro.pregel.vertex_program import VertexProgram
+from repro.telemetry import session
+from repro.telemetry.reader import Trace
+from repro.telemetry.sinks import InMemorySink
 
 from tests.conftest import digraphs
 
@@ -94,12 +98,15 @@ class FanOutFlood(PerDestinationFlood):
             ctx.send_to_in_neighbors(message)
 
 
-def accounted(stats, timeline: bool = True) -> dict:
-    """Every simulated number of a run (the wall clock is not one)."""
+def accounted(stats, trace: Trace, timeline: bool = True) -> dict:
+    """Every simulated number of a run (the wall clock is not one): the
+    ``RunStats`` fields, the ``pregel.superstep`` rows as ``trace`` and
+    the per-node lanes as ``node_timeline``."""
     fields = dataclasses.asdict(stats)
     del fields["wall_seconds"]
-    if not timeline:  # the mp engine's slices are measured, not modelled
-        del fields["node_timeline"]
+    fields["trace"] = [row["attrs"] for row in trace.events("pregel.superstep")]
+    if timeline:  # the mp engine's slices are measured, not modelled
+        fields["node_timeline"] = dataclasses.asdict(trace.node_timeline)
     fields["simulated_seconds"] = stats.simulated_seconds
     return fields
 
@@ -107,10 +114,10 @@ def accounted(stats, timeline: bool = True) -> dict:
 def run(program, graph, **cluster) -> tuple[list, dict]:
     cluster.setdefault("num_nodes", 4)
     timeline = "engine" not in cluster
-    stats = Cluster(cost_model=NO_LIMIT, **cluster).run(
-        graph, program, trace=True, node_timeline=True
-    )
-    return program.seen, accounted(stats, timeline)
+    sink = InMemorySink()
+    with session([sink]):
+        stats = Cluster(cost_model=NO_LIMIT, **cluster).run(graph, program)
+    return program.seen, accounted(stats, Trace(sink.records), timeline)
 
 
 # ----------------------------------------------------------------------
@@ -240,10 +247,14 @@ def test_barrier_counters_equal_a_brute_force_recount(
     cluster = Cluster(
         num_nodes=num_nodes, cost_model=NO_LIMIT, partitioner=partitioner
     )
-    stats = cluster.run(graph, program, trace=True, node_timeline=True)
+    sink = InMemorySink()
+    with session([sink]):
+        stats = cluster.run(graph, program)
+    trace = Trace(sink.records)
 
     local = remote = 0
-    for row in stats.trace:
+    for event in trace.events("pregel.superstep"):
+        row = SimpleNamespace(**event["attrs"])
         sent = program.log.get(row.superstep, [])
         if combine:  # one copy per (sending node, destination, payload)
             sent = list(
@@ -262,7 +273,7 @@ def test_barrier_counters_equal_a_brute_force_recount(
         assert row.remote_bytes == sum(recv)
         slices = [
             piece.recv_bytes
-            for piece in stats.node_timeline.slices
+            for piece in trace.node_timeline.slices
             if piece.superstep == row.superstep
         ]
         assert slices == recv

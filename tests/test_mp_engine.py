@@ -47,6 +47,9 @@ from repro.pregel.engine import (
 from repro.pregel.metrics import RunStats
 from repro.pregel.mp import MultiprocessEngine
 from repro.pregel.vertex_program import VertexProgram
+from repro.telemetry import session
+from repro.telemetry.reader import Trace
+from repro.telemetry.sinks import InMemorySink
 
 
 # ----------------------------------------------------------------------
@@ -172,18 +175,22 @@ def test_vertex_program_mp_hooks_default_unimplemented():
 # ----------------------------------------------------------------------
 def _flood(engine, graph, cost_model=None, **run_kwargs):
     """One traced DRL flood on ``engine``: ``(exception or None, the
-    committed stats with the wall clock zeroed)``."""
+    committed stats with the wall clock zeroed, its pregel.superstep
+    rows)``."""
     cluster = Cluster(num_nodes=3, cost_model=cost_model, engine=engine, workers=2)
     stats = RunStats(num_nodes=3, per_node_units=[0] * 3)
     error = None
-    try:
-        cluster.run(
-            graph, DrlFloodProgram(graph, degree_order(graph)),
-            stats=stats, trace=True, **run_kwargs,
-        )
-    except ReproError as exc:
-        error = exc
-    return error, replace(stats, wall_seconds=0.0)
+    sink = InMemorySink()
+    with session([sink]):
+        try:
+            cluster.run(
+                graph, DrlFloodProgram(graph, degree_order(graph)),
+                stats=stats, **run_kwargs,
+            )
+        except ReproError as exc:
+            error = exc
+    rows = [e["attrs"] for e in Trace(sink.records).events("pregel.superstep")]
+    return error, replace(stats, wall_seconds=0.0), rows
 
 
 def test_single_worker_matches_simulator():
@@ -194,13 +201,13 @@ def test_single_worker_matches_simulator():
     assert mp.stats.simulated_seconds == sim.stats.simulated_seconds
     # Trace rows and the finalize pass (one super-step beyond the last
     # traced one), not just totals.
-    _, sim_stats = _flood("sim", graph)
-    _, mp_stats = _flood(MultiprocessEngine(workers=1), graph)
-    assert mp_stats == sim_stats
-    assert sim_stats.supersteps == len(sim_stats.trace) + 1
+    _, sim_stats, sim_trace = _flood("sim", graph)
+    _, mp_stats, mp_trace = _flood(MultiprocessEngine(workers=1), graph)
+    assert (mp_stats, mp_trace) == (sim_stats, sim_trace)
+    assert sim_stats.supersteps == len(sim_trace) + 1
     assert sum(sim_stats.per_node_units) == sim_stats.compute_units
     assert sim_stats.compute_units > sum(
-        row.compute_units for row in sim_stats.trace
+        row["compute_units"] for row in sim_trace
     )
 
 
@@ -208,10 +215,10 @@ def test_mp_timeline_holds_measured_worker_slices():
     """Under mp, the timeline is per *worker process* with measured
     wall-clock, not the simulator's modelled per-node split."""
     graph = citation_graph(24, avg_refs=2.0, seed=4)
-    result = drl_index(
-        graph, num_nodes=4, engine="mp", workers=2, node_timeline=True
-    )
-    timeline = result.stats.node_timeline
+    sink = InMemorySink()
+    with session([sink]):
+        drl_index(graph, num_nodes=4, engine="mp", workers=2)
+    timeline = Trace(sink.records).node_timeline
     assert timeline is not None
     assert timeline.num_nodes == 2
     assert timeline.slices
@@ -228,12 +235,12 @@ def test_mp_timeline_holds_measured_worker_slices():
 def test_superstep_limit_ends_mp_like_the_simulator():
     graph = citation_graph(80, avg_refs=2.5, seed=4)
     before = _shm_segments()
-    sim_error, sim_stats = _flood("sim", graph, max_supersteps=3)
-    mp_error, mp_stats = _flood("mp", graph, max_supersteps=3)
+    sim_error, sim_stats, sim_trace = _flood("sim", graph, max_supersteps=3)
+    mp_error, mp_stats, mp_trace = _flood("mp", graph, max_supersteps=3)
     assert type(sim_error) is type(mp_error) is SuperstepLimitExceeded
     assert str(mp_error) == str(sim_error)
-    assert mp_stats == sim_stats
-    assert mp_stats.supersteps == len(mp_stats.trace) == 3
+    assert (mp_stats, mp_trace) == (sim_stats, sim_trace)
+    assert mp_stats.supersteps == len(mp_trace) == 3
     assert multiprocessing.active_children() == []
     assert _shm_segments() <= before
 
@@ -241,14 +248,14 @@ def test_superstep_limit_ends_mp_like_the_simulator():
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
 def test_time_limit_ends_mp_like_the_simulator():
     graph = citation_graph(80, avg_refs=2.5, seed=4)
-    _, full = _flood("sim", graph)
+    _, full, _ = _flood("sim", graph)
     cost = CostModel().with_time_limit(full.simulated_seconds / 2)
     before = _shm_segments()
-    sim_error, sim_stats = _flood("sim", graph, cost_model=cost)
-    mp_error, mp_stats = _flood("mp", graph, cost_model=cost)
+    sim_error, sim_stats, sim_trace = _flood("sim", graph, cost_model=cost)
+    mp_error, mp_stats, mp_trace = _flood("mp", graph, cost_model=cost)
     assert type(sim_error) is type(mp_error) is TimeLimitExceeded
     assert str(mp_error) == str(sim_error)
-    assert mp_stats == sim_stats
+    assert (mp_stats, mp_trace) == (sim_stats, sim_trace)
     assert 0 < mp_stats.supersteps < full.supersteps
     assert multiprocessing.active_children() == []
     assert _shm_segments() <= before

@@ -11,7 +11,6 @@ from repro.faults import FaultPlan
 from repro.graph.generators import random_digraph
 from repro.pregel.cost_model import CostModel
 from repro.pregel.engine import Cluster
-from repro.pregel.metrics import NodeSlice, NodeTimeline, RunStats
 from repro.pregel.vertex_program import VertexProgram
 from repro.profiling import (
     analyze_skew,
@@ -47,19 +46,22 @@ def graph():
     return random_digraph(120, 480, seed=11)
 
 
+def timed(run):
+    """``run()`` under a session: its result and the node timeline
+    :class:`Trace` rebuilds from the session's records."""
+    sink = InMemorySink()
+    with session([sink]):
+        result = run()
+    return result, Trace(sink.records).node_timeline
+
+
 # ----------------------------------------------------------------------
 # Timeline recording in the engine
 # ----------------------------------------------------------------------
-def test_timeline_off_by_default(graph):
-    stats = Cluster(num_nodes=4, cost_model=_NO_LIMIT).run(graph, _Flood())
-    assert stats.node_timeline is None
-
-
 def test_timeline_slices_sum_to_run_totals(graph):
-    stats = Cluster(num_nodes=4, cost_model=_NO_LIMIT).run(
-        graph, _Flood(), node_timeline=True
+    stats, timeline = timed(
+        lambda: Cluster(num_nodes=4, cost_model=_NO_LIMIT).run(graph, _Flood())
     )
-    timeline = stats.node_timeline
     assert timeline is not None
     assert timeline.num_nodes == 4
     assert len(timeline.supersteps()) == stats.supersteps
@@ -87,8 +89,8 @@ def test_timeline_slices_sum_to_run_totals(graph):
 def test_timeline_wait_is_nonnegative_and_slowdown_recorded(graph):
     plan = FaultPlan.parse("straggler=2x4.0")
     cluster = Cluster(num_nodes=4, cost_model=_NO_LIMIT, faults=plan)
-    stats = cluster.run(graph, _Flood(), node_timeline=True)
-    for piece in stats.node_timeline.slices:
+    _, timeline = timed(lambda: cluster.run(graph, _Flood()))
+    for piece in timeline.slices:
         assert piece.barrier_wait_seconds >= 0
         assert piece.slowdown == (4.0 if piece.node == 2 else 1.0)
 
@@ -99,10 +101,12 @@ def test_timeline_records_finalize_pass(graph):
             for v in range(fctx.graph.num_vertices):
                 fctx.charge(v)
 
-    stats = Cluster(num_nodes=4, cost_model=_NO_LIMIT).run(
-        graph, _Finalizing(), node_timeline=True
+    stats, timeline = timed(
+        lambda: Cluster(num_nodes=4, cost_model=_NO_LIMIT).run(
+            graph, _Finalizing()
+        )
     )
-    groups = stats.node_timeline.supersteps()
+    groups = timeline.supersteps()
     assert len(groups) == stats.supersteps  # finalize counts as one
     last = groups[-1]
     assert all(piece.comm_seconds == 0.0 for piece in last)
@@ -114,34 +118,33 @@ def test_timeline_records_fault_intervals(graph):
     cluster = Cluster(
         num_nodes=4, cost_model=_NO_LIMIT, faults=plan, checkpoint_interval=2
     )
-    stats = cluster.run(graph, _Flood(), node_timeline=True)
+    stats, timeline = timed(lambda: cluster.run(graph, _Flood()))
     assert stats.crashes == 1
-    kinds = {i.kind for i in stats.node_timeline.intervals}
-    assert "recovery" in kinds and "checkpoint" in kinds and "replay" in kinds
-    recovery = next(
-        i for i in stats.node_timeline.intervals if i.kind == "recovery"
-    )
+    # The stream carries the discarded attempt (``pregel.replay``) where
+    # the run spent it: before the recovery it triggered.
+    assert [(i.kind, i.superstep) for i in timeline.intervals] == [
+        ("checkpoint", 2), ("replay", 3), ("recovery", 3),
+        ("checkpoint", 4), ("checkpoint", 6), ("checkpoint", 8),
+    ]
+    recovery = next(i for i in timeline.intervals if i.kind == "recovery")
     assert recovery.nodes == (1,)
     accounted = sum(
         i.seconds
-        for i in stats.node_timeline.intervals
+        for i in timeline.intervals
         if i.kind in ("recovery", "replay")
     )
     assert accounted == pytest.approx(stats.recovery_seconds)
     checkpointed = sum(
-        i.seconds
-        for i in stats.node_timeline.intervals
-        if i.kind == "checkpoint"
+        i.seconds for i in timeline.intervals if i.kind == "checkpoint"
     )
     assert checkpointed == pytest.approx(stats.checkpoint_seconds)
 
 
 def test_timeline_merges_across_chained_runs(graph):
-    result = drl_batch_index(
-        graph, num_nodes=4, cost_model=_NO_LIMIT, node_timeline=True
+    result, timeline = timed(
+        lambda: drl_batch_index(graph, num_nodes=4, cost_model=_NO_LIMIT)
     )
     stats = result.stats
-    timeline = stats.node_timeline
     assert timeline is not None
     assert len(timeline.supersteps()) == stats.supersteps
     assert [t["units"] for t in timeline.node_totals()] == stats.per_node_units
@@ -149,13 +152,11 @@ def test_timeline_merges_across_chained_runs(graph):
 
 def test_timeline_via_builders(graph):
     for builder in (drl_index, drl_basic_index):
-        result = builder(
-            graph, num_nodes=4, cost_model=_NO_LIMIT, node_timeline=True
+        result, timeline = timed(
+            lambda: builder(graph, num_nodes=4, cost_model=_NO_LIMIT)
         )
-        assert result.stats.node_timeline is not None
-        assert result.stats.node_timeline.slices
-        off = builder(graph, num_nodes=4, cost_model=_NO_LIMIT)
-        assert off.stats.node_timeline is None
+        assert timeline is not None
+        assert len(timeline.supersteps()) == result.stats.supersteps
 
 
 def test_node_events_emitted_under_session(graph):
@@ -166,23 +167,7 @@ def test_node_events_emitted_under_session(graph):
         )
     node_events = [e for e in sink.events if e.name == "pregel.node"]
     assert len(node_events) == 4 * stats.supersteps
-    assert stats.node_timeline is None  # events != the opt-in timeline
     assert sum(e.attrs["units"] for e in node_events) == stats.compute_units
-
-
-def test_runstats_merge_concatenates_timelines():
-    a = RunStats(num_nodes=2)
-    a.node_timeline = NodeTimeline(num_nodes=2)
-    a.node_timeline.slices.append(
-        NodeSlice(1, 0, 5, 1.0, 0.5, 0.0, 0.1, 64)
-    )
-    b = RunStats(num_nodes=2)
-    b.node_timeline = NodeTimeline(num_nodes=2)
-    b.node_timeline.slices.append(
-        NodeSlice(1, 1, 3, 0.6, 0.2, 0.7, 0.1, 32)
-    )
-    a.merge(b)
-    assert len(a.node_timeline.slices) == 2
 
 
 # ----------------------------------------------------------------------
@@ -190,14 +175,12 @@ def test_runstats_merge_concatenates_timelines():
 # ----------------------------------------------------------------------
 def test_skew_names_straggler_and_estimates_rebalance(graph):
     plan = FaultPlan.parse("straggler=2x4.0")
-    result = drl_batch_index(
-        graph,
-        num_nodes=4,
-        cost_model=_NO_LIMIT,
-        faults=plan,
-        node_timeline=True,
+    _, timeline = timed(
+        lambda: drl_batch_index(
+            graph, num_nodes=4, cost_model=_NO_LIMIT, faults=plan
+        )
     )
-    report = analyze_skew(result.stats.node_timeline)
+    report = analyze_skew(timeline)
     assert report.dominant_straggler == 2
     assert report.stragglers[0][1] == pytest.approx(4.0)
     assert not report.balanced
@@ -209,34 +192,15 @@ def test_skew_names_straggler_and_estimates_rebalance(graph):
 
 
 def test_skew_clean_run_is_balanced(graph):
-    result = drl_batch_index(
-        graph, num_nodes=4, cost_model=_NO_LIMIT, node_timeline=True
+    _, timeline = timed(
+        lambda: drl_batch_index(graph, num_nodes=4, cost_model=_NO_LIMIT)
     )
-    report = analyze_skew(result.stats.node_timeline)
+    report = analyze_skew(timeline)
     assert report.dominant_straggler is None
     assert report.balanced
     assert report.gini < 0.1
     assert 0 <= report.barrier_wait_share < 0.2
     assert sum(l.busy_share for l in report.node_loads) == pytest.approx(1.0)
-
-
-def test_timeline_from_records_matches_live_timeline(graph, tmp_path):
-    path = tmp_path / "trace.jsonl"
-    with session([JsonlSink(path)]):
-        live = Cluster(num_nodes=4, cost_model=_NO_LIMIT).run(
-            graph, _Flood(), node_timeline=True
-        )
-    rebuilt = read_trace(path).node_timeline
-    assert rebuilt is not None
-    assert rebuilt.num_nodes == 4
-    assert len(rebuilt.slices) == len(live.node_timeline.slices)
-    for ours, theirs in zip(rebuilt.slices, live.node_timeline.slices):
-        assert ours.node == theirs.node
-        assert ours.units == theirs.units
-        assert ours.compute_seconds == pytest.approx(theirs.compute_seconds)
-        assert ours.barrier_wait_seconds == pytest.approx(
-            theirs.barrier_wait_seconds
-        )
 
 
 def test_timeline_from_records_empty_without_node_events():
@@ -251,9 +215,7 @@ def test_timeline_from_records_empty_without_node_events():
 def trace_records(graph, tmp_path):
     path = tmp_path / "trace.jsonl"
     with session([JsonlSink(path)]):
-        stats = Cluster(num_nodes=4, cost_model=_NO_LIMIT).run(
-            graph, _Flood(), node_timeline=True
-        )
+        stats = Cluster(num_nodes=4, cost_model=_NO_LIMIT).run(graph, _Flood())
     return read_trace(path), stats
 
 
@@ -277,14 +239,19 @@ def test_chrome_trace_one_process_per_node(trace_records):
 def test_chrome_trace_node_totals_match_timeline(trace_records):
     records, stats = trace_records
     events = chrome_trace(records)["traceEvents"]
-    totals = stats.node_timeline.node_totals()
+    # Every lane spans the run's comp + comm + barrier total.
+    total = (
+        stats.computation_seconds
+        + stats.communication_seconds
+        + stats.barrier_seconds
+    )
     for node in range(4):
         lane_us = sum(
             e["dur"]
             for e in events
             if e["ph"] == "X" and e["pid"] == node + 1
         )
-        assert lane_us == pytest.approx(totals[node]["total_seconds"] * 1e6)
+        assert lane_us == pytest.approx(total * 1e6)
 
 
 def test_chrome_trace_wall_timestamps_normalized(trace_records):

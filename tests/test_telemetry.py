@@ -395,8 +395,13 @@ def test_cluster_run_span_marks_time_limit():
 
 def test_no_telemetry_no_records():
     g = random_digraph(40, 120, seed=3)
+    sink = InMemorySink()
+    with session([sink]):
+        pass
+    records = len(sink.records)
     stats = Cluster(num_nodes=4, cost_model=_NO_LIMIT).run(g, _Flood())
-    assert stats.trace == []  # engine-side tracing still opt-in
+    assert stats.supersteps > 0
+    assert len(sink.records) == records  # outside a session: no events
 
 
 # ----------------------------------------------------------------------
