@@ -21,7 +21,7 @@ from repro.bench.results import ExperimentTable
 from repro.core.build import build_index
 from repro.core.condensed import build_condensed_index
 from repro.pregel.cost_model import paper_scale_model
-from repro.pregel.serial import SerialMeter
+from repro.query import IndexBackend, MeteredSearchBackend
 from repro.workloads.datasets import MEDIUM_DATASETS, get_dataset
 from repro.workloads.queries import random_pairs
 
@@ -31,7 +31,6 @@ APPROACHES = ("DRL_b", "condensed", "chain-TC", "BFL", "GRAIL", "IP", "online")
 def _run():
     names = MEDIUM_DATASETS if FIG_DATASETS is None else FIG_DATASETS
     cost_model = paper_scale_model(time_limit_seconds=None)
-    t_op = cost_model.t_op
     size_table = ExperimentTable(
         "Baselines — index size (KiB)", list(APPROACHES), precision=1
     )
@@ -43,17 +42,32 @@ def _run():
     for name in names:
         graph = get_dataset(name).load()
         pairs = random_pairs(graph.num_vertices, 400, seed=11)
-
-        result = build_index(graph, cost_model=cost_model)
-        size_table.set(name, "DRL_b", result.index.size_bytes() / 1024)
-        units = sum(
-            len(result.index.out_labels(s)) + len(result.index.in_labels(t)) + 1
-            for s, t in pairs
-        )
-        query_table.set(name, "DRL_b", units * t_op / len(pairs))
-
+        index = build_index(graph, cost_model=cost_model).index
         condensed, _ = build_condensed_index(graph, cost_model=cost_model)
-        size_table.set(name, "condensed", condensed.size_bytes() / 1024)
+        metered = {
+            "chain-TC": build_chain_tc(graph),
+            "IP": build_ip(graph),
+            "BFL": build_bfl(graph),
+            "GRAIL": build_grail(graph),
+        }
+        sized = {"DRL_b": index, "condensed": condensed, **metered}
+        for label, built in sized.items():
+            size_table.set(name, label, built.size_bytes() / 1024)
+        size_table.set(name, "online", 0.0)
+
+        backends = {
+            "DRL_b": IndexBackend(index, cost_model),
+            **{
+                label: MeteredSearchBackend(built, cost_model)
+                for label, built in metered.items()
+            },
+            "online": OnlineSearcher(graph, cost_model),
+        }
+        for label, backend in backends.items():
+            total = sum(backend.query_with_cost(s, t)[1] for s, t in pairs)
+            query_table.set(name, label, total / len(pairs))
+        # Inline because label_sizes does not read a condensed index:
+        # two component lookups plus the merge on the DAG's labels.
         dag_index = condensed.dag_index
         units = sum(
             len(dag_index.out_labels(condensed.component_of(s)))
@@ -61,40 +75,7 @@ def _run():
             + 2
             for s, t in pairs
         )
-        query_table.set(name, "condensed", units * t_op / len(pairs))
-
-        chain = build_chain_tc(graph)
-        size_table.set(name, "chain-TC", chain.size_bytes() / 1024)
-        meter = SerialMeter(cost_model.with_time_limit(None))
-        for s, t in pairs:
-            chain.query(s, t, meter=meter)
-        query_table.set(name, "chain-TC", meter.simulated_seconds / len(pairs))
-
-        ip = build_ip(graph)
-        size_table.set(name, "IP", ip.size_bytes() / 1024)
-        meter = SerialMeter(cost_model.with_time_limit(None))
-        for s, t in pairs:
-            ip.query(s, t, meter=meter)
-        query_table.set(name, "IP", meter.simulated_seconds / len(pairs))
-
-        bfl = build_bfl(graph)
-        size_table.set(name, "BFL", bfl.size_bytes() / 1024)
-        meter = SerialMeter(cost_model.with_time_limit(None))
-        for s, t in pairs:
-            bfl.query(s, t, meter=meter)
-        query_table.set(name, "BFL", meter.simulated_seconds / len(pairs))
-
-        grail = build_grail(graph)
-        size_table.set(name, "GRAIL", grail.size_bytes() / 1024)
-        meter = SerialMeter(cost_model.with_time_limit(None))
-        for s, t in pairs:
-            grail.query(s, t, meter=meter)
-        query_table.set(name, "GRAIL", meter.simulated_seconds / len(pairs))
-
-        online = OnlineSearcher(graph, cost_model)
-        size_table.set(name, "online", 0.0)
-        total = sum(online.query_with_cost(s, t)[1] for s, t in pairs)
-        query_table.set(name, "online", total / len(pairs))
+        query_table.set(name, "condensed", units * cost_model.t_op / len(pairs))
     return size_table, query_table
 
 

@@ -2,8 +2,9 @@
 
 Mean query times (Table VI) hide the tail: index-assisted methods are
 bimodal — label-only answers are fast, fallback traversals are slow.
-This measures p50/p99 simulated latency for the 2-hop index (collected
-and sharded), BFL, GRAIL, and online search on the medium graphs.
+This measures p50/p99 simulated latency for the 2-hop index (collected,
+and sharded through the serving layer's label store), BFL, GRAIL, and
+online search on the medium graphs.
 """
 
 from __future__ import annotations
@@ -16,11 +17,8 @@ from repro.baselines.online import OnlineSearcher
 from repro.bench.results import ExperimentTable
 from repro.core.build import build_index
 from repro.pregel.cost_model import paper_scale_model
-from repro.query import (
-    DistributedIndexBackend,
-    IndexBackend,
-    MeteredSearchBackend,
-)
+from repro.query import IndexBackend, MeteredSearchBackend
+from repro.serve import ShardedIndexBackend, ShardedLabelStore
 from repro.telemetry.metrics import sorted_percentile
 from repro.workloads.datasets import MEDIUM_DATASETS, get_dataset
 from repro.workloads.queries import random_pairs
@@ -42,8 +40,8 @@ def _run():
         index = build_index(graph, cost_model=cost_model).index
         backends_by_label = {
             "index": IndexBackend(index, cost_model),
-            "sharded index": DistributedIndexBackend(
-                index, num_nodes=32, cost_model=cost_model
+            "sharded index": ShardedIndexBackend(
+                ShardedLabelStore(index, num_shards=32, cost_model=cost_model)
             ),
             "BFL": MeteredSearchBackend(build_bfl(graph), cost_model),
             "GRAIL": MeteredSearchBackend(build_grail(graph), cost_model),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 
 from repro.baselines.bfl import DEFAULT_S_BITS, BflIndex, build_bfl
-from repro.errors import check_count
+from repro.errors import check_count, check_vertex
 from repro.faults import FaultPlan
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import HashPartitioner, Partitioner
@@ -65,6 +65,8 @@ class DistributedBflIndex:
         over the partitioned graph, pruned by the labels like BFL^C's
         fallback but charged one ``t_hop`` per cross-node edge.
         """
+        check_vertex(s, self._graph.num_vertices)
+        check_vertex(t, self._graph.num_vertices)
         cost = self._cost
         answer, used_fallback = self._inner.query_verbose(s, t)
         # Labels live with their owning nodes: every query first fetches

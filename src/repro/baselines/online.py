@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.errors import check_vertex
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import HashPartitioner, Partitioner
 from repro.pregel.cost_model import CostModel
@@ -33,6 +34,8 @@ class OnlineSearcher:
 
     def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
         """Like :meth:`query`, also returning simulated seconds."""
+        check_vertex(s, self._graph.num_vertices)
+        check_vertex(t, self._graph.num_vertices)
         answer, units = self._bfs(s, t)
         return answer, units * self._cost.t_op
 
@@ -89,6 +92,8 @@ class DistributedOnlineSearcher:
 
     def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
         """Returns ``(answer, simulated seconds)`` for one query."""
+        check_vertex(s, self._graph.num_vertices)
+        check_vertex(t, self._graph.num_vertices)
         cost = self._cost
         if s == t:
             return True, cost.t_op

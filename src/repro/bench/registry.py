@@ -9,6 +9,7 @@ one dataset row (see :class:`~repro.bench.harness.Experiment`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import Any, Callable, Sequence
 
@@ -17,7 +18,6 @@ from repro.errors import ReproError
 from repro.faults import FaultPlan
 from repro.graph.order import ORDER_STRATEGIES
 from repro.graph.partition import PARTITIONER_STRATEGIES
-from repro.pregel.serial import SerialMeter
 from repro.workloads.datasets import DATASETS
 from repro.workloads.queries import random_pairs
 
@@ -65,32 +65,19 @@ def _combiner_saving(built: Built) -> float:
     return 100.0 * (plain - built.stats.total_messages) / max(1, plain)
 
 
-def _query_seconds(num_queries: int, cost_of: Callable) -> Statistic:
-    """Mean simulated seconds of ``num_queries`` random queries."""
+def _query_seconds(num_queries: int, backend: Callable) -> Statistic:
+    """Mean simulated seconds of ``num_queries`` random queries, each
+    priced by ``backend(index, cost_model)``'s ``query_with_cost``."""
 
     def statistic(built: Built) -> float:
+        serve = backend(built.index, built.cost_model)
         pairs = random_pairs(built.graph.num_vertices, num_queries, seed=0)
-        return cost_of(built, pairs) / max(1, len(pairs))
+        # fsum: a plain sum's rounding drifts by a few ulps, enough to
+        # flip a cell that sits on a rounding tie (HOST at 300 pairs).
+        total = math.fsum(serve.query_with_cost(s, t)[1] for s, t in pairs)
+        return total / max(1, len(pairs))
 
     return statistic
-
-
-def _label_query(built: Built, pairs) -> float:
-    # One unit per label entry the sorted merge scans: O(|L_out|+|L_in|).
-    out_sizes, in_sizes = built.index.out_sizes, built.index.in_sizes
-    units = sum(out_sizes[s] + in_sizes[t] + 1 for s, t in pairs)
-    return units * built.cost_model.t_op
-
-
-def _bfl_c_query(built: Built, pairs) -> float:
-    meter = SerialMeter(built.cost_model.with_time_limit(None))
-    for s, t in pairs:
-        built.index.query(s, t, meter=meter)
-    return meter.simulated_seconds
-
-
-def _bfl_d_query(built: Built, pairs) -> float:
-    return sum(built.index.query_with_cost(s, t)[1] for s, t in pairs)
 
 
 # ----------------------------------------------------------------------
@@ -139,8 +126,12 @@ def _axis(
     datasets=tuple(DATASETS),
 )
 def _table6(num_queries=2000):
-    def method(label, method, cost_of, **how):
-        query = _query_seconds(num_queries, cost_of)
+    # Imported here: repro.query imports repro.observe, which imports
+    # repro.bench.
+    from repro.query import IndexBackend, MeteredSearchBackend
+
+    def method(label, method, backend, **how):
+        query = _query_seconds(num_queries, backend)
         lands = ((0, label, _seconds), (1, label, _kib), (2, label, query))
         return Variant(label, method, lands, **how)
 
@@ -150,12 +141,15 @@ def _table6(num_queries=2000):
             cost_model, t_byte=0.0, t_barrier=cost_model.t_barrier / 10
         )
     }
+    # BFL^D's index prices its own queries (a token walk when the
+    # labels cannot decide).
+    itself = lambda index, cost_model: index
     return [
-        method("BFL^C", "bfl-c", _bfl_c_query, kwargs={"num_nodes": 1}),
-        method("BFL^D", "bfl-d", _bfl_d_query),
-        method("TOL", "tol", _label_query),
-        method("DRL_b", "drl-b", _label_query),
-        method("DRL_b^M", "drl-b-m", _label_query, derive=shared_memory),
+        method("BFL^C", "bfl-c", MeteredSearchBackend, kwargs={"num_nodes": 1}),
+        method("BFL^D", "bfl-d", itself),
+        method("TOL", "tol", IndexBackend),
+        method("DRL_b", "drl-b", IndexBackend),
+        method("DRL_b^M", "drl-b-m", IndexBackend, derive=shared_memory),
     ]
 
 

@@ -1,5 +1,6 @@
-"""Exception types shared across the library, and the two checks that
-refuse a malformed count or duration where a setting comes in."""
+"""Exception types shared across the library, the two checks that
+refuse a malformed count or duration where a setting comes in, and the
+one that refuses a vertex id outside an index where a query comes in."""
 
 from __future__ import annotations
 
@@ -37,6 +38,15 @@ def check_seconds(
         bound = "> 0" if positive else ">= 0"
         raise error(f"{name} must be a finite number {bound}, got {value!r}")
     return value
+
+
+def check_vertex(v: int, n: int) -> int:
+    """``v`` when it names one of an index's ``n`` vertices; otherwise
+    raises :class:`ReproError`.  A negative id would count from the end
+    of a row list and answer for another vertex."""
+    if not 0 <= v < n:
+        raise ReproError(f"vertex {v} is outside the index (0..{n - 1})")
+    return v
 
 
 class ReproError(Exception):

@@ -2,23 +2,23 @@
 
 The paper's end state is an index "collected on one machine to support
 in-memory queries"; this subpackage is the cost side of that.  Every
-backend — 2-hop index, sharded 2-hop index, BFL / GRAIL / IP — answers
-``query_with_cost(s, t)`` with the answer and its simulated seconds,
-which is how Table VI's query-time columns are produced in spirit
-(:class:`~repro.baselines.online.OnlineSearcher` already speaks the same
-call).  A *stream* of queries is run by
-:class:`~repro.serve.pipeline.QueryServer`.
+backend — the collected 2-hop index, BFL / GRAIL / IP / chain-TC, the
+online-search fallback — answers ``query_with_cost(s, t)`` with the
+answer and its simulated seconds, and Table VI's and the related-work
+table's query columns are those seconds summed
+(:class:`~repro.baselines.online.OnlineSearcher` speaks the same call).
+Labels left sharded are served by the label store,
+:class:`~repro.serve.ShardedIndexBackend`; a *stream* of queries is run
+by :class:`~repro.serve.pipeline.QueryServer`.
 """
 
 from repro.query.service import (
-    DistributedIndexBackend,
     FallbackBackend,
     IndexBackend,
     MeteredSearchBackend,
 )
 
 __all__ = [
-    "DistributedIndexBackend",
     "FallbackBackend",
     "IndexBackend",
     "MeteredSearchBackend",

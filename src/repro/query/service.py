@@ -4,14 +4,15 @@ from __future__ import annotations
 
 from typing import Protocol
 
+from repro.baselines.chain_tc import ChainTcIndex
 from repro.baselines.online import OnlineSearcher
 from repro.baselines.search import FilterSearchIndex
-from repro.core.labels import ReachabilityIndex, label_sizes
-from repro.errors import ReproError
+from repro.core.labels import label_sizes
+from repro.errors import ReproError, check_vertex
 from repro.graph.digraph import DiGraph
-from repro.graph.partition import HashPartitioner, node_assignment
 from repro.observe import tracing
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
+from repro.pregel.serial import SerialMeter
 from repro.telemetry import current_metrics, enabled
 
 
@@ -33,66 +34,40 @@ class IndexBackend:
     """
 
     def __init__(self, index, cost_model: CostModel | None = None):
-        self._query = index.query
+        self._index = index
         self._out_size_of, self._in_size_of = label_sizes(index)
         self._t_op = (cost_model or DEFAULT_COST_MODEL).t_op
 
     def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
+        index = self._index
+        n = index.num_vertices  # read per query: a dynamic index grows
+        check_vertex(s, n)
+        check_vertex(t, n)
         units = self._out_size_of(s) + self._in_size_of(t) + 1
-        return self._query(s, t), units * self._t_op
+        return index.query(s, t), units * self._t_op
 
 
 class MeteredSearchBackend:
-    """Backend over a filter-and-search index (BFL^C's Bloom filters,
-    GRAIL's intervals, IP's sketches), whose ``query(s, t, meter=)``
-    mixes label tests with an occasional pruned search, metered
-    serially."""
-
-    def __init__(
-        self, index: FilterSearchIndex, cost_model: CostModel | None = None
-    ):
-        self._index = index
-        self._cost = cost_model or DEFAULT_COST_MODEL
-
-    def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
-        from repro.pregel.serial import SerialMeter
-
-        meter = SerialMeter(self._cost.with_time_limit(None))
-        answer = self._index.query(s, t, meter=meter)
-        return answer, meter.simulated_seconds
-
-
-class DistributedIndexBackend:
-    """Query a 2-hop index whose labels stay sharded across nodes.
-
-    The alternative to the paper's collect-to-one-machine setup: each
-    query fetches ``L_out(s)`` and ``L_in(t)`` from their owners (up to
-    two serialized hops plus label bytes) and merges locally.  Still
-    orders of magnitude cheaper than traversing the distributed graph.
-    """
+    """Backend over an index whose ``query(s, t, meter=)`` charges a
+    serial meter: a filter-and-search index (BFL^C's Bloom filters,
+    GRAIL's intervals, IP's sketches), which mixes label tests with an
+    occasional pruned search, or chain-TC's two lookups."""
 
     def __init__(
         self,
-        index: ReachabilityIndex,
-        num_nodes: int = 32,
+        index: FilterSearchIndex | ChainTcIndex,
         cost_model: CostModel | None = None,
     ):
         self._index = index
-        self._cost = cost_model or DEFAULT_COST_MODEL
-        self._node_of = node_assignment(
-            HashPartitioner(num_nodes), index.num_vertices
-        )
+        self._cost = (cost_model or DEFAULT_COST_MODEL).with_time_limit(None)
 
     def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
-        cost = self._cost
         index = self._index
-        out_size = index.out_sizes[s]
-        in_size = index.in_sizes[t]
-        seconds = (out_size + in_size + 1) * cost.t_op
-        for vertex, size in ((s, out_size), (t, in_size)):
-            if self._node_of[vertex] != 0:  # node 0 coordinates the gather
-                seconds += cost.t_hop + size * cost.entry_bytes * cost.t_byte
-        return index.query(s, t), seconds
+        check_vertex(s, index.num_vertices)
+        check_vertex(t, index.num_vertices)
+        meter = SerialMeter(self._cost)
+        answer = index.query(s, t, meter=meter)
+        return answer, meter.simulated_seconds
 
 
 class FallbackBackend:

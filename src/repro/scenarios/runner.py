@@ -35,8 +35,8 @@ from repro.serve.cache import CachingBackend, QueryCache
 from repro.serve.mutation import MutationBackend
 from repro.serve.faults import Timeline
 from repro.serve.pipeline import QueryServer, ServeReport
-from repro.serve.replica import BoundedStalenessReplicator, ReplicatedLabelStore
-from repro.serve.store import ShardedIndexBackend
+from repro.serve.replica import BoundedStalenessReplicator
+from repro.serve.store import ShardedIndexBackend, ShardedLabelStore
 from repro.telemetry import attached
 from repro.workloads.updates import mixed_update_stream, update_stream
 
@@ -240,7 +240,7 @@ def run_scenario(
     else:
         index = tol_index(graph)
 
-    store = ReplicatedLabelStore(
+    store = ShardedLabelStore(
         index,
         num_shards=serving.shards,
         partitioner=partitioner,

@@ -170,6 +170,7 @@ class TrafficSpec:
             raise ScenarioSpecError("traffic needs at least one request")
         if self.rate <= 0:
             raise ScenarioSpecError("arrival rate must be positive")
+        check_seconds("skew", self.skew, error=ScenarioSpecError)
 
     @property
     def total_requests(self) -> int:

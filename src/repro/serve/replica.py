@@ -56,6 +56,11 @@ class LabelTable:
     in_labels: list
     out_labels: list
 
+    @property
+    def num_vertices(self) -> int:
+        """Rows installed so far (``add_node`` appends one)."""
+        return len(self.out_labels)
+
     def query(self, s: int, t: int) -> bool:
         """``q(s, t)`` as of the last installed log entry."""
         return not self.out_labels[s].isdisjoint(self.in_labels[t])

@@ -61,7 +61,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.labels import label_sizes
-from repro.errors import ReproError, ShardOutOfMemoryError, ShardUnavailableError
+from repro.errors import (
+    ShardOutOfMemoryError,
+    ShardUnavailableError,
+    check_count,
+    check_seconds,
+    check_vertex,
+)
 from repro.graph.partition import HashPartitioner, Partitioner, node_assignment
 from repro.observe import tracing
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
@@ -88,12 +94,9 @@ class HealthPolicy:
     failure_threshold: int = 2
 
     def __post_init__(self):
-        if self.timeout_seconds <= 0:
-            raise ValueError("timeout must be positive")
-        if self.backoff_seconds < 0:
-            raise ValueError("backoff must be non-negative")
-        if self.failure_threshold < 1:
-            raise ValueError("failure threshold must be >= 1")
+        check_seconds("timeout_seconds", self.timeout_seconds, positive=True)
+        check_seconds("backoff_seconds", self.backoff_seconds)
+        check_count("failure_threshold", self.failure_threshold)
 
     def penalty_seconds(self, attempt: int) -> float:
         """Cost of the ``attempt``-th failed read in one fetch (0-based)."""
@@ -189,10 +192,10 @@ class ShardedLabelStore:
         health: HealthPolicy | None = None,
         replicator=None,
     ):
-        if replicas is None:
-            replicas = self.default_replicas
-        if replicas < 1:
-            raise ValueError("need at least one replica per shard")
+        num_shards = check_count("num_shards", num_shards)
+        replicas = check_count(
+            "replicas", self.default_replicas if replicas is None else replicas
+        )
         if policy not in READ_POLICIES:
             raise ValueError(
                 f"unknown read policy {policy!r} (expected one of "
@@ -276,8 +279,7 @@ class ShardedLabelStore:
         gained since (``add_node``) extends the map, anything else is
         rejected as outside the index."""
         n = self._index.num_vertices
-        if not 0 <= v < n:
-            raise ReproError(f"vertex {v} is outside the index (0..{n - 1})")
+        check_vertex(v, n)
         self._shard_of.extend(
             node_assignment(self._partitioner, n, start=len(self._shard_of))
         )

@@ -29,6 +29,8 @@ import math
 import random
 from bisect import bisect_left
 
+from repro.errors import check_seconds
+
 
 class ZipfSampler:
     """Seeded Zipf(``skew``) sampler over ``n`` items.
@@ -45,8 +47,8 @@ class ZipfSampler:
     def __init__(self, n: int, skew: float = 1.1, seed: int = 0):
         if n < 1:
             raise ValueError("need at least one item")
-        if skew < 0:
-            raise ValueError("skew must be non-negative")
+        # A NaN skew makes every weight NaN: one rank would win every draw.
+        check_seconds("skew", skew)
         self.n = n
         self.skew = skew
         rng = random.Random(seed)

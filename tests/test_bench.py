@@ -1,5 +1,9 @@
 """Tests for the experiment harness and result tables."""
 
+import io
+from contextlib import redirect_stdout
+from types import SimpleNamespace
+
 import pytest
 
 from repro.bench import EXPERIMENTS, sweep
@@ -70,10 +74,81 @@ def test_table_column_values_skip_markers():
 
 
 # ----------------------------------------------------------------------
+# Every registered experiment, run once per module through ``repro bench``
+# ----------------------------------------------------------------------
+class _CellSpans:
+    """A sink that keeps the ``bench.cell`` spans and nothing else:
+    ``k = 1`` emits a lot."""
+
+    def __init__(self):
+        self.spans = []
+
+    def on_span(self, span):
+        if span.name == "bench.cell":
+            self.spans.append(span.attrs)
+
+    def on_event(self, event):
+        pass
+
+    def on_metrics(self, registry):
+        pass
+
+    def close(self):
+        pass
+
+
+def _run_registered(name):
+    """``repro bench NAME`` on one dataset (TW for table6, GO otherwise),
+    counting the builds and keeping the spans, tables and stdout."""
+    from repro import telemetry
+    from repro.bench import harness
+    from repro.bench.results import capture_tables
+    from repro.cli import main
+
+    dataset = "TW" if name == "table6" else "GO"
+    builds = []
+    sink = _CellSpans()
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for target in ("build_index", "build_bfl", "build_bfl_distributed"):
+            builder = getattr(harness, target)
+
+            def counted(*args, builder=builder, **kwargs):
+                builds.append(builder.__name__)
+                return builder(*args, **kwargs)
+
+            monkeypatch.setattr(harness, target, counted)
+        with telemetry.session([sink]), capture_tables() as tables:
+            with redirect_stdout(stdout):
+                status = main(["bench", name, "--datasets", dataset])
+    return SimpleNamespace(
+        dataset=dataset,
+        status=status,
+        tables=tables,
+        builds=builds,
+        spans=sink.spans,
+        stdout=stdout.getvalue(),
+    )
+
+
+@pytest.fixture(scope="module")
+def registered():
+    """``registered(name)``: that experiment's one run in this module."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            runs[name] = _run_registered(name)
+        return runs[name]
+
+    return run
+
+
+# ----------------------------------------------------------------------
 # Harness smoke runs (single small dataset to keep tests fast)
 # ----------------------------------------------------------------------
-def test_table6_single_dataset_shape():
-    time_t, size_t, query_t = sweep(EXPERIMENTS["table6"], ["TW"], axis=50)
+def test_table6_single_dataset_shape(registered):
+    time_t, size_t, query_t = registered("table6").tables
     assert time_t.rows == ["TW"]
     for table in (time_t, size_t, query_t):
         assert table.columns == ["BFL^C", "BFL^D", "TOL", "DRL_b", "DRL_b^M"]
@@ -91,23 +166,23 @@ def test_table6_respects_paper_unavailability():
     assert time_t.get("SINA", "DRL_b").ok
 
 
-def test_fig5_single_dataset():
-    (table,) = sweep(EXPERIMENTS["fig5"], ["GO"])
+def test_fig5_single_dataset(registered):
+    (table,) = registered("fig5").tables
     assert table.rows == ["GO"]
     assert table.get("GO", "DRL comp").ok
     assert table.get("GO", "DRL_b comm").ok
 
 
-def test_fig8_and_fig9_small_sweeps():
+def test_fig8_and_fig9_small_sweeps(registered):
     (fig8,) = sweep(EXPERIMENTS["fig8"], ["GO"], axis=(1, 4))
     assert fig8.columns == ["b=1", "b=4"]
     assert all(fig8.get("GO", c).ok for c in fig8.columns)
-    (fig9,) = sweep(EXPERIMENTS["fig9"], ["GO"], axis=(2, 4))
-    assert all(fig9.get("GO", c).ok for c in fig9.columns)
+    (fig9,) = registered("fig9").tables
+    assert all(fig9.get("GO", c).ok for c in ("k=2", "k=4"))
 
 
-def test_fig9_k1_much_slower():
-    (table,) = sweep(EXPERIMENTS["fig9"], ["GO"], axis=(1, 2))
+def test_fig9_k1_much_slower(registered):
+    (table,) = registered("fig9").tables
     k1 = table.get("GO", "k=1")
     k2 = table.get("GO", "k=2")
     assert k2.ok
@@ -152,8 +227,8 @@ def test_capture_tables_collects_created_tables():
     assert len(captured) == 1
 
 
-def test_run_fault_recovery_table():
-    (table,) = sweep(EXPERIMENTS["faults"], ("GO",))
+def test_run_fault_recovery_table(registered):
+    (table,) = registered("faults").tables
     assert table.rows == ["GO"]
     assert table.get("GO", "identical").value == 1.0
     assert table.get("GO", "recovery s").value > 0.0
@@ -166,62 +241,31 @@ def test_run_fault_recovery_table():
 # The registry: every experiment through the one sweep
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", EXPERIMENTS)
-def test_registered_experiment_end_to_end(name, monkeypatch, capsys):
+def test_registered_experiment_end_to_end(name, registered):
     """Columns as registered, one ``bench.cell`` span per build, and
     the CLI prints the tables' rendering — one sweep, run through
     ``repro bench``."""
-    from repro import telemetry
-    from repro.bench import harness
-    from repro.bench.results import capture_tables
-    from repro.cli import main
-
     experiment = EXPERIMENTS[name]
-    dataset = "TW" if name == "table6" else "GO"
-    builds = []
-    for target in ("build_index", "build_bfl", "build_bfl_distributed"):
-        builder = getattr(harness, target)
-
-        def counted(*args, builder=builder, **kwargs):
-            builds.append(builder.__name__)
-            return builder(*args, **kwargs)
-
-        monkeypatch.setattr(harness, target, counted)
-
-    spans = []
-
-    class CellSpans:  # a sink that keeps nothing else: k = 1 emits a lot
-        def on_span(self, span):
-            if span.name == "bench.cell":
-                spans.append(span.attrs)
-
-        def on_event(self, event):
-            pass
-
-        def on_metrics(self, registry):
-            pass
-
-        def close(self):
-            pass
-
-    with telemetry.session([CellSpans()]), capture_tables() as tables:
-        assert main(["bench", name, "--datasets", dataset]) == 0
+    run = registered(name)
+    dataset = run.dataset
+    assert run.status == 0
 
     variants = experiment.variants()
-    assert len(tables) == len(experiment.tables)
-    for index, (table, spec) in enumerate(zip(tables, experiment.tables)):
+    assert len(run.tables) == len(experiment.tables)
+    for index, (table, spec) in enumerate(zip(run.tables, experiment.tables)):
         assert table.title == spec["title"]
         assert table.rows == [dataset]
         landed = [c for v in variants for t, c, _ in v.lands if t == index]
         assert table.columns == list(dict.fromkeys(landed))
         assert all(table.get(dataset, c).format() for c in table.columns)
     # Nothing fails on these datasets, so every variant was built once.
-    assert len(spans) == len(builds) == len(variants)
-    for attrs in spans:
+    assert len(run.spans) == len(run.builds) == len(variants)
+    for attrs in run.spans:
         assert attrs["experiment"] == name and attrs["dataset"] == dataset
         assert "method" in attrs and "num_nodes" in attrs
 
-    rendered = "".join(table.render() + "\n\n" for table in tables)
-    assert capsys.readouterr().out == rendered
+    rendered = "".join(table.render() + "\n\n" for table in run.tables)
+    assert run.stdout == rendered
 
 
 @pytest.mark.parametrize("name", ["fig5", "ablation-orders"])

@@ -751,6 +751,29 @@ def test_scenario_run_refuses_a_bad_batch_size(tmp_path, batch_size):
     assert line.startswith("error: batch_size must be an integer >= 1")
 
 
+def test_scenario_run_refuses_a_nan_skew(tmp_path, capsys):
+    # A NaN skew made every Zipf weight NaN: the scenario served one
+    # pair 200 times and reported on it.
+    scenario = tmp_path / "nan_skew.json"
+    scenario.write_text(
+        _TINY_SCENARIO.replace('"count": 200,', '"count": 200, "skew": NaN,')
+    )
+    assert main(["scenario", "run", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == "error: skew must be a finite number >= 0, got nan"
+
+
+def test_serve_bench_refuses_a_nan_zipf(capsys):
+    argv = ["serve-bench", "--vertices", "60", "--requests", "50", "--zipf", "nan"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [e for e in captured.err.splitlines() if e.startswith("error:")]
+    assert errors == ["error: skew must be a finite number >= 0, got nan"]
+
+
 def test_scenario_run_unknown_name(capsys):
     assert main(["scenario", "run", "no-such-scenario"]) == 2
     assert "no-such-scenario" in capsys.readouterr().err

@@ -166,3 +166,48 @@ def test_fallback_backend_propagates_real_bugs(graph):
 
     with pytest.raises(RuntimeError):
         FallbackBackend.from_build(graph, broken)
+
+
+# ----------------------------------------------------------------------
+# An id outside the index is refused, never answered for another vertex
+# ----------------------------------------------------------------------
+_OUTSIDE = ("index", "index-dynamic", "bfl", "grail", "online",
+            "online-distributed", "bfl-d", "fallback")
+
+
+@pytest.fixture(scope="module")
+def small_backends():
+    from repro.baselines.bfl_distributed import build_bfl_distributed
+    from repro.baselines.online import DistributedOnlineSearcher
+    from repro.query import FallbackBackend
+
+    graph = social_graph(60, seed=2)
+    backends = {
+        "index": IndexBackend(tol_index(graph), _NO_LIMIT),
+        "index-dynamic": IndexBackend(DynamicReachabilityIndex(graph), _NO_LIMIT),
+        "bfl": MeteredSearchBackend(build_bfl(graph), _NO_LIMIT),
+        "grail": MeteredSearchBackend(build_grail(graph), _NO_LIMIT),
+        "online": OnlineSearcher(graph, _NO_LIMIT),
+        "online-distributed": DistributedOnlineSearcher(
+            graph, num_nodes=4, cost_model=_NO_LIMIT
+        ),
+        "bfl-d": build_bfl_distributed(graph, num_nodes=4, cost_model=_NO_LIMIT)[0],
+        "fallback": FallbackBackend(None, graph, _NO_LIMIT),
+    }
+    assert tuple(backends) == _OUTSIDE
+    return backends
+
+
+@pytest.mark.parametrize("bad", [-2, -1, 60, 61])
+@pytest.mark.parametrize("name", _OUTSIDE)
+def test_backend_refuses_a_vertex_outside_the_index(small_backends, name, bad):
+    # (-2, 3) used to come back as (58, 3); 60 raised a bare IndexError;
+    # the online searchers answered (3, 60) with False.
+    from repro.errors import ReproError
+
+    backend = small_backends[name]
+    message = rf"vertex {bad} is outside the index \(0\.\.59\)"
+    for s, t in ((bad, 3), (3, bad)):
+        with pytest.raises(ReproError, match=message):
+            backend.query_with_cost(s, t)
+    assert backend.query_with_cost(3, 3)[0] is True

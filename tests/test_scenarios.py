@@ -107,6 +107,14 @@ def test_serving_and_replication_settings_are_checked(block, name, value):
         ScenarioSpec.from_dict(raw)
 
 
+@pytest.mark.parametrize("skew", [float("nan"), float("inf")])
+def test_traffic_skew_is_checked(skew):
+    raw = _tiny_raw()
+    raw["traffic"]["pairs"]["skew"] = skew
+    with pytest.raises(ScenarioSpecError, match="skew"):
+        ScenarioSpec.from_dict(raw)
+
+
 def test_cache_size_zero_means_no_cache():
     raw = _tiny_raw()
     raw["serving"]["cache_size"] = 0
@@ -177,8 +185,8 @@ def test_same_instant_update_applies_before_the_fault(monkeypatch):
 
     fired = []
     note_time = runner.BoundedStalenessReplicator.note_time
-    crash = runner.ReplicatedLabelStore.crash_replica
-    slow = runner.ReplicatedLabelStore.set_replica_slowdown
+    crash = runner.ShardedLabelStore.crash_replica
+    slow = runner.ShardedLabelStore.set_replica_slowdown
 
     def noted(self, clock):
         fired.append(("write", clock))
@@ -193,8 +201,8 @@ def test_same_instant_update_applies_before_the_fault(monkeypatch):
         return slow(self, shard, replica, factor, at=at)
 
     monkeypatch.setattr(runner.BoundedStalenessReplicator, "note_time", noted)
-    monkeypatch.setattr(runner.ReplicatedLabelStore, "crash_replica", crashed)
-    monkeypatch.setattr(runner.ReplicatedLabelStore, "set_replica_slowdown", slowed)
+    monkeypatch.setattr(runner.ShardedLabelStore, "crash_replica", crashed)
+    monkeypatch.setattr(runner.ShardedLabelStore, "set_replica_slowdown", slowed)
     raw = _tiny_raw(
         name="tiny-tie",
         replication={"delay_seconds": 0.0005, "max_lag": 8},

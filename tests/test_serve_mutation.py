@@ -22,7 +22,6 @@ from repro.serve import (
     MutationBackend,
     QueryCache,
     QueryServer,
-    ReplicatedLabelStore,
     ShardedIndexBackend,
     ShardedLabelStore,
 )

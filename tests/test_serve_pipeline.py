@@ -342,13 +342,12 @@ def test_replicated_store_drives_end_to_end_failover(graph):
     from repro.baselines.transitive_closure import TransitiveClosure
     from repro.serve import (
         HealthPolicy,
-        ReplicatedLabelStore,
         ServeFaultPlan,
         Timeline,
     )
 
     index = build_index(graph, cost_model=_NO_LIMIT).index
-    store = ReplicatedLabelStore(
+    store = ShardedLabelStore(
         index, num_shards=2, cost_model=_NO_LIMIT, replicas=2,
         health=HealthPolicy(failure_threshold=2),
     )

@@ -21,8 +21,8 @@ from repro.serve import (
     BoundedStalenessReplicator,
     MutationBackend,
     QueryServer,
-    ReplicatedLabelStore,
     ShardedIndexBackend,
+    ShardedLabelStore,
 )
 from repro.serve.faults import (
     ReplicaCrash,
@@ -40,7 +40,7 @@ _NO_LIMIT = CostModel(time_limit_seconds=None)
 _SHARDS = 2
 
 
-class SweepEveryBatchStore(ReplicatedLabelStore):
+class SweepEveryBatchStore(ShardedLabelStore):
     """The pump before the early return: every batch rebuilds the paused
     set, offers delivery, samples lag and sweeps every replica."""
 
@@ -177,7 +177,7 @@ def cases(draw) -> dict:
 @settings(max_examples=40, deadline=None)
 @given(cases())
 def test_early_return_serves_what_the_full_sweep_serves(case):
-    report, events, lag_samples, rows = _serve(ReplicatedLabelStore, case)
+    report, events, lag_samples, rows = _serve(ShardedLabelStore, case)
     ref_report, ref_events, ref_lag_samples, ref_rows = _serve(
         SweepEveryBatchStore, case
     )

@@ -22,6 +22,7 @@ from repro.pregel.cost_model import CostModel
 from repro.query import FallbackBackend
 from repro.serve import (
     BoundedStalenessReplicator,
+    HealthPolicy,
     MutationBackend,
     QueryServer,
     ReplicatedLabelStore,
@@ -83,6 +84,32 @@ def test_one_copy_reproduces_the_pre_merge_sharded_store(index):
     assert store.load_skew() == 1.0490307867730901
     assert store.memory_bytes() == [1376, 1368, 1312, 1320]
     assert store.replica_stats()["replicas_down"] == 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda i: ShardedLabelStore(i, num_shards=2.5), id="shards=2.5"),
+        pytest.param(lambda i: ShardedLabelStore(i, replicas=1.5), id="replicas=1.5"),
+        pytest.param(
+            lambda i: ShardedLabelStore(i, replicas=float("nan")), id="replicas=nan"
+        ),
+        pytest.param(
+            lambda i: HealthPolicy(timeout_seconds=float("nan")), id="timeout=nan"
+        ),
+        pytest.param(
+            lambda i: HealthPolicy(backoff_seconds=float("nan")), id="backoff=nan"
+        ),
+        pytest.param(
+            lambda i: HealthPolicy(failure_threshold=1.5), id="threshold=1.5"
+        ),
+    ],
+)
+def test_counts_and_health_settings_are_checked_where_they_come_in(index, make):
+    # Each used to be a bare TypeError deep in construction, or (NaN
+    # health settings) accepted, making the serving clock NaN.
+    with pytest.raises(ValueError, match="must be"):
+        make(index)
 
 
 def test_shard_routing_follows_partitioner(index):

@@ -22,6 +22,13 @@ def test_zipf_sampler_is_deterministic():
     assert a != c
 
 
+@pytest.mark.parametrize("skew", [float("nan"), float("inf"), -0.5])
+def test_zipf_sampler_refuses_a_skew_that_is_not_a_finite_number(skew):
+    # zipf_pairs(100, 2000, skew=nan) used to return 2000 copies of one pair.
+    with pytest.raises(ValueError, match="skew must be a finite number >= 0"):
+        zipf_pairs(100, 2000, skew=skew)
+
+
 def test_zipf_sampler_stays_in_range():
     sampler = ZipfSampler(10, skew=2.0, seed=0)
     samples = [sampler.sample() for _ in range(1000)]

@@ -1,5 +1,5 @@
 """Tests for index validation, compressed serialization, inverted-list
-statistics, and the distributed index backend."""
+statistics, and a 2-hop index served from sharded labels."""
 
 from array import array
 
@@ -14,7 +14,8 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_digraph, social_graph
 from repro.graph.order import degree_order
 from repro.pregel.cost_model import CostModel
-from repro.query import DistributedIndexBackend, IndexBackend
+from repro.query import IndexBackend
+from repro.serve import ShardedIndexBackend, ShardedLabelStore
 from tests.conftest import digraphs
 
 _NO_LIMIT = CostModel(time_limit_seconds=None)
@@ -218,13 +219,18 @@ def test_inverted_lists_small_relative_to_vertex_count():
 
 
 # ----------------------------------------------------------------------
-# Distributed index backend
+# Labels left sharded: the serving layer's label store as a backend
 # ----------------------------------------------------------------------
+def _sharded(index, num_shards):
+    store = ShardedLabelStore(index, num_shards=num_shards, cost_model=_NO_LIMIT)
+    return ShardedIndexBackend(store)
+
+
 def test_distributed_backend_same_answers_higher_cost():
     g = social_graph(300, seed=8)
     index = build_index(g, cost_model=_NO_LIMIT).index
     local = IndexBackend(index, _NO_LIMIT)
-    remote = DistributedIndexBackend(index, num_nodes=16, cost_model=_NO_LIMIT)
+    remote = _sharded(index, num_shards=16)
     from repro.workloads.queries import random_pairs
 
     pairs = random_pairs(g.num_vertices, 200, seed=9)
@@ -241,7 +247,7 @@ def test_distributed_backend_same_answers_higher_cost():
 def test_distributed_backend_single_node_costs_like_local():
     g = social_graph(200, seed=10)
     index = build_index(g, cost_model=_NO_LIMIT).index
-    backend = DistributedIndexBackend(index, num_nodes=1, cost_model=_NO_LIMIT)
+    backend = _sharded(index, num_shards=1)
     answer, seconds = backend.query_with_cost(0, 100)
     _expected, local_seconds = IndexBackend(index, _NO_LIMIT).query_with_cost(0, 100)
     assert seconds == pytest.approx(local_seconds)
