@@ -4,7 +4,8 @@ The paper leaves dynamic distributed graphs to future work; the
 library ships exact centralized maintenance (``repro.core.dynamic``).
 This measures mean wall-clock cost of an incremental edge insertion /
 deletion against rebuilding the index from scratch.  Insertion is two
-rank floods plus set algebra, deletion the rank-ordered cone repair
+rank floods plus set algebra, deletion a cut of the entries whose pairs
+stopped reaching and a regain from the rows that lost one
 (``docs/dynamic.md``): neither rebuilds, so each gets its own speed-up
 column.  A write that leaves the transitive closure alone skips even
 that, so each direction also reports the share of its writes that did

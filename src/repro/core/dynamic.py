@@ -44,17 +44,18 @@ outranks them in, adding exact entries only, and one set intersection
 per cone row *shrinks* it by the hubs a new walk outranks.  No pair is
 tested for domination, and nothing outside ``A ∪ D`` is read.
 
-*Deletion* ``(u, v)`` is a **rank-ordered cone repair**.  With ``A`` =
-everything that reached ``u`` and ``D`` = everything ``v`` reached on
-the pre-delete graph (the same two sets after the unlink: no walk into
-``u`` or out of ``v`` needs the edge), only reachability pairs in
-``A × D`` can change,
-so only entries ``a ∈ L_in(d)`` / ``d ∈ L_out(a)`` can: those are
-stripped, then the hubs of ``A ∪ D`` re-run their pruned BFS on the new
-graph in rank order — forward for ``h ∈ A``, backward for ``h ∈ D``.  A
-vertex outside the opposite cone keeps its entry status (walk on iff it
-holds ``h``); a vertex inside pays the domination test against
-higher-ranked hubs, whose entries are final because they ran first.
+*Deletion* ``(u, v)`` is a **cut, then a regain**, and never computes
+a cone.  By Theorem 1 a delete keeps an old entry iff its pair still
+reaches, and a pair gains an entry only if the highest vertex on its
+old walks lost its entry in one of the pair's rows.  A lost pair's old
+walks all ran through the edge under their hub, so only the hubs ``u``
+and ``v`` share can lose: for each, the rows it lost are those reached
+from ``v`` through rows holding it, minus those it still reaches (the
+mirror from ``u`` for ``L_out``).  Then the kernel re-runs in rank
+order from each row that lost an entry, and from the vertices ranked
+below a row's best lost hub that reach it (the row included), which
+re-decide only the rows that lost.  A walk passes a row that holds its
+hub untested and unwritten, so only rows that change are written.
 
 *Node addition* appends a fresh vertex id at the **tail of the order**
 (lowest priority).  An isolated tail vertex provably costs nothing:
@@ -62,11 +63,13 @@ its TOL round reaches only itself, and no other round can reach it, so
 its labels are exactly ``{v}``/``{v}`` and every other label set is
 untouched.
 
-*Node deletion* is one cone repair over ``v``'s own two cones (not one
-per edge) and leaves the id behind as an isolated **tombstone** whose
-labels are ``{v}``/``{v}`` — ids are never recycled, so shard maps,
-caches, and replicas keyed by vertex id stay valid.  Mutating a
-tombstone raises; querying one is permitted (it is simply isolated).
+*Node deletion* is the same repair once for all of ``v``'s edges
+(``v`` counts as a lost hub in every row that held it; the cut starts
+from its old neighbours) and leaves the id behind as an isolated
+**tombstone** whose labels are ``{v}``/``{v}`` — ids are never
+recycled, so shard maps, caches, and replicas keyed by vertex id stay
+valid.  Mutating a tombstone raises; querying one is permitted (it is
+simply isolated).
 
 *Order upgrade* (:meth:`promote`) is the TOL butterfly rewrite: moving
 ``v`` from rank ``r_old`` up to ``r_new < r_old`` can only (a) *grow*
@@ -88,11 +91,12 @@ stale as the graph evolves and labels fatten".
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 from repro.core import tol
 from repro.core.labels import ReachabilityIndex
-from repro.errors import IndexAuditError
+from repro.errors import IndexAuditError, check_count
 from repro.graph.digraph import DiGraph
 from repro.graph.order import VertexOrder, degree_order
 
@@ -133,8 +137,8 @@ class DynamicReachabilityIndex:
             order = degree_order(graph)
         if len(order) != graph.num_vertices:
             raise ValueError("order does not cover the graph's vertices")
-        if drift_threshold is not None and drift_threshold < 1:
-            raise ValueError("drift_threshold must be >= 1 (or None)")
+        if drift_threshold is not None:
+            drift_threshold = check_count("drift_threshold", drift_threshold)
         n = graph.num_vertices
         self._n = n
         self._rank = order.ranks
@@ -152,9 +156,10 @@ class DynamicReachabilityIndex:
         self._listeners: list = []
         #: ``(above, below)`` of the last applied update: it changed at most
         #: ``out_labels[w]``, w ∈ above, and ``in_labels[w]``, w ∈ below.
-        #: Deletes and promotes report their two cones; an insert reports
-        #: exactly the rows it wrote; an insert or edge delete that leaves
-        #: the transitive closure alone reports two empty sets.
+        #: An insert or delete (edge or node) reports exactly the rows it
+        #: wrote, which are the rows that changed; a promote reports its
+        #: two cones; an insert or edge delete that leaves the transitive
+        #: closure alone reports two empty sets.
         self.touched: tuple[set[int], set[int]] = (set(), set())
 
     # ------------------------------------------------------------------
@@ -251,9 +256,11 @@ class DynamicReachabilityIndex:
         attach to (see ``docs/dynamic.md``).  For ``promote`` the
         payload is ``(vertex, new_rank)``; for node ops both slots
         carry the vertex id.  While listeners run, :attr:`touched`
-        bounds the label rows the update changed (replication diffs it);
-        an insert or edge delete that leaves the transitive closure
-        alone still notifies, with ``touched == (set(), set())``.
+        bounds the label rows the update changed — for an insert or a
+        delete it names exactly those rows, for a promote its two cones
+        (replication diffs it); an insert or edge delete that leaves the
+        transitive closure alone still notifies, with
+        ``touched == (set(), set())``.
         """
         self._listeners.append(listener)
 
@@ -393,14 +400,14 @@ class DynamicReachabilityIndex:
             return False
         self._out_adj[u].discard(v)
         self._in_adj[v].discard(u)
-        if self._still_reaches(u, v):
-            above, below = set(), set()
-        else:
-            # Only walks from above to below used the edge, and no walk into
-            # u or out of v needs it: the cones read as before the unlink.
-            above = self._plain_bfs(u, self._in_adj)   # everyone reaching u
-            below = self._plain_bfs(v, self._out_adj)  # everyone v reaches
-            self._repair_cones(above, below)
+        above, below = set(), set()  # the rows written, per direction
+        if not self._still_reaches(u, v):
+            # A pair that lost its walks lost them under its hub, which sat
+            # above both endpoints: only the hubs u and v share can lose.
+            in_labels, out_labels = self.in_labels, self.out_labels
+            lost_in = self._cut(in_labels[u] & in_labels[v], [v], True)
+            lost_out = self._cut(out_labels[u] & out_labels[v], [u], False)
+            self._regain(lost_in, lost_out, above, below)
         self._notify("delete", u, v, above, below)
         self._check_drift(u, v)
         return True
@@ -432,31 +439,130 @@ class DynamicReachabilityIndex:
                 stack.pop()
         return False
 
-    def _repair_cones(self, above: set[int], below: set[int]) -> None:
-        """Restore exactness after edges vanished between the cones
-        ``above`` and ``below`` (taken on the pre-removal graph).
-        Only entries ``a ∈ L_in(d)`` / ``d ∈ L_out(a)`` with ``a ∈ above``,
-        ``d ∈ below`` can change.  Strip them, then let each cone hub
-        re-decide its own in rank order, so every higher-ranked witness
-        a domination test consults is final.
+    def _cut(self, hubs, starts, forward: bool) -> dict[int, int]:
+        """Remove every entry of ``hubs`` whose pair stopped reaching when
+        the edges into ``starts`` were cut (``forward``: the ``L_in``
+        entries; otherwise the edges out of ``starts`` and the ``L_out``
+        entries).  Returns the rows that lost an entry, each with the best
+        rank it lost.
+
+        Run on the new adjacency while the labels are the old ones.  A
+        new walk from a hub passes only rows that hold it (each row on it
+        is a row the hub outranks the walk to), and a lost pair's old
+        walk entered the cut at one of ``starts`` and went on through
+        such rows.  So the rows a hub lost are the ones reached from the
+        starts it no longer reaches, stepping onto its rows only, minus
+        those it still enters from a row outside that reach (a row
+        outside lost nothing).
         """
-        in_labels, out_labels, rank = self.in_labels, self.out_labels, self._rank
-        out_adj, in_adj, pruned_bfs = self._out_adj, self._in_adj, tol.pruned_bfs
-        for w in below:
-            in_labels[w] -= above
-        for w in above:
-            out_labels[w] -= below
-        # A vertex outside the opposite cone kept its entry status, so each
-        # walk re-decides only the rows inside it; its witnesses are the hubs
-        # ranked above it in its own opposite row.
-        for hub in sorted(above | below, key=rank.__getitem__):
+        rank = self._rank
+        labels = self.in_labels if forward else self.out_labels
+        adjacency = self._out_adj if forward else self._in_adj
+        reverse = self._in_adj if forward else self._out_adj
+        lost: dict[int, int] = {}
+        for hub in hubs:
+            cut = [
+                s for s in starts
+                if hub in labels[s] and not self._reaches(hub, s, reverse, labels)
+            ]
+            if not cut:
+                continue
+            reached = set(cut)
+            queue = cut
+            for w in queue:
+                for x in adjacency[w]:
+                    if x not in reached and hub in labels[x]:
+                        reached.add(x)
+                        queue.append(x)
+            kept = [
+                x for x in queue
+                if x == hub or any(w not in reached and hub in labels[w] for w in reverse[x])
+            ]
+            still = set(kept)
+            for w in kept:
+                for x in adjacency[w]:
+                    if x in reached and x not in still:
+                        still.add(x)
+                        kept.append(x)
             hub_rank = rank[hub]
-            if hub in above:
+            for x in reached - still:
+                labels[x].discard(hub)
+                if lost.get(x, hub_rank) >= hub_rank:
+                    lost[x] = hub_rank
+        return lost
+
+    @staticmethod
+    def _reaches(hub: int, row: int, reverse, labels) -> bool:
+        """True if ``hub`` reaches ``row`` on the current adjacency, by a
+        search back from ``row`` through the rows holding ``hub`` (the
+        only rows a walk from it can pass; ``row`` holds it too)."""
+        if row == hub:
+            return True
+        seen = {row}
+        stack = [row]
+        while stack:
+            for x in reverse[stack.pop()]:
+                if x == hub:
+                    return True
+                if x not in seen and hub in labels[x]:
+                    seen.add(x)
+                    stack.append(x)
+        return False
+
+    def _regain(self, lost_in: dict, lost_out: dict, above: set, below: set) -> None:
+        """Add the entries a cut earns, once ``_cut`` removed the ones it
+        cost, naming every row written in ``above`` / ``below``.
+
+        A pair gains an entry only when the hub of its old walks lost its
+        entry in one of the pair's rows.  Lost in ``L_out(a)``: ``a``
+        re-runs forward, re-deciding every row it reaches.  Lost in
+        ``L_in(d)``: the new hub ranks below that lost one, and so does
+        every vertex on its new walk to ``d`` — a search back from ``d``
+        through vertices ranked below ``d``'s best lost hub finds it
+        (``d`` itself included: inside a strongly connected component a
+        row need not hold itself), and it re-decides only rows that lost
+        an ``L_in`` entry.  The backward runs mirror both.  Hubs run in
+        rank order, so every witness a test consults is final.
+        """
+        rank, pruned_bfs = self._rank, tol.pruned_bfs
+        every_row = range(self._n)
+        forward = dict.fromkeys(lost_out, every_row)
+        backward = dict.fromkeys(lost_in, every_row)
+        for hub in self._below_lost(lost_in, self._in_adj):
+            forward.setdefault(hub, lost_in)
+        for hub in self._below_lost(lost_out, self._out_adj):
+            backward.setdefault(hub, lost_out)
+        in_labels, out_labels = self.in_labels, self.out_labels
+        below.update(lost_in)
+        above.update(lost_out)
+        for hub in sorted(forward.keys() | backward.keys(), key=rank.__getitem__):
+            hub_rank = rank[hub]
+            if hub in forward:
                 witnesses = {h for h in out_labels[hub] if rank[h] < hub_rank}
-                pruned_bfs(hub, out_adj, rank, in_labels, witnesses, below)
-            if hub in below:
+                pruned_bfs(hub, self._out_adj, rank, in_labels, witnesses, forward[hub], below)
+            if hub in backward:
                 witnesses = {h for h in in_labels[hub] if rank[h] < hub_rank}
-                pruned_bfs(hub, in_adj, rank, out_labels, witnesses, above)
+                pruned_bfs(hub, self._in_adj, rank, out_labels, witnesses, backward[hub], above)
+
+    def _below_lost(self, lost: dict, adjacency) -> set[int]:
+        """The rows of ``lost`` and every vertex a search from them along
+        ``adjacency`` finds, stepping only onto vertices ranked below the
+        row's best lost hub.  Rows are searched best lost rank first, so a
+        vertex found once was searched on from with the widest bound."""
+        rank = self._rank
+        found: set[int] = set()
+        for row in sorted(lost, key=lost.__getitem__):
+            if row in found:
+                continue
+            bound = lost[row]
+            found.add(row)
+            queue = [row]
+            for w in queue:
+                for x in adjacency[w]:
+                    if x not in found and rank[x] > bound:
+                        found.add(x)
+                        queue.append(x)
+        return found
 
     # ------------------------------------------------------------------
     # Node-level updates
@@ -494,17 +600,26 @@ class DynamicReachabilityIndex:
         notification, not one per removed edge.
         """
         self._check_vertex(v)
-        # v's two cones on the OLD graph contain every incident edge's cones.
-        above = self._plain_bfs(v, self._in_adj)   # everyone reaching v
-        below = self._plain_bfs(v, self._out_adj)  # everyone v reaches
-        for x in self._out_adj[v]:
+        # A self-loop is no start: the cut must never reach v's own rows,
+        # whose hubs it iterates.
+        successors, predecessors = self._out_adj[v] - {v}, self._in_adj[v] - {v}
+        for x in successors:
             self._in_adj[x].discard(v)
-        for x in self._in_adj[v]:
+        for x in predecessors:
             self._out_adj[x].discard(v)
-        self._out_adj[v].clear()
-        self._in_adj[v].clear()
+        self._out_adj[v] = set()
+        self._in_adj[v] = set()
         self._alive[v] = False
-        self._repair_cones(above, below)
+        # Every lost walk ran through v, under a hub of v's own rows; v
+        # itself loses every entry it had outside them.
+        lost_in = self._cut(self.in_labels[v], successors, True)
+        lost_out = self._cut(self.out_labels[v], predecessors, False)
+        above, below = set(), set()
+        for labels, written in ((self.in_labels, below), (self.out_labels, above)):
+            if labels[v] != {v}:
+                labels[v] = {v}
+                written.add(v)
+        self._regain(lost_in, lost_out, above, below)
         self._notify("delete_node", v, v, above, below)
         return True
 
@@ -531,6 +646,11 @@ class DynamicReachabilityIndex:
         provably untouched.
         """
         self._check_vertex(v)
+        if new_rank is not None:
+            try:
+                new_rank = operator.index(new_rank)
+            except TypeError:
+                raise ValueError(f"new_rank must be an integer, got {new_rank!r}") from None
         if new_rank is None or new_rank < 0:
             new_rank = self._ideal_rank(v)
         old_rank = self._rank[v]
@@ -605,7 +725,8 @@ class DynamicReachabilityIndex:
     # Internals
     # ------------------------------------------------------------------
     def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self._n:
+        check_count("vertex", v, minimum=0)  # 1.0 and nan name no vertex
+        if v >= self._n:
             raise ValueError(f"vertex {v} out of range [0, {self._n})")
         if not self._alive[v]:
             raise ValueError(f"vertex {v} was deleted")

@@ -12,7 +12,8 @@ that pass: a failure means a higher-order hop ``s`` with ``v → s → w``,
 and for any ``x`` beyond ``w`` the walk ``v → s → w → x`` shows ``x``
 fails too.  :func:`tol_label_sets` runs it forward and backward from
 every vertex in rank order; :mod:`repro.core.dynamic` runs the same
-loop over a cone of rows to repair a delete or a promote.
+loop to promote a vertex and, over the rows a delete cost an entry, to
+repair the delete.
 
 :func:`tol_index_reference` is Algorithm 1 literally — collect
 ``DES^{G_i}(v_i)`` / ``ANC^{G_i}(v_i)`` in full with
@@ -136,7 +137,7 @@ def tol_label_sets(
     return in_labels, out_labels
 
 
-def pruned_bfs(hub: int, adjacency, rank, labels, witnesses, cone=None):
+def pruned_bfs(hub: int, adjacency, rank, labels, witnesses, cone=None, written=None):
     """``hub``'s pruned BFS along ``adjacency`` (one list or set of
     neighbours per vertex): walk the vertices ranked below ``hub``, add
     ``hub`` to ``labels[x]`` of each one no higher-ranked hub covers —
@@ -144,24 +145,32 @@ def pruned_bfs(hub: int, adjacency, rank, labels, witnesses, cone=None):
     it) is disjoint from the row — and walk on through those only.
 
     ``cone=None`` re-decides every row reached: one half of a TOL round.
-    With a ``cone``, only rows inside it are re-decided; a vertex outside
-    kept its status, so the walk crosses it iff its row holds ``hub``.
+    With a ``cone`` (a delete's repair), a row that holds ``hub`` kept
+    its entry, so the walk passes it untested and unwritten; a row
+    without it is re-decided only inside the cone — outside, it kept
+    its status and the walk stops there.  ``range(n)`` is the repair
+    with no bound.  A cone walk requires ``written`` and adds to it
+    every row it adds ``hub`` to.
 
     Returns ``(queue, visited)``: the vertices walked through, in BFS
     order, and ``hub`` plus every lower-ranked vertex discovered — without
     a cone, exactly the rows tested.  A walk that cannot start (its root
     fails its test, or sits outside the cone without holding ``hub``)
-    answers in constant tuples: a cone repair makes hundreds of such
-    calls, and a fresh list and set would be most of what they cost.
+    answers in constant tuples: a fresh list and set would be most of
+    what such a call costs.
     """
     row = labels[hub]
-    if cone is not None and hub not in cone:
-        if hub not in row:
-            return (), ()
-    elif witnesses.isdisjoint(row):
+    if cone is None:
+        if not witnesses.isdisjoint(row):
+            return (), (hub,)
         row.add(hub)
-    else:
-        return (), (hub,)
+    elif hub not in row:
+        if hub not in cone:
+            return (), ()
+        if not witnesses.isdisjoint(row):
+            return (), (hub,)
+        row.add(hub)
+        written.add(hub)
     hub_rank = rank[hub]
     visited = {hub}
     queue = [hub]
@@ -171,10 +180,14 @@ def pruned_bfs(hub: int, adjacency, rank, labels, witnesses, cone=None):
                 continue
             visited.add(x)
             row = labels[x]
-            if cone is not None and x not in cone:
-                if hub in row:
+            if cone is None:
+                if witnesses.isdisjoint(row):
+                    row.add(hub)
                     queue.append(x)
-            elif witnesses.isdisjoint(row):
+            elif hub in row:
+                queue.append(x)
+            elif x in cone and witnesses.isdisjoint(row):
                 row.add(hub)
                 queue.append(x)
+                written.add(x)
     return queue, visited

@@ -288,8 +288,7 @@ class UpdatesSpec:
     via: str = "direct"
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ScenarioSpecError("updates.count must be >= 1")
+        check_count("updates.count", self.count, error=ScenarioSpecError)
         for name in ("insert_ratio", "node_ratio", "promote_ratio"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ScenarioSpecError(f"{name} must lie in [0, 1]")
@@ -297,8 +296,8 @@ class UpdatesSpec:
             raise ScenarioSpecError(
                 "node_ratio + promote_ratio must not exceed 1"
             )
-        if self.start_seconds < 0 or self.interval_seconds < 0:
-            raise ScenarioSpecError("update times must be non-negative")
+        for name in ("start_seconds", "interval_seconds"):
+            check_seconds(name, getattr(self, name), error=ScenarioSpecError)
         if self.via not in ("direct", "serve"):
             raise ScenarioSpecError(
                 f"unknown updates.via {self.via!r} "

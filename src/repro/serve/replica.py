@@ -148,15 +148,15 @@ class BoundedStalenessReplicator:
     # ------------------------------------------------------------------
     def _on_update(self, op: str, u: int, v: int) -> None:
         """Log the op with the rows it changed: the leader's ``touched``
-        bounds the candidates — the two cones for a delete or a promote,
-        exactly the rows written for an insert, nothing for an edge write
-        that left the closure alone — and the head table says which
-        differ, so the diff costs what the op could change."""
+        bounds the candidates — exactly the rows written for an insert or
+        a delete (edge or node), the two cones for a promote, nothing for
+        an edge write that left the closure alone — and the head table
+        says which differ, so the diff costs what the op could change."""
         leader, head = self.leader, self._head
         above, below = leader.touched
         in_rows, out_rows = (
-            {w: frozenset(new[w]) for w in cone if w >= len(old) or new[w] != old[w]}
-            for new, old, cone in (
+            {w: frozenset(new[w]) for w in rows if w >= len(old) or new[w] != old[w]}
+            for new, old, rows in (
                 (leader.in_labels, head.in_labels, below),
                 (leader.out_labels, head.out_labels, above),
             )

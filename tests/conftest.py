@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import paper_example_graph, paper_example_order
+from repro.graph.traversal import reachable_set
 
 
 @st.composite
@@ -79,3 +80,23 @@ TABLE_III_OUT = {
     1: {1, 2, 3, 4, 5, 6, 7}, 2: {2, 3, 4, 6}, 3: set(), 4: set(),
     5: set(), 6: set(), 7: set(), 8: {8}, 9: {9}, 10: {10}, 11: {11},
 }
+
+
+def delete_and_check_touched(dynamic, op: str, u: int, v: int) -> tuple[set[int], set[int]]:
+    """Apply ``dynamic.apply(op, u, v)`` for ``op`` ``"delete"`` or
+    ``"delete_node"`` (``u == v``), and assert the delete's ``touched``
+    contract: ``above`` is exactly the rows whose ``L_out`` changed and
+    ``below`` those whose ``L_in`` changed, each inside its cone of the
+    graph before the delete (everything reaching ``u`` / reached from
+    ``v``).  Returns those two cones, computed by plain searches."""
+    graph = dynamic.current_graph()
+    cones = reachable_set(graph.reverse(), u), reachable_set(graph, v)
+    before_in = [set(row) for row in dynamic.in_labels]
+    before_out = [set(row) for row in dynamic.out_labels]
+    assert dynamic.apply(op, u, v)
+    above, below = dynamic.touched
+    changed_in = {w for w, row in enumerate(before_in) if dynamic.in_labels[w] != row}
+    changed_out = {w for w, row in enumerate(before_out) if dynamic.out_labels[w] != row}
+    assert (above, below) == (changed_out, changed_in)
+    assert above <= cones[0] and below <= cones[1]
+    return cones

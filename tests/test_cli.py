@@ -765,6 +765,27 @@ def test_scenario_run_refuses_a_nan_skew(tmp_path, capsys):
     assert line == "error: skew must be a finite number >= 0, got nan"
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ('"count": NaN', "updates.count must be an integer >= 1, got nan"),
+        ('"count": 2.5', "updates.count must be an integer >= 1, got 2.5"),
+        ('"start_seconds": NaN', "start_seconds must be a finite number >= 0, got nan"),
+        ('"interval_seconds": NaN', "interval_seconds must be a finite number >= 0, got nan"),
+    ],
+)
+def test_scenario_run_refuses_bad_update_settings(tmp_path, capsys, setting, message):
+    scenario = tmp_path / "bad_updates.json"
+    scenario.write_text(
+        _TINY_SCENARIO.replace('"expect"', '"updates": {%s},\n  "expect"' % setting)
+    )
+    assert main(["scenario", "run", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == f"error: {message}"
+
+
 def test_serve_bench_refuses_a_nan_zipf(capsys):
     argv = ["serve-bench", "--vertices", "60", "--requests", "50", "--zipf", "nan"]
     assert main(argv) == 2

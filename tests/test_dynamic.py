@@ -15,7 +15,7 @@ from repro.core.tol import tol_index
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_digraph
 from repro.graph.order import VertexOrder, degree_order
-from tests.conftest import digraphs
+from tests.conftest import delete_and_check_touched, digraphs
 
 
 def _assert_exact(dynamic: DynamicReachabilityIndex) -> None:
@@ -120,7 +120,7 @@ def test_delete_then_reinsert_same_edge_matches_rebuild(family):
     to the original index.
 
     Insertion and deletion take different code paths (rank floods vs.
-    rank-ordered cone repair); the mid-point equality is what catches a
+    cut and regain); the mid-point equality is what catches a
     deletion that leaves stale entries an insertion silently re-covers.
     """
     from repro.fuzz.cases import family_graph
@@ -140,14 +140,14 @@ def test_delete_with_graph_wide_cones_is_repaired_in_place():
     """On a dense cyclic graph both cones of an edge cover most vertices
     — the case that used to fall back to a rebuild.  When the delete
     cuts ``u ⇝ v`` (here: ``v``'s only in-edge) the one repair path must
-    stay exact there, edge after edge."""
+    stay exact there, edge after edge, and write only the rows it
+    changes however wide the cones are."""
     g = random_digraph(25, 80, seed=3)
     dynamic = DynamicReachabilityIndex(g)
     u, v = next((u, v) for u, v in g.edges() if g.in_degree(v) == 1)
-    dynamic.delete_edge(u, v)
+    above_cone, below_cone = delete_and_check_touched(dynamic, "delete", u, v)
+    assert len(above_cone) + len(below_cone) > g.num_vertices
     assert not dynamic.query(u, v)
-    above, below = dynamic.touched
-    assert len(above) + len(below) > g.num_vertices
     dynamic.check()
     for u, v in list(dynamic.edges()):
         dynamic.delete_edge(u, v)
@@ -163,6 +163,14 @@ def test_invalid_constructor_arguments():
     # Deletion has one repair path: the rebuild knob is gone for good.
     with pytest.raises(TypeError):
         DynamicReachabilityIndex(g, rebuild_fraction=0.5)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), 1.5, 0])
+def test_drift_threshold_must_be_a_positive_integer(threshold):
+    # A NaN threshold never fired (every comparison with it is false), so
+    # automatic promotion was silently off.
+    with pytest.raises(ValueError, match="drift_threshold must be an integer >= 1"):
+        DynamicReachabilityIndex(DiGraph(3, [(0, 1)]), drift_threshold=threshold)
 
 
 def test_edges_and_has_edge_views():
@@ -361,7 +369,7 @@ def test_listeners_see_consistent_index_on_every_path():
     listener = _ConsistencyListener(dynamic)
     dynamic.subscribe(listener)
     dynamic.insert_edge(2, 17)
-    dynamic.delete_edge(2, 17)  # cone repair
+    dynamic.delete_edge(2, 17)  # cut and regain
     dynamic.add_node()
     dynamic.insert_edge(20, 0)
     dynamic.promote(19)
@@ -377,9 +385,10 @@ def test_listener_consistent_on_delete_with_overlapping_cones():
     dynamic.subscribe(listener)
     # An edge on a cycle: v reaches u, so the two cones overlap.
     u, v = next((u, v) for u, v in g.edges() if dynamic.query(v, u))
-    assert dynamic.delete_edge(u, v)
-    above, below = dynamic.touched
-    assert above & below and len(above | below) > g.num_vertices // 2
+    above_cone, below_cone = delete_and_check_touched(dynamic, "delete", u, v)
+    assert above_cone & below_cone
+    assert len(above_cone | below_cone) > g.num_vertices // 2
+    assert dynamic.touched != (set(), set())  # the cut repaired
     assert listener.events == [("delete", u, v)]
 
 

@@ -1,17 +1,19 @@
-"""Tests for the repair paths: cone repair, rank floods, band subtraction.
+"""Tests for the repair paths: cut and regain, rank floods, band subtraction.
 
 ``delete_edge`` / ``delete_node`` have exactly one repair path.  It
-strips the entries between the two cones of the removed edges and lets
-the cone hubs re-decide them in rank order; nothing on it rebuilds.
+removes the entries whose pairs no longer reach, found from the hubs the
+cut edges carried, then lets the rows that lost re-decide what they
+gain, in rank order; nothing on it rebuilds or computes a cone.
 ``insert_edge`` has one too: two rank floods say which entries between
 the cones live, hubs grow exact entries and set algebra removes the
 dead ones; ``promote`` subtracts the overtaken band.  These tests pin
 the three claims that make that safe: each is *exact* (``check()``
-stays green after every op, on every graph family), *local* (no label
-outside the cones is written — for an insert, none outside ``touched``,
-which holds exactly the rows that changed; for an insert or delete that
-leaves the transitive closure alone, none at all), and never builds TOL
-from scratch.
+stays green after every op, on every graph family, and a delete equals
+the two-cone repair it replaced row for row), *local* (no label outside
+``touched`` is written, and for an insert or a delete ``touched`` holds
+exactly the rows that changed; for an insert or delete that leaves the
+transitive closure alone, none at all), and never builds TOL from
+scratch.
 """
 
 import random
@@ -28,7 +30,68 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import scc_heavy_graph, web_graph
 from repro.graph.order import VertexOrder, degree_order
 from repro.graph.traversal import reachable_set
-from tests.conftest import family_graphs
+from tests.conftest import delete_and_check_touched, family_graphs
+
+
+class ConeRepairIndex(DynamicReachabilityIndex):
+    """The delete repair before the cut-and-regain one: strip every
+    entry between the two cones of the removed edges and let every cone
+    hub re-run its pruned BFS in rank order.  Kept as the reference the
+    live repair must equal row for row."""
+
+    def delete_edge(self, u: int, v: int) -> bool:
+        self._check_vertex(u)
+        self._check_vertex(v)
+        if v not in self._out_adj[u]:
+            return False
+        self._out_adj[u].discard(v)
+        self._in_adj[v].discard(u)
+        if self._still_reaches(u, v):
+            above, below = set(), set()
+        else:
+            # No walk into u or out of v needs the edge: the cones read as
+            # before the unlink.
+            above = self._plain_bfs(u, self._in_adj)
+            below = self._plain_bfs(v, self._out_adj)
+            self._repair_cones(above, below)
+        self._notify("delete", u, v, above, below)
+        self._check_drift(u, v)
+        return True
+
+    def delete_node(self, v: int) -> bool:
+        self._check_vertex(v)
+        above = self._plain_bfs(v, self._in_adj)
+        below = self._plain_bfs(v, self._out_adj)
+        for x in self._out_adj[v]:
+            self._in_adj[x].discard(v)
+        for x in self._in_adj[v]:
+            self._out_adj[x].discard(v)
+        self._out_adj[v].clear()
+        self._in_adj[v].clear()
+        self._alive[v] = False
+        self._repair_cones(above, below)
+        self._notify("delete_node", v, v, above, below)
+        return True
+
+    def _repair_cones(self, above: set[int], below: set[int]) -> None:
+        """Only entries ``a ∈ L_in(d)`` / ``d ∈ L_out(a)`` with
+        ``a ∈ above``, ``d ∈ below`` can change: strip them, then let
+        each cone hub re-decide its own in rank order, so every
+        higher-ranked witness a domination test consults is final."""
+        in_labels, out_labels, rank = self.in_labels, self.out_labels, self._rank
+        out_adj, in_adj, pruned_bfs = self._out_adj, self._in_adj, repro.core.tol.pruned_bfs
+        for w in below:
+            in_labels[w] -= above
+        for w in above:
+            out_labels[w] -= below
+        for hub in sorted(above | below, key=rank.__getitem__):
+            hub_rank = rank[hub]
+            if hub in above:
+                witnesses = {h for h in out_labels[hub] if rank[h] < hub_rank}
+                pruned_bfs(hub, out_adj, rank, in_labels, witnesses, below, set())
+            if hub in below:
+                witnesses = {h for h in in_labels[hub] if rank[h] < hub_rank}
+                pruned_bfs(hub, in_adj, rank, out_labels, witnesses, above, set())
 
 
 # ----------------------------------------------------------------------
@@ -98,17 +161,84 @@ def test_property_interleaved_streams_keep_check_green(g, operations):
     assert set(notified) <= {"delete", "delete_node", "insert", "promote"}
 
 
+_DELETE_HEAVY = st.lists(
+    st.tuples(
+        st.sampled_from(["delete", "delete", "delete", "delete_node", "insert"]),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+    ),
+    max_size=24,
+)
+
+
+_SELF_LOOPS = st.lists(st.integers(0, 10**6), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_graphs(max_vertices=18), _SELF_LOOPS, _DELETE_HEAVY, st.sampled_from([None, 2]))
+def test_property_deletes_equal_the_two_cone_repair(g, loops, operations, drift):
+    """Every family, cyclic ones included, some with self-loops, with and
+    without automatic promotion: after each delete the labels equal the
+    two-cone reference's row for row, and ``touched`` is the rows that
+    changed, inside the cones of the graph before the delete."""
+    n = g.num_vertices
+    g = DiGraph(n, list(g.edges()) + [(x % n, x % n) for x in loops])
+    dynamic = DynamicReachabilityIndex(g, drift_threshold=drift)
+    reference = ConeRepairIndex(g, drift_threshold=drift)
+    for op, a, b in operations:
+        alive = dynamic.alive_vertices()
+        if len(alive) < 2:
+            break
+        edges = list(dynamic.edges())
+        if op == "insert":
+            u, v = alive[a % len(alive)], alive[b % len(alive)]
+            if u != v:
+                dynamic.insert_edge(u, v)
+                reference.insert_edge(u, v)
+        elif op == "delete" and edges or op == "delete_node":
+            u, v = edges[a % len(edges)] if op == "delete" else (alive[a % len(alive)],) * 2
+            if drift is None:
+                delete_and_check_touched(dynamic, op, u, v)
+            else:  # a promote may ride along and own `touched`
+                dynamic.apply(op, u, v)
+            reference.apply(op, u, v)
+            assert list(reference.order.by_rank()) == list(dynamic.order.by_rank())
+        assert dynamic.in_labels == reference.in_labels
+        assert dynamic.out_labels == reference.out_labels
+    dynamic.check()
+
+
+@pytest.mark.parametrize("op", ["delete", "delete_node"])
+def test_delete_at_a_self_looped_vertex_equals_the_two_cone_repair(op):
+    """1 carries a self-loop and L_in(1) = {0, 1}: deleting 1 (or the
+    edge into it) cuts hub 0 from a row the loop would walk back into."""
+    g = DiGraph(3, [(0, 1), (1, 1), (1, 2), (2, 2)])
+    order = VertexOrder([0, 1, 2])
+    dynamic = DynamicReachabilityIndex(g, order)
+    reference = ConeRepairIndex(g, order)
+    u, v = (0, 1) if op == "delete" else (1, 1)
+    delete_and_check_touched(dynamic, op, u, v)
+    reference.apply(op, u, v)
+    assert dynamic.in_labels == reference.in_labels
+    assert dynamic.out_labels == reference.out_labels
+    dynamic.check()
+    assert dynamic.delete_edge(2, 2) and dynamic.touched == (set(), set())
+    dynamic.check()
+
+
 def test_delete_inside_a_strongly_connected_component():
-    """``A ∩ D ≠ ∅``: hubs on the broken cycle sit in both cones and
-    run both passes, self-entries included."""
+    """``A ∩ D ≠ ∅``: the broken cycle's rows lose hubs on both sides,
+    and a row that stops sharing a component with its best hub may gain
+    itself."""
     dynamic = DynamicReachabilityIndex(scc_heavy_graph(40, seed=5))
     on_cycle = [(u, v) for u, v in dynamic.edges() if dynamic.query(v, u)]
     assert on_cycle
+    repaired = 0
     for u, v in on_cycle[:12]:
-        if dynamic.delete_edge(u, v):
-            above, below = dynamic.touched
-            assert u in above and v in below
-            dynamic.check()
+        delete_and_check_touched(dynamic, "delete", u, v)
+        repaired += dynamic.touched != (set(), set())
+        dynamic.check()
+    assert repaired
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +294,7 @@ def test_no_tol_index_call_on_any_mutation_path(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Locality: nothing outside the cones is written
+# Locality: nothing outside `touched` is written
 # ----------------------------------------------------------------------
 class _ReadOnly(set):
     """A label row that fails the test when anything mutates it."""
@@ -199,15 +329,17 @@ def _core_with_bypassed_leaf_edge() -> tuple[DiGraph, int, int, int]:
 
 
 def test_closure_cutting_delete_writes_only_cone_rows():
-    # Cutting the only way into v does change the closure: the cone
-    # repair runs, and writes nothing outside A = {u, hub, …} / D = {v}.
+    # Cutting the only way into v does change the closure: the repair
+    # runs, and calls no mutator on a row outside A = {u, hub, …} / D = {v}
+    # — not even a no-op one.  Of those it writes only what changed:
+    # v's L_in loses every hub but v; no L_out row held v.
     g, u, v, hub = _core_with_bypassed_leaf_edge()
     dynamic = DynamicReachabilityIndex(g)
     reaches_hub = {w for w in range(g.num_vertices) if dynamic.query(w, hub)}
     _freeze_rows(dynamic, above=reaches_hub, below={v})
     assert dynamic.delete_edge(hub, v)
-    above, below = dynamic.touched
-    assert u in above and hub in above and below == {v}
+    assert dynamic.touched == (set(), {v})
+    assert dynamic.in_labels[v] == {v}
     assert not dynamic.query(u, v)
     dynamic.check()
 

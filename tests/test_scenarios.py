@@ -107,6 +107,24 @@ def test_serving_and_replication_settings_are_checked(block, name, value):
         ScenarioSpec.from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("count", float("nan")),
+        ("count", 2.5),
+        ("start_seconds", float("nan")),
+        ("interval_seconds", float("nan")),
+    ],
+)
+def test_update_settings_are_checked(name, value):
+    # A NaN count ran no write and 2.5 ran three; a NaN time ended in a
+    # bare ValueError from the serving loop's schedule check.
+    raw = _tiny_raw()
+    raw["updates"] = {name: value}
+    with pytest.raises(ScenarioSpecError, match=name):
+        ScenarioSpec.from_dict(raw)
+
+
 @pytest.mark.parametrize("skew", [float("nan"), float("inf")])
 def test_traffic_skew_is_checked(skew):
     raw = _tiny_raw()

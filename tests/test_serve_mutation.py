@@ -70,6 +70,32 @@ def test_backend_rejects_bad_writes_without_raising():
     assert backend.rejected == 4
 
 
+@pytest.mark.parametrize(
+    "op, u, v",
+    [
+        ("insert", 1.0, 2),
+        ("delete", 3, float("nan")),
+        ("delete_node", 2.0, 2.0),
+        ("promote", 5, float("nan")),
+        ("promote", 5, 2.5),
+        ("promote", 5, "0"),
+    ],
+)
+def test_backend_rejects_payloads_that_are_not_integers(op, u, v):
+    # A float or NaN names no vertex and no rank: the leader refuses it
+    # with a ValueError, so the backend counts a rejection and the index
+    # is what it was — the same write straight to the leader raises.
+    leader = _leader()
+    backend = MutationBackend(leader, cost_model=_NO_LIMIT)
+    before = leader.snapshot()
+    order = list(leader.order.by_rank())
+    assert backend.apply_with_cost(op, u, v)[0] == "rejected"
+    assert (backend.applied, backend.noops, backend.rejected) == (0, 0, 1)
+    assert leader.snapshot() == before and list(leader.order.by_rank()) == order
+    with pytest.raises(ValueError):
+        leader.apply(op, u, v)
+
+
 def test_backend_unknown_op_raises():
     backend = MutationBackend(_leader(), cost_model=_NO_LIMIT)
     with pytest.raises(ValueError, match="unknown mutation op"):
