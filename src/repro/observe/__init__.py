@@ -11,11 +11,15 @@ the flight recorder, is a sink :func:`~repro.telemetry.attached` to it.
   for shed and deadline-dropped requests;
 - :mod:`repro.observe.windows` — the per-window hot-key and
   latency-regression detectors;
+- :mod:`repro.observe.serve_report` — ``ServeReport``, what one
+  serving run measured, built by one constructor for the server and
+  for the dashboard;
 - :mod:`repro.observe.slo` — declarative SLO specs with error-budget
-  accounting and multi-window burn-rate alerts;
-- :mod:`repro.observe.dashboard` — the ``repro top`` model: a full
-  dashboard (throughput, percentiles, hit/shed rates, shard traffic,
-  replication health, alerts, worst traces) computed from a ``Trace``;
+  accounting and multi-window burn-rate alerts, priced by one
+  ``BurnTracker``;
+- :mod:`repro.observe.dashboard` — the ``repro top`` model: the run's
+  ``ServeReport`` tallied from a ``Trace``, plus shard traffic, lag
+  peaks, windows, alerts and worst traces;
 - :mod:`repro.observe.incident` — the flight recorder: a bounded ring
   buffer that is one more sink on the stream, a trigger engine landing
   self-contained incident bundles, and a causal engine producing
@@ -36,7 +40,6 @@ from repro.observe.incident import (
     FlightRecorder,
     IncidentReport,
     RootCause,
-    SLOBurnTrigger,
     TriggerEngine,
     analyze_bundle,
     list_bundles,
@@ -45,6 +48,7 @@ from repro.observe.incident import (
 from repro.observe.openmetrics import render_openmetrics
 from repro.observe.slo import (
     BurnRate,
+    BurnTracker,
     BurnWindow,
     SLOSpec,
     SLOStatus,
@@ -69,6 +73,7 @@ from repro.observe.windows import (
 
 __all__ = [
     "BurnRate",
+    "BurnTracker",
     "BurnWindow",
     "DashboardModel",
     "FlightRecorder",
@@ -78,7 +83,6 @@ __all__ = [
     "LatencyRegressionDetector",
     "RequestTrace",
     "RootCause",
-    "SLOBurnTrigger",
     "SLOSpec",
     "SLOStatus",
     "TraceIdGenerator",

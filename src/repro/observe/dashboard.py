@@ -6,21 +6,24 @@ written by :class:`~repro.serve.pipeline.QueryServer` under a telemetry
 session — and renders it as a live-refreshing console dashboard or a
 single JSON snapshot (``--once --json``) for scripting.
 
-The model recomputes throughput, latency percentiles, and the cache
-hit rate with exactly the arithmetic
-:class:`~repro.serve.pipeline.ServeReport` uses (nearest-rank
-percentiles over served latencies), so the dashboard and the bench
-report agree to the float on a single-run trace.  On top of the run
-totals it layers the window machinery from
-:mod:`repro.observe.windows` (per-window rates, p99, hot pairs,
-latency-regression flags) and, given specs, the SLO engine from
-:mod:`repro.observe.slo`.
+The run totals are a :class:`~repro.observe.serve_report.ServeReport`
+built by the server's own constructor from counts tallied off the
+records — reads by outcome, writes (records with an ``op``) by their
+``mutation`` stage's status, the makespan as the last completion of
+any request — so it equals the run's report on every field a trace
+carries.  Each window is the same tally over the requests that arrived
+in it; windows, worst traces and SLOs count reads only, as the report
+does.  Beside the report the model keeps what it cannot hold: shard
+traffic and stage counts, lag peaks, the :mod:`repro.observe.windows`
+detectors and, given specs, the SLOs of :mod:`repro.observe.slo`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 
+from repro.observe.serve_report import ServeReport
 from repro.observe.slo import SLOSpec, SLOStatus, evaluate_slos
 from repro.observe.tracing import SERVER_STAGES
 from repro.observe.windows import (
@@ -28,7 +31,6 @@ from repro.observe.windows import (
     HotKeyDetector,
     LatencyRegressionDetector,
 )
-from repro.telemetry.metrics import sorted_percentile
 from repro.telemetry.reader import Trace
 from repro.telemetry.spans import RequestTrace
 
@@ -57,42 +59,80 @@ class WindowRow:
     hot_keys: list[HotKey] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "start": self.start,
-            "end": self.end,
-            "offered": self.offered,
-            "served": self.served,
-            "shed": self.shed,
-            "deadline_dropped": self.deadline_dropped,
-            "p99_seconds": self.p99_seconds,
-            "rate": self.rate,
-            "ewma_rate": self.ewma_rate,
-            "regression": self.regression,
-            "hot_keys": [
-                {"key": list(h.key), "count": h.count, "share": h.share}
-                for h in self.hot_keys
-            ],
-        }
+        return asdict(self)
+
+
+#: A read's terminal outcome -> the ServeReport count it lands in.
+_OUTCOMES = {
+    "served": "served",
+    "shed": "shed",
+    "deadline": "deadline_dropped",
+    "error": "failed",
+}
+
+
+def _tally(
+    requests: list[RequestTrace], failovers: int = 0
+) -> tuple[ServeReport, list[float]]:
+    """The :class:`ServeReport` the request records carry, and the
+    sorted latencies of the served reads.  What records do not carry —
+    batches, queue peak, cache churn, per-shard loads, replica health,
+    the staleness window — stays zero."""
+    counts: Counter[str] = Counter()
+    latencies: list[float] = []
+    write_latencies: list[float] = []
+    makespan = 0.0
+    for request in requests:
+        makespan = max(makespan, request.arrival + request.latency_seconds)
+        stages = {stage.get("stage"): stage for stage in request.stages}
+        if request.op is not None:
+            counts["mutations_offered"] += 1
+            counts["mutations_shed"] += request.outcome == "shed"
+            if request.outcome == "served":
+                write_latencies.append(request.latency_seconds)
+            status = stages.get("mutation", {}).get("status")
+            if status in ("applied", "noop", "rejected"):
+                counts[f"mutations_{status}"] += 1
+            continue
+        counts["offered"] += 1
+        if request.outcome in _OUTCOMES:
+            counts[_OUTCOMES[request.outcome]] += 1
+        if request.outcome == "served":
+            latencies.append(request.latency_seconds)
+        cache = stages.get("cache")
+        if cache is not None:
+            counts["cache_hits" if cache.get("hit") else "cache_misses"] += 1
+        store = stages.get("store", {})
+        counts["hedges_won"] += bool(store.get("hedge_won"))
+        counts["positives"] += bool(stages.get("backend", {}).get("answer"))
+        counts["confirmed_reads"] += "confirm" in stages
+        counts["forced_catchups"] += "catchup" in stages
+        # A guarded stale read: the store served from a lagging
+        # follower and monotonicity proved no confirmation needed.
+        counts["stale_reads"] += bool(store.get("lag")) and not (
+            "confirm" in stages or "catchup" in stages
+        )
+    report = ServeReport.from_tally(
+        "trace",
+        latencies,
+        write_latencies,
+        makespan_seconds=makespan,
+        failovers=failovers,
+        **counts,
+    )
+    return report, latencies
 
 
 @dataclass
 class DashboardModel:
-    """Everything ``repro top`` shows, computed once from a trace."""
+    """Everything ``repro top`` shows, computed once from a trace:
+    the run's :class:`ServeReport` as its request records carry it,
+    and what a report cannot hold."""
 
     requests: list[RequestTrace]
     runs: int
-    offered: int
-    served: int
-    shed: int
-    deadline_dropped: int
-    failed: int
-    failovers: int
-    positives: int
-    makespan_seconds: float
-    latencies: list[float]  # served, sorted
-    cache_hits: int
-    cache_misses: int
+    report: ServeReport
+    latencies: list[float]  # served reads, sorted
     store_fetches: int
     remote_fetches: int
     shard_loads: dict[int, int]
@@ -101,11 +141,7 @@ class DashboardModel:
     windows: list[WindowRow]
     worst: list[RequestTrace]
     slos: list[SLOStatus]
-    # Replication health, rebuilt from stage attrs + replica.lag events.
-    confirmed_reads: int = 0
-    stale_reads: int = 0
-    forced_catchups: int = 0
-    hedges_won: int = 0
+    # Replicator lag peaks, from the replica.lag events.
     replication_lag_peak: int = 0
     group_lag_peaks: dict[str, int] = field(default_factory=dict)
     #: Open incident summaries (see repro.observe.incident), attached
@@ -160,100 +196,41 @@ class DashboardModel:
             for group, lag in (attrs.get("groups") or {}).items():
                 group_lag_peaks[group] = max(group_lag_peaks.get(group, 0), lag)
 
-        served_requests = [r for r in requests if r.outcome == "served"]
-        shed = sum(1 for r in requests if r.outcome == "shed")
-        deadline_dropped = sum(1 for r in requests if r.outcome == "deadline")
-        failed = sum(1 for r in requests if r.outcome == "error")
-        latencies = sorted(r.latency_seconds for r in served_requests)
-        makespan = max(
-            (r.arrival + r.latency_seconds for r in served_requests),
-            default=max((r.arrival for r in requests), default=0.0),
+        report, latencies = _tally(requests, len(failovers))
+        reads = [r for r in requests if r.op is None]
+        served_reads = [r for r in reads if r.outcome == "served"]
+        stages = [stage for r in requests for stage in r.stages]
+        stores = [stage for stage in stages if stage.get("stage") == "store"]
+        fully_traced = sum(
+            set(SERVER_STAGES) <= set(r.stage_names()) for r in served_reads
         )
-
-        cache_hits = cache_misses = store_fetches = remote_fetches = 0
-        positives = 0
-        confirmed_reads = forced_catchups = hedges_won = stale_reads = 0
-        shard_loads: dict[int, int] = {}
-        stage_counts: dict[str, int] = {}
-        fully_traced = 0
-        server_stages = set(SERVER_STAGES)
-        for request in requests:
-            seen = set()
-            lagged_store = False
-            for stage in request.stages:
-                name = stage.get("stage", "?")
-                seen.add(name)
-                stage_counts[name] = stage_counts.get(name, 0) + 1
-                if name == "cache":
-                    if stage.get("hit"):
-                        cache_hits += 1
-                    else:
-                        cache_misses += 1
-                elif name == "store":
-                    store_fetches += 1
-                    if stage.get("hedge_won"):
-                        hedges_won += 1
-                    if stage.get("lag"):
-                        lagged_store = True
-                    home = stage.get("home")
-                    if home is not None:
-                        shard_loads[home] = shard_loads.get(home, 0) + 1
-                    remote = stage.get("remote")
-                    if remote is not None:
-                        remote_fetches += 1
-                        shard_loads[remote] = shard_loads.get(remote, 0) + 1
-                elif name == "backend" and stage.get("answer"):
-                    positives += 1
-            if "confirm" in seen:
-                confirmed_reads += 1
-            if "catchup" in seen:
-                forced_catchups += 1
-            # A guarded stale read: the store served from a lagging
-            # follower and monotonicity proved no confirmation needed.
-            if lagged_store and "confirm" not in seen and "catchup" not in seen:
-                stale_reads += 1
-            if request.outcome == "served" and server_stages <= seen:
-                fully_traced += 1
-        traced_fraction = (
-            fully_traced / len(served_requests) if served_requests else 0.0
-        )
-
-        windows = cls._build_windows(requests, makespan, window_seconds)
         worst = sorted(
-            served_requests, key=lambda r: (-r.latency_seconds, r.trace_id)
+            served_reads, key=lambda r: (-r.latency_seconds, r.trace_id)
         )[: max(slowest, 0)]
-        # SLO burn windows end at the latest *arrival* (the timeline
-        # requests live on), not the makespan: the server may finish
-        # draining long after the last request arrived, and a burn
-        # window past the arrivals would always be empty.
-        slos = evaluate_slos(specs, requests) if specs else []
-
         return cls(
             requests=requests,
             runs=runs,
-            offered=len(requests),
-            served=len(served_requests),
-            shed=shed,
-            deadline_dropped=deadline_dropped,
-            failed=failed,
-            failovers=len(failovers),
-            positives=positives,
-            makespan_seconds=makespan,
+            report=report,
             latencies=latencies,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            store_fetches=store_fetches,
-            remote_fetches=remote_fetches,
-            shard_loads=shard_loads,
-            stage_counts=stage_counts,
-            traced_fraction=traced_fraction,
-            windows=windows,
+            store_fetches=len(stores),
+            remote_fetches=sum(fetch.get("remote") is not None for fetch in stores),
+            shard_loads=Counter(
+                shard
+                for fetch in stores
+                for shard in (fetch.get("home"), fetch.get("remote"))
+                if shard is not None
+            ),
+            stage_counts=Counter(stage.get("stage", "?") for stage in stages),
+            traced_fraction=_share(fully_traced, report.served),
+            windows=cls._build_windows(
+                reads, report.makespan_seconds, window_seconds
+            ),
             worst=worst,
-            slos=slos,
-            confirmed_reads=confirmed_reads,
-            stale_reads=stale_reads,
-            forced_catchups=forced_catchups,
-            hedges_won=hedges_won,
+            # SLO burn windows end at the latest *arrival* (the timeline
+            # requests live on), not the makespan: the server may finish
+            # draining long after the last request arrived, and a burn
+            # window past the arrivals would always be empty.
+            slos=evaluate_slos(specs, reads) if specs else [],
             replication_lag_peak=replication_lag_peak,
             group_lag_peaks=dict(sorted(group_lag_peaks.items())),
             incidents=list(incidents or []),
@@ -273,6 +250,11 @@ class DashboardModel:
             return []
         if window_seconds is None or window_seconds <= 0:
             window_seconds = span / DEFAULT_WINDOW_COUNT
+        elif span / window_seconds > len(requests):
+            raise ValueError(
+                f"--window {window_seconds:g} s cuts the run's {span:.3e} s "
+                f"into more windows than its {len(requests)} requests"
+            )
         count = max(1, -(-span // window_seconds).__int__())
         rows = [
             WindowRow(
@@ -291,16 +273,12 @@ class DashboardModel:
         previous_end = start
         ewma_rate = None
         for row, bucket in zip(rows, buckets):
-            row.offered = len(bucket)
-            window_latencies = sorted(
-                r.latency_seconds for r in bucket if r.outcome == "served"
-            )
-            row.served = len(window_latencies)
-            row.shed = sum(1 for r in bucket if r.outcome == "shed")
-            row.deadline_dropped = sum(
-                1 for r in bucket if r.outcome == "deadline"
-            )
-            row.p99_seconds = sorted_percentile(window_latencies, 0.99)
+            report, _ = _tally(bucket)
+            row.offered = report.offered
+            row.served = report.served
+            row.shed = report.shed
+            row.deadline_dropped = report.deadline_dropped
+            row.p99_seconds = report.p99_seconds
             duration = row.end - previous_end
             previous_end = row.end
             if duration > 0:
@@ -315,34 +293,12 @@ class DashboardModel:
             # EWMA toward zero: the row keeps 0.0 and the last average.
             row.ewma_rate = ewma_rate or 0.0
             row.regression = (
-                regressions.observe(row.p99_seconds) if window_latencies else False
+                regressions.observe(row.p99_seconds) if row.served else False
             )
-            pair_counts: dict[tuple[int, int], int] = {}
-            for request in bucket:
-                key = (request.source, request.target)
-                pair_counts[key] = pair_counts.get(key, 0) + 1
-            row.hot_keys = hot.observe(pair_counts)
+            row.hot_keys = hot.observe(Counter((r.source, r.target) for r in bucket))
         return rows
 
     # -- derived numbers ----------------------------------------------
-    @property
-    def throughput(self) -> float:
-        if not self.makespan_seconds:
-            return 0.0
-        return self.served / self.makespan_seconds
-
-    @property
-    def cache_hit_rate(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
-
-    @property
-    def shed_rate(self) -> float:
-        return self.shed / self.offered if self.offered else 0.0
-
-    def percentile(self, fraction: float) -> float:
-        return sorted_percentile(self.latencies, fraction)
-
     @property
     def firing_alerts(self) -> list[dict]:
         alerts = []
@@ -362,25 +318,31 @@ class DashboardModel:
     # -- output --------------------------------------------------------
     def to_json(self) -> dict:
         """The ``repro top --once --json`` payload."""
+        report = self.report
         return {
             "runs": self.runs,
-            "offered": self.offered,
-            "served": self.served,
-            "shed": self.shed,
-            "deadline_dropped": self.deadline_dropped,
-            "failed": self.failed,
-            "failovers": self.failovers,
-            "positives": self.positives,
-            "makespan_seconds": self.makespan_seconds,
-            "throughput": self.throughput,
-            "p50_seconds": self.percentile(0.50),
-            "p99_seconds": self.percentile(0.99),
-            "p999_seconds": self.percentile(0.999),
-            "max_seconds": self.latencies[-1] if self.latencies else 0.0,
-            "hit_rate": self.cache_hit_rate,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "shed_rate": self.shed_rate,
+            "offered": report.offered,
+            "served": report.served,
+            "shed": report.shed,
+            "deadline_dropped": report.deadline_dropped,
+            "failed": report.failed,
+            "failovers": report.failovers,
+            "positives": report.positives,
+            "makespan_seconds": report.makespan_seconds,
+            "throughput": report.throughput,
+            "p50_seconds": report.p50_seconds,
+            "p99_seconds": report.p99_seconds,
+            "p999_seconds": report.p999_seconds,
+            "max_seconds": report.max_seconds,
+            "hit_rate": report.cache_hit_rate,
+            "cache_hits": report.cache_hits,
+            "cache_misses": report.cache_misses,
+            "shed_rate": _share(report.shed, report.offered),
+            **(  # a trace with writes: the report's write half
+                {k: v for k, v in vars(report).items() if k.startswith("mutation")}
+                if report.mutations_offered
+                else {}
+            ),
             "store_fetches": self.store_fetches,
             "remote_fetches": self.remote_fetches,
             "shard_loads": {
@@ -390,10 +352,10 @@ class DashboardModel:
             "stage_counts": dict(sorted(self.stage_counts.items())),
             "traced_fraction": self.traced_fraction,
             "replication": {
-                "confirmed_reads": self.confirmed_reads,
-                "stale_reads": self.stale_reads,
-                "forced_catchups": self.forced_catchups,
-                "hedges_won": self.hedges_won,
+                "confirmed_reads": report.confirmed_reads,
+                "stale_reads": report.stale_reads,
+                "forced_catchups": report.forced_catchups,
+                "hedges_won": report.hedges_won,
                 "lag_peak": self.replication_lag_peak,
                 "group_lag_peaks": dict(self.group_lag_peaks),
             },
@@ -415,27 +377,38 @@ class DashboardModel:
 
     def render(self) -> str:
         """The console dashboard."""
+        report = self.report
+        offered = report.offered
+        shed_rate = _share(report.shed, offered)
         lines = [
-            f"serve dashboard — {self.offered} requests"
+            f"serve dashboard — {offered} requests"
             + (f" across {self.runs} runs" if self.runs > 1 else ""),
-            f"  throughput {self.throughput:,.0f} q/s over "
-            f"{self.makespan_seconds:.3e} s",
-            f"  served {self.served}/{self.offered} "
-            f"({1 - self.shed_rate - (self.deadline_dropped / self.offered if self.offered else 0):.1%})"
-            f"   shed {self.shed} ({self.shed_rate:.1%})"
-            f"   deadline {self.deadline_dropped}"
-            + (f"   failed {self.failed}" if self.failed else "")
-            + (f"   failovers {self.failovers}" if self.failovers else ""),
-            f"  latency p50 {self.percentile(0.50):.2e}s  "
-            f"p99 {self.percentile(0.99):.2e}s  "
-            f"p999 {self.percentile(0.999):.2e}s  "
-            f"max {(self.latencies[-1] if self.latencies else 0.0):.2e}s",
+            f"  throughput {report.throughput:,.0f} q/s over "
+            f"{report.makespan_seconds:.3e} s",
+            f"  served {report.served}/{offered} "
+            f"({1 - shed_rate - _share(report.deadline_dropped, offered):.1%})"
+            f"   shed {report.shed} ({shed_rate:.1%})"
+            f"   deadline {report.deadline_dropped}"
+            + (f"   failed {report.failed}" if report.failed else "")
+            + (f"   failovers {report.failovers}" if report.failovers else ""),
+            f"  latency p50 {report.p50_seconds:.2e}s  "
+            f"p99 {report.p99_seconds:.2e}s  "
+            f"p999 {report.p999_seconds:.2e}s  "
+            f"max {report.max_seconds:.2e}s",
         ]
-        lookups = self.cache_hits + self.cache_misses
-        if lookups:
+        if report.mutations_offered:
             lines.append(
-                f"  cache {self.cache_hit_rate:.1%} hit "
-                f"({self.cache_hits} hits / {self.cache_misses} misses)"
+                f"  writes {report.mutations_offered}: "
+                f"{report.mutations_applied} applied, "
+                f"{report.mutations_noop} no-op, "
+                f"{report.mutations_rejected} rejected, "
+                f"{report.mutations_shed} shed  "
+                f"write p99 {report.mutation_p99_seconds:.2e}s"
+            )
+        if report.cache_hits or report.cache_misses:
+            lines.append(
+                f"  cache {report.cache_hit_rate:.1%} hit "
+                f"({report.cache_hits} hits / {report.cache_misses} misses)"
             )
         if self.shard_loads:
             loads = [
@@ -447,10 +420,10 @@ class DashboardModel:
                 f"({self.remote_fetches} remote)  " + " ".join(loads)
             )
         if (
-            self.confirmed_reads
-            or self.stale_reads
-            or self.forced_catchups
-            or self.hedges_won
+            report.confirmed_reads
+            or report.stale_reads
+            or report.forced_catchups
+            or report.hedges_won
             or self.replication_lag_peak
         ):
             groups = " ".join(
@@ -460,10 +433,10 @@ class DashboardModel:
             lines.append(
                 f"  replication: lag peak {self.replication_lag_peak}"
                 + (f" ({groups})" if groups else "")
-                + f"  confirmed {self.confirmed_reads}"
-                f"  stale {self.stale_reads}"
-                f"  catchups {self.forced_catchups}"
-                f"  hedges won {self.hedges_won}"
+                + f"  confirmed {report.confirmed_reads}"
+                f"  stale {report.stale_reads}"
+                f"  catchups {report.forced_catchups}"
+                f"  hedges won {report.hedges_won}"
             )
         lines.append(f"  traced: {self.traced_fraction:.1%} of served requests")
 
@@ -514,6 +487,10 @@ class DashboardModel:
             for request in self.worst:
                 lines.append("  " + format_request(request))
         return "\n".join(lines)
+
+
+def _share(part: int, whole: int) -> float:
+    return part / whole if whole else 0.0
 
 
 def format_request(request: RequestTrace) -> str:

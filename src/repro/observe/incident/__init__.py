@@ -33,7 +33,6 @@ from repro.observe.incident.report import (
 )
 from repro.observe.incident.triggers import (
     TRIGGER_KINDS,
-    SLOBurnTrigger,
     TriggerEngine,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "FlightRecorder",
     "IncidentReport",
     "RootCause",
-    "SLOBurnTrigger",
     "TRIGGER_KINDS",
     "TimelineEntry",
     "TriggerEngine",

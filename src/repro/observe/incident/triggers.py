@@ -13,12 +13,12 @@ atomically, holding the trigger, its details, and every buffered event
     A request died with no serving replica (a ``serve.request``
     terminal with outcome ``error``).
 ``slo_burn``
-    An online multi-window burn-rate alert fired.  The math mirrors
-    :mod:`repro.observe.slo` — an alert fires only when *both* the
-    long and the short window exceed the burn threshold — but runs
-    incrementally over the request stream instead of batch over a
-    finished trace, so the bundle is cut while the regression window
-    is still in the buffer.
+    An online multi-window burn-rate alert fired: the page policy of
+    :func:`repro.observe.slo.default_windows` over the run's expected
+    span, read by the same :class:`~repro.observe.slo.BurnTracker` that
+    ``repro top --slo`` evaluates with, after every finished read
+    instead of once over a finished trace — so the bundle is cut while
+    the regression window is still in the buffer.
 ``scenario_assertion``
     The scenario runner reports a failed expectation via
     :meth:`TriggerEngine.fire` after grading.
@@ -34,95 +34,21 @@ scenario runs are replayable byte for byte.
 from __future__ import annotations
 
 import json
-from collections import deque
 from pathlib import Path
 from typing import Sequence
 
 from repro.bench.results import atomic_write_text
 from repro.observe.incident.recorder import FlightRecorder
 from repro.observe.incident.report import load_bundle
-from repro.observe.slo import SLOSpec
+from repro.observe.slo import BurnTracker, SLOSpec, default_windows
 
 #: Bundle kinds the engine can produce, in the order they tend to
 #: appear during one incident.
 TRIGGER_KINDS = ("slo_burn", "failover", "shard_unavailable", "scenario_assertion")
 
-#: The classic "page now" burn threshold (see repro.observe.slo).
-DEFAULT_BURN_THRESHOLD = 14.4
-
 #: Don't evaluate a burn window until it holds this many requests —
 #: one bad request out of one is burn 1/budget, which is noise.
 MIN_WINDOW_SAMPLES = 20
-
-
-class SLOBurnTrigger:
-    """Incremental multi-window burn-rate evaluation for one spec.
-
-    Feed it every finished request via :meth:`observe`; it returns the
-    burn state dict the first time both windows exceed the threshold
-    (and again after the windows drain and re-burn — the caller's
-    cooldown decides what to do with repeats).
-    """
-
-    def __init__(
-        self,
-        spec: SLOSpec,
-        long_seconds: float,
-        short_seconds: float,
-        burn_threshold: float = DEFAULT_BURN_THRESHOLD,
-        min_samples: int = MIN_WINDOW_SAMPLES,
-    ):
-        if long_seconds <= 0 or short_seconds <= 0:
-            raise ValueError("window lengths must be positive")
-        if short_seconds > long_seconds:
-            raise ValueError("short window must not exceed the long window")
-        self.spec = spec
-        self.long_seconds = long_seconds
-        self.short_seconds = short_seconds
-        self.burn_threshold = burn_threshold
-        self.min_samples = min_samples
-        # (at, good) samples per window, plus running bad counts.
-        self._long: deque[tuple[float, bool]] = deque()
-        self._short: deque[tuple[float, bool]] = deque()
-        self._long_bad = 0
-        self._short_bad = 0
-
-    def _burn(self, window: deque, bad: int) -> float:
-        if len(window) < self.min_samples:
-            return 0.0
-        return (bad / len(window)) / self.spec.budget
-
-    def observe(self, at: float, outcome: str, latency_seconds: float) -> dict | None:
-        """Account one finished request; returns burn state when firing."""
-        good = self.spec.is_good(outcome, latency_seconds)
-        for window, length in ((self._long, self.long_seconds),
-                               (self._short, self.short_seconds)):
-            window.append((at, good))
-            cutoff = at - length
-            while window and window[0][0] <= cutoff:
-                _, was_good = window.popleft()
-                if not was_good:
-                    if window is self._long:
-                        self._long_bad -= 1
-                    else:
-                        self._short_bad -= 1
-        if not good:
-            self._long_bad += 1
-            self._short_bad += 1
-        long_burn = self._burn(self._long, self._long_bad)
-        short_burn = self._burn(self._short, self._short_bad)
-        if long_burn > self.burn_threshold and short_burn > self.burn_threshold:
-            return {
-                "slo": self.spec.name,
-                "kind": self.spec.kind,
-                "target": self.spec.target,
-                "long_burn": long_burn,
-                "short_burn": short_burn,
-                "long_seconds": self.long_seconds,
-                "short_seconds": self.short_seconds,
-                "burn_threshold": self.burn_threshold,
-            }
-        return None
 
 
 class TriggerEngine:
@@ -136,9 +62,9 @@ class TriggerEngine:
     directory:
         Where bundles land (created on first write).
     slos:
-        Specs to track online; window lengths come from ``span_hint``
-        (the run's expected simulated span) using the same 1/30 and
-        1/720 ratios as :func:`repro.observe.slo.default_windows`.
+        Specs to track online, each under the page policy of
+        :func:`repro.observe.slo.default_windows` over ``span_hint``
+        (the run's expected simulated span).
     span_hint:
         Expected simulated span of the run; also sets the default
         per-kind cooldown (one long window).
@@ -154,7 +80,6 @@ class TriggerEngine:
         directory: str | Path,
         slos: Sequence[SLOSpec] = (),
         span_hint: float | None = None,
-        burn_threshold: float = DEFAULT_BURN_THRESHOLD,
         cooldown_seconds: float | None = None,
         context: dict | None = None,
     ):
@@ -165,8 +90,9 @@ class TriggerEngine:
         if cooldown_seconds is None:
             cooldown_seconds = span / 30
         self.cooldown_seconds = cooldown_seconds
+        page = default_windows(span)[0]
         self._burn_trackers = [
-            SLOBurnTrigger(spec, span / 30, span / 720, burn_threshold)
+            (spec, BurnTracker(page, spec.budget, MIN_WINDOW_SAMPLES))
             for spec in slos
         ]
         #: One summary dict per written bundle, in firing order.
@@ -205,14 +131,27 @@ class TriggerEngine:
                     },
                     evidence=[record["id"]],
                 )
-            for tracker in self._burn_trackers:
-                state = tracker.observe(
-                    record.get("arrival", at),
-                    outcome,
-                    record.get("latency_seconds", 0.0),
-                )
-                if state is not None:
-                    self.fire("slo_burn", at, details=state, evidence=[record["id"]])
+            # A write (a record with an ``op``) is no request against a
+            # read objective.
+            trackers = () if "op" in record else self._burn_trackers
+            arrival = record.get("arrival", at)
+            latency = record.get("latency_seconds", 0.0)
+            for spec, tracker in trackers:
+                tracker.add(arrival, spec.is_good(outcome, latency))
+                burn = tracker.read(arrival)
+                if not burn.firing:
+                    continue
+                details = {
+                    "slo": spec.name,
+                    "kind": spec.kind,
+                    "target": spec.target,
+                    "long_burn": burn.long_burn,
+                    "short_burn": burn.short_burn,
+                    "long_seconds": burn.window.long_seconds,
+                    "short_seconds": burn.window.short_seconds,
+                    "burn_threshold": burn.window.burn_threshold,
+                }
+                self.fire("slo_burn", at, details=details, evidence=[record["id"]])
 
     # ------------------------------------------------------------------
     def _may_write(self, path: Path) -> bool:

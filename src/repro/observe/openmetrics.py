@@ -1,7 +1,8 @@
 """One-shot OpenMetrics text exposition of a dashboard snapshot.
 
 ``repro top --openmetrics`` renders a :class:`~repro.observe.dashboard.
-DashboardModel` in the `OpenMetrics text format
+DashboardModel` (its ``ServeReport`` and what it derives from the
+stages) in the `OpenMetrics text format
 <https://prometheus.io/docs/specs/om/open_metrics_spec/>`_, so the
 simulator's serving counters scrape into any Prometheus-compatible
 stack without an exporter sidecar: counters get a ``_total`` sample,
@@ -48,19 +49,20 @@ def render_openmetrics(model: DashboardModel) -> str:
         lines.append(f"# HELP {full} {help_text}")
         lines.append(f"{full} {_fmt(value)}")
 
-    counter("requests", "Requests offered to the server.", model.offered)
-    counter("served", "Requests answered before any drop point.", model.served)
-    counter("shed", "Requests shed at the admission queue.", model.shed)
+    report = model.report
+    counter("requests", "Requests offered to the server.", report.offered)
+    counter("served", "Requests answered before any drop point.", report.served)
+    counter("shed", "Requests shed at the admission queue.", report.shed)
     counter(
         "deadline_dropped",
         "Requests dropped past their deadline at dequeue.",
-        model.deadline_dropped,
+        report.deadline_dropped,
     )
-    counter("failed", "Requests failed with no serving replica.", model.failed)
-    counter("failovers", "Primary failovers observed in the trace.", model.failovers)
-    counter("positives", "Served queries whose answer was reachable.", model.positives)
-    counter("cache_hits", "Query-cache hits.", model.cache_hits)
-    counter("cache_misses", "Query-cache misses.", model.cache_misses)
+    counter("failed", "Requests failed with no serving replica.", report.failed)
+    counter("failovers", "Primary failovers observed in the trace.", report.failovers)
+    counter("positives", "Served queries whose answer was reachable.", report.positives)
+    counter("cache_hits", "Query-cache hits.", report.cache_hits)
+    counter("cache_misses", "Query-cache misses.", report.cache_misses)
     counter("store_fetches", "Label-store fetches.", model.store_fetches)
     counter(
         "remote_fetches",
@@ -70,23 +72,23 @@ def render_openmetrics(model: DashboardModel) -> str:
     counter(
         "confirmed_reads",
         "Stale follower reads confirmed against the leader.",
-        model.confirmed_reads,
+        report.confirmed_reads,
     )
     counter(
         "stale_reads",
         "Follower reads served stale under the monotonicity guard.",
-        model.stale_reads,
+        report.stale_reads,
     )
     counter(
         "forced_catchups",
         "Follower catch-ups forced by the staleness bound.",
-        model.forced_catchups,
+        report.forced_catchups,
     )
-    counter("hedges_won", "Hedged reads resolved by the faster replica.", model.hedges_won)
+    counter("hedges_won", "Hedged reads resolved by the faster replica.", report.hedges_won)
     gauge(
         "makespan_seconds",
         "Simulated span of the serving run.",
-        model.makespan_seconds,
+        report.makespan_seconds,
     )
     gauge(
         "traced_fraction",

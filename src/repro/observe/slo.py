@@ -23,6 +23,9 @@ threshold (the long window gives significance, the short window makes
 the alert reset quickly once the incident ends), and **clears** as
 soon as the short window drains.
 
+One :class:`BurnTracker` prices every burn: :func:`evaluate_slo` feeds
+it a finished trace, the incident trigger each request as it finishes.
+
 Everything evaluates over ``serve.request`` traces on the simulated
 clock, so alert behaviour is deterministic and replayable from a JSONL
 export — `repro top --slo spec.json` is the consumer.
@@ -31,9 +34,12 @@ export — `repro top --slo spec.json` is the consumer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from repro.errors import check_seconds
 
 #: Spec kinds and their good-request predicates (documented above).
 KINDS = ("availability", "latency")
@@ -49,20 +55,14 @@ class BurnWindow:
     severity: str = "page"
 
     def __post_init__(self):
-        if self.long_seconds <= 0 or self.short_seconds <= 0:
-            raise ValueError("window lengths must be positive")
+        check_seconds("long_seconds", self.long_seconds, positive=True)
+        check_seconds("short_seconds", self.short_seconds, positive=True)
+        check_seconds("burn_threshold", self.burn_threshold, positive=True)
         if self.short_seconds > self.long_seconds:
             raise ValueError("short window must not exceed the long window")
-        if self.burn_threshold <= 0:
-            raise ValueError("burn_threshold must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "long_seconds": self.long_seconds,
-            "short_seconds": self.short_seconds,
-            "burn_threshold": self.burn_threshold,
-            "severity": self.severity,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "BurnWindow":
@@ -94,10 +94,8 @@ class SLOSpec:
             raise ValueError(f"unknown SLO kind {self.kind!r} (use {KINDS})")
         if not 0 < self.target < 1:
             raise ValueError("target must be strictly between 0 and 1")
-        if self.kind == "latency" and (
-            self.threshold_seconds is None or self.threshold_seconds <= 0
-        ):
-            raise ValueError("latency SLOs need a positive threshold_seconds")
+        if self.kind == "latency":  # None is refused like NaN
+            check_seconds("threshold_seconds", self.threshold_seconds, positive=True)
 
     @property
     def budget(self) -> float:
@@ -122,6 +120,8 @@ class SLOSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SLOSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"an SLO spec must be a JSON object, got {data!r}")
         try:
             return cls(
                 name=str(data["name"]),
@@ -138,6 +138,8 @@ class SLOSpec:
             )
         except KeyError as exc:
             raise ValueError(f"SLO spec missing field {exc.args[0]!r}") from exc
+        except TypeError as exc:  # a null number, a window that is no object
+            raise ValueError(f"SLO spec {data.get('name')!r}: {exc}") from exc
 
 
 def load_slo_specs(path: str | Path) -> list[SLOSpec]:
@@ -176,6 +178,47 @@ class BurnRate:
     def firing(self) -> bool:
         threshold = self.window.burn_threshold
         return self.long_burn > threshold and self.short_burn > threshold
+
+
+class BurnTracker:
+    """One policy's burn rates over a stream of ``(arrival, good)`` samples.
+
+    :meth:`read` first drops, from each window's oldest end, the samples
+    at or before ``end`` minus its length, then prices the rest as
+    ``(bad / n) / budget`` — 0.0 below ``min_samples`` samples.  Fed in
+    arrival order, a window read at ``end`` holds exactly the samples
+    with ``end - length < t <= end``.
+    """
+
+    def __init__(self, window: BurnWindow, budget: float, min_samples: int = 1):
+        self.window = window
+        self.budget = budget
+        self.min_samples = min_samples
+        # The long window, then the short one: length, samples, bad count.
+        self._lengths = (window.long_seconds, window.short_seconds)
+        self._samples: tuple[deque, deque] = (deque(), deque())
+        self._bad = [0, 0]
+
+    def add(self, at: float, good: bool) -> None:
+        """Account one finished request at its arrival time."""
+        for samples in self._samples:
+            samples.append((at, good))
+        if not good:
+            self._bad = [bad + 1 for bad in self._bad]
+
+    def read(self, end: float) -> BurnRate:
+        """Both windows' burn rates, the windows ending at ``end``."""
+        burns = []
+        for i, (length, samples) in enumerate(zip(self._lengths, self._samples)):
+            cutoff = end - length
+            while samples and samples[0][0] <= cutoff:
+                if not samples.popleft()[1]:
+                    self._bad[i] -= 1
+            n = len(samples)
+            burns.append(
+                (self._bad[i] / n) / self.budget if n >= self.min_samples else 0.0
+            )
+        return BurnRate(self.window, *burns)
 
 
 @dataclass(frozen=True)
@@ -268,20 +311,16 @@ def evaluate_slo(
     if end_time is None:
         end_time = samples[-1][0] if samples else 0.0
     span = end_time - (samples[0][0] if samples else 0.0)
-    windows = spec.windows or default_windows(span)
-
-    def burn(window_seconds: float) -> float:
-        cutoff = end_time - window_seconds
-        in_window = [ok for time, ok in samples if cutoff < time <= end_time]
-        if not in_window:
-            return 0.0
-        bad_fraction = in_window.count(False) / len(in_window)
-        return bad_fraction / spec.budget
-
-    burn_rates = tuple(
-        BurnRate(w, burn(w.long_seconds), burn(w.short_seconds))
-        for w in windows
-    )
+    trackers = [
+        BurnTracker(window, spec.budget)
+        for window in spec.windows or default_windows(span)
+    ]
+    for at, ok in samples:
+        if at > end_time:
+            break
+        for tracker in trackers:
+            tracker.add(at, ok)
+    burn_rates = tuple(tracker.read(end_time) for tracker in trackers)
     return SLOStatus(
         spec=spec,
         total=total,

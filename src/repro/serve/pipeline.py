@@ -35,10 +35,10 @@ import heapq
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.errors import ShardUnavailableError, check_count, check_seconds
+from repro.observe.serve_report import ServeReport
 from repro.observe.tracing import TraceIdGenerator, begin_request, end_request
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.telemetry import (
@@ -50,136 +50,6 @@ from repro.telemetry import (
     trace_event,
     trace_span,
 )
-from repro.telemetry.metrics import sorted_percentile
-
-
-@dataclass(frozen=True)
-class ServeReport:
-    """Everything one serving run measured (all seconds simulated)."""
-
-    mode: str
-    offered: int
-    served: int
-    shed: int
-    deadline_dropped: int
-    positives: int
-    batches: int
-    queue_peak: int
-    makespan_seconds: float
-    mean_seconds: float
-    p50_seconds: float
-    p99_seconds: float
-    p999_seconds: float
-    max_seconds: float
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidated: int = 0
-    cache_evictions: int = 0
-    shard_loads: list[int] = field(default_factory=list)
-    shard_skew: float = 1.0
-    degraded: bool = False
-    fallback_queries: int = 0
-    failed: int = 0
-    failovers: int = 0
-    replica_timeouts: int = 0
-    hedges_won: int = 0
-    stale_reads: int = 0
-    confirmed_reads: int = 0
-    forced_catchups: int = 0
-    replication_lag: int = 0
-    replicas_down: int = 0
-    mutations_offered: int = 0
-    mutations_applied: int = 0
-    mutations_noop: int = 0
-    mutations_rejected: int = 0
-    mutations_shed: int = 0
-    mutation_p50_seconds: float = 0.0
-    mutation_p99_seconds: float = 0.0
-    mutation_max_seconds: float = 0.0
-    staleness_window_seconds: float = 0.0
-
-    @property
-    def throughput(self) -> float:
-        """Served queries per simulated second of makespan."""
-        if not self.makespan_seconds:
-            return 0.0
-        return self.served / self.makespan_seconds
-
-    @property
-    def availability(self) -> float:
-        """Served over offered (1.0 when nothing was offered).
-
-        Sheds, deadline drops, and failed requests all count against
-        availability — the client got no answer either way.
-        """
-        if not self.offered:
-            return 1.0
-        return self.served / self.offered
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Hits over cache lookups (0.0 without a cache)."""
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
-
-    @property
-    def update_throughput(self) -> float:
-        """Applied mutations per simulated second of makespan."""
-        if not self.makespan_seconds:
-            return 0.0
-        return self.mutations_applied / self.makespan_seconds
-
-    def summary(self) -> str:
-        """Multi-line human-readable report."""
-        lines = [
-            f"{self.mode} run: {self.offered} offered, {self.served} served, "
-            f"{self.shed} shed, {self.deadline_dropped} past deadline"
-            + (f", {self.failed} failed" if self.failed else ""),
-            f"  throughput {self.throughput:,.0f} q/s over "
-            f"{self.makespan_seconds:.3e} s (queue peak {self.queue_peak}, "
-            f"{self.batches} batches)",
-            f"  latency p50 {self.p50_seconds:.2e}s  p99 {self.p99_seconds:.2e}s  "
-            f"p999 {self.p999_seconds:.2e}s  max {self.max_seconds:.2e}s",
-        ]
-        if self.mutations_offered:
-            lines.append(
-                f"  writes: {self.mutations_offered} offered, "
-                f"{self.mutations_applied} applied, {self.mutations_noop} no-op, "
-                f"{self.mutations_rejected} rejected, {self.mutations_shed} shed "
-                f"({self.update_throughput:,.0f} u/s, "
-                f"write p99 {self.mutation_p99_seconds:.2e}s, "
-                f"staleness window {self.staleness_window_seconds:.2e}s)"
-            )
-        if self.cache_hits or self.cache_misses:
-            lines.append(
-                f"  cache: {self.cache_hit_rate:.1%} hit rate "
-                f"({self.cache_hits} hits / {self.cache_misses} misses, "
-                f"{self.cache_invalidated} invalidated, "
-                f"{self.cache_evictions} evicted)"
-            )
-        if self.shard_loads:
-            lines.append(
-                f"  shards: load skew {self.shard_skew:.2f} "
-                f"(max/mean over {len(self.shard_loads)} shards)"
-            )
-        if self.failovers or self.replica_timeouts or self.replicas_down:
-            lines.append(
-                f"  replicas: {self.failovers} failover(s), "
-                f"{self.replica_timeouts} timed-out reads, "
-                f"{self.replicas_down} down at end "
-                f"(availability {self.availability:.2%})"
-            )
-        if self.stale_reads or self.confirmed_reads:
-            lines.append(
-                f"  staleness: {self.stale_reads} guarded stale reads, "
-                f"{self.confirmed_reads} leader-confirmed"
-            )
-        if self.degraded:
-            lines.append(
-                f"  DEGRADED: {self.fallback_queries} queries served by "
-                f"online-BFS fallback"
-            )
-        return "\n".join(lines)
 
 
 def _check_schedule(arrivals: Sequence[float]) -> None:
@@ -436,7 +306,8 @@ class QueryServer:
                     is_write = len(request) == 3
                     if tracing:
                         trace = RequestTrace(
-                            trace_ids.next_id(), request[-2], request[-1], arrived
+                            trace_ids.next_id(), request[-2], request[-1],
+                            arrived, request[0] if is_write else None,
                         )
                     if len(queue) >= queue_depth:
                         if is_write:
@@ -447,10 +318,7 @@ class QueryServer:
                             # Shed requests leave a terminal trace too:
                             # the drop reason is part of the record.
                             trace.finish("shed", reason="queue_full")
-                            if is_write:
-                                terminal(clock, trace, op=request[0])
-                            else:
-                                terminal(clock, trace)
+                            terminal(clock, trace)
                         if closed:  # the client retries at once
                             heapq.heappush(ready, clock)
                     else:
@@ -530,7 +398,7 @@ class QueryServer:
                         write_latencies.append(latency)
                         if tracing:
                             trace.finish("served", latency)
-                            terminal(clock, trace, op=op, status=status)
+                            terminal(clock, trace, status=status)
                     elif error is not None:
                         # One lost shard degrades availability; it must
                         # not crash the server or the rest of the batch.
@@ -556,15 +424,15 @@ class QueryServer:
             span.set(served=served, shed=shed, failed=failed)
             span.add_simulated(clock)
 
-        latencies.sort()
-        write_latencies.sort()
         staleness = (
             mutation_backend.staleness_window_seconds
             if mutation_backend is not None
             else 0.0
         )
-        report = ServeReport(
-            mode=mode,
+        report = ServeReport.from_tally(
+            mode,
+            latencies,
+            write_latencies,
             offered=reads_offered,
             served=served,
             shed=shed,
@@ -573,20 +441,12 @@ class QueryServer:
             batches=batches,
             queue_peak=queue_peak,
             makespan_seconds=clock,
-            mean_seconds=sum(latencies) / len(latencies) if latencies else 0.0,
-            p50_seconds=sorted_percentile(latencies, 0.50),
-            p99_seconds=sorted_percentile(latencies, 0.99),
-            p999_seconds=sorted_percentile(latencies, 0.999),
-            max_seconds=latencies[-1] if latencies else 0.0,
             failed=failed,
             mutations_offered=mutations_offered,
             mutations_applied=mut_applied,
             mutations_noop=mut_noop,
             mutations_rejected=mut_rejected,
             mutations_shed=mut_shed,
-            mutation_p50_seconds=sorted_percentile(write_latencies, 0.50),
-            mutation_p99_seconds=sorted_percentile(write_latencies, 0.99),
-            mutation_max_seconds=write_latencies[-1] if write_latencies else 0.0,
             staleness_window_seconds=staleness,
             **self._backend_stats(),
         )

@@ -98,19 +98,24 @@ class RequestTrace:
     clock, and the finished trace is emitted as a ``serve.request``
     event carrying :meth:`to_attrs`; the reader parses it back with
     :meth:`from_event`.  A stage is the flat dict the JSONL holds:
-    ``{"stage": name, "seconds": s, **attrs}``.
+    ``{"stage": name, "seconds": s, **attrs}``.  A write carries its
+    ``op`` (``insert``, ``delete``, ...); a read has none.
     """
 
     __slots__ = (
-        "trace_id", "source", "target", "arrival",
+        "trace_id", "source", "target", "arrival", "op",
         "outcome", "latency_seconds", "reason", "stages", "run",
     )
 
-    def __init__(self, trace_id: str, source: int, target: int, arrival: float):
+    def __init__(
+        self, trace_id: str, source: int, target: int, arrival: float,
+        op: str | None = None,
+    ):
         self.trace_id = trace_id
         self.source = source
         self.target = target
         self.arrival = arrival
+        self.op = op
         self.outcome = "pending"
         self.latency_seconds = 0.0
         self.reason: str | None = None
@@ -151,6 +156,8 @@ class RequestTrace:
         }
         if self.reason is not None:
             attrs["reason"] = self.reason
+        if self.op is not None:
+            attrs["op"] = self.op
         return attrs
 
     @classmethod
@@ -163,6 +170,7 @@ class RequestTrace:
             attrs.get("source", -1),
             attrs.get("target", -1),
             attrs.get("arrival", 0.0),
+            attrs.get("op"),
         )
         trace.finish(
             attrs.get("outcome", "?"),

@@ -1,25 +1,35 @@
 """Tests for the ``repro top`` dashboard model and CLI."""
 
 import json
+import time
 
 import pytest
 
 from repro.cli import main
 from repro.core.build import build_index
+from repro.core.dynamic import DynamicReachabilityIndex
 from repro.graph.generators import social_graph
 from repro.observe.dashboard import DashboardModel
-from repro.observe.slo import SLOSpec
+from repro.observe.slo import SLOSpec, evaluate_slos
 from repro.pregel.cost_model import CostModel
 from repro.serve import (
+    BoundedStalenessReplicator,
     CachingBackend,
+    HealthPolicy,
+    MutationBackend,
+    QueryCache,
     QueryServer,
+    ServeFaultPlan,
     ShardedIndexBackend,
     ShardedLabelStore,
+    Timeline,
 )
 from repro.telemetry import session
 from repro.telemetry.reader import Trace
 from repro.telemetry.sinks import InMemorySink
-from repro.workloads.traffic import poisson_arrivals, zipf_pairs
+from repro.workloads.queries import random_pairs
+from repro.workloads.traffic import poisson_arrivals, uniform_arrivals, zipf_pairs
+from repro.workloads.updates import mixed_update_stream
 
 _NO_LIMIT = CostModel(time_limit_seconds=None)
 
@@ -46,33 +56,107 @@ def model(traced_run):
     return DashboardModel.from_trace(Trace(records))
 
 
+def _mixed_run():
+    """Reads beside writes over a leader and a round-robin follower
+    group that lags behind it; a shallow queue sheds some of both."""
+    leader = DynamicReachabilityIndex(social_graph(150, seed=4))
+    replicator = BoundedStalenessReplicator(
+        leader, num_replicas=2, delay_seconds=2e-4
+    )
+    store = ShardedLabelStore(
+        leader, num_shards=4, cost_model=_NO_LIMIT, replicas=2,
+        policy="round-robin", replicator=replicator,
+    )
+    cache = QueryCache()
+    cache.attach(leader)
+    server = QueryServer(
+        CachingBackend(ShardedIndexBackend(store), cache, cost_model=_NO_LIMIT),
+        queue_depth=32,
+        cost_model=_NO_LIMIT,
+        on_advance=store.advance,
+        mutation_backend=MutationBackend(
+            leader, cost_model=_NO_LIMIT, replicator=replicator
+        ),
+    )
+    mutations = mixed_update_stream(
+        leader.current_graph(), 150, node_ratio=0.1, seed=5
+    )
+    return server.run_mixed(
+        zipf_pairs(leader.num_vertices, 1500, seed=6),
+        poisson_arrivals(1500, rate=1_000_000, seed=7),
+        mutations,
+        poisson_arrivals(150, rate=100_000, seed=8),
+    )
+
+
+def _crashed_run():
+    """Both copies of shard 0 crash mid-run, so its reads fail, and
+    shard 1 fails over to its second copy."""
+    graph = social_graph(150, seed=4)
+    store = ShardedLabelStore(
+        build_index(graph, cost_model=_NO_LIMIT).index,
+        num_shards=2, cost_model=_NO_LIMIT, replicas=2,
+        health=HealthPolicy(failure_threshold=2),
+    )
+    timeline = Timeline(store.advance)
+    ServeFaultPlan.parse(
+        "crash=0.0@0.0002,crash=0.1@0.0002,crash=1.0@0.0002"
+    ).schedule(
+        timeline, store
+    )
+    server = QueryServer(
+        ShardedIndexBackend(store), cost_model=_NO_LIMIT,
+        on_advance=timeline.advance,
+    )
+    return server.run_open(
+        random_pairs(graph.num_vertices, 600, seed=5),
+        uniform_arrivals(600, rate=1_000_000),
+    )
+
+
+def _traced(run):
+    sink = InMemorySink()
+    with session([sink]):
+        report = run()
+    return sink.records, report
+
+
+#: Every ServeReport field a request trace carries.
+_TRACED_FIELDS = (
+    "offered", "served", "shed", "deadline_dropped", "failed", "positives",
+    "makespan_seconds", "mean_seconds", "p50_seconds", "p99_seconds",
+    "p999_seconds", "max_seconds", "cache_hits", "cache_misses",
+    "failovers", "hedges_won", "stale_reads", "confirmed_reads",
+    "forced_catchups", "mutations_offered", "mutations_applied",
+    "mutations_noop", "mutations_rejected", "mutations_shed",
+    "mutation_p50_seconds", "mutation_p99_seconds", "mutation_max_seconds",
+    # Derived from the fields above.
+    "throughput", "availability", "cache_hit_rate", "update_throughput",
+)
+
+
 class TestModel:
     def test_counts_match_report(self, traced_run, model):
         _, report = traced_run
-        assert model.offered == report.offered
-        assert model.served == report.served
-        assert model.shed == report.shed
-        assert model.deadline_dropped == report.deadline_dropped
-        assert model.positives == report.positives
+        assert model.report.offered == report.offered
+        assert model.report.served == report.served
+        assert model.report.shed == report.shed
+        assert model.report.deadline_dropped == report.deadline_dropped
+        assert model.report.positives == report.positives
 
     def test_percentiles_match_report_exactly(self, traced_run, model):
         _, report = traced_run
-        assert model.percentile(0.50) == report.p50_seconds
-        assert model.percentile(0.99) == report.p99_seconds
-        assert model.percentile(0.999) == report.p999_seconds
-        assert model.makespan_seconds == report.makespan_seconds
-        assert model.throughput == report.throughput
+        assert model.report.p50_seconds == report.p50_seconds
+        assert model.report.p99_seconds == report.p99_seconds
+        assert model.report.p999_seconds == report.p999_seconds
+        assert model.report.makespan_seconds == report.makespan_seconds
+        assert model.report.throughput == report.throughput
 
     def test_hit_rate_matches_report_exactly(self, traced_run, model):
         _, report = traced_run
-        assert model.cache_hits == report.cache_hits
-        assert model.cache_misses == report.cache_misses
-        assert model.cache_hit_rate == report.cache_hit_rate
-
-    def test_traced_fraction_and_stage_counts(self, model):
-        assert model.traced_fraction >= 0.99
-        for stage in ("admission", "cache", "store", "backend"):
-            assert model.stage_counts.get(stage, 0) > 0
+        assert model.report.cache_hits == report.cache_hits
+        assert model.report.cache_misses == report.cache_misses
+        assert model.report.cache_hit_rate == report.cache_hit_rate
 
     def test_shard_traffic(self, traced_run, model):
         _, report = traced_run
@@ -80,10 +164,50 @@ class TestModel:
         assert model.store_fetches == report.cache_misses
         assert sum(model.shard_loads.values()) == sum(report.shard_loads)
 
+    @pytest.mark.parametrize("run", ["cached", "mixed", "crashed"])
+    def test_report_matches_the_live_run(self, traced_run, run):
+        records, live = {
+            "cached": lambda: traced_run,
+            "mixed": lambda: _traced(_mixed_run),
+            "crashed": lambda: _traced(_crashed_run),
+        }[run]()
+        model = DashboardModel.from_trace(Trace(records))
+        for name in _TRACED_FIELDS:
+            assert getattr(model.report, name) == getattr(live, name), name
+        # The store stages name every shard a fetch read.
+        assert [
+            model.shard_loads.get(shard, 0)
+            for shard in range(len(live.shard_loads))
+        ] == live.shard_loads
+        assert model.traced_fraction == 1.0
+        assert sum(w.offered for w in model.windows) == live.offered
+        assert sum(w.served for w in model.windows) == live.served
+        assert model.latencies == sorted(
+            r.latency_seconds
+            for r in model.requests
+            if r.op is None and r.outcome == "served"
+        )
+        # Writes show where, and only where, the trace holds them.
+        assert ("mutations_offered" in model.to_json()) == (run == "mixed")
+        assert ("  writes " in model.render()) == (run == "mixed")
+        if run == "cached":
+            assert model.store_fetches == live.cache_misses
+        # Each case exercises what it is here for.
+        if run == "mixed":
+            assert live.mutations_applied and live.mutations_shed and live.shed
+            assert live.stale_reads + live.confirmed_reads + live.forced_catchups
+        if run == "crashed":
+            assert live.failed and live.failovers
+
+    def test_traced_fraction_and_stage_counts(self, model):
+        assert model.traced_fraction >= 0.99
+        for stage in ("admission", "cache", "store", "backend"):
+            assert model.stage_counts.get(stage, 0) > 0
+
     def test_windows_cover_the_run(self, model):
         assert model.windows
-        assert sum(w.offered for w in model.windows) == model.offered
-        assert sum(w.served for w in model.windows) == model.served
+        assert sum(w.offered for w in model.windows) == model.report.offered
+        assert sum(w.served for w in model.windows) == model.report.served
 
     def test_every_window_has_a_rate_including_the_first(self, model):
         """The window clock starts at the first window's start, so
@@ -105,9 +229,9 @@ class TestModel:
 
     def test_to_json_round_trips(self, model):
         payload = json.loads(json.dumps(model.to_json()))
-        assert payload["served"] == model.served
-        assert payload["p99_seconds"] == model.percentile(0.99)
-        assert payload["hit_rate"] == model.cache_hit_rate
+        assert payload["served"] == model.report.served
+        assert payload["p99_seconds"] == model.report.p99_seconds
+        assert payload["hit_rate"] == model.report.cache_hit_rate
         assert len(payload["windows"]) == len(model.windows)
         assert payload["alerts"] == []
 
@@ -130,6 +254,49 @@ class TestModel:
         assert by_name["trivial"].ok
         assert any(a["slo"] == "impossible" for a in with_slos.firing_alerts)
 
+    def test_slo_statuses_are_pinned(self, traced_run):
+        """evaluate_slo over this trace under both default windows, at
+        the last arrival and at a mid-run end time, bit for bit."""
+        requests = Trace(traced_run[0]).requests
+        specs = [
+            SLOSpec("avail", "availability", 0.9),
+            SLOSpec("p99", "latency", 0.99, threshold_seconds=1e-4),
+            SLOSpec("impossible", "latency", 0.999, threshold_seconds=1e-9),
+        ]
+
+        def pinned(statuses):
+            return [
+                (
+                    s.total, s.good, s.bad, s.ok, s.budget_consumed,
+                    [(b.window.severity, b.long_burn, b.short_burn, b.firing)
+                     for b in s.burn_rates],
+                )
+                for s in statuses
+            ]
+
+        never = 999.9999999999991
+        assert pinned(evaluate_slos(specs, requests)) == [
+            (1500, 701, 799, True, 5.326666666666667, [
+                ("page", 4.615384615384617, 0.0, False),
+                ("ticket", 4.864864864864866, 0.0, False),
+            ]),
+            (1500, 611, 889, True, 59.266666666666616, [
+                ("page", 46.15384615384612, 0.0, False),
+                ("ticket", 48.64864864864861, 0.0, False),
+            ]),
+            (1500, 0, 1500, False, never, [
+                ("page", never, never, True),
+                ("ticket", never, never, True),
+            ]),
+        ]
+        mid = sorted(r.arrival for r in requests)[750]
+        assert pinned(evaluate_slos(specs[:1], requests, end_time=mid)) == [
+            (1500, 701, 799, False, 5.326666666666667, [
+                ("page", 10.000000000000002, 10.000000000000002, False),
+                ("ticket", 6.049382716049385, 10.000000000000002, True),
+            ]),
+        ]
+
     def test_run_selection(self, traced_run):
         records, report = traced_run
         doubled = list(records) + [
@@ -139,9 +306,9 @@ class TestModel:
         ]
         both = DashboardModel.from_trace(Trace(doubled))
         assert both.runs == 2
-        assert both.offered == 2 * report.offered
+        assert both.report.offered == 2 * report.offered
         first = DashboardModel.from_trace(Trace(doubled), run=1)
-        assert first.offered == report.offered
+        assert first.report.offered == report.offered
         with pytest.raises(ValueError, match="out of range"):
             DashboardModel.from_trace(Trace(doubled), run=3)
 
@@ -164,19 +331,19 @@ class TestModel:
             ])
         )
         both = DashboardModel.from_trace(trace)
-        assert (both.runs, both.failovers, both.replication_lag_peak) == (2, 1, 7)
+        assert (both.runs, both.report.failovers, both.replication_lag_peak) == (2, 1, 7)
         first = DashboardModel.from_trace(trace, run=1)
-        assert (first.failovers, first.replication_lag_peak) == (0, 2)
+        assert (first.report.failovers, first.replication_lag_peak) == (0, 2)
         assert first.group_lag_peaks == {"1": 2}
         second = DashboardModel.from_trace(trace, run=2)
-        assert (second.failovers, second.replication_lag_peak) == (1, 7)
+        assert (second.report.failovers, second.replication_lag_peak) == (1, 7)
         assert second.group_lag_peaks == {"1": 7, "2": 3}
 
     def test_empty_records(self):
         empty = DashboardModel.from_trace(Trace())
-        assert empty.offered == 0
+        assert empty.report.offered == 0
         assert empty.windows == []
-        assert empty.percentile(0.99) == 0.0
+        assert empty.report.p99_seconds == 0.0
         assert "0 requests" in empty.render()
 
     def test_requests_from_records_ignores_other_events(self):
@@ -239,11 +406,11 @@ class TestReplicationHealth:
         return DashboardModel.from_trace(Trace(records))
 
     def test_counters_rebuilt_from_stages(self, replicated_model):
-        model = replicated_model
-        assert model.confirmed_reads == 1
-        assert model.stale_reads == 1
-        assert model.forced_catchups == 1
-        assert model.hedges_won == 1
+        report = replicated_model.report
+        assert report.confirmed_reads == 1
+        assert report.stale_reads == 1
+        assert report.forced_catchups == 1
+        assert report.hedges_won == 1
 
     def test_lag_peaks_per_group(self, replicated_model):
         assert replicated_model.replication_lag_peak == 5
@@ -385,6 +552,45 @@ class TestCli:
         assert main(
             ["top", str(trace_file), "--once", "--slo", str(bad)]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"name": "p", "kind": "latency", "target": 0.9,
+             "threshold_seconds": float("nan")},
+            {"name": "a", "kind": "availability", "target": 0.9, "windows": [
+                {"long_seconds": float("nan"), "short_seconds": 1e-6,
+                 "burn_threshold": 2.0}]},
+            {"name": "a", "kind": "availability", "target": 0.9, "windows": [
+                {"long_seconds": 1e-3, "short_seconds": 1e-6,
+                 "burn_threshold": float("nan")}]},
+            ["x"],
+        ],
+        ids=["nan-threshold", "nan-long-window", "nan-burn-threshold",
+             "non-object-entry"],
+    )
+    def test_top_refuses_a_malformed_slo_spec(
+        self, trace_file, tmp_path, capsys, entry
+    ):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps({"slos": [entry]}))
+        assert main(
+            ["top", str(trace_file), "--once", "--json", "--slo", str(spec)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: bad SLO spec {spec}: ")
+
+    def test_top_refuses_more_windows_than_requests(self, trace_file, capsys):
+        """--window 1e-300 used to allocate span / 1e-300 rows."""
+        started = time.perf_counter()
+        assert main(
+            ["top", str(trace_file), "--once", "--window", "1e-300"]
+        ) == 2
+        assert time.perf_counter() - started < 1.0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "more windows than its 1500 requests" in line
 
     def test_top_run_selection(self, trace_file, capsys):
         assert main(["top", str(trace_file), "--once", "--run", "1"]) == 0

@@ -20,7 +20,6 @@ from repro import telemetry
 from repro.observe import tracing
 from repro.observe.incident import (
     FlightRecorder,
-    SLOBurnTrigger,
     TriggerEngine,
     analyze_bundle,
 )
@@ -34,7 +33,7 @@ from repro.observe.incident.report import (
     render_incident_report,
     summarize_bundle,
 )
-from repro.observe.slo import SLOSpec
+from repro.observe.slo import BurnTracker, BurnWindow, SLOSpec
 from repro.scenarios import (
     library_scenarios,
     load_scenario,
@@ -114,33 +113,38 @@ def test_recorder_rejects_bad_bounds():
 
 
 # ----------------------------------------------------------------------
-# SLOBurnTrigger
+# BurnTracker, read after every request as the trigger engine reads it
 # ----------------------------------------------------------------------
+
+def _observe(tracker, spec, at, outcome, latency_seconds):
+    tracker.add(at, spec.is_good(outcome, latency_seconds))
+    return tracker.read(at)
+
 
 def test_burn_trigger_needs_both_windows_over_threshold():
     spec = SLOSpec(name="avail", kind="availability", target=0.999)
-    trigger = SLOBurnTrigger(spec, long_seconds=1.0, short_seconds=0.1,
-                             min_samples=5)
+    tracker = BurnTracker(BurnWindow(1.0, 0.1, 14.4), spec.budget,
+                          min_samples=5)
     # Healthy traffic: never fires.
     for i in range(50):
-        assert trigger.observe(i * 0.01, "served", 1e-6) is None
+        assert not _observe(tracker, spec, i * 0.01, "served", 1e-6).firing
     # A shed burst pushes both windows over burn 14.4 at budget 0.001.
-    state = None
+    burn = None
     for i in range(50, 60):
-        state = trigger.observe(i * 0.01, "shed", 0.0) or state
-    assert state is not None
-    assert state["slo"] == "avail"
-    assert state["long_burn"] > 14.4
-    assert state["short_burn"] > 14.4
+        reading = _observe(tracker, spec, i * 0.01, "shed", 0.0)
+        burn = reading if reading.firing else burn
+    assert burn is not None
+    assert burn.long_burn > 14.4
+    assert burn.short_burn > 14.4
 
 
 def test_burn_trigger_silent_below_min_samples():
     spec = SLOSpec(name="avail", kind="availability", target=0.999)
-    trigger = SLOBurnTrigger(spec, long_seconds=1.0, short_seconds=0.1,
-                             min_samples=20)
+    tracker = BurnTracker(BurnWindow(1.0, 0.1, 14.4), spec.budget,
+                          min_samples=20)
     # 100% bad, but fewer than min_samples requests in the windows.
     for i in range(19):
-        assert trigger.observe(i * 1e-3, "shed", 0.0) is None
+        assert not _observe(tracker, spec, i * 1e-3, "shed", 0.0).firing
 
 
 # ----------------------------------------------------------------------
@@ -218,6 +222,20 @@ def test_slo_burn_fires_through_the_engine(tmp_path):
     )
     assert bundle["details"]["slo"] == "avail"
     assert bundle["details"]["long_burn"] > bundle["details"]["burn_threshold"]
+
+
+def test_slo_burn_counts_reads_only(tmp_path):
+    """A shed write burst burns no read objective: writes (records with
+    an ``op``) never reach the burn window."""
+    spec = SLOSpec(name="avail", kind="availability", target=0.99)
+    recorder = FlightRecorder()
+    engine = TriggerEngine(recorder, tmp_path, slos=[spec], span_hint=150.0)
+    recorder.add_listener(engine.observe)
+    for i in range(80):
+        recorder.record("serve.request", at=i * 0.01, arrival=i * 0.01,
+                        outcome="shed" if i >= 40 else "served",
+                        latency_seconds=0.0, op="insert")
+    assert engine.incidents == []
 
 
 def test_engines_sharing_a_directory_never_replace_each_other(tmp_path):

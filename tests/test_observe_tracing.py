@@ -111,20 +111,21 @@ class TestRequestTrace:
             max_size=6,
         ),
         span=st.none() | st.integers(1, 10_000),
+        op=st.none() | st.sampled_from(["insert", "delete", "add_node"]),
     )
     @settings(max_examples=60, deadline=None)
     def test_one_class_on_both_sides_of_the_file(
-        self, outcome, reason, latency, stages, span
+        self, outcome, reason, latency, stages, span, op
     ):
         """What the writer emits, the reader parses back into an equal
         record — through JSON, as a trace file would carry it."""
-        written = RequestTrace("0001-000003", 4, 7, 0.25)
+        written = RequestTrace("0001-000003", 4, 7, 0.25, op)
         for name, seconds, attrs in stages:
             written.add_stage(name, seconds, **attrs)
         written.finish(outcome, latency, reason)
         record = json.loads(json.dumps({"attrs": written.to_attrs(), "span": span}))
         read = RequestTrace.from_event(record)
-        assert read.run == span
+        assert (read.run, read.op) == (span, op)
         assert read.to_attrs() == written.to_attrs()
         assert read.stage_names() == [name for name, _, _ in stages]
 
