@@ -81,6 +81,11 @@ full pruned BFSs from ``v`` under the new order (the grow side) plus a
 subtraction of the band from the rows on either side of ``v`` (the
 shrink side: *every* such entry is dead) — no rebuild.
 
+*Every write keeps a journal* of the label rows it changes and of its
+edits to the graph and the order: its rows are
+:attr:`~DynamicReachabilityIndex.touched`, and a write that raises
+part-way is rolled back by it (:class:`~repro.errors.WriteAbortedError`).
+
 When constructed with a ``drift_threshold``, the index watches how far
 each updated vertex's *degree rank* (its position under the paper's
 ``(d_in+1)·(d_out+1)`` order on **current** degrees) has drifted above
@@ -92,11 +97,12 @@ stale as the graph evolves and labels fatten".
 from __future__ import annotations
 
 import operator
+from contextlib import contextmanager
 from typing import Iterable
 
 from repro.core import tol
 from repro.core.labels import ReachabilityIndex
-from repro.errors import IndexAuditError, check_count
+from repro.errors import IndexAuditError, WriteAbortedError, check_count
 from repro.graph.digraph import DiGraph
 from repro.graph.order import VertexOrder, degree_order
 
@@ -105,6 +111,24 @@ from repro.graph.order import VertexOrder, degree_order
 #: and ``delete_node`` both payload slots carry the vertex id; for
 #: ``promote`` the payload is ``(vertex, new_rank)``.
 UPDATE_OPS = ("insert", "delete", "add_node", "delete_node", "promote")
+
+
+class _Journal:
+    """What one write changed: ``in_rows`` / ``out_rows`` the label rows
+    it changed, per direction, each named before its first change;
+    ``linked`` / ``unlinked`` the edges it added and removed; ``killed``
+    the vertex it tombstoned; ``n`` and ``order`` what it started from."""
+
+    __slots__ = ("in_rows", "out_rows", "linked", "unlinked", "killed", "n", "order")
+
+    def __init__(self, n: int, order: VertexOrder):
+        self.in_rows: set[int] = set()
+        self.out_rows: set[int] = set()
+        self.linked: list[tuple[int, int]] = []
+        self.unlinked: list[tuple[int, int]] = []
+        self.killed: int | None = None
+        self.n = n
+        self.order = order
 
 
 class DynamicReachabilityIndex:
@@ -154,12 +178,10 @@ class DynamicReachabilityIndex:
         # The one from-scratch build; every later update repairs in place.
         self.in_labels, self.out_labels = tol.tol_label_sets(graph, order)
         self._listeners: list = []
-        #: ``(above, below)`` of the last applied update: it changed at most
-        #: ``out_labels[w]``, w ∈ above, and ``in_labels[w]``, w ∈ below.
-        #: An insert or delete (edge or node) reports exactly the rows it
-        #: wrote, which are the rows that changed; a promote reports its
-        #: two cones; an insert or edge delete that leaves the transitive
-        #: closure alone reports two empty sets.
+        #: ``(above, below)`` of the last applied update: the rows whose
+        #: ``out_labels[w]`` (w ∈ above) and ``in_labels[w]`` (w ∈ below)
+        #: it changed, exactly, for every op — two empty sets for an edge
+        #: write that leaves the transitive closure alone.
         self.touched: tuple[set[int], set[int]] = (set(), set())
 
     # ------------------------------------------------------------------
@@ -256,11 +278,11 @@ class DynamicReachabilityIndex:
         attach to (see ``docs/dynamic.md``).  For ``promote`` the
         payload is ``(vertex, new_rank)``; for node ops both slots
         carry the vertex id.  While listeners run, :attr:`touched`
-        bounds the label rows the update changed — for an insert or a
-        delete it names exactly those rows, for a promote its two cones
-        (replication diffs it); an insert or edge delete that leaves the
-        transitive closure alone still notifies, with
-        ``touched == (set(), set())``.
+        names exactly the label rows the update changed, for every op
+        (replication copies them); an insert or edge delete that leaves
+        the transitive closure alone still notifies, with
+        ``touched == (set(), set())``.  A write that raises part-way
+        is rolled back and notifies no one.
         """
         self._listeners.append(listener)
 
@@ -268,10 +290,59 @@ class DynamicReachabilityIndex:
         """Remove a previously registered listener."""
         self._listeners.remove(listener)
 
-    def _notify(self, op: str, u: int, v: int, above, below) -> None:
-        self.touched = (above, below)
+    @contextmanager
+    def _write(self, op: str, u: int, v: int):
+        """Run one write against a fresh :class:`_Journal`.  When the body
+        returns, the journal's rows are :attr:`touched` and the listeners
+        run.  When it raises, the journal is rolled back, no listener
+        runs, and :class:`WriteAbortedError` is raised from the cause."""
+        journal = _Journal(self._n, self._order)
+        try:
+            yield journal
+        except BaseException as exc:
+            self._roll_back(journal)
+            if not isinstance(exc, Exception):
+                raise
+            raise WriteAbortedError(op, u, v) from exc
+        self.touched = (journal.out_rows, journal.in_rows)
         for listener in self._listeners:
             listener(op, u, v)
+
+    def _roll_back(self, journal: _Journal) -> None:
+        """Put back everything ``journal`` recorded.  The edges, order and
+        vertex flags go back first; the rows are then the TOL index of
+        that graph and order, which is what they held before the write,
+        so the journal names them and one build recomputes them (a cost
+        only a failed write pays — saving every changed row as it was
+        would tax every write)."""
+        n = journal.n
+        for a, b in journal.linked:
+            self._out_adj[a].discard(b)
+            self._in_adj[b].discard(a)
+        for a, b in journal.unlinked:
+            self._out_adj[a].add(b)
+            self._in_adj[b].add(a)
+        del self._out_adj[n:], self._in_adj[n:], self._alive[n:]
+        del self.in_labels[n:], self.out_labels[n:]
+        if journal.killed is not None:
+            self._alive[journal.killed] = True
+        self._n, self._order, self._rank = n, journal.order, journal.order.ranks
+        before = tol.tol_label_sets(self.current_graph(), self._order)
+        for labels, rows, old in zip((self.in_labels, self.out_labels),
+                                     (journal.in_rows, journal.out_rows), before):
+            for w in rows:
+                if w < n:
+                    labels[w] = old[w]
+
+    def _link(self, journal: _Journal, a: int, b: int) -> None:
+        journal.linked.append((a, b))
+        self._out_adj[a].add(b)
+        self._in_adj[b].add(a)
+
+    def _unlink(self, journal: _Journal, a: int, b: int) -> None:
+        journal.unlinked.append((a, b))
+        self._out_adj[a].discard(b)
+        self._in_adj[b].discard(a)
 
     def apply(self, op: str, u: int, v: int) -> bool:
         """Apply one ``(op, u, v)`` update; returns whether it changed
@@ -305,27 +376,25 @@ class DynamicReachabilityIndex:
             raise ValueError("self-loops do not affect reachability")
         if v in self._out_adj[u]:
             return False
-        self._out_adj[u].add(v)
-        self._in_adj[v].add(u)
-        above, below = set(), set()  # the rows written, per direction
-        # The labels are still the old, exact ones: when they say u reached
-        # v already no pair gains a walk, and the write owes the index nothing.
-        if self.out_labels[u].isdisjoint(self.in_labels[v]):
-            # Best rank on any walk a ⇝ u / v ⇝ w; the key sets are the cones.
-            top_above = self._rank_flood(self.in_labels[u], self._in_adj)
-            top_below = self._rank_flood(self.out_labels[v], self._out_adj)
-            # The hubs of u that stay hubs of u, and of v likewise: only their
-            # entries between the cones survive, only they gain any.
-            rank = self._rank
-            hubs_above = [a for a in self.in_labels[u] if top_above[a] == rank[a]]
-            hubs_below = [b for b in self.out_labels[v] if top_below[b] == rank[b]]
-            # Both grows before either shrink: a grow's witness test reads
-            # old entries of both directions, which a shrink may remove.
-            self._grow(hubs_above, v, True, top_below, below)
-            self._grow(hubs_below, u, False, top_above, above)
-            self._shrink(self.in_labels, below, top_below, top_above, hubs_above)
-            self._shrink(self.out_labels, above, top_above, top_below, hubs_below)
-        self._notify("insert", u, v, above, below)
+        with self._write("insert", u, v) as journal:
+            self._link(journal, u, v)
+            # The labels are still the old, exact ones: when they say u reached
+            # v already no pair gains a walk, and the write owes the index nothing.
+            if self.out_labels[u].isdisjoint(self.in_labels[v]):
+                # Best rank on any walk a ⇝ u / v ⇝ w; the key sets are the cones.
+                top_above = self._rank_flood(self.in_labels[u], self._in_adj)
+                top_below = self._rank_flood(self.out_labels[v], self._out_adj)
+                # The hubs of u that stay hubs of u, and of v likewise: only
+                # their entries between the cones survive, only they gain any.
+                rank = self._rank
+                hubs_above = [a for a in self.in_labels[u] if top_above[a] == rank[a]]
+                hubs_below = [b for b in self.out_labels[v] if top_below[b] == rank[b]]
+                # Both grows before either shrink: a grow's witness test reads
+                # old entries of both directions, which a shrink may remove.
+                self._grow(hubs_above, v, True, top_below, journal.in_rows)
+                self._grow(hubs_below, u, False, top_above, journal.out_rows)
+                self._shrink(self.in_labels, journal.in_rows, top_below, top_above, hubs_above)
+                self._shrink(self.out_labels, journal.out_rows, top_above, top_below, hubs_below)
         self._check_drift(u, v)
         return True
 
@@ -349,14 +418,15 @@ class DynamicReachabilityIndex:
                         queue.append(x)
         return top
 
-    def _grow(self, hubs, root: int, forward: bool, top: dict, written: set) -> None:
+    def _grow(self, hubs, root: int, forward: bool, top: dict, journal: set) -> None:
         """Walk each hub's pruned BFS on from ``root``, across the new
-        edge, and add every entry it earns, naming the rows in
-        ``written``.  A walk stops at a row some new walk outranks the
-        hub in, at a row that holds the hub already (the hub reached it
-        before, and everything behind it — which also makes the entry
-        its own visited mark), and at a row holding one of the hub's
-        higher-ranked witnesses (reached before, but not cleanly)."""
+        edge, and add every entry it earns, recording each row in the
+        write's ``journal`` for that direction.  A walk stops at a row
+        some new walk outranks the hub in, at a row that holds the hub
+        already (the hub reached it before, and everything behind it —
+        which also makes the entry its own visited mark), and at a row
+        holding one of the hub's higher-ranked witnesses (reached
+        before, but not cleanly)."""
         rank = self._rank
         adjacency = self._out_adj if forward else self._in_adj
         labels = self.in_labels if forward else self.out_labels
@@ -369,15 +439,16 @@ class DynamicReachabilityIndex:
                 row = labels[w]
                 if top[w] < hub_rank or hub in row or not witnesses.isdisjoint(row):
                     continue
+                journal.add(w)
                 row.add(hub)
-                written.add(w)
                 queue.extend(adjacency[w])
 
-    def _shrink(self, labels, written: set[int], top: dict, cone: dict, keep) -> None:
+    def _shrink(self, labels, journal: set, top: dict, cone: dict, keep) -> None:
         """Remove the entries between the cones that a new walk outranks:
         ``h ∈ cone`` leaves row ``w`` unless ``h`` is in ``keep`` (still a
         hub of the endpoint) and ``rank[h] <= top[w]``.  Rows come out of
-        the flood best rank first, so the dead set only shrinks."""
+        the flood best rank first, so the dead set only shrinks (with no
+        ``keep``, every row loses all of ``cone``).  Rows go in ``journal``."""
         rank = self._rank
         keep = sorted(keep, key=rank.__getitem__, reverse=True)
         dead = set(cone)
@@ -386,8 +457,8 @@ class DynamicReachabilityIndex:
                 dead.discard(keep.pop())
             stale = labels[w] & dead
             if stale:
+                journal.add(w)
                 labels[w] -= stale
-                written.add(w)
 
     # ------------------------------------------------------------------
     # Deletion
@@ -398,17 +469,15 @@ class DynamicReachabilityIndex:
         self._check_vertex(v)
         if v not in self._out_adj[u]:
             return False
-        self._out_adj[u].discard(v)
-        self._in_adj[v].discard(u)
-        above, below = set(), set()  # the rows written, per direction
-        if not self._still_reaches(u, v):
-            # A pair that lost its walks lost them under its hub, which sat
-            # above both endpoints: only the hubs u and v share can lose.
-            in_labels, out_labels = self.in_labels, self.out_labels
-            lost_in = self._cut(in_labels[u] & in_labels[v], [v], True)
-            lost_out = self._cut(out_labels[u] & out_labels[v], [u], False)
-            self._regain(lost_in, lost_out, above, below)
-        self._notify("delete", u, v, above, below)
+        with self._write("delete", u, v) as journal:
+            self._unlink(journal, u, v)
+            if not self._still_reaches(u, v):
+                # A pair that lost its walks lost them under its hub, which
+                # sat above both endpoints: only the hubs u and v share can lose.
+                in_labels, out_labels = self.in_labels, self.out_labels
+                lost_in = self._cut(in_labels[u] & in_labels[v], [v], True, journal.in_rows)
+                lost_out = self._cut(out_labels[u] & out_labels[v], [u], False, journal.out_rows)
+                self._regain(lost_in, lost_out, journal)
         self._check_drift(u, v)
         return True
 
@@ -439,12 +508,12 @@ class DynamicReachabilityIndex:
                 stack.pop()
         return False
 
-    def _cut(self, hubs, starts, forward: bool) -> dict[int, int]:
+    def _cut(self, hubs, starts, forward: bool, journal: set) -> dict[int, int]:
         """Remove every entry of ``hubs`` whose pair stopped reaching when
         the edges into ``starts`` were cut (``forward``: the ``L_in``
         entries; otherwise the edges out of ``starts`` and the ``L_out``
-        entries).  Returns the rows that lost an entry, each with the best
-        rank it lost.
+        entries) and recording each row in ``journal``.  Returns the rows
+        that lost an entry, each with the best rank it lost.
 
         Run on the new adjacency while the labels are the old ones.  A
         new walk from a hub passes only rows that hold it (each row on it
@@ -486,6 +555,7 @@ class DynamicReachabilityIndex:
                         kept.append(x)
             hub_rank = rank[hub]
             for x in reached - still:
+                journal.add(x)
                 labels[x].discard(hub)
                 if lost.get(x, hub_rank) >= hub_rank:
                     lost[x] = hub_rank
@@ -509,9 +579,9 @@ class DynamicReachabilityIndex:
                     stack.append(x)
         return False
 
-    def _regain(self, lost_in: dict, lost_out: dict, above: set, below: set) -> None:
+    def _regain(self, lost_in: dict, lost_out: dict, journal: _Journal) -> None:
         """Add the entries a cut earns, once ``_cut`` removed the ones it
-        cost, naming every row written in ``above`` / ``below``.
+        cost, recording every row written in ``journal``.
 
         A pair gains an entry only when the hub of its old walks lost its
         entry in one of the pair's rows.  Lost in ``L_out(a)``: ``a``
@@ -533,16 +603,15 @@ class DynamicReachabilityIndex:
         for hub in self._below_lost(lost_out, self._out_adj):
             backward.setdefault(hub, lost_out)
         in_labels, out_labels = self.in_labels, self.out_labels
-        below.update(lost_in)
-        above.update(lost_out)
+        in_rows, out_rows = journal.in_rows, journal.out_rows
         for hub in sorted(forward.keys() | backward.keys(), key=rank.__getitem__):
             hub_rank = rank[hub]
             if hub in forward:
                 witnesses = {h for h in out_labels[hub] if rank[h] < hub_rank}
-                pruned_bfs(hub, self._out_adj, rank, in_labels, witnesses, forward[hub], below)
+                pruned_bfs(hub, self._out_adj, rank, in_labels, witnesses, forward[hub], in_rows)
             if hub in backward:
                 witnesses = {h for h in in_labels[hub] if rank[h] < hub_rank}
-                pruned_bfs(hub, self._in_adj, rank, out_labels, witnesses, backward[hub], above)
+                pruned_bfs(hub, self._in_adj, rank, out_labels, witnesses, backward[hub], out_rows)
 
     def _below_lost(self, lost: dict, adjacency) -> set[int]:
         """The rows of ``lost`` and every vertex a search from them along
@@ -577,15 +646,17 @@ class DynamicReachabilityIndex:
         its labels are exactly ``{v}``/``{v}`` and nothing else moves.
         """
         v = self._n
-        self._n += 1
-        self._alive.append(True)
-        self._out_adj.append(set())
-        self._in_adj.append(set())
-        self.in_labels.append({v})
-        self.out_labels.append({v})
-        self._order = VertexOrder(list(self._order.by_rank()) + [v])
-        self._rank = self._order.ranks
-        self._notify("add_node", v, v, {v}, {v})
+        with self._write("add_node", v, v) as journal:
+            self._n += 1
+            self._alive.append(True)
+            self._out_adj.append(set())
+            self._in_adj.append(set())
+            self.in_labels.append({v})
+            self.out_labels.append({v})
+            journal.in_rows.add(v)
+            journal.out_rows.add(v)
+            self._order = VertexOrder(list(self._order.by_rank()) + [v])
+            self._rank = self._order.ranks
         return v
 
     def delete_node(self, v: int) -> bool:
@@ -600,27 +671,27 @@ class DynamicReachabilityIndex:
         notification, not one per removed edge.
         """
         self._check_vertex(v)
-        # A self-loop is no start: the cut must never reach v's own rows,
-        # whose hubs it iterates.
-        successors, predecessors = self._out_adj[v] - {v}, self._in_adj[v] - {v}
-        for x in successors:
-            self._in_adj[x].discard(v)
-        for x in predecessors:
-            self._out_adj[x].discard(v)
-        self._out_adj[v] = set()
-        self._in_adj[v] = set()
-        self._alive[v] = False
-        # Every lost walk ran through v, under a hub of v's own rows; v
-        # itself loses every entry it had outside them.
-        lost_in = self._cut(self.in_labels[v], successors, True)
-        lost_out = self._cut(self.out_labels[v], predecessors, False)
-        above, below = set(), set()
-        for labels, written in ((self.in_labels, below), (self.out_labels, above)):
-            if labels[v] != {v}:
-                labels[v] = {v}
-                written.add(v)
-        self._regain(lost_in, lost_out, above, below)
-        self._notify("delete_node", v, v, above, below)
+        with self._write("delete_node", v, v) as journal:
+            # A self-loop is no start: the cut must never reach v's own
+            # rows, whose hubs it iterates.
+            successors, predecessors = self._out_adj[v] - {v}, self._in_adj[v] - {v}
+            for x in list(self._out_adj[v]):
+                self._unlink(journal, v, x)
+            for x in predecessors:
+                self._unlink(journal, x, v)
+            journal.killed = v
+            self._alive[v] = False
+            # Every lost walk ran through v, under a hub of v's own rows; v
+            # itself loses every entry it had outside them.
+            lost_in = self._cut(self.in_labels[v], successors, True, journal.in_rows)
+            lost_out = self._cut(self.out_labels[v], predecessors, False, journal.out_rows)
+            for labels, rows in (
+                (self.in_labels, journal.in_rows), (self.out_labels, journal.out_rows)
+            ):
+                if labels[v] != {v}:
+                    rows.add(v)
+                    labels[v] = {v}
+            self._regain(lost_in, lost_out, journal)
         return True
 
     # ------------------------------------------------------------------
@@ -659,33 +730,32 @@ class DynamicReachabilityIndex:
         by_rank = list(self._order.by_rank())
         del by_rank[old_rank]
         by_rank.insert(new_rank, v)
-        self._order = VertexOrder(by_rank)
-        self._rank = self._order.ranks
         # The band: hubs v overtook (their rank shifted down by one).
         band = set(by_rank[new_rank + 1 : old_rank + 1])
-
-        forward_cone = self._plain_bfs(v, self._out_adj)
-        backward_cone = self._plain_bfs(v, self._in_adj)
-        # Grow side: v's own round under the new order, re-deciding every
-        # row it can reach (no cone).  Exact because every witness it
-        # consults is a hub still above v, whose entries the move did not
-        # change — filtered by rank, because v's raw rows still hold the band.
-        rank = self._rank
-        for adjacency, labels, reverse_labels in (
-            (self._out_adj, self.in_labels, self.out_labels),
-            (self._in_adj, self.out_labels, self.in_labels),
-        ):
-            witnesses = {h for h in reverse_labels[v] if rank[h] < new_rank}
-            tol.pruned_bfs(v, adjacency, rank, labels, witnesses)
-        # Shrink side: an entry (h, w) with h in the band dies iff
-        # h ⇝ v ⇝ w — that walk now passes the higher v.  No test.
-        overtaken_above = band & backward_cone
-        overtaken_below = band & forward_cone
-        for w in forward_cone:
-            self.in_labels[w] -= overtaken_above
-        for w in backward_cone:
-            self.out_labels[w] -= overtaken_below
-        self._notify("promote", v, new_rank, backward_cone, forward_cone)
+        with self._write("promote", v, new_rank) as journal:
+            self._order = VertexOrder(by_rank)
+            rank = self._rank = self._order.ranks
+            forward_cone = self._plain_bfs(v, self._out_adj)
+            backward_cone = self._plain_bfs(v, self._in_adj)
+            # Grow side: v's own round under the new order, every row in the
+            # cone (a row holding v keeps it, the rest are re-decided).  Exact
+            # because every witness it consults is a hub still above v, whose
+            # entries the move did not change — filtered by rank, because v's
+            # raw rows still hold the band.
+            for adjacency, labels, reverse_labels, rows in (
+                (self._out_adj, self.in_labels, self.out_labels, journal.in_rows),
+                (self._in_adj, self.out_labels, self.in_labels, journal.out_rows),
+            ):
+                witnesses = {h for h in reverse_labels[v] if rank[h] < new_rank}
+                tol.pruned_bfs(v, adjacency, rank, labels, witnesses, range(self._n), rows)
+            # Shrink side: an entry (h, w) with h in the band dies iff
+            # h ⇝ v ⇝ w — that walk now passes the higher v.  No test: it
+            # is an insert's shrink that keeps no hub.
+            for labels, rows, cone, reaching in (
+                (self.in_labels, journal.in_rows, forward_cone, backward_cone),
+                (self.out_labels, journal.out_rows, backward_cone, forward_cone),
+            ):
+                self._shrink(labels, rows, dict.fromkeys(cone), band & reaching, ())
         return new_rank
 
     def drift(self, v: int) -> int:

@@ -137,7 +137,7 @@ def tol_label_sets(
     return in_labels, out_labels
 
 
-def pruned_bfs(hub: int, adjacency, rank, labels, witnesses, cone=None, written=None):
+def pruned_bfs(hub: int, adjacency, rank, labels, witnesses, cone=None, journal=None):
     """``hub``'s pruned BFS along ``adjacency`` (one list or set of
     neighbours per vertex): walk the vertices ranked below ``hub``, add
     ``hub`` to ``labels[x]`` of each one no higher-ranked hub covers —
@@ -149,8 +149,8 @@ def pruned_bfs(hub: int, adjacency, rank, labels, witnesses, cone=None, written=
     its entry, so the walk passes it untested and unwritten; a row
     without it is re-decided only inside the cone — outside, it kept
     its status and the walk stops there.  ``range(n)`` is the repair
-    with no bound.  A cone walk requires ``written`` and adds to it
-    every row it adds ``hub`` to.
+    with no bound.  A cone walk requires ``journal``, the write's set of
+    changed rows, and adds to it every row it adds ``hub`` to.
 
     Returns ``(queue, visited)``: the vertices walked through, in BFS
     order, and ``hub`` plus every lower-ranked vertex discovered — without
@@ -169,8 +169,8 @@ def pruned_bfs(hub: int, adjacency, rank, labels, witnesses, cone=None, written=
             return (), ()
         if not witnesses.isdisjoint(row):
             return (), (hub,)
+        journal.add(hub)
         row.add(hub)
-        written.add(hub)
     hub_rank = rank[hub]
     visited = {hub}
     queue = [hub]
@@ -187,7 +187,7 @@ def pruned_bfs(hub: int, adjacency, rank, labels, witnesses, cone=None, written=
             elif hub in row:
                 queue.append(x)
             elif x in cone and witnesses.isdisjoint(row):
+                journal.add(x)
                 row.add(hub)
                 queue.append(x)
-                written.add(x)
     return queue, visited

@@ -141,6 +141,17 @@ class IndexAuditError(ReproError):
         )
 
 
+class WriteAbortedError(ReproError):
+    """A write to a :class:`~repro.core.dynamic.DynamicReachabilityIndex`
+    raised part-way and was rolled back: its label rows, edges, order
+    and vertex flags are as they were before it, and no listener heard
+    of it.  The error it raised is the ``__cause__``."""
+
+    def __init__(self, op: str, u: int, v: int):
+        self.op, self.u, self.v = op, u, v
+        super().__init__(f"{op} ({u}, {v}) raised part-way and was rolled back")
+
+
 class IndexFormatError(ReproError, ValueError):
     """An index file is not one, is truncated, has trailing bytes, or
     does not match its checksum (raised by ``ReachabilityIndex.load``)."""

@@ -25,6 +25,7 @@ only shapes the simulated clock; correctness never depends on it.
 from __future__ import annotations
 
 from repro.core.dynamic import UPDATE_OPS
+from repro.errors import WriteAbortedError
 from repro.observe import tracing
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.telemetry import trace_event
@@ -84,7 +85,8 @@ class MutationBackend:
         ``status`` is ``"applied"`` (the graph changed), ``"noop"``
         (inserting a present edge, deleting an absent one, promoting to
         a non-higher rank), or ``"rejected"`` (invalid payload — id out
-        of range, tombstoned vertex, self-loop).  Rejections never
+        of range, tombstoned vertex, self-loop — or a write that raised
+        part-way, which the leader rolled back unheard).  Rejections never
         raise: on a live serve path a bad write — e.g. one referencing
         the id a shed ``add_node`` would have created — must fail the
         *request*, not the server.
@@ -95,7 +97,7 @@ class MutationBackend:
             self.replicator.note_time(at)
         try:
             status, seconds = self._dispatch(op, u, v)
-        except (ValueError, IndexError):
+        except (ValueError, IndexError, WriteAbortedError):
             status, seconds = "rejected", self._t_op
         if status == "applied":
             self.applied += 1

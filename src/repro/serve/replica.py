@@ -125,14 +125,12 @@ class BoundedStalenessReplicator:
         self.log: list[LogEntry] = []
         self.forced_catchups = 0
         self.catchup_ops = 0
-        # The leader's rows as of the log's head, to diff each update
-        # against; followers start as pointer copies of it (no build).
-        head = self._head = LabelTable(
-            [frozenset(row) for row in leader.in_labels],
-            [frozenset(row) for row in leader.out_labels],
-        )
+        # One frozen copy of the leader's rows; followers start as pointer
+        # copies of it (no build).
+        in_rows = [frozenset(row) for row in leader.in_labels]
+        out_rows = [frozenset(row) for row in leader.out_labels]
         self._followers: list = [None] + [  # group 0 reads the leader
-            LabelTable(list(head.in_labels), list(head.out_labels))
+            LabelTable(list(in_rows), list(out_rows))
             for _ in range(1, num_replicas)
         ]
         self._applied = [0] * num_replicas
@@ -148,20 +146,12 @@ class BoundedStalenessReplicator:
     # ------------------------------------------------------------------
     def _on_update(self, op: str, u: int, v: int) -> None:
         """Log the op with the rows it changed: the leader's ``touched``
-        bounds the candidates — exactly the rows written for an insert or
-        a delete (edge or node), the two cones for a promote, nothing for
-        an edge write that left the closure alone — and the head table
-        says which differ, so the diff costs what the op could change."""
-        leader, head = self.leader, self._head
+        names exactly those (nothing for an edge write that left the
+        closure alone), so each is copied as the op left it."""
+        leader = self.leader
         above, below = leader.touched
-        in_rows, out_rows = (
-            {w: frozenset(new[w]) for w in rows if w >= len(old) or new[w] != old[w]}
-            for new, old, rows in (
-                (leader.in_labels, head.in_labels, below),
-                (leader.out_labels, head.out_labels, above),
-            )
-        )
-        head.install(in_rows, out_rows)
+        in_rows = {w: frozenset(leader.in_labels[w]) for w in below}
+        out_rows = {w: frozenset(leader.out_labels[w]) for w in above}
         self.log.append(LogEntry(op, u, v, self.clock, in_rows, out_rows))
         self.changes += 1
 

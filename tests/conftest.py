@@ -82,21 +82,35 @@ TABLE_III_OUT = {
 }
 
 
-def delete_and_check_touched(dynamic, op: str, u: int, v: int) -> tuple[set[int], set[int]]:
-    """Apply ``dynamic.apply(op, u, v)`` for ``op`` ``"delete"`` or
-    ``"delete_node"`` (``u == v``), and assert the delete's ``touched``
-    contract: ``above`` is exactly the rows whose ``L_out`` changed and
-    ``below`` those whose ``L_in`` changed, each inside its cone of the
-    graph before the delete (everything reaching ``u`` / reached from
-    ``v``).  Returns those two cones, computed by plain searches."""
+def apply_and_check_touched(dynamic, op: str, u: int, v: int) -> tuple[set[int], set[int]]:
+    """Apply ``dynamic.apply(op, u, v)`` for any of the five ops, and
+    assert the ``touched`` contract: ``above`` is exactly the rows whose
+    ``L_out`` changed and ``below`` those whose ``L_in`` changed (a row
+    ``add_node`` appends counts as changed), each inside its cone of the
+    graph before the write — everything reaching the write's source and
+    reached from its sink: ``u`` and ``v`` for an edge write, the vertex
+    for a node op or a promote, the new vertex for ``add_node``.  A
+    write that does not apply changes no row.  Returns the two cones,
+    computed by plain searches.  A drift promote riding along an edge
+    write owns ``touched``, so ``dynamic`` must have no drift threshold."""
     graph = dynamic.current_graph()
-    cones = reachable_set(graph.reverse(), u), reachable_set(graph, v)
+    n = graph.num_vertices
+    if op == "add_node":
+        cones = {n}, {n}
+    else:
+        sink = v if op in ("insert", "delete") else u
+        cones = reachable_set(graph.reverse(), u), reachable_set(graph, sink)
     before_in = [set(row) for row in dynamic.in_labels]
     before_out = [set(row) for row in dynamic.out_labels]
-    assert dynamic.apply(op, u, v)
+    applied = dynamic.apply(op, u, v)
+    changed_in, changed_out = (
+        {w for w, row in enumerate(live) if w >= n or row != before[w]}
+        for live, before in ((dynamic.in_labels, before_in), (dynamic.out_labels, before_out))
+    )
+    if not applied:
+        assert changed_in == changed_out == set()
+        return cones
     above, below = dynamic.touched
-    changed_in = {w for w, row in enumerate(before_in) if dynamic.in_labels[w] != row}
-    changed_out = {w for w, row in enumerate(before_out) if dynamic.out_labels[w] != row}
     assert (above, below) == (changed_out, changed_in)
     assert above <= cones[0] and below <= cones[1]
     return cones

@@ -15,7 +15,7 @@ from repro.core.tol import tol_index
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_digraph
 from repro.graph.order import VertexOrder, degree_order
-from tests.conftest import delete_and_check_touched, digraphs
+from tests.conftest import apply_and_check_touched, digraphs
 
 
 def _assert_exact(dynamic: DynamicReachabilityIndex) -> None:
@@ -145,7 +145,7 @@ def test_delete_with_graph_wide_cones_is_repaired_in_place():
     g = random_digraph(25, 80, seed=3)
     dynamic = DynamicReachabilityIndex(g)
     u, v = next((u, v) for u, v in g.edges() if g.in_degree(v) == 1)
-    above_cone, below_cone = delete_and_check_touched(dynamic, "delete", u, v)
+    above_cone, below_cone = apply_and_check_touched(dynamic, "delete", u, v)
     assert len(above_cone) + len(below_cone) > g.num_vertices
     assert not dynamic.query(u, v)
     dynamic.check()
@@ -385,7 +385,7 @@ def test_listener_consistent_on_delete_with_overlapping_cones():
     dynamic.subscribe(listener)
     # An edge on a cycle: v reaches u, so the two cones overlap.
     u, v = next((u, v) for u, v in g.edges() if dynamic.query(v, u))
-    above_cone, below_cone = delete_and_check_touched(dynamic, "delete", u, v)
+    above_cone, below_cone = apply_and_check_touched(dynamic, "delete", u, v)
     assert above_cone & below_cone
     assert len(above_cone | below_cone) > g.num_vertices // 2
     assert dynamic.touched != (set(), set())  # the cut repaired

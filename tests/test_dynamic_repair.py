@@ -7,30 +7,32 @@ gain, in rank order; nothing on it rebuilds or computes a cone.
 ``insert_edge`` has one too: two rank floods say which entries between
 the cones live, hubs grow exact entries and set algebra removes the
 dead ones; ``promote`` subtracts the overtaken band.  These tests pin
-the three claims that make that safe: each is *exact* (``check()``
-stays green after every op, on every graph family, and a delete equals
-the two-cone repair it replaced row for row), *local* (no label outside
-``touched`` is written, and for an insert or a delete ``touched`` holds
-exactly the rows that changed; for an insert or delete that leaves the
-transitive closure alone, none at all), and never builds TOL from
-scratch.
+the claims that make that safe: each is *exact* (``check()`` stays
+green after every op, on every graph family, and a delete equals the
+two-cone repair it replaced row for row), *local* (no label outside
+``touched`` is written, and for every op ``touched`` holds exactly the
+rows that changed; for an insert or delete that leaves the transitive
+closure alone, none at all), *atomic* (a write that raises part-way is
+rolled back and heard by no one), and never builds TOL from scratch.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.tol
-from repro.core.dynamic import DynamicReachabilityIndex
-from repro.errors import IndexAuditError, ReproError
+from repro.core.dynamic import UPDATE_OPS, DynamicReachabilityIndex
+from repro.errors import IndexAuditError, ReproError, WriteAbortedError
 from repro.fuzz.cases import FAMILIES, family_graph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import scc_heavy_graph, web_graph
 from repro.graph.order import VertexOrder, degree_order
 from repro.graph.traversal import reachable_set
-from tests.conftest import delete_and_check_touched, family_graphs
+from repro.workloads.updates import mixed_update_stream
+from tests.conftest import apply_and_check_touched, family_graphs
 
 
 class ConeRepairIndex(DynamicReachabilityIndex):
@@ -44,54 +46,48 @@ class ConeRepairIndex(DynamicReachabilityIndex):
         self._check_vertex(v)
         if v not in self._out_adj[u]:
             return False
-        self._out_adj[u].discard(v)
-        self._in_adj[v].discard(u)
-        if self._still_reaches(u, v):
-            above, below = set(), set()
-        else:
-            # No walk into u or out of v needs the edge: the cones read as
-            # before the unlink.
-            above = self._plain_bfs(u, self._in_adj)
-            below = self._plain_bfs(v, self._out_adj)
-            self._repair_cones(above, below)
-        self._notify("delete", u, v, above, below)
+        with self._write("delete", u, v) as journal:
+            self._unlink(journal, u, v)
+            if not self._still_reaches(u, v):
+                # No walk into u or out of v needs the edge: the cones read
+                # as before the unlink.
+                above = self._plain_bfs(u, self._in_adj)
+                below = self._plain_bfs(v, self._out_adj)
+                self._repair_cones(above, below, journal)
         self._check_drift(u, v)
         return True
 
     def delete_node(self, v: int) -> bool:
         self._check_vertex(v)
-        above = self._plain_bfs(v, self._in_adj)
-        below = self._plain_bfs(v, self._out_adj)
-        for x in self._out_adj[v]:
-            self._in_adj[x].discard(v)
-        for x in self._in_adj[v]:
-            self._out_adj[x].discard(v)
-        self._out_adj[v].clear()
-        self._in_adj[v].clear()
-        self._alive[v] = False
-        self._repair_cones(above, below)
-        self._notify("delete_node", v, v, above, below)
+        with self._write("delete_node", v, v) as journal:
+            above = self._plain_bfs(v, self._in_adj)
+            below = self._plain_bfs(v, self._out_adj)
+            for x in list(self._out_adj[v]):
+                self._unlink(journal, v, x)
+            for x in list(self._in_adj[v]):
+                self._unlink(journal, x, v)
+            journal.killed = v
+            self._alive[v] = False
+            self._repair_cones(above, below, journal)
         return True
 
-    def _repair_cones(self, above: set[int], below: set[int]) -> None:
+    def _repair_cones(self, above: set[int], below: set[int], journal) -> None:
         """Only entries ``a ∈ L_in(d)`` / ``d ∈ L_out(a)`` with
         ``a ∈ above``, ``d ∈ below`` can change: strip them, then let
         each cone hub re-decide its own in rank order, so every
         higher-ranked witness a domination test consults is final."""
         in_labels, out_labels, rank = self.in_labels, self.out_labels, self._rank
         out_adj, in_adj, pruned_bfs = self._out_adj, self._in_adj, repro.core.tol.pruned_bfs
-        for w in below:
-            in_labels[w] -= above
-        for w in above:
-            out_labels[w] -= below
+        self._shrink(in_labels, journal.in_rows, dict.fromkeys(below), above, ())
+        self._shrink(out_labels, journal.out_rows, dict.fromkeys(above), below, ())
         for hub in sorted(above | below, key=rank.__getitem__):
             hub_rank = rank[hub]
             if hub in above:
                 witnesses = {h for h in out_labels[hub] if rank[h] < hub_rank}
-                pruned_bfs(hub, out_adj, rank, in_labels, witnesses, below, set())
+                pruned_bfs(hub, out_adj, rank, in_labels, witnesses, below, journal.in_rows)
             if hub in below:
                 witnesses = {h for h in in_labels[hub] if rank[h] < hub_rank}
-                pruned_bfs(hub, in_adj, rank, out_labels, witnesses, above, set())
+                pruned_bfs(hub, in_adj, rank, out_labels, witnesses, above, journal.out_rows)
 
 
 # ----------------------------------------------------------------------
@@ -150,13 +146,13 @@ def test_property_interleaved_streams_keep_check_green(g, operations):
         if op == "delete":
             edges = list(dynamic.edges())
             if edges:
-                dynamic.delete_edge(*edges[a % len(edges)])
+                apply_and_check_touched(dynamic, op, *edges[a % len(edges)])
         elif op == "delete_node":
-            dynamic.delete_node(u)
+            apply_and_check_touched(dynamic, op, u, u)
         elif op == "insert" and u != v:
-            dynamic.insert_edge(u, v)
+            apply_and_check_touched(dynamic, op, u, v)
         elif op == "promote":
-            dynamic.promote(u, b % dynamic.num_vertices)
+            apply_and_check_touched(dynamic, op, u, b % dynamic.num_vertices)
         dynamic.check()
     assert set(notified) <= {"delete", "delete_node", "insert", "promote"}
 
@@ -198,7 +194,7 @@ def test_property_deletes_equal_the_two_cone_repair(g, loops, operations, drift)
         elif op == "delete" and edges or op == "delete_node":
             u, v = edges[a % len(edges)] if op == "delete" else (alive[a % len(alive)],) * 2
             if drift is None:
-                delete_and_check_touched(dynamic, op, u, v)
+                apply_and_check_touched(dynamic, op, u, v)
             else:  # a promote may ride along and own `touched`
                 dynamic.apply(op, u, v)
             reference.apply(op, u, v)
@@ -217,7 +213,7 @@ def test_delete_at_a_self_looped_vertex_equals_the_two_cone_repair(op):
     dynamic = DynamicReachabilityIndex(g, order)
     reference = ConeRepairIndex(g, order)
     u, v = (0, 1) if op == "delete" else (1, 1)
-    delete_and_check_touched(dynamic, op, u, v)
+    apply_and_check_touched(dynamic, op, u, v)
     reference.apply(op, u, v)
     assert dynamic.in_labels == reference.in_labels
     assert dynamic.out_labels == reference.out_labels
@@ -235,7 +231,7 @@ def test_delete_inside_a_strongly_connected_component():
     assert on_cycle
     repaired = 0
     for u, v in on_cycle[:12]:
-        delete_and_check_touched(dynamic, "delete", u, v)
+        apply_and_check_touched(dynamic, "delete", u, v)
         repaired += dynamic.touched != (set(), set())
         dynamic.check()
     assert repaired
@@ -306,6 +302,45 @@ class _ReadOnly(set):
     difference_update = intersection_update = _written
     symmetric_difference_update = _written
     __isub__ = __ior__ = __iand__ = __ixor__ = _written
+
+
+class _Tripped(Exception):
+    """The fault a :class:`_Tripwire` row raises."""
+
+
+class _Tripwire(set):
+    """A label row that raises :class:`_Tripped` on the ``fuse[0]``-th
+    mutating call made on any row sharing ``fuse``; the call raises
+    before it changes anything."""
+
+    def __init__(self, row, fuse: list[int]):
+        super().__init__(row)
+        self.fuse = fuse
+
+    def _counted(name):
+        method = getattr(set, name)
+
+        def counted(self, *args):
+            self.fuse[0] -= 1
+            if self.fuse[0] == 0:
+                raise _Tripped(name)
+            return method(self, *args)
+
+        return counted
+
+    add = _counted("add")
+    discard = _counted("discard")
+    remove = _counted("remove")
+    pop = _counted("pop")
+    clear = _counted("clear")
+    update = _counted("update")
+    difference_update = _counted("difference_update")
+    intersection_update = _counted("intersection_update")
+    symmetric_difference_update = _counted("symmetric_difference_update")
+    __isub__ = _counted("__isub__")
+    __ior__ = _counted("__ior__")
+    __iand__ = _counted("__iand__")
+    __ixor__ = _counted("__ixor__")
 
 
 def _freeze_rows(dynamic: DynamicReachabilityIndex, above=(), below=()) -> None:
@@ -385,7 +420,7 @@ def test_closure_preserving_inserts_write_no_row_at_all():
 
 
 # ----------------------------------------------------------------------
-# Inserts: `touched` is the rows written, no more and no less
+# `touched` is the rows written, no more and no less
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("family", FAMILIES)
 def test_insert_touched_is_exactly_the_rows_that_changed(family):
@@ -403,18 +438,27 @@ def test_insert_touched_is_exactly_the_rows_that_changed(family):
             if dynamic.has_edge(u, v):
                 continue
             closing += dynamic.query(v, u)
-            before_in = [set(row) for row in dynamic.in_labels]
-            before_out = [set(row) for row in dynamic.out_labels]
-            assert dynamic.insert_edge(u, v)
-            above, below = dynamic.touched
-            n = dynamic.num_vertices
-            assert below == {w for w in range(n) if dynamic.in_labels[w] != before_in[w]}
-            assert above == {w for w in range(n) if dynamic.out_labels[w] != before_out[w]}
-            graph = dynamic.current_graph()
-            assert above <= reachable_set(graph.reverse(), u)
-            assert below <= reachable_set(graph, v)
+            apply_and_check_touched(dynamic, "insert", u, v)
+            assert dynamic.has_edge(u, v)
             dynamic.check()
     assert closing or family not in ("cyclic", "scc-heavy")
+
+
+@pytest.mark.parametrize(
+    "graph", [web_graph(300, seed=2), scc_heavy_graph(60, seed=3)], ids=["web", "scc-heavy"]
+)
+def test_touched_is_exactly_the_rows_that_changed_for_every_op(graph):
+    # All five ops on one stream, a fifth of them promotes: a promote
+    # names the rows it changed like every other op, not its two cones.
+    dynamic = DynamicReachabilityIndex(graph)
+    stream = mixed_update_stream(graph, 300, node_ratio=0.1, promote_ratio=0.2, seed=4)
+    applied = Counter()
+    for op, u, v in stream:
+        order = dynamic.order
+        apply_and_check_touched(dynamic, op, u, v)
+        applied[op] += dynamic.order is not order or op != "promote"
+    assert set(applied) == set(UPDATE_OPS) and applied["promote"] > 10
+    dynamic.check()
 
 
 def test_edge_insert_between_two_leaves_writes_only_touched_rows():
@@ -455,3 +499,63 @@ def test_property_promote_to_random_ranks_keeps_check_green(g, targets):
         applied = dynamic.promote(a % n, b % n)
         assert applied is None or applied == b % n == dynamic.order.ranks[a % n]
         dynamic.check()
+
+
+# ----------------------------------------------------------------------
+# Atomicity: a write that raises part-way leaves the index it found
+# ----------------------------------------------------------------------
+_SCC = scc_heavy_graph(30, seed=5)
+_WRITES = [  # each one repairs; with drift 2 the insert's promotes ride along
+    ("insert", 29, 0), ("delete", 18, 19), ("add_node", 0, 0),
+    ("delete_node", 19, 19), ("promote", 29, 0),
+]
+
+
+def _state(dynamic: DynamicReachabilityIndex, path) -> tuple:
+    dynamic.snapshot().save(path)
+    return (
+        path.read_bytes(), list(dynamic.edges()), list(dynamic.order.by_rank()),
+        dynamic.num_vertices, dynamic.alive_vertices(),
+    )
+
+
+@pytest.mark.parametrize("drift", [None, 2])
+@pytest.mark.parametrize("op, u, v", _WRITES, ids=[op for op, _, _ in _WRITES])
+def test_a_write_tripped_at_every_row_mutation_rolls_back(op, u, v, drift, tmp_path):
+    """Trip the k-th row mutation of the write, for every k until the
+    write completes.  Each tripped write raises ``WriteAbortedError``
+    and leaves the index as of the last write a listener heard: with
+    drift 2 an edge write may be heard and its promote tripped.  The
+    write that completes equals the same write on an untripped index."""
+    fresh = DynamicReachabilityIndex(_SCC, drift_threshold=drift)
+    fresh_log = []
+    fresh.subscribe(lambda *update: fresh_log.append(update))
+    fresh.apply(op, u, v)
+    expected = _state(fresh, tmp_path / "fresh.idx")
+    aborts = 0
+    for k in range(1, 1000):
+        dynamic = DynamicReachabilityIndex(_SCC, drift_threshold=drift)
+        fuse = [k]
+        dynamic.in_labels = [_Tripwire(row, fuse) for row in dynamic.in_labels]
+        dynamic.out_labels = [_Tripwire(row, fuse) for row in dynamic.out_labels]
+        heard = [((), _state(dynamic, tmp_path / "heard.idx"))]
+        dynamic.subscribe(
+            lambda *update: heard.append((update, _state(dynamic, tmp_path / "heard.idx")))
+        )
+        try:
+            dynamic.apply(op, u, v)
+        except WriteAbortedError as error:
+            assert isinstance(error.__cause__, _Tripped)
+            assert fuse[0] == 0
+            aborts += 1
+            assert _state(dynamic, tmp_path / "live.idx") == heard[-1][1]
+            assert [update for update, _ in heard[1:]] == fresh_log[: len(heard) - 1]
+            dynamic.check()
+            continue
+        assert fuse[0] > 0  # the write completed before the fuse burnt down
+        assert _state(dynamic, tmp_path / "live.idx") == expected
+        assert [update for update, _ in heard[1:]] == fresh_log
+        assert dynamic.touched == fresh.touched
+        break
+    assert aborts == k - 1
+    assert aborts or op == "add_node"  # add_node appends rows, mutates none

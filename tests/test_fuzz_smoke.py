@@ -21,8 +21,11 @@ from repro.fuzz import (
     run_case,
     run_fuzz,
 )
-from repro.fuzz.oracles import ORACLES
+import repro.fuzz.oracles
+from repro.core.dynamic import DynamicReachabilityIndex
+from repro.fuzz.oracles import ORACLES, CaseContext, oracle_dynamic_vs_rebuild
 from repro.graph.scc import strongly_connected_components
+from repro.graph.traversal import reachable_set
 
 
 # ----------------------------------------------------------------------
@@ -90,6 +93,31 @@ def test_oracle_applicability():
     )
     assert "fault-equivalence" in oracles_for(full)
     assert "dynamic-vs-rebuild" in oracles_for(full)
+
+
+class _PromoteReportsCones(DynamicReachabilityIndex):
+    """A promote that names its two whole cones in ``touched``."""
+
+    def promote(self, v, new_rank=None):
+        applied = super().promote(v, new_rank)
+        if applied is not None:
+            graph = self.current_graph()
+            self.touched = (reachable_set(graph.reverse(), v), reachable_set(graph, v))
+        return applied
+
+
+def test_dynamic_oracle_checks_touched_for_every_op(monkeypatch):
+    # The path 0 → 1 → 2 → 3, degree order 1 > 2 > 0 > 3: promoting 2 to
+    # the top leaves its own L_out row as it was, so its backward cone
+    # names one row too many.
+    case = FuzzCase(
+        case_id=0, family="dag", seed=1, num_vertices=3, edges=((0, 1), (1, 2)),
+        updates=(("add_node", 3, 3), ("insert", 2, 3), ("promote", 2, 0)),
+    )
+    assert oracle_dynamic_vs_rebuild(CaseContext(case)) == []
+    monkeypatch.setattr(repro.fuzz.oracles, "DynamicReachabilityIndex", _PromoteReportsCones)
+    (violation,) = oracle_dynamic_vs_rebuild(CaseContext(case))
+    assert violation.startswith("after update 2 (promote 2->0): touched")
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,12 @@ dropping an accepted write would silently fork leader state.
 
 import pytest
 
+import repro.core.tol
 from repro.baselines.transitive_closure import TransitiveClosure
 from repro.core.dynamic import DynamicReachabilityIndex
+from repro.errors import WriteAbortedError
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import random_dag
+from repro.graph.generators import random_dag, web_graph
 from repro.graph.order import VertexOrder
 from repro.pregel.cost_model import CostModel
 from repro.serve import (
@@ -94,6 +96,53 @@ def test_backend_rejects_payloads_that_are_not_integers(op, u, v):
     assert leader.snapshot() == before and list(leader.order.by_rank()) == order
     with pytest.raises(ValueError):
         leader.apply(op, u, v)
+
+
+def test_a_write_that_raises_part_way_is_rejected_and_left_no_trace(monkeypatch):
+    # The delete 269 → 244 cuts the closure on this web graph, and its
+    # repair runs two pruned BFSs: the second one raises.  The leader
+    # rolls the write back and tells no listener, so the backend's
+    # rejection is the whole story — the edge, the replication log, the
+    # cache and the follower are all as they were.
+    leader = DynamicReachabilityIndex(web_graph(300, seed=2))
+    assert leader.has_edge(269, 244) and leader.query(269, 244)
+    replicator = BoundedStalenessReplicator(leader, num_replicas=2)
+    cache = QueryCache()
+    cache.attach(leader)
+    cache.put(269, 244, True)
+    backend = MutationBackend(leader, cost_model=_NO_LIMIT, replicator=replicator)
+    before = leader.snapshot()
+    real, calls = repro.core.tol.pruned_bfs, []
+
+    def second_call_raises(*args):
+        calls.append(args[0])
+        if len(calls) == 2:
+            raise ValueError("injected fault")
+        return real(*args)
+
+    monkeypatch.setattr(repro.core.tol, "pruned_bfs", second_call_raises)
+    assert backend.apply_with_cost("delete", 269, 244)[0] == "rejected"
+    assert len(calls) >= 2  # the rollback's own build runs the kernel too
+    assert (backend.applied, backend.rejected) == (0, 1)
+    assert replicator.version == 0
+    assert cache.get(269, 244) is True and cache.invalidated == 0
+    assert leader.has_edge(269, 244)
+    assert leader.snapshot() == before
+    leader.check()
+    calls.clear()
+    with pytest.raises(WriteAbortedError) as caught:
+        leader.delete_edge(269, 244)  # the leader itself raises
+    assert isinstance(caught.value.__cause__, ValueError)
+    assert replicator.catch_up(1) == 0
+    assert replicator.view(1).snapshot() == leader.snapshot()
+    # Untripped, the same write applies, and everyone hears of it.
+    monkeypatch.undo()
+    assert backend.apply_with_cost("delete", 269, 244)[0] == "applied"
+    assert replicator.version == 1 and cache.get(269, 244) is None
+    assert replicator.pending_kinds(1) == (False, True)
+    replicator.catch_up(1)
+    assert replicator.view(1).snapshot() == leader.snapshot()
+    leader.check()
 
 
 def test_backend_unknown_op_raises():

@@ -83,8 +83,8 @@ def test_property_no_cone_equals_whole_graph_cone(g, seed):
     out_adj, in_adj = _adjacency(g)
     everything = set(range(n))
     tables = []
-    written = set()
-    for repair in ((), (everything, written)):
+    journal = set()
+    for repair in ((), (everything, journal)):
         in_labels = [set() for _ in range(n)]
         out_labels = [set() for _ in range(n)]
         walks = []
@@ -93,7 +93,7 @@ def test_property_no_cone_equals_whole_graph_cone(g, seed):
             walks.append(pruned_bfs(hub, in_adj, rank, out_labels, in_labels[hub], *repair))
         tables.append((in_labels, out_labels, walks))
     assert tables[0] == tables[1]
-    assert written == {w for w in range(n) if in_labels[w] or out_labels[w]}
+    assert journal == {w for w in range(n) if in_labels[w] or out_labels[w]}
     assert (tables[0][0], tables[0][1]) == tol_label_sets(g, order)
 
 
@@ -104,27 +104,27 @@ def test_outside_the_cone_a_row_keeps_its_status():
     adjacency = [[1], [2], [3], []]
     rank = [0, 1, 2, 3]
     labels = [{0}, {0}, set(), set()]
-    written = set()
-    queue, visited = pruned_bfs(0, adjacency, rank, labels, set(), {3}, written)
+    journal = set()
+    queue, visited = pruned_bfs(0, adjacency, rank, labels, set(), {3}, journal)
     assert queue == [0, 1]
     assert visited == {0, 1, 2}
-    assert labels == [{0}, {0}, set(), set()] and written == set()
+    assert labels == [{0}, {0}, set(), set()] and journal == set()
     labels[2].add(0)
-    queue, visited = pruned_bfs(0, adjacency, rank, labels, set(), {3}, written)
+    queue, visited = pruned_bfs(0, adjacency, rank, labels, set(), {3}, journal)
     assert queue == [0, 1, 2, 3]
-    assert labels[3] == {0} and written == {3}
+    assert labels[3] == {0} and journal == {3}
 
 
 def test_inside_the_cone_a_row_holding_the_hub_is_passed_unwritten():
     """A delete's repair: 0 → 1 → 2, all three rows in the cone.  Rows 0
     and 1 kept hub 0 (1's row is frozen: no mutator may touch it), so
-    the walk passes them; only row 2 is tested, and ``written`` names it."""
+    the walk passes them; only row 2 is tested, and the journal names it."""
     adjacency = [[1], [2], []]
     labels = [{0}, frozenset({0}), set()]
-    written = set()
-    queue, visited = pruned_bfs(0, adjacency, [0, 1, 2], labels, set(), {0, 1, 2}, written)
+    journal = set()
+    queue, visited = pruned_bfs(0, adjacency, [0, 1, 2], labels, set(), {0, 1, 2}, journal)
     assert queue == [0, 1, 2]
-    assert labels[2] == {0} and written == {2}
+    assert labels[2] == {0} and journal == {2}
 
 
 # ----------------------------------------------------------------------
