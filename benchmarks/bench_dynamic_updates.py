@@ -3,9 +3,10 @@
 The paper leaves dynamic distributed graphs to future work; the
 library ships exact centralized maintenance (``repro.core.dynamic``).
 This measures mean wall-clock cost of an incremental edge insertion /
-deletion against rebuilding the index from scratch.  Insertion is two
-rank floods plus set algebra, deletion a cut of the entries whose pairs
-stopped reaching and a regain from the rows that lost one
+deletion against rebuilding the index from scratch.  Insertion grows
+exact entries from the new edge and drops the entries they dominate,
+read off the backward label sets; deletion is a cut of the entries
+whose pairs stopped reaching and a regain from the rows that lost one
 (``docs/dynamic.md``): neither rebuilds, so each gets its own speed-up
 column.  A write that leaves the transitive closure alone skips even
 that, so each direction also reports the share of its writes that did
@@ -80,7 +81,7 @@ def test_dynamic_updates(benchmark):
     table = benchmark.pedantic(_run, rounds=1, iterations=1)
     save_and_print("dynamic_updates", table.render())
     for row in table.rows:
-        # An insert costs what it changes (two cone floods, a few rows),
+        # An insert costs what it changes (a few rows, no cone),
         # far below the half-rebuild a superset-and-sweep insert cost.
         assert table.get(row, "insert speedup").value > 4, row
     if "WEBW" in table.rows:

@@ -24,25 +24,26 @@ old labels whether ``u`` reached ``v`` already (one intersection).  A
 delete unlinks the edge and searches forward from ``u`` for ``v``,
 stepping only onto vertices the old labels say reached ``v`` — old
 reachability over-approximates new, so no surviving walk is cut, and
-only vertices between ``u`` and ``v`` are visited.  When the closure
+only vertices between ``u`` and ``v`` are visited — and stops at the
+first one outside ``u``'s strongly connected component.  When the closure
 stands, the write is still a write (listeners, drift check, ``True``),
 with ``touched == (set(), set())``; otherwise:
 
-*Insertion* ``(u, v)`` is **two rank floods and set algebra**.  With
-``A`` = everything reaching ``u`` and ``D`` = everything ``v`` reaches,
-only pairs in ``A × D`` gain walks, and every new walk ``a ⇝ w`` is a
-walk ``a ⇝ u`` followed by a walk ``v ⇝ w``.  So with ``top_A(a)`` /
-``top_D(w)`` the best rank on any such half, Theorem 1 reads:
-``a ∈ L_in(w)`` afterwards iff the old walks ``a ⇝ w`` were clean
-(``a`` was in ``L_in(w)``, or did not reach ``w``) and ``rank[a] ≤
-min(top_A(a), top_D(w))`` — symmetrically for ``L_out``.  ``top_D`` is
-one flood from the hubs of ``L_out(v)`` in rank order, first assignment
-wins (the best vertex on the walks ``v ⇝ w`` is itself a hub of ``v``),
-and its key set is ``D``; ``top_A`` is the mirror image.  Hubs of ``u``
-that stay hubs then *grow* forward from ``v`` through rows nothing
-outranks them in, adding exact entries only, and one set intersection
-per cone row *shrinks* it by the hubs a new walk outranks.  No pair is
-tested for domination, and nothing outside ``A ∪ D`` is read.
+*Insertion* ``(u, v)`` is **a grow, then what it kills**, and never
+computes a cone.  Only pairs ``a ⇝ u``, ``v ⇝ w`` gain walks, each new
+one ``a ⇝ u → v ⇝ w``.  A gained entry ``a ∈ L_in(w)`` has ``a`` a hub
+of ``u`` and outranks the best vertex on the walks ``v ⇝ w`` — a hub
+of ``v`` held by ``w``'s old row — and, when the edge closes a cycle,
+the best vertex of ``L_out(v) ∩ L_in(u)``.  So each hub of ``u`` walks
+forward from ``v`` through the rows whose old contents hold none of its
+higher-ranked witnesses and no hub of ``v`` above it, adding exact
+entries only (the mirror from ``u`` for ``L_out``).  An old entry dies
+only by domination: the best vertex ``x`` on the new walks ``h ⇝ w``
+was just gained by ``w`` (``L_in(w) ∩ L⁻_out(x)`` dies), by ``h``
+(``h`` leaves ``L⁻_in(h) ∩ L⁻_in(x)``), or by both (the cycle's best
+vertex).  These are set intersections over the paper's backward label
+sets ``L⁻_in(h) = {w | h ∈ L_in(w)}`` / ``L⁻_out``, which the index
+keeps; every pair they find is dead, so nothing is tested.
 
 *Deletion* ``(u, v)`` is a **cut, then a regain**, and never computes
 a cone.  By Theorem 1 a delete keeps an old entry iff its pair still
@@ -81,15 +82,20 @@ full pruned BFSs from ``v`` under the new order (the grow side) plus a
 subtraction of the band from the rows on either side of ``v`` (the
 shrink side: *every* such entry is dead) — no rebuild.
 
-*Every write keeps a journal* of the label rows it changes and of its
+*Every write keeps a journal* of the label rows it changes, each named
+(and, but for an insert's, saved) before its first change, and of its
 edits to the graph and the order: its rows are
-:attr:`~DynamicReachabilityIndex.touched`, and a write that raises
-part-way is rolled back by it (:class:`~repro.errors.WriteAbortedError`).
+:attr:`~DynamicReachabilityIndex.touched`, the backward label sets take
+its deltas once the rows are final (an insert's from the entries it
+added and killed, every other write's from the saved rows), and a write
+that raises part-way is rolled back by it
+(:class:`~repro.errors.WriteAbortedError`).
 
 When constructed with a ``drift_threshold``, the index watches how far
 each updated vertex's *degree rank* (its position under the paper's
-``(d_in+1)·(d_out+1)`` order on **current** degrees) has drifted above
-its frozen rank, and promotes it automatically once the drift exceeds
+``(d_in+1)·(d_out+1)`` order on **current** degrees, one bisection of a
+sorted key list every edge write keeps up) has drifted above its frozen
+rank, and promotes it automatically once the drift exceeds
 the threshold — the online answer to "the construction-time order goes
 stale as the graph evolves and labels fatten".
 """
@@ -97,6 +103,7 @@ stale as the graph evolves and labels fatten".
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right, insort
 from contextlib import contextmanager
 from typing import Iterable
 
@@ -113,22 +120,45 @@ from repro.graph.order import VertexOrder, degree_order
 UPDATE_OPS = ("insert", "delete", "add_node", "delete_node", "promote")
 
 
+class _Rows(dict):
+    """The label rows one write changed in one direction, each mapped to
+    what it held before the write's first change to it, for the backward
+    label sets.  ``add(w)`` names row ``w``, saving it, unless it is
+    named already; a row the write appends is named with what it held
+    before, nothing.  An insert, which moves the backward sets itself,
+    names its rows with ``None``."""
+
+    __slots__ = ("labels",)
+
+    def __init__(self, labels: list[set[int]]):
+        super().__init__()
+        self.labels = labels
+
+    def add(self, w: int) -> None:
+        if w not in self:
+            self[w] = self.labels[w].copy()
+
+
 class _Journal:
     """What one write changed: ``in_rows`` / ``out_rows`` the label rows
-    it changed, per direction, each named before its first change;
-    ``linked`` / ``unlinked`` the edges it added and removed; ``killed``
-    the vertex it tombstoned; ``n`` and ``order`` what it started from."""
+    it changed, per direction, each named (and, but for an insert's,
+    saved) before its first change; ``linked`` / ``unlinked`` the edges
+    it added and removed; ``killed`` the vertex it tombstoned; ``n`` and
+    ``order`` what it started from.
+    ``inverted`` is set by a write that brought the backward label sets
+    up to date itself; otherwise the commit does, from the saved rows."""
 
-    __slots__ = ("in_rows", "out_rows", "linked", "unlinked", "killed", "n", "order")
+    __slots__ = ("in_rows", "out_rows", "linked", "unlinked", "killed", "n", "order", "inverted")
 
-    def __init__(self, n: int, order: VertexOrder):
-        self.in_rows: set[int] = set()
-        self.out_rows: set[int] = set()
+    def __init__(self, n: int, order: VertexOrder, in_labels, out_labels):
+        self.in_rows = _Rows(in_labels)
+        self.out_rows = _Rows(out_labels)
         self.linked: list[tuple[int, int]] = []
         self.unlinked: list[tuple[int, int]] = []
         self.killed: int | None = None
         self.n = n
         self.order = order
+        self.inverted = False
 
 
 class DynamicReachabilityIndex:
@@ -177,6 +207,14 @@ class DynamicReachabilityIndex:
         # Label sets: in_labels[w] = L_in(w), out_labels[w] = L_out(w).
         # The one from-scratch build; every later update repairs in place.
         self.in_labels, self.out_labels = tol.tol_label_sets(graph, order)
+        #: The paper's backward label sets (§III): ``backward_in[h]`` is
+        #: ``L⁻_in(h) = {w | h ∈ L_in(w)}``, ``backward_out[h]`` the mirror.
+        #: An insert reads the rows an entry it adds can kill off them.
+        self.backward_in = _invert(self.in_labels)
+        self.backward_out = _invert(self.out_labels)
+        # One key per vertex, ascending: (d_in+1)(d_out+1) above the id bits,
+        # so a vertex's degree rank is one bisection (_ideal_rank).
+        self._degree_keys = sorted(_degree_key(self._in_adj, self._out_adj, w) for w in range(n))
         self._listeners: list = []
         #: ``(above, below)`` of the last applied update: the rows whose
         #: ``out_labels[w]`` (w ∈ above) and ``in_labels[w]`` (w ∈ below)
@@ -252,8 +290,9 @@ class DynamicReachabilityIndex:
     def check(self) -> None:
         """Self-audit against ``tol_index(current_graph(), order)``:
         raises :class:`~repro.errors.IndexAuditError` naming the first
-        differing vertex and direction.  Costs one full TOL build;
-        nothing on a mutation path calls it."""
+        differing vertex and direction, then the first hub whose backward
+        label set is not the inversion of the rows.  Costs one full TOL
+        build; nothing on a mutation path calls it."""
         expected = tol.tol_label_sets(self.current_graph(), self._order)
         for w in range(self._n):
             for direction, live, want in zip(
@@ -261,6 +300,13 @@ class DynamicReachabilityIndex:
             ):
                 if live[w] != want[w]:
                     raise IndexAuditError(w, direction, live[w], want[w])
+        for direction, backward, labels in (
+            ("in", self.backward_in, self.in_labels),
+            ("out", self.backward_out, self.out_labels),
+        ):
+            for h, want in enumerate(_invert(labels)):
+                if backward[h] != want:
+                    raise IndexAuditError(h, direction, backward[h], want, backward=True)
 
     # ------------------------------------------------------------------
     # Update hooks
@@ -293,10 +339,11 @@ class DynamicReachabilityIndex:
     @contextmanager
     def _write(self, op: str, u: int, v: int):
         """Run one write against a fresh :class:`_Journal`.  When the body
-        returns, the journal's rows are :attr:`touched` and the listeners
-        run.  When it raises, the journal is rolled back, no listener
-        runs, and :class:`WriteAbortedError` is raised from the cause."""
-        journal = _Journal(self._n, self._order)
+        returns, the backward label sets catch up with the rows, the
+        journal's rows are :attr:`touched` and the listeners run.  When it
+        raises, the journal is rolled back, no listener runs, and
+        :class:`WriteAbortedError` is raised from the cause."""
+        journal = _Journal(self._n, self._order, self.in_labels, self.out_labels)
         try:
             yield journal
         except BaseException as exc:
@@ -304,17 +351,38 @@ class DynamicReachabilityIndex:
             if not isinstance(exc, Exception):
                 raise
             raise WriteAbortedError(op, u, v) from exc
-        self.touched = (journal.out_rows, journal.in_rows)
+        if not journal.inverted:
+            self._reinvert(journal)
+        self.touched = (set(journal.out_rows), set(journal.in_rows))
         for listener in self._listeners:
             listener(op, u, v)
 
+    def _reinvert(self, journal: _Journal) -> None:
+        """Bring the backward label sets up to date from the rows
+        ``journal`` saved: each entry a row lost or gained moves."""
+        for backward in (self.backward_in, self.backward_out):
+            while len(backward) < self._n:  # the rows add_node appended
+                backward.append(set())
+        for labels, backward, saved in (
+            (self.in_labels, self.backward_in, journal.in_rows),
+            (self.out_labels, self.backward_out, journal.out_rows),
+        ):
+            for w, old in saved.items():
+                new = labels[w]
+                for h in old - new:
+                    backward[h].discard(w)
+                for h in new - old:
+                    backward[h].add(w)
+
     def _roll_back(self, journal: _Journal) -> None:
-        """Put back everything ``journal`` recorded.  The edges, order and
-        vertex flags go back first; the rows are then the TOL index of
-        that graph and order, which is what they held before the write,
-        so the journal names them and one build recomputes them (a cost
-        only a failed write pays — saving every changed row as it was
-        would tax every write)."""
+        """Put back everything ``journal`` recorded.  The edges, order,
+        vertex flags and degree keys go back first; the rows are then the
+        TOL index of that graph and order, which is what they held before
+        the write, so the journal names them and one build recomputes
+        them (a cost only a failed write pays; an insert saves no rows,
+        because copying each costs its dearest case more than its own
+        work).  The backward label sets change only once a write's rows
+        are final, so they still match."""
         n = journal.n
         for a, b in journal.linked:
             self._out_adj[a].discard(b)
@@ -327,6 +395,7 @@ class DynamicReachabilityIndex:
         if journal.killed is not None:
             self._alive[journal.killed] = True
         self._n, self._order, self._rank = n, journal.order, journal.order.ranks
+        self._degree_keys = sorted(_degree_key(self._in_adj, self._out_adj, w) for w in range(n))
         before = tol.tol_label_sets(self.current_graph(), self._order)
         for labels, rows, old in zip((self.in_labels, self.out_labels),
                                      (journal.in_rows, journal.out_rows), before):
@@ -336,13 +405,23 @@ class DynamicReachabilityIndex:
 
     def _link(self, journal: _Journal, a: int, b: int) -> None:
         journal.linked.append((a, b))
-        self._out_adj[a].add(b)
-        self._in_adj[b].add(a)
+        self._rewire(a, b, set.add)
 
     def _unlink(self, journal: _Journal, a: int, b: int) -> None:
         journal.unlinked.append((a, b))
-        self._out_adj[a].discard(b)
-        self._in_adj[b].discard(a)
+        self._rewire(a, b, set.discard)
+
+    def _rewire(self, a: int, b: int, change) -> None:
+        """Apply ``change`` (``set.add`` / ``set.discard``) to the edge
+        ``(a, b)`` in both adjacencies, moving its ends' degree keys."""
+        in_adj, out_adj, keys = self._in_adj, self._out_adj, self._degree_keys
+        ends = (a,) if a == b else (a, b)
+        for w in ends:
+            del keys[bisect_left(keys, _degree_key(in_adj, out_adj, w))]
+        change(out_adj[a], b)
+        change(in_adj[b], a)
+        for w in ends:
+            insort(keys, _degree_key(in_adj, out_adj, w))
 
     def apply(self, op: str, u: int, v: int) -> bool:
         """Apply one ``(op, u, v)`` update; returns whether it changed
@@ -378,83 +457,152 @@ class DynamicReachabilityIndex:
             return False
         with self._write("insert", u, v) as journal:
             self._link(journal, u, v)
+            in_labels, out_labels = self.in_labels, self.out_labels
             # The labels are still the old, exact ones: when they say u reached
             # v already no pair gains a walk, and the write owes the index nothing.
-            if self.out_labels[u].isdisjoint(self.in_labels[v]):
-                # Best rank on any walk a ⇝ u / v ⇝ w; the key sets are the cones.
-                top_above = self._rank_flood(self.in_labels[u], self._in_adj)
-                top_below = self._rank_flood(self.out_labels[v], self._out_adj)
-                # The hubs of u that stay hubs of u, and of v likewise: only
-                # their entries between the cones survive, only they gain any.
+            if out_labels[u].isdisjoint(in_labels[v]):
+                # Neither grow writes these two rows: each holds its own hubs.
                 rank = self._rank
-                hubs_above = [a for a in self.in_labels[u] if top_above[a] == rank[a]]
-                hubs_below = [b for b in self.out_labels[v] if top_below[b] == rank[b]]
-                # Both grows before either shrink: a grow's witness test reads
-                # old entries of both directions, which a shrink may remove.
-                self._grow(hubs_above, v, True, top_below, journal.in_rows)
-                self._grow(hubs_below, u, False, top_above, journal.out_rows)
-                self._shrink(self.in_labels, journal.in_rows, top_below, top_above, hubs_above)
-                self._shrink(self.out_labels, journal.out_rows, top_above, top_below, hubs_below)
+                hubs_in, hubs_out = in_labels[u], out_labels[v]
+                cycle = hubs_in & hubs_out
+                if cycle:
+                    # v ⇝ u: the best vertex c on those walks sits on every new
+                    # walk, so a hub ranked below it gains nothing.
+                    c_rank = min(map(rank.__getitem__, cycle))
+                    hubs_in = [a for a in hubs_in if rank[a] <= c_rank]
+                    hubs_out = [b for b in hubs_out if rank[b] <= c_rank]
+                gained_in = self._grow(hubs_in, hubs_out, v, True, journal.in_rows)
+                gained_out = self._grow(hubs_out, hubs_in, u, False, journal.out_rows)
+                lost_in = self._killed(gained_in, gained_out, True)
+                lost_out = self._killed(gained_out, gained_in, False)
+                self._drop(in_labels, lost_in, journal.in_rows)
+                self._drop(out_labels, lost_out, journal.out_rows)
+                # Every row is final: the backward sets take the same deltas.
+                self._move_backward(self.backward_in, gained_in, lost_in)
+                self._move_backward(self.backward_out, gained_out, lost_out)
+            journal.inverted = True
         self._check_drift(u, v)
         return True
 
-    def _rank_flood(self, hubs: set[int], adjacency: list[set[int]]) -> dict[int, int]:
-        """Flood from ``hubs`` in rank order, first assignment wins:
-        ``top[w]`` is the best rank among the hubs that reach ``w``, and
-        the dict lists its rows best rank first.  With ``hubs = L_out(v)``
-        and the out-adjacency that is the best rank on any walk ``v ⇝ w``
-        (the best vertex on those walks is itself a hub of ``v``), and
-        the keys are ``v``'s whole cone."""
-        top: dict[int, int] = {}
-        for hub in sorted(hubs, key=self._rank.__getitem__):
-            if hub in top:
-                continue
-            best = top[hub] = self._rank[hub]
-            queue = [hub]
-            for w in queue:
-                for x in adjacency[w]:
-                    if x not in top:
-                        top[x] = best
-                        queue.append(x)
-        return top
-
-    def _grow(self, hubs, root: int, forward: bool, top: dict, journal: set) -> None:
+    def _grow(self, hubs, others, root: int, forward: bool, journal: _Rows) -> dict[int, list[int]]:
         """Walk each hub's pruned BFS on from ``root``, across the new
-        edge, and add every entry it earns, recording each row in the
-        write's ``journal`` for that direction.  A walk stops at a row
-        some new walk outranks the hub in, at a row that holds the hub
-        already (the hub reached it before, and everything behind it —
-        which also makes the entry its own visited mark), and at a row
-        holding one of the hub's higher-ranked witnesses (reached
-        before, but not cleanly)."""
+        edge, add every entry it earns and return the rows each hub
+        gained, each row named in ``journal`` first.  ``others`` are the
+        hubs of the other endpoint's row (``L_out(v)`` for a forward walk
+        from ``v``) that may grow.
+
+        A walk stops at a row that holds the hub (it reached that row
+        before with everything behind it, and the entry is the walk's own
+        visited mark), and at a row holding a hub ranked above it from its
+        own opposite row (reached before, not cleanly) or from ``others``
+        (the best vertex on the walks from the other endpoint to the row
+        is in both rows, and outranks it).  Rows are read live, with what
+        the forward pass added: that is a hub of ``u`` ranked no lower
+        than the cycle's best vertex, so it blocks no other hub of ``u``,
+        and in a witness row of a hub of ``v`` it outranks that hub, so
+        it is one of its ``others`` already."""
         rank = self._rank
         adjacency = self._out_adj if forward else self._in_adj
         labels = self.in_labels if forward else self.out_labels
         reverse_labels = self.out_labels if forward else self.in_labels
+        gained: dict[int, list[int]] = {}
         for hub in hubs:
             hub_rank = rank[hub]
-            witnesses = {h for h in reverse_labels[hub] if rank[h] < hub_rank}
+            blockers = {h for h in reverse_labels[hub] if rank[h] < hub_rank}
+            blockers.update(b for b in others if rank[b] < hub_rank)
+            rows: list[int] = []
             queue = [root]
             for w in queue:
                 row = labels[w]
-                if top[w] < hub_rank or hub in row or not witnesses.isdisjoint(row):
+                if hub in row or not blockers.isdisjoint(row):
                     continue
-                journal.add(w)
+                if w not in journal:
+                    journal[w] = None
                 row.add(hub)
+                rows.append(w)
                 queue.extend(adjacency[w])
+            if rows:
+                gained[hub] = rows
+        return gained
 
-    def _shrink(self, labels, journal: set, top: dict, cone: dict, keep) -> None:
-        """Remove the entries between the cones that a new walk outranks:
-        ``h ∈ cone`` leaves row ``w`` unless ``h`` is in ``keep`` (still a
-        hub of the endpoint) and ``rank[h] <= top[w]``.  Rows come out of
-        the flood best rank first, so the dead set only shrinks (with no
-        ``keep``, every row loses all of ``cone``).  Rows go in ``journal``."""
-        rank = self._rank
-        keep = sorted(keep, key=rank.__getitem__, reverse=True)
-        dead = set(cone)
-        for w, best in top.items():
-            while keep and rank[keep[-1]] <= best:
-                dead.discard(keep.pop())
+    def _killed(self, gained: dict, gained_across: dict, forward: bool):
+        """The old entries an insert kills in one direction (``forward``:
+        ``L_in``), from what the two grows added: ``gained`` this
+        direction's, ``gained_across`` the other's.  Returns ``({row: dead
+        hubs}, {hub: rows it dies in})``, keyed as the two cases below find
+        them; a pair may be in both.
+
+        If ``h`` leaves ``L_in(w)``, the best vertex ``x`` on the new walks
+        ``h ⇝ w`` is in the new ``L_out(h)`` and the new ``L_in(w)`` and
+        was not in both before.  So ``w`` gained it (``h`` is in the old
+        ``L_in(w)`` and in ``L⁻_out(x)``, or gained ``x`` too — the cycle's
+        best vertex), or ``h`` gained it (``w`` is in ``L⁻_in(h) ∩
+        L⁻_in(x)``).  Each pair found either way has ``x`` above ``h`` on
+        a walk ``h ⇝ w``, so it is dead: nothing is tested.  The backward
+        sets are the pre-insert ones; the rows hold the grown entries too,
+        but the only one that can meet the killers is ``x`` itself (another
+        hub gained there would sit below ``x`` on a walk to its endpoint)."""
+        labels = self.in_labels if forward else self.out_labels
+        backward = self.backward_in if forward else self.backward_out
+        backward_across = self.backward_out if forward else self.backward_in
+        by_row: dict[int, set[int]] = {}
+        for x, rows in gained.items():
+            killers = backward_across[x]
+            also = gained_across.get(x)
+            if also:
+                killers = killers.union(also)
+            for w in rows:
+                dead = labels[w] & killers
+                dead.discard(x)
+                if dead:
+                    if w in by_row:
+                        by_row[w] |= dead
+                    else:
+                        by_row[w] = dead
+        by_hub: dict[int, set[int]] = {}
+        for x, rows in gained_across.items():
+            holders = backward[x]
+            for h in rows:
+                dead_rows = backward[h] & holders
+                if dead_rows:
+                    if h in by_hub:
+                        by_hub[h] |= dead_rows
+                    else:
+                        by_hub[h] = dead_rows
+        return by_row, by_hub
+
+    @staticmethod
+    def _drop(labels, lost, journal: _Rows) -> None:
+        """Remove the entries :meth:`_killed` found, naming each row in
+        ``journal`` before its first change."""
+        by_row, by_hub = lost
+        for w, dead in by_row.items():
+            if w not in journal:
+                journal[w] = None
+            labels[w] -= dead
+        for hub, dead_rows in by_hub.items():
+            for w in dead_rows:
+                if w not in journal:
+                    journal[w] = None
+                labels[w].discard(hub)
+
+    @staticmethod
+    def _move_backward(backward, gained: dict, lost) -> None:
+        """Give the backward sets one direction's deltas of an insert:
+        ``gained`` from :meth:`_grow`, ``lost`` from :meth:`_killed`."""
+        for hub, rows in gained.items():
+            backward[hub].update(rows)
+        by_row, by_hub = lost
+        for w, dead in by_row.items():
+            for hub in dead:
+                backward[hub].discard(w)
+        for hub, dead_rows in by_hub.items():
+            backward[hub] -= dead_rows
+
+    def _shrink(self, labels, journal: _Rows, rows, dead: set[int]) -> None:
+        """Remove ``dead`` from each of ``rows`` that holds any of it,
+        saving each such row in ``journal`` first."""
+        for w in rows:
             stale = labels[w] & dead
             if stale:
                 journal.add(w)
@@ -484,28 +632,30 @@ class DynamicReachabilityIndex:
     def _still_reaches(self, u: int, v: int) -> bool:
         """True if ``u ⇝ v`` on the current adjacency, decided while the
         labels are still exact for the graph *before* ``(u, v)`` was
-        unlinked.  A depth-first search from ``u`` that steps only onto
+        unlinked.  A breadth-first search from ``u`` that steps only onto
         vertices the old labels say reach ``v``: every vertex of a
         surviving walk ``u ⇝ v`` reached ``v`` before as well, so none is
         pruned, and nothing outside the vertices between ``u`` and ``v``
-        is visited.  Outside ``u``'s strongly connected component a step
-        never has to be taken back (such an ``x`` reached ``v`` without
-        passing ``u``, so it still does)."""
+        is visited.  It ends at the first such vertex that did not reach
+        ``u``: none of its walks to ``v`` used the edge, so they survive.
+        So the search stays inside ``u``'s strongly connected component,
+        and, breadth first, how far it goes does not hang on the order
+        the adjacency sets list their vertices in."""
         out_adj, out_labels = self._out_adj, self.out_labels
-        reaches_v = self.in_labels[v]
+        reaches_u, reaches_v = self.in_labels[u], self.in_labels[v]
         visited = {u}
-        stack = [iter(out_adj[u])]
-        while stack:
-            for x in stack[-1]:
-                if x in visited or out_labels[x].isdisjoint(reaches_v):
+        queue = [u]
+        for w in queue:
+            for x in out_adj[w]:
+                if x in visited:
                     continue
-                if v in out_adj[x]:
+                row = out_labels[x]
+                if row.isdisjoint(reaches_v):
+                    continue
+                if x == v or row.isdisjoint(reaches_u):
                     return True
                 visited.add(x)
-                stack.append(iter(out_adj[x]))
-                break
-            else:
-                stack.pop()
+                queue.append(x)
         return False
 
     def _cut(self, hubs, starts, forward: bool, journal: set) -> dict[int, int]:
@@ -532,7 +682,7 @@ class DynamicReachabilityIndex:
         for hub in hubs:
             cut = [
                 s for s in starts
-                if hub in labels[s] and not self._reaches(hub, s, reverse, labels)
+                if hub in labels[s] and not self._reaches(hub, s, adjacency, reverse, labels)
             ]
             if not cut:
                 continue
@@ -562,21 +712,38 @@ class DynamicReachabilityIndex:
         return lost
 
     @staticmethod
-    def _reaches(hub: int, row: int, reverse, labels) -> bool:
-        """True if ``hub`` reaches ``row`` on the current adjacency, by a
-        search back from ``row`` through the rows holding ``hub`` (the
-        only rows a walk from it can pass; ``row`` holds it too)."""
+    def _reaches(hub: int, row: int, adjacency, reverse, labels) -> bool:
+        """True if ``hub`` reaches ``row`` on the current adjacency.  A
+        walk from ``hub`` passes only rows that hold it (``row`` holds it
+        too), so two breadth-first searches through those rows, one on
+        from ``hub`` and one back from ``row``, each a level at a time,
+        the smaller frontier first, meet exactly when it does.  Met
+        halfway, how far they go hangs little on the order the adjacency
+        sets list their vertices in."""
         if row == hub:
             return True
-        seen = {row}
-        stack = [row]
-        while stack:
-            for x in reverse[stack.pop()]:
-                if x == hub:
-                    return True
-                if x not in seen and hub in labels[x]:
-                    seen.add(x)
-                    stack.append(x)
+        ahead, behind = {hub}, {row}
+        forward, backward = [hub], [row]
+        while forward and backward:
+            grown = []
+            if len(forward) <= len(backward):
+                for w in forward:
+                    for x in adjacency[w]:
+                        if x in behind:
+                            return True
+                        if x not in ahead and hub in labels[x]:
+                            ahead.add(x)
+                            grown.append(x)
+                forward = grown
+            else:
+                for w in backward:
+                    for x in reverse[w]:
+                        if x in ahead:
+                            return True
+                        if x not in behind and hub in labels[x]:
+                            behind.add(x)
+                            grown.append(x)
+                backward = grown
         return False
 
     def _regain(self, lost_in: dict, lost_out: dict, journal: _Journal) -> None:
@@ -653,9 +820,10 @@ class DynamicReachabilityIndex:
             self._in_adj.append(set())
             self.in_labels.append({v})
             self.out_labels.append({v})
-            journal.in_rows.add(v)
-            journal.out_rows.add(v)
-            self._order = VertexOrder(list(self._order.by_rank()) + [v])
+            journal.in_rows[v] = set()
+            journal.out_rows[v] = set()
+            insort(self._degree_keys, _degree_key(self._in_adj, self._out_adj, v))
+            self._order = self._order.appended()
             self._rank = self._order.ranks
         return v
 
@@ -749,13 +917,12 @@ class DynamicReachabilityIndex:
                 witnesses = {h for h in reverse_labels[v] if rank[h] < new_rank}
                 tol.pruned_bfs(v, adjacency, rank, labels, witnesses, range(self._n), rows)
             # Shrink side: an entry (h, w) with h in the band dies iff
-            # h ⇝ v ⇝ w — that walk now passes the higher v.  No test: it
-            # is an insert's shrink that keeps no hub.
+            # h ⇝ v ⇝ w — that walk now passes the higher v.  No test.
             for labels, rows, cone, reaching in (
                 (self.in_labels, journal.in_rows, forward_cone, backward_cone),
                 (self.out_labels, journal.out_rows, backward_cone, forward_cone),
             ):
-                self._shrink(labels, rows, dict.fromkeys(cone), band & reaching, ())
+                self._shrink(labels, rows, cone, band & reaching)
         return new_rank
 
     def drift(self, v: int) -> int:
@@ -772,15 +939,9 @@ class DynamicReachabilityIndex:
         """``v``'s rank under the paper's ``(d_in+1)·(d_out+1)`` order on
         *current* degrees: the vertices with a larger product, plus the
         ties with a larger id (exactly as :func:`degree_order` breaks
-        them)."""
-        in_adj, out_adj = self._in_adj, self._out_adj
-        key = (len(in_adj[v]) + 1) * (len(out_adj[v]) + 1)
-        ahead = 0
-        for w in range(self._n):
-            product = (len(in_adj[w]) + 1) * (len(out_adj[w]) + 1)
-            if product > key or (product == key and w > v):
-                ahead += 1
-        return ahead
+        them) — the keys above ``v``'s own."""
+        keys = self._degree_keys
+        return len(keys) - bisect_right(keys, _degree_key(self._in_adj, self._out_adj, v))
 
     def _check_drift(self, *vertices: int) -> None:
         """Auto-promote updated endpoints whose drift crossed the
@@ -810,3 +971,19 @@ class DynamicReachabilityIndex:
                     visited.add(x)
                     queue.append(x)
         return visited
+
+
+def _degree_key(in_adj, out_adj, w: int) -> int:
+    """``w``'s sort key for the degree order: ``(d_in+1)·(d_out+1)``
+    above 32 bits of id."""
+    return ((len(in_adj[w]) + 1) * (len(out_adj[w]) + 1)) << 32 | w
+
+
+def _invert(labels: list[set[int]]) -> list[set[int]]:
+    """The backward label sets of ``labels``: ``{w | h ∈ labels[w]}`` for
+    every hub ``h``."""
+    backward: list[set[int]] = [set() for _ in labels]
+    for w, row in enumerate(labels):
+        for h in row:
+            backward[h].add(w)
+    return backward

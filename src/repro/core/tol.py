@@ -149,8 +149,9 @@ def pruned_bfs(hub: int, adjacency, rank, labels, witnesses, cone=None, journal=
     its entry, so the walk passes it untested and unwritten; a row
     without it is re-decided only inside the cone — outside, it kept
     its status and the walk stops there.  ``range(n)`` is the repair
-    with no bound.  A cone walk requires ``journal``, the write's set of
-    changed rows, and adds to it every row it adds ``hub`` to.
+    with no bound.  A cone walk requires ``journal``, the write's record
+    of changed rows, and calls ``journal.add(x)`` for every row ``x``
+    before it adds ``hub`` there.
 
     Returns ``(queue, visited)``: the vertices walked through, in BFS
     order, and ``hub`` plus every lower-ranked vertex discovered — without

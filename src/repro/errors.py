@@ -127,18 +127,22 @@ class IndexAuditError(ReproError):
 
     Raised by :meth:`DynamicReachabilityIndex.check
     <repro.core.dynamic.DynamicReachabilityIndex.check>` with the first
-    vertex and direction (``"in"`` / ``"out"``) whose label set is off.
+    vertex and direction (``"in"`` / ``"out"``) whose label set is off,
+    or, with ``backward``, the first hub whose backward label set
+    ``L⁻`` is not the inversion of the label rows.
     """
 
-    def __init__(self, vertex: int, direction: str, live, expected):
+    def __init__(self, vertex: int, direction: str, live, expected, backward: bool = False):
         self.vertex = vertex
         self.direction = direction
+        self.backward = backward
         self.live = sorted(live)
         self.expected = sorted(expected)
-        super().__init__(
-            f"L_{direction}({vertex}) is {self.live} but a rebuild under "
-            f"the current order gives {self.expected}"
-        )
+        if backward:
+            message = f"L⁻_{direction}({vertex}) is {self.live} but the label rows give"
+        else:
+            message = f"L_{direction}({vertex}) is {self.live} but a rebuild under the current order gives"
+        super().__init__(f"{message} {self.expected}")
 
 
 class WriteAbortedError(ReproError):

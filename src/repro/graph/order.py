@@ -65,6 +65,17 @@ class VertexOrder:
         """True when ``ord(u) > ord(v)``."""
         return self._rank[u] < self._rank[v]
 
+    def appended(self) -> VertexOrder:
+        """A new order: this one with the next vertex id, ``len(self)``,
+        at the tail.  Built by concatenating the two arrays — a permutation
+        plus its next id is one, so there is nothing to re-check — and
+        ``self`` is left as it was."""
+        n = len(self)
+        order = VertexOrder.__new__(VertexOrder)
+        order._by_rank = self._by_rank + array("q", (n,))
+        order._rank = self._rank + array("q", (n,))
+        return order
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VertexOrder):
             return NotImplemented

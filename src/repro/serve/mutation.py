@@ -36,7 +36,7 @@ from repro.telemetry import trace_event
 MUTATION_OPS = UPDATE_OPS
 
 #: Maintenance touches roughly this many labels per seed-label entry
-#: (the floods or re-runs from those hubs); calibrated against the
+#: (the grows or re-runs from those hubs); calibrated against the
 #: direct-path scenario runner's observed op costs.
 WRITE_AMPLIFICATION = 8.0
 

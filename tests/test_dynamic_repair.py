@@ -1,30 +1,32 @@
-"""Tests for the repair paths: cut and regain, rank floods, band subtraction.
+"""Tests for the repair paths: grow and kill, cut and regain, band subtraction.
 
-``delete_edge`` / ``delete_node`` have exactly one repair path.  It
-removes the entries whose pairs no longer reach, found from the hubs the
-cut edges carried, then lets the rows that lost re-decide what they
-gain, in rank order; nothing on it rebuilds or computes a cone.
-``insert_edge`` has one too: two rank floods say which entries between
-the cones live, hubs grow exact entries and set algebra removes the
-dead ones; ``promote`` subtracts the overtaken band.  These tests pin
-the claims that make that safe: each is *exact* (``check()`` stays
-green after every op, on every graph family, and a delete equals the
-two-cone repair it replaced row for row), *local* (no label outside
+``insert_edge`` has exactly one repair path.  Hubs of the two endpoints
+grow exact entries from the new edge on; the entries those gains kill
+are read off the backward label sets, with no rank test and no cone.
+``delete_edge`` / ``delete_node`` have one too: it removes the entries
+whose pairs no longer reach, found from the hubs the cut edges carried,
+then lets the rows that lost re-decide what they gain, in rank order;
+``promote`` subtracts the overtaken band.  These tests pin the claims
+that make that safe: each is *exact* (``check()`` stays green after
+every op, on every graph family, and an insert or a delete equals the
+whole-cone repair it replaced row for row), *local* (no label outside
 ``touched`` is written, and for every op ``touched`` holds exactly the
 rows that changed; for an insert or delete that leaves the transitive
 closure alone, none at all), *atomic* (a write that raises part-way is
 rolled back and heard by no one), and never builds TOL from scratch.
 """
 
+import itertools
 import random
 from collections import Counter
+from contextlib import suppress
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.tol
-from repro.core.dynamic import UPDATE_OPS, DynamicReachabilityIndex
+from repro.core.dynamic import UPDATE_OPS, DynamicReachabilityIndex, _invert
 from repro.errors import IndexAuditError, ReproError, WriteAbortedError
 from repro.fuzz.cases import FAMILIES, family_graph
 from repro.graph.digraph import DiGraph
@@ -78,8 +80,8 @@ class ConeRepairIndex(DynamicReachabilityIndex):
         higher-ranked witness a domination test consults is final."""
         in_labels, out_labels, rank = self.in_labels, self.out_labels, self._rank
         out_adj, in_adj, pruned_bfs = self._out_adj, self._in_adj, repro.core.tol.pruned_bfs
-        self._shrink(in_labels, journal.in_rows, dict.fromkeys(below), above, ())
-        self._shrink(out_labels, journal.out_rows, dict.fromkeys(above), below, ())
+        self._shrink(in_labels, journal.in_rows, below, above)
+        self._shrink(out_labels, journal.out_rows, above, below)
         for hub in sorted(above | below, key=rank.__getitem__):
             hub_rank = rank[hub]
             if hub in above:
@@ -88,6 +90,94 @@ class ConeRepairIndex(DynamicReachabilityIndex):
             if hub in below:
                 witnesses = {h for h in in_labels[hub] if rank[h] < hub_rank}
                 pruned_bfs(hub, in_adj, rank, out_labels, witnesses, above, journal.out_rows)
+
+
+class FloodInsertIndex(DynamicReachabilityIndex):
+    """The insert before the grow-and-kill one: flood both cones for the
+    best rank on the walks into ``u`` and out of ``v``, grow the hubs
+    that stay hubs, and scan every flooded row for entries a new walk
+    outranks.  Kept as the reference the live insert must equal row for
+    row."""
+
+    def insert_edge(self, u: int, v: int) -> bool:
+        self._check_vertex(u)
+        self._check_vertex(v)
+        if u == v:
+            raise ValueError("self-loops do not affect reachability")
+        if v in self._out_adj[u]:
+            return False
+        with self._write("insert", u, v) as journal:
+            self._link(journal, u, v)
+            if self.out_labels[u].isdisjoint(self.in_labels[v]):
+                # Best rank on any walk a ⇝ u / v ⇝ w; the key sets are the cones.
+                top_above = self._rank_flood(self.in_labels[u], self._in_adj)
+                top_below = self._rank_flood(self.out_labels[v], self._out_adj)
+                rank = self._rank
+                hubs_above = [a for a in self.in_labels[u] if top_above[a] == rank[a]]
+                hubs_below = [b for b in self.out_labels[v] if top_below[b] == rank[b]]
+                self._flood_grow(hubs_above, v, True, top_below, journal.in_rows)
+                self._flood_grow(hubs_below, u, False, top_above, journal.out_rows)
+                self._flood_shrink(self.in_labels, journal.in_rows, top_below, top_above, hubs_above)
+                self._flood_shrink(self.out_labels, journal.out_rows, top_above, top_below, hubs_below)
+        self._check_drift(u, v)
+        return True
+
+    def _rank_flood(self, hubs, adjacency) -> dict[int, int]:
+        """Flood from ``hubs`` in rank order, first assignment wins:
+        ``top[w]`` is the best rank among the hubs that reach ``w``, the
+        dict lists its rows best rank first."""
+        top: dict[int, int] = {}
+        for hub in sorted(hubs, key=self._rank.__getitem__):
+            if hub in top:
+                continue
+            best = top[hub] = self._rank[hub]
+            queue = [hub]
+            for w in queue:
+                for x in adjacency[w]:
+                    if x not in top:
+                        top[x] = best
+                        queue.append(x)
+        return top
+
+    def _flood_grow(self, hubs, root: int, forward: bool, top: dict, journal) -> None:
+        """Each hub's pruned BFS on from ``root``: stop at a row a new
+        walk outranks the hub in, one that holds it, or one holding a
+        higher-ranked witness of it."""
+        rank = self._rank
+        adjacency = self._out_adj if forward else self._in_adj
+        labels = self.in_labels if forward else self.out_labels
+        reverse_labels = self.out_labels if forward else self.in_labels
+        for hub in hubs:
+            hub_rank = rank[hub]
+            witnesses = {h for h in reverse_labels[hub] if rank[h] < hub_rank}
+            queue = [root]
+            for w in queue:
+                row = labels[w]
+                if top[w] < hub_rank or hub in row or not witnesses.isdisjoint(row):
+                    continue
+                journal.add(w)
+                row.add(hub)
+                queue.extend(adjacency[w])
+
+    def _flood_shrink(self, labels, journal, top: dict, cone: dict, keep) -> None:
+        """``h ∈ cone`` leaves row ``w`` unless ``h`` is in ``keep`` and
+        ``rank[h] <= top[w]``; rows come best rank first, so the dead set
+        only shrinks."""
+        rank = self._rank
+        keep = sorted(keep, key=rank.__getitem__, reverse=True)
+        dead = set(cone)
+        for w, best in top.items():
+            while keep and rank[keep[-1]] <= best:
+                dead.discard(keep.pop())
+            stale = labels[w] & dead
+            if stale:
+                journal.add(w)
+                labels[w] -= stale
+
+
+def _assert_backward_sets_invert_the_rows(dynamic: DynamicReachabilityIndex) -> None:
+    assert dynamic.backward_in == _invert(dynamic.in_labels)
+    assert dynamic.backward_out == _invert(dynamic.out_labels)
 
 
 # ----------------------------------------------------------------------
@@ -109,6 +199,23 @@ def test_check_passes_on_an_exact_index_and_names_the_first_difference():
     dynamic.out_labels[2].discard(3)
     dynamic.in_labels[1].clear()  # a lost entry, earlier vertex wins
     with pytest.raises(IndexAuditError, match=r"L_in\(1\)"):
+        dynamic.check()
+
+
+def test_check_names_a_hub_whose_backward_set_is_off():
+    dynamic = DynamicReachabilityIndex(
+        DiGraph(4, [(0, 1), (1, 2), (2, 3)]), VertexOrder([0, 1, 2, 3])
+    )
+    dynamic.backward_in[0].discard(3)  # the rows say 0 ∈ L_in(3)
+    with pytest.raises(IndexAuditError, match=r"L⁻_in\(0\)") as caught:
+        dynamic.check()
+    error = caught.value
+    assert (error.vertex, error.direction, error.backward) == (0, "in", True)
+    assert 3 in error.expected and 3 not in error.live
+    dynamic.backward_in[0].add(3)
+    dynamic.check()
+    dynamic.backward_out[2].add(0)  # 2 ∉ L_out(0): 0 outranks it
+    with pytest.raises(IndexAuditError, match=r"L⁻_out\(2\)"):
         dynamic.check()
 
 
@@ -204,6 +311,99 @@ def test_property_deletes_equal_the_two_cone_repair(g, loops, operations, drift)
     dynamic.check()
 
 
+_INSERT_HEAVY = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["insert", "insert", "insert", "insert", "delete", "delete_node", "add_node", "promote"]
+        ),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+    ),
+    max_size=24,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_graphs(max_vertices=18), _SELF_LOOPS, _INSERT_HEAVY, st.sampled_from([None, 2]))
+def test_property_inserts_equal_the_flood_insert(g, loops, operations, drift):
+    """Every family, cyclic ones included, some with self-loops, with and
+    without automatic promotion, inserts among every other op: after each
+    op the labels equal the flooding reference's row for row, ``touched``
+    is the rows that changed, and the backward label sets are the
+    inversion of the rows."""
+    n = g.num_vertices
+    g = DiGraph(n, list(g.edges()) + [(x % n, x % n) for x in loops])
+    dynamic = DynamicReachabilityIndex(g, drift_threshold=drift)
+    reference = FloodInsertIndex(g, drift_threshold=drift)
+    for op, a, b in operations:
+        alive = dynamic.alive_vertices()
+        if len(alive) < 2:
+            break
+        edges = list(dynamic.edges())
+        u, v = alive[a % len(alive)], alive[b % len(alive)]
+        if op == "insert" and u == v or op == "delete" and not edges:
+            continue
+        if op == "delete":
+            u, v = edges[a % len(edges)]
+        elif op == "delete_node":
+            v = u
+        elif op == "promote":
+            v = b % dynamic.num_vertices
+        if drift is None:
+            apply_and_check_touched(dynamic, op, u, v)
+        else:  # a promote may ride along and own `touched`
+            dynamic.apply(op, u, v)
+        reference.apply(op, u, v)
+        assert list(reference.order.by_rank()) == list(dynamic.order.by_rank())
+        assert dynamic.in_labels == reference.in_labels
+        assert dynamic.out_labels == reference.out_labels
+        assert dynamic.touched == reference.touched
+        _assert_backward_sets_invert_the_rows(dynamic)
+    dynamic.check()
+
+
+def test_an_entry_dies_in_a_row_that_gains_nothing():
+    """Ranks v < h < u < w < x, edges h→x→w, v→w, h→u; insert u→v.  The
+    new walk h→u→v→w passes v, so h leaves L_in(w) though w gains no
+    entry: h gained v in L_out, and w held both h and v."""
+    v, h, u, w, x = range(5)
+    g = DiGraph(5, [(h, x), (x, w), (v, w), (h, u)])
+    dynamic = DynamicReachabilityIndex(g, VertexOrder([v, h, u, w, x]))
+    assert dynamic.in_labels[w] == {v, h, w}
+    apply_and_check_touched(dynamic, "insert", u, v)
+    assert dynamic.in_labels[w] == {v, w}
+    assert v in dynamic.out_labels[h]
+    assert w in dynamic.touched[1]
+    _assert_backward_sets_invert_the_rows(dynamic)
+    dynamic.check()
+
+
+def test_a_cycle_closing_insert_whose_two_ends_gain_the_killer():
+    """Edges v→c→u, h→u, v→w, h→w; insert u→v closes the cycle through
+    c, the best vertex.  h held L_in(w) and reached c on no old walk, c
+    reached w on none: h gains c in L_out and w gains c in L_in, so
+    neither side held it before, and h must still leave L_in(w)."""
+    c, h, u, v, w = range(5)
+    g = DiGraph(5, [(v, c), (c, u), (h, u), (v, w), (h, w)])
+    dynamic = DynamicReachabilityIndex(g, VertexOrder([c, h, u, v, w]))
+    reference = FloodInsertIndex(g, VertexOrder([c, h, u, v, w]))
+    assert h in dynamic.in_labels[w]
+    assert c not in dynamic.out_labels[h] and c not in dynamic.in_labels[w]
+    grows, grow = [], dynamic._grow
+    dynamic._grow = lambda hubs, *rest: grows.append(sorted(hubs)) or grow(hubs, *rest)
+    apply_and_check_touched(dynamic, "insert", u, v)
+    reference.insert_edge(u, v)
+    # h and u are hubs of u too, but ranked below c: they grow nothing
+    # (a grow of theirs would only add entries the kills take back).
+    assert grows == [[c], [c]]
+    assert c in dynamic.out_labels[h] and c in dynamic.in_labels[w]
+    assert h not in dynamic.in_labels[w]
+    assert dynamic.in_labels == reference.in_labels
+    assert dynamic.out_labels == reference.out_labels
+    _assert_backward_sets_invert_the_rows(dynamic)
+    dynamic.check()
+
+
 @pytest.mark.parametrize("op", ["delete", "delete_node"])
 def test_delete_at_a_self_looped_vertex_equals_the_two_cone_repair(op):
     """1 carries a self-loop and L_in(1) = {0, 1}: deleting 1 (or the
@@ -235,6 +435,40 @@ def test_delete_inside_a_strongly_connected_component():
         repaired += dynamic.touched != (set(), set())
         dynamic.check()
     assert repaired
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1), (1, 2), (2, 0), (1, 3), (2, 3), (3, 4), (4, 3), (0, 4)],
+        [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (0, 3), (3, 4), (2, 4)],
+    ],
+    ids=["two-components", "nested-cycles"],
+)
+def test_deletes_are_exact_under_every_renaming(edges):
+    """A delete's searches stop early: the closure test at the first
+    vertex outside ``u``'s component, the cut's where its search on from
+    the hub meets its search back from the start.  Where each stops
+    follows the order the adjacency sets list vertex ids in, so every
+    edge and node delete of a small cyclic graph runs under every
+    renaming of it (the order renamed with it): each stays exact and
+    changes the same rows, renamed."""
+    n = 5
+    base = DiGraph(n, edges)
+    base_order = list(degree_order(base).by_rank())
+    writes = [("delete", a, b) for a, b in edges] + [("delete_node", v, v) for v in range(n)]
+    expected = {}
+    for names in itertools.permutations(range(n)):
+        graph = DiGraph(n, [(names[a], names[b]) for a, b in edges])
+        order = VertexOrder([names[x] for x in base_order])
+        for op, a, b in writes:
+            dynamic = DynamicReachabilityIndex(graph, order)
+            apply_and_check_touched(dynamic, op, names[a], names[b])
+            dynamic.check()
+            back = {name: x for x, name in enumerate(names)}
+            above, below = dynamic.touched
+            rows = ({back[w] for w in above}, {back[w] for w in below})
+            assert expected.setdefault((op, a, b), rows) == rows, (names, op, a, b)
 
 
 # ----------------------------------------------------------------------
@@ -559,3 +793,43 @@ def test_a_write_tripped_at_every_row_mutation_rolls_back(op, u, v, drift, tmp_p
         break
     assert aborts == k - 1
     assert aborts or op == "add_node"  # add_node appends rows, mutates none
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family_graphs(max_vertices=14),
+    st.lists(
+        st.tuples(
+            st.sampled_from(UPDATE_OPS), st.integers(0, 10**6), st.integers(0, 10**6),
+            st.booleans(),
+        ),
+        max_size=16,
+    ),
+)
+def test_property_ideal_rank_is_the_degree_rank_after_every_write(g, operations):
+    """The bisection over the maintained degree keys answers what a sort
+    of the current degrees does, after every write — a write tripped at
+    its first row mutation and rolled back included."""
+    dynamic = DynamicReachabilityIndex(g)
+    for op, a, b, trip in operations:
+        alive = dynamic.alive_vertices()
+        u, v = alive[a % len(alive)], alive[b % len(alive)]
+        if op == "insert" and u == v:
+            continue
+        if op == "delete":
+            edges = list(dynamic.edges())
+            if not edges:
+                continue
+            u, v = edges[a % len(edges)]
+        if op == "delete_node" and len(alive) < 2:
+            continue
+        if trip:
+            fuse = [1]
+            dynamic.in_labels = [_Tripwire(row, fuse) for row in dynamic.in_labels]
+            dynamic.out_labels = [_Tripwire(row, fuse) for row in dynamic.out_labels]
+        with suppress(WriteAbortedError):  # rolled back: the keys must be too
+            dynamic.apply(op, u, b % dynamic.num_vertices if op == "promote" else v)
+        expected = degree_order(dynamic.current_graph())
+        for w in dynamic.alive_vertices():
+            assert dynamic._ideal_rank(w) == expected.rank(w)
+    dynamic.check()

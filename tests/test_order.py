@@ -51,6 +51,15 @@ def test_order_equality_and_hash():
     assert a.__eq__("x") is NotImplemented
 
 
+def test_appended_puts_the_next_id_at_the_tail_and_leaves_the_order_alone():
+    order = VertexOrder([2, 0, 1])
+    grown = order.appended()
+    assert grown == VertexOrder([2, 0, 1, 3])
+    assert list(grown.ranks) == [1, 2, 0, 3]
+    assert order == VertexOrder([2, 0, 1]) and len(order) == 3
+    assert VertexOrder([]).appended() == VertexOrder([0])
+
+
 def test_degree_order_formula():
     """ord(v) = (d_in+1)(d_out+1) + id/(n+1): bigger product first,
     bigger id wins ties."""
