@@ -11,6 +11,10 @@ whose pairs stopped reaching and a regain from the rows that lost one
 column.  A write that leaves the transitive closure alone skips even
 that, so each direction also reports the share of its writes that did
 (``touched == (set(), set())``) — the mean is a blend of the two costs.
+A promote moves a vertex from the lower half of the order to a third of
+its rank: it re-ranks the band it jumps, grows the vertex's own entries
+and drops the band entries read off its rows and the backward label
+sets, walking no cone — its column is the mean per applied promote.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ NUM_UPDATES = 60
 
 def _run() -> ExperimentTable:
     columns = [
-        "insert (ms)", "delete (ms)", "rebuild (ms)",
-        "insert speedup", "delete speedup",
+        "insert (ms)", "delete (ms)", "promote (ms)", "rebuild (ms)",
+        "insert speedup", "delete speedup", "promote speedup",
         "insert free (%)", "delete free (%)",
     ]
     table = ExperimentTable(
@@ -67,11 +71,20 @@ def _run() -> ExperimentTable:
             delete_free += dynamic.touched == untouched
         delete_ms = (time.perf_counter() - start) * 1e3 / NUM_UPDATES
 
+        by_rank = list(dynamic.order.by_rank())
+        promoted = 0
+        start = time.perf_counter()
+        for v in rng.sample(by_rank[n // 2 :], NUM_UPDATES):
+            promoted += dynamic.promote(v, dynamic.order.rank(v) // 3) is not None
+        promote_ms = (time.perf_counter() - start) * 1e3 / promoted
+
         table.set(name, "insert (ms)", insert_ms)
         table.set(name, "delete (ms)", delete_ms)
+        table.set(name, "promote (ms)", promote_ms)
         table.set(name, "rebuild (ms)", rebuild_ms)
         table.set(name, "insert speedup", rebuild_ms / max(insert_ms, 1e-9))
         table.set(name, "delete speedup", rebuild_ms / max(delete_ms, 1e-9))
+        table.set(name, "promote speedup", rebuild_ms / max(promote_ms, 1e-9))
         table.set(name, "insert free (%)", 100.0 * insert_free / NUM_UPDATES)
         table.set(name, "delete free (%)", 100.0 * delete_free / NUM_UPDATES)
     return table
@@ -84,6 +97,9 @@ def test_dynamic_updates(benchmark):
         # An insert costs what it changes (a few rows, no cone),
         # far below the half-rebuild a superset-and-sweep insert cost.
         assert table.get(row, "insert speedup").value > 4, row
+        # A promote walks no cone: the two-cone promote it replaced
+        # read 10-30x.
+        assert table.get(row, "promote speedup").value > 40, row
     if "WEBW" in table.rows:
         # So must deletion, even where both cones span the hub core.
         assert table.get("WEBW", "delete speedup").value > 1.5

@@ -73,14 +73,12 @@ valid.  Mutating a tombstone raises; querying one is permitted (it is
 simply isolated).
 
 *Order upgrade* (:meth:`promote`) is the TOL butterfly rewrite: moving
-``v`` from rank ``r_old`` up to ``r_new < r_old`` can only (a) *grow*
-``v``'s own coverage (fewer dominators once ``v`` outranks the band it
-jumped), and (b) *invalidate* entries of the **band** hubs ``h`` it
-overtook where ``h → v → w`` now routes through the higher hub ``v``;
-every other entry is exactly as before.  So the rewrite is one pair of
-full pruned BFSs from ``v`` under the new order (the grow side) plus a
-subtraction of the band from the rows on either side of ``v`` (the
-shrink side: *every* such entry is dead) — no rebuild.
+``v`` from rank ``r_old`` up to ``r_new < r_old`` re-ranks only the
+**band** it jumps, and can only (a) *grow* ``v``'s own coverage, and
+(b) *kill* entries ``h ∈ L_in(w)`` of band hubs with ``h ⇝ v ⇝ w``.
+By Theorem 1 such an ``h`` already sat in ``L_in(v)``, so the dead
+entries are read off ``v``'s own rows and ``L⁻_in(h)``, and the rewrite
+is those plus ``v``'s pruned BFS pair — no cone, no rebuild.
 
 *Every write keeps a journal* of the label rows it changes, each named
 (and, but for an insert's, saved) before its first change, and of its
@@ -599,15 +597,6 @@ class DynamicReachabilityIndex:
         for hub, dead_rows in by_hub.items():
             backward[hub] -= dead_rows
 
-    def _shrink(self, labels, journal: _Rows, rows, dead: set[int]) -> None:
-        """Remove ``dead`` from each of ``rows`` that holds any of it,
-        saving each such row in ``journal`` first."""
-        for w in rows:
-            stale = labels[w] & dead
-            if stale:
-                journal.add(w)
-                labels[w] -= stale
-
     # ------------------------------------------------------------------
     # Deletion
     # ------------------------------------------------------------------
@@ -875,14 +864,14 @@ class DynamicReachabilityIndex:
         otherwise the applied rank is returned and listeners see
         ``("promote", v, new_rank)``.
 
-        The rewrite exploits that a single hub-ward move changes the
-        exact index in only two ways: ``v``'s own entries grow (it lost
-        dominators), and entries of the **band** hubs it overtook die
-        where ``v`` now dominates them (``h → v → w``).  So: shift
-        the order, run one full pruned BFS pair from ``v`` under the
-        new ranks, then subtract the band hubs that reach ``v`` from
-        every row ``v`` reaches, and the mirror.  Every other entry is
-        provably untouched.
+        A single hub-ward move changes the exact index in only two ways:
+        ``v``'s own entries grow (it lost dominators), and entries of the
+        **band** hubs it overtook die where ``v`` now dominates them
+        (``h ⇝ v ⇝ w``).  So: read the dead entries off the old labels
+        (:meth:`_overtaken`), move ``v`` in the order (only the band
+        re-ranks), run ``v``'s pruned BFS pair under the new ranks, then
+        drop what was read.  Every other entry is provably untouched, and
+        no cone is walked.
         """
         self._check_vertex(v)
         if new_rank is not None:
@@ -892,38 +881,56 @@ class DynamicReachabilityIndex:
                 raise ValueError(f"new_rank must be an integer, got {new_rank!r}") from None
         if new_rank is None or new_rank < 0:
             new_rank = self._ideal_rank(v)
-        old_rank = self._rank[v]
-        if new_rank >= old_rank:
+        if new_rank >= self._rank[v]:
             return None
-        by_rank = list(self._order.by_rank())
-        del by_rank[old_rank]
-        by_rank.insert(new_rank, v)
-        # The band: hubs v overtook (their rank shifted down by one).
-        band = set(by_rank[new_rank + 1 : old_rank + 1])
         with self._write("promote", v, new_rank) as journal:
-            self._order = VertexOrder(by_rank)
+            dead_in = self._overtaken(v, new_rank, True)
+            dead_out = self._overtaken(v, new_rank, False)
+            self._order = self._order.moved(v, new_rank)
             rank = self._rank = self._order.ranks
-            forward_cone = self._plain_bfs(v, self._out_adj)
-            backward_cone = self._plain_bfs(v, self._in_adj)
-            # Grow side: v's own round under the new order, every row in the
-            # cone (a row holding v keeps it, the rest are re-decided).  Exact
-            # because every witness it consults is a hub still above v, whose
-            # entries the move did not change — filtered by rank, because v's
-            # raw rows still hold the band.
+            # Grow side: v's own round under the new order, every row (a row
+            # holding v keeps it, the rest are re-decided).  Exact because
+            # every witness it consults is a hub still above v, whose entries
+            # the move did not change — filtered by rank, because v's raw
+            # rows still hold the band.
             for adjacency, labels, reverse_labels, rows in (
                 (self._out_adj, self.in_labels, self.out_labels, journal.in_rows),
                 (self._in_adj, self.out_labels, self.in_labels, journal.out_rows),
             ):
                 witnesses = {h for h in reverse_labels[v] if rank[h] < new_rank}
                 tol.pruned_bfs(v, adjacency, rank, labels, witnesses, range(self._n), rows)
-            # Shrink side: an entry (h, w) with h in the band dies iff
-            # h ⇝ v ⇝ w — that walk now passes the higher v.  No test.
-            for labels, rows, cone, reaching in (
-                (self.in_labels, journal.in_rows, forward_cone, backward_cone),
-                (self.out_labels, journal.out_rows, backward_cone, forward_cone),
+            for labels, rows, dead in (
+                (self.in_labels, journal.in_rows, dead_in),
+                (self.out_labels, journal.out_rows, dead_out),
             ):
-                self._shrink(labels, rows, cone, band & reaching)
+                for hub, dead_rows in dead.items():
+                    for w in dead_rows:
+                        rows.add(w)
+                        labels[w].discard(hub)
         return new_rank
+
+    def _overtaken(self, v: int, new_rank: int, forward: bool) -> dict[int, list[int]]:
+        """The entries a move of ``v`` up to ``new_rank`` kills in one
+        direction (``forward``: ``L_in``), as ``{band hub: rows it dies
+        in}``, read while the labels are the old ones.
+
+        ``h ∈ L_in(w)`` dies iff ``h`` is in the band (its old rank in
+        ``[new_rank, old rank of v)``) and ``h ⇝ v ⇝ w``: ``v`` now outranks
+        it on a walk ``h ⇝ w``.  ``h`` was the highest vertex on every walk
+        ``h ⇝ w`` (Theorem 1), so on every walk ``h ⇝ v`` too: it is a hub
+        of ``v``'s own row, and the rows it dies in are those of
+        ``L⁻_in(h)`` that ``v`` reaches.  A promote changes no
+        reachability, so the old labels answer that, and every pair found
+        is dead."""
+        rank, old_rank = self._rank, self._rank[v]
+        if forward:
+            labels, backward, reach = self.in_labels, self.backward_in, self.out_labels[v]
+        else:
+            labels, backward, reach = self.out_labels, self.backward_out, self.in_labels[v]
+        return {
+            hub: [w for w in backward[hub] if not reach.isdisjoint(labels[w])]
+            for hub in labels[v] if new_rank <= rank[hub] < old_rank
+        }
 
     def drift(self, v: int) -> int:
         """How many positions ``v``'s frozen rank lags its degree rank.
@@ -961,16 +968,6 @@ class DynamicReachabilityIndex:
             raise ValueError(f"vertex {v} out of range [0, {self._n})")
         if not self._alive[v]:
             raise ValueError(f"vertex {v} was deleted")
-
-    def _plain_bfs(self, source: int, adjacency: list[set[int]]) -> set[int]:
-        visited = {source}
-        queue = [source]
-        for w in queue:
-            for x in adjacency[w]:
-                if x not in visited:
-                    visited.add(x)
-                    queue.append(x)
-        return visited
 
 
 def _degree_key(in_adj, out_adj, w: int) -> int:

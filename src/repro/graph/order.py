@@ -76,6 +76,27 @@ class VertexOrder:
         order._rank = self._rank + array("q", (n,))
         return order
 
+    def moved(self, v: int, position: int) -> VertexOrder:
+        """A new order: this one with ``v`` moved to rank ``position``.
+        Only the vertices ranked between ``v``'s old rank and
+        ``position`` shift (by one) — the arrays are copied and that
+        span re-ranked, with nothing else to re-check — and ``self`` is
+        left as it was."""
+        if not 0 <= position < len(self):
+            raise ValueError(f"rank {position} is outside the order (0..{len(self) - 1})")
+        old = self._rank[v]
+        low, high = min(old, position), max(old, position)
+        span = list(self._by_rank[low : high + 1])
+        span.remove(v)
+        span.insert(position - low, v)
+        order = VertexOrder.__new__(VertexOrder)
+        order._by_rank = self._by_rank[:]
+        order._by_rank[low : high + 1] = array("q", span)
+        order._rank = rank = self._rank[:]
+        for offset, w in enumerate(span, low):
+            rank[w] = offset
+        return order
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VertexOrder):
             return NotImplemented

@@ -74,6 +74,9 @@ class MutationBackend:
         self.applied = 0
         self.noops = 0
         self.rejected = 0
+        #: Drift promotes that raised and were rolled back after the edge
+        #: write they rode on had landed (that write still counts applied).
+        self.promotes_aborted = 0
         self.staleness_window_seconds = 0.0
 
     # ------------------------------------------------------------------
@@ -89,7 +92,10 @@ class MutationBackend:
         part-way, which the leader rolled back unheard).  Rejections never
         raise: on a live serve path a bad write — e.g. one referencing
         the id a shed ``add_node`` would have created — must fail the
-        *request*, not the server.
+        *request*, not the server.  The status is that of the write the
+        listeners heard: an edge write whose drift promote raised landed
+        and is ``"applied"``; the promote, rolled back, counts in
+        :attr:`promotes_aborted` and emits ``serve.mutation.promote_aborted``.
         """
         if op not in MUTATION_OPS:
             raise ValueError(f"unknown mutation op {op!r}")
@@ -129,4 +135,14 @@ class MutationBackend:
             leader._check_vertex(u)
             units = len(leader.in_labels[u]) + len(leader.out_labels[u]) + 1
         seconds = units * self._t_op * WRITE_AMPLIFICATION
-        return ("applied" if leader.apply(op, u, v) else "noop"), seconds
+        try:
+            applied = leader.apply(op, u, v)
+        except WriteAbortedError as error:
+            if error.op == op:
+                raise
+            # The write itself landed and was heard; the drift promote
+            # riding on it raised and was rolled back.
+            self.promotes_aborted += 1
+            trace_event("serve.mutation.promote_aborted", u=error.u, v=error.v)
+            applied = True
+        return ("applied" if applied else "noop"), seconds

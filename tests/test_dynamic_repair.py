@@ -1,4 +1,4 @@
-"""Tests for the repair paths: grow and kill, cut and regain, band subtraction.
+"""Tests for the repair paths: grow and kill, cut and regain, band drop.
 
 ``insert_edge`` has exactly one repair path.  Hubs of the two endpoints
 grow exact entries from the new edge on; the entries those gains kill
@@ -6,10 +6,12 @@ are read off the backward label sets, with no rank test and no cone.
 ``delete_edge`` / ``delete_node`` have one too: it removes the entries
 whose pairs no longer reach, found from the hubs the cut edges carried,
 then lets the rows that lost re-decide what they gain, in rank order;
-``promote`` subtracts the overtaken band.  These tests pin the claims
-that make that safe: each is *exact* (``check()`` stays green after
-every op, on every graph family, and an insert or a delete equals the
-whole-cone repair it replaced row for row), *local* (no label outside
+``promote`` grows the moved vertex and drops the overtaken band's
+entries, read off its own rows and the backward label sets.  These
+tests pin the claims that make that safe: each is *exact* (``check()``
+stays green after every op, on every graph family, and an insert, a
+delete or a promote equals the whole-cone version it replaced row for
+row), *local* (no label outside
 ``touched`` is written, and for every op ``touched`` holds exactly the
 rows that changed; for an insert or delete that leaves the transitive
 closure alone, none at all), *atomic* (a write that raises part-way is
@@ -37,6 +39,27 @@ from repro.workloads.updates import mixed_update_stream
 from tests.conftest import apply_and_check_touched, family_graphs
 
 
+def _plain_bfs(source: int, adjacency) -> set[int]:
+    visited = {source}
+    queue = [source]
+    for w in queue:
+        for x in adjacency[w]:
+            if x not in visited:
+                visited.add(x)
+                queue.append(x)
+    return visited
+
+
+def _shrink(labels, journal, rows, dead: set[int]) -> None:
+    """Remove ``dead`` from each of ``rows`` that holds any of it,
+    saving each such row in ``journal`` first."""
+    for w in rows:
+        stale = labels[w] & dead
+        if stale:
+            journal.add(w)
+            labels[w] -= stale
+
+
 class ConeRepairIndex(DynamicReachabilityIndex):
     """The delete repair before the cut-and-regain one: strip every
     entry between the two cones of the removed edges and let every cone
@@ -53,8 +76,8 @@ class ConeRepairIndex(DynamicReachabilityIndex):
             if not self._still_reaches(u, v):
                 # No walk into u or out of v needs the edge: the cones read
                 # as before the unlink.
-                above = self._plain_bfs(u, self._in_adj)
-                below = self._plain_bfs(v, self._out_adj)
+                above = _plain_bfs(u, self._in_adj)
+                below = _plain_bfs(v, self._out_adj)
                 self._repair_cones(above, below, journal)
         self._check_drift(u, v)
         return True
@@ -62,8 +85,8 @@ class ConeRepairIndex(DynamicReachabilityIndex):
     def delete_node(self, v: int) -> bool:
         self._check_vertex(v)
         with self._write("delete_node", v, v) as journal:
-            above = self._plain_bfs(v, self._in_adj)
-            below = self._plain_bfs(v, self._out_adj)
+            above = _plain_bfs(v, self._in_adj)
+            below = _plain_bfs(v, self._out_adj)
             for x in list(self._out_adj[v]):
                 self._unlink(journal, v, x)
             for x in list(self._in_adj[v]):
@@ -80,8 +103,8 @@ class ConeRepairIndex(DynamicReachabilityIndex):
         higher-ranked witness a domination test consults is final."""
         in_labels, out_labels, rank = self.in_labels, self.out_labels, self._rank
         out_adj, in_adj, pruned_bfs = self._out_adj, self._in_adj, repro.core.tol.pruned_bfs
-        self._shrink(in_labels, journal.in_rows, below, above)
-        self._shrink(out_labels, journal.out_rows, above, below)
+        _shrink(in_labels, journal.in_rows, below, above)
+        _shrink(out_labels, journal.out_rows, above, below)
         for hub in sorted(above | below, key=rank.__getitem__):
             hub_rank = rank[hub]
             if hub in above:
@@ -173,6 +196,45 @@ class FloodInsertIndex(DynamicReachabilityIndex):
             if stale:
                 journal.add(w)
                 labels[w] -= stale
+
+
+class ConePromoteIndex(DynamicReachabilityIndex):
+    """The promote before the band-only one: rebuild the order from the
+    moved list, walk both cones of ``v``, grow ``v`` as the live promote
+    does, and subtract the band hubs that reach ``v`` from every row
+    ``v`` reaches, and the mirror.  Kept as the reference the live
+    promote must equal row for row."""
+
+    def promote(self, v: int, new_rank: int | None = None) -> int | None:
+        self._check_vertex(v)
+        if new_rank is None or new_rank < 0:
+            new_rank = self._ideal_rank(v)
+        old_rank = self._rank[v]
+        if new_rank >= old_rank:
+            return None
+        by_rank = list(self._order.by_rank())
+        del by_rank[old_rank]
+        by_rank.insert(new_rank, v)
+        band = set(by_rank[new_rank + 1 : old_rank + 1])
+        with self._write("promote", v, new_rank) as journal:
+            self._order = VertexOrder(by_rank)
+            rank = self._rank = self._order.ranks
+            forward_cone = _plain_bfs(v, self._out_adj)
+            backward_cone = _plain_bfs(v, self._in_adj)
+            for adjacency, labels, reverse_labels, rows in (
+                (self._out_adj, self.in_labels, self.out_labels, journal.in_rows),
+                (self._in_adj, self.out_labels, self.in_labels, journal.out_rows),
+            ):
+                witnesses = {h for h in reverse_labels[v] if rank[h] < new_rank}
+                repro.core.tol.pruned_bfs(
+                    v, adjacency, rank, labels, witnesses, range(self._n), rows
+                )
+            for labels, rows, cone, reaching in (
+                (self.in_labels, journal.in_rows, forward_cone, backward_cone),
+                (self.out_labels, journal.out_rows, backward_cone, forward_cone),
+            ):
+                _shrink(labels, rows, cone, band & reaching)
+        return new_rank
 
 
 def _assert_backward_sets_invert_the_rows(dynamic: DynamicReachabilityIndex) -> None:
@@ -719,7 +781,7 @@ def test_edge_insert_between_two_leaves_writes_only_touched_rows():
 
 
 # ----------------------------------------------------------------------
-# promote: the shrink side is a subtraction, no test per entry
+# promote: the dead entries are read off v's rows and L⁻, no cone
 # ----------------------------------------------------------------------
 @settings(max_examples=60, deadline=None)
 @given(
@@ -735,6 +797,80 @@ def test_property_promote_to_random_ranks_keeps_check_green(g, targets):
         dynamic.check()
 
 
+_PROMOTE_HEAVY = st.lists(
+    st.tuples(
+        st.sampled_from(["zero", "scc", "hub", "degree", "any", "insert", "delete"]),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+    ),
+    max_size=20,
+)
+
+
+def _promote_target(dynamic: DynamicReachabilityIndex, kind: str, v: int, b: int) -> int | None:
+    """A rank to promote ``v`` to: 0, the rank of a vertex of ``v``'s
+    strongly connected component or of one of ``v``'s own hubs ranked
+    above it (so the move overtakes it), its degree rank (``None``), or
+    any rank."""
+    rank, n = dynamic.order.ranks, dynamic.num_vertices
+    if kind == "zero":
+        return 0
+    if kind == "degree":
+        return None
+    if kind == "scc":
+        pool = [w for w in dynamic.alive_vertices() if dynamic.query(v, w) and dynamic.query(w, v)]
+    elif kind == "hub":
+        pool = dynamic.in_labels[v] | dynamic.out_labels[v]
+    else:
+        return b % n
+    above = sorted(rank[w] for w in pool if rank[w] < rank[v])
+    return above[b % len(above)] if above else b % n
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_graphs(max_vertices=18), _SELF_LOOPS, _PROMOTE_HEAVY, st.sampled_from([None, 2]))
+def test_property_promotes_equal_the_cone_promote(g, loops, operations, drift):
+    """Every family, cyclic ones included, some with self-loops, with and
+    without automatic promotion: after each promote to rank 0, into its
+    own strongly connected component, past one of its own hubs, to its
+    degree rank or anywhere, among inserts and deletes that move the
+    graph, the labels equal the cone reference's row for row, with the
+    same ``touched`` and the same backward label sets."""
+    n = g.num_vertices
+    g = DiGraph(n, list(g.edges()) + [(x % n, x % n) for x in loops])
+    dynamic = DynamicReachabilityIndex(g, drift_threshold=drift)
+    reference = ConePromoteIndex(g, drift_threshold=drift)
+    for kind, a, b in operations:
+        alive = dynamic.alive_vertices()
+        u, v = alive[a % len(alive)], alive[b % len(alive)]
+        if kind == "insert":
+            if u == v:
+                continue
+            dynamic.insert_edge(u, v)
+            reference.insert_edge(u, v)
+        elif kind == "delete":
+            edges = list(dynamic.edges())
+            if not edges:
+                continue
+            dynamic.delete_edge(*edges[a % len(edges)])
+            reference.delete_edge(*edges[a % len(edges)])
+        else:
+            target = _promote_target(dynamic, kind, u, b)
+            if drift is None:
+                apply_and_check_touched(dynamic, "promote", u, -1 if target is None else target)
+            else:
+                dynamic.promote(u, target)
+            reference.promote(u, target)
+        assert list(reference.order.by_rank()) == list(dynamic.order.by_rank())
+        assert dynamic.in_labels == reference.in_labels
+        assert dynamic.out_labels == reference.out_labels
+        assert dynamic.touched == reference.touched
+        assert dynamic.backward_in == reference.backward_in
+        assert dynamic.backward_out == reference.backward_out
+        _assert_backward_sets_invert_the_rows(dynamic)
+    dynamic.check()
+
+
 # ----------------------------------------------------------------------
 # Atomicity: a write that raises part-way leaves the index it found
 # ----------------------------------------------------------------------
@@ -742,7 +878,9 @@ _SCC = scc_heavy_graph(30, seed=5)
 _WRITES = [  # each one repairs; with drift 2 the insert's promotes ride along
     ("insert", 29, 0), ("delete", 18, 19), ("add_node", 0, 0),
     ("delete_node", 19, 19), ("promote", 29, 0),
+    ("promote", 4, 1),  # 24 ranks up: three band hubs die in 18 rows
 ]
+_WRITE_IDS = ["insert", "delete", "add_node", "delete_node", "promote", "promote_wide_band"]
 
 
 def _state(dynamic: DynamicReachabilityIndex, path) -> tuple:
@@ -754,7 +892,7 @@ def _state(dynamic: DynamicReachabilityIndex, path) -> tuple:
 
 
 @pytest.mark.parametrize("drift", [None, 2])
-@pytest.mark.parametrize("op, u, v", _WRITES, ids=[op for op, _, _ in _WRITES])
+@pytest.mark.parametrize("op, u, v", _WRITES, ids=_WRITE_IDS)
 def test_a_write_tripped_at_every_row_mutation_rolls_back(op, u, v, drift, tmp_path):
     """Trip the k-th row mutation of the write, for every k until the
     write completes.  Each tripped write raises ``WriteAbortedError``

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.digraph import DiGraph
 from repro.graph.order import (
@@ -117,3 +118,29 @@ def test_property_degree_order_is_total_and_consistent(g):
         u = order.vertex_at_rank(rank)
         v = order.vertex_at_rank(rank + 1)
         assert (product(u), u) > (product(v), v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.permutations(list(range(9))), st.integers(0, 8), st.integers(0, 8))
+def test_moved_equals_the_order_built_from_the_moved_list(vertices, v, position):
+    order = VertexOrder(vertices)
+    by_rank = list(vertices)
+    by_rank.remove(v)
+    by_rank.insert(position, v)
+    moved = order.moved(v, position)
+    assert moved == VertexOrder(by_rank)
+    assert list(moved.ranks) == list(VertexOrder(by_rank).ranks)
+    assert sorted(moved.by_rank()) == list(range(9))
+    assert moved.rank(v) == position
+    # Rollback keeps the old order: moving must leave it as it was.
+    assert list(order.by_rank()) == vertices
+    assert [order.rank(w) for w in vertices] == list(range(9))
+
+
+def test_moved_rejects_a_rank_outside_the_order():
+    order = VertexOrder([2, 0, 1])
+    with pytest.raises(ValueError):
+        order.moved(0, 3)
+    with pytest.raises(ValueError):
+        order.moved(0, -1)
+    assert order.moved(1, 0) == VertexOrder([1, 2, 0])

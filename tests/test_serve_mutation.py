@@ -145,6 +145,38 @@ def test_a_write_that_raises_part_way_is_rejected_and_left_no_trace(monkeypatch)
     leader.check()
 
 
+def test_an_edge_write_whose_drift_promote_aborts_is_applied(monkeypatch):
+    # With drift threshold 1 the insert 0 → 2 drags a promote along.  The
+    # insert lands and every listener hears it before the promote starts;
+    # the promote raises and is rolled back.  The request's status is the
+    # insert's, and the promote's abort is counted apart from it.
+    leader = DynamicReachabilityIndex(web_graph(200, seed=1), drift_threshold=1)
+    replicator = BoundedStalenessReplicator(leader, num_replicas=2)
+    backend = MutationBackend(leader, cost_model=_NO_LIMIT, replicator=replicator)
+    order = leader.order
+
+    def raises(self, v, position):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(VertexOrder, "moved", raises)
+    status, seconds = backend.apply_with_cost("insert", 0, 2)
+    assert status == "applied" and seconds > 0
+    assert leader.has_edge(0, 2) and leader.order is order
+    assert [entry.op for entry in replicator.log] == ["insert"]
+    assert (backend.applied, backend.rejected, backend.promotes_aborted) == (1, 0, 1)
+    leader.check()
+    assert replicator.catch_up(1) == 1
+    assert replicator.view(1).snapshot() == leader.snapshot()
+    # A promote asked for by name that raises is the request's own failure.
+    assert backend.apply_with_cost("promote", 2, 0)[0] == "rejected"
+    assert (backend.applied, backend.rejected, backend.promotes_aborted) == (1, 1, 1)
+    # Straight to the leader, the same fault raises, naming the promote.
+    with pytest.raises(WriteAbortedError) as caught:
+        leader.insert_edge(0, 3)
+    assert caught.value.op == "promote" and leader.has_edge(0, 3)
+    leader.check()
+
+
 def test_backend_unknown_op_raises():
     backend = MutationBackend(_leader(), cost_model=_NO_LIMIT)
     with pytest.raises(ValueError, match="unknown mutation op"):
