@@ -12,7 +12,9 @@ import pytest
 from repro.baselines.bfl import build_bfl
 from repro.core.labels import ReachabilityIndex
 from repro.core.tol import tol_index
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import social_graph, web_graph
+from repro.graph.io import read_edge_list, write_edge_list
 from repro.graph.order import degree_order
 from repro.graph.traversal import trimmed_bfs
 from repro.workloads.queries import random_pairs
@@ -31,6 +33,22 @@ def order(graph):
 @pytest.fixture(scope="module")
 def index(graph, order) -> ReachabilityIndex:
     return tol_index(graph, order)
+
+
+def test_bench_read_edge_list(benchmark, graph, tmp_path):
+    path = tmp_path / "graph.txt"
+    write_edge_list(graph, path)
+    assert benchmark(read_edge_list, path, graph.num_vertices) == graph
+
+
+def test_bench_digraph_from_edges(benchmark, graph):
+    edges = list(graph.edges())
+    assert benchmark(DiGraph, graph.num_vertices, edges) == graph
+
+
+def test_bench_adjacency_lists(benchmark, graph):
+    out, _ = benchmark(graph.adjacency_lists)
+    assert sum(map(len, out)) == graph.num_edges
 
 
 def test_bench_degree_order(benchmark, graph):

@@ -109,8 +109,7 @@ def tol_label_sets(
         )
 
     rank = order.ranks.tolist()
-    out_adjacency = [graph.out_neighbors(v).tolist() for v in range(n)]
-    in_adjacency = [graph.in_neighbors(v).tolist() for v in range(n)]
+    out_adjacency, in_adjacency = graph.adjacency_lists()
     in_labels: list[set[int]] = [set() for _ in range(n)]
     out_labels: list[set[int]] = [set() for _ in range(n)]
     # Round i, forward then backward: v joins L_in(w) of the descendants

@@ -161,6 +161,13 @@ class IndexFormatError(ReproError, ValueError):
     does not match its checksum (raised by ``ReachabilityIndex.load``)."""
 
 
+class GraphFormatError(ReproError, ValueError):
+    """A graph file is malformed: an edge-list row with a non-integer,
+    negative or out-of-range id or fewer than two columns (named by
+    ``path:line``), text that is not UTF-8, or a binary graph with a bad
+    magic, version, or a truncated header or payload."""
+
+
 class TimeLimitExceeded(ReproError):
     """The simulated cut-off time (paper: 2 hours) was exceeded.
 

@@ -1,10 +1,29 @@
-"""Mutable edge accumulator that produces an immutable :class:`DiGraph`."""
+"""Mutable edge accumulator that produces an immutable :class:`DiGraph`,
+and the same cleaning — self-loops and duplicate edges dropped, first
+occurrences kept — done on two edge columns at once."""
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import compress
+from operator import itemgetter, ne
+from typing import Iterable, Sequence
 
 from repro.graph.digraph import DiGraph
+
+
+def distinct_edges(
+    sources: Sequence[int], targets: Sequence[int], dedup: bool = True
+) -> tuple[Sequence[int], Sequence[int]]:
+    """The edge columns ``(sources, targets)`` without self-loops and,
+    with ``dedup``, without repeats: each kept edge at its first
+    occurrence, as a default :class:`GraphBuilder` would hold them after
+    ``add_edge`` of every pair.  Returns the columns themselves when
+    nothing is dropped."""
+    edges = compress(zip(sources, targets), map(ne, sources, targets))
+    kept = dict.fromkeys(edges) if dedup else list(edges)
+    if len(kept) == len(sources):
+        return sources, targets
+    return list(map(itemgetter(0), kept)), list(map(itemgetter(1), kept))
 
 
 class GraphBuilder:
@@ -31,9 +50,9 @@ class GraphBuilder:
         self._num_vertices = num_vertices
         self._dedup = dedup
         self._allow_self_loops = allow_self_loops
-        self._edges: list[tuple[int, int]] = []
+        self._sources: list[int] = []
+        self._targets: list[int] = []
         self._seen: set[tuple[int, int]] | None = set() if dedup else None
-        self._max_vertex = -1
 
     def add_edge(self, u: int, v: int) -> "GraphBuilder":
         """Record the directed edge ``(u, v)``; returns self for chaining."""
@@ -45,11 +64,8 @@ class GraphBuilder:
             if (u, v) in self._seen:
                 return self
             self._seen.add((u, v))
-        self._edges.append((u, v))
-        if u > self._max_vertex:
-            self._max_vertex = u
-        if v > self._max_vertex:
-            self._max_vertex = v
+        self._sources.append(u)
+        self._targets.append(v)
         return self
 
     def add_edges(self, edges: Iterable[tuple[int, int]]) -> "GraphBuilder":
@@ -61,16 +77,14 @@ class GraphBuilder:
     @property
     def num_edges(self) -> int:
         """Edges recorded so far."""
-        return len(self._edges)
+        return len(self._sources)
 
     def build(self) -> DiGraph:
         """Freeze into an immutable :class:`DiGraph`."""
+        top = max(max(self._sources, default=-1), max(self._targets, default=-1))
         n = self._num_vertices
         if n is None:
-            n = self._max_vertex + 1
-        elif self._max_vertex >= n:
-            raise ValueError(
-                f"edge references vertex {self._max_vertex} "
-                f">= num_vertices {n}"
-            )
-        return DiGraph(n, self._edges)
+            n = top + 1
+        elif top >= n:
+            raise ValueError(f"edge references vertex {top} >= num_vertices {n}")
+        return DiGraph.from_columns(n, self._sources, self._targets)

@@ -2,13 +2,17 @@
 
 The labeling algorithms only ever need fast iteration over out-neighbors
 and in-neighbors, so :class:`DiGraph` keeps two CSR structures (forward
-and reverse) built once from an edge list.  Vertices are the integers
-``0 .. n-1``.
+and reverse) built once from an edge list's source and target columns.
+Vertices are the integers ``0 .. n-1``.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
+from collections import deque
+from itertools import accumulate, chain, islice, pairwise, repeat
+from operator import le, sub
 from typing import Iterable, Iterator, Sequence
 
 
@@ -40,19 +44,36 @@ class DiGraph:
     )
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]]):
-        if num_vertices < 0:
-            raise ValueError("num_vertices must be non-negative")
-        self._num_vertices = num_vertices
         edge_list = list(edges)
-        for u, v in edge_list:
-            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise ValueError(f"edge ({u}, {v}) out of range [0, {num_vertices})")
-        self._fwd_offsets, self._fwd_targets = _build_csr(
-            num_vertices, edge_list, reverse=False
-        )
-        self._rev_offsets, self._rev_targets = _build_csr(
-            num_vertices, edge_list, reverse=True
-        )
+        sources, targets = zip(*edge_list) if edge_list else ((), ())
+        self._set_columns(num_vertices, sources, targets)
+
+    @classmethod
+    def from_columns(
+        cls, num_vertices: int, sources: Sequence[int], targets: Sequence[int]
+    ) -> "DiGraph":
+        """The graph whose edges are ``(sources[i], targets[i])``: the
+        same graph as ``DiGraph(num_vertices, zip(sources, targets))``,
+        without making the pairs."""
+        graph = cls.__new__(cls)
+        graph._set_columns(num_vertices, sources, targets)
+        return graph
+
+    def _set_columns(self, n: int, sources: Sequence[int], targets: Sequence[int]) -> None:
+        if n < 0:
+            raise ValueError("num_vertices must be non-negative")
+        if len(sources) != len(targets):
+            raise ValueError("the source and target columns differ in length")
+        if sources and (
+            min(min(sources), min(targets)) < 0 or max(max(sources), max(targets)) >= n
+        ):
+            u, v = next(
+                (u, v) for u, v in zip(sources, targets) if not (0 <= u < n and 0 <= v < n)
+            )
+            raise ValueError(f"edge ({u}, {v}) out of range [0, {n})")
+        self._num_vertices = n
+        self._fwd_offsets, self._fwd_targets = _group(n, sources, targets)
+        self._rev_offsets, self._rev_targets = _group(n, targets, sources)
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -73,10 +94,10 @@ class DiGraph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate over all edges ``(u, v)`` in CSR (source-major) order."""
-        offsets, targets = self._fwd_offsets, self._fwd_targets
-        for u in range(self._num_vertices):
-            for i in range(offsets[u], offsets[u + 1]):
-                yield u, targets[i]
+        offsets = self._fwd_offsets
+        degrees = map(sub, islice(offsets, 1, None), offsets)
+        sources = chain.from_iterable(map(repeat, range(self._num_vertices), degrees))
+        return zip(sources, self._fwd_targets)
 
     # ------------------------------------------------------------------
     # Neighborhoods
@@ -100,6 +121,15 @@ class DiGraph:
     def in_degree(self, v: int) -> int:
         """In-degree ``d_in(v)``."""
         return self._rev_offsets[v + 1] - self._rev_offsets[v]
+
+    def adjacency_lists(self) -> tuple[list[list[int]], list[list[int]]]:
+        """``(out, in)``: ``N_out(v)`` and ``N_in(v)`` of every vertex as a
+        list, in CSR order — one ``tolist()`` per target array, sliced
+        per vertex."""
+        return (
+            _slices(self._fwd_offsets, self._fwd_targets),
+            _slices(self._rev_offsets, self._rev_targets),
+        )
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if the edge ``(u, v)`` is present."""
@@ -176,21 +206,22 @@ class DiGraph:
         return hash((self._num_vertices, self.num_edges))
 
 
-def _build_csr(
-    num_vertices: int, edges: list[tuple[int, int]], reverse: bool
-) -> tuple[array, array]:
-    """Build (offsets, targets) arrays for one direction."""
-    degrees = array("q", bytes(8 * (num_vertices + 1)))
-    src_idx, dst_idx = (1, 0) if reverse else (0, 1)
-    for edge in edges:
-        degrees[edge[src_idx] + 1] += 1
-    offsets = degrees  # reuse: prefix sums in place
-    for v in range(1, num_vertices + 1):
-        offsets[v] += offsets[v - 1]
-    targets = array("q", bytes(8 * len(edges)))
-    cursor = array("q", offsets[:-1]) if num_vertices else array("q")
-    for edge in edges:
-        src = edge[src_idx]
-        targets[cursor[src]] = edge[dst_idx]
-        cursor[src] += 1
-    return offsets, targets
+def _group(n: int, keys: Sequence[int], values: Sequence[int]) -> tuple[array, array]:
+    """CSR ``(offsets, targets)`` of ``values`` grouped by ``keys`` (each in
+    ``range(n)``): a stable counting sort, so each group keeps column
+    order."""
+    if all(map(le, keys, islice(keys, 1, None))):
+        # Already grouped, as every file write_edge_list writes and every
+        # edges() stream is: nothing moves.
+        offsets = array("q", map(bisect_left, repeat(keys), range(n + 1)))
+        return offsets, array("q", values)
+    groups: list[list[int]] = [[] for _ in range(n)]
+    # One append per edge, every call made from C; the deque only drains.
+    deque(map(list.append, map(groups.__getitem__, keys), values), maxlen=0)
+    offsets = array("q", accumulate(map(len, groups), initial=0))
+    return offsets, array("q", chain.from_iterable(groups))
+
+
+def _slices(offsets, targets) -> list[list[int]]:
+    flat = targets.tolist()
+    return [flat[a:b] for a, b in pairwise(offsets)]

@@ -90,6 +90,18 @@ def test_build_missing_file(tmp_path, capsys):
     assert "no such file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["1 x", "1", "1 -2"])
+@pytest.mark.parametrize("verb", ["build", "analyze"])
+def test_malformed_edge_list_is_one_error_line(tmp_path, capsys, verb, row):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"0 1\n{row}\n")
+    argv = [verb, str(bad)] + (["-o", str(tmp_path / "x.idx")] if verb == "build" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:2: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_query_single_pair(index_file, capsys):
     assert main(["query", str(index_file), "0", "0"]) == 0
     assert "0 0 reachable" in capsys.readouterr().out
