@@ -48,8 +48,9 @@ class DrlFloodProgram(VertexProgram):
     graph, order:
         The input graph ``G`` and the total vertex order.
     sources:
-        Vertices that initiate BFSs this run (a DRL_b batch); ``None``
-        labels every vertex (plain DRL).
+        Vertices that initiate BFSs this run (a DRL_b batch; later
+        batches are seeded by :meth:`next_batch`); ``None`` labels every
+        vertex (plain DRL).
     in_label_sets / out_label_sets:
         Accumulated batch label sets ``L^{V_i}_in`` / ``L^{V_i}_out``
         for Algorithm 4's pruning; ``None`` disables it (plain DRL).
@@ -112,6 +113,34 @@ class DrlFloodProgram(VertexProgram):
             self._rev_pub = [0] * n
         self._dirty_fwd: set[int] = set()
         self._dirty_rev: set[int] = set()
+
+    def next_batch(self, sources: Sequence[int]) -> None:
+        """Re-arm a finished DRL_b batch as the next one: fold the
+        surviving visits into the batch label sets (Alg. 4 line 14: they
+        become the next batch's ``L^{V_{i+1}}``), empty the visits and
+        the inverted lists in place, then seed ``sources``."""
+        in_sets, out_sets = self._in_label_sets, self._out_label_sets
+        for w, (fwd, rev) in enumerate(zip(self.fwd_set, self.rev_set)):
+            if fwd:
+                in_sets[w] |= fwd
+                fwd.clear()
+            if rev:
+                out_sets[w] |= rev
+                rev.clear()
+        for lists in (self._fwd_list, self._rev_list):
+            for entries in lists:
+                entries.clear()
+        n = len(self._rank)
+        self._fwd_pub = [0] * n
+        self._rev_pub = [0] * n
+        self._is_source = bytearray(n)
+        for v in sources:
+            self._is_source[v] = 3
+
+    @property
+    def batch_label_sets(self) -> tuple[list[set[int]], list[set[int]]]:
+        """The accumulated ``(L^{V_i}_in, L^{V_i}_out)`` (DRL_b only)."""
+        return self._in_label_sets, self._out_label_sets
 
     def reflood_from_blockers(self) -> None:
         """Re-arm a finished filtering flood as Thm 3's *plain* BFS flood
@@ -312,9 +341,11 @@ class FloodBuild(ExitStack):
     """What a cluster method's schedule of floods runs inside: the
     order default, the one :class:`Cluster` (``cluster_options`` are
     its; a fault plan's crash events fire once per build and a node
-    lost in one flood stays dead for the next), the one ``RunStats``,
-    the ``<name>.build`` → phase → ``<name>.collection`` spans and index
-    assembly.
+    lost in one flood stays dead for the next; the mp engine's workers
+    are forked once and serve every flood), the one ``RunStats``, the
+    ``<name>.build`` → phase → ``<name>.collection`` spans and index
+    assembly.  Between two floods a program changes only through
+    :meth:`rearm`.
     """
 
     def __init__(
@@ -326,7 +357,7 @@ class FloodBuild(ExitStack):
         **cluster_options,
     ):
         super().__init__()
-        self._cluster = Cluster(num_nodes=num_nodes, **cluster_options)
+        cluster = Cluster(num_nodes=num_nodes, **cluster_options)
         self._name = name
         self.graph = graph
         self.order = degree_order(graph) if order is None else order
@@ -336,6 +367,8 @@ class FloodBuild(ExitStack):
                 f"{name}.build", vertices=graph.num_vertices, num_nodes=num_nodes
             )
         )
+        # The engine's workers serve every flood and end with the build.
+        self._cluster = self.enter_context(cluster)
 
     def flood(self, phase: str, program: DrlFloodProgram, **attrs) -> None:
         """Run ``program`` to quiescence inside a ``phase`` span."""
@@ -344,6 +377,12 @@ class FloodBuild(ExitStack):
             before = stats.simulated_seconds
             self._cluster.run(self.graph, program, stats=stats)
             span.add_simulated(stats.simulated_seconds - before)
+
+    def rearm(self, method, *args) -> None:
+        """Re-arm a flooded program for its next flood by calling its
+        bound ``method(*args)`` on every copy of it
+        (:meth:`~repro.pregel.engine.Cluster.rearm`)."""
+        self._cluster.rearm(method, *args)
 
     def collect(self, in_sets, out_sets) -> LabelingResult:
         """Assemble the index from the surviving backward label sets."""

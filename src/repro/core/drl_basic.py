@@ -41,6 +41,6 @@ def drl_basic_index(
     with FloodBuild("drl-", graph, order, num_nodes, **build_options) as build:
         program = DrlFloodProgram(graph, build.order, refinement="blockers")
         build.flood("drl-.filtering", program)
-        program.reflood_from_blockers()
+        build.rearm(program.reflood_from_blockers)
         build.flood("drl-.refinement", program)
         return build.collect(program.fwd_set, program.rev_set)

@@ -18,6 +18,8 @@ trade-off between TOL's pruning power and DRL's parallelism.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from repro.core.batching import batch_sequence
 from repro.core.drl import DrlFloodProgram, FloodBuild
 from repro.core.labels import LabelingResult
@@ -49,34 +51,32 @@ def drl_batch_index(
         Explicit batch sequence overriding ``b``/``k`` (must satisfy
         Definition 7; validated by the flood's correctness, not here).
     build_options:
-        :class:`~repro.core.drl.FloodBuild`'s.  Under ``engine="mp"``
-        every batch re-forks the workers from the master's accumulated
-        label sets, so batch pruning sees exactly the simulator's state.
+        :class:`~repro.core.drl.FloodBuild`'s.  One program floods every
+        batch: :meth:`~repro.core.drl.DrlFloodProgram.next_batch` re-arms
+        it between two, on the master's copy and, under ``engine="mp"``,
+        on every worker's replica after the last batch's merged state,
+        so batch pruning sees exactly the simulator's state on workers
+        forked once per build.
     """
     n = graph.num_vertices
-    in_label_sets: list[set[int]] = [set() for _ in range(n)]
-    out_label_sets: list[set[int]] = [set() for _ in range(n)]
     with FloodBuild("drl_b", graph, order, num_nodes, **build_options) as build:
         if batches is None:
             batches = batch_sequence(build.order, initial_batch_size, growth_factor)
         build.span.set(batches=len(batches))
-        every_batch = dict(
-            in_label_sets=in_label_sets,
-            out_label_sets=out_label_sets,
+        program = DrlFloodProgram(
+            graph,
+            build.order,
+            sources=(),
+            in_label_sets=[set() for _ in range(n)],
+            out_label_sets=[set() for _ in range(n)],
             check_pruning=check_pruning,
             combine_messages=combine_messages,
         )
         for number, batch in enumerate(batches, 1):
-            program = DrlFloodProgram(graph, build.order, sources=batch, **every_batch)
+            build.rearm(program.next_batch, batch)
             build.flood("drl_b.batch", program, batch=number, sources=len(batch))
-            # Fold the surviving visits into the accumulated label sets
-            # (Alg. 4 line 14: they become the next batch's L^{V_{i+1}}).
-            for w in range(n):
-                if program.fwd_set[w]:
-                    in_label_sets[w] |= program.fwd_set[w]
-                if program.rev_set[w]:
-                    out_label_sets[w] |= program.rev_set[w]
-            if enabled():
-                entries = sum(map(len, in_label_sets)) + sum(map(len, out_label_sets))
-                current_metrics().gauge("drl_b.label_entries").set(entries)
-        return build.collect(in_label_sets, out_label_sets)
+            if enabled():  # the label sets once this batch is folded in
+                sets = chain(*program.batch_label_sets, program.fwd_set, program.rev_set)
+                current_metrics().gauge("drl_b.label_entries").set(sum(map(len, sets)))
+        program.next_batch(())  # fold the last batch in
+        return build.collect(*program.batch_label_sets)

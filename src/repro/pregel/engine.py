@@ -618,8 +618,16 @@ class Engine(ABC):
         ``finalize(base_seconds)`` returning one reply per worker in
         worker order, ``barrier(superstep, deltas)``, ``len()`` and
         ``remote`` (the workers are replicas in other processes, which
-        ``emit_slices`` reports as measured).  ``ctx`` is the context
-        ``program.setup()`` ran on."""
+        ``emit_slices`` reports as measured).  ``ctx`` is the master's
+        context for the run."""
+
+    def rearm(self, program: VertexProgram, method: str, args: tuple) -> None:
+        """Replay ``program``'s re-arm call on the replicas of the workers
+        kept for it (:meth:`Cluster.rearm`); the simulator has none."""
+
+    def release(self, failed: bool = False) -> None:
+        """Reap the workers kept for a next run (the simulator keeps none);
+        ``failed`` stops them without waiting for them to finish."""
 
     def run(
         self,
@@ -650,7 +658,6 @@ class Engine(ABC):
             simulated_start = stats.simulated_seconds
 
             ctx = ComputeContext(graph, num_nodes, routing, cost, program)
-            program.setup(ctx)
             with self._start_workers(cluster, ctx, program) as workers:
                 remote = workers.remote
                 if remote:
@@ -840,6 +847,30 @@ class Cluster:
             FaultInjector(faults, num_nodes) if faults is not None else None
         )
         self._routing: tuple[DiGraph, Routing] | None = None
+        #: Inside ``with cluster:`` the engine keeps its workers between runs.
+        self.keeps_workers = False
+
+    def __enter__(self) -> "Cluster":
+        """Keep the engine's workers from one run to the next until the
+        ``with`` ends, as a Pregel job keeps its workers for all of its
+        floods (a build's DRL_b batches share one worker pool)."""
+        self.keeps_workers = True
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.keeps_workers = False
+        self.engine.release(failed=exc_type is not None)
+
+    def rearm(self, method, *args) -> None:
+        """Re-arm a finished program for its next run: call the bound
+        ``method(*args)`` on the master's program and on every replica
+        of it the engine keeps, after the last run's merged state.
+
+        Between two runs the master's program may change only through
+        this call, so that every copy applies the same inputs in the
+        same order and stays equal to the master's."""
+        method(*args)
+        self.engine.rearm(method.__self__, method.__name__, args)
 
     def routing(self, graph: DiGraph) -> Routing:
         """Vertex placement and same-node neighbour counts: computed once

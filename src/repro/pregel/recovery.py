@@ -57,7 +57,7 @@ def _estimate_entries(obj) -> int:
 
 class Recovery:
     """One run's fault state.  :meth:`~repro.pregel.engine.Engine.run`
-    calls it after ``setup()``, once a super-step's replies are in and
+    calls it as the run starts, once a super-step's replies are in and
     after each barrier.  ``committed`` is the highest super-step whose
     barrier committed: re-running one at or below it is a replay."""
 

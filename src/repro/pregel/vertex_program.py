@@ -64,11 +64,10 @@ class VertexProgram(ABC):
     #: partitions cleanly across worker replicas), and implements
     #: :meth:`mp_collect` / :meth:`mp_merge` — plus
     #: :meth:`mp_publish_delta` / :meth:`mp_apply_published` if it keeps
-    #: published (barrier-visible) shared structures.
+    #: published (barrier-visible) shared structures.  Between two runs
+    #: on the same workers it changes only through
+    #: :meth:`~repro.pregel.engine.Cluster.rearm`.
     mp_supported: bool = False
-
-    def setup(self, ctx: "ComputeContext") -> None:
-        """Called once before super-step 1 (allocate state)."""
 
     def initial_vertices(self, graph: DiGraph) -> Iterable[int]:
         """The vertices ``compute()`` runs on in super-step 1, ascending
@@ -151,7 +150,8 @@ class VertexProgram(ABC):
 
         Called once per worker after :meth:`finalize_vertices`; the
         return value is pickled to the master and fed to
-        :meth:`mp_merge`."""
+        :meth:`mp_merge` — and, before a next run on the same workers,
+        to every worker's replica as well."""
         raise NotImplementedError(
             f"{type(self).__name__} sets mp_supported but does not "
             "implement mp_collect()"
@@ -161,7 +161,10 @@ class VertexProgram(ABC):
         """Fold one worker's :meth:`mp_collect` value into this replica.
 
         Called on the master in fixed worker order; afterwards the
-        master's program state must equal a simulator run's."""
+        master's program state must equal a simulator run's.  Before a
+        next run on the same workers every replica is fed all of them
+        in the same order, its own included, and must end equal to the
+        master."""
         raise NotImplementedError(
             f"{type(self).__name__} sets mp_supported but does not "
             "implement mp_merge()"

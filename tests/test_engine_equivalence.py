@@ -5,7 +5,9 @@ identical charged accounting" — this module proves it three ways:
 
 1. A fixed matrix of every fuzz graph family × every cluster method,
    comparing the *serialized index files* byte for byte plus the
-   charged run statistics.  A mismatch is reported as a minimal
+   charged run statistics — and DRL_b with one source per batch, so the
+   workers are re-armed once per vertex, with and without a shuffled
+   barrier arrival order.  A mismatch is reported as a minimal
    replayable fuzz case: the failing configuration is pinned into a
    :class:`~repro.fuzz.cases.FuzzCase`, shrunk against the
    ``engine-mismatch`` fingerprint, written as a JSON repro, and the
@@ -19,6 +21,8 @@ identical charged accounting" — this module proves it three ways:
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +125,24 @@ def test_engine_matrix_byte_identical(tmp_path, family, method):
                 tmp_path, family, method,
                 f"stats.{attr} diverges: mp={got!r} sim={want!r}",
             )
+
+
+@pytest.mark.parametrize("arrival_seed", [None, 7])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_engine_matrix_singleton_batches(tmp_path, family, arrival_seed):
+    """DRL_b with one source per batch re-arms the kept workers once per
+    vertex; with the barrier arrival order shuffled or not, the index
+    bytes and every charged ``RunStats`` field stay the simulator's."""
+    graph = family_graph(family, MATRIX_VERTICES, MATRIX_SEED)
+    singletons = {"initial_batch_size": 1, "growth_factor": 1.0}
+    sim = drl_batch_index(graph, num_nodes=MATRIX_NODES, **singletons)
+    engine = MultiprocessEngine(workers=MATRIX_WORKERS, arrival_seed=arrival_seed)
+    mp = drl_batch_index(graph, num_nodes=MATRIX_NODES, engine=engine, **singletons)
+    sim_path, mp_path = tmp_path / "sim.idx", tmp_path / "mp.idx"
+    sim.index.save(sim_path)
+    mp.index.save(mp_path)
+    assert mp_path.read_bytes() == sim_path.read_bytes()
+    assert replace(mp.stats, wall_seconds=0.0) == replace(sim.stats, wall_seconds=0.0)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

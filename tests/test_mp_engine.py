@@ -7,7 +7,8 @@ this module covers the plumbing around it: the single
 shares (pinned by a golden so a silent change to the hash mix cannot
 slip through), engine selection and its rejection paths, worker
 timelines, the CLI flags, builds that end at the super-step limit or
-the simulated cut-off, and a worker killed mid-superstep.
+the simulated cut-off, one fork per build, and a worker killed
+mid-superstep or a master that raises between two floods.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import multiprocessing
 import os
 import signal
 from dataclasses import replace
+from multiprocessing.context import ForkProcess
 
 import pytest
 
@@ -300,25 +302,53 @@ def _shm_segments() -> set[str]:
 
 
 @pytest.fixture
-def one_worker_dies(tmp_path, monkeypatch):
+def one_worker_dies(request, tmp_path, monkeypatch):
     """Patch DRL's ``compute`` so exactly one forked worker ``SIGKILL``s
-    itself in super-step 2 (the first to create the marker file)."""
+    itself in super-step 2 of flood ``request.param`` (default 1; the
+    first worker to create the marker file).  A process counts its
+    floods by its ``next_batch`` calls: the master makes DRL_b's first
+    before the workers are forked, and a replica replays every later
+    one; DRL floods once, unarmed."""
+    flood = getattr(request, "param", 1)
     master = os.getpid()
     marker = tmp_path / "killed"
-    original = DrlFloodProgram.compute
+    rearms = [0]
+    original_compute = DrlFloodProgram.compute
+    original_next_batch = DrlFloodProgram.next_batch
+
+    def next_batch(self, sources):
+        rearms[0] += 1
+        original_next_batch(self, sources)
 
     def compute(self, ctx, w, messages):
-        if ctx.superstep == 2 and os.getpid() != master:
+        if (
+            ctx.superstep == 2 and os.getpid() != master
+            and max(rearms[0], 1) == flood
+        ):
             try:
                 os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
             except FileExistsError:
                 pass
             else:
                 os.kill(os.getpid(), signal.SIGKILL)
-        original(self, ctx, w, messages)
+        original_compute(self, ctx, w, messages)
 
+    monkeypatch.setattr(DrlFloodProgram, "next_batch", next_batch)
     monkeypatch.setattr(DrlFloodProgram, "compute", compute)
     return marker
+
+
+def _count_forks(monkeypatch) -> list:
+    """Record every worker process the mp engine starts."""
+    started: list = []
+    original = ForkProcess.start
+
+    def start(self):
+        started.append(self)
+        original(self)
+
+    monkeypatch.setattr(ForkProcess, "start", start)
+    return started
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
@@ -372,5 +402,144 @@ def test_cli_reports_a_killed_worker_with_exit_code_2(
     err = capsys.readouterr().err
     assert err.startswith("error: mp worker") and "killed by signal" in err
     assert not out.exists()
+    assert multiprocessing.active_children() == []
+    assert _shm_segments() <= before
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+@pytest.mark.parametrize("one_worker_dies", [3], indirect=True)
+def test_worker_killed_in_a_later_batch_ends_in_a_typed_error(
+    one_worker_dies, monkeypatch
+):
+    """The pool survives two re-arms, then loses a worker in batch 3."""
+    started = _count_forks(monkeypatch)
+    graph = citation_graph(80, avg_refs=2.5, seed=4)
+    before = _shm_segments()
+    with pytest.raises(ReproError) as info:
+        build_index(graph, method="drl-b", num_nodes=6, engine="mp", workers=3)
+    assert one_worker_dies.exists()
+    assert len(started) == 3  # the batch-3 workers are the first ones
+    message = str(info.value)
+    assert message.startswith("mp worker")
+    assert f"killed by signal {int(signal.SIGKILL)}" in message
+    assert message.endswith("during superstep 2")
+    assert multiprocessing.active_children() == []
+    assert _shm_segments() <= before
+
+
+# ----------------------------------------------------------------------
+# One pool per build
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "method, options",
+    [
+        ("drl-b", {}),
+        ("drl-b", {"initial_batch_size": 1, "growth_factor": 1.0}),
+        ("drl-", {}),
+    ],
+    ids=["drl-b", "drl-b-singletons", "drl-"],
+)
+def test_an_mp_build_forks_its_workers_once(monkeypatch, method, options):
+    """Every flood of a build runs on the workers its first one forked,
+    whatever the batch count; the index and the stats stay the
+    simulator's."""
+    graph = citation_graph(60, avg_refs=2.5, seed=4)
+    sim = build_index(graph, method=method, num_nodes=6, **options)
+    started = _count_forks(monkeypatch)
+    mp = build_index(
+        graph, method=method, num_nodes=6, engine="mp", workers=3, **options
+    )
+    assert len(started) == 3
+    assert mp.index == sim.index
+    assert replace(mp.stats, wall_seconds=0.0) == replace(sim.stats, wall_seconds=0.0)
+    assert multiprocessing.active_children() == []
+
+
+class _StampProbeProgram(VertexProgram):
+    """A first run stamps every vertex; a re-run copies each vertex's
+    successor's stamp, which another worker may have written — only the
+    merge of the first run's final state brings it to the replica."""
+
+    mp_supported = True
+
+    def __init__(self, num_vertices: int):
+        self.stamp = [0] * num_vertices
+        self.copied = [0] * num_vertices
+
+    def compute(self, ctx, w, messages) -> None:
+        if self.stamp[w]:
+            self.copied[w] = self.stamp[(w + 1) % len(self.stamp)]
+        else:
+            self.stamp[w] = w + 1
+
+    def mp_collect(self, vertices):
+        return [(w, self.stamp[w], self.copied[w]) for w in vertices]
+
+    def mp_merge(self, collected) -> None:
+        for w, stamp, copied in collected:
+            self.stamp[w], self.copied[w] = stamp, copied
+
+
+def test_a_cluster_keeps_its_workers_between_runs_until_the_with_ends(
+    monkeypatch,
+):
+    """Outside ``with cluster:`` a run reaps its workers; inside, a
+    re-run of the program reuses them, and their replicas merge the
+    first run's final state before it starts."""
+    graph = citation_graph(40, avg_refs=2.0, seed=3)
+    started = _count_forks(monkeypatch)
+    program = _StampProbeProgram(graph.num_vertices)
+    Cluster(num_nodes=4, engine="mp", workers=2).run(graph, program)
+    assert len(started) == 2 and multiprocessing.active_children() == []
+
+    started.clear()
+    program = _StampProbeProgram(graph.num_vertices)
+    with Cluster(num_nodes=4, engine="mp", workers=2) as cluster:
+        cluster.run(graph, program)
+        cluster.run(graph, program)
+        assert len(multiprocessing.active_children()) == 2
+    assert len(started) == 2 and multiprocessing.active_children() == []
+    n = graph.num_vertices
+    assert program.copied == [(w + 1) % n + 1 for w in range(n)]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_time_limit_in_a_later_batch_reaps_the_pool(monkeypatch):
+    graph = citation_graph(80, avg_refs=2.5, seed=4)
+    full = build_index(graph, method="drl-b", num_nodes=6)
+    cost = CostModel().with_time_limit(full.stats.simulated_seconds * 0.6)
+    with pytest.raises(TimeLimitExceeded) as sim_error:
+        build_index(graph, method="drl-b", num_nodes=6, cost_model=cost)
+    started = _count_forks(monkeypatch)
+    before = _shm_segments()
+    with pytest.raises(TimeLimitExceeded) as mp_error:
+        build_index(
+            graph, method="drl-b", num_nodes=6, cost_model=cost,
+            engine="mp", workers=3,
+        )
+    assert str(mp_error.value) == str(sim_error.value)
+    assert len(started) == 3
+    assert multiprocessing.active_children() == []
+    assert _shm_segments() <= before
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_a_master_raise_between_floods_reaps_the_pool(monkeypatch):
+    """The master's re-arm raises before batch 3: no run is open, and
+    the build's ``with`` still reaps the kept workers."""
+    original = DrlFloodProgram.next_batch
+    calls = [0]
+
+    def next_batch(self, sources):
+        calls[0] += 1
+        if calls[0] == 3:
+            raise RuntimeError("master gives up before batch 3")
+        original(self, sources)
+
+    monkeypatch.setattr(DrlFloodProgram, "next_batch", next_batch)
+    graph = citation_graph(80, avg_refs=2.5, seed=4)
+    before = _shm_segments()
+    with pytest.raises(RuntimeError, match="before batch 3"):
+        build_index(graph, method="drl-b", num_nodes=6, engine="mp", workers=3)
     assert multiprocessing.active_children() == []
     assert _shm_segments() <= before
