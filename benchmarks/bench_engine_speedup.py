@@ -8,7 +8,9 @@ put the two side by side on the fig5 graph (WEBW stand-in): measured
 wall-clock per worker count against the modelled multi-core speedup
 for the same core count.  On a single-core container the measured
 column degenerates (process overhead, no parallel hardware), so the
-speedup assertion only arms on hosts with enough CPUs.
+speedup assertion only arms on hosts with enough CPUs.  Every wall
+clock here is the fastest of ``REPEATS`` back-to-back runs, so a burst
+of host load in one run does not move a cell.
 
 Below the table: the simulator's wall-clock cost per message on a plain
 DRL build of the same graph — the substrate's own overhead, which is
@@ -31,16 +33,22 @@ from repro.workloads.datasets import get_dataset
 WORKER_SWEEP = (1, 2, 4)
 #: Cluster size of the DRL build whose wall ns/message is reported.
 DRL_NODES = 8
+#: Timed runs per cell; a cell reports the fastest.
+REPEATS = 3
 
 
 def _build(graph, cores: int, engine: str):
-    """One DRL_b^M build; returns (wall_seconds, simulated_seconds)."""
-    start = time.perf_counter()
-    result = drl_multicore_index(
-        graph, num_cores=cores, engine=engine,
-        workers=cores if engine == "mp" else None,
-    )
-    return time.perf_counter() - start, result.stats.simulated_seconds
+    """Best of ``REPEATS`` DRL_b^M builds; returns (wall_seconds,
+    simulated_seconds)."""
+    walls = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = drl_multicore_index(
+            graph, num_cores=cores, engine=engine,
+            workers=cores if engine == "mp" else None,
+        )
+        walls.append(time.perf_counter() - start)
+    return min(walls), result.stats.simulated_seconds
 
 
 def _run():
@@ -71,7 +79,10 @@ def _run():
             f"{cores:>7} {sim_wall:>8.2f}s {mp_wall:>8.2f}s "
             f"{real_x:>6.2f}x {modelled_x:>9.2f}x"
         )
-    drl = drl_index(graph, num_nodes=DRL_NODES).stats
+    drl = min(
+        (drl_index(graph, num_nodes=DRL_NODES).stats for _ in range(REPEATS)),
+        key=lambda stats: stats.wall_seconds,
+    )
     lines += [
         "",
         f"drl on the simulator ({DRL_NODES} nodes): "

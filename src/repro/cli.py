@@ -408,59 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--report", type=Path, default=None, metavar="PATH",
         help="write a combined JSON report of all runs (atomic write)",
     )
-    scenario_run.add_argument(
-        "--incidents-dir", type=Path, default=None, metavar="DIR",
-        help="where the flight recorder lands incident bundles "
-        "(default: an 'incidents' directory next to --report, or "
-        "./incidents); inspect them with 'repro incident'",
-    )
-
-    incident = sub.add_parser(
-        "incident",
-        help="inspect flight-recorder incident bundles",
-        description="List, dump, and analyze the incident bundles the "
-        "flight recorder lands during scenario runs: 'list' shows one "
-        "line per bundle with its top-ranked root cause, 'show' dumps "
-        "a bundle's trigger and buffered events, 'report' runs the "
-        "causal engine and prints the full post-mortem (timeline + "
-        "ranked root-cause candidates with supporting event ids).",
-    )
-    incident_sub = incident.add_subparsers(
-        dest="incident_command", required=True
-    )
-    incident_list = incident_sub.add_parser(
-        "list", help="one line per bundle, oldest first"
-    )
-    incident_list.add_argument(
-        "--dir", type=Path, default=Path("incidents"), metavar="DIR",
-        help="bundle directory (default: ./incidents)",
-    )
-    incident_show = incident_sub.add_parser(
-        "show", help="dump one bundle's trigger and buffered events"
-    )
-    incident_show.add_argument(
-        "incident", metavar="ID_OR_PATH",
-        help="bundle id (or unique prefix) or a path to a bundle file",
-    )
-    incident_show.add_argument(
-        "--dir", type=Path, default=Path("incidents"), metavar="DIR",
-        help="bundle directory (default: ./incidents)",
-    )
-    incident_report = incident_sub.add_parser(
-        "report", help="causal post-mortem: timeline + ranked root causes"
-    )
-    incident_report.add_argument(
-        "incident", metavar="ID_OR_PATH",
-        help="bundle id (or unique prefix) or a path to a bundle file",
-    )
-    incident_report.add_argument(
-        "--dir", type=Path, default=Path("incidents"), metavar="DIR",
-        help="bundle directory (default: ./incidents)",
-    )
-    incident_report.add_argument(
-        "--json", action="store_true",
-        help="print the post-mortem as JSON",
-    )
 
     trace = sub.add_parser(
         "trace", help="summarize a JSONL telemetry trace"
@@ -528,11 +475,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--run", type=int, default=None, metavar="N",
         help="select the N-th serving run in the file (1-based; "
         "default: aggregate all runs)",
-    )
-    top.add_argument(
-        "--incidents", type=Path, default=None, metavar="DIR",
-        help="also show open incident bundles from this directory "
-        "(written by 'repro scenario run')",
     )
     top.add_argument(
         "--openmetrics", action="store_true",
@@ -973,72 +915,19 @@ def _cmd_scenario(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    incident_dir = args.incidents_dir
-    if incident_dir is None:
-        # Bundles land next to the report by default, so a red CI run
-        # always ships its own post-mortem artifact.
-        base = args.report.parent if args.report is not None else Path(".")
-        incident_dir = base / "incidents"
     results = []
     for spec in specs:
-        result = run_scenario(spec, incident_dir=incident_dir)
+        result = run_scenario(spec)
         results.append(result)
         print(result.render())
         print()
     passed = sum(result.ok for result in results)
     print(f"{passed}/{len(results)} scenario(s) passed")
-    bundles = sum(len(result.incidents) for result in results)
-    if bundles:
-        print(
-            f"{bundles} incident bundle(s) in {incident_dir} "
-            f"(inspect with: repro incident list --dir {incident_dir})"
-        )
     if args.report is not None:
         write_scenario_report(results, args.report)
         print(f"report written to {args.report}", file=sys.stderr)
     if args.fail_on_assert and passed != len(results):
         return 1
-    return 0
-
-
-def _cmd_incident(args) -> int:
-    from repro.observe.incident import (
-        find_bundle,
-        format_bundle_row,
-        list_bundles,
-        load_bundle,
-        render_bundle,
-        render_incident_report,
-        summarize_bundle,
-    )
-
-    if args.incident_command == "list":
-        bundles = list_bundles(args.dir)
-        if not bundles:
-            print(f"no incident bundles under {args.dir}")
-            return 0
-        for _, bundle in bundles:
-            print(format_bundle_row(summarize_bundle(bundle)))
-        print(f"{len(bundles)} incident(s)")
-        return 0
-
-    try:
-        path = find_bundle(args.incident, args.dir)
-        bundle = load_bundle(path)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.incident_command == "show":
-        print(render_bundle(bundle))
-        return 0
-    if getattr(args, "json", False):
-        import json as _json
-
-        from repro.observe.incident import analyze_bundle
-
-        print(_json.dumps(analyze_bundle(bundle).to_dict(), indent=2))
-    else:
-        print(render_incident_report(bundle))
     return 0
 
 
@@ -1149,14 +1038,6 @@ def _cmd_top(args) -> int:
     if args.openmetrics and args.json:
         print("error: --openmetrics and --json are exclusive", file=sys.stderr)
         return 2
-    incidents = None
-    if args.incidents is not None:
-        from repro.observe.incident import list_bundles, summarize_bundle
-
-        incidents = [
-            summarize_bundle(bundle)
-            for _, bundle in list_bundles(args.incidents)
-        ]
     specs = None
     if args.slo is not None:
         try:
@@ -1176,7 +1057,6 @@ def _cmd_top(args) -> int:
                 window_seconds=args.window,
                 specs=specs,
                 slowest=args.slowest,
-                incidents=incidents,
             )
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -1257,7 +1137,6 @@ _HANDLERS = {
     "bench": _cmd_bench,
     "serve-bench": _cmd_serve_bench,
     "scenario": _cmd_scenario,
-    "incident": _cmd_incident,
     "fuzz": _cmd_fuzz,
     "trace": _cmd_trace,
     "top": _cmd_top,

@@ -1,8 +1,7 @@
 """Observability for the serving path: tracing, windows, SLOs, dashboard.
 
-Views and sinks over the one event stream (:mod:`repro.telemetry`):
-everything here reads a :class:`~repro.telemetry.reader.Trace` or, like
-the flight recorder, is a sink :func:`~repro.telemetry.attached` to it.
+Views over the one event stream (:mod:`repro.telemetry`): everything
+here reads a :class:`~repro.telemetry.reader.Trace`.
 
 - :mod:`repro.observe.tracing` — request-scoped causal tracing: a
   trace ID per admitted query, per-hop stages (admission → cache →
@@ -20,10 +19,6 @@ the flight recorder, is a sink :func:`~repro.telemetry.attached` to it.
 - :mod:`repro.observe.dashboard` — the ``repro top`` model: the run's
   ``ServeReport`` tallied from a ``Trace``, plus shard traffic, lag
   peaks, windows, alerts and worst traces;
-- :mod:`repro.observe.incident` — the flight recorder: a bounded ring
-  buffer that is one more sink on the stream, a trigger engine landing
-  self-contained incident bundles, and a causal engine producing
-  ranked root-cause post-mortems (``repro incident``);
 - :mod:`repro.observe.openmetrics` — one-shot OpenMetrics text
   exposition of a dashboard snapshot (``repro top --openmetrics``).
 
@@ -35,15 +30,6 @@ from repro.observe.dashboard import (
     DashboardModel,
     WindowRow,
     format_request,
-)
-from repro.observe.incident import (
-    FlightRecorder,
-    IncidentReport,
-    RootCause,
-    TriggerEngine,
-    analyze_bundle,
-    list_bundles,
-    load_bundle,
 )
 from repro.observe.openmetrics import render_openmetrics
 from repro.observe.slo import (
@@ -76,20 +62,15 @@ __all__ = [
     "BurnTracker",
     "BurnWindow",
     "DashboardModel",
-    "FlightRecorder",
     "HotKey",
     "HotKeyDetector",
-    "IncidentReport",
     "LatencyRegressionDetector",
     "RequestTrace",
-    "RootCause",
     "SLOSpec",
     "SLOStatus",
     "TraceIdGenerator",
-    "TriggerEngine",
     "WindowRow",
     "add_stage",
-    "analyze_bundle",
     "begin_request",
     "current_request",
     "default_windows",
@@ -97,8 +78,6 @@ __all__ = [
     "evaluate_slo",
     "evaluate_slos",
     "format_request",
-    "list_bundles",
-    "load_bundle",
     "load_slo_specs",
     "render_openmetrics",
 ]

@@ -144,9 +144,6 @@ class DashboardModel:
     # Replicator lag peaks, from the replica.lag events.
     replication_lag_peak: int = 0
     group_lag_peaks: dict[str, int] = field(default_factory=dict)
-    #: Open incident summaries (see repro.observe.incident), attached
-    #: by the CLI when ``--incidents`` points at a bundle directory.
-    incidents: list[dict] = field(default_factory=list)
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -158,7 +155,6 @@ class DashboardModel:
         window_seconds: float | None = None,
         specs: list[SLOSpec] | None = None,
         slowest: int = 5,
-        incidents: list[dict] | None = None,
     ) -> "DashboardModel":
         """Build the model from a trace.
 
@@ -233,7 +229,6 @@ class DashboardModel:
             slos=evaluate_slos(specs, reads) if specs else [],
             replication_lag_peak=replication_lag_peak,
             group_lag_peaks=dict(sorted(group_lag_peaks.items())),
-            incidents=list(incidents or []),
         )
 
     @staticmethod
@@ -359,7 +354,6 @@ class DashboardModel:
                 "lag_peak": self.replication_lag_peak,
                 "group_lag_peaks": dict(self.group_lag_peaks),
             },
-            "incidents": list(self.incidents),
             "windows": [w.to_dict() for w in self.windows],
             "slos": [s.to_dict() for s in self.slos],
             "alerts": self.firing_alerts,
@@ -439,20 +433,6 @@ class DashboardModel:
                 f"  hedges won {report.hedges_won}"
             )
         lines.append(f"  traced: {self.traced_fraction:.1%} of served requests")
-
-        if self.incidents:
-            lines.append("")
-            lines.append(f"Open incidents ({len(self.incidents)})")
-            for incident in self.incidents:
-                lines.append(
-                    f"  {incident.get('id', '?')}  {incident.get('kind', '?')} "
-                    f"at {incident.get('at', 0.0):.3e}s"
-                    + (
-                        f"  -> {incident['root_cause']}"
-                        if incident.get("root_cause")
-                        else ""
-                    )
-                )
 
         if self.windows:
             lines.append("")

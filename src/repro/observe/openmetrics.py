@@ -100,7 +100,6 @@ def render_openmetrics(model: DashboardModel) -> str:
         "Worst follower lag (ops) sampled during the run.",
         model.replication_lag_peak,
     )
-    gauge("open_incidents", "Incident bundles attached to this view.", len(model.incidents))
 
     # Served latency as a cumulative histogram over the telemetry
     # layer's standard exponential buckets.

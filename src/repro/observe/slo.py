@@ -20,11 +20,11 @@ Burn 1.0 spends exactly the whole budget over the SLO period; burn
 threshold.  Alerts here follow the SRE multi-window pattern: an alert
 **fires** only when *both* a long and a short window exceed the burn
 threshold (the long window gives significance, the short window makes
-the alert reset quickly once the incident ends), and **clears** as
+the alert reset quickly once the bad traffic ends), and **clears** as
 soon as the short window drains.
 
-One :class:`BurnTracker` prices every burn: :func:`evaluate_slo` feeds
-it a finished trace, the incident trigger each request as it finishes.
+One :class:`BurnTracker` prices every burn; :func:`evaluate_slo` feeds
+it a finished trace.
 
 Everything evaluates over ``serve.request`` traces on the simulated
 clock, so alert behaviour is deterministic and replayable from a JSONL
@@ -185,15 +185,14 @@ class BurnTracker:
 
     :meth:`read` first drops, from each window's oldest end, the samples
     at or before ``end`` minus its length, then prices the rest as
-    ``(bad / n) / budget`` — 0.0 below ``min_samples`` samples.  Fed in
+    ``(bad / n) / budget`` — 0.0 for an empty window.  Fed in
     arrival order, a window read at ``end`` holds exactly the samples
     with ``end - length < t <= end``.
     """
 
-    def __init__(self, window: BurnWindow, budget: float, min_samples: int = 1):
+    def __init__(self, window: BurnWindow, budget: float):
         self.window = window
         self.budget = budget
-        self.min_samples = min_samples
         # The long window, then the short one: length, samples, bad count.
         self._lengths = (window.long_seconds, window.short_seconds)
         self._samples: tuple[deque, deque] = (deque(), deque())
@@ -215,9 +214,7 @@ class BurnTracker:
                 if not samples.popleft()[1]:
                     self._bad[i] -= 1
             n = len(samples)
-            burns.append(
-                (self._bad[i] / n) / self.budget if n >= self.min_samples else 0.0
-            )
+            burns.append((self._bad[i] / n) / self.budget if n else 0.0)
         return BurnRate(self.window, *burns)
 
 

@@ -19,7 +19,6 @@ exactly.
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,8 +27,6 @@ from repro.bench.results import atomic_write_text
 from repro.core.dynamic import DynamicReachabilityIndex
 from repro.core.tol import tol_index
 from repro.graph.partition import PARTITIONER_STRATEGIES
-from repro.observe.incident import FlightRecorder, TriggerEngine
-from repro.observe.slo import SLOSpec
 from repro.scenarios.spec import EXPECTATIONS, ScenarioSpec, load_scenario
 from repro.serve.cache import CachingBackend, QueryCache
 from repro.serve.mutation import MutationBackend
@@ -37,7 +34,6 @@ from repro.serve.faults import Timeline
 from repro.serve.pipeline import QueryServer, ServeReport
 from repro.serve.replica import BoundedStalenessReplicator
 from repro.serve.store import ShardedIndexBackend, ShardedLabelStore
-from repro.telemetry import attached
 from repro.workloads.updates import mixed_update_stream, update_stream
 
 
@@ -87,10 +83,6 @@ class ScenarioResult:
     audited: int = 0
     incorrect_answers: int = 0
     events: list[dict] = field(default_factory=list)
-    #: Incident bundles the flight recorder landed during the run
-    #: (``{"id", "kind", "at", "path"}`` each; empty without a
-    #: ``incident_dir``).
-    incidents: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -116,11 +108,6 @@ class ScenarioResult:
         if self.events:
             names = [e["event"] for e in self.events]
             lines.append(f"  events: {', '.join(names)}")
-        if self.incidents:
-            lines.append(
-                f"  incidents: {len(self.incidents)} bundle(s) — "
-                + ", ".join(i["id"] for i in self.incidents)
-            )
         lines.extend(check.render() for check in self.checks)
         return "\n".join(lines)
 
@@ -159,7 +146,6 @@ class ScenarioResult:
                 "incorrect_answers": self.incorrect_answers,
             },
             "events": self.events,
-            "incidents": self.incidents,
             "checks": [
                 {
                     "name": c.name,
@@ -172,50 +158,10 @@ class ScenarioResult:
         }
 
 
-def _expected_span(traffic) -> float:
-    """The traffic's expected simulated span, for burn-window sizing."""
-    if traffic.shape == "flash":
-        return sum(count / rate for count, rate in traffic.phases)
-    return traffic.total_requests / traffic.rate
-
-
-def _incident_slos(spec: ScenarioSpec) -> list[SLOSpec]:
-    """SLOs the trigger engine tracks online, derived from ``expect``.
-
-    The availability target comes from the scenario's own
-    ``availability_min`` (clamped into the open interval SLOSpec
-    accepts), so a run that burns through the budget the scenario
-    promises to keep is exactly what lands an ``slo_burn`` bundle.
-    """
-    target = spec.expect.get("availability_min", 0.999)
-    target = min(max(float(target), 0.5), 0.9999)
-    slos = [SLOSpec(name="scenario-availability", kind="availability", target=target)]
-    p99 = spec.expect.get("p99_max_seconds")
-    if p99:
-        slos.append(
-            SLOSpec(
-                name="scenario-latency",
-                kind="latency",
-                target=0.99,
-                threshold_seconds=float(p99),
-            )
-        )
-    return slos
-
-
 def run_scenario(
-    spec: ScenarioSpec,
-    request_tracing: bool | None = None,
-    incident_dir: str | Path | None = None,
+    spec: ScenarioSpec, request_tracing: bool | None = None
 ) -> ScenarioResult:
-    """Execute one scenario and grade its expectations.
-
-    With ``incident_dir`` a :class:`~repro.observe.incident.FlightRecorder`
-    rides the run — attached to the telemetry stream for the serve
-    call, next to whatever session is exporting it — and a trigger
-    engine lands incident bundles there on failovers, unavailable
-    shards, online SLO burn, and (after grading) failed expectations.
-    """
+    """Execute one scenario and grade its expectations."""
     graph = spec.graph.build()
     serving = spec.serving
     partitioner = PARTITIONER_STRATEGIES[serving.partitioner](
@@ -305,19 +251,6 @@ def run_scenario(
             timeline.at(at, write, op)
     spec.faults.schedule(timeline, store)
 
-    # --- flight recorder + incident triggers -------------------------
-    recorder = engine = None
-    if incident_dir is not None:
-        recorder = FlightRecorder()
-        engine = TriggerEngine(
-            recorder,
-            incident_dir,
-            slos=_incident_slos(spec),
-            span_hint=_expected_span(spec.traffic),
-            context={"scenario": spec.name},
-        )
-        recorder.add_listener(engine.observe)
-
     # --- serve --------------------------------------------------------
     mutation_backend = None
     if serve_writes:
@@ -332,16 +265,15 @@ def run_scenario(
         mutation_backend=mutation_backend,
     )
     pairs, arrivals = spec.traffic.build(graph.num_vertices)
-    with attached(recorder) if recorder is not None else nullcontext():
-        if serve_writes:
-            report = server.run_mixed(
-                pairs,
-                arrivals,
-                [op for _, op in pending_updates],
-                [at for at, _ in pending_updates],
-            )
-        else:
-            report = server.run_open(pairs, arrivals)
+    if serve_writes:
+        report = server.run_mixed(
+            pairs,
+            arrivals,
+            [op for _, op in pending_updates],
+            [at for at, _ in pending_updates],
+        )
+    else:
+        report = server.run_open(pairs, arrivals)
 
     # --- audit: every served answer vs the oracle at its version -----
     audited = incorrect = 0
@@ -354,26 +286,6 @@ def run_scenario(
             incorrect += answer != oracle.query(s, t)
 
     checks = _grade(spec, report, incorrect)
-    if engine is not None:
-        failed_checks = [c for c in checks if not c.ok]
-        if failed_checks:
-            # Expectation failures always land a bundle, even when no
-            # runtime trigger fired: this is the run's only
-            # scenario_assertion fire, so no cooldown can suppress it.
-            engine.fire(
-                "scenario_assertion",
-                report.makespan_seconds,
-                details={
-                    "checks": [
-                        {
-                            "name": c.name,
-                            "expected": c.expected,
-                            "actual": c.actual,
-                        }
-                        for c in failed_checks
-                    ]
-                },
-            )
     return ScenarioResult(
         spec=spec,
         report=report,
@@ -381,7 +293,6 @@ def run_scenario(
         audited=audited,
         incorrect_answers=incorrect,
         events=list(store.events),
-        incidents=list(engine.incidents) if engine is not None else [],
     )
 
 
@@ -430,16 +341,10 @@ def _grade(
 
 
 def run_scenario_file(
-    path: str | Path,
-    request_tracing: bool | None = None,
-    incident_dir: str | Path | None = None,
+    path: str | Path, request_tracing: bool | None = None
 ) -> ScenarioResult:
     """Load and run one scenario file."""
-    return run_scenario(
-        load_scenario(path),
-        request_tracing=request_tracing,
-        incident_dir=incident_dir,
-    )
+    return run_scenario(load_scenario(path), request_tracing=request_tracing)
 
 
 def write_scenario_report(

@@ -405,8 +405,6 @@ class QueryServer:
                         failed += 1
                         if tracing:
                             trace.finish("error", latency, reason="unavailable")
-                            # The lost shard rides along so the
-                            # incident trigger can attribute the error.
                             terminal(clock, trace, shard=error.shard_id)
                     else:
                         positives += answer

@@ -32,7 +32,7 @@ closes them.  See ``docs/observability.md`` for the JSONL schema.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from typing import Iterator
 
 from repro.telemetry.metrics import (
@@ -72,7 +72,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "activate",
-    "attached",
     "current_metrics",
     "current_tracer",
     "enabled",
@@ -116,22 +115,3 @@ def session(sinks=()) -> Iterator[Tracer]:
             sink.on_metrics(_metrics)
             sink.close()
         _metrics = previous_metrics
-
-
-@contextmanager
-def attached(sink) -> Iterator[Tracer]:
-    """Lend ``sink`` the stream for the duration of the block.
-
-    The sink joins the active session's tracer — or, with telemetry
-    off, that of a session opened for the block — and leaves it on exit.
-    It sees the same spans and events either way (the flight recorder
-    need not know whether ``--trace-out`` is exporting the run too) and
-    is neither flushed into nor closed: its owner does that.
-    """
-    with ExitStack() as stack:
-        tracer = current_tracer()
-        if not tracer.enabled:
-            tracer = stack.enter_context(session())
-        tracer.sinks.append(sink)
-        stack.callback(tracer.sinks.remove, sink)
-        yield tracer

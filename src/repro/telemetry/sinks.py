@@ -1,7 +1,7 @@
 """Trace sinks: where finished spans, events, and metrics go.
 
 :class:`SpanSink` is the protocol; three implementations cover the
-usual needs (:mod:`repro.observe.incident`'s flight recorder is one more):
+usual needs:
 
 - :class:`InMemorySink` — keeps everything in lists (tests, notebooks);
 - :class:`JsonlSink` — appends one JSON object per line to a file (the

@@ -724,8 +724,7 @@ def test_scenario_run_file_with_report(tmp_path, capsys):
 
 
 def test_scenario_run_failure_sets_exit_code(tmp_path, capsys, monkeypatch):
-    # chdir: without --report/--incidents-dir the flight recorder
-    # drops its assertion bundle under ./incidents.
+    # chdir: a scenario run writes nothing it was not asked for.
     monkeypatch.chdir(tmp_path)
     scenario = tmp_path / "doomed.json"
     scenario.write_text(_TINY_SCENARIO.replace(
@@ -736,10 +735,7 @@ def test_scenario_run_failure_sets_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["scenario", "run", str(scenario), "--fail-on-assert"]) == 1
     out = capsys.readouterr().out
     assert "0/1 scenario(s) passed" in out
-    # A failed expectation always lands an incident bundle.
-    bundles = sorted((tmp_path / "incidents").glob("*.json"))
-    assert bundles, "expected a scenario_assertion bundle"
-    assert "scenario_assertion" in bundles[0].name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doomed.json"]
 
 
 @pytest.mark.parametrize("batch_size", ["NaN", "0"])
@@ -810,69 +806,6 @@ def test_serve_bench_refuses_a_nan_zipf(capsys):
 def test_scenario_run_unknown_name(capsys):
     assert main(["scenario", "run", "no-such-scenario"]) == 2
     assert "no-such-scenario" in capsys.readouterr().err
-
-
-@pytest.fixture
-def incident_dir(tmp_path):
-    """A bundle directory cut by a real trigger engine."""
-    from repro.observe.incident import FlightRecorder, TriggerEngine
-
-    recorder = FlightRecorder()
-    engine = TriggerEngine(
-        recorder, tmp_path / "incidents", context={"scenario": "cli-demo"},
-    )
-    recorder.add_listener(engine.observe)
-    recorder.record("serve.replica_crash", at=0.001, shard=0, replica=0)
-    recorder.record("serve.failover", at=0.002, shard=0,
-                    from_replica=0, to_replica=1, version=3)
-    return tmp_path / "incidents"
-
-
-def test_incident_list(incident_dir, capsys):
-    assert main(["incident", "list", "--dir", str(incident_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "incident-001-failover" in out
-    assert "[cli-demo]" in out
-    assert "-> injected replica crash" in out
-    assert "1 incident(s)" in out
-
-
-def test_incident_list_empty_dir(tmp_path, capsys):
-    assert main(["incident", "list", "--dir", str(tmp_path)]) == 0
-    assert "no incident bundles" in capsys.readouterr().out
-
-
-def test_incident_show(incident_dir, capsys):
-    assert main([
-        "incident", "show", "incident-001-failover",
-        "--dir", str(incident_dir),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "serve.replica_crash" in out
-    assert "trigger details:" in out
-
-
-def test_incident_report_text_and_json(incident_dir, capsys):
-    assert main([
-        "incident", "report", "incident-001", "--dir", str(incident_dir),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "root causes (ranked)" in out
-    assert "injected replica crash on shard 0 replica 0" in out
-    assert main([
-        "incident", "report", "incident-001", "--dir", str(incident_dir),
-        "--json",
-    ]) == 0
-    import json as _json
-    payload = _json.loads(capsys.readouterr().out)
-    assert payload["causes"][0]["kind"] == "injected_fault"
-
-
-def test_incident_unknown_ref_exits_2(incident_dir, capsys):
-    assert main([
-        "incident", "show", "incident-999", "--dir", str(incident_dir),
-    ]) == 2
-    assert "no incident bundle" in capsys.readouterr().err
 
 
 def test_serve_bench_report_written_atomically(tmp_path, capsys):

@@ -426,7 +426,6 @@ class TestReplicationHealth:
             "lag_peak": 5,
             "group_lag_peaks": {"1": 5, "2": 2},
         }
-        assert payload["incidents"] == []
 
     def test_render_shows_replication_line(self, replicated_model):
         rendered = replicated_model.render()
@@ -444,21 +443,6 @@ class TestReplicationHealth:
             Trace([_request_record("t-1", [{"stage": "store"}])])
         )
         assert "replication:" not in model.render()
-
-    def test_incidents_render_and_serialize(self):
-        incidents = [{
-            "id": "incident-001-failover",
-            "kind": "failover",
-            "at": 2.5e-3,
-            "root_cause": "injected replica crash on shard 0 replica 0",
-        }]
-        model = DashboardModel.from_trace(Trace(), incidents=incidents)
-        rendered = model.render()
-        assert "Open incidents (1)" in rendered
-        assert "incident-001-failover" in rendered
-        assert "-> injected replica crash" in rendered
-        payload = json.loads(json.dumps(model.to_json()))
-        assert payload["incidents"] == incidents
 
 
 class TestCli:
@@ -498,24 +482,6 @@ class TestCli:
             "top", str(trace_file), "--once", "--openmetrics", "--json",
         ]) == 2
         assert "exclusive" in capsys.readouterr().err
-
-    def test_top_incidents_section(self, trace_file, tmp_path, capsys):
-        from repro.observe.incident import FlightRecorder, TriggerEngine
-
-        recorder = FlightRecorder()
-        engine = TriggerEngine(recorder, tmp_path / "incidents")
-        recorder.add_listener(engine.observe)
-        recorder.record("serve.replica_crash", at=0.001, shard=0, replica=0)
-        recorder.record("serve.failover", at=0.002, shard=0,
-                        from_replica=0, to_replica=1, version=1)
-        assert main([
-            "top", str(trace_file), "--once",
-            "--incidents", str(tmp_path / "incidents"),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "Open incidents (1)" in out
-        assert "incident-001-failover" in out
-        assert "-> injected replica crash" in out
 
     def test_top_missing_file(self, tmp_path, capsys):
         assert main(["top", str(tmp_path / "nope.jsonl"), "--once"]) == 2

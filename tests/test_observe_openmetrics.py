@@ -77,10 +77,7 @@ def _synthetic_records() -> list[dict]:
 
 
 def _model() -> DashboardModel:
-    incidents = [{"id": "incident-001-failover", "kind": "failover",
-                  "at": 1e-5}]
-    return DashboardModel.from_trace(Trace(_synthetic_records()),
-                                     incidents=incidents)
+    return DashboardModel.from_trace(Trace(_synthetic_records()))
 
 
 def test_openmetrics_matches_golden_file():
@@ -139,7 +136,6 @@ def test_openmetrics_counts_reflect_the_trace():
         "repro_serve_forced_catchups_total 1",
         "repro_serve_hedges_won_total 1",
         "repro_serve_replication_lag_peak 5",
-        "repro_serve_open_incidents 1",
     }
     lines = set(text.splitlines())
     missing = expected - lines

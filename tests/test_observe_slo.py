@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.observe.slo import (
+    BurnTracker,
     BurnWindow,
     SLOSpec,
     default_windows,
@@ -167,3 +168,34 @@ class TestEvaluation:
         assert payload["ok"] is True
         assert payload["alerts"][0]["firing"] is False
         assert "OK" in statuses[0].summary()
+
+
+def _observe(tracker, spec, at, outcome, latency_seconds):
+    tracker.add(at, spec.is_good(outcome, latency_seconds))
+    return tracker.read(at)
+
+
+def test_burn_trigger_needs_both_windows_over_threshold():
+    # The online read: one BurnTracker, read after every request.
+    spec = SLOSpec(name="avail", kind="availability", target=0.999)
+    tracker = BurnTracker(BurnWindow(1.0, 0.1, 14.4), spec.budget)
+    # Healthy traffic: never fires.
+    for i in range(50):
+        assert not _observe(tracker, spec, i * 0.01, "served", 1e-6).firing
+    # A shed burst pushes both windows over burn 14.4 at budget 0.001.
+    burn = None
+    for i in range(50, 60):
+        reading = _observe(tracker, spec, i * 0.01, "shed", 0.0)
+        burn = reading if reading.firing else burn
+    assert burn is not None
+    assert burn.long_burn > 14.4
+    assert burn.short_burn > 14.4
+    # One shed request after a long healthy stretch burns the short
+    # window only: the long window keeps the alert quiet.
+    tracker = BurnTracker(BurnWindow(1.0, 0.1, 14.4), spec.budget)
+    for i in range(150):
+        _observe(tracker, spec, i * 0.01, "served", 1e-6)
+    reading = _observe(tracker, spec, 1.5, "shed", 0.0)
+    assert reading.short_burn > 14.4
+    assert reading.long_burn < 14.4
+    assert not reading.firing

@@ -31,7 +31,7 @@ from repro.serve.faults import (
     ServeFaultPlan,
     Timeline,
 )
-from repro.telemetry import attached
+from repro.telemetry import session
 from repro.telemetry.sinks import InMemorySink
 from repro.workloads.traffic import poisson_arrivals, zipf_pairs
 from repro.workloads.updates import update_stream
@@ -118,7 +118,7 @@ def _serve(store_type, case):
         mutation_backend=mutation_backend,
     )
     sink = InMemorySink()
-    with attached(sink):
+    with session([sink]):
         if case["direct"]:
             report = server.run_open(pairs, arrivals)
         else:
@@ -198,7 +198,7 @@ def test_scenario_lag_samples_are_pinned(
     name, samples, peak, failovers, confirmed, stale
 ):
     sink = InMemorySink()
-    with attached(sink):
+    with session([sink]):
         result = run_scenario(load_scenario(library_scenarios()[name]))
     lags = [e.attrs["lag"] for e in sink.events if e.name == "replica.lag"]
     assert (len(lags), max(lags)) == (samples, peak)

@@ -14,8 +14,7 @@ from repro.serve import (
     ReplicatedLabelStore,
     READ_POLICIES,
 )
-from repro.observe.incident import FlightRecorder
-from repro.telemetry import attached, session
+from repro.telemetry import session
 from repro.telemetry.sinks import InMemorySink
 from repro.workloads.queries import random_pairs
 from repro.workloads.updates import update_stream
@@ -306,9 +305,9 @@ def test_replica_stats_keys_are_stable():
 
 
 def test_failover_event_carries_timestamp_and_log_version():
-    # The incident pipeline orders failovers against replicator
-    # deliveries, so the event must say *when* it happened on the
-    # simulated clock and *which* update-log version the shard was at.
+    # A trace orders failovers against replicator deliveries, so the
+    # event must say *when* it happened on the simulated clock and
+    # *which* update-log version the shard was at.
     graph, leader, replicator, store = _replicated_dynamic(
         delay_seconds=0.0,
     )
@@ -339,19 +338,19 @@ def test_lag_samples_reach_listeners_but_not_the_event_log():
     graph, leader, replicator, store = _replicated_dynamic(
         delay_seconds=1e-3,
     )
-    recorder = FlightRecorder()
+    sink = InMemorySink()
 
     def lag_samples():
-        return [e for e in recorder.events() if e["event"] == "replica.lag"]
+        return [e.attrs for e in sink.events if e.name == "replica.lag"]
 
     replicator.note_time(0.0)
     for op, u, v in update_stream(graph, 5, seed=14):
         (leader.insert_edge if op == "insert" else leader.delete_edge)(u, v)
-    with attached(recorder):
+    with session([sink]):
         store.advance(1e-4)  # before delivery: follower group 1 lags by 5
 
         samples = lag_samples()
-        assert samples, "no replica.lag sample reached the recorder"
+        assert samples, "no replica.lag sample reached the sink"
         assert samples[-1]["lag"] == 5
         assert samples[-1]["groups"] == {"1": 5}
         assert samples[-1]["version"] == 5

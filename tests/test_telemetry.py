@@ -130,44 +130,6 @@ def test_sessions_nest():
     assert [s.name for s in outer_sink.spans] == ["outer-span", "outer-span-2"]
 
 
-def test_attached_joins_the_active_session_and_leaves_it_on_exit():
-    outer, joined = InMemorySink(), InMemorySink()
-    with session([outer]) as tracer:
-        telemetry.trace_event("before")
-        with telemetry.attached(joined) as same:
-            assert same is tracer
-            telemetry.trace_event("during")
-        telemetry.trace_event("after")
-        assert tracer.sinks == [outer]
-    assert [e.name for e in joined.events] == ["during"]
-    assert [e.name for e in outer.events] == ["before", "during", "after"]
-    # The session owns the registry: only its own sinks get the flush.
-    assert joined.metrics == []
-
-
-def test_attached_restores_the_sink_list_when_the_block_raises():
-    outer, joined = InMemorySink(), InMemorySink()
-    with session([outer]) as tracer:
-        with pytest.raises(RuntimeError):
-            with telemetry.attached(joined):
-                telemetry.trace_event("seen")
-                raise RuntimeError("boom")
-        assert tracer.sinks == [outer]
-        telemetry.trace_event("unseen")
-    assert [e.name for e in joined.events] == ["seen"]
-
-
-def test_attached_alone_opens_a_session_of_its_own():
-    sink = InMemorySink()
-    assert not telemetry.enabled()
-    with telemetry.attached(sink):
-        assert telemetry.enabled()
-        telemetry.trace_event("tick", at=1.0)
-    assert not telemetry.enabled()
-    assert current_tracer() is NULL_TRACER
-    assert [(e.name, e.attrs) for e in sink.events] == [("tick", {"at": 1.0})]
-
-
 # ----------------------------------------------------------------------
 # Sinks
 # ----------------------------------------------------------------------
@@ -588,7 +550,7 @@ def test_disabled_telemetry_allocates_no_request_traces(monkeypatch):
     assert created == []  # the hot path allocated zero trace objects
 
 
-def test_disabled_telemetry_wall_time_overhead_under_5_percent(monkeypatch):
+def test_disabled_telemetry_wall_time_overhead_under_5_percent():
     import time
     from contextlib import nullcontext
     from repro.serve import QueryServer, pipeline as pipeline_module
@@ -601,9 +563,6 @@ def test_disabled_telemetry_wall_time_overhead_under_5_percent(monkeypatch):
         server.run_open(pairs, arrivals)
         return time.perf_counter() - start
 
-    def best_of(n):
-        return min(run_once() for _ in range(n))
-
     class _Bare:
         simulated_seconds = 0.0
 
@@ -613,23 +572,38 @@ def test_disabled_telemetry_wall_time_overhead_under_5_percent(monkeypatch):
         def add_simulated(self, seconds):
             pass
 
-    # The instrumented-but-disabled pipeline, as shipped.
-    instrumented = best_of(5)
-    # The same pipeline with the telemetry hooks stripped out entirely:
-    # what an uninstrumented build would run.
-    monkeypatch.setattr(pipeline_module, "enabled", lambda: False)
-    monkeypatch.setattr(
-        pipeline_module,
-        "trace_span",
-        lambda name, **attrs: nullcontext(_Bare()),
-    )
-    stripped = best_of(5)
+    def run_stripped():
+        # The same pipeline with the telemetry hooks stripped out
+        # entirely: what an uninstrumented build would run.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline_module, "enabled", lambda: False)
+            patch.setattr(
+                pipeline_module,
+                "trace_span",
+                lambda name, **attrs: nullcontext(_Bare()),
+            )
+            return run_once()
+
+    def best_of(n):
+        # The two sides alternate, so a change in host load between
+        # runs reaches both instead of one.
+        instrumented = stripped = float("inf")
+        for _ in range(n):
+            instrumented = min(instrumented, run_once())
+            stripped = min(stripped, run_stripped())
+        return instrumented, stripped
+
+    # The instrumented-but-disabled pipeline, as shipped, against the
+    # stripped one.
+    instrumented, stripped = best_of(5)
     # Generous bound with re-measurement: timing on shared CI boxes is
-    # noisy, and the ISSUE's contract is <5% added wall time.
+    # noisy, and the contract is <5% added wall time.
     for _ in range(3):
         if instrumented <= stripped * 1.05:
             break
-        instrumented = min(instrumented, best_of(5))
+        more_instrumented, more_stripped = best_of(5)
+        instrumented = min(instrumented, more_instrumented)
+        stripped = min(stripped, more_stripped)
     assert instrumented <= stripped * 1.05, (
         f"disabled-telemetry overhead too high: "
         f"{instrumented:.4f}s vs {stripped:.4f}s uninstrumented"
