@@ -13,9 +13,7 @@ from __future__ import annotations
 from conftest import FIG_DATASETS, save_and_print
 
 from repro.baselines.bfl import build_bfl
-from repro.baselines.chain_tc import build_chain_tc
 from repro.baselines.grail import build_grail
-from repro.baselines.ip_label import build_ip
 from repro.baselines.online import OnlineSearcher
 from repro.bench.results import ExperimentTable
 from repro.core.build import build_index
@@ -25,7 +23,7 @@ from repro.query import IndexBackend, MeteredSearchBackend
 from repro.workloads.datasets import MEDIUM_DATASETS, get_dataset
 from repro.workloads.queries import random_pairs
 
-APPROACHES = ("DRL_b", "condensed", "chain-TC", "BFL", "GRAIL", "IP", "online")
+APPROACHES = ("DRL_b", "condensed", "BFL", "GRAIL", "online")
 
 
 def _run():
@@ -45,8 +43,6 @@ def _run():
         index = build_index(graph, cost_model=cost_model).index
         condensed, _ = build_condensed_index(graph, cost_model=cost_model)
         metered = {
-            "chain-TC": build_chain_tc(graph),
-            "IP": build_ip(graph),
             "BFL": build_bfl(graph),
             "GRAIL": build_grail(graph),
         }

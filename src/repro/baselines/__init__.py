@@ -11,9 +11,7 @@
 """
 
 from repro.baselines.bfl import BflIndex, build_bfl
-from repro.baselines.chain_tc import ChainTcIndex, build_chain_tc
 from repro.baselines.grail import GrailIndex, build_grail
-from repro.baselines.ip_label import IpIndex, build_ip
 from repro.baselines.bfl_distributed import (
     DistributedBflIndex,
     build_bfl_distributed,
@@ -26,16 +24,12 @@ from repro.baselines.transitive_closure import TransitiveClosure
 
 __all__ = [
     "BflIndex",
-    "ChainTcIndex",
     "DistributedBflIndex",
     "DistributedOnlineSearcher",
     "GrailIndex",
-    "IpIndex",
     "OnlineSearcher",
     "TransitiveClosure",
     "build_bfl",
     "build_bfl_distributed",
-    "build_chain_tc",
     "build_grail",
-    "build_ip",
 ]

@@ -1,6 +1,6 @@
-"""Filter, then search — the query BFL, GRAIL and IP share.
+"""Filter, then search — the query BFL and GRAIL share.
 
-All three keep a *partial* index over the SCC condensation: a label
+Both keep a *partial* index over the SCC condensation: a label
 test that confirms or refutes most pairs outright, and for the rest a
 DFS over the DAG that the same test prunes.  That is why each must keep
 the graph in memory at query time (the disadvantage the paper exploits

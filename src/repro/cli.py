@@ -161,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "builds recover from the last checkpoint instead of restarting",
     )
     build.add_argument(
-        "--time-limit", type=float, default=None, metavar="SECONDS",
+        "--time-limit", type=_seconds("--time-limit"), default=None, metavar="SECONDS",
         help="simulated-time cut-off for the build (default 7200)",
     )
     build.add_argument(
@@ -225,7 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="number of cases to run (default 100 unless --time-budget)",
     )
     fuzz.add_argument(
-        "--time-budget", type=float, default=None, metavar="SECONDS",
+        "--time-budget", type=_seconds("--time-budget"), default=None,
+        metavar="SECONDS",
         help="stop after this many wall-clock seconds",
     )
     fuzz.add_argument(
@@ -951,9 +952,6 @@ def _cmd_fuzz(args) -> int:
     count = args.cases
     if count is None and args.time_budget is None:
         count = 100
-    if args.time_budget is not None and args.time_budget <= 0:
-        print("error: --time-budget must be positive", file=sys.stderr)
-        return 2
     report = run_fuzz(
         seed=args.seed,
         count=count,

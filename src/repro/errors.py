@@ -164,8 +164,7 @@ class IndexFormatError(ReproError, ValueError):
 class GraphFormatError(ReproError, ValueError):
     """A graph file is malformed: an edge-list row with a non-integer,
     negative or out-of-range id or fewer than two columns (named by
-    ``path:line``), text that is not UTF-8, or a binary graph with a bad
-    magic, version, or a truncated header or payload."""
+    ``path:line``), or text that is not UTF-8."""
 
 
 class TimeLimitExceeded(ReproError):

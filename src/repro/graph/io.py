@@ -2,7 +2,7 @@
 
 Reachability datasets (SNAP, KONECT, ...) ship as whitespace-separated
 edge lists; this module reads and writes that format (optionally
-gzipped) plus a compact binary format for faster reloads.
+gzipped).
 
 :func:`read_edge_list` parses a whole file at once, into a source and a
 target column.  :func:`iter_edge_list`, the streaming reader, is the
@@ -15,19 +15,12 @@ no object per row or per edge that the garbage collector tracks.
 from __future__ import annotations
 
 import gzip
-import struct
-import sys
-from array import array
-from itertools import chain
 from pathlib import Path
 from typing import IO, Iterator
 
 from repro.errors import GraphFormatError
 from repro.graph.builder import distinct_edges
 from repro.graph.digraph import DiGraph
-
-_BINARY_MAGIC = b"RPRO"
-_BINARY_VERSION = 1
 
 #: What a comment line starts with, after any blanks.
 _COMMENT_MARKS = ("#", "%")
@@ -153,43 +146,3 @@ def write_edge_list(graph: DiGraph, path: str | Path, header: bool = True) -> No
             handle.write(f"# repro edge list: n={graph.num_vertices} m={graph.num_edges}\n")
         handle.write("".join(map("%d\t%d\n".__mod__, graph.edges())))
 
-
-def write_binary(graph: DiGraph, path: str | Path) -> None:
-    """Write ``graph`` in the compact binary format: a header, then each
-    edge as two little-endian unsigned 64-bit ids."""
-    path = Path(path)
-    payload = array("Q", chain.from_iterable(graph.edges()))
-    if sys.byteorder == "big":
-        payload.byteswap()
-    with open(path, "wb") as handle:
-        handle.write(_BINARY_MAGIC)
-        handle.write(
-            struct.pack("<IQQ", _BINARY_VERSION, graph.num_vertices, graph.num_edges)
-        )
-        handle.write(payload.tobytes())
-
-
-def read_binary(path: str | Path) -> DiGraph:
-    """Read a graph written by :func:`write_binary`."""
-    path = Path(path)
-    with open(path, "rb") as handle:
-        magic = handle.read(4)
-        if magic != _BINARY_MAGIC:
-            raise GraphFormatError(f"{path}: not a repro binary graph (bad magic)")
-        header = handle.read(20)
-        if len(header) != 20:
-            raise GraphFormatError(f"{path}: truncated header")
-        version, n, m = struct.unpack("<IQQ", header)
-        if version != _BINARY_VERSION:
-            raise GraphFormatError(f"{path}: unsupported binary version {version}")
-        payload = handle.read()
-    if len(payload) < 16 * m:
-        raise GraphFormatError(f"{path}: truncated edge payload")
-    ids = array("Q")
-    ids.frombytes(memoryview(payload)[: 16 * m])
-    if sys.byteorder == "big":
-        ids.byteswap()
-    ids = ids.tolist()
-    if ids and max(ids) >= n:
-        raise GraphFormatError(f"{path}: vertex {max(ids)} >= num_vertices {n}")
-    return DiGraph.from_columns(n, ids[0::2], ids[1::2])

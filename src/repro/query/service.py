@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from repro.baselines.chain_tc import ChainTcIndex
 from repro.baselines.online import OnlineSearcher
 from repro.baselines.search import FilterSearchIndex
 from repro.core.labels import label_sizes
@@ -48,16 +47,11 @@ class IndexBackend:
 
 
 class MeteredSearchBackend:
-    """Backend over an index whose ``query(s, t, meter=)`` charges a
-    serial meter: a filter-and-search index (BFL^C's Bloom filters,
-    GRAIL's intervals, IP's sketches), which mixes label tests with an
-    occasional pruned search, or chain-TC's two lookups."""
+    """Backend over a filter-and-search index (BFL^C's Bloom filters,
+    GRAIL's intervals), whose ``query(s, t, meter=)`` charges a serial
+    meter for its label tests and its occasional pruned search."""
 
-    def __init__(
-        self,
-        index: FilterSearchIndex | ChainTcIndex,
-        cost_model: CostModel | None = None,
-    ):
+    def __init__(self, index: FilterSearchIndex, cost_model: CostModel | None = None):
         self._index = index
         self._cost = (cost_model or DEFAULT_COST_MODEL).with_time_limit(None)
 

@@ -405,7 +405,7 @@ class QueryServer:
                         failed += 1
                         if tracing:
                             trace.finish("error", latency, reason="unavailable")
-                            terminal(clock, trace, shard=error.shard_id)
+                            terminal(clock, trace)
                     else:
                         positives += answer
                         served += 1

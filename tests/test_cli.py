@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -100,6 +101,19 @@ def test_malformed_edge_list_is_one_error_line(tmp_path, capsys, verb, row):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:2: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_an_old_binary_graph_is_one_error_line(tmp_path, capsys):
+    # The binary format the package once wrote: RPRO, a header, then
+    # little-endian 64-bit ids; small ids make it valid UTF-8.
+    old = tmp_path / "graph.bin"
+    old.write_bytes(b"RPRO" + struct.pack("<IQQQQ", 1, 3, 1, 0, 1))
+    out = tmp_path / "x.idx"
+    assert main(["build", str(old), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {old}:1: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_query_single_pair(index_file, capsys):
@@ -626,6 +640,10 @@ _INT, _POSITIVE = "must be an integer", "must be a finite number > 0, got"
         (["top", "FILE", "--refresh", "-1"], f"--refresh {_POSITIVE} -1.0"),
         (["top", "FILE", "--once", "--window", "0"], f"--window {_POSITIVE} 0.0"),
         (["top", "FILE", "--once", "--slowest", "x"], f"--slowest {_INT} >= 0, got 'x'"),
+        (["fuzz", "--time-budget", "nan"], f"--time-budget {_POSITIVE} nan"),
+        (["fuzz", "--time-budget", "0"], f"--time-budget {_POSITIVE} 0.0"),
+        (["build", "FILE", "-o", "FILE", "--time-limit", "nan"], f"--time-limit {_POSITIVE} nan"),
+        (["build", "FILE", "-o", "FILE", "--time-limit", "-1"], f"--time-limit {_POSITIVE} -1.0"),
     ],
 )
 def test_bad_count_or_seconds_flag_is_one_error_line(tmp_path, capsys, argv, err):

@@ -1,4 +1,4 @@
-"""Pins for the one filter-and-search query under BFL, GRAIL and IP.
+"""Pins for the one filter-and-search query under BFL and GRAIL.
 
 The literals were read off the three per-class copies of the search
 that ``FilterSearchIndex`` replaced; ``bench table6``'s BFL^C column and
@@ -8,7 +8,7 @@ that ``FilterSearchIndex`` replaced; ``bench table6``'s BFL^C column and
 import pytest
 from hypothesis import given, settings
 
-from repro.baselines import TransitiveClosure, build_bfl, build_grail, build_ip
+from repro.baselines import TransitiveClosure, build_bfl, build_grail
 from repro.graph.generators import (
     citation_graph,
     scc_heavy_graph,
@@ -31,8 +31,6 @@ BUILDERS = {
     "bfl32": lambda graph: build_bfl(graph, s_bits=32),
     "grail": build_grail,
     "grail1": lambda graph: build_grail(graph, dimensions=1),
-    "ip": build_ip,
-    "ip2": lambda graph: build_ip(graph, k=2),
 }
 #: (graph, builder) -> (meter units, positive answers, searches) over
 #: 4 000 ``random_pairs(seed=9)``.
@@ -41,26 +39,18 @@ PINS = {
     ("web", "bfl32"): (17074, 1530, 956),
     ("web", "grail"): (18784, 1530, 1323),
     ("web", "grail1"): (13289, 1530, 1739),
-    ("web", "ip"): (260054, 1530, 43),
-    ("web", "ip2"): (36927, 1530, 666),
     ("cit", "bfl"): (51177, 1249, 1235),
     ("cit", "bfl32"): (76996, 1249, 1555),
     ("cit", "grail"): (84547, 1249, 1764),
     ("cit", "grail1"): (111193, 1249, 2072),
-    ("cit", "ip"): (311123, 1249, 1330),
-    ("cit", "ip2"): (128701, 1249, 1621),
     ("soc", "bfl"): (24728, 3110, 728),
     ("soc", "bfl32"): (16736, 3110, 732),
     ("soc", "grail"): (16779, 3110, 755),
     ("soc", "grail1"): (8907, 3110, 817),
-    ("soc", "ip"): (260000, 3110, 0),
-    ("soc", "ip2"): (36055, 3110, 55),
     ("scc", "bfl"): (25634, 1010, 531),
     ("scc", "bfl32"): (17641, 1010, 534),
     ("scc", "grail"): (19992, 1010, 1015),
     ("scc", "grail1"): (16583, 1010, 1694),
-    ("scc", "ip"): (260000, 1010, 0),
-    ("scc", "ip2"): (39386, 1010, 925),
 }
 
 

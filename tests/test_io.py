@@ -1,4 +1,4 @@
-"""Tests for edge-list and binary graph I/O."""
+"""Tests for edge-list I/O."""
 
 import gzip
 import random
@@ -14,9 +14,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import citation_graph, random_digraph, social_graph, web_graph
 from repro.graph.io import (
     iter_edge_list,
-    read_binary,
     read_edge_list,
-    write_binary,
     write_edge_list,
 )
 
@@ -279,87 +277,35 @@ def test_text_that_is_not_utf8_is_a_graph_format_error(tmp_path):
         read_edge_list(path)
 
 
+def old_binary_graph(path, n, edges):
+    """A graph in the binary format the package no longer reads or
+    writes: ``RPRO``, a little-endian version, vertex count and edge
+    count, then each edge as two little-endian 64-bit ids."""
+    path.write_bytes(
+        b"RPRO"
+        + struct.pack("<IQQ", 1, n, len(edges))
+        + b"".join(struct.pack("<QQ", u, v) for u, v in edges)
+    )
+    return path
+
+
+# Ids 9, 10 and 32 pack to a tab, a newline and a blank, so the text
+# parser sees more than one row and rows of two fields.
+@pytest.mark.parametrize("edges", [[(0, 1), (1, 2)], [(9, 10), (32, 1), (1, 9)], []])
+def test_an_old_binary_graph_is_never_read_as_an_edge_list(tmp_path, edges):
+    path = old_binary_graph(tmp_path / "graph.bin", 40, edges)
+    path.read_bytes().decode("utf-8")  # small ids are valid UTF-8 text
+    with pytest.raises(GraphFormatError, match=f"^{path}:1: "):
+        read_edge_list(path)
+    with pytest.raises(GraphFormatError, match=f"^{path}:1: "):
+        list(iter_edge_list(path))
+
+
 def test_read_edge_list_dedup_flag(tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text("0 1\n0 1\n")
     assert read_edge_list(path).num_edges == 1
     assert read_edge_list(path, dedup=False).num_edges == 2
-
-
-def test_binary_round_trip(tmp_path):
-    g = random_digraph(50, 150, seed=3)
-    path = tmp_path / "graph.bin"
-    write_binary(g, path)
-    assert read_binary(path) == g
-
-
-def test_binary_round_trip_keeps_the_csr(tmp_path):
-    edges = list(web_graph(200, seed=4).edges())
-    random.Random(1).shuffle(edges)
-    g = DiGraph(200, edges)
-    path = tmp_path / "graph.bin"
-    write_binary(g, path)
-    assert csr(read_binary(path)) == csr(DiGraph(200, g.edges()))
-    assert path.read_bytes()[24:40] == struct.pack("<QQ", *next(g.edges()))
-
-
-def test_binary_header_claiming_more_edges_than_the_file_holds(tmp_path):
-    path = tmp_path / "huge.bin"
-    path.write_bytes(b"RPRO" + struct.pack("<IQQ", 1, 4, 2**60) + struct.pack("<QQ", 0, 1))
-    with pytest.raises(GraphFormatError, match="truncated edge payload"):
-        read_binary(path)
-
-
-def test_binary_id_past_num_vertices(tmp_path):
-    path = tmp_path / "range.bin"
-    path.write_bytes(b"RPRO" + struct.pack("<IQQ", 1, 2, 1) + struct.pack("<QQ", 0, 5))
-    with pytest.raises(GraphFormatError, match="vertex 5 >= num_vertices 2"):
-        read_binary(path)
-
-
-def test_binary_empty_graph(tmp_path):
-    g = DiGraph(0, [])
-    path = tmp_path / "empty.bin"
-    write_binary(g, path)
-    assert read_binary(path).num_vertices == 0
-
-
-def test_binary_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 20)
-    with pytest.raises(GraphFormatError, match="bad magic"):
-        read_binary(path)
-
-
-def test_binary_truncated(tmp_path):
-    g = random_digraph(10, 20, seed=4)
-    path = tmp_path / "trunc.bin"
-    write_binary(g, path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-8])
-    with pytest.raises(GraphFormatError, match="truncated edge payload"):
-        read_binary(path)
-
-
-def test_binary_bad_version(tmp_path):
-    path = tmp_path / "ver.bin"
-    path.write_bytes(b"RPRO" + struct.pack("<IQQ", 99, 0, 0))
-    with pytest.raises(GraphFormatError, match="version"):
-        read_binary(path)
-
-
-def test_binary_truncated_header(tmp_path):
-    path = tmp_path / "header.bin"
-    path.write_bytes(b"RPRO" + b"\x00" * 7)  # header cut short
-    with pytest.raises(GraphFormatError, match="truncated header"):
-        read_binary(path)
-
-
-def test_binary_errors_carry_path(tmp_path):
-    path = tmp_path / "ctx.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 20)
-    with pytest.raises(ValueError, match=str(path)):
-        read_binary(path)
 
 
 def test_edge_list_errors_carry_path_and_line(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.baselines.bfl import build_bfl
 from repro.baselines.grail import build_grail
-from repro.baselines.ip_label import build_ip
 from repro.baselines.online import OnlineSearcher
 from repro.baselines.transitive_closure import TransitiveClosure
 from repro.core.build import build_index
@@ -40,7 +39,6 @@ def _backends(graph):
         "index": IndexBackend(index, _NO_LIMIT),
         "bfl": MeteredSearchBackend(build_bfl(graph), _NO_LIMIT),
         "grail": MeteredSearchBackend(build_grail(graph), _NO_LIMIT),
-        "ip": MeteredSearchBackend(build_ip(graph), _NO_LIMIT),
         "online": OnlineSearcher(graph, _NO_LIMIT),
     }
 

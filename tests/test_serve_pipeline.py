@@ -18,6 +18,7 @@ from repro.serve import (
     ShardedLabelStore,
 )
 from repro.telemetry import MetricsRegistry, current_metrics, session
+from repro.telemetry.sinks import InMemorySink
 from repro.workloads.queries import random_pairs
 from repro.workloads.traffic import poisson_arrivals, uniform_arrivals, zipf_pairs
 
@@ -310,6 +311,26 @@ def test_unavailable_shards_count_as_failed_not_served():
         + report.failed == report.offered
     assert report.availability == pytest.approx(20 / 30)
     assert f"{report.failed} failed" in report.summary()
+
+
+def test_an_unavailable_read_records_the_request_and_the_reason():
+    sink = InMemorySink()
+    with session([sink]):
+        report = QueryServer(
+            _FlakyBackend(nth=3), cost_model=_NO_LIMIT, request_tracing=True
+        ).run_open([(0, 1)] * 30, uniform_arrivals(30, rate=100.0))
+    failed = [
+        record["attrs"] for record in sink.records
+        if record.get("name") == "serve.request"
+        and record["attrs"]["outcome"] == "error"
+    ]
+    assert report.failed == len(failed) == 10
+    for attrs in failed:
+        assert attrs["reason"] == "unavailable"
+        assert set(attrs) == {
+            "trace_id", "source", "target", "arrival", "outcome",
+            "reason", "latency_seconds", "stages", "at",
+        }
 
 
 def test_availability_is_one_when_nothing_fails(graph, backend):
