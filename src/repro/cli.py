@@ -30,7 +30,7 @@ Commands
 
 ``build``, ``query``, ``bench``, and ``serve-bench`` accept
 ``--trace-out PATH`` (export
-spans/events/metrics as JSONL) and ``--verbose`` (mirror telemetry to
+spans and events as JSONL) and ``--verbose`` (mirror telemetry to
 stderr via stdlib logging); see ``docs/observability.md``.
 """
 
@@ -82,16 +82,17 @@ def _count(flag: str, minimum: int = 0):
     return parse
 
 
-def _seconds(flag: str):
-    """The argparse ``type=`` of a positive seconds flag, refused like
-    :func:`_existing_file` otherwise."""
+def _seconds(flag: str, positive: bool = True):
+    """The argparse ``type=`` of a finite seconds (or rate) flag, > 0
+    (``>= 0`` without ``positive``), refused like :func:`_existing_file`
+    otherwise."""
 
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             value = text
-        return check_seconds(flag, value, positive=True, error=ReproError)
+        return check_seconds(flag, value, positive=positive, error=ReproError)
 
     return parse
 
@@ -104,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     telemetry_flags = argparse.ArgumentParser(add_help=False)
     telemetry_flags.add_argument(
         "--trace-out", type=Path, default=None, metavar="PATH",
-        help="export telemetry (spans, events, metrics) as JSONL to PATH",
+        help="export telemetry (spans and events) as JSONL to PATH",
     )
     telemetry_flags.add_argument(
         "--verbose", action="store_true",
@@ -270,7 +271,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kind", choices=sorted(_GENERATORS), default="social",
         help="generator used when no graph file is given",
     )
-    serve_bench.add_argument("--vertices", "-n", type=int, default=2000)
+    serve_bench.add_argument(
+        "--vertices", "-n", type=_count("--vertices", 2), default=2000
+    )
     serve_bench.add_argument("--seed", type=int, default=0)
     serve_bench.add_argument("--shards", type=int, default=8)
     serve_bench.add_argument(
@@ -278,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="hash",
     )
     serve_bench.add_argument(
-        "--requests", type=int, default=20000,
+        "--requests", type=_count("--requests", 1), default=20000,
         help="length of the request stream (default 20000)",
     )
     serve_bench.add_argument(
@@ -287,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="open-loop Poisson/uniform arrivals, or closed-loop clients",
     )
     serve_bench.add_argument(
-        "--rate", type=float, default=2_000_000.0,
+        "--rate", type=_seconds("--rate"), default=2_000_000.0,
         help="open-loop offered load in requests per simulated second",
     )
     serve_bench.add_argument(
@@ -323,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="requests dequeued per dispatch",
     )
     serve_bench.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
+        "--deadline", type=_seconds("--deadline"), default=None, metavar="SECONDS",
         help="drop requests queued longer than this (simulated seconds); "
         "mixed-mode writes are never deadline-dropped",
     )
@@ -336,11 +339,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "window.  See docs/dynamic.md.",
     )
     serve_bench.add_argument(
-        "--writes", type=int, default=2000,
+        "--writes", type=_count("--writes"), default=2000,
         help="mixed mode: length of the write stream (default 2000)",
     )
     serve_bench.add_argument(
-        "--write-rate", type=float, default=200_000.0,
+        "--write-rate", type=_seconds("--write-rate"), default=200_000.0,
         help="mixed mode: offered write load per simulated second",
     )
     serve_bench.add_argument(
@@ -360,11 +363,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="mixed mode: replica groups fed by the leader's op log",
     )
     serve_bench.add_argument(
-        "--replication-delay", type=float, default=2e-3, metavar="SECONDS",
+        "--replication-delay", type=_seconds("--replication-delay", positive=False),
+        default=2e-3, metavar="SECONDS",
         help="mixed mode: op-log delivery delay to followers",
     )
     serve_bench.add_argument(
-        "--max-lag", type=int, default=64,
+        "--max-lag", type=_count("--max-lag", 1), default=64,
         help="mixed mode: bounded-staleness lag before forced catch-up",
     )
     serve_bench.add_argument(

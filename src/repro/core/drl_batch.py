@@ -18,14 +18,11 @@ trade-off between TOL's pruning power and DRL's parallelism.
 
 from __future__ import annotations
 
-from itertools import chain
-
 from repro.core.batching import batch_sequence
 from repro.core.drl import DrlFloodProgram, FloodBuild
 from repro.core.labels import LabelingResult
 from repro.graph.digraph import DiGraph
 from repro.graph.order import VertexOrder
-from repro.telemetry import current_metrics, enabled
 
 
 def drl_batch_index(
@@ -75,8 +72,5 @@ def drl_batch_index(
         for number, batch in enumerate(batches, 1):
             build.rearm(program.next_batch, batch)
             build.flood("drl_b.batch", program, batch=number, sources=len(batch))
-            if enabled():  # the label sets once this batch is folded in
-                sets = chain(*program.batch_label_sets, program.fwd_set, program.rev_set)
-                current_metrics().gauge("drl_b.label_entries").set(sum(map(len, sets)))
         program.next_batch(())  # fold the last batch in
         return build.collect(*program.batch_label_sets)

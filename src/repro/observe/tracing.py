@@ -12,12 +12,6 @@ events, so a ``--trace-out`` JSONL export carries one record per
 request — including requests shed at the door or dropped past their
 deadline.
 
-The same trace IDs are sampled into the latency histogram's buckets as
-**exemplars** (see :meth:`repro.telemetry.metrics.Histogram.observe`),
-so any bucket of ``serve.latency_seconds`` links back to concrete
-requests that landed in it — the Prometheus exemplar pattern, made
-deterministic here by a seeded reservoir.
-
 Propagation uses a module-level slot instead of threading a context
 argument through every backend: the server sets :data:`ACTIVE` around
 the backend call (:func:`begin_request` / :func:`end_request`), and

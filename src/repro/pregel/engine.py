@@ -40,7 +40,7 @@ from repro.graph.partition import (
 from repro.pregel.cost_model import CostModel
 from repro.pregel.metrics import NodeSlice, RunStats
 from repro.pregel.vertex_program import VertexProgram
-from repro.telemetry import ACTIVE_VERTEX_BUCKETS, current_metrics, current_tracer
+from repro.telemetry import current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pregel.recovery import Recovery
@@ -500,12 +500,6 @@ def _account_superstep(
             remote_bytes=sum(counts.recv_bytes),
             broadcast_bytes=counts.broadcast_bytes,
         )
-        metrics = current_metrics()
-        metrics.counter("pregel.supersteps").inc()
-        metrics.counter("pregel.remote_messages").inc(counts.remote_messages)
-        metrics.histogram(
-            "pregel.active_vertices", ACTIVE_VERTEX_BUCKETS
-        ).observe(counts.active)
     stats.supersteps += 1
     stats.compute_units += sum(units)
     stats.local_messages += counts.local_messages

@@ -17,7 +17,6 @@ from repro.graph.partition import Routing
 from repro.pregel.engine import Cluster, StepCounts, Worker, _account_superstep
 from repro.pregel.metrics import RunStats
 from repro.pregel.vertex_program import VertexProgram
-from repro.telemetry import current_metrics
 
 
 class _Checkpoint(NamedTuple):
@@ -134,7 +133,6 @@ class Recovery:
                 pending_messages=messages,
                 seconds=seconds,
             )
-            current_metrics().counter("pregel.checkpoints").inc()
         return _Checkpoint(superstep, state, copy.deepcopy(pending), nbytes)
 
     def _recover(self, stats: RunStats, fired: tuple, superstep: int, tracer) -> None:
@@ -177,6 +175,3 @@ class Recovery:
                 reassigned_vertices=moved,
                 seconds=seconds,
             )
-            metrics = current_metrics()
-            metrics.counter("pregel.crashes").inc(len(fired))
-            metrics.counter("pregel.recoveries").inc()

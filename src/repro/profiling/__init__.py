@@ -1,6 +1,6 @@
 """``repro.profiling`` — analysis on top of :mod:`repro.telemetry`.
 
-The telemetry layer records what happened (spans, events, metrics);
+The telemetry layer records what happened (spans and events);
 this package answers *why a run was slow*:
 
 - :mod:`~repro.profiling.skew` — per-node load attribution over a

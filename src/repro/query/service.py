@@ -12,7 +12,6 @@ from repro.graph.digraph import DiGraph
 from repro.observe import tracing
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.pregel.serial import SerialMeter
-from repro.telemetry import current_metrics, enabled
 
 
 class QueryBackend(Protocol):
@@ -71,8 +70,9 @@ class FallbackBackend:
     without checkpointing, out-of-memory, cut-off): queries keep being
     answered — by :class:`~repro.baselines.online.OnlineSearcher`
     traversal of the raw graph — just slower.  Every fallback-served
-    query increments the ``query.fallback`` counter so operators can see
-    the degradation.
+    query increments :attr:`fallback_queries` (a served run's report,
+    and so its ``serve.run`` span, carries it) so operators can see the
+    degradation.
 
     Use :meth:`from_build` to construct one directly from a build
     attempt: a successful build serves from the index, a build that
@@ -119,8 +119,6 @@ class FallbackBackend:
         if self._primary is not None:
             return self._primary.query_with_cost(s, t)
         self.fallback_queries += 1
-        if enabled():
-            current_metrics().counter("query.fallback").inc()
         answer, seconds = self._fallback.query_with_cost(s, t)
         if tracing.ACTIVE is not None:
             tracing.ACTIVE.add_stage("fallback", seconds)

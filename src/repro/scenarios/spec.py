@@ -272,8 +272,8 @@ class UpdatesSpec:
     the leader at its scheduled time from the serving loop's
     ``on_advance`` hook (the original behavior); ``"serve"`` submits
     the writes as requests through the admission queue — they contend
-    with reads, can be shed, and appear in traces and
-    ``serve.mutation.*`` metrics (see ``docs/dynamic.md``).
+    with reads, can be shed, and appear in traces and in the run's
+    ``mutations_*`` totals (see ``docs/dynamic.md``).
     ``node_ratio`` > 0 mixes node additions/deletions into the burst;
     ``promote_ratio`` > 0 mixes in order upgrades.
     """

@@ -33,7 +33,8 @@ the ROADMAP's north star asks for.  Bottom to top:
   replays a Zipf/Poisson workload cached and uncached and renders one
   baseline-gateable table.
 
-Architecture, the degradation ladder, and a metrics glossary live in
+Architecture, the degradation ladder, and a glossary of the run totals
+(each named by the record it is read from) live in
 ``docs/serving.md``.
 """
 

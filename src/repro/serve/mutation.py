@@ -10,7 +10,7 @@ the same simulated-cost contract reads have
 :class:`~repro.serve.pipeline.QueryServer` can interleave them through
 the one admission queue: writes share queue capacity with reads, get
 shed under overload, appear in traces (a ``mutation`` stage) and in
-``serve.mutation.*`` metrics, and — because every applied op fires the
+the ``mutations_*`` totals of the run's report, and — because every applied op fires the
 leader's listener hooks — automatically invalidate the
 :class:`~repro.serve.cache.QueryCache` and append to the
 :class:`~repro.serve.replica.BoundedStalenessReplicator` op log.

@@ -31,6 +31,7 @@ always produce the same report.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 import operator
@@ -41,15 +42,7 @@ from repro.errors import ShardUnavailableError, check_count, check_seconds
 from repro.observe.serve_report import ServeReport
 from repro.observe.tracing import TraceIdGenerator, begin_request, end_request
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
-from repro.telemetry import (
-    LATENCY_BUCKETS,
-    MetricsRegistry,
-    RequestTrace,
-    current_metrics,
-    enabled,
-    trace_event,
-    trace_span,
-)
+from repro.telemetry import RequestTrace, enabled, trace_event, trace_span
 
 
 def _check_schedule(arrivals: Sequence[float]) -> None:
@@ -90,9 +83,6 @@ class QueryServer:
         everything).
     cost_model:
         Supplies the per-batch dispatch cost (``t_hop``).
-    metrics:
-        Explicit registry for ``serve.*`` metrics; defaults to the
-        active telemetry session's registry, if any.
     request_tracing:
         Per-request causal tracing (see :mod:`repro.observe.tracing`):
         every request gets a trace ID and a ``serve.request`` event
@@ -122,7 +112,6 @@ class QueryServer:
         batch_size: int = 32,
         deadline_seconds: float | None = None,
         cost_model: CostModel | None = None,
-        metrics: MetricsRegistry | None = None,
         request_tracing: bool | None = None,
         on_advance=None,
         mutation_backend=None,
@@ -134,7 +123,6 @@ class QueryServer:
         self._batch_size = check_count("batch_size", batch_size)
         self._deadline = deadline_seconds
         self._dispatch_seconds = (cost_model or DEFAULT_COST_MODEL).t_hop
-        self._metrics = metrics
         self._request_tracing = request_tracing
         self._on_advance = on_advance
         self._mutation_backend = mutation_backend
@@ -277,7 +265,6 @@ class QueryServer:
 
         trace_ids = TraceIdGenerator() if tracing else None
         traces: dict[int, RequestTrace] = {}
-        exemplars: list[tuple[float, str]] = []  # (latency, trace id)
         # Closed loop: a heap of client-ready times replaces the
         # arrival list; a client re-arms when its answer comes back.
         # The next request materializes at the schedule's next instant
@@ -286,7 +273,7 @@ class QueryServer:
         # until a batch completes).
         ready: list[float] = [0.0] * clients if closed else []
 
-        with trace_span("serve.run", mode=mode, offered=n) as span:
+        with trace_span("serve.run", mode=mode) as span:
             while next_request < n or queue:
                 if not queue:
                     arrival = ready[0] if closed else arrivals[next_request]
@@ -416,39 +403,40 @@ class QueryServer:
                             )
                             trace.finish("served", latency)
                             terminal(clock, trace)
-                            exemplars.append((latency, trace.trace_id))
                     if closed:
                         heapq.heappush(ready, clock + think_seconds)
-            span.set(served=served, shed=shed, failed=failed)
+            staleness = (
+                mutation_backend.staleness_window_seconds
+                if mutation_backend is not None
+                else 0.0
+            )
+            report = ServeReport.from_tally(
+                mode,
+                latencies,
+                write_latencies,
+                offered=reads_offered,
+                served=served,
+                shed=shed,
+                deadline_dropped=deadline_dropped,
+                positives=positives,
+                batches=batches,
+                queue_peak=queue_peak,
+                makespan_seconds=clock,
+                failed=failed,
+                mutations_offered=mutations_offered,
+                mutations_applied=mut_applied,
+                mutations_noop=mut_noop,
+                mutations_rejected=mut_rejected,
+                mutations_shed=mut_shed,
+                staleness_window_seconds=staleness,
+                **self._backend_stats(),
+            )
+            # The run's totals, by field name: the one record of what the
+            # requests' own records do not carry (batches, queue peak,
+            # cache churn, shard skew, degradation, staleness window).
+            if enabled():
+                span.set(**dataclasses.asdict(report))
             span.add_simulated(clock)
-
-        staleness = (
-            mutation_backend.staleness_window_seconds
-            if mutation_backend is not None
-            else 0.0
-        )
-        report = ServeReport.from_tally(
-            mode,
-            latencies,
-            write_latencies,
-            offered=reads_offered,
-            served=served,
-            shed=shed,
-            deadline_dropped=deadline_dropped,
-            positives=positives,
-            batches=batches,
-            queue_peak=queue_peak,
-            makespan_seconds=clock,
-            failed=failed,
-            mutations_offered=mutations_offered,
-            mutations_applied=mut_applied,
-            mutations_noop=mut_noop,
-            mutations_rejected=mut_rejected,
-            mutations_shed=mut_shed,
-            staleness_window_seconds=staleness,
-            **self._backend_stats(),
-        )
-        self._record_metrics(report, latencies, exemplars, write_latencies)
         return report
 
     def _backend_stats(self) -> dict:
@@ -476,78 +464,3 @@ class QueryServer:
                     fallback_queries=getattr(layer, "fallback_queries", 0),
                 )
         return stats
-
-    def _record_metrics(
-        self,
-        report: ServeReport,
-        latencies: list[float],
-        exemplars: list[tuple[float, str]] = (),
-        write_latencies: list[float] = (),
-    ) -> None:
-        registry = self._metrics
-        if registry is None:
-            registry = current_metrics() if enabled() else None
-        if registry is None:
-            return
-        registry.counter("serve.requests").inc(report.offered)
-        registry.counter("serve.served").inc(report.served)
-        registry.counter("serve.shed").inc(report.shed)
-        registry.counter("serve.deadline_dropped").inc(report.deadline_dropped)
-        if report.shed:
-            registry.counter("serve.dropped.queue_full").inc(report.shed)
-        if report.deadline_dropped:
-            registry.counter("serve.dropped.deadline").inc(
-                report.deadline_dropped
-            )
-        if report.failed:
-            registry.counter("serve.failed").inc(report.failed)
-        if report.failovers:
-            registry.counter("serve.failovers").inc(report.failovers)
-        if report.replica_timeouts:
-            registry.counter("serve.replica.timeouts").inc(
-                report.replica_timeouts
-            )
-        if report.confirmed_reads or report.stale_reads:
-            registry.counter("serve.replica.stale_reads").inc(report.stale_reads)
-            registry.counter("serve.replica.confirmed_reads").inc(
-                report.confirmed_reads
-            )
-        registry.counter("serve.batches").inc(report.batches)
-        registry.gauge("serve.queue_peak").set(report.queue_peak)
-        histogram = registry.histogram("serve.latency_seconds", LATENCY_BUCKETS)
-        if exemplars:
-            # Traced runs attach trace-ID exemplars to the buckets, so
-            # any latency bucket links back to concrete requests.
-            for latency, trace_id in exemplars:
-                histogram.observe(latency, exemplar=trace_id)
-        else:
-            for latency in latencies:
-                histogram.observe(latency)
-        if report.cache_hits or report.cache_misses:
-            registry.counter("serve.cache.hits").inc(report.cache_hits)
-            registry.counter("serve.cache.misses").inc(report.cache_misses)
-            registry.counter("serve.cache.invalidated").inc(report.cache_invalidated)
-            registry.counter("serve.cache.evictions").inc(report.cache_evictions)
-        if report.shard_loads:
-            registry.gauge("serve.shard_skew").set(report.shard_skew)
-        if report.mutations_offered:
-            registry.counter("serve.mutation.requests").inc(
-                report.mutations_offered
-            )
-            registry.counter("serve.mutation.applied").inc(
-                report.mutations_applied
-            )
-            registry.counter("serve.mutation.noop").inc(report.mutations_noop)
-            registry.counter("serve.mutation.rejected").inc(
-                report.mutations_rejected
-            )
-            registry.counter("serve.mutation.shed").inc(report.mutations_shed)
-            write_histogram = registry.histogram(
-                "serve.mutation.latency_seconds", LATENCY_BUCKETS
-            )
-            for latency in write_latencies:
-                write_histogram.observe(latency)
-            registry.gauge("serve.mutation.staleness_window_seconds").set(
-                report.staleness_window_seconds
-            )
-        registry.gauge("serve.degraded").set(int(report.degraded))

@@ -7,8 +7,9 @@ a run is a sink on it or a view over what a sink wrote:
   :class:`Span` intervals carrying wall *and* simulated seconds,
   point-in-time :class:`TraceEvent` records, and the per-request
   :class:`RequestTrace` a ``serve.request`` event carries;
-- :mod:`~repro.telemetry.metrics` — counters, gauges, and fixed-bucket
-  histograms in a :class:`MetricsRegistry`;
+- :mod:`~repro.telemetry.metrics` — the latency buckets and the
+  nearest-rank percentile the views share (no registry: a count or a
+  distribution is read from the records that carry it);
 - :mod:`~repro.telemetry.sinks` — the sink protocol and its in-memory,
   JSONL-file, and stdlib-logging implementations;
 - :mod:`~repro.telemetry.reader` — ``Trace``, the one validating parser
@@ -26,8 +27,8 @@ a block of work with :func:`session`::
     with session([JsonlSink("run.jsonl")]):
         build_index(graph, method="drl-b")
 
-On exit the session flushes the metrics registry into every sink and
-closes them.  See ``docs/observability.md`` for the JSONL schema.
+On exit the session closes its sinks.  See ``docs/observability.md``
+for the JSONL schema.
 """
 
 from __future__ import annotations
@@ -35,15 +36,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.telemetry.metrics import (
-    ACTIVE_VERTEX_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    LATENCY_BUCKETS,
-    MetricsRegistry,
-    exponential_buckets,
-)
+from repro.telemetry.metrics import LATENCY_BUCKETS, exponential_buckets
 from repro.telemetry.spans import (
     NULL_TRACER,
     NullTracer,
@@ -59,12 +52,7 @@ from repro.telemetry.spans import (
 )
 
 __all__ = [
-    "ACTIVE_VERTEX_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "LATENCY_BUCKETS",
-    "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "RequestTrace",
@@ -72,7 +60,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "activate",
-    "current_metrics",
     "current_tracer",
     "enabled",
     "exponential_buckets",
@@ -82,13 +69,6 @@ __all__ = [
     "trace_span",
 ]
 
-_metrics = MetricsRegistry()
-
-
-def current_metrics() -> MetricsRegistry:
-    """The active metrics registry (a fresh one inside each session)."""
-    return _metrics
-
 
 def enabled() -> bool:
     """True when a real tracer is installed (telemetry session active)."""
@@ -97,21 +77,15 @@ def enabled() -> bool:
 
 @contextmanager
 def session(sinks=()) -> Iterator[Tracer]:
-    """Run a telemetry session: install a tracer and a fresh registry.
+    """Run a telemetry session: install a tracer over ``sinks``.
 
-    On exit the registry's metrics are flushed to every sink
-    (``on_metrics``), the sinks are closed, and the previous
-    tracer/registry are restored — sessions nest cleanly.
+    On exit the sinks are closed and the previous tracer is restored —
+    sessions nest cleanly.
     """
-    global _metrics
     tracer = Tracer(sinks)
-    previous_metrics = _metrics
-    _metrics = MetricsRegistry()
     try:
         with activate(tracer):
             yield tracer
     finally:
         for sink in tracer.sinks:
-            sink.on_metrics(_metrics)
             sink.close()
-        _metrics = previous_metrics

@@ -4,8 +4,10 @@ Every view of a run (``repro trace`` / ``profile`` / ``top``, the Chrome
 and folded-stack exporters) takes a :class:`Trace`, which **validates**
 each record's required fields once (a miss is dropped and logged in
 ``skipped``, as a line that is not JSON is), **groups** once (``spans``,
-``events(name)``, ``metrics``; ``records`` keeps arrival order) and
-**derives** once (``requests``, ``node_timeline``).  The schema is in
+``events(name)``; ``records`` keeps arrival order) and **derives** once
+(``requests``, ``node_timeline``).  The ``metric`` records of traces
+written while a metrics registry existed are passed over: not filed,
+not counted, not skipped.  The schema is in
 ``docs/observability.md``; nothing here imports from
 :mod:`repro.observe` or :mod:`repro.profiling`.
 """
@@ -25,15 +27,10 @@ _NODE_FIELDS = (
     "superstep", "node", "units", "compute_seconds", "comm_seconds",
     "barrier_wait_seconds", "barrier_seconds",
 )
-#: Required fields and their types: of a record by kind, of a metric
-#: record by instrument ...
+#: Required fields and their types: of a record by kind ...
 _REQUIRED = {
     "span": {"name": str, "id": int, "start": _NUMBER},
     "event": {"name": str},
-    "metric": {"name": str, "metric": str},
-    "counter": {"value": _NUMBER},
-    "gauge": {"value": _NUMBER},
-    "histogram": {"buckets": list, "counts": list},
 }
 #: ... and of the attrs of the events a derived reading is built from.
 _REQUIRED_ATTRS = {
@@ -52,7 +49,7 @@ class TraceReadError(ValueError):
 def _problem(record) -> str | None:
     """Why ``record`` is not a usable trace record (``None``: it is)."""
     kind = record.get("kind") if isinstance(record, dict) else None
-    if kind not in ("span", "event", "metric"):
+    if kind not in _REQUIRED:
         return "not a trace record"
     attrs = record.get("attrs", {})
     if not isinstance(attrs, dict):
@@ -60,10 +57,6 @@ def _problem(record) -> str | None:
     checks = [(record, _REQUIRED[kind])]
     if kind == "event":
         checks.append((attrs, _REQUIRED_ATTRS.get(record.get("name"), {})))
-    elif kind == "metric":
-        if record.get("metric") not in ("counter", "gauge", "histogram"):
-            return "metric record: missing or bad 'metric'"
-        checks.append((record, _REQUIRED[record["metric"]]))
     for holder, fields in checks:
         for name, types in fields.items():
             if not isinstance(holder.get(name), types):
@@ -90,7 +83,6 @@ class Trace:
         #: One ``"where: reason"`` string per record that was dropped.
         self.skipped: list[str] = []
         self.spans: list[dict] = []
-        self.metrics: list[dict] = []
         #: One parsed record per ``serve.request`` event, in order.
         self.requests: list[RequestTrace] = []
         self._events: dict[str, list[dict]] = defaultdict(list)
@@ -101,6 +93,8 @@ class Trace:
 
     def add(self, record, where: str) -> None:
         """Validate one record and file it, or log why it was dropped."""
+        if isinstance(record, dict) and record.get("kind") == "metric":
+            return  # an old trace's registry flush: its numbers are in the stream
         problem = _problem(record)
         if problem is not None:
             self.skipped.append(f"{where}: {problem}")
@@ -108,9 +102,6 @@ class Trace:
         self.records.append(record)
         if record["kind"] == "span":
             self.spans.append(record)
-            return
-        if record["kind"] == "metric":
-            self.metrics.append(record)
             return
         name, attrs = record["name"], record.get("attrs", {})
         self._events[name].append(record)

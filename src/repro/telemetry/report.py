@@ -6,8 +6,7 @@
 - **bench cell tables** — one per experiment tag, reconstructing the
   comp/comm split of Fig. 5 (or the timing grid of any other
   experiment) from the spans alone;
-- a **super-step table** for the run with the most super-steps;
-- **histogram percentiles** and counter/gauge values.
+- a **super-step table** for the run with the most super-steps.
 
 :func:`profile_report` (``repro profile``) opens with the same header
 and top-spans table and adds the skew report and the critical path.
@@ -20,7 +19,6 @@ from collections import defaultdict
 from repro.bench.results import Cell, ExperimentTable
 from repro.observe.dashboard import format_request
 from repro.profiling.skew import analyze_skew
-from repro.telemetry.metrics import percentile_from_record
 from repro.telemetry.reader import Trace
 
 
@@ -30,7 +28,7 @@ from repro.telemetry.reader import Trace
 def _header(trace: Trace) -> str:
     """The record counts both reports open with."""
     spans = len(trace.spans)
-    events = len(trace.records) - spans - len(trace.metrics)
+    events = len(trace.records) - spans
     return f"{len(trace.records)} records: {spans} spans, {events} events"
 
 
@@ -175,34 +173,11 @@ def slowest_requests_section(trace: Trace, n: int) -> str | None:
     return "\n".join(lines)
 
 
-def metrics_lines(trace: Trace) -> list[str]:
-    """Human-readable lines for every exported metric record."""
-    lines = []
-    for record in trace.metrics:
-        name = record["name"]
-        if record["metric"] == "histogram":
-            count = record.get("count", 0)
-            if not count:
-                lines.append(f"{name}: histogram, no observations")
-                continue
-            mean = record.get("sum", 0.0) / count
-            lines.append(
-                f"{name}: count={count} mean={mean:.3e} "
-                f"p50={percentile_from_record(record, 0.50):.3e} "
-                f"p95={percentile_from_record(record, 0.95):.3e} "
-                f"p99={percentile_from_record(record, 0.99):.3e} "
-                f"max={record.get('max') or 0.0:.3e}"
-            )
-        else:
-            lines.append(f"{name}: {record['value']}")
-    return lines
-
-
 def summarize_trace(
     trace: Trace, top: int = 15, superstep_limit: int = 20
 ) -> str:
     """The full text summary printed by ``repro trace``."""
-    sections = [f"{_header(trace)}, {len(trace.metrics)} metrics"]
+    sections = [_header(trace)]
     if trace.spans:
         sections.append(top_spans_section(trace, top=top))
     overview = requests_overview_section(trace)
@@ -212,9 +187,6 @@ def summarize_trace(
     steps = superstep_table(trace, limit=superstep_limit)
     if steps is not None:
         sections.append(steps.render())
-    lines = metrics_lines(trace)
-    if lines:
-        sections.append("Metrics\n=======\n" + "\n".join(lines))
     return "\n\n".join(sections)
 
 

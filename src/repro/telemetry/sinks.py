@@ -1,4 +1,4 @@
-"""Trace sinks: where finished spans, events, and metrics go.
+"""Trace sinks: where finished spans and events go.
 
 :class:`SpanSink` is the protocol; three implementations cover the
 usual needs:
@@ -10,8 +10,7 @@ usual needs:
   ``--verbose`` CLI flag).
 
 The JSONL schema is documented in ``docs/observability.md``; every
-record carries a ``"kind"`` discriminator (``span`` / ``event`` /
-``metric``).
+record carries a ``"kind"`` discriminator (``span`` / ``event``).
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import logging
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import Span, TraceEvent
 
 
@@ -37,8 +35,6 @@ class SpanSink(Protocol):
 
     def on_event(self, event: TraceEvent) -> None: ...
 
-    def on_metrics(self, registry: MetricsRegistry) -> None: ...
-
     def close(self) -> None: ...
 
 
@@ -48,7 +44,6 @@ class InMemorySink(SpanSink):
     def __init__(self):
         self.spans: list[Span] = []
         self.events: list[TraceEvent] = []
-        self.metrics: list[dict] = []
         self.records: list[dict] = []
 
     def on_span(self, span: Span) -> None:
@@ -58,11 +53,6 @@ class InMemorySink(SpanSink):
     def on_event(self, event: TraceEvent) -> None:
         self.events.append(event)
         self.records.append(event.to_dict())
-
-    def on_metrics(self, registry: MetricsRegistry) -> None:
-        rows = list(registry.iter_records())
-        self.metrics.extend(rows)
-        self.records.extend(rows)
 
     def spans_named(self, name: str) -> list[Span]:
         """All finished spans with the given name, in finish order."""
@@ -84,10 +74,6 @@ class JsonlSink(SpanSink):
 
     def on_event(self, event: TraceEvent) -> None:
         self._write(event.to_dict())
-
-    def on_metrics(self, registry: MetricsRegistry) -> None:
-        for record in registry.iter_records():
-            self._write(record)
 
     def close(self) -> None:
         self._file.close()
@@ -114,7 +100,3 @@ class LoggingSink(SpanSink):
 
     def on_event(self, event: TraceEvent) -> None:
         self._logger.info("event %s %s", event.name, self._format_attrs(event.attrs))
-
-    def on_metrics(self, registry: MetricsRegistry) -> None:
-        for name, value in sorted(registry.as_dict().items()):
-            self._logger.info("metric %s=%s", name, value)

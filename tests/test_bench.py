@@ -90,9 +90,6 @@ class _CellSpans:
     def on_event(self, event):
         pass
 
-    def on_metrics(self, registry):
-        pass
-
     def close(self):
         pass
 

@@ -217,7 +217,7 @@ def test_build_trace_out_then_trace_summary(tmp_path, graph_file, capsys):
     records = [json.loads(line)
                for line in trace_file.read_text().splitlines()]
     kinds = {r["kind"] for r in records}
-    assert kinds == {"span", "event", "metric"}
+    assert kinds == {"span", "event"}
     names = {r["name"] for r in records if r["kind"] == "span"}
     assert "cli.build" in names and "pregel.run" in names
     assert "drl_b.batch" in names
@@ -226,7 +226,6 @@ def test_build_trace_out_then_trace_summary(tmp_path, graph_file, capsys):
     out = capsys.readouterr().out
     assert "Top spans by simulated time" in out
     assert "Super-steps of the longest run" in out
-    assert "pregel.supersteps" in out
 
 
 def test_query_verbose_logs_telemetry(index_file, capsys):
@@ -291,7 +290,7 @@ def test_trace_tolerates_truncated_export(tmp_path, graph_file, capsys):
 #: Valid JSON that is not a usable record; each used to crash a reader.
 _MALFORMED_RECORDS = [
     '{"kind":"span"}',
-    '{"kind":"metric","name":"m"}',
+    '{"kind":"event","attrs":{}}',
     '{"kind":"span","name":"a","id":1}',
     '{"kind":"event","name":"serve.request",'
     '"attrs":{"trace_id":"t-9","stages":["not an object"]}}',
@@ -303,7 +302,8 @@ _GOOD_TRACE = (
     '{"kind":"event","name":"serve.request","span":1,"wall":0.05,"attrs":'
     '{"trace_id":"t-1","source":0,"target":1,"arrival":0.0,"outcome":"served",'
     '"latency_seconds":1e-6,"stages":[{"stage":"admission","seconds":1e-7}]}}\n'
-    '{"kind":"metric","metric":"counter","name":"serve.served","value":1}\n'
+    '{"kind":"event","name":"pregel.superstep","span":1,"wall":0.06,'
+    '"attrs":{"superstep":1}}\n'
 )
 
 
@@ -342,6 +342,37 @@ def test_trace_readers_reject_a_file_of_malformed_records(tmp_path, capsys, line
         assert captured.err.startswith(f"error: {bad}: no valid trace records")
         assert captured.out == ""
     assert not (tmp_path / "chrome.json").exists()
+
+
+#: The ``metric`` records a session flushed at its end while telemetry
+#: kept a metrics registry: a counter, a gauge and a histogram with
+#: trace-id exemplars, as such traces hold them.
+_OLD_METRIC_RECORDS = (
+    '{"kind":"metric","metric":"counter","name":"serve.served","value":1}\n'
+    '{"kind":"metric","metric":"gauge","name":"serve.queue_peak","value":1}\n'
+    '{"kind":"metric","metric":"histogram","name":"serve.latency_seconds",'
+    '"count":1,"sum":1e-6,"min":1e-6,"max":1e-6,"buckets":[1e-7,1e-6],'
+    '"counts":[0,1,0],"exemplars":{"1":[{"exemplar":"t-1","value":1e-6}]}}\n'
+)
+
+
+def test_trace_readers_pass_over_the_metric_records_of_an_old_trace(tmp_path, capsys):
+    """An old trace reads with no warning and exit 0, and every view of
+    it is the view of its spans and events alone."""
+    old = tmp_path / "old.jsonl"
+    old.write_text(_GOOD_TRACE + _OLD_METRIC_RECORDS)
+    bare = tmp_path / "bare.jsonl"
+    bare.write_text(_GOOD_TRACE)
+    for command in _trace_readers(tmp_path):
+        outputs = []
+        for path in (old, bare):
+            assert main([command[0], str(path), *command[1:]]) == 0, command
+            captured = capsys.readouterr()
+            assert captured.err in (
+                "", f"chrome trace written to {tmp_path / 'chrome.json'}\n"
+            ), captured.err
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1], command
 
 
 # ----------------------------------------------------------------------
@@ -644,6 +675,15 @@ _INT, _POSITIVE = "must be an integer", "must be a finite number > 0, got"
         (["fuzz", "--time-budget", "0"], f"--time-budget {_POSITIVE} 0.0"),
         (["build", "FILE", "-o", "FILE", "--time-limit", "nan"], f"--time-limit {_POSITIVE} nan"),
         (["build", "FILE", "-o", "FILE", "--time-limit", "-1"], f"--time-limit {_POSITIVE} -1.0"),
+        (["serve-bench", "--deadline", "nan"], f"--deadline {_POSITIVE} nan"),
+        (["serve-bench", "--rate", "0"], f"--rate {_POSITIVE} 0.0"),
+        (["serve-bench", "--write-rate", "-1"], f"--write-rate {_POSITIVE} -1.0"),
+        (["serve-bench", "--replication-delay", "nan"],
+         "--replication-delay must be a finite number >= 0, got nan"),
+        (["serve-bench", "--requests", "0"], f"--requests {_INT} >= 1, got 0"),
+        (["serve-bench", "--mode", "mixed", "--writes", "-5"], f"--writes {_INT} >= 0, got -5"),
+        (["serve-bench", "--max-lag", "0"], f"--max-lag {_INT} >= 1, got 0"),
+        (["serve-bench", "--vertices", "1"], f"--vertices {_INT} >= 2, got 1"),
     ],
 )
 def test_bad_count_or_seconds_flag_is_one_error_line(tmp_path, capsys, argv, err):

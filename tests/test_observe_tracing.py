@@ -200,12 +200,12 @@ class TestServerTracing:
         with session([sink]):
             server = QueryServer(backend, queue_depth=16, cost_model=_NO_LIMIT)
             report = server.run_open(pairs, arrivals)
-        counters = {
-            r["name"]: r["value"] for r in sink.records
-            if r.get("kind") == "metric" and r.get("metric") == "counter"
-        }
-        assert counters["serve.dropped.queue_full"] == report.shed
-        assert "serve.dropped.deadline" not in counters
+        reasons = [
+            r["attrs"].get("reason") for r in sink.records
+            if r["kind"] == "event" and r["name"] == "serve.request"
+        ]
+        assert reasons.count("queue_full") == report.shed > 0
+        assert "deadline" not in reasons
 
     def test_fallback_stage_recorded_when_degraded(self, graph):
         fallback = FallbackBackend(None, graph, cost_model=_NO_LIMIT)

@@ -141,19 +141,20 @@ def test_fallback_backend_prefers_index(graph, oracle, pairs):
 
 def test_fallback_backend_counts_metric(graph):
     from repro.query import FallbackBackend
+    from repro.serve import QueryServer
     from repro.telemetry import session
     from repro.telemetry.sinks import InMemorySink
 
     backend = FallbackBackend(None, graph, _NO_LIMIT)
+    backend.query_with_cost(0, 1)
+    assert backend.fallback_queries == 1
+    # Served, the count reaches the stream on the run's span.
     sink = InMemorySink()
     with session([sink]):
-        backend.query_with_cost(0, 1)
-    counters = {
-        r["name"]: r["value"]
-        for r in sink.metrics
-        if r.get("metric") == "counter"
-    }
-    assert counters.get("query.fallback") == 1
+        QueryServer(backend, cost_model=_NO_LIMIT).run_open([(0, 1)] * 3, [0.0] * 3)
+    (run,) = sink.spans_named("serve.run")
+    assert run.attrs["degraded"] is True
+    assert run.attrs["fallback_queries"] == backend.fallback_queries == 4
 
 
 def test_fallback_backend_propagates_real_bugs(graph):

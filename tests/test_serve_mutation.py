@@ -3,9 +3,11 @@
 Writes are first-class requests: they share the admission queue with
 reads, get costed on the simulated clock, invalidate the cache and feed
 the replication op log through the leader's listener hooks, and appear
-in ``serve.mutation.*`` metrics.  Writes are never deadline-dropped —
+in the run report's ``mutations_*`` totals.  Writes are never deadline-dropped —
 dropping an accepted write would silently fork leader state.
 """
+
+import dataclasses
 
 import pytest
 
@@ -27,7 +29,8 @@ from repro.serve import (
     ShardedIndexBackend,
     ShardedLabelStore,
 )
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import session
+from repro.telemetry.sinks import InMemorySink
 from repro.workloads.traffic import poisson_arrivals, zipf_pairs
 from repro.workloads.updates import mixed_update_stream
 
@@ -361,8 +364,8 @@ def test_pending_kinds_treats_node_ops_correctly():
 # ----------------------------------------------------------------------
 # QueryServer: submit_mutation and mixed runs
 # ----------------------------------------------------------------------
-def _mixed_server(leader, *, cache=False, deadline=None, metrics=None,
-                  replicator=None, queue_depth=1024):
+def _mixed_server(leader, *, cache=False, deadline=None, replicator=None,
+                  queue_depth=1024):
     store = ShardedLabelStore(leader, num_shards=2, cost_model=_NO_LIMIT)
     backend = ShardedIndexBackend(store)
     if cache:
@@ -374,7 +377,6 @@ def _mixed_server(leader, *, cache=False, deadline=None, metrics=None,
         cost_model=_NO_LIMIT,
         queue_depth=queue_depth,
         deadline_seconds=deadline,
-        metrics=metrics,
         mutation_backend=MutationBackend(
             leader, cost_model=_NO_LIMIT, replicator=replicator
         ),
@@ -477,40 +479,32 @@ def test_run_mixed_validates_schedules():
 
 
 def test_run_mixed_records_mutation_metrics():
+    """A traced mixed run's ``serve.run`` span holds every report field,
+    by name: the write totals and the staleness window included, and
+    ``offered`` the reads alone, as the report counts it."""
     leader = _leader(n=40, m=120, seed=17)
-    registry = MetricsRegistry()
     replicator = BoundedStalenessReplicator(leader, num_replicas=2)
-    server = _mixed_server(leader, metrics=registry, replicator=replicator)
+    server = _mixed_server(leader, cache=True, replicator=replicator)
     pairs = zipf_pairs(leader.num_vertices, 100, skew=1.2, seed=11)
     arrivals = poisson_arrivals(100, rate=200000.0, seed=12)
     mutations = mixed_update_stream(leader.current_graph(), 10, seed=13)
     mutation_arrivals = poisson_arrivals(10, rate=50000.0, seed=14)
-    report = server.run_mixed(pairs, arrivals, mutations, mutation_arrivals)
-    assert registry.counter("serve.mutation.requests").value == 10
-    assert (
-        registry.counter("serve.mutation.applied").value
-        == report.mutations_applied
-    )
-    assert (
-        registry.histogram("serve.mutation.latency_seconds").count
-        == report.mutations_applied
-        + report.mutations_noop
-        + report.mutations_rejected
-    )
-    assert registry.gauge(
-        "serve.mutation.staleness_window_seconds"
-    ).value == pytest.approx(report.staleness_window_seconds)
+    sink = InMemorySink()
+    with session([sink]):
+        report = server.run_mixed(pairs, arrivals, mutations, mutation_arrivals)
+    assert report.mutations_offered == 10 and report.offered == 100
+    assert report.mutations_applied and report.staleness_window_seconds > 0
+    (run,) = sink.spans_named("serve.run")
+    assert run.attrs == dataclasses.asdict(report)
 
 
 def test_read_only_run_reports_no_mutation_fields():
     leader = _leader()
-    registry = MetricsRegistry()
-    server = _mixed_server(leader, metrics=registry)
+    server = _mixed_server(leader)
     pairs = zipf_pairs(leader.num_vertices, 50, skew=1.2, seed=19)
     report = server.run_open(pairs, poisson_arrivals(50, rate=1000.0, seed=20))
     assert report.mutations_offered == 0
     assert "writes:" not in report.summary()
-    assert "serve.mutation.requests" not in registry
 
 
 # ----------------------------------------------------------------------

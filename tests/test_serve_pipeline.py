@@ -1,5 +1,7 @@
 """Tests for the request pipeline: admission, batching, deadlines."""
 
+import dataclasses
+
 import pytest
 
 from repro.baselines.transitive_closure import TransitiveClosure
@@ -17,8 +19,9 @@ from repro.serve import (
     ShardedIndexBackend,
     ShardedLabelStore,
 )
-from repro.telemetry import MetricsRegistry, current_metrics, session
-from repro.telemetry.sinks import InMemorySink
+from repro.telemetry import session
+from repro.telemetry.reader import read_trace
+from repro.telemetry.sinks import InMemorySink, JsonlSink
 from repro.workloads.queries import random_pairs
 from repro.workloads.traffic import poisson_arrivals, uniform_arrivals, zipf_pairs
 
@@ -254,33 +257,29 @@ def test_summary_mentions_key_numbers(graph, backend):
     assert "load skew" in text
 
 
-def test_serve_metrics_recorded_via_explicit_registry(graph, backend):
-    registry = MetricsRegistry()
+def test_serve_metrics_recorded_under_telemetry_session(tmp_path, graph, backend):
+    """A traced read run's ``serve.run`` span holds every report field,
+    by name, as the exported trace reads it back."""
     pairs = random_pairs(graph.num_vertices, 120, seed=7)
-    server = QueryServer(backend, metrics=registry, cost_model=_NO_LIMIT)
-    report = server.run_open(pairs, uniform_arrivals(120, rate=1000.0))
-    assert registry.counter("serve.requests").value == 120
-    assert registry.counter("serve.served").value == report.served
-    assert registry.counter("serve.shed").value == report.shed
-    assert registry.gauge("serve.queue_peak").value == report.queue_peak
-    assert registry.histogram("serve.latency_seconds").count == report.served
-    assert registry.gauge("serve.shard_skew").value == pytest.approx(report.shard_skew)
-    assert registry.gauge("serve.degraded").value == 0
-    assert registry.counter("serve.batches").value == report.batches
+    path = tmp_path / "serve.jsonl"
+    with session([JsonlSink(path)]):
+        server = QueryServer(backend, queue_depth=8, cost_model=_NO_LIMIT)
+        report = server.run_open(pairs, [0.0] * len(pairs))
+    assert report.shed and report.batches and report.queue_peak == 8
+    (run,) = read_trace(path).spans
+    assert run["name"] == "serve.run"
+    assert run["attrs"] == dataclasses.asdict(report)
+    assert run["simulated_seconds"] == report.makespan_seconds
 
 
-def test_serve_metrics_recorded_under_telemetry_session(graph, backend):
-    pairs = random_pairs(graph.num_vertices, 80, seed=9)
-    with session():
-        QueryServer(backend, cost_model=_NO_LIMIT).run_open(
-            pairs, uniform_arrivals(80, rate=1000.0)
-        )
-        registry = current_metrics()
-        assert "serve.requests" in registry
-        assert "serve.served" in registry
-        assert "serve.latency_seconds" in registry
-    # Outside the session, nothing leaks into the global registry.
-    assert "serve.requests" not in current_metrics()
+def test_an_untraced_run_in_a_session_still_carries_the_report(graph, backend):
+    pairs = random_pairs(graph.num_vertices, 40, seed=9)
+    sink = InMemorySink()
+    with session([sink]):
+        server = QueryServer(backend, cost_model=_NO_LIMIT, request_tracing=False)
+        report = server.run_open(pairs, uniform_arrivals(40, rate=1000.0))
+    assert [r["kind"] for r in sink.records] == ["span"]  # no request records
+    assert sink.spans_named("serve.run")[0].attrs == dataclasses.asdict(report)
 
 
 # -- replica-aware serving ---------------------------------------------

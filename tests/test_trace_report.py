@@ -8,7 +8,6 @@ from repro.telemetry import session, trace_span
 from repro.telemetry.reader import Trace, TraceReadError, read_trace
 from repro.telemetry.report import (
     bench_cell_tables,
-    metrics_lines,
     summarize_trace,
     superstep_table,
     top_spans_section,
@@ -94,18 +93,26 @@ def test_superstep_table_absent_without_events():
     assert superstep_table(Trace()) is None
 
 
-def test_metrics_lines_render_histograms(tmp_path):
+def test_metric_records_of_an_old_trace_are_passed_over(tmp_path):
+    """Traces once ended with the metrics registry's flush; those lines
+    are neither filed, nor counted, nor skipped."""
     def body():
-        registry = telemetry.current_metrics()
-        registry.counter("queries").inc(3)
-        hist = registry.histogram("lat")
-        hist.observe(2e-7)
-        hist.observe(3e-6)
+        with trace_span("a") as span:
+            span.add_simulated(1.0)
+            telemetry.trace_event("tick", n=1)
 
-    lines = metrics_lines(read_trace(_write_trace(tmp_path, body)))
-    assert any(l.startswith("queries: 3") for l in lines)
-    latency = next(l for l in lines if l.startswith("lat:"))
-    assert "count=2" in latency and "p95=" in latency
+    path = _write_trace(tmp_path, body)
+    new = read_trace(path)
+    with path.open("a") as handle:
+        handle.write(
+            '{"kind":"metric","metric":"counter","name":"queries","value":3}\n'
+            '{"kind":"metric","metric":"histogram","name":"lat","count":1,'
+            '"sum":2e-7,"min":2e-7,"max":2e-7,"buckets":[1e-6],"counts":[1,0]}\n'
+        )
+    old = read_trace(path)
+    assert old.records == new.records and old.skipped == []
+    assert summarize_trace(old) == summarize_trace(new)
+    assert summarize_trace(old).startswith("2 records: 1 spans, 1 events\n")
 
 
 def test_fig5_table_reproducible_from_trace_alone(tmp_path):
@@ -136,5 +143,3 @@ def test_summarize_trace_has_all_sections(tmp_path):
     assert "Top spans by simulated time" in text
     assert "Experiment fig5" in text
     assert "Super-steps of the longest run" in text
-    assert "Metrics" in text
-    assert "pregel.supersteps" in text
