@@ -16,10 +16,10 @@ from repro.baselines.grail import build_grail
 from repro.baselines.online import OnlineSearcher
 from repro.bench.results import ExperimentTable
 from repro.core.build import build_index
+from repro.observe.serve_report import sorted_percentile
 from repro.pregel.cost_model import paper_scale_model
 from repro.query import IndexBackend, MeteredSearchBackend
 from repro.serve import ShardedIndexBackend, ShardedLabelStore
-from repro.telemetry.metrics import sorted_percentile
 from repro.workloads.datasets import MEDIUM_DATASETS, get_dataset
 from repro.workloads.queries import random_pairs
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -97,6 +98,24 @@ def _seconds(flag: str, positive: bool = True):
     return parse
 
 
+def _number(flag: str, low: float, high: float = math.inf):
+    """The argparse ``type=`` of a finite number flag in ``[low, high]``
+    (a ratio, a batch-schedule factor), refused like
+    :func:`_existing_file` otherwise."""
+    bound = f">= {low:g}" if high == math.inf else f"in [{low:g}, {high:g}]"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and low <= value <= high):
+            raise ReproError(f"{flag} must be a finite number {bound}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -146,9 +165,11 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("graph", type=_existing_file)
     build.add_argument("--output", "-o", type=Path, required=True)
     build.add_argument("--method", choices=sorted(METHOD_NAMES), default="drl-b")
-    build.add_argument("--nodes", type=int, default=32)
-    build.add_argument("--batch-size", type=float, default=2)
-    build.add_argument("--growth-factor", type=float, default=2.0)
+    build.add_argument("--nodes", type=_count("--nodes", 1), default=32)
+    build.add_argument("--batch-size", type=_number("--batch-size", 1), default=2)
+    build.add_argument(
+        "--growth-factor", type=_number("--growth-factor", 1), default=2.0
+    )
     build.add_argument(
         "--faults", metavar="SPEC", default=None,
         help="inject faults during the build; SPEC is comma-separated "
@@ -157,7 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "(e.g. 'crash=3@5,straggler=2x4.0,loss=0.01,seed=42')",
     )
     build.add_argument(
-        "--checkpoint-interval", type=int, default=None, metavar="N",
+        "--checkpoint-interval", type=_count("--checkpoint-interval", 1),
+        default=None, metavar="N",
         help="checkpoint vertex state every N supersteps so crashed "
         "builds recover from the last checkpoint instead of restarting",
     )
@@ -172,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(identical labels; see docs/simulator.md)",
     )
     build.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_count("--workers", 1), default=None, metavar="N",
         help="worker-process count for --engine mp (default: cpu count)",
     )
 
@@ -275,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--vertices", "-n", type=_count("--vertices", 2), default=2000
     )
     serve_bench.add_argument("--seed", type=int, default=0)
-    serve_bench.add_argument("--shards", type=int, default=8)
+    serve_bench.add_argument("--shards", type=_count("--shards", 1), default=8)
     serve_bench.add_argument(
         "--partitioner", choices=["hash", "modulo", "range", "block"],
         default="hash",
@@ -294,15 +316,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="open-loop offered load in requests per simulated second",
     )
     serve_bench.add_argument(
-        "--clients", type=int, default=32,
+        "--clients", type=_count("--clients", 1), default=32,
         help="closed-loop client count (with --arrival closed)",
     )
     serve_bench.add_argument(
-        "--zipf", type=float, default=1.4,
+        "--zipf", type=_seconds("--zipf", positive=False), default=1.4,
         help="source/target popularity skew (0 = uniform)",
     )
     serve_bench.add_argument(
-        "--cache-size", type=int, default=65536,
+        "--cache-size", type=_count("--cache-size", 1), default=65536,
         help="query-cache capacity in entries",
     )
     serve_bench.add_argument(
@@ -318,11 +340,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run only the uncached configuration",
     )
     serve_bench.add_argument(
-        "--queue-depth", type=int, default=1024,
+        "--queue-depth", type=_count("--queue-depth", 1), default=1024,
         help="admission queue bound; overflow is shed",
     )
     serve_bench.add_argument(
-        "--batch-size", type=int, default=32,
+        "--batch-size", type=_count("--batch-size", 1), default=32,
         help="requests dequeued per dispatch",
     )
     serve_bench.add_argument(
@@ -347,19 +369,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="mixed mode: offered write load per simulated second",
     )
     serve_bench.add_argument(
-        "--insert-ratio", type=float, default=0.6,
+        "--insert-ratio", type=_number("--insert-ratio", 0, 1), default=0.6,
         help="mixed mode: fraction of edge ops that are inserts",
     )
     serve_bench.add_argument(
-        "--node-ratio", type=float, default=0.1,
+        "--node-ratio", type=_number("--node-ratio", 0, 1), default=0.1,
         help="mixed mode: fraction of writes that add/delete nodes",
     )
     serve_bench.add_argument(
-        "--promote-ratio", type=float, default=0.05,
+        "--promote-ratio", type=_number("--promote-ratio", 0, 1), default=0.05,
         help="mixed mode: fraction of writes that are order upgrades",
     )
     serve_bench.add_argument(
-        "--replicas", type=int, default=2,
+        "--replicas", type=_count("--replicas", 1), default=2,
         help="mixed mode: replica groups fed by the leader's op log",
     )
     serve_bench.add_argument(
@@ -372,7 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="mixed mode: bounded-staleness lag before forced catch-up",
     )
     serve_bench.add_argument(
-        "--drift-threshold", type=int, default=None, metavar="POSITIONS",
+        "--drift-threshold", type=_count("--drift-threshold", 1), default=None,
+        metavar="POSITIONS",
         help="mixed mode: auto-promote a vertex whose degree rank "
         "drifted this far above its frozen rank (default: off)",
     )
@@ -999,7 +1022,7 @@ def _read_trace_tolerantly(path: Path):
 
 def _cmd_trace(args) -> int:
     from repro.observe.dashboard import format_request
-    from repro.telemetry.report import slowest_requests_section, summarize_trace
+    from repro.observe.report import slowest_requests_section, summarize_trace
 
     trace, exit_code = _read_trace_tolerantly(args.file)
     if trace is None:
@@ -1111,8 +1134,8 @@ def _cmd_top(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from repro.profiling import write_chrome_trace, write_folded_stacks
-    from repro.telemetry.report import profile_report
+    from repro.observe.export import write_chrome_trace, write_folded_stacks
+    from repro.observe.report import profile_report
 
     trace, exit_code = _read_trace_tolerantly(args.file)
     if trace is None:

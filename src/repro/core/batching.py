@@ -12,6 +12,8 @@ schedule; a single batch of ``|V|`` vertices is plain DRL.
 
 from __future__ import annotations
 
+import math
+
 from repro.graph.order import VertexOrder
 
 
@@ -27,21 +29,24 @@ def batch_sequence(
     order:
         The total vertex order; batch 1 takes its highest ranks.
     initial_size:
-        The paper's ``b`` (default 2).  Must be at least 1.
+        The paper's ``b`` (default 2).  Must be finite and at least 1.
     growth_factor:
-        The paper's ``k`` (default 2).  Must be at least 1; ``k = 1``
-        keeps every batch at ``b`` vertices (the pathological case of
-        Exp 8).
+        The paper's ``k`` (default 2).  Must be finite and at least 1;
+        ``k = 1`` keeps every batch at ``b`` vertices (the pathological
+        case of Exp 8).
 
     Returns
     -------
     list[list[int]]
         Batches of vertex ids, each sorted by decreasing order.
     """
-    if initial_size < 1:
-        raise ValueError(f"initial batch size must be >= 1, got {initial_size}")
-    if growth_factor < 1:
-        raise ValueError(f"growth factor must be >= 1, got {growth_factor}")
+    for name, value in (
+        ("initial batch size", initial_size),
+        ("growth factor", growth_factor),
+    ):
+        # ``nan < 1`` is false, and an infinite size has no int().
+        if not (math.isfinite(value) and value >= 1):
+            raise ValueError(f"{name} must be finite and >= 1, got {value}")
     n = len(order)
     batches: list[list[int]] = []
     size = float(initial_size)

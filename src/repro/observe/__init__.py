@@ -1,13 +1,21 @@
-"""Observability for the serving path: tracing, windows, SLOs, dashboard.
+"""``repro.observe`` — every view of the one event stream.
 
-Views over the one event stream (:mod:`repro.telemetry`): everything
-here reads a :class:`~repro.telemetry.reader.Trace`.
+Everything here reads a :class:`~repro.telemetry.reader.Trace` (or,
+for the SLO and window detectors, the requests one holds); the stream
+itself, and the request-tracing slot the serving path writes to, are
+:mod:`repro.telemetry`.
 
-- :mod:`repro.observe.tracing` — request-scoped causal tracing: a
-  trace ID per admitted query, per-hop stages (admission → cache →
-  store → backend/fallback) on the stream's
-  :class:`~repro.telemetry.spans.RequestTrace` record, terminal events
-  for shed and deadline-dropped requests;
+- :mod:`repro.observe.report` — the ``repro trace`` / ``repro
+  profile`` text reports: top spans, bench cell tables, super-step
+  rows, request overviews, the skew report and the critical path;
+- :mod:`repro.observe.skew` — per-node load attribution over a
+  :class:`~repro.telemetry.reader.NodeTimeline`: imbalance metrics
+  (max/mean load ratio, Gini coefficient, barrier-wait share),
+  straggler and hot-partition nodes, and the speedup perfect
+  rebalancing would buy;
+- :mod:`repro.observe.export` — Chrome trace-event JSON (one "process"
+  per simulated node; load it in Perfetto or ``chrome://tracing``)
+  and folded stacks for flamegraphs;
 - :mod:`repro.observe.windows` — the per-window hot-key and
   latency-regression detectors;
 - :mod:`repro.observe.serve_report` — ``ServeReport``, what one
@@ -23,7 +31,9 @@ here reads a :class:`~repro.telemetry.reader.Trace`.
   exposition of a dashboard snapshot (``repro top --openmetrics``).
 
 Nothing here imports from :mod:`repro.serve`; the serving pipeline
-imports *this* package, keeping the dependency one-way.
+imports *this* package for its ``ServeReport``, keeping the dependency
+one-way.  The package loads the serving views only: import ``report``,
+``skew`` and ``export`` by their module paths.
 """
 
 from repro.observe.dashboard import (
@@ -43,14 +53,6 @@ from repro.observe.slo import (
     evaluate_slos,
     load_slo_specs,
 )
-from repro.observe.tracing import (
-    RequestTrace,
-    TraceIdGenerator,
-    add_stage,
-    begin_request,
-    current_request,
-    end_request,
-)
 from repro.observe.windows import (
     HotKey,
     HotKeyDetector,
@@ -65,16 +67,10 @@ __all__ = [
     "HotKey",
     "HotKeyDetector",
     "LatencyRegressionDetector",
-    "RequestTrace",
     "SLOSpec",
     "SLOStatus",
-    "TraceIdGenerator",
     "WindowRow",
-    "add_stage",
-    "begin_request",
-    "current_request",
     "default_windows",
-    "end_request",
     "evaluate_slo",
     "evaluate_slos",
     "format_request",

@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass, field
 
 from repro.observe.serve_report import ServeReport
 from repro.observe.slo import SLOSpec, SLOStatus, evaluate_slos
-from repro.observe.tracing import SERVER_STAGES
 from repro.observe.windows import (
     HotKey,
     HotKeyDetector,
@@ -33,6 +32,7 @@ from repro.observe.windows import (
 )
 from repro.telemetry.reader import Trace
 from repro.telemetry.spans import RequestTrace
+from repro.telemetry.tracing import SERVER_STAGES
 
 #: Default number of windows the run's span is divided into.
 DEFAULT_WINDOW_COUNT = 12

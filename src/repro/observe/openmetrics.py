@@ -7,8 +7,8 @@ stages) in the `OpenMetrics text format
 simulator's serving counters scrape into any Prometheus-compatible
 stack without an exporter sidecar: counters get a ``_total`` sample,
 the served-latency distribution becomes a cumulative ``_bucket``
-histogram over the telemetry layer's standard latency buckets, and the
-exposition ends with the mandatory ``# EOF`` terminator.
+histogram over :data:`LATENCY_BUCKETS`, and the exposition ends with
+the mandatory ``# EOF`` terminator.
 
 The output is deterministic for a given trace (floats use ``repr``,
 families are emitted in a fixed order), which is what makes the
@@ -18,10 +18,27 @@ golden-file test possible.
 from __future__ import annotations
 
 from repro.observe.dashboard import DashboardModel
-from repro.telemetry import LATENCY_BUCKETS
 
 #: Metric-family prefix for everything exposed here.
 PREFIX = "repro_serve"
+
+
+def exponential_buckets(start: float, factor: float, count: int) -> tuple[float, ...]:
+    """``count`` upper bounds growing geometrically from ``start``."""
+    if start <= 0 or factor <= 1 or count < 1:
+        raise ValueError("need start > 0, factor > 1, count >= 1")
+    bounds = []
+    bound = start
+    for _ in range(count):
+        bounds.append(bound)
+        bound *= factor
+    return tuple(bounds)
+
+
+#: The served-latency histogram's bucket bounds (simulated seconds): the
+#: sorted-merge of a 2-hop index costs ~1e-7 s, a pruned BFS fallback
+#: ~1e-3 s.
+LATENCY_BUCKETS = exponential_buckets(1e-8, 10 ** 0.5, 16)
 
 
 def _fmt(value) -> str:

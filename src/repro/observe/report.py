@@ -18,7 +18,7 @@ from collections import defaultdict
 
 from repro.bench.results import Cell, ExperimentTable
 from repro.observe.dashboard import format_request
-from repro.profiling.skew import analyze_skew
+from repro.observe.skew import analyze_skew
 from repro.telemetry.reader import Trace
 
 

@@ -8,8 +8,16 @@ records the server emitted; both hand their counts and latencies here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from repro.telemetry.metrics import sorted_percentile
+
+def sorted_percentile(sorted_values: Sequence[float], fraction: float) -> float:
+    """Nearest-rank percentile of pre-sorted raw samples (0.0 when
+    empty)."""
+    if not sorted_values:
+        return 0.0
+    rank = max(0, min(len(sorted_values) - 1, round(fraction * (len(sorted_values) - 1))))
+    return sorted_values[rank]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ max/mean load ratio, the Gini coefficient of busy time, each node's
 apparent slowdown (its effective seconds-per-unit against the fastest
 node), and the speedup a perfectly rebalanced partitioning would buy.
 
-Input is a :class:`~repro.pregel.metrics.NodeTimeline`, which
+Input is a :class:`~repro.telemetry.reader.NodeTimeline`, which
 :attr:`repro.telemetry.reader.Trace.node_timeline` rebuilds from a
 run's ``pregel.node`` events — a live ``Trace(sink.records)`` of an
 :class:`~repro.telemetry.sinks.InMemorySink` or an exported trace file.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.pregel.metrics import NodeTimeline
+from repro.telemetry.reader import NodeTimeline
 
 #: A node whose apparent slowdown exceeds this names it a straggler.
 STRAGGLER_THRESHOLD = 1.5
@@ -46,16 +46,6 @@ class NodeLoad:
     apparent_slowdown: float
 
 
-@dataclass(frozen=True)
-class SuperstepSkew:
-    """Imbalance metrics for one super-step occurrence."""
-
-    superstep: int
-    max_mean_ratio: float
-    gini: float
-    slowest_node: int
-
-
 @dataclass
 class SkewReport:
     """Whole-run imbalance metrics (see :func:`analyze_skew`)."""
@@ -79,7 +69,6 @@ class SkewReport:
     #: Estimated run-time factor recovered by perfectly rebalancing
     #: every super-step's busy time (>= 1.0).
     rebalance_speedup: float = 1.0
-    per_superstep: list[SuperstepSkew] = field(default_factory=list)
 
     @property
     def balanced(self) -> bool:
@@ -149,7 +138,7 @@ def _gini(values: list[float]) -> float:
 
 
 def analyze_skew(timeline: NodeTimeline) -> SkewReport:
-    """Compute whole-run and per-super-step imbalance metrics.
+    """Compute whole-run imbalance metrics.
 
     *Busy* time is compute plus communication — the work a node would
     keep under any partitioning; barrier wait is the imbalance cost.
@@ -157,43 +146,44 @@ def analyze_skew(timeline: NodeTimeline) -> SkewReport:
     spread evenly over the nodes (barrier latency unchanged), which is
     the best any partitioner could do without changing the algorithm.
     """
-    groups = timeline.supersteps()
-    totals = timeline.node_totals()
-    busy = [entry["busy_seconds"] for entry in totals]
+    # Per node: units, compute, comm, barrier-wait, busy and lane seconds.
+    sums = [[0, 0.0, 0.0, 0.0, 0.0, 0.0] for _ in range(timeline.num_nodes)]
+    for piece in timeline.slices:
+        row = sums[piece.node]
+        row[0] += piece.units
+        row[1] += piece.compute_seconds
+        row[2] += piece.comm_seconds
+        row[3] += piece.barrier_wait_seconds
+        row[4] += piece.busy_seconds
+        row[5] += piece.total_seconds
+    busy = [row[4] for row in sums]
     total_busy = sum(busy)
     mean_busy = total_busy / max(1, len(busy))
-    lane_time = sum(entry["total_seconds"] for entry in totals)
-    total_wait = sum(entry["barrier_wait_seconds"] for entry in totals)
+    lane_time = sum(row[5] for row in sums)
+    total_wait = sum(row[3] for row in sums)
 
     # Apparent slowdown: effective seconds-per-unit vs the fastest node.
-    rates = [
-        entry["compute_seconds"] / entry["units"] if entry["units"] else None
-        for entry in totals
-    ]
+    rates = [row[1] / row[0] if row[0] else None for row in sums]
     measured = [rate for rate in rates if rate is not None and rate > 0]
     base_rate = min(measured) if measured else None
-    slowdowns = [
-        rate / base_rate if rate is not None and base_rate else 1.0
-        for rate in rates
-    ]
 
     loads = [
         NodeLoad(
-            node=entry["node"],
-            units=entry["units"],
-            compute_seconds=entry["compute_seconds"],
-            comm_seconds=entry["comm_seconds"],
-            barrier_wait_seconds=entry["barrier_wait_seconds"],
-            busy_seconds=entry["busy_seconds"],
-            busy_share=entry["busy_seconds"] / total_busy if total_busy else 0.0,
-            wait_share=(
-                entry["barrier_wait_seconds"] / entry["total_seconds"]
-                if entry["total_seconds"]
-                else 0.0
+            node=node,
+            units=units,
+            compute_seconds=compute,
+            comm_seconds=comm,
+            barrier_wait_seconds=wait,
+            busy_seconds=node_busy,
+            busy_share=node_busy / total_busy if total_busy else 0.0,
+            wait_share=wait / lane if lane else 0.0,
+            apparent_slowdown=(
+                rates[node] / base_rate
+                if rates[node] is not None and base_rate
+                else 1.0
             ),
-            apparent_slowdown=slowdowns[entry["node"]],
         )
-        for entry in totals
+        for node, (units, compute, comm, wait, node_busy, lane) in enumerate(sums)
     ]
 
     stragglers = sorted(
@@ -206,28 +196,14 @@ def analyze_skew(timeline: NodeTimeline) -> SkewReport:
         reverse=True,
     )
 
-    per_superstep = []
+    groups = timeline.supersteps()
     actual = 0.0
     ideal = 0.0
     for group in groups:
         group_busy = [piece.busy_seconds for piece in group]
-        group_mean = sum(group_busy) / max(1, len(group_busy))
-        group_max = max(group_busy, default=0.0)
-        barrier = group[0].barrier_seconds if group else 0.0
-        actual += group_max + barrier
-        ideal += group_mean + barrier
-        per_superstep.append(
-            SuperstepSkew(
-                superstep=group[0].superstep if group else 0,
-                max_mean_ratio=group_max / group_mean if group_mean else 1.0,
-                gini=_gini(group_busy),
-                slowest_node=max(
-                    group, key=lambda piece: piece.busy_seconds
-                ).node
-                if group
-                else 0,
-            )
-        )
+        barrier = group[0].barrier_seconds
+        actual += max(group_busy) + barrier
+        ideal += sum(group_busy) / len(group_busy) + barrier
 
     return SkewReport(
         num_nodes=timeline.num_nodes,
@@ -244,5 +220,4 @@ def analyze_skew(timeline: NodeTimeline) -> SkewReport:
             else None
         ),
         rebalance_speedup=actual / ideal if ideal else 1.0,
-        per_superstep=per_superstep,
     )

@@ -905,7 +905,7 @@ class Cluster:
         ``pregel.recovery`` and ``pregel.checkpoint`` events.
         :class:`repro.telemetry.reader.Trace` reads the rows back
         (``events("pregel.superstep")``) and rebuilds the per-node lanes,
-        the input of :func:`repro.profiling.analyze_skew`.
+        the input of :func:`repro.observe.skew.analyze_skew`.
         """
         return self.engine.run(
             self,

@@ -48,85 +48,6 @@ class NodeSlice:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class TimelineInterval:
-    """A non-super-step interval on the cluster timeline.
-
-    ``kind`` is ``"recovery"`` (post-crash failover + checkpoint
-    restore), ``"replay"`` (a discarded or re-executed super-step
-    attempt), or ``"checkpoint"`` (a periodic snapshot write).
-    """
-
-    kind: str
-    superstep: int
-    seconds: float
-    nodes: tuple[int, ...] = ()
-
-
-@dataclass
-class NodeTimeline:
-    """Per-node, per-super-step timeline of one (possibly chained) run,
-    as :attr:`repro.telemetry.reader.Trace.node_timeline` rebuilds it
-    from the run's ``pregel.*`` events.
-
-    ``slices`` hold one :class:`NodeSlice` per node per committed
-    super-step, in execution order; ``intervals`` hold the fault
-    machinery's cost (recovery, replay, checkpointing).  Chained runs
-    (DRL_b's batches) append to the same timeline, so super-step numbers
-    restart; :meth:`supersteps` groups slices by execution occurrence,
-    not by number.
-    """
-
-    num_nodes: int
-    slices: list[NodeSlice] = field(default_factory=list)
-    intervals: list[TimelineInterval] = field(default_factory=list)
-
-    def supersteps(self) -> list[list[NodeSlice]]:
-        """Slices grouped per super-step occurrence, execution order."""
-        groups: list[list[NodeSlice]] = []
-        current: list[NodeSlice] = []
-        for piece in self.slices:
-            if current and piece.node <= current[-1].node:
-                groups.append(current)
-                current = []
-            current.append(piece)
-        if current:
-            groups.append(current)
-        return groups
-
-    def node_totals(self) -> list[dict]:
-        """Aggregate per-node totals across the whole timeline.
-
-        One dict per node: ``units``, ``compute_seconds``,
-        ``comm_seconds``, ``barrier_wait_seconds``, ``barrier_seconds``,
-        ``busy_seconds``, ``total_seconds``.
-        """
-        totals = [
-            {
-                "node": node,
-                "units": 0,
-                "compute_seconds": 0.0,
-                "comm_seconds": 0.0,
-                "barrier_wait_seconds": 0.0,
-                "barrier_seconds": 0.0,
-                "busy_seconds": 0.0,
-                "total_seconds": 0.0,
-            }
-            for node in range(self.num_nodes)
-        ]
-        for piece in self.slices:
-            entry = totals[piece.node]
-            entry["units"] += piece.units
-            entry["compute_seconds"] += piece.compute_seconds
-            entry["comm_seconds"] += piece.comm_seconds
-            entry["barrier_wait_seconds"] += piece.barrier_wait_seconds
-            entry["barrier_seconds"] += piece.barrier_seconds
-            entry["busy_seconds"] += piece.busy_seconds
-            entry["total_seconds"] += piece.total_seconds
-        return totals
-
-
-
 @dataclass
 class RunStats:
     """Work and cost accounting for one cluster run.

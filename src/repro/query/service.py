@@ -9,9 +9,9 @@ from repro.baselines.search import FilterSearchIndex
 from repro.core.labels import label_sizes
 from repro.errors import ReproError, check_vertex
 from repro.graph.digraph import DiGraph
-from repro.observe import tracing
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.pregel.serial import SerialMeter
+from repro.telemetry import tracing
 
 
 class QueryBackend(Protocol):

@@ -33,8 +33,8 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.errors import check_count
-from repro.observe import tracing
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
+from repro.telemetry import tracing
 
 
 class QueryCache:

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from repro.core.dynamic import UPDATE_OPS
 from repro.errors import WriteAbortedError
-from repro.observe import tracing
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
-from repro.telemetry import trace_event
+from repro.telemetry import trace_event, tracing
 
 #: Operations :meth:`MutationBackend.apply_with_cost` accepts, in the
 #: ``(op, u, v)`` shape of

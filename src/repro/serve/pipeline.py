@@ -40,7 +40,7 @@ from typing import Sequence
 
 from repro.errors import ShardUnavailableError, check_count, check_seconds
 from repro.observe.serve_report import ServeReport
-from repro.observe.tracing import TraceIdGenerator, begin_request, end_request
+from repro.telemetry.tracing import TraceIdGenerator, begin_request, end_request
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.telemetry import RequestTrace, enabled, trace_event, trace_span
 
@@ -84,7 +84,7 @@ class QueryServer:
     cost_model:
         Supplies the per-batch dispatch cost (``t_hop``).
     request_tracing:
-        Per-request causal tracing (see :mod:`repro.observe.tracing`):
+        Per-request causal tracing (see :mod:`repro.telemetry.tracing`):
         every request gets a trace ID and a ``serve.request`` event
         with admission/cache/store/backend child stages.  ``None``
         (the default) follows whether telemetry is enabled; ``False``

@@ -69,9 +69,8 @@ from repro.errors import (
     check_vertex,
 )
 from repro.graph.partition import HashPartitioner, Partitioner, node_assignment
-from repro.observe import tracing
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
-from repro.telemetry import trace_event
+from repro.telemetry import trace_event, tracing
 
 #: Read fan-out policies accepted by :class:`ShardedLabelStore`.
 READ_POLICIES = ("primary", "round-robin", "hedged")

@@ -7,15 +7,17 @@ a run is a sink on it or a view over what a sink wrote:
   :class:`Span` intervals carrying wall *and* simulated seconds,
   point-in-time :class:`TraceEvent` records, and the per-request
   :class:`RequestTrace` a ``serve.request`` event carries;
-- :mod:`~repro.telemetry.metrics` — the latency buckets and the
-  nearest-rank percentile the views share (no registry: a count or a
-  distribution is read from the records that carry it);
+- :mod:`~repro.telemetry.tracing` — the request-tracing slot the
+  serving path writes its per-request stages to;
 - :mod:`~repro.telemetry.sinks` — the sink protocol and its in-memory,
   JSONL-file, and stdlib-logging implementations;
 - :mod:`~repro.telemetry.reader` — ``Trace``, the one validating parser
-  of an exported stream;
-- :mod:`~repro.telemetry.report` — the ``repro trace`` / ``repro
-  profile`` text reports over a ``Trace``.
+  of an exported stream, and the per-node ``NodeTimeline`` it rebuilds.
+
+No registry keeps a second record: a count or a distribution is read
+from the records that carry it.  Every view of the stream (``repro
+trace`` / ``profile`` / ``top``, the exporters) lives in
+:mod:`repro.observe`, and nothing here imports from it.
 
 Telemetry is off by default and near-free when off: instrumented code
 checks one attribute (``tracer.enabled``) and moves on.  Turn it on for
@@ -36,7 +38,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.telemetry.metrics import LATENCY_BUCKETS, exponential_buckets
 from repro.telemetry.spans import (
     NULL_TRACER,
     NullTracer,
@@ -52,7 +53,6 @@ from repro.telemetry.spans import (
 )
 
 __all__ = [
-    "LATENCY_BUCKETS",
     "NULL_TRACER",
     "NullTracer",
     "RequestTrace",
@@ -62,7 +62,6 @@ __all__ = [
     "activate",
     "current_tracer",
     "enabled",
-    "exponential_buckets",
     "session",
     "set_tracer",
     "trace_event",

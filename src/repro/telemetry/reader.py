@@ -4,22 +4,23 @@ Every view of a run (``repro trace`` / ``profile`` / ``top``, the Chrome
 and folded-stack exporters) takes a :class:`Trace`, which **validates**
 each record's required fields once (a miss is dropped and logged in
 ``skipped``, as a line that is not JSON is), **groups** once (``spans``,
-``events(name)``; ``records`` keeps arrival order) and **derives** once
-(``requests``, ``node_timeline``).  The ``metric`` records of traces
-written while a metrics registry existed are passed over: not filed,
-not counted, not skipped.  The schema is in
-``docs/observability.md``; nothing here imports from
-:mod:`repro.observe` or :mod:`repro.profiling`.
+``events(name)``; ``records`` keeps arrival order) and **derives**
+``requests`` as it reads and ``node_timeline`` when it is asked for.
+The ``metric`` records of traces written while a metrics registry
+existed are passed over: not filed, not counted, not skipped.  The
+schema is in ``docs/observability.md``; nothing here imports from
+:mod:`repro.observe`.
 """
 
 from __future__ import annotations
 
 import json
 from collections import defaultdict
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.pregel.metrics import NodeSlice, NodeTimeline, TimelineInterval
+from repro.pregel.metrics import NodeSlice
 from repro.telemetry.spans import RequestTrace
 
 _NUMBER = (int, float)
@@ -27,6 +28,8 @@ _NODE_FIELDS = (
     "superstep", "node", "units", "compute_seconds", "comm_seconds",
     "barrier_wait_seconds", "barrier_seconds",
 )
+#: The events that become :class:`TimelineInterval` rows.
+_INTERVAL_EVENTS = ("pregel.recovery", "pregel.replay", "pregel.checkpoint")
 #: Required fields and their types: of a record by kind ...
 _REQUIRED = {
     "span": {"name": str, "id": int, "start": _NUMBER},
@@ -44,6 +47,53 @@ _REQUIRED_ATTRS = {
 
 class TraceReadError(ValueError):
     """The trace file is missing or holds no valid record."""
+
+
+@dataclass(frozen=True)
+class TimelineInterval:
+    """A non-super-step interval on the cluster timeline.
+
+    ``kind`` is ``"recovery"`` (post-crash failover + checkpoint
+    restore), ``"replay"`` (a discarded or re-executed super-step
+    attempt), or ``"checkpoint"`` (a periodic snapshot write).
+    """
+
+    kind: str
+    superstep: int
+    seconds: float
+    nodes: tuple[int, ...] = ()
+
+
+@dataclass
+class NodeTimeline:
+    """Per-node, per-super-step timeline of one (possibly chained) run,
+    as :attr:`Trace.node_timeline` rebuilds it from the run's
+    ``pregel.*`` events.
+
+    ``slices`` hold one :class:`~repro.pregel.metrics.NodeSlice` per
+    node per committed super-step, in execution order; ``intervals``
+    hold the fault machinery's cost (recovery, replay, checkpointing).
+    Chained runs (DRL_b's batches) append to the same timeline, so
+    super-step numbers restart; :meth:`supersteps` groups slices by
+    execution occurrence, not by number.
+    """
+
+    num_nodes: int
+    slices: list[NodeSlice] = field(default_factory=list)
+    intervals: list[TimelineInterval] = field(default_factory=list)
+
+    def supersteps(self) -> list[list[NodeSlice]]:
+        """Slices grouped per super-step occurrence, execution order."""
+        groups: list[list[NodeSlice]] = []
+        current: list[NodeSlice] = []
+        for piece in self.slices:
+            if current and piece.node <= current[-1].node:
+                groups.append(current)
+                current = []
+            current.append(piece)
+        if current:
+            groups.append(current)
+        return groups
 
 
 def _problem(record) -> str | None:
@@ -86,8 +136,6 @@ class Trace:
         #: One parsed record per ``serve.request`` event, in order.
         self.requests: list[RequestTrace] = []
         self._events: dict[str, list[dict]] = defaultdict(list)
-        self._slices: list[NodeSlice] = []
-        self._intervals: list[TimelineInterval] = []
         for position, record in enumerate(records, 1):
             self.add(record, f"record {position}")
 
@@ -103,27 +151,9 @@ class Trace:
         if record["kind"] == "span":
             self.spans.append(record)
             return
-        name, attrs = record["name"], record.get("attrs", {})
-        self._events[name].append(record)
-        if name == "serve.request":
+        self._events[record["name"]].append(record)
+        if record["name"] == "serve.request":
             self.requests.append(RequestTrace.from_event(record))
-        elif name == "pregel.node":
-            self._slices.append(
-                NodeSlice(
-                    recv_bytes=attrs.get("recv_bytes", 0),
-                    slowdown=attrs.get("slowdown", 1.0),
-                    **{field: attrs[field] for field in _NODE_FIELDS},
-                )
-            )
-        elif name in ("pregel.recovery", "pregel.replay", "pregel.checkpoint"):
-            self._intervals.append(
-                TimelineInterval(
-                    name.removeprefix("pregel."),
-                    attrs.get("superstep", 0),
-                    attrs.get("seconds", 0.0),
-                    tuple(attrs.get("nodes", ())),
-                )
-            )
 
     def events(self, name: str) -> list[dict]:
         """The event records with the given name, in arrival order."""
@@ -134,14 +164,38 @@ class Trace:
         """The per-node BSP timeline of the ``pregel.node`` events (one
         per node per committed super-step, in execution order) plus the
         recovery, replay and checkpoint intervals, in emission order;
-        ``None`` when the run never entered the engine.
+        ``None`` when the run never entered the engine.  Built from the
+        records each time it is read.
         """
-        if not self._slices:
+        nodes = self.events("pregel.node")
+        if not nodes:
             return None
+        slices = []
+        for record in nodes:
+            attrs = record["attrs"]
+            slices.append(
+                NodeSlice(
+                    recv_bytes=attrs.get("recv_bytes", 0),
+                    slowdown=attrs.get("slowdown", 1.0),
+                    **{name: attrs[name] for name in _NODE_FIELDS},
+                )
+            )
+        intervals = []
+        for record in self.records:
+            if record["kind"] == "event" and record["name"] in _INTERVAL_EVENTS:
+                attrs = record.get("attrs", {})
+                intervals.append(
+                    TimelineInterval(
+                        record["name"].removeprefix("pregel."),
+                        attrs.get("superstep", 0),
+                        attrs.get("seconds", 0.0),
+                        tuple(attrs.get("nodes", ())),
+                    )
+                )
         return NodeTimeline(
-            num_nodes=max(piece.node for piece in self._slices) + 1,
-            slices=self._slices,
-            intervals=self._intervals,
+            num_nodes=max(piece.node for piece in slices) + 1,
+            slices=slices,
+            intervals=intervals,
         )
 
 

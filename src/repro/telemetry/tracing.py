@@ -1,6 +1,6 @@
-"""Request-scoped causal tracing for the serving path.
+"""The request-tracing slot: where the serving path writes its stages.
 
-Aggregate metrics answer "how slow is the p99"; they cannot answer
+A latency percentile answers "how slow is the p99"; it cannot answer
 "*why was this query slow*".  Request tracing closes the gap: every
 query admitted by :class:`~repro.serve.pipeline.QueryServer` gets a
 **trace ID** that follows it through admission, the query cache, the
@@ -17,10 +17,13 @@ argument through every backend: the server sets :data:`ACTIVE` around
 the backend call (:func:`begin_request` / :func:`end_request`), and
 instrumented components (:class:`~repro.serve.cache.CachingBackend`,
 :class:`~repro.serve.store.ShardedLabelStore`,
-:class:`~repro.query.service.FallbackBackend`) append their stage to
+:class:`~repro.query.service.FallbackBackend`,
+:class:`~repro.serve.mutation.MutationBackend`) append their stage to
 whatever request is active.  When no request is active — tracing off,
 or a backend called outside a server — the cost is one
-module-attribute read and a ``None`` check.
+module-attribute read and a ``None`` check.  The slot is
+instrumentation, not a view, so it sits with the stream: the layers
+that write to it import nothing from :mod:`repro.observe`.
 """
 
 from __future__ import annotations
@@ -57,11 +60,6 @@ class TraceIdGenerator:
         sequence = self._sequence
         self._sequence += 1
         return f"{self.run_id:04x}-{sequence:06d}"
-
-
-def current_request() -> RequestTrace | None:
-    """The request whose backend call is executing, if any."""
-    return ACTIVE
 
 
 def begin_request(trace: RequestTrace) -> None:

@@ -1,5 +1,7 @@
 """Tests for batch sequences (Definition 7)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +46,11 @@ def test_invalid_parameters():
         batch_sequence(_order(4), initial_size=0)
     with pytest.raises(ValueError):
         batch_sequence(_order(4), growth_factor=0.5)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="initial batch size must be finite"):
+            batch_sequence(_order(4), initial_size=bad)
+        with pytest.raises(ValueError, match="growth factor must be finite"):
+            batch_sequence(_order(4), growth_factor=bad)
 
 
 def test_batches_ordered_by_rank():

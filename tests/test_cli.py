@@ -579,19 +579,21 @@ def test_build_bad_checkpoint_interval_exits_2(tmp_path, graph_file, capsys):
     "flags,library_says",
     [
         # Each rule below used to be re-checked by ``_cmd_build``; the
-        # library's own refusal is now the message.
+        # library's own refusal is now the message.  The counts
+        # (--checkpoint-interval, --workers, --nodes) never reach the
+        # library: their argparse type refuses them, naming the flag.
         (["--engine", "mp", "--faults", "crash=1@2"],
          "the 'mp' engine does not support fault injection or checkpointing"),
         (["--engine", "mp", "--checkpoint-interval", "2"],
          "the 'mp' engine does not support fault injection or checkpointing"),
         (["--checkpoint-interval", "0"],
-         "checkpoint_interval must be an integer >= 1, got 0"),
+         "--checkpoint-interval must be an integer >= 1, got 0"),
         (["--engine", "mp", "--workers", "0"],
          "workers must be an integer >= 1, got 0"),
         (["--nodes", "4", "--faults", "straggler=9x2"],
          "fault plan names node 9 but the cluster has only 4 nodes"),
         (["--nodes", "2", "--faults", "crash=0@1,crash=1@2"], "survivor"),
-        (["--nodes", "0"], "num_nodes must be an integer >= 1, got 0"),
+        (["--nodes", "0"], "--nodes must be an integer >= 1, got 0"),
     ],
 )
 def test_build_reports_the_librarys_own_refusal(
@@ -684,6 +686,31 @@ _INT, _POSITIVE = "must be an integer", "must be a finite number > 0, got"
         (["serve-bench", "--mode", "mixed", "--writes", "-5"], f"--writes {_INT} >= 0, got -5"),
         (["serve-bench", "--max-lag", "0"], f"--max-lag {_INT} >= 1, got 0"),
         (["serve-bench", "--vertices", "1"], f"--vertices {_INT} >= 2, got 1"),
+        (["serve-bench", "--shards", "0"], f"--shards {_INT} >= 1, got 0"),
+        (["serve-bench", "--replicas", "0"], f"--replicas {_INT} >= 1, got 0"),
+        (["serve-bench", "--queue-depth", "0"], f"--queue-depth {_INT} >= 1, got 0"),
+        (["serve-bench", "--batch-size", "-4"], f"--batch-size {_INT} >= 1, got -4"),
+        (["serve-bench", "--cache-size", "0"], f"--cache-size {_INT} >= 1, got 0"),
+        (["serve-bench", "--clients", "0"], f"--clients {_INT} >= 1, got 0"),
+        (["serve-bench", "--drift-threshold", "-1"],
+         f"--drift-threshold {_INT} >= 1, got -1"),
+        (["serve-bench", "--zipf", "nan"],
+         "--zipf must be a finite number >= 0, got nan"),
+        (["serve-bench", "--insert-ratio", "nan"],
+         "--insert-ratio must be a finite number in [0, 1], got 'nan'"),
+        (["serve-bench", "--node-ratio", "1.5"],
+         "--node-ratio must be a finite number in [0, 1], got '1.5'"),
+        (["serve-bench", "--promote-ratio", "-0.1"],
+         "--promote-ratio must be a finite number in [0, 1], got '-0.1'"),
+        (["build", "FILE", "-o", "FILE", "--batch-size", "inf"],
+         "--batch-size must be a finite number >= 1, got 'inf'"),
+        (["build", "FILE", "-o", "FILE", "--batch-size", "nan"],
+         "--batch-size must be a finite number >= 1, got 'nan'"),
+        (["build", "FILE", "-o", "FILE", "--growth-factor", "inf"],
+         "--growth-factor must be a finite number >= 1, got 'inf'"),
+        (["build", "FILE", "-o", "FILE", "--growth-factor", "0.5"],
+         "--growth-factor must be a finite number >= 1, got '0.5'"),
+        (["build", "FILE", "-o", "FILE", "--workers", "x"], f"--workers {_INT} >= 1, got 'x'"),
     ],
 )
 def test_bad_count_or_seconds_flag_is_one_error_line(tmp_path, capsys, argv, err):
@@ -857,8 +884,7 @@ def test_serve_bench_refuses_a_nan_zipf(capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    errors = [e for e in captured.err.splitlines() if e.startswith("error:")]
-    assert errors == ["error: skew must be a finite number >= 0, got nan"]
+    assert captured.err == "error: --zipf must be a finite number >= 0, got nan\n"
 
 
 def test_scenario_run_unknown_name(capsys):
@@ -898,4 +924,4 @@ def test_serve_bench_mixed_bad_ratio_exits_2(capsys):
         "serve-bench", "--vertices", "60", "--requests", "10",
         "--mode", "mixed", "--writes", "5", "--node-ratio", "1.5",
     ]) == 2
-    assert "node_ratio" in capsys.readouterr().err
+    assert "--node-ratio" in capsys.readouterr().err

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from repro.core.build import build_index
 from repro.graph.generators import social_graph
-from repro.observe import tracing
-from repro.observe.tracing import RequestTrace, TraceIdGenerator
+from repro.telemetry import tracing
+from repro.telemetry.tracing import RequestTrace, TraceIdGenerator
 from repro.pregel.cost_model import CostModel
 from repro.query import FallbackBackend
 from repro.serve import (
@@ -85,11 +85,11 @@ class TestRequestTrace:
 
     def test_active_slot_begin_end(self):
         trace = RequestTrace("0001-000002", 0, 1, 0.0)
-        assert tracing.current_request() is None
+        assert tracing.ACTIVE is None
         tracing.begin_request(trace)
         tracing.add_stage("store", 1e-6, home=2)
         tracing.end_request()
-        assert tracing.current_request() is None
+        assert tracing.ACTIVE is None
         assert trace.stage_names() == ["store"]
 
     def test_add_stage_without_active_request_is_noop(self):

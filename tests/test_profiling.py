@@ -1,4 +1,4 @@
-"""Tests for repro.profiling: node timelines, skew analysis, exporters."""
+"""Tests for the profile views: node timelines, skew analysis, exporters."""
 
 import json
 
@@ -12,15 +12,11 @@ from repro.graph.generators import random_digraph
 from repro.pregel.cost_model import CostModel
 from repro.pregel.engine import Cluster
 from repro.pregel.vertex_program import VertexProgram
-from repro.profiling import (
-    analyze_skew,
-    chrome_trace,
-    folded_stacks,
-    write_chrome_trace,
-)
+from repro.observe.export import chrome_trace, folded_stacks, write_chrome_trace
+from repro.observe.report import critical_path, profile_report
+from repro.observe.skew import analyze_skew
 from repro.telemetry import session
 from repro.telemetry.reader import Trace, read_trace
-from repro.telemetry.report import critical_path, profile_report
 from repro.telemetry.sinks import InMemorySink, JsonlSink
 
 _NO_LIMIT = CostModel(time_limit_seconds=None)
@@ -65,9 +61,13 @@ def test_timeline_slices_sum_to_run_totals(graph):
     assert timeline is not None
     assert timeline.num_nodes == 4
     assert len(timeline.supersteps()) == stats.supersteps
-    totals = timeline.node_totals()
-    assert [t["units"] for t in totals] == stats.per_node_units
-    assert sum(t["units"] for t in totals) == stats.compute_units
+    units = [0] * 4
+    lanes = [0.0] * 4
+    for piece in timeline.slices:
+        units[piece.node] += piece.units
+        lanes[piece.node] += piece.total_seconds
+    assert units == stats.per_node_units
+    assert sum(units) == stats.compute_units
     # Each node's lane covers the same wall of simulated time, equal to
     # the run's comp+comm+barrier total (waits absorb the slack).
     expected = (
@@ -75,8 +75,8 @@ def test_timeline_slices_sum_to_run_totals(graph):
         + stats.communication_seconds
         + stats.barrier_seconds
     )
-    for entry in totals:
-        assert entry["total_seconds"] == pytest.approx(expected)
+    for lane in lanes:
+        assert lane == pytest.approx(expected)
     # Waits are non-negative slack; within a super-step every node's lane
     # spans the same simulated interval.  (No node is guaranteed zero wait:
     # the compute-heaviest and comm-heaviest node may differ.)
@@ -147,7 +147,8 @@ def test_timeline_merges_across_chained_runs(graph):
     stats = result.stats
     assert timeline is not None
     assert len(timeline.supersteps()) == stats.supersteps
-    assert [t["units"] for t in timeline.node_totals()] == stats.per_node_units
+    loads = analyze_skew(timeline).node_loads
+    assert [load.units for load in loads] == stats.per_node_units
 
 
 def test_timeline_via_builders(graph):

@@ -12,17 +12,12 @@ from repro.core.drl_batch import drl_batch_index
 from repro.errors import TimeLimitExceeded
 from repro.graph.generators import random_digraph
 from repro.graph.order import degree_order
+from repro.observe.openmetrics import exponential_buckets
 from repro.pregel.cost_model import CostModel
 from repro.pregel.engine import Cluster
 from repro.pregel.vertex_program import VertexProgram
 from repro.query.service import IndexBackend
-from repro.telemetry import (
-    Tracer,
-    current_tracer,
-    exponential_buckets,
-    session,
-    trace_span,
-)
+from repro.telemetry import Tracer, current_tracer, session, trace_span
 from repro.telemetry.sinks import InMemorySink, JsonlSink, LoggingSink
 from repro.telemetry.spans import NULL_TRACER
 
@@ -300,7 +295,7 @@ def _overhead_workload():
 
 
 def test_disabled_telemetry_allocates_no_request_traces(monkeypatch):
-    from repro.observe import tracing
+    from repro.telemetry import tracing
     from repro.serve import QueryServer, pipeline as pipeline_module
 
     created = []

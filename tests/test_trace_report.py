@@ -6,7 +6,7 @@ from repro import telemetry
 from repro.bench import EXPERIMENTS, sweep
 from repro.telemetry import session, trace_span
 from repro.telemetry.reader import Trace, TraceReadError, read_trace
-from repro.telemetry.report import (
+from repro.observe.report import (
     bench_cell_tables,
     summarize_trace,
     superstep_table,
