@@ -12,7 +12,11 @@ speedup assertion only arms on hosts with enough CPUs.  Every wall
 clock here is the fastest of ``REPEATS`` runs, so a burst of host load
 in one run does not move a cell, and a row's sim and mp builds take
 turns (sim, mp, sim, mp, ...), so load that outlasts one build lands on
-both engines of the row alike.
+both engines of the row alike.  Beside the mp wall clock stand the CPU
+seconds of that same build, the master's (``getrusage`` ``SELF``) and
+its workers' (``CHILDREN``, reaped when the build ends): on a shared
+host they move less than wall time does, and they show which side of
+the pipe the time went to.
 
 Below the table: the simulator's wall-clock cost per message on a plain
 DRL build of the same graph — the substrate's own overhead, which is
@@ -22,6 +26,7 @@ what a change to the message plane moves.
 from __future__ import annotations
 
 import os
+import resource
 import time
 
 from conftest import save_and_print
@@ -39,19 +44,36 @@ DRL_NODES = 8
 REPEATS = 3
 
 
+def _cpu_seconds() -> tuple[float, float]:
+    """CPU seconds so far: this process's, and its reaped children's."""
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return (
+        own.ru_utime + own.ru_stime,
+        children.ru_utime + children.ru_stime,
+    )
+
+
 def _build(graph, cores: int, engine: str):
-    """One DRL_b^M build; returns (wall_seconds, simulated_seconds)."""
+    """One DRL_b^M build; returns (wall_seconds, simulated_seconds,
+    master CPU seconds, workers' CPU seconds)."""
+    own, children = _cpu_seconds()
     start = time.perf_counter()
     result = drl_multicore_index(
         graph, num_cores=cores, engine=engine,
         workers=cores if engine == "mp" else None,
     )
-    return time.perf_counter() - start, result.stats.simulated_seconds
+    wall = time.perf_counter() - start
+    own_after, children_after = _cpu_seconds()
+    return (
+        wall, result.stats.simulated_seconds,
+        own_after - own, children_after - children,
+    )
 
 
 def _best_of(graph, cores: int):
     """The fastest of ``REPEATS`` builds per engine, the engines taking
-    turns; returns ``{engine: (wall_seconds, simulated_seconds)}``."""
+    turns; returns ``{engine: _build(...) of that build}``."""
     runs = {"sim": [], "mp": []}
     for _ in range(REPEATS):
         for engine, builds in runs.items():
@@ -66,14 +88,15 @@ def _run():
         f"(n={graph.num_vertices} m={graph.num_edges}, "
         f"host cpus={os.cpu_count()})",
         "",
-        f"{'workers':>7} {'sim wall':>9} {'mp wall':>9} "
-        f"{'real x':>7} {'modelled x':>10}",
+        f"{'workers':>7} {'sim wall':>9} {'mp wall':>9} {'master cpu':>10} "
+        f"{'workers cpu':>11} {'real x':>7} {'modelled x':>10}",
     ]
     rows = []
     sim_wall_1 = mp_wall_1 = modelled_1 = None
     for cores in WORKER_SWEEP:
         best = _best_of(graph, cores)
-        (sim_wall, modelled), (mp_wall, mp_modelled) = best["sim"], best["mp"]
+        sim_wall, modelled, _, _ = best["sim"]
+        mp_wall, mp_modelled, master_cpu, workers_cpu = best["mp"]
         assert mp_modelled == modelled, (
             f"mp engine drifted from the cost model at {cores} cores: "
             f"{mp_modelled} != {modelled}"
@@ -84,8 +107,8 @@ def _run():
         modelled_x = modelled_1 / modelled
         rows.append((cores, sim_wall, mp_wall, real_x, modelled_x))
         lines.append(
-            f"{cores:>7} {sim_wall:>8.2f}s {mp_wall:>8.2f}s "
-            f"{real_x:>6.2f}x {modelled_x:>9.2f}x"
+            f"{cores:>7} {sim_wall:>8.2f}s {mp_wall:>8.2f}s {master_cpu:>9.2f}s "
+            f"{workers_cpu:>10.2f}s {real_x:>6.2f}x {modelled_x:>9.2f}x"
         )
     drl = min(
         (drl_index(graph, num_nodes=DRL_NODES).stats for _ in range(REPEATS)),

@@ -28,6 +28,7 @@ Baseline file format (see ``docs/observability.md``)::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -159,8 +160,9 @@ def compare_to_baseline(
     failure message names the metric and both values, labelling the
     direction (``regressed`` vs ``improved``).
     """
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        # ``abs(deviation) > nan`` is never true: a NaN would pass everything.
+        raise ValueError(f"threshold must be finite and non-negative, got {threshold}")
     expected = dict(baseline["metrics"])
     result = BaselineComparison()
     current = baseline_from_tables(baseline.get("experiment", "?"), tables)

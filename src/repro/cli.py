@@ -144,7 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "non-zero on regression",
     )
     baseline_flags.add_argument(
-        "--baseline-threshold", type=float, default=None, metavar="FRACTION",
+        "--baseline-threshold", type=_number("--baseline-threshold", 0),
+        default=None, metavar="FRACTION",
         help="relative deviation tolerated by --check-baseline "
         "(default 0.1 = 10%%)",
     )
@@ -833,6 +834,10 @@ def _cmd_serve_bench(args) -> int:
     if args.cache_only and args.no_cache:
         print("error: --cache-only and --no-cache exclude each other",
               file=sys.stderr)
+        return 2
+    if args.mode == "mixed" and args.node_ratio + args.promote_ratio > 1:
+        print("error: --node-ratio + --promote-ratio must not exceed 1, got "
+              f"{args.node_ratio:g} + {args.promote_ratio:g}", file=sys.stderr)
         return 2
     if args.graph is not None:
         graph = read_edge_list(args.graph)

@@ -118,19 +118,22 @@ class DrlFloodProgram(VertexProgram):
         """Re-arm a finished DRL_b batch as the next one: fold the
         surviving visits into the batch label sets (Alg. 4 line 14: they
         become the next batch's ``L^{V_{i+1}}``), empty the visits and
-        the inverted lists in place, then seed ``sources``."""
-        in_sets, out_sets = self._in_label_sets, self._out_label_sets
-        for w, (fwd, rev) in enumerate(zip(self.fwd_set, self.rev_set)):
-            if fwd:
-                in_sets[w] |= fwd
-                fwd.clear()
-            if rev:
-                out_sets[w] |= rev
-                rev.clear()
-        for lists in (self._fwd_list, self._rev_list):
-            for entries in lists:
-                entries.clear()
+        the inverted lists in place, then seed ``sources``.
+
+        Only the rows the batch wrote are touched: ``compress`` finds the
+        non-empty ones at C speed, on the master and on every replica."""
         n = len(self._rank)
+        rows = range(n)
+        for visits, label_sets in (
+            (self.fwd_set, self._in_label_sets),
+            (self.rev_set, self._out_label_sets),
+        ):
+            for w in compress(rows, visits):
+                label_sets[w] |= visits[w]
+                visits[w].clear()
+        for lists in (self._fwd_list, self._rev_list):
+            for w in compress(rows, lists):
+                lists[w].clear()
         self._fwd_pub = [0] * n
         self._rev_pub = [0] * n
         self._is_source = bytearray(n)
@@ -293,7 +296,7 @@ class DrlFloodProgram(VertexProgram):
         if not self._dirty_fwd and not self._dirty_rev:
             return None
         return tuple(
-            [(w, lists[w][published[w]:]) for w in sorted(dirty)]
+            [(w, lists[w][published[w]:]) for w in dirty]
             for lists, published, dirty in (
                 (self._fwd_list, self._fwd_pub, self._dirty_fwd),
                 (self._rev_list, self._rev_pub, self._dirty_rev),
@@ -301,22 +304,21 @@ class DrlFloodProgram(VertexProgram):
         )
 
     def mp_apply_published(self, delta) -> None:
-        # Only the owner of w ever appends to list[w], so a replica that
-        # already holds entries past the published watermark must be the
-        # producer itself — skip the extend, keep the dirty mark so
-        # on_barrier() advances every replica's watermark identically.
-        for w, entries in delta[0]:
-            if len(self._fwd_list[w]) == self._fwd_pub[w]:
-                self._fwd_list[w].extend(entries)
-            self._dirty_fwd.add(w)
-        for w, entries in delta[1]:
-            if len(self._rev_list[w]) == self._rev_pub[w]:
-                self._rev_list[w].extend(entries)
-            self._dirty_rev.add(w)
+        # Another worker's new entries (only the owner of w appends to
+        # list[w]); the dirty mark lets on_barrier() advance this
+        # replica's watermark as the owner's advances.
+        for (lists, dirty), appended in zip(
+            ((self._fwd_list, self._dirty_fwd), (self._rev_list, self._dirty_rev)),
+            delta,
+        ):
+            for w, entries in appended:
+                lists[w].extend(entries)
+                dirty.add(w)
 
     def mp_collect(self, vertices):
-        # The master's replica never computes: what is empty here is
-        # empty there already — unless Thm 3's subtraction emptied it.
+        # Every row starts a flood empty, on the master and on every
+        # replica: what is empty here is empty there already — unless
+        # Thm 3's subtraction emptied it.
         fwd, rev, every = self.fwd_set, self.rev_set, self._thm3_flood
         labels = [(w, fwd[w], rev[w]) for w in vertices if every or fwd[w] or rev[w]]
         # ``hig[d][v]`` is keyed by the *source* ``v`` but written by

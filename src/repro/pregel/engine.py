@@ -303,15 +303,6 @@ def _splice(inbox: dict[int, list], buckets: dict[int, list]) -> None:
             bucket.extend(entries)
 
 
-def apply_barrier(program: VertexProgram, superstep: int, deltas) -> None:
-    """One program copy's barrier: every replica's published delta, in
-    worker order, then ``on_barrier()``."""
-    for delta in deltas:
-        if delta is not None:
-            program.mp_apply_published(delta)
-    program.on_barrier(superstep)
-
-
 class Worker:
     """One BSP worker: the logical nodes ``n`` with ``n % num_workers ==
     index``, their vertices, and the messages waiting for those vertices.
@@ -320,13 +311,14 @@ class Worker:
     :meth:`step`, :meth:`barrier` and :meth:`finalize`.  The simulator
     has one, in the master's process and on the master's own program;
     the multiprocessing engine forks ``num_workers`` of them, each with
-    a ``replica`` of the program whose published deltas and final state
-    have to travel back.
+    a ``replica`` of the program whose published deltas travel to the
+    other workers and whose final state travels to the master.
     """
 
     def __init__(
         self, ctx: ComputeContext, program: VertexProgram,
         index: int = 0, num_workers: int = 1, replica: bool = False,
+        owned: Iterable[int] | None = None,
     ):
         self.ctx = ctx
         self.program = program
@@ -335,7 +327,9 @@ class Worker:
         self.replica = replica
         #: Messages for this worker's vertices, delivered next super-step.
         self.pending: dict[int, list] = {}
-        self.owned = self._mine(ctx.graph.vertices())
+        #: The vertices this worker owns (``owned`` reuses an earlier
+        #: run's: the placement is the cluster's, fixed per graph).
+        self.owned = self._mine(ctx.graph.vertices()) if owned is None else owned
 
     def _mine(self, vertices: Iterable[int]) -> Iterable[int]:
         if self.num_workers == 1:
@@ -344,17 +338,19 @@ class Worker:
         return [v for v in vertices if node_of[v] % workers == index]
 
     def step(
-        self, superstep: int, base_seconds: float, incoming: dict[int, list],
+        self, superstep: int, base_seconds: float, incoming: Iterable[dict] = (),
     ) -> tuple[tuple, dict[int, dict[int, list]], object]:
-        """Deliver ``pending`` plus the other workers' ``incoming``
-        buckets, run ``compute()`` over them and keep what was sent to
-        own vertices.  Returns — as plain tuples, which cross a pipe
-        cheaply — the step's :class:`StepCounts` fields, the buckets
-        bound for other workers (``{worker: {vertex: entries}}``) and a
-        replica's ``mp_publish_delta()``."""
+        """Deliver ``pending`` plus the buckets other workers sent
+        (``incoming``, one ``{vertex: entries}`` per sender), run
+        ``compute()`` over them and keep what was sent to own vertices.
+        Returns — as plain tuples, which cross a pipe cheaply — the
+        step's :class:`StepCounts` fields, the buckets bound for other
+        workers (``{worker: {vertex: entries}}``) and, for them, the
+        program's ``mp_publish_delta()``."""
         ctx, program = self.ctx, self.program
         inbox = self.pending
-        _splice(inbox, incoming)
+        for buckets in incoming:
+            _splice(inbox, buckets)
         recv_bytes, local_messages, remote_messages = ctx._run_superstep(
             program, superstep, base_seconds, inbox,
             self._mine(program.initial_vertices(ctx.graph))
@@ -383,11 +379,16 @@ class Worker:
             remote_messages,
             len(sent),
         )
-        delta = program.mp_publish_delta() if self.replica else None
+        # Deltas are for the other workers: a lone worker has none.
+        delta = program.mp_publish_delta() if self.num_workers > 1 else None
         return counts, outgoing, delta
 
-    def barrier(self, superstep: int, deltas) -> None:
-        apply_barrier(self.program, superstep, deltas)
+    def barrier(self, superstep: int, deltas=()) -> None:
+        """The other workers' published ``deltas``, in worker order, then
+        ``on_barrier()``; a replica's own entries are in place already."""
+        for delta in deltas:
+            self.program.mp_apply_published(delta)
+        self.program.on_barrier(superstep)
 
     def finalize(self, base_seconds: float) -> tuple[list[int], object]:
         """The post-loop pass — all of ``program.finalize()`` on the
@@ -415,11 +416,11 @@ class _InProcessWorkers:
     def __len__(self) -> int:
         return 1
 
-    def step(self, superstep, base_seconds, routed):
-        return [self.worker.step(superstep, base_seconds, routed[0])]
+    def step(self, superstep, base_seconds):
+        return [self.worker.step(superstep, base_seconds)[0]]
 
-    def barrier(self, superstep, deltas) -> None:
-        self.worker.barrier(superstep, deltas)
+    def barrier(self, superstep) -> None:
+        self.worker.barrier(superstep)
 
     def finalize(self, base_seconds):
         return [self.worker.finalize(base_seconds)]
@@ -583,11 +584,11 @@ class Engine(ABC):
     workers an implementation starts.
 
     :meth:`run` owns the protocol — step every worker, sum their
-    counters in worker order, account the barrier, route the buckets
-    that change worker, publish deltas, ``on_barrier()``, cut-off,
-    termination, finalize — and the cluster owns the configuration
-    (node count, partitioner, cost model, fault plan).  What differs
-    between engines is only where the :class:`Worker` objects live:
+    counters in worker order, account the barrier, run the workers'
+    barrier, cut-off, termination, finalize — and the cluster owns the
+    configuration (node count, partitioner, cost model, fault plan).
+    What differs between engines is only where the :class:`Worker`
+    objects live:
 
     - :class:`SimulatorEngine` — one worker in the master's process
       owning every node: deterministic, with fault injection; and
@@ -608,12 +609,14 @@ class Engine(ABC):
         self, cluster: "Cluster", ctx: ComputeContext, program: VertexProgram
     ) -> ContextManager:
         """A context manager yielding the run's workers — an object with
-        ``step(superstep, base_seconds, routed)`` and
-        ``finalize(base_seconds)`` returning one reply per worker in
-        worker order, ``barrier(superstep, deltas)``, ``len()`` and
-        ``remote`` (the workers are replicas in other processes, which
-        ``emit_slices`` reports as measured).  ``ctx`` is the master's
-        context for the run."""
+        ``step(superstep, base_seconds)`` (one :class:`StepCounts`
+        tuple per worker) and ``finalize(base_seconds)`` (one
+        :meth:`Worker.finalize` reply per worker), both in worker order,
+        ``barrier(superstep)``, ``len()`` and ``remote`` (the workers
+        are replicas in other processes, which ``emit_slices`` reports
+        as measured).  Buckets that change worker and published deltas
+        are the workers' business: the loop sees counts only.  ``ctx``
+        is the master's context for the run."""
 
     def rearm(self, program: VertexProgram, method: str, args: tuple) -> None:
         """Replay ``program``'s re-arm call on the replicas of the workers
@@ -659,7 +662,6 @@ class Engine(ABC):
                 if recovery is not None:
                     recovery.start(workers.worker)
 
-                routed: list[dict[int, list]] = [{} for _ in range(len(workers))]
                 superstep = 0
                 while True:
                     superstep += 1
@@ -667,10 +669,8 @@ class Engine(ABC):
                         raise SuperstepLimitExceeded(
                             f"no termination after {max_supersteps} supersteps"
                         )
-                    shares, outgoing, deltas = zip(*workers.step(
-                        superstep, stats.simulated_seconds, routed
-                    ))
-                    # Fixed worker order: the merge cannot depend on the
+                    shares = workers.step(superstep, stats.simulated_seconds)
+                    # Fixed worker order: the sum cannot depend on the
                     # order replies arrived in.
                     counts = StepCounts(*shares[0])
                     for share in shares[1:]:
@@ -681,15 +681,11 @@ class Engine(ABC):
                             superstep = resume
                             cost.check_time(stats.simulated_seconds)
                             continue
-                    routed = [{} for _ in range(len(workers))]
-                    for sent in outgoing:
-                        for worker, buckets in sent.items():
-                            _splice(routed[worker], buckets)
                     _account_superstep(
                         cost, superstep, counts, stats, tracer, recovery,
                         node_slices=not remote,
                     )
-                    workers.barrier(superstep, deltas)
+                    workers.barrier(superstep)
                     if remote:
                         workers.emit_slices(
                             tracer, superstep, counts.units, counts.recv_bytes
@@ -862,7 +858,7 @@ class Cluster:
 
         Between two runs the master's program may change only through
         this call, so that every copy applies the same inputs in the
-        same order and stays equal to the master's."""
+        same order and holds what the simulator's one program holds."""
         method(*args)
         self.engine.rearm(method.__self__, method.__name__, args)
 

@@ -22,16 +22,30 @@ transports", has the whole picture):
 - Each worker holds a replica of the program; logical node ``n`` is
   pinned to worker ``n % workers``, so every vertex has exactly one
   writer.
-- The master's program is one more replica, and every replica applies
-  the same inputs in worker order: at each barrier, every worker's
-  published delta; between two runs, every worker's ``mp_collect``
-  value of the last one (``mp_merge``), then the program's re-arm call
+- The master is a coordinator, not a replica: it holds the program's
+  state only as collection needs it, merging every worker's
+  ``mp_collect`` value once per run (``mp_merge``), and it relays what
+  the workers exchange without unpickling it.  A step reply is a small
+  pickled header (the :class:`~repro.pregel.engine.StepCounts` fields,
+  the call's wall time and the sizes of the parts that follow) and one
+  frame: the worker's published delta, pickled once, then one pickled
+  blob of buckets per destination worker.  The master unpickles the
+  header only.  It forwards each delta to every *other* worker and each
+  bucket blob to the worker it is addressed to, with the next call —
+  the next step or the finalize pass, which opens with that barrier.
+- Every replica applies the same inputs in worker order, none of them
+  its own (its own are in place already): at each barrier, the other
+  workers' deltas; between two runs, the other workers' ``mp_collect``
+  values of the last one (``mp_merge``), then the program's re-arm call
   (:meth:`~repro.pregel.engine.Cluster.rearm`).
-- Every call goes to all workers before any reply is awaited.  A bucket
-  is assembled from several workers' output, so entries carry their
-  sending vertex and each inbox is stably sorted by sender before
-  delivery — the order the simulator's single ascending sweep produces,
-  whatever the worker count or the order replies arrive in.
+- Every call goes to all workers before any reply is awaited, each
+  over the one pipe between the master and that worker: workers write
+  only replies, and only after reading a whole call, so no two pipes
+  can wait on each other.  A bucket is assembled from several workers'
+  output, so entries carry their sending vertex and each inbox is
+  stably sorted by sender before delivery — the order the simulator's
+  single ascending sweep produces, whatever the worker count or the
+  order replies arrive in.
 - Per-worker *measured* wall-clock timings become ``pregel.node``
   events (:class:`~repro.pregel.metrics.NodeSlice` fields, ``node`` =
   worker id).
@@ -42,19 +56,20 @@ Fault plans and checkpoint intervals are the simulator's
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import pickle
 import time
 import traceback
 from contextlib import contextmanager
+from itertools import accumulate
 from multiprocessing import shared_memory
-from multiprocessing.reduction import ForkingPickler
 from random import Random
 
 from repro.errors import ReproError, check_count
 from repro.graph.digraph import DiGraph
-from repro.pregel.engine import ComputeContext, Engine, Worker, apply_barrier
+from repro.pregel.engine import ComputeContext, Engine, Worker
 from repro.pregel.metrics import NodeSlice
 from repro.pregel.vertex_program import VertexProgram
 
@@ -111,13 +126,19 @@ class _SharedGraph:
 
 
 class _WorkerContext(ComputeContext):
-    """A worker-side compute context: messages carry their sender, so
-    the receiving worker can stably sort each inbox into ascending
-    sending-vertex order — the exact sequence the simulator's sweep
-    appends — before ``compute()`` sees the bare payloads."""
+    """A worker-side compute context when there are several workers:
+    messages carry their sender, so the receiving worker can stably sort
+    each inbox into ascending sending-vertex order — the exact sequence
+    the simulator's sweep appends — before ``compute()`` sees the bare
+    payloads.  A lone worker sweeps every vertex, as the simulator does."""
 
     __slots__ = ()
     _tag_sender = True
+
+
+def _dump(value) -> bytes:
+    """A value pickled for the pipe; ``None`` (nothing to send) is empty."""
+    return b"" if value is None else pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
 
 
 def _worker_main(
@@ -126,37 +147,71 @@ def _worker_main(
 ) -> None:
     """One worker process: serve the master's calls on a :class:`Worker`
     over this process's replica of ``program``, timing each, until told
-    to exit.  ``barrier`` and ``rearm`` are not answered; a failure in
-    either surfaces at the next gather."""
+    to exit.
+
+    A call is a pickled ``(op, args, frames)`` header followed by
+    ``frames`` pickled values from the other workers, in worker order:
+    for ``step`` and ``finalize``, the deltas they published at the last
+    barrier (``args[-1]`` of them), then the buckets they sent this
+    worker; for ``rearm``, their last finalize replies.  A step after
+    the first and the finalize pass open with that barrier, so a worker
+    wakes once per super-step.  A reply is a pickled ``("ok", result,
+    wall, sizes)`` header followed, unless every size is 0, by one frame
+    of that many bytes per part: for ``step`` the delta, then the
+    buckets for each worker in worker order; for ``finalize`` the
+    ``mp_collect()`` value.  ``rearm`` is not answered; a failure in it
+    surfaces at the next gather."""
+    # The process lives for one build and holds acyclic program state:
+    # reference counting frees its garbage, and the cyclic collector
+    # would only re-walk every bucket and delta it unpickles.
+    gc.disable()
     status = 0
     try:
         routing = cluster.routing(graph)
+        owned = None
+
+        context = _WorkerContext if num_workers > 1 else ComputeContext
 
         def fresh_worker() -> Worker:  # one per run, as in the simulator
-            ctx = _WorkerContext(
+            ctx = context(
                 graph, cluster.num_nodes, routing, cluster.cost_model, program
             )
-            return Worker(ctx, program, index, num_workers, replica=True)
+            return Worker(
+                ctx, program, index, num_workers, replica=True, owned=owned
+            )
 
         worker = fresh_worker()
+        owned = worker.owned
         while True:
-            op, *args = conn.recv()
+            op, args, frames = conn.recv()
             if op == "exit":
                 break
-            if op == "barrier":
-                worker.barrier(*args)
-            elif op == "rearm":
-                finished, method, method_args = args
-                for reply in finished:  # every worker's, in worker order
-                    _, (_, collected), _ = pickle.loads(reply)
+            received = [pickle.loads(conn.recv_bytes()) for _ in range(frames)]
+            if op == "rearm":
+                for collected in received:
                     program.mp_merge(collected)
+                method, method_args = args
                 if method is not None:
                     getattr(program, method)(*method_args)
                 worker = fresh_worker()
-            else:
-                started = time.perf_counter()
-                reply = getattr(worker, op)(*args)
-                conn.send(("ok", reply, time.perf_counter() - started))
+                continue
+            *args, deltas = args
+            if op == "finalize" or args[0] > 1:
+                worker.barrier(worker.ctx.superstep, received[:deltas])
+            started = time.perf_counter()
+            if op == "step":
+                counts, outgoing, delta = worker.step(*args, received[deltas:])
+                parts = [_dump(delta)]
+                parts += [_dump(outgoing.get(w)) for w in range(num_workers)]
+                result = counts
+            else:  # finalize
+                result, collected = worker.finalize(*args)
+                parts = [_dump(collected)]
+            wall = time.perf_counter() - started
+            sizes = [len(part) for part in parts]
+            conn.send_bytes(_dump(("ok", result, wall, sizes)))
+            if any(sizes):
+                conn.send_bytes(b"".join(parts))
     except BaseException as exc:  # noqa: BLE001 — forwarded to the master
         status = 1
         tb = traceback.format_exc()
@@ -194,16 +249,19 @@ class _ProcessWorkers:
         rng: Random | None,
     ):
         self.cluster, self.graph = cluster, graph
-        self.program = program  # the master's replica
+        self.program = program  # the master's copy, merged once per run
         self.rng = rng
         self.conns: list = []
         self.procs: list = []
         self.phase = "start-up"
         self._walls: list[float] = []  # of the last gathered call, per worker
-        self._replies: list[bytes] = []  # ditto, as they came off the pipes
         self._gathered = self._barrier_wall = 0.0
-        #: The last run's finalize replies, not yet merged into the replicas.
-        self._finished: list[bytes] | None = None
+        #: The last step's frames: per worker, the buckets addressed to
+        #: it; per sender, its delta.
+        self._routed: list[list[memoryview]] = [[] for _ in range(workers)]
+        self._deltas: list[memoryview] = []
+        #: The last run's finalize frames, not yet merged into the replicas.
+        self._collects: list[memoryview] | None = None
         self._shared = _SharedGraph(graph)
         try:
             self._shared.install()
@@ -232,45 +290,56 @@ class _ProcessWorkers:
             and self.program is program
         )
 
-    def _send_all(self, messages) -> None:
-        for worker, message in enumerate(messages):
-            try:
-                self.conns[worker].send(message)
-            except OSError:  # BrokenPipeError: nobody is reading
-                raise self._dead(worker) from None
+    def _send(self, worker: int, op: str, args: tuple, frames=()) -> None:
+        """Send ``worker`` one call: its header, then ``frames`` as they are."""
+        conn = self.conns[worker]
+        try:
+            conn.send_bytes(_dump((op, args, len(frames))))
+            for frame in frames:
+                conn.send_bytes(frame)
+        except OSError:  # BrokenPipeError: nobody is reading
+            raise self._dead(worker) from None
 
-    def _broadcast(self, message) -> None:
-        """Send every worker the same ``message``, pickled once."""
-        data = ForkingPickler.dumps(message)
-        for worker, conn in enumerate(self.conns):
-            try:
-                conn.send_bytes(data)
-            except OSError:
-                raise self._dead(worker) from None
+    @staticmethod
+    def _others(frames: list, worker: int) -> list:
+        """Every *other* worker's non-empty frame, in worker order:
+        nobody gets its own back."""
+        return [
+            frame for sender, frame in enumerate(frames)
+            if frame and sender != worker
+        ]
 
-    def _gather(self) -> list:
-        """Await one reply per worker, optionally in shuffled order."""
-        order = list(range(len(self.conns)))
+    def _gather(self) -> tuple[list, list[list[memoryview]]]:
+        """Await one reply per worker, optionally in shuffled order:
+        the results and, per worker, its reply's parts — views of the
+        frame as it came off the pipe."""
+        workers = len(self.conns)
+        order = list(range(workers))
         if self.rng is not None:
             self.rng.shuffle(order)
-        replies: list = [None] * len(order)
-        self._walls = [0.0] * len(order)
-        self._replies = [b""] * len(order)
+        results: list = [None] * workers
+        parts: list = [None] * workers
+        self._walls = [0.0] * workers
         for worker in order:
+            conn = self.conns[worker]
             try:
-                data = self.conns[worker].recv_bytes()
+                kind, *rest = pickle.loads(conn.recv_bytes())
+                if kind == "ok":
+                    results[worker], self._walls[worker], sizes = rest
+                    frame = memoryview(conn.recv_bytes() if any(sizes) else b"")
             except (EOFError, OSError):
                 raise self._dead(worker) from None
-            kind, *rest = pickle.loads(data)
             if kind == "error":
                 exc, tb = rest
                 if tb:
                     exc.add_note(f"worker {worker} traceback:\n{tb}")
                 raise exc
-            replies[worker], self._walls[worker] = rest
-            self._replies[worker] = data
+            ends = list(accumulate(sizes))
+            parts[worker] = [
+                frame[end - size : end] for size, end in zip(sizes, ends)
+            ]
         self._gathered = time.perf_counter()
-        return replies
+        return results, parts
 
     def _dead(self, worker: int) -> ReproError:
         proc = self.procs[worker]
@@ -286,35 +355,49 @@ class _ProcessWorkers:
 
     def rearm(self, method: str | None, args: tuple) -> None:
         """Bring every replica to the master's program between two runs:
-        the last run's finalize replies, merged in worker order as the
-        master merged them, then the master's re-arm call (none before a
-        plain re-run).  Each worker starts the next run on a fresh
-        :class:`Worker`."""
+        the other workers' finalize replies of the last run, merged in
+        worker order (a replica's own rows are in place already), then
+        the master's re-arm call (none before a plain re-run).  Each
+        worker starts the next run on a fresh :class:`Worker`."""
         self.phase = "the re-arm between two runs"
-        finished, self._finished = self._finished or [], None
-        self._broadcast(("rearm", finished, method, args))
+        collects, self._collects = self._collects or [], None
+        for worker in range(len(self.conns)):
+            self._send(worker, "rearm", (method, args), self._others(collects, worker))
 
-    def step(self, superstep, base_seconds, routed) -> list:
-        if superstep == 1 and self._finished is not None:
-            self.rearm(None, ())
-        self.phase = f"superstep {superstep}"
-        self._send_all(
-            ("step", superstep, base_seconds, incoming) for incoming in routed
-        )
+    def _call(self, op: str, args: tuple) -> tuple[list, list]:
+        """Send every worker ``op`` with the last barrier's deltas of the
+        other workers and the buckets addressed to it; gather."""
+        deltas, self._deltas = self._deltas, []
+        for worker, buckets in enumerate(self._routed):
+            frames = self._others(deltas, worker)
+            self._send(worker, op, (*args, len(frames)), frames + buckets)
         return self._gather()
 
-    def barrier(self, superstep, deltas) -> None:
-        apply_barrier(self.program, superstep, deltas)
-        self._broadcast(("barrier", superstep, deltas))
+    def step(self, superstep, base_seconds) -> list:
+        if superstep == 1 and self._collects is not None:
+            self.rearm(None, ())
+        self.phase = f"superstep {superstep}"
+        counts, parts = self._call("step", (superstep, base_seconds))
+        self._deltas = [delta for delta, *_ in parts]
+        self._routed = [
+            [buckets[worker] for _, *buckets in parts if buckets[worker]]
+            for worker in range(len(parts))
+        ]
+        return counts
+
+    def barrier(self, superstep) -> None:
+        """The workers apply it as the next call opens (:meth:`_call`)."""
         self._barrier_wall = time.perf_counter() - self._gathered
 
     def finalize(self, base_seconds) -> list:
         self.phase = "the finalize pass"
-        self._broadcast(("finalize", base_seconds))
         self._barrier_wall = 0.0
-        replies = self._gather()
-        self._finished = self._replies
-        return replies
+        units, parts = self._call("finalize", (base_seconds,))
+        self._collects = [collect for collect, in parts]
+        return [
+            (node_units, pickle.loads(collect) if collect else None)
+            for node_units, collect in zip(units, self._collects)
+        ]
 
     def emit_slices(self, tracer, superstep, units, recv_bytes) -> None:
         """Emit the last call's measured per-worker timings as
@@ -325,7 +408,7 @@ class _ProcessWorkers:
         to the worker id: ``compute_seconds`` is the worker's measured
         superstep time, ``barrier_wait_seconds`` its slack against the
         slowest worker, and ``barrier_seconds`` the master's measured
-        routing/merge time.
+        relay time.
         """
         if tracer is None or not tracer.enabled:
             return
@@ -349,7 +432,8 @@ class _ProcessWorkers:
         run ``failed`` —, close the pipes and unlink the CSR segments."""
         if not failed:
             try:
-                self._broadcast(("exit",))
+                for worker in range(len(self.conns)):
+                    self._send(worker, "exit", ())
             except ReproError:
                 pass
             for proc in self.procs:

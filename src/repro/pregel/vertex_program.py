@@ -139,11 +139,10 @@ class VertexProgram(ABC):
     def mp_apply_published(self, delta) -> None:
         """Apply another replica's :meth:`mp_publish_delta` value.
 
-        Called on every replica (master included) for *all* workers'
-        deltas, in fixed worker order, immediately before
-        ``on_barrier()`` — so it must be idempotent for entries the
-        replica already holds (the producing worker receives its own
-        delta back)."""
+        Called on every worker's replica for every *other* worker's
+        delta, in fixed worker order, immediately before
+        ``on_barrier()``: the producer's own entries are in place
+        already, and the master keeps no replica between barriers."""
 
     def mp_collect(self, vertices):
         """Package the final state owned by ``vertices`` for the master.
@@ -151,7 +150,7 @@ class VertexProgram(ABC):
         Called once per worker after :meth:`finalize_vertices`; the
         return value is pickled to the master and fed to
         :meth:`mp_merge` — and, before a next run on the same workers,
-        to every worker's replica as well."""
+        to every other worker's replica as well."""
         raise NotImplementedError(
             f"{type(self).__name__} sets mp_supported but does not "
             "implement mp_collect()"
@@ -161,10 +160,10 @@ class VertexProgram(ABC):
         """Fold one worker's :meth:`mp_collect` value into this replica.
 
         Called on the master in fixed worker order; afterwards the
-        master's program state must equal a simulator run's.  Before a
-        next run on the same workers every replica is fed all of them
-        in the same order, its own included, and must end equal to the
-        master."""
+        state collection reads must equal a simulator run's.  Before a
+        next run on the same workers every replica is fed the other
+        workers' values in the same order (its own rows are in place),
+        and must then hold what a simulator run's program holds."""
         raise NotImplementedError(
             f"{type(self).__name__} sets mp_supported but does not "
             "implement mp_merge()"

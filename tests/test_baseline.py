@@ -112,6 +112,13 @@ def test_negative_threshold_rejected():
         compare_to_baseline(doc, [_table({("GO", "time"): 1.0})], threshold=-1)
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+def test_non_finite_threshold_rejected(threshold):
+    doc = baseline_from_tables("x", [_table({("GO", "time"): 1.0})])
+    with pytest.raises(ValueError, match="finite"):
+        compare_to_baseline(doc, [_table({("GO", "time"): 2.0})], threshold=threshold)
+
+
 def test_default_baseline_path():
     path = default_baseline_path("fig5")
     assert path.as_posix() == "benchmarks/baselines/fig5.json"

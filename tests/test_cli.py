@@ -521,6 +521,29 @@ def test_bench_check_baseline_threshold_flag(tmp_path, capsys):
                  "--baseline-threshold", "0.10"]) == 0
 
 
+def test_a_non_finite_baseline_threshold_cannot_switch_the_gate_off(tmp_path, capsys):
+    import json
+
+    baseline = tmp_path / "fig8.json"
+    assert main(["bench", "fig8", "--datasets", "GO",
+                 "--save-baseline", str(baseline)]) == 0
+    doc = json.loads(baseline.read_text())
+    key = sorted(k for k, v in doc["metrics"].items()
+                 if isinstance(v, float))[0]
+    doc["metrics"][key] *= 2.0
+    baseline.write_text(json.dumps(doc))
+    check = ["bench", "fig8", "--datasets", "GO", "--check-baseline", str(baseline)]
+    capsys.readouterr()
+    for threshold in ("nan", "inf"):
+        assert main(check + ["--baseline-threshold", threshold]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before the bench ran
+        assert captured.err.count("error:") == 1
+        assert "--baseline-threshold" in captured.err
+    assert main(check + ["--baseline-threshold", "0.25"]) == 1  # off by half
+    assert f"FAIL {key}" in capsys.readouterr().out
+
+
 def test_bench_check_missing_baseline_exits_2(tmp_path, capsys):
     assert main(["bench", "fig8", "--datasets", "GO",
                  "--check-baseline", str(tmp_path / "none.json")]) == 2
@@ -702,6 +725,16 @@ _INT, _POSITIVE = "must be an integer", "must be a finite number > 0, got"
          "--node-ratio must be a finite number in [0, 1], got '1.5'"),
         (["serve-bench", "--promote-ratio", "-0.1"],
          "--promote-ratio must be a finite number in [0, 1], got '-0.1'"),
+        (["bench", "fig8", "--baseline-threshold", "nan"],
+         "--baseline-threshold must be a finite number >= 0, got 'nan'"),
+        (["bench", "fig8", "--baseline-threshold", "inf"],
+         "--baseline-threshold must be a finite number >= 0, got 'inf'"),
+        (["serve-bench", "--baseline-threshold", "nan"],
+         "--baseline-threshold must be a finite number >= 0, got 'nan'"),
+        (["serve-bench", "--baseline-threshold", "inf"],
+         "--baseline-threshold must be a finite number >= 0, got 'inf'"),
+        (["serve-bench", "--mode", "mixed", "--node-ratio", "0.6", "--promote-ratio", "0.6"],
+         "--node-ratio + --promote-ratio must not exceed 1, got 0.6 + 0.6"),
         (["build", "FILE", "-o", "FILE", "--batch-size", "inf"],
          "--batch-size must be a finite number >= 1, got 'inf'"),
         (["build", "FILE", "-o", "FILE", "--batch-size", "nan"],
@@ -917,6 +950,21 @@ def test_serve_bench_mixed_mode_reports_write_columns(capsys):
     assert "update u/s" in out
     assert "stale reads" in out
     assert "applied" in out
+
+
+def test_serve_bench_mixed_ratio_sum_is_refused_before_the_graph(capsys):
+    assert main([
+        "serve-bench", "--vertices", "60", "--requests", "10",
+        "--mode", "mixed", "--writes", "5",
+        "--node-ratio", "0.6", "--promote-ratio", "0.6",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --node-ratio + --promote-ratio must not exceed 1, got 0.6 + 0.6\n"
+    # Read mode ignores the write-mix flags, as it always has.
+    assert main([
+        "serve-bench", "--vertices", "60", "--requests", "10",
+        "--node-ratio", "0.6", "--promote-ratio", "0.6",
+    ]) == 0
 
 
 def test_serve_bench_mixed_bad_ratio_exits_2(capsys):

@@ -7,8 +7,10 @@ this module covers the plumbing around it: the single
 shares (pinned by a golden so a silent change to the hash mix cannot
 slip through), engine selection and its rejection paths, worker
 timelines, the CLI flags, builds that end at the super-step limit or
-the simulated cut-off, one fork per build, and a worker killed
-mid-superstep or a master that raises between two floods.
+the simulated cut-off, one fork per build, a worker killed
+mid-superstep or a master that raises between two floods, the relay
+rules (the master applies no delta; no worker gets its own delta or
+finalize reply back) and the re-arm that touches only written rows.
 """
 
 from __future__ import annotations
@@ -20,8 +22,11 @@ from dataclasses import replace
 from multiprocessing.context import ForkProcess
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.core.batching import batch_sequence
 from repro.core.build import build_index
 from repro.core.drl import DrlFloodProgram, drl_index
 from repro.core.multicore import (
@@ -52,6 +57,8 @@ from repro.pregel.vertex_program import VertexProgram
 from repro.telemetry import session
 from repro.telemetry.reader import Trace
 from repro.telemetry.sinks import InMemorySink
+
+from tests.conftest import family_graphs
 
 
 # ----------------------------------------------------------------------
@@ -543,3 +550,144 @@ def test_a_master_raise_between_floods_reaps_the_pool(monkeypatch):
         build_index(graph, method="drl-b", num_nodes=6, engine="mp", workers=3)
     assert multiprocessing.active_children() == []
     assert _shm_segments() <= before
+
+
+# ----------------------------------------------------------------------
+# The master relays: no replica on it, no echo to a worker
+# ----------------------------------------------------------------------
+def _log_lines(path) -> list[list[int]]:
+    if not path.exists():
+        return []
+    return [[int(field) for field in line.split()] for line in path.read_text().splitlines()]
+
+
+def test_the_master_applies_no_barrier_delta(monkeypatch, tmp_path):
+    """During an mp DRL_b build the deltas go from worker to worker: the
+    master's program is fed none, the workers' are."""
+    master, log = os.getpid(), tmp_path / "applied"
+    master_calls = [0]
+    original = DrlFloodProgram.mp_apply_published
+
+    def mp_apply_published(self, delta):
+        if os.getpid() == master:
+            master_calls[0] += 1
+        else:
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+        original(self, delta)
+
+    monkeypatch.setattr(DrlFloodProgram, "mp_apply_published", mp_apply_published)
+    graph = citation_graph(80, avg_refs=2.5, seed=4)
+    sim = build_index(graph, method="drl-b", num_nodes=6)
+    mp = build_index(graph, method="drl-b", num_nodes=6, engine="mp", workers=3)
+    assert master_calls[0] == 0
+    assert len({pid for pid, in _log_lines(log)}) == 3  # every worker got some
+    assert mp.index == sim.index
+    assert replace(mp.stats, wall_seconds=0.0) == replace(sim.stats, wall_seconds=0.0)
+
+
+@pytest.mark.parametrize("method", ["drl-b", "drl-"])
+def test_no_worker_receives_its_own_delta_or_finalize_reply(
+    monkeypatch, tmp_path, method
+):
+    """Every delta and every finalize reply carries the process that
+    produced it; each one a program unpickles is logged with the process
+    that applies it.  A worker gets only the other workers' (before
+    the next flood too), the master only the finalize replies."""
+    master, log = os.getpid(), tmp_path / "received"
+    publish, apply = DrlFloodProgram.mp_publish_delta, DrlFloodProgram.mp_apply_published
+    collect, merge = DrlFloodProgram.mp_collect, DrlFloodProgram.mp_merge
+
+    def received(kind: int, producer: int) -> None:
+        with open(log, "a") as out:
+            out.write(f"{kind} {producer} {os.getpid()}\n")
+
+    def mp_publish_delta(self):
+        delta = publish(self)
+        return None if delta is None else (os.getpid(), delta)
+
+    def mp_apply_published(self, tagged):
+        received(0, tagged[0])
+        apply(self, tagged[1])
+
+    def mp_collect(self, vertices):
+        return os.getpid(), collect(self, vertices)
+
+    def mp_merge(self, tagged):
+        received(1, tagged[0])
+        merge(self, tagged[1])
+
+    for name, patched in (
+        ("mp_publish_delta", mp_publish_delta),
+        ("mp_apply_published", mp_apply_published),
+        ("mp_collect", mp_collect),
+        ("mp_merge", mp_merge),
+    ):
+        monkeypatch.setattr(DrlFloodProgram, name, patched)
+    graph = citation_graph(80, avg_refs=2.5, seed=4)
+    sim = build_index(graph, method=method, num_nodes=6)
+    mp = build_index(graph, method=method, num_nodes=6, engine="mp", workers=3)
+    assert mp.index == sim.index
+    lines = _log_lines(log)
+    workers = {producer for _, producer, _ in lines}
+    assert len(workers) == 3 and master not in workers
+    assert all(producer != consumer for _, producer, consumer in lines)
+    deltas = {consumer for kind, _, consumer in lines if kind == 0}
+    # DRL⁻ publishes no inverted lists; DRL_b's go to every worker.
+    assert len(deltas) == (3 if method == "drl-b" else 0) and master not in deltas
+    merges = [consumer for kind, _, consumer in lines if kind == 1]
+    floods = 2 if method == "drl-" else len(batch_sequence(degree_order(graph)))
+    assert merges.count(master) == floods * 3  # each worker's, once per flood
+    # Before every flood but the first, each worker merged the two others'.
+    assert len(merges) - merges.count(master) == (floods - 1) * 3 * 2
+
+
+# ----------------------------------------------------------------------
+# The re-arm touches only the rows a batch wrote
+# ----------------------------------------------------------------------
+def full_sweep_next_batch(program: DrlFloodProgram, sources) -> None:
+    """``DrlFloodProgram.next_batch`` as it was: every row visited."""
+    in_sets, out_sets = program._in_label_sets, program._out_label_sets
+    for w, (fwd, rev) in enumerate(zip(program.fwd_set, program.rev_set)):
+        if fwd:
+            in_sets[w] |= fwd
+            fwd.clear()
+        if rev:
+            out_sets[w] |= rev
+            rev.clear()
+    for lists in (program._fwd_list, program._rev_list):
+        for entries in lists:
+            entries.clear()
+    n = len(program._rank)
+    program._fwd_pub = [0] * n
+    program._rev_pub = [0] * n
+    program._is_source = bytearray(n)
+    for v in sources:
+        program._is_source[v] = 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=family_graphs(), data=st.data())
+def test_next_batch_leaves_the_program_as_the_full_sweep_does(graph, data):
+    n = graph.num_vertices
+    order = degree_order(graph)
+    ranked = [order.vertex_at_rank(r) for r in range(n)]
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)), label="cuts"))
+    batches = [ranked[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    cluster = Cluster(
+        num_nodes=data.draw(st.integers(1, 4), label="nodes"),
+        cost_model=CostModel(time_limit_seconds=None),
+    )
+    program = DrlFloodProgram(
+        graph, order, sources=(),
+        in_label_sets=[set() for _ in range(n)],
+        out_label_sets=[set() for _ in range(n)],
+    )
+    for batch in [*batches, []]:  # the last re-arm folds the last batch in
+        reference = DrlFloodProgram.__new__(DrlFloodProgram)
+        reference.restore(program.snapshot())
+        full_sweep_next_batch(reference, batch)
+        program.next_batch(batch)
+        assert vars(program) == vars(reference)
+        if batch:
+            cluster.run(graph, program)
