@@ -725,6 +725,15 @@ _INT, _POSITIVE = "must be an integer", "must be a finite number > 0, got"
          "--node-ratio must be a finite number in [0, 1], got '1.5'"),
         (["serve-bench", "--promote-ratio", "-0.1"],
          "--promote-ratio must be a finite number in [0, 1], got '-0.1'"),
+        (["build", "FILE", "-o", "FILE", "--batch-size", "inf"],
+         "--batch-size must be a finite number >= 1, got 'inf'"),
+        (["build", "FILE", "-o", "FILE", "--batch-size", "nan"],
+         "--batch-size must be a finite number >= 1, got 'nan'"),
+        (["build", "FILE", "-o", "FILE", "--growth-factor", "inf"],
+         "--growth-factor must be a finite number >= 1, got 'inf'"),
+        (["build", "FILE", "-o", "FILE", "--growth-factor", "0.5"],
+         "--growth-factor must be a finite number >= 1, got '0.5'"),
+        (["build", "FILE", "-o", "FILE", "--workers", "x"], f"--workers {_INT} >= 1, got 'x'"),
         (["bench", "fig8", "--baseline-threshold", "nan"],
          "--baseline-threshold must be a finite number >= 0, got 'nan'"),
         (["bench", "fig8", "--baseline-threshold", "inf"],
@@ -735,15 +744,6 @@ _INT, _POSITIVE = "must be an integer", "must be a finite number > 0, got"
          "--baseline-threshold must be a finite number >= 0, got 'inf'"),
         (["serve-bench", "--mode", "mixed", "--node-ratio", "0.6", "--promote-ratio", "0.6"],
          "--node-ratio + --promote-ratio must not exceed 1, got 0.6 + 0.6"),
-        (["build", "FILE", "-o", "FILE", "--batch-size", "inf"],
-         "--batch-size must be a finite number >= 1, got 'inf'"),
-        (["build", "FILE", "-o", "FILE", "--batch-size", "nan"],
-         "--batch-size must be a finite number >= 1, got 'nan'"),
-        (["build", "FILE", "-o", "FILE", "--growth-factor", "inf"],
-         "--growth-factor must be a finite number >= 1, got 'inf'"),
-        (["build", "FILE", "-o", "FILE", "--growth-factor", "0.5"],
-         "--growth-factor must be a finite number >= 1, got '0.5'"),
-        (["build", "FILE", "-o", "FILE", "--workers", "x"], f"--workers {_INT} >= 1, got 'x'"),
     ],
 )
 def test_bad_count_or_seconds_flag_is_one_error_line(tmp_path, capsys, argv, err):
