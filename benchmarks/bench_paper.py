@@ -1,8 +1,8 @@
-"""The paper's evaluation (Table VI, Figs. 5-9), our ablations and the
-fault-recovery run: every entry of ``repro.bench.EXPERIMENTS`` is swept
-once, written to ``benchmarks/results/<name>.txt`` and held to the
-shape the paper reports (``SHAPES`` below).  ``repro bench <name>``
-prints the same tables without the assertions.
+"""The paper's evaluation (Table VI, Figs. 5-9) and our ablations:
+every entry of ``repro.bench.EXPERIMENTS`` is swept once, written to
+``benchmarks/results/<name>.txt`` and held to the shape the paper
+reports (``SHAPES`` below).  ``repro bench <name>`` prints the same
+tables without the assertions.
 """
 
 from __future__ import annotations
@@ -161,23 +161,6 @@ def _ablation_combiner(table):
         )
 
 
-def _faults(table):
-    """Every faulty build completes with the clean index and is strictly
-    slower; the slowdown has a nonzero recovery component."""
-    assert table.rows, "no datasets ran"
-    for row in table.rows:
-        identical = table.get(row, "identical")
-        assert identical.ok and identical.value == 1.0, (
-            f"faulty build diverged from clean index on {row}"
-        )
-        clean = table.get(row, "clean s")
-        faulty = table.get(row, "faulty s")
-        recovery = table.get(row, "recovery s")
-        assert clean.ok and faulty.ok and recovery.ok
-        assert faulty.value > clean.value, f"faults were free on {row}"
-        assert recovery.value > 0.0, f"no recovery cost recorded on {row}"
-
-
 SHAPES = {
     "table6": _table6,
     "fig5": _fig5,
@@ -189,7 +172,6 @@ SHAPES = {
     "ablation-partitioners": _ablation_partitioners,
     "ablation-check-pruning": _ablation_check_pruning,
     "ablation-combiner": _ablation_combiner,
-    "faults": _faults,
 }
 
 

@@ -2,7 +2,7 @@
 """One-command reproduction of the paper's evaluation section.
 
 Runs every experiment registered in ``repro.bench.EXPERIMENTS`` (Table
-VI, Figs. 5-9, the ablations, fault recovery).  By default each runs on
+VI, Figs. 5-9, the ablations).  By default each runs on
 one dataset, so the whole thing finishes in about a minute; pass
 ``--full`` for every dataset of every experiment (several minutes),
 which is what ``pytest benchmarks/bench_paper.py`` also does, with the

@@ -36,7 +36,6 @@ from repro.distributed import (
     distributed_wcc,
 )
 from repro.errors import OutOfMemoryError, ReproError, TimeLimitExceeded
-from repro.faults import FaultPlan, FaultSpecError, NodeCrash, Straggler
 from repro.graph import (
     DiGraph,
     GraphBuilder,
@@ -62,16 +61,12 @@ __all__ = [
     "CostModel",
     "DiGraph",
     "DynamicReachabilityIndex",
-    "FaultPlan",
-    "FaultSpecError",
     "GraphBuilder",
     "LabelingResult",
-    "NodeCrash",
     "OutOfMemoryError",
     "ReachabilityIndex",
     "ReproError",
     "RunStats",
-    "Straggler",
     "TimeLimitExceeded",
     "VertexOrder",
     "VertexProgram",

@@ -15,11 +15,8 @@ cost accounting differs.
 
 from __future__ import annotations
 
-import random
-
 from repro.baselines.bfl import DEFAULT_S_BITS, BflIndex, build_bfl
-from repro.errors import check_count, check_vertex
-from repro.faults import FaultPlan
+from repro.errors import check_vertex
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import HashPartitioner, Partitioner
 from repro.pregel.cost_model import CostModel
@@ -118,32 +115,15 @@ def build_bfl_distributed(
     seed: int = 0,
     cost_model: CostModel | None = None,
     partitioner: Partitioner | None = None,
-    faults: FaultPlan | None = None,
-    checkpoint_interval: int | None = None,
 ) -> tuple[DistributedBflIndex, RunStats]:
     """Build BFL over a partitioned graph with distributed-DFS costs.
 
     Returns the index and a :class:`RunStats` whose simulated time
     reflects the serial token walk (computation) plus one ``t_hop`` for
     every cross-node edge traversal (communication).
-
-    Faults (see :mod:`repro.faults`) are applied analytically — BFL^D
-    has no super-steps, so a :class:`~repro.faults.NodeCrash`'s
-    ``superstep`` is read as the *hop index* of the serialized token
-    walk at which the node dies.  With ``checkpoint_interval`` the
-    walker snapshots its visited map every that-many hops; a crash
-    loses only the walk since the last snapshot, otherwise the whole
-    walk restarts.  Stragglers slow the fraction of the walk spent on
-    their partition; transit faults charge retransmitted hops.  As in
-    the BSP engine, the produced index is identical to the fault-free
-    build — only the cost accounting changes.
     """
     if cost_model is None:
         cost_model = CostModel()
-    if checkpoint_interval is not None:
-        checkpoint_interval = check_count("checkpoint_interval", checkpoint_interval)
-    if faults is not None:
-        faults.validate_for(num_nodes)
     partitioner = (
         partitioner if partitioner is not None else HashPartitioner(num_nodes)
     )
@@ -171,81 +151,6 @@ def build_bfl_distributed(
         communication_seconds=communication,
         per_node_units=[units] + [0] * (num_nodes - 1),
     )
-    if faults is not None or checkpoint_interval is not None:
-        _apply_analytic_faults(
-            stats, graph, node_of, hops, faults, checkpoint_interval, cost_model
-        )
     cost_model.check_time(stats.simulated_seconds)
     return DistributedBflIndex(inner, graph, node_of, cost_model), stats
 
-
-def _apply_analytic_faults(
-    stats: RunStats,
-    graph: DiGraph,
-    node_of: list[int],
-    hops: int,
-    faults: FaultPlan | None,
-    checkpoint_interval: int | None,
-    cost: CostModel,
-) -> None:
-    """Fold a fault plan into BFL^D's analytic accounting (in place).
-
-    The token walk is serial, so costs amortize cleanly: one "hop" of
-    progress costs ``(computation + communication) / hops`` seconds,
-    and a crash at hop ``s`` loses the progress since the last
-    checkpointed hop.  Checkpoints persist the walker's visited map
-    (one entry per vertex), written by the single active node.
-    """
-    n = graph.num_vertices
-    checkpoint_bytes = n * cost.entry_bytes
-    per_hop = stats.simulated_seconds / hops if hops else 0.0
-
-    if checkpoint_interval is not None and hops:
-        count = hops // checkpoint_interval
-        stats.checkpoints += count
-        stats.checkpoint_seconds += (
-            count * checkpoint_bytes * cost.t_checkpoint_byte
-        )
-    if faults is None:
-        return
-
-    if faults.stragglers:
-        slowdown = faults.slowdowns(stats.num_nodes)
-        share = [0] * stats.num_nodes
-        for v in range(n):
-            share[node_of[v]] += 1
-        if n:
-            multiplier = sum(
-                share[node] * slowdown[node] for node in range(stats.num_nodes)
-            ) / n
-            stats.computation_seconds *= multiplier
-
-    if faults.has_transit_faults and hops:
-        rng = random.Random(faults.seed)
-        lost = duplicated = 0
-        loss, dup = faults.loss_rate, faults.duplication_rate
-        if loss:
-            for _ in range(hops):
-                if rng.random() < loss:
-                    lost += 1
-        if dup:
-            for _ in range(hops):
-                if rng.random() < dup:
-                    duplicated += 1
-        stats.messages_lost += lost
-        stats.messages_duplicated += duplicated
-        stats.communication_seconds += (lost + duplicated) * cost.t_hop
-
-    for crash in faults.crashes:
-        if crash.superstep > hops:
-            continue  # the walk finished before the node died
-        stats.crashes += 1
-        if checkpoint_interval is not None:
-            lost_hops = crash.superstep % checkpoint_interval
-            restore = checkpoint_bytes * cost.t_checkpoint_byte
-        else:
-            lost_hops = crash.superstep
-            restore = 0.0
-        stats.recovery_seconds += (
-            cost.failover_seconds + restore + lost_hops * per_hop
-        )

@@ -15,7 +15,6 @@ from typing import Any, Callable, Sequence
 
 from repro.bench.harness import Built, Experiment, Statistic, Variant
 from repro.errors import ReproError
-from repro.faults import FaultPlan
 from repro.graph.order import ORDER_STRATEGIES
 from repro.graph.partition import PARTITIONER_STRATEGIES
 from repro.workloads.datasets import DATASETS
@@ -290,36 +289,3 @@ def _ablation_combiner():
         needs=plain,
     )
     return [plain, combined]
-
-
-# One node dies a few super-steps in, another runs 4x slow, and 1% of
-# remote messages need retransmission; deterministic via the seed.
-_FAULT_PLAN = FaultPlan.parse("crash=1@3,straggler=2x4.0,loss=0.01,seed=42")
-_CHECKPOINT_INTERVAL = 2
-
-
-# Robustness: DRL_b fault-free and under the fault plan, side by side.
-@_experiment(
-    "faults",
-    dict(
-        title=f"Robustness — DRL_b under faults ({_FAULT_PLAN.describe()}; "
-        f"checkpoint every {_CHECKPOINT_INTERVAL})",
-        precision=6,
-    ),
-)
-def _faults():
-    clean = Variant("clean", "drl-b", ((0, "clean s", _seconds),))
-    faulty = Variant(
-        "faulty",
-        "drl-b",
-        (
-            (0, "faulty s", _seconds),
-            (0, "recovery s", _stat("recovery_seconds")),
-            (0, "checkpoint s", _stat("checkpoint_seconds")),
-            # 1 = recovery reproduced the clean index; 0 would be a bug.
-            (0, "identical", lambda built: built.index == built.base.index),
-        ),
-        kwargs=dict(faults=_FAULT_PLAN, checkpoint_interval=_CHECKPOINT_INTERVAL),
-        needs=clean,
-    )
-    return [clean, faulty]

@@ -48,7 +48,6 @@ from repro.bench.registry import EXPERIMENTS
 from repro.core.build import METHOD_NAMES, build_index
 from repro.core.labels import ReachabilityIndex, index_file_version
 from repro.errors import ReproError, check_count, check_seconds
-from repro.faults import FaultPlan
 from repro.fuzz.cases import FAMILIES as FUZZ_FAMILIES
 from repro.graph import generators
 from repro.graph.io import read_edge_list, write_edge_list
@@ -172,19 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--growth-factor", type=_number("--growth-factor", 1), default=2.0
     )
     build.add_argument(
-        "--faults", metavar="SPEC", default=None,
-        help="inject faults during the build; SPEC is comma-separated "
-        "clauses: crash=NODE@SUPERSTEP, straggler=NODExFACTOR, "
-        "loss=RATE, dup=RATE, seed=N "
-        "(e.g. 'crash=3@5,straggler=2x4.0,loss=0.01,seed=42')",
-    )
-    build.add_argument(
-        "--checkpoint-interval", type=_count("--checkpoint-interval", 1),
-        default=None, metavar="N",
-        help="checkpoint vertex state every N supersteps so crashed "
-        "builds recover from the last checkpoint instead of restarting",
-    )
-    build.add_argument(
         "--time-limit", type=_seconds("--time-limit"), default=None, metavar="SECONDS",
         help="simulated-time cut-off for the build (default 7200)",
     )
@@ -239,8 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="differential fuzzing of the index builders",
         description="Run seeded cases (graph families × configurations) "
         "through the oracle matrix: all builders must agree, satisfy "
-        "cover/soundness/canonical, match online BFS, survive fault "
-        "injection, and track incremental updates.  Failures are "
+        "cover/soundness/canonical, match online BFS and track "
+        "incremental updates.  Failures are "
         "shrunk and written as one-command repro files.",
     )
     fuzz.add_argument("--seed", type=int, default=0)
@@ -538,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
         return _dispatch(_build_parser().parse_args(argv))
     except ReproError as exc:
         # Simulated-resource failures (time limit, memory, super-step
-        # limit), bad fault specs, option combinations the library
+        # limit), option combinations the library
         # refuses and missing input files are expected outcomes, not
         # bugs: report them like any other usage error.
         print(f"error: {exc}", file=sys.stderr)
@@ -621,8 +607,6 @@ def _cmd_build(args) -> int:
     cluster = dict(
         engine=args.engine if args.engine != "sim" else None,
         workers=args.workers,
-        faults=None if args.faults is None else FaultPlan.parse(args.faults),
-        checkpoint_interval=args.checkpoint_interval,
     )
     cluster = {key: value for key, value in cluster.items() if value is not None}
     # The two rules only the CLI has (the simulator would ignore a
@@ -634,9 +618,8 @@ def _cmd_build(args) -> int:
         return 2
     if args.method == "tol" and cluster:
         print(
-            "error: --engine/--faults/--checkpoint-interval need a cluster "
-            "method; the serial 'tol' baseline runs outside the Pregel "
-            "engines and has no nodes to fail",
+            "error: --engine needs a cluster method; the serial 'tol' "
+            "baseline runs outside the Pregel engines",
             file=sys.stderr,
         )
         return 2

@@ -57,8 +57,8 @@ def build_index(
         The method's own options (``initial_batch_size``, ``batches``,
         ``check_pruning``, ...) and, for the cluster methods,
         :class:`~repro.core.drl.FloodBuild`'s (``cost_model``,
-        ``partitioner``, ``faults``, ``checkpoint_interval``, ``engine``,
-        ...).  The serial ``"tol"`` baseline ignores cluster-only ones.
+        ``partitioner``, ``engine``, ``workers``).  The serial ``"tol"``
+        baseline ignores cluster-only ones.
     """
     try:
         builder = _METHODS[method]

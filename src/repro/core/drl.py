@@ -71,8 +71,7 @@ class DrlFloodProgram(VertexProgram):
     mp_supported = True
 
     #: Thm 3's flood number (1 = trimmed, recording blockers; 2 = the plain
-    #: re-flood from them; 0 under Alg. 3).  Set per instance by Thm 3 only:
-    #: checkpoints are priced by instance attributes, so DRL's grow none.
+    #: re-flood from them; 0 under Alg. 3).
     _thm3_flood = 0
 
     def __init__(
@@ -90,7 +89,6 @@ class DrlFloodProgram(VertexProgram):
             raise ValueError(f"unknown refinement {refinement!r}")
         self.combine_duplicates = combine_messages
         n = graph.num_vertices
-        self._graph = graph  # unread; its name is in the checkpoint bytes
         self._rank = order.ranks
         self._check_pruning = check_pruning and refinement != "blockers"
         self._in_label_sets = in_label_sets
@@ -342,9 +340,8 @@ class DrlFloodProgram(VertexProgram):
 class FloodBuild(ExitStack):
     """What a cluster method's schedule of floods runs inside: the
     order default, the one :class:`Cluster` (``cluster_options`` are
-    its; a fault plan's crash events fire once per build and a node
-    lost in one flood stays dead for the next; the mp engine's workers
-    are forked once and serve every flood), the one ``RunStats``, the
+    its; the mp engine's workers are forked once and serve every
+    flood), the one ``RunStats``, the
     ``<name>.build`` → phase → ``<name>.collection`` spans and index
     assembly.  Between two floods a program changes only through
     :meth:`rearm`.
@@ -430,10 +427,9 @@ def drl_index(
     """Build the TOL index with DRL (Algorithm 3) on a cluster: one flood.
 
     Returns the index together with the run's cost accounting.
-    ``build_options`` are :class:`FloodBuild`'s: a ``faults`` plan
-    (:mod:`repro.faults`) is ridden out to the identical index, recovery
-    overhead landing in the stats; ``engine="mp"`` runs the flood across
-    ``workers`` real processes (same index and simulated clock).
+    ``build_options`` are :class:`FloodBuild`'s: ``engine="mp"`` runs the
+    flood across ``workers`` real processes (same index and simulated
+    clock).
     """
     with FloodBuild("drl", graph, order, num_nodes, **build_options) as build:
         program = DrlFloodProgram(

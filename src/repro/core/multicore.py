@@ -56,10 +56,9 @@ def drl_multicore_index(
     partition per core and the one-machine memory check (raises
     :class:`~repro.errors.OutOfMemoryError` when the graph plus working
     state exceeds the budget); ``drl_b_options`` are
-    :func:`~repro.core.drl_batch.drl_batch_index`'s.  A fault plan here
-    models a worker process dying mid-build; ``engine="mp"`` makes the
-    build *really* multi-core, with the same vertex-to-core assignment
-    the memory estimate is based on.
+    :func:`~repro.core.drl_batch.drl_batch_index`'s.  ``engine="mp"``
+    makes the build *really* multi-core, with the same vertex-to-core
+    assignment the memory estimate is based on.
     """
     if cost_model is None:
         cost_model = shared_memory_model()

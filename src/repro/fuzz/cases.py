@@ -3,7 +3,7 @@
 A :class:`FuzzCase` is everything needed to reproduce one differential
 check: a graph (either regenerated from ``(family, num_vertices,
 seed)`` or pinned as an explicit edge list after shrinking), the
-cluster/batch/fault configuration every builder runs under, and an
+cluster/batch configuration every builder runs under, and an
 optional edge-update workload for the dynamic oracle.  Cases serialize
 to plain JSON so a failing case becomes a one-file repro.
 
@@ -15,17 +15,22 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import count as count_from_zero
 from itertools import islice
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.faults import FaultPlan, NodeCrash, Straggler
+from repro.errors import ReproError
 from repro.graph import generators
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import PARTITIONER_STRATEGIES, Partitioner
 from repro.workloads.updates import UpdateOp, mixed_update_stream
+
+
+class FuzzCaseError(ReproError):
+    """A case or repro file that does not describe a :class:`FuzzCase`."""
+
 
 #: The sampled graph families; each stresses a different index regime.
 FAMILIES = ("dag", "cyclic", "scc-heavy", "power-law", "lattice")
@@ -80,8 +85,6 @@ class FuzzCase:
     partitioner: str = "hash"
     batch_size: float = 2
     growth_factor: float = 2.0
-    checkpoint_interval: int | None = None
-    faults: str | None = None
     updates: tuple[UpdateOp, ...] = ()
     query_sample: int = 150
     #: Execution engine to cross-check: ``"sim"`` runs everything on the
@@ -112,10 +115,6 @@ class FuzzCase:
             edges=tuple(graph.edges()),
         )
 
-    def fault_plan(self) -> FaultPlan | None:
-        """The parsed fault plan, or ``None``."""
-        return FaultPlan.parse(self.faults) if self.faults else None
-
     def make_partitioner(self, num_vertices: int) -> Partitioner:
         """Instantiate the configured partitioner for this case."""
         try:
@@ -138,10 +137,6 @@ class FuzzCase:
             f"part={self.partitioner}",
             f"b={self.batch_size:g} k={self.growth_factor:g}",
         ]
-        if self.checkpoint_interval is not None:
-            bits.append(f"ckpt={self.checkpoint_interval}")
-        if self.faults:
-            bits.append(f"faults[{self.faults}]")
         if self.updates:
             bits.append(f"updates={len(self.updates)}")
         if self.engine != "sim":
@@ -163,8 +158,6 @@ class FuzzCase:
             "partitioner": self.partitioner,
             "batch_size": self.batch_size,
             "growth_factor": self.growth_factor,
-            "checkpoint_interval": self.checkpoint_interval,
-            "faults": self.faults,
             "updates": [[op, u, v] for op, u, v in self.updates],
             "query_sample": self.query_sample,
             "engine": self.engine,
@@ -172,30 +165,46 @@ class FuzzCase:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FuzzCase":
-        """Rebuild a case from :meth:`to_dict` output."""
-        edges = data.get("edges")
-        return cls(
-            case_id=int(data["case_id"]),
-            family=data["family"],
-            seed=int(data["seed"]),
-            num_vertices=int(data["num_vertices"]),
-            edges=(
-                None
-                if edges is None
-                else tuple((int(u), int(v)) for u, v in edges)
-            ),
-            num_nodes=int(data.get("num_nodes", 4)),
-            partitioner=data.get("partitioner", "hash"),
-            batch_size=float(data.get("batch_size", 2)),
-            growth_factor=float(data.get("growth_factor", 2.0)),
-            checkpoint_interval=data.get("checkpoint_interval"),
-            faults=data.get("faults"),
-            updates=tuple(
-                (op, int(u), int(v)) for op, u, v in data.get("updates", ())
-            ),
-            query_sample=int(data.get("query_sample", 150)),
-            engine=data.get("engine", "sim"),
-        )
+        """Rebuild a case from :meth:`to_dict` output;
+        :class:`FuzzCaseError` on anything else."""
+        if not isinstance(data, dict):
+            raise FuzzCaseError(
+                f"a fuzz case is a JSON object, not {type(data).__name__}"
+            )
+        known = {field.name for field in fields(cls)}
+        for key, value in data.items():
+            if key not in known and value is not None:
+                raise FuzzCaseError(
+                    f"the case sets {key!r}, which no fuzz case has (fault "
+                    "plans and checkpoint intervals went with the simulated "
+                    "build-fault layer); it cannot replay as it ran"
+                )
+        try:
+            edges = data.get("edges")
+            return cls(
+                case_id=int(data["case_id"]),
+                family=data["family"],
+                seed=int(data["seed"]),
+                num_vertices=int(data["num_vertices"]),
+                edges=(
+                    None
+                    if edges is None
+                    else tuple((int(u), int(v)) for u, v in edges)
+                ),
+                num_nodes=int(data.get("num_nodes", 4)),
+                partitioner=data.get("partitioner", "hash"),
+                batch_size=float(data.get("batch_size", 2)),
+                growth_factor=float(data.get("growth_factor", 2.0)),
+                updates=tuple(
+                    (op, int(u), int(v)) for op, u, v in data.get("updates", ())
+                ),
+                query_sample=int(data.get("query_sample", 150)),
+                engine=data.get("engine", "sim"),
+            )
+        except KeyError as exc:
+            raise FuzzCaseError(f"the case has no {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise FuzzCaseError(f"bad fuzz case: {exc}") from None
 
     def save(self, path: str | Path) -> None:
         """Write the case as a standalone JSON file."""
@@ -205,37 +214,24 @@ class FuzzCase:
     def load(cls, path: str | Path) -> "FuzzCase":
         """Read a case written by :meth:`save` (or a repro file's
         ``case`` field — see :func:`repro.fuzz.runner.load_failure`)."""
-        data = json.loads(Path(path).read_text())
-        if "case" in data:  # failure repro file wrapping the case
+        data = read_json(path)
+        if isinstance(data, dict) and "case" in data:  # a failure repro file
             data = data["case"]
         return cls.from_dict(data)
+
+
+def read_json(path: str | Path):
+    """The JSON value in ``path``; :class:`FuzzCaseError` when the file
+    holds no JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise FuzzCaseError(f"{path} is not a JSON file: {exc}") from None
 
 
 # ----------------------------------------------------------------------
 # Generation
 # ----------------------------------------------------------------------
-def _random_fault_spec(rng: random.Random, num_nodes: int) -> str:
-    """A valid fault spec for a cluster of ``num_nodes`` (≥ 2)."""
-    plan_crashes: list[NodeCrash] = []
-    plan_stragglers: list[Straggler] = []
-    if rng.random() < 0.7:
-        plan_crashes.append(
-            NodeCrash(rng.randrange(num_nodes), rng.randint(1, 4))
-        )
-    if rng.random() < 0.5:
-        plan_stragglers.append(
-            Straggler(rng.randrange(num_nodes), round(rng.uniform(1.5, 4.0), 1))
-        )
-    plan = FaultPlan(
-        crashes=tuple(plan_crashes),
-        stragglers=tuple(plan_stragglers),
-        loss_rate=round(rng.choice([0.0, 0.01, 0.05]), 3),
-        duplication_rate=round(rng.choice([0.0, 0.02]), 3),
-        seed=rng.randrange(2**16),
-    )
-    return plan.to_spec()
-
-
 def _case_iter(
     seed: int = 0,
     families: Sequence[str] | None = None,
@@ -270,10 +266,6 @@ def _case_iter(
         partitioner = rng.choice(sorted(PARTITIONER_STRATEGIES))
         batch_size = rng.choice([1, 2, 3])
         growth_factor = rng.choice([1.5, 2.0, 3.0])
-        checkpoint_interval = rng.choice([None, 1, 2, 3])
-        faults = None
-        if num_nodes >= 2 and rng.random() < 0.5:
-            faults = _random_fault_spec(rng, num_nodes) or None
         case = FuzzCase(
             case_id=case_id,
             family=family,
@@ -283,8 +275,6 @@ def _case_iter(
             partitioner=partitioner,
             batch_size=batch_size,
             growth_factor=growth_factor,
-            checkpoint_interval=checkpoint_interval,
-            faults=faults,
         )
         if rng.random() < 0.6:
             graph = case.graph()
@@ -312,7 +302,7 @@ def generate_cases(
     max_vertices: int = 26,
 ) -> list[FuzzCase]:
     """Deterministically sample ``count`` cases, round-robin over the
-    families, crossing graphs with cluster/batch/fault/update configs.
+    families, crossing graphs with cluster/batch/update configs.
 
     Same ``seed`` → same case list, always; a longer list is a strict
     extension of a shorter one.

@@ -12,8 +12,6 @@ messages (empty = pass).  The oracles encode, per the paper:
 - ``query-oracle`` — index answers equal online BFS and the exact
   transitive closure on sampled pairs;
 - ``condensed`` — the SCC-condensed index answers identically;
-- ``fault-equivalence`` — a fault-injected build yields the fault-free
-  index (the recovery contract of :mod:`repro.faults`);
 - ``dynamic-vs-rebuild`` — incremental updates maintain exactly the
   index a full rebuild produces (§V / TOL's dynamic contract);
 - ``engine-mismatch`` — the multiprocessing engine builds the identical
@@ -112,9 +110,9 @@ class CaseContext:
     def build(self, method: str, engine: str = "sim") -> ReachabilityIndex:
         """Build (and cache) the index with ``method`` under the case's
         configuration — shared order, cluster size, partitioner, and
-        batch parameters, but no faults (clean builds).  ``engine="mp"``
-        builds on the multiprocessing engine (two workers), used by the
-        ``engine-mismatch`` differential oracle."""
+        batch parameters.  ``engine="mp"`` builds on the multiprocessing
+        engine (two workers), used by the ``engine-mismatch``
+        differential oracle."""
         key = (method, engine)
         if key not in self._builds:
             kwargs: dict = {
@@ -247,32 +245,6 @@ def oracle_condensed(ctx: CaseContext) -> list[str]:
     return violations
 
 
-def oracle_fault_equivalence(ctx: CaseContext) -> list[str]:
-    """A fault-injected DRL_b build equals the fault-free index."""
-    plan = ctx.case.fault_plan()
-    if plan is None:  # pragma: no cover - guarded by oracles_for
-        return []
-    clean = ctx.build("drl-b")
-    faulty = build_index(
-        ctx.graph,
-        method="drl-b",
-        order=ctx.order,
-        num_nodes=ctx.case.num_nodes,
-        cost_model=_NO_LIMIT,
-        partitioner=ctx.case.make_partitioner(ctx.graph.num_vertices),
-        initial_batch_size=ctx.case.batch_size,
-        growth_factor=ctx.case.growth_factor,
-        faults=plan,
-        checkpoint_interval=ctx.case.checkpoint_interval,
-    ).index
-    if faulty != clean:
-        return [
-            f"faulty build ({plan.describe()}) diverges from clean: "
-            + _index_diff(faulty, clean)
-        ]
-    return []
-
-
 def oracle_dynamic_vs_rebuild(ctx: CaseContext) -> list[str]:
     """Incremental maintenance equals a from-scratch rebuild after
     every update in the case's workload (all five op kinds, plus
@@ -353,7 +325,6 @@ ORACLES: dict[str, Callable[[CaseContext], list[str]]] = {
     "canonical": oracle_canonical,
     "query-oracle": oracle_query_vs_online,
     "condensed": oracle_condensed,
-    "fault-equivalence": oracle_fault_equivalence,
     "dynamic-vs-rebuild": oracle_dynamic_vs_rebuild,
     "engine-mismatch": oracle_engine_mismatch,
 }
@@ -369,8 +340,6 @@ def oracles_for(case: FuzzCase) -> tuple[str, ...]:
         "query-oracle",
         "condensed",
     ]
-    if case.faults:
-        names.append("fault-equivalence")
     if case.updates:
         names.append("dynamic-vs-rebuild")
     if case.engine == "mp":

@@ -16,7 +16,13 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from repro.fuzz.cases import FuzzCase, _case_iter, generate_cases
+from repro.fuzz.cases import (
+    FuzzCase,
+    FuzzCaseError,
+    _case_iter,
+    generate_cases,
+    read_json,
+)
 from repro.fuzz.oracles import CaseResult, OracleFailure, run_case
 from repro.fuzz.shrink import ShrinkResult, shrink_case
 
@@ -149,11 +155,15 @@ def write_failure(
 
 
 def load_failure(path: str | Path) -> dict:
-    """Read a repro file; returns its dict with ``case`` as a FuzzCase."""
-    data = json.loads(Path(path).read_text())
-    if "case" not in data:  # a bare case file is also accepted
-        data = {"case": data}
-    data["case"] = FuzzCase.from_dict(data["case"])
+    """Read a repro file; returns its dict with ``case`` as a FuzzCase.
+    A file that holds no case is a :class:`FuzzCaseError` naming it."""
+    data = read_json(path)
+    if not (isinstance(data, dict) and "case" in data):
+        data = {"case": data}  # a bare case file is also accepted
+    try:
+        data["case"] = FuzzCase.from_dict(data["case"])
+    except FuzzCaseError as exc:
+        raise FuzzCaseError(f"{path}: {exc}") from None
     return data
 
 

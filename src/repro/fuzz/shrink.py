@@ -4,7 +4,7 @@ Given a case that fails some oracle, the shrinker searches for a
 smaller case that fails *the same way* (same failure fingerprint):
 it drops vertex chunks, then edges, then update operations (a ddmin
 sweep over each list), then simplifies the configuration (drop the
-fault plan, shrink the cluster, default the batch parameters), and
+updates, shrink the cluster, default the batch parameters), and
 repeats until a whole round makes no progress or the evaluation
 budget runs out.  The result is a pinned, explicit-edge-list
 :class:`~repro.fuzz.cases.FuzzCase` small enough to read — typically
@@ -85,13 +85,7 @@ def _ddmin(
 #: Config simplifications, tried in order each round.  Each returns a
 #: simplified copy or ``None`` when already minimal.
 _CONFIG_STEPS: tuple[Callable[[FuzzCase], FuzzCase | None], ...] = (
-    lambda c: replace(c, faults=None) if c.faults else None,
     lambda c: replace(c, updates=()) if c.updates else None,
-    lambda c: (
-        replace(c, checkpoint_interval=None)
-        if c.checkpoint_interval is not None
-        else None
-    ),
     lambda c: replace(c, num_nodes=1) if c.num_nodes > 1 else None,
     lambda c: replace(c, num_nodes=2) if c.num_nodes > 2 else None,
     lambda c: (

@@ -7,8 +7,7 @@ Two targets, both derived from an existing ``--trace-out`` file:
   driver's real spans become one wall-clock process (pid 0); every
   simulated node becomes its own process whose lane replays the BSP
   timeline (compute / comm / wait / barrier slices per super-step, on
-  the simulated clock); fault intervals (recovery, replays,
-  checkpoints) land on a separate cluster lane.  Wall timestamps are ``perf_counter``
+  the simulated clock).  Wall timestamps are ``perf_counter``
   readings, normalized to the earliest span start so the trace begins
   at zero.
 - :func:`folded_stacks` — folded-stack lines (``a;b;c value``) for
@@ -28,7 +27,6 @@ from repro.telemetry.reader import Trace
 DRIVER_PID = 0
 
 _MICRO = 1e6
-_FAULT_EVENTS = ("pregel.fault", "pregel.recovery", "pregel.checkpoint")
 
 
 def chrome_trace(trace: Trace) -> dict:
@@ -37,9 +35,8 @@ def chrome_trace(trace: Trace) -> dict:
     Returns ``{"traceEvents": [...], "displayTimeUnit": "ms"}``.  The
     per-node lanes replay :attr:`Trace.node_timeline`; traces exported
     without per-node telemetry still get the wall-clock process, whose
-    spans and fault markers keep the order they arrived in.  Durations
-    are microseconds (fractional — simulated super-steps are routinely
-    sub-microsecond).
+    spans keep the order they arrived in.  Durations are microseconds
+    (fractional — simulated super-steps are routinely sub-microsecond).
     """
     events: list[dict] = []
     records = trace.records
@@ -59,40 +56,24 @@ def chrome_trace(trace: Trace) -> dict:
             "args": {"name": "driver (wall clock)"},
         }
     )
-    for record in records:
-        kind = record["kind"]
-        if kind == "span":
-            events.append(
-                {
-                    "name": record["name"],
-                    "ph": "X",
-                    "pid": DRIVER_PID,
-                    "tid": 0,
-                    "ts": (record["start"] - zero) * _MICRO,
-                    "dur": record.get("wall_seconds", 0.0) * _MICRO,
-                    "args": {
-                        "id": record.get("id"),
-                        "parent": record.get("parent"),
-                        "status": record.get("status", "ok"),
-                        "simulated_seconds": record.get(
-                            "simulated_seconds", 0.0
-                        ),
-                        **record.get("attrs", {}),
-                    },
-                }
-            )
-        elif kind == "event" and record["name"] in _FAULT_EVENTS:
-            events.append(
-                {
-                    "name": record["name"],
-                    "ph": "i",
-                    "s": "g",
-                    "pid": DRIVER_PID,
-                    "tid": 0,
-                    "ts": (record.get("wall", zero) - zero) * _MICRO,
-                    "args": dict(record.get("attrs", {})),
-                }
-            )
+    for record in trace.spans:
+        events.append(
+            {
+                "name": record["name"],
+                "ph": "X",
+                "pid": DRIVER_PID,
+                "tid": 0,
+                "ts": (record["start"] - zero) * _MICRO,
+                "dur": record.get("wall_seconds", 0.0) * _MICRO,
+                "args": {
+                    "id": record.get("id"),
+                    "parent": record.get("parent"),
+                    "status": record.get("status", "ok"),
+                    "simulated_seconds": record.get("simulated_seconds", 0.0),
+                    **record.get("attrs", {}),
+                },
+            }
+        )
 
     timeline = trace.node_timeline
     if timeline is not None:
@@ -130,39 +111,11 @@ def chrome_trace(trace: Trace) -> dict:
                                     "superstep": piece.superstep,
                                     "units": piece.units,
                                     "recv_bytes": piece.recv_bytes,
-                                    "slowdown": piece.slowdown,
                                 },
                             }
                         )
                     offset += seconds
             cursor += span
-        if timeline.intervals:
-            cluster_pid = timeline.num_nodes + 1
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": cluster_pid,
-                    "tid": 0,
-                    "args": {"name": "cluster (faults, simulated)"},
-                }
-            )
-            for interval in timeline.intervals:
-                events.append(
-                    {
-                        "name": interval.kind,
-                        "ph": "X",
-                        "pid": cluster_pid,
-                        "tid": 0,
-                        "ts": cursor * _MICRO,
-                        "dur": interval.seconds * _MICRO,
-                        "args": {
-                            "superstep": interval.superstep,
-                            "nodes": list(interval.nodes),
-                        },
-                    }
-                )
-                cursor += interval.seconds
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 

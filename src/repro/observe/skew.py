@@ -2,7 +2,7 @@
 
 The simulator's cost formula charges every super-step at the pace of
 its slowest node (see ``docs/simulator.md``), so imbalance — skewed
-partitions, injected stragglers — turns directly into barrier wait.
+partitions, slow workers — turns directly into barrier wait.
 :func:`analyze_skew` quantifies that: per-node load shares, the
 max/mean load ratio, the Gini coefficient of busy time, each node's
 apparent slowdown (its effective seconds-per-unit against the fastest
@@ -42,7 +42,7 @@ class NodeLoad:
     #: Fraction of this node's lane spent idle at barriers.
     wait_share: float
     #: Effective seconds-per-unit against the fastest node (1.0 means
-    #: hardware-identical; an injected ``straggler=NxF`` shows ~F here).
+    #: hardware-identical; a node running F× slow shows ~F here).
     apparent_slowdown: float
 
 

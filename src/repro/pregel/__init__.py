@@ -5,8 +5,7 @@ vertex-centric system (Section VI-A, "Environment").  The BSP contract (compute 
 routing / barrier) is executed by one master loop,
 :meth:`~repro.pregel.engine.Engine.run`, over
 :class:`~repro.pregel.engine.Worker` objects; the two engines differ only
-in where those workers live (checkpoints and crash recovery are one hook
-the simulator installs, :mod:`repro.pregel.recovery`):
+in where those workers live:
 
 - :class:`~repro.pregel.engine.SimulatorEngine` — one worker in the
   master's process owning every node: deterministic, preserves BSP

@@ -51,13 +51,6 @@ class CostModel:
         Per-node memory budget (the paper's machines have 32 GB).
     time_limit_seconds:
         Simulated cut-off (the paper uses 2 hours); ``None`` disables.
-    t_checkpoint_byte:
-        Seconds per byte written to (or read from) stable storage when
-        the engine checkpoints or restores super-step state (≈500 MB/s
-        shared storage).
-    failover_seconds:
-        Fixed cost of detecting a dead node and re-forming the cluster
-        (failure-detector timeout plus membership reconfiguration).
     """
 
     t_op: float = 2.5e-8
@@ -68,8 +61,6 @@ class CostModel:
     entry_bytes: int = 8
     node_memory_bytes: int = 32 * GIB
     time_limit_seconds: float | None = 7200.0
-    t_checkpoint_byte: float = 2.0e-9
-    failover_seconds: float = 0.5
 
     def with_time_limit(self, seconds: float | None) -> "CostModel":
         """Copy of the model with a different cut-off."""
@@ -118,7 +109,6 @@ def paper_scale_model(**overrides) -> CostModel:
         t_barrier=2.0e-6,
         t_hop=2.0e-7,
         time_limit_seconds=SCALED_CUTOFF_SECONDS,
-        failover_seconds=5.0e-6,
     )
     defaults.update(overrides)
     return replace(CostModel(), **defaults)

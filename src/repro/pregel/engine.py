@@ -10,14 +10,6 @@ formula), which is what makes single-process runs report meaningful
 distributed timings.  The runtime exists once: :meth:`Engine.run` is the
 master loop and drives :class:`Worker` objects, one in-process for the
 simulator, several in forked processes for :mod:`repro.pregel.mp`.
-
-Fault tolerance (see :mod:`repro.faults` and ``docs/simulator.md``):
-a cluster built with a :class:`~repro.faults.FaultPlan` injects node
-crashes, stragglers, and transit message faults; ``checkpoint_interval``
-enables Pregel-style super-step checkpointing so crashed runs recover
-by restoring the last checkpoint, reassigning the dead node's partition
-to the survivors, and replaying.  All of it lives in the one hook the
-simulator installs for such a run, :class:`repro.pregel.recovery.Recovery`.
 """
 
 from __future__ import annotations
@@ -26,10 +18,9 @@ import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from operator import itemgetter
-from typing import TYPE_CHECKING, ContextManager, Iterable, NamedTuple
+from typing import ContextManager, Iterable, NamedTuple
 
 from repro.errors import ReproError, check_count
-from repro.faults import FaultInjector, FaultPlan
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import (
     HashPartitioner,
@@ -41,9 +32,6 @@ from repro.pregel.cost_model import CostModel
 from repro.pregel.metrics import NodeSlice, RunStats
 from repro.pregel.vertex_program import VertexProgram
 from repro.telemetry import current_tracer
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.pregel.recovery import Recovery
 
 _EMPTY: tuple = ()
 _sender = itemgetter(0)  # of a sender-tagged bucket entry
@@ -426,70 +414,29 @@ class _InProcessWorkers:
         return [self.worker.finalize(base_seconds)]
 
 
-def _slowest_node_seconds(
-    cost: CostModel, units: list[int], slowdown: list[float] | None
-) -> float:
-    """Nodes compute in parallel: the phase lasts as long as its slowest."""
-    if slowdown is None:
-        return max(units) * cost.t_op
-    return max(u * s for u, s in zip(units, slowdown)) * cost.t_op
-
-
 def _account_superstep(
     cost: CostModel,
     superstep: int,
     counts: StepCounts,
     stats: RunStats,
     tracer=None,
-    recovery: Recovery | None = None,
-    replay: bool = False,
     node_slices: bool = True,
 ) -> None:
     """Account one super-step's barrier from the workers' summed counters.
 
-    ``recovery`` is the run's fault hook: stragglers, the transit draw and
-    the replay of an already-committed super-step; ``replay=True`` marks a
-    discarded attempt.  A replay's full cost lands in
-    ``recovery_seconds`` and touches no work counter (the committed pass
-    already recorded them); it emits one ``pregel.replay`` event.
-    ``node_slices=False`` suppresses the per-logical-node
+    Nodes compute in parallel, so the compute phase lasts as long as its
+    slowest node.  ``node_slices=False`` suppresses the per-logical-node
     :class:`NodeSlice` emission — worker processes are recorded as
     measured per-worker slices instead.
     """
     units = counts.units
-    slowdown = None if recovery is None else recovery.slowdown
-    comp_seconds = _slowest_node_seconds(cost, units, slowdown)
-    comm_bytes = max(counts.recv_bytes) + counts.broadcast_bytes
-    lost = duplicated = 0
-    if recovery is not None:
-        replay = replay or superstep <= recovery.committed
-        lost, duplicated = recovery.injector.transit_faults(counts.remote_messages)
-        # Reliable transport repairs both: retransmissions put the
-        # same bytes on the wire again; delivery is unaffected.
-        comm_bytes += (lost + duplicated) * cost.message_bytes
-    comm_seconds = comm_bytes * cost.t_byte
-    telemetry_on = tracer is not None and tracer.enabled
-    if telemetry_on and (lost or duplicated):
-        tracer.event(
-            "pregel.fault",
-            kind="transit",
-            superstep=superstep,
-            lost=lost,
-            duplicated=duplicated,
-        )
-    stats.messages_lost += lost
-    stats.messages_duplicated += duplicated
-    if replay:
-        seconds = comp_seconds + comm_seconds + cost.t_barrier
-        stats.recovery_seconds += seconds
-        if telemetry_on:
-            tracer.event("pregel.replay", superstep=superstep, seconds=seconds)
-        return
-    if telemetry_on:
+    comp_seconds = max(units) * cost.t_op
+    comm_seconds = (max(counts.recv_bytes) + counts.broadcast_bytes) * cost.t_byte
+    if tracer is not None and tracer.enabled:
         if node_slices:
             _emit_node_slices(
                 cost, tracer, superstep, units, counts.recv_bytes,
-                counts.broadcast_bytes, comp_seconds, comm_seconds, slowdown,
+                counts.broadcast_bytes, comp_seconds, comm_seconds,
             )
         tracer.event(
             "pregel.superstep",
@@ -523,18 +470,15 @@ def _emit_node_slices(
     bcast_bytes: int,
     comp_seconds: float,
     comm_seconds: float,
-    slowdown: list[float] | None,
 ) -> None:
     """One ``pregel.node`` event (a :class:`NodeSlice`) per logical node
     for one accounted step.
 
     BSP phases run in sequence, so a node's barrier wait is the slack
-    against the slowest node in each phase; retransmission cost (charged
-    to the super-step as a whole) lands in the wait term too.
+    against the slowest node in each phase.
     """
     for node, node_units in enumerate(units):
-        factor = 1.0 if slowdown is None else slowdown[node]
-        node_comp = node_units * factor * cost.t_op
+        node_comp = node_units * cost.t_op
         node_comm = (recv[node] + bcast_bytes) * cost.t_byte
         piece = NodeSlice(
             superstep=superstep,
@@ -547,7 +491,6 @@ def _emit_node_slices(
             ),
             barrier_seconds=cost.t_barrier,
             recv_bytes=recv[node],
-            slowdown=factor,
         )
         tracer.event("pregel.node", **piece.to_dict())
 
@@ -557,17 +500,15 @@ def _account_finalize(
     stats: RunStats,
     finalize_units: list[int],
     superstep: int,
-    recovery: Recovery | None = None,
     tracer=None,
     node_slices: bool = True,
 ) -> None:
     """Account the post-loop finalize pass as one extra super-step."""
     if not any(finalize_units):
         return
-    slowdown = None if recovery is None else recovery.slowdown
     stats.supersteps += 1
     stats.compute_units += sum(finalize_units)
-    finalize_seconds = _slowest_node_seconds(cost, finalize_units, slowdown)
+    finalize_seconds = max(finalize_units) * cost.t_op
     stats.computation_seconds += finalize_seconds
     stats.barrier_seconds += cost.t_barrier
     for node, units in enumerate(finalize_units):
@@ -575,7 +516,7 @@ def _account_finalize(
     if node_slices and tracer is not None and tracer.enabled:
         _emit_node_slices(
             cost, tracer, superstep + 1, finalize_units,
-            [0] * len(finalize_units), 0, finalize_seconds, 0.0, slowdown,
+            [0] * len(finalize_units), 0, finalize_seconds, 0.0,
         )
 
 
@@ -586,12 +527,12 @@ class Engine(ABC):
     :meth:`run` owns the protocol — step every worker, sum their
     counters in worker order, account the barrier, run the workers'
     barrier, cut-off, termination, finalize — and the cluster owns the
-    configuration (node count, partitioner, cost model, fault plan).
+    configuration (node count, partitioner, cost model).
     What differs between engines is only where the :class:`Worker`
     objects live:
 
     - :class:`SimulatorEngine` — one worker in the master's process
-      owning every node: deterministic, with fault injection; and
+      owning every node: deterministic; and
     - :class:`repro.pregel.mp.MultiprocessEngine` — the same workers in
       forked processes over a shared-memory CSR, producing the identical
       labels and the identical simulated-clock accounting while the wall
@@ -600,9 +541,6 @@ class Engine(ABC):
 
     #: Short name used by ``--engine`` and telemetry.
     name: str = "?"
-    #: Whether the engine honours fault plans and checkpoint intervals:
-    #: both need the in-process worker :mod:`repro.pregel.recovery` rewinds.
-    supports_faults: bool = False
 
     @abstractmethod
     def _start_workers(
@@ -646,21 +584,19 @@ class Engine(ABC):
         ) as span:
             cost = cluster.cost_model
             num_nodes = cluster.num_nodes
-            recovery = self._fault_hook(cluster, graph)
-            routing = cluster.routing(graph) if recovery is None else recovery.routing
             if stats is None:
                 stats = RunStats(num_nodes=num_nodes)
                 stats.per_node_units = [0] * num_nodes
             wall_start = time.perf_counter()
             simulated_start = stats.simulated_seconds
 
-            ctx = ComputeContext(graph, num_nodes, routing, cost, program)
+            ctx = ComputeContext(
+                graph, num_nodes, cluster.routing(graph), cost, program
+            )
             with self._start_workers(cluster, ctx, program) as workers:
                 remote = workers.remote
                 if remote:
                     span.set(workers=len(workers))
-                if recovery is not None:
-                    recovery.start(workers.worker)
 
                 superstep = 0
                 while True:
@@ -675,14 +611,8 @@ class Engine(ABC):
                     counts = StepCounts(*shares[0])
                     for share in shares[1:]:
                         counts = counts.plus(share)
-                    if recovery is not None:
-                        resume = recovery.crashed(superstep, counts, stats, tracer)
-                        if resume is not None:
-                            superstep = resume
-                            cost.check_time(stats.simulated_seconds)
-                            continue
                     _account_superstep(
-                        cost, superstep, counts, stats, tracer, recovery,
+                        cost, superstep, counts, stats, tracer,
                         node_slices=not remote,
                     )
                     workers.barrier(superstep)
@@ -690,8 +620,6 @@ class Engine(ABC):
                         workers.emit_slices(
                             tracer, superstep, counts.units, counts.recv_bytes
                         )
-                    if recovery is not None:
-                        recovery.barrier(superstep, stats, tracer)
                     cost.check_time(stats.simulated_seconds)
                     if not counts.pending:
                         break
@@ -699,8 +627,7 @@ class Engine(ABC):
                 finalized = workers.finalize(stats.simulated_seconds)
                 units = [sum(node) for node in zip(*(u for u, _ in finalized))]
                 _account_finalize(
-                    cost, stats, units, superstep, recovery, tracer,
-                    node_slices=not remote,
+                    cost, stats, units, superstep, tracer, node_slices=not remote
                 )
                 if remote:
                     if any(units):
@@ -716,30 +643,16 @@ class Engine(ABC):
                 span.add_simulated(stats.simulated_seconds - simulated_start)
         return stats
 
-    def _fault_hook(self, cluster: "Cluster", graph: DiGraph) -> Recovery | None:
-        """The run's :class:`~repro.pregel.recovery.Recovery`: installed
-        when the engine ``supports_faults`` and the cluster has a fault
-        plan or a checkpoint interval."""
-        if not self.supports_faults or (
-            cluster.faults is None and cluster.checkpoint_interval is None
-        ):
-            return None
-        from repro.pregel.recovery import Recovery
-
-        return Recovery(cluster, graph)
-
 
 class SimulatorEngine(Engine):
     """The deterministic single-process simulator (the default engine).
 
     Runs every vertex in one process, charging all work through the
-    cluster's :class:`CostModel`; supports fault injection, super-step
-    checkpointing, and crash recovery.  Wall-clock time is irrelevant
-    here — the simulated clock is the result.
+    cluster's :class:`CostModel`.  Wall-clock time is irrelevant here —
+    the simulated clock is the result.
     """
 
     name = "sim"
-    supports_faults = True
 
     @contextmanager
     def _start_workers(self, cluster, ctx, program):
@@ -783,16 +696,6 @@ class Cluster:
     partitioner:
         Vertex-to-node assignment; defaults to the paper's hash-by-id
         scheme.
-    faults:
-        Optional :class:`~repro.faults.FaultPlan` injected into every
-        run of this cluster.  Crash events fire once per cluster
-        lifetime and dead nodes stay dead across chained runs (DRL_b's
-        batches), exactly as on real hardware.  Simulator engine only.
-    checkpoint_interval:
-        Snapshot program state and pending messages every this many
-        super-steps, charging the serialization bytes through the cost
-        model.  Required for crash recovery to resume anywhere other
-        than super-step 0.  Simulator engine only.
     engine:
         Execution engine: ``"sim"`` (default) for the deterministic
         single-process simulator, ``"mp"`` for real parallelism across
@@ -808,33 +711,17 @@ class Cluster:
         num_nodes: int = 32,
         cost_model: CostModel | None = None,
         partitioner: Partitioner | None = None,
-        faults: FaultPlan | None = None,
-        checkpoint_interval: int | None = None,
         engine: "str | Engine" = "sim",
         workers: int | None = None,
     ):
         num_nodes = check_count("num_nodes", num_nodes)
         if partitioner is not None and partitioner.num_nodes != num_nodes:
             raise ValueError("partitioner and cluster disagree on num_nodes")
-        if checkpoint_interval is not None:
-            checkpoint_interval = check_count("checkpoint_interval", checkpoint_interval)
         self.engine = resolve_engine(engine, workers)
-        if not self.engine.supports_faults and (
-            faults is not None or checkpoint_interval is not None
-        ):
-            raise ReproError(
-                f"the {self.engine.name!r} engine does not support fault "
-                "injection or checkpointing; use engine='sim'"
-            )
         self.num_nodes = num_nodes
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.partitioner = (
             partitioner if partitioner is not None else HashPartitioner(num_nodes)
-        )
-        self.faults = faults
-        self.checkpoint_interval = checkpoint_interval
-        self._injector = (
-            FaultInjector(faults, num_nodes) if faults is not None else None
         )
         self._routing: tuple[DiGraph, Routing] | None = None
         #: Inside ``with cluster:`` the engine keeps its workers between runs.
@@ -884,21 +771,13 @@ class Cluster:
         chain the batches of DRL_b into one run) and the time-limit check
         covers the accumulated total.
 
-        With a fault plan, crashed super-steps are discarded and
-        replayed from the last checkpoint; discarded attempts and
-        replays charge ``stats.recovery_seconds`` only, so the work
-        counters describe committed progress exactly once — identical
-        to a fault-free run of the same program.
-
         Per-super-step detail goes to the telemetry stream only (see
         :mod:`repro.telemetry`): under an active session the whole run
-        is wrapped in a ``pregel.run`` span, and every committed
+        is wrapped in a ``pregel.run`` span, and every
         super-step emits one ``pregel.node`` event per node (the
         :class:`~repro.pregel.metrics.NodeSlice` fields) and one
         ``pregel.superstep`` row.  Under the multiprocessing engine the
         slices are per worker and carry *measured* wall-clock seconds.
-        Faults add ``pregel.fault``, ``pregel.replay``,
-        ``pregel.recovery`` and ``pregel.checkpoint`` events.
         :class:`repro.telemetry.reader.Trace` reads the rows back
         (``events("pregel.superstep")``) and rebuilds the per-node lanes,
         the input of :func:`repro.observe.skew.analyze_skew`.

@@ -13,8 +13,7 @@ class NodeSlice:
     barrier — so every node's slice spans the same interval and the
     identity ``compute + comm + barrier_wait + barrier`` is constant
     across the nodes of a super-step.  ``barrier_wait_seconds`` is the
-    idle time spent waiting for slower nodes in both phases (plus any
-    retransmission cost charged to the super-step as a whole), which is
+    idle time spent waiting for slower nodes in both phases, which is
     what the skew analyzer attributes to stragglers and hot partitions.
     """
 
@@ -26,7 +25,6 @@ class NodeSlice:
     barrier_wait_seconds: float
     barrier_seconds: float
     recv_bytes: int
-    slowdown: float = 1.0
 
     @property
     def busy_seconds(self) -> float:
@@ -56,14 +54,6 @@ class RunStats:
     bar segments of the paper's Fig. 5; their sum (plus barriers) is the
     *index time* reported in Table VI and Figs. 6-9.
 
-    Fault accounting (see :mod:`repro.faults`): the work counters
-    (``compute_units``, messages, bytes) describe *committed*
-    progress only, so they match a fault-free run of the same program.
-    Everything a fault costs on top — discarded super-step attempts,
-    checkpoint replay, failover detection, checkpoint restore I/O — is
-    isolated in ``recovery_seconds``; periodic checkpoint writes land in
-    ``checkpoint_seconds``.  Both are part of ``simulated_seconds``.
-
     Per-super-step rows and per-node lanes are not kept here: a run
     emits them as ``pregel.*`` events, which
     :class:`repro.telemetry.reader.Trace` reads back (``events`` and
@@ -80,25 +70,16 @@ class RunStats:
     computation_seconds: float = 0.0
     communication_seconds: float = 0.0
     barrier_seconds: float = 0.0
-    checkpoint_seconds: float = 0.0
-    recovery_seconds: float = 0.0
-    checkpoints: int = 0
-    crashes: int = 0
-    messages_lost: int = 0
-    messages_duplicated: int = 0
     per_node_units: list[int] = field(default_factory=list)
     wall_seconds: float = 0.0
 
     @property
     def simulated_seconds(self) -> float:
-        """Total simulated time, fault overhead included (computation +
-        communication + barriers + checkpointing + recovery)."""
+        """Total simulated time: computation + communication + barriers."""
         return (
             self.computation_seconds
             + self.communication_seconds
             + self.barrier_seconds
-            + self.checkpoint_seconds
-            + self.recovery_seconds
         )
 
     @property
@@ -131,12 +112,6 @@ class RunStats:
         self.computation_seconds += other.computation_seconds
         self.communication_seconds += other.communication_seconds
         self.barrier_seconds += other.barrier_seconds
-        self.checkpoint_seconds += other.checkpoint_seconds
-        self.recovery_seconds += other.recovery_seconds
-        self.checkpoints += other.checkpoints
-        self.crashes += other.crashes
-        self.messages_lost += other.messages_lost
-        self.messages_duplicated += other.messages_duplicated
         self.wall_seconds += other.wall_seconds
         if len(self.per_node_units) < len(other.per_node_units):
             self.per_node_units.extend(
@@ -148,7 +123,7 @@ class RunStats:
 
     def summary(self) -> str:
         """One-line human-readable summary."""
-        text = (
+        return (
             f"{self.simulated_seconds:.3f}s simulated "
             f"({self.computation_seconds:.3f}s comp, "
             f"{self.communication_seconds:.3f}s comm, "
@@ -157,10 +132,3 @@ class RunStats:
             f"{self.compute_units} units, "
             f"{self.remote_messages}/{self.total_messages} remote msgs"
         )
-        if self.crashes or self.checkpoints:
-            text += (
-                f"; {self.crashes} crash(es), {self.checkpoints} "
-                f"checkpoint(s), {self.recovery_seconds:.3f}s recovery, "
-                f"{self.checkpoint_seconds:.3f}s checkpointing"
-            )
-        return text

@@ -49,9 +49,6 @@ transports", has the whole picture):
 - Per-worker *measured* wall-clock timings become ``pregel.node``
   events (:class:`~repro.pregel.metrics.NodeSlice` fields, ``node`` =
   worker id).
-
-Fault plans and checkpoint intervals are the simulator's
-(:mod:`repro.pregel.recovery`); :class:`~repro.pregel.engine.Cluster` refuses them here.
 """
 
 from __future__ import annotations
@@ -473,7 +470,6 @@ class MultiprocessEngine(Engine):
     """
 
     name = "mp"
-    supports_faults = False
 
     def __init__(
         self, workers: int | None = None, arrival_seed: int | None = None

@@ -19,7 +19,6 @@ barrier's snapshot.
 
 from __future__ import annotations
 
-import copy
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -27,26 +26,6 @@ from repro.graph.digraph import DiGraph
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pregel.engine import ComputeContext, FinalizeContext
-
-
-def _copy_state(attrs: dict) -> dict:
-    """Deep-copy an attribute dict, sharing (not copying) any graphs.
-
-    Input graphs are immutable by convention and can be huge; the memo
-    is pre-seeded with every :class:`DiGraph` reachable as a direct
-    attribute (including via nested programs, which hold the same graph
-    object), so ``deepcopy`` treats them as already-copied.
-    """
-    memo: dict[int, object] = {}
-    stack = [attrs]
-    while stack:
-        current = stack.pop()
-        for value in current.values():
-            if isinstance(value, DiGraph):
-                memo[id(value)] = value
-            elif isinstance(value, VertexProgram):
-                stack.append(vars(value))
-    return copy.deepcopy(attrs, memo)
 
 
 class VertexProgram(ABC):
@@ -85,26 +64,6 @@ class VertexProgram(ABC):
 
     def on_barrier(self, superstep: int) -> None:
         """Called at every super-step barrier (publish shared snapshots)."""
-
-    def snapshot(self) -> dict:
-        """Checkpoint: a deep copy of the program's mutable state.
-
-        The default copies every instance attribute except input graphs
-        (shared, immutable by convention).  Programs with state that
-        must not — or need not — be checkpointed can override this and
-        :meth:`restore` as a pair.
-        """
-        return _copy_state(vars(self))
-
-    def restore(self, state: dict) -> None:
-        """Roll back to a :meth:`snapshot`.
-
-        The snapshot is copied again on the way in so that it survives
-        further mutation and can be restored more than once (repeated
-        crashes between two checkpoints).
-        """
-        vars(self).clear()
-        vars(self).update(_copy_state(state))
 
     def finalize(self, ctx: "FinalizeContext") -> None:
         """Called once after the message loop (e.g. Alg. 3 lines 19-20).

@@ -66,8 +66,8 @@ class MeteredSearchBackend:
 class FallbackBackend:
     """Serve from the index when it exists, fall back to BFS otherwise.
 
-    Degraded-mode serving for a cluster whose index build died (crash
-    without checkpointing, out-of-memory, cut-off): queries keep being
+    Degraded-mode serving for a cluster whose index build died
+    (out-of-memory, the simulated cut-off): queries keep being
     answered — by :class:`~repro.baselines.online.OnlineSearcher`
     traversal of the raw graph — just slower.  Every fallback-served
     query increments :attr:`fallback_queries` (a served run's report,

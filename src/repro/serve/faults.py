@@ -1,8 +1,6 @@
 """Serve-side fault injection: replica crashes, slowdowns, recovery.
 
-:mod:`repro.faults` injects faults into the *build* path (cluster
-nodes dying between supersteps).  This module is its serving-tier
-counterpart: a :class:`ServeFaultPlan` schedules failures of **label
+A :class:`ServeFaultPlan` schedules failures of **label
 replicas** on the serving clock — replica ``(shard, replica)`` crashes
 at simulated second ``T``, runs ``k×`` slow in ``[START, END)``, or
 recovers — and :meth:`ServeFaultPlan.schedule` puts them on the

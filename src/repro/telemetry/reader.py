@@ -28,8 +28,6 @@ _NODE_FIELDS = (
     "superstep", "node", "units", "compute_seconds", "comm_seconds",
     "barrier_wait_seconds", "barrier_seconds",
 )
-#: The events that become :class:`TimelineInterval` rows.
-_INTERVAL_EVENTS = ("pregel.recovery", "pregel.replay", "pregel.checkpoint")
 #: Required fields and their types: of a record by kind ...
 _REQUIRED = {
     "span": {"name": str, "id": int, "start": _NUMBER},
@@ -49,21 +47,6 @@ class TraceReadError(ValueError):
     """The trace file is missing or holds no valid record."""
 
 
-@dataclass(frozen=True)
-class TimelineInterval:
-    """A non-super-step interval on the cluster timeline.
-
-    ``kind`` is ``"recovery"`` (post-crash failover + checkpoint
-    restore), ``"replay"`` (a discarded or re-executed super-step
-    attempt), or ``"checkpoint"`` (a periodic snapshot write).
-    """
-
-    kind: str
-    superstep: int
-    seconds: float
-    nodes: tuple[int, ...] = ()
-
-
 @dataclass
 class NodeTimeline:
     """Per-node, per-super-step timeline of one (possibly chained) run,
@@ -71,16 +54,14 @@ class NodeTimeline:
     ``pregel.*`` events.
 
     ``slices`` hold one :class:`~repro.pregel.metrics.NodeSlice` per
-    node per committed super-step, in execution order; ``intervals``
-    hold the fault machinery's cost (recovery, replay, checkpointing).
-    Chained runs (DRL_b's batches) append to the same timeline, so
-    super-step numbers restart; :meth:`supersteps` groups slices by
-    execution occurrence, not by number.
+    node per super-step, in execution order.  Chained runs (DRL_b's
+    batches) append to the same timeline, so super-step numbers
+    restart; :meth:`supersteps` groups slices by execution occurrence,
+    not by number.
     """
 
     num_nodes: int
     slices: list[NodeSlice] = field(default_factory=list)
-    intervals: list[TimelineInterval] = field(default_factory=list)
 
     def supersteps(self) -> list[list[NodeSlice]]:
         """Slices grouped per super-step occurrence, execution order."""
@@ -162,10 +143,9 @@ class Trace:
     @property
     def node_timeline(self) -> NodeTimeline | None:
         """The per-node BSP timeline of the ``pregel.node`` events (one
-        per node per committed super-step, in execution order) plus the
-        recovery, replay and checkpoint intervals, in emission order;
-        ``None`` when the run never entered the engine.  Built from the
-        records each time it is read.
+        per node per super-step, in execution order); ``None`` when the
+        run never entered the engine.  Built from the records each time
+        it is read.
         """
         nodes = self.events("pregel.node")
         if not nodes:
@@ -176,26 +156,12 @@ class Trace:
             slices.append(
                 NodeSlice(
                     recv_bytes=attrs.get("recv_bytes", 0),
-                    slowdown=attrs.get("slowdown", 1.0),
                     **{name: attrs[name] for name in _NODE_FIELDS},
                 )
             )
-        intervals = []
-        for record in self.records:
-            if record["kind"] == "event" and record["name"] in _INTERVAL_EVENTS:
-                attrs = record.get("attrs", {})
-                intervals.append(
-                    TimelineInterval(
-                        record["name"].removeprefix("pregel."),
-                        attrs.get("superstep", 0),
-                        attrs.get("seconds", 0.0),
-                        tuple(attrs.get("nodes", ())),
-                    )
-                )
         return NodeTimeline(
             num_nodes=max(piece.node for piece in slices) + 1,
             slices=slices,
-            intervals=intervals,
         )
 
 

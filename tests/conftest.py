@@ -62,6 +62,40 @@ def paper_order():
     return paper_example_order()
 
 
+def straggler_records() -> list[dict]:
+    """A hand-written trace of a two-super-step run on four nodes in
+    which node 2 takes 4× the others' seconds per unit: one
+    ``pregel.node`` record per node per super-step, with the barrier
+    waits the engine derives, under a ``pregel.run`` span inside a
+    ``drl_b.build`` span."""
+    t_op, t_byte, barrier = 2.5e-8, 1e-9, 3e-4
+    records = []
+    simulated = 0.0
+    for superstep in (1, 2):
+        units = [100 * superstep + 10 * node for node in range(4)]
+        compute = [u * t_op * (4.0 if node == 2 else 1.0) for node, u in enumerate(units)]
+        comm = [8 * u * t_byte for u in units]
+        simulated += max(compute) + max(comm) + barrier
+        for node in range(4):
+            records.append({
+                "kind": "event", "name": "pregel.node", "span": 2,
+                "attrs": {
+                    "superstep": superstep, "node": node, "units": units[node],
+                    "compute_seconds": compute[node], "comm_seconds": comm[node],
+                    "barrier_wait_seconds": (max(compute) - compute[node])
+                    + (max(comm) - comm[node]),
+                    "barrier_seconds": barrier, "recv_bytes": 8 * units[node],
+                },
+            })
+    for span_id, parent, name in ((2, 1, "pregel.run"), (1, None, "drl_b.build")):
+        records.append({
+            "kind": "span", "name": name, "id": span_id, "parent": parent,
+            "start": 0.0, "wall_seconds": 0.01, "simulated_seconds": simulated,
+            "status": "ok", "attrs": {},
+        })
+    return records
+
+
 # Expected label sets from Table II, keyed by 1-indexed paper vertex.
 TABLE_II_IN = {
     1: {1}, 2: {2}, 3: {2}, 4: {2}, 5: {1}, 6: {2}, 7: {1},

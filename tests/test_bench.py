@@ -224,16 +224,6 @@ def test_capture_tables_collects_created_tables():
     assert len(captured) == 1
 
 
-def test_run_fault_recovery_table(registered):
-    (table,) = registered("faults").tables
-    assert table.rows == ["GO"]
-    assert table.get("GO", "identical").value == 1.0
-    assert table.get("GO", "recovery s").value > 0.0
-    assert (
-        table.get("GO", "faulty s").value > table.get("GO", "clean s").value
-    )
-
-
 # ----------------------------------------------------------------------
 # The registry: every experiment through the one sweep
 # ----------------------------------------------------------------------

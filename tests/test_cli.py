@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import struct
 import subprocess
@@ -12,6 +13,7 @@ import repro
 from repro.cli import main
 from repro.core.labels import ReachabilityIndex
 from repro.graph.io import read_edge_list
+from tests.conftest import straggler_records
 
 
 @pytest.fixture
@@ -379,13 +381,12 @@ def test_trace_readers_pass_over_the_metric_records_of_an_old_trace(tmp_path, ca
 # The profile subcommand
 # ----------------------------------------------------------------------
 @pytest.fixture
-def straggler_trace(tmp_path, graph_file):
-    """A DRL_b build trace with node 2 slowed 4x."""
+def straggler_trace(tmp_path):
+    """A hand-written run trace with node 2 slowed 4x."""
     trace_file = tmp_path / "straggler.jsonl"
-    assert main(["build", str(graph_file), "-o", str(tmp_path / "s.idx"),
-                 "--method", "drl-b", "--nodes", "4",
-                 "--faults", "straggler=2x4.0",
-                 "--trace-out", str(trace_file)]) == 0
+    trace_file.write_text(
+        "".join(json.dumps(record) + "\n" for record in straggler_records())
+    )
     return trace_file
 
 
@@ -551,51 +552,20 @@ def test_bench_check_missing_baseline_exits_2(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# Fault injection flags and ReproError exit codes
+# Build flags and ReproError exit codes
 # ----------------------------------------------------------------------
-def test_build_with_faults_identical_index(tmp_path, graph_file):
-    clean = tmp_path / "clean.idx"
-    faulty = tmp_path / "faulty.idx"
-    assert main(["build", str(graph_file), "-o", str(clean),
-                 "--method", "drl-b", "--nodes", "8"]) == 0
-    assert main(["build", str(graph_file), "-o", str(faulty),
-                 "--method", "drl-b", "--nodes", "8",
-                 "--faults", "crash=1@3,straggler=2x2.0,loss=0.01,seed=42",
-                 "--checkpoint-interval", "2"]) == 0
-    # The save format is deterministic, so identical indexes mean
-    # byte-identical files.
-    assert clean.read_bytes() == faulty.read_bytes()
-
-
-def test_build_reports_fault_summary(tmp_path, graph_file, capsys):
-    out = tmp_path / "f.idx"
-    assert main(["build", str(graph_file), "-o", str(out), "--nodes", "8",
-                 "--faults", "crash=1@3", "--checkpoint-interval", "2"]) == 0
-    assert "crash(es)" in capsys.readouterr().out
-
-
-def test_build_bad_fault_spec_exits_2(tmp_path, graph_file, capsys):
-    assert main(["build", str(graph_file), "-o", str(tmp_path / "x.idx"),
-                 "--faults", "crash=nope"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-
-
-def test_build_fault_plan_out_of_range_exits_2(tmp_path, graph_file, capsys):
-    assert main(["build", str(graph_file), "-o", str(tmp_path / "x.idx"),
-                 "--nodes", "4", "--faults", "crash=9@2"]) == 2
-    assert "only 4 nodes" in capsys.readouterr().err
-
-
-def test_build_faults_rejected_for_serial_tol(tmp_path, graph_file, capsys):
-    assert main(["build", str(graph_file), "-o", str(tmp_path / "x.idx"),
-                 "--method", "tol", "--faults", "crash=1@2"]) == 2
-    assert "serial" in capsys.readouterr().err
-
-
-def test_build_bad_checkpoint_interval_exits_2(tmp_path, graph_file, capsys):
-    assert main(["build", str(graph_file), "-o", str(tmp_path / "x.idx"),
-                 "--checkpoint-interval", "0"]) == 2
-    assert "must be an integer >= 1" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "flag,value", [("--faults", "crash=1@2"), ("--checkpoint-interval", "2")]
+)
+def test_build_has_no_fault_flags(tmp_path, graph_file, capsys, flag, value):
+    """Builds no longer inject faults or checkpoint: either flag is an
+    unknown option, refused by argparse before any work."""
+    out = tmp_path / "x.idx"
+    with pytest.raises(SystemExit) as info:
+        main(["build", str(graph_file), "-o", str(out), flag, value])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -603,19 +573,10 @@ def test_build_bad_checkpoint_interval_exits_2(tmp_path, graph_file, capsys):
     [
         # Each rule below used to be re-checked by ``_cmd_build``; the
         # library's own refusal is now the message.  The counts
-        # (--checkpoint-interval, --workers, --nodes) never reach the
-        # library: their argparse type refuses them, naming the flag.
-        (["--engine", "mp", "--faults", "crash=1@2"],
-         "the 'mp' engine does not support fault injection or checkpointing"),
-        (["--engine", "mp", "--checkpoint-interval", "2"],
-         "the 'mp' engine does not support fault injection or checkpointing"),
-        (["--checkpoint-interval", "0"],
-         "--checkpoint-interval must be an integer >= 1, got 0"),
+        # (--workers, --nodes) never reach the library: their argparse
+        # type refuses them, naming the flag.
         (["--engine", "mp", "--workers", "0"],
          "workers must be an integer >= 1, got 0"),
-        (["--nodes", "4", "--faults", "straggler=9x2"],
-         "fault plan names node 9 but the cluster has only 4 nodes"),
-        (["--nodes", "2", "--faults", "crash=0@1,crash=1@2"], "survivor"),
         (["--nodes", "0"], "--nodes must be an integer >= 1, got 0"),
     ],
 )
@@ -636,7 +597,6 @@ def test_build_reports_the_librarys_own_refusal(
         (["--workers", "2"], "only applies to --engine mp"),
         (["--method", "tol", "--workers", "2"], "only applies to --engine mp"),
         (["--method", "tol", "--engine", "mp"], "serial 'tol' baseline"),
-        (["--method", "tol", "--checkpoint-interval", "2"], "serial 'tol' baseline"),
     ],
 )
 def test_build_keeps_the_rules_only_the_cli_has(
@@ -645,17 +605,6 @@ def test_build_keeps_the_rules_only_the_cli_has(
     assert main(["build", str(graph_file), "-o", str(tmp_path / "x.idx"),
                  *flags]) == 2
     assert says in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "spec", ["straggler=1xnan", "straggler=1xinf", "loss=nan", "crash=3"]
-)
-def test_build_bad_fault_clause_names_its_shape(tmp_path, graph_file, capsys, spec):
-    assert main(["build", str(graph_file), "-o", str(tmp_path / "x.idx"),
-                 "--faults", spec]) == 2
-    err = capsys.readouterr().err
-    key = spec.partition("=")[0]
-    assert err.startswith(f"error: bad fault clause {spec!r}: expected {key}=")
 
 
 @pytest.mark.parametrize(
@@ -681,6 +630,10 @@ def test_missing_input_file_is_one_error_line(tmp_path, capsys, argv):
 
 
 _INT, _POSITIVE = "must be an integer", "must be a finite number > 0, got"
+_GONE = (
+    "which no fuzz case has (fault plans and checkpoint intervals went with "
+    "the simulated build-fault layer); it cannot replay as it ran"
+)
 
 
 @pytest.mark.parametrize(
@@ -744,14 +697,29 @@ _INT, _POSITIVE = "must be an integer", "must be a finite number > 0, got"
          "--baseline-threshold must be a finite number >= 0, got 'inf'"),
         (["serve-bench", "--mode", "mixed", "--node-ratio", "0.6", "--promote-ratio", "0.6"],
          "--node-ratio + --promote-ratio must not exceed 1, got 0.6 + 0.6"),
+        # A fuzz repro file that holds no case (``TEXT:`` is the file's
+        # content; FILE in the message is its path).
+        (["fuzz", "--replay", "FILE"],
+         "FILE is not a JSON file: Expecting value: line 1 column 1 (char 0)"),
+        (["fuzz", "--replay", 'TEXT:{"case": {"family": "dag"'],
+         "FILE is not a JSON file: Expecting ',' delimiter: line 1 column 26 (char 25)"),
+        (["fuzz", "--replay", 'TEXT:{"case": {"family": "dag", "seed": 1}}'],
+         "FILE: the case has no 'case_id'"),
+        (["fuzz", "--replay", 'TEXT:{"case": {"case_id": 0, "faults": "crash=0@2"}}'],
+         f"FILE: the case sets 'faults', {_GONE}"),
+        (["fuzz", "--replay", 'TEXT:{"case_id": 0, "checkpoint_interval": 2}'],
+         f"FILE: the case sets 'checkpoint_interval', {_GONE}"),
     ],
 )
 def test_bad_count_or_seconds_flag_is_one_error_line(tmp_path, capsys, argv, err):
     path = tmp_path / "file"
     path.touch()
-    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    for arg in argv:
+        if arg.startswith("TEXT:"):
+            path.write_text(arg.removeprefix("TEXT:"))
+    argv = [str(path) if arg == "FILE" or arg.startswith("TEXT:") else arg for arg in argv]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {err}\n"
+    assert capsys.readouterr().err == f"error: {err.replace('FILE', str(path))}\n"
 
 
 def test_build_time_limit_exceeded_exits_2(tmp_path, graph_file, capsys):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.baselines.bfl_distributed import build_bfl_distributed
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import ModuloPartitioner, RangePartitioner
 from repro.pregel.cost_model import CostModel
@@ -180,14 +179,6 @@ _NAN = float("nan")
     [
         pytest.param(lambda: Cluster(num_nodes=2.5), id="num_nodes=2.5"),
         pytest.param(
-            lambda: Cluster(num_nodes=8, checkpoint_interval=_NAN),
-            id="checkpoint_interval=nan",
-        ),
-        pytest.param(
-            lambda: Cluster(num_nodes=8, checkpoint_interval=1.5),
-            id="checkpoint_interval=1.5",
-        ),
-        pytest.param(
             lambda: Cluster(num_nodes=8, engine="mp", workers=_NAN),
             id="workers=nan",
         ),
@@ -201,18 +192,12 @@ _NAN = float("nan")
             ),
             id="max_supersteps=nan",
         ),
-        pytest.param(
-            lambda: build_bfl_distributed(
-                DiGraph(2, [(0, 1)]), num_nodes=2, checkpoint_interval=_NAN
-            ),
-            id="bfl_checkpoint_interval=nan",
-        ),
     ],
 )
 def test_cluster_counts_are_checked_where_they_come_in(make):
-    """A NaN or fractional count used to run (NaN never checkpoints and
-    never hits the super-step limit; 1.5 checkpoints on multiples of 3)
-    or die in a bare ``TypeError``; each is a ``ValueError`` naming it."""
+    """A NaN or fractional count used to run (NaN never hits the
+    super-step limit) or die in a bare ``TypeError``; each is a
+    ``ValueError`` naming it."""
     with pytest.raises(ValueError, match=r"must be an integer >= 1, got"):
         make()
 

@@ -1,5 +1,5 @@
 """The one fault-spec grammar (``repro.faults.SpecPlan``), table-driven
-over both plans' shape tables."""
+over the serving plan's shape table."""
 
 import re
 from pathlib import Path
@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.faults import FaultPlan, FaultSpecError, NodeCrash, Straggler
 from repro.serve.faults import (
     ReplicaCrash,
     ReplicaRecovery,
@@ -18,7 +17,7 @@ from repro.serve.faults import (
     ServeFaultSpecError,
 )
 
-_PLANS = (FaultPlan, ServeFaultPlan)
+_PLANS = (ServeFaultPlan,)
 _SHAPES = [
     (plan, key, shape)
     for plan in _PLANS
@@ -47,23 +46,15 @@ def _rejects(plan, clause: str, shape_text: str) -> None:
 
 
 def test_shape_tables_are_the_documented_grammar():
-    assert {key: row[0] for key, row in FaultPlan.SHAPES.items()} == {
-        "crash": "NODE@SUPERSTEP",
-        "straggler": "NODExFACTOR",
-        "loss": "RATE",
-        "dup": "RATE",
-        "seed": "N",
-    }
     assert {key: row[0] for key, row in ServeFaultPlan.SHAPES.items()} == {
         "crash": "SHARD.REPLICA@SECONDS",
         "slow": "SHARD.REPLICAxFACTOR@START[:END]",
         "recover": "SHARD.REPLICA@SECONDS",
     }
-    assert FaultPlan.SPEC_ERROR is FaultSpecError
     assert ServeFaultPlan.SPEC_ERROR is ServeFaultSpecError
 
 
-@pytest.mark.parametrize("doc", ["simulator.md", "serving.md"])
+@pytest.mark.parametrize("doc", ["serving.md"])
 def test_docs_carry_every_shape(doc):
     text = (Path(__file__).parent.parent / "docs" / doc).read_text()
     for _, key, shape in _SHAPES:
@@ -75,7 +66,7 @@ def test_a_filled_shape_parses_and_round_trips(plan, key, shape):
     # ``recover`` needs its crash first (a domain rule, not grammar).
     prefix = "crash=2.2@1," if key == "recover" else ""
     for drop_optional in (False, True):
-        values = {"RATE": "0.5", "END": "3"}
+        values = {"END": "3"}
         spec = prefix + f"{key}={_fill(shape, values, drop_optional)}"
         parsed = plan.parse(spec)
         assert parsed.to_spec() == spec
@@ -112,9 +103,6 @@ def test_malformed_clauses_name_the_shape(plan, key, shape):
 @pytest.mark.parametrize(
     "plan,clause,part",
     [
-        (FaultPlan, "straggler=1xnan", "FACTOR"),
-        (FaultPlan, "straggler=1xinf", "FACTOR"),
-        (FaultPlan, "loss=nan", "RATE"),
         (ServeFaultPlan, "crash=0.0@nan", "SECONDS"),
         (ServeFaultPlan, "slow=0.0xnan@1", "FACTOR"),
         (ServeFaultPlan, "slow=0.0x2@1:inf", "END"),
@@ -122,33 +110,28 @@ def test_malformed_clauses_name_the_shape(plan, key, shape):
 )
 def test_non_finite_numbers_are_rejected_naming_the_clause(plan, clause, part):
     with pytest.raises(plan.SPEC_ERROR, match=re.escape(repr(clause))) as info:
-        plan.parse(f"seed=1,{clause}" if plan is FaultPlan else clause)
+        plan.parse(clause)
     assert f"{part} must be a finite number" in str(info.value)
 
 
 def test_integer_parts_reject_fractions_and_accept_any_size():
-    with pytest.raises(FaultSpecError, match="expected seed=N .N must be an integer"):
-        FaultPlan.parse("seed=1.5")
-    with pytest.raises(FaultSpecError, match="NODE must be an integer"):
-        FaultPlan.parse("crash=1.0@2")
+    with pytest.raises(ServeFaultSpecError, match="SHARD must be an integer"):
+        ServeFaultPlan.parse("crash=1e0.0@2")
+    with pytest.raises(ServeFaultSpecError, match="REPLICA must be an integer"):
+        ServeFaultPlan.parse("crash=0.1.5@2")
     big = "9" * 400
-    assert FaultPlan.parse(f"seed={big}").to_spec() == f"seed={big}"
+    spec = f"crash={big}.{big}@2"
+    assert ServeFaultPlan.parse(spec).to_spec() == spec
 
 
 def test_unknown_key_lists_the_keys():
-    with pytest.raises(FaultSpecError, match="crash, straggler, loss, dup, seed"):
-        FaultPlan.parse("frobnicate=1")
     with pytest.raises(ServeFaultSpecError, match="crash, slow, recover"):
         ServeFaultPlan.parse("explode=0.0@1")
 
 
 def test_domain_rules_still_speak_for_themselves():
-    with pytest.raises(FaultSpecError, match="'straggler=1x0.2': .*>= 1"):
-        FaultPlan.parse("straggler=1x0.2")
-    with pytest.raises(FaultSpecError, match="loss_rate must be in"):
-        FaultPlan.parse("loss=2.0")
-    with pytest.raises(FaultSpecError, match="more than once"):
-        FaultPlan.parse("crash=1@2,crash=1@9")
+    with pytest.raises(ServeFaultSpecError, match="'slow=0.0x0.5@1': .*>= 1"):
+        ServeFaultPlan.parse("slow=0.0x0.5@1")
     with pytest.raises(ServeFaultSpecError, match="never crashes"):
         ServeFaultPlan.parse("recover=0.0@1")
     with pytest.raises(ServeFaultSpecError, match="must end after it starts"):
@@ -156,19 +139,15 @@ def test_domain_rules_still_speak_for_themselves():
 
 
 def test_numbers_print_as_g_printed_them():
-    # What every committed scenario report, faults.txt's title and the
-    # fuzz repro files hold: no trailing ``.0``, no padding.
+    # What every committed scenario report holds: no trailing ``.0``, no
+    # padding.
     plan = ServeFaultPlan.parse("crash=0.0@0.0025,slow=1.0x6.0@1e-05:0.004")
     assert plan.to_spec() == "crash=0.0@0.0025,slow=1.0x6@1e-05:0.004"
-    plan = FaultPlan.parse("crash=3@5,straggler=2x4.0,loss=0.010,dup=1e-3,seed=42")
-    assert plan.to_spec() == "crash=3@5,straggler=2x4,loss=0.01,dup=0.001,seed=42"
-    assert FaultPlan().to_spec() == "" == ServeFaultPlan().to_spec()
+    assert ServeFaultPlan().to_spec() == ""
 
 
 def test_to_spec_keeps_every_digit():
     # ``:g`` dropped everything past six significant digits.
-    plan = FaultPlan(stragglers=(Straggler(1, 1.2345678),))
-    assert FaultPlan.parse(plan.to_spec()) == plan
     serve = ServeFaultPlan(crashes=(ReplicaCrash(0, 0, 0.0025123456),))
     assert ServeFaultPlan.parse(serve.to_spec()) == serve
 
@@ -183,27 +162,6 @@ def _after(instant):
 
 
 _factors = st.floats(min_value=1.0, allow_nan=False, allow_infinity=False)
-_rates = st.floats(
-    min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False
-)
-
-
-@st.composite
-def _fault_plans(draw):
-    nodes = draw(st.lists(_ids, unique=True, max_size=4))
-    return FaultPlan(
-        crashes=tuple(
-            NodeCrash(node, draw(st.integers(min_value=1, max_value=10**6)))
-            for node in nodes
-        ),
-        stragglers=tuple(
-            Straggler(draw(_ids), draw(_factors))
-            for _ in range(draw(st.integers(0, 3)))
-        ),
-        loss_rate=draw(_rates),
-        duplication_rate=draw(_rates),
-        seed=draw(st.integers(min_value=0)),
-    )
 
 
 @st.composite
@@ -224,12 +182,6 @@ def _serve_plans(draw):
             ReplicaSlow(draw(_ids), draw(_ids), draw(_factors), start, until)
         )
     return ServeFaultPlan(tuple(crashes), tuple(slowdowns), tuple(recoveries))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_fault_plans())
-def test_fault_plan_to_spec_is_the_exact_inverse_of_parse(plan):
-    assert FaultPlan.parse(plan.to_spec()) == plan
 
 
 @settings(max_examples=200, deadline=None)

@@ -88,7 +88,6 @@ def test_shrink_reduces_edges_and_config():
     assert len(reduction.case.edges) == 1
     assert reduction.case.num_vertices <= 2
     # Config collapsed to the simplest one that still fails.
-    assert reduction.case.faults is None
     assert reduction.case.updates == ()
     assert reduction.case.num_nodes == 1
     assert reduction.case.partitioner == "hash"

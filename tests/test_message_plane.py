@@ -4,10 +4,10 @@ A reference program floods the way programs did before the fan-out call
 existed — ``ctx.charge(); ctx.send(x, payload)`` per neighbour — and a
 twin floods with ``ctx.send_to_out_neighbors`` / ``send_to_in_neighbors``.
 Everything the engines account must be identical between the two: on
-every fuzz family, with and without the combiner, through a crash and a
-checkpoint replay, and on the multiprocessing engine at any worker
-count and barrier arrival order.  A second group recounts the routing
-counters by brute force from (sender node, destination node) pairs.
+every fuzz family, with and without the combiner, and on the
+multiprocessing engine at any worker count and barrier arrival order.
+A second group recounts the routing counters by brute force from
+(sender node, destination node) pairs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TimeLimitExceeded
-from repro.faults import FaultPlan
 from repro.fuzz.cases import FAMILIES, family_graph
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import (
@@ -131,33 +130,6 @@ def test_fan_out_accounts_like_per_destination_sends(family, combine):
     got = run(FanOutFlood(graph, combine=combine), graph)
     assert got == want
     assert want[1]["trace"] and want[1]["node_timeline"]["slices"]
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("combine", [False, True])
-def test_fan_out_survives_crash_and_checkpoint_replay(family, combine):
-    """The checkpoint deep-copies the pending inbox, whose buckets share
-    one payload object per fan-out; the replay must not notice."""
-    graph = family_graph(family, 40, 1302)
-    clean = run(FanOutFlood(graph, combine=combine), graph)
-    faulty = dict(
-        faults=FaultPlan.parse("crash=1@4,crash=2@5,seed=3"),
-        checkpoint_interval=2,
-    )
-    want = run(PerDestinationFlood(graph, combine=combine), graph, **faulty)
-    got = run(FanOutFlood(graph, combine=combine), graph, **faulty)
-    assert got == want
-    assert got[0] == clean[0]
-    assert got[1]["crashes"] >= 1 and got[1]["checkpoints"] >= 1
-    assert got[1]["recovery_seconds"] > 0.0
-    if not combine:
-        # Committed work only.  The crash moves vertices, which changes
-        # the local/remote split (and what a per-node combiner merges).
-        assert got[1]["compute_units"] == clean[1]["compute_units"]
-        assert (
-            got[1]["local_messages"] + got[1]["remote_messages"]
-            == clean[1]["local_messages"] + clean[1]["remote_messages"]
-        )
 
 
 @pytest.mark.parametrize("family", FAMILIES)

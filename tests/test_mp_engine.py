@@ -15,6 +15,7 @@ finalize reply back) and the re-arm that touches only written rows.
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 import os
 import signal
@@ -34,7 +35,6 @@ from repro.core.multicore import (
     per_core_working_bytes,
 )
 from repro.errors import ReproError
-from repro.faults import FaultPlan
 from repro.graph.generators import citation_graph
 from repro.graph.io import write_edge_list
 from repro.graph.order import degree_order
@@ -146,16 +146,6 @@ def test_cluster_exposes_engine_by_name():
 # ----------------------------------------------------------------------
 # Rejection paths
 # ----------------------------------------------------------------------
-def test_mp_rejects_fault_injection():
-    with pytest.raises(ReproError, match="does not support fault"):
-        Cluster(num_nodes=4, engine="mp", faults=FaultPlan.parse("crash=1@2"))
-
-
-def test_mp_rejects_checkpointing():
-    with pytest.raises(ReproError, match="does not support fault"):
-        Cluster(num_nodes=4, engine="mp", checkpoint_interval=2)
-
-
 def test_mp_rejects_programs_without_hooks():
     class _Plain(VertexProgram):
         def compute(self, ctx, w, messages) -> None:  # pragma: no cover
@@ -293,8 +283,6 @@ def test_cli_rejects_bad_engine_combinations(tmp_path, capsys):
     out = tmp_path / "x.idx"
     base = ["build", str(edges), "-o", str(out)]
     assert main(base + ["--method", "tol", "--engine", "mp"]) == 2
-    assert main(base + ["--engine", "mp", "--faults", "crash=1@2"]) == 2
-    assert main(base + ["--engine", "mp", "--checkpoint-interval", "2"]) == 2
     assert main(base + ["--engine", "mp", "--workers", "0"]) == 2
     assert main(base + ["--workers", "2"]) == 2
     err = capsys.readouterr().err
@@ -684,8 +672,7 @@ def test_next_batch_leaves_the_program_as_the_full_sweep_does(graph, data):
         out_label_sets=[set() for _ in range(n)],
     )
     for batch in [*batches, []]:  # the last re-arm folds the last batch in
-        reference = DrlFloodProgram.__new__(DrlFloodProgram)
-        reference.restore(program.snapshot())
+        reference = copy.deepcopy(program)
         full_sweep_next_batch(reference, batch)
         program.next_batch(batch)
         assert vars(program) == vars(reference)

@@ -7,7 +7,6 @@ import pytest
 from repro.core.drl import drl_index
 from repro.core.drl_basic import drl_basic_index
 from repro.core.drl_batch import drl_batch_index
-from repro.faults import FaultPlan
 from repro.graph.generators import random_digraph
 from repro.pregel.cost_model import CostModel
 from repro.pregel.engine import Cluster
@@ -18,6 +17,7 @@ from repro.observe.skew import analyze_skew
 from repro.telemetry import session
 from repro.telemetry.reader import Trace, read_trace
 from repro.telemetry.sinks import InMemorySink, JsonlSink
+from tests.conftest import straggler_records
 
 _NO_LIMIT = CostModel(time_limit_seconds=None)
 
@@ -86,15 +86,6 @@ def test_timeline_slices_sum_to_run_totals(graph):
         assert max(span) == pytest.approx(min(span))
 
 
-def test_timeline_wait_is_nonnegative_and_slowdown_recorded(graph):
-    plan = FaultPlan.parse("straggler=2x4.0")
-    cluster = Cluster(num_nodes=4, cost_model=_NO_LIMIT, faults=plan)
-    _, timeline = timed(lambda: cluster.run(graph, _Flood()))
-    for piece in timeline.slices:
-        assert piece.barrier_wait_seconds >= 0
-        assert piece.slowdown == (4.0 if piece.node == 2 else 1.0)
-
-
 def test_timeline_records_finalize_pass(graph):
     class _Finalizing(_Flood):
         def finalize(self, fctx):
@@ -111,33 +102,6 @@ def test_timeline_records_finalize_pass(graph):
     last = groups[-1]
     assert all(piece.comm_seconds == 0.0 for piece in last)
     assert sum(piece.units for piece in last) == graph.num_vertices
-
-
-def test_timeline_records_fault_intervals(graph):
-    plan = FaultPlan.parse("crash=1@3")
-    cluster = Cluster(
-        num_nodes=4, cost_model=_NO_LIMIT, faults=plan, checkpoint_interval=2
-    )
-    stats, timeline = timed(lambda: cluster.run(graph, _Flood()))
-    assert stats.crashes == 1
-    # The stream carries the discarded attempt (``pregel.replay``) where
-    # the run spent it: before the recovery it triggered.
-    assert [(i.kind, i.superstep) for i in timeline.intervals] == [
-        ("checkpoint", 2), ("replay", 3), ("recovery", 3),
-        ("checkpoint", 4), ("checkpoint", 6), ("checkpoint", 8),
-    ]
-    recovery = next(i for i in timeline.intervals if i.kind == "recovery")
-    assert recovery.nodes == (1,)
-    accounted = sum(
-        i.seconds
-        for i in timeline.intervals
-        if i.kind in ("recovery", "replay")
-    )
-    assert accounted == pytest.approx(stats.recovery_seconds)
-    checkpointed = sum(
-        i.seconds for i in timeline.intervals if i.kind == "checkpoint"
-    )
-    assert checkpointed == pytest.approx(stats.checkpoint_seconds)
 
 
 def test_timeline_merges_across_chained_runs(graph):
@@ -174,14 +138,8 @@ def test_node_events_emitted_under_session(graph):
 # ----------------------------------------------------------------------
 # Skew analysis
 # ----------------------------------------------------------------------
-def test_skew_names_straggler_and_estimates_rebalance(graph):
-    plan = FaultPlan.parse("straggler=2x4.0")
-    _, timeline = timed(
-        lambda: drl_batch_index(
-            graph, num_nodes=4, cost_model=_NO_LIMIT, faults=plan
-        )
-    )
-    report = analyze_skew(timeline)
+def test_skew_names_straggler_and_estimates_rebalance():
+    report = analyze_skew(Trace(straggler_records()).node_timeline)
     assert report.dominant_straggler == 2
     assert report.stragglers[0][1] == pytest.approx(4.0)
     assert not report.balanced

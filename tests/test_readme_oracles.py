@@ -24,7 +24,6 @@ _README_PHRASES = {
     "query-oracle": "query equivalence\nvs online BFS and the exact "
                     "transitive closure",
     "condensed": "SCC-condensed\nequivalence",
-    "fault-equivalence": "faulty-vs-clean build equality",
     "dynamic-vs-rebuild": "incremental-update-vs-rebuild equality",
     "engine-mismatch": "multiprocessing-vs-simulator engine equality",
 }
