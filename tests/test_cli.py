@@ -574,10 +574,14 @@ def test_build_has_no_fault_flags(tmp_path, graph_file, capsys, flag, value):
         # Each rule below used to be re-checked by ``_cmd_build``; the
         # library's own refusal is now the message.  The counts
         # (--workers, --nodes) never reach the library: their argparse
-        # type refuses them, naming the flag.
-        (["--engine", "mp", "--workers", "0"],
-         "workers must be an integer >= 1, got 0"),
-        (["--nodes", "0"], "--nodes must be an integer >= 1, got 0"),
+        # type refuses them, naming the flag.  The explicit ids are the
+        # ones these cases had when the table held the fault and
+        # checkpoint refusals too.
+        pytest.param(["--engine", "mp", "--workers", "0"],
+                     "workers must be an integer >= 1, got 0",
+                     id="flags3-workers must be an integer >= 1, got 0"),
+        pytest.param(["--nodes", "0"], "--nodes must be an integer >= 1, got 0",
+                     id="flags6---nodes must be an integer >= 1, got 0"),
     ],
 )
 def test_build_reports_the_librarys_own_refusal(
