@@ -39,13 +39,9 @@ def chrome_trace(trace: Trace) -> dict:
     (fractional — simulated super-steps are routinely sub-microsecond).
     """
     events: list[dict] = []
-    records = trace.records
-    # The earliest wall timestamp in the trace is the common zero.
-    zero = min(
-        [r["start"] for r in trace.spans]
-        + [r["wall"] for r in records if r["kind"] == "event" and "wall" in r],
-        default=0.0,
-    )
+    # The earliest span start is the common zero: only spans are
+    # placed on the wall-clock lane.
+    zero = min((r["start"] for r in trace.spans), default=0.0)
 
     events.append(
         {

@@ -17,7 +17,6 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from operator import itemgetter
 from typing import ContextManager, Iterable, NamedTuple
 
 from repro.errors import ReproError, check_count
@@ -34,7 +33,6 @@ from repro.pregel.vertex_program import VertexProgram
 from repro.telemetry import current_tracer
 
 _EMPTY: tuple = ()
-_sender = itemgetter(0)  # of a sender-tagged bucket entry
 
 
 class SuperstepLimitExceeded(ReproError):
@@ -45,8 +43,8 @@ class ComputeContext:
     """Facilities available to ``compute()`` during a super-step.
 
     Senders (:meth:`send` and the two neighbour fan-outs) only append to
-    destination buckets; what crossed the network is settled once per
-    super-step, at the barrier, from counts.
+    the outbox — here one bucket per destination; what crossed the
+    network is settled once per super-step, at the barrier, from counts.
     """
 
     __slots__ = (
@@ -58,7 +56,7 @@ class ComputeContext:
         "_same_in",
         "_current_node",
         "_current_vertex",
-        "_next_inbox",
+        "_outbox",
         "_units",
         "_same_node",
         "_broadcast_bytes",
@@ -68,9 +66,6 @@ class ComputeContext:
         "_combine",
         "_sent_keys",
     )
-
-    #: Bucket entries are ``(sending vertex, payload)``, not bare payloads.
-    _tag_sender = False
 
     def __init__(
         self,
@@ -95,7 +90,7 @@ class ComputeContext:
     # -- called by the engine ------------------------------------------
     def _begin_superstep(self, superstep: int) -> None:
         self.superstep = superstep
-        self._next_inbox = {}
+        self._outbox = {}
         self._units = [0] * self.num_nodes
         self._same_node = [0] * self.num_nodes
         self._broadcast_bytes = 0
@@ -111,27 +106,34 @@ class ComputeContext:
         Returns what :meth:`_settle` derives."""
         self._begin_superstep(superstep)
         self._base_seconds = base_seconds
-        node_of, tagged = self._node_of, self._tag_sender
+        node_of = self._node_of
         for v in starts if superstep == 1 else sorted(inbox):
             messages = inbox.get(v, _EMPTY)
-            if tagged and messages:
-                messages.sort(key=_sender)  # stable: sim delivery order
-                messages = [payload for _, payload in messages]
             self._current_vertex = v
             self._current_node = node_of[v]
             self.charge(len(messages))  # one unit per delivery
             program.compute(self, v, messages)
         return self._settle()
 
-    def _settle(self) -> tuple[list[int], int, int]:
-        """Derive the routing counters at the barrier — bytes received
-        per node, local messages, remote messages: a node received what
-        its vertices' buckets hold; what did not come from the node
-        itself crossed the network."""
+    def _deliver(self, pending: dict[int, list], incoming) -> dict[int, list]:
+        """The inbox of the next super-step: the buckets this context
+        filled, as they are (a lone worker receives from nobody else)."""
+        return pending
+
+    def _received(self) -> list[int]:
+        """Messages sent this super-step, per receiving node: a node
+        received what its vertices' buckets hold."""
         received = [0] * self.num_nodes
         node_of = self._node_of
-        for dst, bucket in self._next_inbox.items():
+        for dst, bucket in self._outbox.items():
             received[node_of[dst]] += len(bucket)
+        return received
+
+    def _settle(self) -> tuple[list[int], int, int]:
+        """Derive the routing counters at the barrier — bytes received
+        per node, local messages, remote messages: what did not come
+        from the receiving node itself crossed the network."""
+        received = self._received()
         same = self._same_node
         message_bytes = self._cost.message_bytes
         local = sum(same)
@@ -166,20 +168,25 @@ class ComputeContext:
 
     def send(self, dst: int, payload) -> None:
         """Send ``payload`` to vertex ``dst`` (delivered next super-step)."""
-        node = self._current_node
-        if self._combine:
-            key = (node, dst, payload)
-            if key in self._sent_keys:
-                return  # combined away before reaching the network
-            self._sent_keys.add(key)
-        entry = (self._current_vertex, payload) if self._tag_sender else payload
-        bucket = self._next_inbox.get(dst)
+        if self._combine and self._combined(dst, payload):
+            return
+        bucket = self._outbox.get(dst)
         if bucket is None:
-            self._next_inbox[dst] = [entry]
+            self._outbox[dst] = [payload]
         else:
-            bucket.append(entry)
+            bucket.append(payload)
+        node = self._current_node
         if self._node_of[dst] == node:
             self._same_node[node] += 1
+
+    def _combined(self, dst: int, payload) -> bool:
+        """Whether the combiner drops this message: the current node
+        sent ``payload`` to ``dst`` already this super-step."""
+        key = (self._current_node, dst, payload)
+        if key in self._sent_keys:
+            return True  # combined away before reaching the network
+        self._sent_keys.add(key)
+        return False
 
     def send_to_out_neighbors(self, payload) -> None:
         """Send ``payload`` along every out-edge of the current vertex.
@@ -212,14 +219,13 @@ class ComputeContext:
             for dst in neighbors:
                 self.send(dst, payload)
             return
-        entry = (vertex, payload) if self._tag_sender else payload
-        inbox = self._next_inbox
+        outbox = self._outbox
         for dst in neighbors:
-            bucket = inbox.get(dst)
+            bucket = outbox.get(dst)
             if bucket is None:
-                inbox[dst] = [entry]
+                outbox[dst] = [payload]
             else:
-                bucket.append(entry)
+                bucket.append(payload)
         self._same_node[node] += same[vertex]
 
     def publish_entries(self, count: int = 1) -> None:
@@ -258,7 +264,9 @@ class FinalizeContext:
 class StepCounts(NamedTuple):
     """What one super-step did: one worker's share or, summed in worker
     order, the cluster's.  ``units`` and ``recv_bytes`` are per logical
-    node; ``pending`` counts the message buckets sent."""
+    node; ``pending`` counts what was sent — a lone worker's message
+    buckets, or the records (:mod:`repro.pregel.mp`) of one of several:
+    non-zero exactly when a message is in flight."""
 
     active: int
     units: list[int]
@@ -279,16 +287,6 @@ class StepCounts(NamedTuple):
             self.remote_messages + remote,
             self.pending + pending,
         )
-
-
-def _splice(inbox: dict[int, list], buckets: dict[int, list]) -> None:
-    """Append ``buckets`` to ``inbox``, vertex by vertex."""
-    for dst, entries in buckets.items():
-        bucket = inbox.get(dst)
-        if bucket is None:
-            inbox[dst] = entries
-        else:
-            bucket.extend(entries)
 
 
 class Worker:
@@ -313,8 +311,9 @@ class Worker:
         self.index = index
         self.num_workers = num_workers
         self.replica = replica
-        #: Messages for this worker's vertices, delivered next super-step.
-        self.pending: dict[int, list] = {}
+        #: What this worker sent last super-step, delivered in the next:
+        #: its buckets or, with several workers, its records.
+        self.pending = ctx._outbox
         #: The vertices this worker owns (``owned`` reuses an earlier
         #: run's: the placement is the cluster's, fixed per graph).
         self.owned = self._mine(ctx.graph.vertices()) if owned is None else owned
@@ -326,38 +325,24 @@ class Worker:
         return [v for v in vertices if node_of[v] % workers == index]
 
     def step(
-        self, superstep: int, base_seconds: float, incoming: Iterable[dict] = (),
-    ) -> tuple[tuple, dict[int, dict[int, list]], object]:
-        """Deliver ``pending`` plus the buckets other workers sent
-        (``incoming``, one ``{vertex: entries}`` per sender), run
-        ``compute()`` over them and keep what was sent to own vertices.
-        Returns — as plain tuples, which cross a pipe cheaply — the
-        step's :class:`StepCounts` fields, the buckets bound for other
-        workers (``{worker: {vertex: entries}}``) and, for them, the
-        program's ``mp_publish_delta()``."""
+        self, superstep: int, base_seconds: float, incoming: Iterable[list] = (),
+    ) -> tuple[tuple, list | None, object]:
+        """Deliver what is ``pending`` — with several workers, merged with
+        what the others sent last super-step (``incoming``, one record
+        list per sender) —, run ``compute()`` over it and keep what it
+        sends.  Returns — as plain tuples, which cross a pipe cheaply —
+        the step's :class:`StepCounts` fields and, for the other
+        workers, this step's records and the program's
+        ``mp_publish_delta()`` (a lone worker has neither)."""
         ctx, program = self.ctx, self.program
-        inbox = self.pending
-        for buckets in incoming:
-            _splice(inbox, buckets)
+        inbox = ctx._deliver(self.pending, incoming)
         recv_bytes, local_messages, remote_messages = ctx._run_superstep(
             program, superstep, base_seconds, inbox,
             self._mine(program.initial_vertices(ctx.graph))
             if superstep == 1
             else (),
         )
-        sent = ctx._next_inbox
-        outgoing: dict[int, dict[int, list]] = {}
-        if self.num_workers == 1:
-            self.pending = sent
-        else:
-            node_of, workers, index = ctx._node_of, self.num_workers, self.index
-            self.pending = pending = {}
-            for dst, bucket in sent.items():
-                worker = node_of[dst] % workers
-                if worker == index:
-                    pending[dst] = bucket
-                else:
-                    outgoing.setdefault(worker, {})[dst] = bucket
+        self.pending = sent = ctx._outbox
         counts = (
             len(inbox) if superstep > 1 else len(self.owned),
             ctx._units,
@@ -367,9 +352,9 @@ class Worker:
             remote_messages,
             len(sent),
         )
-        # Deltas are for the other workers: a lone worker has none.
-        delta = program.mp_publish_delta() if self.num_workers > 1 else None
-        return counts, outgoing, delta
+        if self.num_workers == 1:
+            return counts, None, None
+        return counts, sent, program.mp_publish_delta()
 
     def barrier(self, superstep: int, deltas=()) -> None:
         """The other workers' published ``deltas``, in worker order, then
@@ -393,8 +378,7 @@ class Worker:
 class _InProcessWorkers:
     """The simulator's transport: one :class:`Worker`, called directly.
     It sweeps every vertex in ascending order, so each bucket already
-    holds its messages in the delivery order sender tags exist to
-    restore."""
+    holds its messages in delivery order: by ascending sender."""
 
     remote = False
 
@@ -552,7 +536,7 @@ class Engine(ABC):
         :meth:`Worker.finalize` reply per worker), both in worker order,
         ``barrier(superstep)``, ``len()`` and ``remote`` (the workers
         are replicas in other processes, which ``emit_slices`` reports
-        as measured).  Buckets that change worker and published deltas
+        as measured).  Records that change worker and published deltas
         are the workers' business: the loop sees counts only.  ``ctx``
         is the master's context for the run."""
 

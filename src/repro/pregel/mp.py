@@ -22,16 +22,23 @@ transports", has the whole picture):
 - Each worker holds a replica of the program; logical node ``n`` is
   pinned to worker ``n % workers``, so every vertex has exactly one
   writer.
+- A message leaves its worker as part of a *record*: a neighbour
+  fan-out is one ``(sender, payload, how)`` record, however many edges
+  it covers (``how`` names the direction), and a direct ``send`` — the
+  combiner's per-destination sends too — one record whose ``how``
+  names the destination.  A fan-out over no neighbour leaves none.
+  The sender settles the step's counters from the graph (per-node
+  receive counts from each target's node), so ``RunStats`` needs
+  nothing from the receivers.
 - The master is a coordinator, not a replica: it holds the program's
   state only as collection needs it, merging every worker's
   ``mp_collect`` value once per run (``mp_merge``), and it relays what
-  the workers exchange without unpickling it.  A step reply is a small
-  pickled header (the :class:`~repro.pregel.engine.StepCounts` fields,
-  the call's wall time and the sizes of the parts that follow) and one
-  frame: the worker's published delta, pickled once, then one pickled
-  blob of buckets per destination worker.  The master unpickles the
-  header only.  It forwards each delta to every *other* worker and each
-  bucket blob to the worker it is addressed to, with the next call —
+  the workers exchange without unpickling it.  A step reply is one
+  message: a small pickled header (the
+  :class:`~repro.pregel.engine.StepCounts` fields, the call's wall time
+  and the sizes of the parts that follow), then the worker's published
+  delta and its records, each pickled once.  The master unpickles the header only.  It forwards each delta
+  and each record blob to every *other* worker, with the next call —
   the next step or the finalize pass, which opens with that barrier.
 - Every replica applies the same inputs in worker order, none of them
   its own (its own are in place already): at each barrier, the other
@@ -41,11 +48,15 @@ transports", has the whole picture):
 - Every call goes to all workers before any reply is awaited, each
   over the one pipe between the master and that worker: workers write
   only replies, and only after reading a whole call, so no two pipes
-  can wait on each other.  A bucket is assembled from several workers'
-  output, so entries carry their sending vertex and each inbox is
-  stably sorted by sender before delivery — the order the simulator's
-  single ascending sweep produces, whatever the worker count or the
-  order replies arrive in.
+  can wait on each other.  A reply that does not come within
+  :data:`_REPLY_DEADLINE` ends the run as a dead worker's would.
+- A worker's inbox is a merge of record streams: every worker sweeps
+  its own vertices in ascending order, so each stream is sorted by
+  sender, and the stable merge of all of them (its own included) on
+  the sender is the order the simulator's single ascending sweep
+  produces, whatever the worker count or the order replies arrive
+  in.  The receiver expands each record over the neighbours it owns,
+  from an owned-neighbour CSR built once per worker pool.
 - Per-worker *measured* wall-clock timings become ``pregel.node``
   events (:class:`~repro.pregel.metrics.NodeSlice` fields, ``node`` =
   worker id).
@@ -57,20 +68,40 @@ import gc
 import multiprocessing
 import os
 import pickle
+import select
 import time
 import traceback
+from array import array
+from collections import Counter
 from contextlib import contextmanager
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, chain, compress
 from multiprocessing import shared_memory
+from operator import itemgetter
 from random import Random
+from typing import NamedTuple
 
 from repro.errors import ReproError, check_count
 from repro.graph.digraph import DiGraph
+from repro.graph.partition import Routing
 from repro.pregel.engine import ComputeContext, Engine, Worker
 from repro.pregel.metrics import NodeSlice
 from repro.pregel.vertex_program import VertexProgram
 
 _CSR_SLOTS = ("_fwd_offsets", "_fwd_targets", "_rev_offsets", "_rev_targets")
+
+#: Seconds the master waits for the replies to one call before it takes
+#: a silent worker as hung: far above any super-step of a build this
+#: engine can finish.
+_REPLY_DEADLINE = 600.0
+
+#: Seconds a terminated worker gets to exit before it is killed (a
+#: stopped process never acts on ``SIGTERM``).
+_TERMINATE_GRACE = 1.0
+
+#: A record's ``how``: a fan-out along the out- or the in-edges of its
+#: sender (one pickled byte each); a direct send's is ``~destination``.
+_OUT, _IN = 0, 1
 
 
 class _SharedGraph:
@@ -122,15 +153,165 @@ class _SharedGraph:
         self._segments = []
 
 
-class _WorkerContext(ComputeContext):
-    """A worker-side compute context when there are several workers:
-    messages carry their sender, so the receiving worker can stably sort
-    each inbox into ascending sending-vertex order — the exact sequence
-    the simulator's sweep appends — before ``compute()`` sees the bare
-    payloads.  A lone worker sweeps every vertex, as the simulator does."""
+def _target_nodes(graph: DiGraph, node_of, num_nodes: int) -> tuple:
+    """Per direction (out, in), the node of every edge's target in CSR
+    order — one byte each when the nodes fit one — and the same cut per
+    vertex: what a sender counts its fan-outs' receivers by.  Built once
+    per worker pool, before the fork, at C speed."""
+    lookup = node_of.tolist().__getitem__
+    pack = bytes if num_nodes <= 256 else partial(array, "q")
+    directions = []
+    for offsets, targets in (
+        (graph._fwd_offsets, graph._fwd_targets),
+        (graph._rev_offsets, graph._rev_targets),
+    ):
+        nodes = pack(map(lookup, targets))
+        cuts = map(slice, offsets, offsets[1:])
+        directions.append((nodes, list(map(nodes.__getitem__, cuts))))
+    return tuple(directions)
 
-    __slots__ = ()
-    _tag_sender = True
+
+class _Plane(NamedTuple):
+    """One edge direction, as a worker sends and receives along it."""
+
+    offsets: object  # the CSR, in shared memory
+    targets: object
+    nodes: list  # per vertex, its targets' nodes (:func:`_target_nodes`)
+    same: array  # per vertex, its same-node targets (:class:`Routing`)
+    owned: list[list[int]]  # per vertex, the targets this worker owns
+
+
+def _planes(
+    graph: DiGraph, routing: Routing, nodes: tuple, num_nodes: int,
+    index: int, workers: int,
+) -> tuple[tuple[_Plane, _Plane], bytes]:
+    """Worker ``index``'s out- and in-edge planes — indexed by a
+    fan-out's ``how`` — and which vertices it owns, one byte each.  The
+    owned targets are the CSR's filtered by an ownership mask
+    (``compress``) and cut per vertex at a running count of the mask."""
+    # A translation table when the nodes fit a byte.
+    owns_node = bytes(
+        node % workers == index for node in range(max(num_nodes, 256))
+    )
+    planes = []
+    for offsets, targets, (edge_nodes, vertex_nodes), same in (
+        (graph._fwd_offsets, graph._fwd_targets, nodes[0], routing.same_out),
+        (graph._rev_offsets, graph._rev_targets, nodes[1], routing.same_in),
+    ):
+        if isinstance(edge_nodes, bytes):
+            mask = edge_nodes.translate(owns_node)
+        else:
+            mask = bytes(map(owns_node.__getitem__, edge_nodes))
+        before = [0, *accumulate(mask)]
+        cuts = list(map(before.__getitem__, offsets))
+        owned = list(compress(targets, mask))
+        planes.append(_Plane(
+            offsets, targets, vertex_nodes, same,
+            [owned[start:end] for start, end in zip(cuts, cuts[1:])],
+        ))
+    return tuple(planes), bytes(map(owns_node.__getitem__, routing.node_of))
+
+
+class _WorkerContext(ComputeContext):
+    """A worker-side compute context when there are several workers.
+
+    Its outbox is a list of records, one per fan-out or direct send, in
+    the order ``compute()`` made them; the step's counters are settled
+    here, at the sender, from the graph.  The next step's inbox is the
+    merge of every worker's records (:meth:`_deliver`).  A lone worker
+    sweeps every vertex, as the simulator does, and keeps buckets."""
+
+    __slots__ = ("_planes", "_owned", "_mine", "_fanned", "_direct")
+
+    def __init__(self, graph, num_nodes, routing, cost, program, tables):
+        self._planes, self._mine = tables
+        self._owned = tuple(plane.owned for plane in self._planes)
+        super().__init__(graph, num_nodes, routing, cost, program)
+
+    def _begin_superstep(self, superstep: int) -> None:
+        super()._begin_superstep(superstep)
+        self._outbox = []
+        self._fanned: list = []  # per fan-out record, its targets' nodes
+        self._direct = [0] * self.num_nodes  # direct sends, per node
+
+    def _received(self) -> list[int]:
+        received, fanned = self._direct, self._fanned
+        if fanned and isinstance(fanned[0], bytes):
+            joined = b"".join(fanned)
+            counts = enumerate(map(joined.count, range(self.num_nodes)))
+        else:
+            counts = Counter(chain.from_iterable(fanned)).items()
+        for node, count in counts:
+            received[node] += count
+        return received
+
+    def send(self, dst: int, payload) -> None:
+        if self._combine and self._combined(dst, payload):
+            return
+        self._outbox.append((self._current_vertex, payload, ~dst))
+        node = self._node_of[dst]
+        self._direct[node] += 1
+        if node == self._current_node:
+            self._same_node[node] += 1
+
+    def send_to_out_neighbors(self, payload) -> None:
+        self._fan_record(_OUT, payload)
+
+    def send_to_in_neighbors(self, payload) -> None:
+        self._fan_record(_IN, payload)
+
+    def _fan_record(self, how: int, payload) -> None:
+        """One record for a whole fan-out, charged as
+        :meth:`ComputeContext._fan_out` charges it."""
+        plane = self._planes[how]
+        vertex = self._current_vertex
+        nodes = plane.nodes[vertex]
+        degree = len(nodes)
+        if not degree:
+            return  # no record: nothing is in flight
+        node = self._current_node
+        self._units[node] += degree
+        self._pending_units += degree
+        if self._pending_units >= 262_144:
+            self._recheck_cutoff()
+        if self._combine:  # dedup is per destination
+            offsets = plane.offsets
+            for dst in plane.targets[offsets[vertex] : offsets[vertex + 1]]:
+                self.send(dst, payload)
+            return
+        self._outbox.append((vertex, payload, how))
+        self._fanned.append(nodes)
+        self._same_node[node] += plane.same[vertex]
+
+    def _deliver(self, pending: list, incoming) -> dict[int, list]:
+        """The inbox of this worker's vertices: its own records of the
+        last super-step and the other workers' (``incoming``), merged on
+        the sender, each expanded over the destinations this worker
+        owns — a fan-out's in CSR order.
+
+        Each stream is in ascending sender order already, so the stable
+        ``sorted`` of their concatenation is Timsort's merge of those
+        runs (C speed; ``heapq.merge`` is a Python-level loop per
+        record)."""
+        inbox: dict[int, list] = {}
+        get = inbox.get
+        owned, mine = self._owned, self._mine
+        if incoming:
+            pending = sorted(chain(pending, *incoming), key=itemgetter(0))
+        for sender, payload, how in pending:
+            if how >= 0:
+                destinations = owned[how][sender]
+            elif mine[~how]:
+                destinations = (~how,)
+            else:
+                continue
+            for dst in destinations:
+                bucket = get(dst)
+                if bucket is None:
+                    inbox[dst] = [payload]
+                else:
+                    bucket.append(payload)
+        return inbox
 
 
 def _dump(value) -> bytes:
@@ -140,34 +321,40 @@ def _dump(value) -> bytes:
 
 def _worker_main(
     conn, index: int, num_workers: int, cluster, graph: DiGraph,
-    program: VertexProgram,
+    program: VertexProgram, nodes: tuple | None,
 ) -> None:
     """One worker process: serve the master's calls on a :class:`Worker`
     over this process's replica of ``program``, timing each, until told
-    to exit.
+    to exit.  ``nodes`` is :func:`_target_nodes` when there are several
+    workers.
 
     A call is a pickled ``(op, args, frames)`` header followed by
     ``frames`` pickled values from the other workers, in worker order:
     for ``step`` and ``finalize``, the deltas they published at the last
-    barrier (``args[-1]`` of them), then the buckets they sent this
-    worker; for ``rearm``, their last finalize replies.  A step after
-    the first and the finalize pass open with that barrier, so a worker
-    wakes once per super-step.  A reply is a pickled ``("ok", result,
-    wall, sizes)`` header followed, unless every size is 0, by one frame
-    of that many bytes per part: for ``step`` the delta, then the
-    buckets for each worker in worker order; for ``finalize`` the
-    ``mp_collect()`` value.  ``rearm`` is not answered; a failure in it
-    surfaces at the next gather."""
+    barrier (``args[-1]`` of them), then the records they sent last
+    super-step; for ``rearm``, their last finalize replies.  A step
+    after the first and the finalize pass open with that barrier, so a
+    worker wakes once per super-step.  A reply is one message: a pickled
+    ``("ok", result, wall, sizes)`` header, then that many bytes per
+    part — for ``step`` the delta, then the records; for ``finalize``
+    the ``mp_collect()`` value.
+    ``rearm`` is not answered; a failure in it surfaces at the next
+    gather."""
     # The process lives for one build and holds acyclic program state:
     # reference counting frees its garbage, and the cyclic collector
-    # would only re-walk every bucket and delta it unpickles.
+    # would only re-walk every record and delta it unpickles.
     gc.disable()
     status = 0
     try:
         routing = cluster.routing(graph)
         owned = None
 
-        context = _WorkerContext if num_workers > 1 else ComputeContext
+        context = ComputeContext
+        if num_workers > 1:
+            tables = _planes(
+                graph, routing, nodes, cluster.num_nodes, index, num_workers
+            )
+            context = partial(_WorkerContext, tables=tables)
 
         def fresh_worker() -> Worker:  # one per run, as in the simulator
             ctx = context(
@@ -197,18 +384,14 @@ def _worker_main(
                 worker.barrier(worker.ctx.superstep, received[:deltas])
             started = time.perf_counter()
             if op == "step":
-                counts, outgoing, delta = worker.step(*args, received[deltas:])
-                parts = [_dump(delta)]
-                parts += [_dump(outgoing.get(w)) for w in range(num_workers)]
-                result = counts
+                result, records, delta = worker.step(*args, received[deltas:])
+                parts = [_dump(delta), _dump(records or None)]
             else:  # finalize
                 result, collected = worker.finalize(*args)
                 parts = [_dump(collected)]
             wall = time.perf_counter() - started
             sizes = [len(part) for part in parts]
-            conn.send_bytes(_dump(("ok", result, wall, sizes)))
-            if any(sizes):
-                conn.send_bytes(b"".join(parts))
+            conn.send_bytes(b"".join([_dump(("ok", result, wall, sizes)), *parts]))
     except BaseException as exc:  # noqa: BLE001 — forwarded to the master
         status = 1
         tb = traceback.format_exc()
@@ -250,15 +433,19 @@ class _ProcessWorkers:
         self.rng = rng
         self.conns: list = []
         self.procs: list = []
+        self._pollers: list = []  # per worker, its pipe's readiness
         self.phase = "start-up"
         self._walls: list[float] = []  # of the last gathered call, per worker
         self._gathered = self._barrier_wall = 0.0
-        #: The last step's frames: per worker, the buckets addressed to
-        #: it; per sender, its delta.
-        self._routed: list[list[memoryview]] = [[] for _ in range(workers)]
+        #: The last step's frames, per sender: its delta and its records.
         self._deltas: list[memoryview] = []
+        self._records: list[memoryview] = []
         #: The last run's finalize frames, not yet merged into the replicas.
         self._collects: list[memoryview] | None = None
+        nodes = (
+            _target_nodes(graph, cluster.routing(graph).node_of, cluster.num_nodes)
+            if workers > 1 else None
+        )
         self._shared = _SharedGraph(graph)
         try:
             self._shared.install()
@@ -267,13 +454,16 @@ class _ProcessWorkers:
                 parent_conn, child_conn = fork.Pipe()
                 proc = fork.Process(
                     target=_worker_main,
-                    args=(child_conn, w, workers, cluster, graph, program),
+                    args=(child_conn, w, workers, cluster, graph, program, nodes),
                     daemon=True,
                 )
                 proc.start()
                 child_conn.close()
                 self.conns.append(parent_conn)
                 self.procs.append(proc)
+                poller = select.poll()
+                poller.register(parent_conn, select.POLLIN)
+                self._pollers.append(poller)
         except BaseException:
             self.close(failed=True)
             raise
@@ -306,10 +496,17 @@ class _ProcessWorkers:
             if frame and sender != worker
         ]
 
+    def _receive(self, worker: int, deadline: float) -> bytes:
+        """The next message from ``worker``, if it comes by ``deadline``."""
+        wait_ms = max(0.0, deadline - time.monotonic()) * 1000
+        if not self._pollers[worker].poll(wait_ms):
+            raise self._dead(worker, hung=True)
+        return self.conns[worker].recv_bytes()
+
     def _gather(self) -> tuple[list, list[list[memoryview]]]:
-        """Await one reply per worker, optionally in shuffled order:
-        the results and, per worker, its reply's parts — views of the
-        frame as it came off the pipe."""
+        """Await one reply per worker, optionally in shuffled order, all
+        within :data:`_REPLY_DEADLINE`: the results and, per worker, its
+        reply's parts — views of the frame as it came off the pipe."""
         workers = len(self.conns)
         order = list(range(workers))
         if self.rng is not None:
@@ -317,30 +514,34 @@ class _ProcessWorkers:
         results: list = [None] * workers
         parts: list = [None] * workers
         self._walls = [0.0] * workers
+        deadline = time.monotonic() + _REPLY_DEADLINE
         for worker in order:
-            conn = self.conns[worker]
             try:
-                kind, *rest = pickle.loads(conn.recv_bytes())
-                if kind == "ok":
-                    results[worker], self._walls[worker], sizes = rest
-                    frame = memoryview(conn.recv_bytes() if any(sizes) else b"")
+                reply = self._receive(worker, deadline)
             except (EOFError, OSError):
                 raise self._dead(worker) from None
+            # The header: ``loads`` ignores the parts that follow it.
+            kind, *rest = pickle.loads(reply)
             if kind == "error":
                 exc, tb = rest
                 if tb:
                     exc.add_note(f"worker {worker} traceback:\n{tb}")
                 raise exc
-            ends = list(accumulate(sizes))
+            results[worker], self._walls[worker], sizes = rest
+            frame = memoryview(reply)[len(reply) - sum(sizes) :]
             parts[worker] = [
-                frame[end - size : end] for size, end in zip(sizes, ends)
+                frame[end - size : end]
+                for size, end in zip(sizes, accumulate(sizes))
             ]
         self._gathered = time.perf_counter()
         return results, parts
 
-    def _dead(self, worker: int) -> ReproError:
+    def _dead(self, worker: int, hung: bool = False) -> ReproError:
+        """The error for a worker that closed its pipe — or, ``hung``,
+        that let the reply deadline pass."""
         proc = self.procs[worker]
-        proc.join(timeout=5)
+        if not hung:
+            proc.join(timeout=5)
         code = proc.exitcode
         if code is None:
             fate = "stopped answering"
@@ -362,12 +563,16 @@ class _ProcessWorkers:
             self._send(worker, "rearm", (method, args), self._others(collects, worker))
 
     def _call(self, op: str, args: tuple) -> tuple[list, list]:
-        """Send every worker ``op`` with the last barrier's deltas of the
-        other workers and the buckets addressed to it; gather."""
+        """Send every worker ``op`` with the other workers' deltas of the
+        last barrier and their records of the last step; gather."""
         deltas, self._deltas = self._deltas, []
-        for worker, buckets in enumerate(self._routed):
+        records, self._records = self._records, []
+        for worker in range(len(self.conns)):
             frames = self._others(deltas, worker)
-            self._send(worker, op, (*args, len(frames)), frames + buckets)
+            self._send(
+                worker, op, (*args, len(frames)),
+                frames + self._others(records, worker),
+            )
         return self._gather()
 
     def step(self, superstep, base_seconds) -> list:
@@ -375,11 +580,8 @@ class _ProcessWorkers:
             self.rearm(None, ())
         self.phase = f"superstep {superstep}"
         counts, parts = self._call("step", (superstep, base_seconds))
-        self._deltas = [delta for delta, *_ in parts]
-        self._routed = [
-            [buckets[worker] for _, *buckets in parts if buckets[worker]]
-            for worker in range(len(parts))
-        ]
+        self._deltas = [delta for delta, _ in parts]
+        self._records = [records for _, records in parts]
         return counts
 
     def barrier(self, superstep) -> None:
@@ -426,7 +628,8 @@ class _ProcessWorkers:
 
     def close(self, failed: bool) -> None:
         """Reap every worker — told to exit, or stopped at once when the
-        run ``failed`` —, close the pipes and unlink the CSR segments."""
+        run ``failed``: terminated, then killed if it is still there (a
+        stopped worker) —, close the pipes and unlink the CSR segments."""
         if not failed:
             try:
                 for worker in range(len(self.conns)):
@@ -438,6 +641,10 @@ class _ProcessWorkers:
         for proc in self.procs:
             if proc.is_alive():
                 proc.terminate()
+        for proc in self.procs:
+            proc.join(timeout=_TERMINATE_GRACE)
+            if proc.is_alive():
+                proc.kill()
                 proc.join(timeout=5)
         for conn in self.conns:
             try:

@@ -7,10 +7,11 @@ this module covers the plumbing around it: the single
 shares (pinned by a golden so a silent change to the hash mix cannot
 slip through), engine selection and its rejection paths, worker
 timelines, the CLI flags, builds that end at the super-step limit or
-the simulated cut-off, one fork per build, a worker killed
-mid-superstep or a master that raises between two floods, the relay
-rules (the master applies no delta; no worker gets its own delta or
-finalize reply back) and the re-arm that touches only written rows.
+the simulated cut-off, one fork per build, a worker killed or stopped
+mid-superstep or a master that raises between two floods, the combiner
+across workers, the relay rules (the master applies no delta; no
+worker gets its own delta or finalize reply back) and the re-arm that
+touches only written rows.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import copy
 import multiprocessing
 import os
 import signal
+import time
 from dataclasses import replace
 from multiprocessing.context import ForkProcess
 
@@ -43,6 +45,7 @@ from repro.graph.partition import (
     HashPartitioner,
     node_assignment,
 )
+from repro.pregel import mp
 from repro.pregel.cost_model import CostModel, TimeLimitExceeded
 from repro.pregel.engine import (
     ENGINE_NAMES,
@@ -59,6 +62,7 @@ from repro.telemetry.reader import Trace
 from repro.telemetry.sinks import InMemorySink
 
 from tests.conftest import family_graphs
+from tests.test_message_plane import PerDestinationFlood, run
 
 
 # ----------------------------------------------------------------------
@@ -420,6 +424,80 @@ def test_worker_killed_in_a_later_batch_ends_in_a_typed_error(
     assert message.endswith("during superstep 2")
     assert multiprocessing.active_children() == []
     assert _shm_segments() <= before
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_a_stopped_worker_ends_in_a_typed_error_at_the_deadline(
+    tmp_path, monkeypatch
+):
+    """A worker that neither answers nor dies (``SIGSTOP``ped in
+    super-step 2) ends the build in one ``ReproError`` once the reply
+    deadline passes; the stopped worker is killed, since it never acts
+    on ``SIGTERM``, and nothing is left behind."""
+    monkeypatch.setattr(mp, "_REPLY_DEADLINE", 0.5)
+    master, marker = os.getpid(), tmp_path / "stopped"
+    original = DrlFloodProgram.compute
+
+    def compute(self, ctx, w, messages):
+        if ctx.superstep == 2 and os.getpid() != master:
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGSTOP)
+        original(self, ctx, w, messages)
+
+    monkeypatch.setattr(DrlFloodProgram, "compute", compute)
+    graph = citation_graph(80, avg_refs=2.5, seed=4)
+    before = _shm_segments()
+    started = time.monotonic()
+    with pytest.raises(ReproError) as info:
+        build_index(graph, method="drl", num_nodes=6, engine="mp", workers=3)
+    assert time.monotonic() - started < 10  # not forever
+    assert marker.exists()
+    message = str(info.value)
+    assert message.startswith("mp worker")
+    assert message.endswith("stopped answering during superstep 2")
+    assert multiprocessing.active_children() == []
+    assert _shm_segments() <= before
+
+
+# ----------------------------------------------------------------------
+# The combiner across workers
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("arrival_seed", [None, 7])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_combiner_on_the_mp_engine(workers, arrival_seed):
+    """Combined sends leave each worker as single-destination records,
+    deduplicated at the sender: DRL's index and every ``RunStats``
+    field, and a per-destination flood's every accounted number, are
+    the simulator's."""
+    graph = citation_graph(80, avg_refs=2.5, seed=4)
+    plain = drl_index(graph, num_nodes=6)
+    sim = drl_index(graph, num_nodes=6, combine_messages=True)
+    assert sim.stats.total_messages < plain.stats.total_messages  # it bites
+    engine = MultiprocessEngine(workers=workers, arrival_seed=arrival_seed)
+    got = drl_index(graph, num_nodes=6, combine_messages=True, engine=engine)
+    assert got.index == sim.index
+    assert replace(got.stats, wall_seconds=0.0) == replace(sim.stats, wall_seconds=0.0)
+
+    seen, stats = run(PerDestinationFlood(graph, combine=True), graph)
+    del stats["node_timeline"]  # the mp engine's slices are measured
+    engine = MultiprocessEngine(workers=workers, arrival_seed=arrival_seed)
+    assert run(PerDestinationFlood(graph, combine=True), graph, engine=engine) == (
+        seen, stats,
+    )
+    assert multiprocessing.active_children() == []
+
+
+def test_more_nodes_than_one_byte_names():
+    """Past 256 nodes a target's node takes eight bytes, not one."""
+    graph = citation_graph(80, avg_refs=2.5, seed=4)
+    sim = drl_index(graph, num_nodes=300)
+    got = drl_index(graph, num_nodes=300, engine="mp", workers=2)
+    assert got.index == sim.index
+    assert replace(got.stats, wall_seconds=0.0) == replace(sim.stats, wall_seconds=0.0)
 
 
 # ----------------------------------------------------------------------

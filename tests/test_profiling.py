@@ -222,6 +222,25 @@ def test_chrome_trace_wall_timestamps_normalized(trace_records):
     assert all(e["ts"] >= 0 for e in driver)
 
 
+def test_chrome_trace_zero_is_the_earliest_span_start_not_an_event():
+    """An event stamped before every span does not move the zero."""
+    trace = Trace([
+        {"kind": "event", "name": "early", "span": None, "wall": 5.0,
+         "attrs": {}},
+        {"kind": "span", "name": "child", "id": 2, "parent": 1,
+         "start": 10.5, "wall_seconds": 0.25, "simulated_seconds": 0.0,
+         "status": "ok", "attrs": {}},
+        {"kind": "span", "name": "root", "id": 1, "parent": None,
+         "start": 10.0, "wall_seconds": 1.0, "simulated_seconds": 0.0,
+         "status": "ok", "attrs": {}},
+    ])
+    wall_lane = {
+        e["name"]: e["ts"] for e in chrome_trace(trace)["traceEvents"]
+        if e["ph"] == "X" and e["pid"] == 0
+    }
+    assert wall_lane == {"root": 0.0, "child": 0.5e6}
+
+
 def test_chrome_trace_is_valid_json(trace_records, tmp_path):
     records, _ = trace_records
     out = tmp_path / "chrome.json"
