@@ -211,10 +211,7 @@ class ComputeContext:
         vertex = self._current_vertex
         node = self._current_node
         neighbors = targets[offsets[vertex] : offsets[vertex + 1]]
-        self._units[node] += len(neighbors)
-        self._pending_units += len(neighbors)
-        if self._pending_units >= 262_144:
-            self._recheck_cutoff()
+        self.charge(len(neighbors))
         if self._combine:  # dedup is per destination: no shortcut
             for dst in neighbors:
                 self.send(dst, payload)

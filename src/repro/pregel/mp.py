@@ -37,9 +37,10 @@ transports", has the whole picture):
   message: a small pickled header (the
   :class:`~repro.pregel.engine.StepCounts` fields, the call's wall time
   and the sizes of the parts that follow), then the worker's published
-  delta and its records, each pickled once.  The master unpickles the header only.  It forwards each delta
-  and each record blob to every *other* worker, with the next call —
-  the next step or the finalize pass, which opens with that barrier.
+  delta and its records, each pickled once.  The master unpickles the
+  header only.  It forwards each delta and each record blob to every
+  *other* worker, with the next call — the next step or the finalize
+  pass, which opens with that barrier.
 - Every replica applies the same inputs in worker order, none of them
   its own (its own are in place already): at each barrier, the other
   workers' deltas; between two runs, the other workers' ``mp_collect``
@@ -48,8 +49,8 @@ transports", has the whole picture):
 - Every call goes to all workers before any reply is awaited, each
   over the one pipe between the master and that worker: workers write
   only replies, and only after reading a whole call, so no two pipes
-  can wait on each other.  A reply that does not come within
-  :data:`_REPLY_DEADLINE` ends the run as a dead worker's would.
+  can wait on each other.  A reply whose first byte does not come
+  within :data:`_REPLY_DEADLINE` ends the run as a dead worker's would.
 - A worker's inbox is a merge of record streams: every worker sweeps
   its own vertices in ascending order, so each stream is sorted by
   sender, and the stable merge of all of them (its own included) on
@@ -92,7 +93,9 @@ _CSR_SLOTS = ("_fwd_offsets", "_fwd_targets", "_rev_offsets", "_rev_targets")
 
 #: Seconds the master waits for the replies to one call before it takes
 #: a silent worker as hung: far above any super-step of a build this
-#: engine can finish.
+#: engine can finish.  It runs to the first byte of each reply; a worker
+#: that stops part-way through writing one, or through reading a call
+#: larger than the pipe's buffer, still blocks the master.
 _REPLY_DEADLINE = 600.0
 
 #: Seconds a terminated worker gets to exit before it is killed (a
@@ -266,14 +269,9 @@ class _WorkerContext(ComputeContext):
         plane = self._planes[how]
         vertex = self._current_vertex
         nodes = plane.nodes[vertex]
-        degree = len(nodes)
-        if not degree:
+        if not nodes:
             return  # no record: nothing is in flight
-        node = self._current_node
-        self._units[node] += degree
-        self._pending_units += degree
-        if self._pending_units >= 262_144:
-            self._recheck_cutoff()
+        self.charge(len(nodes))
         if self._combine:  # dedup is per destination
             offsets = plane.offsets
             for dst in plane.targets[offsets[vertex] : offsets[vertex + 1]]:
@@ -281,7 +279,7 @@ class _WorkerContext(ComputeContext):
             return
         self._outbox.append((vertex, payload, how))
         self._fanned.append(nodes)
-        self._same_node[node] += plane.same[vertex]
+        self._same_node[self._current_node] += plane.same[vertex]
 
     def _deliver(self, pending: list, incoming) -> dict[int, list]:
         """The inbox of this worker's vertices: its own records of the
@@ -497,7 +495,8 @@ class _ProcessWorkers:
         ]
 
     def _receive(self, worker: int, deadline: float) -> bytes:
-        """The next message from ``worker``, if it comes by ``deadline``."""
+        """The next message from ``worker``, if its first byte comes by
+        ``deadline``."""
         wait_ms = max(0.0, deadline - time.monotonic()) * 1000
         if not self._pollers[worker].poll(wait_ms):
             raise self._dead(worker, hung=True)
