@@ -23,8 +23,8 @@ Commands
 - ``trace`` — summarize a JSONL telemetry trace; ``--slowest N`` and
   ``--trace-id ID`` drill into per-request traces.
 - ``top`` — live serving dashboard over a trace's ``serve.request``
-  events (``--once --json`` for scripting, ``--slo`` for burn-rate
-  alerts).
+  events (``--once --json`` for scripting, ``--once --openmetrics``
+  for a metrics scrape).
 - ``profile`` — skew/straggler analysis of a JSONL trace, with
   optional Chrome-trace (Perfetto) and flamegraph export.
 
@@ -450,11 +450,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="live serving dashboard over a JSONL trace",
         description="Read the serve.request events of a trace and show "
         "throughput, latency percentiles, hit/shed rates, per-shard "
-        "traffic, rolling windows with hot-key and regression flags, "
-        "SLO burn-rate alerts, and the worst request traces.  Without "
-        "--once the dashboard re-reads the file and refreshes until "
-        "interrupted; --once --json prints one machine-readable "
-        "snapshot (see docs/observability.md).",
+        "traffic, per-window traffic and tail latency, and the worst "
+        "request traces.  Without --once the dashboard re-reads the "
+        "file and refreshes until interrupted; --once --json prints one "
+        "machine-readable snapshot (see docs/observability.md).",
     )
     top.add_argument("file", type=_existing_file)
     top.add_argument(
@@ -472,15 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--window", type=_seconds("--window"), default=None, metavar="SECONDS",
         help="window length in simulated seconds (default: span / 12)",
-    )
-    top.add_argument(
-        "--slo", type=_existing_file, default=None, metavar="SPEC",
-        help="evaluate the SLO specs in this JSON file (see "
-        "docs/observability.md)",
-    )
-    top.add_argument(
-        "--fail-on-alert", action="store_true",
-        help="exit 1 when any SLO burn-rate alert is firing",
     )
     top.add_argument(
         "--slowest", type=_count("--slowest"), default=5, metavar="N",
@@ -1040,7 +1030,6 @@ def _cmd_top(args) -> int:
     import time
 
     from repro.observe.dashboard import DashboardModel
-    from repro.observe.slo import load_slo_specs
 
     if args.json and not args.once:
         print("error: --json needs --once", file=sys.stderr)
@@ -1051,13 +1040,6 @@ def _cmd_top(args) -> int:
     if args.openmetrics and args.json:
         print("error: --openmetrics and --json are exclusive", file=sys.stderr)
         return 2
-    specs = None
-    if args.slo is not None:
-        try:
-            specs = load_slo_specs(args.slo)
-        except (ValueError, OSError) as exc:
-            print(f"error: bad SLO spec {args.slo}: {exc}", file=sys.stderr)
-            return 2
 
     def build_model():
         trace, exit_code = _read_trace_tolerantly(args.file)
@@ -1068,7 +1050,6 @@ def _cmd_top(args) -> int:
                 trace,
                 run=args.run,
                 window_seconds=args.window,
-                specs=specs,
                 slowest=args.slowest,
             )
         except ValueError as exc:
@@ -1094,16 +1075,6 @@ def _cmd_top(args) -> int:
             print(render_openmetrics(model), end="")
         else:
             print(model.render())
-        if args.fail_on_alert and model.firing_alerts:
-            for alert in model.firing_alerts:
-                print(
-                    f"ALERT[{alert['severity']}] {alert['slo']}: "
-                    f"burn {alert['long_burn']:.1f}x/"
-                    f"{alert['short_burn']:.1f}x > "
-                    f"{alert['burn_threshold']:.1f}x",
-                    file=sys.stderr,
-                )
-            return 1
         return exit_code
     # Live mode: re-read and re-render until interrupted.
     try:

@@ -12,10 +12,9 @@ records — reads by outcome, writes (records with an ``op``) by their
 ``mutation`` stage's status, the makespan as the last completion of
 any request — so it equals the run's report on every field a trace
 carries.  Each window is the same tally over the requests that arrived
-in it; windows, worst traces and SLOs count reads only, as the report
-does.  Beside the report the model keeps what it cannot hold: shard
-traffic and stage counts, lag peaks, the :mod:`repro.observe.windows`
-detectors and, given specs, the SLOs of :mod:`repro.observe.slo`.
+in it; windows and worst traces count reads only, as the report does.
+Beside the report the model keeps what it cannot hold: shard traffic
+and stage counts, and lag peaks.
 """
 
 from __future__ import annotations
@@ -24,12 +23,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from repro.observe.serve_report import ServeReport
-from repro.observe.slo import SLOSpec, SLOStatus, evaluate_slos
-from repro.observe.windows import (
-    HotKey,
-    HotKeyDetector,
-    LatencyRegressionDetector,
-)
 from repro.telemetry.reader import Trace
 from repro.telemetry.spans import RequestTrace
 from repro.telemetry.tracing import SERVER_STAGES
@@ -43,7 +36,7 @@ _RATE_EWMA_ALPHA = 0.3
 
 @dataclass
 class WindowRow:
-    """One dashboard window: traffic, tail latency, detector flags."""
+    """One dashboard window: traffic and tail latency."""
 
     index: int
     start: float
@@ -55,8 +48,6 @@ class WindowRow:
     p99_seconds: float = 0.0
     rate: float = 0.0           # served per simulated second
     ewma_rate: float = 0.0
-    regression: bool = False
-    hot_keys: list[HotKey] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -140,7 +131,6 @@ class DashboardModel:
     traced_fraction: float
     windows: list[WindowRow]
     worst: list[RequestTrace]
-    slos: list[SLOStatus]
     # Replicator lag peaks, from the replica.lag events.
     replication_lag_peak: int = 0
     group_lag_peaks: dict[str, int] = field(default_factory=dict)
@@ -153,7 +143,6 @@ class DashboardModel:
         *,
         run: int | None = None,
         window_seconds: float | None = None,
-        specs: list[SLOSpec] | None = None,
         slowest: int = 5,
     ) -> "DashboardModel":
         """Build the model from a trace.
@@ -222,11 +211,6 @@ class DashboardModel:
                 reads, report.makespan_seconds, window_seconds
             ),
             worst=worst,
-            # SLO burn windows end at the latest *arrival* (the timeline
-            # requests live on), not the makespan: the server may finish
-            # draining long after the last request arrived, and a burn
-            # window past the arrivals would always be empty.
-            slos=evaluate_slos(specs, reads) if specs else [],
             replication_lag_peak=replication_lag_peak,
             group_lag_peaks=dict(sorted(group_lag_peaks.items())),
         )
@@ -263,8 +247,6 @@ class DashboardModel:
         for request in requests:
             i = min(int((request.arrival - start) / window_seconds), count - 1)
             buckets[i].append(request)
-        regressions = LatencyRegressionDetector()
-        hot = HotKeyDetector()
         previous_end = start
         ewma_rate = None
         for row, bucket in zip(rows, buckets):
@@ -287,28 +269,7 @@ class DashboardModel:
             # An instantaneous window has no rate and must not drag the
             # EWMA toward zero: the row keeps 0.0 and the last average.
             row.ewma_rate = ewma_rate or 0.0
-            row.regression = (
-                regressions.observe(row.p99_seconds) if row.served else False
-            )
-            row.hot_keys = hot.observe(Counter((r.source, r.target) for r in bucket))
         return rows
-
-    # -- derived numbers ----------------------------------------------
-    @property
-    def firing_alerts(self) -> list[dict]:
-        alerts = []
-        for status in self.slos:
-            for burn in status.firing:
-                alerts.append(
-                    {
-                        "slo": status.spec.name,
-                        "severity": burn.window.severity,
-                        "long_burn": burn.long_burn,
-                        "short_burn": burn.short_burn,
-                        "burn_threshold": burn.window.burn_threshold,
-                    }
-                )
-        return alerts
 
     # -- output --------------------------------------------------------
     def to_json(self) -> dict:
@@ -355,8 +316,6 @@ class DashboardModel:
                 "group_lag_peaks": dict(self.group_lag_peaks),
             },
             "windows": [w.to_dict() for w in self.windows],
-            "slos": [s.to_dict() for s in self.slos],
-            "alerts": self.firing_alerts,
             "worst": [
                 {
                     "trace_id": r.trace_id,
@@ -440,26 +399,12 @@ class DashboardModel:
                 f"Windows ({len(self.windows)} x "
                 f"{self.windows[0].end - self.windows[0].start:.2e} s)"
             )
-            lines.append(
-                "    # |  served |    shed |      q/s |      p99 | flags"
-            )
+            lines.append("    # |  served |    shed |      q/s |      p99")
             for row in self.windows:
-                flags = []
-                if row.regression:
-                    flags.append("REGRESSION")
-                for hot_key in row.hot_keys[:2]:
-                    flags.append(f"hot{hot_key.key}@{hot_key.share:.0%}")
                 lines.append(
                     f"  {row.index:>3d} | {row.served:>7d} | {row.shed:>7d} | "
-                    f"{row.rate:>8.2e} | {row.p99_seconds:>8.2e} | "
-                    + (" ".join(flags) if flags else "-")
+                    f"{row.rate:>8.2e} | {row.p99_seconds:>8.2e}"
                 )
-
-        if self.slos:
-            lines.append("")
-            lines.append("SLOs")
-            for status in self.slos:
-                lines.append("  " + status.summary())
 
         if self.worst:
             lines.append("")
