@@ -2,7 +2,7 @@
 
 Compares every query-answering approach in the library on the medium
 graphs — index-only (TOL index via DRL_b, condensed variant),
-index-assisted (BFL, GRAIL), and index-free (online BFS) — on
+index-assisted (BFL), and index-free (online BFS) — on
 build cost, index size, and mean query cost, all in the same simulated
 units.  This is the quantitative version of the paper's Related Work
 section.
@@ -13,7 +13,6 @@ from __future__ import annotations
 from conftest import FIG_DATASETS, save_and_print
 
 from repro.baselines.bfl import build_bfl
-from repro.baselines.grail import build_grail
 from repro.baselines.online import OnlineSearcher
 from repro.bench.results import ExperimentTable
 from repro.core.build import build_index
@@ -23,7 +22,7 @@ from repro.query import IndexBackend, MeteredSearchBackend
 from repro.workloads.datasets import MEDIUM_DATASETS, get_dataset
 from repro.workloads.queries import random_pairs
 
-APPROACHES = ("DRL_b", "condensed", "BFL", "GRAIL", "online")
+APPROACHES = ("DRL_b", "condensed", "BFL", "online")
 
 
 def _run():
@@ -42,21 +41,15 @@ def _run():
         pairs = random_pairs(graph.num_vertices, 400, seed=11)
         index = build_index(graph, cost_model=cost_model).index
         condensed, _ = build_condensed_index(graph, cost_model=cost_model)
-        metered = {
-            "BFL": build_bfl(graph),
-            "GRAIL": build_grail(graph),
-        }
-        sized = {"DRL_b": index, "condensed": condensed, **metered}
+        bfl = build_bfl(graph)
+        sized = {"DRL_b": index, "condensed": condensed, "BFL": bfl}
         for label, built in sized.items():
             size_table.set(name, label, built.size_bytes() / 1024)
         size_table.set(name, "online", 0.0)
 
         backends = {
             "DRL_b": IndexBackend(index, cost_model),
-            **{
-                label: MeteredSearchBackend(built, cost_model)
-                for label, built in metered.items()
-            },
+            "BFL": MeteredSearchBackend(bfl, cost_model),
             "online": OnlineSearcher(graph, cost_model),
         }
         for label, backend in backends.items():
@@ -86,9 +79,8 @@ def test_baselines_overview(benchmark):
         online = query_table.get(row, "online").value
         # The index-only approach must dominate index-free search.
         assert drlb < online
-        # Index-assisted methods sit in between or near the index side.
+        # The index-assisted method sits in between or near the index side.
         assert query_table.get(row, "BFL").value < online
-        assert query_table.get(row, "GRAIL").value < online
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 Mean query times (Table VI) hide the tail: index-assisted methods are
 bimodal — label-only answers are fast, fallback traversals are slow.
 This measures p50/p99 simulated latency for the 2-hop index (collected,
-and sharded through the serving layer's label store), BFL, GRAIL, and
-online search on the medium graphs.
+and sharded through the serving layer's label store), BFL, and online
+search on the medium graphs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from conftest import FIG_DATASETS, save_and_print
 
 from repro.baselines.bfl import build_bfl
-from repro.baselines.grail import build_grail
 from repro.baselines.online import OnlineSearcher
 from repro.bench.results import ExperimentTable
 from repro.core.build import build_index
@@ -27,7 +26,7 @@ from repro.workloads.queries import random_pairs
 def _run():
     names = MEDIUM_DATASETS if FIG_DATASETS is None else FIG_DATASETS
     cost_model = paper_scale_model(time_limit_seconds=None)
-    backends = ("index", "sharded index", "BFL", "GRAIL", "online")
+    backends = ("index", "sharded index", "BFL", "online")
     p50 = ExperimentTable(
         "Query latency p50 (simulated s)", list(backends), scientific=True
     )
@@ -44,7 +43,6 @@ def _run():
                 ShardedLabelStore(index, num_shards=32, cost_model=cost_model)
             ),
             "BFL": MeteredSearchBackend(build_bfl(graph), cost_model),
-            "GRAIL": MeteredSearchBackend(build_grail(graph), cost_model),
             "online": OnlineSearcher(graph, cost_model),
         }
         for label, backend in backends_by_label.items():

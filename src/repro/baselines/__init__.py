@@ -11,7 +11,6 @@
 """
 
 from repro.baselines.bfl import BflIndex, build_bfl
-from repro.baselines.grail import GrailIndex, build_grail
 from repro.baselines.bfl_distributed import (
     DistributedBflIndex,
     build_bfl_distributed,
@@ -26,10 +25,8 @@ __all__ = [
     "BflIndex",
     "DistributedBflIndex",
     "DistributedOnlineSearcher",
-    "GrailIndex",
     "OnlineSearcher",
     "TransitiveClosure",
     "build_bfl",
     "build_bfl_distributed",
-    "build_grail",
 ]

@@ -8,10 +8,10 @@ Bloom-filter summary of ``DES(v)`` (out-label) and ``ANC(v)``
   from the interval alone;
 - if ``bloom_out(t) ⊄ bloom_out(s)`` then ``DES(t) ⊄ DES(s)`` and
   ``s ↛ t`` — answered negatively from labels alone;
-- otherwise the query falls back to the label-pruned graph search of
-  :class:`~repro.baselines.search.FilterSearchIndex`, which is why BFL
-  must keep the graph in memory at query time (the key disadvantage the
-  paper exploits on distributed graphs).
+- otherwise the query falls back to a DFS over the condensation that
+  the same two tests prune, which is why BFL must keep the graph in
+  memory at query time (the key disadvantage the paper exploits on
+  distributed graphs).
 
 Cyclic graphs are handled through SCC condensation — this is where the
 DFS post-order requirement comes from, and why a distributed version
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 
-from repro.baselines.search import FilterSearchIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import Condensation, condensation
 from repro.pregel.serial import SerialMeter
@@ -32,8 +31,13 @@ from repro.pregel.serial import SerialMeter
 DEFAULT_S_BITS = 160
 
 
-class BflIndex(FilterSearchIndex):
-    """A built BFL index; query via :meth:`query`."""
+class BflIndex:
+    """A built BFL index; query via :meth:`query`.
+
+    Both label tests take *component* ids and are sound — ``confirms``
+    only when ``cs`` reaches ``ct``, ``refutes`` only when it does not —
+    so the order they are asked in never changes an answer.
+    """
 
     def __init__(
         self,
@@ -45,14 +49,22 @@ class BflIndex(FilterSearchIndex):
         bloom_in: list[int],
         s_bits: int,
     ):
-        # Interval compare plus two Bloom subset tests over s_bits-wide
-        # filters (one word-op per 64 bits).
-        super().__init__(graph, cond, 2 + 2 * max(1, s_bits // 64))
+        self._graph = graph
+        self._cond = cond
+        # Work units one label test costs a metered query: an interval
+        # compare plus two Bloom subset tests over s_bits-wide filters
+        # (one word-op per 64 bits).
+        self._test_units = 2 + 2 * max(1, s_bits // 64)
         self._pre = pre
         self._post = post
         self._bloom_out = bloom_out
         self._bloom_in = bloom_in
         self._s_bits = s_bits
+
+    @property
+    def num_vertices(self) -> int:
+        """Number of indexed vertices."""
+        return self._graph.num_vertices
 
     def size_bytes(self) -> int:
         """Index size: two Bloom filters + one interval per component,
@@ -72,6 +84,49 @@ class BflIndex(FilterSearchIndex):
             return True  # DES(t) not a subset of DES(s)
         if self._bloom_in[cs] & ~self._bloom_in[ct]:
             return True  # ANC(s) not a subset of ANC(t)
+        return False
+
+    def query(self, s: int, t: int, meter: SerialMeter | None = None) -> bool:
+        """Answer ``s → t``; optionally charge work to ``meter``."""
+        answer, _searched = self.query_verbose(s, t, meter)
+        return answer
+
+    def query_verbose(
+        self, s: int, t: int, meter: SerialMeter | None = None
+    ) -> tuple[bool, bool]:
+        """Returns ``(answer, used_graph_fallback)``."""
+        cs = self._cond.component_of[s]
+        ct = self._cond.component_of[t]
+        if meter is not None:
+            meter.charge(self._test_units)
+        if cs == ct or self.confirms(cs, ct):
+            return True, False
+        if self.refutes(cs, ct):
+            return False, False
+        return self._search(cs, ct, meter), True
+
+    def _search(self, cs: int, ct: int, meter: SerialMeter | None) -> bool:
+        """DFS from ``cs`` over the DAG, one unit per edge looked at.
+        A component on the stack was not confirmed when it was pushed,
+        so ``seen`` never hides a positive answer."""
+        dag = self._cond.dag
+        seen = {cs}
+        stack = [cs]
+        units = 0
+        while stack:
+            c = stack.pop()
+            for d in dag.out_neighbors(c):
+                units += 1
+                if d == ct or self.confirms(d, ct):
+                    if meter is not None:
+                        meter.charge(units)
+                    return True
+                if d in seen or self.refutes(d, ct):
+                    continue
+                seen.add(d)
+                stack.append(d)
+        if meter is not None:
+            meter.charge(units + 1)
         return False
 
 

@@ -115,8 +115,17 @@ def _number(flag: str, low: float, high: float = math.inf):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes no flag by a prefix of its name, so a removed or renamed
+    flag is an error, not silently another flag (``--slo`` was read as
+    ``--slowest``).  Sub-parsers are built as their parent's class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Reachability Labeling for Distributed Graphs (ICDE 2022)",
     )

@@ -229,18 +229,20 @@ class DashboardModel:
             return []
         if window_seconds is None or window_seconds <= 0:
             window_seconds = span / DEFAULT_WINDOW_COUNT
+            count = DEFAULT_WINDOW_COUNT
         elif span / window_seconds > len(requests):
             raise ValueError(
                 f"--window {window_seconds:g} s cuts the run's {span:.3e} s "
                 f"into more windows than its {len(requests)} requests"
             )
-        count = max(1, -(-span // window_seconds).__int__())
+        else:
+            count = max(1, -(-span // window_seconds).__int__())
+            # Rounding can put the last cut at or past the makespan.
+            while count > 1 and start + (count - 1) * window_seconds >= makespan:
+                count -= 1
+        cuts = [start + i * window_seconds for i in range(count)] + [makespan]
         rows = [
-            WindowRow(
-                index=i,
-                start=start + i * window_seconds,
-                end=min(start + (i + 1) * window_seconds, makespan),
-            )
+            WindowRow(index=i, start=cuts[i], end=cuts[i + 1])
             for i in range(count)
         ]
         buckets: list[list[RequestTrace]] = [[] for _ in rows]

@@ -2,7 +2,7 @@
 
 The paper's end state is an index "collected on one machine to support
 in-memory queries"; this subpackage is the cost side of that.  Every
-backend — the collected 2-hop index, BFL / GRAIL, the online-search
+backend — the collected 2-hop index, BFL, the online-search
 fallback — answers ``query_with_cost(s, t)`` with the answer and its
 simulated seconds, and Table VI's and the related-work
 table's query columns are those seconds summed

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import Protocol
 
+from repro.baselines.bfl import BflIndex
 from repro.baselines.online import OnlineSearcher
-from repro.baselines.search import FilterSearchIndex
 from repro.core.labels import label_sizes
 from repro.errors import ReproError, check_vertex
 from repro.graph.digraph import DiGraph
@@ -46,11 +46,10 @@ class IndexBackend:
 
 
 class MeteredSearchBackend:
-    """Backend over a filter-and-search index (BFL^C's Bloom filters,
-    GRAIL's intervals), whose ``query(s, t, meter=)`` charges a serial
-    meter for its label tests and its occasional pruned search."""
+    """Backend over BFL^C, whose ``query(s, t, meter=)`` charges a
+    serial meter for its label tests and its occasional pruned search."""
 
-    def __init__(self, index: FilterSearchIndex, cost_model: CostModel | None = None):
+    def __init__(self, index: BflIndex, cost_model: CostModel | None = None):
         self._index = index
         self._cost = (cost_model or DEFAULT_COST_MODEL).with_time_limit(None)
 

@@ -11,22 +11,38 @@ Everything is declarative and deterministic: the same plan against the
 same traffic always produces the same failovers, timeout counts and
 report — which is what makes the scenario library assertable.  The
 spec text (``crash=0.0@0.002,slow=1.1x4@0.001:0.003,recover=0.0@0.006``)
-is read and written by :class:`repro.faults.SpecPlan`, the one grammar;
-``ServeFaultPlan.SHAPES`` is this plan's clause table.
+is read by :meth:`ServeFaultPlan.parse` and written by
+:meth:`ServeFaultPlan.to_spec`, the one grammar;
+``ServeFaultPlan.SHAPES`` is its clause table.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
+import math
+import re
 from dataclasses import dataclass
 
 from repro.errors import ReproError
-from repro.faults import SpecPlan
+
+#: Shape parts read as integers; every other part is a finite float.
+_WHOLE = frozenset({"SHARD", "REPLICA"})
+#: One part of a shape string — ``SHARD``, ``xFACTOR``, ``[:END]`` — as
+#: (``[`` when optional, separator, NAME).
+_PART = re.compile(r"(\[?)([^A-Z\[\]]?)([A-Z]+)\]?")
 
 
 class ServeFaultSpecError(ReproError):
     """A textual serve-fault spec could not be parsed."""
+
+
+def _finite(text: str) -> float:
+    number = float(text)
+    if not math.isfinite(number):
+        raise ValueError(f"{text!r} is not a finite number")
+    return number
 
 
 def _check_replica(shard: int, replica: int) -> None:
@@ -91,8 +107,20 @@ class ReplicaRecovery:
 
 
 @dataclass(frozen=True)
-class ServeFaultPlan(SpecPlan):
-    """A deterministic schedule of serving-tier replica faults."""
+class ServeFaultPlan:
+    """A deterministic schedule of serving-tier replica faults.
+
+    :meth:`parse` and :meth:`to_spec` are the one reader and the one
+    writer of compact fault specs — comma-separated
+    ``KEY=TARGET[xFACTOR][@WHEN[:UNTIL]]`` clauses.  ``SHAPES`` maps a
+    key to (shape string, plan field, event type).  A key's *shape
+    string* (``"SHARD.REPLICAxFACTOR@START[:END]"``) is its grammar, the
+    text of its error and its row in the docs table.  A clause's numbers,
+    in shape order (``None`` for an absent optional part), are its event
+    type's constructor arguments; a clause may repeat, filling the
+    field's tuple.  Which plans are *legal* stays with the plan and its
+    events: their ``ValueError``s come back as ``ServeFaultSpecError``.
+    """
 
     crashes: tuple[ReplicaCrash, ...] = ()
     slowdowns: tuple[ReplicaSlow, ...] = ()
@@ -103,8 +131,6 @@ class ServeFaultPlan(SpecPlan):
         "slow": ("SHARD.REPLICAxFACTOR@START[:END]", "slowdowns", ReplicaSlow),
         "recover": ("SHARD.REPLICA@SECONDS", "recoveries", ReplicaRecovery),
     }
-    SPEC_ERROR = ServeFaultSpecError
-    NOUN = "serve-fault"
 
     def __post_init__(self):
         crashed: dict[tuple[int, int], float] = {}
@@ -135,6 +161,66 @@ class ServeFaultPlan(SpecPlan):
                     "more than once"
                 )
             seen_recoveries.add(key)
+
+    @classmethod
+    def parse(cls, spec: str) -> ServeFaultPlan:
+        """The plan a textual spec describes (a scenario's ``faults``);
+        :class:`ServeFaultSpecError` on malformed input."""
+        fields: dict = {}
+        for clause in filter(None, map(str.strip, spec.split(","))):
+            problem = f"bad serve-fault clause {clause!r}"
+            key, _, value = clause.partition("=")
+            if key not in cls.SHAPES:
+                raise ServeFaultSpecError(
+                    f"{problem}: expected one of {', '.join(cls.SHAPES)} as key=value"
+                )
+            shape, field_name, event = cls.SHAPES[key]
+            expected = f"{problem}: expected {key}={shape}"
+            parts = _PART.findall(shape)
+            pattern = ""
+            for optional, mark, _ in parts:
+                part = re.escape(mark) + "(.+?)"
+                pattern += f"(?:{part})?" if optional else part
+            match = re.fullmatch(pattern, value)
+            if match is None:
+                raise ServeFaultSpecError(expected)
+            numbers = []
+            for (_, _, name), text in zip(parts, match.groups()):
+                read = int if name in _WHOLE else _finite
+                try:
+                    numbers.append(None if text is None else read(text))
+                except ValueError:
+                    wanted = "an integer" if read is int else "a finite number"
+                    raise ServeFaultSpecError(
+                        f"{expected} ({name} must be {wanted})"
+                    ) from None
+            try:
+                fields[field_name] = (*fields.get(field_name, ()), event(*numbers))
+            except ValueError as exc:
+                raise ServeFaultSpecError(f"{problem}: {exc}") from exc
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise ServeFaultSpecError(str(exc)) from exc
+
+    def to_spec(self) -> str:
+        """The compact textual spec, the exact inverse of :meth:`parse`
+        (``ServeFaultPlan.parse(plan.to_spec()) == plan``: a number
+        prints as the shortest text that reads back to the same value),
+        so plans travel through JSON as one string."""
+        clauses = []
+        for key, (shape, field_name, _) in self.SHAPES.items():
+            rows = [dataclasses.astuple(item) for item in getattr(self, field_name)]
+            parts = _PART.findall(shape)
+            clauses += [
+                f"{key}=" + "".join(
+                    mark + repr(number).removesuffix(".0")
+                    for (_, mark, _), number in zip(parts, row)
+                    if number is not None
+                )
+                for row in rows
+            ]
+        return ",".join(clauses)
 
     @property
     def empty(self) -> bool:

@@ -1,5 +1,5 @@
-"""The one fault-spec grammar (``repro.faults.SpecPlan``), table-driven
-over the serving plan's shape table."""
+"""The one fault-spec grammar (``ServeFaultPlan.parse`` / ``to_spec``),
+table-driven over the plan's shape table."""
 
 import re
 from pathlib import Path
@@ -17,11 +17,9 @@ from repro.serve.faults import (
     ServeFaultSpecError,
 )
 
-_PLANS = (ServeFaultPlan,)
 _SHAPES = [
-    (plan, key, shape)
-    for plan in _PLANS
-    for key, (shape, _, _) in plan.SHAPES.items()
+    (ServeFaultPlan, key, shape)
+    for key, (shape, _, _) in ServeFaultPlan.SHAPES.items()
 ]
 _IDS = [f"{plan.__name__}-{key}" for plan, key, _ in _SHAPES]
 _NAME = re.compile(r"[A-Z]+")
@@ -37,7 +35,7 @@ def _fill(shape: str, values: dict | None = None, drop_optional: bool = False) -
 
 
 def _rejects(plan, clause: str, shape_text: str) -> None:
-    with pytest.raises(plan.SPEC_ERROR) as info:
+    with pytest.raises(ServeFaultSpecError) as info:
         plan.parse(clause)
     assert isinstance(info.value, ReproError)
     message = str(info.value)
@@ -51,7 +49,6 @@ def test_shape_tables_are_the_documented_grammar():
         "slow": "SHARD.REPLICAxFACTOR@START[:END]",
         "recover": "SHARD.REPLICA@SECONDS",
     }
-    assert ServeFaultPlan.SPEC_ERROR is ServeFaultSpecError
 
 
 @pytest.mark.parametrize("doc", ["serving.md"])
@@ -94,7 +91,7 @@ def test_malformed_clauses_name_the_shape(plan, key, shape):
     for name in names:
         for bad in ("nope", "nan", "inf", "-inf", "1e999"):
             clause = f"{key}={_fill(shape, {name: bad})}"
-            with pytest.raises(plan.SPEC_ERROR) as info:
+            with pytest.raises(ServeFaultSpecError) as info:
                 plan.parse(clause)
             assert expected in str(info.value), str(info.value)
             assert f"({name} must be" in str(info.value), str(info.value)
@@ -109,7 +106,7 @@ def test_malformed_clauses_name_the_shape(plan, key, shape):
     ],
 )
 def test_non_finite_numbers_are_rejected_naming_the_clause(plan, clause, part):
-    with pytest.raises(plan.SPEC_ERROR, match=re.escape(repr(clause))) as info:
+    with pytest.raises(ServeFaultSpecError, match=re.escape(repr(clause))) as info:
         plan.parse(clause)
     assert f"{part} must be a finite number" in str(info.value)
 

@@ -1,14 +1,11 @@
-"""Pins for the one filter-and-search query under BFL and GRAIL.
-
-The literals were read off the three per-class copies of the search
-that ``FilterSearchIndex`` replaced; ``bench table6``'s BFL^C column and
-``benchmarks/results/query_latency.txt`` are these counts times ``t_op``.
-"""
+"""Pins for BFL's filter-and-search query: ``bench table6``'s BFL^C
+column and ``benchmarks/results/query_latency.txt`` are these counts
+times ``t_op``."""
 
 import pytest
 from hypothesis import given, settings
 
-from repro.baselines import TransitiveClosure, build_bfl, build_grail
+from repro.baselines import TransitiveClosure, build_bfl
 from repro.graph.generators import (
     citation_graph,
     scc_heavy_graph,
@@ -29,28 +26,18 @@ GRAPHS = {
 BUILDERS = {
     "bfl": build_bfl,
     "bfl32": lambda graph: build_bfl(graph, s_bits=32),
-    "grail": build_grail,
-    "grail1": lambda graph: build_grail(graph, dimensions=1),
 }
 #: (graph, builder) -> (meter units, positive answers, searches) over
 #: 4 000 ``random_pairs(seed=9)``.
 PINS = {
     ("web", "bfl"): (25003, 1530, 939),
     ("web", "bfl32"): (17074, 1530, 956),
-    ("web", "grail"): (18784, 1530, 1323),
-    ("web", "grail1"): (13289, 1530, 1739),
     ("cit", "bfl"): (51177, 1249, 1235),
     ("cit", "bfl32"): (76996, 1249, 1555),
-    ("cit", "grail"): (84547, 1249, 1764),
-    ("cit", "grail1"): (111193, 1249, 2072),
     ("soc", "bfl"): (24728, 3110, 728),
     ("soc", "bfl32"): (16736, 3110, 732),
-    ("soc", "grail"): (16779, 3110, 755),
-    ("soc", "grail1"): (8907, 3110, 817),
     ("scc", "bfl"): (25634, 1010, 531),
     ("scc", "bfl32"): (17641, 1010, 534),
-    ("scc", "grail"): (19992, 1010, 1015),
-    ("scc", "grail1"): (16583, 1010, 1694),
 }
 
 
@@ -73,8 +60,8 @@ def test_units_answers_and_searches_are_pinned(graph_name):
 @given(family_graphs())
 @settings(max_examples=40, deadline=None)
 def test_label_hooks_are_sound(graph):
-    """What lets the shared loop ask ``confirms`` before ``refutes``
-    whatever order a scheme's own query used: neither hook is ever
+    """What lets the query ask ``confirms`` before ``refutes``, and
+    BFL^D's walk ask them in its own order: neither test is ever
     wrong, so they never both hold."""
     closure = TransitiveClosure(graph)
     for build in BUILDERS.values():

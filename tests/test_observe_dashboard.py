@@ -9,7 +9,7 @@ from repro.cli import main
 from repro.core.build import build_index
 from repro.core.dynamic import DynamicReachabilityIndex
 from repro.graph.generators import social_graph
-from repro.observe.dashboard import DashboardModel
+from repro.observe.dashboard import DEFAULT_WINDOW_COUNT, DashboardModel
 from repro.pregel.cost_model import CostModel
 from repro.serve import (
     BoundedStalenessReplicator,
@@ -26,6 +26,7 @@ from repro.serve import (
 from repro.telemetry import session
 from repro.telemetry.reader import Trace
 from repro.telemetry.sinks import InMemorySink
+from repro.telemetry.spans import RequestTrace
 from repro.workloads.queries import random_pairs
 from repro.workloads.traffic import poisson_arrivals, uniform_arrivals, zipf_pairs
 from repro.workloads.updates import mixed_update_stream
@@ -283,6 +284,25 @@ class TestModel:
         assert (second.report.failovers, second.replication_lag_peak) == (1, 7)
         assert second.group_lag_peaks == {"1": 7, "2": 3}
 
+    @pytest.mark.parametrize(
+        "span", [12e-6, 1e-9, 5e-4, 7.3e-3, 0.1, 0.7, 1.0, 3.0]
+    )
+    def test_windows_stop_at_the_makespan(self, span):
+        """The default width cuts exactly ``DEFAULT_WINDOW_COUNT``
+        windows (a ceiling over ``span / (span / 12)`` used to add a
+        13th, zero-length one on about a third of spans), and a width
+        the user sets opens no window at or past the makespan."""
+        requests = [RequestTrace(f"t{i}", 0, 1, span * i / 16) for i in range(16)]
+        default = DashboardModel._build_windows(requests, span, None)
+        assert len(default) == DEFAULT_WINDOW_COUNT
+        for parts in (3, 7, 10, 12):
+            windows = DashboardModel._build_windows(requests, span, span / parts)
+            assert len(windows) in (parts, parts + 1)
+            for cut in (default, windows):
+                assert all(w.start < w.end for w in cut)
+                assert cut[-1].end == span
+                assert sum(w.offered for w in cut) == len(requests)
+
     def test_empty_records(self):
         empty = DashboardModel.from_trace(Trace())
         assert empty.report.offered == 0
@@ -436,18 +456,18 @@ class TestCli:
         assert main(["top", str(path), "--once"]) == 1
 
     def test_top_has_no_slo_flags(self, trace_file, capsys):
-        """--fail-on-alert is an unknown flag; --slo is argparse's
-        prefix of --slowest, so a spec path is refused as a bad count."""
+        """--fail-on-alert and --slo are unknown flags: no flag is taken
+        as a prefix of another, so --slo is not read as --slowest."""
         with pytest.raises(SystemExit) as exc:
             main(["top", str(trace_file), "--once", "--fail-on-alert"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --fail-on-alert" in capsys.readouterr().err
-        assert main(["top", str(trace_file), "--once", "--slo", "spec.json"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["top", str(trace_file), "--once", "--slo", "spec.json"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: --slowest must be an integer >= 0, got 'spec.json'\n"
-        )
+        assert "unrecognized arguments: --slo spec.json" in captured.err
 
     def test_top_refuses_more_windows_than_requests(self, trace_file, capsys):
         """--window 1e-300 used to allocate span / 1e-300 rows."""

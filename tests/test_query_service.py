@@ -3,7 +3,6 @@
 import pytest
 
 from repro.baselines.bfl import build_bfl
-from repro.baselines.grail import build_grail
 from repro.baselines.online import OnlineSearcher
 from repro.baselines.transitive_closure import TransitiveClosure
 from repro.core.build import build_index
@@ -38,7 +37,6 @@ def _backends(graph):
     return {
         "index": IndexBackend(index, _NO_LIMIT),
         "bfl": MeteredSearchBackend(build_bfl(graph), _NO_LIMIT),
-        "grail": MeteredSearchBackend(build_grail(graph), _NO_LIMIT),
         "online": OnlineSearcher(graph, _NO_LIMIT),
     }
 
@@ -102,7 +100,6 @@ def test_online_backend_is_slowest(graph, pairs):
     }
     assert totals["online"] > totals["index"]
     assert totals["online"] > totals["bfl"]
-    assert totals["online"] > totals["grail"]
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +167,7 @@ def test_fallback_backend_propagates_real_bugs(graph):
 # ----------------------------------------------------------------------
 # An id outside the index is refused, never answered for another vertex
 # ----------------------------------------------------------------------
-_OUTSIDE = ("index", "index-dynamic", "bfl", "grail", "online",
+_OUTSIDE = ("index", "index-dynamic", "bfl", "online",
             "online-distributed", "bfl-d", "fallback")
 
 
@@ -185,7 +182,6 @@ def small_backends():
         "index": IndexBackend(tol_index(graph), _NO_LIMIT),
         "index-dynamic": IndexBackend(DynamicReachabilityIndex(graph), _NO_LIMIT),
         "bfl": MeteredSearchBackend(build_bfl(graph), _NO_LIMIT),
-        "grail": MeteredSearchBackend(build_grail(graph), _NO_LIMIT),
         "online": OnlineSearcher(graph, _NO_LIMIT),
         "online-distributed": DistributedOnlineSearcher(
             graph, num_nodes=4, cost_model=_NO_LIMIT
