@@ -116,14 +116,6 @@ class ExperimentTable:
         """Fetch a cell (empty cell when missing)."""
         return self.cells.get((row, column), Cell())
 
-    def column_values(self, column: str) -> list[float]:
-        """All real (non-marker) values in one column, row order."""
-        return [
-            cell.value
-            for row in self.rows
-            if (cell := self.get(row, column)).ok and cell.value is not None
-        ]
-
     def render(self) -> str:
         """ASCII rendering in the style of the paper's tables."""
         header = ["Name"] + list(self.columns)
@@ -146,41 +138,6 @@ class ExperimentTable:
         for line in body:
             lines.append(" | ".join(c.ljust(w) for c, w in zip(line, widths)))
         return "\n".join(lines)
-
-    def to_markdown(self) -> str:
-        """GitHub-flavored markdown table."""
-        header = ["Name"] + list(self.columns)
-        lines = ["| " + " | ".join(header) + " |"]
-        lines.append("|" + "|".join("---" for _ in header) + "|")
-        for row in self.rows:
-            cells = [row] + [
-                self.get(row, col).format(self.precision, self.scientific)
-                for col in self.columns
-            ]
-            lines.append("| " + " | ".join(cells) + " |")
-        return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        """CSV with markers rendered as empty cells plus a marker column
-        convention: failed cells contain their marker string."""
-        import csv
-        import io
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["name"] + list(self.columns))
-        for row in self.rows:
-            out = [row]
-            for col in self.columns:
-                cell = self.get(row, col)
-                if cell.marker is not None:
-                    out.append(cell.marker)
-                elif cell.value is None:
-                    out.append("")
-                else:
-                    out.append(repr(cell.value))
-            writer.writerow(out)
-        return buffer.getvalue()
 
     def __str__(self) -> str:
         return self.render()

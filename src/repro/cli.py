@@ -118,10 +118,19 @@ def _number(flag: str, low: float, high: float = math.inf):
 class _Parser(argparse.ArgumentParser):
     """Takes no flag by a prefix of its name, so a removed or renamed
     flag is an error, not silently another flag (``--slo`` was read as
-    ``--slowest``).  Sub-parsers are built as their parent's class."""
+    ``--slowest``), and refuses what it does not know itself, so an
+    unknown flag after a sub-command is reported with that sub-command's
+    usage, not the root's.  Sub-parsers are built as their parent's
+    class."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _build_parser() -> argparse.ArgumentParser:

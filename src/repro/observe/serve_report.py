@@ -44,8 +44,6 @@ class ServeReport:
     cache_evictions: int = 0
     shard_loads: list[int] = field(default_factory=list)
     shard_skew: float = 1.0
-    degraded: bool = False
-    fallback_queries: int = 0
     failed: int = 0
     failovers: int = 0
     replica_timeouts: int = 0
@@ -166,10 +164,5 @@ class ServeReport:
             lines.append(
                 f"  staleness: {self.stale_reads} guarded stale reads, "
                 f"{self.confirmed_reads} leader-confirmed"
-            )
-        if self.degraded:
-            lines.append(
-                f"  DEGRADED: {self.fallback_queries} queries served by "
-                f"online-BFS fallback"
             )
         return "\n".join(lines)

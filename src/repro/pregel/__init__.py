@@ -13,7 +13,7 @@ in where those workers live:
   to simulated seconds via a calibrated
   :class:`~repro.pregel.cost_model.CostModel`; and
 - :class:`~repro.pregel.mp.MultiprocessEngine` — the same workers in
-  forked processes over a shared-memory CSR, producing the identical
+  forked processes reading the CSR through fork, producing the identical
   labels and the identical simulated-clock accounting while the wall
   clock actually drops with cores.
 """

@@ -81,7 +81,7 @@ class CostModel:
 #: Shared default instance for code paths that accept an optional
 #: :class:`CostModel`.  Query backends and the serving layer all fall
 #: back to this one object, so mixed-backend evaluations (serve-bench,
-#: fallback ladders) are guaranteed to charge under the same constants
+#: Table VI) are guaranteed to charge under the same constants
 #: unless a caller explicitly passes a different model.
 DEFAULT_COST_MODEL = CostModel()
 

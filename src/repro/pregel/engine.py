@@ -515,7 +515,7 @@ class Engine(ABC):
     - :class:`SimulatorEngine` — one worker in the master's process
       owning every node: deterministic; and
     - :class:`repro.pregel.mp.MultiprocessEngine` — the same workers in
-      forked processes over a shared-memory CSR, producing the identical
+      forked processes reading the CSR through fork, producing the identical
       labels and the identical simulated-clock accounting while the wall
       clock actually drops with cores.
     """

@@ -9,16 +9,14 @@ code, leave ``RunStats`` identical to a simulator run.  This module holds
 only what is about processes (``docs/simulator.md``, "One runtime, two
 transports", has the whole picture):
 
-- The workers are forked once per program, at its first run: the
-  graph's CSR arrays are copied into ``multiprocessing.shared_memory``
-  segments and the ``array`` slots swapped for ``memoryview`` casts of
-  them, so the workers read the topology from shared pages.  The
-  cluster's per-graph :class:`~repro.graph.partition.Routing` arrives
-  through fork.  Inside ``with cluster:`` — every
-  :class:`~repro.core.drl.FloodBuild` — later runs of the same program
-  reuse the workers, as a Pregel job keeps its workers for all of its
-  floods; the workers and the segments are reaped when the ``with``
-  ends, when a run raises, and after a run outside one.
+- The workers are forked once per program, at its first run, and
+  read the master's own ``array('q')`` CSR and the cluster's per-graph
+  :class:`~repro.graph.partition.Routing` through fork, copy-on-write:
+  no segment is made, so none can leak.  Inside ``with cluster:`` —
+  every :class:`~repro.core.drl.FloodBuild` — later runs of the same
+  program reuse the workers, as a Pregel job keeps its workers for all
+  of its floods; the workers are reaped when the ``with`` ends, when a
+  run raises, and after a run outside one.
 - Each worker holds a replica of the program; logical node ``n`` is
   pinned to worker ``n % workers``, so every vertex has exactly one
   writer.
@@ -77,7 +75,6 @@ from collections import Counter
 from contextlib import contextmanager
 from functools import partial
 from itertools import accumulate, chain, compress
-from multiprocessing import shared_memory
 from operator import itemgetter
 from random import Random
 from typing import NamedTuple
@@ -88,8 +85,6 @@ from repro.graph.partition import Routing
 from repro.pregel.engine import ComputeContext, Engine, Worker
 from repro.pregel.metrics import NodeSlice
 from repro.pregel.vertex_program import VertexProgram
-
-_CSR_SLOTS = ("_fwd_offsets", "_fwd_targets", "_rev_offsets", "_rev_targets")
 
 #: Seconds the master waits for the replies to one call before it takes
 #: a silent worker as hung: far above any super-step of a build this
@@ -105,55 +100,6 @@ _TERMINATE_GRACE = 1.0
 #: A record's ``how``: a fan-out along the out- or the in-edges of its
 #: sender (one pickled byte each); a direct send's is ``~destination``.
 _OUT, _IN = 0, 1
-
-
-class _SharedGraph:
-    """The graph CSR in shared-memory segments.
-
-    ``install()`` swaps the graph's ``array('q')`` slots for
-    ``memoryview`` casts of the segments; because every CSR accessor
-    only indexes/slices, the swap is transparent to programs.  The
-    master restores the original arrays and unlinks the segments in
-    ``close()``; forked workers exit with ``os._exit`` and never touch
-    the handles.
-    """
-
-    def __init__(self, graph: DiGraph):
-        self._graph = graph
-        self._segments: list[shared_memory.SharedMemory] = []
-        self._originals = {slot: getattr(graph, slot) for slot in _CSR_SLOTS}
-        self._views = {
-            slot: self._to_shared(self._originals[slot]) for slot in _CSR_SLOTS
-        }
-        self._installed = False
-
-    def _to_shared(self, arr):
-        data = arr.tobytes()
-        if not data:
-            return arr  # zero-length arrays have nothing to share
-        shm = shared_memory.SharedMemory(create=True, size=len(data))
-        self._segments.append(shm)
-        shm.buf[: len(data)] = data
-        return shm.buf[: len(data)].cast("q")
-
-    def install(self) -> None:
-        for slot, view in self._views.items():
-            setattr(self._graph, slot, view)
-        self._installed = True
-
-    def close(self) -> None:
-        if self._installed:
-            for slot, arr in self._originals.items():
-                setattr(self._graph, slot, arr)
-            self._installed = False
-        for view in self._views.values():
-            if isinstance(view, memoryview):
-                view.release()
-        self._views = {}
-        for shm in self._segments:
-            shm.close()
-            shm.unlink()
-        self._segments = []
 
 
 def _target_nodes(graph: DiGraph, node_of, num_nodes: int) -> tuple:
@@ -177,8 +123,8 @@ def _target_nodes(graph: DiGraph, node_of, num_nodes: int) -> tuple:
 class _Plane(NamedTuple):
     """One edge direction, as a worker sends and receives along it."""
 
-    offsets: object  # the CSR, in shared memory
-    targets: object
+    offsets: array  # the graph's CSR
+    targets: array
     nodes: list  # per vertex, its targets' nodes (:func:`_target_nodes`)
     same: array  # per vertex, its same-node targets (:class:`Routing`)
     owned: list[list[int]]  # per vertex, the targets this worker owns
@@ -407,10 +353,8 @@ def _worker_main(
             conn.close()
         except Exception:
             pass
-        # Skip interpreter teardown: the forked heap holds exported
-        # memoryviews of the master's shared-memory segments, whose
-        # destructors would raise during shutdown.  The master owns and
-        # unlinks the segments.
+        # Skip interpreter teardown: the forked heap is the master's, and
+        # so are its exit hooks and buffered files.
         os._exit(status)
 
 
@@ -444,9 +388,7 @@ class _ProcessWorkers:
             _target_nodes(graph, cluster.routing(graph).node_of, cluster.num_nodes)
             if workers > 1 else None
         )
-        self._shared = _SharedGraph(graph)
         try:
-            self._shared.install()
             fork = multiprocessing.get_context("fork")
             for w in range(workers):
                 parent_conn, child_conn = fork.Pipe()
@@ -628,7 +570,7 @@ class _ProcessWorkers:
     def close(self, failed: bool) -> None:
         """Reap every worker — told to exit, or stopped at once when the
         run ``failed``: terminated, then killed if it is still there (a
-        stopped worker) —, close the pipes and unlink the CSR segments."""
+        stopped worker) —, and close the pipes."""
         if not failed:
             try:
                 for worker in range(len(self.conns)):
@@ -650,7 +592,6 @@ class _ProcessWorkers:
                 conn.close()
             except Exception:
                 pass
-        self._shared.close()
 
 
 class MultiprocessEngine(Engine):

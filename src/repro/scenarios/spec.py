@@ -10,12 +10,10 @@ expectations, so "does the serving tier survive a replica crash
 during a write burst?" becomes a committed file and a one-command
 check (``repro scenario run``) instead of a hand-built script.
 
-The format is JSON-native (the library under
-``repro/scenarios/library/`` is all JSON); YAML files load too when
-PyYAML happens to be installed — the format is a plain nested mapping
-either way.  Modeled on the SimCash experiment-protocol idea: the
-experiment *is* the config file, and the config file carries its own
-pass/fail criteria.
+The format is JSON, a plain nested mapping (the library under
+``repro/scenarios/library/`` is all JSON).  Modeled on the SimCash
+experiment-protocol idea: the experiment *is* the config file, and the
+config file carries its own pass/fail criteria.
 
 Minimal example::
 
@@ -343,7 +341,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioSpec":
-        """Build a spec from a plain nested mapping (parsed JSON/YAML)."""
+        """Build a spec from a plain nested mapping (parsed JSON)."""
         if not isinstance(raw, dict):
             raise ScenarioSpecError("a scenario must be a mapping")
         _reject_unknown(raw, {f.name for f in dataclasses.fields(cls)}, "scenario")
@@ -447,26 +445,16 @@ class ScenarioSpec:
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
-    """Load one scenario file (JSON always; YAML when PyYAML exists)."""
+    """Load one scenario file (JSON)."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ScenarioSpecError(f"cannot read scenario {path}: {exc}") from exc
-    if path.suffix in (".yaml", ".yml"):
-        try:
-            import yaml
-        except ImportError as exc:
-            raise ScenarioSpecError(
-                f"{path} is YAML but PyYAML is not installed; "
-                "use the JSON form instead"
-            ) from exc
-        raw = yaml.safe_load(text)
-    else:
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioSpecError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioSpecError(f"{path} is not valid JSON: {exc}") from exc
     return ScenarioSpec.from_dict(raw)
 
 

@@ -26,14 +26,13 @@ the ROADMAP's north star asks for.  Bottom to top:
   order upgrades) to the leader index with simulated costs, so writes
   ride the same admission queue as reads (``docs/dynamic.md``);
 - :mod:`~repro.serve.pipeline` — the serving loop: bounded admission
-  queue (overflow sheds), request batching, deadline drops, mixed
-  read/write runs (:meth:`QueryServer.run_mixed`), and graceful
-  degradation via :class:`~repro.query.service.FallbackBackend`;
+  queue (overflow sheds), request batching, deadline drops and mixed
+  read/write runs (:meth:`QueryServer.run_mixed`);
 - :mod:`~repro.serve.bench` — the ``repro serve-bench`` runner that
   replays a Zipf/Poisson workload cached and uncached and renders one
   baseline-gateable table.
 
-Architecture, the degradation ladder, and a glossary of the run totals
+Architecture and a glossary of the run totals
 (each named by the record it is read from) live in
 ``docs/serving.md``.
 """
@@ -58,7 +57,6 @@ from repro.serve.mutation import MUTATION_OPS, MutationBackend
 from repro.serve.pipeline import QueryServer, ServeReport
 from repro.serve.replica import BoundedStalenessReplicator, ReplicatedLabelStore
 from repro.serve.store import (
-    HealthPolicy,
     READ_POLICIES,
     ReplicaSet,
     ReplicaState,
@@ -73,7 +71,6 @@ __all__ = [
     "MUTATION_OPS",
     "MutationBackend",
     "CachingBackend",
-    "HealthPolicy",
     "QueryCache",
     "QueryServer",
     "READ_POLICIES",

@@ -18,11 +18,6 @@ loop on the simulated clock:
    ``deadline_seconds`` when dequeued is dropped (counted separately
    from sheds): serving it would waste capacity on an answer the
    client stopped waiting for.
-4. **Degradation** — the backend can be a
-   :class:`~repro.query.service.FallbackBackend`, so a cluster whose
-   index build died keeps answering (slower, via online BFS) while
-   admission control keeps the queue bounded.  The full ladder is
-   documented in ``docs/serving.md``.
 
 Everything is deterministic: time is the cost model's simulated clock,
 arrivals come from :mod:`repro.workloads.traffic`, and the same inputs
@@ -97,12 +92,11 @@ class QueryServer:
         replication delivery — ride the serving clock.
     mutation_backend:
         Optional :class:`~repro.serve.mutation.MutationBackend`
-        enabling the write path: :meth:`submit_mutation` and the write
-        half of :meth:`run_mixed` route through it.  Writes share the
-        admission queue with reads (and get shed by the same
-        backpressure), but are **never deadline-dropped** — a client
-        that stopped waiting for an answer still wants its write
-        applied.
+        enabling the write path: the write half of :meth:`run_mixed`
+        routes through it.  Writes share the admission queue with reads
+        (and get shed by the same backpressure), but are **never
+        deadline-dropped** — a client that stopped waiting for an
+        answer still wants its write applied.
     """
 
     def __init__(
@@ -128,23 +122,6 @@ class QueryServer:
         self._mutation_backend = mutation_backend
 
     # -- entry points --------------------------------------------------
-    def submit_mutation(
-        self, op: str, u: int, v: int = -1, at: float = 0.0
-    ) -> tuple[str, float]:
-        """Apply one mutation immediately (no queueing): the one-shot
-        write API.  Returns ``(status, simulated_seconds)`` — see
-        :meth:`~repro.serve.mutation.MutationBackend.apply_with_cost`.
-
-        This bypasses admission (nothing else is in flight), but still
-        runs the full mutation path: listener-driven cache
-        invalidation, replication op-log append, ``serve.mutation``
-        telemetry.  For interleaved read/write traffic use
-        :meth:`run_mixed`, which routes writes through the queue.
-        """
-        if self._mutation_backend is None:
-            raise ValueError("server was built without a mutation_backend")
-        return self._mutation_backend.apply_with_cost(op, u, v, at=at)
-
     def run_open(
         self,
         pairs: Sequence[tuple[int, int]],
@@ -433,14 +410,14 @@ class QueryServer:
             )
             # The run's totals, by field name: the one record of what the
             # requests' own records do not carry (batches, queue peak,
-            # cache churn, shard skew, degradation, staleness window).
+            # cache churn, shard skew, staleness window).
             if enabled():
                 span.set(**dataclasses.asdict(report))
             span.add_simulated(clock)
         return report
 
     def _backend_stats(self) -> dict:
-        """Cache/shard/degradation numbers pulled off the backend chain."""
+        """Cache and shard numbers pulled off the backend chain."""
         stats: dict = {}
         for layer in _chain(self._backend):
             cache = getattr(layer, "cache", None)
@@ -457,10 +434,5 @@ class QueryServer:
                     shard_loads=store.shard_loads(),
                     shard_skew=store.load_skew(),
                     **store.replica_stats(),
-                )
-            if getattr(layer, "degraded", False):
-                stats.update(
-                    degraded=True,
-                    fallback_queries=getattr(layer, "fallback_queries", 0),
                 )
         return stats

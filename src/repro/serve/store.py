@@ -44,7 +44,7 @@ fan-out policy:
 Failure handling is deliberately boring and explicit: a read routed to
 a dead-but-not-yet-suspected replica pays a timeout plus exponential
 backoff and tries the next candidate; after
-:attr:`HealthPolicy.failure_threshold` consecutive failures the
+:data:`FAILURE_THRESHOLD` consecutive failures the
 replica is *suspected* (skipped at zero cost) and, if it was the
 primary, the shard **fails over** — visible as a ``serve.failover``
 telemetry event and in :meth:`ShardedLabelStore.replica_stats`.
@@ -58,14 +58,11 @@ copies and the staleness guard: :mod:`repro.serve.replica`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.labels import label_sizes
 from repro.errors import (
     ShardOutOfMemoryError,
     ShardUnavailableError,
     check_count,
-    check_seconds,
     check_vertex,
 )
 from repro.graph.partition import HashPartitioner, Partitioner, node_assignment
@@ -78,28 +75,16 @@ READ_POLICIES = ("primary", "round-robin", "hedged")
 _NEVER = float("inf")
 
 
-@dataclass(frozen=True)
-class HealthPolicy:
-    """Timeout, backoff, and suspicion thresholds for replica reads.
+# Replica-read timeouts, scaled to the simulated serving clock (a
+# 20k-request bench run spans ~10 ms of simulated time): the
+# ``attempt``-th failed read of one fetch (0-based) costs
+# ``READ_TIMEOUT_SECONDS + READ_BACKOFF_SECONDS * 2**attempt``, two
+# orders of magnitude above a local label merge.
+READ_TIMEOUT_SECONDS = 5e-5
+READ_BACKOFF_SECONDS = 2e-5
 
-    Defaults are scaled to the simulated serving clock (a 20k-request
-    bench run spans ~10 ms of simulated time): a timed-out read costs
-    ~20 µs — two orders of magnitude above a local label merge — and
-    two consecutive failures mark the replica suspected.
-    """
-
-    timeout_seconds: float = 5e-5
-    backoff_seconds: float = 2e-5
-    failure_threshold: int = 2
-
-    def __post_init__(self):
-        check_seconds("timeout_seconds", self.timeout_seconds, positive=True)
-        check_seconds("backoff_seconds", self.backoff_seconds)
-        check_count("failure_threshold", self.failure_threshold)
-
-    def penalty_seconds(self, attempt: int) -> float:
-        """Cost of the ``attempt``-th failed read in one fetch (0-based)."""
-        return self.timeout_seconds + self.backoff_seconds * (2 ** attempt)
+#: Consecutive failed reads or probes that mark a replica suspected.
+FAILURE_THRESHOLD = 2
 
 
 class ReplicaState:
@@ -170,8 +155,6 @@ class ShardedLabelStore:
         With a replicator the two replica counts must agree.
     policy:
         One of :data:`READ_POLICIES`.
-    health:
-        Timeout/backoff/suspicion knobs (:class:`HealthPolicy`).
     replicator:
         Optional :class:`~repro.serve.replica.BoundedStalenessReplicator`
         for serving a dynamic index through lagging follower groups.
@@ -188,7 +171,6 @@ class ShardedLabelStore:
         cost_model: CostModel | None = None,
         replicas: int | None = None,
         policy: str = "primary",
-        health: HealthPolicy | None = None,
         replicator=None,
     ):
         num_shards = check_count("num_shards", num_shards)
@@ -219,7 +201,6 @@ class ShardedLabelStore:
         self.num_shards = num_shards
         self.replicas_per_shard = replicas
         self.policy = policy
-        self.health = health or HealthPolicy()
         self.replicator = replicator
         self._partitioner = partitioner
         self._cost = cost_model or DEFAULT_COST_MODEL
@@ -408,7 +389,7 @@ class ShardedLabelStore:
             for state in rs.replicas:
                 if not state.alive and not state.suspected:
                     state.probe_failures += 1
-                    if state.probe_failures >= self.health.failure_threshold:
+                    if state.probe_failures >= FAILURE_THRESHOLD:
                         self._suspect(state)
                 elif state.alive and state.suspected:
                     state.suspected = False
@@ -587,9 +568,11 @@ class ShardedLabelStore:
             elif not down.suspected:
                 down.timeouts += 1
                 down.probe_failures += 1
-                if down.probe_failures >= self.health.failure_threshold:
+                if down.probe_failures >= FAILURE_THRESHOLD:
                     self._suspect(down)
-                seconds += self.health.penalty_seconds(attempt)
+                seconds += READ_TIMEOUT_SECONDS + READ_BACKOFF_SECONDS * (
+                    2 ** attempt
+                )
                 attempt += 1
         if not chosen:
             error = ShardUnavailableError(home, self.replicas_per_shard)
@@ -672,8 +655,7 @@ class ShardedIndexBackend:
     """:class:`~repro.query.service.QueryBackend` view of a store.
 
     Makes the store pluggable anywhere a backend is expected — the
-    request pipeline, a cache, or a
-    :class:`~repro.query.service.FallbackBackend` primary.
+    request pipeline or a cache.
     """
 
     def __init__(self, store: ShardedLabelStore):

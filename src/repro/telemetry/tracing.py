@@ -17,7 +17,6 @@ argument through every backend: the server sets :data:`ACTIVE` around
 the backend call (:func:`begin_request` / :func:`end_request`), and
 instrumented components (:class:`~repro.serve.cache.CachingBackend`,
 :class:`~repro.serve.store.ShardedLabelStore`,
-:class:`~repro.query.service.FallbackBackend`,
 :class:`~repro.serve.mutation.MutationBackend`) append their stage to
 whatever request is active.  When no request is active — tracing off,
 or a backend called outside a server — the cost is one

@@ -44,35 +44,6 @@ def test_table_rejects_unknown_column():
         table.set("r", "nope", 1.0)
 
 
-def test_table_to_markdown():
-    table = ExperimentTable("T", ["a", "b"])
-    table.set("r1", "a", 1.5)
-    table.set("r1", "b", Cell.unavailable())
-    md = table.to_markdown()
-    lines = md.splitlines()
-    assert lines[0] == "| Name | a | b |"
-    assert lines[1].startswith("|---")
-    assert "| r1 | 1.5000 | - |" in md
-
-
-def test_table_to_csv():
-    table = ExperimentTable("T", ["a"])
-    table.set("r1", "a", 0.25)
-    table.set("r2", "a", Cell.timeout())
-    csv_text = table.to_csv()
-    assert "name,a" in csv_text
-    assert "r1,0.25" in csv_text
-    assert "r2,INF" in csv_text
-
-
-def test_table_column_values_skip_markers():
-    table = ExperimentTable("T", ["a"])
-    table.set("r1", "a", 2.0)
-    table.set("r2", "a", Cell.timeout())
-    table.set("r3", "a", 3.0)
-    assert table.column_values("a") == [2.0, 3.0]
-
-
 # ----------------------------------------------------------------------
 # Every registered experiment, run once per module through ``repro bench``
 # ----------------------------------------------------------------------

@@ -205,6 +205,30 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
+@pytest.mark.parametrize(
+    "argv, usage, leftovers",
+    [
+        (["top", "FILE", "--once", "--bogus", "3"], "usage: repro top ", "--bogus 3"),
+        (["datasets", "--bogus", "1"], "usage: repro datasets ", "--bogus 1"),
+        (["scenario", "run", "--bogus"], "usage: repro scenario run ", "--bogus"),
+    ],
+)
+def test_unknown_flag_is_reported_by_its_sub_command(
+    tmp_path, capsys, argv, usage, leftovers
+):
+    # The sub-command's own parser reports its leftovers, so the usage
+    # line names that command's flags, not the root's command list.
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("")
+    argv = [str(trace) if arg == "FILE" else arg for arg in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(usage), err
+    assert f"error: unrecognized arguments: {leftovers}\n" in err
+
+
 # ----------------------------------------------------------------------
 # Telemetry flags and the trace subcommand
 # ----------------------------------------------------------------------

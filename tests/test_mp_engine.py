@@ -20,6 +20,8 @@ import copy
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from multiprocessing.context import ForkProcess
@@ -28,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.cli import main
 from repro.core.batching import batch_sequence
 from repro.core.build import build_index
@@ -291,6 +294,43 @@ def test_cli_rejects_bad_engine_combinations(tmp_path, capsys):
     assert main(base + ["--workers", "2"]) == 2
     err = capsys.readouterr().err
     assert "only applies to --engine mp" in err
+
+
+# ----------------------------------------------------------------------
+# A build leaves no segment and no resource tracker behind
+# ----------------------------------------------------------------------
+_FRESH_BUILD = """
+import multiprocessing.resource_tracker as tracker
+from repro.core.build import build_index
+from repro.graph.generators import citation_graph
+
+build_index(
+    citation_graph(200, avg_refs=2.5, seed=3), method="drl-b",
+    num_nodes=6, engine="mp", workers=3,
+)
+print(tracker._resource_tracker._fd)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_mp_build_in_a_fresh_process_makes_no_segment_and_no_tracker():
+    # The workers read the master's CSR through fork: a build creates no
+    # shared-memory segment, so the stdlib never starts its resource
+    # tracker process.  A fresh interpreter shows both, as nothing else
+    # in it could have started the tracker first.
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    before = _shm_segments()
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_BUILD], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "None\n"
+    assert _shm_segments() <= before
 
 
 # ----------------------------------------------------------------------

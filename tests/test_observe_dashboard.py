@@ -14,7 +14,6 @@ from repro.pregel.cost_model import CostModel
 from repro.serve import (
     BoundedStalenessReplicator,
     CachingBackend,
-    HealthPolicy,
     MutationBackend,
     QueryCache,
     QueryServer,
@@ -96,7 +95,6 @@ def _crashed_run():
     store = ShardedLabelStore(
         build_index(graph, cost_model=_NO_LIMIT).index,
         num_shards=2, cost_model=_NO_LIMIT, replicas=2,
-        health=HealthPolicy(failure_threshold=2),
     )
     timeline = Timeline(store.advance)
     ServeFaultPlan.parse(

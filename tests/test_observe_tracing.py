@@ -11,7 +11,6 @@ from repro.graph.generators import social_graph
 from repro.telemetry import tracing
 from repro.telemetry.tracing import RequestTrace, TraceIdGenerator
 from repro.pregel.cost_model import CostModel
-from repro.query import FallbackBackend
 from repro.serve import (
     CachingBackend,
     QueryServer,
@@ -206,15 +205,6 @@ class TestServerTracing:
         ]
         assert reasons.count("queue_full") == report.shed > 0
         assert "deadline" not in reasons
-
-    def test_fallback_stage_recorded_when_degraded(self, graph):
-        fallback = FallbackBackend(None, graph, cost_model=_NO_LIMIT)
-        pairs = [(0, 5), (3, 9)]
-        arrivals = [0.0, 0.0]
-        _, events = _serve(fallback, pairs, arrivals)
-        for event in events:
-            names = [s["stage"] for s in event["attrs"]["stages"]]
-            assert "fallback" in names
 
     def test_tracing_off_emits_no_events(self, graph, backend):
         pairs = zipf_pairs(graph.num_vertices, 100, seed=6)

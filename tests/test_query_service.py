@@ -103,80 +103,16 @@ def test_online_backend_is_slowest(graph, pairs):
 
 
 # ----------------------------------------------------------------------
-# FallbackBackend: degraded serving after a failed build
-# ----------------------------------------------------------------------
-def test_fallback_backend_degrades_to_online(graph, oracle, pairs):
-    from repro.core.drl import drl_index
-    from repro.query import FallbackBackend
-
-    doomed = CostModel(time_limit_seconds=1e-12)
-    backend = FallbackBackend.from_build(
-        graph,
-        lambda: drl_index(graph, num_nodes=4, cost_model=doomed),
-        cost_model=_NO_LIMIT,
-    )
-    assert backend.degraded
-    for s, t in pairs[:100]:
-        assert backend.query_with_cost(s, t)[0] == oracle.query(s, t), (s, t)
-    assert backend.fallback_queries == 100
-
-
-def test_fallback_backend_prefers_index(graph, oracle, pairs):
-    from repro.core.drl import drl_index
-    from repro.query import FallbackBackend
-
-    backend = FallbackBackend.from_build(
-        graph,
-        lambda: drl_index(graph, num_nodes=4, cost_model=_NO_LIMIT),
-        cost_model=_NO_LIMIT,
-    )
-    assert not backend.degraded
-    for s, t in pairs[:100]:
-        assert backend.query_with_cost(s, t)[0] == oracle.query(s, t), (s, t)
-    assert backend.fallback_queries == 0
-
-
-def test_fallback_backend_counts_metric(graph):
-    from repro.query import FallbackBackend
-    from repro.serve import QueryServer
-    from repro.telemetry import session
-    from repro.telemetry.sinks import InMemorySink
-
-    backend = FallbackBackend(None, graph, _NO_LIMIT)
-    backend.query_with_cost(0, 1)
-    assert backend.fallback_queries == 1
-    # Served, the count reaches the stream on the run's span.
-    sink = InMemorySink()
-    with session([sink]):
-        QueryServer(backend, cost_model=_NO_LIMIT).run_open([(0, 1)] * 3, [0.0] * 3)
-    (run,) = sink.spans_named("serve.run")
-    assert run.attrs["degraded"] is True
-    assert run.attrs["fallback_queries"] == backend.fallback_queries == 4
-
-
-def test_fallback_backend_propagates_real_bugs(graph):
-    from repro.query import FallbackBackend
-
-    def broken():
-        raise RuntimeError("not a simulated-resource failure")
-
-    with pytest.raises(RuntimeError):
-        FallbackBackend.from_build(graph, broken)
-
-
-# ----------------------------------------------------------------------
 # An id outside the index is refused, never answered for another vertex
 # ----------------------------------------------------------------------
 _OUTSIDE = ("index", "index-dynamic", "bfl", "online",
-            "online-distributed", "bfl-d", "fallback")
+            "online-distributed", "bfl-d")
 
 
 @pytest.fixture(scope="module")
 def small_backends():
     from repro.baselines.bfl_distributed import build_bfl_distributed
     from repro.baselines.online import DistributedOnlineSearcher
-    from repro.query import FallbackBackend
-
     graph = social_graph(60, seed=2)
     backends = {
         "index": IndexBackend(tol_index(graph), _NO_LIMIT),
@@ -187,7 +123,6 @@ def small_backends():
             graph, num_nodes=4, cost_model=_NO_LIMIT
         ),
         "bfl-d": build_bfl_distributed(graph, num_nodes=4, cost_model=_NO_LIMIT)[0],
-        "fallback": FallbackBackend(None, graph, _NO_LIMIT),
     }
     assert tuple(backends) == _OUTSIDE
     return backends

@@ -362,7 +362,7 @@ def test_pending_kinds_treats_node_ops_correctly():
 
 
 # ----------------------------------------------------------------------
-# QueryServer: submit_mutation and mixed runs
+# Writes through the cache, and QueryServer's mixed runs
 # ----------------------------------------------------------------------
 def _mixed_server(leader, *, cache=False, deadline=None, replicator=None,
                   queue_depth=1024):
@@ -383,15 +383,15 @@ def _mixed_server(leader, *, cache=False, deadline=None, replicator=None,
     )
 
 
-def test_submit_mutation_requires_backend():
+def test_run_mixed_requires_a_mutation_backend():
     leader = _leader()
     store = ShardedLabelStore(leader, num_shards=2, cost_model=_NO_LIMIT)
     server = QueryServer(ShardedIndexBackend(store), cost_model=_NO_LIMIT)
     with pytest.raises(ValueError, match="mutation_backend"):
-        server.submit_mutation("insert", 0, 1)
+        server.run_mixed([], [], [("insert", 0, 1)], [0.0])
 
 
-def test_submit_mutation_applies_and_invalidates_cache():
+def test_apply_with_cost_invalidates_the_cache():
     leader = _leader()
     store = ShardedLabelStore(leader, num_shards=2, cost_model=_NO_LIMIT)
     cache = QueryCache()
@@ -399,15 +399,11 @@ def test_submit_mutation_applies_and_invalidates_cache():
     backend = CachingBackend(
         ShardedIndexBackend(store), cache, cost_model=_NO_LIMIT
     )
-    server = QueryServer(
-        backend,
-        cost_model=_NO_LIMIT,
-        mutation_backend=MutationBackend(leader, cost_model=_NO_LIMIT),
-    )
+    writes = MutationBackend(leader, cost_model=_NO_LIMIT)
     u, v = next(iter(leader.edges()))
     answer, _ = backend.query_with_cost(u, v)
     assert answer  # warm the cache with a positive
-    status, seconds = server.submit_mutation("delete", u, v)
+    status, seconds = writes.apply_with_cost("delete", u, v)
     assert status == "applied" and seconds > 0
     answer, _ = backend.query_with_cost(u, v)
     assert answer == TransitiveClosure(leader.current_graph()).query(u, v)

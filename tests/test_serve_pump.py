@@ -31,6 +31,7 @@ from repro.serve.faults import (
     ServeFaultPlan,
     Timeline,
 )
+from repro.serve.store import FAILURE_THRESHOLD
 from repro.telemetry import session
 from repro.telemetry.sinks import InMemorySink
 from repro.workloads.traffic import poisson_arrivals, zipf_pairs
@@ -58,7 +59,7 @@ class SweepEveryBatchStore(ShardedLabelStore):
             for state in rs.replicas:
                 if not state.alive and not state.suspected:
                     state.probe_failures += 1
-                    if state.probe_failures >= self.health.failure_threshold:
+                    if state.probe_failures >= FAILURE_THRESHOLD:
                         self._suspect(state)
                 elif state.alive and state.suspected:
                     state.suspected = False

@@ -10,9 +10,13 @@ from repro.graph.generators import random_dag, social_graph
 from repro.pregel.cost_model import CostModel
 from repro.serve import (
     BoundedStalenessReplicator,
-    HealthPolicy,
     ReplicatedLabelStore,
     READ_POLICIES,
+)
+from repro.serve.store import (
+    FAILURE_THRESHOLD,
+    READ_BACKOFF_SECONDS,
+    READ_TIMEOUT_SECONDS,
 )
 from repro.telemetry import session
 from repro.telemetry.sinks import InMemorySink
@@ -90,10 +94,8 @@ def test_primary_policy_concentrates_on_replica_zero(graph, index):
 
 
 def test_crash_timeouts_then_failover_then_recovery(graph, index):
-    health = HealthPolicy(failure_threshold=2)
     store = ReplicatedLabelStore(
-        index, num_shards=2, cost_model=_NO_LIMIT, replicas=2,
-        policy="primary", health=health,
+        index, num_shards=2, cost_model=_NO_LIMIT, replicas=2, policy="primary"
     )
     oracle = TransitiveClosure(graph)
     victims = [v for v in range(graph.num_vertices) if store.shard_of(v) == 0]
@@ -104,7 +106,7 @@ def test_crash_timeouts_then_failover_then_recovery(graph, index):
     # via the surviving replica.
     answer, slow_seconds = store.fetch(s, s + 1 if s + 1 < graph.num_vertices else 0)
     assert answer == oracle.query(s, s + 1 if s + 1 < graph.num_vertices else 0)
-    assert slow_seconds >= health.timeout_seconds
+    assert slow_seconds >= READ_TIMEOUT_SECONDS
     assert store.replica_sets[0].replicas[0].timeouts == 1
 
     # Second timeout reaches the threshold: suspicion plus failover.
@@ -128,8 +130,7 @@ def test_crash_timeouts_then_failover_then_recovery(graph, index):
 
 def test_probe_sweep_detects_crash_without_traffic(index):
     store = ReplicatedLabelStore(
-        index, num_shards=2, cost_model=_NO_LIMIT, replicas=2,
-        health=HealthPolicy(failure_threshold=2),
+        index, num_shards=2, cost_model=_NO_LIMIT, replicas=2
     )
     store.crash_replica(1, 0, at=0.0)
     store.advance(0.001)
@@ -141,17 +142,23 @@ def test_probe_sweep_detects_crash_without_traffic(index):
 
 def test_all_replicas_down_raises_unavailable(graph, index):
     store = ReplicatedLabelStore(
-        index, num_shards=2, cost_model=_NO_LIMIT, replicas=2,
-        health=HealthPolicy(failure_threshold=1),
+        index, num_shards=2, cost_model=_NO_LIMIT, replicas=2
     )
     store.crash_replica(0, 0)
     store.crash_replica(0, 1)
     s = next(v for v in range(graph.num_vertices) if store.shard_of(v) == 0)
+    # Each copy fails its first read, one short of FAILURE_THRESHOLD:
+    # neither is suspected yet, and the fetch still has nowhere to go.
+    assert FAILURE_THRESHOLD == 2
     with pytest.raises(ShardUnavailableError) as excinfo:
         store.fetch(s, s)
     assert excinfo.value.shard_id == 0
-    # The wasted timeout cost rides on the error for the pipeline.
-    assert excinfo.value.seconds > 0
+    assert not any(r.suspected for r in store.replica_sets[0].replicas)
+    # The wasted timeout cost rides on the error for the pipeline:
+    # two timeouts, backed off once and then twice as long.
+    assert excinfo.value.seconds == pytest.approx(
+        2 * READ_TIMEOUT_SECONDS + 3 * READ_BACKOFF_SECONDS
+    )
 
 
 def test_hedged_reads_route_around_a_straggler(graph, index):

@@ -19,10 +19,8 @@ from repro.graph.partition import (
     RangePartitioner,
 )
 from repro.pregel.cost_model import CostModel
-from repro.query import FallbackBackend
 from repro.serve import (
     BoundedStalenessReplicator,
-    HealthPolicy,
     MutationBackend,
     QueryServer,
     ReplicatedLabelStore,
@@ -94,20 +92,10 @@ def test_one_copy_reproduces_the_pre_merge_sharded_store(index):
         pytest.param(
             lambda i: ShardedLabelStore(i, replicas=float("nan")), id="replicas=nan"
         ),
-        pytest.param(
-            lambda i: HealthPolicy(timeout_seconds=float("nan")), id="timeout=nan"
-        ),
-        pytest.param(
-            lambda i: HealthPolicy(backoff_seconds=float("nan")), id="backoff=nan"
-        ),
-        pytest.param(
-            lambda i: HealthPolicy(failure_threshold=1.5), id="threshold=1.5"
-        ),
     ],
 )
 def test_counts_and_health_settings_are_checked_where_they_come_in(index, make):
-    # Each used to be a bare TypeError deep in construction, or (NaN
-    # health settings) accepted, making the serving clock NaN.
+    # Each used to be a bare TypeError deep in construction.
     with pytest.raises(ValueError, match="must be"):
         make(index)
 
@@ -213,19 +201,6 @@ def test_backend_protocol_and_service_integration(graph, index):
         assert answer == oracle.query(s, t)
         assert seconds > 0
     assert sum(backend.store.shard_loads()) >= 100
-
-
-def test_store_as_fallback_primary(graph, index):
-    # The store plugs into the degradation ladder like any backend.
-    primary = ShardedIndexBackend(
-        ShardedLabelStore(index, num_shards=4, cost_model=_NO_LIMIT)
-    )
-    fallback = FallbackBackend(primary, graph, _NO_LIMIT)
-    assert not fallback.degraded
-    oracle = TransitiveClosure(graph)
-    for s, t in random_pairs(graph.num_vertices, 50, seed=9):
-        answer, _ = fallback.query_with_cost(s, t)
-        assert answer == oracle.query(s, t)
 
 
 # ----------------------------------------------------------------------
