@@ -12,7 +12,7 @@ from __future__ import annotations
 from conftest import FAST, save_and_print
 
 from repro.graph.generators import social_graph
-from repro.serve import caching_speedup, run_serve_bench
+from repro.scenarios.bench import caching_speedup, run_serve_bench
 
 VERTICES = 5_000 if FAST else 50_000
 REQUESTS = 10_000 if FAST else 40_000
@@ -26,14 +26,14 @@ def _run():
 
 
 def test_serve_cached_vs_uncached(benchmark):
-    table, reports = benchmark.pedantic(_run, rounds=1, iterations=1)
-    speedup = caching_speedup(reports)
+    table, results = benchmark.pedantic(_run, rounds=1, iterations=1)
+    speedup = caching_speedup(results)
     save_and_print(
         "serve_bench",
         table.render() + f"\n\ncaching speedup: {speedup:.2f}x throughput",
     )
 
-    cached, uncached = reports["cached"], reports["uncached"]
+    cached, uncached = results["cached"].report, results["uncached"].report
     assert cached.cache_hits > 0 and uncached.cache_hits == 0
     # Conservation: every offered request is accounted for.
     for report in (cached, uncached):
@@ -41,9 +41,13 @@ def test_serve_cached_vs_uncached(benchmark):
     # The headline shape: caching more than doubles saturated throughput.
     assert speedup is not None and speedup > 2.0, f"speedup only {speedup:.2f}x"
     assert cached.served > uncached.served
+    # Every served answer was checked against the transitive closure.
+    for result in results.values():
+        assert result.audited == result.report.served
+        assert result.incorrect_answers == 0
 
 
 if __name__ == "__main__":
-    table, reports = _run()
+    table, results = _run()
     print(table.render())
-    print(f"caching speedup: {caching_speedup(reports):.2f}x throughput")
+    print(f"caching speedup: {caching_speedup(results):.2f}x throughput")

@@ -51,6 +51,7 @@ from repro.errors import ReproError, check_count, check_seconds
 from repro.fuzz.cases import FAMILIES as FUZZ_FAMILIES
 from repro.graph import generators
 from repro.graph.io import read_edge_list, write_edge_list
+from repro.graph.partition import PARTITIONER_STRATEGIES
 from repro.pregel.cost_model import CostModel
 from repro.pregel.engine import ENGINE_NAMES
 from repro.workloads.datasets import DATASETS
@@ -304,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_bench.add_argument("--seed", type=int, default=0)
     serve_bench.add_argument("--shards", type=_count("--shards", 1), default=8)
     serve_bench.add_argument(
-        "--partitioner", choices=["hash", "modulo", "range", "block"],
+        "--partitioner", choices=sorted(PARTITIONER_STRATEGIES),
         default="hash",
     )
     serve_bench.add_argument(
@@ -816,7 +817,7 @@ def _gate_on_baseline(args, name: str, tables: list) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
-    from repro.serve.bench import (
+    from repro.scenarios.bench import (
         caching_speedup,
         run_mixed_serve_bench,
         run_serve_bench,
@@ -856,7 +857,7 @@ def _cmd_serve_bench(args) -> int:
     baseline_name = "serve-bench-mixed" if args.mode == "mixed" else "serve-bench"
     try:
         if args.mode == "mixed":
-            table, reports = run_mixed_serve_bench(
+            table, results = run_mixed_serve_bench(
                 graph,
                 writes=args.writes,
                 write_rate=args.write_rate,
@@ -870,18 +871,20 @@ def _cmd_serve_bench(args) -> int:
                 **stack,
             )
         else:
-            table, reports = run_serve_bench(
+            table, results = run_serve_bench(
                 graph, arrival=args.arrival, clients=args.clients, **stack
             )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for row, report in reports.items():
+    for row, result in results.items():
         print(f"[{row}]")
-        print(report.summary())
+        print(result.report.summary())
+        print(f"audit: {result.audited} answers checked against the "
+              f"oracle, {result.incorrect_answers} incorrect")
         print()
     print(table.render())
-    speedup = caching_speedup(reports)
+    speedup = caching_speedup(results)
     if speedup is not None:
         print(f"\ncaching speedup: {speedup:.2f}x throughput")
     if args.report is not None:
@@ -892,8 +895,8 @@ def _cmd_serve_bench(args) -> int:
 
         payload = {
             "rows": {
-                row: dataclasses.asdict(report)
-                for row, report in reports.items()
+                row: {**dataclasses.asdict(result.report), "audit": result.audit}
+                for row, result in results.items()
             },
         }
         if speedup is not None:

@@ -12,7 +12,11 @@ being re-proven, and CI keeps them honest on every PR.
   (:class:`ScenarioSpec` and friends, :func:`load_scenario`, the
   committed :func:`library_scenarios`);
 - :mod:`~repro.scenarios.runner` — execution + expectation grading +
-  the per-version correctness audit (:func:`run_scenario`).
+  the per-version correctness audit (:func:`run_scenario`, or
+  :func:`run_scenario_on` on a graph of the caller's), the one place
+  that stacks store → cache → server;
+- :mod:`~repro.scenarios.bench` — ``repro serve-bench``: a spec per
+  row (uncached = ``cache_size=0``), run and tabulated.
 
 The committed library (``repro/scenarios/library/*.json``) covers:
 flash crowd, diurnal wave, hot-key storm, shard loss during a write
@@ -25,6 +29,7 @@ from repro.scenarios.runner import (
     ScenarioResult,
     run_scenario,
     run_scenario_file,
+    run_scenario_on,
     write_scenario_report,
 )
 from repro.scenarios.spec import (
@@ -60,5 +65,6 @@ __all__ = [
     "load_scenario",
     "run_scenario",
     "run_scenario_file",
+    "run_scenario_on",
     "write_scenario_report",
 ]

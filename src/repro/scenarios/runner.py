@@ -2,8 +2,8 @@
 
 One call builds the graph and index, stands up the replicated store +
 cache + server, replays traffic with the fault schedule and write
-burst riding the serving clock, then grades every expectation — and,
-for dynamic scenarios, **audits correctness**: every served answer is
+burst riding the serving clock, then grades every expectation — and
+**audits correctness** (serve-bench rows too): every served answer is
 recorded with the index version it was served at and re-checked
 against a transitive-closure oracle built for that exact version.  The
 audit is the teeth behind the library's ``incorrect_answers_max: 0``
@@ -26,6 +26,7 @@ from repro.baselines.transitive_closure import TransitiveClosure
 from repro.bench.results import atomic_write_text
 from repro.core.dynamic import DynamicReachabilityIndex
 from repro.core.tol import tol_index
+from repro.graph.digraph import DiGraph
 from repro.graph.partition import PARTITIONER_STRATEGIES
 from repro.scenarios.spec import EXPECTATIONS, ScenarioSpec, load_scenario
 from repro.serve.cache import CachingBackend, QueryCache
@@ -34,6 +35,7 @@ from repro.serve.faults import Timeline
 from repro.serve.pipeline import QueryServer, ServeReport
 from repro.serve.replica import BoundedStalenessReplicator
 from repro.serve.store import ShardedIndexBackend, ShardedLabelStore
+from repro.telemetry import trace_span
 from repro.workloads.updates import mixed_update_stream, update_stream
 
 
@@ -89,6 +91,11 @@ class ScenarioResult:
         """Did every expectation hold?"""
         return all(check.ok for check in self.checks)
 
+    @property
+    def audit(self) -> dict:
+        """The audit's two counts, as every JSON report writes them."""
+        return {"audited": self.audited, "incorrect_answers": self.incorrect_answers}
+
     def render(self) -> str:
         """Multi-line human-readable result."""
         status = "PASS" if self.ok else "FAIL"
@@ -141,10 +148,7 @@ class ScenarioResult:
                     self.report.staleness_window_seconds
                 ),
             },
-            "audit": {
-                "audited": self.audited,
-                "incorrect_answers": self.incorrect_answers,
-            },
+            "audit": self.audit,
             "events": self.events,
             "checks": [
                 {
@@ -161,8 +165,17 @@ class ScenarioResult:
 def run_scenario(
     spec: ScenarioSpec, request_tracing: bool | None = None
 ) -> ScenarioResult:
-    """Execute one scenario and grade its expectations."""
-    graph = spec.graph.build()
+    """Execute one scenario on the graph it names and grade its
+    expectations."""
+    return run_scenario_on(spec, spec.graph.build(), request_tracing)
+
+
+def run_scenario_on(
+    spec: ScenarioSpec, graph: DiGraph, request_tracing: bool | None = None
+) -> ScenarioResult:
+    """Execute ``spec`` on ``graph`` (``spec.graph`` is not read) and
+    grade its expectations.  ``repro serve-bench`` serves the graph it
+    read or generated this way."""
     serving = spec.serving
     partitioner = PARTITIONER_STRATEGIES[serving.partitioner](
         serving.shards, graph.num_vertices
@@ -171,20 +184,22 @@ def run_scenario(
     # --- index + replication -----------------------------------------
     replicator = None
     applied_updates: list[tuple[str, int, int]] = []
+    with trace_span("serve.build", vertices=graph.num_vertices):
+        if spec.dynamic:
+            drift = spec.updates.drift_threshold if spec.updates else None
+            index = DynamicReachabilityIndex(graph, drift_threshold=drift)
+        else:
+            index = tol_index(graph)
     if spec.dynamic:
-        leader = DynamicReachabilityIndex(graph)
-        leader.subscribe(lambda op, u, v: applied_updates.append((op, u, v)))
+        index.subscribe(lambda op, u, v: applied_updates.append((op, u, v)))
         if spec.replication is not None:
             replicator = BoundedStalenessReplicator(
-                leader,
+                index,
                 serving.replicas,
                 delay_seconds=spec.replication.delay_seconds,
                 max_lag=spec.replication.max_lag,
                 apply_seconds_per_op=spec.replication.apply_seconds_per_op,
             )
-        index = leader
-    else:
-        index = tol_index(graph)
 
     store = ShardedLabelStore(
         index,
@@ -197,7 +212,6 @@ def run_scenario(
 
     # --- backend chain: audit(cache(store)) --------------------------
     backend = ShardedIndexBackend(store)
-    cache = None
     if serving.cache_size:
         cache = QueryCache(
             capacity=serving.cache_size,
@@ -207,10 +221,9 @@ def run_scenario(
             cache.attach(index)
         backend = CachingBackend(backend, cache)
     auditor = AuditingBackend(backend, lambda: len(applied_updates))
-    backend = auditor
 
     # --- the write burst, scheduled on the serving clock -------------
-    pending_updates: list[tuple[float, tuple[str, int, int]]] = []
+    stream, times = [], []
     serve_writes = spec.updates is not None and spec.updates.via == "serve"
     if spec.updates is not None:
         if spec.updates.node_ratio or spec.updates.promote_ratio:
@@ -231,10 +244,7 @@ def run_scenario(
                 insert_ratio=spec.updates.insert_ratio,
                 seed=spec.updates.seed,
             )
-        pending_updates = [
-            (spec.updates.start_seconds + i * spec.updates.interval_seconds, op)
-            for i, op in enumerate(stream)
-        ]
+        times = spec.updates.arrivals()
 
     # --- one schedule on the serving clock: leader writes (unless they
     # arrive through the admission queue, ``via: serve``), then the fault
@@ -247,7 +257,7 @@ def run_scenario(
 
     timeline = Timeline(store.advance)
     if not serve_writes:
-        for at, op in pending_updates:
+        for at, op in zip(times, stream):
             timeline.at(at, write, op)
     spec.faults.schedule(timeline, store)
 
@@ -256,7 +266,7 @@ def run_scenario(
     if serve_writes:
         mutation_backend = MutationBackend(index, replicator=replicator)
     server = QueryServer(
-        backend,
+        auditor,
         queue_depth=serving.queue_depth,
         batch_size=serving.batch_size,
         deadline_seconds=serving.deadline_seconds,
@@ -266,25 +276,14 @@ def run_scenario(
     )
     pairs, arrivals = spec.traffic.build(graph.num_vertices)
     if serve_writes:
-        report = server.run_mixed(
-            pairs,
-            arrivals,
-            [op for _, op in pending_updates],
-            [at for at, _ in pending_updates],
-        )
+        report = server.run_mixed(pairs, arrivals, stream, times)
+    elif arrivals is None:
+        report = server.run_closed(pairs, clients=spec.traffic.clients)
     else:
         report = server.run_open(pairs, arrivals)
 
     # --- audit: every served answer vs the oracle at its version -----
-    audited = incorrect = 0
-    if spec.dynamic:
-        audited, incorrect = _audit(graph, applied_updates, auditor.records)
-    else:
-        oracle = TransitiveClosure(graph)
-        for _, s, t, answer in auditor.records:
-            audited += 1
-            incorrect += answer != oracle.query(s, t)
-
+    audited, incorrect = _audit(graph, applied_updates, auditor.records)
     checks = _grade(spec, report, incorrect)
     return ScenarioResult(
         spec=spec,
@@ -297,27 +296,65 @@ def run_scenario(
 
 
 def _audit(
-    graph,
+    graph: DiGraph,
     applied_updates: list[tuple[str, int, int]],
     records: list[tuple[int, int, int, bool]],
 ) -> tuple[int, int]:
     """Check every served answer against the exact graph it was served
-    on: replay the update stream to each recorded version and compare
-    with a transitive closure built there."""
-    dynamic = DynamicReachabilityIndex(graph)
-    oracles: dict[int, TransitiveClosure] = {}
+    on: replay the applied ops on an adjacency up to each recorded
+    version, and compare with a transitive closure of that graph.  A
+    closure is rebuilt only when it can have moved since the last one:
+    a promote moves no edge, an insert ``(u, v)`` where ``u`` reached
+    ``v`` already adds no pair, and a delete ``(u, v)`` after which
+    ``u`` still reaches ``v`` removes none."""
+    out = [set(graph.out_neighbors(u)) for u in range(graph.num_vertices)]
+    oracle = None
+    changed = True
     version = 0
     audited = incorrect = 0
     for record_version, s, t, answer in sorted(records, key=lambda r: r[0]):
         while version < record_version:
             op, u, v = applied_updates[version]
-            dynamic.apply(op, u, v)
             version += 1
-        if version not in oracles:
-            oracles[version] = TransitiveClosure(dynamic.current_graph())
+            if op == "insert":
+                out[u].add(v)
+                if not changed and oracle.query(u, v):
+                    continue
+            elif op == "delete":
+                out[u].discard(v)
+                if not changed and _reaches(out, u, v):
+                    continue
+            elif op == "add_node":
+                out.append(set())
+            elif op == "delete_node":
+                out[u].clear()
+                for targets in out:
+                    targets.discard(u)
+            else:
+                continue
+            changed = True
+        if changed:
+            sources = [a for a, targets in enumerate(out) for _ in targets]
+            targets = [b for targets in out for b in targets]
+            oracle = TransitiveClosure(DiGraph.from_columns(len(out), sources, targets))
+            changed = False
         audited += 1
-        incorrect += answer != oracles[version].query(s, t)
+        incorrect += answer != oracle.query(s, t)
     return audited, incorrect
+
+
+def _reaches(out: list[set[int]], s: int, t: int) -> bool:
+    """Does ``s`` reach ``t`` over the adjacency ``out``?"""
+    seen = {s}
+    stack = [s]
+    while stack:
+        for y in out[stack.pop()]:
+            if y == t:
+                return True
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return False
 
 
 def _grade(

@@ -44,8 +44,9 @@ from repro.graph.partition import PARTITIONER_STRATEGIES
 from repro.serve.faults import ServeFaultPlan
 from repro.serve.store import READ_POLICIES
 
-#: Arrival shapes the ``traffic.arrivals.shape`` field accepts.
-ARRIVAL_SHAPES = ("poisson", "uniform", "flash", "sine")
+#: Arrival shapes the ``traffic.arrivals.shape`` field accepts; with
+#: ``"closed"``, ``clients`` clients each send when answered.
+ARRIVAL_SHAPES = ("poisson", "uniform", "flash", "sine", "closed")
 
 #: Expectation keys the ``expect`` mapping accepts: what each one
 #: checks, and where the runner reads it — a ``ServeReport`` attribute,
@@ -154,6 +155,8 @@ class TrafficSpec:
     #: Sine-wave modulation (shape="sine").
     amplitude: float = 0.5
     period_seconds: float = 0.002
+    #: Closed-loop client count (shape="closed").
+    clients: int = 32
 
     def __post_init__(self):
         if self.shape not in ARRIVAL_SHAPES:
@@ -164,8 +167,11 @@ class TrafficSpec:
         if self.shape == "flash":
             if not self.phases:
                 raise ScenarioSpecError("flash arrivals need 'phases'")
+        elif self.shape == "closed" and self.phases:
+            raise ScenarioSpecError("closed-loop arrivals take no 'phases'")
         elif self.requests < 1:
             raise ScenarioSpecError("traffic needs at least one request")
+        check_count("clients", self.clients, error=ScenarioSpecError)
         if self.rate <= 0:
             raise ScenarioSpecError("arrival rate must be positive")
         check_seconds("skew", self.skew, error=ScenarioSpecError)
@@ -177,8 +183,8 @@ class TrafficSpec:
             return sum(count for count, _ in self.phases)
         return self.requests
 
-    def build(self, num_vertices: int) -> tuple[list[tuple[int, int]], list[float]]:
-        """Materialize (pairs, arrival times)."""
+    def build(self, num_vertices: int) -> tuple[list, list[float] | None]:
+        """Materialize (pairs, arrival times); no times for closed loops."""
         from repro.workloads.traffic import (
             phased_arrivals,
             poisson_arrivals,
@@ -197,6 +203,8 @@ class TrafficSpec:
             arrivals = phased_arrivals(
                 [tuple(p) for p in self.phases], seed=self.arrivals_seed
             )
+        elif self.shape == "closed":
+            arrivals = None
         else:
             arrivals = sine_arrivals(
                 count,
@@ -273,7 +281,10 @@ class UpdatesSpec:
     with reads, can be shed, and appear in traces and in the run's
     ``mutations_*`` totals (see ``docs/dynamic.md``).
     ``node_ratio`` > 0 mixes node additions/deletions into the burst;
-    ``promote_ratio`` > 0 mixes in order upgrades.
+    ``promote_ratio`` > 0 mixes in order upgrades.  From
+    ``start_seconds`` the writes arrive every ``interval_seconds``, or
+    with a ``rate`` as a Poisson process seeded by ``arrivals_seed``.
+    ``drift_threshold`` turns on the leader's drift-triggered promotes.
     """
 
     count: int = 20
@@ -284,9 +295,13 @@ class UpdatesSpec:
     start_seconds: float = 0.0
     interval_seconds: float = 5e-5
     via: str = "direct"
+    rate: float | None = None
+    arrivals_seed: int = 0
+    drift_threshold: int | None = None
 
     def __post_init__(self):
-        check_count("updates.count", self.count, error=ScenarioSpecError)
+        # 0 is legal: the stack is still the dynamic one, with no writes.
+        check_count("updates.count", self.count, 0, error=ScenarioSpecError)
         for name in ("insert_ratio", "node_ratio", "promote_ratio"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ScenarioSpecError(f"{name} must lie in [0, 1]")
@@ -301,6 +316,20 @@ class UpdatesSpec:
                 f"unknown updates.via {self.via!r} "
                 "(known: direct, serve)"
             )
+        if self.rate is not None:
+            check_seconds("updates.rate", self.rate, True, error=ScenarioSpecError)
+        if self.drift_threshold is not None:
+            check_count("drift_threshold", self.drift_threshold, error=ScenarioSpecError)
+
+    def arrivals(self) -> list[float]:
+        """When each write of the burst is due on the serving clock."""
+        from repro.workloads.traffic import poisson_arrivals
+
+        if self.rate is None:
+            gaps = [i * self.interval_seconds for i in range(self.count)]
+        else:
+            gaps = poisson_arrivals(self.count, self.rate, seed=self.arrivals_seed)
+        return [self.start_seconds + gap for gap in gaps]
 
 
 @dataclass(frozen=True)
@@ -330,6 +359,9 @@ class ScenarioSpec:
             self.faults.validate_for(self.serving.shards, self.serving.replicas)
         except ValueError as exc:
             raise ScenarioSpecError(str(exc)) from exc
+        serve_writes = self.updates is not None and self.updates.via == "serve"
+        if self.traffic.shape == "closed" and serve_writes:
+            raise ScenarioSpecError("closed-loop traffic cannot carry served writes")
 
     # ------------------------------------------------------------------
     @property
@@ -356,7 +388,7 @@ class ScenarioSpec:
         arrivals_raw = dict(traffic_raw.get("arrivals", {}))
         _reject_unknown(
             arrivals_raw,
-            {"shape", "rate", "seed", "phases", "amplitude", "period_seconds"},
+            {"shape", "rate", "seed", "phases", "amplitude", "period_seconds", "clients"},
             "traffic.arrivals",
         )
         phases = arrivals_raw.get("phases", ())
@@ -376,6 +408,7 @@ class ScenarioSpec:
             phases=phases,
             amplitude=arrivals_raw.get("amplitude", 0.5),
             period_seconds=arrivals_raw.get("period_seconds", 0.002),
+            clients=arrivals_raw.get("clients", 32),
         )
 
         serving = _block(ServingSpec, raw.get("serving", {}), "serving")
@@ -435,10 +468,18 @@ class ScenarioSpec:
             raw["traffic"]["arrivals"]["period_seconds"] = (
                 self.traffic.period_seconds
             )
+        if self.traffic.shape == "closed":
+            raw["traffic"]["arrivals"]["clients"] = self.traffic.clients
         if self.replication is not None:
             raw["replication"] = dataclasses.asdict(self.replication)
         if self.updates is not None:
-            raw["updates"] = dataclasses.asdict(self.updates)
+            # Poisson write arrivals and drift promotes appear only when
+            # set, so a burst that uses neither keeps the block it had.
+            updates = raw["updates"] = dataclasses.asdict(self.updates)
+            if self.updates.rate is None:
+                del updates["rate"], updates["arrivals_seed"]
+            if self.updates.drift_threshold is None:
+                del updates["drift_threshold"]
         if not self.faults.empty:
             raw["faults"] = self.faults.to_spec()
         return raw

@@ -27,23 +27,16 @@ the ROADMAP's north star asks for.  Bottom to top:
   ride the same admission queue as reads (``docs/dynamic.md``);
 - :mod:`~repro.serve.pipeline` — the serving loop: bounded admission
   queue (overflow sheds), request batching, deadline drops and mixed
-  read/write runs (:meth:`QueryServer.run_mixed`);
-- :mod:`~repro.serve.bench` — the ``repro serve-bench`` runner that
-  replays a Zipf/Poisson workload cached and uncached and renders one
-  baseline-gateable table.
+  read/write runs (:meth:`QueryServer.run_mixed`).
+
+One place stacks these layers: the scenario runner
+(:func:`repro.scenarios.run_scenario_on`), which serve-bench runs too.
 
 Architecture and a glossary of the run totals
 (each named by the record it is read from) live in
 ``docs/serving.md``.
 """
 
-from repro.serve.bench import (
-    COLUMNS,
-    MIXED_COLUMNS,
-    caching_speedup,
-    run_mixed_serve_bench,
-    run_serve_bench,
-)
 from repro.serve.cache import CachingBackend, QueryCache
 from repro.serve.faults import (
     ReplicaCrash,
@@ -66,8 +59,6 @@ from repro.serve.store import (
 
 __all__ = [
     "BoundedStalenessReplicator",
-    "COLUMNS",
-    "MIXED_COLUMNS",
     "MUTATION_OPS",
     "MutationBackend",
     "CachingBackend",
@@ -86,7 +77,4 @@ __all__ = [
     "ShardedIndexBackend",
     "ShardedLabelStore",
     "Timeline",
-    "caching_speedup",
-    "run_mixed_serve_bench",
-    "run_serve_bench",
 ]

@@ -14,6 +14,7 @@ node deletions, and order upgrades on top.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from typing import Literal
 
 from repro.graph.digraph import DiGraph
@@ -110,19 +111,22 @@ def mixed_update_stream(
         raise ValueError("need at least two vertices to update edges")
     rng = random.Random(seed)
     present: set[tuple[int, int]] = set(graph.edges())
-    alive = set(range(n))
+    # The edges and the alive ids in sorted order, kept in step with
+    # every op: each draw indexes the order sorting them would give,
+    # without a sort per op.
+    edges = sorted(present)
+    alive = list(range(n))
     next_id = n
     stream: list[UpdateOp] = []
     attempts_budget = max_attempts_factor * max(count, 1)
 
     def pick_absent_edge() -> tuple[int, int] | None:
         nonlocal attempts_budget
-        pool = sorted(alive)
         for _ in range(64):
             attempts_budget -= 1
             if attempts_budget < 0:
                 raise ValueError("could not find a missing edge to insert")
-            u, v = rng.choice(pool), rng.choice(pool)
+            u, v = rng.choice(alive), rng.choice(alive)
             if u != v and (u, v) not in present:
                 return u, v
         return None
@@ -132,15 +136,16 @@ def mixed_update_stream(
         if roll < node_ratio:
             if rng.random() < 0.5 or len(alive) <= 2:
                 stream.append(("add_node", next_id, next_id))
-                alive.add(next_id)
+                alive.append(next_id)  # the largest id yet
                 next_id += 1
             else:
-                v = rng.choice(sorted(alive))
-                alive.discard(v)
-                present = {(a, b) for a, b in present if a != v and b != v}
+                v = rng.choice(alive)
+                alive.remove(v)
+                edges = [(a, b) for a, b in edges if a != v and b != v]
+                present = set(edges)
                 stream.append(("delete_node", v, v))
         elif roll < node_ratio + promote_ratio:
-            v = rng.choice(sorted(alive))
+            v = rng.choice(alive)
             stream.append(("promote", v, IDEAL_RANK))
         else:
             want_insert = rng.random() < insert_ratio
@@ -154,10 +159,12 @@ def mixed_update_stream(
                 if edge is None:
                     continue
                 present.add(edge)
+                insort(edges, edge)
                 stream.append(("insert", *edge))
             else:
-                u, v = rng.choice(sorted(present))
+                u, v = rng.choice(edges)
                 present.discard((u, v))
+                del edges[bisect_left(edges, (u, v))]
                 stream.append(("delete", u, v))
     return stream
 

@@ -890,8 +890,8 @@ def test_scenario_run_refuses_a_nan_skew(tmp_path, capsys):
 @pytest.mark.parametrize(
     "setting, message",
     [
-        ('"count": NaN', "updates.count must be an integer >= 1, got nan"),
-        ('"count": 2.5', "updates.count must be an integer >= 1, got 2.5"),
+        ('"count": NaN', "updates.count must be an integer >= 0, got nan"),
+        ('"count": 2.5', "updates.count must be an integer >= 0, got 2.5"),
         ('"start_seconds": NaN', "start_seconds must be a finite number >= 0, got nan"),
         ('"interval_seconds": NaN', "interval_seconds must be a finite number >= 0, got nan"),
     ],

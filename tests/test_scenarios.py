@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenarios import (
     EXPECTATIONS,
@@ -114,6 +116,9 @@ def test_serving_and_replication_settings_are_checked(block, name, value):
         ("count", 2.5),
         ("start_seconds", float("nan")),
         ("interval_seconds", float("nan")),
+        ("rate", 0.0),
+        ("rate", float("nan")),
+        ("drift_threshold", 0),
     ],
 )
 def test_update_settings_are_checked(name, value):
@@ -246,8 +251,11 @@ def test_scenario_blocks_take_their_keys_from_the_dataclasses():
 
     blocks = {"graph": GraphSpec, "serving": ServingSpec,
               "replication": ReplicationSpec, "updates": UpdatesSpec}
+    # The updates block's opt-in fields (Poisson write arrivals, drift
+    # promotes) are set, so that every field is emitted.
     spec = ScenarioSpec.from_dict(_tiny_raw(
-        replication={"max_lag": 8}, updates={"count": 3},
+        replication={"max_lag": 8},
+        updates={"count": 3, "rate": 1000.0, "drift_threshold": 4},
     ))
     emitted = spec.to_dict()
     for block, spec_type in blocks.items():
@@ -262,6 +270,106 @@ def test_scenario_blocks_take_their_keys_from_the_dataclasses():
         raw = _tiny_raw(**{block: {"turbo": 1}})
         with pytest.raises(ScenarioSpecError, match=f"{block} has unknown.*turbo"):
             ScenarioSpec.from_dict(raw)
+
+
+def test_unset_opt_in_update_fields_are_not_emitted():
+    # A burst on the fixed interval and without drift promotes keeps the
+    # block it had before those fields existed, so reports keep their bytes.
+    emitted = ScenarioSpec.from_dict(_tiny_raw(updates={"count": 3})).to_dict()
+    assert not {"rate", "arrivals_seed", "drift_threshold"} & set(
+        emitted["updates"]
+    )
+
+
+def test_closed_loop_and_poisson_writes_round_trip():
+    raw = _tiny_raw(updates={
+        "count": 4, "rate": 20000.0, "arrivals_seed": 9, "drift_threshold": 3,
+    })
+    raw["traffic"]["arrivals"] = {"shape": "closed", "clients": 5}
+    spec = ScenarioSpec.from_dict(raw)
+    assert spec.traffic.clients == 5 and spec.updates.rate == 20000.0
+    emitted = spec.to_dict()
+    assert emitted["traffic"]["arrivals"]["clients"] == 5
+    assert emitted["updates"]["arrivals_seed"] == 9
+    assert ScenarioSpec.from_dict(emitted) == spec
+
+
+def test_closed_loop_refuses_phases_and_served_writes():
+    raw = _tiny_raw()
+    raw["traffic"]["arrivals"] = {"shape": "closed", "phases": [[10, 1000.0]]}
+    with pytest.raises(ScenarioSpecError, match="phases"):
+        ScenarioSpec.from_dict(raw)
+    raw = _tiny_raw(updates={"count": 2, "via": "serve"})
+    raw["traffic"]["arrivals"] = {"shape": "closed"}
+    with pytest.raises(ScenarioSpecError, match="closed-loop"):
+        ScenarioSpec.from_dict(raw)
+
+
+def test_poisson_writes_run_at_their_rate():
+    spec = ScenarioSpec.from_dict(_tiny_raw(updates={
+        "count": 30, "rate": 100000.0, "arrivals_seed": 5,
+        "start_seconds": 1e-4,
+    }))
+    from repro.workloads.traffic import poisson_arrivals
+
+    assert spec.updates.arrivals() == [
+        1e-4 + at for at in poisson_arrivals(30, 100000.0, seed=5)
+    ]
+    result = run_scenario(spec)
+    assert result.ok and result.audited and result.incorrect_answers == 0
+
+
+def test_closed_loop_scenario_audits_every_answer():
+    raw = _tiny_raw(updates={"count": 10}, expect={})
+    raw["traffic"]["arrivals"] = {"shape": "closed", "clients": 4}
+    result = run_scenario(ScenarioSpec.from_dict(raw))
+    assert result.report.mode == "closed" and result.report.shed == 0
+    assert result.audited == result.report.served == 300
+    assert result.incorrect_answers == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    insert_ratio=st.sampled_from([0.2, 0.5, 0.9]),
+    flips=st.lists(st.integers(0, 10_000), max_size=40),
+)
+def test_audit_matches_a_closure_rebuilt_at_every_version(seed, insert_ratio, flips):
+    """The audit skips a closure rebuild when a write cannot have moved
+    it; it must still count exactly the answers that differ from a
+    closure of the graph at their version, built there from scratch."""
+    import random
+
+    from repro.baselines.transitive_closure import TransitiveClosure
+    from repro.core.dynamic import DynamicReachabilityIndex
+    from repro.graph.generators import scc_heavy_graph
+    from repro.scenarios.runner import _audit
+    from repro.workloads.updates import mixed_update_stream
+
+    graph = scc_heavy_graph(24, seed=seed)
+    leader = DynamicReachabilityIndex(graph, drift_threshold=2)
+    applied = []
+    leader.subscribe(lambda op, u, v: applied.append((op, u, v)))
+    truth = [TransitiveClosure(leader.current_graph())]
+    stream = mixed_update_stream(
+        graph, 40, insert_ratio=insert_ratio, node_ratio=0.1,
+        promote_ratio=0.1, seed=seed,
+    )
+    for op in stream:
+        leader.apply(*op)
+        while len(truth) <= len(applied):
+            truth.append(TransitiveClosure(leader.current_graph()))
+    rng = random.Random(seed)
+    records = []
+    for _ in range(200):
+        version = rng.randrange(len(truth))
+        s, t = rng.randrange(24), rng.randrange(24)
+        records.append((version, s, t, truth[version].query(s, t)))
+    wrong = {flip % len(records) for flip in flips}
+    for i in wrong:
+        version, s, t, answer = records[i]
+        records[i] = (version, s, t, not answer)
+    assert _audit(graph, applied, records) == (len(records), len(wrong))
 
 
 def test_result_to_dict_is_json_serializable():

@@ -6,10 +6,8 @@ import pytest
 
 from repro.cli import main
 from repro.graph.generators import social_graph
-from repro.pregel.cost_model import CostModel
-from repro.serve import COLUMNS, caching_speedup, run_serve_bench
-
-_NO_LIMIT = CostModel(time_limit_seconds=None)
+from repro.scenarios import ScenarioSpecError
+from repro.scenarios.bench import COLUMNS, caching_speedup, run_serve_bench
 
 
 @pytest.fixture(scope="module")
@@ -18,20 +16,21 @@ def graph():
 
 
 def test_run_serve_bench_table_shape(graph):
-    table, reports = run_serve_bench(
-        graph, shards=4, requests=2000, cost_model=_NO_LIMIT
-    )
-    assert set(reports) == {"cached", "uncached"}
+    table, results = run_serve_bench(graph, shards=4, requests=2000)
+    assert set(results) == {"cached", "uncached"}
     for row in ("cached", "uncached"):
         for column in COLUMNS:
             assert table.get(row, column) is not None
-    assert reports["cached"].cache_hits > 0
-    assert reports["uncached"].cache_hits == 0
+        # Every served answer went through the runner's audit.
+        assert results[row].audited == results[row].report.served > 0
+        assert results[row].incorrect_answers == 0
+    assert results["cached"].report.cache_hits > 0
+    assert results["uncached"].report.cache_hits == 0
     assert "serve-bench" in table.title
 
 
 def test_run_serve_bench_is_deterministic(graph):
-    kwargs = dict(shards=4, requests=1500, cost_model=_NO_LIMIT)
+    kwargs = dict(shards=4, requests=1500)
     table_a, _ = run_serve_bench(graph, **kwargs)
     table_b, _ = run_serve_bench(graph, **kwargs)
     for row in ("cached", "uncached"):
@@ -40,38 +39,36 @@ def test_run_serve_bench_is_deterministic(graph):
 
 
 def test_caching_beats_uncached_under_saturation(graph):
-    _, reports = run_serve_bench(
+    _, results = run_serve_bench(
         graph, shards=4, requests=4000, rate=2_000_000.0, zipf=1.4,
-        cost_model=_NO_LIMIT,
     )
-    speedup = caching_speedup(reports)
+    speedup = caching_speedup(results)
     assert speedup is not None and speedup > 1.0
 
 
 def test_caching_speedup_requires_both_rows(graph):
-    _, reports = run_serve_bench(
+    _, results = run_serve_bench(
         graph, shards=2, requests=500, without_cache=False,
-        cost_model=_NO_LIMIT,
     )
-    assert set(reports) == {"cached"}
-    assert caching_speedup(reports) is None
+    assert set(results) == {"cached"}
+    assert caching_speedup(results) is None
 
 
 def test_closed_arrival_mode(graph):
-    _, reports = run_serve_bench(
+    _, results = run_serve_bench(
         graph, shards=2, requests=800, arrival="closed", clients=8,
-        without_cache=False, cost_model=_NO_LIMIT,
+        without_cache=False,
     )
-    report = reports["cached"]
+    report = results["cached"].report
     assert report.mode == "closed"
     assert report.shed == 0 and report.served == 800
 
 
 def test_invalid_options_rejected(graph):
-    with pytest.raises(ValueError, match="partitioner"):
-        run_serve_bench(graph, partitioner="voronoi", cost_model=_NO_LIMIT)
-    with pytest.raises(ValueError, match="arrival"):
-        run_serve_bench(graph, arrival="bursty", cost_model=_NO_LIMIT)
+    with pytest.raises(ScenarioSpecError, match="partitioner"):
+        run_serve_bench(graph, partitioner="voronoi")
+    with pytest.raises(ScenarioSpecError, match="arrival"):
+        run_serve_bench(graph, arrival="bursty")
 
 
 # ----------------------------------------------------------------------
@@ -157,3 +154,50 @@ def test_cli_serve_bench_deadline_and_telemetry(tmp_path, capsys):
     assert {r["kind"] for r in records} == {"span", "event"}
     runs = [r["attrs"] for r in records if r["name"] == "serve.run"]
     assert runs and all(run["deadline_dropped"] > 0 for run in runs)
+
+
+# The table `serve-bench --mode mixed --writes 0` printed when serve-bench
+# still built its own stack: with no writes the runner's dynamic stack
+# serves the reads exactly as that one did.
+_NO_WRITES_TABLE = """\
+serve-bench mixed — n=150 m=675 shards=2 x2 (600 reads + 0 writes)
+==================================================================
+Name     | read q/s | update u/s | p50 s    | p99 s    | write p99 s | staleness s | hit rate | stale reads | served   | applied 
+---------+----------+------------+----------+----------+-------------+-------------+----------+-------------+----------+---------
+cached   | 1.73e+06 | 0.00e+00   | 5.41e-05 | 6.48e-05 | 0.00e+00    | 0.00e+00    | 5.62e-01 | 0.00e+00    | 6.00e+02 | 0.00e+00
+uncached | 6.59e+05 | 0.00e+00   | 3.15e-04 | 6.14e-04 | 0.00e+00    | 0.00e+00    | 0.00e+00 | 0.00e+00    | 6.00e+02 | 0.00e+00
+"""
+
+
+def test_cli_mixed_serve_bench_without_writes(capsys):
+    assert main(["serve-bench", "--vertices", "150", "--requests", "600",
+                 "--mode", "mixed", "--writes", "0", "--shards", "2"]) == 0
+    out = capsys.readouterr().out
+    assert _NO_WRITES_TABLE in out
+    assert out.count("audit: 600 answers checked against the oracle, 0 incorrect") == 2
+
+
+def test_cli_serve_bench_report_carries_the_audit(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert main(["serve-bench", "--vertices", "200", "--requests", "1500",
+                 "--mode", "mixed", "--writes", "150", "--shards", "2",
+                 "--report", str(report)]) == 0
+    capsys.readouterr()
+    rows = json.loads(report.read_text())["rows"]
+    assert set(rows) == {"cached", "uncached"}
+    for row in rows.values():
+        # The ServeReport fields come first, the audit is one added key.
+        assert list(row)[-1] == "audit"
+        assert row["audit"]["audited"] == row["served"] > 0
+        assert row["audit"]["incorrect_answers"] == 0
+
+
+def test_cli_serve_bench_partitioners_are_the_registry():
+    from repro.cli import _build_parser
+    from repro.graph.partition import PARTITIONER_STRATEGIES
+
+    serve_bench = _build_parser()._subparsers._group_actions[0].choices[
+        "serve-bench"
+    ]
+    (action,) = [a for a in serve_bench._actions if a.dest == "partitioner"]
+    assert action.choices == sorted(PARTITIONER_STRATEGIES)

@@ -507,22 +507,25 @@ def test_read_only_run_reports_no_mutation_fields():
 # Mixed serve bench
 # ----------------------------------------------------------------------
 def test_run_mixed_serve_bench_is_deterministic():
-    from repro.serve import MIXED_COLUMNS, run_mixed_serve_bench
+    from repro.scenarios.bench import MIXED_COLUMNS, run_mixed_serve_bench
 
     graph = random_dag(120, 360, seed=23)
     kwargs = dict(
         shards=2, requests=800, writes=80, seed=3,
-        replicas=2, without_cache=False, cost_model=_NO_LIMIT,
+        replicas=2, without_cache=False,
     )
-    table_a, reports_a = run_mixed_serve_bench(graph, **kwargs)
+    table_a, results_a = run_mixed_serve_bench(graph, **kwargs)
     table_b, _ = run_mixed_serve_bench(graph, **kwargs)
     assert table_a.columns == list(MIXED_COLUMNS)
-    assert list(reports_a) == ["cached"]  # cached row only
+    assert list(results_a) == ["cached"]  # cached row only
     for column in MIXED_COLUMNS:
         assert table_a.get("cached", column) == table_b.get("cached", column)
-    report = reports_a["cached"]
+    report = results_a["cached"].report
     assert report.mutations_applied > 0
     assert report.update_throughput > 0
     assert table_a.get("cached", "applied").value == float(
         report.mutations_applied
     )
+    # Every read the writes raced is checked at the version it saw.
+    assert results_a["cached"].audited == report.served
+    assert results_a["cached"].incorrect_answers == 0

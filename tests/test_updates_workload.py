@@ -151,3 +151,80 @@ def test_property_mixed_stream_applies_exactly(n, count):
     assert dynamic.snapshot() == tol_index(
         dynamic.current_graph(), dynamic.order
     )
+
+
+def reference_mixed_stream(graph, count, insert_ratio, node_ratio, promote_ratio, seed):
+    """``mixed_update_stream`` as it drew before it kept its sorted lists:
+    it sorted the alive ids and the edge set again at every draw."""
+    import random
+
+    from repro.workloads.updates import IDEAL_RANK
+
+    rng = random.Random(seed)
+    present = set(graph.edges())
+    alive = set(range(graph.num_vertices))
+    next_id = graph.num_vertices
+    stream = []
+
+    def pick_absent_edge():
+        pool = sorted(alive)
+        for _ in range(64):
+            u, v = rng.choice(pool), rng.choice(pool)
+            if u != v and (u, v) not in present:
+                return u, v
+        return None
+
+    while len(stream) < count:
+        roll = rng.random()
+        if roll < node_ratio:
+            if rng.random() < 0.5 or len(alive) <= 2:
+                stream.append(("add_node", next_id, next_id))
+                alive.add(next_id)
+                next_id += 1
+            else:
+                v = rng.choice(sorted(alive))
+                alive.discard(v)
+                present = {(a, b) for a, b in present if a != v and b != v}
+                stream.append(("delete_node", v, v))
+        elif roll < node_ratio + promote_ratio:
+            stream.append(("promote", rng.choice(sorted(alive)), IDEAL_RANK))
+        else:
+            want_insert = rng.random() < insert_ratio
+            if want_insert and len(present) >= len(alive) * (len(alive) - 1):
+                want_insert = False
+            if not want_insert and not present:
+                want_insert = True
+            if want_insert:
+                edge = pick_absent_edge()
+                if edge is None:
+                    continue
+                present.add(edge)
+                stream.append(("insert", *edge))
+            else:
+                u, v = rng.choice(sorted(present))
+                present.discard((u, v))
+                stream.append(("delete", u, v))
+    return stream
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 30),
+    st.integers(0, 120),
+    st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+    st.sampled_from([0.0, 0.1, 0.4]),
+    st.sampled_from([0.0, 0.05, 0.3]),
+    st.integers(0, 1000),
+)
+def test_mixed_stream_draws_what_sorting_at_every_draw_drew(
+    n, count, insert_ratio, node_ratio, promote_ratio, seed
+):
+    # Committed scenarios and the serve-bench baselines replay these
+    # streams, so keeping the sorted lists must not move a single draw.
+    from repro.workloads.updates import mixed_update_stream
+
+    g = random_digraph(n, min(2 * n, n * (n - 1)), seed=seed)
+    args = (insert_ratio, node_ratio, promote_ratio, seed)
+    assert mixed_update_stream(g, count, *args) == reference_mixed_stream(
+        g, count, *args
+    )
