@@ -822,6 +822,7 @@ def _cmd_serve_bench(args) -> int:
         run_mixed_serve_bench,
         run_serve_bench,
     )
+    from repro.scenarios.spec import GraphSpec
 
     if args.cache_only and args.no_cache:
         print("error: --cache-only and --no-cache exclude each other",
@@ -834,9 +835,8 @@ def _cmd_serve_bench(args) -> int:
     if args.graph is not None:
         graph = read_edge_list(args.graph)
     else:
-        graph = _GENERATORS[args.kind](args.vertices, seed=args.seed)
-        print(f"generated {args.kind} graph: n={graph.num_vertices} "
-              f"m={graph.num_edges}", file=sys.stderr)
+        # The bench generates it, and each row's spec names it.
+        graph = GraphSpec(kind=args.kind, vertices=args.vertices, seed=args.seed)
     # The read-only bench is the mixed one without a leader and writes:
     # both take the same workload and stack settings.
     stack = dict(

@@ -17,7 +17,8 @@ def strongly_connected_components(graph: DiGraph) -> list[list[int]]:
 
     Returns components in reverse topological order of the condensation
     (a component appears before any component that can reach it), which
-    is Tarjan's natural emission order.
+    is Tarjan's natural emission order.  ``graph`` needs only
+    ``num_vertices`` and an iterable ``out_neighbors(v)``.
     """
     n = graph.num_vertices
     unvisited = -1
@@ -31,41 +32,39 @@ def strongly_connected_components(graph: DiGraph) -> list[list[int]]:
     for root in range(n):
         if index_of[root] != unvisited:
             continue
-        # Explicit DFS stack of (vertex, neighbor cursor).
-        work = [(root, 0)]
+        index_of[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = 1
+        # Explicit DFS stack of (vertex, its unread out-neighbors).
+        work = [(root, iter(graph.out_neighbors(root)))]
         while work:
-            v, cursor = work.pop()
-            if cursor == 0:
-                index_of[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-            neighbors = graph.out_neighbors(v)
-            recursed = False
-            for i in range(cursor, len(neighbors)):
-                w = neighbors[i]
+            v, neighbors = work[-1]
+            for w in neighbors:
                 if index_of[w] == unvisited:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    recursed = True
+                    index_of[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = 1
+                    work.append((w, iter(graph.out_neighbors(w))))
                     break
                 if on_stack[w] and index_of[w] < lowlink[v]:
                     lowlink[v] = index_of[w]
-            if recursed:
-                continue
-            if lowlink[v] == index_of[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                if lowlink[v] < lowlink[parent]:
-                    lowlink[parent] = lowlink[v]
+            else:
+                work.pop()
+                if lowlink[v] == index_of[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+                if work:
+                    parent = work[-1][0]
+                    if lowlink[v] < lowlink[parent]:
+                        lowlink[parent] = lowlink[v]
     return components
 
 

@@ -17,8 +17,9 @@ from dataclasses import replace
 
 from repro.bench.results import ExperimentTable
 from repro.graph.digraph import DiGraph
-from repro.scenarios.runner import ScenarioResult, run_scenario_on
+from repro.scenarios.runner import ScenarioResult, run_scenario_on, serving_index
 from repro.scenarios.spec import (
+    GraphSpec,
     ReplicationSpec,
     ScenarioSpec,
     ServingSpec,
@@ -50,6 +51,9 @@ _MIXED_CELLS = {
     "applied": "mutations_applied",
 }
 
+# The description of a row spec whose graph was handed in, not generated.
+_GIVEN_GRAPH = "serves a graph given by the caller; the graph block is unused"
+
 #: Columns of the serve-bench table, in print order.
 COLUMNS = list(_CELLS)
 
@@ -57,17 +61,33 @@ COLUMNS = list(_CELLS)
 MIXED_COLUMNS = list(_MIXED_CELLS)
 
 
-def _bench(
-    title: str,
+def _tabulate(
+    name: str,
+    workload: str,
     cells: dict[str, str],
     spec: ScenarioSpec,
-    graph: DiGraph,
+    graph: DiGraph | GraphSpec,
     with_cache: bool,
     without_cache: bool,
 ) -> tuple[ExperimentTable, dict[str, ScenarioResult]]:
     """One table row per requested cache setting, each a fresh run of
-    ``spec`` on ``graph``; the uncached row runs it at ``cache_size=0``."""
-    table = ExperimentTable(title=title, columns=list(cells), scientific=True)
+    ``spec`` on ``graph``; the uncached row runs it at ``cache_size=0``.
+    A :class:`GraphSpec` is generated here and becomes each row's graph
+    block; any other graph (an edge-list file's) is served as given,
+    and each row's spec description says so.  A static index is built
+    once and shared by the rows; a dynamic leader, which the writes
+    change, is built afresh per row."""
+    if isinstance(graph, GraphSpec):
+        spec = replace(spec, graph=graph)
+        graph = graph.build()
+    else:
+        spec = replace(spec, description=_GIVEN_GRAPH)
+    table = ExperimentTable(
+        title=f"{name} — n={graph.num_vertices} m={graph.num_edges} {workload}",
+        columns=list(cells),
+        scientific=True,
+    )
+    index = None if spec.dynamic else serving_index(spec, graph)
     results: dict[str, ScenarioResult] = {}
     uncached = replace(spec, serving=replace(spec.serving, cache_size=0))
     for row, row_spec, wanted in (
@@ -76,14 +96,14 @@ def _bench(
     ):
         if not wanted:
             continue
-        result = results[row] = run_scenario_on(row_spec, graph)
+        result = results[row] = run_scenario_on(row_spec, graph, index=index)
         for column, attribute in cells.items():
             table.set(row, column, float(getattr(result.report, attribute)))
     return table, results
 
 
 def run_serve_bench(
-    graph: DiGraph,
+    graph: DiGraph | GraphSpec,
     *,
     shards: int = 8,
     partitioner: str = "hash",
@@ -114,7 +134,8 @@ def run_serve_bench(
         name="serve-bench",
         traffic=TrafficSpec(
             requests=requests, skew=zipf, pairs_seed=seed, shape=arrival,
-            rate=rate, arrivals_seed=seed + 7, clients=clients,
+            rate=rate, arrivals_seed=seed + 7,
+            clients=clients if arrival == "closed" else None,
         ),
         serving=ServingSpec(
             shards=shards, partitioner=partitioner, replicas=1,
@@ -123,15 +144,15 @@ def run_serve_bench(
             deadline_seconds=deadline_seconds,
         ),
     )
-    return _bench(
-        f"serve-bench — n={graph.num_vertices} m={graph.num_edges} "
+    return _tabulate(
+        "serve-bench",
         f"shards={shards} {arrival} workload ({requests} requests)",
         _CELLS, spec, graph, with_cache, without_cache,
     )
 
 
 def run_mixed_serve_bench(
-    graph: DiGraph,
+    graph: DiGraph | GraphSpec,
     *,
     shards: int = 8,
     partitioner: str = "hash",
@@ -183,12 +204,11 @@ def run_mixed_serve_bench(
         updates=UpdatesSpec(
             count=writes, insert_ratio=insert_ratio, node_ratio=node_ratio,
             promote_ratio=promote_ratio, seed=seed + 13, via="serve",
-            rate=write_rate, arrivals_seed=seed + 17,
-            drift_threshold=drift_threshold,
+            rate=write_rate, drift_threshold=drift_threshold,
         ),
     )
-    return _bench(
-        f"serve-bench mixed — n={graph.num_vertices} m={graph.num_edges} "
+    return _tabulate(
+        "serve-bench mixed",
         f"shards={shards} x{replicas} ({requests} reads + {writes} writes)",
         _MIXED_CELLS, spec, graph, with_cache, without_cache,
     )

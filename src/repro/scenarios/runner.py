@@ -28,6 +28,7 @@ from repro.core.dynamic import DynamicReachabilityIndex
 from repro.core.tol import tol_index
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import PARTITIONER_STRATEGIES
+from repro.graph.traversal import reachable_set
 from repro.scenarios.spec import EXPECTATIONS, ScenarioSpec, load_scenario
 from repro.serve.cache import CachingBackend, QueryCache
 from repro.serve.mutation import MutationBackend
@@ -170,12 +171,27 @@ def run_scenario(
     return run_scenario_on(spec, spec.graph.build(), request_tracing)
 
 
+def serving_index(spec: ScenarioSpec, graph: DiGraph):
+    """The index ``spec`` serves over ``graph``: a writable leader when
+    the spec is dynamic, else a static TOL index."""
+    with trace_span("serve.build", vertices=graph.num_vertices):
+        if spec.dynamic:
+            drift = spec.updates.drift_threshold if spec.updates else None
+            return DynamicReachabilityIndex(graph, drift_threshold=drift)
+        return tol_index(graph)
+
+
 def run_scenario_on(
-    spec: ScenarioSpec, graph: DiGraph, request_tracing: bool | None = None
+    spec: ScenarioSpec,
+    graph: DiGraph,
+    request_tracing: bool | None = None,
+    index=None,
 ) -> ScenarioResult:
     """Execute ``spec`` on ``graph`` (``spec.graph`` is not read) and
-    grade its expectations.  ``repro serve-bench`` serves the graph it
-    read or generated this way."""
+    grade its expectations.  ``index`` is a static index of ``graph``
+    from :func:`serving_index`, for callers that serve one graph more
+    than once (serve-bench's rows); a dynamic spec writes to its
+    leader, so it always builds its own."""
     serving = spec.serving
     partitioner = PARTITIONER_STRATEGIES[serving.partitioner](
         serving.shards, graph.num_vertices
@@ -184,12 +200,10 @@ def run_scenario_on(
     # --- index + replication -----------------------------------------
     replicator = None
     applied_updates: list[tuple[str, int, int]] = []
-    with trace_span("serve.build", vertices=graph.num_vertices):
-        if spec.dynamic:
-            drift = spec.updates.drift_threshold if spec.updates else None
-            index = DynamicReachabilityIndex(graph, drift_threshold=drift)
-        else:
-            index = tol_index(graph)
+    if index is None:
+        index = serving_index(spec, graph)
+    elif spec.dynamic:
+        raise ValueError("a dynamic scenario builds its own leader index")
     if spec.dynamic:
         index.subscribe(lambda op, u, v: applied_updates.append((op, u, v)))
         if spec.replication is not None:
@@ -302,14 +316,13 @@ def _audit(
 ) -> tuple[int, int]:
     """Check every served answer against the exact graph it was served
     on: replay the applied ops on an adjacency up to each recorded
-    version, and compare with a transitive closure of that graph.  A
-    closure is rebuilt only when it can have moved since the last one:
-    a promote moves no edge, an insert ``(u, v)`` where ``u`` reached
-    ``v`` already adds no pair, and a delete ``(u, v)`` after which
-    ``u`` still reaches ``v`` removes none."""
-    out = [set(graph.out_neighbors(u)) for u in range(graph.num_vertices)]
-    oracle = None
-    changed = True
+    version, and compare with a transitive closure of that graph.  The
+    closure follows inserts and added vertices in place, a promote moves
+    no edge, and a delete ``(u, v)`` after which ``u`` still reaches
+    ``v`` removes no pair; any other delete, and a deleted vertex, has
+    the closure rebuilt before the next answer is checked."""
+    out = _Adjacency(set(graph.out_neighbors(u)) for u in range(graph.num_vertices))
+    oracle = None  # rebuilt from ``out`` when next needed
     version = 0
     audited = incorrect = 0
     for record_version, s, t, answer in sorted(records, key=lambda r: r[0]):
@@ -318,43 +331,38 @@ def _audit(
             version += 1
             if op == "insert":
                 out[u].add(v)
-                if not changed and oracle.query(u, v):
-                    continue
+                if oracle is not None:
+                    oracle.add_edge(u, v)
             elif op == "delete":
                 out[u].discard(v)
-                if not changed and _reaches(out, u, v):
-                    continue
+                if oracle is not None and v not in reachable_set(out, u):
+                    oracle = None
             elif op == "add_node":
                 out.append(set())
+                if oracle is not None:
+                    oracle.add_vertex()
             elif op == "delete_node":
                 out[u].clear()
                 for targets in out:
                     targets.discard(u)
-            else:
-                continue
-            changed = True
-        if changed:
-            sources = [a for a, targets in enumerate(out) for _ in targets]
-            targets = [b for targets in out for b in targets]
-            oracle = TransitiveClosure(DiGraph.from_columns(len(out), sources, targets))
-            changed = False
+                oracle = None
+        if oracle is None:
+            oracle = TransitiveClosure(out)
         audited += 1
         incorrect += answer != oracle.query(s, t)
     return audited, incorrect
 
 
-def _reaches(out: list[set[int]], s: int, t: int) -> bool:
-    """Does ``s`` reach ``t`` over the adjacency ``out``?"""
-    seen = {s}
-    stack = [s]
-    while stack:
-        for y in out[stack.pop()]:
-            if y == t:
-                return True
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return False
+class _Adjacency(list):
+    """The audit's mutable graph: ``self[u]`` is ``u``'s out-neighbor
+    set, read like a :class:`DiGraph` by the closure and the BFS."""
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self)
+
+    def out_neighbors(self, v: int) -> set[int]:
+        return self[v]
 
 
 def _grade(

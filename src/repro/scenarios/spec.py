@@ -155,8 +155,8 @@ class TrafficSpec:
     #: Sine-wave modulation (shape="sine").
     amplitude: float = 0.5
     period_seconds: float = 0.002
-    #: Closed-loop client count (shape="closed").
-    clients: int = 32
+    #: Closed-loop client count (shape="closed", which needs it).
+    clients: int | None = None
 
     def __post_init__(self):
         if self.shape not in ARRIVAL_SHAPES:
@@ -171,7 +171,12 @@ class TrafficSpec:
             raise ScenarioSpecError("closed-loop arrivals take no 'phases'")
         elif self.requests < 1:
             raise ScenarioSpecError("traffic needs at least one request")
-        check_count("clients", self.clients, error=ScenarioSpecError)
+        if self.shape == "closed":
+            if self.clients is None:
+                raise ScenarioSpecError("closed-loop arrivals need 'clients'")
+            check_count("clients", self.clients, error=ScenarioSpecError)
+        elif self.clients is not None:
+            raise ScenarioSpecError("only closed-loop arrivals take 'clients'")
         if self.rate <= 0:
             raise ScenarioSpecError("arrival rate must be positive")
         check_seconds("skew", self.skew, error=ScenarioSpecError)
@@ -270,6 +275,11 @@ class ReplicationSpec:
         check_count("max_lag", self.max_lag, error=ScenarioSpecError)
 
 
+#: Poisson write arrivals draw from the updates ``seed`` plus this, so
+#: they are not the same draws as the write stream itself.
+WRITE_ARRIVALS_SEED_OFFSET = 4
+
+
 @dataclass(frozen=True)
 class UpdatesSpec:
     """A mid-traffic write burst against the leader index.
@@ -283,7 +293,8 @@ class UpdatesSpec:
     ``node_ratio`` > 0 mixes node additions/deletions into the burst;
     ``promote_ratio`` > 0 mixes in order upgrades.  From
     ``start_seconds`` the writes arrive every ``interval_seconds``, or
-    with a ``rate`` as a Poisson process seeded by ``arrivals_seed``.
+    with a ``rate`` as a Poisson process seeded by ``seed`` +
+    :data:`WRITE_ARRIVALS_SEED_OFFSET`.
     ``drift_threshold`` turns on the leader's drift-triggered promotes.
     """
 
@@ -296,7 +307,6 @@ class UpdatesSpec:
     interval_seconds: float = 5e-5
     via: str = "direct"
     rate: float | None = None
-    arrivals_seed: int = 0
     drift_threshold: int | None = None
 
     def __post_init__(self):
@@ -328,7 +338,9 @@ class UpdatesSpec:
         if self.rate is None:
             gaps = [i * self.interval_seconds for i in range(self.count)]
         else:
-            gaps = poisson_arrivals(self.count, self.rate, seed=self.arrivals_seed)
+            gaps = poisson_arrivals(
+                self.count, self.rate, seed=self.seed + WRITE_ARRIVALS_SEED_OFFSET
+            )
         return [self.start_seconds + gap for gap in gaps]
 
 
@@ -408,7 +420,7 @@ class ScenarioSpec:
             phases=phases,
             amplitude=arrivals_raw.get("amplitude", 0.5),
             period_seconds=arrivals_raw.get("period_seconds", 0.002),
-            clients=arrivals_raw.get("clients", 32),
+            clients=arrivals_raw.get("clients"),
         )
 
         serving = _block(ServingSpec, raw.get("serving", {}), "serving")
@@ -477,7 +489,7 @@ class ScenarioSpec:
             # set, so a burst that uses neither keeps the block it had.
             updates = raw["updates"] = dataclasses.asdict(self.updates)
             if self.updates.rate is None:
-                del updates["rate"], updates["arrivals_seed"]
+                del updates["rate"]
             if self.updates.drift_threshold is None:
                 del updates["drift_threshold"]
         if not self.faults.empty:

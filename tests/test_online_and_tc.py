@@ -1,6 +1,7 @@
 """Tests for the online-search baselines and the transitive closure."""
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.online import (
     DistributedOnlineSearcher,
@@ -106,3 +107,28 @@ def test_property_tc_reachable_pairs_matches_enumeration(g):
         for t in range(g.num_vertices)
     )
     assert oracle.reachable_pairs() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(digraphs(), st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=12))
+def test_property_tc_follows_added_edges_and_vertices(g, additions):
+    """Grown in place, the closure answers as one built from scratch,
+    cycles closed by the new edges included."""
+    tc = TransitiveClosure(g)
+    edges = list(g.edges())
+    n = g.num_vertices
+    for a, b in additions:
+        if a % 4 == 0:
+            tc.add_vertex()
+            n += 1
+            continue
+        u, v = a % n, b % n
+        tc.add_edge(u, v)
+        edges.append((u, v))
+        fresh = TransitiveClosure(DiGraph(n, sorted(set(edges))))
+        assert tc.num_vertices == n
+        assert all(
+            tc.query(s, t) == fresh.query(s, t) for s in range(n) for t in range(n)
+        )
+        assert tc.reachable_pairs() == fresh.reachable_pairs()
+        assert tc.descendants(u) == fresh.descendants(u)

@@ -96,3 +96,18 @@ def test_property_condensation_preserves_reachability(g):
             v for c in reach_dag for v in cond.members[c]
         }
         assert lifted == reach_g
+
+
+@settings(max_examples=40, deadline=None)
+@given(digraphs())
+def test_property_any_adjacency_gives_the_same_components(g):
+    """Tarjan reads only ``num_vertices`` and ``out_neighbors`` (the
+    scenario audit feeds it a list of neighbor sets); with neighbors in
+    the same order, it emits the same components."""
+
+    class Adjacency(list):
+        num_vertices = property(len)
+        out_neighbors = list.__getitem__
+
+    sets = Adjacency(list(g.out_neighbors(v)) for v in range(g.num_vertices))
+    assert strongly_connected_components(sets) == strongly_connected_components(g)

@@ -276,47 +276,75 @@ def test_unset_opt_in_update_fields_are_not_emitted():
     # A burst on the fixed interval and without drift promotes keeps the
     # block it had before those fields existed, so reports keep their bytes.
     emitted = ScenarioSpec.from_dict(_tiny_raw(updates={"count": 3})).to_dict()
-    assert not {"rate", "arrivals_seed", "drift_threshold"} & set(
+    assert not {"rate", "drift_threshold"} & set(
         emitted["updates"]
     )
 
 
 def test_closed_loop_and_poisson_writes_round_trip():
     raw = _tiny_raw(updates={
-        "count": 4, "rate": 20000.0, "arrivals_seed": 9, "drift_threshold": 3,
+        "count": 4, "rate": 20000.0, "drift_threshold": 3,
     })
     raw["traffic"]["arrivals"] = {"shape": "closed", "clients": 5}
     spec = ScenarioSpec.from_dict(raw)
     assert spec.traffic.clients == 5 and spec.updates.rate == 20000.0
     emitted = spec.to_dict()
     assert emitted["traffic"]["arrivals"]["clients"] == 5
-    assert emitted["updates"]["arrivals_seed"] == 9
     assert ScenarioSpec.from_dict(emitted) == spec
 
 
 def test_closed_loop_refuses_phases_and_served_writes():
     raw = _tiny_raw()
-    raw["traffic"]["arrivals"] = {"shape": "closed", "phases": [[10, 1000.0]]}
+    raw["traffic"]["arrivals"] = {"shape": "closed", "clients": 2, "phases": [[10, 1000.0]]}
     with pytest.raises(ScenarioSpecError, match="phases"):
         ScenarioSpec.from_dict(raw)
     raw = _tiny_raw(updates={"count": 2, "via": "serve"})
-    raw["traffic"]["arrivals"] = {"shape": "closed"}
+    raw["traffic"]["arrivals"] = {"shape": "closed", "clients": 2}
     with pytest.raises(ScenarioSpecError, match="closed-loop"):
+        ScenarioSpec.from_dict(raw)
+
+
+def test_clients_belong_to_closed_loops_alone():
+    # A field that would be ignored, and then dropped by to_dict, is
+    # refused instead, so every accepted spec round-trips.
+    raw = _tiny_raw()
+    raw["traffic"]["arrivals"] = {"shape": "poisson", "clients": 5}
+    with pytest.raises(ScenarioSpecError, match="only closed-loop arrivals take 'clients'"):
+        ScenarioSpec.from_dict(raw)
+    raw["traffic"]["arrivals"] = {"shape": "closed"}
+    with pytest.raises(ScenarioSpecError, match="closed-loop arrivals need 'clients'"):
+        ScenarioSpec.from_dict(raw)
+    # The write arrivals' seed is the updates seed's, not a field of its own.
+    raw = _tiny_raw(updates={"count": 2, "rate": 1000.0, "arrivals_seed": 3})
+    with pytest.raises(ScenarioSpecError, match="unknown key.*arrivals_seed"):
         ScenarioSpec.from_dict(raw)
 
 
 def test_poisson_writes_run_at_their_rate():
     spec = ScenarioSpec.from_dict(_tiny_raw(updates={
-        "count": 30, "rate": 100000.0, "arrivals_seed": 5,
-        "start_seconds": 1e-4,
+        "count": 30, "rate": 100000.0, "seed": 5, "start_seconds": 1e-4,
     }))
     from repro.workloads.traffic import poisson_arrivals
 
     assert spec.updates.arrivals() == [
-        1e-4 + at for at in poisson_arrivals(30, 100000.0, seed=5)
+        1e-4 + at for at in poisson_arrivals(30, 100000.0, seed=5 + 4)
     ]
     result = run_scenario(spec)
     assert result.ok and result.audited and result.incorrect_answers == 0
+
+
+def test_a_shared_index_serves_static_specs_alone():
+    from repro.scenarios.runner import run_scenario_on, serving_index
+
+    static = ScenarioSpec.from_dict(_tiny_raw())
+    graph = static.graph.build()
+    index = serving_index(static, graph)
+    assert run_scenario_on(static, graph, index=index).to_dict() == run_scenario(static).to_dict()
+    # A dynamic spec writes to its leader, so a shared one would leak
+    # one run's writes into the next.
+    dynamic = ScenarioSpec.from_dict(_tiny_raw(updates={"count": 2}))
+    with pytest.raises(ValueError, match="builds its own leader"):
+        run_scenario_on(dynamic, graph, index=index)
 
 
 def test_closed_loop_scenario_audits_every_answer():

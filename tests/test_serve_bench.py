@@ -64,6 +64,27 @@ def test_closed_arrival_mode(graph):
     assert report.shed == 0 and report.served == 800
 
 
+def test_rows_name_the_graph_they_served(graph, monkeypatch):
+    import repro.scenarios.bench as bench
+    from repro.scenarios.spec import GraphSpec
+
+    builds = []
+    serving_index = bench.serving_index
+    monkeypatch.setattr(
+        bench, "serving_index",
+        lambda spec, g: builds.append(g) or serving_index(spec, g),
+    )
+    generated = GraphSpec(kind="social", vertices=300, seed=4)
+    table, results = run_serve_bench(generated, shards=2, requests=300)
+    assert "n=300 " in table.title
+    for result in results.values():
+        assert result.spec.graph == generated and not result.spec.description
+    # The static index is built once and served by both rows.
+    assert len(builds) == 1
+    _, results = run_serve_bench(graph, shards=2, requests=300)
+    assert all("given by the caller" in r.spec.description for r in results.values())
+
+
 def test_invalid_options_rejected(graph):
     with pytest.raises(ScenarioSpecError, match="partitioner"):
         run_serve_bench(graph, partitioner="voronoi")
