@@ -371,9 +371,16 @@ class ScenarioSpec:
             self.faults.validate_for(self.serving.shards, self.serving.replicas)
         except ValueError as exc:
             raise ScenarioSpecError(str(exc)) from exc
-        serve_writes = self.updates is not None and self.updates.via == "serve"
-        if self.traffic.shape == "closed" and serve_writes:
-            raise ScenarioSpecError("closed-loop traffic cannot carry served writes")
+        if self.traffic.shape == "closed":
+            if self.updates is not None and self.updates.via == "serve":
+                raise ScenarioSpecError(
+                    "closed-loop traffic cannot carry served writes"
+                )
+            if self.traffic.clients > self.serving.queue_depth:
+                raise ScenarioSpecError(
+                    f"closed-loop clients ({self.traffic.clients}) exceed "
+                    f"serving.queue_depth ({self.serving.queue_depth})"
+                )
 
     # ------------------------------------------------------------------
     @property

@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.errors import check_count
-from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
+from repro.pregel.cost_model import DEFAULT_COST_MODEL
 from repro.telemetry import tracing
 
 
@@ -135,15 +135,10 @@ class CachingBackend:
     the inner backend's full cost, then fills the cache.
     """
 
-    def __init__(
-        self,
-        inner,
-        cache: QueryCache | None = None,
-        cost_model: CostModel | None = None,
-    ):
+    def __init__(self, inner, cache: QueryCache | None = None):
         self.inner = inner
         self.cache = cache if cache is not None else QueryCache()
-        self._probe_seconds = (cost_model or DEFAULT_COST_MODEL).t_op
+        self._probe_seconds = DEFAULT_COST_MODEL.t_op
 
     def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
         cached = self.cache.get(s, t)

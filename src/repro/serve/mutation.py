@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.core.dynamic import UPDATE_OPS
 from repro.errors import WriteAbortedError
-from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
+from repro.pregel.cost_model import DEFAULT_COST_MODEL
 from repro.telemetry import trace_event, tracing
 
 #: Operations :meth:`MutationBackend.apply_with_cost` accepts, in the
@@ -50,8 +50,6 @@ class MutationBackend:
         reads are ultimately served from.  Caches and replicators
         should already be subscribed to it; this backend relies purely
         on the listener hooks for invalidation and op-log feeding.
-    cost_model:
-        Source of ``t_op`` for the write-cost estimate.
     replicator:
         Optional :class:`~repro.serve.replica.BoundedStalenessReplicator`
         attached to the leader.  When present, each write stamps the op
@@ -61,15 +59,10 @@ class MutationBackend:
         whose peak is exported as ``staleness_window_seconds``.
     """
 
-    def __init__(
-        self,
-        leader,
-        cost_model: CostModel | None = None,
-        replicator=None,
-    ):
+    def __init__(self, leader, replicator=None):
         self.leader = leader
         self.replicator = replicator
-        self._t_op = (cost_model or DEFAULT_COST_MODEL).t_op
+        self._t_op = DEFAULT_COST_MODEL.t_op
         self.applied = 0
         self.noops = 0
         self.rejected = 0

@@ -36,7 +36,7 @@ from typing import Sequence
 from repro.errors import ShardUnavailableError, check_count, check_seconds
 from repro.observe.serve_report import ServeReport
 from repro.telemetry.tracing import TraceIdGenerator, begin_request, end_request
-from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
+from repro.pregel.cost_model import DEFAULT_COST_MODEL
 from repro.telemetry import RequestTrace, enabled, trace_event, trace_span
 
 
@@ -76,8 +76,6 @@ class QueryServer:
     deadline_seconds:
         Drop requests older than this at dequeue time (``None`` keeps
         everything).
-    cost_model:
-        Supplies the per-batch dispatch cost (``t_hop``).
     request_tracing:
         Per-request causal tracing (see :mod:`repro.telemetry.tracing`):
         every request gets a trace ID and a ``serve.request`` event
@@ -105,7 +103,6 @@ class QueryServer:
         queue_depth: int = 1024,
         batch_size: int = 32,
         deadline_seconds: float | None = None,
-        cost_model: CostModel | None = None,
         request_tracing: bool | None = None,
         on_advance=None,
         mutation_backend=None,
@@ -116,7 +113,7 @@ class QueryServer:
         self._queue_depth = check_count("queue_depth", queue_depth)
         self._batch_size = check_count("batch_size", batch_size)
         self._deadline = deadline_seconds
-        self._dispatch_seconds = (cost_model or DEFAULT_COST_MODEL).t_hop
+        self._dispatch_seconds = DEFAULT_COST_MODEL.t_hop
         self._request_tracing = request_tracing
         self._on_advance = on_advance
         self._mutation_backend = mutation_backend
@@ -138,23 +135,26 @@ class QueryServer:
         self,
         pairs: Sequence[tuple[int, int]],
         clients: int = 8,
-        think_seconds: float = 0.0,
     ) -> ServeReport:
         """Closed-loop run: ``clients`` concurrent clients each issue
-        their next request ``think_seconds`` after the previous answer.
+        their next request the instant the previous one leaves the
+        server (served, failed, or dropped at its deadline).
 
-        Offered load self-limits at ``clients / (latency + think)``, so
-        nothing is shed; the in-flight population is bounded by
-        ``clients``.  Batching still applies when several clients are
-        ready at once.
+        Offered load self-limits at ``clients / latency``; the in-flight
+        population is bounded by ``clients``, which may not exceed
+        ``queue_depth``, so nothing is shed.  Batching still applies
+        when several clients are ready at once.
         """
-        return self._run(
-            "closed",
-            pairs,
-            None,
-            clients=check_count("clients", clients),
-            think_seconds=check_seconds("think_seconds", think_seconds),
-        )
+        check_count("clients", clients)
+        if clients > self._queue_depth:
+            raise ValueError(
+                f"clients ({clients}) exceed queue_depth ({self._queue_depth}):"
+                " a closed loop keeps every client's request in the queue"
+            )
+        # Every client's first request arrives at 0; the loop appends the
+        # clock each time a request leaves, and never decreases it, so
+        # the list stays non-decreasing like an open-loop schedule.
+        return self._run("closed", pairs, [0.0] * min(clients, len(pairs)))
 
     def run_mixed(
         self,
@@ -191,7 +191,10 @@ class QueryServer:
             )
         )
         return self._run(
-            "mixed", [request for _, request in merged], [at for at, _ in merged]
+            "mixed",
+            [request for _, request in merged],
+            [at for at, _ in merged],
+            writes=len(mutations),
         )
 
     # -- the serving loop ----------------------------------------------
@@ -199,9 +202,8 @@ class QueryServer:
         self,
         mode: str,
         pairs: Sequence[tuple[int, int]],
-        arrivals: Sequence[float] | None,
-        clients: int = 0,
-        think_seconds: float = 0.0,
+        arrivals: list[float],
+        writes: int = 0,
     ) -> ServeReport:
         # Everything the loop consults per batch or per request, bound
         # once per run.
@@ -212,20 +214,18 @@ class QueryServer:
         batch_size = self._batch_size
         dispatch_seconds = self._dispatch_seconds
         on_advance = self._on_advance
+        n = len(pairs)
+        # A closed loop's schedule grows: each request that leaves the
+        # server re-arms its client at the current clock.
         closed = mode == "closed"
-        queue: deque[tuple[int, float]] = deque()  # (pair index, arrival)
+        # (pair index, arrival, trace or None)
+        queue: deque[tuple[int, float, RequestTrace | None]] = deque()
         latencies: list[float] = []
         write_latencies: list[float] = []
         clock = 0.0
         shed = deadline_dropped = served = positives = batches = failed = 0
-        mut_applied = mut_noop = mut_rejected = mut_shed = 0
-        queue_peak = 0
-        n = len(pairs)
-        # Mixed runs carry (op, u, v) writes in the same request list;
-        # reads stay 2-tuples.  Reported "offered" counts reads only.
-        reads_offered = sum(1 for request in pairs if len(request) == 2)
-        mutations_offered = n - reads_offered
-        next_request = 0
+        mutations_shed = queue_peak = next_request = 0
+        trace = None
         # Request tracing: off by default unless telemetry is on (a
         # session, or a sink attached to the stream), and forceable
         # either way.  When off, the loop below touches none of this —
@@ -241,31 +241,18 @@ class QueryServer:
             trace_event("serve.request", **trace.to_attrs(), **extra, at=at)
 
         trace_ids = TraceIdGenerator() if tracing else None
-        traces: dict[int, RequestTrace] = {}
-        # Closed loop: a heap of client-ready times replaces the
-        # arrival list; a client re-arms when its answer comes back.
-        # The next request materializes at the schedule's next instant
-        # (open loop) or when the earliest ready client is (closed loop
-        # — every client may be in flight, and then nothing arrives
-        # until a batch completes).
-        ready: list[float] = [0.0] * clients if closed else []
 
         with trace_span("serve.run", mode=mode) as span:
             while next_request < n or queue:
-                if not queue:
-                    arrival = ready[0] if closed else arrivals[next_request]
-                    if arrival > clock:
-                        clock = arrival
+                # An empty queue waits for the next arrival (a closed
+                # loop always has one: no client is in flight).
+                if not queue and arrivals[next_request] > clock:
+                    clock = arrivals[next_request]
                 # Admit everything that has arrived by now.
-                while next_request < n:
-                    if closed:
-                        if not ready or ready[0] > clock:
-                            break
-                        arrived = heapq.heappop(ready)
-                    else:
-                        arrived = arrivals[next_request]
-                        if arrived > clock:
-                            break
+                while next_request < len(arrivals):
+                    arrived = arrivals[next_request]
+                    if arrived > clock:
+                        break
                     request = pairs[next_request]
                     is_write = len(request) == 3
                     if tracing:
@@ -275,7 +262,7 @@ class QueryServer:
                         )
                     if len(queue) >= queue_depth:
                         if is_write:
-                            mut_shed += 1
+                            mutations_shed += 1
                         else:
                             shed += 1
                         if tracing:
@@ -283,19 +270,16 @@ class QueryServer:
                             # the drop reason is part of the record.
                             trace.finish("shed", reason="queue_full")
                             terminal(clock, trace)
-                        if closed:  # the client retries at once
-                            heapq.heappush(ready, clock)
                     else:
-                        queue.append((next_request, arrived))
-                        if tracing:
-                            traces[next_request] = trace
+                        queue.append((next_request, arrived, trace))
                     next_request += 1
                 if len(queue) > queue_peak:
                     queue_peak = len(queue)
                 # Dequeue one batch, dropping requests past deadline.
-                batch: list[tuple[int, float]] = []
+                batch: list[tuple[int, float, RequestTrace | None]] = []
                 while queue and len(batch) < batch_size:
-                    k, arrived = queue.popleft()
+                    entry = queue.popleft()
+                    k, arrived, trace = entry
                     # Writes are never deadline-dropped: the mutation
                     # must land even if its submitter stopped waiting.
                     if (
@@ -305,16 +289,15 @@ class QueryServer:
                     ):
                         deadline_dropped += 1
                         if tracing:
-                            expired = traces.pop(k)
-                            expired.add_stage("admission", clock - arrived)
-                            expired.finish(
+                            trace.add_stage("admission", clock - arrived)
+                            trace.finish(
                                 "deadline", clock - arrived, reason="deadline"
                             )
-                            terminal(clock, expired)
-                        if closed:
-                            heapq.heappush(ready, clock + think_seconds)
+                            terminal(clock, trace)
+                        if closed and len(arrivals) < n:
+                            arrivals.append(clock)
                         continue
-                    batch.append((k, arrived))
+                    batch.append(entry)
                 if not batch:
                     continue
                 if on_advance is not None:
@@ -325,11 +308,10 @@ class QueryServer:
                 batches += 1
                 dequeued_at = clock
                 clock += dispatch_seconds
-                for k, arrived in batch:
+                for k, arrived, trace in batch:
                     request = pairs[k]
                     is_write = len(request) == 3
                     if tracing:
-                        trace = traces.pop(k)
                         trace.add_stage("admission", dequeued_at - arrived)
                         begin_request(trace)
                     error = None
@@ -337,7 +319,8 @@ class QueryServer:
                         if is_write:
                             # Write path: apply on the leader through the
                             # MutationBackend (which adds its own
-                            # "mutation" trace stage and telemetry event).
+                            # "mutation" trace stage and telemetry event,
+                            # and keeps the run's write totals).
                             op, u, v = request
                             status, seconds = mutation_backend.apply_with_cost(
                                 op, u, v, at=clock
@@ -353,12 +336,6 @@ class QueryServer:
                     clock += seconds
                     latency = clock - arrived
                     if is_write:
-                        if status == "applied":
-                            mut_applied += 1
-                        elif status == "noop":
-                            mut_noop += 1
-                        else:
-                            mut_rejected += 1
                         write_latencies.append(latency)
                         if tracing:
                             trace.finish("served", latency)
@@ -380,18 +357,13 @@ class QueryServer:
                             )
                             trace.finish("served", latency)
                             terminal(clock, trace)
-                    if closed:
-                        heapq.heappush(ready, clock + think_seconds)
-            staleness = (
-                mutation_backend.staleness_window_seconds
-                if mutation_backend is not None
-                else 0.0
-            )
+                    if closed and len(arrivals) < n:
+                        arrivals.append(clock)
             report = ServeReport.from_tally(
                 mode,
                 latencies,
                 write_latencies,
-                offered=reads_offered,
+                offered=n - writes,
                 served=served,
                 shed=shed,
                 deadline_dropped=deadline_dropped,
@@ -400,12 +372,8 @@ class QueryServer:
                 queue_peak=queue_peak,
                 makespan_seconds=clock,
                 failed=failed,
-                mutations_offered=mutations_offered,
-                mutations_applied=mut_applied,
-                mutations_noop=mut_noop,
-                mutations_rejected=mut_rejected,
-                mutations_shed=mut_shed,
-                staleness_window_seconds=staleness,
+                mutations_offered=writes,
+                mutations_shed=mutations_shed,
                 **self._backend_stats(),
             )
             # The run's totals, by field name: the one record of what the
@@ -417,8 +385,17 @@ class QueryServer:
         return report
 
     def _backend_stats(self) -> dict:
-        """Cache and shard numbers pulled off the backend chain."""
+        """Run totals kept by the layers themselves: cache and shard
+        numbers off the backend chain, write outcomes off the writer."""
         stats: dict = {}
+        writes = self._mutation_backend
+        if writes is not None:
+            stats.update(
+                mutations_applied=writes.applied,
+                mutations_noop=writes.noops,
+                mutations_rejected=writes.rejected,
+                staleness_window_seconds=writes.staleness_window_seconds,
+            )
         for layer in _chain(self._backend):
             cache = getattr(layer, "cache", None)
             if cache is not None and "cache_hits" not in stats:

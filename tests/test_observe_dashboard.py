@@ -39,12 +39,12 @@ def traced_run():
     graph = social_graph(200, seed=9)
     index = build_index(graph, cost_model=_NO_LIMIT).index
     store = ShardedLabelStore(index, num_shards=4, cost_model=_NO_LIMIT)
-    backend = CachingBackend(ShardedIndexBackend(store), cost_model=_NO_LIMIT)
+    backend = CachingBackend(ShardedIndexBackend(store))
     pairs = zipf_pairs(graph.num_vertices, 1500, seed=1)
     arrivals = poisson_arrivals(1500, rate=2_000_000, seed=2)
     sink = InMemorySink()
     with session([sink]):
-        server = QueryServer(backend, queue_depth=64, cost_model=_NO_LIMIT)
+        server = QueryServer(backend, queue_depth=64)
         report = server.run_open(pairs, arrivals)
     return sink.records, report
 
@@ -69,12 +69,11 @@ def _mixed_run():
     cache = QueryCache()
     cache.attach(leader)
     server = QueryServer(
-        CachingBackend(ShardedIndexBackend(store), cache, cost_model=_NO_LIMIT),
+        CachingBackend(ShardedIndexBackend(store), cache),
         queue_depth=32,
-        cost_model=_NO_LIMIT,
         on_advance=store.advance,
         mutation_backend=MutationBackend(
-            leader, cost_model=_NO_LIMIT, replicator=replicator
+            leader, replicator=replicator
         ),
     )
     mutations = mixed_update_stream(
@@ -103,8 +102,7 @@ def _crashed_run():
         timeline, store
     )
     server = QueryServer(
-        ShardedIndexBackend(store), cost_model=_NO_LIMIT,
-        on_advance=timeline.advance,
+        ShardedIndexBackend(store), on_advance=timeline.advance,
     )
     return server.run_open(
         random_pairs(graph.num_vertices, 600, seed=5),

@@ -33,7 +33,7 @@ def graph():
 def backend(graph):
     index = build_index(graph, cost_model=_NO_LIMIT).index
     store = ShardedLabelStore(index, num_shards=4, cost_model=_NO_LIMIT)
-    return CachingBackend(ShardedIndexBackend(store), cost_model=_NO_LIMIT)
+    return CachingBackend(ShardedIndexBackend(store))
 
 
 def _request_events(sink):
@@ -46,7 +46,7 @@ def _request_events(sink):
 def _serve(backend, pairs, arrivals, **kwargs):
     sink = InMemorySink()
     with session([sink]):
-        server = QueryServer(backend, cost_model=_NO_LIMIT, **kwargs)
+        server = QueryServer(backend, **kwargs)
         report = server.run_open(pairs, arrivals)
     return report, _request_events(sink)
 
@@ -178,7 +178,7 @@ class TestServerTracing:
         sink = InMemorySink()
         with session([sink]):
             server = QueryServer(
-                Slow(), batch_size=1, deadline_seconds=2.5, cost_model=_NO_LIMIT
+                Slow(), batch_size=1, deadline_seconds=2.5
             )
             report = server.run_open(pairs, arrivals)
         assert report.deadline_dropped > 0
@@ -197,7 +197,7 @@ class TestServerTracing:
         arrivals = [0.0] * 600
         sink = InMemorySink()
         with session([sink]):
-            server = QueryServer(backend, queue_depth=16, cost_model=_NO_LIMIT)
+            server = QueryServer(backend, queue_depth=16)
             report = server.run_open(pairs, arrivals)
         reasons = [
             r["attrs"].get("reason") for r in sink.records
@@ -212,7 +212,7 @@ class TestServerTracing:
         sink = InMemorySink()
         with session([sink]):
             server = QueryServer(
-                backend, cost_model=_NO_LIMIT, request_tracing=False
+                backend, request_tracing=False
             )
             report = server.run_open(pairs, arrivals)
         assert report.served == 100
@@ -221,7 +221,7 @@ class TestServerTracing:
     def test_tracing_forced_on_without_session(self, graph, backend):
         pairs = zipf_pairs(graph.num_vertices, 50, seed=8)
         arrivals = poisson_arrivals(50, rate=100_000, seed=9)
-        server = QueryServer(backend, cost_model=_NO_LIMIT, request_tracing=True)
+        server = QueryServer(backend, request_tracing=True)
         report = server.run_open(pairs, arrivals)  # no tracer: events vanish
         assert report.served == 50
 
@@ -235,10 +235,10 @@ class TestServerTracing:
             # the costs and mask a tracing-induced difference.
             store = ShardedLabelStore(index, num_shards=4, cost_model=_NO_LIMIT)
             fresh = CachingBackend(
-                ShardedIndexBackend(store), cost_model=_NO_LIMIT
+                ShardedIndexBackend(store)
             )
             server = QueryServer(
-                fresh, queue_depth=32, cost_model=_NO_LIMIT, **kwargs
+                fresh, queue_depth=32, **kwargs
             )
             return server.run_open(pairs, arrivals)
 

@@ -302,6 +302,15 @@ def test_closed_loop_refuses_phases_and_served_writes():
     raw["traffic"]["arrivals"] = {"shape": "closed", "clients": 2}
     with pytest.raises(ScenarioSpecError, match="closed-loop"):
         ScenarioSpec.from_dict(raw)
+    # A closed loop keeps every client's request in the queue, so it
+    # may not have more clients than queue slots.
+    raw = _tiny_raw()
+    raw["traffic"]["arrivals"] = {"shape": "closed", "clients": 9}
+    raw["serving"]["queue_depth"] = 8
+    with pytest.raises(
+        ScenarioSpecError, match=r"clients \(9\) exceed serving.queue_depth \(8\)"
+    ):
+        ScenarioSpec.from_dict(raw)
 
 
 def test_clients_belong_to_closed_loops_alone():

@@ -132,6 +132,13 @@ def test_cli_serve_bench_conflicting_flags(capsys):
     assert "exclude each other" in capsys.readouterr().err
 
 
+def test_cli_serve_bench_refuses_more_clients_than_queue_slots(capsys):
+    assert main(["serve-bench", "--vertices", "100", "--arrival", "closed",
+                 "--clients", "48", "--queue-depth", "16"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: closed-loop clients (48) exceed serving.queue_depth (16)\n"
+
+
 def test_cli_serve_bench_missing_graph_file(tmp_path, capsys):
     assert main(["serve-bench", str(tmp_path / "none.txt")]) == 2
     assert "no such file" in capsys.readouterr().err

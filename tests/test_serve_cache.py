@@ -152,7 +152,7 @@ class _CountingBackend:
 
 def test_caching_backend_hit_skips_inner():
     inner = _CountingBackend(seconds=1.0)
-    backend = CachingBackend(inner, cost_model=_NO_LIMIT)
+    backend = CachingBackend(inner)
     answer, miss_cost = backend.query_with_cost(1, 2)
     assert answer is True and inner.calls == 1
     answer, hit_cost = backend.query_with_cost(1, 2)
@@ -173,7 +173,7 @@ def _assert_no_stale_answers(graph, updates, pairs):
     dynamic = DynamicReachabilityIndex(graph)
     store = ShardedLabelStore(dynamic, num_shards=4, cost_model=_NO_LIMIT)
     backend = CachingBackend(
-        ShardedIndexBackend(store), QueryCache(), cost_model=_NO_LIMIT
+        ShardedIndexBackend(store), QueryCache()
     )
     backend.cache.attach(dynamic)
     # Warm the cache so there is something to stale-ify.
@@ -215,7 +215,7 @@ def test_stale_answer_without_invalidation_is_the_counterfactual():
     dynamic = DynamicReachabilityIndex(graph)
     store = ShardedLabelStore(dynamic, num_shards=4, cost_model=_NO_LIMIT)
     backend = CachingBackend(
-        ShardedIndexBackend(store), QueryCache(), cost_model=_NO_LIMIT
+        ShardedIndexBackend(store), QueryCache()
     )  # note: no attach()
     pairs = random_pairs(graph.num_vertices, 200, seed=1)
     for s, t in pairs:
@@ -265,7 +265,7 @@ def test_cached_answers_track_closure_under_any_interleaving(seed, ops):
     dynamic = DynamicReachabilityIndex(graph)
     store = ShardedLabelStore(dynamic, num_shards=2, cost_model=_NO_LIMIT)
     backend = CachingBackend(
-        ShardedIndexBackend(store), QueryCache(), cost_model=_NO_LIMIT
+        ShardedIndexBackend(store), QueryCache()
     )
     backend.cache.attach(dynamic)
     oracle = TransitiveClosure(dynamic.current_graph())

@@ -46,7 +46,7 @@ def _leader(n=60, m=180, seed=3, **kwargs):
 # ----------------------------------------------------------------------
 def test_backend_statuses_applied_noop_rejected():
     leader = _leader()
-    backend = MutationBackend(leader, cost_model=_NO_LIMIT)
+    backend = MutationBackend(leader)
     u, v = next(iter(leader.edges()))
 
     status, seconds = backend.apply_with_cost("delete", u, v)
@@ -64,7 +64,7 @@ def test_backend_statuses_applied_noop_rejected():
 
 def test_backend_rejects_bad_writes_without_raising():
     leader = _leader()
-    backend = MutationBackend(leader, cost_model=_NO_LIMIT)
+    backend = MutationBackend(leader)
     # Out-of-range id, self-loop, tombstoned vertex: all rejected, none
     # raise — a bad write must fail the request, not the server.
     assert backend.apply_with_cost("insert", 0, 10**6)[0] == "rejected"
@@ -91,7 +91,7 @@ def test_backend_rejects_payloads_that_are_not_integers(op, u, v):
     # with a ValueError, so the backend counts a rejection and the index
     # is what it was — the same write straight to the leader raises.
     leader = _leader()
-    backend = MutationBackend(leader, cost_model=_NO_LIMIT)
+    backend = MutationBackend(leader)
     before = leader.snapshot()
     order = list(leader.order.by_rank())
     assert backend.apply_with_cost(op, u, v)[0] == "rejected"
@@ -113,7 +113,7 @@ def test_a_write_that_raises_part_way_is_rejected_and_left_no_trace(monkeypatch)
     cache = QueryCache()
     cache.attach(leader)
     cache.put(269, 244, True)
-    backend = MutationBackend(leader, cost_model=_NO_LIMIT, replicator=replicator)
+    backend = MutationBackend(leader, replicator=replicator)
     before = leader.snapshot()
     real, calls = repro.core.tol.pruned_bfs, []
 
@@ -155,7 +155,7 @@ def test_an_edge_write_whose_drift_promote_aborts_is_applied(monkeypatch):
     # insert's, and the promote's abort is counted apart from it.
     leader = DynamicReachabilityIndex(web_graph(200, seed=1), drift_threshold=1)
     replicator = BoundedStalenessReplicator(leader, num_replicas=2)
-    backend = MutationBackend(leader, cost_model=_NO_LIMIT, replicator=replicator)
+    backend = MutationBackend(leader, replicator=replicator)
     order = leader.order
 
     def raises(self, v, position):
@@ -181,7 +181,7 @@ def test_an_edge_write_whose_drift_promote_aborts_is_applied(monkeypatch):
 
 
 def test_backend_unknown_op_raises():
-    backend = MutationBackend(_leader(), cost_model=_NO_LIMIT)
+    backend = MutationBackend(_leader())
     with pytest.raises(ValueError, match="unknown mutation op"):
         backend.apply_with_cost("truncate", 0, 1)
     assert set(MUTATION_OPS) == {
@@ -191,7 +191,7 @@ def test_backend_unknown_op_raises():
 
 def test_backend_promote_negative_rank_means_degree_rank():
     leader = _leader()
-    backend = MutationBackend(leader, cost_model=_NO_LIMIT)
+    backend = MutationBackend(leader)
     tail = list(leader.order.by_rank())[-1]
     for x in leader.alive_vertices()[:8]:
         if x != tail and not leader.has_edge(x, tail):
@@ -207,7 +207,7 @@ def test_backend_tracks_peak_staleness_window():
     replicator = BoundedStalenessReplicator(
         leader, num_replicas=3, delay_seconds=0.5
     )
-    backend = MutationBackend(leader, cost_model=_NO_LIMIT, replicator=replicator)
+    backend = MutationBackend(leader, replicator=replicator)
     u, v = next(iter(leader.edges()))
     backend.apply_with_cost("delete", u, v, at=1.0)
     backend.apply_with_cost("insert", u, v, at=1.3)
@@ -291,7 +291,7 @@ def test_closure_preserving_writes_still_do_everything_a_write_owes():
     cache.attach(leader)
     seen = []
     leader.subscribe(lambda op, u, v: seen.append((op, u, v, leader.touched)))
-    backend = MutationBackend(leader, cost_model=_NO_LIMIT, replicator=replicator)
+    backend = MutationBackend(leader, replicator=replicator)
     follower = replicator.view(1)
     rows = follower.in_labels + follower.out_labels
 
@@ -371,14 +371,13 @@ def _mixed_server(leader, *, cache=False, deadline=None, replicator=None,
     if cache:
         qcache = QueryCache()
         qcache.attach(leader)
-        backend = CachingBackend(backend, qcache, cost_model=_NO_LIMIT)
+        backend = CachingBackend(backend, qcache)
     return QueryServer(
         backend,
-        cost_model=_NO_LIMIT,
         queue_depth=queue_depth,
         deadline_seconds=deadline,
         mutation_backend=MutationBackend(
-            leader, cost_model=_NO_LIMIT, replicator=replicator
+            leader, replicator=replicator
         ),
     )
 
@@ -386,7 +385,7 @@ def _mixed_server(leader, *, cache=False, deadline=None, replicator=None,
 def test_run_mixed_requires_a_mutation_backend():
     leader = _leader()
     store = ShardedLabelStore(leader, num_shards=2, cost_model=_NO_LIMIT)
-    server = QueryServer(ShardedIndexBackend(store), cost_model=_NO_LIMIT)
+    server = QueryServer(ShardedIndexBackend(store))
     with pytest.raises(ValueError, match="mutation_backend"):
         server.run_mixed([], [], [("insert", 0, 1)], [0.0])
 
@@ -397,9 +396,9 @@ def test_apply_with_cost_invalidates_the_cache():
     cache = QueryCache()
     cache.attach(leader)
     backend = CachingBackend(
-        ShardedIndexBackend(store), cache, cost_model=_NO_LIMIT
+        ShardedIndexBackend(store), cache
     )
-    writes = MutationBackend(leader, cost_model=_NO_LIMIT)
+    writes = MutationBackend(leader)
     u, v = next(iter(leader.edges()))
     answer, _ = backend.query_with_cost(u, v)
     assert answer  # warm the cache with a positive

@@ -1,5 +1,6 @@
 """Tests for the request pipeline: admission, batching, deadlines."""
 
+import collections
 import dataclasses
 
 import pytest
@@ -10,6 +11,7 @@ from repro.core.dynamic import DynamicReachabilityIndex
 from repro.graph.generators import social_graph
 from repro.pregel.cost_model import CostModel
 from repro.errors import ShardUnavailableError
+from repro.observe.serve_report import ServeReport
 from repro.baselines.online import OnlineSearcher
 from repro.serve import (
     CachingBackend,
@@ -53,7 +55,7 @@ class _SlowBackend:
 def test_open_loop_serves_everything_when_unloaded(graph, backend):
     pairs = random_pairs(graph.num_vertices, 500, seed=0)
     arrivals = uniform_arrivals(500, rate=1000.0)  # far below capacity
-    report = QueryServer(backend, cost_model=_NO_LIMIT).run_open(pairs, arrivals)
+    report = QueryServer(backend).run_open(pairs, arrivals)
     assert report.mode == "open"
     assert report.served == report.offered == 500
     assert report.shed == 0 and report.deadline_dropped == 0
@@ -68,7 +70,7 @@ def test_overload_sheds_and_terminates():
     # the first 10 are admitted, everything else is shed — and the loop
     # must terminate (this is the "no deadlock" half of the property).
     server = QueryServer(
-        _SlowBackend(1.0), queue_depth=10, batch_size=4, cost_model=_NO_LIMIT
+        _SlowBackend(1.0), queue_depth=10, batch_size=4
     )
     pairs = [(0, 1)] * 1000
     report = server.run_open(pairs, [0.0] * 1000)
@@ -82,10 +84,10 @@ def test_shed_count_scales_with_queue_depth():
     pairs = [(0, 1)] * 200
     arrivals = [0.0] * 200
     small = QueryServer(
-        _SlowBackend(1.0), queue_depth=5, batch_size=4, cost_model=_NO_LIMIT
+        _SlowBackend(1.0), queue_depth=5, batch_size=4
     ).run_open(pairs, arrivals)
     large = QueryServer(
-        _SlowBackend(1.0), queue_depth=100, batch_size=4, cost_model=_NO_LIMIT
+        _SlowBackend(1.0), queue_depth=100, batch_size=4
     ).run_open(pairs, arrivals)
     assert small.shed > large.shed
     assert small.served < large.served
@@ -99,7 +101,6 @@ def test_deadline_drops_late_requests():
         queue_depth=100,
         batch_size=1,
         deadline_seconds=2.5,
-        cost_model=_NO_LIMIT,
     )
     report = server.run_open([(0, 1)] * 50, [0.0] * 50)
     assert report.deadline_dropped > 0
@@ -108,7 +109,7 @@ def test_deadline_drops_late_requests():
 
 
 def test_arrival_validation():
-    server = QueryServer(_SlowBackend(1.0), cost_model=_NO_LIMIT)
+    server = QueryServer(_SlowBackend(1.0))
     with pytest.raises(ValueError, match="one arrival time per pair"):
         server.run_open([(0, 1)], [0.0, 1.0])
     with pytest.raises(ValueError, match="non-decreasing"):
@@ -124,8 +125,6 @@ def test_constructor_validation(backend):
         QueryServer(backend, deadline_seconds=0.0)
     with pytest.raises(ValueError):
         QueryServer(backend).run_closed([(0, 1)], clients=0)
-    with pytest.raises(ValueError):
-        QueryServer(backend).run_closed([(0, 1)], think_seconds=-1.0)
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -158,13 +157,17 @@ def test_settings_that_are_not_counts_or_finite_times_are_refused(
     [
         ("clients", _NAN),
         ("clients", 2.0),
-        ("think_seconds", _NAN),
-        ("think_seconds", _INF),
+        ("clients", 9),
     ],
 )
 def test_closed_loop_settings_are_checked(backend, name, value):
-    with pytest.raises(ValueError, match=name):
-        QueryServer(backend).run_closed([(0, 1)], **{name: value})
+    # More clients than queue slots would shed a client's request and
+    # have it retry at the same instant, spending the whole stream at
+    # once: the loop refuses them, naming both settings.
+    with pytest.raises(ValueError, match=name) as refused:
+        QueryServer(backend, queue_depth=8).run_closed([(0, 1)], **{name: value})
+    if value == 9:
+        assert "queue_depth (8)" in str(refused.value)
 
 
 @pytest.mark.parametrize(
@@ -192,7 +195,7 @@ def test_non_finite_write_arrivals_are_refused(graph):
 
 def test_closed_loop_never_sheds(graph, backend):
     pairs = random_pairs(graph.num_vertices, 400, seed=2)
-    server = QueryServer(backend, queue_depth=8, batch_size=4, cost_model=_NO_LIMIT)
+    server = QueryServer(backend, queue_depth=8, batch_size=4)
     report = server.run_closed(pairs, clients=8)
     assert report.mode == "closed"
     assert report.served == report.offered == 400
@@ -200,14 +203,47 @@ def test_closed_loop_never_sheds(graph, backend):
     assert report.queue_peak <= 8  # in-flight population bounded by clients
 
 
-def test_closed_loop_think_time_stretches_makespan(graph, backend):
-    pairs = random_pairs(graph.num_vertices, 200, seed=3)
-    fast = QueryServer(backend, cost_model=_NO_LIMIT).run_closed(pairs, clients=4)
-    slow = QueryServer(backend, cost_model=_NO_LIMIT).run_closed(
-        pairs, clients=4, think_seconds=1e-3
+def test_closed_loop_deadline_drops_re_arm_their_clients(graph):
+    """A closed loop's other exit: a request dropped at its deadline
+    frees its client, just as a served one does.  The report is the one
+    the heap-driven loop produced, and every offered request leaves
+    exactly one terminal record."""
+    index = build_index(graph, cost_model=_NO_LIMIT).index
+    store = ShardedLabelStore(index, num_shards=4, cost_model=_NO_LIMIT)
+    pairs = random_pairs(graph.num_vertices, 300, seed=4)
+    sink = InMemorySink()
+    with session([sink]):
+        report = QueryServer(
+            ShardedIndexBackend(store),
+            queue_depth=16,
+            batch_size=4,
+            deadline_seconds=8e-6,
+            request_tracing=True,
+        ).run_closed(pairs, clients=12)
+    expected = ServeReport(
+        mode="closed", offered=300, served=130, deadline_dropped=170,
+        positives=109, batches=33, queue_peak=12,
+        makespan_seconds=0.00026106099999999966,
+        mean_seconds=9.456438461538445e-06,
+        p50_seconds=1.0331999999999982e-05,
+        p99_seconds=1.6648000000000007e-05,
+        p999_seconds=1.6697999999999968e-05,
+        max_seconds=1.6697999999999968e-05,
+        shard_loads=[57, 55, 61, 49], shard_skew=1.0990990990990992,
     )
-    assert slow.makespan_seconds > fast.makespan_seconds
-    assert slow.throughput < fast.throughput
+    # The mean is a float sum(), which CPython 3.12 rounds differently.
+    assert report.mean_seconds == pytest.approx(expected.mean_seconds, rel=1e-12)
+    assert dataclasses.replace(report, mean_seconds=expected.mean_seconds) == expected
+    requests = [
+        record["attrs"] for record in sink.records
+        if record.get("name") == "serve.request"
+    ]
+    assert len(requests) == report.offered
+    assert len({attrs["trace_id"] for attrs in requests}) == report.offered
+    outcomes = collections.Counter(attrs["outcome"] for attrs in requests)
+    assert outcomes == {
+        "served": report.served, "deadline": report.deadline_dropped
+    }
 
 
 def test_batching_amortizes_dispatch():
@@ -216,10 +252,10 @@ def test_batching_amortizes_dispatch():
     pairs = [(0, 1)] * 256
     arrivals = [0.0] * 256
     unbatched = QueryServer(
-        _SlowBackend(1e-6), queue_depth=256, batch_size=1, cost_model=_NO_LIMIT
+        _SlowBackend(1e-6), queue_depth=256, batch_size=1
     ).run_open(pairs, arrivals)
     batched = QueryServer(
-        _SlowBackend(1e-6), queue_depth=256, batch_size=64, cost_model=_NO_LIMIT
+        _SlowBackend(1e-6), queue_depth=256, batch_size=64
     ).run_open(pairs, arrivals)
     assert unbatched.batches == 256
     assert batched.batches == 4
@@ -229,10 +265,10 @@ def test_batching_amortizes_dispatch():
 def test_report_includes_cache_counts(graph):
     # Online search under a cache: the report surfaces the cache.
     backend = CachingBackend(
-        OnlineSearcher(graph, _NO_LIMIT), QueryCache(), cost_model=_NO_LIMIT
+        OnlineSearcher(graph, _NO_LIMIT), QueryCache()
     )
     pairs = zipf_pairs(graph.num_vertices, 300, seed=5)
-    report = QueryServer(backend, cost_model=_NO_LIMIT).run_open(
+    report = QueryServer(backend).run_open(
         pairs, poisson_arrivals(300, rate=1000.0, seed=5)
     )
     assert report.cache_hits > 0
@@ -246,7 +282,7 @@ def test_report_includes_cache_counts(graph):
 
 def test_summary_mentions_key_numbers(graph, backend):
     pairs = random_pairs(graph.num_vertices, 100, seed=6)
-    report = QueryServer(backend, cost_model=_NO_LIMIT).run_open(
+    report = QueryServer(backend).run_open(
         pairs, uniform_arrivals(100, rate=1000.0)
     )
     text = report.summary()
@@ -261,7 +297,7 @@ def test_serve_metrics_recorded_under_telemetry_session(tmp_path, graph, backend
     pairs = random_pairs(graph.num_vertices, 120, seed=7)
     path = tmp_path / "serve.jsonl"
     with session([JsonlSink(path)]):
-        server = QueryServer(backend, queue_depth=8, cost_model=_NO_LIMIT)
+        server = QueryServer(backend, queue_depth=8)
         report = server.run_open(pairs, [0.0] * len(pairs))
     assert report.shed and report.batches and report.queue_peak == 8
     (run,) = read_trace(path).spans
@@ -274,7 +310,7 @@ def test_an_untraced_run_in_a_session_still_carries_the_report(graph, backend):
     pairs = random_pairs(graph.num_vertices, 40, seed=9)
     sink = InMemorySink()
     with session([sink]):
-        server = QueryServer(backend, cost_model=_NO_LIMIT, request_tracing=False)
+        server = QueryServer(backend, request_tracing=False)
         report = server.run_open(pairs, uniform_arrivals(40, rate=1000.0))
     assert [r["kind"] for r in sink.records] == ["span"]  # no request records
     assert sink.spans_named("serve.run")[0].attrs == dataclasses.asdict(report)
@@ -300,7 +336,7 @@ class _FlakyBackend:
 
 
 def test_unavailable_shards_count_as_failed_not_served():
-    server = QueryServer(_FlakyBackend(nth=3), cost_model=_NO_LIMIT)
+    server = QueryServer(_FlakyBackend(nth=3))
     report = server.run_open([(0, 1)] * 30, uniform_arrivals(30, rate=100.0))
     assert report.failed == 10
     assert report.served == 20
@@ -314,7 +350,7 @@ def test_an_unavailable_read_records_the_request_and_the_reason():
     sink = InMemorySink()
     with session([sink]):
         report = QueryServer(
-            _FlakyBackend(nth=3), cost_model=_NO_LIMIT, request_tracing=True
+            _FlakyBackend(nth=3), request_tracing=True
         ).run_open([(0, 1)] * 30, uniform_arrivals(30, rate=100.0))
     failed = [
         record["attrs"] for record in sink.records
@@ -332,7 +368,7 @@ def test_an_unavailable_read_records_the_request_and_the_reason():
 
 def test_availability_is_one_when_nothing_fails(graph, backend):
     pairs = random_pairs(graph.num_vertices, 50, seed=2)
-    report = QueryServer(backend, cost_model=_NO_LIMIT).run_open(
+    report = QueryServer(backend).run_open(
         pairs, uniform_arrivals(50, rate=1000.0)
     )
     assert report.failed == 0
@@ -342,7 +378,7 @@ def test_availability_is_one_when_nothing_fails(graph, backend):
 def test_on_advance_hook_sees_a_monotone_clock(graph, backend):
     clocks = []
     server = QueryServer(
-        backend, cost_model=_NO_LIMIT, batch_size=8,
+        backend, batch_size=8,
         on_advance=clocks.append,
     )
     pairs = random_pairs(graph.num_vertices, 100, seed=3)
@@ -369,8 +405,7 @@ def test_replicated_store_drives_end_to_end_failover(graph):
         timeline, store
     )
     server = QueryServer(
-        ShardedIndexBackend(store), cost_model=_NO_LIMIT,
-        on_advance=timeline.advance,
+        ShardedIndexBackend(store), on_advance=timeline.advance,
     )
     pairs = random_pairs(graph.num_vertices, 400, seed=5)
     arrivals = uniform_arrivals(400, rate=400000.0)

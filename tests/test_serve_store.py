@@ -219,10 +219,9 @@ def test_read_of_a_vertex_added_after_construction(graph):
         )
         server = QueryServer(
             ShardedIndexBackend(store),
-            cost_model=_NO_LIMIT,
             on_advance=store.advance,
             mutation_backend=MutationBackend(
-                leader, cost_model=_NO_LIMIT, replicator=replicator
+                leader, replicator=replicator
             ),
         )
         new = leader.num_vertices
@@ -259,7 +258,7 @@ def test_server_lets_the_typed_error_through(index):
     # No layer between a request and the store turns the refusal into an
     # answer: a negative id surfaces like an id past the end.
     store = ShardedLabelStore(index, num_shards=4, cost_model=_NO_LIMIT)
-    server = QueryServer(ShardedIndexBackend(store), cost_model=_NO_LIMIT)
+    server = QueryServer(ShardedIndexBackend(store))
     for bad in ((-2, 3), (index.num_vertices, 0)):
         with pytest.raises(ReproError, match="outside the index"):
             server.run_open([(0, 1), bad], [0.0, 1e-6])

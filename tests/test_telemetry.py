@@ -309,7 +309,7 @@ def test_disabled_telemetry_allocates_no_request_traces(monkeypatch):
     monkeypatch.setattr(pipeline_module, "RequestTrace", Counting)
     backend, pairs, arrivals = _overhead_workload()
     assert current_tracer() is NULL_TRACER  # telemetry off
-    report = QueryServer(backend, cost_model=_NO_LIMIT).run_open(pairs, arrivals)
+    report = QueryServer(backend).run_open(pairs, arrivals)
     assert report.served + report.shed == len(pairs)
     assert created == []  # the hot path allocated zero trace objects
 
@@ -322,7 +322,7 @@ def test_disabled_telemetry_wall_time_overhead_under_5_percent():
     backend, pairs, arrivals = _overhead_workload()
 
     def run_once():
-        server = QueryServer(backend, cost_model=_NO_LIMIT)
+        server = QueryServer(backend)
         start = time.perf_counter()
         server.run_open(pairs, arrivals)
         return time.perf_counter() - start
