@@ -182,11 +182,11 @@ def run_mixed_serve_bench(
     Interleaves a Zipf-skewed read stream (Poisson arrivals at ``rate``)
     with a Poisson write stream at ``write_rate`` — edge inserts/deletes,
     node add/deletes (``node_ratio``) and order upgrades
-    (``promote_ratio``); with both ratios 0 the runner's edge-only
-    ``update_stream`` — through one admission queue, against the full
-    dynamic stack: a writable leader (drift promotes with
-    ``drift_threshold``), ``replicas`` bounded-staleness groups fed by
-    its op log, and a cache invalidated by its listener hooks.
+    (``promote_ratio``; both 0 give edge ops only) — through one
+    admission queue, against the full dynamic stack: a writable leader
+    (drift promotes with ``drift_threshold``), ``replicas``
+    bounded-staleness groups fed by its op log, and a cache invalidated
+    by its listener hooks.
     """
     spec = ScenarioSpec(
         name="serve-bench-mixed",

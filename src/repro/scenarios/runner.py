@@ -37,7 +37,7 @@ from repro.serve.pipeline import QueryServer, ServeReport
 from repro.serve.replica import BoundedStalenessReplicator
 from repro.serve.store import ShardedIndexBackend, ShardedLabelStore
 from repro.telemetry import trace_span
-from repro.workloads.updates import mixed_update_stream, update_stream
+from repro.workloads.updates import mixed_update_stream
 
 
 class AuditingBackend:
@@ -240,24 +240,14 @@ def run_scenario_on(
     stream, times = [], []
     serve_writes = spec.updates is not None and spec.updates.via == "serve"
     if spec.updates is not None:
-        if spec.updates.node_ratio or spec.updates.promote_ratio:
-            stream = mixed_update_stream(
-                graph,
-                spec.updates.count,
-                insert_ratio=spec.updates.insert_ratio,
-                node_ratio=spec.updates.node_ratio,
-                promote_ratio=spec.updates.promote_ratio,
-                seed=spec.updates.seed,
-            )
-        else:
-            # Edge-only bursts keep using the original generator, so
-            # committed scenarios replay byte-identical streams.
-            stream = update_stream(
-                graph,
-                spec.updates.count,
-                insert_ratio=spec.updates.insert_ratio,
-                seed=spec.updates.seed,
-            )
+        stream = mixed_update_stream(
+            graph,
+            spec.updates.count,
+            insert_ratio=spec.updates.insert_ratio,
+            node_ratio=spec.updates.node_ratio,
+            promote_ratio=spec.updates.promote_ratio,
+            seed=spec.updates.seed,
+        )
         times = spec.updates.arrivals()
 
     # --- one schedule on the serving clock: leader writes (unless they

@@ -22,7 +22,6 @@ from repro.workloads.updates import (
     IDEAL_RANK,
     apply_stream,
     mixed_update_stream,
-    update_stream,
 )
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "positive_pairs",
     "random_pairs",
     "uniform_arrivals",
-    "update_stream",
     "mixed_update_stream",
     "IDEAL_RANK",
     "zipf_pairs",

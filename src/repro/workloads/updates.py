@@ -5,10 +5,11 @@ state (insertions pick absent edges, deletions pick present ones, node
 deletions pick alive vertices), for exercising
 :class:`~repro.core.dynamic.DynamicReachabilityIndex`.
 
-:func:`update_stream` is the original edge-only generator and stays
-byte-stable for a given seed (committed scenarios and baselines depend
-on its streams).  :func:`mixed_update_stream` layers node additions,
-node deletions, and order upgrades on top.
+:func:`mixed_update_stream` draws edge inserts and deletes, and with
+its ``node_ratio`` / ``promote_ratio`` node additions, node deletions
+and order upgrades; both ratios 0 give an edge-only stream.  A stream
+is byte-stable for a given seed (committed scenarios and baselines
+replay them).
 """
 
 from __future__ import annotations
@@ -24,56 +25,6 @@ UpdateOp = tuple[Literal["insert", "delete", "add_node", "delete_node", "promote
 #: Sentinel rank in a ``("promote", v, rank)`` op meaning "promote to
 #: the vertex's current degree rank" (resolved by the applier).
 IDEAL_RANK = -1
-
-
-def update_stream(
-    graph: DiGraph,
-    count: int,
-    insert_ratio: float = 0.5,
-    seed: int = 0,
-    max_attempts_factor: int = 200,
-) -> list[UpdateOp]:
-    """A stream of ``count`` valid edge updates starting from ``graph``.
-
-    Each operation is valid at its position in the stream: deletions
-    target an edge that exists at that point, insertions a non-edge.
-    The ratio is honoured in expectation; when one kind runs out (no
-    edges left to delete, or the graph is complete) the other is used.
-    """
-    if not 0.0 <= insert_ratio <= 1.0:
-        raise ValueError("insert_ratio must lie in [0, 1]")
-    n = graph.num_vertices
-    if n < 2:
-        raise ValueError("need at least two vertices to update edges")
-    rng = random.Random(seed)
-    present: set[tuple[int, int]] = set(graph.edges())
-    stream: list[UpdateOp] = []
-    max_edges = n * (n - 1)
-    attempts_budget = max_attempts_factor * max(count, 1)
-
-    while len(stream) < count:
-        want_insert = rng.random() < insert_ratio
-        if want_insert and len(present) >= max_edges:
-            want_insert = False
-        if not want_insert and not present:
-            want_insert = True
-            if len(present) >= max_edges:
-                raise ValueError("graph admits no further updates")
-        if want_insert:
-            while True:
-                attempts_budget -= 1
-                if attempts_budget < 0:
-                    raise ValueError("could not find a missing edge to insert")
-                u, v = rng.randrange(n), rng.randrange(n)
-                if u != v and (u, v) not in present:
-                    break
-            present.add((u, v))
-            stream.append(("insert", u, v))
-        else:
-            u, v = rng.choice(sorted(present))
-            present.discard((u, v))
-            stream.append(("delete", u, v))
-    return stream
 
 
 def mixed_update_stream(
@@ -93,7 +44,9 @@ def mixed_update_stream(
     from the op prefix) and ``delete_node`` of a random alive vertex.
     ``promote_ratio`` of operations are ``("promote", v, IDEAL_RANK)``
     order upgrades of a random alive vertex.  The remainder are edge
-    updates split by ``insert_ratio`` exactly as :func:`update_stream`.
+    updates, inserts with probability ``insert_ratio``; when one kind
+    runs out (no edges left to delete, or no absent edge to insert) the
+    other is used.
     Every op is valid at its position: edge ops target alive endpoints,
     deletions existing edges, node deletions keep >= 2 vertices alive.
     """

@@ -15,7 +15,7 @@ from repro.workloads import (
     apply_stream,
     balanced_pairs,
     get_dataset,
-    update_stream,
+    mixed_update_stream,
 )
 
 _NO_LIMIT = CostModel(time_limit_seconds=None)
@@ -49,7 +49,7 @@ def test_medium_dataset_pipeline_end_to_end(tmp_path):
 def test_dynamic_index_stays_canonical_under_stream():
     graph = web_graph(400, seed=9, copy_prob=0.4, out_links=3)
     dynamic = DynamicReachabilityIndex(graph)
-    stream = update_stream(graph, 40, seed=10)
+    stream = mixed_update_stream(graph, 40, seed=10)
     apply_stream(dynamic, stream)
     current = dynamic.current_graph()
     snapshot = dynamic.snapshot()

@@ -8,7 +8,7 @@ from repro.graph.generators import random_dag, social_graph
 from repro.pregel.cost_model import CostModel
 from repro.serve import CachingBackend, QueryCache, ShardedIndexBackend, ShardedLabelStore
 from repro.workloads.queries import random_pairs
-from repro.workloads.updates import update_stream
+from repro.workloads.updates import mixed_update_stream
 
 _NO_LIMIT = CostModel(time_limit_seconds=None)
 
@@ -113,7 +113,7 @@ def test_attach_and_detach():
     cache.put(0, 1, True)
     cache.put(0, 2, False)
     cache.attach(dynamic)
-    stream = update_stream(graph, 1, insert_ratio=1.0, seed=0)
+    stream = mixed_update_stream(graph, 1, insert_ratio=1.0, seed=0)
     op, u, v = stream[0]
     assert dynamic.insert_edge(u, v)
     assert cache.get(0, 2) is None      # negative evicted by the insert
@@ -196,14 +196,14 @@ def _assert_no_stale_answers(graph, updates, pairs):
 
 def test_no_stale_answer_after_updates_dag():
     graph = random_dag(40, 90, seed=7)
-    updates = update_stream(graph, 12, insert_ratio=0.5, seed=7)
+    updates = mixed_update_stream(graph, 12, insert_ratio=0.5, seed=7)
     pairs = random_pairs(graph.num_vertices, 60, seed=7)
     _assert_no_stale_answers(graph, updates, pairs)
 
 
 def test_no_stale_answer_after_updates_cyclic():
     graph = social_graph(50, seed=4)
-    updates = update_stream(graph, 10, insert_ratio=0.4, seed=4)
+    updates = mixed_update_stream(graph, 10, insert_ratio=0.4, seed=4)
     pairs = random_pairs(graph.num_vertices, 60, seed=4)
     _assert_no_stale_answers(graph, updates, pairs)
 
@@ -220,7 +220,7 @@ def test_stale_answer_without_invalidation_is_the_counterfactual():
     pairs = random_pairs(graph.num_vertices, 200, seed=1)
     for s, t in pairs:
         backend.query_with_cost(s, t)
-    for op, u, v in update_stream(graph, 15, insert_ratio=0.5, seed=9):
+    for op, u, v in mixed_update_stream(graph, 15, insert_ratio=0.5, seed=9):
         if op == "insert":
             dynamic.insert_edge(u, v)
         else:
@@ -303,8 +303,9 @@ def test_update_direction_respects_monotonicity(seed, insert_ratio, count):
     graph = random_dag(_N, 2 * _N, seed=seed)
     dynamic = DynamicReachabilityIndex(graph)
     pairs = random_pairs(_N, 40, seed=seed)
-    for op, u, v in update_stream(graph, count, insert_ratio=insert_ratio,
-                                  seed=seed):
+    for op, u, v in mixed_update_stream(
+        graph, count, insert_ratio=insert_ratio, seed=seed
+    ):
         before = {pair: dynamic.query(*pair) for pair in pairs}
         if op == "insert":
             dynamic.insert_edge(u, v)

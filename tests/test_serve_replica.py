@@ -21,7 +21,7 @@ from repro.serve.store import (
 from repro.telemetry import session
 from repro.telemetry.sinks import InMemorySink
 from repro.workloads.queries import random_pairs
-from repro.workloads.updates import update_stream
+from repro.workloads.updates import mixed_update_stream
 
 _NO_LIMIT = CostModel(time_limit_seconds=None)
 
@@ -232,7 +232,7 @@ def test_replicator_settings_are_checked(name, value):
 def test_follower_lag_and_delivery():
     _, leader, replicator, _ = _replicated_dynamic(delay_seconds=1e-3)
     replicator.note_time(0.0)
-    stream = update_stream(leader.current_graph(), 5, seed=3)
+    stream = mixed_update_stream(leader.current_graph(), 5, seed=3)
     for op, u, v in stream:
         (leader.insert_edge if op == "insert" else leader.delete_edge)(u, v)
     assert replicator.version == 5
@@ -250,7 +250,7 @@ def test_stale_follower_never_contradicts_leader():
     )
     # Insert-only backlog: stale True answers cannot be wrong
     # (monotonicity), stale False answers must be confirmed.
-    stream = update_stream(graph, 30, insert_ratio=1.0, seed=5)
+    stream = mixed_update_stream(graph, 30, insert_ratio=1.0, seed=5)
     for op, u, v in stream:
         (leader.insert_edge if op == "insert" else leader.delete_edge)(u, v)
     oracle = TransitiveClosure(leader.current_graph())
@@ -268,7 +268,7 @@ def test_lag_beyond_bound_forces_catchup():
     graph, leader, replicator, store = _replicated_dynamic(
         delay_seconds=1e9, max_lag=4,
     )
-    for op, u, v in update_stream(graph, 10, seed=8):
+    for op, u, v in mixed_update_stream(graph, 10, seed=8):
         (leader.insert_edge if op == "insert" else leader.delete_edge)(u, v)
     assert replicator.lag(1) == 10
     # Drive reads until one lands on the follower group.
@@ -287,7 +287,7 @@ def test_dead_member_pauses_group_then_catches_up_on_rejoin():
     )
     store.crash_replica(0, 1)
     replicator.note_time(0.0)
-    for op, u, v in update_stream(graph, 6, seed=11):
+    for op, u, v in mixed_update_stream(graph, 6, seed=11):
         (leader.insert_edge if op == "insert" else leader.delete_edge)(u, v)
     store.advance(1.0)  # delivery runs, but group 1 is paused
     assert replicator.lag(1) == 6
@@ -320,7 +320,7 @@ def test_failover_event_carries_timestamp_and_log_version():
     )
     sink = InMemorySink()
     replicator.note_time(0.0)
-    for op, u, v in update_stream(graph, 4, seed=13):
+    for op, u, v in mixed_update_stream(graph, 4, seed=13):
         (leader.insert_edge if op == "insert" else leader.delete_edge)(u, v)
     assert replicator.version == 4
 
@@ -351,7 +351,7 @@ def test_lag_samples_reach_listeners_but_not_the_event_log():
         return [e.attrs for e in sink.events if e.name == "replica.lag"]
 
     replicator.note_time(0.0)
-    for op, u, v in update_stream(graph, 5, seed=14):
+    for op, u, v in mixed_update_stream(graph, 5, seed=14):
         (leader.insert_edge if op == "insert" else leader.delete_edge)(u, v)
     with session([sink]):
         store.advance(1e-4)  # before delivery: follower group 1 lags by 5

@@ -170,9 +170,11 @@ def _assert_same(got, want, path):
 
 @pytest.mark.parametrize("name", ["write_storm", "shard_loss_write_burst"])
 def test_scenario_report_matches_the_op_replay_golden(name):
-    """The golden reports were written by the parent commit, whose
-    followers re-ran maintenance per op; physical replication must not
-    move a single simulated figure, event, or audit count."""
+    """The golden reports were written while followers re-ran
+    maintenance per op; physical replication must not move a single
+    simulated figure, event, or audit count.  (shard_loss_write_burst's
+    was re-taken when its edge-only burst moved to
+    ``mixed_update_stream``, which draws a different stream.)"""
     result = run_scenario_file(library_scenarios()[name])
     golden = json.loads((_DATA / f"scenario-{name}.json").read_text())
     _assert_same(json.loads(json.dumps(result.to_dict())), golden, name)

@@ -1,4 +1,5 @@
-"""Tests for edge-update streams."""
+"""Tests for update streams: edge-only (both node and promote ratios
+0) and mixed."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,16 @@ from repro.core.dynamic import DynamicReachabilityIndex
 from repro.core.tol import tol_index
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_digraph
-from repro.workloads.updates import apply_stream, update_stream
+from repro.workloads.updates import (
+    IDEAL_RANK,
+    apply_stream,
+    mixed_update_stream,
+)
 
 
 def test_stream_validity():
     g = random_digraph(20, 60, seed=1)
-    stream = update_stream(g, 50, seed=2)
+    stream = mixed_update_stream(g, 50, seed=2)
     assert len(stream) == 50
     present = set(g.edges())
     for op, u, v in stream:
@@ -28,21 +33,22 @@ def test_stream_validity():
 
 def test_stream_deterministic():
     g = random_digraph(15, 40, seed=3)
-    assert update_stream(g, 30, seed=4) == update_stream(g, 30, seed=4)
-    assert update_stream(g, 30, seed=4) != update_stream(g, 30, seed=5)
+    stream = mixed_update_stream(g, 30, seed=4)
+    assert stream == mixed_update_stream(g, 30, seed=4)
+    assert stream != mixed_update_stream(g, 30, seed=5)
 
 
 def test_insert_only_and_delete_only():
     g = random_digraph(15, 40, seed=6)
-    inserts = update_stream(g, 20, insert_ratio=1.0, seed=7)
+    inserts = mixed_update_stream(g, 20, insert_ratio=1.0, seed=7)
     assert all(op == "insert" for op, _u, _v in inserts)
-    deletes = update_stream(g, 20, insert_ratio=0.0, seed=8)
+    deletes = mixed_update_stream(g, 20, insert_ratio=0.0, seed=8)
     assert all(op == "delete" for op, _u, _v in deletes)
 
 
 def test_delete_only_falls_back_when_empty():
     g = DiGraph(3, [(0, 1)])
-    stream = update_stream(g, 3, insert_ratio=0.0, seed=9)
+    stream = mixed_update_stream(g, 3, insert_ratio=0.0, seed=9)
     # One real deletion, then forced insertions.
     assert stream[0] == ("delete", 0, 1)
     assert stream[1][0] == "insert"
@@ -51,16 +57,16 @@ def test_delete_only_falls_back_when_empty():
 def test_invalid_parameters():
     g = DiGraph(3, [])
     with pytest.raises(ValueError):
-        update_stream(g, 5, insert_ratio=1.5)
+        mixed_update_stream(g, 5, insert_ratio=1.5)
     with pytest.raises(ValueError):
-        update_stream(DiGraph(1, []), 5)
+        mixed_update_stream(DiGraph(1, []), 5)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(3, 10), st.integers(0, 30))
 def test_property_stream_applies_exactly(n, count):
     g = random_digraph(n, min(2 * n, n * (n - 1)), seed=n)
-    stream = update_stream(g, count, seed=count)
+    stream = mixed_update_stream(g, count, seed=count)
     dynamic = DynamicReachabilityIndex(g)
     apply_stream(dynamic, stream)
     # Edge set evolves exactly as the stream dictates.
@@ -81,8 +87,6 @@ def test_property_stream_applies_exactly(n, count):
 # Mixed streams: node ops and order upgrades
 # ----------------------------------------------------------------------
 def test_mixed_stream_validity_at_position():
-    from repro.workloads.updates import IDEAL_RANK, mixed_update_stream
-
     g = random_digraph(15, 40, seed=21)
     stream = mixed_update_stream(
         g, 60, node_ratio=0.3, promote_ratio=0.2, seed=22
@@ -115,19 +119,12 @@ def test_mixed_stream_validity_at_position():
 
 
 def test_mixed_stream_edge_only_when_ratios_zero():
-    from repro.workloads.updates import mixed_update_stream
-
     g = random_digraph(15, 40, seed=23)
     stream = mixed_update_stream(g, 30, seed=24)
     assert all(op in ("insert", "delete") for op, _, _ in stream)
-    # Determinism: same seed, same stream; different seed, different.
-    assert stream == mixed_update_stream(g, 30, seed=24)
-    assert stream != mixed_update_stream(g, 30, seed=25)
 
 
 def test_mixed_stream_invalid_ratios():
-    from repro.workloads.updates import mixed_update_stream
-
     g = random_digraph(6, 10, seed=1)
     with pytest.raises(ValueError):
         mixed_update_stream(g, 5, node_ratio=-0.1)
@@ -140,8 +137,6 @@ def test_mixed_stream_invalid_ratios():
 @settings(max_examples=15, deadline=None)
 @given(st.integers(4, 10), st.integers(0, 25))
 def test_property_mixed_stream_applies_exactly(n, count):
-    from repro.workloads.updates import mixed_update_stream
-
     g = random_digraph(n, min(2 * n, n * (n - 1)), seed=n)
     stream = mixed_update_stream(
         g, count, node_ratio=0.25, promote_ratio=0.15, seed=count
@@ -157,8 +152,6 @@ def reference_mixed_stream(graph, count, insert_ratio, node_ratio, promote_ratio
     """``mixed_update_stream`` as it drew before it kept its sorted lists:
     it sorted the alive ids and the edge set again at every draw."""
     import random
-
-    from repro.workloads.updates import IDEAL_RANK
 
     rng = random.Random(seed)
     present = set(graph.edges())
@@ -221,8 +214,6 @@ def test_mixed_stream_draws_what_sorting_at_every_draw_drew(
 ):
     # Committed scenarios and the serve-bench baselines replay these
     # streams, so keeping the sorted lists must not move a single draw.
-    from repro.workloads.updates import mixed_update_stream
-
     g = random_digraph(n, min(2 * n, n * (n - 1)), seed=seed)
     args = (insert_ratio, node_ratio, promote_ratio, seed)
     assert mixed_update_stream(g, count, *args) == reference_mixed_stream(
