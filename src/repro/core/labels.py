@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.pregel.metrics import RunStats
 
 _INDEX_MAGIC = b"RLIX"
-_INDEX_VERSION_ROWS = 1  # fixed-width rows; read-only since the table
 _INDEX_VERSION_COMPRESSED = 2  # delta-varint rows (``compress=True``)
 _INDEX_VERSION = 3  # the packed table, verbatim
 _HEADER = struct.Struct("<4sIQ")  # magic, version, vertices
@@ -323,11 +322,14 @@ class ReachabilityIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "ReachabilityIndex":
-        """Read an index written by :meth:`save` (any format version).
+        """Read an index written by :meth:`save` (format 3, or format 2
+        with ``compress=True``).
 
         Raises :class:`~repro.errors.IndexFormatError` for a file that is
-        not an index, is truncated, has trailing bytes or (format 3) does
-        not match its checksum."""
+        not an index, is of another format version (format 1, the
+        fixed-width rows nothing writes any more, among them), is
+        truncated, has trailing bytes or (format 3) does not match its
+        checksum."""
         data = Path(path).read_bytes()
         version, n = _header(data, path)
         if version == _INDEX_VERSION:
@@ -335,11 +337,6 @@ class ReachabilityIndex:
         if version == _INDEX_VERSION_COMPRESSED:  # rows of varint gaps
             gaps = _rows(_varints(data, _HEADER.size, path), 2 * n, len(data), path)
             rows = [list(accumulate(row)) for row in gaps]
-        elif version == _INDEX_VERSION_ROWS:  # rows of 64-bit words
-            if len(data) % 8:
-                raise IndexFormatError(f"{path}: truncated label payload")
-            words = memoryview(data)[_HEADER.size :].cast("q")
-            rows = _rows(iter(words), 2 * n, len(data), path)
         else:
             raise IndexFormatError(f"{path}: unsupported index version {version}")
         return cls(rows[:n], rows[n:])

@@ -3,8 +3,8 @@
 The oracle is the representation it replaced: sorted id rows and the
 two-pointer merge, kept here.  Every property runs with the mask width
 ``_K`` forced to 0 (tail-only rows), 1, 8 (mixed rows) and the default
-(prefix-only rows at these sizes).  The format-1 writer also lives on
-only here, so files written by earlier versions keep loading.
+(prefix-only rows at these sizes).  The format-1 writer (fixed-width
+rows) lives on only here, to check that such a file is refused.
 """
 
 import struct
@@ -116,7 +116,8 @@ def check_against_oracle(ins, outs, tmp_path):
     assert packed.read_bytes() == v2_bytes(ins, outs)
     assert ReachabilityIndex.load(packed) == index
     first.write_bytes(v1_bytes(ins, outs))
-    assert ReachabilityIndex.load(first) == index
+    with pytest.raises(IndexFormatError, match="unsupported index version 1"):
+        ReachabilityIndex.load(first)
     return index
 
 
@@ -212,7 +213,8 @@ def test_statistics_do_not_walk_rows():
 
 
 # ----------------------------------------------------------------------
-# Files: corruption is a typed error, old formats keep loading
+# Files: corruption is a typed error, format 2 keeps loading, format 1
+# is refused
 # ----------------------------------------------------------------------
 def _files(tmp_path):
     index = tol_index(citation_graph(60, seed=2))
@@ -256,8 +258,12 @@ def test_truncation_and_trailing_bytes_are_typed(tmp_path, version):
         with pytest.raises(IndexFormatError):
             ReachabilityIndex.load(path)
     path.write_bytes(data)
-    assert ReachabilityIndex.load(path) == index
     assert index_file_version(path) == version
+    if version == 1:  # whole or damaged, a format-1 file is refused
+        with pytest.raises(IndexFormatError, match="unsupported index version 1"):
+            ReachabilityIndex.load(path)
+    else:
+        assert ReachabilityIndex.load(path) == index
 
 
 def test_every_bit_flip_at_a_section_boundary_is_typed(tmp_path):
@@ -279,10 +285,10 @@ def test_every_bit_flip_at_a_section_boundary_is_typed(tmp_path):
 
 @pytest.mark.parametrize("version", [1, 2])
 def test_header_and_count_flips_in_the_row_formats_are_typed(tmp_path, version):
-    # Formats 1 and 2 carry no checksum, so a flipped id is just another
-    # id (and a flipped varint count can re-synchronise); what must not
-    # happen is a flipped magic, version or vertex count — or, with
-    # fixed-width rows, row count — loading as if nothing were wrong.
+    # Format 2 carries no checksum, so a flipped id is just another id
+    # (and a flipped varint count can re-synchronise); what must not
+    # happen is a flipped magic, version or vertex count loading as if
+    # nothing were wrong.  Format 1 is refused whatever flips.
     index, files = _files(tmp_path)
     data = files[version]
     path = tmp_path / "flipped.idx"
