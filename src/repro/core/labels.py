@@ -326,10 +326,9 @@ class ReachabilityIndex:
         with ``compress=True``).
 
         Raises :class:`~repro.errors.IndexFormatError` for a file that is
-        not an index, is of another format version (format 1, the
-        fixed-width rows nothing writes any more, among them), is
-        truncated, has trailing bytes or (format 3) does not match its
-        checksum."""
+        not an index, has another version (format 1's fixed-width rows
+        among them), is truncated, has trailing bytes or (format 3) does
+        not match its checksum."""
         data = Path(path).read_bytes()
         version, n = _header(data, path)
         if version == _INDEX_VERSION:

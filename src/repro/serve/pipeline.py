@@ -388,13 +388,13 @@ class QueryServer:
         """Run totals kept by the layers themselves: cache and shard
         numbers off the backend chain, write outcomes off the writer."""
         stats: dict = {}
-        writes = self._mutation_backend
-        if writes is not None:
+        writer = self._mutation_backend
+        if writer is not None:
             stats.update(
-                mutations_applied=writes.applied,
-                mutations_noop=writes.noops,
-                mutations_rejected=writes.rejected,
-                staleness_window_seconds=writes.staleness_window_seconds,
+                mutations_applied=writer.applied,
+                mutations_noop=writer.noops,
+                mutations_rejected=writer.rejected,
+                staleness_window_seconds=writer.staleness_window_seconds,
             )
         for layer in _chain(self._backend):
             cache = getattr(layer, "cache", None)

@@ -205,9 +205,9 @@ def test_closed_loop_never_sheds(graph, backend):
 
 def test_closed_loop_deadline_drops_re_arm_their_clients(graph):
     """A closed loop's other exit: a request dropped at its deadline
-    frees its client, just as a served one does.  The report is the one
-    the heap-driven loop produced, and every offered request leaves
-    exactly one terminal record."""
+    frees its client, just as a served one does.  The report is pinned
+    figure for figure, and every offered request leaves exactly one
+    terminal record."""
     index = build_index(graph, cost_model=_NO_LIMIT).index
     store = ShardedLabelStore(index, num_shards=4, cost_model=_NO_LIMIT)
     pairs = random_pairs(graph.num_vertices, 300, seed=4)
