@@ -12,17 +12,23 @@ from __future__ import annotations
 from conftest import FAST, save_and_print
 
 from repro.graph.generators import social_graph
-from repro.scenarios.bench import caching_speedup, run_serve_bench
+from repro.scenarios import ScenarioSpec, ServingSpec, TrafficSpec
+from repro.scenarios.bench import caching_speedup, serve_bench
 
 VERTICES = 5_000 if FAST else 50_000
 REQUESTS = 10_000 if FAST else 40_000
 
+# serve-bench's default stack: one copy of 8 hash shards, a 65 536-entry
+# cache, Zipf 1.4 pairs arriving as a Poisson stream at 2M requests/s.
+SPEC = ScenarioSpec(
+    name="serve-bench",
+    traffic=TrafficSpec(requests=REQUESTS, skew=1.4, rate=2_000_000.0, arrivals_seed=7),
+    serving=ServingSpec(shards=8, replicas=1, cache_size=65536),
+)
+
 
 def _run():
-    graph = social_graph(VERTICES, seed=11)
-    return run_serve_bench(
-        graph, shards=8, requests=REQUESTS, rate=2_000_000.0, zipf=1.4
-    )
+    return serve_bench(SPEC, social_graph(VERTICES, seed=11))
 
 
 def test_serve_cached_vs_uncached(benchmark):

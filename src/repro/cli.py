@@ -816,13 +816,50 @@ def _gate_on_baseline(args, name: str, tables: list) -> int:
     return exit_code
 
 
-def _cmd_serve_bench(args) -> int:
-    from repro.scenarios.bench import (
-        caching_speedup,
-        run_mixed_serve_bench,
-        run_serve_bench,
+def _serve_bench_spec(args):
+    """The one :class:`~repro.scenarios.spec.ScenarioSpec` serve-bench's
+    flags name: its defaults are the flags'.  ``--mode mixed`` adds a
+    writable leader, its replicas and a served write stream."""
+    from repro.scenarios.spec import (
+        GraphSpec,
+        ReplicationSpec,
+        ScenarioSpec,
+        ServingSpec,
+        TrafficSpec,
+        UpdatesSpec,
     )
-    from repro.scenarios.spec import GraphSpec
+
+    mixed = args.mode == "mixed"
+    return ScenarioSpec(
+        name="serve-bench-mixed" if mixed else "serve-bench",
+        graph=GraphSpec(kind=args.kind, vertices=args.vertices, seed=args.seed),
+        traffic=TrafficSpec(
+            requests=args.requests, skew=args.zipf, pairs_seed=args.seed,
+            shape=args.arrival, rate=args.rate, arrivals_seed=args.seed + 7,
+            clients=args.clients if args.arrival == "closed" else None,
+        ),
+        serving=ServingSpec(
+            shards=args.shards, partitioner=args.partitioner,
+            replicas=args.replicas if mixed else 1,
+            cache_size=args.cache_size,
+            negative_cache=not args.no_negative_cache,
+            queue_depth=args.queue_depth, batch_size=args.batch_size,
+            deadline_seconds=args.deadline,
+        ),
+        replication=ReplicationSpec(
+            delay_seconds=args.replication_delay, max_lag=args.max_lag
+        ) if mixed else None,
+        updates=UpdatesSpec(
+            count=args.writes, insert_ratio=args.insert_ratio,
+            node_ratio=args.node_ratio, promote_ratio=args.promote_ratio,
+            seed=args.seed + 13, via="serve", rate=args.write_rate,
+            drift_threshold=args.drift_threshold,
+        ) if mixed else None,
+    )
+
+
+def _cmd_serve_bench(args) -> int:
+    from repro.scenarios.bench import caching_speedup, serve_bench
 
     if args.cache_only and args.no_cache:
         print("error: --cache-only and --no-cache exclude each other",
@@ -832,48 +869,17 @@ def _cmd_serve_bench(args) -> int:
         print("error: --node-ratio + --promote-ratio must not exceed 1, got "
               f"{args.node_ratio:g} + {args.promote_ratio:g}", file=sys.stderr)
         return 2
-    if args.graph is not None:
-        graph = read_edge_list(args.graph)
-    else:
-        # The bench generates it, and each row's spec names it.
-        graph = GraphSpec(kind=args.kind, vertices=args.vertices, seed=args.seed)
-    # The read-only bench is the mixed one without a leader and writes:
-    # both take the same workload and stack settings.
-    stack = dict(
-        shards=args.shards,
-        partitioner=args.partitioner,
-        requests=args.requests,
-        rate=args.rate,
-        zipf=args.zipf,
-        cache_size=args.cache_size,
-        negative_cache=not args.no_negative_cache,
-        queue_depth=args.queue_depth,
-        batch_size=args.batch_size,
-        deadline_seconds=args.deadline,
-        seed=args.seed,
-        with_cache=not args.no_cache,
-        without_cache=not args.cache_only,
+    # An edge-list file is served as given; without one, the bench
+    # generates the graph the spec names.
+    graph = read_edge_list(args.graph) if args.graph is not None else None
+    spec = _serve_bench_spec(args)
+    rows = tuple(
+        row for row, wanted in (
+            ("cached", not args.no_cache), ("uncached", not args.cache_only)
+        ) if wanted
     )
-    baseline_name = "serve-bench-mixed" if args.mode == "mixed" else "serve-bench"
     try:
-        if args.mode == "mixed":
-            table, results = run_mixed_serve_bench(
-                graph,
-                writes=args.writes,
-                write_rate=args.write_rate,
-                insert_ratio=args.insert_ratio,
-                node_ratio=args.node_ratio,
-                promote_ratio=args.promote_ratio,
-                replicas=args.replicas,
-                replication_delay=args.replication_delay,
-                max_lag=args.max_lag,
-                drift_threshold=args.drift_threshold,
-                **stack,
-            )
-        else:
-            table, results = run_serve_bench(
-                graph, arrival=args.arrival, clients=args.clients, **stack
-            )
+        table, results = serve_bench(spec, graph, rows)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -905,7 +911,7 @@ def _cmd_serve_bench(args) -> int:
             args.report, json_module.dumps(payload, indent=2) + "\n"
         )
         print(f"report written to {args.report}", file=sys.stderr)
-    return _gate_on_baseline(args, baseline_name, [table])
+    return _gate_on_baseline(args, spec.name, [table])
 
 
 def _cmd_scenario(args) -> int:

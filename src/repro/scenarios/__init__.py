@@ -12,11 +12,11 @@ being re-proven, and CI keeps them honest on every PR.
   (:class:`ScenarioSpec` and friends, :func:`load_scenario`, the
   committed :func:`library_scenarios`);
 - :mod:`~repro.scenarios.runner` — execution + expectation grading +
-  the per-version correctness audit (:func:`run_scenario`, or
-  :func:`run_scenario_on` on a graph of the caller's), the one place
-  that stacks store → cache → server;
-- :mod:`~repro.scenarios.bench` — ``repro serve-bench``: a spec per
-  row (uncached = ``cache_size=0``), run and tabulated.
+  the per-version correctness audit (:func:`run_scenario`, on the
+  graph the spec names or one of the caller's), the one place that
+  stacks store → cache → server;
+- :mod:`~repro.scenarios.bench` — ``repro serve-bench``: one spec,
+  run once per row (uncached = ``cache_size=0``) and tabulated.
 
 The committed library (``repro/scenarios/library/*.json``) covers:
 flash crowd, diurnal wave, hot-key storm, shard loss during a write
@@ -28,8 +28,6 @@ from repro.scenarios.runner import (
     ExpectationCheck,
     ScenarioResult,
     run_scenario,
-    run_scenario_file,
-    run_scenario_on,
     write_scenario_report,
 )
 from repro.scenarios.spec import (
@@ -64,7 +62,5 @@ __all__ = [
     "library_scenarios",
     "load_scenario",
     "run_scenario",
-    "run_scenario_file",
-    "run_scenario_on",
     "write_scenario_report",
 ]

@@ -29,7 +29,7 @@ from repro.core.tol import tol_index
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import PARTITIONER_STRATEGIES
 from repro.graph.traversal import reachable_set
-from repro.scenarios.spec import EXPECTATIONS, ScenarioSpec, load_scenario
+from repro.scenarios.spec import EXPECTATIONS, ScenarioSpec
 from repro.serve.cache import CachingBackend, QueryCache
 from repro.serve.mutation import MutationBackend
 from repro.serve.faults import Timeline
@@ -163,14 +163,6 @@ class ScenarioResult:
         }
 
 
-def run_scenario(
-    spec: ScenarioSpec, request_tracing: bool | None = None
-) -> ScenarioResult:
-    """Execute one scenario on the graph it names and grade its
-    expectations."""
-    return run_scenario_on(spec, spec.graph.build(), request_tracing)
-
-
 def serving_index(spec: ScenarioSpec, graph: DiGraph):
     """The index ``spec`` serves over ``graph``: a writable leader when
     the spec is dynamic, else a static TOL index."""
@@ -181,17 +173,21 @@ def serving_index(spec: ScenarioSpec, graph: DiGraph):
         return tol_index(graph)
 
 
-def run_scenario_on(
+def run_scenario(
     spec: ScenarioSpec,
-    graph: DiGraph,
-    request_tracing: bool | None = None,
+    graph: DiGraph | None = None,
+    *,
     index=None,
+    request_tracing: bool | None = None,
 ) -> ScenarioResult:
-    """Execute ``spec`` on ``graph`` (``spec.graph`` is not read) and
-    grade its expectations.  ``index`` is a static index of ``graph``
-    from :func:`serving_index`, for callers that serve one graph more
-    than once (serve-bench's rows); a dynamic spec writes to its
-    leader, so it always builds its own."""
+    """Execute ``spec`` and grade its expectations.  It serves the graph
+    ``spec.graph`` names, or ``graph`` when one is given (``spec.graph``
+    is then not read).  ``index`` is a static index of that graph from
+    :func:`serving_index`, for callers that serve one graph more than
+    once (serve-bench's rows); a dynamic spec writes to its leader, so
+    it always builds its own."""
+    if graph is None:
+        graph = spec.graph.build()
     serving = spec.serving
     partitioner = PARTITIONER_STRATEGIES[serving.partitioner](
         serving.shards, graph.num_vertices
@@ -373,13 +369,6 @@ def _grade(
             ok = actual <= expected
         checks.append(ExpectationCheck(name, float(expected), float(actual), ok))
     return checks
-
-
-def run_scenario_file(
-    path: str | Path, request_tracing: bool | None = None
-) -> ScenarioResult:
-    """Load and run one scenario file."""
-    return run_scenario(load_scenario(path), request_tracing=request_tracing)
 
 
 def write_scenario_report(

@@ -221,6 +221,16 @@ class TrafficSpec:
         return pairs, arrivals
 
 
+#: The ``traffic`` block's two sub-blocks: each file key → the
+#: :class:`TrafficSpec` field it sets.
+_TRAFFIC_KEYS = {
+    "pairs": {"count": "requests", "skew": "skew", "seed": "pairs_seed"},
+    "arrivals": {"shape": "shape", "rate": "rate", "seed": "arrivals_seed",
+                 "phases": "phases", "amplitude": "amplitude",
+                 "period_seconds": "period_seconds", "clients": "clients"},
+}
+
+
 @dataclass(frozen=True)
 class ServingSpec:
     """Store, replica, cache, and pipeline configuration."""
@@ -401,34 +411,21 @@ class ScenarioSpec:
         graph = _block(GraphSpec, raw.get("graph", {}), "graph")
 
         traffic_raw = dict(raw.get("traffic", {}))
-        _reject_unknown(traffic_raw, {"pairs", "arrivals"}, "traffic")
-        pairs_raw = dict(traffic_raw.get("pairs", {}))
-        _reject_unknown(pairs_raw, {"count", "skew", "seed"}, "traffic.pairs")
-        arrivals_raw = dict(traffic_raw.get("arrivals", {}))
-        _reject_unknown(
-            arrivals_raw,
-            {"shape", "rate", "seed", "phases", "amplitude", "period_seconds", "clients"},
-            "traffic.arrivals",
-        )
-        phases = arrivals_raw.get("phases", ())
-        try:
-            phases = tuple((int(c), float(r)) for c, r in phases)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioSpecError(
-                "traffic.arrivals.phases must be [count, rate] rows"
-            ) from exc
-        traffic = TrafficSpec(
-            requests=pairs_raw.get("count", 2000),
-            skew=pairs_raw.get("skew", 1.1),
-            pairs_seed=pairs_raw.get("seed", 0),
-            shape=arrivals_raw.get("shape", "poisson"),
-            rate=arrivals_raw.get("rate", 400_000.0),
-            arrivals_seed=arrivals_raw.get("seed", 0),
-            phases=phases,
-            amplitude=arrivals_raw.get("amplitude", 0.5),
-            period_seconds=arrivals_raw.get("period_seconds", 0.002),
-            clients=arrivals_raw.get("clients"),
-        )
+        _reject_unknown(traffic_raw, set(_TRAFFIC_KEYS), "traffic")
+        # Only the keys the file names: TrafficSpec holds the defaults.
+        named = {}
+        for block, fields in _TRAFFIC_KEYS.items():
+            block_raw = dict(traffic_raw.get(block, {}))
+            _reject_unknown(block_raw, set(fields), f"traffic.{block}")
+            named.update((fields[key], value) for key, value in block_raw.items())
+        if "phases" in named:
+            try:
+                named["phases"] = tuple((int(c), float(r)) for c, r in named["phases"])
+            except (TypeError, ValueError) as exc:
+                raise ScenarioSpecError(
+                    "traffic.arrivals.phases must be [count, rate] rows"
+                ) from exc
+        traffic = TrafficSpec(**named)
 
         serving = _block(ServingSpec, raw.get("serving", {}), "serving")
         replication = updates = None

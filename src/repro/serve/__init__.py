@@ -30,7 +30,7 @@ the ROADMAP's north star asks for.  Bottom to top:
   read/write runs (:meth:`QueryServer.run_mixed`).
 
 One place stacks these layers: the scenario runner
-(:func:`repro.scenarios.run_scenario_on`), which serve-bench runs too.
+(:func:`repro.scenarios.run_scenario`), which serve-bench runs too.
 
 Architecture and a glossary of the run totals
 (each named by the record it is read from) live in

@@ -68,6 +68,9 @@ def mixed_update_stream(
     # every op: each draw indexes the order sorting them would give,
     # without a sort per op.
     edges = sorted(present)
+    # The sources of the edges inserted into each vertex: with the
+    # graph's own in-edges, every edge a node delete may have to cut.
+    inserted_into: dict[int, set[int]] = {}
     alive = list(range(n))
     next_id = n
     stream: list[UpdateOp] = []
@@ -94,8 +97,18 @@ def mixed_update_stream(
             else:
                 v = rng.choice(alive)
                 alive.remove(v)
-                edges = [(a, b) for a, b in edges if a != v and b != v]
-                present = set(edges)
+                # Its out-edges are one slice of the sorted list.
+                lo, hi = bisect_left(edges, (v,)), bisect_left(edges, (v + 1,))
+                cut = edges[lo:hi]
+                del edges[lo:hi]
+                sources = inserted_into.pop(v, set())
+                if v < n:
+                    sources.update(graph.in_neighbors(v))
+                for a in sources:
+                    if (a, v) in present:
+                        cut.append((a, v))
+                        del edges[bisect_left(edges, (a, v))]
+                present.difference_update(cut)
                 stream.append(("delete_node", v, v))
         elif roll < node_ratio + promote_ratio:
             v = rng.choice(alive)
@@ -113,6 +126,7 @@ def mixed_update_stream(
                     continue
                 present.add(edge)
                 insort(edges, edge)
+                inserted_into.setdefault(edge[1], set()).add(edge[0])
                 stream.append(("insert", *edge))
             else:
                 u, v = rng.choice(edges)

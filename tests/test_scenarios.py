@@ -13,7 +13,6 @@ from repro.scenarios import (
     library_scenarios,
     load_scenario,
     run_scenario,
-    run_scenario_file,
     write_scenario_report,
 )
 
@@ -41,6 +40,19 @@ def test_from_dict_to_dict_round_trip():
     spec = ScenarioSpec.from_dict(_tiny_raw())
     again = ScenarioSpec.from_dict(spec.to_dict())
     assert again == spec
+
+
+def test_traffic_keys_a_file_leaves_out_keep_the_spec_defaults():
+    from repro.scenarios import TrafficSpec
+
+    assert ScenarioSpec.from_dict({"name": "bare"}).traffic == TrafficSpec()
+    named = ScenarioSpec.from_dict({
+        "name": "some",
+        "traffic": {"pairs": {"seed": 4}, "arrivals": {"seed": 9, "rate": 5.0}},
+    })
+    assert named.traffic == TrafficSpec(pairs_seed=4, arrivals_seed=9, rate=5.0)
+    with pytest.raises(ScenarioSpecError, match="traffic.pairs has unknown"):
+        ScenarioSpec.from_dict({"name": "x", "traffic": {"pairs": {"rate": 1.0}}})
 
 
 def test_unknown_top_level_key_rejected():
@@ -343,17 +355,17 @@ def test_poisson_writes_run_at_their_rate():
 
 
 def test_a_shared_index_serves_static_specs_alone():
-    from repro.scenarios.runner import run_scenario_on, serving_index
+    from repro.scenarios.runner import serving_index
 
     static = ScenarioSpec.from_dict(_tiny_raw())
     graph = static.graph.build()
     index = serving_index(static, graph)
-    assert run_scenario_on(static, graph, index=index).to_dict() == run_scenario(static).to_dict()
+    assert run_scenario(static, graph, index=index).to_dict() == run_scenario(static).to_dict()
     # A dynamic spec writes to its leader, so a shared one would leak
     # one run's writes into the next.
     dynamic = ScenarioSpec.from_dict(_tiny_raw(updates={"count": 2}))
     with pytest.raises(ValueError, match="builds its own leader"):
-        run_scenario_on(dynamic, graph, index=index)
+        run_scenario(dynamic, graph, index=index)
 
 
 def test_closed_loop_scenario_audits_every_answer():
@@ -420,7 +432,7 @@ def test_result_to_dict_is_json_serializable():
 def test_run_scenario_file_and_report(tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(_tiny_raw()))
-    result = run_scenario_file(path)
+    result = run_scenario(load_scenario(path))
     assert result.ok
     report_path = tmp_path / "out" / "report.json"
     report_path.parent.mkdir()
@@ -447,13 +459,13 @@ def test_library_has_the_documented_scenarios():
      "shard_loss_write_burst", "cache_stampede", "write_storm"]
 ))
 def test_library_scenario_passes(name):
-    result = run_scenario_file(library_scenarios()[name])
+    result = run_scenario(load_scenario(library_scenarios()[name]))
     assert result.ok, result.render()
     assert result.incorrect_answers == 0
 
 
 def test_flagship_scenario_fails_over_with_zero_wrong_answers():
-    result = run_scenario_file(library_scenarios()["shard_loss_write_burst"])
+    result = run_scenario(load_scenario(library_scenarios()["shard_loss_write_burst"]))
     assert result.report.failovers >= 1
     assert result.incorrect_answers == 0
     assert result.report.confirmed_reads > 0

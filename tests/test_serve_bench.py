@@ -1,13 +1,22 @@
 """Tests for the serve-bench runner and its CLI subcommand."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, _serve_bench_spec, main
 from repro.graph.generators import social_graph
 from repro.scenarios import ScenarioSpecError
-from repro.scenarios.bench import COLUMNS, caching_speedup, run_serve_bench
+from repro.scenarios.bench import COLUMNS, caching_speedup, serve_bench
+
+_BASELINES = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
+
+
+def _spec(*flags):
+    """The spec ``repro serve-bench FLAGS`` runs."""
+    return _serve_bench_spec(_build_parser().parse_args(["serve-bench", *flags]))
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +25,7 @@ def graph():
 
 
 def test_run_serve_bench_table_shape(graph):
-    table, results = run_serve_bench(graph, shards=4, requests=2000)
+    table, results = serve_bench(_spec("--shards", "4", "--requests", "2000"), graph)
     assert set(results) == {"cached", "uncached"}
     for row in ("cached", "uncached"):
         for column in COLUMNS:
@@ -30,34 +39,37 @@ def test_run_serve_bench_table_shape(graph):
 
 
 def test_run_serve_bench_is_deterministic(graph):
-    kwargs = dict(shards=4, requests=1500)
-    table_a, _ = run_serve_bench(graph, **kwargs)
-    table_b, _ = run_serve_bench(graph, **kwargs)
+    spec = _spec("--shards", "4", "--requests", "1500")
+    table_a, _ = serve_bench(spec, graph)
+    table_b, _ = serve_bench(spec, graph)
     for row in ("cached", "uncached"):
         for column in COLUMNS:
             assert table_a.get(row, column) == table_b.get(row, column)
 
 
 def test_caching_beats_uncached_under_saturation(graph):
-    _, results = run_serve_bench(
-        graph, shards=4, requests=4000, rate=2_000_000.0, zipf=1.4,
+    _, results = serve_bench(
+        _spec("--shards", "4", "--requests", "4000", "--rate", "2000000",
+              "--zipf", "1.4"),
+        graph,
     )
     speedup = caching_speedup(results)
     assert speedup is not None and speedup > 1.0
 
 
 def test_caching_speedup_requires_both_rows(graph):
-    _, results = run_serve_bench(
-        graph, shards=2, requests=500, without_cache=False,
+    _, results = serve_bench(
+        _spec("--shards", "2", "--requests", "500"), graph, ("cached",)
     )
     assert set(results) == {"cached"}
     assert caching_speedup(results) is None
 
 
 def test_closed_arrival_mode(graph):
-    _, results = run_serve_bench(
-        graph, shards=2, requests=800, arrival="closed", clients=8,
-        without_cache=False,
+    _, results = serve_bench(
+        _spec("--shards", "2", "--requests", "800", "--arrival", "closed",
+              "--clients", "8"),
+        graph, ("cached",),
     )
     report = results["cached"].report
     assert report.mode == "closed"
@@ -74,22 +86,25 @@ def test_rows_name_the_graph_they_served(graph, monkeypatch):
         bench, "serving_index",
         lambda spec, g: builds.append(g) or serving_index(spec, g),
     )
-    generated = GraphSpec(kind="social", vertices=300, seed=4)
-    table, results = run_serve_bench(generated, shards=2, requests=300)
+    spec = _spec("--kind", "social", "--vertices", "300", "--seed", "4",
+                 "--shards", "2", "--requests", "300")
+    table, results = serve_bench(spec)
     assert "n=300 " in table.title
     for result in results.values():
-        assert result.spec.graph == generated and not result.spec.description
+        assert result.spec.graph == GraphSpec(kind="social", vertices=300, seed=4)
+        assert not result.spec.description
     # The static index is built once and served by both rows.
     assert len(builds) == 1
-    _, results = run_serve_bench(graph, shards=2, requests=300)
+    _, results = serve_bench(spec, graph)
     assert all("given by the caller" in r.spec.description for r in results.values())
 
 
-def test_invalid_options_rejected(graph):
+def test_invalid_options_rejected():
+    spec = _spec()
     with pytest.raises(ScenarioSpecError, match="partitioner"):
-        run_serve_bench(graph, partitioner="voronoi")
+        replace(spec.serving, partitioner="voronoi")
     with pytest.raises(ScenarioSpecError, match="arrival"):
-        run_serve_bench(graph, arrival="bursty")
+        replace(spec.traffic, shape="bursty")
 
 
 # ----------------------------------------------------------------------
@@ -229,3 +244,30 @@ def test_cli_serve_bench_partitioners_are_the_registry():
     ]
     (action,) = [a for a in serve_bench._actions if a.dest == "partitioner"]
     assert action.choices == sorted(PARTITIONER_STRATEGIES)
+
+
+def test_cli_mixed_serve_bench_takes_the_arrival_shape(capsys):
+    args = ["serve-bench", "--vertices", "300", "--requests", "2000",
+            "--mode", "mixed", "--writes", "100", "--cache-only"]
+    assert main(args) == 0
+    poisson = capsys.readouterr().out
+    assert main(args + ["--arrival", "uniform"]) == 0
+    uniform = capsys.readouterr().out
+    assert uniform != poisson
+    # Served writes ride an open loop only.
+    assert main(args + ["--arrival", "closed"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: closed-loop traffic cannot carry served writes\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags, baseline", [
+    ([], "serve-bench.json"),
+    (["--vertices", "600", "--requests", "8000", "--mode", "mixed",
+      "--writes", "800", "--shards", "4", "--drift-threshold", "48",
+      "--rate", "1000000", "--seed", "0"], "serve-bench-mixed.json"),
+])
+def test_cli_serve_bench_passes_the_committed_baseline(flags, baseline, capsys):
+    assert main(["serve-bench", *flags,
+                 "--check-baseline", str(_BASELINES / baseline)]) == 0
+    assert "0 failure(s)" in capsys.readouterr().out

@@ -506,15 +506,16 @@ def test_read_only_run_reports_no_mutation_fields():
 # Mixed serve bench
 # ----------------------------------------------------------------------
 def test_run_mixed_serve_bench_is_deterministic():
-    from repro.scenarios.bench import MIXED_COLUMNS, run_mixed_serve_bench
+    from repro.cli import _build_parser, _serve_bench_spec
+    from repro.scenarios.bench import MIXED_COLUMNS, serve_bench
 
     graph = random_dag(120, 360, seed=23)
-    kwargs = dict(
-        shards=2, requests=800, writes=80, seed=3,
-        replicas=2, without_cache=False,
-    )
-    table_a, results_a = run_mixed_serve_bench(graph, **kwargs)
-    table_b, _ = run_mixed_serve_bench(graph, **kwargs)
+    spec = _serve_bench_spec(_build_parser().parse_args([
+        "serve-bench", "--mode", "mixed", "--shards", "2", "--requests", "800",
+        "--writes", "80", "--seed", "3", "--replicas", "2",
+    ]))
+    table_a, results_a = serve_bench(spec, graph, ("cached",))
+    table_b, _ = serve_bench(spec, graph, ("cached",))
     assert table_a.columns == list(MIXED_COLUMNS)
     assert list(results_a) == ["cached"]  # cached row only
     for column in MIXED_COLUMNS:

@@ -18,7 +18,7 @@ import pytest
 import repro.core.tol
 from repro.core.dynamic import DynamicReachabilityIndex
 from repro.graph.generators import random_digraph, web_graph
-from repro.scenarios import library_scenarios, run_scenario_file
+from repro.scenarios import library_scenarios, load_scenario, run_scenario
 from repro.serve import BoundedStalenessReplicator
 from repro.serve.replica import LabelTable
 from repro.workloads.updates import mixed_update_stream
@@ -175,7 +175,7 @@ def test_scenario_report_matches_the_op_replay_golden(name):
     simulated figure, event, or audit count.  (shard_loss_write_burst's
     was re-taken when its edge-only burst moved to
     ``mixed_update_stream``, which draws a different stream.)"""
-    result = run_scenario_file(library_scenarios()[name])
+    result = run_scenario(load_scenario(library_scenarios()[name]))
     golden = json.loads((_DATA / f"scenario-{name}.json").read_text())
     _assert_same(json.loads(json.dumps(result.to_dict())), golden, name)
     assert result.incorrect_answers == 0

@@ -1,6 +1,8 @@
 """Tests for update streams: edge-only (both node and promote ratios
 0) and mixed."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,13 @@ from hypothesis import strategies as st
 from repro.core.dynamic import DynamicReachabilityIndex
 from repro.core.tol import tol_index
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import random_digraph
+from repro.graph.generators import (
+    citation_graph,
+    random_dag,
+    random_digraph,
+    social_graph,
+    web_graph,
+)
 from repro.workloads.updates import (
     IDEAL_RANK,
     apply_stream,
@@ -219,3 +227,29 @@ def test_mixed_stream_draws_what_sorting_at_every_draw_drew(
     assert mixed_update_stream(g, count, *args) == reference_mixed_stream(
         g, count, *args
     )
+
+
+# Digests of streams drawn before a node delete removed only the deleted
+# vertex's edges (it used to rebuild the whole edge list and set).
+_STREAM_DIGESTS = [
+    (citation_graph, (400,), 1, 600, 0.6, 0.1, 0.05, 3, "a9358b5b7b027460"),
+    (social_graph, (300,), 2, 800, 0.5, 0.3, 0.0, 0, "f6a9e7c1765a90a1"),
+    (random_dag, (120, 360), 23, 500, 0.4, 0.5, 0.2, 13, "7d3f59980a7b5025"),
+    (social_graph, (60,), 5, 400, 0.2, 0.6, 0.1, 7, "a0bb08217d07e8bb"),
+    (random_dag, (40, 80), 4, 300, 0.5, 0.9, 0.0, 1, "a54c6baca9a6fbd9"),
+    (web_graph, (200,), 9, 400, 0.7, 0.0, 0.0, 5, "5a2282260168ce43"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, size, graph_seed, count, insert_ratio, node_ratio, promote_ratio, seed, digest",
+    _STREAM_DIGESTS,
+)
+def test_mixed_stream_digests_are_pinned(
+    make, size, graph_seed, count, insert_ratio, node_ratio, promote_ratio, seed, digest
+):
+    stream = mixed_update_stream(
+        make(*size, seed=graph_seed), count, insert_ratio=insert_ratio,
+        node_ratio=node_ratio, promote_ratio=promote_ratio, seed=seed,
+    )
+    assert hashlib.sha256(repr(stream).encode()).hexdigest()[:16] == digest
