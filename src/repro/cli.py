@@ -20,13 +20,13 @@ Commands
 - ``fuzz`` — differential fuzzing of the index builders against the
   oracle matrix, with failure shrinking and ``--replay`` of saved
   repros (see ``docs/paper_mapping.md``, "Fuzzing oracles").
-- ``trace`` — summarize a JSONL telemetry trace; ``--slowest N`` and
-  ``--trace-id ID`` drill into per-request traces.
+- ``trace`` — summarize a JSONL telemetry trace: skew report, top
+  spans, critical path, requests, bench cells, super-steps;
+  ``--slowest N`` and ``--trace-id ID`` drill into per-request traces,
+  and ``--chrome-trace`` / ``--flamegraph`` export it for Perfetto and
+  flamegraph tooling.
 - ``top`` — live serving dashboard over a trace's ``serve.request``
-  events (``--once --json`` for scripting, ``--once --openmetrics``
-  for a metrics scrape).
-- ``profile`` — skew/straggler analysis of a JSONL trace, with
-  optional Chrome-trace (Perfetto) and flamegraph export.
+  events (``--once --json`` for scripting).
 
 ``build``, ``query``, ``bench``, and ``serve-bench`` accept
 ``--trace-out PATH`` (export
@@ -132,6 +132,17 @@ class _Parser(argparse.ArgumentParser):
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
         return namespace, extras
+
+
+class _MixedOnly(argparse.Action):
+    """Stores a ``serve-bench`` flag that only ``--mode mixed`` reads and
+    notes it in ``mixed_flags``, so a read-mode run can refuse it instead
+    of ignoring it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        if option_string not in namespace.mixed_flags:
+            namespace.mixed_flags = (*namespace.mixed_flags, option_string)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -366,40 +377,46 @@ def _build_parser() -> argparse.ArgumentParser:
         "update throughput, write p99, and the replication staleness "
         "window.  See docs/dynamic.md.",
     )
-    serve_bench.add_argument(
+
+    def mixed_flag(*names, **kwargs):
+        """A flag only ``--mode mixed`` reads; read mode refuses it."""
+        serve_bench.add_argument(*names, action=_MixedOnly, **kwargs)
+
+    serve_bench.set_defaults(mixed_flags=())
+    mixed_flag(
         "--writes", type=_count("--writes"), default=2000,
         help="mixed mode: length of the write stream (default 2000)",
     )
-    serve_bench.add_argument(
+    mixed_flag(
         "--write-rate", type=_seconds("--write-rate"), default=200_000.0,
         help="mixed mode: offered write load per simulated second",
     )
-    serve_bench.add_argument(
+    mixed_flag(
         "--insert-ratio", type=_number("--insert-ratio", 0, 1), default=0.6,
         help="mixed mode: fraction of edge ops that are inserts",
     )
-    serve_bench.add_argument(
+    mixed_flag(
         "--node-ratio", type=_number("--node-ratio", 0, 1), default=0.1,
         help="mixed mode: fraction of writes that add/delete nodes",
     )
-    serve_bench.add_argument(
+    mixed_flag(
         "--promote-ratio", type=_number("--promote-ratio", 0, 1), default=0.05,
         help="mixed mode: fraction of writes that are order upgrades",
     )
-    serve_bench.add_argument(
+    mixed_flag(
         "--replicas", type=_count("--replicas", 1), default=2,
         help="mixed mode: replica groups fed by the leader's op log",
     )
-    serve_bench.add_argument(
+    mixed_flag(
         "--replication-delay", type=_seconds("--replication-delay", positive=False),
         default=2e-3, metavar="SECONDS",
         help="mixed mode: op-log delivery delay to followers",
     )
-    serve_bench.add_argument(
+    mixed_flag(
         "--max-lag", type=_count("--max-lag", 1), default=64,
         help="mixed mode: bounded-staleness lag before forced catch-up",
     )
-    serve_bench.add_argument(
+    mixed_flag(
         "--drift-threshold", type=_count("--drift-threshold", 1), default=None,
         metavar="POSITIONS",
         help="mixed mode: auto-promote a vertex whose degree rank "
@@ -463,6 +480,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--slowest", type=_count("--slowest"), default=None, metavar="N",
         help="print the N slowest request traces with per-stage breakdown",
     )
+    trace.add_argument(
+        "--chrome-trace", type=Path, default=None, metavar="PATH",
+        help="also export a Chrome trace-event JSON (load in Perfetto "
+        "or chrome://tracing)",
+    )
+    trace.add_argument(
+        "--flamegraph", type=Path, default=None, metavar="PATH",
+        help="also export folded stacks for flamegraph tooling",
+    )
 
     top = sub.add_parser(
         "top",
@@ -499,30 +525,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--run", type=int, default=None, metavar="N",
         help="select the N-th serving run in the file (1-based; "
         "default: aggregate all runs)",
-    )
-    top.add_argument(
-        "--openmetrics", action="store_true",
-        help="with --once: print the dashboard counters/histograms in "
-        "OpenMetrics text exposition format instead of the console view",
-    )
-
-    profile = sub.add_parser(
-        "profile",
-        help="skew/straggler analysis of a JSONL telemetry trace",
-    )
-    profile.add_argument("file", type=_existing_file)
-    profile.add_argument(
-        "--top", type=_count("--top"), default=15,
-        help="span names to show in the ranking (default 15)",
-    )
-    profile.add_argument(
-        "--chrome-trace", type=Path, default=None, metavar="PATH",
-        help="also export a Chrome trace-event JSON (load in Perfetto "
-        "or chrome://tracing)",
-    )
-    profile.add_argument(
-        "--flamegraph", type=Path, default=None, metavar="PATH",
-        help="also export folded stacks for flamegraph tooling",
     )
     return parser
 
@@ -865,6 +867,10 @@ def _cmd_serve_bench(args) -> int:
         print("error: --cache-only and --no-cache exclude each other",
               file=sys.stderr)
         return 2
+    if args.mode != "mixed" and args.mixed_flags:
+        print(f"error: only --mode mixed takes {', '.join(args.mixed_flags)}",
+              file=sys.stderr)
+        return 2
     if args.mode == "mixed" and args.node_ratio + args.promote_ratio > 1:
         print("error: --node-ratio + --promote-ratio must not exceed 1, got "
               f"{args.node_ratio:g} + {args.promote_ratio:g}", file=sys.stderr)
@@ -999,7 +1005,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _read_trace_tolerantly(path: Path):
-    """Shared trace loading for ``trace``/``top``/``profile``: returns
+    """Shared trace loading for ``trace`` and ``top``: returns
     ``(trace, exit_code)`` where trace is ``None`` on a hard error.
 
     Malformed lines and records are reported to stderr as counted
@@ -1027,11 +1033,19 @@ def _read_trace_tolerantly(path: Path):
 
 def _cmd_trace(args) -> int:
     from repro.observe.dashboard import format_request
+    from repro.observe.export import write_chrome_trace, write_folded_stacks
     from repro.observe.report import slowest_requests_section, summarize_trace
 
     trace, exit_code = _read_trace_tolerantly(args.file)
     if trace is None:
         return exit_code
+    # Export before printing: a closed stdout pipe must not lose the files.
+    if args.chrome_trace is not None:
+        write_chrome_trace(trace, args.chrome_trace)
+        print(f"chrome trace written to {args.chrome_trace}", file=sys.stderr)
+    if args.flamegraph is not None:
+        write_folded_stacks(trace, args.flamegraph)
+        print(f"folded stacks written to {args.flamegraph}", file=sys.stderr)
     if args.trace_id is not None:
         matches = [r for r in trace.requests if r.trace_id == args.trace_id]
         if not matches:
@@ -1060,12 +1074,6 @@ def _cmd_top(args) -> int:
 
     if args.json and not args.once:
         print("error: --json needs --once", file=sys.stderr)
-        return 2
-    if args.openmetrics and not args.once:
-        print("error: --openmetrics needs --once", file=sys.stderr)
-        return 2
-    if args.openmetrics and args.json:
-        print("error: --openmetrics and --json are exclusive", file=sys.stderr)
         return 2
 
     def build_model():
@@ -1096,10 +1104,6 @@ def _cmd_top(args) -> int:
             import json as _json
 
             print(_json.dumps(model.to_json(), indent=2))
-        elif args.openmetrics:
-            from repro.observe.openmetrics import render_openmetrics
-
-            print(render_openmetrics(model), end="")
         else:
             print(model.render())
         return exit_code
@@ -1119,24 +1123,6 @@ def _cmd_top(args) -> int:
         return 0
 
 
-def _cmd_profile(args) -> int:
-    from repro.observe.export import write_chrome_trace, write_folded_stacks
-    from repro.observe.report import profile_report
-
-    trace, exit_code = _read_trace_tolerantly(args.file)
-    if trace is None:
-        return exit_code
-    # Export before printing: a closed stdout pipe must not lose the files.
-    if args.chrome_trace is not None:
-        write_chrome_trace(trace, args.chrome_trace)
-        print(f"chrome trace written to {args.chrome_trace}", file=sys.stderr)
-    if args.flamegraph is not None:
-        write_folded_stacks(trace, args.flamegraph)
-        print(f"folded stacks written to {args.flamegraph}", file=sys.stderr)
-    print(profile_report(trace, top=args.top))
-    return exit_code
-
-
 _HANDLERS = {
     "datasets": _cmd_datasets,
     "generate": _cmd_generate,
@@ -1151,7 +1137,6 @@ _HANDLERS = {
     "fuzz": _cmd_fuzz,
     "trace": _cmd_trace,
     "top": _cmd_top,
-    "profile": _cmd_profile,
 }
 
 

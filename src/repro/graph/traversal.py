@@ -40,8 +40,8 @@ def dfs_postorder(graph: DiGraph, roots: list[int] | None = None) -> list[int]:
     """Iterative DFS post-order over the whole graph.
 
     ``roots`` fixes the root visitation order (defaults to ``0..n-1``);
-    every vertex appears exactly once.  Used by the BFL baseline, whose
-    interval labels are keyed to DFS post-order.
+    every vertex appears exactly once, and on a DAG after all of its
+    descendants.
     """
     n = graph.num_vertices
     visited = bytearray(n)

@@ -1,15 +1,17 @@
-"""Text reports over a :class:`~repro.telemetry.reader.Trace`.
+"""The text report over a :class:`~repro.telemetry.reader.Trace`.
 
-:func:`summarize_trace` (``repro trace``) is the analyst's view of a run:
+:func:`summarize_trace` (``repro trace``) is the analyst's view of a
+run, in this order:
 
+- the **skew report** over the ``pregel.node`` events, when the trace
+  has them;
 - **top spans** by total simulated seconds, aggregated by name;
+- the **critical path**: the heaviest root-to-leaf span chain;
+- an overview of the **request traces**;
 - **bench cell tables** — one per experiment tag, reconstructing the
   comp/comm split of Fig. 5 (or the timing grid of any other
   experiment) from the spans alone;
 - a **super-step table** for the run with the most super-steps.
-
-:func:`profile_report` (``repro profile``) opens with the same header
-and top-spans table and adds the skew report and the critical path.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.telemetry.reader import Trace
 # Section builders
 # ----------------------------------------------------------------------
 def _header(trace: Trace) -> str:
-    """The record counts both reports open with."""
+    """The record counts the report opens with."""
     spans = len(trace.spans)
     events = len(trace.records) - spans
     return f"{len(trace.records)} records: {spans} spans, {events} events"
@@ -173,23 +175,6 @@ def slowest_requests_section(trace: Trace, n: int) -> str | None:
     return "\n".join(lines)
 
 
-def summarize_trace(
-    trace: Trace, top: int = 15, superstep_limit: int = 20
-) -> str:
-    """The full text summary printed by ``repro trace``."""
-    sections = [_header(trace)]
-    if trace.spans:
-        sections.append(top_spans_section(trace, top=top))
-    overview = requests_overview_section(trace)
-    if overview is not None:
-        sections.append(overview)
-    sections.extend(table.render() for table in bench_cell_tables(trace))
-    steps = superstep_table(trace, limit=superstep_limit)
-    if steps is not None:
-        sections.append(steps.render())
-    return "\n\n".join(sections)
-
-
 def critical_path(trace: Trace) -> list[tuple[str, float]]:
     """The heaviest root-to-leaf span chain by simulated seconds.
 
@@ -221,33 +206,35 @@ def critical_path(trace: Trace) -> list[tuple[str, float]]:
         current = heaviest(below)
 
 
-def profile_report(trace: Trace, top: int = 15) -> str:
-    """The full text report printed by ``repro profile``.
+def critical_path_section(trace: Trace) -> str:
+    """:func:`critical_path`, indented by depth, with each span's share
+    of the run."""
+    chain = critical_path(trace)
+    total = max((seconds for _, seconds in chain), default=0.0)
+    title = "Critical path (simulated s)"
+    lines = [title, "=" * len(title)]
+    for depth, (name, seconds) in enumerate(chain):
+        share = f" ({seconds / total:.0%} of run)" if total else ""
+        lines.append(f"{'  ' * depth}{name}: {seconds:.6f}s{share}")
+    return "\n".join(lines)
 
-    Sections: record counts, the skew report (when the trace carries
-    ``pregel.node`` events), the top-spans table, and the critical
-    path.  Traces exported before per-node telemetry still profile —
-    they just lose the skew section.
-    """
-    sections = [
-        f"{_header(trace)} ({len(trace.events('pregel.node'))} per-node)"
-    ]
+
+def summarize_trace(
+    trace: Trace, top: int = 15, superstep_limit: int = 20
+) -> str:
+    """The full text report printed by ``repro trace``."""
+    sections = [_header(trace)]
     timeline = trace.node_timeline
     if timeline is not None:
         sections.append(analyze_skew(timeline).render())
-    else:
-        sections.append(
-            "no pregel.node events in this trace — re-export with a "
-            "telemetry session active to get the skew report"
-        )
     if trace.spans:
         sections.append(top_spans_section(trace, top=top))
-        chain = critical_path(trace)
-        total = max((seconds for _, seconds in chain), default=0.0)
-        title = "Critical path (simulated s)"
-        lines = [title, "=" * len(title)]
-        for depth, (name, seconds) in enumerate(chain):
-            share = f" ({seconds / total:.0%} of run)" if total else ""
-            lines.append(f"{'  ' * depth}{name}: {seconds:.6f}s{share}")
-        sections.append("\n".join(lines))
+        sections.append(critical_path_section(trace))
+    overview = requests_overview_section(trace)
+    if overview is not None:
+        sections.append(overview)
+    sections.extend(table.render() for table in bench_cell_tables(trace))
+    steps = superstep_table(trace, limit=superstep_limit)
+    if steps is not None:
+        sections.append(steps.render())
     return "\n\n".join(sections)

@@ -87,40 +87,6 @@ class RunStats:
         """All messages, local and remote."""
         return self.local_messages + self.remote_messages
 
-    def merge(self, other: "RunStats") -> "RunStats":
-        """Accumulate another phase's stats into this one (in place).
-
-        ``num_nodes`` must agree — merging runs from differently sized
-        clusters would make ``per_node_units`` and the max-per-node time
-        formula meaningless.  A pristine accumulator (no work recorded
-        yet) adopts ``other``'s node count instead.
-        """
-        if other.num_nodes != self.num_nodes:
-            if self.supersteps == 0 and not self.per_node_units:
-                self.num_nodes = other.num_nodes
-            else:
-                raise ValueError(
-                    f"cannot merge stats from a {other.num_nodes}-node run "
-                    f"into a {self.num_nodes}-node accumulator"
-                )
-        self.supersteps += other.supersteps
-        self.compute_units += other.compute_units
-        self.local_messages += other.local_messages
-        self.remote_messages += other.remote_messages
-        self.remote_bytes += other.remote_bytes
-        self.broadcast_bytes += other.broadcast_bytes
-        self.computation_seconds += other.computation_seconds
-        self.communication_seconds += other.communication_seconds
-        self.barrier_seconds += other.barrier_seconds
-        self.wall_seconds += other.wall_seconds
-        if len(self.per_node_units) < len(other.per_node_units):
-            self.per_node_units.extend(
-                [0] * (len(other.per_node_units) - len(self.per_node_units))
-            )
-        for node, units in enumerate(other.per_node_units):
-            self.per_node_units[node] += units
-        return self
-
     def summary(self) -> str:
         """One-line human-readable summary."""
         return (

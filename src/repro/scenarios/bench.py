@@ -80,7 +80,12 @@ def serve_bench(
         workload = f"{traffic.shape} workload ({traffic.requests} requests)"
     else:
         name, cells = "serve-bench mixed", _MIXED_CELLS
-        workload = f"x{serving.replicas} ({traffic.requests} reads + {updates.count} writes)"
+        # The committed baseline's keys hold no shape: name only another.
+        shape = "" if traffic.shape == "poisson" else f"{traffic.shape} "
+        workload = (
+            f"x{serving.replicas} ({traffic.requests} {shape}reads "
+            f"+ {updates.count} writes)"
+        )
     table = ExperimentTable(
         title=f"{name} — n={graph.num_vertices} m={graph.num_edges} "
         f"shards={serving.shards} {workload}",

@@ -178,7 +178,6 @@ def run_scenario(
     graph: DiGraph | None = None,
     *,
     index=None,
-    request_tracing: bool | None = None,
 ) -> ScenarioResult:
     """Execute ``spec`` and grade its expectations.  It serves the graph
     ``spec.graph`` names, or ``graph`` when one is given (``spec.graph``
@@ -270,7 +269,6 @@ def run_scenario(
         queue_depth=serving.queue_depth,
         batch_size=serving.batch_size,
         deadline_seconds=serving.deadline_seconds,
-        request_tracing=request_tracing,
         on_advance=timeline.advance,
         mutation_backend=mutation_backend,
     )

@@ -16,7 +16,7 @@ a run is a sink on it or a view over what a sink wrote:
 
 No registry keeps a second record: a count or a distribution is read
 from the records that carry it.  Every view of the stream (``repro
-trace`` / ``profile`` / ``top``, the exporters) lives in
+trace`` and ``repro top``, the exporters) lives in
 :mod:`repro.observe`, and nothing here imports from it.
 
 Telemetry is off by default and near-free when off: instrumented code

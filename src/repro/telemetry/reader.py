@@ -1,7 +1,7 @@
 """The one reader of the stream: :class:`Trace`.
 
-Every view of a run (``repro trace`` / ``profile`` / ``top``, the Chrome
-and folded-stack exporters) takes a :class:`Trace`, which **validates**
+Every view of a run (``repro trace`` and ``repro top``, the Chrome and
+folded-stack exporters) takes a :class:`Trace`, which **validates**
 each record's required fields once (a miss is dropped and logged in
 ``skipped``, as a line that is not JSON is), **groups** once (``spans``,
 ``events(name)``; ``records`` keeps arrival order) and **derives**

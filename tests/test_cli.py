@@ -337,7 +337,7 @@ def _trace_readers(tmp_path):
     return [
         ["trace"],
         ["top", "--once"],
-        ["profile", "--chrome-trace", str(tmp_path / "chrome.json")],
+        ["trace", "--chrome-trace", str(tmp_path / "chrome.json")],
     ]
 
 
@@ -402,7 +402,7 @@ def test_trace_readers_pass_over_the_metric_records_of_an_old_trace(tmp_path, ca
 
 
 # ----------------------------------------------------------------------
-# The profile subcommand
+# The trace report's skew and critical-path sections, and its exports
 # ----------------------------------------------------------------------
 @pytest.fixture
 def straggler_trace(tmp_path):
@@ -417,7 +417,7 @@ def straggler_trace(tmp_path):
 def test_profile_names_straggler_and_wait_share(straggler_trace, capsys):
     """The issue's acceptance check: node 2 is the dominant straggler
     and the healthy nodes report non-zero barrier-wait share."""
-    assert main(["profile", str(straggler_trace)]) == 0
+    assert main(["trace", str(straggler_trace)]) == 0
     out = capsys.readouterr().out
     assert "Skew report" in out
     assert "stragglers: node 2 (4.0x)" in out
@@ -440,7 +440,7 @@ def test_profile_clean_run_is_near_balanced(tmp_path, graph_file, capsys):
                  "--method", "drl-b", "--nodes", "4",
                  "--trace-out", str(trace_file)]) == 0
     capsys.readouterr()
-    assert main(["profile", str(trace_file)]) == 0
+    assert main(["trace", str(trace_file)]) == 0
     out = capsys.readouterr().out
     assert "near-balanced" in out
     assert "stragglers:" not in out
@@ -453,7 +453,7 @@ def test_profile_exports_chrome_trace_and_flamegraph(
 
     chrome = tmp_path / "chrome.json"
     folded = tmp_path / "stacks.folded"
-    assert main(["profile", str(straggler_trace),
+    assert main(["trace", str(straggler_trace),
                  "--chrome-trace", str(chrome),
                  "--flamegraph", str(folded)]) == 0
     capsys.readouterr()
@@ -473,8 +473,11 @@ def test_profile_exports_chrome_trace_and_flamegraph(
 
 
 def test_profile_missing_file(tmp_path, capsys):
-    assert main(["profile", str(tmp_path / "none.jsonl")]) == 2
+    folded = tmp_path / "stacks.folded"
+    assert main(["trace", str(tmp_path / "none.jsonl"),
+                 "--flamegraph", str(folded)]) == 2
     assert "no such file" in capsys.readouterr().err
+    assert not folded.exists()
 
 
 def test_profile_trace_without_node_events(tmp_path, capsys):
@@ -483,10 +486,12 @@ def test_profile_trace_without_node_events(tmp_path, capsys):
         '{"kind":"span","name":"a","id":1,"parent":null,"start":0.0,'
         '"wall_seconds":0.1,"simulated_seconds":0.5,"status":"ok","attrs":{}}\n'
     )
-    assert main(["profile", str(trace)]) == 0
+    assert main(["trace", str(trace)]) == 0
     out = capsys.readouterr().out
-    assert "no pregel.node events" in out
+    assert "Skew report" not in out
+    assert "pregel.node" not in out
     assert "Top spans by simulated time" in out
+    assert "Critical path" in out
 
 
 # ----------------------------------------------------------------------
@@ -647,7 +652,7 @@ def test_build_keeps_the_rules_only_the_cli_has(
         ["fuzz", "--replay", "MISSING"],
         ["trace", "MISSING"],
         ["top", "MISSING", "--once"],
-        ["profile", "MISSING"],
+        ["trace", "MISSING", "--chrome-trace", "x.json"],
     ],
 )
 def test_missing_input_file_is_one_error_line(tmp_path, capsys, argv):
@@ -670,7 +675,8 @@ _GONE = (
         (["trace", "FILE", "--supersteps", "-3"], f"--supersteps {_INT} >= 0, got -3"),
         (["trace", "FILE", "--top", "-1"], f"--top {_INT} >= 0, got -1"),
         (["trace", "FILE", "--slowest", "-1"], f"--slowest {_INT} >= 0, got -1"),
-        (["profile", "FILE", "--top", "-2"], f"--top {_INT} >= 0, got -2"),
+        (["trace", "FILE", "--chrome-trace", "x.json", "--top", "-2"],
+         f"--top {_INT} >= 0, got -2"),
         (["validate", "FILE", "FILE", "--sample", "0"], f"--sample {_INT} >= 1, got 0"),
         (["fuzz", "--cases", "-2"], f"--cases {_INT} >= 1, got -2"),
         (["generate", "FILE", "-n", "-5"], "need at least two vertices"),
@@ -956,11 +962,13 @@ def test_serve_bench_mixed_ratio_sum_is_refused_before_the_graph(capsys):
     ]) == 2
     err = capsys.readouterr().err
     assert err == "error: --node-ratio + --promote-ratio must not exceed 1, got 0.6 + 0.6\n"
-    # Read mode ignores the write-mix flags, as it always has.
+    # Read mode reads no write-mix flag, so it refuses them.
     assert main([
         "serve-bench", "--vertices", "60", "--requests", "10",
         "--node-ratio", "0.6", "--promote-ratio", "0.6",
-    ]) == 0
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: only --mode mixed takes --node-ratio, --promote-ratio\n"
 
 
 def test_serve_bench_mixed_bad_ratio_exits_2(capsys):

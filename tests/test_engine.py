@@ -202,55 +202,23 @@ def test_cluster_counts_are_checked_where_they_come_in(make):
         make()
 
 
-def test_stats_merge():
-    a = RunStats(num_nodes=2, per_node_units=[1, 2])
-    a.supersteps = 3
-    a.compute_units = 3
-    b = RunStats(num_nodes=2, per_node_units=[5, 1])
-    b.supersteps = 2
-    b.compute_units = 6
-    a.merge(b)
-    assert a.supersteps == 5
-    assert a.compute_units == 9
-    assert a.per_node_units == [6, 3]
-
-
 def test_stats_merge_concatenates_traces():
+    """Two runs accumulated into one ``RunStats`` (``Cluster.run(stats=)``,
+    as DRL_b chains its batches): the stream concatenates the runs' rows
+    in run order, and the stats keep the totals those rows add up to."""
     g = _path_graph(4)
     cluster = Cluster(num_nodes=2)
     sinks = InMemorySink(), InMemorySink(), InMemorySink()
-    with session([sinks[0], sinks[2]]):
-        first = cluster.run(g, FloodFrom(0))
-    with session([sinks[1], sinks[2]]):
-        second = cluster.run(g, FloodFrom(0))
     merged = RunStats(num_nodes=2, per_node_units=[0, 0])
-    merged.merge(first).merge(second)
-    # The stream concatenates the runs' rows in run order; ``merge`` keeps
-    # the totals those rows add up to.
+    with session([sinks[0], sinks[2]]):
+        cluster.run(g, FloodFrom(0), stats=merged)
+    with session([sinks[1], sinks[2]]):
+        cluster.run(g, FloodFrom(0), stats=merged)
     first_rows, second_rows, both = map(_rows, sinks)
+    assert first_rows and second_rows
     assert both == first_rows + second_rows
     assert merged.supersteps == len(both)
     assert merged.compute_units == sum(row["compute_units"] for row in both)
-
-
-def test_stats_merge_rejects_node_count_mismatch():
-    a = RunStats(num_nodes=2, per_node_units=[1, 2])
-    a.supersteps = 1
-    b = RunStats(num_nodes=4, per_node_units=[1, 1, 1, 1])
-    with pytest.raises(ValueError):
-        a.merge(b)
-
-
-def test_stats_merge_pristine_adopts_node_count():
-    accumulator = RunStats()  # default 1-node, nothing recorded yet
-    b = RunStats(num_nodes=4, per_node_units=[1, 2, 3, 4])
-    b.supersteps = 2
-    accumulator.merge(b)
-    assert accumulator.num_nodes == 4
-    assert accumulator.per_node_units == [1, 2, 3, 4]
-    # A second merge with a different node count now fails.
-    with pytest.raises(ValueError):
-        accumulator.merge(RunStats(num_nodes=2, per_node_units=[1, 1]))
 
 
 def test_stats_summary_renders():

@@ -428,21 +428,6 @@ class TestCli:
     def test_top_json_requires_once(self, trace_file, capsys):
         assert main(["top", str(trace_file), "--json"]) == 2
 
-    def test_top_openmetrics_exposition(self, trace_file, capsys):
-        assert main(["top", str(trace_file), "--once", "--openmetrics"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("# TYPE repro_serve_requests counter")
-        assert out.endswith("# EOF\n")
-        assert "repro_serve_latency_seconds_bucket" in out
-
-    def test_top_openmetrics_flag_validation(self, trace_file, capsys):
-        assert main(["top", str(trace_file), "--openmetrics"]) == 2
-        assert "--openmetrics needs --once" in capsys.readouterr().err
-        assert main([
-            "top", str(trace_file), "--once", "--openmetrics", "--json",
-        ]) == 2
-        assert "exclusive" in capsys.readouterr().err
-
     def test_top_missing_file(self, tmp_path, capsys):
         assert main(["top", str(tmp_path / "nope.jsonl"), "--once"]) == 2
 

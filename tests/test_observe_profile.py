@@ -1,9 +1,9 @@
-"""Golden-file tests for the ``repro profile`` views.
+"""Golden-file tests for the profile views of ``repro trace``.
 
-The skew report, the critical path, the Chrome trace-event JSON and the
-folded stacks are deterministic for a given trace, so each is pinned
-byte for byte over one hand-built record list whose wall stamps are set
-by hand.  To regenerate after an intentional format change::
+The text report (with its skew report and critical path), the Chrome
+trace-event JSON and the folded stacks are deterministic for a given
+trace, so each is pinned byte for byte over one hand-built record list
+whose wall stamps are set by hand.  To regenerate after an intentional format change::
 
     PYTHONPATH=src python tests/test_observe_profile.py
 """
@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 
 from repro.observe.export import chrome_trace, folded_stacks
-from repro.observe.report import profile_report
+from repro.observe.report import summarize_trace
 from repro.telemetry.reader import Trace
 
 DATA = Path(__file__).parent / "data"
@@ -78,7 +78,7 @@ def _renders() -> tuple[str, str, str]:
     trace = Trace(_records())
     folded = folded_stacks(trace)
     return (
-        profile_report(trace) + "\n",
+        summarize_trace(trace) + "\n",
         json.dumps(chrome_trace(trace), indent=1) + "\n",
         "\n".join(folded) + "\n",
     )

@@ -12,7 +12,7 @@ from repro.pregel.cost_model import CostModel
 from repro.pregel.engine import Cluster
 from repro.pregel.vertex_program import VertexProgram
 from repro.observe.export import chrome_trace, folded_stacks, write_chrome_trace
-from repro.observe.report import critical_path, profile_report
+from repro.observe.report import critical_path, summarize_trace
 from repro.observe.skew import analyze_skew
 from repro.telemetry import session
 from repro.telemetry.reader import Trace, read_trace
@@ -278,7 +278,8 @@ def test_critical_path_follows_heaviest_children(tmp_path, graph):
 
 def test_profile_report_sections(trace_records):
     records, _ = trace_records
-    text = profile_report(records)
-    assert "Skew report" in text
-    assert "Top spans by simulated time" in text
-    assert "Critical path" in text
+    text = summarize_trace(records)
+    titles = ("records:", "Skew report", "Top spans by simulated time",
+              "Critical path", "Super-steps of the longest run")
+    starts = [text.find(title) for title in titles]
+    assert -1 not in starts and starts == sorted(starts)

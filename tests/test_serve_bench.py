@@ -258,6 +258,45 @@ def test_cli_mixed_serve_bench_takes_the_arrival_shape(capsys):
     assert main(args + ["--arrival", "closed"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: closed-loop traffic cannot carry served writes\n"
+
+
+def test_mixed_title_names_a_non_poisson_arrival_shape(graph):
+    """Baseline keys are the title, so a uniform run must not read as a
+    Poisson one; the Poisson title keeps the committed baseline's keys."""
+    flags = ("--mode", "mixed", "--requests", "200", "--writes", "10",
+             "--shards", "2")
+    titles = {
+        shape: serve_bench(
+            _spec(*flags, "--arrival", shape), graph, rows=("cached",)
+        )[0].title
+        for shape in ("poisson", "uniform")
+    }
+    assert titles["poisson"].endswith(" shards=2 x2 (200 reads + 10 writes)")
+    assert titles["uniform"].endswith(" shards=2 x2 (200 uniform reads + 10 writes)")
+
+
+_MIXED_ONLY_FLAGS = (
+    ("--writes", "7"), ("--write-rate", "5"), ("--insert-ratio", "0.5"),
+    ("--node-ratio", "0.2"), ("--promote-ratio", "0.1"), ("--replicas", "3"),
+    ("--replication-delay", "0"), ("--max-lag", "8"), ("--drift-threshold", "4"),
+)
+
+
+def test_cli_serve_bench_refuses_mixed_flags_in_read_mode(capsys):
+    """Read mode reads none of the write, replication and drift flags, so
+    naming one is refused before any work rather than ignored."""
+    args = ["serve-bench", "--vertices", "200", "--requests", "500", "--cache-only"]
+    assert main(args + ["--replicas", "3", "--writes", "7", "--write-rate", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: only --mode mixed takes --replicas, --writes, --write-rate\n"
+    )
+    for flag, value in _MIXED_ONLY_FLAGS:
+        assert main(args + [flag, value]) == 2, flag
+        assert capsys.readouterr().err == (
+            f"error: only --mode mixed takes {flag}\n"
+        )
     assert captured.out == ""
 
 

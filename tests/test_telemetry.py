@@ -12,7 +12,6 @@ from repro.core.drl_batch import drl_batch_index
 from repro.errors import TimeLimitExceeded
 from repro.graph.generators import random_digraph
 from repro.graph.order import degree_order
-from repro.observe.openmetrics import exponential_buckets
 from repro.pregel.cost_model import CostModel
 from repro.pregel.engine import Cluster
 from repro.pregel.vertex_program import VertexProgram
@@ -147,21 +146,6 @@ def test_logging_sink_bridges_to_stdlib(caplog):
     messages = [r.getMessage() for r in caplog.records]
     assert any("span logged.span" in m and "dataset=GO" in m for m in messages)
     assert any("event tick n=2" in m for m in messages)
-
-
-# ----------------------------------------------------------------------
-# Latency buckets
-# ----------------------------------------------------------------------
-def test_exponential_buckets_validation():
-    assert exponential_buckets(1, 2, 3) == (1, 2, 4)
-    with pytest.raises(ValueError):
-        exponential_buckets(0, 2, 3)
-    with pytest.raises(ValueError):
-        exponential_buckets(1, 1, 3)
-    with pytest.raises(ValueError):
-        exponential_buckets(1, 2, 0)
-    with pytest.raises(ValueError):
-        exponential_buckets(-1, 2, 3)
 
 
 # ----------------------------------------------------------------------
