@@ -206,19 +206,6 @@ def critical_path(trace: Trace) -> list[tuple[str, float]]:
         current = heaviest(below)
 
 
-def critical_path_section(trace: Trace) -> str:
-    """:func:`critical_path`, indented by depth, with each span's share
-    of the run."""
-    chain = critical_path(trace)
-    total = max((seconds for _, seconds in chain), default=0.0)
-    title = "Critical path (simulated s)"
-    lines = [title, "=" * len(title)]
-    for depth, (name, seconds) in enumerate(chain):
-        share = f" ({seconds / total:.0%} of run)" if total else ""
-        lines.append(f"{'  ' * depth}{name}: {seconds:.6f}s{share}")
-    return "\n".join(lines)
-
-
 def summarize_trace(
     trace: Trace, top: int = 15, superstep_limit: int = 20
 ) -> str:
@@ -229,7 +216,14 @@ def summarize_trace(
         sections.append(analyze_skew(timeline).render())
     if trace.spans:
         sections.append(top_spans_section(trace, top=top))
-        sections.append(critical_path_section(trace))
+        chain = critical_path(trace)
+        total = max((seconds for _, seconds in chain), default=0.0)
+        title = "Critical path (simulated s)"
+        lines = [title, "=" * len(title)]
+        for depth, (name, seconds) in enumerate(chain):
+            share = f" ({seconds / total:.0%} of run)" if total else ""
+            lines.append(f"{'  ' * depth}{name}: {seconds:.6f}s{share}")
+        sections.append("\n".join(lines))
     overview = requests_overview_section(trace)
     if overview is not None:
         sections.append(overview)

@@ -258,6 +258,7 @@ def test_cli_mixed_serve_bench_takes_the_arrival_shape(capsys):
     assert main(args + ["--arrival", "closed"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: closed-loop traffic cannot carry served writes\n"
+    assert captured.out == ""
 
 
 def test_mixed_title_names_a_non_poisson_arrival_shape(graph):
@@ -294,10 +295,9 @@ def test_cli_serve_bench_refuses_mixed_flags_in_read_mode(capsys):
     )
     for flag, value in _MIXED_ONLY_FLAGS:
         assert main(args + [flag, value]) == 2, flag
-        assert capsys.readouterr().err == (
-            f"error: only --mode mixed takes {flag}\n"
-        )
-    assert captured.out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: only --mode mixed takes {flag}\n"
 
 
 @pytest.mark.parametrize("flags, baseline", [
