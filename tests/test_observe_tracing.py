@@ -20,6 +20,7 @@ from repro.serve import (
 from repro.telemetry import session
 from repro.telemetry.sinks import InMemorySink
 from repro.workloads.traffic import poisson_arrivals, zipf_pairs
+from tests.test_serve_store import READ_PATH_CELLS, serve_cell
 
 _NO_LIMIT = CostModel(time_limit_seconds=None)
 
@@ -245,7 +246,11 @@ class TestServerTracing:
         untraced = run(request_tracing=False)
         with session([InMemorySink()]):
             traced = run()
-        assert traced.p99_seconds == untraced.p99_seconds
-        assert traced.served == untraced.served
-        assert traced.shed == untraced.shed
-        assert traced.makespan_seconds == untraced.makespan_seconds
+        assert traced == untraced
+        # The read-path grid too: replicas under every policy, faults,
+        # the staleness guard, caches of every size, each run mode.
+        for cell in READ_PATH_CELLS:
+            untraced = serve_cell(cell, request_tracing=False)
+            with session([InMemorySink()]):
+                traced = serve_cell(cell)
+            assert traced == untraced, cell

@@ -6,6 +6,10 @@ not depend on the copy count runs at both (``_stores``); replica
 health, failover and staleness live in ``test_serve_replica.py``.
 """
 
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.baselines.transitive_closure import TransitiveClosure
@@ -21,13 +25,18 @@ from repro.graph.partition import (
 from repro.pregel.cost_model import CostModel
 from repro.serve import (
     BoundedStalenessReplicator,
+    CachingBackend,
     MutationBackend,
+    QueryCache,
     QueryServer,
     ReplicatedLabelStore,
     ShardedIndexBackend,
     ShardedLabelStore,
 )
+from repro.serve.faults import ServeFaultPlan, Timeline
 from repro.workloads.queries import random_pairs
+from repro.workloads.traffic import poisson_arrivals, zipf_pairs
+from repro.workloads.updates import mixed_update_stream
 
 _NO_LIMIT = CostModel(time_limit_seconds=None)
 
@@ -262,3 +271,126 @@ def test_server_lets_the_typed_error_through(index):
     for bad in ((-2, 3), (index.num_vertices, 0)):
         with pytest.raises(ReproError, match="outside the index"):
             server.run_open([(0, 1), bad], [0.0, 1e-6])
+
+
+# ----------------------------------------------------------------------
+# The read path's reports, pinned over the grid the benchmark never runs
+# ----------------------------------------------------------------------
+#: Cell name → (policy, replicas, cache size, negative caching, fault
+#: spec, run mode, deadline seconds, replication delay, max lag).  A
+#: ``mixed`` cell serves a written-to dynamic index through a
+#: replicator; cache size 0 means no cache layer at all.
+READ_PATH_CELLS = {
+    "primary-r1-nocache-open": ("primary", 1, 0, True, "", "open", None, 0, 0),
+    "primary-r1-c1-positive-closed-deadline": (
+        "primary", 1, 1, False, "", "closed", 5e-6, 0, 0,
+    ),
+    "primary-r2-crash-both-copies-open": (
+        "primary", 2, 0, True, "crash=2.0@0.0002,crash=2.1@0.0002", "open", None, 0, 0,
+    ),
+    "primary-r3-c4096-slow-primary-closed": (
+        "primary", 3, 4096, True, "slow=1.0x6@0.0001:0.0004", "closed", None, 0, 0,
+    ),
+    "round-robin-r1-c4096-open-deadline": (
+        "round-robin", 1, 4096, True, "", "open", 5e-6, 0, 0,
+    ),
+    "round-robin-r2-c4096-closed": ("round-robin", 2, 4096, True, "", "closed", None, 0, 0),
+    "round-robin-r3-failover-open-deadline": (
+        "round-robin", 3, 0, True, "crash=1.0@0.0002,recover=1.0@0.0008",
+        "open", 1e-5, 0, 0,
+    ),
+    "hedged-r1-c4096-open": ("hedged", 1, 4096, True, "", "open", None, 0, 0),
+    "hedged-r2-nocache-closed": ("hedged", 2, 0, True, "", "closed", None, 0, 0),
+    "hedged-r3-c4096-positive-faults-open": (
+        "hedged", 3, 4096, False,
+        "crash=1.0@0.0002,slow=1.1x4@0.0004:0.0008,recover=1.0@0.001",
+        "open", None, 0, 0,
+    ),
+    "primary-r1-mixed": ("primary", 1, 0, True, "", "mixed", None, 2e-3, 64),
+    "primary-r2-c4096-mixed-delivered-deadline": (
+        "primary", 2, 4096, True, "", "mixed", 4e-5, 5e-5, 64,
+    ),
+    "round-robin-r3-c1-mixed-catchups-deadline": (
+        "round-robin", 3, 1, True, "", "mixed", 4e-5, 2e-3, 3,
+    ),
+    "round-robin-r2-c4096-positive-mixed": (
+        "round-robin", 2, 4096, False, "", "mixed", None, 2e-4, 16,
+    ),
+    "hedged-r2-follower-crash-mixed": (
+        "hedged", 2, 0, True, "crash=0.1@0.0002,recover=0.1@0.0006",
+        "mixed", None, 1e-4, 64,
+    ),
+    "hedged-r3-c1-mixed-lost-shard-deadline": (
+        "hedged", 3, 1, True, "crash=3.0@0.0003,crash=3.1@0.0003,crash=3.2@0.0003",
+        "mixed", 4e-5, 2e-3, 4,
+    ),
+}
+
+_CELL_GRAPH = social_graph(150, seed=4)
+_CELL_INDEX = build_index(_CELL_GRAPH, cost_model=_NO_LIMIT).index
+
+
+def serve_cell(name, request_tracing=None):
+    """One :data:`READ_PATH_CELLS` run on a fresh stack, its report."""
+    policy, replicas, cache_size, negative, faults, mode, deadline, delay, max_lag = (
+        READ_PATH_CELLS[name]
+    )
+    graph = _CELL_GRAPH
+    index, replicator, writer = _CELL_INDEX, None, None
+    if mode == "mixed":
+        index = DynamicReachabilityIndex(graph)
+        replicator = BoundedStalenessReplicator(
+            index, replicas, delay_seconds=delay, max_lag=max_lag
+        )
+        writer = MutationBackend(index, replicator=replicator)
+    store = ShardedLabelStore(
+        index, num_shards=4, cost_model=_NO_LIMIT, replicas=replicas,
+        policy=policy, replicator=replicator,
+    )
+    backend = ShardedIndexBackend(store)
+    if cache_size:
+        cache = QueryCache(cache_size, negative_caching=negative)
+        if mode == "mixed":
+            cache.attach(index)
+        backend = CachingBackend(backend, cache)
+    timeline = Timeline(store.advance)
+    ServeFaultPlan.parse(faults).schedule(timeline, store)
+    server = QueryServer(
+        backend, queue_depth=64, batch_size=8, deadline_seconds=deadline,
+        request_tracing=request_tracing, on_advance=timeline.advance,
+        mutation_backend=writer,
+    )
+    pairs = zipf_pairs(graph.num_vertices, 400, seed=10)
+    arrivals = poisson_arrivals(400, rate=250_000, seed=11)
+    if mode == "open":
+        return server.run_open(pairs, arrivals)
+    if mode == "closed":
+        return server.run_closed(pairs, clients=8)
+    writes = mixed_update_stream(graph, 60, insert_ratio=0.6, node_ratio=0.1, seed=12)
+    return server.run_mixed(
+        pairs, arrivals, writes, poisson_arrivals(60, rate=40_000, seed=13)
+    )
+
+
+_PINNED_REPORTS = Path(__file__).parent / "data" / "read_path_reports.json"
+
+
+@pytest.mark.parametrize("cell", sorted(READ_PATH_CELLS))
+def test_read_path_reports_are_pinned(cell):
+    # Every ServeReport field, as the read path before its straight-line
+    # rewrite reported it: routing, caching, faults and the staleness
+    # guard may move no simulated number.
+    expected = json.loads(_PINNED_REPORTS.read_text())[cell]
+    assert dataclasses.asdict(serve_cell(cell)) == expected
+
+
+def test_read_path_cells_reach_every_branch():
+    # The grid is only a pin of the branches it reaches.
+    reports = json.loads(_PINNED_REPORTS.read_text())
+    assert sorted(reports) == sorted(READ_PATH_CELLS)
+    for counter in (
+        "shed", "deadline_dropped", "failed", "cache_hits", "cache_evictions",
+        "cache_invalidated", "failovers", "replica_timeouts", "hedges_won",
+        "stale_reads", "confirmed_reads", "forced_catchups", "mutations_applied",
+    ):
+        assert any(report[counter] for report in reports.values()), counter
