@@ -182,28 +182,35 @@ def critical_path(trace: Trace) -> list[tuple[str, float]]:
     level; returns ``(name, simulated_seconds)`` pairs from root to
     leaf.  Empty when the trace has no spans.
     """
-    spans = trace.spans
-    if not spans:
-        return []
+    path, _ = _heaviest_chain(trace.spans)
+    return [(record["name"], _simulated(record)) for record in path]
+
+
+def _simulated(record: dict) -> float:
+    return record.get("simulated_seconds", 0.0)
+
+
+def _heaviest_chain(spans: list[dict]) -> tuple[list[dict], dict]:
+    """The span records of :func:`critical_path`, and every span's
+    children by parent id (roots under ``None``)."""
     children: dict[int | None, list[dict]] = defaultdict(list)
+    if not spans:
+        return [], children
     ids = {record["id"] for record in spans}
     for record in spans:
         parent = record.get("parent")
         children[parent if parent in ids else None].append(record)
 
-    def heaviest(candidates: list[dict]) -> dict:
-        return max(candidates, key=lambda r: r.get("simulated_seconds", 0.0))
-
     path = []
     seen: set[int] = set()
-    current = heaviest(children[None])
+    current = max(children[None], key=_simulated)
     while True:
-        path.append((current["name"], current.get("simulated_seconds", 0.0)))
+        path.append(current)
         seen.add(current["id"])
         below = [r for r in children[current["id"]] if r["id"] not in seen]
         if not below:
-            return path
-        current = heaviest(below)
+            return path, children
+        current = max(below, key=_simulated)
 
 
 def summarize_trace(
@@ -216,13 +223,18 @@ def summarize_trace(
         sections.append(analyze_skew(timeline).render())
     if trace.spans:
         sections.append(top_spans_section(trace, top=top))
-        chain = critical_path(trace)
-        total = max((seconds for _, seconds in chain), default=0.0)
+        path, children = _heaviest_chain(trace.spans)
+        total = max(map(_simulated, path))
+        if not _simulated(path[0]):
+            # A root with no simulated seconds of its own (a CLI
+            # command's span) ran its children: together they are the run.
+            total = sum(map(_simulated, children[path[0]["id"]]))
         title = "Critical path (simulated s)"
         lines = [title, "=" * len(title)]
-        for depth, (name, seconds) in enumerate(chain):
+        for depth, record in enumerate(path):
+            seconds = _simulated(record)
             share = f" ({seconds / total:.0%} of run)" if total else ""
-            lines.append(f"{'  ' * depth}{name}: {seconds:.6f}s{share}")
+            lines.append(f"{'  ' * depth}{record['name']}: {seconds:.6f}s{share}")
         sections.append("\n".join(lines))
     overview = requests_overview_section(trace)
     if overview is not None:

@@ -96,6 +96,19 @@ def test_folded_stacks_match_golden_file():
     assert _renders()[2] == GOLDEN_FOLDED.read_text(encoding="utf-8")
 
 
+def test_a_root_without_seconds_shares_its_childrens_run():
+    # A CLI command's span carries no simulated seconds; "of run" is then
+    # a share of what its children ran, not of the heaviest child.
+    trace = Trace([
+        _span(2, 1, "bench.cell", 100.1, 0.2, 0.3),
+        _span(3, 1, "bench.cell", 100.3, 0.1, 0.1),
+        _span(1, None, "cli.bench", 100.0, 0.5, 0.0),
+    ])
+    report = summarize_trace(trace)
+    assert "cli.bench: 0.000000s (0% of run)" in report
+    assert "  bench.cell: 0.300000s (75% of run)" in report
+
+
 if __name__ == "__main__":  # pragma: no cover — golden regeneration
     DATA.mkdir(parents=True, exist_ok=True)
     for path, text in zip((GOLDEN_REPORT, GOLDEN_CHROME, GOLDEN_FOLDED),
