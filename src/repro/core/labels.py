@@ -423,13 +423,16 @@ def label_sizes(index):
     Whatever costs or routes a query needs ``|L_out(s)|`` and
     ``|L_in(t)|``, never the rows; it reads them through these two
     callables, resolved once per index.  The packed
-    :class:`ReachabilityIndex` stores its sizes; list-style indexes (the
-    dynamic index, a follower's ``LabelTable``) edit and grow their row
-    lists in place, so a length taken through the list stays current.
+    :class:`ReachabilityIndex` stores its sizes and never changes them,
+    so they are read from a list copy (a list's item lookup is a cheap
+    call, an array's is not); list-style indexes (the dynamic index, a
+    follower's ``LabelTable``) edit and grow their row lists in place,
+    so a length taken through the list stays current.
     """
     out_rows, in_rows = index.out_labels, index.in_labels
     if callable(out_rows):
-        return index.out_sizes.__getitem__, index.in_sizes.__getitem__
+        out_sizes, in_sizes = index.out_sizes.tolist(), index.in_sizes.tolist()
+        return out_sizes.__getitem__, in_sizes.__getitem__
     return (lambda v: len(out_rows[v])), (lambda v: len(in_rows[v]))
 
 

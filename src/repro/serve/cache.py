@@ -132,22 +132,39 @@ class CachingBackend:
     """Wrap any :class:`~repro.query.service.QueryBackend` in a cache.
 
     A hit costs one table probe (``t_op``); a miss pays the probe plus
-    the inner backend's full cost, then fills the cache.
+    the inner backend's full cost, then fills the cache.  A request
+    reads the LRU directly: a hit is one probe and a ``move_to_end``, a
+    miss fills without testing membership again (the probe just missed)
+    — with the same counts and evictions as :meth:`QueryCache.get` then
+    :meth:`QueryCache.put`.
     """
 
     def __init__(self, inner, cache: QueryCache | None = None):
         self.inner = inner
         self.cache = cache if cache is not None else QueryCache()
         self._probe_seconds = DEFAULT_COST_MODEL.t_op
+        # Bound once, from the objects given.
+        self._entries = self.cache._entries
+        self._inner_query = inner.query_with_cost
 
     def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
-        cached = self.cache.get(s, t)
-        if cached is not None:
+        cache = self.cache
+        entries = self._entries
+        key = (s, t)
+        answer = entries.get(key)
+        if answer is not None:
+            entries.move_to_end(key)
+            cache.hits += 1
             if tracing.ACTIVE is not None:
                 tracing.ACTIVE.add_stage("cache", self._probe_seconds, hit=True)
-            return cached, self._probe_seconds
+            return answer, self._probe_seconds
+        cache.misses += 1
         if tracing.ACTIVE is not None:
             tracing.ACTIVE.add_stage("cache", self._probe_seconds, hit=False)
-        answer, seconds = self.inner.query_with_cost(s, t)
-        self.cache.put(s, t, answer)
+        answer, seconds = self._inner_query(s, t)
+        if answer or cache.negative_caching:
+            if len(entries) >= cache.capacity:
+                entries.popitem(last=False)
+                cache.evictions += 1
+            entries[key] = answer
         return answer, seconds + self._probe_seconds

@@ -216,16 +216,20 @@ class QueryServer:
         on_advance = self._on_advance
         n = len(pairs)
         # A closed loop's schedule grows: each request that leaves the
-        # server re-arms its client at the current clock.
-        closed = mode == "closed"
-        # (pair index, arrival, trace or None)
-        queue: deque[tuple[int, float, RequestTrace | None]] = deque()
+        # server re-arms its client at the current clock, until every
+        # request has its arrival.
+        unarmed = n - len(arrivals) if mode == "closed" else 0
+        rearm = arrivals.append
+        # Admitted requests by pair index: request k arrived at
+        # arrivals[k], and is a write only in a run with writes.
+        queue: deque[int] = deque()
+        enqueue, dequeue = queue.append, queue.popleft
         latencies: list[float] = []
         write_latencies: list[float] = []
+        record = latencies.append
         clock = 0.0
-        shed = deadline_dropped = served = positives = batches = failed = 0
+        shed = deadline_dropped = positives = batches = failed = 0
         mutations_shed = queue_peak = next_request = 0
-        trace = None
         # Request tracing: off by default unless telemetry is on (a
         # session, or a sink attached to the stream), and forceable
         # either way.  When off, the loop below touches none of this —
@@ -241,6 +245,9 @@ class QueryServer:
             trace_event("serve.request", **trace.to_attrs(), **extra, at=at)
 
         trace_ids = TraceIdGenerator() if tracing else None
+        # The trace of each request in the queue, by pair index (tracing
+        # only); a request's trace is let go as it leaves.
+        traces: dict[int, RequestTrace] = {}
 
         with trace_span("serve.run", mode=mode) as span:
             while next_request < n or queue:
@@ -253,51 +260,51 @@ class QueryServer:
                     arrived = arrivals[next_request]
                     if arrived > clock:
                         break
-                    request = pairs[next_request]
-                    is_write = len(request) == 3
                     if tracing:
-                        trace = RequestTrace(
+                        request = pairs[next_request]
+                        traces[next_request] = RequestTrace(
                             trace_ids.next_id(), request[-2], request[-1],
-                            arrived, request[0] if is_write else None,
+                            arrived, request[0] if len(request) == 3 else None,
                         )
                     if len(queue) >= queue_depth:
-                        if is_write:
+                        if len(pairs[next_request]) == 3:
                             mutations_shed += 1
                         else:
                             shed += 1
                         if tracing:
                             # Shed requests leave a terminal trace too:
                             # the drop reason is part of the record.
+                            trace = traces.pop(next_request)
                             trace.finish("shed", reason="queue_full")
                             terminal(clock, trace)
                     else:
-                        queue.append((next_request, arrived, trace))
+                        enqueue(next_request)
                     next_request += 1
                 if len(queue) > queue_peak:
                     queue_peak = len(queue)
                 # Dequeue one batch, dropping requests past deadline.
-                batch: list[tuple[int, float, RequestTrace | None]] = []
+                batch: list[int] = []
                 while queue and len(batch) < batch_size:
-                    entry = queue.popleft()
-                    k, arrived, trace = entry
+                    k = dequeue()
                     # Writes are never deadline-dropped: the mutation
                     # must land even if its submitter stopped waiting.
                     if (
                         deadline is not None
+                        and clock - arrivals[k] > deadline
                         and len(pairs[k]) == 2
-                        and clock - arrived > deadline
                     ):
                         deadline_dropped += 1
                         if tracing:
-                            trace.add_stage("admission", clock - arrived)
-                            trace.finish(
-                                "deadline", clock - arrived, reason="deadline"
-                            )
+                            waited = clock - arrivals[k]
+                            trace = traces.pop(k)
+                            trace.add_stage("admission", waited)
+                            trace.finish("deadline", waited, reason="deadline")
                             terminal(clock, trace)
-                        if closed and len(arrivals) < n:
-                            arrivals.append(clock)
+                        if unarmed:
+                            rearm(clock)
+                            unarmed -= 1
                         continue
-                    batch.append(entry)
+                    batch.append(k)
                 if not batch:
                     continue
                 if on_advance is not None:
@@ -308,11 +315,12 @@ class QueryServer:
                 batches += 1
                 dequeued_at = clock
                 clock += dispatch_seconds
-                for k, arrived, trace in batch:
+                for k in batch:
                     request = pairs[k]
-                    is_write = len(request) == 3
+                    is_write = writes and len(request) == 3
                     if tracing:
-                        trace.add_stage("admission", dequeued_at - arrived)
+                        trace = traces.pop(k)
+                        trace.add_stage("admission", dequeued_at - arrivals[k])
                         begin_request(trace)
                     error = None
                     try:
@@ -326,15 +334,16 @@ class QueryServer:
                                 op, u, v, at=clock
                             )
                         else:
+                            s, t = request
                             try:
-                                answer, seconds = query_with_cost(*request)
+                                answer, seconds = query_with_cost(s, t)
                             except ShardUnavailableError as exc:
                                 error, seconds = exc, getattr(exc, "seconds", 0.0)
                     finally:
                         if tracing:
                             end_request()
                     clock += seconds
-                    latency = clock - arrived
+                    latency = clock - arrivals[k]
                     if is_write:
                         write_latencies.append(latency)
                         if tracing:
@@ -349,22 +358,22 @@ class QueryServer:
                             terminal(clock, trace)
                     else:
                         positives += answer
-                        served += 1
-                        latencies.append(latency)
+                        record(latency)
                         if tracing:
                             trace.add_stage(
                                 "backend", seconds, answer=bool(answer)
                             )
                             trace.finish("served", latency)
                             terminal(clock, trace)
-                    if closed and len(arrivals) < n:
-                        arrivals.append(clock)
+                    if unarmed:
+                        rearm(clock)
+                        unarmed -= 1
             report = ServeReport.from_tally(
                 mode,
                 latencies,
                 write_latencies,
                 offered=n - writes,
-                served=served,
+                served=len(latencies),
                 shed=shed,
                 deadline_dropped=deadline_dropped,
                 positives=positives,

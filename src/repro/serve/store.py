@@ -72,9 +72,6 @@ from repro.telemetry import trace_event, tracing
 #: Read fan-out policies accepted by :class:`ShardedLabelStore`.
 READ_POLICIES = ("primary", "round-robin", "hedged")
 
-_NEVER = float("inf")
-
-
 # Replica-read timeouts, scaled to the simulated serving clock (a
 # 20k-request bench run spans ~10 ms of simulated time): the
 # ``attempt``-th failed read of one fetch (0-based) costs
@@ -455,30 +452,19 @@ class ShardedLabelStore:
             target = shard_of[t]
         except IndexError:
             home, target = self._place(s), self._place(t)
-        sets = self.replica_sets
-        group = sets[home]
-        seconds = 0.0
-        if self._all_serving:
-            policy = self.policy
-            if policy == "primary":
-                chosen = (group.primary,)
-            else:  # round-robin and hedged both rotate for balance
-                copies = self.replicas_per_shard
-                first = group._rr % copies
-                group._rr += 1
-                if policy == "hedged" and copies > 1:
-                    chosen = (first, (first + 1) % copies)
-                else:
-                    chosen = (first,)
+        group = self.replica_sets[home]
+        if self._all_serving and self.policy == "primary":
+            # The common read: every replica serves and the primary
+            # answers, with nothing to route and no rival to race.
+            r, rival, seconds = group.primary, None, 0.0
         else:
-            chosen, seconds = self._route_degraded(group, home, target)
+            r, rival, seconds = self._route(group, home, target)
 
         cost = self._cost
-        views = self._views
-        service = _NEVER
         guard_seconds = 0.0
-        for r in chosen:
-            out_size_of, in_size_of, query = views[r]
+        lead = None
+        while True:  # once; twice when a hedge races a rival copy
+            out_size_of, in_size_of, query = self._views[r]
             try:
                 out_size = out_size_of(s)
                 in_size = in_size_of(t)
@@ -492,55 +478,67 @@ class ShardedLabelStore:
             member.requests += 1
             took = (out_size + in_size + 1) * cost.t_op * member.slowdown
             if target != home:
-                remote = sets[target].replicas[r]
+                remote = self.replica_sets[target].replicas[r]
                 remote.requests += 1
                 took += (
                     cost.t_hop + in_size * cost.entry_bytes * cost.t_byte
                 ) * remote.slowdown
-            reply = query(s, t)
-            if took < service:
-                winner, answer, service = r, reply, took
-        hedged = len(chosen) == 2
-        if hedged:
-            # Raced both, kept the faster answer: charge one extra
-            # dispatch for the hedge itself.
-            seconds += service + cost.t_hop
-            group.replicas[winner].hedges_won += 1
+            if rival is None:
+                break
+            lead, r, rival = (r, took, query), rival, None
+        if lead is None:
+            seconds += took
         else:
-            seconds += service
+            # Raced both, kept the faster copy (the first on a tie):
+            # charge one extra dispatch for the hedge itself.
+            if not took < lead[1]:
+                r, took, query = lead
+            seconds += took + cost.t_hop
+            group.replicas[r].hedges_won += 1
+        answer = query(s, t)
 
         lag = 0
-        if winner and self.replicator is not None:
-            answer, confirm_seconds, lag = self._guard(winner, s, t, answer)
+        if r and self.replicator is not None:
+            answer, confirm_seconds, lag = self._guard(r, s, t, answer)
             guard_seconds += confirm_seconds
         seconds += guard_seconds
         if tracing.ACTIVE is not None:
-            out_size_of, in_size_of, _ = views[winner]
+            out_size_of, in_size_of, _ = self._views[r]
             attrs = {
                 "home": home,
-                "replica": winner,
+                "replica": r,
                 "entries": out_size_of(s) + in_size_of(t),
             }
             if target != home:
                 attrs["remote"] = target
             if lag:
                 attrs["lag"] = lag
-            if hedged:
+            if lead is not None:
                 attrs["hedge_won"] = True
             tracing.ACTIVE.add_stage("store", seconds - guard_seconds, **attrs)
         return answer, seconds
 
-    def _route_degraded(
+    def _route(
         self, group: ReplicaSet, home: int, target: int
-    ) -> tuple[list[int], float]:
-        """Pick the serving group(s) while some replica is dead or
-        suspected.  Returns (groups to read, seconds burned).
+    ) -> tuple[int, int | None, float]:
+        """Pick the group to read under a rotating policy or while some
+        replica is dead or suspected.  Returns (group to read, the rival
+        group a hedge races or ``None``, seconds burned).
 
-        Walks the unsuspected groups in policy order.  A group serves
-        when its copies of both shards do; a suspected copy rules it out
-        for free, a dead one not yet suspected costs a timeout — such
-        groups stay candidates on purpose, that is how suspicion builds.
+        While every replica serves, round-robin and hedged both rotate
+        for balance.  Otherwise this walks the unsuspected groups in
+        policy order.  A group serves when its copies of both shards do;
+        a suspected copy rules it out for free, a dead one not yet
+        suspected costs a timeout — such groups stay candidates on
+        purpose, that is how suspicion builds.
         """
+        hedged = self.policy == "hedged"
+        if self._all_serving:
+            copies = self.replicas_per_shard
+            first = group._rr % copies
+            group._rr += 1
+            rival = (first + 1) % copies if hedged and copies > 1 else None
+            return first, rival, 0.0
         candidates = [r.replica_id for r in group.replicas if not r.suspected]
         if self.policy == "primary":
             candidates.sort(key=lambda r: (r != group.primary, r))
@@ -563,7 +561,7 @@ class ShardedLabelStore:
             )
             if down is None:
                 chosen.append(r)
-                if len(chosen) == (2 if self.policy == "hedged" else 1):
+                if len(chosen) == (2 if hedged else 1):
                     break
             elif not down.suspected:
                 down.timeouts += 1
@@ -580,7 +578,7 @@ class ShardedLabelStore:
             # even though it got no answer.
             error.seconds = seconds
             raise error
-        return chosen, seconds
+        return chosen[0], chosen[1] if len(chosen) > 1 else None, seconds
 
     def _force_catch_up(self, r: int) -> float:
         """Apply every pending op to follower group ``r`` now; returns
@@ -655,16 +653,17 @@ class ShardedIndexBackend:
     """:class:`~repro.query.service.QueryBackend` view of a store.
 
     Makes the store pluggable anywhere a backend is expected — the
-    request pipeline or a cache.
+    request pipeline or a cache.  ``query_with_cost`` *is* the store's
+    ``fetch``, bound once from the store given (so a stand-in's own
+    ``fetch`` is the one called): a request pays no frame of its own
+    here.
     """
 
     def __init__(self, store: ShardedLabelStore):
         self._store = store
+        self.query_with_cost = store.fetch
 
     @property
     def store(self) -> ShardedLabelStore:
         """The underlying store (for load/memory reports)."""
         return self._store
-
-    def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
-        return self._store.fetch(s, t)

@@ -161,6 +161,29 @@ def test_caching_backend_hit_skips_inner():
     assert miss_cost == 1.0 + _NO_LIMIT.t_op
 
 
+@pytest.mark.parametrize("capacity", [1, 3, 64])
+@pytest.mark.parametrize("negative_caching", [True, False])
+def test_caching_backend_keeps_the_lru_as_get_then_put_would(capacity, negative_caching):
+    # The backend reads and fills the LRU itself; QueryCache.get, then
+    # put on a miss, is the reference it must match entry for entry.
+    class Parity:
+        def query_with_cost(self, s, t):
+            return (s + t) % 3 == 0, 1.0
+
+    reference = QueryCache(capacity, negative_caching=negative_caching)
+    backend = CachingBackend(Parity(), QueryCache(capacity, negative_caching))
+    for s, t in random_pairs(12, 400, seed=capacity):
+        expected = reference.get(s, t)
+        if expected is None:
+            expected = (s + t) % 3 == 0
+            reference.put(s, t, expected)
+        assert backend.query_with_cost(s, t)[0] == expected
+    cache = backend.cache
+    assert list(cache._entries.items()) == list(reference._entries.items())
+    counts = ("hits", "misses", "evictions", "invalidated")
+    assert [getattr(cache, c) for c in counts] == [getattr(reference, c) for c in counts]
+
+
 # -- the staleness property --------------------------------------------
 # ISSUE.md: "insert/delete an edge, assert no stale cached answer
 # survives — reuse the fuzz dynamic-vs-rebuild oracle as a

@@ -176,6 +176,29 @@ def test_hedged_reads_route_around_a_straggler(graph, index):
     assert sum(won) > sum(slow_won)
 
 
+def test_a_hedge_answers_from_the_copy_that_won(graph):
+    # The leader's copy wins every race against a slowed, lagging
+    # follower, so no read goes through the staleness guard: an answer
+    # taken from the losing copy would be the follower's stale one.
+    leader = DynamicReachabilityIndex(graph)
+    replicator = BoundedStalenessReplicator(leader, 2, delay_seconds=1.0)
+    store = ReplicatedLabelStore(
+        leader, num_shards=2, cost_model=_NO_LIMIT, policy="hedged",
+        replicator=replicator,
+    )
+    for shard in range(2):
+        store.set_replica_slowdown(shard, 1, 25.0)
+    for op in mixed_update_stream(graph, 40, insert_ratio=1.0, seed=3):
+        leader.apply(*op)
+    pairs = random_pairs(graph.num_vertices, 300, seed=4)
+    follower = replicator.view(1)
+    assert any(leader.query(s, t) != follower.query(s, t) for s, t in pairs)
+    for s, t in pairs:
+        assert store.fetch(s, t)[0] == leader.query(s, t)
+    assert store.replica_stats()["hedges_won"] == len(pairs)
+    assert (store.stale_reads, store.confirmed_reads) == (0, 0)
+
+
 # ----------------------------------------------------------------------
 # Bounded-staleness replication
 # ----------------------------------------------------------------------
